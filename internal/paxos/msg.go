@@ -9,7 +9,8 @@
 //   - a stable leader is elected by running phase 1 (Prepare/Promise) once
 //     for all slots from its first unchosen slot onward;
 //   - each command then takes one phase-2 round (Accept/Accepted) followed
-//     by a Decide broadcast to learners;
+//     by a Decide broadcast to learners, which names the slot and ballot and
+//     lets each acceptor learn the command from its own accepted entry;
 //   - followers detect leader failure via heartbeats and run a randomized
 //     backoff before competing, avoiding dueling-proposer livelock;
 //   - learners deliver decisions in slot order with no gaps and fetch
@@ -104,10 +105,18 @@ type acceptedMsg struct {
 	Promised types.Ballot // on reject: the ballot we are bound to
 }
 
-// decideMsg announces the chosen command for Slot.
+// decideMsg announces the chosen command for Slot, in one of two forms. By
+// value it carries Cmd. By reference (ByRef) it carries only the Ballot the
+// slot was chosen under: an acceptor that accepted (Slot, Ballot) already
+// holds the command — a ballot proposes one value per slot — and learns it
+// from its own accepted entry; any other receiver fetches it by value through
+// catch-up. The same two forms are the durable dec/ record (see
+// persistDecided).
 type decideMsg struct {
-	Slot types.Slot
-	Cmd  types.Command
+	Slot   types.Slot
+	Cmd    types.Command
+	ByRef  bool
+	Ballot types.Ballot // ByRef only
 }
 
 // heartbeatMsg is broadcast by the leader. Decided lets followers detect
@@ -265,7 +274,20 @@ func decodeAccepted(buf []byte) (acceptedMsg, error) {
 	return m, wrapDecode("accepted", r)
 }
 
+// decideByRefTag opens the by-reference form after the slot. The by-value
+// (legacy) layout continues with a command, whose first byte is its kind — and
+// 0 is not a valid CommandKind — so the tag is unambiguous and by-value frames
+// and records decode unchanged.
+const decideByRefTag = 0
+
 func encodeDecide(m decideMsg) []byte {
+	if m.ByRef {
+		w := types.NewWriter(24 + len(m.Ballot.Leader))
+		w.Uvarint(uint64(m.Slot))
+		w.Byte(decideByRefTag)
+		w.Ballot(m.Ballot)
+		return w.Bytes()
+	}
 	w := types.NewWriter(8 + m.Cmd.EncodedSize())
 	w.Uvarint(uint64(m.Slot))
 	m.Cmd.Encode(w)
@@ -274,7 +296,14 @@ func encodeDecide(m decideMsg) []byte {
 
 func decodeDecide(buf []byte) (decideMsg, error) {
 	r := types.NewReader(buf)
-	m := decideMsg{Slot: types.Slot(r.Uvarint()), Cmd: types.DecodeCommandFrom(r)}
+	m := decideMsg{Slot: types.Slot(r.Uvarint())}
+	if rest := buf[len(buf)-r.Remaining():]; r.Err() == nil && len(rest) > 0 && rest[0] == decideByRefTag {
+		r.Byte()
+		m.ByRef = true
+		m.Ballot = r.Ballot()
+	} else {
+		m.Cmd = types.DecodeCommandFrom(r)
+	}
 	return m, wrapDecode("decide", r)
 }
 

@@ -19,7 +19,7 @@ type testCluster struct {
 	net    *transport.Network
 	cfg    types.Config
 	reps   map[types.NodeID]*Replica
-	stores map[types.NodeID]*storage.MemStore
+	stores map[types.NodeID]storage.Store
 
 	mu        sync.Mutex
 	delivered map[types.NodeID][]smr.Decision
@@ -41,6 +41,13 @@ func fastOpts(seed int64) Options {
 
 func newTestCluster(t *testing.T, n int, netOpts transport.Options) *testCluster {
 	t.Helper()
+	return newTestClusterOn(t, n, netOpts, func(types.NodeID) storage.Store { return storage.NewMem() })
+}
+
+// newTestClusterOn is newTestCluster with each replica's store built by
+// newStore; the cluster never closes a store.
+func newTestClusterOn(t *testing.T, n int, netOpts transport.Options, newStore func(types.NodeID) storage.Store) *testCluster {
+	t.Helper()
 	members := make([]types.NodeID, n)
 	for i := range members {
 		members[i] = types.NodeID(fmt.Sprintf("n%d", i+1))
@@ -51,11 +58,11 @@ func newTestCluster(t *testing.T, n int, netOpts transport.Options) *testCluster
 		net:       transport.NewNetwork(netOpts),
 		cfg:       cfg,
 		reps:      make(map[types.NodeID]*Replica, n),
-		stores:    make(map[types.NodeID]*storage.MemStore, n),
+		stores:    make(map[types.NodeID]storage.Store, n),
 		delivered: make(map[types.NodeID][]smr.Decision, n),
 	}
 	for _, id := range members {
-		tc.stores[id] = storage.NewMem()
+		tc.stores[id] = newStore(id)
 		tc.startReplica(id)
 	}
 	t.Cleanup(tc.close)

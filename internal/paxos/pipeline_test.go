@@ -53,7 +53,7 @@ func TestLearnClearsZombieInflight(t *testing.T) {
 	r.handlePropose(queued) // window full: queued behind the pipeline
 
 	// Slot `first` was chosen elsewhere with the same value we proposed.
-	r.learn(first, appCmd("c", 1))
+	r.learn(decideMsg{Slot: first, Cmd: appCmd("c", 1)})
 	if _, ok := r.inflight[first]; ok {
 		t.Fatal("decided slot still inflight after learn")
 	}
@@ -68,7 +68,7 @@ func TestLearnClearsZombieInflight(t *testing.T) {
 	// Slot first+1 was chosen elsewhere with a DIFFERENT value: our command
 	// lost the slot and must be re-proposed (at a fresh slot), not dropped.
 	lost := appCmd("c", 2)
-	r.learn(first+1, types.Command{Kind: types.CmdApp, Client: "z", Seq: 7, Data: []byte("winner")})
+	r.learn(decideMsg{Slot: first + 1, Cmd: types.Command{Kind: types.CmdApp, Client: "z", Seq: 7, Data: []byte("winner")}})
 	if _, ok := r.inflight[first+1]; ok {
 		t.Fatal("out-of-band decided slot still inflight")
 	}
@@ -83,7 +83,7 @@ func TestLearnClearsZombieInflight(t *testing.T) {
 	}
 
 	// Learning a slot that is not inflight (follower path) stays harmless.
-	r.learn(first+1000, types.NoopCommand())
+	r.learn(decideMsg{Slot: first + 1000, Cmd: types.NoopCommand()})
 	if got := len(r.inflight); got != r.opts.Pipeline {
 		t.Fatalf("inflight %d after unrelated learn, want %d", got, r.opts.Pipeline)
 	}

@@ -28,11 +28,13 @@ func (r *Replica) persistAccepted(e acceptedEntry) {
 	}
 }
 
-func (r *Replica) persistDecided(slot types.Slot, cmd types.Command) {
-	w := types.NewWriter(8 + cmd.EncodedSize())
-	w.Uvarint(uint64(slot))
-	cmd.Encode(w)
-	if err := r.setDurable(storage.SlotKey(r.prefix+"dec/", uint64(slot)), w.Bytes()); err != nil {
+// persistDecided writes the dec/ record in the decide codec: a by-reference
+// decision stores only (slot, ballot), because the command is already durable
+// under acc/<slot> at that ballot and is never overwritten there (a decided
+// slot takes no further votes, see onAccept); recover resolves the marker
+// through the accepted record. A decision learned by value stores the command.
+func (r *Replica) persistDecided(d decideMsg) {
+	if err := r.setDurable(storage.SlotKey(r.prefix+"dec/", uint64(d.Slot)), encodeDecide(d)); err != nil {
 		r.stats.violations.Add(1)
 	}
 }
@@ -63,8 +65,16 @@ func (r *Replica) handleMessage(m inboundMsg) {
 		}
 	case KindDecide:
 		msg, err := decodeDecide(m.payload)
-		if err == nil {
-			r.learn(msg.Slot, msg.Cmd)
+		if err != nil {
+			break
+		}
+		if !msg.ByRef {
+			r.learn(msg)
+		} else if !r.learnAccepted(msg.Slot, msg.Ballot) && msg.Slot > r.maxDecidedSeen {
+			// The Accept was lost, or we have since accepted a newer ballot:
+			// the slot is decided but its command is not here. The tick's
+			// catch-up round fetches it by value.
+			r.maxDecidedSeen = msg.Slot
 		}
 	case KindHeartbeat:
 		msg, err := decodeHeartbeat(m.payload)
@@ -80,7 +90,7 @@ func (r *Replica) handleMessage(m inboundMsg) {
 		msg, err := decodeCatchupResp(m.payload)
 		if err == nil {
 			for _, e := range msg.Entries {
-				r.learn(e.Slot, e.Cmd)
+				r.learn(decideMsg{Slot: e.Slot, Cmd: e.Cmd})
 			}
 			// Appended progress fields: the responder's contiguous frontier
 			// is a decided watermark, and a truncation floor at or above our
@@ -412,8 +422,12 @@ func (r *Replica) maybeDecide(slot types.Slot, sp *slotProgress) {
 		return
 	}
 	delete(r.inflight, slot)
-	r.broadcast(KindDecide, encodeDecide(decideMsg{Slot: slot, Cmd: sp.cmd}))
-	r.learn(slot, sp.cmd)
+	// By reference: every acceptor that voted already holds the command, so
+	// it crosses each link once (in the Accept) and each log once (acc/).
+	r.broadcast(KindDecide, encodeDecide(decideMsg{Slot: slot, ByRef: true, Ballot: r.ballot}))
+	if !r.learnAccepted(slot, r.ballot) {
+		r.learn(decideMsg{Slot: slot, Cmd: sp.cmd}) // our own acceptor refused the round
+	}
 	r.drainPending()
 }
 
@@ -441,7 +455,22 @@ func (r *Replica) stepDown() {
 
 // --- learner role ------------------------------------------------------------
 
-func (r *Replica) learn(slot types.Slot, cmd types.Command) {
+// learnAccepted records that the value this acceptor accepted at (slot,
+// ballot) was chosen. It reports false, learning nothing, when the acceptor
+// holds no entry for the slot at exactly that ballot.
+func (r *Replica) learnAccepted(slot types.Slot, ballot types.Ballot) bool {
+	e, ok := r.accepted[slot]
+	if !ok || !e.Ballot.Equal(ballot) {
+		return false
+	}
+	r.learn(decideMsg{Slot: slot, Cmd: e.Cmd, ByRef: true, Ballot: ballot})
+	return true
+}
+
+// learn is the learner: d.Cmd is the chosen command, and d.ByRef says the
+// local accepted entry at d.Ballot backs it (see persistDecided).
+func (r *Replica) learn(d decideMsg) {
+	slot, cmd := d.Slot, d.Cmd
 	if slot <= r.truncatedBelow {
 		// Already covered by an installed checkpoint and released; learning
 		// it again would resurrect a record below the truncation floor.
@@ -470,7 +499,7 @@ func (r *Replica) learn(slot types.Slot, cmd types.Command) {
 		return
 	}
 	r.decided[slot] = cmd
-	r.persistDecided(slot, cmd)
+	r.persistDecided(d)
 	r.stats.retained.Store(int64(len(r.decided)))
 	if slot > r.maxDecidedSeen {
 		r.maxDecidedSeen = slot

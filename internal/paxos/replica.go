@@ -388,18 +388,29 @@ func (r *Replica) recover() error {
 		return err
 	}
 	for _, kv := range decs {
-		rd := types.NewReader(kv.Value)
-		d := decideMsg{Slot: types.Slot(rd.Uvarint()), Cmd: types.DecodeCommandFrom(rd)}
-		if err := rd.Err(); err != nil {
+		d, err := decodeDecide(kv.Value)
+		if err != nil {
 			return fmt.Errorf("decided record %s: %w", kv.Key, err)
 		}
 		if d.Slot <= r.truncatedBelow {
 			continue
 		}
-		r.decided[d.Slot] = d.Cmd
 		if d.Slot > r.maxDecidedSeen {
 			r.maxDecidedSeen = d.Slot
 		}
+		if d.ByRef {
+			// A marker is written after the accepted record it names and that
+			// record is never overwritten, so a mismatch is a damaged store.
+			// The slot is known decided but its command is not: leave it
+			// undecided here and let catch-up refetch it by value.
+			e, ok := r.accepted[d.Slot]
+			if !ok || !e.Ballot.Equal(d.Ballot) {
+				r.stats.violations.Add(1)
+				continue
+			}
+			d.Cmd = e.Cmd
+		}
+		r.decided[d.Slot] = d.Cmd
 	}
 	if s := types.Slot(len(r.decided)); s > 0 {
 		// nextSlot must clear everything we might know about.

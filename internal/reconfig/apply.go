@@ -508,12 +508,18 @@ func (n *Node) resubmitPendingLocked(force bool) {
 		}
 		n.stats.resubmits++
 		_ = run.eng.Propose(p.cmd) // best effort; a later tick retries
-		step := int64(1) << p.backoff
-		if p.backoff < 4 { // cap at 16 ticks between re-proposals
-			p.backoff++
-		}
-		p.nextRetry = n.tick + step + n.rng.Int63n(step+1)
+		n.armRetryLocked(p)
 	}
+}
+
+// armRetryLocked starts p's backoff clock at a proposal made now: the next
+// housekeeping re-proposal is one jittered step away, and the step doubles.
+func (n *Node) armRetryLocked(p *pendingCmd) {
+	step := int64(1) << p.backoff
+	if p.backoff < 4 { // cap at 16 ticks between re-proposals
+		p.backoff++
+	}
+	p.nextRetry = n.tick + step + n.rng.Int63n(step+1)
 }
 
 // redirectAllPendingLocked answers every waiting client with a redirect to

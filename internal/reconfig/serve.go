@@ -212,6 +212,12 @@ func (n *Node) enqueueSubmitLocked(cmd types.Command, respond func([]byte)) {
 	p, ok := n.pending[key]
 	if !ok {
 		p = &pendingCmd{cmd: cmd}
+		// The proposal below is try zero, so the backoff clock starts here: a
+		// zero nextRetry would have the very next housekeeping tick re-propose
+		// a command that is merely in flight. The extra tick covers the
+		// current one, which is already partly spent.
+		n.armRetryLocked(p)
+		p.nextRetry++
 		n.pending[key] = p
 		if depth := int64(len(n.pending)); depth > n.stats.submitHighWater {
 			n.stats.submitHighWater = depth

@@ -15,7 +15,6 @@ package storage
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -283,5 +282,10 @@ func clone(b []byte) []byte {
 // SlotKey renders a log-slot key under prefix with fixed-width zero padding
 // so lexicographic order equals numeric order.
 func SlotKey(prefix string, slot uint64) string {
-	return fmt.Sprintf("%s%020d", prefix, slot)
+	var digits [20]byte // math.MaxUint64 has 20 digits
+	for i := len(digits) - 1; i >= 0; i-- {
+		digits[i] = byte('0' + slot%10)
+		slot /= 10
+	}
+	return prefix + string(digits[:])
 }

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -165,6 +166,16 @@ func TestSlotKeyOrdering(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// WAL recovery order and every store written before SlotKey dropped fmt depend
+// on the key bytes, so they are pinned to the old rendering.
+func TestSlotKeyMatchesSprintf(t *testing.T) {
+	for _, slot := range []uint64{0, 1, 1e19, math.MaxUint64} {
+		if got, want := SlotKey("pxs/7/dec/", slot), fmt.Sprintf("%s%020d", "pxs/7/dec/", slot); got != want {
+			t.Errorf("SlotKey(%d) = %q, want %q", slot, got, want)
+		}
 	}
 }
 

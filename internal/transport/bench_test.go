@@ -6,21 +6,20 @@ import (
 )
 
 // BenchmarkEncodeFrame measures producing one TCP wire frame the way
-// transmit does (pooled scratch buffer + appendFrame) — the hottest
-// allocation site of the TCP fabric.
+// transmit does (appendFrame straight into the connection's send queue,
+// whose buffer the flusher hands back) — the hottest allocation site of the
+// TCP fabric.
 //
 //	go test ./internal/transport/ -bench EncodeFrame -benchmem
 func BenchmarkEncodeFrame(b *testing.B) {
 	payload := bytes.Repeat([]byte{0xcd}, 256)
+	var queue []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bufp := framePool.Get().(*[]byte)
-		frame := appendFrame((*bufp)[:0], "node-01", 0, 3, 32, payload)
-		if len(frame) == 0 {
+		queue = appendFrame(queue[:0], "node-01", 0, 3, 32, payload)
+		if len(queue) == 0 {
 			b.Fatal("empty frame")
 		}
-		*bufp = frame[:0]
-		framePool.Put(bufp)
 	}
 }

@@ -50,36 +50,92 @@ type connKey struct {
 	from, to types.NodeID
 }
 
-// outConn is one outbound connection. Frames are written into bw under mu
-// and flushed by a dedicated flusher goroutine, so a burst of transmits
-// (leader broadcast fan-out, a batch of forwards) reaches the kernel as one
-// write instead of one syscall per frame. TCP_NODELAY is set explicitly:
-// with our own coalescing in front, Nagle's algorithm would only add
-// latency.
+// Send-path sizing. Only the 64 KiB buffers were measured on the repo
+// benchmark (see EXPERIMENTS.md, "Decide by reference and the non-blocking
+// send path"); the cap is sized from the worst-case burst and no benchmark
+// run reaches it.
+const (
+	// sendQueueCap is how many bytes may already be waiting on a connection
+	// before transmit drops further frames. State transfer is the largest
+	// regular burst: fetchWorkers (4) range replies of 256 KiB can target one
+	// joiner at once, and the cap is four times that.
+	sendQueueCap = 4 << 20
+	// sendBufKeep is the largest buffer a connection keeps between flushes; a
+	// burst of ordinary protocol frames fits, and what a transfer chunk grew
+	// is handed back to the collector.
+	sendBufKeep = 64 << 10
+	// readBufSize lets a burst of 1 KiB frames cost one read(2).
+	readBufSize = 64 << 10
+)
+
+// outConn is one outbound connection. transmit appends frames to queue under
+// mu and never touches the socket: the flusher goroutine dials, then swaps
+// queue for its spare buffer and writes outside the lock. A caller therefore
+// never waits on the kernel, a burst of transmits (leader broadcast fan-out,
+// a batch of forwards) reaches it as one write, and a peer that stops reading
+// costs its own frames, nobody else's: past sendQueueCap they are dropped and
+// counted in DroppedBusy — datagram semantics, which the protocols tolerate.
+// TCP_NODELAY is set explicitly: with our own coalescing in front, Nagle's
+// algorithm would only add latency.
 type outConn struct {
-	mu   sync.Mutex
-	conn net.Conn
-	bw   *bufio.Writer
-	err  error // sticky: the conn is dead, drop and redial
+	mu    sync.Mutex
+	queue []byte   // encoded frames not yet handed to the flusher
+	conn  net.Conn // nil until the flusher has dialed
+	dead  bool     // sticky: drop frames; the fabric has forgotten this conn
 
 	notify chan struct{} // cap 1: kick the flusher
 	quit   chan struct{}
 	stop   sync.Once
 }
 
-// shutdown closes the connection and stops the flusher, exactly once.
+// shutdown marks the connection dead, closes the socket (unblocking a write
+// in flight) and stops the flusher, exactly once.
 func (oc *outConn) shutdown() {
 	oc.stop.Do(func() {
+		oc.mu.Lock()
+		oc.dead = true
+		conn := oc.conn
+		oc.mu.Unlock()
 		close(oc.quit)
-		_ = oc.conn.Close()
+		if conn != nil {
+			_ = conn.Close()
+		}
 	})
 }
 
-// flushLoop drains the bufio.Writer once per transmit burst: each notify
-// wakes it, and every frame written while a flush is in flight rides the
-// next one.
-func (f *tcpFabric) flushLoop(key connKey, oc *outConn) {
+// dial connects to addr and publishes the socket, unless the connection was
+// shut down meanwhile.
+func (oc *outConn) dial(addr string) bool {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return false
+	}
+	if tc, isTCP := conn.(*net.TCPConn); isTCP {
+		// We batch in userspace; Nagle would only delay the flushed burst
+		// behind un-acked data.
+		_ = tc.SetNoDelay(true)
+	}
+	oc.mu.Lock()
+	dead := oc.dead
+	if !dead {
+		oc.conn = conn
+	}
+	oc.mu.Unlock()
+	if dead {
+		_ = conn.Close()
+	}
+	return !dead
+}
+
+// flushLoop owns the socket. Each notify wakes it to take everything queued
+// so far; frames queued while a write is in flight ride the next one.
+func (f *tcpFabric) flushLoop(key connKey, oc *outConn, addr string) {
 	defer f.wg.Done()
+	if !oc.dial(addr) {
+		f.dropConn(key, oc)
+		return
+	}
+	var spare []byte
 	for {
 		select {
 		case <-oc.quit:
@@ -87,16 +143,19 @@ func (f *tcpFabric) flushLoop(key connKey, oc *outConn) {
 		case <-oc.notify:
 		}
 		oc.mu.Lock()
-		var err error
-		if oc.err == nil {
-			err = oc.bw.Flush()
-			oc.err = err
-		}
+		buf := oc.queue
+		oc.queue = spare[:0]
 		oc.mu.Unlock()
-		if err != nil {
-			f.dropConn(key, oc)
-			return
+		if len(buf) > 0 {
+			if _, err := oc.conn.Write(buf); err != nil {
+				f.dropConn(key, oc)
+				return
+			}
 		}
+		if cap(buf) > sendBufKeep {
+			buf = nil
+		}
+		spare = buf
 	}
 }
 
@@ -155,17 +214,17 @@ func (f *tcpFabric) listenFor(e *Endpoint) error {
 			f.wg.Add(1)
 			go func() {
 				defer f.wg.Done()
-				f.readLoop(conn)
+				f.readLoop(conn, e)
 			}()
 		}
 	}()
 	return nil
 }
 
-// transmit queues one frame to the destination, dialing on demand. The frame
-// lands in the connection's write buffer; the flusher goroutine pushes it to
-// the kernel, coalescing bursts into one syscall. Failures are silent —
-// exactly like datagram loss; the protocols retransmit.
+// transmit queues one frame to the destination; the first frame for a pair
+// starts the connection's flusher, which dials. It never blocks on the
+// network. Failures and overflow are silent — exactly like datagram loss; the
+// protocols retransmit.
 func (f *tcpFabric) transmit(from, to types.NodeID, group, stream uint64, kind uint8, payload []byte) {
 	key := connKey{from: from, to: to}
 	f.mu.Lock()
@@ -180,101 +239,57 @@ func (f *tcpFabric) transmit(from, to types.NodeID, group, stream uint64, kind u
 			f.mu.Unlock()
 			return
 		}
-		f.mu.Unlock()
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			return
-		}
-		if tc, isTCP := conn.(*net.TCPConn); isTCP {
-			// We batch in userspace; Nagle would only delay the flushed
-			// burst behind un-acked data.
-			_ = tc.SetNoDelay(true)
-		}
-		oc = &outConn{
-			conn:   conn,
-			bw:     bufio.NewWriter(conn),
-			notify: make(chan struct{}, 1),
-			quit:   make(chan struct{}),
-		}
-		f.mu.Lock()
-		if f.closed {
-			f.mu.Unlock()
-			_ = conn.Close()
-			return
-		}
-		if existing, raced := f.conns[key]; raced {
-			f.mu.Unlock()
-			_ = conn.Close()
-			oc = existing
-		} else {
-			f.conns[key] = oc
-			f.wg.Add(1)
-			go f.flushLoop(key, oc)
-			f.mu.Unlock()
-		}
-	} else {
-		f.mu.Unlock()
+		oc = &outConn{notify: make(chan struct{}, 1), quit: make(chan struct{})}
+		f.conns[key] = oc
+		f.wg.Add(1)
+		go f.flushLoop(key, oc, addr)
 	}
+	f.mu.Unlock()
 
-	bufp := framePool.Get().(*[]byte)
-	frame := appendFrame((*bufp)[:0], from, group, stream, kind, payload)
 	oc.mu.Lock()
-	err := oc.err
-	if err == nil {
-		// bw.Write copies frame into the connection buffer (or the socket),
-		// so the scratch buffer can be pooled as soon as it returns.
-		_, err = oc.bw.Write(frame)
-		oc.err = err
-	}
-	oc.mu.Unlock()
-	size := int64(len(frame))
-	*bufp = frame[:0]
-	framePool.Put(bufp)
-	if err != nil {
-		f.dropConn(key, oc)
+	if oc.dead {
+		oc.mu.Unlock()
 		return
 	}
-	f.net.frameSizes.Observe(size)
+	queued := len(oc.queue)
+	if queued > sendQueueCap {
+		// A frame that finds the queue under the cap always goes, whatever
+		// its size, so transfer chunks and monolithic snapshots still pass.
+		oc.mu.Unlock()
+		f.net.countDroppedBusy()
+		return
+	}
+	oc.queue = appendFrame(oc.queue, from, group, stream, kind, payload)
+	size := len(oc.queue) - queued
+	oc.mu.Unlock()
+	f.net.frameSizes.Observe(int64(size))
 	select {
 	case oc.notify <- struct{}{}:
 	default: // flusher already kicked; it will see this frame too
 	}
 }
 
-// readLoop decodes frames from one accepted connection and injects them
-// into the destination endpoint's inbox.
-func (f *tcpFabric) readLoop(conn net.Conn) {
+// readLoop decodes frames from one connection accepted on e's listener and
+// puts them in e's inbox; the wire supplied the latency, so the simulated
+// scheduler is bypassed.
+func (f *tcpFabric) readLoop(conn net.Conn, e *Endpoint) {
 	defer func() { _ = conn.Close() }()
-	br := bufio.NewReader(conn)
-	// The destination is the endpoint that owns the listener this conn was
-	// accepted on; frames carry from/stream/kind/payload. We recover the
-	// destination from the local address.
-	local := conn.LocalAddr().String()
-	var to types.NodeID
-	f.mu.Lock()
-	for id, addr := range f.addrs {
-		if addr == local {
-			to = id
-			break
-		}
-	}
-	f.mu.Unlock()
-	if to == "" {
-		return
-	}
+	br := bufio.NewReaderSize(conn, readBufSize)
 	for {
 		from, group, stream, kind, payload, err := decodeFrame(br)
 		if err != nil {
 			return
 		}
-		f.net.deliverDirect(&delivery{
+		if !e.enqueue(&delivery{
 			from:    from,
-			to:      to,
+			to:      e.id,
 			group:   group,
 			stream:  stream,
 			kind:    kind,
 			payload: payload,
-		})
+		}) {
+			f.net.countDroppedBusy()
+		}
 	}
 }
 
@@ -302,16 +317,6 @@ func (f *tcpFabric) close() {
 		_ = c.Close()
 	}
 	f.wg.Wait()
-}
-
-// framePool recycles frame-encode scratch buffers: transmit copies the frame
-// into the connection's buffered writer before returning it to the pool, so
-// steady-state sends allocate nothing.
-var framePool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 4096)
-		return &b
-	},
 }
 
 // Frame layout (legacy, carries group 0):

@@ -3,6 +3,7 @@ package transport
 import (
 	"bufio"
 	"bytes"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -233,7 +234,10 @@ func TestTCPRedialAfterPeerConnDrop(t *testing.T) {
 	if oc == nil {
 		t.Fatal("no cached conn")
 	}
-	_ = oc.conn.Close()
+	oc.mu.Lock()
+	conn := oc.conn
+	oc.mu.Unlock()
+	_ = conn.Close()
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -249,6 +253,82 @@ func TestTCPRedialAfterPeerConnDrop(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// TestTCPStuckPeerCostsOnlyItsOwnFrames is the regression test for the send
+// path's drop-not-block contract. One destination stops reading, so the
+// kernel's socket buffers to it fill. Sends to it must overflow into
+// DroppedBusy instead of blocking, traffic between the other endpoints must
+// keep flowing in both directions, and Close must return. When send wrote to
+// the socket under Network.mu, the first full buffer hung every sender and
+// every readLoop in the process.
+func TestTCPStuckPeerCostsOnlyItsOwnFrames(t *testing.T) {
+	n := NewTCPNetwork(Options{})
+	a := n.Endpoint("a")
+	b := n.Endpoint("b")
+	n.Endpoint("stuck").Pause()
+
+	// Repoint the paused endpoint's address at a listener whose connections
+	// are accepted and never read.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	held := make(chan net.Conn, 1)
+	go func() {
+		if c, err := ln.Accept(); err == nil {
+			held <- c
+		}
+	}()
+	defer func() {
+		select {
+		case c := <-held:
+			_ = c.Close()
+		default:
+		}
+	}()
+	n.tcp.mu.Lock()
+	n.tcp.addrs["stuck"] = ln.Addr().String()
+	n.tcp.mu.Unlock()
+
+	within := func(what string, fn func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			fn()
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s blocked", what)
+		}
+	}
+
+	chunk := make([]byte, 256<<10)
+	within("sending to the stuck peer", func() {
+		for n.Stats().DroppedBusy == 0 {
+			_ = a.Send("stuck", 1, 0, chunk)
+		}
+	})
+
+	var atA, atB atomic.Int64
+	a.Handle(1, func(types.NodeID, uint64, uint8, []byte) { atA.Add(1) })
+	b.Handle(1, func(types.NodeID, uint64, uint8, []byte) { atB.Add(1) })
+	const total = 200
+	within("sending past the stuck peer", func() {
+		for i := 0; i < total; i++ {
+			_ = a.Send("b", 1, 0, []byte("ab"))
+			_ = b.Send("a", 1, 0, []byte("ba"))
+			_ = a.Send("stuck", 1, 0, chunk)
+		}
+	})
+	waitFor(t, func() bool { return atA.Load() == total && atB.Load() == total }, "traffic between the healthy endpoints")
+	if st := n.Stats(); st.DroppedBusy < total {
+		t.Fatalf("DroppedBusy = %d, want the %d frames sent to the full connection", st.DroppedBusy, total)
+	}
+	within("Network.Close", n.Close)
 }
 
 func TestTCPFrameSizeHistogram(t *testing.T) {

@@ -62,7 +62,7 @@ type Stats struct {
 	Delivered    int64
 	DroppedLoss  int64 // dropped by the loss model
 	DroppedCut   int64 // dropped by partition/isolation
-	DroppedBusy  int64 // dropped because the inbox was full
+	DroppedBusy  int64 // dropped because the inbox, or a TCP connection's send queue, was full
 	DroppedDown  int64 // dropped because the endpoint was paused or closed
 	Duplicated   int64
 	PerKind      map[uint8]KindStats
@@ -299,13 +299,28 @@ func (n *Network) cut(a, b types.NodeID) bool {
 // send is called by endpoints; it applies the fault model and enqueues
 // deliveries.
 func (n *Network) send(from, to types.NodeID, group, stream uint64, kind uint8, payload []byte) error {
+	copies, err := n.admit(from, to, group, stream, kind, payload)
+	// The accounting and the fault model needed n.mu; the TCP fabric has its
+	// own locks. Held across transmit, n.mu would queue every sender in the
+	// process, and the delivery accounting, behind one connection.
+	for i := 0; i < copies; i++ {
+		n.tcp.transmit(from, to, group, stream, kind, payload)
+	}
+	return err
+}
+
+// admit is the part of send that runs under n.mu: accounting, the fault
+// model, and on the simulated fabric the scheduling itself. It returns how
+// many copies of the frame the caller must hand to the TCP fabric, 0 when the
+// frame was dropped or has already been scheduled.
+func (n *Network) admit(from, to types.NodeID, group, stream uint64, kind uint8, payload []byte) (int, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed {
-		return ErrClosed
+		return 0, ErrClosed
 	}
 	if _, ok := n.eps[to]; !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownNode, to)
+		return 0, fmt.Errorf("%w: %s", ErrUnknownNode, to)
 	}
 
 	n.stats.MessagesSent++
@@ -317,11 +332,11 @@ func (n *Network) send(from, to types.NodeID, group, stream uint64, kind uint8, 
 
 	if n.cut(from, to) {
 		n.stats.DroppedCut++
-		return nil // silently dropped, like a real partition
+		return 0, nil // silently dropped, like a real partition
 	}
 	if n.opts.LossRate > 0 && n.rng.Float64() < n.opts.LossRate {
 		n.stats.DroppedLoss++
-		return nil
+		return 0, nil
 	}
 	copies := 1
 	if n.opts.DupRate > 0 && n.rng.Float64() < n.opts.DupRate {
@@ -329,10 +344,7 @@ func (n *Network) send(from, to types.NodeID, group, stream uint64, kind uint8, 
 		n.stats.Duplicated++
 	}
 	if n.tcp != nil {
-		for i := 0; i < copies; i++ {
-			n.tcp.transmit(from, to, group, stream, kind, payload)
-		}
-		return nil
+		return copies, nil
 	}
 	now := time.Now()
 	for i := 0; i < copies; i++ {
@@ -359,7 +371,7 @@ func (n *Network) send(from, to types.NodeID, group, stream uint64, kind uint8, 
 	case n.wake <- struct{}{}:
 	default:
 	}
-	return nil
+	return 0, nil
 }
 
 // run is the scheduler loop: it sleeps until the earliest delivery is due,
@@ -393,9 +405,7 @@ func (n *Network) run() {
 				continue
 			}
 			if !ep.enqueue(next) {
-				n.mu.Lock()
-				n.stats.DroppedBusy++
-				n.mu.Unlock()
+				n.countDroppedBusy()
 			}
 			continue
 		}
@@ -419,20 +429,10 @@ func (n *Network) run() {
 	}
 }
 
-// deliverDirect injects an inbound delivery, bypassing the simulated
-// scheduler (used by the TCP fabric, where the wire supplies the latency).
-func (n *Network) deliverDirect(d *delivery) {
+func (n *Network) countDroppedBusy() {
 	n.mu.Lock()
-	ep := n.eps[d.to]
+	n.stats.DroppedBusy++
 	n.mu.Unlock()
-	if ep == nil {
-		return
-	}
-	if !ep.enqueue(d) {
-		n.mu.Lock()
-		n.stats.DroppedBusy++
-		n.mu.Unlock()
-	}
 }
 
 func (n *Network) recordDelivered(down bool) {
