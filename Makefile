@@ -28,8 +28,10 @@ bench-read:
 	$(GO) test -run '^$$' -bench R1ReadScaling -benchtime 1x .
 
 # State-transfer smoke: one composed member swap with ~4MB of preloaded
-# state, chunked vs monolithic transfer, reporting commit gap and wedge
-# capture time. The full sweep lives in `rsmbench -exp t2,f2,f5`.
+# state, reporting commit gap, reconfigure time and wedge capture time (the
+# COW fork under the node mutex). The full sweep lives in
+# `rsmbench -exp t2,f2,f5`; the monolithic-transfer arm it used to compare
+# against was deleted after T2's verdict (last reproducible at e470030).
 bench-snapshot:
 	$(GO) test -run '^$$' -bench SnapshotTransfer -benchtime 1x .
 	$(GO) test -run '^$$' -bench ForkVsSnapshot -benchtime 2s ./internal/statemachine/

@@ -106,9 +106,6 @@ func BenchmarkF2StateTransfer(b *testing.B) {
 			if !row.Speculative {
 				tag = "nospec"
 			}
-			if row.Mono {
-				tag += "-mono"
-			}
 			b.ReportMetric(row.ReconfigTook.Seconds()*1000,
 				fmt.Sprintf("reconfig-ms/%s/%dKB", tag, row.StateBytes>>10))
 		}
@@ -117,31 +114,21 @@ func BenchmarkF2StateTransfer(b *testing.B) {
 
 // BenchmarkSnapshotTransfer — the state-transfer smoke benchmark behind
 // `make bench-snapshot`: one member swap of the composed system with a
-// multi-megabyte preloaded state, chunked vs monolithic transfer. Headline
-// metrics are the commit gap (client-visible downtime), the reconfigure
-// call duration, and the longest time any node held its mutex capturing
-// state at a wedge (COW fork vs full serialize).
+// multi-megabyte preloaded state. Headline metrics are the commit gap
+// (client-visible downtime), the reconfigure call duration, and the longest
+// time any node held its mutex capturing state at a wedge (the COW fork).
 func BenchmarkSnapshotTransfer(b *testing.B) {
 	const stateBytes = 4 << 20
 	harness.WarmHeap(tuning(), stateBytes)
-	for _, mode := range []struct {
-		name string
-		mono bool
-	}{{"chunked", false}, {"mono", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				t := tuning()
-				t.Mono = mode.mono
-				res, err := harness.RunDisruption(harness.Composed, t, benchRunDur, benchClients, stateBytes)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.Log("\n" + res.Render())
-				b.ReportMetric(res.Gap.Seconds()*1000, "gap-ms")
-				b.ReportMetric(res.ReconfigTook.Seconds()*1000, "reconfig-ms")
-				b.ReportMetric(float64(res.Transfer.MaxWedgeCapture.Microseconds()), "wedge-capture-us")
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		res, err := harness.RunDisruption(harness.Composed, tuning(), benchRunDur, benchClients, stateBytes)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Log("\n" + res.Render())
+		b.ReportMetric(res.Gap.Seconds()*1000, "gap-ms")
+		b.ReportMetric(res.ReconfigTook.Seconds()*1000, "reconfig-ms")
+		b.ReportMetric(float64(res.Transfer.MaxWedgeCapture.Microseconds()), "wedge-capture-us")
 	}
 }
 

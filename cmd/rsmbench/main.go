@@ -114,17 +114,6 @@ func runOne(id string, tun harness.Tuning, dur time.Duration, clients int, seed 
 					return err
 				}
 				results = append(results, res)
-				if kind == harness.Composed {
-					// Monolithic-transfer ablation row: same system, the
-					// pre-chunking wedge and single-shot fetch.
-					mt := tun
-					mt.Mono = true
-					res, err := harness.RunDisruptionMedian(kind, mt, dur, clients, size)
-					if err != nil {
-						return err
-					}
-					results = append(results, res)
-				}
 			}
 		}
 		fmt.Print(harness.RenderDisruptionTable(results))
@@ -179,15 +168,6 @@ func runOne(id string, tun harness.Tuning, dur time.Duration, clients int, seed 
 					return err
 				}
 				results = append(results, res)
-				if kind == harness.Composed {
-					mt := tun
-					mt.Mono = true
-					res, err := harness.RunDisruptionMedian(kind, mt, dur, clients, size)
-					if err != nil {
-						return err
-					}
-					results = append(results, res)
-				}
 			}
 		}
 		fmt.Print(harness.RenderCrossover(results))

@@ -76,18 +76,13 @@ type Deployment interface {
 
 // Tuning holds the timing shared by every deployment in an experiment.
 type Tuning struct {
-	Net     transport.Options
-	Tick    time.Duration
-	Retry   time.Duration
-	Alpha   int  // inband only
-	SpecOff bool // composed only: disable speculative engine start
-	// Mono restores the pre-chunking monolithic state transfer on the
-	// composed system (serialize-under-lock wedge, single-shot snapshot
-	// fetch) — the ablation baseline the chunked transfer is measured
-	// against.
-	Mono     bool
-	MaxDepth int // paxos hard inflight cap (0 = default)
-	Batch    int // paxos commands per slot (0 = default; A1 ablation)
+	Net      transport.Options
+	Tick     time.Duration
+	Retry    time.Duration
+	Alpha    int  // inband only
+	SpecOff  bool // composed only: disable speculative engine start
+	MaxDepth int  // paxos hard inflight cap (0 = default)
+	Batch    int  // paxos commands per slot (0 = default; A1 ablation)
 	// Pipeline is the proposer's working window: how many slots a leader
 	// keeps concurrently in flight (0 = paxos default; W1 sweep).
 	Pipeline int
@@ -303,7 +298,6 @@ func newComposed(t Tuning, factory statemachine.Factory, initial, spares []types
 		StaleJumpTicks:     15,
 		GossipTicks:        20,
 		SpeculativeStart:   spec,
-		MonolithicTransfer: t.Mono,
 		Reads:              t.Reads,
 		LeaseTicks:         t.LeaseTicks,
 		SerialApply:        t.SerialApply,

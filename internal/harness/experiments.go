@@ -376,7 +376,6 @@ type DisruptionResult struct {
 	StateKeys     int
 	ApproxStateB  int
 	ViolationsSum int64
-	Mono          bool          // composed only: monolithic-transfer ablation
 	Transfer      TransferStats // composed only: chunk counters + wedge capture
 	// TTFD is the time from issuing the reconfiguration to the first moment
 	// any brand-new member learned a decided slot of the successor
@@ -399,17 +398,11 @@ func RunDisruption(kind SystemKind, tuning Tuning, dur time.Duration, clients, s
 // one-time heap-growth/page-zeroing stall (hundreds of milliseconds at 8MB,
 // and it persists under GOGC=off, so it is not collector pacing) that would
 // otherwise land on whichever variant happens to run first in a sweep.
-// Both transfer paths are warmed: the monolithic path's contiguous
-// state-size buffer needs its own first-touch pass.
 func WarmHeap(tuning Tuning, stateBytes int) {
 	if stateBytes < 1<<20 {
 		return
 	}
-	for _, mono := range []bool{false, true} {
-		t := tuning
-		t.Mono = mono
-		_, _ = RunDisruption(Composed, t, 500*time.Millisecond, 2, stateBytes)
-	}
+	_, _ = RunDisruption(Composed, tuning, 500*time.Millisecond, 2, stateBytes)
 }
 
 // RunDisruptionMedian runs the disruption scenario three times and returns
@@ -490,7 +483,6 @@ func RunDisruptionTo(kind SystemKind, tuning Tuning, dur time.Duration, clients,
 		StateKeys:     keys,
 		ApproxStateB:  stateBytes,
 		ViolationsSum: dep.Violations(),
-		Mono:          tuning.Mono,
 	}
 	if cd, ok := dep.(*composedDep); ok {
 		res.Transfer = cd.TransferStats()
@@ -527,12 +519,10 @@ func RunDisruptionTo(kind SystemKind, tuning Tuning, dur time.Duration, clients,
 
 // --- F2: state transfer cost (composed, speculation ablation) ------------------------
 
-// F2Row is one (state size, speculation, transfer-mode) measurement of the
-// composed system.
+// F2Row is one (state size, speculation) measurement of the composed system.
 type F2Row struct {
 	StateBytes   int
 	Speculative  bool
-	Mono         bool // monolithic-transfer ablation (chunked is the default)
 	ReconfigTook time.Duration
 	Gap          time.Duration
 }
@@ -543,33 +533,24 @@ type F2Result struct {
 }
 
 // RunF2StateTransfer sweeps snapshot size for the composed system with and
-// without speculative successor start, plus a monolithic-transfer ablation
-// row per size. The reconfiguration is a FULL replacement — every successor
-// member is brand new — so no replica holds the state locally and the
-// transfer truly gates execution; this is the scenario where speculation
-// (ordering while the snapshot streams) pays and where chunked transfer
-// separates from single-shot fetch.
+// without speculative successor start. The reconfiguration is a FULL
+// replacement — every successor member is brand new — so no replica holds the
+// state locally and the transfer truly gates execution; this is the scenario
+// where speculation (ordering while the snapshot streams) pays.
 func RunF2StateTransfer(tuning Tuning, sizes []int, dur time.Duration, clients int) (F2Result, error) {
 	var res F2Result
 	spares := []types.NodeID{"s1", "s2", "s3"}
-	variants := []struct{ spec, mono bool }{
-		{spec: true, mono: false},
-		{spec: false, mono: false},
-		{spec: true, mono: true},
-	}
 	for _, size := range sizes {
-		for _, v := range variants {
+		for _, spec := range []bool{true, false} {
 			t := tuning
-			t.SpecOff = !v.spec
-			t.Mono = v.mono
+			t.SpecOff = !spec
 			r, err := RunDisruptionTo(Composed, t, dur, clients, size, spares, spares)
 			if err != nil {
-				return res, fmt.Errorf("size %d spec %v mono %v: %w", size, v.spec, v.mono, err)
+				return res, fmt.Errorf("size %d spec %v: %w", size, spec, err)
 			}
 			res.Rows = append(res.Rows, F2Row{
 				StateBytes:   size,
-				Speculative:  v.spec,
-				Mono:         v.mono,
+				Speculative:  spec,
 				ReconfigTook: r.ReconfigTook,
 				Gap:          r.Gap,
 			})

@@ -240,8 +240,8 @@ func TestRunF2FullReplacementSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Three variants per size: chunked spec-on, chunked spec-off, mono.
-	if len(res.Rows) != 3 {
+	// Two variants per size: spec-on, spec-off.
+	if len(res.Rows) != 2 {
 		t.Fatalf("rows %d", len(res.Rows))
 	}
 	for _, row := range res.Rows {

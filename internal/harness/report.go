@@ -118,19 +118,10 @@ func (r T1DurableResult) Render() string {
 		renderTable([]string{"backend", "sync", "ops/s", "p50", "p99"}, rows)
 }
 
-// sysLabel names one disruption run's system, marking the composed
-// monolithic-transfer ablation.
-func sysLabel(r DisruptionResult) string {
-	if r.Mono {
-		return r.System.String() + "/mono"
-	}
-	return r.System.String()
-}
-
 // Render formats one disruption run as a figure-with-caption block.
 func (r DisruptionResult) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s: member swap at bin %d (bin=%s)\n", sysLabel(r), r.MarkBin, r.Bin)
+	fmt.Fprintf(&b, "%s: member swap at bin %d (bin=%s)\n", r.System.String(), r.MarkBin, r.Bin)
 	fmt.Fprintf(&b, "  throughput series: %s\n", sparkline(r.Series, 72))
 	fmt.Fprintf(&b, "  reconfig took %s; longest commit gap %s; retries %d\n",
 		fmtDur(r.ReconfigTook), fmtDur(r.Gap), r.Retries)
@@ -150,7 +141,7 @@ func RenderDisruptionTable(results []DisruptionResult) string {
 	rows := make([][]string, 0, len(results))
 	for _, r := range results {
 		rows = append(rows, []string{
-			sysLabel(r),
+			r.System.String(),
 			fmt.Sprintf("%d", r.ApproxStateB),
 			fmtDur(r.ReconfigTook),
 			fmtDur(r.Gap),
@@ -186,20 +177,15 @@ func (r F2Result) Render() string {
 		if !row.Speculative {
 			spec = "off"
 		}
-		xfer := "chunked"
-		if row.Mono {
-			xfer = "mono"
-		}
 		rows = append(rows, []string{
 			fmt.Sprintf("%d", row.StateBytes),
 			spec,
-			xfer,
 			fmtDur(row.ReconfigTook),
 			fmtDur(row.Gap),
 		})
 	}
-	return "F2: composed reconfiguration latency vs state size (speculation + transfer ablations)\n" +
-		renderTable([]string{"state(B)", "speculative", "transfer", "reconfig", "max-gap"}, rows)
+	return "F2: composed reconfiguration latency vs state size (speculation ablation)\n" +
+		renderTable([]string{"state(B)", "speculative", "reconfig", "max-gap"}, rows)
 }
 
 // Render formats the R2 shootout.
@@ -323,7 +309,7 @@ func RenderCrossover(results []DisruptionResult) string {
 	for _, r := range results {
 		rows = append(rows, []string{
 			fmt.Sprintf("%d", r.ApproxStateB),
-			sysLabel(r),
+			r.System.String(),
 			fmtDur(r.Gap),
 			fmtDur(r.ReconfigTook),
 		})

@@ -437,11 +437,13 @@ func (n *Node) applyReconfigLocked(slot types.Slot, cmd types.Command) {
 	n.configs[newCfg.ID] = newCfg
 	n.stats.wedges++
 
-	// The machine state at the wedge IS the successor's initial state.
-	// Capture it as a copy-on-write fork (O(shards) under n.mu) and let a
-	// background goroutine serialize, serve and persist it in chunks; the
-	// monolithic ablation serializes synchronously here instead.
-	n.captureSnapshotLocked(newCfg.ID)
+	// The machine state at the wedge IS the successor's initial state:
+	// publish it at base 0. Only the copy-on-write fork (O(shards)) runs
+	// under n.mu; its duration is recorded in WedgeCaptureNS.
+	start := time.Now()
+	src := n.machine.ForkSnapshot()
+	n.stats.wedgeCaptureNS = time.Since(start).Nanoseconds()
+	n.publishAsyncLocked(newCfg.ID, 0, src)
 
 	// Let the old engine linger for laggards, then stop it.
 	if run, ok := n.engines[rec.From]; ok {

@@ -1,19 +1,16 @@
 package reconfig
 
-// Within-configuration checkpoints: the mid-log snapshot producer, the
-// quorum-gated log-truncation driver, and the lagging-replica catch-up path.
+// Within-configuration checkpoints: when to publish one, the quorum-gated
+// log-truncation driver, and when a member is far enough behind to fetch one.
+// The snapshot itself moves through the one pipeline in xfer.go — a
+// checkpoint is a snapshot of the current configuration with base > 0.
 //
 // A configuration that lives long enough accumulates an unbounded paxos log
 // and forces a restarted or lagging member to replay it slot by slot. The
 // producer periodically forks a copy-on-write snapshot of the machine at
 // applied slot S (O(shards) under the node mutex, like the wedge capture) and
-// publishes it under the configuration's existing rc/snap/<id> chunked
-// namespace with Base=S — the SAME namespace a joiner fetches its initial
-// state from, so the whole resumable multi-source transfer protocol, the
-// manifest/chunk RPCs and the crash-resume logic are reused verbatim; the
-// newest checkpoint simply replaces the configuration's initial snapshot in
-// place (commit-ordered: chunks, sync, manifest, sync — a torn write leaves
-// the predecessor intact).
+// publishes it with Base=S over the configuration's rc/snap/<id> blob — the
+// same one a joiner fetches its initial state from.
 //
 // Truncation is gated on quorum durability: members exchange their newest
 // durable checkpoint base via opCkptAnnounce/opCkptAck (the ack carries the
@@ -25,23 +22,13 @@ package reconfig
 // the log stops serving it. Slots at or below any member's base were applied
 // there, hence globally chosen, which is what makes the engine-level
 // truncation floor safe to exchange in promises (see paxos/protocol.go).
-//
-// Catch-up: a member that detects a decision gap larger than
-// CatchupGapSlots — or whose engine reports CheckpointNeeded because a peer
-// redirected it below its truncation floor, or whose bounded decision buffer
-// dropped parked decisions — fetches the newest checkpoint manifest from its
-// peers, pulls the chunks in memory, swaps the machine under an epoch bump,
-// and tells its engine to SkipTo(Base) instead of replaying every slot.
 
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sort"
 	"time"
 
-	"repro/internal/statemachine"
-	"repro/internal/storage"
 	"repro/internal/types"
 )
 
@@ -50,11 +37,6 @@ import (
 // path for lost announce RPCs, and how a healed member learns it may
 // truncate).
 const ckptAnnounceTicks = 10
-
-// ckptFetchCooldownTicks spaces out fruitless catch-up probes: when no peer
-// served a checkpoint newer than our applied slot, wait this many ticks
-// before asking again.
-const ckptFetchCooldownTicks = 5
 
 // --- wire messages ----------------------------------------------------------
 
@@ -121,6 +103,15 @@ func (n *Node) ckptTrackLocked() {
 	n.ckptPeerBase = make(map[types.NodeID]types.Slot)
 }
 
+// noteDurableBaseLocked adopts base as this member's newest durable
+// checkpoint base of the current configuration. Caller holds mu.
+func (n *Node) noteDurableBaseLocked(base types.Slot) {
+	n.ckptTrackLocked()
+	if base > n.ckptSelfBase {
+		n.ckptSelfBase = base
+	}
+}
+
 // noteCkptPeer records a peer's announced/acked checkpoint base and
 // re-evaluates truncation.
 func (n *Node) noteCkptPeer(from types.NodeID, id types.ConfigID, base types.Slot) {
@@ -183,11 +174,11 @@ func (n *Node) broadcastCkpt(members []types.NodeID, body []byte) {
 
 // --- producer ---------------------------------------------------------------
 
-// maybeCheckpointLocked starts a checkpoint publication when the applied
-// cursor has advanced CheckpointInterval slots past the newest durable
-// checkpoint. Caller holds mu (the housekeeping tick).
+// maybeCheckpointLocked publishes a checkpoint when the applied cursor has
+// advanced CheckpointInterval slots past the newest durable one and no other
+// publish is in flight. Caller holds mu (the housekeeping tick).
 func (n *Node) maybeCheckpointLocked() {
-	if n.opts.NoCheckpoints || n.stopped || !n.initialized || n.ckptPublishing {
+	if n.opts.NoCheckpoints || n.stopped || !n.initialized || n.publishing > 0 {
 		return
 	}
 	if !n.configs[n.curID].IsMember(n.self) {
@@ -206,66 +197,7 @@ func (n *Node) maybeCheckpointLocked() {
 	n.execMu.RLock()
 	src := n.machine.ForkSnapshot()
 	n.execMu.RUnlock()
-	n.ckptPublishing = true
-	n.wg.Add(1)
-	go n.publishCheckpoint(n.curID, n.appliedSlot, src)
-}
-
-// publishCheckpoint serializes a forked checkpoint off the critical path
-// (paced like publishSnapshot), persists it commit-ordered over the
-// configuration's snapshot namespace, and announces the new base.
-func (n *Node) publishCheckpoint(id types.ConfigID, base types.Slot, src statemachine.SnapshotSource) {
-	defer n.wg.Done()
-	defer func() {
-		n.mu.Lock()
-		n.ckptPublishing = false
-		n.mu.Unlock()
-	}()
-	num := src.NumChunks()
-	chunks := make([][]byte, num)
-	m := storage.ChunkManifest{Format: src.Format(), Base: base, CRCs: make([]uint32, num)}
-	sincePause := 0
-	for i := 0; i < num; i++ {
-		chunks[i] = src.Chunk(i)
-		m.CRCs[i] = storage.ChunkCRC(chunks[i])
-		sincePause += len(chunks[i])
-		if sincePause >= publishPaceBytes {
-			sincePause = 0
-			time.Sleep(publishPause)
-			if n.ckptAborted(id) {
-				return
-			}
-		}
-	}
-	if n.ckptAborted(id) {
-		return
-	}
-	if err := storage.WriteChunkedCommit(n.store, snapPrefix(id), m, func(i int) []byte { return chunks[i] }); err != nil {
-		n.countViolation()
-		return
-	}
-	n.mu.Lock()
-	if n.stopped || n.curID != id {
-		n.mu.Unlock()
-		return
-	}
-	n.ckptTrackLocked()
-	if base > n.ckptSelfBase {
-		n.ckptSelfBase = base
-	}
-	n.stats.checkpointsPublished++
-	body := encodeCkptAnnounce(ckptMsg{Config: id, Base: n.ckptSelfBase})
-	members := append([]types.NodeID(nil), n.configs[id].Members...)
-	n.maybeTruncateLocked()
-	n.mu.Unlock()
-	n.broadcastCkpt(members, body)
-}
-
-// ckptAborted reports whether a checkpoint publication for id is moot.
-func (n *Node) ckptAborted(id types.ConfigID) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.stopped || n.curID != id
+	n.publishAsyncLocked(n.curID, n.appliedSlot, src)
 }
 
 // --- truncation -------------------------------------------------------------
@@ -312,169 +244,18 @@ func (n *Node) maybeTruncateLocked() {
 
 // --- catch-up ---------------------------------------------------------------
 
-// maybeCatchupLocked launches a checkpoint catch-up when the engine's
-// contiguous decided frontier (one O(1) Progress read, not a slot-by-slot
-// probe) is more than CatchupGapSlots ahead of the applied cursor, when a
-// peer redirected the engine below its truncation floor, or when the bounded
-// decision buffer dropped parked decisions. Caller holds mu.
-func (n *Node) maybeCatchupLocked() {
-	if n.opts.NoCheckpoints || n.stopped || n.ckptFetching || !n.initialized {
-		return
-	}
-	if n.tick < n.ckptNextFetchTick {
-		return
-	}
-	if !n.configs[n.curID].IsMember(n.self) {
-		return
-	}
+// behindLocked reports whether this initialized member should fetch a
+// checkpoint instead of replaying the log: the engine's contiguous decided
+// frontier (one O(1) Progress read, not a slot-by-slot probe) is
+// CatchupGapSlots or more ahead of the applied cursor, a peer redirected the
+// engine below its truncation floor, or the bounded decision buffer dropped
+// parked decisions. Caller holds mu.
+func (n *Node) behindLocked() bool {
 	run, ok := n.engines[n.curID]
-	if !ok {
-		return
+	if n.opts.NoCheckpoints || !ok {
+		return false
 	}
 	p := run.eng.Progress()
-	var gap types.Slot
-	if p.MaxDecidedSeen > n.appliedSlot {
-		gap = p.MaxDecidedSeen - n.appliedSlot
-	}
-	dropped := run.droppedBelow > n.appliedSlot
-	if !p.CheckpointNeeded && !dropped && gap < types.Slot(n.opts.CatchupGapSlots) {
-		return
-	}
-	n.ckptFetching = true
-	n.wg.Add(1)
-	go n.runCheckpointCatchup(n.curID, n.appliedSlot)
-}
-
-// catchupAborted reports whether an in-flight checkpoint catch-up is moot.
-func (n *Node) catchupAborted(id types.ConfigID) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.stopped || n.curID != id || !n.initialized
-}
-
-// runCheckpointCatchup fetches the newest checkpoint of id from peers and
-// installs it over the running machine. Unlike the joiner's runFetch, the
-// node is initialized and serving throughout: chunks are pulled into memory
-// only (persisting them incrementally would corrupt the on-disk blob the old
-// manifest still describes), the machine swap is epoch-checked, and the
-// checkpoint is persisted commit-ordered after the install.
-func (n *Node) runCheckpointCatchup(id types.ConfigID, curApplied types.Slot) {
-	defer n.wg.Done()
-	fruitless := true
-	defer func() {
-		n.mu.Lock()
-		n.ckptFetching = false
-		if fruitless {
-			n.ckptNextFetchTick = n.tick + ckptFetchCooldownTicks
-		}
-		n.mu.Unlock()
-	}()
-
-	rng := rand.New(rand.NewSource(SeedFor(string(n.self)) ^ (int64(id) << 17) ^ 0x5ca1ab1e))
-	n.mu.Lock()
-	sources := n.fetchSourcesLocked(id)
-	n.mu.Unlock()
-
-	m, lead, ok := n.fetchManifest(id, sources, rng)
-	if !ok || m.Base <= curApplied {
-		return // no peer holds anything newer than what we applied
-	}
-	chunks := make([][]byte, m.Chunks())
-	for i, data := range lead {
-		if i < len(chunks) {
-			n.acceptChunk("", m, chunks, nil, i, data)
-		}
-	}
-	abort := func() bool { return n.catchupAborted(id) }
-	for attempt := 0; ; {
-		if abort() {
-			return
-		}
-		missing := 0
-		for _, c := range chunks {
-			if c == nil {
-				missing++
-			}
-		}
-		if missing == 0 {
-			break
-		}
-		if n.fetchMissingChunks(id, "", m, chunks, sources, abort) {
-			attempt = 0
-			continue
-		}
-		attempt++
-		if attempt > 4 {
-			return // sources dried up mid-fetch; a later tick retries
-		}
-		n.mu.Lock()
-		n.stats.chunkRetries++
-		n.mu.Unlock()
-		delay := BackoffDelay(attempt, n.opts.RetryInterval, 4*n.opts.FetchTimeout, rng)
-		select {
-		case <-time.After(delay):
-		case <-n.stopCh:
-			return
-		}
-		n.mu.Lock()
-		sources = n.fetchSourcesLocked(id)
-		n.mu.Unlock()
-	}
-	fruitless = !n.installCheckpoint(id, m, chunks)
-}
-
-// installCheckpoint swaps a fully fetched checkpoint in as the machine state
-// and jumps the engine's delivery cursor to its base. The O(state) machine
-// build runs off-mutex; the swap is re-validated under the lock and bumps the
-// epoch so any in-flight off-mutex apply segment against the old machine is
-// discarded at its commit check. Reports whether the install happened.
-func (n *Node) installCheckpoint(id types.ConfigID, m storage.ChunkManifest, chunks [][]byte) bool {
-	fresh, err := n.buildMachine(m, chunks)
-	n.mu.Lock()
-	if err != nil {
-		n.stats.violations++
-		n.mu.Unlock()
-		return false
-	}
-	if n.stopped || n.curID != id || !n.initialized || m.Base <= n.appliedSlot {
-		n.mu.Unlock()
-		return false
-	}
-	n.machine = fresh
-	n.appliedSlot = m.Base
-	n.stats.catchupFetches++
-	if run, ok := n.engines[id]; ok {
-		// Parked decisions at or below Base are folded into the checkpoint;
-		// the cursor stale-skip drains them. The engine releases its own
-		// records below Base and resumes contiguous delivery above it.
-		if run.droppedBelow <= m.Base {
-			run.droppedBelow = 0
-		}
-		run.eng.SkipTo(m.Base)
-	}
-	n.notifyTransitionLocked()
-	n.resubmitPendingLocked(true)
-	n.mu.Unlock()
-
-	// Persist what we installed (commit-ordered over the old blob) so a
-	// restart recovers from Base instead of a state it no longer has the
-	// log for; only then adopt it as our announced durable base.
-	if err := storage.WriteChunkedCommit(n.store, snapPrefix(id), m, func(i int) []byte { return chunks[i] }); err != nil {
-		n.countViolation()
-		return true
-	}
-	n.mu.Lock()
-	if !n.stopped && n.curID == id {
-		n.ckptTrackLocked()
-		if m.Base > n.ckptSelfBase {
-			n.ckptSelfBase = m.Base
-		}
-	}
-	n.mu.Unlock()
-	// Nudge the apply loop: buffered decisions above Base may be ready.
-	select {
-	case n.pumpCh <- struct{}{}:
-	default:
-	}
-	return true
+	return p.CheckpointNeeded || run.droppedBelow > n.appliedSlot ||
+		p.MaxDecidedSeen >= n.appliedSlot+types.Slot(n.opts.CatchupGapSlots)
 }

@@ -78,19 +78,21 @@ func TestCheckpointProducerPublishesAndTruncates(t *testing.T) {
 			if st.CheckpointsPublished < 2 || st.TruncatedSlots == 0 || st.CheckpointBase <= firstBase {
 				return false
 			}
+			// The retained log is bounded by interval + margin plus whatever
+			// was applied since the last floor advance — far below total
+			// history. Polled, not sampled once: the second truncation wave
+			// lands a quorum exchange after the second checkpoint does.
+			if st.RetainedSlots > int64(2*w.opts.CheckpointInterval+w.opts.CheckpointMargin) {
+				return false
+			}
 		}
 		return true
-	}, "every member to re-checkpoint past the first base and truncate", 15*time.Second)
+	}, "every member to re-checkpoint past the first base and truncate to within 2·interval+margin", 15*time.Second)
 
 	for _, id := range members {
 		st := w.node(id).Stats()
 		if st.CheckpointBase == 0 {
 			t.Errorf("%s: no durable checkpoint base", id)
-		}
-		// The retained log is bounded by interval + margin plus whatever was
-		// applied since the last floor advance — far below total history.
-		if st.RetainedSlots > int64(2*w.opts.CheckpointInterval+w.opts.CheckpointMargin) {
-			t.Errorf("%s: retains %d slots, interval is %d", id, st.RetainedSlots, w.opts.CheckpointInterval)
 		}
 		// The durable blob under the config's snapshot prefix must now be the
 		// checkpoint, not the empty bootstrap snapshot.

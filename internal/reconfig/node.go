@@ -66,11 +66,6 @@ type Options struct {
 	// from pre-wedge state. Exists only so tests and the ablation can
 	// demonstrate that the fence is load-bearing.
 	DisableReadFence bool
-	// MonolithicTransfer restores the pre-chunking state transfer for
-	// comparison experiments: the wedge serializes and persists the whole
-	// machine synchronously under the node mutex, and joiners pull the
-	// snapshot as a single chunk. The paper's design keeps it false.
-	MonolithicTransfer bool
 	// SerialApply restores the pre-pipelining apply stage: every decision
 	// executes one command at a time under the node mutex, coupled to
 	// proposals, reads and housekeeping. Ablation switch for the write-path
@@ -290,10 +285,10 @@ type NodeStats struct {
 	Wedges               int64 // reconfigurations executed through own log
 	StaleJumps           int64 // transitions adopted via announce + transfer
 	SnapshotsServed      int64 // snapshot manifests served to joiners
-	SnapshotsFetched     int64 // snapshots fully fetched and installed
+	SnapshotsFetched     int64 // snapshots installed as this node's initial state (fetched, or recovered from its own store at Start)
 	ChunksServed         int64 // snapshot chunks served to joiners
 	ChunksFetched        int64 // snapshot chunks fetched and CRC-verified
-	ChunkRetries         int64 // fruitless fetch rounds (waited out with backoff)
+	ChunkRetries         int64 // fruitless transfer rounds (waited out with backoff)
 	ChunkCRCRejected     int64 // fetched chunks discarded on CRC mismatch
 	WedgeCaptureNS       int64 // time n.mu was held capturing state at the last wedge
 	Resubmits            int64 // pending command re-proposals
@@ -332,7 +327,10 @@ type Node struct {
 	opts    Options
 	peer    *rpc.Peer
 
-	mu sync.Mutex
+	// snapMu serializes the whole-blob writers of the rc/snap/ namespace
+	// (commit and retire). Lock order: snapMu before mu.
+	snapMu sync.Mutex
+	mu     sync.Mutex
 	// execMu guards the machine's *content* during command execution. The
 	// apply stage takes it exclusively — without mu — while it executes a
 	// decided segment, so proposals and housekeeping proceed under mu
@@ -359,8 +357,11 @@ type Node struct {
 	pending     map[pendKey]*pendingCmd
 	readWaiters []*readWaiter   // fast-path reads awaiting their index
 	cfgWaiters  []chan struct{} // signaled (closed) on every transition
-	fetching    bool
-	serving     map[types.ConfigID]*snapServing // snapshots being published
+	// Snapshot pipeline state (xfer.go), guarded by mu.
+	serving    map[types.ConfigID]*snapServing // snapshots held in memory while commit writes them
+	publishing int                             // publish goroutines in flight
+	transfer   types.ConfigID                  // configuration the transfer goroutine is fetching; 0 when none runs
+	retireNext types.ConfigID                  // every older configuration's snapshot has been retired
 	// firstDecide records when this node learned its first decision of each
 	// configuration, speculative or not — the R2 shootout's
 	// time-to-first-decide numerator. Recorded at the same point for both
@@ -376,13 +377,10 @@ type Node struct {
 	// Within-configuration checkpoint state (checkpoint.go), guarded by mu.
 	// ckptCfg names the configuration the bases below belong to; a
 	// transition resets them (ckptTrackLocked).
-	ckptCfg           types.ConfigID
-	ckptSelfBase      types.Slot                  // newest locally durable checkpoint base
-	ckptPeerBase      map[types.NodeID]types.Slot // newest base each peer announced/acked
-	ckptPublishing    bool                        // a publishCheckpoint goroutine is running
-	ckptFetching      bool                        // a runCheckpointCatchup goroutine is running
-	ckptAnnounceLeft  int                         // ticks until the next periodic re-announce
-	ckptNextFetchTick int64                       // cooldown after a fruitless catch-up probe
+	ckptCfg          types.ConfigID
+	ckptSelfBase     types.Slot                  // newest locally durable checkpoint base
+	ckptPeerBase     map[types.NodeID]types.Slot // newest base each peer announced/acked
+	ckptAnnounceLeft int                         // ticks until the next periodic re-announce
 
 	// testChunkHook, when set by a test (same package), intercepts every
 	// chunk this node serves: returning modified bytes simulates wire
@@ -439,6 +437,7 @@ func NewNode(nc NodeConfig) (*Node, error) {
 		engines:     make(map[types.ConfigID]*engineRun),
 		pending:     make(map[pendKey]*pendingCmd),
 		serving:     make(map[types.ConfigID]*snapServing),
+		retireNext:  1, // configuration IDs start at 1; 0 is "no transfer running"
 		firstDecide: make(map[types.ConfigID]time.Time),
 		rng:         rand.New(rand.NewSource(SeedFor(string(nc.Self)))),
 		applyCh:     make(chan taggedDecision, opts.ApplyQueue),
@@ -475,8 +474,7 @@ func (n *Node) Bootstrap(initial types.Config) error {
 	if err := n.store.Set("rc/init", types.EncodeConfig(initial)); err != nil {
 		return err
 	}
-	empty := statemachine.NewSessioned(n.factory())
-	return captureToStore(n.store, snapPrefix(initial.ID), empty.ForkSnapshot())
+	return n.publish(initial.ID, 0, statemachine.NewSessioned(n.factory()).ForkSnapshot())
 }
 
 func chainKey(id types.ConfigID) string {
@@ -486,11 +484,64 @@ func chainKey(id types.ConfigID) string {
 // Start recovers persistent state and launches the node's loops.
 func (n *Node) Start() error {
 	n.mu.Lock()
-	defer n.mu.Unlock()
 	if n.stopped {
+		n.mu.Unlock()
 		return ErrStopped
 	}
+	err := n.recoverChainLocked()
+	n.machine = statemachine.NewSessioned(n.factory())
+	n.machine.SetSessionLimit(n.opts.SessionLimit)
+	cur := n.curID
+	n.mu.Unlock()
+	if err != nil {
+		return err
+	}
 
+	// Recover the machine from the current configuration's newest snapshot
+	// (the initial one, or the latest within-configuration checkpoint that
+	// replaced it) through the same install a fetched snapshot takes; the
+	// engine's redelivered log replays the rest. No snapshot, a partial chunk
+	// set (crashed mid-transfer) or one that does not decode leaves the node
+	// uninitialized, and the transfer goroutine fetches what is missing.
+	if m, chunks, complete, err := storage.ReadChunked(n.store, snapPrefix(cur)); err != nil {
+		// A corrupt manifest must not brick the node. If this is the
+		// bootstrap configuration and the engine log is intact from slot 1
+		// (no truncation recorded), the empty machine plus full log replay
+		// reproduces the state — the bootstrap snapshot is empty anyway.
+		// Otherwise replay cannot start at 1: stay uninitialized and
+		// refetch the newest checkpoint from peers.
+		log.Printf("reconfig: %s snapshot of cfg %d unreadable (%v); falling back", n.self, cur, err)
+		floor, ferr := paxos.TruncatedFloor(n.store, uint64(cur))
+		n.mu.Lock()
+		n.initialized = ferr == nil && floor == 0 && n.initConfig.ID != 0 && cur == n.initConfig.ID
+		n.mu.Unlock()
+	} else if complete && m.Chunks() > 0 {
+		n.install(cur, m, chunks)
+	}
+
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	// Start the engine even when the snapshot is not yet installed: the
+	// paxos substrate needs no application state to vote, accept or decide
+	// (speculative start); its accepted/decided records are durable in
+	// their own right, so slots decided before a crash mid-transfer are
+	// redelivered here and park until the install.
+	if n.configs[cur].IsMember(n.self) && (n.initialized || n.speculationOn()) {
+		if err := n.ensureEngineLocked(cur); err != nil {
+			return err
+		}
+	}
+
+	n.peer = rpc.NewPeer(n.ep, ControlStream, n.handleRPC)
+	n.wg.Add(2)
+	go n.applyLoop()
+	go n.housekeeping()
+	return nil
+}
+
+// recoverChainLocked loads the initial configuration and the configuration
+// chain from the store. Caller holds mu.
+func (n *Node) recoverChainLocked() error {
 	// A node may start with an empty store: it is a spare, idle until an
 	// announce makes it a member of some configuration.
 	raw, ok, err := n.store.Get("rc/init")
@@ -507,8 +558,8 @@ func (n *Node) Start() error {
 		n.curID = init.ID
 	}
 
-	// Recover the configuration chain. The newest known configuration is
-	// the largest successor on the chain (the chain is a path).
+	// The newest known configuration is the largest successor on the chain
+	// (the chain is a path).
 	kvs, err := n.store.Scan("rc/chain/")
 	if err != nil {
 		return err
@@ -524,69 +575,6 @@ func (n *Node) Start() error {
 			n.curID = rec.To.ID
 		}
 	}
-
-	// Recover the machine from the current configuration's newest snapshot
-	// (the initial one, or the latest within-configuration checkpoint that
-	// replaced it); the engine's redelivered log replays the rest. A
-	// partial chunk set (crashed mid-transfer) leaves the node
-	// uninitialized and the housekeeping loop resumes the fetch from the
-	// persisted chunks.
-	n.machine = statemachine.NewSessioned(n.factory())
-	n.machine.SetSessionLimit(n.opts.SessionLimit)
-	if m, chunks, complete, err := storage.ReadChunked(n.store, snapPrefix(n.curID)); err != nil {
-		// A corrupt manifest must not brick the node. If this is the
-		// bootstrap configuration and the engine log is intact from slot 1
-		// (no truncation recorded), the empty machine plus full log replay
-		// reproduces the state — the bootstrap snapshot is empty anyway.
-		// Otherwise replay cannot start at 1: stay uninitialized and
-		// refetch the newest checkpoint from peers.
-		log.Printf("reconfig: %s snapshot of cfg %d unreadable (%v); falling back", n.self, n.curID, err)
-		floor, ferr := paxos.TruncatedFloor(n.store, uint64(n.curID))
-		if ferr == nil && floor == 0 && n.initConfig.ID != 0 && n.curID == n.initConfig.ID {
-			n.initialized = true
-			n.appliedSlot = 0
-		} else {
-			n.initialized = false
-		}
-	} else if complete && m.Chunks() > 0 {
-		if fresh, err := n.buildMachine(m, chunks); err != nil {
-			// CRC-clean chunks that do not decode: treat like a corrupt
-			// manifest — stay uninitialized and refetch from peers.
-			log.Printf("reconfig: %s snapshot of cfg %d undecodable (%v); refetching", n.self, n.curID, err)
-			n.initialized = false
-		} else {
-			n.machine = fresh
-			n.initialized = true
-			// Resume applying where the snapshot's content ends (Base 0
-			// for wedge-captured snapshots, the checkpoint base
-			// otherwise); the engine redelivers the rest.
-			n.appliedSlot = m.Base
-			n.ckptCfg = n.curID
-			n.ckptSelfBase = m.Base
-			n.ckptPeerBase = make(map[types.NodeID]types.Slot)
-		}
-	} else {
-		// No snapshot, or crashed before the transfer finished; the
-		// housekeeping loop (re-)fetches the missing chunks.
-		n.initialized = false
-	}
-
-	// Start the engine even when the snapshot is not yet installed: the
-	// paxos substrate needs no application state to vote, accept or decide
-	// (speculative start); its accepted/decided records are durable in
-	// their own right, so slots decided before a crash mid-transfer are
-	// redelivered here and park until the install.
-	cur := n.configs[n.curID]
-	if cur.IsMember(n.self) && (n.initialized || n.speculationOn()) {
-		if err := n.ensureEngineLocked(n.curID); err != nil {
-			return err
-		}
-	}
-
-	n.peer = rpc.NewPeer(n.ep, ControlStream, n.handleRPC)
-	n.wg.Add(2)
-	go n.applyLoop()
-	go n.housekeeping()
 	return nil
 }
 

@@ -290,29 +290,12 @@ func (n *Node) advanceToLocked(id types.ConfigID) {
 				n.stats.violations++
 			}
 		}
-		// Start pulling the initial state right away rather than waiting for
-		// the next housekeeping tick — joining latency is downtime.
-		n.maybeStartFetchLocked()
+		n.maybeTransferLocked()
 	} else {
 		n.redirectAllPendingLocked()
 	}
 	n.serveReadyReadsLocked()
 	n.notifyTransitionLocked()
-}
-
-// maybeStartFetchLocked launches the (long-lived, resumable) transfer
-// goroutine if this node needs the current configuration's initial state and
-// is not already fetching. Caller holds n.mu.
-func (n *Node) maybeStartFetchLocked() {
-	if n.initialized || n.fetching || n.stopped || n.curID == 0 {
-		return
-	}
-	if !n.configs[n.curID].IsMember(n.self) {
-		return
-	}
-	n.fetching = true
-	n.wg.Add(1)
-	go n.runFetch(n.curID)
 }
 
 // housekeeping drives retries: pending re-proposals, snapshot fetches, and
@@ -357,17 +340,13 @@ func (n *Node) houseTick() {
 		n.staleTicks = 0
 	}
 
-	// Retry path for the transfer goroutine: the transition paths launch it
-	// immediately, but a fetch that aborted (e.g. the configuration moved on
-	// mid-transfer) is relaunched here.
-	n.maybeStartFetchLocked()
-
-	// Within-configuration checkpoints: publish one when the applied cursor
-	// is an interval past the last, and fetch one when this member's
-	// decision gap says replaying the log would be slower (or impossible —
-	// peers truncated it).
+	// The snapshot pipeline's periodic half: fetch a snapshot if this member
+	// has no state or is too far behind to replay, publish a checkpoint when
+	// the applied cursor is an interval past the last, and retire snapshots
+	// nobody can still need.
+	n.maybeTransferLocked()
 	n.maybeCheckpointLocked()
-	n.maybeCatchupLocked()
+	n.maybeRetireLocked()
 
 	// Periodic checkpoint-base re-announce: repairs lost announces and
 	// keeps feeding peer bases into the truncation computation.

@@ -321,84 +321,199 @@ func TestSpeculativeReadsFencedUntilInstall(t *testing.T) {
 	w.checkNoViolations()
 }
 
-// TestInstallHonorsSnapshotBaseIndex hand-installs a snapshot whose manifest
-// carries a non-zero base index — a snapshot taken *after* the configuration
-// decided slots 1..Base — and asserts the install semantics: the apply cursor
-// starts at Base, the decisions parked during the transfer (all ≤ Base, all
-// folded into the snapshot) are discarded as stale instead of re-applied, and
-// post-install commands apply from Base+1 with exactly-once totals.
-func TestInstallHonorsSnapshotBaseIndex(t *testing.T) {
-	w := newWorld(t, transport.Options{BaseLatency: 100 * time.Microsecond, Seed: 41})
-	w.bootstrap(statemachine.NewCounterMachine, "n1", "n2", "n3")
-	w.waitServing("n1", "n2", "n3")
-
-	for _, id := range []types.NodeID{"n1", "n2", "n3"} {
-		setChunkHook(w.node(id), corruptAllChunks())
-	}
-	spare := w.startNode("n4", statemachine.NewCounterMachine)
-	if err := spare.Start(); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if _, err := w.node("n1").Reconfigure(ctx, []types.NodeID{"n1", "n2", "n3", "n4"}); err != nil {
-		t.Fatal(err)
-	}
-	var want uint64
-	for i := 0; i < 5; i++ {
-		w.submit("n1", "base-writer", uint64(i+1), statemachine.EncodeAdd(7))
-		want += 7
-	}
-	waitSpeculative(t, spare)
-
-	// Quiesce, then capture a snapshot of a survivor's machine together with
-	// its apply cursor: that pair is exactly a Base>0 snapshot.
-	var base types.Slot
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		_, s1 := w.node("n1").AppliedSlot()
-		time.Sleep(50 * time.Millisecond)
-		id2, s2 := w.node("n1").AppliedSlot()
-		if id2 == 2 && s1 == s2 && s2 > 0 {
-			base = s2
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("survivor never quiesced (cfg %d, slot %d)", id2, s2)
-		}
-	}
-	fork := w.node("n1").Machine().ForkSnapshot()
+// snapshotOf serializes a node's machine as a complete chunk set labelled
+// with base — what a publish at that slot would have produced.
+func snapshotOf(n *Node, base types.Slot) (storage.ChunkManifest, [][]byte) {
+	fork := n.Machine().ForkSnapshot()
 	chunks := make([][]byte, fork.NumChunks())
 	m := storage.ChunkManifest{Format: fork.Format(), Base: base, CRCs: make([]uint32, fork.NumChunks())}
 	for i := range chunks {
 		chunks[i] = fork.Chunk(i)
 		m.CRCs[i] = storage.ChunkCRC(chunks[i])
 	}
-	spare.installChunks(2, m, chunks)
-	w.waitServing("n4")
+	return m, chunks
+}
 
-	if id, at := spare.AppliedSlot(); id != 2 || at < base {
-		t.Fatalf("apply cursor after install = (cfg %d, slot %d), want cfg 2 at >= %d", id, at, base)
+// TestInstallHonorsSnapshotBaseIndex is the table for the one install every
+// snapshot goes through, over {uninitialized, initialized} × {base 0, base
+// above the apply cursor, base at or below it}. Each row hand-installs a
+// snapshot of configuration 2 and asserts the install semantics: the apply
+// cursor and the engine's delivery cursor start at Base, decisions parked
+// during the transfer that the snapshot already folds in are discarded as
+// stale instead of re-applied (the counter total is exact), an initialized
+// node refuses a base that would move it backwards, the install is counted
+// as a join or as a catch-up by what the node was, and only an initialized
+// node's install writes the store (an uninitialized node's chunks got there
+// incrementally, through its transfer).
+func TestInstallHonorsSnapshotBaseIndex(t *testing.T) {
+	const (
+		zero   = iota // the wedge snapshot: state at the start of config 2
+		tip           // state and base of a survivor's apply cursor
+		behind        // a base below the target's apply cursor
+	)
+	cases := []struct {
+		name        string
+		initialized bool // target: member n3 (true) or the stalled joiner n4
+		base        int
+		format      byte // 0 keeps the machine's own format
+		installs    bool
+	}{
+		{name: "uninitialized/base-0", base: zero, installs: true},
+		{name: "uninitialized/base-above", base: tip, installs: true},
+		{name: "uninitialized/reserved-format", base: tip, format: statemachine.SnapshotFormatMono},
+		{name: "initialized/base-0", initialized: true, base: zero},
+		{name: "initialized/base-at-or-below", initialized: true, base: behind},
+		{name: "initialized/base-above", initialized: true, base: tip, installs: true},
 	}
-	if st := spare.Stats(); st.SpeculativeParked == 0 {
-		t.Fatal("nothing was parked at install; the base-skip path was never exercised")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newWorld(t, transport.Options{BaseLatency: 100 * time.Microsecond, Seed: 41})
+			w.bootstrap(statemachine.NewCounterMachine, "n1", "n2", "n3")
+			w.waitServing("n1", "n2", "n3")
+			for _, id := range []types.NodeID{"n1", "n2", "n3"} {
+				setChunkHook(w.node(id), corruptAllChunks())
+			}
+			spare := w.startNode("n4", statemachine.NewCounterMachine)
+			if err := spare.Start(); err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+			defer cancel()
+			if _, err := w.node("n1").Reconfigure(ctx, []types.NodeID{"n1", "n2", "n3", "n4"}); err != nil {
+				t.Fatal(err)
+			}
+			target := spare
+			if tc.initialized {
+				target = w.node("n3")
+				w.waitStat(func() bool { id, _ := target.AppliedSlot(); return id == 2 }, "n3 to reach config 2", 10*time.Second)
+				if tc.base == tip {
+					// Leave n3 behind: {n1, n2, n4-speculative} still decide.
+					w.net.Isolate("n3")
+				}
+			}
+			var want uint64
+			for i := 0; i < 5; i++ {
+				w.submit("n1", "base-writer", uint64(i+1), statemachine.EncodeAdd(7))
+				want += 7
+			}
+			waitSpeculative(t, spare)
+
+			// Quiesce: a survivor's machine together with its apply cursor
+			// is exactly a snapshot at that base.
+			var top types.Slot
+			w.waitStat(func() bool {
+				_, s1 := w.node("n1").AppliedSlot()
+				time.Sleep(50 * time.Millisecond)
+				id2, s2 := w.node("n1").AppliedSlot()
+				top = s2
+				return id2 == 2 && s1 == s2 && s2 > 0
+			}, "survivor to quiesce in config 2", 10*time.Second)
+			if tc.initialized && tc.base != tip {
+				w.waitStat(func() bool { _, s := target.AppliedSlot(); return s >= top }, "n3 to apply everything", 10*time.Second)
+			}
+
+			var m storage.ChunkManifest
+			var chunks [][]byte
+			switch tc.base {
+			case zero:
+				var complete bool
+				var err error
+				if m, chunks, complete, err = storage.ReadChunked(w.stores["n1"], snapPrefix(2)); err != nil || !complete || m.Base != 0 {
+					t.Fatalf("survivor's wedge snapshot: base %d complete %v err %v", m.Base, complete, err)
+				}
+			case tip:
+				m, chunks = snapshotOf(w.node("n1"), top)
+			case behind:
+				m, chunks = snapshotOf(w.node("n1"), top-1)
+			}
+			if tc.format != 0 {
+				m.Format = tc.format
+			}
+			_, cursorBefore := target.AppliedSlot()
+			before := target.Stats()
+			storeBefore, _, _, _ := storage.ReadChunked(w.stores[target.Self()], snapPrefix(2))
+
+			if got := target.install(2, m, chunks); got != tc.installs {
+				t.Fatalf("install = %v, want %v", got, tc.installs)
+			}
+			after := target.Stats()
+			stored, _, complete, err := storage.ReadChunked(w.stores[target.Self()], snapPrefix(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tc.installs {
+				if _, at := target.AppliedSlot(); at != cursorBefore {
+					t.Fatalf("refused install moved the apply cursor %d -> %d", cursorBefore, at)
+				}
+				if after.SnapshotsFetched != before.SnapshotsFetched || after.CatchupFetches != before.CatchupFetches {
+					t.Fatalf("refused install was counted: %+v", after)
+				}
+				if tc.format != 0 && after.InvariantViolations != before.InvariantViolations+1 {
+					t.Fatalf("unknown snapshot format: violations %d -> %d, want one more", before.InvariantViolations, after.InvariantViolations)
+				}
+				if stored.Base != storeBefore.Base {
+					t.Fatalf("refused install wrote the store: base %d -> %d", storeBefore.Base, stored.Base)
+				}
+				if tc.format == 0 {
+					w.checkNoViolations()
+				}
+				return
+			}
+
+			if id, at := target.AppliedSlot(); id != 2 || at < m.Base {
+				t.Fatalf("apply cursor after install = (cfg %d, slot %d), want cfg 2 at >= %d", id, at, m.Base)
+			}
+			w.waitStat(func() bool {
+				target.mu.Lock()
+				defer target.mu.Unlock()
+				return target.engines[2].eng.Progress().Delivered >= m.Base
+			}, "engine delivery cursor to reach the base", 5*time.Second)
+			if tc.initialized {
+				if after.CatchupFetches != before.CatchupFetches+1 || after.SnapshotsFetched != before.SnapshotsFetched {
+					t.Fatalf("initialized install miscounted: %+v", after)
+				}
+				// What it runs on is what a restart would recover.
+				if !complete || stored.Base != m.Base {
+					t.Fatalf("store after catch-up install: base %d complete %v, want base %d", stored.Base, complete, m.Base)
+				}
+				if after.CheckpointBase != int64(m.Base) {
+					t.Fatalf("durable base %d, want %d", after.CheckpointBase, m.Base)
+				}
+				w.net.Restore("n3")
+			} else {
+				if after.SnapshotsFetched != 1 || after.CatchupFetches != 0 {
+					t.Fatalf("joiner install miscounted: %+v", after)
+				}
+				if after.SpeculativeParked == 0 {
+					t.Fatal("nothing was parked at install; the base-skip path was never exercised")
+				}
+				// install itself wrote nothing: every source corrupts, so the
+				// joiner's transfer persisted a manifest and no chunk.
+				if complete {
+					t.Fatal("uninitialized install wrote chunks to the store")
+				}
+			}
+			w.waitServing(target.Self())
+
+			// Every parked decision at or below Base is already folded into the
+			// snapshot: re-applying any of them would overshoot the total;
+			// dropping one above it would undershoot.
+			via := target.Self()
+			reply := w.submit(via, "base-reader", 1, statemachine.EncodeCounterGet())
+			if got := counterValue(t, reply); got != want {
+				t.Fatalf("counter via %s = %d, want %d (parked decisions re-applied past the base index?)", via, got, want)
+			}
+			w.submit(via, "base-reader", 2, statemachine.EncodeAdd(2))
+			reply = w.submit(via, "base-reader", 3, statemachine.EncodeCounterGet())
+			if got := counterValue(t, reply); got != want+2 {
+				t.Fatalf("counter after post-install add = %d, want %d", got, want+2)
+			}
+			for _, id := range []types.NodeID{"n1", "n2", "n3"} {
+				setChunkHook(w.node(id), nil)
+			}
+			w.checkNoViolations()
+		})
 	}
-	// Every parked decision is ≤ Base and already folded into the snapshot:
-	// re-applying any of them would overshoot the total.
-	reply := w.submit("n4", "base-reader", 1, statemachine.EncodeCounterGet())
-	got, _ := statemachine.DecodeUvarintReply(statemachine.ReplyPayload(reply))
-	if got != want {
-		t.Fatalf("counter via joiner = %d, want %d (parked decisions re-applied past the base index?)", got, want)
-	}
-	w.submit("n4", "base-reader", 2, statemachine.EncodeAdd(2))
-	reply = w.submit("n4", "base-reader", 3, statemachine.EncodeCounterGet())
-	if got, _ := statemachine.DecodeUvarintReply(statemachine.ReplyPayload(reply)); got != want+2 {
-		t.Fatalf("counter after post-install add = %d, want %d", got, want+2)
-	}
-	for _, id := range []types.NodeID{"n1", "n2", "n3"} {
-		setChunkHook(w.node(id), nil)
-	}
-	w.checkNoViolations()
 }
 
 // TestSpeculativeAcceptFullReplacement covers the client-facing half of

@@ -7,28 +7,40 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/paxos"
 	"repro/internal/statemachine"
 	"repro/internal/storage"
 	"repro/internal/types"
 )
 
-// State transfer, chunked and resumable.
+// The snapshot pipeline. The machine state of configuration id at slot base
+// is the one thing the composition adds to the static engines, and it moves
+// through exactly one path, keyed by (id, base):
 //
-// Serving side: at the wedge, the node forks a copy-on-write snapshot under
-// n.mu (O(shards), not O(state)) and registers an empty serving entry; a
-// background goroutine serializes the fork into chunks, computes the CRC
-// manifest, publishes it in the in-memory registry (so joiners can fetch
-// before persistence finishes), streams the chunks into the store chunk by
-// chunk, and finally drops the in-memory copy — after which requests are
-// served straight from the store.
+//	publish → serve → transfer → install → retire
 //
-// Fetching side: a joiner pulls the manifest from any source, persists it,
-// then pulls missing chunks concurrently from rotating sources, verifying
-// each against the manifest CRC and persisting it immediately. A chunk that
-// fails its CRC is discarded (and the next source tried) without poisoning
-// anything already installed. After a crash, or when the serving node dies
-// mid-transfer, the fetch resumes from whatever chunks the store already
-// holds. Rounds that make no progress back off exponentially with jitter.
+// publish serializes a copy-on-write fork off the critical path, holds the
+// chunks in memory while it commits them (chunks, sync, manifest, sync) under
+// rc/snap/<id>, and then drops the in-memory copy. The bootstrap snapshot and
+// the state at a wedge are base 0 — the successor's log starts fresh — and a
+// within-configuration checkpoint is the same thing with base > 0, committed
+// over its predecessor.
+//
+// serve answers manifest and chunk requests from the in-memory copy when one
+// exists and from the store otherwise, so a peer never reads a blob that is
+// half overwritten.
+//
+// transfer is the one goroutine that pulls a snapshot from peers, for a
+// joiner and for a lagging member alike. It fetches the manifest from any
+// source and the missing chunks concurrently from rotating sources, verifying
+// each against the manifest CRC; a corrupt chunk is discarded alone, and
+// fruitless rounds back off exponentially with jitter.
+//
+// install swaps the machine, sets the apply cursor and the engine's delivery
+// cursor to base, and is also how Start recovers from the node's own store.
+//
+// retire deletes rc/snap/<id> once this node's current configuration is
+// id+2 or later.
 
 // fetchWorkers is the number of concurrent chunk-range downloads per fetch
 // round.
@@ -40,19 +52,20 @@ const fetchWorkers = 4
 // a single chunk larger than the budget is still returned alone.
 const rangeBudget = 256 << 10
 
-// staleManifestRounds is how many consecutive fruitless fetch rounds a joiner
-// tolerates before discarding its manifest and re-pulling it — the recovery
-// for sources that replaced the snapshot with a newer checkpoint mid-fetch.
+// staleManifestRounds is how many consecutive fruitless fetch rounds a
+// transfer tolerates before discarding its manifest and re-pulling it — the
+// recovery for sources that replaced the snapshot with a newer checkpoint
+// mid-fetch.
 const staleManifestRounds = 3
 
-// publishSnapshot pacing. Every member of the wedged configuration publishes
+// Publish pacing. Every member of a wedged configuration publishes
 // concurrently, so an unpaced serialize burns members × state bytes of CPU at
 // the exact moment the successor engine is electing and re-proposing — at 8MB
-// that burst alone tripled the client-visible commit gap. publishSnapshot
-// therefore pauses after each publishPaceBytes of serialized chunks, breaking
-// the burst into slices small enough not to starve the commit path. Pacing is
-// per byte, not per chunk: a small snapshot (32 near-empty shard chunks) must
-// become ready in microseconds, and time.Sleep granularity can be tens of
+// that burst alone tripled the client-visible commit gap. publish therefore
+// pauses after each publishPaceBytes of serialized chunks, breaking the burst
+// into slices small enough not to starve the commit path. Pacing is per byte,
+// not per chunk: a small snapshot (32 near-empty shard chunks) must become
+// ready in microseconds, and time.Sleep granularity can be tens of
 // milliseconds on a loaded host, so per-chunk sleeps would delay readiness by
 // chunks × granularity. The only cost is that the manifest becomes ready
 // later, which delays the joiner (off the commit path, covered by speculative
@@ -63,53 +76,48 @@ const publishPaceBytes = 1 << 20
 // effective floor is the scheduler's sleep granularity.
 const publishPause = 2 * time.Millisecond
 
-// snapServing is the in-memory half of the snapshot registry: it exists from
-// the wedge until the chunks are persisted, bridging the window where
-// joiners ask for a snapshot the store does not hold yet.
+// snapServing is a snapshot held in memory while commit writes it to the
+// store. Requests for its configuration are answered from here, never from
+// the partly written blob.
 type snapServing struct {
-	ready    bool // manifest+chunks are populated
 	manifest storage.ChunkManifest
 	chunks   [][]byte
 }
 
 func snapPrefix(id types.ConfigID) string { return fmt.Sprintf("rc/snap/%020d", uint64(id)) }
 
-// captureSnapshotLocked captures the machine state that becomes config id's
-// initial state and arranges for it to be served and persisted. Caller holds
-// n.mu; only the capture itself (COW fork, or the full serialize in the
-// monolithic ablation) runs under the lock, and its duration is recorded in
-// WedgeCaptureNS.
-func (n *Node) captureSnapshotLocked(id types.ConfigID) {
-	start := time.Now()
-	if n.opts.MonolithicTransfer {
-		// Ablation: the pre-chunking behavior — serialize and persist the
-		// whole state synchronously under the node mutex.
-		snap := n.machine.Snapshot()
-		m := storage.ChunkManifest{
-			Format: statemachine.SnapshotFormatMono,
-			CRCs:   []uint32{storage.ChunkCRC(snap)},
-		}
-		if err := storage.WriteChunked(n.store, snapPrefix(id), m, func(int) []byte { return snap }); err != nil {
+// retiredLocked reports whether nobody can still need configuration id's
+// snapshot from this node. The current configuration's snapshot is what a
+// restart recovers from, and its predecessor's members are where a slow
+// joiner of the current configuration fetches; anything older has a
+// successor whose own snapshot supersedes it. Caller holds mu.
+func (n *Node) retiredLocked(id types.ConfigID) bool { return n.curID >= id+2 }
+
+// --- publish ----------------------------------------------------------------
+
+// publishAsyncLocked publishes src off the caller's critical path. Caller
+// holds mu and has just forked src under it.
+func (n *Node) publishAsyncLocked(id types.ConfigID, base types.Slot, src statemachine.SnapshotSource) {
+	n.publishing++
+	n.wg.Add(1)
+	go func() {
+		defer n.wg.Done()
+		err := n.publish(id, base, src)
+		n.mu.Lock()
+		n.publishing--
+		if err != nil {
 			n.stats.violations++
 		}
-		n.stats.wedgeCaptureNS = time.Since(start).Nanoseconds()
-		return
-	}
-	src := n.machine.ForkSnapshot()
-	n.stats.wedgeCaptureNS = time.Since(start).Nanoseconds()
-	n.serving[id] = &snapServing{}
-	n.wg.Add(1)
-	go n.publishSnapshot(id, src)
+		n.mu.Unlock()
+	}()
 }
 
-// publishSnapshot serializes a forked snapshot off the critical path: chunks
-// and manifest go into the in-memory registry first (serveable immediately),
-// then into the store, then the in-memory copy is dropped.
-func (n *Node) publishSnapshot(id types.ConfigID, src statemachine.SnapshotSource) {
-	defer n.wg.Done()
+// publish makes src — the machine state of configuration id at slot base —
+// the snapshot peers fetch and this node recovers from.
+func (n *Node) publish(id types.ConfigID, base types.Slot, src statemachine.SnapshotSource) error {
 	num := src.NumChunks()
 	chunks := make([][]byte, num)
-	m := storage.ChunkManifest{Format: src.Format(), CRCs: make([]uint32, num)}
+	m := storage.ChunkManifest{Format: src.Format(), Base: base, CRCs: make([]uint32, num)}
 	sincePause := 0
 	for i := 0; i < num; i++ {
 		chunks[i] = src.Chunk(i)
@@ -120,46 +128,58 @@ func (n *Node) publishSnapshot(id types.ConfigID, src statemachine.SnapshotSourc
 			time.Sleep(publishPause)
 		}
 	}
-	n.mu.Lock()
-	if s, ok := n.serving[id]; ok {
-		s.manifest = m
-		s.chunks = chunks
-		s.ready = true
-	}
-	n.mu.Unlock()
-	err := storage.WriteChunked(n.store, snapPrefix(id), m, func(i int) []byte { return chunks[i] })
-	n.mu.Lock()
-	if err != nil {
-		n.stats.violations++
-	} else {
-		delete(n.serving, id) // persisted; serve from the store from now on
-	}
-	n.mu.Unlock()
+	return n.commit(id, m, chunks)
 }
 
-// captureToStore persists a snapshot fork directly (bootstrap path: no
-// concurrent mutators, no serving window to bridge).
-func captureToStore(store storage.Store, prefix string, src statemachine.SnapshotSource) error {
-	num := src.NumChunks()
-	m := storage.ChunkManifest{Format: src.Format(), CRCs: make([]uint32, num)}
-	for i := 0; i < num; i++ {
-		m.CRCs[i] = storage.ChunkCRC(src.Chunk(i))
+// commit persists a complete snapshot of id over whatever rc/snap/<id> holds,
+// serving it from memory meanwhile, and — for a checkpoint — adopts its base
+// as this member's durable base and has it announced. snapMu makes the check
+// and the write one step against other commits and against retire; a
+// snapshot older than the durable one is dropped rather than written over it.
+func (n *Node) commit(id types.ConfigID, m storage.ChunkManifest, chunks [][]byte) error {
+	n.snapMu.Lock()
+	defer n.snapMu.Unlock()
+	n.mu.Lock()
+	// Not abandoned on Stop: a graceful stop right after a wedge must leave the
+	// successor's initial state in the store, or a restart has nothing to
+	// recover from.
+	if n.retiredLocked(id) || (n.ckptCfg == id && m.Base < n.ckptSelfBase) {
+		n.mu.Unlock()
+		return nil
 	}
-	return storage.WriteChunked(store, prefix, m, func(i int) []byte { return src.Chunk(i) })
+	n.serving[id] = &snapServing{manifest: m, chunks: chunks}
+	n.mu.Unlock()
+
+	// On failure the in-memory copy stays: the store may hold a torn blob,
+	// and peers must keep being served until retire drops the entry.
+	if err := storage.WriteChunkedCommit(n.store, snapPrefix(id), m, func(i int) []byte { return chunks[i] }); err != nil {
+		return err
+	}
+	n.mu.Lock()
+	delete(n.serving, id)
+	if m.Base > 0 && n.curID == id {
+		n.noteDurableBaseLocked(m.Base)
+		n.stats.checkpointsPublished++
+		n.ckptAnnounceLeft = 0 // the next housekeeping tick announces the new base
+		n.maybeTruncateLocked()
+	}
+	n.mu.Unlock()
+	return nil
 }
 
-// snapManifest answers a manifest request from the registry or the store.
+// --- serve ------------------------------------------------------------------
+
+// snapManifest answers a manifest request from memory or the store.
 func (n *Node) snapManifest(id types.ConfigID) (storage.ChunkManifest, bool) {
 	n.mu.Lock()
-	if s, ok := n.serving[id]; ok && s.ready {
-		m := s.manifest
-		n.stats.snapshotsServed++
-		n.mu.Unlock()
-		return m, true
-	}
+	s, held := n.serving[id]
 	n.mu.Unlock()
-	m, ok, err := storage.ReadChunkManifest(n.store, snapPrefix(id))
-	if err != nil || !ok {
+	var m storage.ChunkManifest
+	if held {
+		m = s.manifest
+	} else if stored, ok, err := storage.ReadChunkManifest(n.store, snapPrefix(id)); err == nil && ok {
+		m = stored
+	} else {
 		return storage.ChunkManifest{}, false
 	}
 	n.mu.Lock()
@@ -168,7 +188,7 @@ func (n *Node) snapManifest(id types.ConfigID) (storage.ChunkManifest, bool) {
 	return m, true
 }
 
-// snapChunkOne answers one chunk request from the registry or the store. A
+// snapChunkOne answers one chunk request from memory or the store. A
 // partially fetched joiner serves the chunks it already verified, so a
 // snapshot can be pulled from any mix of current and previous members.
 func (n *Node) snapChunkOne(id types.ConfigID, idx int) ([]byte, bool) {
@@ -178,7 +198,7 @@ func (n *Node) snapChunkOne(id types.ConfigID, idx int) ([]byte, bool) {
 	n.mu.Lock()
 	var data []byte
 	found := false
-	if s, ok := n.serving[id]; ok && s.ready && idx < len(s.chunks) {
+	if s, ok := n.serving[id]; ok && idx < len(s.chunks) {
 		data, found = s.chunks[idx], true
 	}
 	hook := n.testChunkHook
@@ -222,96 +242,107 @@ func (n *Node) snapChunkRange(id types.ConfigID, first, count int) [][]byte {
 	return out
 }
 
-// buildMachine constructs a fresh sessioned machine from a complete chunk
-// set (any format).
-func (n *Node) buildMachine(m storage.ChunkManifest, chunks [][]byte) (*statemachine.Sessioned, error) {
-	fresh := statemachine.NewSessioned(n.factory())
-	fresh.SetSessionLimit(n.opts.SessionLimit)
-	if m.Format == statemachine.SnapshotFormatMono {
-		if len(chunks) != 1 {
-			return nil, fmt.Errorf("%w: monolithic snapshot with %d chunks", types.ErrCodec, len(chunks))
-		}
-		if err := fresh.Restore(chunks[0]); err != nil {
-			return nil, err
-		}
-		return fresh, nil
+// --- transfer ---------------------------------------------------------------
+
+// wantsSnapshotLocked reports whether this node needs a snapshot of
+// configuration id from its peers: it is a member of id, id is still its
+// current configuration, and it either has no state yet or is so far behind
+// that replaying the log is slower than a fetch (or impossible). It is both
+// the launch condition and the abort condition of the transfer goroutine.
+// Caller holds mu.
+func (n *Node) wantsSnapshotLocked(id types.ConfigID) bool {
+	if n.stopped || id == 0 || n.curID != id || !n.configs[id].IsMember(n.self) {
+		return false
 	}
-	if m.Format != fresh.ChunkFormat() {
-		return nil, fmt.Errorf("%w: snapshot format %d, machine expects %d", types.ErrCodec, m.Format, fresh.ChunkFormat())
-	}
-	for i, c := range chunks {
-		if err := fresh.RestoreChunk(i, c); err != nil {
-			return nil, err
-		}
-	}
-	if err := fresh.FinishRestore(len(chunks)); err != nil {
-		return nil, err
-	}
-	return fresh, nil
+	return !n.initialized || n.behindLocked()
 }
 
-// fetchAborted reports whether the fetch of id's snapshot is moot.
-func (n *Node) fetchAborted(id types.ConfigID) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.stopped || n.curID != id || n.initialized
+// maybeTransferLocked launches the transfer goroutine if the node wants a
+// snapshot of its current configuration and no transfer is running. The
+// transition paths call it right away — joining latency is downtime — and
+// the housekeeping tick relaunches one that gave up. Caller holds mu.
+func (n *Node) maybeTransferLocked() {
+	if n.transfer != 0 || !n.wantsSnapshotLocked(n.curID) {
+		return
+	}
+	n.transfer = n.curID
+	n.wg.Add(1)
+	go n.runTransfer(n.curID)
 }
 
-// runFetch is the joiner's long-lived transfer goroutine: it owns n.fetching
-// for its lifetime and keeps trying — resuming from persisted chunks, backing
-// off with jitter on fruitless rounds — until the snapshot is installed or
-// the node moves on.
-func (n *Node) runFetch(id types.ConfigID) {
+// runTransfer fetches the newest snapshot of id above what this node holds
+// and installs it. It owns n.transfer for its lifetime and keeps trying until
+// the install happens or the node stops wanting the snapshot.
+//
+// What differs between a joiner and a lagging member is read off the node's
+// own state each round, not passed in. An uninitialized node accepts any
+// snapshot of id its engine can still continue from and persists the
+// manifest and every verified chunk as it arrives: that makes the fetch
+// resumable across a crash and the joiner itself a source. An initialized node accepts only a base above its apply
+// cursor and fetches into memory — its store still holds the snapshot it is
+// running on, and chunks written under that manifest would corrupt the blob
+// it describes; install commits it afterwards.
+func (n *Node) runTransfer(id types.ConfigID) {
 	defer n.wg.Done()
 	defer func() {
 		n.mu.Lock()
-		n.fetching = false
+		n.transfer = 0
 		n.mu.Unlock()
 	}()
-
-	prefix := snapPrefix(id)
+	abort := func() bool {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		return !n.wantsSnapshotLocked(id)
+	}
 	rng := rand.New(rand.NewSource(SeedFor(string(n.self)) ^ int64(id)))
-
-	// Resume: adopt whatever a previous attempt (possibly before a crash)
-	// already persisted. Corrupt or missing chunks come back nil.
 	var (
 		manifest storage.ChunkManifest
 		chunks   [][]byte
 		have     bool
 	)
-	if m, cs, _, err := storage.ReadChunked(n.store, prefix); err == nil && m.Chunks() > 0 {
-		manifest, chunks, have = m, cs, true
-	}
-
-	abort := func() bool { return n.fetchAborted(id) }
-	attempt := 0
-	for {
-		if abort() {
+	for attempt, round := 0, 0; ; round++ {
+		n.mu.Lock()
+		if !n.wantsSnapshotLocked(id) {
+			n.mu.Unlock()
 			return
 		}
-		n.mu.Lock()
+		joining, least := !n.initialized, n.appliedSlot+1 // least: the lowest base worth installing
 		sources := n.fetchSourcesLocked(id)
 		n.mu.Unlock()
+		prefix := "" // where verified chunks are persisted; nowhere when initialized
+		if joining {
+			prefix = snapPrefix(id)
+			// A member that lost its snapshot but not its log (torn manifest)
+			// has an engine that already released every slot up to its durable
+			// floor: an older base would leave a hole nothing can redeliver.
+			least, _ = paxos.TruncatedFloor(n.store, uint64(id))
+		}
 
 		progress := false
+		if round == 0 && joining {
+			// Resume: adopt whatever a previous attempt (possibly before a
+			// crash) already persisted. Corrupt or missing chunks come back nil.
+			if m, cs, _, err := storage.ReadChunked(n.store, prefix); err == nil && m.Chunks() > 0 {
+				manifest, chunks, have = m, cs, true
+			}
+		}
 		if !have {
-			if m, lead, ok := n.fetchManifest(id, sources, rng); ok {
-				manifest = m
-				have = true
-				progress = true
-				if err := storage.WriteChunkManifest(n.store, prefix, m); err != nil {
-					n.countViolation()
+			accept := func(m storage.ChunkManifest) bool { return m.Base >= least }
+			if m, lead, ok := n.fetchManifest(id, sources, rng, accept); ok {
+				manifest, have, progress = m, true, true
+				chunks = make([][]byte, m.Chunks())
+				if joining {
+					if err := storage.WriteChunkManifest(n.store, prefix, m); err != nil {
+						n.countViolation()
+					}
+					// Persisted chunks that verify against this manifest (a
+					// refresh whose content mostly survived) are kept.
+					if _, cs, _, err := storage.ReadChunked(n.store, prefix); err == nil && len(cs) == m.Chunks() {
+						chunks = cs
+					}
 				}
-				// Re-adopt persisted chunks that verify against this
-				// manifest (resume after a crash, or after a manifest
-				// refresh whose content mostly survived), then the chunks
-				// piggybacked on the reply; for a small snapshot that is
-				// the whole transfer in one round trip.
-				if _, cs, _, err := storage.ReadChunked(n.store, prefix); err == nil && len(cs) == m.Chunks() {
-					chunks = cs
-				} else {
-					chunks = make([][]byte, m.Chunks())
-				}
+				// The chunks piggybacked on the reply; for a small snapshot
+				// that is the whole transfer in one round trip.
 				for i, data := range lead {
 					if i < len(chunks) && chunks[i] == nil {
 						n.acceptChunk(prefix, manifest, chunks, nil, i, data)
@@ -323,14 +354,8 @@ func (n *Node) runFetch(id types.ConfigID) {
 			if n.fetchMissingChunks(id, prefix, manifest, chunks, sources, abort) {
 				progress = true
 			}
-			missing := 0
-			for _, c := range chunks {
-				if c == nil {
-					missing++
-				}
-			}
-			if missing == 0 {
-				n.installChunks(id, manifest, chunks)
+			if len(missingSpans(chunks)) == 0 {
+				n.install(id, manifest, chunks)
 				return
 			}
 		}
@@ -344,8 +369,7 @@ func (n *Node) runFetch(id types.ConfigID) {
 			// Nothing useful for several rounds while holding a manifest:
 			// the sources may have replaced the snapshot with a newer
 			// checkpoint (their chunks no longer match our CRCs). Drop the
-			// manifest and re-pull it; chunks already persisted that still
-			// verify are re-adopted above.
+			// manifest and re-pull it.
 			have = false
 		}
 		n.mu.Lock()
@@ -361,12 +385,8 @@ func (n *Node) runFetch(id types.ConfigID) {
 }
 
 // acceptChunk CRC-verifies one fetched chunk; on success it records it in
-// chunks (under resMu when given) and persists it immediately — which is what
-// makes the transfer resumable and the joiner itself a source. An empty
-// prefix skips persistence: the initialized catch-up path (checkpoint.go)
-// fetches in memory only, because writing chunks under the manifest the store
-// still holds would corrupt the blob it describes. Returns whether the chunk
-// was accepted.
+// chunks (under resMu when given) and, unless prefix is empty, persists it
+// immediately. Returns whether the chunk was accepted.
 func (n *Node) acceptChunk(prefix string, m storage.ChunkManifest, chunks [][]byte, resMu *sync.Mutex, idx int, data []byte) bool {
 	if storage.ChunkCRC(data) != m.CRCs[idx] {
 		// Corrupt on the wire or a poisoned source: reject this chunk
@@ -394,10 +414,11 @@ func (n *Node) acceptChunk(prefix string, m storage.ChunkManifest, chunks [][]by
 	return true
 }
 
-// fetchManifest asks sources (in random order) for the snapshot manifest.
-// The reply also piggybacks the snapshot's leading chunks (within
-// rangeBudget), which the caller adopts after per-chunk CRC verification.
-func (n *Node) fetchManifest(id types.ConfigID, sources []types.NodeID, rng *rand.Rand) (storage.ChunkManifest, [][]byte, bool) {
+// fetchManifest asks sources (in random order) for a snapshot manifest the
+// caller accepts. The reply also piggybacks the snapshot's leading chunks
+// (within rangeBudget), which the caller adopts after per-chunk CRC
+// verification.
+func (n *Node) fetchManifest(id types.ConfigID, sources []types.NodeID, rng *rand.Rand, accept func(storage.ChunkManifest) bool) (storage.ChunkManifest, [][]byte, bool) {
 	order := rng.Perm(len(sources))
 	for _, i := range order {
 		ctx, cancel := context.WithTimeout(n.baseCtx, n.opts.FetchTimeout)
@@ -410,7 +431,10 @@ func (n *Node) fetchManifest(id types.ConfigID, sources []types.NodeID, rng *ran
 		if err != nil || !mr.Found {
 			continue
 		}
-		return storage.ChunkManifest{Format: mr.Format, Base: mr.Base, CRCs: mr.CRCs}, mr.Chunks, true
+		m := storage.ChunkManifest{Format: mr.Format, Base: mr.Base, CRCs: mr.CRCs}
+		if accept(m) {
+			return m, mr.Chunks, true
+		}
 	}
 	return storage.ChunkManifest{}, nil, false
 }
@@ -551,45 +575,129 @@ func (n *Node) fetchChunkRange(id types.ConfigID, first, count int, src types.No
 	return cr.Chunks
 }
 
-// installChunks adopts a complete, verified chunk set as the initial state of
-// config id. The O(state) machine build happens outside n.mu; the swap is
-// re-validated under the lock.
-func (n *Node) installChunks(id types.ConfigID, m storage.ChunkManifest, chunks [][]byte) {
+// --- install ----------------------------------------------------------------
+
+// buildMachine constructs a fresh sessioned machine from a complete chunk
+// set.
+func (n *Node) buildMachine(m storage.ChunkManifest, chunks [][]byte) (*statemachine.Sessioned, error) {
+	fresh := statemachine.NewSessioned(n.factory())
+	fresh.SetSessionLimit(n.opts.SessionLimit)
+	if m.Format != fresh.ChunkFormat() {
+		return nil, fmt.Errorf("%w: snapshot format %d, machine expects %d", types.ErrCodec, m.Format, fresh.ChunkFormat())
+	}
+	for i, c := range chunks {
+		if err := fresh.RestoreChunk(i, c); err != nil {
+			return nil, err
+		}
+	}
+	if err := fresh.FinishRestore(len(chunks)); err != nil {
+		return nil, err
+	}
+	return fresh, nil
+}
+
+// install adopts a complete, verified chunk set as the state of configuration
+// id at slot m.Base: a joiner's initial state, a lagging member's jump
+// forward, or what Start found in the node's own store. The O(state) machine
+// build runs outside mu; the swap is re-validated under it and bumps the
+// epoch, so an off-mutex apply segment still executing against the old
+// machine is discarded at its commit check. An initialized node refuses a
+// base at or below its apply cursor — it would move the state backwards —
+// and, having replaced the state its store describes, commits the snapshot
+// it now runs on, so a restart recovers from base rather than from a state
+// whose log is gone. Reports whether the install happened.
+func (n *Node) install(id types.ConfigID, m storage.ChunkManifest, chunks [][]byte) bool {
 	fresh, err := n.buildMachine(m, chunks)
 	n.mu.Lock()
-	defer n.mu.Unlock()
 	if err != nil {
 		n.stats.violations++
-		return
+		n.mu.Unlock()
+		return false
 	}
-	if n.curID != id || n.initialized || n.stopped {
-		return
+	if n.stopped || n.curID != id || (n.initialized && m.Base <= n.appliedSlot) {
+		n.mu.Unlock()
+		return false
+	}
+	joined := !n.initialized
+	if joined {
+		n.stats.snapshotsFetched++
+		if run, ok := n.engines[id]; ok {
+			// Decisions the speculative engine decided during the transfer
+			// are parked in run.buffered; the pump nudge below drains them.
+			n.stats.specParked += int64(len(run.buffered))
+		}
+		// The chunks are in the store already (fetched incrementally, or
+		// read from it by Start), so the base is durable here.
+		n.noteDurableBaseLocked(m.Base)
+	} else {
+		n.stats.catchupFetches++
 	}
 	n.machine = fresh
 	n.initialized = true
-	// The snapshot folds in every slot up to its base index: start applying
-	// at Base, so the stale-skip in the pump (dec.Slot <= appliedSlot)
-	// discards redelivered decisions the snapshot already covers and no
+	// The snapshot folds in every slot up to its base: start applying at
+	// Base, so the stale-skip in the pump (dec.Slot <= appliedSlot) discards
+	// parked and redelivered decisions the snapshot already covers and no
 	// client reply fires for a slot before the apply point passes Base.
-	// Wedge-captured snapshots have Base 0 — the successor log is fresh.
 	n.appliedSlot = m.Base
-	n.stats.snapshotsFetched++
-	if run, ok := n.engines[id]; ok {
-		// Decisions the speculative engine decided during the transfer are
-		// parked in run.buffered; the pump nudge below drains them now.
-		n.stats.specParked += int64(len(run.buffered))
-	}
 	if err := n.ensureEngineLocked(id); err != nil {
 		n.stats.violations++
 	}
+	if run, ok := n.engines[id]; ok && m.Base > 0 {
+		if run.droppedBelow <= m.Base {
+			run.droppedBelow = 0
+		}
+		// The engine releases its own records below Base and resumes
+		// contiguous delivery above it. Without this a delivery cursor
+		// below a floor the peers already truncated never moves again.
+		run.eng.SkipTo(m.Base)
+	}
 	n.resubmitPendingLocked(true)
 	n.notifyTransitionLocked()
-	// Nudge the apply loop: decisions buffered while uninitialized are now
-	// ready. Only the apply loop runs the mutex-dropping pump, so this
-	// fetch goroutine must not pump inline.
+	// Nudge the apply loop: decisions buffered above Base are now ready.
+	// Only the apply loop runs the mutex-dropping pump, so the installer
+	// must not pump inline.
 	select {
 	case n.pumpCh <- struct{}{}:
 	default:
+	}
+	n.mu.Unlock()
+	if !joined {
+		if err := n.commit(id, m, chunks); err != nil {
+			n.countViolation()
+		}
+	}
+	return true
+}
+
+// --- retire -----------------------------------------------------------------
+
+// maybeRetireLocked drops every snapshot nobody can still need: the
+// in-memory copies here, the stored blobs on a goroutine of their own. A
+// snapshot the transfer goroutine may still be persisting chunks of waits
+// until that goroutine has exited. Caller holds mu (the housekeeping tick).
+func (n *Node) maybeRetireLocked() {
+	var ids []types.ConfigID
+	for n.retiredLocked(n.retireNext) && n.retireNext != n.transfer {
+		delete(n.serving, n.retireNext)
+		ids = append(ids, n.retireNext)
+		n.retireNext++
+	}
+	if len(ids) > 0 {
+		n.wg.Add(1)
+		go n.retire(ids)
+	}
+}
+
+// retire deletes the stored snapshots of ids. snapMu orders it after any
+// commit of the same configuration that was already writing.
+func (n *Node) retire(ids []types.ConfigID) {
+	defer n.wg.Done()
+	n.snapMu.Lock()
+	defer n.snapMu.Unlock()
+	for _, id := range ids {
+		if err := storage.DeleteChunked(n.store, snapPrefix(id)); err != nil {
+			n.countViolation()
+		}
 	}
 }
 

@@ -14,9 +14,9 @@ const (
 	// the inner machine's monolithic Snapshot(). Used as the fallback when
 	// the inner machine does not implement ChunkedSnapshotter.
 	SnapshotFormatBlob byte = 2
-	// SnapshotFormatMono: a single chunk holding the full monolithic
-	// Snapshot(). Produced only by the reconfig layer's monolithic-transfer
-	// ablation mode and restored via Restore, never via RestoreChunk.
+	// SnapshotFormatMono is reserved: format byte 3 was the single-chunk
+	// monolithic snapshot of the retired monolithic-transfer ablation. No
+	// machine produces it and every restorer rejects it as unknown.
 	SnapshotFormatMono byte = 3
 )
 

@@ -99,32 +99,15 @@ func ReadChunkManifest(s Store, prefix string) (ChunkManifest, bool, error) {
 	return m, true, nil
 }
 
-// WriteChunked persists a whole chunked blob: manifest first, then every
-// chunk produced by the chunk callback (called once per index, in order, so
-// the caller can serialize lazily and never hold more than one chunk).
-func WriteChunked(s Store, prefix string, m ChunkManifest, chunk func(i int) []byte) error {
-	if err := WriteChunkManifest(s, prefix, m); err != nil {
-		return err
-	}
-	for i := 0; i < len(m.CRCs); i++ {
-		if err := s.Set(ChunkKey(prefix, i), chunk(i)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteChunkedCommit persists a chunked blob in commit order: every chunk
-// first, a Sync, then the manifest. This is the overwrite-safe variant for
-// replacing a blob in place — a periodic checkpoint overwriting its
-// predecessor. WriteChunked's manifest-first order is right for a resumable
-// fetch (persist the manifest, then chunks as they arrive and verify), but
-// for an overwrite a crash after the new manifest and before the new chunks
-// would leave a manifest whose CRCs match nothing durable. With commit
-// ordering the manifest on disk always postdates its chunks: a crash
-// mid-write leaves the old manifest with at worst some CRC-mismatching
-// chunks, which ReadChunked reports as incomplete — a recoverable state,
-// never a poisoned one.
+// WriteChunkedCommit persists a whole chunked blob in commit order: every
+// chunk first (the callback is called once per index, in order), a Sync, then
+// the manifest. It is safe for replacing a blob in place — a periodic
+// checkpoint overwriting its predecessor: the manifest on disk always
+// postdates its chunks, so a crash mid-write leaves the old manifest with at
+// worst some CRC-mismatching chunks, which ReadChunked reports as incomplete
+// — a recoverable state, never a poisoned one. (A resumable fetch does the
+// opposite by hand: WriteChunkManifest first, then chunks as they arrive and
+// verify.)
 func WriteChunkedCommit(s Store, prefix string, m ChunkManifest, chunk func(i int) []byte) error {
 	for i := 0; i < len(m.CRCs); i++ {
 		if err := s.Set(ChunkKey(prefix, i), chunk(i)); err != nil {

@@ -50,7 +50,7 @@ func TestChunkedBlobPreservesBase(t *testing.T) {
 	for i, c := range chunks {
 		m.CRCs[i] = ChunkCRC(c)
 	}
-	if err := WriteChunked(s, "snap/9", m, func(i int) []byte { return chunks[i] }); err != nil {
+	if err := WriteChunkedCommit(s, "snap/9", m, func(i int) []byte { return chunks[i] }); err != nil {
 		t.Fatal(err)
 	}
 	got, gotChunks, complete, err := ReadChunked(s, "snap/9")
@@ -113,7 +113,7 @@ func FuzzReadChunkedResume(f *testing.F) {
 		s := NewMem()
 		chunks := [][]byte{c0, c1}
 		m := ChunkManifest{Format: 1, Base: 5, CRCs: []uint32{ChunkCRC(c0), ChunkCRC(c1)}}
-		if err := WriteChunked(s, "p", m, func(i int) []byte { return chunks[i] }); err != nil {
+		if err := WriteChunkedCommit(s, "p", m, func(i int) []byte { return chunks[i] }); err != nil {
 			t.Fatal(err)
 		}
 		damaged := false
