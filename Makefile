@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-read bench-snapshot bench-write bench-shard bench-reconfig bench-catchup bench-mega vet fmt-check ci
+.PHONY: all build test race bench bench-pairs bench-read bench-snapshot bench-write bench-shard bench-reconfig bench-catchup bench-mega vet fmt-check ci
 
 all: build test
 
@@ -67,6 +67,17 @@ bench-catchup:
 # vs the naive ablation. The canonical table lives in `rsmbench -exp mega`.
 bench-mega:
 	$(GO) test -run '^$$' -bench C1Megaload -benchtime 1x -timeout 30m .
+
+# Alternating parent/change pairs of the repo benchmark (bench/, the
+# loopback-TCP one the driver gates on), written to BENCH_16.json: per pair
+# both setup_s values, medians, quartiles, wins and runner facts. The working
+# tree is the change. e.g. `make bench-pairs PARENT=19b3829 PAIRS=10 WINDOW=5`.
+PARENT ?= HEAD~1
+WORKLOADS ?= steady-write,durable-write,read-mostly,reconfig-churn
+PAIRS ?= 10
+WINDOW ?= 25
+bench-pairs:
+	scripts/pairs.sh $(PARENT) $(WORKLOADS) $(PAIRS) $(WINDOW)
 
 vet:
 	$(GO) vet ./...

@@ -200,7 +200,7 @@ func TestWALRestartRecoversMarkerPrefix(t *testing.T) {
 	tc := newTestClusterOn(t, 3, transport.Options{}, func(id types.NodeID) storage.Store {
 		dirs[id] = t.TempDir()
 		return open(id)
-	})
+	}, nil)
 	lead := tc.waitForLeader(5 * time.Second)
 	const total = 40
 	for i := 1; i <= total; i++ {

@@ -20,6 +20,7 @@ type testCluster struct {
 	cfg    types.Config
 	reps   map[types.NodeID]*Replica
 	stores map[types.NodeID]storage.Store
+	tune   func(*Options) // adjusts fastOpts for every replica; may be nil
 
 	mu        sync.Mutex
 	delivered map[types.NodeID][]smr.Decision
@@ -41,12 +42,13 @@ func fastOpts(seed int64) Options {
 
 func newTestCluster(t *testing.T, n int, netOpts transport.Options) *testCluster {
 	t.Helper()
-	return newTestClusterOn(t, n, netOpts, func(types.NodeID) storage.Store { return storage.NewMem() })
+	return newTestClusterOn(t, n, netOpts, func(types.NodeID) storage.Store { return storage.NewMem() }, nil)
 }
 
 // newTestClusterOn is newTestCluster with each replica's store built by
-// newStore; the cluster never closes a store.
-func newTestClusterOn(t *testing.T, n int, netOpts transport.Options, newStore func(types.NodeID) storage.Store) *testCluster {
+// newStore and its options adjusted by tune (nil: fastOpts as they are); the
+// cluster never closes a store.
+func newTestClusterOn(t *testing.T, n int, netOpts transport.Options, newStore func(types.NodeID) storage.Store, tune func(*Options)) *testCluster {
 	t.Helper()
 	members := make([]types.NodeID, n)
 	for i := range members {
@@ -59,6 +61,7 @@ func newTestClusterOn(t *testing.T, n int, netOpts transport.Options, newStore f
 		cfg:       cfg,
 		reps:      make(map[types.NodeID]*Replica, n),
 		stores:    make(map[types.NodeID]storage.Store, n),
+		tune:      tune,
 		delivered: make(map[types.NodeID][]smr.Decision, n),
 	}
 	for _, id := range members {
@@ -72,7 +75,11 @@ func newTestClusterOn(t *testing.T, n int, netOpts transport.Options, newStore f
 // startReplica builds and starts the replica for id from its (possibly
 // pre-existing) store, and begins collecting its decisions.
 func (tc *testCluster) startReplica(id types.NodeID) {
-	rep, err := New(tc.cfg, id, tc.net.Endpoint(id), tc.stores[id], uint64(tc.cfg.ID), fastOpts(int64(len(id))))
+	opts := fastOpts(int64(len(id)))
+	if tc.tune != nil {
+		tc.tune(&opts)
+	}
+	rep, err := New(tc.cfg, id, tc.net.Endpoint(id), tc.stores[id], uint64(tc.cfg.ID), opts)
 	if err != nil {
 		tc.t.Fatal(err)
 	}

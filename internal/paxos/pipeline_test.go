@@ -18,16 +18,24 @@ func leaderReplica(t *testing.T) *Replica {
 	return r
 }
 
+// turn plays one loop turn that admits cmds: slots are assigned at its end.
+func turn(r *Replica, cmds ...types.Command) {
+	for _, cmd := range cmds {
+		r.handlePropose(cmd)
+	}
+	r.placePending()
+}
+
 func TestPipelineWindowGatesProposals(t *testing.T) {
 	r := leaderReplica(t)
 	for i := 0; i < r.opts.Pipeline; i++ {
-		r.handlePropose(appCmd("c", uint64(i+1)))
+		turn(r, appCmd("c", uint64(i+1)))
 	}
 	if got := len(r.inflight); got != r.opts.Pipeline {
 		t.Fatalf("inflight %d, want the full window %d", got, r.opts.Pipeline)
 	}
 	// The window is full: the next proposal must queue, not open a slot.
-	r.handlePropose(appCmd("c", 100))
+	turn(r, appCmd("c", 100))
 	if got := len(r.inflight); got != r.opts.Pipeline {
 		t.Fatalf("inflight grew to %d past the Pipeline window %d", got, r.opts.Pipeline)
 	}
@@ -47,17 +55,17 @@ func TestLearnClearsZombieInflight(t *testing.T) {
 	r := leaderReplica(t)
 	first := r.nextSlot
 	for i := 0; i < r.opts.Pipeline; i++ {
-		r.handlePropose(appCmd("c", uint64(i+1)))
+		turn(r, appCmd("c", uint64(i+1)))
 	}
-	queued := appCmd("c", 100)
-	r.handlePropose(queued) // window full: queued behind the pipeline
+	turn(r, appCmd("c", 100)) // window full: queued behind the pipeline
 
 	// Slot `first` was chosen elsewhere with the same value we proposed.
 	r.learn(decideMsg{Slot: first, Cmd: appCmd("c", 1)})
 	if _, ok := r.inflight[first]; ok {
 		t.Fatal("decided slot still inflight after learn")
 	}
-	// Freeing the window slot must immediately promote the queued command.
+	// Freeing the window slot must promote the queued command in the same turn.
+	r.placePending()
 	if got := len(r.pending); got != 0 {
 		t.Fatalf("pending %d after window opened, want 0", got)
 	}
@@ -72,6 +80,7 @@ func TestLearnClearsZombieInflight(t *testing.T) {
 	if _, ok := r.inflight[first+1]; ok {
 		t.Fatal("out-of-band decided slot still inflight")
 	}
+	r.placePending()
 	found := false
 	for slot, sp := range r.inflight {
 		if sp.cmd.Equal(lost) && slot > first+1 {
@@ -87,4 +96,50 @@ func TestLearnClearsZombieInflight(t *testing.T) {
 	if got := len(r.inflight); got != r.opts.Pipeline {
 		t.Fatalf("inflight %d after unrelated learn, want %d", got, r.opts.Pipeline)
 	}
+}
+
+// A batch the leader takes back — it stepped down with the slot open, or
+// another value won the slot — must return to the queue as its member
+// commands. Re-queued whole it is packed into the next batch as one command,
+// and the apply layer, which unpacks one level, hands the inner batch's bytes
+// to the state machine as a single op (on the counter machine they decode as
+// "set 1").
+func TestRequeuedBatchIsUnpacked(t *testing.T) {
+	onlyPlain := func(what string, cmds []types.Command) {
+		t.Helper()
+		for _, cmd := range cmds {
+			if cmd.Kind != types.CmdApp {
+				t.Fatalf("%s: a %v command where only plain commands belong", what, cmd.Kind)
+			}
+		}
+	}
+	r := leaderReplica(t)
+	r.opts.BatchSize = 16
+	turn(r, appCmd("a", 1), appCmd("b", 1), appCmd("c", 1))
+	if len(r.inflight) != 1 || len(r.pending) != 0 {
+		t.Fatalf("inflight %d pending %d, want the clump in one slot", len(r.inflight), len(r.pending))
+	}
+
+	r.stepDown()
+	if len(r.pending) != 3 {
+		t.Fatalf("pending %d after step-down, want the batch's 3 members", len(r.pending))
+	}
+	onlyPlain("queue after step-down", r.pending)
+
+	// Leader again: the members and a newcomer share the next slot, one level deep.
+	r.role = roleLeader
+	slot := r.nextSlot
+	turn(r, appCmd("d", 1))
+	subs, err := types.DecodeBatch(r.inflight[slot].cmd.Data)
+	if err != nil || len(subs) != 4 {
+		t.Fatalf("slot %d holds %d commands (%v), want 4", slot, len(subs), err)
+	}
+	onlyPlain("re-proposed batch", subs)
+
+	// The same slot is won by someone else's value: ours goes back unpacked.
+	r.learn(decideMsg{Slot: slot, Cmd: appCmd("z", 9)})
+	if len(r.pending) != 4 {
+		t.Fatalf("pending %d after losing the slot, want 4", len(r.pending))
+	}
+	onlyPlain("queue after losing the slot", r.pending)
 }

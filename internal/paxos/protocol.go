@@ -373,7 +373,6 @@ func (r *Replica) becomeLeader() {
 			r.proposeAtSlot(slot, types.NoopCommand())
 		}
 	}
-	r.drainPending()
 }
 
 // proposeNext assigns cmd the next free slot and runs phase 2 for it. The
@@ -428,7 +427,6 @@ func (r *Replica) maybeDecide(slot types.Slot, sp *slotProgress) {
 	if !r.learnAccepted(slot, r.ballot) {
 		r.learn(decideMsg{Slot: slot, Cmd: sp.cmd}) // our own acceptor refused the round
 	}
-	r.drainPending()
 }
 
 func (r *Replica) stepDown() {
@@ -440,9 +438,7 @@ func (r *Replica) stepDown() {
 	// Re-queue inflight commands: a new leader may or may not choose
 	// them; session dedup upstairs makes the re-submission harmless.
 	for _, sp := range r.inflight {
-		if !sp.cmd.IsNoop() && len(r.pending) < r.opts.PendingLimit {
-			r.pending = append(r.pending, sp.cmd)
-		}
+		r.enqueue(sp.cmd)
 	}
 	r.inflight = make(map[types.Slot]*slotProgress)
 	r.promises = make(map[types.NodeID]promiseMsg)
@@ -484,12 +480,12 @@ func (r *Replica) learn(d decideMsg) {
 		// acceptors keep answering KindDecide, never Accepted), and a few
 		// such zombies would permanently fill the Pipeline window and wedge
 		// the proposer. If a different value won the slot, re-queue ours;
-		// session dedup upstairs makes the re-submission harmless.
+		// session dedup upstairs makes the re-submission harmless. The freed
+		// window slot is refilled at the end of the turn.
 		delete(r.inflight, slot)
-		if !sp.cmd.Equal(cmd) && !sp.cmd.IsNoop() && len(r.pending) < r.opts.PendingLimit {
-			r.pending = append(r.pending, sp.cmd)
+		if !sp.cmd.Equal(cmd) {
+			r.enqueue(sp.cmd)
 		}
-		defer r.drainPending()
 	}
 	if prev, ok := r.decided[slot]; ok {
 		if !prev.Equal(cmd) {
@@ -550,21 +546,46 @@ func (r *Replica) onCatchupReq(from types.NodeID, msg catchupReqMsg) {
 
 // --- proposals ----------------------------------------------------------------
 
+// handlePropose admits one proposal to the queue and nothing else: which slot
+// it rides in is decided once per loop turn (placePending), when everything
+// that arrived with it has been admitted too.
 func (r *Replica) handlePropose(cmd types.Command) {
 	r.stats.proposals.Add(1)
-	if r.role == roleLeader && r.opts.BatchSize <= 1 && len(r.inflight) < r.opts.Pipeline {
-		r.proposeNext(cmd)
-		return
+	r.enqueue(cmd)
+}
+
+// enqueue appends cmd to the proposal queue, dropping it when the queue is at
+// PendingLimit (overload; clients retry). A batch — one this replica proposed
+// and is taking back, or one a deposed leader forwards — goes in as its
+// member commands: drainPending is the only place batches are built, so they
+// stay one level deep, which is all the apply layer unpacks. Packed again as
+// it is, a batch would reach the state machine as the bytes of a single op.
+func (r *Replica) enqueue(cmd types.Command) {
+	switch {
+	case cmd.IsNoop():
+	case cmd.Kind == types.CmdBatch:
+		subs, err := types.DecodeBatch(cmd.Data)
+		if err != nil {
+			return // not a batch any replica built; nothing to recover
+		}
+		for _, sub := range subs {
+			r.enqueue(sub)
+		}
+	case len(r.pending) < r.opts.PendingLimit:
+		r.pending = append(r.pending, cmd)
 	}
-	if len(r.pending) >= r.opts.PendingLimit {
-		return // overload: drop; clients retry
+}
+
+// placePending moves the queue on at the end of a loop turn: into slots on
+// a leader, to the leader on a follower that knows one. A candidate keeps it
+// until the election settles.
+func (r *Replica) placePending() {
+	switch r.role {
+	case roleLeader:
+		r.drainPending()
+	case roleFollower:
+		r.flushPendingToLeader()
 	}
-	r.pending = append(r.pending, cmd)
-	if r.role == roleLeader {
-		r.drainPending() // batching path: pack what is queued
-		return
-	}
-	r.flushPendingToLeader()
 }
 
 // drainPending assigns queued proposals to slots while the pipeline window
@@ -575,19 +596,13 @@ func (r *Replica) handlePropose(cmd types.Command) {
 // every acceptor, and a decision delivery.
 func (r *Replica) drainPending() {
 	for r.role == roleLeader && len(r.pending) > 0 && len(r.inflight) < r.opts.Pipeline {
-		k := r.opts.BatchSize
-		if k > len(r.pending) {
-			k = len(r.pending)
+		k := min(r.opts.BatchSize, len(r.pending))
+		cmd := r.pending[0]
+		if k > 1 {
+			cmd = types.BatchCommand(r.pending[:k])
 		}
-		if k <= 1 {
-			cmd := r.pending[0]
-			r.pending = r.pending[1:]
-			r.proposeNext(cmd)
-			continue
-		}
-		batch := types.BatchCommand(r.pending[:k])
 		r.pending = r.pending[k:]
-		r.proposeNext(batch)
+		r.proposeNext(cmd)
 	}
 }
 
@@ -640,7 +655,6 @@ func (r *Replica) onHeartbeat(from types.NodeID, msg heartbeatMsg) {
 	if msg.WantAck {
 		r.send(from, KindHeartbeatAck, encodeHeartbeatAck(heartbeatAckMsg{Ballot: msg.Ballot, Seq: msg.Seq}))
 	}
-	r.flushPendingToLeader()
 }
 
 func (r *Replica) tick() {
@@ -672,7 +686,6 @@ func (r *Replica) tick() {
 				r.broadcast(KindAccept, encodeAccept(acceptMsg{Ballot: r.ballot, Slot: slot, Cmd: sp.cmd}))
 			}
 		}
-		r.drainPending()
 	case roleCandidate:
 		r.prepareAge++
 		if r.prepareAge >= r.opts.ResendTicks {
@@ -688,7 +701,6 @@ func (r *Replica) tick() {
 		if r.ticksSinceHB >= r.electionDeadline {
 			r.startElection()
 		}
-		r.flushPendingToLeader()
 	}
 
 	// Catch-up: if we know of decided slots beyond our contiguous prefix,

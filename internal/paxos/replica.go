@@ -189,7 +189,6 @@ type Replica struct {
 	inMsg     chan inboundMsg
 	proposeCh chan types.Command
 	readCh    chan readRequest
-	ctrlCh    chan func()
 	stopCh    chan struct{}
 	stopOnce  sync.Once
 	loopDone  chan struct{}
@@ -202,6 +201,17 @@ type Replica struct {
 	decMu     sync.Mutex
 	decQueue  []smr.Decision
 	decSignal chan struct{}
+
+	// Control mailbox: the composition layer's two requests to the loop, each
+	// a latest-wins cell holding the highest slot asked for (0 = nothing
+	// asked), plus a one-slot wake. Callers never wait — they hold the node
+	// mutex, and since submits run on socket readers a caller parked here
+	// would stall a connection — and nothing is lost by overwriting: both
+	// requests are "at least this far". The loop empties the cells on wake
+	// and on every tick.
+	truncReq atomic.Int64
+	skipReq  atomic.Int64
+	ctrlWake chan struct{}
 
 	// cross-goroutine views
 	leaderHint atomic.Value // types.NodeID
@@ -297,7 +307,7 @@ func New(cfg types.Config, self types.NodeID, ep *transport.Endpoint, store stor
 		inMsg:     make(chan inboundMsg, 8192),
 		proposeCh: make(chan types.Command, 1024),
 		readCh:    make(chan readRequest, 4096),
-		ctrlCh:    make(chan func(), 16),
+		ctrlWake:  make(chan struct{}, 1),
 		stopCh:    make(chan struct{}),
 		loopDone:  make(chan struct{}),
 		pumpDone:  make(chan struct{}),
@@ -602,34 +612,29 @@ func (r *Replica) loop() {
 	r.deliverReady()
 
 	for {
+		r.beginBurst()
 		select {
 		case <-r.stopCh:
 			return
 		case m := <-r.inMsg:
-			r.beginBurst()
 			r.handleMessage(m)
-			r.drainBurst(burstBudget - 1)
-			r.endBurst()
 		case cmd := <-r.proposeCh:
-			r.beginBurst()
 			r.handlePropose(cmd)
-			r.drainBurst(burstBudget - 1)
-			r.endBurst()
 		case req := <-r.readCh:
-			r.beginBurst()
 			r.handleRead(req)
-			r.drainBurst(burstBudget - 1)
-			r.endBurst()
-		case fn := <-r.ctrlCh:
-			r.beginBurst()
-			fn()
-			r.drainBurst(burstBudget - 1)
-			r.endBurst()
+		case <-r.ctrlWake:
+			r.runControl()
 		case <-ticker.C:
-			r.beginBurst()
+			r.runControl()
 			r.tick()
-			r.endBurst()
 		}
+		r.drainBurst(burstBudget - 1)
+		// Slots are assigned once per turn, after the intake is drained and
+		// before the group-commit barrier: whatever was proposed, forwarded or
+		// re-queued during the turn shares one Accept, one acc/ record and one
+		// Sync (or, on a follower, one forward frame).
+		r.placePending()
+		r.endBurst()
 		r.publishProgress()
 	}
 }
@@ -640,21 +645,19 @@ func (r *Replica) loop() {
 const burstBudget = 256
 
 // beginBurst opens a group-commit burst when the store supports staged
-// writes. With a plain store every write is individually durable and the
-// loop behaves exactly as a classic one-event-at-a-time engine.
+// writes. With a plain store every write is individually durable and every
+// message leaves at once; a turn still absorbs what is queued (drainBurst).
 func (r *Replica) beginBurst() {
 	if r.bstore != nil {
 		r.inBurst = true
 	}
 }
 
-// drainBurst greedily absorbs events that are already queued into the open
-// burst, so their persistence shares the single group-commit fsync. It
-// never blocks: the burst ends as soon as the backlog (or budget) runs out.
+// drainBurst greedily absorbs events that are already queued into the turn,
+// so their persistence shares the single group-commit fsync and the proposals
+// among them share a slot. It never blocks: the turn ends as soon as the
+// backlog (or budget) runs out.
 func (r *Replica) drainBurst(budget int) {
-	if !r.inBurst {
-		return
-	}
 	for budget > 0 {
 		select {
 		case m := <-r.inMsg:
@@ -756,12 +759,29 @@ func (r *Replica) publishProgress() {
 	r.progTrunc.Store(int64(r.truncatedBelow))
 }
 
-// post runs fn on the event-loop goroutine. It blocks until the control
-// queue has room or the replica stops; fn never runs after Stop.
-func (r *Replica) post(fn func()) {
+// request raises a control cell to at least slot and wakes the loop. It never
+// blocks, whatever the loop is doing.
+func (r *Replica) request(cell *atomic.Int64, slot types.Slot) {
+	for {
+		cur := cell.Load()
+		if int64(slot) <= cur || cell.CompareAndSwap(cur, int64(slot)) {
+			break
+		}
+	}
 	select {
-	case r.ctrlCh <- fn:
-	case <-r.stopCh:
+	case r.ctrlWake <- struct{}{}:
+	default: // a wake is already pending; the loop will see this request too
+	}
+}
+
+// runControl applies whatever the control cells hold. The skip goes first:
+// it may move the delivered prefix a truncation is clamped to.
+func (r *Replica) runControl() {
+	if base := types.Slot(r.skipReq.Swap(0)); base > 0 {
+		r.skipTo(base)
+	}
+	if floor := types.Slot(r.truncReq.Swap(0)); floor > 0 {
+		r.truncateBelow(floor)
 	}
 }
 
@@ -771,18 +791,20 @@ func (r *Replica) post(fn func()) {
 // truncation this replica refuses phase-2 votes at released slots and
 // answers catch-up requests for them with a checkpoint redirect instead of
 // entries. The floor is clamped to the delivered prefix — undelivered slots
-// are never truncated. Safe from any goroutine; applied asynchronously on
-// the event loop.
+// are never truncated. Safe from any goroutine and never blocks; applied
+// asynchronously on the event loop, and of several calls the loop has not
+// yet seen only the highest floor is applied.
 func (r *Replica) TruncateBelow(floor types.Slot) {
-	r.post(func() { r.truncateBelow(floor) })
+	r.request(&r.truncReq, floor)
 }
 
 // SkipTo installs a checkpoint's base index: the application has restored
 // state covering every slot <= base, so delivery resumes at base+1 and the
 // skipped slots are released exactly as TruncateBelow would. Used by a
-// lagging member after a checkpoint fetch. Safe from any goroutine.
+// lagging member after a checkpoint fetch. Safe from any goroutine and never
+// blocks; the highest base wins.
 func (r *Replica) SkipTo(base types.Slot) {
-	r.post(func() { r.skipTo(base) })
+	r.request(&r.skipReq, base)
 }
 
 // truncateBelow is the loop-side release. Slots (truncatedBelow, floor] are

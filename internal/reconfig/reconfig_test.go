@@ -46,9 +46,15 @@ func fastNodeOpts() Options {
 }
 
 func newWorld(t *testing.T, netOpts transport.Options) *world {
+	return newWorldOn(t, transport.NewNetwork(netOpts))
+}
+
+// newWorldOn hosts the nodes on a fabric the caller built (and the world
+// closes), e.g. the loopback-TCP one.
+func newWorldOn(t *testing.T, net *transport.Network) *world {
 	w := &world{
 		t:      t,
-		net:    transport.NewNetwork(netOpts),
+		net:    net,
 		opts:   fastNodeOpts(),
 		nodes:  make(map[types.NodeID]*Node),
 		stores: make(map[types.NodeID]storage.Store),

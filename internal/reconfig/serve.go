@@ -8,19 +8,34 @@ import (
 	"repro/internal/types"
 )
 
-// handleRPC dispatches control-plane requests. It runs on a per-request
-// goroutine spawned by the rpc peer, so blocking is allowed.
+// handleRPC dispatches control-plane requests. It runs on the goroutine that
+// delivered the request (rpc.Handler), which on the TCP fabric is the reader
+// of the sender's connection, so it must not wait: a client's submits reach
+// the engine's proposal queue in the clump they left the client in only if
+// nothing parks between the socket and Propose.
+//
+// opSubmit therefore runs inline — decode, handleSubmit, Propose, none of
+// which waits on anything but n.mu. Every other op may wait for the chain to
+// advance or touch the store, and gets its own goroutine.
 func (n *Node) handleRPC(from types.NodeID, req []byte, respond func([]byte)) {
 	if len(req) == 0 {
 		return
 	}
+	if req[0] != opSubmit {
+		go n.serveControl(from, req, respond)
+		return
+	}
+	cmd, err := types.DecodeCommand(req[1:])
+	if err != nil {
+		return
+	}
+	n.handleSubmit(cmd, respond)
+}
+
+// serveControl serves the ops that may block: reconfiguration, chain and
+// checkpoint gossip, discovery and snapshot transfer.
+func (n *Node) serveControl(from types.NodeID, req []byte, respond func([]byte)) {
 	switch req[0] {
-	case opSubmit:
-		cmd, err := types.DecodeCommand(req[1:])
-		if err != nil {
-			return
-		}
-		n.handleSubmit(cmd, respond)
 	case opLocate:
 		n.mu.Lock()
 		reply := locateReply{

@@ -31,6 +31,13 @@ var ErrClosed = errors.New("rpc: peer closed")
 
 // Handler serves one inbound request. respond may be called at most once,
 // from any goroutine, now or later; extra calls are ignored.
+//
+// The handler runs on the goroutine that delivered the request (see
+// transport.Handler), so requests from one peer arrive in the order it sent
+// them and the next is not read until the handler returns. A handler that may
+// wait — on a commit, on the store, on another call — must start its own
+// goroutine and keep respond; one that only queues the request answers the
+// same way later.
 type Handler func(from types.NodeID, req []byte, respond func(resp []byte))
 
 // Peer is an RPC endpoint (client and server) bound to a transport stream.
@@ -100,9 +107,7 @@ func (p *Peer) onMessage(from types.NodeID, _ uint64, kind uint8, payload []byte
 				_ = p.ep.Send(from, p.stream, KindResponse, w.Bytes())
 			})
 		}
-		// Handlers may block (e.g. waiting for a command to commit), so
-		// they run off the transport's dispatch goroutine.
-		go h(from, body, respond)
+		h(from, body, respond)
 	case KindResponse:
 		p.mu.Lock()
 		ch, ok := p.waiters[id]

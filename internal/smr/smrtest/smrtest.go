@@ -71,6 +71,27 @@ func (c *collector) appCount(id types.NodeID) int {
 	return n
 }
 
+// appKey identifies one proposed application command.
+type appKey struct {
+	client types.NodeID
+	seq    uint64
+}
+
+// appSeen returns the distinct application commands id has delivered. A
+// re-proposed command may be decided twice (engines do not deduplicate, the
+// layer above does), so agreement counts distinct commands, not decisions.
+func (c *collector) appSeen(id types.NodeID) map[appKey]bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	seen := make(map[appKey]bool)
+	for _, d := range c.seq[id] {
+		if d.Cmd.Kind == types.CmdApp {
+			seen[appKey{d.Cmd.Client, d.Cmd.Seq}] = true
+		}
+	}
+	return seen
+}
+
 // verify asserts gap-free slots and cross-node agreement on common prefixes.
 func (c *collector) verify(t *testing.T) {
 	t.Helper()
@@ -150,24 +171,49 @@ func runSingleNodeOrdering(t *testing.T, build Builder) {
 	col.verify(t)
 }
 
+// reproposeAfter is how long runAgreement lets a proposal go undecided at its
+// proposer before proposing it again.
+const reproposeAfter = 500 * time.Millisecond
+
 func runAgreement(t *testing.T, build Builder) {
 	members := []types.NodeID{"n1", "n2", "n3"}
 	c := build(t, members)
 	defer c.Cleanup()
 	col := collect(&c)
 	const per = 10
+	proposed := make(map[types.NodeID][]types.Command, len(members))
 	for i := 1; i <= per; i++ {
 		for _, m := range members {
-			proposeRetry(t, c.Engines[m], appCmd("c-"+string(m), uint64(i)))
+			cmd := appCmd("c-"+string(m), uint64(i))
+			proposeRetry(t, c.Engines[m], cmd)
+			proposed[m] = append(proposed[m], cmd)
 		}
 	}
+	// smr.Engine.Propose is best-effort — an accepted proposal "may be lost
+	// (callers retry on timeout)", and on a lossy fabric a follower's forward
+	// sometimes is — so the caller here retries like the composition layer
+	// does: whatever its proposer has not seen decided is proposed again.
+	retryAt := time.Now().Add(reproposeAfter)
 	waitFor(t, func() bool {
+		all := true
 		for _, m := range members {
-			if col.appCount(m) < 3*per {
-				return false
+			if len(col.appSeen(m)) < 3*per {
+				all = false
 			}
 		}
-		return true
+		if all || time.Now().Before(retryAt) {
+			return all
+		}
+		retryAt = time.Now().Add(reproposeAfter)
+		for _, m := range members {
+			seen := col.appSeen(m)
+			for _, cmd := range proposed[m] {
+				if !seen[appKey{cmd.Client, cmd.Seq}] {
+					_ = c.Engines[m].Propose(cmd) // ErrBusy: the next round retries
+				}
+			}
+		}
+		return false
 	}, "all decisions everywhere", 20*time.Second)
 	col.verify(t)
 }

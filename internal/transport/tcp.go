@@ -270,8 +270,9 @@ func (f *tcpFabric) transmit(from, to types.NodeID, group, stream uint64, kind u
 }
 
 // readLoop decodes frames from one connection accepted on e's listener and
-// puts them in e's inbox; the wire supplied the latency, so the simulated
-// scheduler is bypassed.
+// delivers each to its handler itself: the wire supplied the latency, so
+// neither the simulated scheduler nor an inbox sits in between, and a clump of
+// frames that arrived in one read reaches the handlers back to back.
 func (f *tcpFabric) readLoop(conn net.Conn, e *Endpoint) {
 	defer func() { _ = conn.Close() }()
 	br := bufio.NewReaderSize(conn, readBufSize)
@@ -280,16 +281,7 @@ func (f *tcpFabric) readLoop(conn net.Conn, e *Endpoint) {
 		if err != nil {
 			return
 		}
-		if !e.enqueue(&delivery{
-			from:    from,
-			to:      e.id,
-			group:   group,
-			stream:  stream,
-			kind:    kind,
-			payload: payload,
-		}) {
-			f.net.countDroppedBusy()
-		}
+		e.deliver(from, group, stream, kind, payload)
 	}
 }
 

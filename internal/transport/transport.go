@@ -26,8 +26,20 @@ import (
 	"repro/internal/types"
 )
 
-// Handler consumes an inbound message. Handlers run on the endpoint's single
-// dispatch goroutine, so per-endpoint handling is serialized.
+// Handler consumes an inbound message. It runs on the goroutine that read the
+// frame: on the TCP fabric the reader of the connection it arrived on, on the
+// simulated fabric the endpoint's dispatch goroutine. The contract is the
+// same on both:
+//
+//   - frames from one source arrive in the order the fabric delivered them
+//     (FIFO per connection on TCP), and the next one is not read until the
+//     handler returns;
+//   - handlers for frames from different sources may run concurrently, so a
+//     handler synchronizes whatever it shares;
+//   - a handler must not wait on the network, nor on anything that does — a
+//     parked handler stalls every frame behind it on that connection. Hand
+//     the message to a queue or take a short mutex; work that may wait gets
+//     its own goroutine.
 type Handler func(from types.NodeID, stream uint64, kind uint8, payload []byte)
 
 // Options configures a Network. The zero value is usable: zero latency, no
@@ -47,8 +59,9 @@ type Options struct {
 	DupRate float64
 	// Seed seeds the network's RNG for reproducible loss/jitter.
 	Seed int64
-	// InboxSize bounds each endpoint's inbound queue; messages beyond it
-	// are dropped (and counted). Defaults to 4096.
+	// InboxSize bounds each endpoint's inbound queue on the simulated
+	// fabric; messages beyond it are dropped (and counted). Defaults to 4096.
+	// The TCP fabric has no inbox: the socket buffers are the queue.
 	InboxSize int
 	// LinkLatency, if non-nil, overrides BaseLatency per link.
 	LinkLatency func(from, to types.NodeID) time.Duration
@@ -163,8 +176,8 @@ func NewNetwork(opts Options) *Network {
 	return n
 }
 
-// Close stops the scheduler and all endpoint dispatchers. Pending messages
-// are discarded. Close is idempotent.
+// Close stops the scheduler, the endpoint dispatchers and the TCP fabric's
+// readers and flushers. Pending messages are discarded. Close is idempotent.
 func (n *Network) Close() {
 	n.mu.Lock()
 	if n.closed {
@@ -195,22 +208,20 @@ func (n *Network) Endpoint(id types.NodeID) *Endpoint {
 	if e, ok := n.eps[id]; ok {
 		return e
 	}
-	e := &Endpoint{
-		id:    id,
-		net:   n,
-		inbox: make(chan *delivery, n.opts.InboxSize),
-		quit:  make(chan struct{}),
-	}
+	e := &Endpoint{id: id, net: n, quit: make(chan struct{})}
 	n.eps[id] = e
-	n.wg.Add(1)
-	go e.dispatch(&n.wg)
 	if n.tcp != nil {
+		// No inbox and no dispatcher: each connection's reader delivers.
 		if err := n.tcp.listenFor(e); err != nil {
 			// Listener failure leaves the endpoint unreachable; count
 			// sends to it as down.
 			n.stats.DroppedDown++
 		}
+		return e
 	}
+	e.inbox = make(chan *delivery, n.opts.InboxSize)
+	n.wg.Add(1)
+	go e.dispatch(&n.wg)
 	return e
 }
 
@@ -447,11 +458,12 @@ func (n *Network) recordDelivered(down bool) {
 
 // Endpoint is one process's attachment to the network.
 //
-// An endpoint is either a root (one per registered node, owning the inbox and
-// dispatch goroutine) or a group view derived from a root via Group. A group
-// view shares the root's identity, socket, inbox and pause state but has its
-// own stream→handler registry, so N independent protocol stacks (RSM groups)
-// can multiplex over one process attachment without coordinating stream IDs.
+// An endpoint is either a root (one per registered node, owning the listener
+// or, on the simulated fabric, the inbox and dispatch goroutine) or a group
+// view derived from a root via Group. A group view shares the root's identity,
+// socket, inbox and pause state but has its own stream→handler registry, so N
+// independent protocol stacks (RSM groups) can multiplex over one process
+// attachment without coordinating stream IDs.
 type Endpoint struct {
 	id  types.NodeID
 	net *Network
@@ -468,7 +480,7 @@ type Endpoint struct {
 	closed   bool
 	groups   map[uint64]*Endpoint // root only: derived group views
 
-	inbox chan *delivery
+	inbox chan *delivery // simulated fabric only; nil on TCP
 	quit  chan struct{}
 	once  sync.Once
 }
@@ -609,6 +621,9 @@ func (e *Endpoint) enqueue(d *delivery) bool {
 	}
 }
 
+// dispatch is the simulated fabric's delivery goroutine: the scheduler only
+// queues (it must not run handlers, one slow handler would hold up every
+// endpoint's timers), and this drains the inbox into deliver.
 func (e *Endpoint) dispatch(wg *sync.WaitGroup) {
 	defer wg.Done()
 	for {
@@ -616,34 +631,42 @@ func (e *Endpoint) dispatch(wg *sync.WaitGroup) {
 		case <-e.quit:
 			return
 		case d := <-e.inbox:
-			e.mu.Lock()
-			target := e
-			if d.group != 0 {
-				target = e.groups[d.group] // nil if no such group view
-			}
-			paused := e.paused || e.closed
-			var h Handler
-			if target == e {
-				h = e.handlers[d.stream]
-				if h == nil {
-					h = e.catchAll
-				}
-			}
-			e.mu.Unlock()
-			if target != nil && target != e {
-				target.mu.Lock()
-				h = target.handlers[d.stream]
-				if h == nil {
-					h = target.catchAll
-				}
-				target.mu.Unlock()
-			}
-			e.net.recordDelivered(paused || h == nil)
-			if paused || h == nil {
-				continue
-			}
-			h(d.from, d.stream, d.kind, d.payload)
+			e.deliver(d.from, d.group, d.stream, d.kind, d.payload)
 		}
+	}
+}
+
+// deliver is the last step of every inbound frame on both fabrics: find the
+// handler for (group, stream), account the frame as delivered — or as dropped
+// when the process is paused or closed, or nobody listens — and run the
+// handler on the calling goroutine. e is the root endpoint.
+func (e *Endpoint) deliver(from types.NodeID, group, stream uint64, kind uint8, payload []byte) {
+	e.mu.Lock()
+	target := e
+	if group != 0 {
+		target = e.groups[group] // nil if no such group view
+	}
+	down := e.paused || e.closed
+	var h Handler
+	if target == e {
+		h = e.handlers[stream]
+		if h == nil {
+			h = e.catchAll
+		}
+	}
+	e.mu.Unlock()
+	if target != nil && target != e {
+		target.mu.Lock()
+		h = target.handlers[stream]
+		if h == nil {
+			h = target.catchAll
+		}
+		target.mu.Unlock()
+	}
+	down = down || h == nil
+	e.net.recordDelivered(down)
+	if !down {
+		h(from, stream, kind, payload)
 	}
 }
 
