@@ -69,15 +69,18 @@ bench-mega:
 	$(GO) test -run '^$$' -bench C1Megaload -benchtime 1x -timeout 30m .
 
 # Alternating parent/change pairs of the repo benchmark (bench/, the
-# loopback-TCP one the driver gates on), written to BENCH_16.json: per pair
-# both setup_s values, medians, quartiles, wins and runner facts. The working
-# tree is the change. e.g. `make bench-pairs PARENT=19b3829 PAIRS=10 WINDOW=5`.
+# loopback-TCP one the driver gates on), written to $(OUT): per pair both
+# sides' setup_s, ops_per_s, latency percentiles and the other bounded
+# end-to-end metrics, with medians, quartiles, wins and a verdict each, and
+# the runner facts. The working tree is the change. A PR's trajectory file is
+# e.g. `make bench-pairs PARENT=dda35cb OUT=BENCH_18.json`.
 PARENT ?= HEAD~1
 WORKLOADS ?= steady-write,durable-write,read-mostly,reconfig-churn
 PAIRS ?= 10
 WINDOW ?= 25
+OUT ?= BENCH_pairs.json
 bench-pairs:
-	scripts/pairs.sh $(PARENT) $(WORKLOADS) $(PAIRS) $(WINDOW)
+	scripts/pairs.sh $(PARENT) $(WORKLOADS) $(PAIRS) $(WINDOW) $(OUT)
 
 vet:
 	$(GO) vet ./...

@@ -9,11 +9,13 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/statemachine"
+	"repro/internal/storage"
 	"repro/internal/types"
 )
 
 // The loaded write path, as the repo benchmark's loader drives it: three
-// members on the loopback-TCP fabric with mem stores, closed-loop sessions
+// members on the loopback-TCP fabric with mem stores — or, like the
+// benchmark's durable workload, fsynced WAL stores — closed-loop sessions
 // sharing one client.Directory, 1 KiB puts.
 const (
 	loadSessions = 8
@@ -27,15 +29,24 @@ type loadResult struct {
 	slots      int64 // log slots the puts were decided in
 	resubmits  int64
 	duplicates int64
+	// per member, in loadMembers order: the engines' group commits, and on
+	// WAL stores the fsyncs of the whole store
+	groupCommits []int64
+	fsyncs       []int64
 }
 
 var loadMembers = []types.NodeID{"n1", "n2", "n3"}
 
 // loadTarget boots the deployment and returns it once one op has been
-// acknowledged: a leader exists and the directory knows it.
-func loadTarget(tb testing.TB) (*Cluster, *client.Directory) {
+// acknowledged: a leader exists and the directory knows it. durable puts the
+// members on WAL stores that fsync before they acknowledge.
+func loadTarget(tb testing.TB, durable bool) (*Cluster, *client.Directory) {
 	tb.Helper()
-	c := New(Config{TCP: true, Node: FastOptions(), Factory: statemachine.NewKVMachine})
+	cfg := Config{TCP: true, Node: FastOptions(), Factory: statemachine.NewKVMachine}
+	if durable {
+		cfg.Storage, cfg.SyncWrites, cfg.StorageDir = "wal", true, tb.TempDir()
+	}
+	c := New(cfg)
 	tb.Cleanup(c.Close)
 	if _, err := c.Bootstrap(loadMembers...); err != nil {
 		tb.Fatal(err)
@@ -61,6 +72,7 @@ func loadedWrites(tb testing.TB, c *Cluster, dir *client.Directory, perSession i
 	defer cancel()
 	sent := c.Network().Stats().MessagesSent
 	_, slot := c.Node("n1").AppliedSlot()
+	commits, fsyncs := storeWork(c)
 	value := make([]byte, loadValue)
 	var wg sync.WaitGroup
 	errs := make(chan error, loadSessions)
@@ -86,15 +98,35 @@ func loadedWrites(tb testing.TB, c *Cluster, dir *client.Directory, perSession i
 	res := loadResult{ops: int64(loadSessions * perSession), frames: c.Network().Stats().MessagesSent - sent}
 	_, end := c.Node("n1").AppliedSlot()
 	res.slots = int64(end - slot)
-	for _, id := range loadMembers {
+	res.groupCommits, res.fsyncs = storeWork(c)
+	for i, id := range loadMembers {
 		st := c.Node(id).Stats()
 		res.resubmits += st.Resubmits
 		res.duplicates += st.Duplicates
+		res.groupCommits[i] -= commits[i]
+		res.fsyncs[i] -= fsyncs[i]
 	}
 	if v := c.TotalViolations(); v != 0 {
 		tb.Fatalf("%d invariant violations", v)
 	}
 	return res
+}
+
+// storeWork reads every member's barrier counters: the group commits its
+// engines have ended turns with, and what its store has fsynced in all (zero
+// on a mem store).
+func storeWork(c *Cluster) (groupCommits, fsyncs []int64) {
+	for _, id := range loadMembers {
+		groupCommits = append(groupCommits, c.Node(id).Stats().GroupCommits)
+		var n int64
+		c.mu.Lock()
+		if w, ok := c.stores[id].(*storage.WALStore); ok {
+			n = w.Syncs()
+		}
+		c.mu.Unlock()
+		fsyncs = append(fsyncs, n)
+	}
+	return groupCommits, fsyncs
 }
 
 // TestLoadedWritePathFramesPerOp gates what the intake is for: a clump of
@@ -116,7 +148,7 @@ func TestLoadedWritePathFramesPerOp(t *testing.T) {
 	if testing.Short() {
 		perSession = 250
 	}
-	c, dir := loadTarget(t)
+	c, dir := loadTarget(t, false)
 	res := loadedWrites(t, c, dir, perSession)
 	perOp := float64(res.frames) / float64(res.ops)
 	t.Logf("%d puts over %d sessions: %d frames (%.2f per op), %d slots (%.2f commands per slot), %d re-proposals, %d duplicate applies",
@@ -129,15 +161,54 @@ func TestLoadedWritePathFramesPerOp(t *testing.T) {
 	}
 }
 
+// TestLoadedDurablePathGroupCommitsPerSlot gates what the barrier rule is
+// for: under the same load on fsynced WAL stores a decided slot costs every
+// replica about one group commit — the one that makes its acc/ record stable
+// — where it cost 1.6–1.8 while the dec/ marker asked for a barrier of its
+// own. Turns that stage several slots share one, turns that stage only a
+// promise or a truncation floor add some, so the figure sits a little under
+// or over 1; 1.15 leaves room for the second and none for a barrier per
+// marker. With -short the load is a quarter as long and the figure is
+// printed, not gated.
+func TestLoadedDurablePathGroupCommitsPerSlot(t *testing.T) {
+	perSession := 1000
+	if testing.Short() {
+		perSession = 250
+	}
+	c, dir := loadTarget(t, true)
+	res := loadedWrites(t, c, dir, perSession)
+	t.Logf("%d puts over %d sessions on fsynced WAL stores: %d slots (%.2f commands per slot)",
+		res.ops, loadSessions, res.slots, float64(res.ops)/float64(res.slots))
+	for i, id := range loadMembers {
+		perSlot := float64(res.groupCommits[i]) / float64(res.slots)
+		t.Logf("%s: %d group commits (%.2f per decided slot), %d fsyncs in all", id, res.groupCommits[i], perSlot, res.fsyncs[i])
+		if perSlot > 1.15 && !testing.Short() {
+			t.Errorf("%s: %.2f group commits per decided slot, want <= 1.15: something that backs no promise is asking for a barrier", id, perSlot)
+		}
+	}
+}
+
 // BenchmarkSubmitPath reports what the whole process — client, fabric, three
-// nodes — allocates per acknowledged 1 KiB put under the same load. Not gated;
-// EXPERIMENTS.md P16 records it as the next target.
+// nodes — allocates per acknowledged 1 KiB put under the same load, and on
+// fsynced WAL stores how many fsyncs, over all three members, a put costs.
+// Not gated; EXPERIMENTS.md P16 and P18 record the figures.
 func BenchmarkSubmitPath(b *testing.B) {
-	c, dir := loadTarget(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	res := loadedWrites(b, c, dir, (b.N+loadSessions-1)/loadSessions)
-	b.StopTimer()
-	b.ReportMetric(float64(res.frames)/float64(res.ops), "frames/op")
-	b.ReportMetric(float64(res.ops)/float64(res.slots), "cmds/slot")
+	for _, store := range []string{"mem", "wal"} {
+		b.Run(store, func(b *testing.B) {
+			c, dir := loadTarget(b, store == "wal")
+			b.ReportAllocs()
+			b.ResetTimer()
+			res := loadedWrites(b, c, dir, (b.N+loadSessions-1)/loadSessions)
+			b.StopTimer()
+			b.ReportMetric(float64(res.frames)/float64(res.ops), "frames/op")
+			b.ReportMetric(float64(res.ops)/float64(res.slots), "cmds/slot")
+			if store == "wal" {
+				var fsyncs int64
+				for _, n := range res.fsyncs {
+					fsyncs += n
+				}
+				b.ReportMetric(float64(fsyncs)/float64(res.ops), "syncs/op")
+			}
+		})
+	}
 }

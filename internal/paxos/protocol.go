@@ -33,8 +33,15 @@ func (r *Replica) persistAccepted(e acceptedEntry) {
 // under acc/<slot> at that ballot and is never overwritten there (a decided
 // slot takes no further votes, see onAccept); recover resolves the marker
 // through the accepted record. A decision learned by value stores the command.
+//
+// The record asks for no barrier of its own. A value is chosen because a
+// quorum holds it under acc/, not because anybody wrote dec/: the record only
+// saves a restarted replica from learning the slot again. It rides whichever
+// barrier comes next — store order keeps a marker behind the accepted record
+// it names — and a restart that lost a tail of them finds those slots
+// undecided and fetches them through the ordinary catch-up.
 func (r *Replica) persistDecided(d decideMsg) {
-	if err := r.setDurable(storage.SlotKey(r.prefix+"dec/", uint64(d.Slot)), encodeDecide(d)); err != nil {
+	if err := r.stage(storage.SlotKey(r.prefix+"dec/", uint64(d.Slot)), encodeDecide(d)); err != nil {
 		r.stats.violations.Add(1)
 	}
 }
@@ -150,16 +157,36 @@ func (r *Replica) broadcast(kind uint8, payload []byte) {
 	r.ep.Broadcast(r.cfg.Members, r.stream, kind, payload)
 }
 
-// setDurable writes acceptor/learner state. Inside a burst the write is
-// staged and becomes durable at the burst's group-commit Sync — strictly
-// before any message or decision from the burst is released (endBurst);
-// outside a burst it is a plain synchronous durable write.
+// setDurable writes state that something leaving this turn will assert: a
+// promise, a vote, the truncation floor. Inside a burst the write is staged
+// and the turn is marked dirty, so it ends in a group-commit Sync strictly
+// before any frame that waits for the barrier, or any decision, is released
+// (endBurst); outside a burst it is a plain synchronous durable write.
 func (r *Replica) setDurable(key string, value []byte) error {
 	if r.inBurst {
 		r.burstDirty = true
+	}
+	return r.stage(key, value)
+}
+
+// stage writes a record without asking for a barrier: inside a burst it is
+// staged and becomes durable with the next Sync, whoever asks for one.
+func (r *Replica) stage(key string, value []byte) error {
+	if r.inBurst {
 		return r.bstore.SetBuffered(key, value)
 	}
 	return r.store.Set(key, value)
+}
+
+// unstage is stage for a record under the truncation floor; on a store that
+// cannot stage a delete it is a plain Delete. A failed delete changes nothing:
+// the record stays below the floor, where recover skips it and drops it again.
+func (r *Replica) unstage(key string) {
+	if r.bdel != nil {
+		_ = r.bdel.DeleteBuffered(key)
+		return
+	}
+	_ = r.store.Delete(key)
 }
 
 // --- acceptor role ---------------------------------------------------------
@@ -270,7 +297,7 @@ func (r *Replica) startElection() {
 	r.prepareAge = 0
 	r.resetElectionDeadline()
 
-	msg := prepareMsg{Ballot: r.ballot, From: r.deliverNext}
+	msg := prepareMsg{Ballot: r.ballot, From: r.prepareFrom()}
 	// Promise to ourselves first (persisted), then solicit the others.
 	self := r.acceptPrepare(msg)
 	r.broadcast(KindPrepare, encodePrepare(msg))
@@ -690,7 +717,7 @@ func (r *Replica) tick() {
 		r.prepareAge++
 		if r.prepareAge >= r.opts.ResendTicks {
 			r.prepareAge = 0
-			r.broadcast(KindPrepare, encodePrepare(prepareMsg{Ballot: r.ballot, From: r.deliverNext}))
+			r.broadcast(KindPrepare, encodePrepare(prepareMsg{Ballot: r.ballot, From: r.prepareFrom()}))
 		}
 		r.ticksSinceHB++
 		if r.ticksSinceHB >= r.electionDeadline {

@@ -137,8 +137,9 @@ type slotProgress struct {
 	sinceTicks int
 }
 
-// deferredSend is an outbound message held in the burst outbox until the
-// burst's staged writes are durable. An empty `to` means broadcast.
+// deferredSend is an outbound message collected in the burst outbox until the
+// turn ends; endBurst says which kinds then wait for the barrier. An empty
+// `to` means broadcast.
 type deferredSend struct {
 	to      types.NodeID
 	kind    uint8
@@ -258,15 +259,22 @@ type Replica struct {
 
 	// group commit (loop-owned): when the store can stage writes
 	// (storage.BufferedStore), each loop wakeup drains a burst of events
-	// with persistence buffered and replies and decisions held back, then
-	// makes the whole burst durable with one Sync before anything leaves
-	// the replica (see endBurst). This is what lets Pipeline > 1 overlap
-	// durable slots instead of serializing one fsync per accept.
+	// with persistence buffered and outbound frames and decisions collected,
+	// then makes the whole burst durable with one Sync before anything that
+	// asserts the staged state leaves the replica (see endBurst for which
+	// frames that is). This is what lets Pipeline > 1 overlap durable slots
+	// instead of serializing one fsync per accept. bdel is the store's staged
+	// delete, when it has one (log release; see unstage).
 	bstore        storage.BufferedStore
+	bdel          storage.BufferedDeleter
 	inBurst       bool
 	burstDirty    bool
 	outbox        []deferredSend
 	heldDecisions []smr.Decision
+	// stableNext is deliverNext as of the last barrier: the delivered prefix a
+	// restart is sure to recover, whatever tail of dec/ records it loses (see
+	// prepareFrom).
+	stableNext types.Slot
 
 	// read fast path (see read.go)
 	curProbe      *probeRound
@@ -328,6 +336,7 @@ func New(cfg types.Config, self types.NodeID, ep *transport.Endpoint, store stor
 	r.leaderHint.Store(types.NodeID(""))
 	if bs, ok := store.(storage.BufferedStore); ok {
 		r.bstore = bs
+		r.bdel, _ = store.(storage.BufferedDeleter)
 	}
 	if err := r.recover(); err != nil {
 		return nil, fmt.Errorf("paxos recovery: %w", err)
@@ -367,9 +376,10 @@ func (r *Replica) recover() error {
 			return fmt.Errorf("truncation record: %w", err)
 		}
 		// Slots <= the floor were released after a durable checkpoint: the
-		// application recovers them from the checkpoint, not the log. Any
-		// acc/dec records below the floor that the deletes had not reached
-		// before the crash are skipped during the scans below.
+		// application recovers them from the checkpoint, not the log. The
+		// floor is written before the records under it go (release), so a
+		// crash in between leaves acc/dec records below it: the scans below
+		// skip them and finish the job, staged, on nobody's critical path.
 		r.deliverNext = r.truncatedBelow + 1
 		r.nextSlot = r.truncatedBelow + 1
 		r.maxDecidedSeen = r.truncatedBelow
@@ -389,6 +399,7 @@ func (r *Replica) recover() error {
 			return fmt.Errorf("accepted record %s: %w", kv.Key, err)
 		}
 		if e.Slot <= r.truncatedBelow {
+			r.unstage(kv.Key)
 			continue
 		}
 		r.accepted[e.Slot] = e
@@ -403,6 +414,7 @@ func (r *Replica) recover() error {
 			return fmt.Errorf("decided record %s: %w", kv.Key, err)
 		}
 		if d.Slot <= r.truncatedBelow {
+			r.unstage(kv.Key)
 			continue
 		}
 		if d.Slot > r.maxDecidedSeen {
@@ -608,8 +620,17 @@ func (r *Replica) loop() {
 		r.resetElectionDeadline()
 	}
 
-	// Redeliver the recovered decided prefix to the application.
+	// Redeliver the recovered decided prefix to the application. Not all of
+	// what recover read need be stable yet — a predecessor stopped in this
+	// process with dec/ records staged, or recover itself dropped what an
+	// interrupted release left — so the loop starts from a barrier. On a
+	// store just opened from disk there is nothing to flush. (A store that
+	// fails here fails the first dirty turn too, where it is counted; until a
+	// barrier succeeds, stableNext claims nothing.)
 	r.deliverReady()
+	if r.bstore != nil && r.store.Sync() == nil {
+		r.stableNext = r.deliverNext
+	}
 
 	for {
 		r.beginBurst()
@@ -674,12 +695,37 @@ func (r *Replica) drainBurst(budget int) {
 }
 
 // endBurst is the group-commit barrier: one Sync makes every write staged
-// during the burst durable, and only then do the burst's protocol messages
-// and decisions leave the replica — promises and votes may not be sent, and
-// decisions may not reach the application, before the state backing them is
-// stable. If the sync fails nothing is released: unsynced state must not be
-// externalized, and peers retransmit exactly as they would for lost
-// messages. (In practice a failed sync here means the store was closed
+// during the burst durable. The rule for what waits for it: a frame or a
+// decision waits if, and only if, it asserts state this replica has staged.
+//
+//	kind             waits  why
+//	Prepare, Accept  no     They ask; they assert nothing. The proposer's own
+//	                        promise and vote are staged beside them, and the
+//	                        answers are counted next to that vote in a later
+//	                        turn, which starts after this Sync has returned —
+//	                        so the proposer's fsync overlaps its peers'
+//	                        instead of preceding them. What must survive a
+//	                        restart that loses the turn is covered without
+//	                        the frame waiting: a ballot that sent any Accept
+//	                        was made stable a turn earlier, and a Prepare asks
+//	                        from the stable prefix only (prepareFrom).
+//	Promise          yes    asserts promised
+//	Accepted         yes    asserts acc/<slot> (and promised)
+//	Decide           yes    asserts a quorum of votes, the leader's own staged
+//	                        acc/<slot> among them (a same-turn decide with
+//	                        n = 1 is nothing but that vote)
+//	decisions        yes    the same, towards the application
+//	everything else  yes    Nothing to gain: heartbeats, probes, forwards and
+//	                        catch-up traffic come from turns that are rarely
+//	                        dirty, and they keep their order behind Decide.
+//
+// A dec/ record never makes a turn dirty (persistDecided), and a turn that
+// staged nothing else skips the Sync altogether. If the sync fails, nothing
+// that waits is released: unsynced state must not be externalized. The frames
+// are dropped — peers retransmit exactly as they would for lost messages —
+// while the decisions stay held and the replica stays dirty, so every later
+// turn tries the barrier again before it releases anything, however clean the
+// turn itself. (In practice a failed sync here means the store was closed
 // under a stopping replica.)
 func (r *Replica) endBurst() {
 	if !r.inBurst {
@@ -687,29 +733,60 @@ func (r *Replica) endBurst() {
 	}
 	r.inBurst = false
 	if r.burstDirty {
-		r.burstDirty = false
+		held := r.outbox[:0]
+		for _, m := range r.outbox {
+			if m.kind == KindPrepare || m.kind == KindAccept {
+				r.transmit(m)
+			} else {
+				held = append(held, m)
+			}
+		}
+		r.outbox = held
 		if err := r.store.Sync(); err != nil {
 			if err != storage.ErrStoreClosed {
 				r.stats.violations.Add(1)
 			}
 			r.outbox = r.outbox[:0]
-			r.heldDecisions = r.heldDecisions[:0]
 			return
 		}
+		r.burstDirty = false
 		r.stats.groupSyncs.Add(1)
+		r.stableNext = r.deliverNext
 	}
 	for _, m := range r.outbox {
-		if m.to == "" {
-			r.ep.Broadcast(r.cfg.Members, r.stream, m.kind, m.payload)
-		} else {
-			_ = r.ep.Send(m.to, r.stream, m.kind, m.payload)
-		}
+		r.transmit(m)
 	}
 	r.outbox = r.outbox[:0]
 	for _, d := range r.heldDecisions {
 		r.enqueueDecision(d)
 	}
 	r.heldDecisions = r.heldDecisions[:0]
+}
+
+// transmit puts one collected frame on the fabric.
+func (r *Replica) transmit(m deferredSend) {
+	if m.to == "" {
+		r.ep.Broadcast(r.cfg.Members, r.stream, m.kind, m.payload)
+	} else {
+		_ = r.ep.Send(m.to, r.stream, m.kind, m.payload)
+	}
+}
+
+// prepareFrom is the first slot a Prepare asks promisers to report. A Prepare
+// leaves before the turn's barrier, so a crash can take the ballot's own
+// promised record with it, the restarted replica can pick the same ballot
+// again, and a Promise answering the earlier Prepare then counts for the new
+// one. That is harmless as long as the earlier Prepare asked for no less than
+// the new one does — and the new one asks from wherever recovery finds the
+// delivered prefix, which is never below what was stable when the earlier one
+// was sent, but may be below what had been delivered (dec/ records ride the
+// next barrier). On a store that cannot stage, every record is stable as
+// written.
+func (r *Replica) prepareFrom() types.Slot {
+	if r.bstore == nil {
+		return r.deliverNext
+	}
+	return r.stableNext
 }
 
 func (r *Replica) resetElectionDeadline() {
@@ -807,9 +884,8 @@ func (r *Replica) SkipTo(base types.Slot) {
 	r.request(&r.skipReq, base)
 }
 
-// truncateBelow is the loop-side release. Slots (truncatedBelow, floor] are
-// dropped from the in-memory maps and their durable records deleted; the
-// floor itself is persisted so recovery does not resurrect released slots.
+// truncateBelow is the loop-side release of slots the application has
+// checkpointed: the floor is clamped to the delivered prefix.
 func (r *Replica) truncateBelow(floor types.Slot) {
 	if floor >= r.deliverNext {
 		floor = r.deliverNext - 1
@@ -817,21 +893,7 @@ func (r *Replica) truncateBelow(floor types.Slot) {
 	if floor <= r.truncatedBelow {
 		return
 	}
-	prev := r.truncatedBelow
-	for slot := prev + 1; slot <= floor; slot++ {
-		if _, ok := r.decided[slot]; ok {
-			delete(r.decided, slot)
-			_ = r.store.Delete(storage.SlotKey(r.prefix+"dec/", uint64(slot)))
-		}
-		if _, ok := r.accepted[slot]; ok {
-			delete(r.accepted, slot)
-			_ = r.store.Delete(storage.SlotKey(r.prefix+"acc/", uint64(slot)))
-		}
-	}
-	r.truncatedBelow = floor
-	r.persistTruncated()
-	r.stats.truncated.Add(int64(floor - prev))
-	r.stats.retained.Store(int64(len(r.decided)))
+	r.release(floor)
 	r.publishProgress()
 }
 
@@ -844,17 +906,6 @@ func (r *Replica) skipTo(base types.Slot) {
 		r.ckptNeeded.Store(false)
 		return
 	}
-	prev := r.truncatedBelow
-	for slot := prev + 1; slot <= base; slot++ {
-		if _, ok := r.decided[slot]; ok {
-			delete(r.decided, slot)
-			_ = r.store.Delete(storage.SlotKey(r.prefix+"dec/", uint64(slot)))
-		}
-		if _, ok := r.accepted[slot]; ok {
-			delete(r.accepted, slot)
-			_ = r.store.Delete(storage.SlotKey(r.prefix+"acc/", uint64(slot)))
-		}
-	}
 	r.deliverNext = base + 1
 	if base > r.maxDecidedSeen {
 		r.maxDecidedSeen = base
@@ -862,14 +913,44 @@ func (r *Replica) skipTo(base types.Slot) {
 	if r.nextSlot <= base {
 		r.nextSlot = base + 1
 	}
-	r.truncatedBelow = base
-	r.persistTruncated()
-	r.stats.truncated.Add(int64(base - prev))
-	r.stats.retained.Store(int64(len(r.decided)))
+	r.release(base)
 	r.ckptNeeded.Store(false)
 	r.publishProgress()
 	// Decisions above the base may already be decided and contiguous now.
 	r.deliverReady()
+}
+
+// release raises the truncation floor and drops everything this replica
+// holds for the slots (truncatedBelow, floor]. The floor goes to the store
+// first and the records under it after, all staged, so one barrier covers a
+// release of any size, and a crash that keeps only part of it keeps the
+// floor: recover skips, and drops, whatever lies below it. The other order
+// could lose the floor and keep the holes. A proposal of our own still open
+// at a released slot can never complete there — learn ignores the slot, the
+// acceptors answer with a checkpoint redirect — so it goes back to the queue
+// for a fresh slot (session dedup upstairs makes a second decision harmless);
+// left in place, a few of them would fill the Pipeline window for good.
+func (r *Replica) release(floor types.Slot) {
+	prev := r.truncatedBelow
+	r.truncatedBelow = floor
+	r.persistTruncated()
+	dec, acc := r.prefix+"dec/", r.prefix+"acc/"
+	for slot := prev + 1; slot <= floor; slot++ {
+		if _, ok := r.decided[slot]; ok {
+			delete(r.decided, slot)
+			r.unstage(storage.SlotKey(dec, uint64(slot)))
+		}
+		if _, ok := r.accepted[slot]; ok {
+			delete(r.accepted, slot)
+			r.unstage(storage.SlotKey(acc, uint64(slot)))
+		}
+		if sp, ok := r.inflight[slot]; ok {
+			delete(r.inflight, slot)
+			r.enqueue(sp.cmd)
+		}
+	}
+	r.stats.truncated.Add(int64(floor - prev))
+	r.stats.retained.Store(int64(len(r.decided)))
 }
 
 func (r *Replica) persistTruncated() {

@@ -25,9 +25,11 @@ type world struct {
 	// on durable backends set it to open a per-node directory so a
 	// crash-restart recovers from the same StorageDir.
 	newStore func(id types.NodeID) storage.Store
-	mu       sync.Mutex
-	nodes    map[types.NodeID]*Node
-	stores   map[types.NodeID]storage.Store
+	// powerLoss makes crashRestart drop what an in-memory store had not synced.
+	powerLoss bool
+	mu        sync.Mutex
+	nodes     map[types.NodeID]*Node
+	stores    map[types.NodeID]storage.Store
 }
 
 func fastNodeOpts() Options {

@@ -393,3 +393,34 @@ func TestStartRecoversParentLayoutStore(t *testing.T) {
 		})
 	}
 }
+
+// TestBootstrapFsyncBudget: a new instance's initial state — the init record
+// and an empty snapshot of 33 chunks and a manifest — costs three fsyncs on a
+// store where every Set waits for its own: one for rc/init, one barrier for
+// all the chunks, one for the manifest that names them. (One fsynced Set per
+// chunk made it 35, a third of the time a durable deployment took to start.)
+func TestBootstrapFsyncBudget(t *testing.T) {
+	w := newWorld(t, transport.Options{})
+	var st *storage.WALStore
+	w.newStore = func(types.NodeID) storage.Store {
+		s, err := storage.OpenWALStore(t.TempDir(), storage.WALStoreOptions{SyncWrites: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st = s
+		return s
+	}
+	n := w.startNode("n1", statemachine.NewKVMachine)
+	before := st.Syncs()
+	if err := n.Bootstrap(types.MustConfig(1, "n1", "n2", "n3")); err != nil {
+		t.Fatal(err)
+	}
+	got := st.Syncs() - before
+	t.Logf("Bootstrap: %d fsyncs, %d records", got, st.Appends())
+	if got > 3 {
+		t.Fatalf("Bootstrap cost %d fsyncs, want <= 3", got)
+	}
+	if m, _, complete, err := storage.ReadChunked(st, snapPrefix(1)); err != nil || !complete || m.Chunks() == 0 {
+		t.Fatalf("initial snapshot after Bootstrap: chunks=%d complete=%v err=%v", m.Chunks(), complete, err)
+	}
+}

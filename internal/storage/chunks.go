@@ -99,26 +99,54 @@ func ReadChunkManifest(s Store, prefix string) (ChunkManifest, bool, error) {
 	return m, true, nil
 }
 
+// commitSliceBytes is how much WriteChunkedCommit stages between two Syncs.
+// One barrier for the whole blob would be fewer fsyncs still, but an 8 MB
+// staged tail meets the WAL's 4 MiB segment roll, which flushes and fsyncs it
+// with both the store's and the log's mutex held, and everything else that
+// writes to the node's store — the engine's accepts above all — waits behind
+// that; ISSUE 18's sizing measured joins slower that way, not faster
+// (EXPERIMENTS.md P18). 1 MiB is the unit the publisher already paces itself
+// by.
+const commitSliceBytes = 1 << 20
+
 // WriteChunkedCommit persists a whole chunked blob in commit order: every
 // chunk first (the callback is called once per index, in order), a Sync, then
-// the manifest. It is safe for replacing a blob in place — a periodic
-// checkpoint overwriting its predecessor: the manifest on disk always
-// postdates its chunks, so a crash mid-write leaves the old manifest with at
-// worst some CRC-mismatching chunks, which ReadChunked reports as incomplete
-// — a recoverable state, never a poisoned one. (A resumable fetch does the
-// opposite by hand: WriteChunkManifest first, then chunks as they arrive and
-// verify.)
+// the manifest, then a Sync. Nobody is promised a chunk, only the manifest
+// that names them all, so where the store can stage, the chunks — and the
+// pruning of a longer predecessor's tail — are staged and cost one barrier
+// per commitSliceBytes instead of one each. It is safe for replacing a blob in
+// place — a periodic checkpoint overwriting its predecessor: the manifest on
+// disk always postdates its chunks, so a crash mid-write leaves the old
+// manifest with at worst some CRC-mismatching chunks, which ReadChunked
+// reports as incomplete — a recoverable state, never a poisoned one. (A
+// resumable fetch does the opposite by hand: WriteChunkManifest first, then
+// chunks as they arrive and verify.)
 func WriteChunkedCommit(s Store, prefix string, m ChunkManifest, chunk func(i int) []byte) error {
+	set, del := s.Set, s.Delete
+	if bs, ok := s.(BufferedStore); ok {
+		set = bs.SetBuffered
+	}
+	if bd, ok := s.(BufferedDeleter); ok {
+		del = bd.DeleteBuffered
+	}
+	staged := 0
 	for i := 0; i < len(m.CRCs); i++ {
-		if err := s.Set(ChunkKey(prefix, i), chunk(i)); err != nil {
+		data := chunk(i)
+		if err := set(ChunkKey(prefix, i), data); err != nil {
 			return err
+		}
+		if staged += len(data); staged >= commitSliceBytes {
+			staged = 0
+			if err := s.Sync(); err != nil {
+				return err
+			}
 		}
 	}
 	// Stale chunks beyond the new count would survive under the old keys;
 	// remove them so the blob's key range matches the manifest.
 	if old, ok, err := ReadChunkManifest(s, prefix); err == nil && ok {
 		for i := len(m.CRCs); i < old.Chunks(); i++ {
-			if err := s.Delete(ChunkKey(prefix, i)); err != nil {
+			if err := del(ChunkKey(prefix, i)); err != nil {
 				return err
 			}
 		}

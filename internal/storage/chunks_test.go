@@ -216,3 +216,129 @@ func TestWriteChunkedCommitTornWriteRecoverable(t *testing.T) {
 		}
 	}
 }
+
+// commitBlob writes n chunks of size bytes each through WriteChunkedCommit.
+func commitBlob(t *testing.T, s Store, prefix string, n, size int) {
+	t.Helper()
+	data := bytes.Repeat([]byte{byte(n)}, size)
+	m := ChunkManifest{Format: 2, Base: types.Slot(n), CRCs: make([]uint32, n)}
+	for i := range m.CRCs {
+		m.CRCs[i] = ChunkCRC(data)
+	}
+	if err := WriteChunkedCommit(s, prefix, m, func(int) []byte { return data }); err != nil {
+		t.Fatal(err)
+	}
+	if got, _, complete, err := ReadChunked(s, prefix); err != nil || !complete || got.Chunks() != n {
+		t.Fatalf("read back after commit: chunks=%d complete=%v err=%v", got.Chunks(), complete, err)
+	}
+}
+
+// TestWriteChunkedCommitFsyncBudget counts what a commit costs on a store
+// where every Set waits for its own fsync: nobody is promised a chunk, so the
+// chunks share barriers — one per MiB staged — and only the manifest pays for
+// itself. One fsynced Set per chunk made these 34 (33 chunks and the manifest,
+// a node's empty initial snapshot) and 33.
+func TestWriteChunkedCommitFsyncBudget(t *testing.T) {
+	cases := []struct {
+		name         string
+		chunks, size int
+		budget       int64
+	}{
+		{"33 chunks under 1 MiB in all", 33, 1 << 10, 2},
+		{"8 MiB in 256 KiB chunks", 32, 256 << 10, 11},
+	}
+	for _, c := range cases {
+		s := openTestWALStore(t, t.TempDir(), WALStoreOptions{SyncWrites: true})
+		before := s.Syncs()
+		commitBlob(t, s, "snap", c.chunks, c.size)
+		if got := s.Syncs() - before; got > c.budget {
+			t.Errorf("%s: %d fsyncs, want <= %d", c.name, got, c.budget)
+		} else {
+			t.Logf("%s: %d fsyncs", c.name, got)
+		}
+		_ = s.Close()
+	}
+}
+
+// opLog records the order of a store's mutations.
+type opLog struct {
+	*MemStore
+	ops []string
+}
+
+func (l *opLog) Set(key string, value []byte) error {
+	l.ops = append(l.ops, "set "+key)
+	return l.MemStore.Set(key, value)
+}
+
+func (l *opLog) SetBuffered(key string, value []byte) error {
+	l.ops = append(l.ops, "set "+key)
+	return l.MemStore.SetBuffered(key, value)
+}
+
+func (l *opLog) Delete(key string) error {
+	l.ops = append(l.ops, "delete "+key)
+	return l.MemStore.Delete(key)
+}
+
+func (l *opLog) DeleteBuffered(key string) error {
+	l.ops = append(l.ops, "delete "+key)
+	return l.MemStore.DeleteBuffered(key)
+}
+
+func (l *opLog) Sync() error {
+	l.ops = append(l.ops, "sync")
+	return l.MemStore.Sync()
+}
+
+// TestWriteChunkedCommitPrunesBeforeManifest replaces a 40-chunk blob with a
+// 33-chunk one: the seven stale chunks are dropped, and both their removal
+// and every new chunk are behind a Sync before the manifest is written — a
+// crash at any point leaves a manifest whose chunks are all there or fail
+// their CRC, never one that a longer predecessor's tail outlives.
+func TestWriteChunkedCommitPrunesBeforeManifest(t *testing.T) {
+	s := &opLog{MemStore: NewMem()}
+	commitBlob(t, s, "snap", 40, 64)
+	s.ops = nil
+	commitBlob(t, s, "snap", 33, 64)
+
+	manifestAt, lastSync, pruned := -1, -1, 0
+	for i, op := range s.ops {
+		switch {
+		case op == "set "+ManifestKey("snap"):
+			manifestAt = i
+		case manifestAt >= 0:
+			// only the closing Sync may follow the manifest
+			if op != "sync" {
+				t.Fatalf("%q after the manifest", op)
+			}
+		case op == "sync":
+			lastSync = i
+		case len(op) > 7 && op[:7] == "delete ":
+			pruned++
+			lastSync = -1
+		default:
+			lastSync = -1 // a chunk write: not yet behind a barrier
+		}
+	}
+	if manifestAt < 0 {
+		t.Fatal("no manifest written")
+	}
+	if pruned != 7 {
+		t.Fatalf("pruned %d stale chunks, want 7", pruned)
+	}
+	if lastSync != manifestAt-1 {
+		t.Fatalf("the manifest is not directly behind a Sync: %v", s.ops[max(0, manifestAt-3):manifestAt+1])
+	}
+	for i := 33; i < 40; i++ {
+		if _, ok, _ := s.Get(ChunkKey("snap", i)); ok {
+			t.Fatalf("stale chunk %d survived", i)
+		}
+	}
+	// And after a power loss right behind the commit it is all still true.
+	s.PowerLoss()
+	s.Reopen()
+	if m, _, complete, err := ReadChunked(s, "snap"); err != nil || !complete || m.Chunks() != 33 {
+		t.Fatalf("after power loss: chunks=%d complete=%v err=%v", m.Chunks(), complete, err)
+	}
+}

@@ -10,19 +10,25 @@ import "strings"
 // demultiplexes records by prefix. An empty prefix returns base unchanged, so
 // group 0 (the legacy layout) reads and writes exactly the keys it always did.
 //
-// The view preserves base's BufferedStore capability: if base supports
-// SetBuffered, so does the view — otherwise callers probing with a type
-// assertion (the Paxos event loop's group commit) would silently lose
-// fsync batching when running grouped.
+// The view preserves base's staging capabilities: if base supports
+// SetBuffered, so does the view, and likewise DeleteBuffered — otherwise
+// callers probing with a type assertion (the Paxos event loop's group commit
+// and its log release) would silently go back to one fsync per record when
+// running grouped.
 func WithPrefix(base Store, prefix string) Store {
 	if prefix == "" {
 		return base
 	}
 	p := prefixStore{base: base, prefix: prefix}
-	if bs, ok := base.(BufferedStore); ok {
-		return &bufferedPrefixStore{prefixStore: p, buffered: bs}
+	bs, ok := base.(BufferedStore)
+	if !ok {
+		return &p
 	}
-	return &p
+	bp := bufferedPrefixStore{prefixStore: p, buffered: bs}
+	if bd, ok := base.(BufferedDeleter); ok {
+		return &stagingPrefixStore{bufferedPrefixStore: bp, deleter: bd}
+	}
+	return &bp
 }
 
 // GroupPrefix renders the key namespace for one group's records in a shared
@@ -90,4 +96,14 @@ type bufferedPrefixStore struct {
 
 func (s *bufferedPrefixStore) SetBuffered(key string, value []byte) error {
 	return s.buffered.SetBuffered(s.prefix+key, value)
+}
+
+// stagingPrefixStore is the view of a base that stages deletes as well.
+type stagingPrefixStore struct {
+	bufferedPrefixStore
+	deleter BufferedDeleter
+}
+
+func (s *stagingPrefixStore) DeleteBuffered(key string) error {
+	return s.deleter.DeleteBuffered(s.prefix + key)
 }

@@ -87,14 +87,12 @@ func TestWithPrefixNamespacing(t *testing.T) {
 	}
 }
 
-// TestWithPrefixPreservesBufferedStore: wrapping a BufferedStore must yield a
-// BufferedStore, or the Paxos event loop's type assertion would silently
-// disable group commit on grouped replicas.
+// TestWithPrefixPreservesBufferedStore: wrapping a store that stages writes
+// and deletes must yield one that does both, or the Paxos event loop's type
+// assertions would silently go back to one fsync per record on grouped
+// replicas — and a view must not invent a capability its base lacks.
 func TestWithPrefixPreservesBufferedStore(t *testing.T) {
-	mem := NewMem() // MemStore implements BufferedStore
-	if _, ok := Store(mem).(BufferedStore); !ok {
-		t.Skip("MemStore no longer buffered; test needs a new buffered base")
-	}
+	mem := NewMem()
 	view := WithPrefix(mem, "g5/")
 	bs, ok := view.(BufferedStore)
 	if !ok {
@@ -111,10 +109,54 @@ func TestWithPrefixPreservesBufferedStore(t *testing.T) {
 		t.Fatalf("base g5/k = %q %v %v", v, ok, err)
 	}
 
-	// A plain (non-buffered) base must NOT grow a SetBuffered method.
+	// The delete half: staged under the view's prefix, stable only after Sync.
+	bd, ok := view.(BufferedDeleter)
+	if !ok {
+		t.Fatal("prefixed view of a BufferedDeleter lost DeleteBuffered")
+	}
+	if err := mem.Set("k", []byte("not the view's")); err != nil {
+		t.Fatal(err)
+	}
+	if err := bd.DeleteBuffered("k"); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, _ := view.Get("k"); ok {
+		t.Fatal("staged delete invisible through the view")
+	}
+	if _, ok, _ := mem.Get("k"); !ok {
+		t.Fatal("the view's delete removed the base's own key")
+	}
+	mem.Crash()
+	if _, ok, _ := view.Get("k"); !ok {
+		t.Fatal("an unsynced staged delete survived a crash")
+	}
+	if err := bd.DeleteBuffered("k"); err != nil {
+		t.Fatal(err)
+	}
+	if err := view.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	mem.Crash()
+	if _, ok, _ := mem.Get("g5/k"); ok {
+		t.Fatal("a synced staged delete came back after a crash")
+	}
+
+	// A base without a capability must not grow it: neither half on a plain
+	// store, no staged delete on a store that only stages writes (the shape of
+	// the benchmark's decorator).
 	plain := WithPrefix(plainStore{NewMem()}, "p/")
 	if _, ok := plain.(BufferedStore); ok {
 		t.Fatal("prefixed view invented SetBuffered on a plain store")
+	}
+	if _, ok := plain.(BufferedDeleter); ok {
+		t.Fatal("prefixed view invented DeleteBuffered on a plain store")
+	}
+	writesOnly := WithPrefix(setBufferedOnly{plainStore{mem}, mem}, "w/")
+	if _, ok := writesOnly.(BufferedStore); !ok {
+		t.Fatal("prefixed view of a write-staging store lost SetBuffered")
+	}
+	if _, ok := writesOnly.(BufferedDeleter); ok {
+		t.Fatal("prefixed view invented DeleteBuffered on a store that only stages writes")
 	}
 }
 
@@ -126,3 +168,13 @@ func (p plainStore) Get(key string) ([]byte, bool, error) { return p.s.Get(key) 
 func (p plainStore) Delete(key string) error              { return p.s.Delete(key) }
 func (p plainStore) Scan(prefix string) ([]KV, error)     { return p.s.Scan(prefix) }
 func (p plainStore) Sync() error                          { return p.s.Sync() }
+
+// setBufferedOnly is a BufferedStore that is not a BufferedDeleter.
+type setBufferedOnly struct {
+	plainStore
+	mem *MemStore
+}
+
+func (s setBufferedOnly) SetBuffered(key string, value []byte) error {
+	return s.mem.SetBuffered(key, value)
+}

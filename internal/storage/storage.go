@@ -2,12 +2,16 @@
 // stack: Paxos acceptor state, decided-log entries, configuration-chain
 // records and snapshots all live here.
 //
-// The only implementation is an in-memory store with crash semantics: writes
-// go to a dirty buffer and reach "disk" on Sync (or immediately when
-// AutoSync is on, the default). Crash discards the dirty buffer, modeling a
-// process that dies before fsync. A store survives node restarts — the
-// cluster layer keeps it across crash/recover cycles — which is exactly what
-// a file on disk would do, without the I/O nondeterminism.
+// Three implementations share the Store interface. WALStore (walstore.go) is
+// the durable backend: every mutation is a record in a segmented group-commit
+// log, the key/value state is served from memory, and recovery replays the
+// log over the newest checkpoint. FileStore (filestore.go) keeps one file per
+// key. MemStore, below, is the in-memory store tests and the mem workloads
+// run on; it models a disk with a page cache: staged writes sit in a dirty
+// buffer until Sync, Crash and PowerLoss discard that buffer, and the stable
+// part survives node restarts because the cluster layer keeps the object
+// across crash/recover cycles — what a file on disk would do, without the
+// I/O nondeterminism. WithPrefix (prefix.go) namespaces any of them.
 //
 // An optional write latency models fsync cost so experiments can charge
 // durability realistically.
@@ -34,7 +38,11 @@ type Store interface {
 	Set(key string, value []byte) error
 	// Get returns the value for key and whether it exists.
 	Get(key string) ([]byte, bool, error)
-	// Delete removes key if present.
+	// Delete removes key if present, durably in the same sense as Set: once
+	// it has returned on a store in sync mode, the key stays gone across a
+	// crash. A key whose Delete had not returned when the process died may
+	// come back; callers that delete many keys guarded by one record (a log
+	// floor, a manifest) write that record first.
 	Delete(key string) error
 	// Scan returns all pairs whose key starts with prefix, sorted by key.
 	Scan(prefix string) ([]KV, error)
@@ -55,6 +63,18 @@ type BufferedStore interface {
 	// page cache) but possibly non-durably, regardless of the store's sync
 	// mode; the write reaches stable state on the next Sync.
 	SetBuffered(key string, value []byte) error
+}
+
+// BufferedDeleter is the delete half of staging, a capability of its own so
+// that BufferedStore keeps the method set its existing implementers have.
+// Callers probe for it and fall back to Delete.
+type BufferedDeleter interface {
+	// DeleteBuffered removes key visibly at once but possibly non-durably; the
+	// removal reaches stable state on the next Sync. After a crash before that
+	// Sync the key may be back, and staged operations take effect in the order
+	// they were issued: if a staged delete survived, so did every write and
+	// delete staged before it.
+	DeleteBuffered(key string) error
 }
 
 // MemOptions configures a MemStore.
@@ -81,7 +101,10 @@ type MemStore struct {
 	syncs  int64
 }
 
-var _ BufferedStore = (*MemStore)(nil)
+var (
+	_ BufferedStore   = (*MemStore)(nil)
+	_ BufferedDeleter = (*MemStore)(nil)
+)
 
 // NewMem returns a store where every write is immediately stable.
 func NewMem() *MemStore {
@@ -112,6 +135,7 @@ func (s *MemStore) Set(key string, value []byte) error {
 	s.writes++
 	if s.opts.AutoSync {
 		s.stable[key] = cp
+		delete(s.dirty, key) // supersedes whatever was staged for the key
 		s.syncs++
 		lat := s.opts.SyncLatency
 		if lat > 0 {
@@ -165,7 +189,13 @@ func (s *MemStore) Get(key string) ([]byte, bool, error) {
 }
 
 // Delete implements Store.
-func (s *MemStore) Delete(key string) error {
+func (s *MemStore) Delete(key string) error { return s.remove(key, s.opts.AutoSync) }
+
+// DeleteBuffered implements BufferedDeleter: the removal is staged in the
+// dirty buffer even with AutoSync on, and becomes stable on the next Sync.
+func (s *MemStore) DeleteBuffered(key string) error { return s.remove(key, false) }
+
+func (s *MemStore) remove(key string, stable bool) error {
 	if s.opts.WriteLatency > 0 {
 		time.Sleep(s.opts.WriteLatency)
 	}
@@ -175,8 +205,9 @@ func (s *MemStore) Delete(key string) error {
 		return ErrStoreClosed
 	}
 	s.writes++
-	if s.opts.AutoSync {
+	if stable {
 		delete(s.stable, key)
+		delete(s.dirty, key) // supersedes whatever was staged for the key
 		return nil
 	}
 	var nilv []byte
@@ -250,6 +281,25 @@ func (s *MemStore) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.closed = true
+}
+
+// PowerLoss is Close and Crash at one instant: the store stops taking writes
+// and forgets everything not yet synced, while the process that was using it
+// may still be running — its later writes and Syncs fail, so it can externalize
+// nothing that depends on them. Reopen is the restart.
+func (s *MemStore) PowerLoss() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.closed = true
+	s.dirty = make(map[string]*[]byte)
+}
+
+// Reopen makes a closed store usable again with its stable content, like a
+// process reopening the same disk.
+func (s *MemStore) Reopen() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.closed = false
 }
 
 // Writes returns the number of write operations issued, for cost accounting.

@@ -220,3 +220,63 @@ func TestStorePropertyLastWriteWins(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMemStoreStagingAndPowerLoss is the crash model the engine's power-loss
+// tests stand on: on a NewMem store a Set (or Delete) is stable at once, a
+// SetBuffered or DeleteBuffered only after Sync; PowerLoss forgets the rest
+// and fails everything until Reopen; and a plain write supersedes what was
+// staged for its key.
+func TestMemStoreStagingAndPowerLoss(t *testing.T) {
+	s := NewMem()
+	_ = s.Set("stable", []byte("1"))
+	_ = s.Set("doomed", []byte("1"))
+	_ = s.SetBuffered("staged", []byte("2"))
+	_ = s.DeleteBuffered("stable")
+	if _, ok, _ := s.Get("stable"); ok {
+		t.Fatal("staged delete invisible to the writer")
+	}
+	_ = s.SetBuffered("doomed", []byte("stale"))
+	_ = s.Delete("doomed") // after the staged write: the key is gone, now and after Sync
+	if _, ok, _ := s.Get("doomed"); ok {
+		t.Fatal("a staged write outlived the plain Delete that followed it")
+	}
+
+	s.PowerLoss()
+	if err := s.Set("k", nil); err != ErrStoreClosed {
+		t.Fatalf("Set after power loss: %v", err)
+	}
+	if err := s.SetBuffered("k", nil); err != ErrStoreClosed {
+		t.Fatalf("SetBuffered after power loss: %v", err)
+	}
+	if err := s.DeleteBuffered("k"); err != ErrStoreClosed {
+		t.Fatalf("DeleteBuffered after power loss: %v", err)
+	}
+	if err := s.Sync(); err != ErrStoreClosed {
+		t.Fatalf("Sync after power loss: %v", err)
+	}
+
+	s.Reopen()
+	if _, ok, _ := s.Get("staged"); ok {
+		t.Fatal("an unsynced staged write survived power loss")
+	}
+	if v, ok, _ := s.Get("stable"); !ok || string(v) != "1" {
+		t.Fatal("an unsynced staged delete took effect across power loss")
+	}
+	if _, ok, _ := s.Get("doomed"); ok {
+		t.Fatal("a plainly deleted key came back")
+	}
+
+	_ = s.SetBuffered("staged", []byte("2"))
+	_ = s.DeleteBuffered("stable")
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	s.PowerLoss()
+	s.Reopen()
+	if v, ok, _ := s.Get("staged"); !ok || string(v) != "2" {
+		t.Fatal("a synced staged write lost")
+	}
+	if _, ok, _ := s.Get("stable"); ok {
+		t.Fatal("a synced staged delete came back")
+	}
+}

@@ -44,7 +44,10 @@ type WALStore struct {
 	closed     bool
 }
 
-var _ BufferedStore = (*WALStore)(nil)
+var (
+	_ BufferedStore   = (*WALStore)(nil)
+	_ BufferedDeleter = (*WALStore)(nil)
+)
 
 // WALStoreOptions configures a WALStore.
 type WALStoreOptions struct {
@@ -208,28 +211,42 @@ func (s *WALStore) Get(key string) ([]byte, bool, error) {
 	return clone(v), true, nil
 }
 
-// Delete implements Store.
+// Delete implements Store: with SyncWrites on it waits for the record's
+// fsync, like Set.
 func (s *WALStore) Delete(key string) error {
+	lsn, err := s.logDelete(key)
+	if err != nil || lsn == 0 || !s.opts.SyncWrites {
+		return err
+	}
+	return s.wal.Sync(lsn)
+}
+
+// DeleteBuffered implements BufferedDeleter: the record is appended and the
+// key gone at once, and the caller's next Sync is the durability barrier.
+// Replay applies records in log order, which is the ordering the interface
+// promises.
+func (s *WALStore) DeleteBuffered(key string) error {
+	_, err := s.logDelete(key)
+	return err
+}
+
+// logDelete appends the delete record and drops key from the served state. It
+// returns LSN 0 when the key was absent and nothing was logged.
+func (s *WALStore) logDelete(key string) (uint64, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
-		return ErrStoreClosed
+		return 0, ErrStoreClosed
 	}
 	if _, ok := s.state[key]; !ok {
-		s.mu.Unlock()
-		return nil // nothing to log
+		return 0, nil
 	}
 	lsn, err := s.append(walOpDelete, key, nil)
 	if err != nil {
-		s.mu.Unlock()
-		return err
+		return 0, err
 	}
 	delete(s.state, key)
-	s.mu.Unlock()
-	if s.opts.SyncWrites {
-		return s.wal.Sync(lsn)
-	}
-	return nil
+	return lsn, nil
 }
 
 // Scan implements Store: all pairs with the key prefix, sorted by key.

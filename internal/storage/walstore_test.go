@@ -331,3 +331,67 @@ func TestWALStoreCorruptNewestCheckpointFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWALStoreStagedDelete pins the two deletes of a SyncWrites store apart:
+// Delete waits for its own fsync, as Set does; DeleteBuffered waits for
+// nothing, any number of them ride the caller's next Sync, and replay honours
+// them in log order — a key written again after its staged delete is back.
+func TestWALStoreStagedDelete(t *testing.T) {
+	dir := t.TempDir()
+	s := openTestWALStore(t, dir, WALStoreOptions{SyncWrites: true})
+	const n = 100
+	for i := 0; i < n; i++ {
+		if err := s.SetBuffered(fmt.Sprintf("k/%03d", i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+
+	before := s.Syncs()
+	if err := s.Delete("k/000"); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Syncs() - before; got != 1 {
+		t.Fatalf("Delete on a SyncWrites store cost %d fsyncs, want its own 1", got)
+	}
+
+	before = s.Syncs()
+	for i := 1; i < n; i++ {
+		if err := s.DeleteBuffered(fmt.Sprintf("k/%03d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.DeleteBuffered("absent"); err != nil {
+		t.Fatalf("staged delete of an absent key: %v", err)
+	}
+	if got := s.Syncs() - before; got != 0 {
+		t.Fatalf("%d staged deletes cost %d fsyncs before any Sync", n-1, got)
+	}
+	if kvs, _ := s.Scan("k/"); len(kvs) != 0 {
+		t.Fatalf("%d keys still visible after their staged deletes", len(kvs))
+	}
+	if err := s.SetBuffered("k/050", []byte("again")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Syncs() - before; got != 1 {
+		t.Fatalf("%d staged deletes and their Sync cost %d fsyncs, want 1", n-1, got)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s = openTestWALStore(t, dir, WALStoreOptions{SyncWrites: true})
+	defer func() { _ = s.Close() }()
+	kvs, err := s.Scan("k/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(kvs) != 1 || kvs[0].Key != "k/050" || string(kvs[0].Value) != "again" {
+		t.Fatalf("after reopen: %v, want only k/050=again", kvs)
+	}
+}

@@ -1,18 +1,32 @@
 #!/usr/bin/env bash
 # Alternating parent/change pairs of the repo benchmark, as one command.
 #
-#   scripts/pairs.sh <parent-ref> <workload>[,<workload>...] <n> [seconds]
+#   scripts/pairs.sh <parent-ref> <workload>[,<workload>...] <n> [seconds] [out.json]
 #
 # Extracts <parent-ref> into a temporary directory (git archive: nothing is
 # registered in .git and nothing is left behind), then runs the benchmark
 # driver's exact command — go run -C bench repro/bench --workload W --seconds S
 # --seed N — on the parent and on this tree <n> times each, alternating which
-# side goes first and giving every pair a fresh seed. It writes $OUT (default
-# BENCH_16.json at the repo root): per workload every pair's two setup_s
-# values, each side's median and quartiles, the pairs the change won, whether
-# that is a gain by the choosing-metrics rule (>= 9/10 of the pairs and a
-# median gap wider than the parent's interquartile range), and the runner
-# facts without which two files must never be compared.
+# side goes first and giving every pair a fresh seed. It writes the file named
+# by the fifth argument or by $OUT (one of the two is required; a trajectory
+# file is BENCH_<pr>.json at the repo root): per workload, for every
+# end-to-end metric the run's own table gives a bound for — setup_s,
+# ops_per_s, lat_p50_us, lat_p99_us, rss_peak_mb and, where the workload
+# reconfigures, unavail_ms_per_reconfig and join_ms_p50 — every pair's two
+# values, each side's median and quartiles, the pairs the change won and lost,
+# and a verdict by the choosing-metrics rule:
+#
+#   gain          the change won >= 9/10 of the pairs and the medians differ by
+#                 more than the distance between the parent's quartiles
+#   unresolved    not a gain, and the parent's quartiles lie further apart than
+#                 the metric's bound (a share of the parent's median, read from
+#                 the table, which prints what bench/main.go declares): the
+#                 runner cannot tell "unchanged" from "worse" here
+#   regression    the change's median is worse than the parent's by more than
+#                 the bound
+#   within_bound  none of the above
+#
+# plus the runner facts without which two files must never be compared.
 #
 # The working tree is measured as it is, committed or not; "change_commit" says
 # which commit it sits on and "change_dirty" whether it differs from it.
@@ -24,7 +38,11 @@ if [ $# -lt 3 ]; then
 fi
 parent_ref=$1 workloads=${2//,/ } pairs=$3 seconds=${4:-25}
 repo=$(cd "$(dirname "$0")/.." && pwd)
-out=${OUT:-$repo/BENCH_16.json}
+out=${5:-${OUT:-}}
+if [ -z "$out" ]; then
+	echo "pairs: name the output file: fifth argument or OUT=" >&2
+	exit 2
+fi
 seed0=${SEED:-$(date +%s)}
 
 parent_commit=$(git -C "$repo" rev-parse "$parent_ref^{commit}")
@@ -33,29 +51,24 @@ trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/parent"
 git -C "$repo" archive "$parent_commit" | tar -x -C "$tmp/parent"
 
-# run_one <tree> <workload> <seed>: the driver's command; prints setup_s from
-# the contract line, or fails if the run was not correct.
+# run_one <tree> <workload> <seed>: the driver's command. Prints one line per
+# bounded end-to-end metric — "name value bound better" — read from the table
+# the run prints (setup_s from the contract line, which has all its digits),
+# or fails if the run was not correct.
 run_one() {
 	local line
-	line=$(cd "$1" && go run -C bench repro/bench --workload "$2" --seconds "$seconds" --seed "$3" | tail -n 1)
+	(cd "$1" && go run -C bench repro/bench --workload "$2" --seconds "$seconds" --seed "$3") >"$tmp/run.txt"
+	line=$(tail -n 1 "$tmp/run.txt")
 	case $line in
 	*'"correct":true'*) ;;
 	*) echo "pairs: $1 $2 seed $3: $line" >&2; return 1 ;;
 	esac
-	sed -n 's/.*"setup_s":{"value":\([0-9.eE+-]*\).*/\1/p' <<<"$line"
-}
-
-# stats: values on stdin, one per line -> "median q1 q3" (linear interpolation).
-stats() {
-	sort -g | awk '{v[NR]=$1} END {
-		split("0.5 0.25 0.75", p, " ")
-		for (i = 1; i <= 3; i++) {
-			h = (NR - 1) * p[i] + 1; f = int(h)
-			q = v[f]; if (f < NR) q += (h - f) * (v[f + 1] - v[f])
-			printf "%s%.6f", (i > 1 ? " " : ""), q
-		}
-		print ""
-	}'
+	awk -v setup="$(sed -n 's/.*"setup_s":{"value":\([0-9.eE+-]*\).*/\1/p' <<<"$line")" '
+		/^  diagnostics/ { exit }
+		match($0, /bound [0-9]+%, (lower|higher) is better/) {
+			split(substr($0, RSTART, RLENGTH), w, /[ %,]+/)
+			print $1, ($1 == "setup_s" ? setup : $2), w[2] / 100, w[3]
+		}' "$tmp/run.txt"
 }
 
 {
@@ -65,40 +78,75 @@ stats() {
 	printf ' "runner": {"nproc": %s, "gomaxprocs": %s, "go_version": "%s", "kernel": "%s"},\n' \
 		"$(nproc)" "${GOMAXPROCS:-$(nproc)}" "$(go env GOVERSION)" "$(uname -sr)"
 	printf ' "command": "go run -C bench repro/bench --workload W --seconds %s --seed N",\n' "$seconds"
-	printf ' "metric": "setup_s", "unit": "s", "better": "lower",\n "workloads": [\n'
+	printf ' "workloads": [\n'
 } >"$tmp/out.json"
 
 first_wl=1
 for wl in $workloads; do
-	: >"$tmp/p.txt"; : >"$tmp/c.txt"; : >"$tmp/pairs.txt"
-	wins=0 losses=0
+	: >"$tmp/rows.txt" # seed side name value bound better
 	for i in $(seq 1 "$pairs"); do
 		seed=$((seed0 + i))
-		if [ $((i % 2)) -eq 1 ]; then
-			p=$(run_one "$tmp/parent" "$wl" "$seed"); c=$(run_one "$repo" "$wl" "$seed")
-		else
-			c=$(run_one "$repo" "$wl" "$seed"); p=$(run_one "$tmp/parent" "$wl" "$seed")
-		fi
-		echo "$p" >>"$tmp/p.txt"; echo "$c" >>"$tmp/c.txt"
-		printf '   {"seed": %s, "parent": %s, "change": %s}\n' "$seed" "$p" "$c" >>"$tmp/pairs.txt"
-		if awk "BEGIN{exit !($c < $p)}"; then wins=$((wins + 1)); fi
-		if awk "BEGIN{exit !($c > $p)}"; then losses=$((losses + 1)); fi
-		echo "pairs: $wl pair $i/$pairs seed $seed: parent $p s, change $c s" >&2
+		if [ $((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
+		for side in $order; do
+			tree=$repo
+			[ "$side" = parent ] && tree=$tmp/parent
+			run_one "$tree" "$wl" "$seed" | sed "s/^/$seed $side /" >>"$tmp/rows.txt"
+		done
+		echo "pairs: $wl pair $i/$pairs seed $seed:$(awk -v s="$seed" '$1 == s && $2 == "parent" {p[$3] = $4} $1 == s && $2 == "change" {printf " %s %s -> %s;", $3, p[$3], $4}' \
+			<(sort -s -k2,2r "$tmp/rows.txt"))" >&2
 	done
-	read -r pm pq1 pq3 < <(stats <"$tmp/p.txt")
-	read -r cm cq1 cq3 < <(stats <"$tmp/c.txt")
-	gain=$(awk "BEGIN{print (($wins >= 0.9 * $pairs) && ($pm - $cm > $pq3 - $pq1)) ? \"true\" : \"false\"}")
 	[ $first_wl -eq 1 ] || echo ' ,' >>"$tmp/out.json"
 	first_wl=0
+	awk -v wl="$wl" -v pairs="$pairs" '
+	function quantile(a, n, p,    h, f, q) { # a[1..n] sorted; linear interpolation
+		h = (n - 1) * p + 1; f = int(h); q = a[f]
+		if (f < n) q += (h - f) * (a[f + 1] - a[f])
+		return q
+	}
+	function sorted(src, n, dst,    i, j, v) {
+		for (i = 1; i <= n; i++) {
+			v = src[i]
+			for (j = i - 1; j >= 1 && dst[j] > v; j--) dst[j + 1] = dst[j]
+			dst[j + 1] = v
+		}
+	}
 	{
-		printf '  {"workload": "%s", "pairs": [\n' "$wl"
-		sed '$!s/$/,/' "$tmp/pairs.txt"
-		printf '   ],\n   "parent": {"median": %s, "q1": %s, "q3": %s},\n' "$pm" "$pq1" "$pq3"
-		printf '   "change": {"median": %s, "q1": %s, "q3": %s},\n' "$cm" "$cq1" "$cq3"
-		printf '   "median_change_frac": %s, "change_wins": %s, "change_losses": %s, "gain": %s}\n' \
-			"$(awk "BEGIN{printf \"%.4f\", ($cm - $pm) / $pm}")" "$wins" "$losses" "$gain"
-	} >>"$tmp/out.json"
-	echo "pairs: $wl: parent median $pm s [$pq1, $pq3], change median $cm s [$cq1, $cq3], change won $wins/$pairs, gain=$gain" >&2
+		if (!($3 in bound)) { names[++nm] = $3; bound[$3] = $5; better[$3] = $6 }
+		if (!($1 in seen)) { seen[$1] = 1; seeds[++ns] = $1 }
+		val[$3, $2, $1] = $4
+	}
+	END {
+		printf "  {\"workload\": \"%s\", \"metrics\": [\n", wl
+		for (m = 1; m <= nm; m++) {
+			name = names[m]; sign = (better[name] == "higher") ? -1 : 1
+			wins = losses = 0; allbetter = 1
+			delete p; delete c; delete ps; delete cs
+			printf "   {\"metric\": \"%s\", \"better\": \"%s\", \"bound\": %s, \"pairs\": [\n", name, better[name], bound[name]
+			for (i = 1; i <= ns; i++) {
+				p[i] = val[name, "parent", seeds[i]]; c[i] = val[name, "change", seeds[i]]
+				if (sign * (c[i] - p[i]) < 0) wins++
+				if (sign * (c[i] - p[i]) > 0) losses++
+				printf "     {\"seed\": %s, \"parent\": %s, \"change\": %s}%s\n", seeds[i], p[i], c[i], (i < ns ? "," : "")
+			}
+			sorted(p, ns, ps); sorted(c, ns, cs)
+			pm = quantile(ps, ns, 0.5); pq1 = quantile(ps, ns, 0.25); pq3 = quantile(ps, ns, 0.75)
+			cm = quantile(cs, ns, 0.5); cq1 = quantile(cs, ns, 0.25); cq3 = quantile(cs, ns, 0.75)
+			# every run of the change better than every run of the parent?
+			if (sign > 0) allbetter = (cs[ns] < ps[1]); else allbetter = (cs[1] > ps[ns])
+			improvement = sign * (pm - cm)
+			if (wins >= 0.9 * ns && improvement > pq3 - pq1) verdict = "gain"
+			else if (pm != 0 && (pq3 - pq1) / pm > bound[name] && !allbetter) verdict = "unresolved"
+			else if (pm != 0 && -improvement / pm > bound[name]) verdict = "regression"
+			else verdict = "within_bound"
+			printf "     ],\n     \"parent\": {\"median\": %.6f, \"q1\": %.6f, \"q3\": %.6f},\n", pm, pq1, pq3
+			printf "     \"change\": {\"median\": %.6f, \"q1\": %.6f, \"q3\": %.6f},\n", cm, cq1, cq3
+			printf "     \"median_change_frac\": %.4f, \"change_wins\": %d, \"change_losses\": %d, \"verdict\": \"%s\"}%s\n", \
+				(pm != 0 ? (cm - pm) / pm : 0), wins, losses, verdict, (m < nm ? "," : "")
+			printf "pairs: %s %s: parent median %.6g [%.6g, %.6g], change median %.6g [%.6g, %.6g], change won %d/%d, %s\n", \
+				wl, name, pm, pq1, pq3, cm, cq1, cq3, wins, ns, verdict >"/dev/stderr"
+		}
+		printf "   ]}\n"
+	}' "$tmp/rows.txt" >>"$tmp/out.json"
 done
 printf ' ]\n}\n' >>"$tmp/out.json"
 mv "$tmp/out.json" "$out"
