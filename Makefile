@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-pairs bench-read bench-snapshot bench-write bench-shard bench-reconfig bench-catchup bench-mega vet fmt-check ci
+.PHONY: all build test race bench bench-pairs bench-read bench-snapshot bench-write bench-shard bench-reconfig bench-catchup bench-mega size vet fmt-check ci
 
 all: build test
 
@@ -36,11 +36,12 @@ bench-snapshot:
 	$(GO) test -run '^$$' -bench SnapshotTransfer -benchtime 1x .
 	$(GO) test -run '^$$' -bench ForkVsSnapshot -benchtime 2s ./internal/statemachine/
 
-# Write-path smoke: one pass each of the pipeline-depth sweep and the
-# parallel-vs-serial apply ablation on the fsynced WAL backend. The full W1
-# table with open-loop latency lives in `rsmbench -exp write`.
+# Write-path smoke: one pass of the pipeline-depth sweep on the fsynced WAL
+# backend. The full W1 table with open-loop latency lives in `rsmbench -exp
+# write`; the serial-apply arm it used to carry is retired (EXPERIMENTS.md,
+# "Retired arms").
 bench-write:
-	$(GO) test -run '^$$' -bench 'PipelineDepth|ParallelApply' -benchtime 1x .
+	$(GO) test -run '^$$' -bench PipelineDepth -benchtime 1x .
 
 # Sharded-runtime smoke: one pass of the S1 group-count sweep (1 vs 8 groups
 # over shared TCP+WAL, routed write load). The full 1/2/4/8 table with the
@@ -63,8 +64,9 @@ bench-catchup:
 	$(GO) test -run '^$$' -bench K1Catchup -benchtime 1x .
 
 # Megaload smoke: one pass of the C1 benchmark — 100k open-loop client
-# sessions through a reconfiguration storm, smart client + admission control
-# vs the naive ablation. The canonical table lives in `rsmbench -exp mega`.
+# sessions through a reconfiguration storm, every op accounted in one of four
+# buckets (0 silent). The canonical table lives in `rsmbench -exp mega`; the
+# naive-client arm is retired (EXPERIMENTS.md, "Retired arms").
 bench-mega:
 	$(GO) test -run '^$$' -bench C1Megaload -benchtime 1x -timeout 30m .
 
@@ -81,6 +83,11 @@ WINDOW ?= 25
 OUT ?= BENCH_pairs.json
 bench-pairs:
 	scripts/pairs.sh $(PARENT) $(WORKLOADS) $(PAIRS) $(WINDOW) $(OUT)
+
+# The one way to count the tree: non-test and test Go code lines per package
+# outside bench/, and the exported fields of the option structs.
+size:
+	scripts/size.sh
 
 vet:
 	$(GO) vet ./...

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/harness"
 	"repro/internal/reconfig"
 )
@@ -40,10 +41,10 @@ func BenchmarkT1StaticPaxosScaling(b *testing.B) {
 }
 
 // BenchmarkT1DurableBackends — Table T1d: throughput/latency of the static
-// substrate with acceptor persistence on real storage backends (mem as the
-// no-durability reference, file-per-key vs group-commit WAL with fsync).
+// substrate with acceptor persistence on a real storage backend (mem as the
+// no-durability reference vs the group-commit WAL with fsync).
 func BenchmarkT1DurableBackends(b *testing.B) {
-	backends := []string{harness.StorageMem, harness.StorageFile, harness.StorageWAL}
+	backends := []string{cluster.StorageMem, cluster.StorageWAL}
 	for i := 0; i < b.N; i++ {
 		res, err := harness.RunT1Durable(tuning(), backends, 3, benchRunDur, benchClients)
 		if err != nil {
@@ -312,7 +313,7 @@ func BenchmarkA1Batching(b *testing.B) {
 // ablation; this one is the deployment-relevant configuration.)
 func BenchmarkBatchSizeDefault(b *testing.B) {
 	t := tuning()
-	t.Storage = harness.StorageWAL
+	t.Storage = cluster.StorageWAL
 	t.SyncWrites = true
 	for i := 0; i < b.N; i++ {
 		res, err := harness.RunA1Batching(t, []int{1, 8, 16, 32}, 1500*time.Millisecond, 16)
@@ -339,30 +340,7 @@ func BenchmarkPipelineDepth(b *testing.B) {
 		}
 		b.Log("\n" + res.Render())
 		for _, row := range res.Rows {
-			if row.SerialApply {
-				continue
-			}
 			b.ReportMetric(row.Throughput, fmt.Sprintf("ops/s/depth%d", row.Pipeline))
-		}
-	}
-}
-
-// BenchmarkParallelApply — decide/apply decoupling plus sharded parallel
-// apply against the coupled serial ablation (Options.SerialApply), at the
-// shipped pipeline depth on the durable WAL backend.
-func BenchmarkParallelApply(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := harness.RunW1WritePath(tuning(), []int{4}, benchRunDur, 64, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Log("\n" + res.Render())
-		for _, row := range res.Rows {
-			mode := "parallel"
-			if row.SerialApply {
-				mode = "serial"
-			}
-			b.ReportMetric(row.Throughput, "ops/s/"+mode)
 		}
 	}
 }
@@ -394,7 +372,7 @@ func BenchmarkShardScaling(b *testing.B) {
 // mode x read ratio at n=3 on the durable WAL backend.
 func BenchmarkR1ReadScaling(b *testing.B) {
 	t := tuning()
-	t.Storage = harness.StorageWAL
+	t.Storage = cluster.StorageWAL
 	t.SyncWrites = true
 	modes := []reconfig.ReadMode{reconfig.ReadModeLog, reconfig.ReadModeIndex, reconfig.ReadModeLease}
 	for i := 0; i < b.N; i++ {
@@ -410,14 +388,13 @@ func BenchmarkR1ReadScaling(b *testing.B) {
 }
 
 // BenchmarkC1Megaload — Table C1: 100k open-loop client sessions driven
-// through the real RPC client library across a reconfiguration storm, smart
-// arm (shared config directory + server admission control) vs the naive
-// ablation (per-session cache, fixed backoff, unbounded server queues).
-// Headline metrics are each arm's goodput and ack p99, plus the smart arm's
-// silent-drop count (must be 0: every unserved submit is answered).
+// through the real RPC client library (shared config directory + server
+// admission control) across a reconfiguration storm. Headline metrics are
+// goodput and ack p99; the silent-drop count must be 0 (every unserved submit
+// is answered).
 func BenchmarkC1Megaload(b *testing.B) {
 	t := tuning()
-	t.SubmitQueue = 256
+	t.Node.SubmitQueue = 256
 	for i := 0; i < b.N; i++ {
 		res, err := harness.RunC1Megaload(t, 100000, 6000, 10*time.Second)
 		if err != nil {
@@ -425,12 +402,9 @@ func BenchmarkC1Megaload(b *testing.B) {
 		}
 		b.Log("\n" + res.Render())
 		if res.Smart.Silent != 0 {
-			b.Fatalf("smart arm had %d silent drops", res.Smart.Silent)
+			b.Fatalf("%d silent drops", res.Smart.Silent)
 		}
 		b.ReportMetric(res.Smart.Goodput, "ops/s/smart")
-		b.ReportMetric(res.Naive.Goodput, "ops/s/naive")
 		b.ReportMetric(float64(res.Smart.Latency.P99)/1e6, "p99ms/smart")
-		b.ReportMetric(float64(res.Naive.Latency.P99)/1e6, "p99ms/naive")
-		b.ReportMetric(float64(res.Naive.Silent+res.Naive.Unresolved), "lost/naive")
 	}
 }

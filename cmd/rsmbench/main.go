@@ -7,12 +7,14 @@
 //	rsmbench -exp all -dur 3s   # the full suite, 3s of load per run
 //	rsmbench -exp lin -seed 7   # linearizability chaos check from a seed
 //	rsmbench -exp read          # read fast path: mode x read-ratio sweep
-//	rsmbench -exp write         # write path: pipeline depth x apply mode sweep
+//	rsmbench -exp write         # write path: pipeline depth sweep
 //	rsmbench -exp reconfig      # R2 reconfig-latency shootout (speculative start)
 //	rsmbench -exp catchup       # K1 lagging-replica catch-up (checkpoints vs replay)
-//	rsmbench -exp mega          # C1 100k-session open-loop megaload (smart vs naive)
+//	rsmbench -exp mega          # C1 100k-session open-loop megaload, four-bucket accounting
 //
 // Experiment IDs: t1 t1d f1 t2 f2 t3 f3 t4 f4 t5 f5 lin read write shard reconfig catchup mega megalin (see DESIGN.md §4).
+// Arms an experiment used to have and no longer does (W1 serial apply, C1
+// naive client, T1d file backend) are in EXPERIMENTS.md, "Retired arms".
 package main
 
 import (
@@ -23,6 +25,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/harness"
 	"repro/internal/reconfig"
 )
@@ -90,7 +93,7 @@ func runOne(id string, tun harness.Tuning, dur time.Duration, clients int, seed 
 		fmt.Print(res.Render())
 	case "t1d":
 		res, err := harness.RunT1Durable(tun,
-			[]string{harness.StorageMem, harness.StorageFile, harness.StorageWAL}, 3, dur, clients)
+			[]string{cluster.StorageMem, cluster.StorageWAL}, 3, dur, clients)
 		if err != nil {
 			return err
 		}
@@ -178,7 +181,7 @@ func runOne(id string, tun harness.Tuning, dur time.Duration, clients int, seed 
 		// clients than the other experiments so concurrent reads share
 		// probe rounds.
 		rt := tun
-		rt.Storage = harness.StorageWAL
+		rt.Storage = cluster.StorageWAL
 		rt.SyncWrites = true
 		rc := clients
 		if rc < 24 {
@@ -255,10 +258,10 @@ func runOne(id string, tun harness.Tuning, dur time.Duration, clients int, seed 
 		fmt.Print(res.Render())
 	case "mega":
 		// C1 drives 100k open-loop sessions (or -clients if >= 1000) through
-		// a reconfiguration storm via the real client library: smart arm
-		// (shared directory + admission control) vs naive ablation. The
-		// offered rate sits at the storm-capacity edge, where the ablation's
-		// unbounded queues collapse and shedding keeps every op accounted.
+		// a reconfiguration storm via the real client library (shared
+		// directory + admission control). The offered rate sits at the
+		// storm-capacity edge, where shedding is what keeps every op
+		// accounted.
 		sessions := 100000
 		if clients >= 1000 {
 			sessions = clients
@@ -268,14 +271,14 @@ func runOne(id string, tun harness.Tuning, dur time.Duration, clients int, seed 
 			mdur = 10 * time.Second
 		}
 		mt := tun
-		mt.SubmitQueue = 256
+		mt.Node.SubmitQueue = 256
 		res, err := harness.RunC1Megaload(mt, sessions, rate, mdur)
 		if err != nil {
 			return err
 		}
 		fmt.Print(res.Render())
 		if res.Smart.Silent != 0 {
-			return fmt.Errorf("smart arm had %d silent drops", res.Smart.Silent)
+			return fmt.Errorf("%d silent drops", res.Smart.Silent)
 		}
 	case "megalin":
 		res, err := harness.RunMegaLin(tun, seed, 10000, 2000, dur)

@@ -8,7 +8,7 @@
 //	rsmd -n 3 -spares 2                  # simulated network, in-memory stores
 //	rsmd -n 3 -spares 2 -tcp             # real loopback TCP sockets
 //	rsmd -n 3 -store wal -fsync          # group-commit WAL persistence
-//	rsmd -n 3 -store file -dir /tmp/rsm  # file-per-key persistence at a path
+//	rsmd -n 3 -store wal -dir /tmp/rsm   # ... at a path that outlives the process
 //
 // Console commands:
 //
@@ -85,10 +85,8 @@ func run() int {
 	if n < 1 {
 		n = 1
 	}
-	switch store {
-	case "mem", "file", "wal":
-	default:
-		fmt.Fprintf(os.Stderr, "unknown store %q (want mem, file or wal)\n", store)
+	if err := cluster.CheckStorage(store); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
 

@@ -49,18 +49,11 @@ type Options struct {
 	// outcome is unknown the command may already be applied, and abandoning
 	// it would turn at-most-once into a silent drop, so the client keeps
 	// pursuing the same sequence number (idempotent under the session
-	// dedup) until a definitive reply or ctx expiry. The Naive ablation
-	// gives up at the budget unconditionally.
+	// dedup) until a definitive reply or ctx expiry.
 	RetryBudget int
 	// NoJitter pins the backoff schedule to its deterministic midpoint
 	// (test hook; production clients want decorrelated retries).
 	NoJitter bool
-	// Naive reverts the client to its pre-directory behavior — a
-	// per-session configuration cache, a fixed RetryBackoff sleep between
-	// attempts, and SubmitBusy's RetryAfter hint ignored. It exists as the
-	// ablation arm of the megaload experiment (C1) and should never be set
-	// in production use.
-	Naive bool
 	// Recorder, when set, captures every Submit/SubmitSeq as a history
 	// operation: acknowledged submits record their reply; a submit that
 	// gives up after an attempt may have reached the service records an
@@ -109,9 +102,9 @@ var ErrBudgetExhausted = errors.New("client: retry budget exhausted")
 // distinguishes "the command may have executed" (an attempt timed out or the
 // reply was lost) from "the command provably never executed" (every attempt
 // was answered with a redirect or a shed) — the distinction open-loop load
-// harnesses need to count silent drops. The smart client never returns an
-// ambiguous BudgetError (it pursues a maybe-applied command until ctx
-// expiry); only the Naive ablation abandons one at the budget.
+// harnesses need to count silent drops. No shipped path sets Ambiguous (a
+// maybe-applied command is pursued until ctx expiry); the field stays so that
+// a later loosening of the budget rule lands in the harness's silent bucket.
 type BudgetError struct {
 	Attempts  int
 	Ambiguous bool
@@ -158,12 +151,7 @@ func NewDirectory(ep *transport.Endpoint, seeds []types.NodeID) *Directory {
 // are cheap — a couple hundred bytes, no transport state, no private rng —
 // so a megaload harness can hold 100k of them.
 func (d *Directory) Session(id types.NodeID, opts Options) *Client {
-	opts = opts.withDefaults()
-	c := &Client{id: id, dir: d, opts: opts}
-	if opts.Naive {
-		c.naive = &dirCache{}
-	}
-	return c
+	return &Client{id: id, dir: d, opts: opts.withDefaults()}
 }
 
 // backoff draws one jittered delay from the shared source.
@@ -197,57 +185,26 @@ func (d *Directory) KnownConfig() types.Config {
 	return d.cfg.Clone()
 }
 
-// dirCache is the mutable routing state a target choice needs: the cached
-// configuration, the one-shot leader hint, and the rotation cursor. The
-// Directory embeds one logically (shared by all sessions); a Naive session
-// carries a private one.
-type dirCache struct {
-	cfg    types.Config
-	leader types.NodeID
-	rr     int
-}
-
-func (dc *dirCache) next(seeds []types.NodeID) types.NodeID {
-	if dc.leader != "" && dc.cfg.IsMember(dc.leader) {
-		lead := dc.leader
-		dc.leader = "" // use it once; a failure falls back to rotation
+// nextTarget picks where to send the next attempt: the cached leader if it
+// is still a member (used once; a failure falls back to rotation), else
+// round-robin over the cached configuration, else the seeds.
+func (d *Directory) nextTarget() types.NodeID {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.leader != "" && d.cfg.IsMember(d.leader) {
+		lead := d.leader
+		d.leader = ""
 		return lead
 	}
-	pool := dc.cfg.Members
+	pool := d.cfg.Members
 	if len(pool) == 0 {
-		pool = seeds
+		pool = d.seeds
 	}
 	if len(pool) == 0 {
 		return ""
 	}
-	dc.rr++
-	return pool[dc.rr%len(pool)]
-}
-
-// observe folds reply hints into the cache; reports whether a strictly newer
-// configuration was adopted.
-func (dc *dirCache) observe(cfg types.Config, leader types.NodeID) bool {
-	adopted := false
-	if cfg.ID > dc.cfg.ID {
-		dc.cfg = cfg.Clone()
-		adopted = true
-	}
-	if leader != "" {
-		dc.leader = leader
-	}
-	return adopted
-}
-
-// nextTarget picks where to send the next attempt: the cached leader if it
-// is still a member, else round-robin over the cached configuration, else
-// the seeds.
-func (d *Directory) nextTarget() types.NodeID {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	dc := dirCache{cfg: d.cfg, leader: d.leader, rr: d.rr}
-	t := dc.next(d.seeds)
-	d.cfg, d.leader, d.rr = dc.cfg, dc.leader, dc.rr
-	return t
+	d.rr++
+	return pool[d.rr%len(pool)]
 }
 
 // observe folds hints from a reply into the shared cache. Adoption is
@@ -257,11 +214,13 @@ func (d *Directory) nextTarget() types.NodeID {
 func (d *Directory) observe(cfg types.Config, leader types.NodeID) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	dc := dirCache{cfg: d.cfg, leader: d.leader, rr: d.rr}
-	if dc.observe(cfg, leader) {
+	if cfg.ID > d.cfg.ID {
+		d.cfg = cfg.Clone()
 		d.adopts++
 	}
-	d.cfg, d.leader, d.rr = dc.cfg, dc.leader, dc.rr
+	if leader != "" {
+		d.leader = leader
+	}
 }
 
 // Client is a session against the replicated service, multiplexed over its
@@ -272,10 +231,6 @@ type Client struct {
 	id   types.NodeID
 	dir  *Directory
 	opts Options
-
-	// naive, when non-nil, is this session's private routing cache — the
-	// C1 ablation arm. The shared directory is bypassed entirely.
-	naive *dirCache
 
 	mu     sync.Mutex
 	ownDir bool // Close tears down dir too (New-created sessions)
@@ -320,45 +275,13 @@ func (c *Client) Stats() Stats {
 	return c.stats
 }
 
-// KnownConfig returns the cached configuration (the session-private one in
-// Naive mode, the shared one otherwise).
-func (c *Client) KnownConfig() types.Config {
-	if c.naive != nil {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return c.naive.cfg.Clone()
-	}
-	return c.dir.KnownConfig()
-}
-
-// target picks the next node to try.
-func (c *Client) target() types.NodeID {
-	if c.naive != nil {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return c.naive.next(c.dir.seeds)
-	}
-	return c.dir.nextTarget()
-}
-
-// observe folds reply hints into the routing cache.
-func (c *Client) observe(cfg types.Config, leader types.NodeID) {
-	if c.naive != nil {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		c.naive.observe(cfg, leader)
-		return
-	}
-	c.dir.observe(cfg, leader)
-}
+// KnownConfig returns the directory's cached configuration.
+func (c *Client) KnownConfig() types.Config { return c.dir.KnownConfig() }
 
 // retryDelay computes the pause before the next attempt: jittered
 // exponential backoff, floored by the server's RetryAfter hint when one was
-// given. The Naive ablation sleeps a fixed RetryBackoff and ignores hints.
+// given.
 func (c *Client) retryDelay(attempt int, hint time.Duration) time.Duration {
-	if c.opts.Naive {
-		return c.opts.RetryBackoff
-	}
 	var d time.Duration
 	if c.opts.NoJitter {
 		d = reconfig.BackoffDelay(attempt, c.opts.RetryBackoff, c.opts.RetryMax, nil)
@@ -412,7 +335,7 @@ func (c *Client) SubmitSeq(ctx context.Context, seq uint64, op []byte) ([]byte, 
 		return nil, err
 	}
 	for attempt := 1; ; attempt++ {
-		target := c.target()
+		target := c.dir.nextTarget()
 		if target == "" {
 			return giveUp(fmt.Errorf("client: no known nodes"))
 		}
@@ -429,7 +352,7 @@ func (c *Client) SubmitSeq(ctx context.Context, seq uint64, op []byte) ([]byte, 
 		} else if res, derr := reconfig.DecodeSubmitResult(resp); derr != nil {
 			maybeApplied = true
 		} else {
-			c.observe(res.Config, res.Leader)
+			c.dir.observe(res.Config, res.Leader)
 			switch res.Status {
 			case reconfig.SubmitApplied:
 				c.mu.Lock()
@@ -447,18 +370,15 @@ func (c *Client) SubmitSeq(ctx context.Context, seq uint64, op []byte) ([]byte, 
 				c.mu.Lock()
 				c.stats.Busy++
 				c.mu.Unlock()
-				if !c.opts.Naive {
-					hint = res.RetryAfter
-				}
+				hint = res.RetryAfter
 			default:
 				maybeApplied = true // unknown status: assume the worst
 			}
 		}
 		// The budget bounds clean refusals only: a maybe-applied command is
 		// pursued (same seq, dedup-idempotent) until a definitive reply or
-		// ctx expiry — abandoning it here would be a silent drop. The Naive
-		// ablation gives up regardless; C1 counts what that costs.
-		if c.opts.RetryBudget > 0 && attempt >= c.opts.RetryBudget && (!maybeApplied || c.opts.Naive) {
+		// ctx expiry — abandoning it here would be a silent drop.
+		if c.opts.RetryBudget > 0 && attempt >= c.opts.RetryBudget && !maybeApplied {
 			return giveUp(&BudgetError{Attempts: attempt, Ambiguous: maybeApplied})
 		}
 		select {
@@ -510,7 +430,7 @@ func (c *Client) ReadSeq(ctx context.Context, seq uint64, op []byte) ([]byte, er
 func (c *Client) Locate(ctx context.Context) (types.Config, error) {
 	req := reconfig.EncodeLocateRequest()
 	for attempt := 1; ; attempt++ {
-		target := c.target()
+		target := c.dir.nextTarget()
 		if target == "" {
 			return types.Config{}, fmt.Errorf("client: no known nodes")
 		}
@@ -519,7 +439,7 @@ func (c *Client) Locate(ctx context.Context) (types.Config, error) {
 		cancel()
 		if err == nil {
 			if res, derr := reconfig.DecodeLocateResult(resp); derr == nil && res.Config.ID != 0 {
-				c.observe(res.Config, res.Leader)
+				c.dir.observe(res.Config, res.Leader)
 				return res.Config, nil
 			}
 		}
@@ -535,7 +455,7 @@ func (c *Client) Locate(ctx context.Context) (types.Config, error) {
 func (c *Client) Reconfigure(ctx context.Context, members []types.NodeID) (types.Config, error) {
 	req := reconfig.EncodeReconfigRequest(members)
 	for attempt := 1; ; attempt++ {
-		target := c.target()
+		target := c.dir.nextTarget()
 		if target == "" {
 			return types.Config{}, fmt.Errorf("client: no known nodes")
 		}
@@ -547,7 +467,7 @@ func (c *Client) Reconfigure(ctx context.Context, members []types.NodeID) (types
 		if err == nil {
 			if res, derr := reconfig.DecodeReconfigResult(resp); derr == nil {
 				if res.OK {
-					c.observe(res.Config, "")
+					c.dir.observe(res.Config, "")
 					return res.Config, nil
 				}
 				// Not-serving nodes report a reason; rotate and retry.
@@ -565,7 +485,7 @@ func (c *Client) Reconfigure(ctx context.Context, members []types.NodeID) (types
 func (c *Client) Chain(ctx context.Context) (reconfig.ChainResult, error) {
 	req := reconfig.EncodeChainRequest()
 	for attempt := 1; ; attempt++ {
-		target := c.target()
+		target := c.dir.nextTarget()
 		if target == "" {
 			return reconfig.ChainResult{}, fmt.Errorf("client: no known nodes")
 		}

@@ -125,7 +125,7 @@ func TestClientIgnoresStaleConfigHint(t *testing.T) {
 	})
 	c := New("c1", net.Endpoint("c1"), []types.NodeID{"n1"}, Options{})
 	defer c.Close()
-	c.observe(cfg3, "")
+	c.dir.observe(cfg3, "")
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

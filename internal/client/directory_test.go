@@ -83,32 +83,6 @@ func TestDirectoryAdoptsExactlyOnce(t *testing.T) {
 	}
 }
 
-// A Naive session keeps a private cache and leaves the directory untouched —
-// the ablation arm must not accidentally benefit from sharing.
-func TestNaiveSessionBypassesDirectory(t *testing.T) {
-	net := transport.NewNetwork(transport.Options{})
-	defer net.Close()
-	cfg := types.MustConfig(2, "n1")
-	newFakeNode(t, net, "n1", func(cmd types.Command) reconfig.SubmitResult {
-		return applied([]byte("ok"), cfg, "n1")
-	})
-	dir := NewDirectory(net.Endpoint("c"), []types.NodeID{"n1"})
-	defer dir.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	s := dir.Session("c1", Options{Naive: true})
-	if _, err := s.Submit(ctx, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if s.KnownConfig().ID != 2 {
-		t.Fatalf("naive session did not cache locally: %v", s.KnownConfig())
-	}
-	if dir.KnownConfig().ID != 0 {
-		t.Fatalf("naive session leaked into the directory: %v", dir.KnownConfig())
-	}
-}
-
 // Schedule pinning: with jitter off, the delays between attempts follow
 // BackoffDelay's deterministic midpoints exactly, and a server RetryAfter
 // hint floors the delay.
@@ -132,11 +106,6 @@ func TestClientBackoffSchedule(t *testing.T) {
 	}
 	if got := c.retryDelay(4, time.Millisecond); got != 16*time.Millisecond {
 		t.Fatalf("short hint shortened backoff: %v", got)
-	}
-	// The naive ablation sleeps a fixed interval and ignores hints.
-	n := dir.Session("c2", Options{RetryBackoff: 5 * time.Millisecond, Naive: true})
-	if got := n.retryDelay(7, 50*time.Millisecond); got != 5*time.Millisecond {
-		t.Fatalf("naive delay %v, want fixed 5ms", got)
 	}
 }
 
@@ -183,9 +152,7 @@ func TestClientBudgetExhaustedOnBusyIsClean(t *testing.T) {
 
 // A timed-out attempt makes the command maybe-applied, and the smart client
 // must NOT abandon it at the retry budget — it pursues the same sequence
-// number until the context expires, then records Info (never Fail). The
-// Naive ablation gives up at the budget with an ambiguous BudgetError —
-// exactly the silent drop the C1 megaload experiment counts against it.
+// number until the context expires, then records Info (never Fail).
 func TestClientPursuesAmbiguousPastBudget(t *testing.T) {
 	net := transport.NewNetwork(transport.Options{})
 	defer net.Close()
@@ -213,29 +180,6 @@ func TestClientPursuesAmbiguousPastBudget(t *testing.T) {
 	_, infoN, failN := rec.Counts()
 	if infoN != 1 || failN != 0 {
 		t.Fatalf("ambiguous op must record info: info=%d fail=%d", infoN, failN)
-	}
-
-	nrec := history.New()
-	n := dir.Session("c2", Options{
-		AttemptTimeout: 10 * time.Millisecond,
-		RetryBackoff:   time.Millisecond,
-		RetryBudget:    2,
-		Naive:          true,
-		Recorder:       nrec,
-	})
-	nctx, ncancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer ncancel()
-	_, err = n.Submit(nctx, []byte("x"))
-	var be *BudgetError
-	if !errors.As(err, &be) {
-		t.Fatalf("naive: want BudgetError, got %v", err)
-	}
-	if !be.Ambiguous || be.Attempts != 2 {
-		t.Fatalf("naive budget exhaustion: %+v, want ambiguous after 2", be)
-	}
-	_, infoN, failN = nrec.Counts()
-	if infoN != 1 || failN != 0 {
-		t.Fatalf("naive ambiguous op must record info: info=%d fail=%d", infoN, failN)
 	}
 }
 

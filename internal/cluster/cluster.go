@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -33,8 +32,8 @@ type Config struct {
 	Node reconfig.Options
 	// Factory builds each node's state machine.
 	Factory statemachine.Factory
-	// Storage selects each node's backend: "mem" (default), "file"
-	// (one file per key) or "wal" (segmented group-commit log).
+	// Storage selects each node's backend: StorageMem (default) or
+	// StorageWAL.
 	Storage string
 	// StorageDir roots the on-disk backends, one subdirectory per node.
 	// Empty means a fresh OS temp directory removed on Close.
@@ -69,7 +68,7 @@ type Cluster struct {
 	mu         sync.Mutex
 	nodes      map[types.NodeID]*reconfig.Node
 	stores     map[types.NodeID]storage.Store
-	tempDir    string // created when StorageDir was empty; removed on Close
+	backing    Stores // opens the stores above and owns their files
 	clients    []*client.Client
 	nextClient int
 	seeds      []types.NodeID
@@ -86,48 +85,16 @@ func New(cfg Config) *Cluster {
 		newNet = transport.NewTCPNetwork
 	}
 	return &Cluster{
-		cfg:    cfg,
-		net:    newNet(cfg.Transport),
-		nodes:  make(map[types.NodeID]*reconfig.Node),
-		stores: make(map[types.NodeID]storage.Store),
+		cfg:     cfg,
+		net:     newNet(cfg.Transport),
+		nodes:   make(map[types.NodeID]*reconfig.Node),
+		stores:  make(map[types.NodeID]storage.Store),
+		backing: cfg.stores(),
 	}
 }
 
-// openStoreLocked builds one node's backend per the cluster config.
-func (c *Cluster) openStoreLocked(id types.NodeID) (storage.Store, error) {
-	switch c.cfg.Storage {
-	case "", "mem":
-		return storage.NewMem(), nil
-	case "file":
-		dir, err := c.storeDirLocked(id)
-		if err != nil {
-			return nil, err
-		}
-		return storage.OpenFile(dir, storage.FileOptions{SyncWrites: c.cfg.SyncWrites})
-	case "wal":
-		dir, err := c.storeDirLocked(id)
-		if err != nil {
-			return nil, err
-		}
-		return storage.OpenWALStore(dir, storage.WALStoreOptions{SyncWrites: c.cfg.SyncWrites})
-	default:
-		return nil, fmt.Errorf("cluster: unknown storage backend %q", c.cfg.Storage)
-	}
-}
-
-func (c *Cluster) storeDirLocked(id types.NodeID) (string, error) {
-	root := c.cfg.StorageDir
-	if root == "" {
-		if c.tempDir == "" {
-			dir, err := os.MkdirTemp("", "rsmd-store-*")
-			if err != nil {
-				return "", fmt.Errorf("cluster: storage dir: %w", err)
-			}
-			c.tempDir = dir
-		}
-		root = c.tempDir
-	}
-	return filepath.Join(root, string(id)), nil
+func (cfg Config) stores() Stores {
+	return Stores{Backend: cfg.Storage, Dir: cfg.StorageDir, SyncWrites: cfg.SyncWrites}
 }
 
 // Close stops every node and client and tears down the network.
@@ -143,11 +110,6 @@ func (c *Cluster) Close() {
 		nodes = append(nodes, n)
 	}
 	clients := c.clients
-	stores := make([]storage.Store, 0, len(c.stores))
-	for _, st := range c.stores {
-		stores = append(stores, st)
-	}
-	tempDir := c.tempDir
 	c.mu.Unlock()
 	for _, cl := range clients {
 		cl.Close()
@@ -156,17 +118,7 @@ func (c *Cluster) Close() {
 		n.Stop()
 	}
 	c.net.Close()
-	for _, st := range stores {
-		switch s := st.(type) {
-		case *storage.FileStore:
-			s.Close()
-		case *storage.WALStore:
-			_ = s.Close()
-		}
-	}
-	if tempDir != "" {
-		_ = os.RemoveAll(tempDir)
-	}
+	c.backing.Close() // closed is set: nothing opens a store any more
 }
 
 // Network exposes the underlying simulated network for fault injection and
@@ -179,7 +131,7 @@ func (c *Cluster) newNodeLocked(id types.NodeID) (*reconfig.Node, error) {
 	st, ok := c.stores[id]
 	if !ok {
 		var err error
-		if st, err = c.openStoreLocked(id); err != nil {
+		if st, err = c.backing.Open(id); err != nil {
 			return nil, err
 		}
 		c.stores[id] = st

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -40,7 +38,7 @@ type GroupManager struct {
 	mu      sync.Mutex
 	procs   map[types.NodeID]*managedProc
 	groups  map[types.GroupID]*groupRun
-	tempDir string
+	backing Stores // opens each process's shared store and owns its files
 	closed  bool
 }
 
@@ -91,10 +89,11 @@ func NewGroupManager(cfg Config) *GroupManager {
 		newNet = transport.NewTCPNetwork
 	}
 	return &GroupManager{
-		cfg:    cfg,
-		net:    newNet(cfg.Transport),
-		procs:  make(map[types.NodeID]*managedProc),
-		groups: make(map[types.GroupID]*groupRun),
+		cfg:     cfg,
+		net:     newNet(cfg.Transport),
+		procs:   make(map[types.NodeID]*managedProc),
+		groups:  make(map[types.GroupID]*groupRun),
+		backing: cfg.stores(),
 	}
 }
 
@@ -113,49 +112,13 @@ func (m *GroupManager) AddProcess(id types.NodeID) error {
 	if _, ok := m.procs[id]; ok {
 		return nil
 	}
-	st, err := m.openProcStoreLocked(id)
+	st, err := m.backing.Open(id)
 	if err != nil {
 		return err
 	}
 	m.net.Endpoint(id)
 	m.procs[id] = &managedProc{id: id, store: st}
 	return nil
-}
-
-func (m *GroupManager) openProcStoreLocked(id types.NodeID) (storage.Store, error) {
-	switch m.cfg.Storage {
-	case "", "mem":
-		return storage.NewMem(), nil
-	case "file":
-		dir, err := m.procDirLocked(id)
-		if err != nil {
-			return nil, err
-		}
-		return storage.OpenFile(dir, storage.FileOptions{SyncWrites: m.cfg.SyncWrites})
-	case "wal":
-		dir, err := m.procDirLocked(id)
-		if err != nil {
-			return nil, err
-		}
-		return storage.OpenWALStore(dir, storage.WALStoreOptions{SyncWrites: m.cfg.SyncWrites})
-	default:
-		return nil, fmt.Errorf("cluster: unknown storage backend %q", m.cfg.Storage)
-	}
-}
-
-func (m *GroupManager) procDirLocked(id types.NodeID) (string, error) {
-	root := m.cfg.StorageDir
-	if root == "" {
-		if m.tempDir == "" {
-			dir, err := os.MkdirTemp("", "rsmd-groups-*")
-			if err != nil {
-				return "", fmt.Errorf("cluster: storage dir: %w", err)
-			}
-			m.tempDir = dir
-		}
-		root = m.tempDir
-	}
-	return filepath.Join(root, string(id)), nil
 }
 
 // newReplicaLocked builds one group replica on one process: a reconfig.Node
@@ -631,25 +594,10 @@ func (m *GroupManager) Close() {
 			nodes = append(nodes, n)
 		}
 	}
-	var stores []storage.Store
-	for _, p := range m.procs {
-		stores = append(stores, p.store)
-	}
-	tempDir := m.tempDir
 	m.mu.Unlock()
 	for _, n := range nodes {
 		n.Stop()
 	}
 	m.net.Close()
-	for _, st := range stores {
-		switch s := st.(type) {
-		case *storage.FileStore:
-			s.Close()
-		case *storage.WALStore:
-			_ = s.Close()
-		}
-	}
-	if tempDir != "" {
-		_ = os.RemoveAll(tempDir)
-	}
+	m.backing.Close() // closed is set: nothing opens a store any more
 }

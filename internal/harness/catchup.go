@@ -50,7 +50,7 @@ func RunK1Catchup(tuning Tuning, stateBytes, lagSlots, clients int) (K1Result, e
 	res := K1Result{StateBytes: stateBytes, LagTarget: lagSlots}
 	for _, ckpt := range []bool{true, false} {
 		t := tuning
-		t.NoCheckpoints = !ckpt
+		t.Node.NoCheckpoints = !ckpt
 		row, err := runK1Arm(t, stateBytes, lagSlots, clients)
 		if err != nil {
 			return res, fmt.Errorf("k1 checkpoints=%v: %w", ckpt, err)

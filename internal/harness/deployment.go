@@ -13,14 +13,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
 	"repro/internal/baseline/inband"
 	"repro/internal/baseline/stw"
-	"repro/internal/paxos"
+	"repro/internal/cluster"
 	"repro/internal/reconfig"
 	"repro/internal/statemachine"
 	"repro/internal/storage"
@@ -74,74 +72,30 @@ type Deployment interface {
 	Close()
 }
 
-// Tuning holds the timing shared by every deployment in an experiment.
+// Tuning holds what every deployment in an experiment shares. Node is the
+// composed system's options, set by the experiments directly
+// (t.Node.Paxos.Pipeline, t.Node.SpeculativeStart, ...); the two baselines
+// read their engine timing and retry interval from it too.
 type Tuning struct {
-	Net      transport.Options
-	Tick     time.Duration
-	Retry    time.Duration
-	Alpha    int  // inband only
-	SpecOff  bool // composed only: disable speculative engine start
-	MaxDepth int  // paxos hard inflight cap (0 = default)
-	Batch    int  // paxos commands per slot (0 = default; A1 ablation)
-	// Pipeline is the proposer's working window: how many slots a leader
-	// keeps concurrently in flight (0 = paxos default; W1 sweep).
-	Pipeline int
-	// SerialApply restores the composed system's coupled decide/apply path
-	// (every command executed under the node mutex) — the W1 ablation
-	// baseline the sharded parallel apply is measured against.
-	SerialApply bool
+	Net   transport.Options
+	Alpha int // inband only
+	Node  reconfig.Options
 
-	// SubmitQueue bounds each composed node's pending proposal queue
-	// (admission control; 0 = reconfig default).
-	SubmitQueue int
-	// NoAdmission disables the composed system's admission control — the
-	// C1 ablation: overload silently queues instead of shedding.
-	NoAdmission bool
-	// SessionLimit bounds each composed node's session dedup table to an
-	// LRU of this many sessions (0 = unbounded).
-	SessionLimit int
-
-	// CheckpointInterval overrides the composed system's
-	// within-configuration checkpoint interval in slots (0 = reconfig
-	// default).
-	CheckpointInterval int
-	// CatchupGapSlots overrides the decision gap beyond which a composed
-	// node fetches a checkpoint instead of replaying the log (0 = reconfig
-	// default).
-	CatchupGapSlots int
-	// NoCheckpoints disables the composed system's within-configuration
-	// checkpoints, log truncation and checkpoint catch-up — the K1
-	// ablation: a lagging member replays the full log slot by slot.
-	NoCheckpoints bool
-
-	// Reads selects the composed system's read-serving mode (log, read-index
-	// or leases); 0 keeps the reconfig default (read-index).
-	Reads reconfig.ReadMode
-	// LeaseTicks overrides the lease term when Reads is ReadModeLease.
-	LeaseTicks int
-
-	// Storage selects each node's backend: StorageMem (default), StorageFile
-	// or StorageWAL. On-disk backends make the durability experiments real:
+	// Storage selects each node's backend: cluster.StorageMem (default) or
+	// cluster.StorageWAL, which makes the durability experiments real:
 	// acceptor state actually hits the filesystem.
 	Storage string
-	// StorageDir roots the on-disk backends (one subdirectory per node).
+	// StorageDir roots the on-disk backend (one subdirectory per node).
 	// Empty means a fresh OS temp directory, removed when the deployment
 	// closes.
 	StorageDir string
-	// SyncWrites makes on-disk backends fsync before acknowledging writes —
-	// the real acceptor durability contract.
+	// SyncWrites makes the on-disk backend fsync before acknowledging writes
+	// — the real acceptor durability contract.
 	SyncWrites bool
 }
 
-// Storage backend names accepted by Tuning.Storage and the CLI flags.
-const (
-	StorageMem  = "mem"
-	StorageFile = "file"
-	StorageWAL  = "wal"
-)
-
-// DefaultTuning is the experiment-wide timing preset: ~200µs one-way links
-// with 100µs jitter and 1ms consensus ticks.
+// DefaultTuning is the experiment-wide preset: ~200µs one-way links with
+// 100µs jitter and cluster.FastOptions' node timing (1ms consensus ticks).
 func DefaultTuning() Tuning {
 	return Tuning{
 		Net: transport.Options{
@@ -149,22 +103,13 @@ func DefaultTuning() Tuning {
 			Jitter:      100 * time.Microsecond,
 			Seed:        1,
 		},
-		Tick:  time.Millisecond,
-		Retry: 10 * time.Millisecond,
 		Alpha: 4,
+		Node:  cluster.FastOptions(),
 	}
 }
 
-func (t Tuning) paxosOpts() paxos.Options {
-	return paxos.Options{
-		TickInterval:         t.Tick,
-		HeartbeatEveryTicks:  2,
-		ElectionTimeoutTicks: 10,
-		ElectionJitterTicks:  10,
-		MaxInflight:          t.MaxDepth,
-		BatchSize:            t.Batch,
-		Pipeline:             t.Pipeline,
-	}
+func (t Tuning) stores() cluster.Stores {
+	return cluster.Stores{Backend: t.Storage, Dir: t.StorageDir, SyncWrites: t.SyncWrites}
 }
 
 // NewDeployment builds a deployment of the given kind with `initial` as
@@ -185,84 +130,11 @@ func NewDeployment(kind SystemKind, tuning Tuning, factory statemachine.Factory,
 // errNotNow signals "this node can't serve right now; try another/again".
 var errNotNow = errors.New("harness: node unavailable")
 
-// storeProvisioner builds per-node stores for one deployment according to
-// the tuning and owns whatever backs them (file handles, a temp directory).
-// It is used single-threaded during construction and again at Close.
-type storeProvisioner struct {
-	tuning  Tuning
-	root    string
-	tempDir bool
-	closers []func()
-}
-
-func newStoreProvisioner(t Tuning) *storeProvisioner {
-	return &storeProvisioner{tuning: t}
-}
-
-// open builds the store for one node.
-func (p *storeProvisioner) open(id types.NodeID) (storage.Store, error) {
-	switch p.tuning.Storage {
-	case "", StorageMem:
-		return storage.NewMem(), nil
-	case StorageFile:
-		dir, err := p.nodeDir(id)
-		if err != nil {
-			return nil, err
-		}
-		s, err := storage.OpenFile(dir, storage.FileOptions{SyncWrites: p.tuning.SyncWrites})
-		if err != nil {
-			return nil, err
-		}
-		p.closers = append(p.closers, s.Close)
-		return s, nil
-	case StorageWAL:
-		dir, err := p.nodeDir(id)
-		if err != nil {
-			return nil, err
-		}
-		s, err := storage.OpenWALStore(dir, storage.WALStoreOptions{SyncWrites: p.tuning.SyncWrites})
-		if err != nil {
-			return nil, err
-		}
-		p.closers = append(p.closers, func() { _ = s.Close() })
-		return s, nil
-	default:
-		return nil, fmt.Errorf("harness: unknown storage backend %q", p.tuning.Storage)
-	}
-}
-
-func (p *storeProvisioner) nodeDir(id types.NodeID) (string, error) {
-	if p.root == "" {
-		if p.tuning.StorageDir != "" {
-			p.root = p.tuning.StorageDir
-		} else {
-			dir, err := os.MkdirTemp("", "rsm-store-*")
-			if err != nil {
-				return "", fmt.Errorf("harness: storage dir: %w", err)
-			}
-			p.root = dir
-			p.tempDir = true
-		}
-	}
-	return filepath.Join(p.root, string(id)), nil
-}
-
-// close releases every store opened and removes the temp root, if any.
-func (p *storeProvisioner) close() {
-	for _, c := range p.closers {
-		c()
-	}
-	p.closers = nil
-	if p.tempDir && p.root != "" {
-		_ = os.RemoveAll(p.root)
-	}
-}
-
 // --- composed -----------------------------------------------------------------
 
 type composedDep struct {
 	net     *transport.Network
-	stores  *storeProvisioner
+	stores  cluster.Stores
 	factory statemachine.Factory
 	opts    reconfig.Options
 	nodes   map[types.NodeID]*reconfig.Node
@@ -276,8 +148,9 @@ type composedDep struct {
 func newComposed(t Tuning, factory statemachine.Factory, initial, spares []types.NodeID) (*composedDep, error) {
 	d := &composedDep{
 		net:     transport.NewNetwork(t.Net),
-		stores:  newStoreProvisioner(t),
+		stores:  t.stores(),
 		factory: factory,
+		opts:    t.Node,
 		nodes:   make(map[types.NodeID]*reconfig.Node),
 		byStore: make(map[types.NodeID]storage.Store),
 		order:   types.CloneNodeIDs(initial),
@@ -286,30 +159,8 @@ func newComposed(t Tuning, factory statemachine.Factory, initial, spares []types
 	if err != nil {
 		return nil, err
 	}
-	spec := reconfig.SpecOn
-	if t.SpecOff {
-		spec = reconfig.SpecOff
-	}
-	d.opts = reconfig.Options{
-		Paxos:              t.paxosOpts(),
-		RetryInterval:      t.Retry,
-		LingerOld:          500 * time.Millisecond,
-		FetchTimeout:       150 * time.Millisecond,
-		StaleJumpTicks:     15,
-		GossipTicks:        20,
-		SpeculativeStart:   spec,
-		Reads:              t.Reads,
-		LeaseTicks:         t.LeaseTicks,
-		SerialApply:        t.SerialApply,
-		SubmitQueue:        t.SubmitQueue,
-		NoAdmission:        t.NoAdmission,
-		SessionLimit:       t.SessionLimit,
-		CheckpointInterval: t.CheckpointInterval,
-		CatchupGapSlots:    t.CatchupGapSlots,
-		NoCheckpoints:      t.NoCheckpoints,
-	}
 	boot := func(id types.NodeID, member bool) error {
-		st, err := d.stores.open(id)
+		st, err := d.stores.Open(id)
 		if err != nil {
 			return err
 		}
@@ -583,7 +434,7 @@ func (d *composedDep) Close() {
 		n.Stop()
 	}
 	d.net.Close()
-	d.stores.close()
+	d.stores.Close()
 }
 
 // Nodes exposes the composed deployment's node map for experiments that
@@ -650,7 +501,7 @@ func (d *composedDep) Leader() types.NodeID {
 
 type stwDep struct {
 	net    *transport.Network
-	stores *storeProvisioner
+	stores cluster.Stores
 	svcs   map[types.NodeID]*stw.Service
 	mu     sync.Mutex
 	cur    types.Config
@@ -660,7 +511,7 @@ type stwDep struct {
 func newSTW(t Tuning, factory statemachine.Factory, initial, spares []types.NodeID) (*stwDep, error) {
 	d := &stwDep{
 		net:    transport.NewNetwork(t.Net),
-		stores: newStoreProvisioner(t),
+		stores: t.stores(),
 		svcs:   make(map[types.NodeID]*stw.Service),
 	}
 	cfg, err := types.NewConfig(1, initial)
@@ -669,7 +520,7 @@ func newSTW(t Tuning, factory statemachine.Factory, initial, spares []types.Node
 	}
 	d.cur = cfg
 	for _, id := range append(append([]types.NodeID{}, initial...), spares...) {
-		st, err := d.stores.open(id)
+		st, err := d.stores.Open(id)
 		if err != nil {
 			d.Close()
 			return nil, err
@@ -679,8 +530,8 @@ func newSTW(t Tuning, factory statemachine.Factory, initial, spares []types.Node
 			Endpoint:      d.net.Endpoint(id),
 			Store:         st,
 			Factory:       factory,
-			Paxos:         t.paxosOpts(),
-			RetryInterval: t.Retry,
+			Paxos:         t.Node.Paxos,
+			RetryInterval: t.Node.RetryInterval,
 		})
 		if err != nil {
 			d.Close()
@@ -752,14 +603,14 @@ func (d *stwDep) Close() {
 		svc.Stop()
 	}
 	d.net.Close()
-	d.stores.close()
+	d.stores.Close()
 }
 
 // --- inband -------------------------------------------------------------------------
 
 type inbandDep struct {
 	net    *transport.Network
-	stores *storeProvisioner
+	stores cluster.Stores
 	svcs   map[types.NodeID]*inband.Service
 	mu     sync.Mutex
 	cur    []types.NodeID
@@ -769,7 +620,7 @@ type inbandDep struct {
 func newInband(t Tuning, factory statemachine.Factory, initial, spares []types.NodeID) (*inbandDep, error) {
 	d := &inbandDep{
 		net:    transport.NewNetwork(t.Net),
-		stores: newStoreProvisioner(t),
+		stores: t.stores(),
 		svcs:   make(map[types.NodeID]*inband.Service),
 		cur:    types.CloneNodeIDs(initial),
 	}
@@ -778,7 +629,7 @@ func newInband(t Tuning, factory statemachine.Factory, initial, spares []types.N
 		return nil, err
 	}
 	for _, id := range append(append([]types.NodeID{}, initial...), spares...) {
-		st, err := d.stores.open(id)
+		st, err := d.stores.Open(id)
 		if err != nil {
 			d.Close()
 			return nil, err
@@ -791,12 +642,12 @@ func newInband(t Tuning, factory statemachine.Factory, initial, spares []types.N
 			Initial:  cfg,
 			Opts: inband.Options{
 				Alpha:                t.Alpha,
-				TickInterval:         t.Tick,
-				HeartbeatEveryTicks:  2,
-				ElectionTimeoutTicks: 10,
-				ElectionJitterTicks:  10,
+				TickInterval:         t.Node.Paxos.TickInterval,
+				HeartbeatEveryTicks:  t.Node.Paxos.HeartbeatEveryTicks,
+				ElectionTimeoutTicks: t.Node.Paxos.ElectionTimeoutTicks,
+				ElectionJitterTicks:  t.Node.Paxos.ElectionJitterTicks,
 			},
-			RetryInterval: t.Retry,
+			RetryInterval: t.Node.RetryInterval,
 		})
 		if err != nil {
 			d.Close()
@@ -861,5 +712,5 @@ func (d *inbandDep) Close() {
 		svc.Stop()
 	}
 	d.net.Close()
-	d.stores.close()
+	d.stores.Close()
 }

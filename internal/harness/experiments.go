@@ -8,6 +8,8 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cluster"
+	"repro/internal/reconfig"
 	"repro/internal/statemachine"
 	"repro/internal/stats"
 	"repro/internal/types"
@@ -331,8 +333,7 @@ type T1DurableResult struct {
 
 // RunT1Durable measures the static engine at one cluster size across storage
 // backends. On-disk backends run with SyncWrites so every accept pays for
-// durability before replying — this is where the WAL's group commit separates
-// from file-per-key persistence.
+// durability before replying.
 func RunT1Durable(tuning Tuning, backends []string, n int, dur time.Duration, clients int) (T1DurableResult, error) {
 	res := T1DurableResult{N: n}
 	for _, backend := range backends {
@@ -340,7 +341,7 @@ func RunT1Durable(tuning Tuning, backends []string, n int, dur time.Duration, cl
 		tb := tuning
 		tb.Storage = backend
 		tb.StorageDir = "" // fresh temp dir per backend run
-		tb.SyncWrites = backend != StorageMem
+		tb.SyncWrites = backend != cluster.StorageMem
 		dep, err := NewDeployment(StopTheWorld, tb, statemachine.NewKVMachine, nodeNames("n", n), nil)
 		if err != nil {
 			return res, err
@@ -543,7 +544,9 @@ func RunF2StateTransfer(tuning Tuning, sizes []int, dur time.Duration, clients i
 	for _, size := range sizes {
 		for _, spec := range []bool{true, false} {
 			t := tuning
-			t.SpecOff = !spec
+			if !spec {
+				t.Node.SpeculativeStart = reconfig.SpecOff
+			}
 			r, err := RunDisruptionTo(Composed, t, dur, clients, size, spares, spares)
 			if err != nil {
 				return res, fmt.Errorf("size %d spec %v: %w", size, spec, err)
@@ -658,7 +661,9 @@ func RunR2ReconfigShootout(tuning Tuning, stateBytes int, dur time.Duration, cli
 	}
 	for _, v := range variants {
 		t := tuning
-		t.SpecOff = v.kind == Composed && !v.spec
+		if v.kind == Composed && !v.spec {
+			t.Node.SpeculativeStart = reconfig.SpecOff
+		}
 		spares, target := fullSpares, fullSpares
 		if !v.full {
 			spares, target = swapSpares, swapTarget
@@ -967,7 +972,7 @@ func RunA1Batching(tuning Tuning, batchSizes []int, dur time.Duration, clients i
 	for _, b := range batchSizes {
 		runtime.GC()
 		t := tuning
-		t.Batch = b
+		t.Node.Paxos.BatchSize = b
 		dep, err := NewDeployment(StopTheWorld, t, statemachine.NewKVMachine, nodeNames("n", 3), nil)
 		if err != nil {
 			return res, err

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/statemachine"
 	"repro/internal/types"
 	"repro/internal/workload"
@@ -169,6 +170,32 @@ func TestRunT1Smoke(t *testing.T) {
 	}
 	if out := res.Render(); !strings.Contains(out, "replicas") {
 		t.Fatal("render broken")
+	}
+}
+
+// TestRunDurableTablesSmoke runs the two tables that lost a retired arm — T1D
+// (mem and wal rows) and W1 (one row per pipeline depth) — on real WAL
+// directories, and checks each still has a row per cell with load on it.
+func TestRunDurableTablesSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment smoke test")
+	}
+	t1d, err := RunT1Durable(shortTuning(), []string{cluster.StorageMem, cluster.StorageWAL}, 3, 300*time.Millisecond, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(t1d.Rows) != 2 || t1d.Rows[1].Backend != cluster.StorageWAL || t1d.Rows[1].Throughput <= 0 {
+		t.Fatalf("%+v", t1d)
+	}
+	w1, err := RunW1WritePath(shortTuning(), []int{1, 4}, 300*time.Millisecond, 8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(w1.Rows) != 2 || w1.Rows[1].Pipeline != 4 || w1.Rows[1].Throughput <= 0 {
+		t.Fatalf("%+v", w1)
+	}
+	if out := t1d.Render() + w1.Render(); !strings.Contains(out, "backend") || !strings.Contains(out, "depth") {
+		t.Fatalf("render broken:\n%s", out)
 	}
 }
 
@@ -341,8 +368,8 @@ func TestRunK1CatchupSmoke(t *testing.T) {
 		t.Skip("experiment smoke test")
 	}
 	tun := shortTuning()
-	tun.CheckpointInterval = 300
-	tun.CatchupGapSlots = 600
+	tun.Node.CheckpointInterval = 300
+	tun.Node.CatchupGapSlots = 600
 	res, err := RunK1Catchup(tun, 64<<10, 2000, 8)
 	if err != nil {
 		t.Fatal(err)

@@ -24,11 +24,11 @@ import (
 // Rejected (budget exhausted, every attempt answered with a redirect or a
 // shed: provably never executed), Silent (abandoned with at least one
 // unanswered attempt: outcome unknown), or Unresolved (still in flight when
-// the drain deadline passed). The smart arm's contract is Silent == 0, and it
-// holds structurally: the smart client's budget bounds clean refusals only —
-// a maybe-applied command is pursued under its sequence number until a
-// definitive reply — so only the naive ablation, which gives up at its budget
-// regardless, can lose track of an op without saying so.
+// the drain deadline passed). The contract is Silent == 0, and it holds
+// structurally: the client's budget bounds clean refusals only — a
+// maybe-applied command is pursued under its sequence number until a
+// definitive reply. (The naive client that gave up at its budget regardless,
+// against servers without admission control, is a retired arm: EXPERIMENTS.md.)
 type MegaStats struct {
 	Label      string
 	Acked      int64
@@ -47,27 +47,24 @@ type MegaStats struct {
 	ShedSubmits     int64 // server-side submits bounced by admission control
 	SubmitQueueHigh int64 // max proposal-queue high water over all nodes
 	DroppedInbound  int64 // engine inbox overflows (silent message loss)
-	Adopts          int64 // directory config adoptions (smart arm only)
+	Adopts          int64 // directory config adoptions
 	Reconfigs       int   // storm steps that committed
 	ReconfigErrs    int   // storm steps that failed or conflicted
 	Violations      int64
 }
 
-// C1Result pairs the smart arm (shared directory, jittered backoff, servers
-// shedding past the admission bound) with the naive ablation (per-session
-// config cache, fixed backoff, hints ignored, servers queueing unboundedly).
+// C1Result is the megaload accounting of the system as shipped: shared
+// directory, jittered backoff, servers shedding past the admission bound.
 type C1Result struct {
 	Sessions int
 	Rate     float64
 	Duration time.Duration
 	Smart    MegaStats
-	Naive    MegaStats
 }
 
-// megaCfg parameterizes one arm of the megaload driver.
+// megaCfg parameterizes one run of the megaload driver.
 type megaCfg struct {
 	label      string
-	naive      bool // naive clients AND NoAdmission servers (the C1 ablation)
 	sessions   int
 	rate       float64 // offered load, ops/s across all sessions
 	dur        time.Duration
@@ -82,48 +79,31 @@ type megaCfg struct {
 }
 
 // RunC1Megaload runs experiment C1: `sessions` open-loop client sessions
-// offer `rate` ops/s through a reconfiguration storm, once with the smart
-// client + admission control and once with the naive ablation.
+// offer `rate` ops/s through a reconfiguration storm.
 func RunC1Megaload(tun Tuning, sessions int, rate float64, dur time.Duration) (C1Result, error) {
-	if tun.SubmitQueue == 0 {
-		tun.SubmitQueue = 512
-	}
 	res := C1Result{Sessions: sessions, Rate: rate, Duration: dur}
-	base := megaCfg{
+	var err error
+	res.Smart, err = runMegaArm(tun, megaCfg{
+		label:      "smart",
 		sessions:   sessions,
 		rate:       rate,
 		dur:        dur,
 		stormEvery: 400 * time.Millisecond,
 		drain:      20 * time.Second,
 		budget:     12,
-	}
-	smart := base
-	smart.label = "smart"
-	st, err := runMegaArm(tun, smart)
-	if err != nil {
-		return res, err
-	}
-	res.Smart = st
-	naive := base
-	naive.label = "naive"
-	naive.naive = true
-	nv, err := runMegaArm(tun, naive)
-	if err != nil {
-		return res, err
-	}
-	res.Naive = nv
-	return res, nil
+	})
+	return res, err
 }
 
-// runMegaArm drives one arm: a 5-node pool (3 members + 2 spares), a client
+// runMegaArm drives one run: a 5-node pool (3 members + 2 spares), a client
 // endpoint on the same simulated network, S sessions multiplexed over one
 // Directory, and a global open-loop op schedule — op k is *intended* at
 // start + k/rate and charged from that instant no matter how late the
 // dispatcher or the service ran (coordinated-omission-safe).
 func runMegaArm(tun Tuning, cfg megaCfg) (MegaStats, error) {
 	out := MegaStats{Label: cfg.label}
-	if cfg.naive {
-		tun.NoAdmission = true
+	if tun.Node.SubmitQueue == 0 {
+		tun.Node.SubmitQueue = 512
 	}
 	pool := nodeNames("n", 5)
 	initial := pool[:3]
@@ -151,15 +131,13 @@ func runMegaArm(tun Tuning, cfg megaCfg) (MegaStats, error) {
 	}
 	// The backoff ceiling matters under sustained overload: shed ops must
 	// retreat to second-scale retries or the retry traffic itself melts the
-	// service. The naive arm's fixed 5ms sleep (hints ignored) is exactly
-	// that melt — part of what the ablation measures.
+	// service.
 	copts := client.Options{
 		AttemptTimeout: 2 * time.Second,
 		Resend:         20 * time.Millisecond,
 		RetryBackoff:   5 * time.Millisecond,
 		RetryMax:       2 * time.Second,
 		RetryBudget:    cfg.budget,
-		Naive:          cfg.naive,
 		Recorder:       cfg.rec,
 	}
 	sessions := make([]*client.Client, cfg.sessions)
@@ -220,7 +198,7 @@ func runMegaArm(tun Tuning, cfg megaCfg) (MegaStats, error) {
 	// Enough workers that the swarm's in-flight concurrency is bounded by
 	// the service, not the harness: an open-loop swarm must be able to pile
 	// up far past the server-side queue bound, or the worker pool itself
-	// becomes a flow-control valve the naive ablation gets to hide behind.
+	// becomes a flow-control valve that hides the overload.
 	workers := cfg.sessions / 4
 	if workers < 256 {
 		workers = 256
@@ -346,8 +324,8 @@ func (r C1Result) Render() string {
 		r.Sessions, r.Rate, r.Duration) +
 		renderTable(
 			[]string{"arm", "acked", "rejected", "silent", "unresolved", "p50", "p99", "p999", "goodput"},
-			[][]string{row(r.Smart), row(r.Naive)}) +
-		detail(r.Smart) + detail(r.Naive)
+			[][]string{row(r.Smart)}) +
+		detail(r.Smart)
 }
 
 // MegaLinResult is the outcome of the MEGA-LIN check: the megaload driver's
@@ -379,9 +357,6 @@ type MegaLinResult struct {
 // register model. This is the long-chaos "megaload + churn" entry.
 func RunMegaLin(tun Tuning, seed int64, sessions int, rate float64, dur time.Duration) (MegaLinResult, error) {
 	res := MegaLinResult{Seed: seed, Sessions: sessions, Duration: dur}
-	if tun.SubmitQueue == 0 {
-		tun.SubmitQueue = 512
-	}
 	rng := rand.New(rand.NewSource(seed))
 	total := int(rate * dur.Seconds())
 	if total < 1 {

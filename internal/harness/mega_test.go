@@ -25,12 +25,12 @@ func chaosSeed(t *testing.T, def int64) int64 {
 }
 
 // TestMegaload is the CI-sized C1 run: a few thousand open-loop sessions
-// through a reconfiguration storm, both arms. The smart arm's accounting
-// contract is checked exactly — every op ends acked or cleanly rejected,
+// through a reconfiguration storm. The accounting contract is checked
+// exactly — every op ends acked or cleanly rejected,
 // never silently dropped or left dangling.
 func TestMegaload(t *testing.T) {
 	tun := shortTuning()
-	tun.SubmitQueue = 256
+	tun.Node.SubmitQueue = 256
 	sessions, rate, dur := 5000, 1000.0, 2*time.Second
 	res, err := RunC1Megaload(tun, sessions, rate, dur)
 	if err != nil {
@@ -56,24 +56,16 @@ func TestMegaload(t *testing.T) {
 	if res.Smart.Reconfigs == 0 {
 		t.Fatal("the storm never reconfigured; the run proved nothing")
 	}
-	if res.Smart.Violations != 0 || res.Naive.Violations != 0 {
-		t.Fatalf("violations: smart %d naive %d", res.Smart.Violations, res.Naive.Violations)
+	if res.Smart.Violations != 0 {
+		t.Fatalf("violations: %d", res.Smart.Violations)
 	}
 	// The shared directory adopts each new configuration once per client
-	// process; the naive arm never touches it.
+	// process.
 	if res.Smart.Adopts == 0 {
 		t.Fatal("directory never adopted a configuration")
 	}
-	if res.Naive.Adopts != 0 {
-		t.Fatalf("naive arm used the shared directory: %d adopts", res.Naive.Adopts)
-	}
-	// The naive ablation pays for ignoring config hints with extra attempts.
-	if res.Naive.Redirects <= res.Smart.Redirects {
-		t.Logf("warning: naive redirects %d not above smart %d in this short run",
-			res.Naive.Redirects, res.Smart.Redirects)
-	}
 	out := res.Render()
-	for _, want := range []string{"C1:", "smart", "naive", "goodput"} {
+	for _, want := range []string{"C1:", "smart", "goodput"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}
@@ -87,7 +79,7 @@ func TestMegaload(t *testing.T) {
 func TestLinearizabilityMegaload(t *testing.T) {
 	seed := chaosSeed(t, 42)
 	tun := shortTuning()
-	tun.SubmitQueue = 256
+	tun.Node.SubmitQueue = 256
 	sessions, rate, dur := 10000, 2000.0, 5*time.Second
 	if testing.Short() {
 		sessions, rate, dur = 2000, 600.0, 2*time.Second

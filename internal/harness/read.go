@@ -61,7 +61,7 @@ func RunReadScaling(tuning Tuning, modes []reconfig.ReadMode, sizes []int, ratio
 			for _, ratio := range ratios {
 				runtime.GC()
 				t := tuning
-				t.Reads = mode
+				t.Node.Reads = mode
 				t.StorageDir = "" // fresh temp dir per run
 				dep, err := newComposed(t, statemachine.NewKVMachine, nodeNames("n", n), nil)
 				if err != nil {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/stats"
 )
 
@@ -103,7 +104,7 @@ func (r T1DurableResult) Render() string {
 	rows := make([][]string, 0, len(r.Rows))
 	for _, row := range r.Rows {
 		mode := "fsync"
-		if row.Backend == StorageMem {
+		if row.Backend == cluster.StorageMem {
 			mode = "none"
 		}
 		rows = append(rows, []string{

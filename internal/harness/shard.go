@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/reconfig"
 	"repro/internal/router"
 	"repro/internal/statemachine"
 	"repro/internal/stats"
@@ -72,14 +71,9 @@ func RunShardScaling(tuning Tuning, groupCounts []int, dur time.Duration, client
 func runShardCell(tuning Tuning, nGroups int, dur time.Duration, clients int) (ShardRow, error) {
 	runtime.GC()
 	m := cluster.NewGroupManager(cluster.Config{
-		Transport: tuning.Net,
-		Node: reconfig.Options{
-			Paxos:         tuning.paxosOpts(),
-			RetryInterval: tuning.Retry,
-			LingerOld:     500 * time.Millisecond,
-			FetchTimeout:  150 * time.Millisecond,
-		},
-		Storage:    StorageWAL,
+		Transport:  tuning.Net,
+		Node:       tuning.Node,
+		Storage:    cluster.StorageWAL,
 		SyncWrites: true,
 	})
 	defer m.Close()

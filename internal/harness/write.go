@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/statemachine"
 	"repro/internal/stats"
 	"repro/internal/types"
@@ -108,18 +109,17 @@ func runOpenLoad(ctx context.Context, dep Deployment, rate float64, clients int,
 	return res
 }
 
-// --- W1: write-path pipelining and parallel apply ------------------------------------
+// --- W1: write-path pipelining ---------------------------------------------------------
 
-// W1Row is one (pipeline depth, apply mode) measurement of the composed
-// system under write-heavy load with durable (fsynced WAL) acceptors.
+// W1Row is one pipeline-depth measurement of the composed system under
+// write-heavy load with durable (fsynced WAL) acceptors.
 type W1Row struct {
-	Pipeline    int
-	SerialApply bool
-	Throughput  float64 // closed-loop saturated acked ops/s
-	Closed      stats.Summary
-	Open        OpenLoadResult // fixed-rate run against the same deployment
-	QueueHigh   int64          // apply-queue high watermark over the run
-	Stalls      int64          // engine consumers blocked on a full apply queue
+	Pipeline   int
+	Throughput float64 // closed-loop saturated acked ops/s
+	Closed     stats.Summary
+	Open       OpenLoadResult // fixed-rate run against the same deployment
+	QueueHigh  int64          // apply-queue high watermark over the run
+	Stalls     int64          // engine consumers blocked on a full apply queue
 }
 
 // W1Result is the write-path sweep.
@@ -130,64 +130,60 @@ type W1Result struct {
 }
 
 // RunW1WritePath measures committed-write throughput and latency across
-// pipeline depths and the serial-apply ablation, at n=3 with the fsynced WAL
-// backend. Each cell runs a closed-loop saturation phase (throughput) and
-// then an open-loop fixed-rate phase (coordinated-omission-safe latency)
-// against a fresh deployment. openRate <= 0 skips the open-loop phase — the
-// benchmark configuration, which only needs the throughput column.
+// pipeline depths, at n=3 with the fsynced WAL backend. Each cell runs a
+// closed-loop saturation phase (throughput) and then an open-loop fixed-rate
+// phase (coordinated-omission-safe latency) against a fresh deployment.
+// openRate <= 0 skips the open-loop phase — the benchmark configuration,
+// which only needs the throughput column.
 func RunW1WritePath(tuning Tuning, depths []int, dur time.Duration, clients int, openRate float64) (W1Result, error) {
 	res := W1Result{N: 3, Clients: clients}
 	profile := workload.Profile{Keys: 1000, ReadRatio: 0, Seed: 7}
 	for _, depth := range depths {
-		for _, serial := range []bool{true, false} {
-			runtime.GC()
-			t := tuning
-			t.Storage = StorageWAL
-			t.SyncWrites = true
-			t.StorageDir = "" // fresh temp dir per cell
-			t.Pipeline = depth
-			t.SerialApply = serial
-			dep, err := newComposed(t, statemachine.NewKVMachine, nodeNames("n", 3), nil)
-			if err != nil {
-				return res, err
-			}
-			if err := waitWarm(dep); err != nil {
-				dep.Close()
-				return res, err
-			}
-			trace := NewTrace()
-			ctx, cancel := context.WithTimeout(context.Background(), dur)
-			runLoad(ctx, dep, clients, profile, trace)
-			cancel()
-
-			var open OpenLoadResult
-			if openRate > 0 {
-				ctx, cancel = context.WithTimeout(context.Background(), dur)
-				open = runOpenLoad(ctx, dep, openRate, clients, profile)
-				cancel()
-			}
-
-			var queueHigh, stalls int64
-			for _, id := range nodeNames("n", 3) {
-				if n := dep.Node(id); n != nil {
-					st := n.Stats()
-					if st.ApplyQueueHighWater > queueHigh {
-						queueHigh = st.ApplyQueueHighWater
-					}
-					stalls += st.ApplyStalls
-				}
-			}
-			dep.Close()
-			res.Rows = append(res.Rows, W1Row{
-				Pipeline:    depth,
-				SerialApply: serial,
-				Throughput:  trace.Throughput(),
-				Closed:      trace.LatencySummary(),
-				Open:        open,
-				QueueHigh:   queueHigh,
-				Stalls:      stalls,
-			})
+		runtime.GC()
+		t := tuning
+		t.Storage = cluster.StorageWAL
+		t.SyncWrites = true
+		t.StorageDir = "" // fresh temp dir per cell
+		t.Node.Paxos.Pipeline = depth
+		dep, err := newComposed(t, statemachine.NewKVMachine, nodeNames("n", 3), nil)
+		if err != nil {
+			return res, err
 		}
+		if err := waitWarm(dep); err != nil {
+			dep.Close()
+			return res, err
+		}
+		trace := NewTrace()
+		ctx, cancel := context.WithTimeout(context.Background(), dur)
+		runLoad(ctx, dep, clients, profile, trace)
+		cancel()
+
+		var open OpenLoadResult
+		if openRate > 0 {
+			ctx, cancel = context.WithTimeout(context.Background(), dur)
+			open = runOpenLoad(ctx, dep, openRate, clients, profile)
+			cancel()
+		}
+
+		var queueHigh, stalls int64
+		for _, id := range nodeNames("n", 3) {
+			if n := dep.Node(id); n != nil {
+				st := n.Stats()
+				if st.ApplyQueueHighWater > queueHigh {
+					queueHigh = st.ApplyQueueHighWater
+				}
+				stalls += st.ApplyStalls
+			}
+		}
+		dep.Close()
+		res.Rows = append(res.Rows, W1Row{
+			Pipeline:   depth,
+			Throughput: trace.Throughput(),
+			Closed:     trace.LatencySummary(),
+			Open:       open,
+			QueueHigh:  queueHigh,
+			Stalls:     stalls,
+		})
 	}
 	return res, nil
 }
@@ -196,13 +192,8 @@ func RunW1WritePath(tuning Tuning, depths []int, dur time.Duration, clients int,
 func (r W1Result) Render() string {
 	rows := make([][]string, 0, len(r.Rows))
 	for _, row := range r.Rows {
-		mode := "parallel"
-		if row.SerialApply {
-			mode = "serial"
-		}
 		rows = append(rows, []string{
 			fmt.Sprintf("%d", row.Pipeline),
-			mode,
 			fmt.Sprintf("%.0f", row.Throughput),
 			fmtDur(row.Closed.P50),
 			fmt.Sprintf("%.0f", row.Open.Achieved),
@@ -214,7 +205,7 @@ func (r W1Result) Render() string {
 			fmt.Sprintf("%d", row.Stalls),
 		})
 	}
-	return fmt.Sprintf("W1: write path — pipeline depth x apply mode (composed, n=%d, %d clients, WAL fsync)\n", r.N, r.Clients) +
+	return fmt.Sprintf("W1: write path — pipeline depth (composed, n=%d, %d clients, WAL fsync)\n", r.N, r.Clients) +
 		"closed-loop saturation + open-loop fixed rate (latency from intended start)\n" +
-		renderTable([]string{"depth", "apply", "ops/s", "cl-p50", "ol-ops/s", "ol-p50", "ol-p99", "ol-p999", "skew-p99", "q-high", "stalls"}, rows)
+		renderTable([]string{"depth", "ops/s", "cl-p50", "ol-ops/s", "ol-p50", "ol-p99", "ol-p999", "skew-p99", "q-high", "stalls"}, rows)
 }

@@ -99,18 +99,6 @@ func TestAdmissionAdmitsRetryOfPendingCommand(t *testing.T) {
 	}
 }
 
-func TestNoAdmissionDisablesBound(t *testing.T) {
-	w := newWorld(t, transport.Options{BaseLatency: 100 * time.Microsecond})
-	w.opts.SubmitQueue = 2
-	w.opts.NoAdmission = true
-	n1 := quorumlessNode(t, w)
-	release := fillPending(t, n1, 6) // three times the bound, all admitted
-	defer release()
-	if st := n1.Stats(); st.ShedSubmits != 0 || st.SubmitQueueDepth != 6 {
-		t.Fatalf("ablation shed traffic: %+v", st)
-	}
-}
-
 // The shed reply travels the wire as SubmitBusy with a non-zero RetryAfter
 // hint — the contract the smart client's backoff floor relies on.
 func TestShedReplyCarriesRetryAfterOnWire(t *testing.T) {

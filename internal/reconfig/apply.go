@@ -3,20 +3,18 @@ package reconfig
 import (
 	"time"
 
+	"repro/internal/smr"
 	"repro/internal/statemachine"
 	"repro/internal/types"
 )
 
 // applyLoop is the node's single execution thread: it serializes decisions
-// from all engines into the global command sequence. Two operating modes:
-//
-//   - SerialApply (the ablation / pre-pipelining path): every decision
-//     executes under n.mu, one command at a time, via pumpLocked.
-//   - Default (decoupled): the loop collects a run of ready decisions under
-//     n.mu, releases the mutex, executes them — in parallel across shards
-//     when the machine supports it — and reacquires n.mu only to commit:
-//     advance the apply cursor, answer waiting clients, serve parked reads.
-//     Proposals, reads and housekeeping no longer contend with execution.
+// from all engines into the global command sequence. The loop collects a run
+// of ready decisions under n.mu, releases the mutex, executes them — in
+// parallel across shards when the machine supports it — and reacquires n.mu
+// only to commit: advance the apply cursor, answer waiting clients, serve
+// parked reads. Proposals, reads and housekeeping do not contend with
+// execution.
 func (n *Node) applyLoop() {
 	defer n.wg.Done()
 	for {
@@ -52,43 +50,61 @@ func (n *Node) pump() {
 	}
 }
 
+// applyRound is one pump round's collected work and what it was collected
+// against.
+type applyRound struct {
+	units []applyUnit
+	// taken are the decisions the units were popped from, kept until the
+	// round has committed: engine delivery is once-only, so a round whose
+	// results are discarded must be able to give them back (requeue).
+	taken   []smr.Decision
+	cfg     types.ConfigID
+	epoch   int64
+	machine *statemachine.Sessioned
+}
+
 // pumpRound routes queued decisions and applies up to maxApplyUnits ready
 // commands. It reports whether it made progress (the caller loops while it
 // does).
 func (n *Node) pumpRound() bool {
-	n.mu.Lock()
-	n.drainApplyChLocked()
-	if n.opts.SerialApply {
-		n.pumpLocked()
-		n.mu.Unlock()
-		return false // pumpLocked drains everything ready in one call
-	}
-	units := n.collectReadyLocked(maxApplyUnits)
-	if len(units) == 0 {
-		n.serveReadyReadsLocked()
-		n.mu.Unlock()
+	r, ok := n.collectRound()
+	if !ok {
 		return false
 	}
-	epoch := n.epoch
-	machine := n.machine
-	n.mu.Unlock()
+	n.executeRound(r)
+	return true
+}
 
-	// Execute segment by segment: a maximal run of ordinary commands is one
-	// machine batch executed off-mutex; each reconfiguration executes alone
-	// under the mutex. ApplyBatch joins all shard workers before returning,
-	// so by construction every preceding mutation is complete before a
-	// wedge forks the snapshot (the wedge-drain rule).
+// collectRound is the first, locked half of a pump round.
+func (n *Node) collectRound() (applyRound, bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.drainApplyChLocked()
+	units, taken := n.collectReadyLocked(maxApplyUnits)
+	if len(units) == 0 {
+		n.serveReadyReadsLocked()
+		return applyRound{}, false
+	}
+	return applyRound{units: units, taken: taken, cfg: n.curID, epoch: n.epoch, machine: n.machine}, true
+}
+
+// executeRound executes a collected round segment by segment: a maximal run
+// of ordinary commands is one machine batch executed off-mutex; each
+// reconfiguration executes alone under the mutex. ApplyBatch joins all shard
+// workers before returning, so by construction every preceding mutation is
+// complete before a wedge forks the snapshot (the wedge-drain rule). It stops
+// early, giving the round's decisions back, when the epoch raced (results
+// obsolete) or this configuration wedged.
+func (n *Node) executeRound(r applyRound) {
+	units, epoch := r.units, r.epoch
 	i := 0
 	for i < len(units) {
 		if units[i].cmd.Kind == types.CmdReconfig {
 			lastOfSlot := i+1 >= len(units) || units[i+1].slot != units[i].slot
 			ok, wedged := n.applyReconfigUnit(units[i], lastOfSlot, &epoch)
 			if !ok || wedged {
-				// Epoch raced (results obsolete) or this configuration
-				// wedged: the remaining units are post-wedge and follow
-				// the re-submission rule, exactly like the buffered
-				// decisions pumpLocked abandons at a wedge.
-				return true
+				n.requeue(r)
+				return
 			}
 			i++
 			continue
@@ -104,12 +120,27 @@ func (n *Node) pumpRound() bool {
 		if j < len(units) && units[j].slot == units[j-1].slot {
 			commit = units[j-1].slot - 1
 		}
-		if !n.applySegment(machine, units[i:j], commit, epoch) {
-			return true // epoch raced; results discarded
+		if !n.applySegment(r.machine, units[i:j], commit, epoch) {
+			n.requeue(r)
+			return
 		}
 		i = j
 	}
-	return true
+}
+
+// requeue gives a round that stopped early its decisions back. If the
+// configuration moved on they are post-wedge and follow the re-submission
+// rule. If it did not, the epoch moved because a catch-up snapshot of the
+// same configuration was installed mid-round: the decisions above its base
+// are still this engine's to apply and will not be delivered again, so they
+// go back to the head of the buffer; the pump's stale-skip drops the ones
+// the snapshot (or an earlier segment's commit) already covers.
+func (n *Node) requeue(r applyRound) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if run, ok := n.engines[r.cfg]; ok && n.curID == r.cfg {
+		run.buffered = append(r.taken[:len(r.taken):len(r.taken)], run.buffered...)
+	}
 }
 
 // drainApplyChLocked greedily routes every queued decision without blocking.
@@ -125,19 +156,18 @@ func (n *Node) drainApplyChLocked() {
 }
 
 // collectReadyLocked pops the contiguous run of ready decisions of the
-// current configuration and flattens batches into applyUnits. Mirrors
-// pumpDecisionsLocked's cursor discipline: stale redeliveries are skipped,
-// slot gaps are invariant violations (the engine contract is gap-free
-// in-order delivery).
-func (n *Node) collectReadyLocked(max int) []applyUnit {
+// current configuration and flattens batches into applyUnits; taken is what
+// it popped. Stale redeliveries are skipped, slot gaps are invariant
+// violations (the engine contract is gap-free in-order delivery).
+func (n *Node) collectReadyLocked(max int) (units []applyUnit, taken []smr.Decision) {
 	if !n.initialized {
-		return nil
+		return nil, nil
 	}
 	run, ok := n.engines[n.curID]
 	if !ok {
-		return nil
+		return nil, nil
 	}
-	var units []applyUnit
+	all := run.buffered
 	cursor := n.appliedSlot
 	for len(units) < max && len(run.buffered) > 0 {
 		dec := run.buffered[0]
@@ -160,7 +190,7 @@ func (n *Node) collectReadyLocked(max int) []applyUnit {
 			subs, err := types.DecodeBatch(dec.Cmd.Data)
 			if err != nil {
 				// A leader produced a corrupt batch; consume the slot so
-				// the cursor still advances (as the serial path does).
+				// the cursor still advances.
 				n.stats.violations++
 				units = append(units, applyUnit{slot: dec.Slot, cmd: types.Command{Kind: types.CmdNoop}})
 				continue
@@ -172,7 +202,7 @@ func (n *Node) collectReadyLocked(max int) []applyUnit {
 		}
 		units = append(units, applyUnit{slot: dec.Slot, cmd: dec.Cmd})
 	}
-	return units
+	return units, all[:len(all)-len(run.buffered)]
 }
 
 // applyReconfigUnit executes one reconfiguration command under the mutex.
@@ -292,92 +322,6 @@ func (n *Node) routeDecisionLocked(td taggedDecision) {
 	}
 	if d := int64(len(run.buffered)); d > n.stats.bufferHigh {
 		n.stats.bufferHigh = d
-	}
-}
-
-// pumpLocked applies every ready decision and then serves any fast-path
-// reads whose index the apply cursor just reached (or whose configuration
-// the pumped decisions just wedged).
-func (n *Node) pumpLocked() {
-	n.pumpDecisionsLocked()
-	n.serveReadyReadsLocked()
-}
-
-// pumpDecisionsLocked applies every ready decision of the current
-// configuration, following wedges across engines until no more progress is
-// possible.
-func (n *Node) pumpDecisionsLocked() {
-	for {
-		if !n.initialized {
-			return
-		}
-		run, ok := n.engines[n.curID]
-		if !ok || len(run.buffered) == 0 {
-			return
-		}
-		dec := run.buffered[0]
-		if dec.Slot != n.appliedSlot+1 && dec.Slot > n.appliedSlot && run.droppedBelow > n.appliedSlot {
-			// Gap left by the bounded buffer's drops: parked until
-			// checkpoint catch-up jumps the cursor (see routeDecisionLocked).
-			return
-		}
-		run.buffered = run.buffered[1:]
-		if dec.Slot != n.appliedSlot+1 {
-			if dec.Slot <= n.appliedSlot {
-				continue // stale redelivery; already executed
-			}
-			// The engine contract is gap-free in-order delivery, so
-			// this is unreachable; count it rather than crash.
-			n.stats.violations++
-			continue
-		}
-		n.applyOneLocked(dec.Slot, dec.Cmd)
-	}
-}
-
-// applyOneLocked executes one decided slot of the current configuration.
-// It may perform a wedge transition.
-func (n *Node) applyOneLocked(slot types.Slot, cmd types.Command) {
-	n.appliedSlot = slot
-	n.applyCommandLocked(slot, cmd)
-}
-
-// applyCommandLocked executes one command (possibly a batch member) at slot.
-func (n *Node) applyCommandLocked(slot types.Slot, cmd types.Command) {
-	if cmd.Kind == types.CmdReconfig {
-		n.applyReconfigLocked(slot, cmd)
-		return
-	}
-	if cmd.Kind == types.CmdBatch {
-		subs, err := types.DecodeBatch(cmd.Data)
-		if err != nil {
-			n.stats.violations++ // a leader produced a corrupt batch
-			return
-		}
-		for _, sub := range subs {
-			before := n.curID
-			n.applyCommandLocked(slot, sub)
-			if n.curID != before {
-				// A reconfiguration inside the batch wedged this
-				// configuration; the remaining batch members are
-				// post-wedge and follow the re-submission rule.
-				return
-			}
-		}
-		return
-	}
-	reply, dup := n.machine.ApplyCommand(cmd)
-	n.stats.applied++
-	if dup {
-		n.stats.duplicates++
-	}
-	if cmd.Client == "" {
-		return
-	}
-	key := pendKey{client: cmd.Client, seq: cmd.Seq}
-	if p, ok := n.pending[key]; ok {
-		delete(n.pending, key)
-		n.respondApplied(p, reply)
 	}
 }
 
@@ -504,7 +448,7 @@ func (n *Node) resubmitPendingLocked(force bool) {
 			continue
 		}
 		p.tries++
-		if p.tries > n.opts.PendingMaxRetries {
+		if p.tries > pendingMaxRetries {
 			delete(n.pending, key)
 			continue
 		}

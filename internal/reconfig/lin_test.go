@@ -300,7 +300,6 @@ type linRun struct {
 	checkBudget  time.Duration
 	reads        ReadMode // 0 keeps the node default (ReadModeIndex)
 	leaseTicks   int      // lease term override when reads is ReadModeLease
-	serialApply  bool     // ablation: coupled decide/apply path instead of the parallel stage
 	spec         SpecMode // 0 keeps the node default (SpecOn); SpecOff pins the wait-for-transfer ablation
 	ckptInterval int      // checkpoint producer interval override (0 keeps the 4096 default)
 	ckptMargin   int      // retained-slot margin below the quorum checkpoint base
@@ -317,10 +316,7 @@ func runLin(t *testing.T, run linRun) {
 	})
 	if run.reads != 0 {
 		w.opts.Reads = run.reads
-		w.opts.LeaseTicks = run.leaseTicks
-	}
-	if run.serialApply {
-		w.opts.SerialApply = true
+		w.opts.Paxos.LeaseTicks = run.leaseTicks
 	}
 	if run.spec != SpecDefault {
 		w.opts.SpeculativeStart = run.spec
@@ -654,20 +650,6 @@ func TestLinearizabilityWriteHeavyBankParallelApply(t *testing.T) {
 		clients:      4,
 		steps:        6,
 		minReconfigs: 1,
-	})
-}
-
-// TestLinearizabilityWriteHeavySerialAblation pins the same write-heavy load
-// to the SerialApply ablation path, keeping the coupled decide/apply code
-// honest while it exists as the W1 baseline.
-func TestLinearizabilityWriteHeavySerialAblation(t *testing.T) {
-	runLin(t, linRun{
-		workload:    kvWriteHeavyWorkload(),
-		kinds:       []nemesis.Kind{nemesis.KindReconfigure, nemesis.KindPartition},
-		seed:        1111,
-		clients:     4,
-		steps:       6,
-		serialApply: true,
 	})
 }
 

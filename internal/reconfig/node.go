@@ -43,9 +43,6 @@ type Options struct {
 	// anti-entropy exchanges with a random known peer, the repair path
 	// for lost announces. Default 25.
 	GossipTicks int
-	// PendingMaxRetries drops a pending command after this many
-	// re-proposals (an abandoned client). Default 2000.
-	PendingMaxRetries int
 	// SpeculativeStart controls whether a successor engine boots while the
 	// snapshot is still in flight (the paper's §1 speculative start: the
 	// joiner votes, accepts and decides c+1 slots during transfer; decided
@@ -58,27 +55,6 @@ type Options struct {
 	// Reads selects how read-only client ops are served. Default
 	// ReadModeIndex (leader read-index fast path with log fallback).
 	Reads ReadMode
-	// LeaseTicks overrides the engine lease term when Reads is
-	// ReadModeLease; 0 keeps the engine default. See paxos.Options.
-	LeaseTicks int
-	// DisableReadFence turns off the wedge fencing of fast-path reads.
-	// UNSAFE — a wedged configuration's leader will keep serving reads
-	// from pre-wedge state. Exists only so tests and the ablation can
-	// demonstrate that the fence is load-bearing.
-	DisableReadFence bool
-	// SerialApply restores the pre-pipelining apply stage: every decision
-	// executes one command at a time under the node mutex, coupled to
-	// proposals, reads and housekeeping. Ablation switch for the write-path
-	// experiments (W1); the design keeps it false, which decouples apply
-	// from the mutex and fans decided batches out to per-shard workers on
-	// machines that support it.
-	SerialApply bool
-	// ApplyQueue bounds the decision queue between the engines and the
-	// apply stage. When the apply stage cannot drain it, engine consumers
-	// block (decisions are never dropped) and the node counts an apply
-	// stall — visible in NodeStats and via a rate-limited warning. Default
-	// 8192.
-	ApplyQueue int
 	// SubmitQueue bounds how many distinct client commands may be pending
 	// (admitted but not yet applied) on this node at once — the admission
 	// control bound. A new command that would exceed it is shed with an
@@ -89,11 +65,6 @@ type Options struct {
 	// use their own op codes and bypass the bound entirely (prioritized
 	// admission). Default 4096.
 	SubmitQueue int
-	// NoAdmission disables the submit-queue bound: every command is
-	// admitted and overload surfaces only as growing queues and silent
-	// inbound drops — the pre-admission-control behavior. Ablation switch
-	// for experiment C1.
-	NoAdmission bool
 	// SessionLimit bounds the machine's client-session dedup table: beyond
 	// it, the least-recently-writing session is evicted. An evicted
 	// client's retry of an old command is rejected (stale, nil reply)
@@ -164,6 +135,17 @@ const (
 	ReadModeLease ReadMode = 3
 )
 
+const (
+	// pendingMaxRetries drops a pending command after this many re-proposals
+	// (an abandoned client).
+	pendingMaxRetries = 2000
+	// applyQueueLen bounds the decision queue between the engines and the
+	// apply stage. When the apply stage cannot drain it, engine consumers
+	// block (decisions are never dropped) and the node counts an apply stall
+	// — visible in NodeStats and via a rate-limited warning.
+	applyQueueLen = 8192
+)
+
 func (o Options) withDefaults() Options {
 	if o.RetryInterval <= 0 {
 		o.RetryInterval = 20 * time.Millisecond
@@ -179,12 +161,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.GossipTicks <= 0 {
 		o.GossipTicks = 25
-	}
-	if o.PendingMaxRetries <= 0 {
-		o.PendingMaxRetries = 2000
-	}
-	if o.ApplyQueue <= 0 {
-		o.ApplyQueue = 8192
 	}
 	if o.SubmitQueue <= 0 {
 		o.SubmitQueue = 4096
@@ -211,9 +187,6 @@ func (o Options) withDefaults() Options {
 		// Every engine this node runs grants leases; the node's wedge
 		// fencing is what keeps them safe across reconfigurations.
 		o.Paxos.EnableLeaseReads = true
-		if o.LeaseTicks > 0 {
-			o.Paxos.LeaseTicks = o.LeaseTicks
-		}
 	}
 	return o
 }
@@ -386,6 +359,11 @@ type Node struct {
 	// chunk this node serves: returning modified bytes simulates wire
 	// corruption. Guarded by mu.
 	testChunkHook func(id types.ConfigID, idx int, data []byte) []byte
+	// testNoReadFence, when set by a test (same package), turns off the wedge
+	// fencing of fast-path reads so the test can show the fence is
+	// load-bearing: without it a wedged leader serves pre-wedge state.
+	// Guarded by mu.
+	testNoReadFence bool
 
 	applyCh chan taggedDecision
 	// pumpCh nudges the apply loop to re-run its pump without a new
@@ -440,7 +418,7 @@ func NewNode(nc NodeConfig) (*Node, error) {
 		retireNext:  1, // configuration IDs start at 1; 0 is "no transfer running"
 		firstDecide: make(map[types.ConfigID]time.Time),
 		rng:         rand.New(rand.NewSource(SeedFor(string(nc.Self)))),
-		applyCh:     make(chan taggedDecision, opts.ApplyQueue),
+		applyCh:     make(chan taggedDecision, applyQueueLen),
 		pumpCh:      make(chan struct{}, 1),
 		stopCh:      make(chan struct{}),
 		baseCtx:     ctx,

@@ -122,7 +122,7 @@ func (n *Node) readFencedLocked(readCfg types.ConfigID) bool {
 	if n.curID != readCfg || !n.initialized {
 		return true
 	}
-	if n.opts.DisableReadFence {
+	if n.testNoReadFence {
 		return false
 	}
 	_, wedged := n.chain[readCfg]

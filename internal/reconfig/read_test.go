@@ -16,7 +16,7 @@ import (
 // configuration must invalidate its read path immediately, even when the
 // deposed leader holds a lease whose term is deliberately far longer than any
 // election or reconfiguration. The fence-enabled case must refuse the read;
-// the DisableReadFence companion proves the fence is load-bearing by showing
+// the testNoReadFence companion proves the fence is load-bearing by showing
 // that without it the same read IS answered — from stale state.
 
 // engineLeaseReads reports how many reads the node's current engine answered
@@ -65,9 +65,8 @@ func testWedgeFence(t *testing.T, disableFence bool) {
 	// A pathologically long lease (an hour of ticks) and a node that never
 	// jumps forward on staleness: expiry can never rescue correctness here,
 	// only the wedge fence can.
-	w.opts.LeaseTicks = 3_600_000
+	w.opts.Paxos.LeaseTicks = 3_600_000
 	w.opts.StaleJumpTicks = 1 << 30
-	w.opts.DisableReadFence = disableFence
 	w.bootstrap(statemachine.NewKVMachine, "n1", "n2", "n3")
 	w.waitServing("n1", "n2", "n3")
 	spare := w.startNode("n4", statemachine.NewKVMachine)
@@ -77,6 +76,9 @@ func testWedgeFence(t *testing.T, disableFence bool) {
 
 	w.submit("n1", "wr", 1, statemachine.EncodePut("k", []byte("old")))
 	leader := findLeaderNode(t, w, "n1", "n2", "n3")
+	leader.mu.Lock()
+	leader.testNoReadFence = disableFence
+	leader.mu.Unlock()
 
 	// Pump reads at the leader until one is answered under the lease, so we
 	// know the zero-round tier is live before the wedge.

@@ -859,18 +859,21 @@ func contextWithTimeout(d time.Duration) (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.Background(), d)
 }
 
-// TestNodeOnFileBackedStorage runs a full crash/restart cycle with the
-// node's state on real files: promises, log, chain and snapshots must all
-// survive the process.
-func TestNodeOnFileBackedStorage(t *testing.T) {
+// TestNodeOnDiskRestartAfterReconfigure runs a full stop/restart cycle with
+// the node's state in a WAL directory: promises, log, chain and snapshots
+// must all survive the process — including the successor's initial state,
+// whose commit is still in flight when Stop follows the reconfiguration at
+// once.
+func TestNodeOnDiskRestartAfterReconfigure(t *testing.T) {
 	net := transport.NewNetwork(transport.Options{BaseLatency: 100 * time.Microsecond})
 	t.Cleanup(net.Close)
 	dir := t.TempDir()
 	opts := fastNodeOpts()
 
+	var st *storage.WALStore
 	open := func() *Node {
-		st, err := storage.OpenFile(dir, storage.FileOptions{SyncWrites: false})
-		if err != nil {
+		var err error
+		if st, err = storage.OpenWALStore(dir, storage.WALStoreOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		n, err := NewNode(NodeConfig{
@@ -905,9 +908,11 @@ func TestNodeOnFileBackedStorage(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.Stop()
+	st.Close()
 
 	// Restart from disk: config chain at cfg2, counter at 7.
 	n2 := open()
+	t.Cleanup(func() { st.Close() })
 	t.Cleanup(n2.Stop)
 	if err := n2.Start(); err != nil {
 		t.Fatal(err)
@@ -927,7 +932,7 @@ func TestNodeOnFileBackedStorage(t *testing.T) {
 				break
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("file-backed restart state %d", v)
+				t.Fatalf("on-disk restart state %d", v)
 			}
 		} else if time.Now().After(deadline) {
 			t.Fatal(err)
@@ -935,6 +940,36 @@ func TestNodeOnFileBackedStorage(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if n2.Stats().InvariantViolations != 0 {
-		t.Fatal("violations on file-backed node")
+		t.Fatal("violations on on-disk node")
+	}
+}
+
+// The defaults a zero Options normalizes to, pinned: the benchmark and every
+// deployment preset lean on them, and the two queue bounds that stopped being
+// fields must keep the values their defaults had.
+func TestOptionsDefaults(t *testing.T) {
+	want := Options{
+		RetryInterval:      20 * time.Millisecond,
+		LingerOld:          time.Second,
+		FetchTimeout:       250 * time.Millisecond,
+		StaleJumpTicks:     25,
+		GossipTicks:        25,
+		SpeculativeStart:   SpecOn,
+		Reads:              ReadModeIndex,
+		SubmitQueue:        4096,
+		CheckpointInterval: 4096,
+		CheckpointMargin:   512,
+		CatchupGapSlots:    8192,
+		DecisionBuffer:     16384,
+	}
+	if got := (Options{}).withDefaults(); got != want {
+		t.Fatalf("zero Options normalizes to\n%+v, want\n%+v", got, want)
+	}
+	if pendingMaxRetries != 2000 || applyQueueLen != 8192 {
+		t.Fatalf("pendingMaxRetries %d, applyQueueLen %d; want 2000, 8192", pendingMaxRetries, applyQueueLen)
+	}
+	lease := Options{Reads: ReadModeLease}.withDefaults()
+	if !lease.Paxos.EnableLeaseReads || lease.Paxos.LeaseTicks != 0 {
+		t.Fatalf("lease mode: %+v", lease.Paxos)
 	}
 }

@@ -199,7 +199,7 @@ func (n *Node) admitSubmitLocked(cmd types.Command) bool {
 	if _, ok := n.pending[pendKey{client: cmd.Client, seq: cmd.Seq}]; ok {
 		return true
 	}
-	if n.opts.NoAdmission || len(n.pending) < n.opts.SubmitQueue {
+	if len(n.pending) < n.opts.SubmitQueue {
 		return true
 	}
 	n.stats.shedSubmits++

@@ -8,11 +8,11 @@ import (
 	"testing"
 )
 
-// BenchmarkStorageBackends compares the persistence backends on the acceptor
-// hot-path workload: concurrent writers each durably persisting slot records
-// (sync mode: the write must be on disk before Set returns). This is where
-// group commit shows up — FileStore pays one fsync per write, the WAL
-// coalesces all concurrent writers into ~one fsync per batch.
+// BenchmarkStorageBackends runs the acceptor hot-path workload on the WAL
+// backend: concurrent writers each durably persisting slot records (sync
+// mode: the write must be on disk before Set returns). This is where group
+// commit shows up — the WAL coalesces all concurrent writers into ~one fsync
+// per batch, so wal-sync closes on wal-nosync as writers are added.
 //
 //	go test ./internal/storage/ -bench StorageBackends -benchtime 2s
 func BenchmarkStorageBackends(b *testing.B) {
@@ -21,14 +21,6 @@ func BenchmarkStorageBackends(b *testing.B) {
 		name string
 		open func(b *testing.B) Store
 	}{
-		{"file-sync", func(b *testing.B) Store {
-			s, err := OpenFile(b.TempDir(), FileOptions{SyncWrites: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(s.Close)
-			return s
-		}},
 		{"wal-sync", func(b *testing.B) Store {
 			s, err := OpenWALStore(b.TempDir(), WALStoreOptions{SyncWrites: true})
 			if err != nil {

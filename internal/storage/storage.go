@@ -2,16 +2,16 @@
 // stack: Paxos acceptor state, decided-log entries, configuration-chain
 // records and snapshots all live here.
 //
-// Three implementations share the Store interface. WALStore (walstore.go) is
+// Two implementations share the Store interface. WALStore (walstore.go) is
 // the durable backend: every mutation is a record in a segmented group-commit
 // log, the key/value state is served from memory, and recovery replays the
-// log over the newest checkpoint. FileStore (filestore.go) keeps one file per
-// key. MemStore, below, is the in-memory store tests and the mem workloads
-// run on; it models a disk with a page cache: staged writes sit in a dirty
-// buffer until Sync, Crash and PowerLoss discard that buffer, and the stable
-// part survives node restarts because the cluster layer keeps the object
-// across crash/recover cycles — what a file on disk would do, without the
-// I/O nondeterminism. WithPrefix (prefix.go) namespaces any of them.
+// log over the newest checkpoint. MemStore, below, is the in-memory store
+// tests and the mem workloads run on; it models a disk with a page cache:
+// staged writes sit in a dirty buffer until Sync, Crash and PowerLoss discard
+// that buffer, and the stable part survives node restarts because the cluster
+// layer keeps the object across crash/recover cycles — what a file on disk
+// would do, without the I/O nondeterminism. WithPrefix (prefix.go) namespaces
+// either.
 //
 // An optional write latency models fsync cost so experiments can charge
 // durability realistically.

@@ -16,16 +16,15 @@ import (
 	"repro/internal/types"
 )
 
-// WALStore is a Store whose durability comes from a group-commit WAL instead
-// of one file per key. Every Set/Delete appends a mutation record to the log;
+// WALStore is a Store whose durability comes from a group-commit WAL. Every
+// Set/Delete appends a mutation record to the log;
 // the full key/value state is materialized in memory and served from there,
 // so reads never touch disk.
 //
 // This is the backend for the Paxos acceptor hot path: with SyncWrites on,
 // each write blocks until its record is fsynced, but concurrent writers
 // share fsyncs through the WAL's group commit, so durable throughput scales
-// with concurrency instead of being capped at 1/fsync-latency — the property
-// FileStore (one atomic rename + fsync per key write) cannot provide.
+// with concurrency instead of being capped at 1/fsync-latency.
 //
 // Recovery loads the newest checkpoint (a full state snapshot) and replays
 // the WAL suffix beyond it, truncating a torn tail at the first bad CRC.
