@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-pairs bench-read bench-snapshot bench-write bench-shard bench-reconfig bench-catchup bench-mega size vet fmt-check ci
+.PHONY: all build test race bench bench-pairs bench-reconfig bench-catchup bench-mega size vet fmt-check ci
 
 all: build test
 
@@ -15,60 +15,30 @@ test:
 race:
 	$(GO) test -race ./internal/...
 
-# Full experiment suite, one pass per benchmark (each iteration is a complete
-# wall-clock scenario). Storage micro-benchmarks get a real -benchtime.
+# The package micro-benchmarks (storage, statemachine, the submit path); the
+# storage backends get a real -benchtime. The experiments are not Go
+# benchmarks: `go run ./cmd/rsmbench -h` lists them, and the three targets
+# below run the ones EXPERIMENTS.md quotes a canonical table for.
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 	$(GO) test -run '^$$' -bench StorageBackends -benchtime 2s ./internal/storage/
 
-# Read-path smoke: one pass of the R1 read-scaling benchmark (serving mode x
-# read ratio on the durable WAL backend) — quick sanity that the fast path
-# still beats log reads. The full sweep lives in `rsmbench -exp read`.
-bench-read:
-	$(GO) test -run '^$$' -bench R1ReadScaling -benchtime 1x .
-
-# State-transfer smoke: one composed member swap with ~4MB of preloaded
-# state, reporting commit gap, reconfigure time and wedge capture time (the
-# COW fork under the node mutex). The full sweep lives in
-# `rsmbench -exp t2,f2,f5`; the monolithic-transfer arm it used to compare
-# against was deleted after T2's verdict (last reproducible at e470030).
-bench-snapshot:
-	$(GO) test -run '^$$' -bench SnapshotTransfer -benchtime 1x .
-	$(GO) test -run '^$$' -bench ForkVsSnapshot -benchtime 2s ./internal/statemachine/
-
-# Write-path smoke: one pass of the pipeline-depth sweep on the fsynced WAL
-# backend. The full W1 table with open-loop latency lives in `rsmbench -exp
-# write`; the serial-apply arm it used to carry is retired (EXPERIMENTS.md,
-# "Retired arms").
-bench-write:
-	$(GO) test -run '^$$' -bench PipelineDepth -benchtime 1x .
-
-# Sharded-runtime smoke: one pass of the S1 group-count sweep (1 vs 8 groups
-# over shared TCP+WAL, routed write load). The full 1/2/4/8 table with the
-# fsync-coalescing columns lives in `rsmbench -exp shard`.
-bench-shard:
-	$(GO) test -run '^$$' -bench ShardScaling -benchtime 1x .
-
-# Reconfig-latency smoke: one pass of the R2 shootout at 8MB state —
-# speculative vs wait-for-transfer successor start (full member replacement)
-# vs the in-band baseline, reporting time-to-first-decide in c+1 and the
-# commit gap. The canonical table lives in `rsmbench -exp reconfig`.
+# R2: speculative vs wait-for-transfer successor start (full member
+# replacement) vs the in-band baseline at 8MB state — time-to-first-decide in
+# c+1 and the commit gap.
 bench-reconfig:
-	$(GO) test -run '^$$' -bench R2ReconfigShootout -benchtime 1x .
+	$(GO) run ./cmd/rsmbench -exp reconfig
 
-# Catch-up smoke: one pass of the K1 shootout — a member lagging 50k decided
-# slots at 8MB state heals and catches up by checkpoint fetch vs the
-# NoCheckpoints full-replay ablation, plus restart-recovery time and the
-# retained-log bound. The canonical table lives in `rsmbench -exp catchup`.
+# K1: a member lagging 50k decided slots at 8MB state heals and catches up by
+# checkpoint fetch vs the NoCheckpoints full-replay ablation, plus
+# restart-recovery time and the retained-log bound.
 bench-catchup:
-	$(GO) test -run '^$$' -bench K1Catchup -benchtime 1x .
+	$(GO) run ./cmd/rsmbench -exp catchup
 
-# Megaload smoke: one pass of the C1 benchmark — 100k open-loop client
-# sessions through a reconfiguration storm, every op accounted in one of four
-# buckets (0 silent). The canonical table lives in `rsmbench -exp mega`; the
-# naive-client arm is retired (EXPERIMENTS.md, "Retired arms").
+# C1: 100k open-loop client sessions through a reconfiguration storm, every op
+# accounted in one of four buckets (0 silent).
 bench-mega:
-	$(GO) test -run '^$$' -bench C1Megaload -benchtime 1x -timeout 30m .
+	$(GO) run ./cmd/rsmbench -exp mega
 
 # Alternating parent/change pairs of the repo benchmark (bench/, the
 # loopback-TCP one the driver gates on), written to $(OUT): per pair both

@@ -5,11 +5,11 @@
 // Multi-Paxos engines, two baselines (stop-the-world and in-band α-window
 // reconfiguration), the full substrate they run on (simulated network,
 // stable storage, deterministic state machines, client sessions), and a
-// benchmark harness regenerating every experiment in EXPERIMENTS.md.
+// harness regenerating the experiments of EXPERIMENTS.md that still run.
 //
 // Start with DESIGN.md for the system inventory, internal/core for the
 // contribution's API, and examples/quickstart for a running tour. The
-// benchmarks in bench_test.go are run with:
+// experiments are run by ID with:
 //
-//	go test -bench=. -benchmem -benchtime=1x .
+//	go run ./cmd/rsmbench -h
 package repro

@@ -554,23 +554,6 @@ func (m *GroupManager) PerGroupStats() []GroupStats {
 	return out
 }
 
-// StoreIO reports the shared WAL's fsync and append counters for a process
-// (ok=false for non-WAL backends). The shard experiment divides fsyncs by
-// committed ops to show cross-group group commit working.
-func (m *GroupManager) StoreIO(id types.NodeID) (syncs, appends int64, ok bool) {
-	m.mu.Lock()
-	p := m.procs[id]
-	m.mu.Unlock()
-	if p == nil {
-		return 0, 0, false
-	}
-	ws, isWAL := p.store.(*storage.WALStore)
-	if !isWAL {
-		return 0, 0, false
-	}
-	return ws.Syncs(), ws.Appends(), true
-}
-
 // TotalViolations sums invariant violations over every group replica.
 func (m *GroupManager) TotalViolations() int64 {
 	var total int64

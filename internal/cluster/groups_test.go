@@ -133,10 +133,6 @@ func TestGroupManagerSharedWALCrashRestart(t *testing.T) {
 	if m.TotalViolations() != 0 {
 		t.Fatal("invariant violations")
 	}
-	// The shared store really is one WAL per process: its sync counter moved.
-	if syncs, appends, ok := m.StoreIO("p1"); !ok || syncs == 0 || appends == 0 {
-		t.Fatalf("p1 store IO: syncs=%d appends=%d ok=%v", syncs, appends, ok)
-	}
 }
 
 // TestGroupManagerReconfigureGroup migrates one group onto three fresh

@@ -9,8 +9,8 @@ import (
 	"repro/internal/types"
 )
 
-// Storage backend names accepted by Config.Storage, harness.Tuning.Storage
-// and the CLI flags. The empty name means StorageMem.
+// Storage backend names accepted by Config.Storage and the CLI flags. The
+// empty name means StorageMem.
 const (
 	StorageMem = "mem" // in-memory; what tests run on
 	StorageWAL = "wal" // segmented group-commit log on disk

@@ -1,12 +1,13 @@
-// Package harness runs the experiments defined in DESIGN.md/EXPERIMENTS.md:
-// it deploys each of the three systems (the paper's composed reconfigurable
-// SMR, the stop-the-world baseline, and the in-band α-window baseline)
-// behind one uniform interface, drives closed-loop client load, injects
-// reconfigurations and failures, and reports tables and time series.
+// Package harness runs the simulated-fabric experiments of DESIGN.md §4
+// (cmd/rsmbench is their front-end): it deploys each of the three systems
+// (the paper's composed reconfigurable SMR, the stop-the-world baseline, and
+// the in-band α-window baseline) behind one uniform interface, on in-memory
+// stores, drives client load, injects reconfigurations and failures, and
+// reports tables.
 //
-// All measurements use in-process submits on the serving nodes so the three
-// systems are charged identically (no client RPC plane in the way), and all
-// replication traffic crosses the simulated network where it is counted.
+// The disruption experiments use in-process submits on the serving nodes so
+// the three systems are charged identically (no client RPC plane in the
+// way); the megaload ones go through the real client library.
 package harness
 
 import (
@@ -62,10 +63,6 @@ type Deployment interface {
 	Reconfigure(ctx context.Context, members []types.NodeID) error
 	// Members returns the current configuration's member set.
 	Members() []types.NodeID
-	// NetStats returns the transport accounting counters.
-	NetStats() transport.Stats
-	// ResetNetStats zeroes the transport accounting counters.
-	ResetNetStats()
 	// Violations returns the total invariant violations observed.
 	Violations() int64
 	// Close tears the deployment down.
@@ -77,21 +74,8 @@ type Deployment interface {
 // (t.Node.Paxos.Pipeline, t.Node.SpeculativeStart, ...); the two baselines
 // read their engine timing and retry interval from it too.
 type Tuning struct {
-	Net   transport.Options
-	Alpha int // inband only
-	Node  reconfig.Options
-
-	// Storage selects each node's backend: cluster.StorageMem (default) or
-	// cluster.StorageWAL, which makes the durability experiments real:
-	// acceptor state actually hits the filesystem.
-	Storage string
-	// StorageDir roots the on-disk backend (one subdirectory per node).
-	// Empty means a fresh OS temp directory, removed when the deployment
-	// closes.
-	StorageDir string
-	// SyncWrites makes the on-disk backend fsync before acknowledging writes
-	// — the real acceptor durability contract.
-	SyncWrites bool
+	Net  transport.Options
+	Node reconfig.Options
 }
 
 // DefaultTuning is the experiment-wide preset: ~200µs one-way links with
@@ -103,13 +87,8 @@ func DefaultTuning() Tuning {
 			Jitter:      100 * time.Microsecond,
 			Seed:        1,
 		},
-		Alpha: 4,
-		Node:  cluster.FastOptions(),
+		Node: cluster.FastOptions(),
 	}
-}
-
-func (t Tuning) stores() cluster.Stores {
-	return cluster.Stores{Backend: t.Storage, Dir: t.StorageDir, SyncWrites: t.SyncWrites}
 }
 
 // NewDeployment builds a deployment of the given kind with `initial` as
@@ -134,7 +113,6 @@ var errNotNow = errors.New("harness: node unavailable")
 
 type composedDep struct {
 	net     *transport.Network
-	stores  cluster.Stores
 	factory statemachine.Factory
 	opts    reconfig.Options
 	nodes   map[types.NodeID]*reconfig.Node
@@ -142,13 +120,11 @@ type composedDep struct {
 	mu      sync.Mutex
 	order   []types.NodeID
 	rr      int
-	leader  types.NodeID // cached leader for SubmitToLeader
 }
 
 func newComposed(t Tuning, factory statemachine.Factory, initial, spares []types.NodeID) (*composedDep, error) {
 	d := &composedDep{
 		net:     transport.NewNetwork(t.Net),
-		stores:  t.stores(),
 		factory: factory,
 		opts:    t.Node,
 		nodes:   make(map[types.NodeID]*reconfig.Node),
@@ -160,10 +136,7 @@ func newComposed(t Tuning, factory statemachine.Factory, initial, spares []types
 		return nil, err
 	}
 	boot := func(id types.NodeID, member bool) error {
-		st, err := d.stores.Open(id)
-		if err != nil {
-			return err
-		}
+		st := storage.NewMem()
 		d.byStore[id] = st
 		n, err := reconfig.NewNode(reconfig.NodeConfig{
 			Self:     id,
@@ -236,56 +209,6 @@ func (d *composedDep) Submit(ctx context.Context, clientID types.NodeID, seq uin
 		d.refreshOrder()
 	}
 	return reply, err
-}
-
-// SubmitToLeader sends one command through the node currently believed to
-// lead, falling back to round-robin when no leader is known. The read
-// experiments use it so fast-path reads land on the replica that can serve
-// them; everything else about the call matches Submit.
-func (d *composedDep) SubmitToLeader(ctx context.Context, clientID types.NodeID, seq uint64, op []byte) ([]byte, error) {
-	d.mu.Lock()
-	n := d.nodes[d.leader]
-	d.mu.Unlock()
-	if n == nil || !n.Serving() {
-		n = d.findLeader()
-	}
-	if n == nil {
-		n = d.pick()
-	}
-	if n == nil {
-		d.refreshOrder()
-		return nil, errNotNow
-	}
-	reply, err := n.Submit(ctx, clientID, seq, op)
-	if err != nil {
-		d.mu.Lock()
-		d.leader = ""
-		d.mu.Unlock()
-		if errors.Is(err, reconfig.ErrNotServing) {
-			d.refreshOrder()
-		}
-	}
-	return reply, err
-}
-
-// findLeader scans the serving nodes for one that believes it leads and
-// caches it.
-func (d *composedDep) findLeader() *reconfig.Node {
-	d.mu.Lock()
-	nodes := make([]*reconfig.Node, 0, len(d.nodes))
-	for _, n := range d.nodes {
-		nodes = append(nodes, n)
-	}
-	d.mu.Unlock()
-	for _, n := range nodes {
-		if n != nil && n.Serving() && n.LeaderHint() == n.Self() {
-			d.mu.Lock()
-			d.leader = n.Self()
-			d.mu.Unlock()
-			return n
-		}
-	}
-	return nil
 }
 
 // ReadStats sums the read-path and inbox-drop counters over all nodes.
@@ -410,9 +333,6 @@ func (d *composedDep) Members() []types.NodeID {
 	return types.CloneNodeIDs(d.order)
 }
 
-func (d *composedDep) NetStats() transport.Stats { return d.net.Stats() }
-func (d *composedDep) ResetNetStats()            { d.net.ResetStats() }
-
 func (d *composedDep) Violations() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -434,11 +354,10 @@ func (d *composedDep) Close() {
 		n.Stop()
 	}
 	d.net.Close()
-	d.stores.Close()
 }
 
-// Nodes exposes the composed deployment's node map for experiments that
-// need crash injection (T3).
+// Node returns the composed deployment's node of that name (nil if none),
+// for the experiments that read one node's progress or stats.
 func (d *composedDep) Node(id types.NodeID) *reconfig.Node {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -500,19 +419,17 @@ func (d *composedDep) Leader() types.NodeID {
 // --- stop-the-world --------------------------------------------------------------
 
 type stwDep struct {
-	net    *transport.Network
-	stores cluster.Stores
-	svcs   map[types.NodeID]*stw.Service
-	mu     sync.Mutex
-	cur    types.Config
-	rr     int
+	net  *transport.Network
+	svcs map[types.NodeID]*stw.Service
+	mu   sync.Mutex
+	cur  types.Config
+	rr   int
 }
 
 func newSTW(t Tuning, factory statemachine.Factory, initial, spares []types.NodeID) (*stwDep, error) {
 	d := &stwDep{
-		net:    transport.NewNetwork(t.Net),
-		stores: t.stores(),
-		svcs:   make(map[types.NodeID]*stw.Service),
+		net:  transport.NewNetwork(t.Net),
+		svcs: make(map[types.NodeID]*stw.Service),
 	}
 	cfg, err := types.NewConfig(1, initial)
 	if err != nil {
@@ -520,15 +437,10 @@ func newSTW(t Tuning, factory statemachine.Factory, initial, spares []types.Node
 	}
 	d.cur = cfg
 	for _, id := range append(append([]types.NodeID{}, initial...), spares...) {
-		st, err := d.stores.Open(id)
-		if err != nil {
-			d.Close()
-			return nil, err
-		}
 		svc, err := stw.NewService(stw.Config{
 			Self:          id,
 			Endpoint:      d.net.Endpoint(id),
-			Store:         st,
+			Store:         storage.NewMem(),
 			Factory:       factory,
 			Paxos:         t.Node.Paxos,
 			RetryInterval: t.Node.RetryInterval,
@@ -594,54 +506,48 @@ func (d *stwDep) Members() []types.NodeID {
 	return types.CloneNodeIDs(d.cur.Members)
 }
 
-func (d *stwDep) NetStats() transport.Stats { return d.net.Stats() }
-func (d *stwDep) ResetNetStats()            { d.net.ResetStats() }
-func (d *stwDep) Violations() int64         { return 0 }
+func (d *stwDep) Violations() int64 { return 0 }
 
 func (d *stwDep) Close() {
 	for _, svc := range d.svcs {
 		svc.Stop()
 	}
 	d.net.Close()
-	d.stores.Close()
 }
 
 // --- inband -------------------------------------------------------------------------
 
 type inbandDep struct {
-	net    *transport.Network
-	stores cluster.Stores
-	svcs   map[types.NodeID]*inband.Service
-	mu     sync.Mutex
-	cur    []types.NodeID
-	rr     int
+	net  *transport.Network
+	svcs map[types.NodeID]*inband.Service
+	mu   sync.Mutex
+	cur  []types.NodeID
+	rr   int
 }
+
+// inbandAlpha is the in-band baseline's pipeline window: how many slots past
+// the last executed one it may order before the next must execute.
+const inbandAlpha = 4
 
 func newInband(t Tuning, factory statemachine.Factory, initial, spares []types.NodeID) (*inbandDep, error) {
 	d := &inbandDep{
-		net:    transport.NewNetwork(t.Net),
-		stores: t.stores(),
-		svcs:   make(map[types.NodeID]*inband.Service),
-		cur:    types.CloneNodeIDs(initial),
+		net:  transport.NewNetwork(t.Net),
+		svcs: make(map[types.NodeID]*inband.Service),
+		cur:  types.CloneNodeIDs(initial),
 	}
 	cfg, err := types.NewConfig(1, initial)
 	if err != nil {
 		return nil, err
 	}
 	for _, id := range append(append([]types.NodeID{}, initial...), spares...) {
-		st, err := d.stores.Open(id)
-		if err != nil {
-			d.Close()
-			return nil, err
-		}
 		svc, err := inband.NewService(inband.ServiceConfig{
 			Self:     id,
 			Endpoint: d.net.Endpoint(id),
-			Store:    st,
+			Store:    storage.NewMem(),
 			Factory:  factory,
 			Initial:  cfg,
 			Opts: inband.Options{
-				Alpha:                t.Alpha,
+				Alpha:                inbandAlpha,
 				TickInterval:         t.Node.Paxos.TickInterval,
 				HeartbeatEveryTicks:  t.Node.Paxos.HeartbeatEveryTicks,
 				ElectionTimeoutTicks: t.Node.Paxos.ElectionTimeoutTicks,
@@ -696,9 +602,6 @@ func (d *inbandDep) Members() []types.NodeID {
 	return types.CloneNodeIDs(d.cur)
 }
 
-func (d *inbandDep) NetStats() transport.Stats { return d.net.Stats() }
-func (d *inbandDep) ResetNetStats()            { d.net.ResetStats() }
-
 func (d *inbandDep) Violations() int64 {
 	var v int64
 	for _, svc := range d.svcs {
@@ -712,5 +615,4 @@ func (d *inbandDep) Close() {
 		svc.Stop()
 	}
 	d.net.Close()
-	d.stores.Close()
 }

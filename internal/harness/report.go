@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"time"
-
-	"repro/internal/cluster"
-	"repro/internal/stats"
 )
 
 // renderTable lays out rows with aligned columns.
@@ -44,104 +41,14 @@ func renderTable(header []string, rows [][]string) string {
 	return b.String()
 }
 
-// sparkline renders a series as a compact unicode bar chart.
-func sparkline(series []int64, width int) string {
-	if len(series) == 0 {
-		return "(empty)"
-	}
-	// Downsample to width buckets by summing.
-	if width <= 0 {
-		width = 60
-	}
-	buckets := make([]int64, width)
-	for i, v := range series {
-		buckets[i*width/len(series)] += v
-	}
-	if len(series) < width {
-		buckets = buckets[:len(series)]
-	}
-	var max int64
-	for _, v := range buckets {
-		if v > max {
-			max = v
-		}
-	}
-	if max == 0 {
-		return strings.Repeat("_", len(buckets))
-	}
-	levels := []rune("▁▂▃▄▅▆▇█")
-	var b strings.Builder
-	for _, v := range buckets {
-		idx := int(v * int64(len(levels)-1) / max)
-		b.WriteRune(levels[idx])
-	}
-	return b.String()
-}
-
 func fmtDur(d time.Duration) string { return d.Round(100 * time.Microsecond).String() }
 
-func fmtLat(s stats.Summary) string {
-	return fmt.Sprintf("p50=%s p99=%s", fmtDur(s.P50), fmtDur(s.P99))
-}
-
-// Render formats the T1 table.
-func (r T1Result) Render() string {
-	rows := make([][]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", row.N),
-			fmt.Sprintf("%.0f", row.Throughput),
-			fmtDur(row.Latency.P50),
-			fmtDur(row.Latency.P99),
-		})
-	}
-	return "T1: static Multi-Paxos substrate scaling\n" +
-		renderTable([]string{"replicas", "ops/s", "p50", "p99"}, rows)
-}
-
-// Render formats the durable-backend comparison table.
-func (r T1DurableResult) Render() string {
-	rows := make([][]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		mode := "fsync"
-		if row.Backend == cluster.StorageMem {
-			mode = "none"
-		}
-		rows = append(rows, []string{
-			row.Backend,
-			mode,
-			fmt.Sprintf("%.0f", row.Throughput),
-			fmtDur(row.Latency.P50),
-			fmtDur(row.Latency.P99),
-		})
-	}
-	return fmt.Sprintf("T1d: durable acceptor persistence by storage backend (n=%d)\n", r.N) +
-		renderTable([]string{"backend", "sync", "ops/s", "p50", "p99"}, rows)
-}
-
-// Render formats one disruption run as a figure-with-caption block.
-func (r DisruptionResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s: member swap at bin %d (bin=%s)\n", r.System.String(), r.MarkBin, r.Bin)
-	fmt.Fprintf(&b, "  throughput series: %s\n", sparkline(r.Series, 72))
-	fmt.Fprintf(&b, "  reconfig took %s; longest commit gap %s; retries %d\n",
-		fmtDur(r.ReconfigTook), fmtDur(r.Gap), r.Retries)
-	fmt.Fprintf(&b, "  latency steady [%s]  during reconfig [%s]\n", fmtLat(r.SteadyLat), fmtLat(r.DisruptLat))
-	if r.StateKeys > 0 {
-		fmt.Fprintf(&b, "  preloaded state: ~%d bytes (%d keys)\n", r.ApproxStateB, r.StateKeys)
-	}
-	if t := r.Transfer; t.ChunksFetched > 0 || t.MaxWedgeCapture > 0 {
-		fmt.Fprintf(&b, "  transfer: %d chunks fetched (%d crc-rejected), wedge capture %s\n",
-			t.ChunksFetched, t.ChunkCRCRejected, fmtDur(t.MaxWedgeCapture))
-	}
-	return b.String()
-}
-
-// RenderDisruptionTable formats several disruption runs as the T2 table.
-func RenderDisruptionTable(results []DisruptionResult) string {
-	rows := make([][]string, 0, len(results))
-	for _, r := range results {
-		rows = append(rows, []string{
+// Render formats the sweep twice: every run as the T2 table, then the
+// composed and in-band runs as the F5 crossover.
+func (s DisruptionSweep) Render() string {
+	var t2, f5 [][]string
+	for _, r := range s {
+		t2 = append(t2, []string{
 			r.System.String(),
 			fmt.Sprintf("%d", r.ApproxStateB),
 			fmtDur(r.ReconfigTook),
@@ -151,42 +58,19 @@ func RenderDisruptionTable(results []DisruptionResult) string {
 			fmt.Sprintf("%d", r.Transfer.ChunksFetched),
 			fmtDur(r.Transfer.MaxWedgeCapture),
 		})
+		if r.System != StopTheWorld {
+			f5 = append(f5, []string{
+				fmt.Sprintf("%d", r.ApproxStateB),
+				r.System.String(),
+				fmtDur(r.Gap),
+				fmtDur(r.ReconfigTook),
+			})
+		}
 	}
 	return "T2: reconfiguration disruption (member swap under load)\n" +
-		renderTable([]string{"system", "state(B)", "reconfig", "max-gap", "ops/s", "retries", "chunks", "wedge-cap"}, rows)
-}
-
-// RenderLatencyTable formats disruption runs as the T5 latency table.
-func RenderLatencyTable(results []DisruptionResult) string {
-	rows := make([][]string, 0, len(results))
-	for _, r := range results {
-		rows = append(rows, []string{
-			r.System.String(),
-			fmtDur(r.SteadyLat.P50), fmtDur(r.SteadyLat.P95), fmtDur(r.SteadyLat.P99),
-			fmtDur(r.DisruptLat.P50), fmtDur(r.DisruptLat.P95), fmtDur(r.DisruptLat.P99),
-		})
-	}
-	return "T5: client latency, steady state vs reconfiguration epoch\n" +
-		renderTable([]string{"system", "st-p50", "st-p95", "st-p99", "rc-p50", "rc-p95", "rc-p99"}, rows)
-}
-
-// Render formats the F2 sweep.
-func (r F2Result) Render() string {
-	rows := make([][]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		spec := "on"
-		if !row.Speculative {
-			spec = "off"
-		}
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", row.StateBytes),
-			spec,
-			fmtDur(row.ReconfigTook),
-			fmtDur(row.Gap),
-		})
-	}
-	return "F2: composed reconfiguration latency vs state size (speculation ablation)\n" +
-		renderTable([]string{"state(B)", "speculative", "reconfig", "max-gap"}, rows)
+		renderTable([]string{"system", "state(B)", "reconfig", "max-gap", "ops/s", "retries", "chunks", "wedge-cap"}, t2) +
+		"\nF5: disruption vs state size — composed vs in-band (crossover)\n" +
+		renderTable([]string{"state(B)", "system", "max-gap", "reconfig"}, f5)
 }
 
 // Render formats the R2 shootout.
@@ -248,89 +132,4 @@ func (r K1Result) Render() string {
 	return fmt.Sprintf("K1: lagging-replica catch-up at %dB state, %d-slot lag (checkpoint fetch vs full replay)\n",
 		r.StateBytes, r.LagTarget) +
 		renderTable([]string{"variant", "lag", "catchup", "restart", "ckpts", "fetches", "trunc-slots", "retained"}, rows)
-}
-
-// Render formats the T3 failover measurement.
-func (r T3Result) Render() string {
-	return fmt.Sprintf(
-		"T3: failover (crash -> detect %s -> replace)\n  reconfig took %s; crash-to-restored %s; longest gap %s; ops/s %.0f\n",
-		fmtDur(r.DetectDelay), fmtDur(r.ReconfigTook), fmtDur(r.CrashToServe), fmtDur(r.GapAfterCrash), r.Throughput)
-}
-
-// Render formats the F3 elastic timeline.
-func (r F3Result) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "F3: elastic chain %s under load (%d acks, bin=%s)\n",
-		strings.Join(r.Chain, "→"), r.Acked, r.Bin)
-	fmt.Fprintf(&b, "  %s\n", sparkline(r.Series, 72))
-	for _, m := range r.Marks {
-		fmt.Fprintf(&b, "  mark %-6s at +%s\n", m.Label, m.At.Sub(r.Start).Round(time.Millisecond))
-	}
-	return b.String()
-}
-
-// Render formats the T4 cost table.
-func (r T4Result) Render() string {
-	rows := make([][]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.System.String(),
-			fmt.Sprintf("%d", row.Ops),
-			fmt.Sprintf("%.1f", row.MsgsPerOp),
-			fmt.Sprintf("%.0f", row.BytesPerOp),
-			fmt.Sprintf("%d", row.ReconfigMsgs),
-			fmt.Sprintf("%d", row.ReconfigByte),
-		})
-	}
-	return "T4: protocol cost (per committed op; one member-swap reconfiguration)\n" +
-		renderTable([]string{"system", "ops", "msgs/op", "bytes/op", "reconf-msgs", "reconf-bytes"}, rows)
-}
-
-// Render formats the F4 α sweep.
-func (r F4Result) Render() string {
-	rows := make([][]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		label := fmt.Sprintf("α=%d", row.Alpha)
-		if row.Alpha == 0 {
-			label = "composed(ref)"
-		}
-		rows = append(rows, []string{
-			label,
-			fmt.Sprintf("%.0f", row.Throughput),
-			fmt.Sprintf("%d", row.Stalls),
-		})
-	}
-	return "F4: in-band pipeline cap — throughput vs α (composed reference has no cap)\n" +
-		renderTable([]string{"window", "ops/s", "stalls"}, rows)
-}
-
-// RenderCrossover formats composed-vs-inband disruption per state size (F5).
-func RenderCrossover(results []DisruptionResult) string {
-	rows := make([][]string, 0, len(results))
-	for _, r := range results {
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", r.ApproxStateB),
-			r.System.String(),
-			fmtDur(r.Gap),
-			fmtDur(r.ReconfigTook),
-		})
-	}
-	return "F5: disruption vs state size — composed vs in-band (crossover)\n" +
-		renderTable([]string{"state(B)", "system", "max-gap", "reconfig"}, rows)
-}
-
-// Render formats the A1 batching ablation.
-func (r A1Result) Render() string {
-	rows := make([][]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", row.BatchSize),
-			fmt.Sprintf("%.0f", row.Throughput),
-			fmt.Sprintf("%.1f", row.MsgsPerOp),
-			fmtDur(row.Latency.P50),
-			fmtDur(row.Latency.P99),
-		})
-	}
-	return "A1 (ablation): commands-per-slot batching on the static substrate\n" +
-		renderTable([]string{"batch", "ops/s", "msgs/op", "p50", "p99"}, rows)
 }

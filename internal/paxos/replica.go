@@ -40,14 +40,13 @@ type Options struct {
 	// more accept rounds but spread queued commands across more, emptier
 	// slots — each slot costs a broadcast, a WAL record and a decision
 	// delivery, so past a few windows the per-slot overhead wins. Default 4,
-	// the winner of the BenchmarkPipelineDepth sweep on the durable WAL
-	// backend; clamped to MaxInflight.
+	// the winner of the W1 pipeline-depth sweep on the durable WAL backend
+	// (EXPERIMENTS.md, "Historical tables"); clamped to MaxInflight.
 	Pipeline int
 	// BatchSize is the maximum number of queued commands a leader packs
-	// into one consensus slot. Default 16, the winner of the
-	// BenchmarkBatchSizeDefault sweep on the durable WAL backend (batching
-	// decides how many commands share one group-commit fsync); the A1
-	// ablation sweeps it explicitly.
+	// into one consensus slot. Default 16, the winner of A1's follow-up
+	// sweep on the durable WAL backend (batching decides how many commands
+	// share one group-commit fsync; EXPERIMENTS.md, "Historical tables").
 	BatchSize int
 	// PendingLimit caps queued proposals awaiting a leader or a pipeline
 	// slot; beyond it Propose returns ErrBusy. Default 4096.

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/paxos"
 	"repro/internal/statemachine"
 	"repro/internal/storage"
 	"repro/internal/transport"
@@ -229,6 +230,91 @@ func TestTornManifestAfterTruncationRefetches(t *testing.T) {
 	}
 	if v := counterValue(t, w.submit("n3", "c1", ops+1, statemachine.EncodeAdd(1))); v != ops+1 {
 		t.Fatalf("counter=%d after refetch, want %d", v, ops+1)
+	}
+	w.checkNoViolations()
+}
+
+// TestStartRefusesSnapshotBelowEngineFloor: the install window. A catch-up
+// install moves the engine first (SkipTo releases the log up to the new base)
+// and commits the fetched snapshot to the store second; a crash in between
+// leaves a complete snapshot at the old base B under a persisted truncation
+// floor F > B. The slots in (B, F] exist nowhere on this node, so Start must
+// treat that snapshot as no snapshot — installing it would pin the apply
+// cursor at B for good — and the transfer's resume must not re-adopt it: the
+// node comes up uninitialized and fetches a peer's checkpoint at or above F.
+func TestStartRefusesSnapshotBelowEngineFloor(t *testing.T) {
+	w := newWorld(t, transport.Options{})
+	w.opts = ckptOpts(w.opts)
+	w.bootstrap(statemachine.NewCounterMachine, "n1", "n2", "n3")
+	w.waitServing("n1")
+	st := w.stores["n3"]
+
+	// The old snapshot: n3's first checkpoint, read once n3 is stopped.
+	seq := w.driveAdds("n1", "c1", 0, 60)
+	w.waitStat(func() bool {
+		return w.node("n3").Stats().CheckpointsPublished > 0
+	}, "victim to publish a checkpoint", 15*time.Second)
+	w.stopNode("n3")
+	old, oldChunks, complete, err := storage.ReadChunked(st, snapPrefix(1))
+	if err != nil || !complete || old.Base == 0 {
+		t.Fatalf("old snapshot: base %d complete %v err %v", old.Base, complete, err)
+	}
+	if err := w.startNode("n3", statemachine.NewCounterMachine).Start(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Run on until n3's engine has released its log past that base.
+	floor := func() types.Slot {
+		f, err := paxos.TruncatedFloor(st, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	for deadline := time.Now().Add(20 * time.Second); floor() <= old.Base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("victim's floor %d never passed the old base %d", floor(), old.Base)
+		}
+		seq = w.driveAdds("n1", "c1", seq, 10)
+	}
+	w.stopNode("n3")
+	f := floor()
+	// The crash: the engine is at the new floor, the store still at the old base.
+	if err := storage.WriteChunkedCommit(st, snapPrefix(1), old, func(i int) []byte { return oldChunks[i] }); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []types.NodeID{"n1", "n2"} {
+		for deadline := time.Now().Add(20 * time.Second); types.Slot(w.node(id).Stats().CheckpointBase) < f; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never checkpointed at or above the victim's floor %d", id, f)
+			}
+			seq = w.driveAdds("n1", "c1", seq, 5)
+		}
+	}
+	_, tip := w.node("n1").AppliedSlot()
+
+	// Only the floor rule can save the victim: the gap-triggered catch-up
+	// fetch that would paper over a stale install is out of reach.
+	w.opts.CatchupGapSlots = 1 << 30
+	n3 := w.startNode("n3", statemachine.NewCounterMachine)
+	if err := n3.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if _, s := n3.AppliedSlot(); s == old.Base {
+		t.Fatalf("Start installed its own snapshot at base %d below the engine floor %d", old.Base, f)
+	}
+	w.waitStat(func() bool {
+		_, s := n3.AppliedSlot()
+		return s >= tip
+	}, "restarted victim to fetch a checkpoint at or above its floor and catch up", 10*time.Second)
+	if n3.Stats().SnapshotsFetched == 0 {
+		t.Fatal("victim caught up without fetching a snapshot")
+	}
+	if m, _, _, err := storage.ReadChunked(st, snapPrefix(1)); err != nil || m.Base < f {
+		t.Fatalf("victim holds base %d (err %v) under floor %d", m.Base, err, f)
+	}
+	if v := counterValue(t, w.submit("n3", "c1", seq+1, statemachine.EncodeAdd(1))); v != seq+1 {
+		t.Fatalf("counter=%d after refetch, want %d", v, seq+1)
 	}
 	w.checkNoViolations()
 }

@@ -494,7 +494,12 @@ func (n *Node) Start() error {
 		n.initialized = ferr == nil && floor == 0 && n.initConfig.ID != 0 && cur == n.initConfig.ID
 		n.mu.Unlock()
 	} else if complete && m.Chunks() > 0 {
-		n.install(cur, m, chunks)
+		// A snapshot below the engine's truncation floor (a crash between a
+		// catch-up install's SkipTo and its commit) is no snapshot: the log
+		// between its base and the floor is gone.
+		if floor, _ := paxos.TruncatedFloor(n.store, uint64(cur)); m.Base >= floor {
+			n.install(cur, m, chunks)
+		}
 	}
 
 	n.mu.Lock()

@@ -321,8 +321,9 @@ func (n *Node) runTransfer(id types.ConfigID) {
 		progress := false
 		if round == 0 && joining {
 			// Resume: adopt whatever a previous attempt (possibly before a
-			// crash) already persisted. Corrupt or missing chunks come back nil.
-			if m, cs, _, err := storage.ReadChunked(n.store, prefix); err == nil && m.Chunks() > 0 {
+			// crash) already persisted, under the same rule as a fetched
+			// manifest. Corrupt or missing chunks come back nil.
+			if m, cs, _, err := storage.ReadChunked(n.store, prefix); err == nil && m.Chunks() > 0 && m.Base >= least {
 				manifest, chunks, have = m, cs, true
 			}
 		}
