@@ -7,7 +7,7 @@
 // stable storage, deterministic state machines, client sessions), and a
 // harness regenerating the experiments of EXPERIMENTS.md that still run.
 //
-// Start with DESIGN.md for the system inventory, internal/core for the
+// Start with DESIGN.md for the system inventory, internal/reconfig for the
 // contribution's API, and examples/quickstart for a running tour. The
 // experiments are run by ID with:
 //

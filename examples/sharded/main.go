@@ -1,9 +1,8 @@
 // Sharded: the multi-group runtime. Three processes host four independent
 // RSM groups over ONE shared transport and ONE shared WAL per process; a
-// hash-partitioned router spreads the keyspace across the groups and
-// follows generation-stamped redirects when shards move. A shard's group
-// is then reconfigured onto new machines (migration-via-reconfiguration)
-// while the other groups keep serving.
+// router spreads the keyspace across the groups by a fixed hash partition.
+// One group is then reconfigured onto new machines — the one way a shard
+// moves — while the other groups keep serving.
 //
 //	go run ./examples/sharded
 package main
@@ -51,20 +50,19 @@ func run() error {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	for _, gid := range gids {
-		if err := m.CreateGroup(gid, home, router.PartitionedFactory(smap.ShardsOf(gid), smap.Gen)); err != nil {
+		if err := m.CreateGroup(gid, home, nil); err != nil {
 			return err
 		}
 		if err := m.WaitGroupServing(ctx, gid); err != nil {
 			return err
 		}
 	}
-	ctl := router.NewController(m, smap)
-	rt := router.New(m, ctl)
+	rt := router.New(m, smap)
 	fmt.Printf("serving: %d groups x n=%d on %d processes, %d shards\n",
 		len(gids), len(home), len(home), len(smap.Owner))
 
-	// 3. Routed writes: the router hashes each key to a shard, wraps the op
-	//    with the shard's generation stamp, and submits to the owning group.
+	// 3. Routed writes: the router hashes each key to a shard and submits
+	//    the op, as it is, to the group that owns the shard.
 	submit := func(client types.NodeID, seq uint64, key string, op []byte) ([]byte, error) {
 		var lastErr error
 		for i := 0; i < 200; i++ {
@@ -89,10 +87,10 @@ func run() error {
 		fmt.Printf("  group %d: applied=%d shards=%d\n", gs.Group, gs.Applied, len(smap.ShardsOf(gs.Group)))
 	}
 
-	// 4. Move one shard's group to fresh machines. The group reconfigures
-	//    via chunked state transfer — its shards, sessions, and data travel
-	//    as one snapshot; the shard map does not change. The other three
-	//    groups never notice.
+	// 4. Move one group to fresh machines. The group reconfigures via
+	//    chunked state transfer — its data and its client sessions travel as
+	//    one snapshot; the partition does not change. The other three groups
+	//    never notice.
 	for _, id := range []types.NodeID{"q1", "q2", "q3"} {
 		if err := m.AddProcess(id); err != nil {
 			return err
@@ -100,7 +98,7 @@ func run() error {
 	}
 	_, moveGid := smap.OwnerOf("user-0000")
 	fmt.Printf("moving group %d (owner of user-0000) to q1,q2,q3...\n", moveGid)
-	if err := ctl.MoveGroup(ctx, moveGid, []types.NodeID{"q1", "q2", "q3"}); err != nil {
+	if _, err := m.ReconfigureGroup(ctx, moveGid, []types.NodeID{"q1", "q2", "q3"}); err != nil {
 		return err
 	}
 	fmt.Printf("group %d now on %v\n", moveGid, m.GroupMembers(moveGid))

@@ -54,29 +54,16 @@ type groupRun struct {
 	id      types.GroupID
 	factory statemachine.Factory
 	nodes   map[types.NodeID]*reconfig.Node
-	order   []types.NodeID // submit preference order (refreshed from config)
-	rr      int
+	rot     Rotation     // whom a submit goes to when no leader is cached
 	leader  types.NodeID // cached leader hint for submit routing
 }
 
-// GroupStats aggregates one group's replica counters for per-group health
-// reporting: the shard experiment needs to see which group is hot.
+// GroupStats sums one group's replica counters: whether the group did any
+// work, and whether any replica saw an invariant break.
 type GroupStats struct {
 	Group               types.GroupID
-	Applied             int64 // summed over replicas
-	DroppedInbound      int64 // summed over replicas
-	ApplyQueueHighWater int64 // max over replicas
-	ApplyStalls         int64 // summed over replicas
-	GroupCommits        int64 // summed over replicas
-	InvariantViolations int64 // summed over replicas
-	ShedSubmits         int64 // summed over replicas (admission control)
-	SubmitQueueHigh     int64 // max over replicas (proposal queue high-water)
-
-	CheckpointsPublished int64 // summed over replicas
-	CatchupFetches       int64 // summed over replicas
-	TruncatedSlots       int64 // summed over replicas (log slots released)
-	RetainedSlots        int64 // max over replicas (decided slots still held)
-	DecisionBufferHigh   int64 // max over replicas (parked-decision high-water)
+	Applied             int64
+	InvariantViolations int64
 }
 
 // NewGroupManager creates an empty manager (no processes, no groups).
@@ -168,7 +155,7 @@ func (m *GroupManager) CreateGroup(gid types.GroupID, members []types.NodeID, fa
 		id:      gid,
 		factory: factory,
 		nodes:   make(map[types.NodeID]*reconfig.Node),
-		order:   types.CloneNodeIDs(cfg.Members),
+		rot:     Rotation{Order: cfg.Members},
 	}
 	for _, id := range cfg.Members {
 		n, err := m.newReplicaLocked(g, m.procs[id])
@@ -281,69 +268,58 @@ func (m *GroupManager) Node(gid types.GroupID, proc types.NodeID) *reconfig.Node
 // GroupMembers returns the newest configuration's member set known for gid.
 func (m *GroupManager) GroupMembers(gid types.GroupID) []types.NodeID {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	g := m.groups[gid]
-	m.mu.Unlock()
 	if g == nil {
 		return nil
 	}
-	m.refreshOrder(g)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return types.CloneNodeIDs(g.order)
+	g.rot.Refresh(g.nodes)
+	return types.CloneNodeIDs(g.rot.Order)
 }
 
-// errNoReplica reports a group with no serving replica right now.
+// errNoReplica reports a group with no replica to hand a command to right
+// now: none serving, none speculatively accepting.
 var errNoReplica = errors.New("cluster: no serving replica for group")
 
-// pick returns a serving replica of g, preferring the cached leader. The
-// submit hot path routes to the leader so commands do not pay an extra
-// forwarding hop; on any miss it falls back to round-robin.
+// pick returns the replica of g to hand a command to, preferring the cached
+// leader so commands do not pay an extra forwarding hop; on any miss it falls
+// back to the rotation, which may return a replica that only accepts (see
+// Rotation.Pick).
 func (m *GroupManager) pick(g *groupRun) *reconfig.Node {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if n := g.nodes[g.leader]; n != nil && n.Serving() && n.LeaderHint() == g.leader {
-		m.mu.Unlock()
 		return n
 	}
 	g.leader = ""
-	order := g.order
-	nodes := make([]*reconfig.Node, 0, len(order))
-	for _, id := range order {
-		nodes = append(nodes, g.nodes[id])
-	}
-	m.mu.Unlock()
 	// Prefer the replica that believes it leads.
-	for _, n := range nodes {
-		if n != nil && n.Serving() && n.LeaderHint() == n.Self() {
-			m.mu.Lock()
-			g.leader = n.Self()
-			m.mu.Unlock()
+	for _, id := range g.rot.Order {
+		if n := g.nodes[id]; n != nil && n.Serving() && n.LeaderHint() == id {
+			g.leader = id
 			return n
 		}
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for i := 0; i < len(order); i++ {
-		g.rr++
-		n := g.nodes[order[g.rr%len(order)]]
-		if n != nil && n.Serving() {
-			return n
-		}
-	}
-	return nil
+	return g.rot.Pick(g.nodes)
 }
 
 // refreshOrder re-learns g's member set from its replicas' newest config.
 func (m *GroupManager) refreshOrder(g *groupRun) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	best := types.Config{}
-	for _, n := range g.nodes {
-		if cfg := n.CurrentConfig(); cfg.ID > best.ID {
-			best = cfg
+	g.rot.Refresh(g.nodes)
+}
+
+// waitServing returns a serving replica of g, waiting for one until ctx ends.
+func (m *GroupManager) waitServing(ctx context.Context, g *groupRun) (*reconfig.Node, error) {
+	for {
+		if n := m.pick(g); n != nil && n.Serving() {
+			return n, nil
 		}
-	}
-	if best.ID != 0 {
-		g.order = types.CloneNodeIDs(best.Members)
+		select {
+		case <-ctx.Done():
+			return nil, fmt.Errorf("%w %d: %w", errNoReplica, g.id, ctx.Err())
+		case <-time.After(2 * time.Millisecond):
+		}
 	}
 }
 
@@ -358,7 +334,6 @@ func (m *GroupManager) Submit(ctx context.Context, gid types.GroupID, client typ
 	}
 	n := m.pick(g)
 	if n == nil {
-		m.refreshOrder(g)
 		return nil, fmt.Errorf("%w %d", errNoReplica, gid)
 	}
 	reply, err := n.Submit(ctx, client, seq, op)
@@ -390,9 +365,11 @@ func (m *GroupManager) ReconfigureGroup(ctx context.Context, gid types.GroupID, 
 		return types.Config{}, fmt.Errorf("cluster: unknown group %d", gid)
 	}
 	for {
-		n := m.pick(g)
-		if n == nil {
-			return types.Config{}, fmt.Errorf("%w %d", errNoReplica, gid)
+		// Only a serving replica can propose the change; right after an
+		// earlier move there may be none until the first joiner installs.
+		n, err := m.waitServing(ctx, g)
+		if err != nil {
+			return types.Config{}, err
 		}
 		cfg, err := n.Reconfigure(ctx, members)
 		if err == nil || errors.Is(err, reconfig.ErrConflict) {
@@ -416,17 +393,8 @@ func (m *GroupManager) WaitGroupServing(ctx context.Context, gid types.GroupID) 
 	if g == nil {
 		return fmt.Errorf("cluster: unknown group %d", gid)
 	}
-	for {
-		if n := m.pick(g); n != nil {
-			return nil
-		}
-		m.refreshOrder(g)
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(2 * time.Millisecond):
-		}
-	}
+	_, err := m.waitServing(ctx, g)
+	return err
 }
 
 // CrashProcess kills a physical process: every group replica it hosts stops
@@ -521,26 +489,7 @@ func (m *GroupManager) GroupStats(gid types.GroupID) GroupStats {
 	for _, n := range nodes {
 		st := n.Stats()
 		out.Applied += st.Applied
-		out.DroppedInbound += st.DroppedInbound
-		out.ApplyStalls += st.ApplyStalls
-		out.GroupCommits += st.GroupCommits
 		out.InvariantViolations += st.InvariantViolations
-		out.ShedSubmits += st.ShedSubmits
-		if st.ApplyQueueHighWater > out.ApplyQueueHighWater {
-			out.ApplyQueueHighWater = st.ApplyQueueHighWater
-		}
-		if st.SubmitQueueHigh > out.SubmitQueueHigh {
-			out.SubmitQueueHigh = st.SubmitQueueHigh
-		}
-		out.CheckpointsPublished += st.CheckpointsPublished
-		out.CatchupFetches += st.CatchupFetches
-		out.TruncatedSlots += st.TruncatedSlots
-		if st.RetainedSlots > out.RetainedSlots {
-			out.RetainedSlots = st.RetainedSlots
-		}
-		if st.DecisionBufferHigh > out.DecisionBufferHigh {
-			out.DecisionBufferHigh = st.DecisionBufferHigh
-		}
 	}
 	return out
 }

@@ -2,11 +2,15 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/statemachine"
+	"repro/internal/transport"
 	"repro/internal/types"
 )
 
@@ -184,6 +188,115 @@ func TestGroupManagerReconfigureGroup(t *testing.T) {
 	}
 	if m.TotalViolations() != 0 {
 		t.Fatal("invariant violations")
+	}
+}
+
+// TestGroupManagerSubmitDuringFullMove: between the wedge and the first
+// install of a full replacement (p1..p3 -> q1..q3) no member serves, but under
+// speculative start every joiner orders commands — so a Submit has somebody
+// to go to. The joiners' transfer is held back by delaying everything they
+// send to the old members (the announce travels the other way and arrives);
+// a submit made then is accepted by a speculating joiner, decided while the
+// transfer hangs, and answered once the hold is lifted and the snapshot is in.
+func TestGroupManagerSubmitDuringFullMove(t *testing.T) {
+	var held atomic.Bool
+	m := groupManager(t, Config{Transport: transport.Options{
+		LinkLatency: func(from, to types.NodeID) time.Duration {
+			if held.Load() && strings.HasPrefix(string(from), "q") && strings.HasPrefix(string(to), "p") {
+				return time.Hour
+			}
+			return 100 * time.Microsecond
+		},
+	}})
+	ctx := groupCtx(t)
+	if err := m.CreateGroup(1, []types.NodeID{"p1", "p2", "p3"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WaitGroupServing(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	mustSubmit(t, ctx, m, 1, "c", 1, statemachine.EncodePut("home", []byte("before")))
+
+	held.Store(true)
+	joiners := []types.NodeID{"q1", "q2", "q3"}
+	if _, err := m.ReconfigureGroup(ctx, 1, joiners); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "every joiner to learn the announce", func() bool {
+		for _, id := range joiners {
+			if m.Node(1, id).CurrentConfig().ID != 2 {
+				return false
+			}
+		}
+		return true
+	})
+
+	// The submit loop of a caller that treats every error as "try again";
+	// what it must never be told is that the group has nobody to submit to.
+	done := make(chan []byte, 1)
+	var noReplica atomic.Int64
+	go func() {
+		for ctx.Err() == nil {
+			reply, err := m.Submit(ctx, 1, "c", 2, statemachine.EncodePut("home", []byte("during")))
+			if err == nil {
+				done <- reply
+				return
+			}
+			if errors.Is(err, errNoReplica) {
+				noReplica.Add(1)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}()
+	waitFor(t, "a joiner to decide the command while its transfer hangs", func() bool {
+		for _, id := range joiners {
+			if m.Node(1, id).Stats().SpeculativeDecides > 0 {
+				return true
+			}
+		}
+		return false
+	})
+	for _, id := range joiners {
+		if m.Node(1, id).Serving() {
+			t.Fatalf("%s serves although its transfer is held back", id)
+		}
+	}
+	select {
+	case reply := <-done:
+		t.Fatalf("submit answered %x before any joiner had the snapshot", reply)
+	default:
+	}
+
+	held.Store(false)
+	select {
+	case reply := <-done:
+		if statemachine.ReplyStatus(reply) != statemachine.StatusOK {
+			t.Fatalf("parked put: %v", statemachine.ReplyStatus(reply))
+		}
+	case <-ctx.Done():
+		t.Fatal("parked submit never answered after the hold was lifted")
+	}
+	if n := noReplica.Load(); n != 0 {
+		t.Fatalf("%d submits were refused with errNoReplica during the move", n)
+	}
+	reply := mustSubmit(t, ctx, m, 1, "c", 3, statemachine.EncodeGet("home"))
+	if got := string(statemachine.ReplyPayload(reply)); got != "during" {
+		t.Fatalf("moved group reads %q", got)
+	}
+	if m.TotalViolations() != 0 {
+		t.Fatal("invariant violations")
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 15 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(15 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -71,7 +71,7 @@ type Deployment interface {
 
 // Tuning holds what every deployment in an experiment shares. Node is the
 // composed system's options, set by the experiments directly
-// (t.Node.Paxos.Pipeline, t.Node.SpeculativeStart, ...); the two baselines
+// (t.Node.Paxos.BatchSize, t.Node.SpeculativeStart, ...); the two baselines
 // read their engine timing and retry interval from it too.
 type Tuning struct {
 	Net  transport.Options
@@ -118,8 +118,7 @@ type composedDep struct {
 	nodes   map[types.NodeID]*reconfig.Node
 	byStore map[types.NodeID]storage.Store // each node's store, for crash-restart
 	mu      sync.Mutex
-	order   []types.NodeID
-	rr      int
+	rot     cluster.Rotation // whom a submit goes to; guarded by mu
 }
 
 func newComposed(t Tuning, factory statemachine.Factory, initial, spares []types.NodeID) (*composedDep, error) {
@@ -129,7 +128,7 @@ func newComposed(t Tuning, factory statemachine.Factory, initial, spares []types
 		opts:    t.Node,
 		nodes:   make(map[types.NodeID]*reconfig.Node),
 		byStore: make(map[types.NodeID]storage.Store),
-		order:   types.CloneNodeIDs(initial),
+		rot:     cluster.Rotation{Order: types.CloneNodeIDs(initial)},
 	}
 	cfg, err := types.NewConfig(1, initial)
 	if err != nil {
@@ -177,31 +176,12 @@ func newComposed(t Tuning, factory statemachine.Factory, initial, spares []types
 func (d *composedDep) pick() *reconfig.Node {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	// Prefer serving nodes (dedup fast path, fast reads); fall back to a
-	// member that is speculatively accepting — during a full member
-	// replacement no successor member serves until the first install, but
-	// under SpecOn all of them order commands and park the replies.
-	var accepting *reconfig.Node
-	for i := 0; i < len(d.order); i++ {
-		d.rr++
-		n := d.nodes[d.order[d.rr%len(d.order)]]
-		if n == nil {
-			continue
-		}
-		if n.Serving() {
-			return n
-		}
-		if accepting == nil && n.Accepting() {
-			accepting = n
-		}
-	}
-	return accepting
+	return d.rot.Pick(d.nodes)
 }
 
 func (d *composedDep) Submit(ctx context.Context, clientID types.NodeID, seq uint64, op []byte) ([]byte, error) {
 	n := d.pick()
 	if n == nil {
-		d.refreshOrder()
 		return nil, errNotNow
 	}
 	reply, err := n.Submit(ctx, clientID, seq, op)
@@ -296,15 +276,7 @@ func (d *composedDep) FirstDecideIn(members []types.NodeID, id types.ConfigID) (
 func (d *composedDep) refreshOrder() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	best := types.Config{}
-	for _, n := range d.nodes {
-		if cfg := n.CurrentConfig(); cfg.ID > best.ID {
-			best = cfg
-		}
-	}
-	if best.ID != 0 {
-		d.order = types.CloneNodeIDs(best.Members)
-	}
+	d.rot.Refresh(d.nodes)
 }
 
 func (d *composedDep) Reconfigure(ctx context.Context, members []types.NodeID) error {
@@ -330,7 +302,7 @@ func (d *composedDep) Members() []types.NodeID {
 	d.refreshOrder()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return types.CloneNodeIDs(d.order)
+	return types.CloneNodeIDs(d.rot.Order)
 }
 
 func (d *composedDep) Violations() int64 {

@@ -167,8 +167,7 @@ func TestAcceptorPropertyNeverRegresses(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.TickInterval != 2*time.Millisecond || o.MaxInflight != 64 || o.BatchSize != 16 ||
-		o.PendingLimit != 4096 || o.CatchupBatch != 512 {
+	if o.TickInterval != 2*time.Millisecond || o.BatchSize != 16 || o.LeaseTicks != 5 {
 		t.Fatalf("defaults: %+v", o)
 	}
 }

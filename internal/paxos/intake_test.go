@@ -52,9 +52,9 @@ func appsOf(t *testing.T, tc *testCluster, id types.NodeID) []types.Command {
 }
 
 // A clump of proposals that is queued when the leader's loop turns is packed,
-// not spread: N commands take at most ceil(N/BatchSize)+Pipeline slots, each
-// proposer's commands stay in order, and on a WAL store the whole clump —
-// accepts and decisions — is made durable by one group commit.
+// not spread: N commands take at most ceil(N/BatchSize)+pipelineDepth slots,
+// each proposer's commands stay in order, and on a WAL store the whole clump
+// — accepts and decisions — is made durable by one group commit.
 func TestLeaderPacksQueuedClump(t *testing.T) {
 	tc := newTestClusterOn(t, 1, transport.Options{}, func(types.NodeID) storage.Store {
 		w, err := storage.OpenWALStore(t.TempDir(), storage.WALStoreOptions{SyncWrites: true})
@@ -81,7 +81,7 @@ func TestLeaderPacksQueuedClump(t *testing.T) {
 
 	opts := r.opts
 	slots := int(r.Progress().Delivered - slotsBefore)
-	if limit := (n+opts.BatchSize-1)/opts.BatchSize + opts.Pipeline; slots > limit {
+	if limit := (n+opts.BatchSize-1)/opts.BatchSize + pipelineDepth; slots > limit {
 		t.Fatalf("%d queued commands took %d slots, want <= %d", n, slots, limit)
 	}
 	next := map[types.NodeID]uint64{"a": 1, "b": 1}

@@ -28,16 +28,16 @@ func turn(r *Replica, cmds ...types.Command) {
 
 func TestPipelineWindowGatesProposals(t *testing.T) {
 	r := leaderReplica(t)
-	for i := 0; i < r.opts.Pipeline; i++ {
+	for i := 0; i < pipelineDepth; i++ {
 		turn(r, appCmd("c", uint64(i+1)))
 	}
-	if got := len(r.inflight); got != r.opts.Pipeline {
-		t.Fatalf("inflight %d, want the full window %d", got, r.opts.Pipeline)
+	if got := len(r.inflight); got != pipelineDepth {
+		t.Fatalf("inflight %d, want the full window %d", got, pipelineDepth)
 	}
 	// The window is full: the next proposal must queue, not open a slot.
 	turn(r, appCmd("c", 100))
-	if got := len(r.inflight); got != r.opts.Pipeline {
-		t.Fatalf("inflight grew to %d past the Pipeline window %d", got, r.opts.Pipeline)
+	if got := len(r.inflight); got != pipelineDepth {
+		t.Fatalf("inflight grew to %d past the pipeline window %d", got, pipelineDepth)
 	}
 	if got := len(r.pending); got != 1 {
 		t.Fatalf("pending %d, want 1 queued command", got)
@@ -49,12 +49,12 @@ func TestPipelineWindowGatesProposals(t *testing.T) {
 // decide broadcast, a catch-up response, or onAccept's already-decided fast
 // path), acceptors answer KindDecide — never Accepted — so maybeDecide can
 // never clear the slot. learn() must remove such entries, or a handful of
-// them permanently fills the Pipeline window and the leader stops proposing
+// them permanently fills the pipeline window and the leader stops proposing
 // while client retries pile up forever.
 func TestLearnClearsZombieInflight(t *testing.T) {
 	r := leaderReplica(t)
 	first := r.nextSlot
-	for i := 0; i < r.opts.Pipeline; i++ {
+	for i := 0; i < pipelineDepth; i++ {
 		turn(r, appCmd("c", uint64(i+1)))
 	}
 	turn(r, appCmd("c", 100)) // window full: queued behind the pipeline
@@ -69,8 +69,8 @@ func TestLearnClearsZombieInflight(t *testing.T) {
 	if got := len(r.pending); got != 0 {
 		t.Fatalf("pending %d after window opened, want 0", got)
 	}
-	if got := len(r.inflight); got != r.opts.Pipeline {
-		t.Fatalf("inflight %d after refill, want %d", got, r.opts.Pipeline)
+	if got := len(r.inflight); got != pipelineDepth {
+		t.Fatalf("inflight %d after refill, want %d", got, pipelineDepth)
 	}
 
 	// Slot first+1 was chosen elsewhere with a DIFFERENT value: our command
@@ -93,8 +93,8 @@ func TestLearnClearsZombieInflight(t *testing.T) {
 
 	// Learning a slot that is not inflight (follower path) stays harmless.
 	r.learn(decideMsg{Slot: first + 1000, Cmd: types.NoopCommand()})
-	if got := len(r.inflight); got != r.opts.Pipeline {
-		t.Fatalf("inflight %d after unrelated learn, want %d", got, r.opts.Pipeline)
+	if got := len(r.inflight); got != pipelineDepth {
+		t.Fatalf("inflight %d after unrelated learn, want %d", got, pipelineDepth)
 	}
 }
 
@@ -102,17 +102,17 @@ func TestLearnClearsZombieInflight(t *testing.T) {
 // at slots a SkipTo (or a truncation) releases can never complete there —
 // learn ignores a slot at or below the floor and the acceptors answer it with
 // a checkpoint redirect, never Accepted — so nothing used to clear them, and
-// Pipeline of them filled the window for good. The release takes them back
-// into the queue, and the next proposal still gets a slot.
+// pipelineDepth of them filled the window for good. The release takes them
+// back into the queue, and the next proposal still gets a slot.
 func TestReleaseRequeuesInflightBelowFloor(t *testing.T) {
 	r := leaderReplica(t)
 	first := r.nextSlot
 	var open []types.Command
-	for i := 0; i < r.opts.Pipeline; i++ {
+	for i := 0; i < pipelineDepth; i++ {
 		open = append(open, appCmd("c", uint64(i+1)))
 		turn(r, open[i])
 	}
-	base := first + types.Slot(r.opts.Pipeline) + 5 // a checkpoint well above them
+	base := first + types.Slot(pipelineDepth) + 5 // a checkpoint well above them
 	r.skipTo(base)
 	if got := len(r.inflight); got != 0 {
 		t.Fatalf("%d proposals still in flight at or below the installed base %d", got, base)

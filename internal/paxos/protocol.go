@@ -505,7 +505,7 @@ func (r *Replica) learn(d decideMsg) {
 		// fast path in onAccept — so our own phase-2 round for it is moot.
 		// The entry must be cleared here: nothing else removes it (the
 		// acceptors keep answering KindDecide, never Accepted), and a few
-		// such zombies would permanently fill the Pipeline window and wedge
+		// such zombies would permanently fill the pipeline window and wedge
 		// the proposer. If a different value won the slot, re-queue ours;
 		// session dedup upstairs makes the re-submission harmless. The freed
 		// window slot is refilled at the end of the turn.
@@ -545,6 +545,13 @@ func (r *Replica) deliverReady() {
 	}
 }
 
+// catchupBatch is the most decided entries one catch-up response carries: it
+// bounds the frame, and a longer gap takes several round trips. 512 is also
+// the composition layer's default checkpoint margin — the stretch of log kept
+// below a checkpoint for exactly this kind of catch-up — so what is kept fits
+// one response.
+const catchupBatch = 512
+
 func (r *Replica) onCatchupReq(from types.NodeID, msg catchupReqMsg) {
 	// A request that starts at or below our truncation floor cannot be
 	// served from the log — those slots were released after a checkpoint.
@@ -557,7 +564,7 @@ func (r *Replica) onCatchupReq(from types.NodeID, msg catchupReqMsg) {
 		start = r.truncatedBelow + 1
 	}
 	to := msg.To
-	if limit := start + types.Slot(r.opts.CatchupBatch) - 1; to > limit {
+	if limit := start + catchupBatch - 1; to > limit {
 		to = limit
 	}
 	resp := catchupRespMsg{Frontier: r.deliverNext - 1, TruncatedBelow: r.truncatedBelow}
@@ -581,8 +588,15 @@ func (r *Replica) handlePropose(cmd types.Command) {
 	r.enqueue(cmd)
 }
 
+// pendingLimit caps the proposals queued for a leader or a pipeline slot. It
+// equals the composition layer's default admission bound (SubmitQueue, 4096
+// distinct client commands per node), which sheds with an explicit reply
+// first; this one only catches what gets past it (re-proposals, forwards
+// from several followers) and drops silently, for the proposer to retry.
+const pendingLimit = 4096
+
 // enqueue appends cmd to the proposal queue, dropping it when the queue is at
-// PendingLimit (overload; clients retry). A batch — one this replica proposed
+// pendingLimit (overload; clients retry). A batch — one this replica proposed
 // and is taking back, or one a deposed leader forwards — goes in as its
 // member commands: drainPending is the only place batches are built, so they
 // stay one level deep, which is all the apply layer unpacks. Packed again as
@@ -598,7 +612,7 @@ func (r *Replica) enqueue(cmd types.Command) {
 		for _, sub := range subs {
 			r.enqueue(sub)
 		}
-	case len(r.pending) < r.opts.PendingLimit:
+	case len(r.pending) < pendingLimit:
 		r.pending = append(r.pending, cmd)
 	}
 }
@@ -615,14 +629,19 @@ func (r *Replica) placePending() {
 	}
 }
 
+// pipelineDepth is how many slots a leader keeps open at once when it drains
+// its proposal queue. A deeper pipeline overlaps more accept rounds but
+// spreads the queued commands over more, emptier slots, and every open slot
+// costs a broadcast, a durable log record on every acceptor and a decision
+// delivery — past a few slots that overhead wins. 4 is the winner of the W1
+// pipeline-depth sweep on the durable WAL backend (EXPERIMENTS.md,
+// "Historical tables").
+const pipelineDepth = 4
+
 // drainPending assigns queued proposals to slots while the pipeline window
-// (Options.Pipeline, always <= MaxInflight) has room, packing up to
-// BatchSize commands per slot. Keeping the working window narrower than the
-// protocol's hard MaxInflight bound concentrates queued commands into fewer,
-// fuller slots: each open slot costs a broadcast, a durable log record on
-// every acceptor, and a decision delivery.
+// has room, packing up to BatchSize commands per slot.
 func (r *Replica) drainPending() {
-	for r.role == roleLeader && len(r.pending) > 0 && len(r.inflight) < r.opts.Pipeline {
+	for r.role == roleLeader && len(r.pending) > 0 && len(r.inflight) < pipelineDepth {
 		k := min(r.opts.BatchSize, len(r.pending))
 		cmd := r.pending[0]
 		if k > 1 {
@@ -684,6 +703,13 @@ func (r *Replica) onHeartbeat(from types.NodeID, msg heartbeatMsg) {
 	}
 }
 
+// resendTicks is how long a candidate or leader waits for an answer before it
+// sends a prepare, accept or read probe again. Five ticks is several round
+// trips on every fabric the engine runs on (a tick is at least 1 ms) and half
+// the default election timeout, so one lost message costs a retransmission,
+// not an election.
+const resendTicks = 5
+
 func (r *Replica) tick() {
 	switch r.role {
 	case roleLeader:
@@ -701,21 +727,21 @@ func (r *Replica) tick() {
 		}
 		if pr := r.curProbe; pr != nil {
 			pr.age++
-			if pr.age >= r.opts.ResendTicks {
+			if pr.age >= resendTicks {
 				pr.age = 0
 				r.broadcast(KindReadProbe, encodeReadProbe(readProbeMsg{Ballot: r.ballot, Seq: pr.seq}))
 			}
 		}
 		for slot, sp := range r.inflight {
 			sp.sinceTicks++
-			if sp.sinceTicks >= r.opts.ResendTicks {
+			if sp.sinceTicks >= resendTicks {
 				sp.sinceTicks = 0
 				r.broadcast(KindAccept, encodeAccept(acceptMsg{Ballot: r.ballot, Slot: slot, Cmd: sp.cmd}))
 			}
 		}
 	case roleCandidate:
 		r.prepareAge++
-		if r.prepareAge >= r.opts.ResendTicks {
+		if r.prepareAge >= resendTicks {
 			r.prepareAge = 0
 			r.broadcast(KindPrepare, encodePrepare(prepareMsg{Ballot: r.ballot, From: r.prepareFrom()}))
 		}

@@ -27,33 +27,11 @@ type Options struct {
 	// ElectionJitterTicks adds uniform random ticks to the election
 	// timeout to avoid dueling proposers. Default 10.
 	ElectionJitterTicks int
-	// ResendTicks is how long a candidate/leader waits before
-	// retransmitting an unanswered prepare or accept. Default 5.
-	ResendTicks int
-	// MaxInflight caps the phase-2 pipeline depth. Default 64. This is the
-	// hard protocol bound on concurrently open slots (it also sizes the
-	// re-propose work after a leader change); the working pipeline window a
-	// leader actually drives is the smaller Pipeline below.
-	MaxInflight int
-	// Pipeline is the number of slot windows a leader keeps concurrently
-	// in flight when draining its proposal queue. Deeper pipelines overlap
-	// more accept rounds but spread queued commands across more, emptier
-	// slots — each slot costs a broadcast, a WAL record and a decision
-	// delivery, so past a few windows the per-slot overhead wins. Default 4,
-	// the winner of the W1 pipeline-depth sweep on the durable WAL backend
-	// (EXPERIMENTS.md, "Historical tables"); clamped to MaxInflight.
-	Pipeline int
 	// BatchSize is the maximum number of queued commands a leader packs
 	// into one consensus slot. Default 16, the winner of A1's follow-up
 	// sweep on the durable WAL backend (batching decides how many commands
 	// share one group-commit fsync; EXPERIMENTS.md, "Historical tables").
 	BatchSize int
-	// PendingLimit caps queued proposals awaiting a leader or a pipeline
-	// slot; beyond it Propose returns ErrBusy. Default 4096.
-	PendingLimit int
-	// CatchupBatch is the max decided entries per catch-up response.
-	// Default 512.
-	CatchupBatch int
 	// EnableLeaseReads turns on leader leases: ReadIndex answers without a
 	// quorum round while a quorum-acked heartbeat lease is current, and
 	// acceptors suppress promises to rival candidates inside the leader's
@@ -83,26 +61,8 @@ func (o Options) withDefaults() Options {
 	if o.ElectionJitterTicks <= 0 {
 		o.ElectionJitterTicks = 10
 	}
-	if o.ResendTicks <= 0 {
-		o.ResendTicks = 5
-	}
-	if o.MaxInflight <= 0 {
-		o.MaxInflight = 64
-	}
-	if o.Pipeline <= 0 {
-		o.Pipeline = 4
-	}
-	if o.Pipeline > o.MaxInflight {
-		o.Pipeline = o.MaxInflight
-	}
 	if o.BatchSize <= 0 {
 		o.BatchSize = 16
-	}
-	if o.PendingLimit <= 0 {
-		o.PendingLimit = 4096
-	}
-	if o.CatchupBatch <= 0 {
-		o.CatchupBatch = 512
 	}
 	if o.LeaseTicks <= 0 {
 		o.LeaseTicks = o.ElectionTimeoutTicks / 2
@@ -261,9 +221,9 @@ type Replica struct {
 	// with persistence buffered and outbound frames and decisions collected,
 	// then makes the whole burst durable with one Sync before anything that
 	// asserts the staged state leaves the replica (see endBurst for which
-	// frames that is). This is what lets Pipeline > 1 overlap durable slots
-	// instead of serializing one fsync per accept. bdel is the store's staged
-	// delete, when it has one (log release; see unstage).
+	// frames that is). This is what lets a pipeline deeper than one slot
+	// overlap durable slots instead of serializing one fsync per accept. bdel
+	// is the store's staged delete, when it has one (log release; see unstage).
 	bstore        storage.BufferedStore
 	bdel          storage.BufferedDeleter
 	inBurst       bool
@@ -928,7 +888,7 @@ func (r *Replica) skipTo(base types.Slot) {
 // at a released slot can never complete there — learn ignores the slot, the
 // acceptors answer with a checkpoint redirect — so it goes back to the queue
 // for a fresh slot (session dedup upstairs makes a second decision harmless);
-// left in place, a few of them would fill the Pipeline window for good.
+// left in place, a few of them would fill the pipeline window for good.
 func (r *Replica) release(floor types.Slot) {
 	prev := r.truncatedBelow
 	r.truncatedBelow = floor

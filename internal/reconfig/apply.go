@@ -182,7 +182,7 @@ func (n *Node) collectReadyLocked(max int) (units []applyUnit, taken []smr.Decis
 			if dec.Slot <= cursor {
 				continue // stale redelivery; already executed
 			}
-			n.stats.violations++
+			n.stats.InvariantViolations++
 			continue
 		}
 		cursor = dec.Slot
@@ -191,7 +191,7 @@ func (n *Node) collectReadyLocked(max int) (units []applyUnit, taken []smr.Decis
 			if err != nil {
 				// A leader produced a corrupt batch; consume the slot so
 				// the cursor still advances.
-				n.stats.violations++
+				n.stats.InvariantViolations++
 				units = append(units, applyUnit{slot: dec.Slot, cmd: types.Command{Kind: types.CmdNoop}})
 				continue
 			}
@@ -253,9 +253,9 @@ func (n *Node) applySegment(machine *statemachine.Sessioned, seg []applyUnit, co
 	}
 	for k := range seg {
 		cmd := seg[k].cmd
-		n.stats.applied++
+		n.stats.Applied++
 		if dups[k] {
-			n.stats.duplicates++
+			n.stats.Duplicates++
 		}
 		if cmd.Client == "" {
 			continue
@@ -292,7 +292,7 @@ func (n *Node) routeDecisionLocked(td taggedDecision) {
 		// either a future config's engine running speculatively, or the
 		// current config's engine deciding while the snapshot is still in
 		// flight. The decision parks here until the install.
-		n.stats.specDecides++
+		n.stats.SpeculativeDecides++
 	}
 	run.buffered = append(run.buffered, td.dec)
 	if lim := n.opts.DecisionBuffer; lim > 0 && len(run.buffered) > lim {
@@ -317,11 +317,11 @@ func (n *Node) routeDecisionLocked(td taggedDecision) {
 				run.droppedBelow = d.Slot
 			}
 			run.buffered = run.buffered[1:]
-			n.stats.bufferDrops++
+			n.stats.DecisionBufferDrops++
 		}
 	}
-	if d := int64(len(run.buffered)); d > n.stats.bufferHigh {
-		n.stats.bufferHigh = d
+	if d := int64(len(run.buffered)); d > n.stats.DecisionBufferHigh {
+		n.stats.DecisionBufferHigh = d
 	}
 }
 
@@ -369,24 +369,24 @@ func (n *Node) applyReconfigLocked(slot types.Slot, cmd types.Command) {
 		if !prev.Equal(rec) {
 			// Two different successors for one configuration would be
 			// a chain fork — agreement inside the engine forbids it.
-			n.stats.violations++
+			n.stats.InvariantViolations++
 			return
 		}
 	} else {
 		n.chain[rec.From] = rec
 		if err := n.store.Set(chainKey(rec.From), encodeChainRecord(rec)); err != nil {
-			n.stats.violations++
+			n.stats.InvariantViolations++
 		}
 	}
 	n.configs[newCfg.ID] = newCfg
-	n.stats.wedges++
+	n.stats.Wedges++
 
 	// The machine state at the wedge IS the successor's initial state:
 	// publish it at base 0. Only the copy-on-write fork (O(shards)) runs
 	// under n.mu; its duration is recorded in WedgeCaptureNS.
 	start := time.Now()
 	src := n.machine.ForkSnapshot()
-	n.stats.wedgeCaptureNS = time.Since(start).Nanoseconds()
+	n.stats.WedgeCaptureNS = time.Since(start).Nanoseconds()
 	n.publishAsyncLocked(newCfg.ID, 0, src)
 
 	// Let the old engine linger for laggards, then stop it.
@@ -405,7 +405,7 @@ func (n *Node) applyReconfigLocked(slot types.Slot, cmd types.Command) {
 		// We hold the state already: activate immediately; the engine
 		// starts speculatively regardless of the snapshot (it is local).
 		if err := n.ensureEngineLocked(newCfg.ID); err != nil {
-			n.stats.violations++
+			n.stats.InvariantViolations++
 		}
 		// initialized stays true: machine == initial state of newCfg.
 		n.resubmitPendingLocked(true)
@@ -452,7 +452,7 @@ func (n *Node) resubmitPendingLocked(force bool) {
 			delete(n.pending, key)
 			continue
 		}
-		n.stats.resubmits++
+		n.stats.Resubmits++
 		_ = run.eng.Propose(p.cmd) // best effort; a later tick retries
 		n.armRetryLocked(p)
 	}

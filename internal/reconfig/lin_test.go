@@ -436,8 +436,8 @@ func runLin(t *testing.T, run linRun) {
 			t.Logf("node %s: curID=%d init=%v applied=%d epoch=%d pending=%d waiters=%d applyCh=%d engines=%v stats={applied:%d viol:%d stale:%d wedges:%d resub:%d}",
 				id, node.curID, node.initialized, node.appliedSlot, node.epoch,
 				len(node.pending), len(node.readWaiters), len(node.applyCh), engs,
-				node.stats.applied, node.stats.violations, node.stats.staleJumps,
-				node.stats.wedges, node.stats.resubmits)
+				node.stats.Applied, node.stats.InvariantViolations, node.stats.StaleJumps,
+				node.stats.Wedges, node.stats.Resubmits)
 			node.mu.Unlock()
 		}
 		t.Fatalf("only %d reconfigurations (need %d); seed %d", stats.Reconfigs, run.minReconfigs, seed)

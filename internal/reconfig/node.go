@@ -116,14 +116,13 @@ const (
 	SpecOff SpecMode = 2
 )
 
-// ReadMode selects the serving strategy for read-only ops. Values start at 1
-// so the zero value can be normalized to the default.
+// ReadMode selects the serving strategy for read-only ops. The zero value is
+// normalized to the default. In either mode a read the fast path cannot take
+// (queue full, leadership lost, a replica stuck behind its index) is proposed
+// through the log like a write.
 type ReadMode uint8
 
 const (
-	// ReadModeLog proposes every read through the log like a write — the
-	// baseline: always safe, always slow.
-	ReadModeLog ReadMode = 1
 	// ReadModeIndex serves reads via the leader read-index protocol: one
 	// quorum heartbeat round (shared by all reads awaiting it) confirms
 	// leadership, then the read is answered from local state at or past
@@ -381,18 +380,9 @@ type Node struct {
 	lastStallWarn  atomic.Int64
 	lastShedWarn   atomic.Int64
 
-	stats struct {
-		applied, duplicates, wedges, staleJumps int64
-		snapshotsServed, snapshotsFetched       int64
-		chunksServed, chunksFetched             int64
-		chunkRetries, chunkCRCRejected          int64
-		wedgeCaptureNS                          int64
-		resubmits, violations                   int64
-		specDecides, specParked                 int64
-		shedSubmits, submitHighWater            int64
-		checkpointsPublished, catchupFetches    int64
-		bufferHigh, bufferDrops                 int64
-	}
+	// stats holds the counters the node keeps itself, incremented in place
+	// under mu; Stats fills in the fields computed when it is called.
+	stats NodeStats
 	reads stats.ReadPathCounters
 }
 
@@ -682,7 +672,7 @@ func (n *Node) warnShed() {
 	}
 	if n.lastShedWarn.CompareAndSwap(last, now) {
 		log.Printf("reconfig: %s shedding client submits (queue cap %d, %d shed so far); clients are told SubmitBusy",
-			n.self, n.opts.SubmitQueue, n.stats.shedSubmits)
+			n.self, n.opts.SubmitQueue, n.stats.ShedSubmits)
 	}
 }
 
@@ -777,54 +767,23 @@ func (n *Node) ChainRecords() []ChainRecord {
 func (n *Node) Stats() NodeStats {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	var dropped, groupCommits, truncated, retained int64
+	out := n.stats
 	for _, run := range n.engines {
 		es := run.eng.Stats()
-		dropped += es.DroppedInbound
-		groupCommits += es.GroupCommits
-		truncated += es.TruncatedSlots
-		retained += es.RetainedSlots
+		out.DroppedInbound += es.DroppedInbound
+		out.GroupCommits += es.GroupCommits
+		out.TruncatedSlots += es.TruncatedSlots
+		out.RetainedSlots += es.RetainedSlots
 	}
-	fast, fallback, fenced := n.reads.Snapshot()
-	var ckptBase int64
+	out.FastReads, out.ReadFallbacks, out.ReadFenced = n.reads.Snapshot()
+	out.ApplyQueueDepth = int64(len(n.applyCh))
+	out.ApplyQueueHighWater = n.applyHighWater.Load()
+	out.ApplyStalls = n.applyStalls.Load()
+	out.SubmitQueueDepth = int64(len(n.pending))
 	if n.ckptCfg == n.curID {
-		ckptBase = int64(n.ckptSelfBase)
+		out.CheckpointBase = int64(n.ckptSelfBase)
 	}
-	return NodeStats{
-		Applied:              n.stats.applied,
-		Duplicates:           n.stats.duplicates,
-		Wedges:               n.stats.wedges,
-		StaleJumps:           n.stats.staleJumps,
-		SnapshotsServed:      n.stats.snapshotsServed,
-		SnapshotsFetched:     n.stats.snapshotsFetched,
-		ChunksServed:         n.stats.chunksServed,
-		ChunksFetched:        n.stats.chunksFetched,
-		ChunkRetries:         n.stats.chunkRetries,
-		ChunkCRCRejected:     n.stats.chunkCRCRejected,
-		WedgeCaptureNS:       n.stats.wedgeCaptureNS,
-		Resubmits:            n.stats.resubmits,
-		InvariantViolations:  n.stats.violations,
-		FastReads:            fast,
-		ReadFallbacks:        fallback,
-		ReadFenced:           fenced,
-		DroppedInbound:       dropped,
-		ApplyQueueDepth:      int64(len(n.applyCh)),
-		ApplyQueueHighWater:  n.applyHighWater.Load(),
-		ApplyStalls:          n.applyStalls.Load(),
-		GroupCommits:         groupCommits,
-		SpeculativeDecides:   n.stats.specDecides,
-		SpeculativeParked:    n.stats.specParked,
-		ShedSubmits:          n.stats.shedSubmits,
-		SubmitQueueDepth:     int64(len(n.pending)),
-		SubmitQueueHigh:      n.stats.submitHighWater,
-		CheckpointsPublished: n.stats.checkpointsPublished,
-		CheckpointBase:       ckptBase,
-		TruncatedSlots:       truncated,
-		RetainedSlots:        retained,
-		CatchupFetches:       n.stats.catchupFetches,
-		DecisionBufferHigh:   n.stats.bufferHigh,
-		DecisionBufferDrops:  n.stats.bufferDrops,
-	}
+	return out
 }
 
 // FirstDecide returns when this node learned its first decided slot of

@@ -44,7 +44,7 @@ type readWaiter struct {
 // n.mu; the lock is dropped and re-acquired around the ReadIndex call, so
 // the caller must re-validate serving state when false is returned.
 func (n *Node) tryFastReadLocked(cmd types.Command, respond func([]byte)) bool {
-	if n.opts.Reads == ReadModeLog || !n.machine.ReadOnly(cmd.Data) {
+	if !n.machine.ReadOnly(cmd.Data) {
 		return false
 	}
 	readCfg := n.curID

@@ -202,7 +202,7 @@ func (n *Node) admitSubmitLocked(cmd types.Command) bool {
 	if len(n.pending) < n.opts.SubmitQueue {
 		return true
 	}
-	n.stats.shedSubmits++
+	n.stats.ShedSubmits++
 	n.warnShed()
 	return false
 }
@@ -234,8 +234,8 @@ func (n *Node) enqueueSubmitLocked(cmd types.Command, respond func([]byte)) {
 		n.armRetryLocked(p)
 		p.nextRetry++
 		n.pending[key] = p
-		if depth := int64(len(n.pending)); depth > n.stats.submitHighWater {
-			n.stats.submitHighWater = depth
+		if depth := int64(len(n.pending)); depth > n.stats.SubmitQueueHigh {
+			n.stats.SubmitQueueHigh = depth
 		}
 	}
 	p.responders = append(p.responders, respond)
@@ -255,12 +255,12 @@ func (n *Node) handleAnnounce(rec ChainRecord) {
 	}
 	if prev, ok := n.chain[rec.From]; ok {
 		if !prev.Equal(rec) {
-			n.stats.violations++ // chain fork: impossible under agreement
+			n.stats.InvariantViolations++ // chain fork: impossible under agreement
 		}
 	} else {
 		n.chain[rec.From] = rec
 		if err := n.store.Set(chainKey(rec.From), encodeChainRecord(rec)); err != nil {
-			n.stats.violations++
+			n.stats.InvariantViolations++
 		}
 	}
 	n.configs[rec.To.ID] = rec.To
@@ -269,7 +269,7 @@ func (n *Node) handleAnnounce(rec ChainRecord) {
 	// successor's engine before the state arrives so ordering can begin.
 	if rec.To.IsMember(n.self) && n.speculationOn() {
 		if err := n.ensureEngineLocked(rec.To.ID); err != nil {
-			n.stats.violations++
+			n.stats.InvariantViolations++
 		}
 	}
 
@@ -302,7 +302,7 @@ func (n *Node) advanceToLocked(id types.ConfigID) {
 	if cfg.IsMember(n.self) {
 		if n.speculationOn() {
 			if err := n.ensureEngineLocked(id); err != nil {
-				n.stats.violations++
+				n.stats.InvariantViolations++
 			}
 		}
 		n.maybeTransferLocked()
@@ -346,7 +346,7 @@ func (n *Node) houseTick() {
 	if rec, ok := n.chain[n.curID]; ok && n.initialized {
 		n.staleTicks++
 		if n.staleTicks > n.opts.StaleJumpTicks {
-			n.stats.staleJumps++
+			n.stats.StaleJumps++
 			n.advanceToLocked(rec.To.ID)
 			cur = n.configs[n.curID]
 			member = cur.IsMember(n.self)

@@ -106,7 +106,7 @@ func (n *Node) publishAsyncLocked(id types.ConfigID, base types.Slot, src statem
 		n.mu.Lock()
 		n.publishing--
 		if err != nil {
-			n.stats.violations++
+			n.stats.InvariantViolations++
 		}
 		n.mu.Unlock()
 	}()
@@ -159,7 +159,7 @@ func (n *Node) commit(id types.ConfigID, m storage.ChunkManifest, chunks [][]byt
 	delete(n.serving, id)
 	if m.Base > 0 && n.curID == id {
 		n.noteDurableBaseLocked(m.Base)
-		n.stats.checkpointsPublished++
+		n.stats.CheckpointsPublished++
 		n.ckptAnnounceLeft = 0 // the next housekeeping tick announces the new base
 		n.maybeTruncateLocked()
 	}
@@ -183,7 +183,7 @@ func (n *Node) snapManifest(id types.ConfigID) (storage.ChunkManifest, bool) {
 		return storage.ChunkManifest{}, false
 	}
 	n.mu.Lock()
-	n.stats.snapshotsServed++
+	n.stats.SnapshotsServed++
 	n.mu.Unlock()
 	return m, true
 }
@@ -214,7 +214,7 @@ func (n *Node) snapChunkOne(id types.ConfigID, idx int) ([]byte, bool) {
 		data = hook(id, idx, data)
 	}
 	n.mu.Lock()
-	n.stats.chunksServed++
+	n.stats.ChunksServed++
 	n.mu.Unlock()
 	return data, true
 }
@@ -374,7 +374,7 @@ func (n *Node) runTransfer(id types.ConfigID) {
 			have = false
 		}
 		n.mu.Lock()
-		n.stats.chunkRetries++
+		n.stats.ChunkRetries++
 		n.mu.Unlock()
 		delay := BackoffDelay(attempt, n.opts.RetryInterval, 4*n.opts.FetchTimeout, rng)
 		select {
@@ -393,7 +393,7 @@ func (n *Node) acceptChunk(prefix string, m storage.ChunkManifest, chunks [][]by
 		// Corrupt on the wire or a poisoned source: reject this chunk
 		// alone; nothing already verified is touched.
 		n.mu.Lock()
-		n.stats.chunkCRCRejected++
+		n.stats.ChunkCRCRejected++
 		n.mu.Unlock()
 		return false
 	}
@@ -410,7 +410,7 @@ func (n *Node) acceptChunk(prefix string, m storage.ChunkManifest, chunks [][]by
 		}
 	}
 	n.mu.Lock()
-	n.stats.chunksFetched++
+	n.stats.ChunksFetched++
 	n.mu.Unlock()
 	return true
 }
@@ -611,7 +611,7 @@ func (n *Node) install(id types.ConfigID, m storage.ChunkManifest, chunks [][]by
 	fresh, err := n.buildMachine(m, chunks)
 	n.mu.Lock()
 	if err != nil {
-		n.stats.violations++
+		n.stats.InvariantViolations++
 		n.mu.Unlock()
 		return false
 	}
@@ -621,17 +621,17 @@ func (n *Node) install(id types.ConfigID, m storage.ChunkManifest, chunks [][]by
 	}
 	joined := !n.initialized
 	if joined {
-		n.stats.snapshotsFetched++
+		n.stats.SnapshotsFetched++
 		if run, ok := n.engines[id]; ok {
 			// Decisions the speculative engine decided during the transfer
 			// are parked in run.buffered; the pump nudge below drains them.
-			n.stats.specParked += int64(len(run.buffered))
+			n.stats.SpeculativeParked += int64(len(run.buffered))
 		}
 		// The chunks are in the store already (fetched incrementally, or
 		// read from it by Start), so the base is durable here.
 		n.noteDurableBaseLocked(m.Base)
 	} else {
-		n.stats.catchupFetches++
+		n.stats.CatchupFetches++
 	}
 	n.machine = fresh
 	n.initialized = true
@@ -641,7 +641,7 @@ func (n *Node) install(id types.ConfigID, m storage.ChunkManifest, chunks [][]by
 	// client reply fires for a slot before the apply point passes Base.
 	n.appliedSlot = m.Base
 	if err := n.ensureEngineLocked(id); err != nil {
-		n.stats.violations++
+		n.stats.InvariantViolations++
 	}
 	if run, ok := n.engines[id]; ok && m.Base > 0 {
 		if run.droppedBelow <= m.Base {
@@ -704,6 +704,6 @@ func (n *Node) retire(ids []types.ConfigID) {
 
 func (n *Node) countViolation() {
 	n.mu.Lock()
-	n.stats.violations++
+	n.stats.InvariantViolations++
 	n.mu.Unlock()
 }

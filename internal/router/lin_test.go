@@ -63,15 +63,14 @@ func TestLinearizabilityShardedReconfig(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
 	defer cancel()
 	for _, gid := range gids {
-		if err := m.CreateGroup(gid, home, router.PartitionedFactory(smap.ShardsOf(gid), smap.Gen)); err != nil {
+		if err := m.CreateGroup(gid, home, nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := m.WaitGroupServing(ctx, gid); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ctl := router.NewController(m, smap)
-	rt := router.New(m, ctl)
+	rt := router.New(m, smap)
 
 	// Routed clients: each keeps one (client, seq) pending until acknowledged;
 	// the recorder spans the retries so ops applied during timeout windows
@@ -159,7 +158,7 @@ func TestLinearizabilityShardedReconfig(t *testing.T) {
 				defer nwg.Done()
 				rctx, rcancel := context.WithTimeout(ctx, 20*time.Second)
 				defer rcancel()
-				if err := ctl.MoveGroup(rctx, gid, members); err != nil {
+				if _, err := m.ReconfigureGroup(rctx, gid, members); err != nil {
 					t.Logf("round %d: move group %d: %v", round, gid, err)
 					return
 				}

@@ -1,26 +1,40 @@
+// Package router spreads a KV keyspace over the multi-group runtime: a fixed
+// hash partition of the keys into NumShards shards, each owned by one RSM
+// group for good, and a Router that submits every operation to the group
+// owning its key.
+//
+// The shape follows the FRAPPE platform the source paper's composition
+// protocol was built for: many small replicated services (here one group per
+// set of shards) hosted per process over a shared transport and a shared WAL.
+// There is one way to move a shard: reconfigure the group that owns it onto
+// other processes (cluster.GroupManager.ReconfigureGroup). The paper's
+// protocol does all the work — the machine state and the client session table
+// travel together in one snapshot, so a command retried across the move is
+// still deduplicated — and the partition never changes, so a client never
+// sees a redirect. Finer-grained rebalancing is more groups (up to one per
+// shard), each moved the same way.
 package router
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
-	"time"
 
 	"repro/internal/statemachine"
 	"repro/internal/types"
 )
 
-// ShardMap is one generation of the keyspace partition assignment: shard i
-// (of NumShards) is served by Owner[i]. Maps are immutable once published;
-// every change produces a successor with a larger Gen, so a client holding a
-// stale map can always tell (and a Moved redirect tells it to refresh).
+// NumShards is the number of hash partitions the keyspace is split into —
+// the machines' internal shard count, so one router shard is exactly one
+// KVStore shard (and one snapshot chunk).
+const NumShards = statemachine.NumKeyShards
+
+// ShardMap is the keyspace partition: shard i (of NumShards) is served by
+// group Owner[i]. It is fixed when the groups are created.
 type ShardMap struct {
-	Gen   uint64
 	Owner [NumShards]types.GroupID
 }
 
-// OwnerOf returns the group serving key under this map.
+// OwnerOf returns the shard key hashes to and the group serving it.
 func (m ShardMap) OwnerOf(key string) (shard int, gid types.GroupID) {
 	shard = statemachine.KeyShard(key)
 	return shard, m.Owner[shard]
@@ -38,13 +52,13 @@ func (m ShardMap) ShardsOf(gid types.GroupID) []int {
 }
 
 // SplitShards deals NumShards round-robin across the given groups — the
-// initial balanced assignment.
+// balanced assignment.
 func SplitShards(groups []types.GroupID) (ShardMap, error) {
 	if len(groups) == 0 {
 		return ShardMap{}, fmt.Errorf("router: no groups to assign shards to")
 	}
-	m := ShardMap{Gen: 1}
-	for s := 0; s < NumShards; s++ {
+	var m ShardMap
+	for s := range m.Owner {
 		m.Owner[s] = groups[s%len(groups)]
 	}
 	return m, nil
@@ -56,208 +70,26 @@ func SplitShards(groups []types.GroupID) (ShardMap, error) {
 type Groups interface {
 	// Submit executes one command on group gid with session (client, seq).
 	Submit(ctx context.Context, gid types.GroupID, client types.NodeID, seq uint64, op []byte) ([]byte, error)
-	// ReconfigureGroup moves group gid onto the given member set.
-	ReconfigureGroup(ctx context.Context, gid types.GroupID, members []types.NodeID) (types.Config, error)
 }
 
-// Directory publishes the authoritative shard map. Controller implements it.
-type Directory interface {
-	// Map returns the current shard map snapshot.
-	Map() ShardMap
-}
-
-// ErrUnrouted reports that a submit exhausted its redirect budget without
-// finding the shard's owner — the map churned faster than the client chased.
-var ErrUnrouted = errors.New("router: shard ownership unresolved after redirects")
-
-// Router is the client-side routing layer: it stamps every operation with
-// the shard and map generation it routed under, follows StatusMoved
-// redirects by refreshing its map from the directory, and retries against
-// the new owner. Safe for concurrent use.
+// Router is the client-side routing layer over groups that each run an
+// ordinary statemachine.NewKVMachine. Safe for concurrent use.
 type Router struct {
 	groups Groups
-	dir    Directory
-
-	mu     sync.Mutex
-	cached ShardMap
-	stats  RouterStats
+	smap   ShardMap
 }
 
-// RouterStats counts the router's cache activity: how often redirects force
-// a directory read, and how many of those reads actually advanced the cached
-// generation. Adopts increments exactly once per generation no matter how
-// many submits race to report the same stale map.
-type RouterStats struct {
-	Refreshes int64 // directory reads triggered by redirects
-	Adopts    int64 // refreshes that adopted a strictly newer map
+// New creates a router over the given runtime and partition.
+func New(groups Groups, smap ShardMap) *Router {
+	return &Router{groups: groups, smap: smap}
 }
 
-// New creates a router over the given runtime and directory.
-func New(groups Groups, dir Directory) *Router {
-	return &Router{groups: groups, dir: dir, cached: dir.Map()}
-}
-
-// Stats returns a snapshot of the router's counters.
-func (r *Router) Stats() RouterStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stats
-}
-
-// map_ returns the cached shard map without touching the directory — the
-// common case; redirects are what invalidate it.
-func (r *Router) map_() ShardMap {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.cached
-}
-
-func (r *Router) refresh(staleGen uint64) ShardMap {
-	m := r.dir.Map()
-	r.mu.Lock()
-	r.stats.Refreshes++
-	if m.Gen > r.cached.Gen {
-		r.cached = m
-		r.stats.Adopts++
-	}
-	cur := r.cached
-	r.mu.Unlock()
-	_ = staleGen
-	return cur
-}
-
-// Submit routes one KV operation on key for session (client, seq): wraps it
-// for the owning group per the cached map, follows Moved redirects (with a
-// map refresh per redirect), and returns the inner machine's reply.
-//
-// A note on retries across migrations: (client, seq) dedup tables are per
-// group. A redirect means the op was NOT applied (the ownership check fires
-// before the inner machine is touched), so chasing the shard to another
-// group with the same seq is safe. The unsafe case — an op applied but
-// un-acked on a group whose shard then migrated away cross-group before the
-// caller retried — cannot be detected here and is documented on MigrateShard.
-func (r *Router) Submit(ctx context.Context, client types.NodeID, seq uint64, key string, inner []byte) ([]byte, error) {
-	m := r.map_()
-	const maxRedirects = 8
-	for attempt := 0; ; attempt++ {
-		shard, gid := m.OwnerOf(key)
-		reply, err := r.groups.Submit(ctx, gid, client, seq, EncodeRouted(shard, m.Gen, inner))
-		if err != nil {
-			return nil, err
-		}
-		if statemachine.ReplyStatus(reply) != statemachine.StatusMoved {
-			return reply, nil
-		}
-		if attempt >= maxRedirects {
-			return nil, fmt.Errorf("%w (shard %d)", ErrUnrouted, shard)
-		}
-		next := r.refresh(m.Gen)
-		if next.Gen == m.Gen {
-			// Same map but the owner says Moved: a migration is mid-flight
-			// (dropped by the old owner, not yet adopted / published). Wait
-			// out the handoff rather than spinning on the same stale answer.
-			select {
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			case <-time.After(2 * time.Millisecond):
-			}
-			next = r.refresh(m.Gen)
-		}
-		m = next
-	}
-}
-
-// Controller owns the authoritative shard map and drives migrations. It is
-// the control plane of the router layer: data-plane clients (Router) only
-// read the map it publishes.
-type Controller struct {
-	groups Groups
-
-	mu  sync.Mutex
-	cur ShardMap
-	seq uint64 // controller's own session sequence, for adopt/drop commands
-	id  types.NodeID
-}
-
-var _ Directory = (*Controller)(nil)
-
-// NewController creates a controller publishing the given initial map.
-// The groups named by the map must already exist and own their assigned
-// shards (bootstrap them with PartitionedFactory over ShardsOf).
-func NewController(groups Groups, initial ShardMap) *Controller {
-	return &Controller{groups: groups, cur: initial, id: "shard-controller"}
-}
-
-// Map implements Directory.
-func (c *Controller) Map() ShardMap {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cur
-}
-
-// MoveGroup migrates every shard of group gid onto a new replica set by
-// reconfiguring the group — the primary migration path: the composition
-// protocol moves the state (sessions included) via chunked snapshot
-// transfer, and the shard map does not change at all, so clients never even
-// see a redirect.
-func (c *Controller) MoveGroup(ctx context.Context, gid types.GroupID, members []types.NodeID) error {
-	_, err := c.groups.ReconfigureGroup(ctx, gid, members)
-	return err
-}
-
-// MigrateShard rebalances one shard from its current owner to group `to`:
-// fence-and-extract on the old owner (Drop), install on the new owner
-// (Adopt), then publish the successor map. In the window between Drop and
-// the client's map refresh, routed ops on the shard answer StatusMoved —
-// the client-visible redirect.
-//
-// Limitation (documented): client session tables do not travel with the
-// shard, so a client retrying a write it never saw acknowledged, across
-// exactly this migration, may apply it twice. Use MoveGroup when that
-// matters; MigrateShard is for rebalancing under healthy clients. See
-// DESIGN.md §"Multi-group runtime", MigrateShard bullet, for the full
-// analysis and the session-export fix this would need;
-// TestMigrateShardDropsSessionDedup pins the failure mode executably.
-func (c *Controller) MigrateShard(ctx context.Context, shard int, to types.GroupID) error {
-	if shard < 0 || shard >= NumShards {
-		return fmt.Errorf("router: shard %d out of range", shard)
-	}
-	c.mu.Lock()
-	from := c.cur.Owner[shard]
-	nextGen := c.cur.Gen + 1
-	if from == to {
-		c.mu.Unlock()
-		return nil
-	}
-	c.seq++
-	dropSeq := c.seq
-	c.seq++
-	adoptSeq := c.seq
-	c.mu.Unlock()
-
-	// Drop is idempotent under (controller, dropSeq): a retry re-serves the
-	// cached extraction reply instead of extracting twice (by then empty).
-	dropReply, err := c.groups.Submit(ctx, from, c.id, dropSeq, EncodeDrop(shard, nextGen))
-	if err != nil {
-		return fmt.Errorf("router: drop shard %d from group %d: %w", shard, from, err)
-	}
-	pairs, err := DropReply(dropReply)
-	if err != nil {
-		return fmt.Errorf("router: drop shard %d from group %d: %w", shard, from, err)
-	}
-	if _, err := c.groups.Submit(ctx, to, c.id, adoptSeq, EncodeAdopt(shard, nextGen, pairs)); err != nil {
-		return fmt.Errorf("router: adopt shard %d into group %d: %w", shard, to, err)
-	}
-
-	c.mu.Lock()
-	next := c.cur
-	next.Owner[shard] = to
-	if nextGen > next.Gen {
-		next.Gen = nextGen
-	} else {
-		next.Gen++
-	}
-	c.cur = next
-	c.mu.Unlock()
-	return nil
+// Submit executes one KV operation on key for session (client, seq) on the
+// group that owns key and returns the machine's reply. A client uses one seq
+// stream across all groups; each group's session table deduplicates the
+// commands that reached it, so retrying the same (client, seq) is safe, also
+// across a move of the group.
+func (r *Router) Submit(ctx context.Context, client types.NodeID, seq uint64, key string, op []byte) ([]byte, error) {
+	_, gid := r.smap.OwnerOf(key)
+	return r.groups.Submit(ctx, gid, client, seq, op)
 }

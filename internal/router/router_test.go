@@ -1,6 +1,7 @@
 package router_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"testing"
@@ -12,11 +13,11 @@ import (
 	"repro/internal/types"
 )
 
-// shardedWorld is a full sharded runtime: nGroups groups over three shared
-// processes, a controller publishing the balanced map, and a router.
+// shardedWorld is a full sharded runtime: nGroups KV groups over three shared
+// processes, the balanced partition, and a router.
 type shardedWorld struct {
 	m    *cluster.GroupManager
-	ctl  *router.Controller
+	smap router.ShardMap
 	rt   *router.Router
 	gids []types.GroupID
 }
@@ -40,15 +41,14 @@ func newShardedWorld(t *testing.T, nGroups int) *shardedWorld {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	for _, gid := range gids {
-		if err := m.CreateGroup(gid, procs, router.PartitionedFactory(smap.ShardsOf(gid), smap.Gen)); err != nil {
+		if err := m.CreateGroup(gid, procs, nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := m.WaitGroupServing(ctx, gid); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ctl := router.NewController(m, smap)
-	return &shardedWorld{m: m, ctl: ctl, rt: router.New(m, ctl), gids: gids}
+	return &shardedWorld{m: m, smap: smap, rt: router.New(m, smap), gids: gids}
 }
 
 func (w *shardedWorld) submit(t *testing.T, ctx context.Context, client types.NodeID, seq uint64, key string, inner []byte) []byte {
@@ -100,89 +100,30 @@ func TestRouterEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRouterFollowsMigrateShard: a router whose cached map predates a shard
-// migration sees StatusMoved, refreshes from the directory, and lands on the
-// new owner — with the migrated data intact.
-func TestRouterFollowsMigrateShard(t *testing.T) {
-	w := newShardedWorld(t, 2)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	// Find a key and its shard currently owned by group 1.
-	smap := w.ctl.Map()
-	var key string
-	var shard int
+// keyOwnedBy returns a key with the given prefix that the partition assigns
+// to group gid.
+func keyOwnedBy(smap router.ShardMap, prefix string, gid types.GroupID) string {
 	for i := 0; ; i++ {
-		key = fmt.Sprintf("mig-%d", i)
-		var gid types.GroupID
-		shard, gid = smap.OwnerOf(key)
-		if gid == 1 {
-			break
+		key := fmt.Sprintf("%s-%d", prefix, i)
+		if _, owner := smap.OwnerOf(key); owner == gid {
+			return key
 		}
-	}
-	w.submit(t, ctx, "c", 1, key, statemachine.EncodePut(key, []byte("precious")))
-
-	// A second router caches the pre-migration map now.
-	stale := router.New(w.m, w.ctl)
-
-	if err := w.ctl.MigrateShard(ctx, shard, 2); err != nil {
-		t.Fatal(err)
-	}
-	if got := w.ctl.Map().Owner[shard]; got != 2 {
-		t.Fatalf("map still names group %d", got)
-	}
-	if w.ctl.Map().Gen <= smap.Gen {
-		t.Fatal("generation did not advance")
-	}
-
-	// The stale router redirects its way to the data.
-	reply, err := stale.Submit(ctx, "c", 2, key, statemachine.EncodeGet(key))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := string(statemachine.ReplyPayload(reply)); got != "precious" {
-		t.Fatalf("migrated read = %q", got)
-	}
-	// Writes keep flowing to the new owner too.
-	reply, err = stale.Submit(ctx, "c", 3, key, statemachine.EncodePut(key, []byte("updated")))
-	if err != nil || statemachine.ReplyStatus(reply) != statemachine.StatusOK {
-		t.Fatalf("post-migration put: %v %v", statemachine.ReplyStatus(reply), err)
-	}
-	// MigrateShard to the current owner is a no-op.
-	gen := w.ctl.Map().Gen
-	if err := w.ctl.MigrateShard(ctx, shard, 2); err != nil {
-		t.Fatal(err)
-	}
-	if w.ctl.Map().Gen != gen {
-		t.Fatal("no-op migration bumped the generation")
-	}
-	if w.m.TotalViolations() != 0 {
-		t.Fatal("invariant violations")
 	}
 }
 
-// TestControllerMoveGroup: moving a group's replicas via reconfiguration
-// keeps the shard map unchanged (no redirects) and the data served.
+// TestControllerMoveGroup: routed data survives ReconfigureGroup. Moving a
+// group's replicas onto three fresh processes leaves the partition alone, so
+// the router finds the key where it always was, served by the new members.
 func TestControllerMoveGroup(t *testing.T) {
 	w := newShardedWorld(t, 2)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	smap := w.ctl.Map()
-	var key string
-	for i := 0; ; i++ {
-		key = fmt.Sprintf("mv-%d", i)
-		if _, gid := smap.OwnerOf(key); gid == 1 {
-			break
-		}
-	}
+	key := keyOwnedBy(w.smap, "mv", 1)
 	w.submit(t, ctx, "c", 1, key, statemachine.EncodePut(key, []byte("carried")))
 
-	if err := w.ctl.MoveGroup(ctx, 1, []types.NodeID{"q1", "q2", "q3"}); err != nil {
+	if _, err := w.m.ReconfigureGroup(ctx, 1, []types.NodeID{"q1", "q2", "q3"}); err != nil {
 		t.Fatal(err)
-	}
-	if w.ctl.Map().Gen != smap.Gen {
-		t.Fatal("MoveGroup changed the shard map")
 	}
 	reply := w.submit(t, ctx, "c", 2, key, statemachine.EncodeGet(key))
 	if got := string(statemachine.ReplyPayload(reply)); got != "carried" {
@@ -199,53 +140,59 @@ func TestControllerMoveGroup(t *testing.T) {
 	}
 }
 
-// TestMigrateShardDropsSessionDedup pins MigrateShard's documented
-// limitation (see the MigrateShard godoc and DESIGN.md §"Multi-group
-// runtime") as an executable spec: client session tables do NOT travel with
-// a shard across groups, so a client retry of an un-acked write that lands
-// after the migration re-applies instead of being deduplicated.
-//
-// The body asserts the session-SAFE behavior — the retry must be absorbed —
-// which MigrateShard deliberately does not provide; run un-skipped it fails
-// with "zz" where "z" is asserted. It stays skipped until cross-group
-// session export ships (the drop payload would need to carry the shard's
-// session entries); whoever builds that should un-skip this test and watch
-// it pass. Until then MoveGroup is the session-safe migration path.
-func TestMigrateShardDropsSessionDedup(t *testing.T) {
-	t.Skip("failing by design: MigrateShard does not carry session dedup across groups (DESIGN.md §Multi-group runtime); un-skip when session export ships")
-
+// TestMoveGroupKeepsSessionDedup is why reconfiguring the group is the way a
+// shard moves: the session table travels in the same snapshot as the data, so
+// a client that never saw its ack and retries the same (client, seq) after
+// the move gets the cached reply back and the command is not applied again.
+func TestMoveGroupKeepsSessionDedup(t *testing.T) {
 	w := newShardedWorld(t, 2)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	smap := w.ctl.Map()
-	var key string
-	var shard int
-	for i := 0; ; i++ {
-		key = fmt.Sprintf("dedup-%d", i)
-		var gid types.GroupID
-		shard, gid = smap.OwnerOf(key)
-		if gid == 1 {
-			break
-		}
+	key := keyOwnedBy(w.smap, "dedup", 1)
+	appendZ := statemachine.EncodeAppend(key, []byte("z"))
+	first := w.submit(t, ctx, "retrier", 1, key, appendZ)
+	if statemachine.ReplyStatus(first) != statemachine.StatusOK {
+		t.Fatalf("append: %v", statemachine.ReplyStatus(first))
 	}
-	// The write is acknowledged by the old owner, which records (client,
-	// seq) in its session table — a table the migration leaves behind.
-	w.submit(t, ctx, "retrier", 1, key, statemachine.EncodeAppend(key, []byte("z")))
 
-	if err := w.ctl.MigrateShard(ctx, shard, 2); err != nil {
+	if _, err := w.m.ReconfigureGroup(ctx, 1, []types.NodeID{"q1", "q2", "q3"}); err != nil {
 		t.Fatal(err)
 	}
 
-	// The client never saw the ack and retries the same (client, seq)
-	// against the new owner. Session-safe behavior: the retry is absorbed
-	// and the append happens exactly once.
-	w.submit(t, ctx, "retrier", 1, key, statemachine.EncodeAppend(key, []byte("z")))
+	again := w.submit(t, ctx, "retrier", 1, key, appendZ)
+	if !bytes.Equal(again, first) {
+		t.Fatalf("retry after the move answered %x, the first submit %x", again, first)
+	}
 	reply := w.submit(t, ctx, "reader", 1, key, statemachine.EncodeGet(key))
 	if got := string(statemachine.ReplyPayload(reply)); got != "z" {
-		t.Fatalf("retry across MigrateShard re-applied: key = %q, want %q", got, "z")
+		t.Fatalf("retry across the move re-applied: key = %q, want %q", got, "z")
 	}
 	if w.m.TotalViolations() != 0 {
 		t.Fatal("invariant violations")
+	}
+}
+
+func TestSplitShards(t *testing.T) {
+	m, err := router.SplitShards([]types.GroupID{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := map[types.GroupID]int{}
+	for _, g := range m.Owner {
+		counts[g]++
+	}
+	for gid, n := range counts {
+		if n < router.NumShards/3-1 || n > router.NumShards/3+1 {
+			t.Fatalf("group %d owns %d shards (unbalanced)", gid, n)
+		}
+	}
+	for gid := types.GroupID(1); gid <= 3; gid++ {
+		if len(m.ShardsOf(gid)) != counts[gid] {
+			t.Fatalf("ShardsOf(%d) mismatch", gid)
+		}
+	}
+	if _, err := router.SplitShards(nil); err == nil {
+		t.Fatal("empty split accepted")
 	}
 }

@@ -73,9 +73,10 @@ func shardOf(key string) int {
 }
 
 // NumKeyShards is the fixed hash-partition count exported for layers that
-// partition the keyspace the same way the machines do (the KV router assigns
-// these partitions to RSM groups). Equal to the machines' shard count so a
-// router partition is exactly one KVStore shard / snapshot chunk.
+// partition the keyspace the same way the machines do (internal/router deals
+// these partitions out to RSM groups once; a partition then moves only with
+// its group). Equal to the machines' shard count so a router partition is
+// exactly one KVStore shard / snapshot chunk.
 const NumKeyShards = numShards
 
 // KeyShard is the exported key→shard hash (identical to the one KVStore uses

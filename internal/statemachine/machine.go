@@ -54,12 +54,6 @@ const (
 	// StatusConflict signals a failed precondition (CAS mismatch,
 	// overdraft, duplicate account, ...).
 	StatusConflict Status = 4
-	// StatusMoved signals that the addressed data lives in a different
-	// partition group: the keyspace shard this op targets is not (or no
-	// longer) owned by the group that executed it. The reply body carries
-	// routing metadata (shard + generation); clients refresh their shard
-	// map and retry against the current owner.
-	StatusMoved Status = 5
 )
 
 // String implements fmt.Stringer.
@@ -73,8 +67,6 @@ func (s Status) String() string {
 		return "bad-op"
 	case StatusConflict:
 		return "conflict"
-	case StatusMoved:
-		return "moved"
 	default:
 		return fmt.Sprintf("status(%d)", uint8(s))
 	}
