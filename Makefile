@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-pairs bench-reconfig bench-catchup bench-mega size vet fmt-check ci
+.PHONY: all build test examples race bench bench-pairs bench-reconfig bench-catchup bench-mega size vet fmt-check ci
 
 all: build test
 
@@ -9,6 +9,11 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Every example runs to the end (≈ 8 s together); a non-zero exit or a run
+# past 60 s fails.
+examples:
+	@for d in examples/*/; do echo "== $$d"; timeout 60 $(GO) run ./$$d || exit 1; done
 
 # Race-detector pass over the concurrent core; package-level tests are where
 # the lock-ordering and group-commit races would surface.
@@ -67,5 +72,5 @@ fmt-check:
 
 # bench/ is a nested module (bench/go.mod) that ./... does not descend into;
 # the recipe line notices a program change that breaks the benchmark's build.
-ci: vet build test race fmt-check
+ci: vet build examples test race fmt-check
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...

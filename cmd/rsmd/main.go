@@ -105,20 +105,19 @@ func run() int {
 	for i := range members {
 		members[i] = types.NodeID(fmt.Sprintf("n%d", i+1))
 	}
-	cfg, err := c.Bootstrap(members...)
-	if err != nil {
+	if err := c.CreateGroup(0, members, nil); err != nil {
 		fmt.Fprintln(os.Stderr, "bootstrap:", err)
 		return 1
 	}
 	for i := 0; i < spares; i++ {
 		id := types.NodeID(fmt.Sprintf("s%d", i+1))
-		if _, err := c.AddSpare(id); err != nil {
+		if _, err := c.AddReplica(0, id); err != nil {
 			fmt.Fprintln(os.Stderr, "spare:", err)
 			return 1
 		}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	if err := c.WaitServing(ctx, members...); err != nil {
+	if err := c.WaitServing(ctx, 0, members...); err != nil {
 		cancel()
 		fmt.Fprintln(os.Stderr, "cluster never served:", err)
 		return 1
@@ -134,7 +133,7 @@ func run() int {
 	if fsync {
 		durability += "+fsync"
 	}
-	fmt.Printf("cluster up: %s (+%d spares, %s, store=%s). Type 'help' for commands.\n", cfg, spares, mode, durability)
+	fmt.Printf("cluster up: %s (+%d spares, %s, store=%s). Type 'help' for commands.\n", c.Node(0, members[0]).CurrentConfig(), spares, mode, durability)
 
 	scanner := bufio.NewScanner(os.Stdin)
 	for {
@@ -230,14 +229,14 @@ func execute(c *cluster.Cluster, cl *client.Client, fields []string) (quit bool)
 			fmt.Println("usage: restart <node>")
 			return
 		}
-		if _, err := c.Restart(types.NodeID(fields[1])); err != nil {
+		if err := c.Restart(types.NodeID(fields[1])); err != nil {
 			fmt.Println("error:", err)
 			return
 		}
 		fmt.Println("restarted", fields[1])
 	case "stats":
-		for _, id := range c.Nodes() {
-			n := c.Node(id)
+		for _, id := range c.Processes() {
+			n := c.Node(0, id)
 			if n == nil {
 				continue
 			}

@@ -37,16 +37,16 @@ func run() error {
 	defer c.Close()
 
 	all := []types.NodeID{"n1", "n2", "n3", "n4", "n5", "n6", "n7"}
-	if _, err := c.Bootstrap(all[0], all[1], all[2]); err != nil {
+	if err := c.CreateGroup(0, all[:3], nil); err != nil {
 		return err
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	if err := c.WaitServing(ctx, all[0], all[1], all[2]); err != nil {
+	if err := c.WaitServing(ctx, 0, all[:3]...); err != nil {
 		return err
 	}
 	for _, id := range all[3:] {
-		if _, err := c.AddSpare(id); err != nil {
+		if _, err := c.AddReplica(0, id); err != nil {
 			return err
 		}
 	}

@@ -33,15 +33,12 @@ func run() error {
 	})
 	defer c.Close()
 
-	if _, err := c.Bootstrap("n1", "n2", "n3"); err != nil {
+	if err := c.CreateGroup(0, []types.NodeID{"n1", "n2", "n3"}, nil); err != nil {
 		return err
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	if err := c.WaitServing(ctx, "n1", "n2", "n3"); err != nil {
-		return err
-	}
-	if _, err := c.AddSpare("standby"); err != nil {
+	if err := c.WaitServing(ctx, 0, "n1", "n2", "n3"); err != nil {
 		return err
 	}
 
@@ -60,13 +57,14 @@ func run() error {
 	mustOK(cl.Submit(ctx, statemachine.EncodeTransfer("bob", "alice", 10)))
 	fmt.Println("still serving on {n1,n2} — quorum holds")
 
-	// Repair: replace n3 with the standby via reconfiguration. The standby
-	// fetches the bank state (including session dedup tables) and joins.
-	cfg, err := cl.Reconfigure(ctx, []types.NodeID{"n1", "n2", "standby"})
+	// Repair: replace n3 with a standby via reconfiguration. The cluster
+	// starts the standby's replica, which fetches the bank state (including
+	// session dedup tables) and joins.
+	cfg, err := c.Reconfigure(ctx, 0, []types.NodeID{"n1", "n2", "standby"})
 	if err != nil {
 		return err
 	}
-	if err := c.WaitServing(ctx, "standby"); err != nil {
+	if err := c.WaitServing(ctx, 0, "standby"); err != nil {
 		return err
 	}
 	fmt.Printf("repaired in %v: now %s\n", time.Since(crashAt).Round(time.Millisecond), cfg)

@@ -37,16 +37,16 @@ func run() error {
 
 	old := []types.NodeID{"old1", "old2", "old3"}
 	fresh := []types.NodeID{"new1", "new2", "new3"}
-	if _, err := c.Bootstrap(old...); err != nil {
+	if err := c.CreateGroup(0, old, nil); err != nil {
 		return err
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	if err := c.WaitServing(ctx, old...); err != nil {
+	if err := c.WaitServing(ctx, 0, old...); err != nil {
 		return err
 	}
 	for _, id := range fresh {
-		if _, err := c.AddSpare(id); err != nil {
+		if _, err := c.AddReplica(0, id); err != nil {
 			return err
 		}
 	}

@@ -34,16 +34,15 @@ func run() error {
 	})
 	defer c.Close()
 
-	cfg, err := c.Bootstrap("n1", "n2", "n3")
-	if err != nil {
+	if err := c.CreateGroup(0, []types.NodeID{"n1", "n2", "n3"}, nil); err != nil {
 		return err
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := c.WaitServing(ctx, "n1", "n2", "n3"); err != nil {
+	if err := c.WaitServing(ctx, 0, "n1", "n2", "n3"); err != nil {
 		return err
 	}
-	fmt.Println("serving:", cfg)
+	fmt.Println("serving:", c.Node(0, "n1").CurrentConfig())
 
 	// 2. A client session: linearizable writes and reads via consensus.
 	cl := c.NewClient(client.Options{})
@@ -60,7 +59,7 @@ func run() error {
 	//    fresh static engine seeded with the transferred state. No node
 	//    restarts, no service interruption.
 	for _, id := range []types.NodeID{"n4", "n5"} {
-		if _, err := c.AddSpare(id); err != nil {
+		if _, err := c.AddReplica(0, id); err != nil {
 			return err
 		}
 	}

@@ -28,12 +28,12 @@ func main() {
 }
 
 func run() error {
-	// 1. A group manager: each process is ONE endpoint and ONE store, shared
-	//    by every group hosted there. Group traffic is demultiplexed by the
+	// 1. A cluster: each process is ONE endpoint and ONE store, shared by
+	//    every group hosted there. Group traffic is demultiplexed by the
 	//    GroupID in the transport frame; group state is namespaced by a key
 	//    prefix in the shared WAL, so all groups' records coalesce into the
 	//    same group-commit fsyncs.
-	m := cluster.NewGroupManager(cluster.Config{
+	m := cluster.New(cluster.Config{
 		Transport: transport.Options{BaseLatency: 200 * time.Microsecond, Jitter: 100 * time.Microsecond},
 		Node:      cluster.FastOptions(),
 	})
@@ -53,7 +53,7 @@ func run() error {
 		if err := m.CreateGroup(gid, home, nil); err != nil {
 			return err
 		}
-		if err := m.WaitGroupServing(ctx, gid); err != nil {
+		if err := m.WaitServing(ctx, gid); err != nil {
 			return err
 		}
 	}
@@ -83,25 +83,20 @@ func run() error {
 			return err
 		}
 	}
-	for _, gs := range m.PerGroupStats() {
-		fmt.Printf("  group %d: applied=%d shards=%d\n", gs.Group, gs.Applied, len(smap.ShardsOf(gs.Group)))
+	for _, gid := range gids {
+		fmt.Printf("  group %d: applied=%d shards=%d\n", gid, m.Stats(gid).Applied, len(smap.ShardsOf(gid)))
 	}
 
 	// 4. Move one group to fresh machines. The group reconfigures via
 	//    chunked state transfer — its data and its client sessions travel as
 	//    one snapshot; the partition does not change. The other three groups
 	//    never notice.
-	for _, id := range []types.NodeID{"q1", "q2", "q3"} {
-		if err := m.AddProcess(id); err != nil {
-			return err
-		}
-	}
 	_, moveGid := smap.OwnerOf("user-0000")
 	fmt.Printf("moving group %d (owner of user-0000) to q1,q2,q3...\n", moveGid)
-	if _, err := m.ReconfigureGroup(ctx, moveGid, []types.NodeID{"q1", "q2", "q3"}); err != nil {
+	if _, err := m.Reconfigure(ctx, moveGid, []types.NodeID{"q1", "q2", "q3"}); err != nil {
 		return err
 	}
-	fmt.Printf("group %d now on %v\n", moveGid, m.GroupMembers(moveGid))
+	fmt.Printf("group %d now on %v\n", moveGid, m.Members(moveGid))
 
 	// 5. The data survived the move and the router still finds it.
 	reply, err := submit("demo", 100, "user-0000", statemachine.EncodeGet("user-0000"))

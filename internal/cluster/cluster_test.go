@@ -7,29 +7,17 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/statemachine"
-	"repro/internal/transport"
 	"repro/internal/types"
 )
 
-func kvCluster(t *testing.T) *Cluster {
-	t.Helper()
-	c := New(Config{
-		Transport: transport.Options{BaseLatency: 100 * time.Microsecond},
-		Node:      FastOptions(),
-		Factory:   statemachine.NewKVMachine,
-	})
-	t.Cleanup(c.Close)
-	return c
-}
-
 func TestClusterBootstrapAndClient(t *testing.T) {
-	c := kvCluster(t)
-	if _, err := c.Bootstrap("n1", "n2", "n3"); err != nil {
+	c := groupCluster(t, Config{})
+	if err := c.CreateGroup(0, []types.NodeID{"n1", "n2", "n3"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := c.WaitServing(ctx, "n1", "n2", "n3"); err != nil {
+	if err := c.WaitServing(ctx, 0, "n1", "n2", "n3"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -57,19 +45,14 @@ func TestClusterBootstrapAndClient(t *testing.T) {
 }
 
 func TestClientFollowsReconfiguration(t *testing.T) {
-	c := kvCluster(t)
-	if _, err := c.Bootstrap("n1", "n2", "n3"); err != nil {
+	c := groupCluster(t, Config{})
+	if err := c.CreateGroup(0, []types.NodeID{"n1", "n2", "n3"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	if err := c.WaitServing(ctx, "n1", "n2", "n3"); err != nil {
+	if err := c.WaitServing(ctx, 0, "n1", "n2", "n3"); err != nil {
 		t.Fatal(err)
-	}
-	for _, id := range []types.NodeID{"m1", "m2", "m3"} {
-		if _, err := c.AddSpare(id); err != nil {
-			t.Fatal(err)
-		}
 	}
 
 	cl := c.NewClient(client.Options{})
@@ -79,10 +62,10 @@ func TestClientFollowsReconfiguration(t *testing.T) {
 
 	// Full replacement: the client's cached config becomes useless and it
 	// must discover the new one via redirects.
-	if _, err := c.Reconfigure(ctx, "n1", []types.NodeID{"m1", "m2", "m3"}); err != nil {
+	if _, err := c.Reconfigure(ctx, 0, []types.NodeID{"m1", "m2", "m3"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.WaitServing(ctx, "m1", "m2", "m3"); err != nil {
+	if err := c.WaitServing(ctx, 0, "m1", "m2", "m3"); err != nil {
 		t.Fatal(err)
 	}
 	reply, err := cl.Submit(ctx, statemachine.EncodeGet("x"))
@@ -104,16 +87,16 @@ func TestClientFollowsReconfiguration(t *testing.T) {
 }
 
 func TestClientReconfigureAndChainRPC(t *testing.T) {
-	c := kvCluster(t)
-	if _, err := c.Bootstrap("n1", "n2", "n3"); err != nil {
+	c := groupCluster(t, Config{})
+	if err := c.CreateGroup(0, []types.NodeID{"n1", "n2", "n3"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	if err := c.WaitServing(ctx, "n1", "n2", "n3"); err != nil {
+	if err := c.WaitServing(ctx, 0, "n1", "n2", "n3"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.AddSpare("n4"); err != nil {
+	if _, err := c.AddReplica(0, "n4"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -144,13 +127,13 @@ func TestClientReconfigureAndChainRPC(t *testing.T) {
 }
 
 func TestCrashRestartCycle(t *testing.T) {
-	c := kvCluster(t)
-	if _, err := c.Bootstrap("n1", "n2", "n3"); err != nil {
+	c := groupCluster(t, Config{})
+	if err := c.CreateGroup(0, []types.NodeID{"n1", "n2", "n3"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	if err := c.WaitServing(ctx, "n1", "n2", "n3"); err != nil {
+	if err := c.WaitServing(ctx, 0, "n1", "n2", "n3"); err != nil {
 		t.Fatal(err)
 	}
 	cl := c.NewClient(client.Options{})
@@ -159,24 +142,33 @@ func TestCrashRestartCycle(t *testing.T) {
 	}
 
 	c.Crash("n2")
-	if c.Node("n2") != nil {
+	if c.Node(0, "n2") != nil {
 		t.Fatal("crashed node still listed")
+	}
+	if !c.Network().Endpoint("n2").Paused() {
+		t.Fatal("crashed process still hears the network")
+	}
+	if _, err := c.AddReplica(0, "n2"); err == nil {
+		t.Fatal("replica started on a crashed process")
 	}
 	if _, err := cl.Submit(ctx, statemachine.EncodePut("b", []byte("2"))); err != nil {
 		t.Fatal(err)
 	}
 
-	if _, err := c.Restart("n2"); err != nil {
+	if err := c.Restart("n2"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.WaitServing(ctx, "n2"); err != nil {
+	if c.Network().Endpoint("n2").Paused() {
+		t.Fatal("restarted process still paused")
+	}
+	if err := c.WaitServing(ctx, 0, "n2"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Restart("n2"); err == nil {
+	if err := c.Restart("n2"); err == nil {
 		t.Fatal("double restart allowed")
 	}
-	if _, err := c.AddSpare("n2"); err == nil {
-		t.Fatal("AddSpare over existing node allowed")
+	if n, err := c.AddReplica(0, "n2"); err != nil || n != c.Node(0, "n2") {
+		t.Fatalf("AddReplica over a running replica: %v %v", n, err)
 	}
 	if c.TotalViolations() != 0 {
 		t.Fatal("violations")
@@ -184,18 +176,13 @@ func TestCrashRestartCycle(t *testing.T) {
 }
 
 func TestClientSubmitSeqIdempotent(t *testing.T) {
-	c := New(Config{
-		Transport: transport.Options{BaseLatency: 100 * time.Microsecond},
-		Node:      FastOptions(),
-		Factory:   statemachine.NewCounterMachine,
-	})
-	t.Cleanup(c.Close)
-	if _, err := c.Bootstrap("n1", "n2", "n3"); err != nil {
+	c := groupCluster(t, Config{Factory: statemachine.NewCounterMachine})
+	if err := c.CreateGroup(0, []types.NodeID{"n1", "n2", "n3"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
-	if err := c.WaitServing(ctx, "n1", "n2", "n3"); err != nil {
+	if err := c.WaitServing(ctx, 0, "n1", "n2", "n3"); err != nil {
 		t.Fatal(err)
 	}
 	cl := c.NewClient(client.Options{})
@@ -222,8 +209,8 @@ func TestClientSubmitSeqIdempotent(t *testing.T) {
 }
 
 func TestClientClosedErrors(t *testing.T) {
-	c := kvCluster(t)
-	if _, err := c.Bootstrap("n1"); err != nil {
+	c := groupCluster(t, Config{})
+	if err := c.CreateGroup(0, []types.NodeID{"n1"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	cl := c.NewClient(client.Options{})
@@ -236,21 +223,16 @@ func TestClientClosedErrors(t *testing.T) {
 // TestFullStackOverTCP runs the complete reconfigurable service — consensus,
 // control plane, state transfer, client RPC — over real loopback sockets.
 func TestFullStackOverTCP(t *testing.T) {
-	c := New(Config{
-		TCP:     true,
-		Node:    FastOptions(),
-		Factory: statemachine.NewKVMachine,
-	})
-	t.Cleanup(c.Close)
-	if _, err := c.Bootstrap("n1", "n2", "n3"); err != nil {
+	c := groupCluster(t, Config{TCP: true})
+	if err := c.CreateGroup(0, []types.NodeID{"n1", "n2", "n3"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := c.WaitServing(ctx, "n1", "n2", "n3"); err != nil {
+	if err := c.WaitServing(ctx, 0, "n1", "n2", "n3"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.AddSpare("n4"); err != nil {
+	if _, err := c.AddReplica(0, "n4"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -261,7 +243,7 @@ func TestFullStackOverTCP(t *testing.T) {
 	if _, err := cl.Reconfigure(ctx, []types.NodeID{"n1", "n2", "n4"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.WaitServing(ctx, "n4"); err != nil {
+	if err := c.WaitServing(ctx, 0, "n4"); err != nil {
 		t.Fatal(err)
 	}
 	reply, err := cl.Submit(ctx, statemachine.EncodeGet("tcp-key"))

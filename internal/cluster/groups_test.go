@@ -9,12 +9,14 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/statemachine"
+	"repro/internal/storage"
 	"repro/internal/transport"
 	"repro/internal/types"
 )
 
-func groupManager(t *testing.T, cfg Config) *GroupManager {
+func groupCluster(t *testing.T, cfg Config) *Cluster {
 	t.Helper()
 	cfg.Node = FastOptions()
 	if cfg.Factory == nil {
@@ -23,7 +25,7 @@ func groupManager(t *testing.T, cfg Config) *GroupManager {
 	if !cfg.TCP {
 		cfg.Transport.BaseLatency = 100 * time.Microsecond
 	}
-	m := NewGroupManager(cfg)
+	m := New(cfg)
 	t.Cleanup(m.Close)
 	return m
 }
@@ -35,7 +37,7 @@ func groupCtx(t *testing.T) context.Context {
 	return ctx
 }
 
-func mustSubmit(t *testing.T, ctx context.Context, m *GroupManager, gid types.GroupID, client types.NodeID, seq uint64, op []byte) []byte {
+func mustSubmit(t *testing.T, ctx context.Context, m *Cluster, gid types.GroupID, client types.NodeID, seq uint64, op []byte) []byte {
 	t.Helper()
 	deadline := time.Now().Add(20 * time.Second)
 	for {
@@ -50,18 +52,18 @@ func mustSubmit(t *testing.T, ctx context.Context, m *GroupManager, gid types.Gr
 	}
 }
 
-// TestGroupManagerIsolatedKeyspaces: three groups on the same three
+// TestGroupsIsolatedKeyspaces: three groups on the same three
 // processes hold independent keyspaces — the same key carries a different
 // value per group, over one shared store and one endpoint per process.
-func TestGroupManagerIsolatedKeyspaces(t *testing.T) {
-	m := groupManager(t, Config{})
+func TestGroupsIsolatedKeyspaces(t *testing.T) {
+	m := groupCluster(t, Config{})
 	ctx := groupCtx(t)
 	procs := []types.NodeID{"p1", "p2", "p3"}
 	for gid := types.GroupID(1); gid <= 3; gid++ {
 		if err := m.CreateGroup(gid, procs, nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.WaitGroupServing(ctx, gid); err != nil {
+		if err := m.WaitServing(ctx, gid); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -86,25 +88,25 @@ func TestGroupManagerIsolatedKeyspaces(t *testing.T) {
 		t.Fatal("invariant violations")
 	}
 	// Per-group stats see per-group applies.
-	for _, gs := range m.PerGroupStats() {
-		if gs.Applied == 0 {
-			t.Fatalf("group %d reports zero applies: %+v", gs.Group, gs)
+	for _, gid := range m.Groups() {
+		if gs := m.Stats(gid); gs.Applied == 0 {
+			t.Fatalf("group %d reports zero applies: %+v", gid, gs)
 		}
 	}
 }
 
-// TestGroupManagerSharedWALCrashRestart: two groups share each process's WAL;
+// TestGroupsSharedWALCrashRestart: two groups share each process's WAL;
 // crashing and restarting a process recovers both groups' replicas from the
 // shared log, and both keyspaces stay intact and disjoint.
-func TestGroupManagerSharedWALCrashRestart(t *testing.T) {
-	m := groupManager(t, Config{Storage: "wal", SyncWrites: true})
+func TestGroupsSharedWALCrashRestart(t *testing.T) {
+	m := groupCluster(t, Config{Storage: "wal", SyncWrites: true})
 	ctx := groupCtx(t)
 	procs := []types.NodeID{"p1", "p2", "p3"}
 	for gid := types.GroupID(1); gid <= 2; gid++ {
 		if err := m.CreateGroup(gid, procs, nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.WaitGroupServing(ctx, gid); err != nil {
+		if err := m.WaitServing(ctx, gid); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -112,12 +114,12 @@ func TestGroupManagerSharedWALCrashRestart(t *testing.T) {
 		mustSubmit(t, ctx, m, gid, "c", 1, statemachine.EncodePut("k", []byte(fmt.Sprintf("pre-crash-%d", gid))))
 	}
 
-	m.CrashProcess("p2")
+	m.Crash("p2")
 	// Both groups keep committing on the surviving majority.
 	for gid := types.GroupID(1); gid <= 2; gid++ {
 		mustSubmit(t, ctx, m, gid, "c", 2, statemachine.EncodePut("k2", []byte(fmt.Sprintf("during-crash-%d", gid))))
 	}
-	if err := m.RestartProcess("p2"); err != nil {
+	if err := m.Restart("p2"); err != nil {
 		t.Fatal(err)
 	}
 	// The restarted process hosts a replica of every group again.
@@ -139,32 +141,32 @@ func TestGroupManagerSharedWALCrashRestart(t *testing.T) {
 	}
 }
 
-// TestGroupManagerReconfigureGroup migrates one group onto three fresh
+// TestReconfigureMovesOneGroup migrates one group onto three fresh
 // processes while another group stays put: state follows the replicas via
 // snapshot transfer, the other group is untouched.
-func TestGroupManagerReconfigureGroup(t *testing.T) {
-	m := groupManager(t, Config{})
+func TestReconfigureMovesOneGroup(t *testing.T) {
+	m := groupCluster(t, Config{})
 	ctx := groupCtx(t)
 	old := []types.NodeID{"p1", "p2", "p3"}
 	for gid := types.GroupID(1); gid <= 2; gid++ {
 		if err := m.CreateGroup(gid, old, nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.WaitGroupServing(ctx, gid); err != nil {
+		if err := m.WaitServing(ctx, gid); err != nil {
 			t.Fatal(err)
 		}
 		mustSubmit(t, ctx, m, gid, "c", 1, statemachine.EncodePut("home", []byte(fmt.Sprintf("g%d", gid))))
 	}
 
 	next := []types.NodeID{"q1", "q2", "q3"}
-	cfg, err := m.ReconfigureGroup(ctx, 1, next)
+	cfg, err := m.Reconfigure(ctx, 1, next)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.ID < 2 {
 		t.Fatalf("reconfigured config ID %d", cfg.ID)
 	}
-	if err := m.WaitGroupServing(ctx, 1); err != nil {
+	if err := m.WaitServing(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Group 1's state moved with it.
@@ -172,7 +174,7 @@ func TestGroupManagerReconfigureGroup(t *testing.T) {
 	if got := string(statemachine.ReplyPayload(reply)); got != "g1" {
 		t.Fatalf("migrated group reads %q", got)
 	}
-	members := m.GroupMembers(1)
+	members := m.Members(1)
 	if len(members) != 3 {
 		t.Fatalf("group 1 members %v", members)
 	}
@@ -191,16 +193,16 @@ func TestGroupManagerReconfigureGroup(t *testing.T) {
 	}
 }
 
-// TestGroupManagerSubmitDuringFullMove: between the wedge and the first
+// TestSubmitDuringFullMove: between the wedge and the first
 // install of a full replacement (p1..p3 -> q1..q3) no member serves, but under
 // speculative start every joiner orders commands — so a Submit has somebody
 // to go to. The joiners' transfer is held back by delaying everything they
 // send to the old members (the announce travels the other way and arrives);
 // a submit made then is accepted by a speculating joiner, decided while the
 // transfer hangs, and answered once the hold is lifted and the snapshot is in.
-func TestGroupManagerSubmitDuringFullMove(t *testing.T) {
+func TestSubmitDuringFullMove(t *testing.T) {
 	var held atomic.Bool
-	m := groupManager(t, Config{Transport: transport.Options{
+	m := groupCluster(t, Config{Transport: transport.Options{
 		LinkLatency: func(from, to types.NodeID) time.Duration {
 			if held.Load() && strings.HasPrefix(string(from), "q") && strings.HasPrefix(string(to), "p") {
 				return time.Hour
@@ -212,14 +214,14 @@ func TestGroupManagerSubmitDuringFullMove(t *testing.T) {
 	if err := m.CreateGroup(1, []types.NodeID{"p1", "p2", "p3"}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.WaitGroupServing(ctx, 1); err != nil {
+	if err := m.WaitServing(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
 	mustSubmit(t, ctx, m, 1, "c", 1, statemachine.EncodePut("home", []byte("before")))
 
 	held.Store(true)
 	joiners := []types.NodeID{"q1", "q2", "q3"}
-	if _, err := m.ReconfigureGroup(ctx, 1, joiners); err != nil {
+	if _, err := m.Reconfigure(ctx, 1, joiners); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "every joiner to learn the announce", func() bool {
@@ -242,7 +244,7 @@ func TestGroupManagerSubmitDuringFullMove(t *testing.T) {
 				done <- reply
 				return
 			}
-			if errors.Is(err, errNoReplica) {
+			if errors.Is(err, ErrNoReplica) {
 				noReplica.Add(1)
 			}
 			time.Sleep(2 * time.Millisecond)
@@ -277,7 +279,7 @@ func TestGroupManagerSubmitDuringFullMove(t *testing.T) {
 		t.Fatal("parked submit never answered after the hold was lifted")
 	}
 	if n := noReplica.Load(); n != 0 {
-		t.Fatalf("%d submits were refused with errNoReplica during the move", n)
+		t.Fatalf("%d submits were refused with ErrNoReplica during the move", n)
 	}
 	reply := mustSubmit(t, ctx, m, 1, "c", 3, statemachine.EncodeGet("home"))
 	if got := string(statemachine.ReplyPayload(reply)); got != "during" {
@@ -300,17 +302,17 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestGroupManagerStopGroup: stopping one group leaves the others serving on
+// TestStopGroup: stopping one group leaves the others serving on
 // the same processes.
-func TestGroupManagerStopGroup(t *testing.T) {
-	m := groupManager(t, Config{})
+func TestStopGroup(t *testing.T) {
+	m := groupCluster(t, Config{})
 	ctx := groupCtx(t)
 	procs := []types.NodeID{"p1", "p2", "p3"}
 	for gid := types.GroupID(1); gid <= 2; gid++ {
 		if err := m.CreateGroup(gid, procs, nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.WaitGroupServing(ctx, gid); err != nil {
+		if err := m.WaitServing(ctx, gid); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -324,26 +326,144 @@ func TestGroupManagerStopGroup(t *testing.T) {
 	}
 }
 
-// TestGroupManagerGroupZeroReserved: group 0 is the legacy ungrouped runtime
-// and cannot be created here.
-func TestGroupManagerGroupZeroReserved(t *testing.T) {
-	m := groupManager(t, Config{})
-	if err := m.CreateGroup(0, []types.NodeID{"p1", "p2", "p3"}, nil); err == nil {
-		t.Fatal("group 0 creation accepted")
+// TestGroupZeroBesideGroups: group 0 is a group like any other. It shares
+// three processes and their WALs with group 1, the two keyspaces stay apart
+// (group 0's records unprefixed, as a single-group store has always held
+// them), a process restart recovers both, and a client session against
+// group 0 keeps its dedup when the group moves.
+func TestGroupZeroBesideGroups(t *testing.T) {
+	m := groupCluster(t, Config{Storage: StorageWAL})
+	ctx := groupCtx(t)
+	procs := []types.NodeID{"p1", "p2", "p3"}
+	for gid := types.GroupID(0); gid <= 1; gid++ {
+		if err := m.CreateGroup(gid, procs, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.WaitServing(ctx, gid, procs...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl := m.NewClient(client.Options{})
+	if _, err := cl.SubmitSeq(ctx, 1, statemachine.EncodePut("k", []byte("zero"))); err != nil {
+		t.Fatal(err)
+	}
+	mustSubmit(t, ctx, m, 1, "c", 1, statemachine.EncodePut("k", []byte("one")))
+	for _, key := range []string{"rc/init", "g1/rc/init"} {
+		if _, ok, err := m.procs["p1"].Get(key); err != nil || !ok {
+			t.Fatalf("p1's store has no %q (ok=%v err=%v)", key, ok, err)
+		}
+	}
+
+	m.Crash("p2")
+	if err := m.Restart("p2"); err != nil {
+		t.Fatal(err)
+	}
+	for gid := types.GroupID(0); gid <= 1; gid++ {
+		if err := m.WaitServing(ctx, gid, "p2"); err != nil {
+			t.Fatalf("group %d on the restarted process: %v", gid, err)
+		}
+	}
+
+	appendX := statemachine.EncodeAppend("k", []byte("x"))
+	first, err := cl.SubmitSeq(ctx, 2, appendX)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Reconfigure(ctx, 0, []types.NodeID{"q1", "q2", "q3"}); err != nil {
+		t.Fatal(err)
+	}
+	again, err := cl.SubmitSeq(ctx, 2, appendX) // the retry of a command the old members applied
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(again) != string(first) {
+		t.Fatalf("retry across the move answered %x, first answer %x", again, first)
+	}
+	reply, err := cl.SubmitSeq(ctx, 3, statemachine.EncodeGet("k"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(statemachine.ReplyPayload(reply)); got != "zerox" {
+		t.Fatalf("group 0 reads %q, want %q (applied twice, or leaked from group 1)", got, "zerox")
+	}
+	reply = mustSubmit(t, ctx, m, 1, "c", 2, statemachine.EncodeGet("k"))
+	if got := string(statemachine.ReplyPayload(reply)); got != "one" {
+		t.Fatalf("group 1 reads %q, want %q", got, "one")
+	}
+	if m.TotalViolations() != 0 {
+		t.Fatal("invariant violations")
 	}
 }
 
-// TestGroupManagerOverTCP runs two groups over the real TCP fabric — every
+// scanFailsOnce is a store whose next Scan fails.
+type scanFailsOnce struct {
+	storage.Store
+	failed atomic.Bool
+}
+
+func (s *scanFailsOnce) Scan(prefix string) ([]storage.KV, error) {
+	if s.failed.CompareAndSwap(false, true) {
+		return nil, errors.New("injected scan failure")
+	}
+	return s.Store.Scan(prefix)
+}
+
+// TestFailedRestartLeavesNoGhost: a Restart during which one replica fails
+// to start leaves the process crashed with nothing registered — no replica
+// that is in the rotation but was never started — so a second Restart brings
+// every group's replica back.
+func TestFailedRestartLeavesNoGhost(t *testing.T) {
+	m := groupCluster(t, Config{})
+	ctx := groupCtx(t)
+	procs := []types.NodeID{"p1", "p2", "p3"}
+	gids := []types.GroupID{1, 2, 3}
+	for _, gid := range gids {
+		if err := m.CreateGroup(gid, procs, nil); err != nil {
+			t.Fatal(err)
+		}
+		mustSubmit(t, ctx, m, gid, "c", 1, statemachine.EncodePut("k", []byte("v")))
+	}
+
+	m.Crash("p2")
+	m.mu.Lock()
+	m.procs["p2"] = &scanFailsOnce{Store: m.procs["p2"]}
+	m.mu.Unlock()
+	if err := m.Restart("p2"); err == nil {
+		t.Fatal("Restart over a failing store reported success")
+	}
+	for _, gid := range gids {
+		if m.Node(gid, "p2") != nil {
+			t.Fatalf("group %d has a replica on p2 after a failed restart", gid)
+		}
+	}
+	if err := m.Restart("p2"); err != nil {
+		t.Fatalf("second restart: %v", err)
+	}
+	for _, gid := range gids {
+		if err := m.WaitServing(ctx, gid, "p2"); err != nil {
+			t.Fatalf("group %d on p2 after the second restart: %v", gid, err)
+		}
+		reply := mustSubmit(t, ctx, m, gid, "c", 2, statemachine.EncodeGet("k"))
+		if got := string(statemachine.ReplyPayload(reply)); got != "v" {
+			t.Fatalf("group %d reads %q", gid, got)
+		}
+	}
+	if m.TotalViolations() != 0 {
+		t.Fatal("invariant violations")
+	}
+}
+
+// TestGroupsOverTCP runs two groups over the real TCP fabric — every
 // group's traffic multiplexes one connection per process pair.
-func TestGroupManagerOverTCP(t *testing.T) {
-	m := groupManager(t, Config{TCP: true})
+func TestGroupsOverTCP(t *testing.T) {
+	m := groupCluster(t, Config{TCP: true})
 	ctx := groupCtx(t)
 	procs := []types.NodeID{"p1", "p2", "p3"}
 	for gid := types.GroupID(1); gid <= 2; gid++ {
 		if err := m.CreateGroup(gid, procs, nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.WaitGroupServing(ctx, gid); err != nil {
+		if err := m.WaitServing(ctx, gid); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -353,7 +473,7 @@ func TestGroupManagerOverTCP(t *testing.T) {
 		}
 	}
 	for gid := types.GroupID(1); gid <= 2; gid++ {
-		gs := m.GroupStats(gid)
+		gs := m.Stats(gid)
 		if gs.Applied == 0 {
 			t.Fatalf("group %d applied nothing over TCP", gid)
 		}

@@ -7,10 +7,8 @@ import (
 
 // Rotation is the submit rotation over the replicas of one configuration
 // chain: the newest known configuration's members, tried round-robin. It is
-// the one copy of the rule for whom a command may be handed to — a
-// GroupManager keeps one per group, the experiment harness one per composed
-// deployment. Not safe for concurrent use: each owner guards it with the
-// mutex that guards the replica map it passes in.
+// the one rule for whom a command may be handed to; a Cluster keeps one per
+// group, under the mutex that guards the group's replica map.
 type Rotation struct {
 	Order []types.NodeID
 	rr    int

@@ -48,12 +48,12 @@ func loadTarget(tb testing.TB, durable bool) (*Cluster, *client.Directory) {
 	}
 	c := New(cfg)
 	tb.Cleanup(c.Close)
-	if _, err := c.Bootstrap(loadMembers...); err != nil {
+	if err := c.CreateGroup(0, loadMembers, nil); err != nil {
 		tb.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	if err := c.WaitServing(ctx, loadMembers...); err != nil {
+	if err := c.WaitServing(ctx, 0, loadMembers...); err != nil {
 		tb.Fatal(err)
 	}
 	dir := client.NewDirectory(c.Network().Endpoint("loader"), loadMembers)
@@ -71,7 +71,7 @@ func loadedWrites(tb testing.TB, c *Cluster, dir *client.Directory, perSession i
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	sent := c.Network().Stats().MessagesSent
-	_, slot := c.Node("n1").AppliedSlot()
+	_, slot := c.Node(0, "n1").AppliedSlot()
 	commits, fsyncs := storeWork(c)
 	value := make([]byte, loadValue)
 	var wg sync.WaitGroup
@@ -96,11 +96,11 @@ func loadedWrites(tb testing.TB, c *Cluster, dir *client.Directory, perSession i
 	}
 
 	res := loadResult{ops: int64(loadSessions * perSession), frames: c.Network().Stats().MessagesSent - sent}
-	_, end := c.Node("n1").AppliedSlot()
+	_, end := c.Node(0, "n1").AppliedSlot()
 	res.slots = int64(end - slot)
 	res.groupCommits, res.fsyncs = storeWork(c)
 	for i, id := range loadMembers {
-		st := c.Node(id).Stats()
+		st := c.Node(0, id).Stats()
 		res.resubmits += st.Resubmits
 		res.duplicates += st.Duplicates
 		res.groupCommits[i] -= commits[i]
@@ -117,10 +117,10 @@ func loadedWrites(tb testing.TB, c *Cluster, dir *client.Directory, perSession i
 // on a mem store).
 func storeWork(c *Cluster) (groupCommits, fsyncs []int64) {
 	for _, id := range loadMembers {
-		groupCommits = append(groupCommits, c.Node(id).Stats().GroupCommits)
+		groupCommits = append(groupCommits, c.Node(0, id).Stats().GroupCommits)
 		var n int64
 		c.mu.Lock()
-		if w, ok := c.stores[id].(*storage.WALStore); ok {
+		if w, ok := c.procs[id].(*storage.WALStore); ok {
 			n = w.Syncs()
 		}
 		c.mu.Unlock()

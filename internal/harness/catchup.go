@@ -81,7 +81,7 @@ func runK1Arm(t Tuning, stateBytes, lagSlots, clients int) (K1Row, error) {
 	// Cut off a member that does not currently lead, so the survivors keep a
 	// quorum and the leader keeps deciding while the victim falls behind.
 	victim := members[len(members)-1]
-	if dep.Leader() == victim {
+	if dep.Leader(0) == victim {
 		victim = members[0]
 	}
 	survivors := make([]types.NodeID, 0, len(members)-1)
@@ -90,8 +90,8 @@ func runK1Arm(t Tuning, stateBytes, lagSlots, clients int) (K1Row, error) {
 			survivors = append(survivors, id)
 		}
 	}
-	dep.net.Isolate(victim)
-	_, lag0 := dep.Node(victim).AppliedSlot()
+	dep.Network().Isolate(victim)
+	_, lag0 := dep.Node(0, victim).AppliedSlot()
 
 	target := lag0 + types.Slot(lagSlots)
 	if err := k1Drive(dep, survivors, clients, target, 2*time.Minute); err != nil {
@@ -100,17 +100,17 @@ func runK1Arm(t Tuning, stateBytes, lagSlots, clients int) (K1Row, error) {
 	tip := k1Settle(dep, survivors, 15*time.Second)
 
 	healAt := time.Now()
-	dep.net.Restore(victim)
+	dep.Network().Restore(victim)
 	if err := k1WaitApplied(dep, victim, tip, 2*time.Minute); err != nil {
 		return row, fmt.Errorf("catch-up: %w", err)
 	}
 	row.CatchupTook = time.Since(healAt)
 	row.LagSlots = int64(tip - lag0)
 
-	// Collect counters before the restart phase: CrashRestart replaces the
+	// Collect counters before the restart phase: a restart replaces the
 	// victim's node object, zeroing its in-memory stats.
 	for _, id := range members {
-		st := dep.Node(id).Stats()
+		st := dep.Node(0, id).Stats()
 		row.Published += st.CheckpointsPublished
 		row.Fetches += st.CatchupFetches
 		row.Truncated += st.TruncatedSlots
@@ -120,7 +120,8 @@ func runK1Arm(t Tuning, stateBytes, lagSlots, clients int) (K1Row, error) {
 	}
 
 	crashAt := time.Now()
-	if err := dep.CrashRestart(victim); err != nil {
+	dep.Crash(victim)
+	if err := dep.Restart(victim); err != nil {
 		return row, err
 	}
 	if err := k1WaitApplied(dep, victim, tip, 2*time.Minute); err != nil {
@@ -152,7 +153,7 @@ func k1Drive(dep *composedDep, survivors []types.NodeID, clients int, target typ
 				seq++
 				op := statemachine.EncodePut(key, val)
 				for ctx.Err() == nil {
-					n := dep.Node(survivors[(int(seq)+i)%len(survivors)])
+					n := dep.Node(0, survivors[(int(seq)+i)%len(survivors)])
 					attempt, done := context.WithTimeout(ctx, 500*time.Millisecond)
 					_, err := n.Submit(attempt, client, seq, op)
 					done()
@@ -185,7 +186,7 @@ func k1Drive(dep *composedDep, survivors []types.NodeID, clients int, target typ
 func k1Tip(dep *composedDep, ids []types.NodeID) types.Slot {
 	var tip types.Slot
 	for _, id := range ids {
-		if n := dep.Node(id); n != nil {
+		if n := dep.Node(0, id); n != nil {
 			if _, s := n.AppliedSlot(); s > tip {
 				tip = s
 			}
@@ -201,7 +202,7 @@ func k1Settle(dep *composedDep, ids []types.NodeID, timeout time.Duration) types
 	for time.Now().Before(deadline) {
 		lo, hi := types.Slot(1<<62), types.Slot(0)
 		for _, id := range ids {
-			_, s := dep.Node(id).AppliedSlot()
+			_, s := dep.Node(0, id).AppliedSlot()
 			if s < lo {
 				lo = s
 			}
@@ -221,13 +222,13 @@ func k1Settle(dep *composedDep, ids []types.NodeID, timeout time.Duration) types
 func k1WaitApplied(dep *composedDep, id types.NodeID, target types.Slot, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
-		if n := dep.Node(id); n != nil {
+		if n := dep.Node(0, id); n != nil {
 			if _, s := n.AppliedSlot(); s >= target {
 				return nil
 			}
 		}
 		time.Sleep(time.Millisecond)
 	}
-	_, s := dep.Node(id).AppliedSlot()
+	_, s := dep.Node(0, id).AppliedSlot()
 	return fmt.Errorf("k1: %s stuck at slot %d of %d after %s", id, s, target, timeout)
 }

@@ -12,7 +12,6 @@ package harness
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -106,104 +105,55 @@ func NewDeployment(kind SystemKind, tuning Tuning, factory statemachine.Factory,
 	}
 }
 
-// errNotNow signals "this node can't serve right now; try another/again".
-var errNotNow = errors.New("harness: node unavailable")
-
 // --- composed -----------------------------------------------------------------
 
-type composedDep struct {
-	net     *transport.Network
-	factory statemachine.Factory
-	opts    reconfig.Options
-	nodes   map[types.NodeID]*reconfig.Node
-	byStore map[types.NodeID]storage.Store // each node's store, for crash-restart
-	mu      sync.Mutex
-	rot     cluster.Rotation // whom a submit goes to; guarded by mu
-}
+// composedDep is the composed system as a Deployment: the default group of
+// one cluster.Cluster, which the experiments also reach into for faults
+// (Network, Crash/Restart) and per-node reads (Node).
+type composedDep struct{ *cluster.Cluster }
 
 func newComposed(t Tuning, factory statemachine.Factory, initial, spares []types.NodeID) (*composedDep, error) {
-	d := &composedDep{
-		net:     transport.NewNetwork(t.Net),
-		factory: factory,
-		opts:    t.Node,
-		nodes:   make(map[types.NodeID]*reconfig.Node),
-		byStore: make(map[types.NodeID]storage.Store),
-		rot:     cluster.Rotation{Order: types.CloneNodeIDs(initial)},
-	}
-	cfg, err := types.NewConfig(1, initial)
-	if err != nil {
-		return nil, err
-	}
-	boot := func(id types.NodeID, member bool) error {
-		st := storage.NewMem()
-		d.byStore[id] = st
-		n, err := reconfig.NewNode(reconfig.NodeConfig{
-			Self:     id,
-			Endpoint: d.net.Endpoint(id),
-			Store:    st,
-			Factory:  factory,
-			Opts:     d.opts,
-		})
-		if err != nil {
-			return err
-		}
-		if member {
-			if err := n.Bootstrap(cfg); err != nil {
-				return err
-			}
-		}
-		if err := n.Start(); err != nil {
-			return err
-		}
-		d.nodes[id] = n
-		return nil
-	}
-	for _, id := range initial {
-		if err := boot(id, true); err != nil {
-			d.Close()
-			return nil, err
-		}
-	}
+	d := &composedDep{cluster.New(cluster.Config{Transport: t.Net, Node: t.Node})}
+	err := d.CreateGroup(0, initial, factory)
 	for _, id := range spares {
-		if err := boot(id, false); err != nil {
-			d.Close()
-			return nil, err
+		if err == nil {
+			_, err = d.AddReplica(0, id)
 		}
+	}
+	if err != nil {
+		d.Close()
+		return nil, err
 	}
 	return d, nil
 }
 
-func (d *composedDep) pick() *reconfig.Node {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.rot.Pick(d.nodes)
+func (d *composedDep) Submit(ctx context.Context, clientID types.NodeID, seq uint64, op []byte) ([]byte, error) {
+	return d.Cluster.Submit(ctx, 0, clientID, seq, op)
 }
 
-func (d *composedDep) Submit(ctx context.Context, clientID types.NodeID, seq uint64, op []byte) ([]byte, error) {
-	n := d.pick()
-	if n == nil {
-		return nil, errNotNow
+func (d *composedDep) Reconfigure(ctx context.Context, members []types.NodeID) error {
+	_, err := d.Cluster.Reconfigure(ctx, 0, members)
+	return err
+}
+
+func (d *composedDep) Members() []types.NodeID { return d.Cluster.Members(0) }
+
+func (d *composedDep) Violations() int64 { return d.TotalViolations() }
+
+// nodeStats returns the counters of every running node.
+func (d *composedDep) nodeStats() []reconfig.NodeStats {
+	var out []reconfig.NodeStats
+	for _, id := range d.Processes() {
+		if n := d.Node(0, id); n != nil {
+			out = append(out, n.Stats())
+		}
 	}
-	reply, err := n.Submit(ctx, clientID, seq, op)
-	if errors.Is(err, reconfig.ErrNotServing) {
-		d.refreshOrder()
-	}
-	return reply, err
+	return out
 }
 
 // ReadStats sums the read-path and inbox-drop counters over all nodes.
 func (d *composedDep) ReadStats() (fast, fallback, fenced, dropped int64) {
-	d.mu.Lock()
-	nodes := make([]*reconfig.Node, 0, len(d.nodes))
-	for _, n := range d.nodes {
-		nodes = append(nodes, n)
-	}
-	d.mu.Unlock()
-	for _, n := range nodes {
-		if n == nil {
-			continue
-		}
-		st := n.Stats()
+	for _, st := range d.nodeStats() {
 		fast += st.FastReads
 		fallback += st.ReadFallbacks
 		fenced += st.ReadFenced
@@ -228,18 +178,8 @@ type TransferStats struct {
 
 // TransferStats sums the chunked-transfer counters over all nodes.
 func (d *composedDep) TransferStats() TransferStats {
-	d.mu.Lock()
-	nodes := make([]*reconfig.Node, 0, len(d.nodes))
-	for _, n := range d.nodes {
-		nodes = append(nodes, n)
-	}
-	d.mu.Unlock()
 	var out TransferStats
-	for _, n := range nodes {
-		if n == nil {
-			continue
-		}
-		st := n.Stats()
+	for _, st := range d.nodeStats() {
 		out.SnapshotsFetched += st.SnapshotsFetched
 		out.ChunksFetched += st.ChunksFetched
 		out.ChunksServed += st.ChunksServed
@@ -261,7 +201,7 @@ func (d *composedDep) FirstDecideIn(members []types.NodeID, id types.ConfigID) (
 	var best time.Time
 	found := false
 	for _, m := range members {
-		n := d.Node(m)
+		n := d.Node(0, m)
 		if n == nil {
 			continue
 		}
@@ -270,122 +210,6 @@ func (d *composedDep) FirstDecideIn(members []types.NodeID, id types.ConfigID) (
 		}
 	}
 	return best, found
-}
-
-// refreshOrder re-learns the serving member set from any node.
-func (d *composedDep) refreshOrder() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.rot.Refresh(d.nodes)
-}
-
-func (d *composedDep) Reconfigure(ctx context.Context, members []types.NodeID) error {
-	for {
-		n := d.pick()
-		if n == nil {
-			return fmt.Errorf("harness: no serving node to reconfigure through")
-		}
-		_, err := n.Reconfigure(ctx, members)
-		if err == nil || errors.Is(err, reconfig.ErrConflict) {
-			d.refreshOrder()
-			return err
-		}
-		if errors.Is(err, reconfig.ErrNotServing) {
-			d.refreshOrder()
-			continue
-		}
-		return err
-	}
-}
-
-func (d *composedDep) Members() []types.NodeID {
-	d.refreshOrder()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return types.CloneNodeIDs(d.rot.Order)
-}
-
-func (d *composedDep) Violations() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var v int64
-	for _, n := range d.nodes {
-		v += n.Stats().InvariantViolations
-	}
-	return v
-}
-
-func (d *composedDep) Close() {
-	d.mu.Lock()
-	nodes := make([]*reconfig.Node, 0, len(d.nodes))
-	for _, n := range d.nodes {
-		nodes = append(nodes, n)
-	}
-	d.mu.Unlock()
-	for _, n := range nodes {
-		n.Stop()
-	}
-	d.net.Close()
-}
-
-// Node returns the composed deployment's node of that name (nil if none),
-// for the experiments that read one node's progress or stats.
-func (d *composedDep) Node(id types.NodeID) *reconfig.Node {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.nodes[id]
-}
-
-// CrashRestart stops a node like a killed process and reboots it over the
-// same store: durable state survives, volatile state is lost.
-func (d *composedDep) CrashRestart(id types.NodeID) error {
-	d.mu.Lock()
-	n := d.nodes[id]
-	st := d.byStore[id]
-	d.mu.Unlock()
-	if st == nil {
-		return fmt.Errorf("harness: unknown node %s", id)
-	}
-	if n != nil {
-		n.Stop()
-	}
-	ep := d.net.Endpoint(id)
-	ep.Resume()
-	n2, err := reconfig.NewNode(reconfig.NodeConfig{
-		Self:     id,
-		Endpoint: ep,
-		Store:    st,
-		Factory:  d.factory,
-		Opts:     d.opts,
-	})
-	if err != nil {
-		return err
-	}
-	if err := n2.Start(); err != nil {
-		return err
-	}
-	d.mu.Lock()
-	d.nodes[id] = n2
-	d.mu.Unlock()
-	return nil
-}
-
-// Leader reports the leader hint of the first serving node ("" if none).
-func (d *composedDep) Leader() types.NodeID {
-	d.mu.Lock()
-	nodes := make([]*reconfig.Node, 0, len(d.nodes))
-	for _, n := range d.nodes {
-		nodes = append(nodes, n)
-	}
-	d.mu.Unlock()
-	for _, n := range nodes {
-		if n != nil && n.Serving() {
-			if lead := n.LeaderHint(); lead != "" {
-				return lead
-			}
-		}
-	}
-	return ""
 }
 
 // --- stop-the-world --------------------------------------------------------------
@@ -448,7 +272,7 @@ func (d *stwDep) pick() *stw.Service {
 func (d *stwDep) Submit(ctx context.Context, clientID types.NodeID, seq uint64, op []byte) ([]byte, error) {
 	svc := d.pick()
 	if svc == nil {
-		return nil, errNotNow
+		return nil, cluster.ErrNoReplica
 	}
 	return svc.Submit(ctx, clientID, seq, op)
 }
@@ -549,7 +373,7 @@ func (d *inbandDep) pick() *inband.Service {
 func (d *inbandDep) Submit(ctx context.Context, clientID types.NodeID, seq uint64, op []byte) ([]byte, error) {
 	svc := d.pick()
 	if svc == nil {
-		return nil, errNotNow
+		return nil, cluster.ErrNoReplica
 	}
 	return svc.Submit(ctx, clientID, seq, op)
 }

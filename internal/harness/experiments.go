@@ -355,7 +355,7 @@ func RunDisruptionTo(kind SystemKind, tuning Tuning, dur time.Duration, clients,
 		for _, id := range target {
 			if !known[id] {
 				joiners = append(joiners, id)
-				if n := cd.Node(id); n != nil {
+				if n := cd.Node(0, id); n != nil {
 					if cfg := n.CurrentConfig(); cfg.ID > newID {
 						newID = cfg.ID
 					}

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/history"
 	"repro/internal/lincheck"
 	"repro/internal/nemesis"
@@ -21,12 +22,13 @@ import (
 // needs per-node reboot over the same store).
 type composedNemesis struct{ d *composedDep }
 
-func (c composedNemesis) Partition(sides ...[]types.NodeID) { c.d.net.Partition(sides...) }
-func (c composedNemesis) Isolate(id types.NodeID)           { c.d.net.Isolate(id) }
-func (c composedNemesis) Heal()                             { c.d.net.HealAll() }
+func (c composedNemesis) Partition(sides ...[]types.NodeID) { c.d.Network().Partition(sides...) }
+func (c composedNemesis) Isolate(id types.NodeID)           { c.d.Network().Isolate(id) }
+func (c composedNemesis) Heal()                             { c.d.Network().HealAll() }
 
 func (c composedNemesis) CrashRestart(_ context.Context, id types.NodeID) error {
-	return c.d.CrashRestart(id)
+	c.d.Crash(id)
+	return c.d.Restart(id)
 }
 
 func (c composedNemesis) Reconfigure(ctx context.Context, members []types.NodeID) error {
@@ -35,7 +37,7 @@ func (c composedNemesis) Reconfigure(ctx context.Context, members []types.NodeID
 	return c.d.Reconfigure(attempt, members)
 }
 
-func (c composedNemesis) Leader() types.NodeID { return c.d.Leader() }
+func (c composedNemesis) Leader() types.NodeID { return c.d.Leader(0) }
 
 // LinResult is the outcome of the LIN experiment: how much history was
 // gathered under which faults, and what the checker decided.
@@ -106,7 +108,7 @@ func RunLin(tun Tuning, seed int64, dur time.Duration, clients int) (LinResult, 
 						rec.Ok(h, reply)
 						break
 					}
-					if !errors.Is(err, errNotNow) {
+					if !errors.Is(err, cluster.ErrNoReplica) {
 						sent = true // the command reached a node; outcome ambiguous
 					}
 					time.Sleep(2 * time.Millisecond)
@@ -123,7 +125,7 @@ func RunLin(tun Tuning, seed int64, dur time.Duration, clients int) (LinResult, 
 	nemCtx, nemCancel := context.WithDeadline(context.Background(), deadline)
 	res.Faults = nemesis.Execute(nemCtx, composedNemesis{dep}, schedule)
 	nemCancel()
-	dep.net.HealAll()
+	dep.Network().HealAll()
 
 	wg.Wait()
 	rec.Drain()

@@ -126,7 +126,7 @@ func runMegaArm(tun Tuning, cfg megaCfg) (MegaStats, error) {
 	}
 	dirs := make([]*client.Directory, nDirs)
 	for i := range dirs {
-		dirs[i] = client.NewDirectory(dep.net.Endpoint(types.NodeID(fmt.Sprintf("mega-client%d", i))), initial)
+		dirs[i] = client.NewDirectory(dep.Network().Endpoint(types.NodeID(fmt.Sprintf("mega-client%d", i))), initial)
 		defer dirs[i].Close()
 	}
 	// The backoff ceiling matters under sustained overload: shed ops must
@@ -278,7 +278,7 @@ func runMegaArm(tun Tuning, cfg megaCfg) (MegaStats, error) {
 		out.Adopts += d.Stats().Adopts
 	}
 	for _, id := range pool {
-		n := dep.Node(id)
+		n := dep.Node(0, id)
 		if n == nil {
 			continue
 		}

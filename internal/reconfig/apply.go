@@ -330,7 +330,7 @@ func (n *Node) respondApplied(p *pendingCmd, reply []byte) {
 	if len(p.responders) == 0 {
 		return
 	}
-	resp := encodeSubmitReply(submitReply{
+	resp := EncodeSubmitResult(SubmitResult{
 		Status: SubmitApplied,
 		Reply:  reply,
 		Config: n.configs[n.curID],
@@ -471,7 +471,7 @@ func (n *Node) armRetryLocked(p *pendingCmd) {
 // redirectAllPendingLocked answers every waiting client with a redirect to
 // the current configuration.
 func (n *Node) redirectAllPendingLocked() {
-	resp := encodeSubmitReply(submitReply{
+	resp := EncodeSubmitResult(SubmitResult{
 		Status: SubmitRedirect,
 		Config: n.configs[n.curID],
 		Leader: "",

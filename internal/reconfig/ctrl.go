@@ -145,18 +145,16 @@ func decodeChainRecord(buf []byte) (ChainRecord, error) {
 
 // --- submit -----------------------------------------------------------------
 
-type submitReq struct {
-	Cmd types.Command
-}
-
-func encodeSubmit(m submitReq) []byte {
-	w := types.NewWriter(4 + m.Cmd.EncodedSize())
+// EncodeSubmitRequest encodes a client command submission.
+func EncodeSubmitRequest(cmd types.Command) []byte {
+	w := types.NewWriter(4 + cmd.EncodedSize())
 	w.Byte(opSubmit)
-	m.Cmd.Encode(w)
+	cmd.Encode(w)
 	return w.Bytes()
 }
 
-type submitReply struct {
+// SubmitResult is the outcome of a submit RPC.
+type SubmitResult struct {
 	Status SubmitStatus
 	Reply  []byte
 	Config types.Config // current config hint (always set)
@@ -166,7 +164,9 @@ type submitReply struct {
 	RetryAfter time.Duration
 }
 
-func encodeSubmitReply(m submitReply) []byte {
+// EncodeSubmitResult encodes a submit reply (servers, and test doubles of the
+// control plane).
+func EncodeSubmitResult(m SubmitResult) []byte {
 	w := types.NewWriter(36 + len(m.Reply) + 12*len(m.Config.Members))
 	w.Byte(opSubmitReply)
 	w.Byte(byte(m.Status))
@@ -177,12 +177,13 @@ func encodeSubmitReply(m submitReply) []byte {
 	return w.Bytes()
 }
 
-func decodeSubmitReply(buf []byte) (submitReply, error) {
+// DecodeSubmitResult decodes a submit reply.
+func DecodeSubmitResult(buf []byte) (SubmitResult, error) {
 	if len(buf) == 0 || buf[0] != opSubmitReply {
-		return submitReply{}, fmt.Errorf("%w: not a submit reply", types.ErrCodec)
+		return SubmitResult{}, fmt.Errorf("%w: not a submit reply", types.ErrCodec)
 	}
 	r := types.NewReader(buf[1:])
-	m := submitReply{
+	m := SubmitResult{
 		Status: SubmitStatus(r.Byte()),
 		Reply:  r.BytesField(),
 		Config: types.DecodeConfigFrom(r),
@@ -190,22 +191,24 @@ func decodeSubmitReply(buf []byte) (submitReply, error) {
 	}
 	m.RetryAfter = time.Duration(r.Uvarint()) * time.Microsecond
 	if err := r.Err(); err != nil {
-		return submitReply{}, fmt.Errorf("submit reply: %w", err)
+		return SubmitResult{}, fmt.Errorf("submit reply: %w", err)
 	}
 	return m, nil
 }
 
 // --- locate -----------------------------------------------------------------
 
-func encodeLocate() []byte { return []byte{opLocate} }
+// EncodeLocateRequest encodes a configuration-discovery request.
+func EncodeLocateRequest() []byte { return []byte{opLocate} }
 
-type locateReply struct {
+// LocateResult is the outcome of a locate RPC.
+type LocateResult struct {
 	Config types.Config
 	Wedged bool // the returned config already has a decided successor
 	Leader types.NodeID
 }
 
-func encodeLocateReply(m locateReply) []byte {
+func encodeLocateReply(m LocateResult) []byte {
 	w := types.NewWriter(24 + 12*len(m.Config.Members))
 	w.Byte(opLocateReply)
 	m.Config.Encode(w)
@@ -214,18 +217,19 @@ func encodeLocateReply(m locateReply) []byte {
 	return w.Bytes()
 }
 
-func decodeLocateReply(buf []byte) (locateReply, error) {
+// DecodeLocateResult decodes a locate reply.
+func DecodeLocateResult(buf []byte) (LocateResult, error) {
 	if len(buf) == 0 || buf[0] != opLocateReply {
-		return locateReply{}, fmt.Errorf("%w: not a locate reply", types.ErrCodec)
+		return LocateResult{}, fmt.Errorf("%w: not a locate reply", types.ErrCodec)
 	}
 	r := types.NewReader(buf[1:])
-	m := locateReply{
+	m := LocateResult{
 		Config: types.DecodeConfigFrom(r),
 		Wedged: r.Bool(),
 		Leader: r.NodeID(),
 	}
 	if err := r.Err(); err != nil {
-		return locateReply{}, fmt.Errorf("locate reply: %w", err)
+		return LocateResult{}, fmt.Errorf("locate reply: %w", err)
 	}
 	return m, nil
 }
@@ -391,24 +395,22 @@ func encodeAnnounceAck() []byte { return []byte{opAnnounceAck} }
 
 // --- admin reconfigure ----------------------------------------------------------
 
-type reconfigReq struct {
-	Members []types.NodeID
-}
-
-func encodeReconfigReq(m reconfigReq) []byte {
-	w := types.NewWriter(8 + 12*len(m.Members))
+// EncodeReconfigRequest encodes an admin membership-change request.
+func EncodeReconfigRequest(members []types.NodeID) []byte {
+	w := types.NewWriter(8 + 12*len(members))
 	w.Byte(opReconfig)
-	w.NodeIDs(m.Members)
+	w.NodeIDs(members)
 	return w.Bytes()
 }
 
-type reconfigReply struct {
+// ReconfigResult is the outcome of an admin reconfigure RPC.
+type ReconfigResult struct {
 	OK     bool
 	Detail string
 	Config types.Config // resulting (or current) configuration
 }
 
-func encodeReconfigReply(m reconfigReply) []byte {
+func encodeReconfigReply(m ReconfigResult) []byte {
 	w := types.NewWriter(24 + len(m.Detail) + 12*len(m.Config.Members))
 	w.Byte(opReconfReply)
 	w.Bool(m.OK)
@@ -417,32 +419,35 @@ func encodeReconfigReply(m reconfigReply) []byte {
 	return w.Bytes()
 }
 
-func decodeReconfigReply(buf []byte) (reconfigReply, error) {
+// DecodeReconfigResult decodes an admin reconfigure reply.
+func DecodeReconfigResult(buf []byte) (ReconfigResult, error) {
 	if len(buf) == 0 || buf[0] != opReconfReply {
-		return reconfigReply{}, fmt.Errorf("%w: not a reconfig reply", types.ErrCodec)
+		return ReconfigResult{}, fmt.Errorf("%w: not a reconfig reply", types.ErrCodec)
 	}
 	r := types.NewReader(buf[1:])
-	m := reconfigReply{
+	m := ReconfigResult{
 		OK:     r.Bool(),
 		Detail: r.String(),
 		Config: types.DecodeConfigFrom(r),
 	}
 	if err := r.Err(); err != nil {
-		return reconfigReply{}, fmt.Errorf("reconfig reply: %w", err)
+		return ReconfigResult{}, fmt.Errorf("reconfig reply: %w", err)
 	}
 	return m, nil
 }
 
 // --- chain dump -------------------------------------------------------------------
 
-func encodeChainQuery() []byte { return []byte{opChain} }
+// EncodeChainRequest encodes a chain dump request.
+func EncodeChainRequest() []byte { return []byte{opChain} }
 
-type chainReply struct {
+// ChainResult is the outcome of a chain query.
+type ChainResult struct {
 	Initial types.Config
 	Records []ChainRecord
 }
 
-func encodeChainReply(m chainReply) []byte {
+func encodeChainReply(m ChainResult) []byte {
 	w := types.NewWriter(64)
 	w.Byte(opChainReply)
 	m.Initial.Encode(w)
@@ -453,22 +458,23 @@ func encodeChainReply(m chainReply) []byte {
 	return w.Bytes()
 }
 
-func decodeChainReply(buf []byte) (chainReply, error) {
+// DecodeChainResult decodes a chain dump reply.
+func DecodeChainResult(buf []byte) (ChainResult, error) {
 	if len(buf) == 0 || buf[0] != opChainReply {
-		return chainReply{}, fmt.Errorf("%w: not a chain reply", types.ErrCodec)
+		return ChainResult{}, fmt.Errorf("%w: not a chain reply", types.ErrCodec)
 	}
 	r := types.NewReader(buf[1:])
-	m := chainReply{Initial: types.DecodeConfigFrom(r)}
+	m := ChainResult{Initial: types.DecodeConfigFrom(r)}
 	n := r.Uvarint()
 	if r.Err() == nil && n > uint64(r.Remaining()) {
-		return chainReply{}, fmt.Errorf("%w: chain record count", types.ErrCodec)
+		return ChainResult{}, fmt.Errorf("%w: chain record count", types.ErrCodec)
 	}
 	m.Records = make([]ChainRecord, 0, n)
 	for i := uint64(0); i < n; i++ {
 		m.Records = append(m.Records, decodeChainRecordFrom(r))
 	}
 	if err := r.Err(); err != nil {
-		return chainReply{}, fmt.Errorf("chain reply: %w", err)
+		return ChainResult{}, fmt.Errorf("chain reply: %w", err)
 	}
 	return m, nil
 }

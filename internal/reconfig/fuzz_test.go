@@ -6,7 +6,7 @@ import (
 	"repro/internal/types"
 )
 
-// Fuzz targets for the control-plane wire codecs (wire.go / ctrl.go):
+// Fuzz targets for the control-plane wire codecs (ctrl.go):
 // arbitrary bytes from the network must never panic a node and must either
 // fail cleanly or decode to a value that re-encodes consistently. `go test`
 // runs the seed corpus; `go test -fuzz=FuzzDecodeSubmitResult
@@ -39,7 +39,7 @@ func FuzzDecodeSubmitResult(f *testing.F) {
 }
 
 func FuzzDecodeLocateResult(f *testing.F) {
-	f.Add(encodeLocateReply(locateReply{
+	f.Add(encodeLocateReply(LocateResult{
 		Config: types.MustConfig(2, "x", "y"),
 		Wedged: true,
 		Leader: "y",
@@ -51,9 +51,7 @@ func FuzzDecodeLocateResult(f *testing.F) {
 		if err != nil {
 			return
 		}
-		again, err := decodeLocateReply(encodeLocateReply(locateReply{
-			Config: res.Config, Wedged: res.Wedged, Leader: res.Leader,
-		}))
+		again, err := DecodeLocateResult(encodeLocateReply(res))
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
@@ -64,20 +62,18 @@ func FuzzDecodeLocateResult(f *testing.F) {
 }
 
 func FuzzDecodeReconfigResult(f *testing.F) {
-	f.Add(encodeReconfigReply(reconfigReply{
+	f.Add(encodeReconfigReply(ReconfigResult{
 		OK:     true,
 		Config: types.MustConfig(4, "a", "b", "c", "d"),
 	}))
-	f.Add(encodeReconfigReply(reconfigReply{Detail: "not serving"}))
+	f.Add(encodeReconfigReply(ReconfigResult{Detail: "not serving"}))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		res, err := DecodeReconfigResult(data)
 		if err != nil {
 			return
 		}
-		again, err := decodeReconfigReply(encodeReconfigReply(reconfigReply{
-			OK: res.OK, Detail: res.Detail, Config: res.Config,
-		}))
+		again, err := DecodeReconfigResult(encodeReconfigReply(res))
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
@@ -88,7 +84,7 @@ func FuzzDecodeReconfigResult(f *testing.F) {
 }
 
 func FuzzDecodeChainResult(f *testing.F) {
-	f.Add(encodeChainReply(chainReply{
+	f.Add(encodeChainReply(ChainResult{
 		Initial: types.MustConfig(1, "a"),
 		Records: []ChainRecord{
 			{From: 1, WedgeSlot: 12, To: types.MustConfig(2, "a", "b")},
@@ -102,9 +98,7 @@ func FuzzDecodeChainResult(f *testing.F) {
 		if err != nil {
 			return
 		}
-		again, err := decodeChainReply(encodeChainReply(chainReply{
-			Initial: res.Initial, Records: res.Records,
-		}))
+		again, err := DecodeChainResult(encodeChainReply(res))
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}

@@ -65,12 +65,6 @@ type Options struct {
 	// use their own op codes and bypass the bound entirely (prioritized
 	// admission). Default 4096.
 	SubmitQueue int
-	// SessionLimit bounds the machine's client-session dedup table: beyond
-	// it, the least-recently-writing session is evicted. An evicted
-	// client's retry of an old command is rejected (stale, nil reply)
-	// rather than double-applied; a genuinely new session always starts at
-	// seq 1 and is admitted. 0 (default) keeps the table unbounded.
-	SessionLimit int
 	// CheckpointInterval is how many applied slots pass between
 	// within-configuration checkpoints: once the applied cursor is this far
 	// past the newest durable checkpoint base, the housekeeping tick forks
@@ -458,7 +452,6 @@ func (n *Node) Start() error {
 	}
 	err := n.recoverChainLocked()
 	n.machine = statemachine.NewSessioned(n.factory())
-	n.machine.SetSessionLimit(n.opts.SessionLimit)
 	cur := n.curID
 	n.mu.Unlock()
 	if err != nil {

@@ -139,7 +139,7 @@ func (n *Node) serveReadLocked(cmd types.Command) []byte {
 	reply := n.machine.ApplyRead(cmd.Data)
 	n.execMu.RUnlock()
 	n.reads.Fast.Add(1)
-	return encodeSubmitReply(submitReply{
+	return EncodeSubmitResult(SubmitResult{
 		Status: SubmitApplied,
 		Reply:  reply,
 		Config: n.configs[n.curID],
@@ -149,7 +149,7 @@ func (n *Node) serveReadLocked(cmd types.Command) []byte {
 
 // redirectReplyLocked builds the redirect reply for a fenced read.
 func (n *Node) redirectReplyLocked() []byte {
-	return encodeSubmitReply(submitReply{
+	return EncodeSubmitResult(SubmitResult{
 		Status: SubmitRedirect,
 		Config: n.configs[n.curID],
 		Leader: n.leaderHintLocked(),

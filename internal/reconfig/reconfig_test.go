@@ -786,13 +786,13 @@ func TestChainRecordCodec(t *testing.T) {
 }
 
 func TestSubmitReplyCodec(t *testing.T) {
-	m := submitReply{
+	m := SubmitResult{
 		Status: SubmitRedirect,
 		Reply:  []byte("payload"),
 		Config: types.MustConfig(7, "x", "y"),
 		Leader: "x",
 	}
-	got, err := decodeSubmitReply(encodeSubmitReply(m))
+	got, err := DecodeSubmitResult(EncodeSubmitResult(m))
 	if err != nil || got.Status != m.Status || string(got.Reply) != "payload" || !got.Config.Equal(m.Config) || got.Leader != "x" {
 		t.Fatalf("%+v %v", got, err)
 	}

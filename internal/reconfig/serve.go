@@ -38,7 +38,7 @@ func (n *Node) serveControl(from types.NodeID, req []byte, respond func([]byte))
 	switch req[0] {
 	case opLocate:
 		n.mu.Lock()
-		reply := locateReply{
+		reply := LocateResult{
 			Config: n.configs[n.curID],
 			Wedged: func() bool { _, ok := n.chain[n.curID]; return ok }(),
 			Leader: n.leaderHintLocked(),
@@ -85,7 +85,7 @@ func (n *Node) serveControl(from types.NodeID, req []byte, respond func([]byte))
 		ctx, cancel := context.WithTimeout(n.baseCtx, 30*time.Second)
 		defer cancel()
 		cfg, err := n.Reconfigure(ctx, members)
-		reply := reconfigReply{OK: err == nil, Config: cfg}
+		reply := ReconfigResult{OK: err == nil, Config: cfg}
 		if err != nil {
 			reply.Detail = err.Error()
 		}
@@ -95,7 +95,7 @@ func (n *Node) serveControl(from types.NodeID, req []byte, respond func([]byte))
 		n.mu.Lock()
 		init := n.initConfig
 		n.mu.Unlock()
-		respond(encodeChainReply(chainReply{Initial: init, Records: recs}))
+		respond(encodeChainReply(ChainResult{Initial: init, Records: recs}))
 	case opCkptAnnounce:
 		m, err := decodeCkptAnnounce(req)
 		if err != nil {
@@ -118,7 +118,7 @@ func (n *Node) handleSubmit(cmd types.Command, respond func([]byte)) {
 	}
 	cur := n.configs[n.curID]
 	if !cur.IsMember(n.self) {
-		respond(encodeSubmitReply(submitReply{
+		respond(EncodeSubmitResult(SubmitResult{
 			Status: SubmitRedirect,
 			Config: cur,
 			Leader: n.leaderHintLocked(),
@@ -127,7 +127,7 @@ func (n *Node) handleSubmit(cmd types.Command, respond func([]byte)) {
 	}
 	if !n.initialized {
 		if !n.speculationOn() {
-			respond(encodeSubmitReply(submitReply{
+			respond(EncodeSubmitResult(SubmitResult{
 				Status: SubmitRedirect,
 				Config: cur,
 				Leader: n.leaderHintLocked(),
@@ -161,7 +161,7 @@ func (n *Node) handleSubmit(cmd types.Command, respond func([]byte)) {
 	}
 	n.execMu.RUnlock()
 	if isDup {
-		respond(encodeSubmitReply(submitReply{
+		respond(EncodeSubmitResult(SubmitResult{
 			Status: SubmitApplied,
 			Reply:  dupReply,
 			Config: cur,
@@ -211,7 +211,7 @@ func (n *Node) admitSubmitLocked(cmd types.Command) bool {
 // housekeeping interval: by then the node has re-proposed its backlog at
 // least once, so the queue has had a real chance to drain.
 func (n *Node) busyReplyLocked() []byte {
-	return encodeSubmitReply(submitReply{
+	return EncodeSubmitResult(SubmitResult{
 		Status:     SubmitBusy,
 		Config:     n.configs[n.curID],
 		Leader:     n.leaderHintLocked(),
@@ -439,11 +439,11 @@ func (n *Node) gossipChain(to types.NodeID, push []byte) {
 	}
 	ctx, cancel := context.WithTimeout(n.baseCtx, n.opts.FetchTimeout)
 	defer cancel()
-	resp, err := n.peer.Call(ctx, to, encodeChainQuery(), 0)
+	resp, err := n.peer.Call(ctx, to, EncodeChainRequest(), 0)
 	if err != nil {
 		return
 	}
-	cr, err := decodeChainReply(resp)
+	cr, err := DecodeChainResult(resp)
 	if err != nil {
 		return
 	}
@@ -508,7 +508,7 @@ func (n *Node) Submit(ctx context.Context, client types.NodeID, seq uint64, op [
 	})
 	select {
 	case resp := <-ch:
-		sr, err := decodeSubmitReply(resp)
+		sr, err := DecodeSubmitResult(resp)
 		if err != nil {
 			return nil, err
 		}

@@ -582,7 +582,6 @@ func (n *Node) fetchChunkRange(id types.ConfigID, first, count int, src types.No
 // set.
 func (n *Node) buildMachine(m storage.ChunkManifest, chunks [][]byte) (*statemachine.Sessioned, error) {
 	fresh := statemachine.NewSessioned(n.factory())
-	fresh.SetSessionLimit(n.opts.SessionLimit)
 	if m.Format != fresh.ChunkFormat() {
 		return nil, fmt.Errorf("%w: snapshot format %d, machine expects %d", types.ErrCodec, m.Format, fresh.ChunkFormat())
 	}

@@ -47,7 +47,7 @@ func TestLinearizabilityShardedReconfig(t *testing.T) {
 		rounds = 3
 	}
 
-	m := cluster.NewGroupManager(cluster.Config{
+	m := cluster.New(cluster.Config{
 		Node:    cluster.FastOptions(),
 		Factory: statemachine.NewKVMachine,
 	})
@@ -66,7 +66,7 @@ func TestLinearizabilityShardedReconfig(t *testing.T) {
 		if err := m.CreateGroup(gid, home, nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.WaitGroupServing(ctx, gid); err != nil {
+		if err := m.WaitServing(ctx, gid); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -158,7 +158,7 @@ func TestLinearizabilityShardedReconfig(t *testing.T) {
 				defer nwg.Done()
 				rctx, rcancel := context.WithTimeout(ctx, 20*time.Second)
 				defer rcancel()
-				if _, err := m.ReconfigureGroup(rctx, gid, members); err != nil {
+				if _, err := m.Reconfigure(rctx, gid, members); err != nil {
 					t.Logf("round %d: move group %d: %v", round, gid, err)
 					return
 				}

@@ -7,12 +7,12 @@
 // protocol was built for: many small replicated services (here one group per
 // set of shards) hosted per process over a shared transport and a shared WAL.
 // There is one way to move a shard: reconfigure the group that owns it onto
-// other processes (cluster.GroupManager.ReconfigureGroup). The paper's
-// protocol does all the work — the machine state and the client session table
-// travel together in one snapshot, so a command retried across the move is
-// still deduplicated — and the partition never changes, so a client never
-// sees a redirect. Finer-grained rebalancing is more groups (up to one per
-// shard), each moved the same way.
+// other processes (cluster.Cluster.Reconfigure). The paper's protocol does all
+// the work — the machine state and the client session table travel together
+// in one snapshot, so a command retried across the move is still deduplicated
+// — and the partition never changes, so a client never sees a redirect.
+// Finer-grained rebalancing is more groups (up to one per shard), each moved
+// the same way.
 package router
 
 import (
@@ -66,7 +66,7 @@ func SplitShards(groups []types.GroupID) (ShardMap, error) {
 
 // Groups is the slice of the multi-group runtime the router needs. It is a
 // structural interface so the cluster layer never imports the router:
-// *cluster.GroupManager satisfies it.
+// *cluster.Cluster satisfies it.
 type Groups interface {
 	// Submit executes one command on group gid with session (client, seq).
 	Submit(ctx context.Context, gid types.GroupID, client types.NodeID, seq uint64, op []byte) ([]byte, error)

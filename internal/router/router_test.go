@@ -16,7 +16,7 @@ import (
 // shardedWorld is a full sharded runtime: nGroups KV groups over three shared
 // processes, the balanced partition, and a router.
 type shardedWorld struct {
-	m    *cluster.GroupManager
+	m    *cluster.Cluster
 	smap router.ShardMap
 	rt   *router.Router
 	gids []types.GroupID
@@ -24,7 +24,7 @@ type shardedWorld struct {
 
 func newShardedWorld(t *testing.T, nGroups int) *shardedWorld {
 	t.Helper()
-	m := cluster.NewGroupManager(cluster.Config{
+	m := cluster.New(cluster.Config{
 		Node:    cluster.FastOptions(),
 		Factory: statemachine.NewKVMachine,
 	})
@@ -44,7 +44,7 @@ func newShardedWorld(t *testing.T, nGroups int) *shardedWorld {
 		if err := m.CreateGroup(gid, procs, nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.WaitGroupServing(ctx, gid); err != nil {
+		if err := m.WaitServing(ctx, gid); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -91,7 +91,7 @@ func TestRouterEndToEnd(t *testing.T) {
 	}
 	// Both groups actually applied work (the split sends keys to each).
 	for _, gid := range w.gids {
-		if gs := w.m.GroupStats(gid); gs.Applied == 0 {
+		if gs := w.m.Stats(gid); gs.Applied == 0 {
 			t.Fatalf("group %d applied nothing", gid)
 		}
 	}
@@ -111,7 +111,7 @@ func keyOwnedBy(smap router.ShardMap, prefix string, gid types.GroupID) string {
 	}
 }
 
-// TestControllerMoveGroup: routed data survives ReconfigureGroup. Moving a
+// TestControllerMoveGroup: routed data survives Cluster.Reconfigure. Moving a
 // group's replicas onto three fresh processes leaves the partition alone, so
 // the router finds the key where it always was, served by the new members.
 func TestControllerMoveGroup(t *testing.T) {
@@ -122,14 +122,14 @@ func TestControllerMoveGroup(t *testing.T) {
 	key := keyOwnedBy(w.smap, "mv", 1)
 	w.submit(t, ctx, "c", 1, key, statemachine.EncodePut(key, []byte("carried")))
 
-	if _, err := w.m.ReconfigureGroup(ctx, 1, []types.NodeID{"q1", "q2", "q3"}); err != nil {
+	if _, err := w.m.Reconfigure(ctx, 1, []types.NodeID{"q1", "q2", "q3"}); err != nil {
 		t.Fatal(err)
 	}
 	reply := w.submit(t, ctx, "c", 2, key, statemachine.EncodeGet(key))
 	if got := string(statemachine.ReplyPayload(reply)); got != "carried" {
 		t.Fatalf("moved group reads %q", got)
 	}
-	members := w.m.GroupMembers(1)
+	members := w.m.Members(1)
 	for _, id := range members {
 		if id != "q1" && id != "q2" && id != "q3" {
 			t.Fatalf("group 1 member %s not in target set", id)
@@ -156,7 +156,7 @@ func TestMoveGroupKeepsSessionDedup(t *testing.T) {
 		t.Fatalf("append: %v", statemachine.ReplyStatus(first))
 	}
 
-	if _, err := w.m.ReconfigureGroup(ctx, 1, []types.NodeID{"q1", "q2", "q3"}); err != nil {
+	if _, err := w.m.Reconfigure(ctx, 1, []types.NodeID{"q1", "q2", "q3"}); err != nil {
 		t.Fatal(err)
 	}
 

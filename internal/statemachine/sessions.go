@@ -16,23 +16,9 @@ import (
 // returns no reply. Session state is part of the snapshot, so deduplication
 // survives state transfer to a successor configuration — the property the
 // paper's composition depends on.
-//
-// The table may be bounded with SetSessionLimit, which evicts the session
-// least recently written to. Eviction is deterministic across replicas:
-// recency is defined by applied-command order (identical on every replica by
-// agreement), never by local reads, and a bounded table snapshots its
-// sessions in recency order so a restored replica reconstructs the identical
-// eviction order.
 type Sessioned struct {
 	inner    Machine
 	sessions map[types.NodeID]sessionState
-
-	// Bounded-table state. The recency list is maintained regardless of
-	// limit (O(1) per applied write) so the bound can be enabled at any
-	// point; eviction only happens when limit > 0.
-	limit            int
-	lruHead, lruTail *lruNode
-	lruIndex         map[types.NodeID]*lruNode
 
 	// Transient chunked-restore state (see RestoreChunk/FinishRestore).
 	restoredSessions bool
@@ -46,98 +32,11 @@ type sessionState struct {
 	lastReply []byte
 }
 
-// lruNode is an intrusive list node ordering sessions by last applied write:
-// head = least recently written (next eviction victim), tail = most recent.
-type lruNode struct {
-	client     types.NodeID
-	prev, next *lruNode
-}
-
 // NewSessioned wraps inner with a fresh session table.
 func NewSessioned(inner Machine) *Sessioned {
 	return &Sessioned{
 		inner:    inner,
 		sessions: make(map[types.NodeID]sessionState),
-		lruIndex: make(map[types.NodeID]*lruNode),
-	}
-}
-
-// SetSessionLimit bounds the session table to at most n entries (0 =
-// unbounded), evicting the least recently written session past the bound.
-// Every replica of a machine must use the same limit: the limit changes both
-// which sessions survive and the snapshot encoding order, so divergent
-// limits would diverge replica state. An evicted client that retries is
-// refused (treated as a stale duplicate) rather than risked a re-execution —
-// see ApplyCommand.
-func (s *Sessioned) SetSessionLimit(n int) {
-	if n < 0 {
-		n = 0
-	}
-	s.limit = n
-	s.enforceLimit()
-}
-
-// SessionLimit returns the configured bound (0 = unbounded).
-func (s *Sessioned) SessionLimit() int { return s.limit }
-
-// noteWrite moves client to the most-recent end of the recency list,
-// inserting it if absent. Called only for applied (non-duplicate) writes, so
-// list order is a pure function of the replicated command sequence.
-func (s *Sessioned) noteWrite(client types.NodeID) {
-	n := s.lruIndex[client]
-	if n == nil {
-		n = &lruNode{client: client}
-		s.lruIndex[client] = n
-	} else {
-		if n == s.lruTail {
-			return
-		}
-		if n.prev != nil {
-			n.prev.next = n.next
-		} else {
-			s.lruHead = n.next
-		}
-		if n.next != nil {
-			n.next.prev = n.prev
-		}
-		n.prev, n.next = nil, nil
-	}
-	if s.lruTail == nil {
-		s.lruHead, s.lruTail = n, n
-	} else {
-		n.prev = s.lruTail
-		s.lruTail.next = n
-		s.lruTail = n
-	}
-}
-
-// enforceLimit evicts least-recently-written sessions until the table fits
-// the bound. No-op when unbounded.
-func (s *Sessioned) enforceLimit() {
-	if s.limit <= 0 {
-		return
-	}
-	for len(s.sessions) > s.limit && s.lruHead != nil {
-		victim := s.lruHead
-		s.lruHead = victim.next
-		if s.lruHead != nil {
-			s.lruHead.prev = nil
-		} else {
-			s.lruTail = nil
-		}
-		victim.next = nil
-		delete(s.lruIndex, victim.client)
-		delete(s.sessions, victim.client)
-	}
-}
-
-// rebuildLRU resets the recency list to the given order (least recently
-// written first), used after a snapshot restore.
-func (s *Sessioned) rebuildLRU(order []types.NodeID) {
-	s.lruIndex = make(map[types.NodeID]*lruNode, len(order))
-	s.lruHead, s.lruTail = nil, nil
-	for _, c := range order {
-		s.noteWrite(c)
 	}
 }
 
@@ -145,13 +44,6 @@ func (s *Sessioned) rebuildLRU(order []types.NodeID) {
 // whether the command was recognized as a duplicate (in which case the inner
 // machine was not touched). System commands (empty Client) bypass dedup.
 // Noop commands are ignored entirely.
-//
-// Under a session limit, a command with seq > 1 from a client the table does
-// not know is refused as a stale duplicate rather than applied: the session
-// was evicted, and without its lastSeq the command cannot be distinguished
-// from an already-executed retry. Refusal is safe (at-most-once beats
-// at-least-once here); genuinely new clients always start at seq 1 and are
-// always admitted.
 func (s *Sessioned) ApplyCommand(cmd types.Command) (reply []byte, duplicate bool) {
 	if cmd.Kind == types.CmdNoop {
 		return nil, false
@@ -166,13 +58,8 @@ func (s *Sessioned) ApplyCommand(cmd types.Command) (reply []byte, duplicate boo
 		}
 		return nil, true // stale retry; the reply is long gone
 	}
-	if !ok && s.limit > 0 && cmd.Seq > 1 {
-		return nil, true // evicted session: refuse, never re-execute
-	}
 	reply = s.inner.Apply(cmd.Data)
 	s.sessions[cmd.Client] = sessionState{lastSeq: cmd.Seq, lastReply: reply}
-	s.noteWrite(cmd.Client)
-	s.enforceLimit()
 	return reply, false
 }
 
@@ -203,28 +90,10 @@ func (s *Sessioned) ApplyRead(op []byte) []byte {
 // Sessions returns the number of tracked client sessions.
 func (s *Sessioned) Sessions() int { return len(s.sessions) }
 
-// snapshotClients returns the clients in deterministic encode order. A
-// bounded table encodes in recency order (least recently written first) so
-// the restoring replica rebuilds the identical eviction order; an unbounded
-// table keeps the historical sorted encoding, where order carries no state.
-func (s *Sessioned) snapshotClients() []types.NodeID {
-	clients := make([]types.NodeID, 0, len(s.sessions))
-	if s.limit > 0 {
-		for n := s.lruHead; n != nil; n = n.next {
-			clients = append(clients, n.client)
-		}
-		return clients
-	}
-	for c := range s.sessions {
-		clients = append(clients, c)
-	}
-	return types.SortNodeIDs(clients)
-}
-
 // Snapshot serializes the session table and the inner machine's state into a
 // single deterministic blob.
 func (s *Sessioned) Snapshot() []byte {
-	clients := s.snapshotClients()
+	clients := s.SessionClients()
 	inner := s.inner.Snapshot()
 	w := types.NewWriter(16 + 32*len(clients) + len(inner))
 	w.Uvarint(uint64(len(clients)))
@@ -246,7 +115,6 @@ func (s *Sessioned) Restore(snapshot []byte) error {
 		return fmt.Errorf("session snapshot header: %w", err)
 	}
 	sessions := make(map[types.NodeID]sessionState, n)
-	order := make([]types.NodeID, 0, n)
 	for i := uint64(0); i < n; i++ {
 		c := r.NodeID()
 		seq := r.Uvarint()
@@ -255,7 +123,6 @@ func (s *Sessioned) Restore(snapshot []byte) error {
 			return fmt.Errorf("session snapshot entry %d: %w", i, err)
 		}
 		sessions[c] = sessionState{lastSeq: seq, lastReply: rep}
-		order = append(order, c)
 	}
 	inner := r.BytesField()
 	if err := r.Err(); err != nil {
@@ -268,15 +135,13 @@ func (s *Sessioned) Restore(snapshot []byte) error {
 		return fmt.Errorf("restore inner machine: %w", err)
 	}
 	s.sessions = sessions
-	s.rebuildLRU(order)
-	s.enforceLimit()
 	return nil
 }
 
-// encodeSessions serializes the session table alone (in snapshotClients
+// encodeSessions serializes the session table alone (in SessionClients
 // order), the payload of chunk 0 in a chunked Sessioned snapshot.
 func (s *Sessioned) encodeSessions() []byte {
-	clients := s.snapshotClients()
+	clients := s.SessionClients()
 	w := types.NewWriter(8 + 32*len(clients))
 	w.Uvarint(uint64(len(clients)))
 	for _, c := range clients {
@@ -295,7 +160,6 @@ func (s *Sessioned) decodeSessions(data []byte) error {
 		return fmt.Errorf("session chunk header: %w", err)
 	}
 	sessions := make(map[types.NodeID]sessionState, n)
-	order := make([]types.NodeID, 0, n)
 	for i := uint64(0); i < n; i++ {
 		c := r.NodeID()
 		seq := r.Uvarint()
@@ -304,14 +168,11 @@ func (s *Sessioned) decodeSessions(data []byte) error {
 			return fmt.Errorf("session chunk entry %d: %w", i, err)
 		}
 		sessions[c] = sessionState{lastSeq: seq, lastReply: rep}
-		order = append(order, c)
 	}
 	if r.Remaining() != 0 {
 		return fmt.Errorf("%w: trailing bytes in session chunk", types.ErrCodec)
 	}
 	s.sessions = sessions
-	s.rebuildLRU(order)
-	s.enforceLimit()
 	return nil
 }
 
@@ -439,7 +300,8 @@ func (s *Sessioned) FinishRestore(total int) error {
 // Inner returns the wrapped machine (read-only test access).
 func (s *Sessioned) Inner() Machine { return s.inner }
 
-// SessionClients returns the tracked client IDs in sorted order.
+// SessionClients returns the tracked client IDs in sorted order, the order
+// snapshots encode them in.
 func (s *Sessioned) SessionClients() []types.NodeID {
 	clients := make([]types.NodeID, 0, len(s.sessions))
 	for c := range s.sessions {

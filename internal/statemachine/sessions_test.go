@@ -2,6 +2,7 @@ package statemachine
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -225,5 +226,35 @@ func TestStatusStrings(t *testing.T) {
 	}
 	if ReplyPayload([]byte{1}) != nil {
 		t.Error("payload of bare status")
+	}
+}
+
+// An unknown client is admitted at any seq (a restarted client may
+// legitimately resume mid-sequence).
+func TestUnboundedTableAdmitsUnknownHighSeq(t *testing.T) {
+	s := NewSessioned(NewCounterMachine())
+	if _, dup := s.ApplyCommand(appCmd("a", 7, EncodeAdd(1))); dup {
+		t.Fatal("unbounded table refused an unknown high-seq client")
+	}
+}
+
+// Pin the per-session costs at 100k sessions: table build, dedup lookup, and
+// bytes per session. The dedup fast path must stay O(1) regardless of table
+// size for the megaload harness to be honest.
+func BenchmarkSessionTable100k(b *testing.B) {
+	const n = 100_000
+	s := NewSessioned(NewCounterMachine())
+	for i := 0; i < n; i++ {
+		s.ApplyCommand(appCmd(types.NodeID(fmt.Sprintf("sess-%06d", i)), 1, EncodeAdd(1)))
+	}
+	if s.Sessions() != n {
+		b.Fatalf("sessions = %d", s.Sessions())
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := types.NodeID(fmt.Sprintf("sess-%06d", i%n))
+		if _, dup := s.ApplyCommand(appCmd(c, 1, EncodeAdd(1))); !dup {
+			b.Fatal("lookup missed")
+		}
 	}
 }

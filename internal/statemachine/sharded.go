@@ -63,10 +63,9 @@ func (s *Sessioned) ApplyBatch(cmds []types.Command, parallel bool) (replies [][
 	}
 
 	// Serial pre-pass: decide, in decided order, which commands a serial
-	// execution would apply, and advance the session table (seq, recency,
-	// eviction) exactly as that serial execution would — command by
-	// command, so the LRU's mid-batch evictions and refusals cannot depend
-	// on where batch boundaries fall (replicas batch independently).
+	// execution would apply, and advance each session's seq exactly as that
+	// serial execution would — command by command, so the outcome cannot
+	// depend on where batch boundaries fall (replicas batch independently).
 	// Replies land in the post-pass; until then a rewritten session
 	// carries its previous lastReply, which nothing reads (an in-batch dup
 	// links through dupOf instead).
@@ -92,15 +91,7 @@ func (s *Sessioned) ApplyBatch(cmds []types.Command, parallel bool) (replies [][
 				}
 				continue // stale retry: nil reply, like ApplyCommand
 			}
-			if !exists && s.limit > 0 && cmd.Seq > 1 {
-				// Evicted session under the LRU bound: refuse rather
-				// than risk re-execution (ApplyCommand's rule).
-				dups[i] = true
-				continue
-			}
 			s.sessions[cmd.Client] = sessionState{lastSeq: cmd.Seq, lastReply: sess.lastReply}
-			s.noteWrite(cmd.Client)
-			s.enforceLimit()
 			eff[cmd.Client] = i
 		}
 		shards[i], barrier[i] = opShardChecked(sharder, cmds[i].Data)
@@ -122,18 +113,15 @@ func (s *Sessioned) ApplyBatch(cmds []types.Command, parallel bool) (replies [][
 	}
 	s.runShardGroup(cmds, replies, shards, group)
 
-	// Serial post-pass: fill in each surviving session's reply (the
-	// pre-pass already advanced seq/recency and ran evictions), then link
-	// duplicate replies to the command that produced them.
+	// Serial post-pass: fill in each session's reply (the pre-pass already
+	// advanced its seq), then link duplicate replies to the command that
+	// produced them.
 	for _, i := range exec {
 		c := cmds[i].Client
 		if c == "" || eff[c] != i {
 			continue // not this client's final in-batch write
 		}
-		if sess, ok := s.sessions[c]; ok && sess.lastSeq == cmds[i].Seq {
-			sess.lastReply = replies[i]
-			s.sessions[c] = sess
-		}
+		s.sessions[c] = sessionState{lastSeq: cmds[i].Seq, lastReply: replies[i]}
 	}
 	for i, j := range dupOf {
 		replies[i] = replies[j]

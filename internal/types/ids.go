@@ -23,8 +23,8 @@ type ConfigID uint64
 
 // GroupID names one RSM group — one independent reconfigurable chain — in a
 // process hosting several over shared transport and storage. Group 0 is the
-// legacy ungrouped runtime: old wire frames and store layouts decode as
-// group 0, so single-group deployments never see the concept.
+// default group: ungrouped wire frames and store layouts are group 0's, so a
+// single-group deployment is the one-group case of the same runtime.
 type GroupID uint64
 
 // Slot indexes a position in a single static engine's command log. Slots
