@@ -70,7 +70,10 @@ vet:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# bench/ is a nested module (bench/go.mod) that ./... does not descend into;
-# the recipe line notices a program change that breaks the benchmark's build.
+# The first recipe line is CI's allocation gate as CI runs it (CI's Test step
+# is -short, under which the loaded-path tests only print). bench/ is a nested
+# module (bench/go.mod) that ./... does not descend into; the second line
+# notices a program change that breaks the benchmark's build.
 ci: vet build examples test race fmt-check
+	$(GO) test -run 'TestLoadedWritePathBytesPerOp' -count=1 ./internal/cluster/
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...

@@ -344,9 +344,7 @@ func (c *Client) SubmitSeq(ctx context.Context, seq uint64, op []byte) ([]byte, 
 		c.mu.Unlock()
 
 		var hint time.Duration
-		actx, cancel := context.WithTimeout(ctx, c.opts.AttemptTimeout)
-		resp, err := c.peer().Call(actx, target, req, c.opts.Resend)
-		cancel()
+		resp, err := c.peer().CallWithin(ctx, target, req, c.opts.Resend, c.opts.AttemptTimeout)
 		if err != nil {
 			maybeApplied = true // the command may have reached the node
 		} else if res, derr := reconfig.DecodeSubmitResult(resp); derr != nil {
@@ -434,9 +432,7 @@ func (c *Client) Locate(ctx context.Context) (types.Config, error) {
 		if target == "" {
 			return types.Config{}, fmt.Errorf("client: no known nodes")
 		}
-		actx, cancel := context.WithTimeout(ctx, c.opts.AttemptTimeout)
-		resp, err := c.peer().Call(actx, target, req, c.opts.Resend)
-		cancel()
+		resp, err := c.peer().CallWithin(ctx, target, req, c.opts.Resend, c.opts.AttemptTimeout)
 		if err == nil {
 			if res, derr := reconfig.DecodeLocateResult(resp); derr == nil && res.Config.ID != 0 {
 				c.dir.observe(res.Config, res.Leader)
@@ -461,9 +457,7 @@ func (c *Client) Reconfigure(ctx context.Context, members []types.NodeID) (types
 		}
 		// Reconfiguration includes consensus + transfer: allow a longer
 		// attempt than a plain submit.
-		actx, cancel := context.WithTimeout(ctx, 4*c.opts.AttemptTimeout)
-		resp, err := c.peer().Call(actx, target, req, c.opts.Resend)
-		cancel()
+		resp, err := c.peer().CallWithin(ctx, target, req, c.opts.Resend, 4*c.opts.AttemptTimeout)
 		if err == nil {
 			if res, derr := reconfig.DecodeReconfigResult(resp); derr == nil {
 				if res.OK {
@@ -489,9 +483,7 @@ func (c *Client) Chain(ctx context.Context) (reconfig.ChainResult, error) {
 		if target == "" {
 			return reconfig.ChainResult{}, fmt.Errorf("client: no known nodes")
 		}
-		actx, cancel := context.WithTimeout(ctx, c.opts.AttemptTimeout)
-		resp, err := c.peer().Call(actx, target, req, c.opts.Resend)
-		cancel()
+		resp, err := c.peer().CallWithin(ctx, target, req, c.opts.Resend, c.opts.AttemptTimeout)
 		if err == nil {
 			if res, derr := reconfig.DecodeChainResult(resp); derr == nil {
 				return res, nil

@@ -25,6 +25,19 @@ func bareReplica(t *testing.T) (*Replica, *storage.MemStore) {
 	return r, st
 }
 
+// proposal is the proposal of m.Cmd at (m.Slot, m.Ballot) as a proposer builds
+// it: the entry decoded from its one encoding, and that encoding.
+func proposal(m acceptedEntry) (acceptedEntry, []byte) {
+	rec, e := encodeAccept(m.Slot, m.Ballot, []types.Command{m.Cmd})
+	return e, rec
+}
+
+// acceptFrame is the KindAccept payload (and acc/ record) of proposal(m).
+func acceptFrame(m acceptedEntry) []byte {
+	_, rec := proposal(m)
+	return rec
+}
+
 func TestAcceptorPromiseMonotonic(t *testing.T) {
 	r, _ := bareReplica(t)
 	b1 := types.Ballot{Round: 1, Leader: "n1"}
@@ -59,14 +72,14 @@ func TestAcceptorRejectsAcceptBelowPromise(t *testing.T) {
 	low := types.Ballot{Round: 1, Leader: "n1"}
 	r.acceptPrepare(prepareMsg{Ballot: high, From: 1})
 
-	am := r.acceptAccept(acceptMsg{Ballot: low, Slot: 1, Cmd: types.NoopCommand()})
+	am := r.acceptAccept(proposal(acceptedEntry{Ballot: low, Slot: 1, Cmd: types.NoopCommand()}))
 	if am.OK {
 		t.Fatal("accept below promise succeeded")
 	}
 	if !am.Promised.Equal(high) {
 		t.Fatalf("blocker %v", am.Promised)
 	}
-	am = r.acceptAccept(acceptMsg{Ballot: high, Slot: 1, Cmd: types.NoopCommand()})
+	am = r.acceptAccept(proposal(acceptedEntry{Ballot: high, Slot: 1, Cmd: types.NoopCommand()}))
 	if !am.OK {
 		t.Fatal("accept at promise rejected")
 	}
@@ -75,7 +88,7 @@ func TestAcceptorRejectsAcceptBelowPromise(t *testing.T) {
 func TestAcceptorAcceptRaisesPromise(t *testing.T) {
 	r, _ := bareReplica(t)
 	b := types.Ballot{Round: 3, Leader: "n2"}
-	if am := r.acceptAccept(acceptMsg{Ballot: b, Slot: 4, Cmd: types.NoopCommand()}); !am.OK {
+	if am := r.acceptAccept(proposal(acceptedEntry{Ballot: b, Slot: 4, Cmd: types.NoopCommand()})); !am.OK {
 		t.Fatal("fresh accept rejected")
 	}
 	// The accept implies a promise: a lower prepare must now fail.
@@ -92,7 +105,7 @@ func TestAcceptorStatePersistsBeforeReply(t *testing.T) {
 		t.Fatal("promise not persisted")
 	}
 	cmd := types.Command{Kind: types.CmdApp, Client: "c", Seq: 1, Data: []byte("x")}
-	r.acceptAccept(acceptMsg{Ballot: b, Slot: 3, Cmd: cmd})
+	r.acceptAccept(proposal(acceptedEntry{Ballot: b, Slot: 3, Cmd: cmd}))
 	kvs, _ := st.Scan("pxs/1/acc/")
 	if len(kvs) != 1 {
 		t.Fatalf("accepted entries persisted: %d", len(kvs))
@@ -118,7 +131,7 @@ func TestPromiseReturnsOnlyRequestedSuffix(t *testing.T) {
 	r, _ := bareReplica(t)
 	b := types.Ballot{Round: 1, Leader: "n1"}
 	for slot := types.Slot(1); slot <= 10; slot++ {
-		r.acceptAccept(acceptMsg{Ballot: b, Slot: slot, Cmd: types.NoopCommand()})
+		r.acceptAccept(proposal(acceptedEntry{Ballot: b, Slot: slot, Cmd: types.NoopCommand()}))
 	}
 	pm := r.acceptPrepare(prepareMsg{Ballot: types.Ballot{Round: 2, Leader: "n2"}, From: 7})
 	if len(pm.Accepted) != 4 { // slots 7..10
@@ -148,7 +161,7 @@ func TestAcceptorPropertyNeverRegresses(t *testing.T) {
 					return false // accepted a regression
 				}
 			} else {
-				am := r.acceptAccept(acceptMsg{Ballot: b, Slot: types.Slot(raw%16 + 1), Cmd: types.NoopCommand()})
+				am := r.acceptAccept(proposal(acceptedEntry{Ballot: b, Slot: types.Slot(raw%16 + 1), Cmd: types.NoopCommand()}))
 				if am.OK && b.Less(prevPromised) {
 					return false
 				}

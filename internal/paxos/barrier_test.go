@@ -383,7 +383,7 @@ func TestBarrierReleaseOrder(t *testing.T) {
 
 	st.hold()
 	mark = log.len()
-	rig.from("n3", KindAccept, encodeAccept(acceptMsg{Ballot: higher, Slot: 2, Cmd: appCmd("c", 2)}))
+	rig.from("n3", KindAccept, acceptFrame(acceptedEntry{Ballot: higher, Slot: 2, Cmd: appCmd("c", 2)}))
 	log.await(t, "the barrier behind the vote", mark, isWhat("sync-enter"))
 	log.none(t, "Accepted sent before the vote was stable", mark, isFrame(KindAccepted))
 	st.open()
@@ -407,7 +407,7 @@ func TestBarrierReleaseOrder(t *testing.T) {
 	mark = log.len()
 	top := types.Ballot{Round: higher.Round + 1, Leader: "n3"}
 	rig.from("n3", KindPrepare, encodePrepare(prepareMsg{Ballot: top, From: 3}))
-	rig.from("n3", KindAccept, encodeAccept(acceptMsg{Ballot: top, Slot: 3, Cmd: appCmd("c", 3)}))
+	rig.from("n3", KindAccept, acceptFrame(acceptedEntry{Ballot: top, Slot: 3, Cmd: appCmd("c", 3)}))
 	rig.from("n3", KindDecide, encodeDecide(decideMsg{Slot: 3, ByRef: true, Ballot: top}))
 	log.await(t, "the failing barrier", mark, isWhat("sync-fail"))
 	time.Sleep(20 * time.Millisecond) // several clean turns (ticks) go by

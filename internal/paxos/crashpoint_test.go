@@ -200,7 +200,7 @@ func TestCrashPoints(t *testing.T) {
 				b := types.Ballot{Round: 1, Leader: "n2"}
 				for slot := types.Slot(2); slot <= 6; slot++ {
 					burst(r, func() {
-						r.acceptAccept(acceptMsg{Ballot: b, Slot: slot, Cmd: appCmd("c", uint64(slot))})
+						r.acceptAccept(proposal(acceptedEntry{Ballot: b, Slot: slot, Cmd: appCmd("c", uint64(slot))}))
 						r.learnAccepted(slot, b)
 					})
 				}

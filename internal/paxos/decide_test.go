@@ -157,7 +157,7 @@ func TestDecideByRefNeedsMatchingBallot(t *testing.T) {
 	old := types.Ballot{Round: 1, Leader: "n2"}
 	newer := types.Ballot{Round: 2, Leader: "n3"}
 	cmd := kibCmd(2)
-	if am := r.acceptAccept(acceptMsg{Ballot: newer, Slot: 1, Cmd: cmd}); !am.OK {
+	if am := r.acceptAccept(proposal(acceptedEntry{Ballot: newer, Slot: 1, Cmd: cmd})); !am.OK {
 		t.Fatal("accept rejected")
 	}
 

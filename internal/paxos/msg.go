@@ -65,7 +65,12 @@ type prepareMsg struct {
 	From   types.Slot
 }
 
-// acceptedEntry reports one accepted (slot, ballot, command) triple.
+// acceptedEntry is one accepted (slot, ballot, command) triple. It has one
+// encoding, slot|ballot|cmd (encodeAccept), which is the durable acc/<slot>
+// record and the KindAccept payload alike: the leader builds it once and hands
+// the same bytes to the broadcast, to its own store and to the resend tick; an
+// acceptor checks the payload it received and stores it as it is. Cmd.Data is
+// a view of those bytes wherever the entry was decoded from them.
 type acceptedEntry struct {
 	Slot   types.Slot
 	Ballot types.Ballot
@@ -88,13 +93,6 @@ type promiseMsg struct {
 	// promiser's floor (see becomeLeader). Appended field; absent in legacy
 	// frames, decoding as 0 (nothing truncated).
 	TruncatedBelow types.Slot
-}
-
-// acceptMsg proposes Cmd at Slot under Ballot.
-type acceptMsg struct {
-	Ballot types.Ballot
-	Slot   types.Slot
-	Cmd    types.Command
 }
 
 // acceptedMsg answers an accept.
@@ -236,22 +234,47 @@ func decodePromise(buf []byte) (promiseMsg, error) {
 	return m, wrapDecode("promise", r)
 }
 
-func encodeAccept(m acceptMsg) []byte {
-	w := types.NewWriter(24 + m.Cmd.EncodedSize())
-	w.Ballot(m.Ballot)
-	w.Uvarint(uint64(m.Slot))
-	m.Cmd.Encode(w)
-	return w.Bytes()
+// encodeAccept renders the accepted entry for cmds at (slot, ballot) — one
+// command as it is, several packed into a batch — and returns the record with
+// the entry decoded from it. The member commands are encoded once, straight
+// into the record, which is sized exactly so that the entry's Cmd.Data stays a
+// view of it.
+func encodeAccept(slot types.Slot, ballot types.Ballot, cmds []types.Command) ([]byte, acceptedEntry) {
+	size := types.UvarintLen(uint64(slot)) + types.UvarintLen(ballot.Round) +
+		types.UvarintLen(uint64(len(ballot.Leader))) + len(ballot.Leader)
+	if len(cmds) == 1 {
+		size += cmds[0].EncodedSize()
+	} else {
+		size += types.BatchEncodedSize(cmds)
+	}
+	w := types.NewWriter(size)
+	w.Uvarint(uint64(slot))
+	w.Ballot(ballot)
+	e := acceptedEntry{Slot: slot, Ballot: ballot}
+	if len(cmds) == 1 {
+		e.Cmd = types.AppendCommand(w, cmds[0])
+	} else {
+		e.Cmd = types.AppendBatch(w, cmds)
+	}
+	return w.Bytes(), e
 }
 
-func decodeAccept(buf []byte) (acceptMsg, error) {
+// decodeAccept decodes an accept payload or an acc/ record, in place. What is
+// stored verbatim is checked verbatim: buf must be exactly one record.
+func decodeAccept(buf []byte) (acceptedEntry, error) {
 	r := types.NewReader(buf)
-	m := acceptMsg{
-		Ballot: r.Ballot(),
+	e := acceptedEntry{
 		Slot:   types.Slot(r.Uvarint()),
+		Ballot: r.Ballot(),
 		Cmd:    types.DecodeCommandFrom(r),
 	}
-	return m, wrapDecode("accept", r)
+	if err := wrapDecode("accept", r); err != nil {
+		return e, err
+	}
+	if r.Remaining() != 0 {
+		return e, fmt.Errorf("paxos accept: %w: %d bytes after the record", types.ErrCodec, r.Remaining())
+	}
+	return e, nil
 }
 
 func encodeAccepted(m acceptedMsg) []byte {

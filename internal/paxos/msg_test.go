@@ -56,12 +56,12 @@ func TestPromiseRejectRoundTrip(t *testing.T) {
 }
 
 func TestAcceptAcceptedRoundTrip(t *testing.T) {
-	a := acceptMsg{
+	a := acceptedEntry{
 		Ballot: types.Ballot{Round: 2, Leader: "n1"},
 		Slot:   12,
 		Cmd:    types.Command{Kind: types.CmdApp, Client: "c7", Seq: 2, Data: []byte("op")},
 	}
-	gotA, err := decodeAccept(encodeAccept(a))
+	gotA, err := decodeAccept(acceptFrame(a))
 	if err != nil || !gotA.Cmd.Equal(a.Cmd) || gotA.Slot != a.Slot || !gotA.Ballot.Equal(a.Ballot) {
 		t.Fatalf("accept: %+v %v", gotA, err)
 	}
@@ -152,7 +152,7 @@ func TestDecodersRejectTruncation(t *testing.T) {
 			t.Fatalf("promise truncated at %d accepted", i)
 		}
 	}
-	acc := encodeAccept(acceptMsg{Ballot: types.Ballot{Round: 1, Leader: "n"}, Slot: 1, Cmd: types.NoopCommand()})
+	acc := acceptFrame(acceptedEntry{Ballot: types.Ballot{Round: 1, Leader: "n"}, Slot: 1, Cmd: types.NoopCommand()})
 	for i := 0; i < len(acc); i++ {
 		if _, err := decodeAccept(acc[:i]); err == nil {
 			t.Fatalf("accept truncated at %d accepted", i)
@@ -162,12 +162,12 @@ func TestDecodersRejectTruncation(t *testing.T) {
 
 func TestAcceptRoundTripProperty(t *testing.T) {
 	f := func(round uint64, leader string, slot uint64, client string, seq uint64, data []byte) bool {
-		m := acceptMsg{
+		m := acceptedEntry{
 			Ballot: types.Ballot{Round: round, Leader: types.NodeID(leader)},
 			Slot:   types.Slot(slot),
 			Cmd:    types.Command{Kind: types.CmdApp, Client: types.NodeID(client), Seq: seq, Data: data},
 		}
-		got, err := decodeAccept(encodeAccept(m))
+		got, err := decodeAccept(acceptFrame(m))
 		return err == nil && got.Slot == m.Slot && got.Ballot.Equal(m.Ballot) && got.Cmd.Equal(m.Cmd)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {

@@ -1,6 +1,8 @@
 package paxos
 
 import (
+	"math/bits"
+
 	"repro/internal/smr"
 	"repro/internal/storage"
 	"repro/internal/types"
@@ -18,12 +20,11 @@ func (r *Replica) persistPromised() {
 	}
 }
 
-func (r *Replica) persistAccepted(e acceptedEntry) {
-	w := types.NewWriter(24 + e.Cmd.EncodedSize())
-	w.Uvarint(uint64(e.Slot))
-	w.Ballot(e.Ballot)
-	e.Cmd.Encode(w)
-	if err := r.setDurable(storage.SlotKey(r.prefix+"acc/", uint64(e.Slot)), w.Bytes()); err != nil {
+// persistAccepted stores rec, an entry's one encoding (encodeAccept), under
+// acc/<slot>. The store keeps the slice it is given, so on the leader this is
+// the buffer the broadcast reads from and on an acceptor the frame's payload.
+func (r *Replica) persistAccepted(slot types.Slot, rec []byte) {
+	if err := r.setDurable(storage.SlotKey(r.prefix+"acc/", uint64(slot)), rec); err != nil {
 		r.stats.violations.Add(1)
 	}
 }
@@ -61,9 +62,9 @@ func (r *Replica) handleMessage(m inboundMsg) {
 			r.onPromise(m.from, msg)
 		}
 	case KindAccept:
-		msg, err := decodeAccept(m.payload)
+		e, err := decodeAccept(m.payload)
 		if err == nil {
-			r.onAccept(m.from, msg)
+			r.onAccept(m.from, e, m.payload)
 		}
 	case KindAccepted:
 		msg, err := decodeAccepted(m.payload)
@@ -229,8 +230,9 @@ func (r *Replica) onPrepare(from types.NodeID, msg prepareMsg) {
 	r.send(from, KindPromise, encodePromise(pm))
 }
 
-// acceptAccept applies phase-2a locally and returns the vote.
-func (r *Replica) acceptAccept(msg acceptMsg) acceptedMsg {
+// acceptAccept applies phase-2a locally — msg is the proposal, rec its
+// encoding — and returns the vote.
+func (r *Replica) acceptAccept(msg acceptedEntry, rec []byte) acceptedMsg {
 	if msg.Ballot.Less(r.promised) {
 		return acceptedMsg{Ballot: msg.Ballot, Slot: msg.Slot, OK: false, Promised: r.promised}
 	}
@@ -238,16 +240,15 @@ func (r *Replica) acceptAccept(msg acceptMsg) acceptedMsg {
 		r.promised = msg.Ballot
 		r.persistPromised()
 	}
-	e := acceptedEntry{Slot: msg.Slot, Ballot: msg.Ballot, Cmd: msg.Cmd}
-	r.accepted[msg.Slot] = e
-	r.persistAccepted(e)
+	r.accepted[msg.Slot] = msg
+	r.persistAccepted(msg.Slot, rec)
 	if msg.Slot >= r.nextSlot {
 		r.nextSlot = msg.Slot + 1
 	}
 	return acceptedMsg{Ballot: msg.Ballot, Slot: msg.Slot, OK: true, Promised: r.promised}
 }
 
-func (r *Replica) onAccept(from types.NodeID, msg acceptMsg) {
+func (r *Replica) onAccept(from types.NodeID, msg acceptedEntry, rec []byte) {
 	if r.maxBallotSeen.Less(msg.Ballot) {
 		r.maxBallotSeen = msg.Ballot
 	}
@@ -272,7 +273,7 @@ func (r *Replica) onAccept(from types.NodeID, msg acceptMsg) {
 		}))
 		return
 	}
-	am := r.acceptAccept(msg)
+	am := r.acceptAccept(msg, rec)
 	r.send(from, KindAccepted, encodeAccepted(am))
 }
 
@@ -395,33 +396,46 @@ func (r *Replica) becomeLeader() {
 			continue // released after a checkpoint; never re-propose
 		}
 		if e, ok := best[slot]; ok {
-			r.proposeAtSlot(slot, e.Cmd)
+			r.proposeAtSlot(slot, []types.Command{e.Cmd})
 		} else {
-			r.proposeAtSlot(slot, types.NoopCommand())
+			r.proposeAtSlot(slot, []types.Command{types.NoopCommand()})
 		}
 	}
 }
 
-// proposeNext assigns cmd the next free slot and runs phase 2 for it. The
+// proposeNext assigns cmds the next free slot and runs phase 2 for them. The
 // slot counter is advanced before the local accept so the acceptor-side
 // bookkeeping in acceptAccept cannot double-advance it.
-func (r *Replica) proposeNext(cmd types.Command) {
+func (r *Replica) proposeNext(cmds []types.Command) {
 	slot := r.nextSlot
 	r.nextSlot++
-	r.proposeAtSlot(slot, cmd)
+	r.proposeAtSlot(slot, cmds)
 }
 
-// proposeAtSlot runs phase 2 for cmd at slot under the current ballot.
-func (r *Replica) proposeAtSlot(slot types.Slot, cmd types.Command) {
-	sp := &slotProgress{cmd: cmd, acks: make(map[types.NodeID]bool, r.cfg.N())}
+// proposeAtSlot runs phase 2 at slot under the current ballot for cmds: one
+// command, or several that share the slot as a batch. The proposal is encoded
+// once; the same bytes are this replica's acc/ record, the Accept every peer
+// is sent and what the resend tick sends again.
+func (r *Replica) proposeAtSlot(slot types.Slot, cmds []types.Command) {
+	rec, e := encodeAccept(slot, r.ballot, cmds)
+	sp := &slotProgress{cmd: e.Cmd, accept: rec}
 	r.inflight[slot] = sp
-	msg := acceptMsg{Ballot: r.ballot, Slot: slot, Cmd: cmd}
-	self := r.acceptAccept(msg) // local vote, persisted first
-	r.broadcast(KindAccept, encodeAccept(msg))
+	self := r.acceptAccept(e, rec) // local vote, persisted first
+	r.broadcast(KindAccept, rec)
 	if self.OK {
-		sp.acks[r.self] = true
-		r.maybeDecide(slot, sp)
+		r.countVote(slot, sp, r.self)
 	}
+}
+
+// countVote records from's vote for the proposal at slot and decides the slot
+// once a quorum has voted. Votes are a bit per member, in cfg.Members order.
+func (r *Replica) countVote(slot types.Slot, sp *slotProgress, from types.NodeID) {
+	for i, id := range r.cfg.Members {
+		if id == from {
+			sp.acks |= 1 << i
+		}
+	}
+	r.maybeDecide(slot, sp)
 }
 
 func (r *Replica) onAccepted(from types.NodeID, msg acceptedMsg) {
@@ -439,12 +453,11 @@ func (r *Replica) onAccepted(from types.NodeID, msg acceptedMsg) {
 	if !ok {
 		return // already decided or cleaned up
 	}
-	sp.acks[from] = true
-	r.maybeDecide(msg.Slot, sp)
+	r.countVote(msg.Slot, sp, from)
 }
 
 func (r *Replica) maybeDecide(slot types.Slot, sp *slotProgress) {
-	if len(sp.acks) < r.cfg.Quorum() {
+	if bits.OnesCount64(sp.acks) < r.cfg.Quorum() {
 		return
 	}
 	delete(r.inflight, slot)
@@ -643,12 +656,9 @@ const pipelineDepth = 4
 func (r *Replica) drainPending() {
 	for r.role == roleLeader && len(r.pending) > 0 && len(r.inflight) < pipelineDepth {
 		k := min(r.opts.BatchSize, len(r.pending))
-		cmd := r.pending[0]
-		if k > 1 {
-			cmd = types.BatchCommand(r.pending[:k])
-		}
+		cmds := r.pending[:k]
 		r.pending = r.pending[k:]
-		r.proposeNext(cmd)
+		r.proposeNext(cmds)
 	}
 }
 
@@ -732,11 +742,11 @@ func (r *Replica) tick() {
 				r.broadcast(KindReadProbe, encodeReadProbe(readProbeMsg{Ballot: r.ballot, Seq: pr.seq}))
 			}
 		}
-		for slot, sp := range r.inflight {
+		for _, sp := range r.inflight {
 			sp.sinceTicks++
 			if sp.sinceTicks >= resendTicks {
 				sp.sinceTicks = 0
-				r.broadcast(KindAccept, encodeAccept(acceptMsg{Ballot: r.ballot, Slot: slot, Cmd: sp.cmd}))
+				r.broadcast(KindAccept, sp.accept)
 			}
 		}
 	case roleCandidate:

@@ -90,11 +90,20 @@ type inboundMsg struct {
 	payload []byte
 }
 
+// slotProgress is one open phase-2 round of the leader: the proposal, decoded
+// (cmd, a view of accept) and as the Accept payload it was sent as and is sent
+// again as, and the members that have voted for it, a bit each in cfg.Members
+// order.
 type slotProgress struct {
 	cmd        types.Command
-	acks       map[types.NodeID]bool
+	accept     []byte
+	acks       uint64
 	sinceTicks int
 }
+
+// maxMembers is the largest configuration an engine serves: a round's votes
+// are one bit per member in a uint64.
+const maxMembers = 64
 
 // deferredSend is an outbound message collected in the burst outbox until the
 // turn ends; endBurst says which kinds then wait for the barrier. An empty
@@ -263,6 +272,9 @@ func New(cfg types.Config, self types.NodeID, ep *transport.Endpoint, store stor
 	if !cfg.IsMember(self) {
 		return nil, fmt.Errorf("%w: %s not in %s", smr.ErrNotMember, self, cfg)
 	}
+	if cfg.N() > maxMembers {
+		return nil, fmt.Errorf("paxos: %d members in %s, at most %d", cfg.N(), cfg, maxMembers)
+	}
 	r := &Replica{
 		self:      self,
 		cfg:       cfg.Clone(),
@@ -348,13 +360,8 @@ func (r *Replica) recover() error {
 		return err
 	}
 	for _, kv := range accs {
-		rd := types.NewReader(kv.Value)
-		e := acceptedEntry{
-			Slot:   types.Slot(rd.Uvarint()),
-			Ballot: rd.Ballot(),
-			Cmd:    types.DecodeCommandFrom(rd),
-		}
-		if err := rd.Err(); err != nil {
+		e, err := decodeAccept(kv.Value)
+		if err != nil {
 			return fmt.Errorf("accepted record %s: %w", kv.Key, err)
 		}
 		if e.Slot <= r.truncatedBelow {

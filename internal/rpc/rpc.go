@@ -10,8 +10,11 @@ package rpc
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/transport"
@@ -30,7 +33,9 @@ const (
 var ErrClosed = errors.New("rpc: peer closed")
 
 // Handler serves one inbound request. respond may be called at most once,
-// from any goroutine, now or later; extra calls are ignored.
+// from any goroutine, now or later; extra calls are ignored. req is a view of
+// the frame it arrived in and resp is handed to the transport: neither may be
+// modified, by either side, once it has changed hands.
 //
 // The handler runs on the goroutine that delivered the request (see
 // transport.Handler), so requests from one peer arrive in the order it sent
@@ -82,10 +87,32 @@ func (p *Peer) Close() {
 	}
 }
 
+// wrap renders into buf what precedes the body in the wire form of both kinds,
+// id|len(body)|body, for a vectored send that leaves the body where it is.
+func wrap(buf *[2 * binary.MaxVarintLen64]byte, id uint64, body []byte) []byte {
+	return binary.AppendUvarint(binary.AppendUvarint(buf[:0], id), uint64(len(body)))
+}
+
+// responder answers one request, once.
+type responder struct {
+	p    *Peer
+	to   types.NodeID
+	id   uint64
+	done atomic.Bool
+}
+
+func (r *responder) respond(resp []byte) {
+	if r.done.Swap(true) {
+		return
+	}
+	var buf [2 * binary.MaxVarintLen64]byte
+	_ = r.p.ep.SendParts(r.to, r.p.stream, KindResponse, wrap(&buf, r.id, resp), resp)
+}
+
 func (p *Peer) onMessage(from types.NodeID, _ uint64, kind uint8, payload []byte) {
 	r := types.NewReader(payload)
 	id := r.Uvarint()
-	body := r.BytesField()
+	body := r.BytesView()
 	if r.Err() != nil {
 		return
 	}
@@ -98,16 +125,7 @@ func (p *Peer) onMessage(from types.NodeID, _ uint64, kind uint8, payload []byte
 		if h == nil || closed {
 			return
 		}
-		var once sync.Once
-		respond := func(resp []byte) {
-			once.Do(func() {
-				w := types.NewWriter(16 + len(resp))
-				w.Uvarint(id)
-				w.BytesField(resp)
-				_ = p.ep.Send(from, p.stream, KindResponse, w.Bytes())
-			})
-		}
-		h(from, body, respond)
+		h(from, body, (&responder{p: p, to: from, id: id}).respond)
 	case KindResponse:
 		p.mu.Lock()
 		ch, ok := p.waiters[id]
@@ -123,8 +141,18 @@ func (p *Peer) onMessage(from types.NodeID, _ uint64, kind uint8, payload []byte
 
 // Call sends req to the peer at `to` and waits for the response. The request
 // is retransmitted every resend interval (0 disables) until the context is
-// done. Handlers must therefore be idempotent.
+// done. Handlers must therefore be idempotent. req is handed over: it is sent
+// from where it lies, again on every retransmission, and must not be modified
+// until Call returns.
 func (p *Peer) Call(ctx context.Context, to types.NodeID, req []byte, resend time.Duration) ([]byte, error) {
+	return p.CallWithin(ctx, to, req, resend, 0)
+}
+
+// CallWithin is Call with a bound of its own: past timeout (0 means none) it
+// returns context.DeadlineExceeded. One timer serves the bound and the
+// retransmissions, armed for whichever comes first, so a caller that bounds
+// every attempt needs no derived context per attempt.
+func (p *Peer) CallWithin(ctx context.Context, to types.NodeID, req []byte, resend, timeout time.Duration) ([]byte, error) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -142,19 +170,29 @@ func (p *Peer) Call(ctx context.Context, to types.NodeID, req []byte, resend tim
 		p.mu.Unlock()
 	}()
 
-	w := types.NewWriter(16 + len(req))
-	w.Uvarint(id)
-	w.BytesField(req)
-	wire := w.Bytes()
-	if err := p.ep.Send(to, p.stream, KindRequest, wire); err != nil {
+	var buf [2 * binary.MaxVarintLen64]byte
+	head := wrap(&buf, id, req)
+	if err := p.ep.SendParts(to, p.stream, KindRequest, head, req); err != nil {
 		return nil, err
 	}
 
-	var resendC <-chan time.Time
-	if resend > 0 {
-		t := time.NewTicker(resend)
-		defer t.Stop()
-		resendC = t.C
+	// Both clocks run from start: the next retransmission is due at
+	// nextResend, the call is over at timeout; never stands for "not set".
+	const never = time.Duration(math.MaxInt64)
+	start := time.Now()
+	nextResend := resend
+	if resend <= 0 {
+		nextResend = never
+	}
+	if timeout <= 0 {
+		timeout = never
+	}
+	var timerC <-chan time.Time
+	var timer *time.Timer
+	if first := min(nextResend, timeout); first != never {
+		timer = time.NewTimer(first)
+		defer timer.Stop()
+		timerC = timer.C
 	}
 	for {
 		select {
@@ -163,10 +201,18 @@ func (p *Peer) Call(ctx context.Context, to types.NodeID, req []byte, resend tim
 				return nil, ErrClosed
 			}
 			return resp, nil
-		case <-resendC:
-			if err := p.ep.Send(to, p.stream, KindRequest, wire); err != nil {
-				return nil, err
+		case <-timerC:
+			elapsed := time.Since(start)
+			if elapsed >= timeout {
+				return nil, context.DeadlineExceeded
 			}
+			if elapsed >= nextResend {
+				if err := p.ep.SendParts(to, p.stream, KindRequest, head, req); err != nil {
+					return nil, err
+				}
+				nextResend = elapsed + resend
+			}
+			timer.Reset(min(nextResend, timeout) - elapsed)
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}

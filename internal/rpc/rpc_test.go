@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"context"
+	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -204,5 +205,47 @@ func TestServerSideIdempotencyUnderRetransmit(t *testing.T) {
 	}
 	if served.Load() < 3 {
 		t.Fatalf("served %d", served.Load())
+	}
+}
+
+// CallWithin's one timer serves both clocks: the request is sent again every
+// resend interval while the bound has not lapsed, then the call ends with
+// context.DeadlineExceeded although the caller's context is still live — on
+// both fabrics, so the vectored send is exercised where it copies (TCP) and
+// where it joins the pieces (simulated).
+func TestCallWithinResendsThenTimesOut(t *testing.T) {
+	for name, newNet := range map[string]func(transport.Options) *transport.Network{
+		"sim": transport.NewNetwork, "tcp": transport.NewTCPNetwork,
+	} {
+		t.Run(name, func(t *testing.T) {
+			net := newNet(transport.Options{})
+			defer net.Close()
+			var got atomic.Int64
+			srv := NewPeer(net.Endpoint("srv"), 0, func(from types.NodeID, req []byte, respond func([]byte)) {
+				if string(req) != "the request" {
+					t.Errorf("request arrived as %q", req)
+				}
+				got.Add(1) // never answers
+			})
+			defer srv.Close()
+			cli := NewPeer(net.Endpoint("cli"), 0, nil)
+			defer cli.Close()
+
+			start := time.Now()
+			_, err := cli.CallWithin(context.Background(), "srv", []byte("the request"), 10*time.Millisecond, 55*time.Millisecond)
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("err %v, want context.DeadlineExceeded", err)
+			}
+			if d := time.Since(start); d < 55*time.Millisecond {
+				t.Fatalf("returned after %v, before the bound", d)
+			}
+			deadline := time.Now().Add(time.Second)
+			for got.Load() < 3 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := got.Load(); n < 3 || n > 6 {
+				t.Fatalf("the server saw the request %d times in 55 ms at one every 10 ms", n)
+			}
+		})
 	}
 }

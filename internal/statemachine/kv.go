@@ -162,6 +162,9 @@ func (m *KVStore) Apply(op []byte) []byte {
 	switch KVOp(op[0]) {
 	case KVPut:
 		key := r.String()
+		// The one copy a replica needs: op is a window of a batch's accept
+		// record, and a value kept as a view would pin the whole record — and
+		// every other command in it — for as long as the key lives.
 		val := r.BytesField()
 		if r.Err() != nil {
 			return statusReply(StatusBadOp)
@@ -194,7 +197,7 @@ func (m *KVStore) Apply(op []byte) []byte {
 		return okReply(nil)
 	case KVAppend:
 		key := r.String()
-		suffix := r.BytesField()
+		suffix := r.BytesView() // copied into next below
 		if r.Err() != nil {
 			return statusReply(StatusBadOp)
 		}
@@ -210,8 +213,8 @@ func (m *KVStore) Apply(op []byte) []byte {
 		return okReply(nil)
 	case KVCAS:
 		key := r.String()
-		expect := r.BytesField()
-		newVal := r.BytesField()
+		expect := r.BytesView()  // only compared
+		newVal := r.BytesField() // kept: copied, as Put's value is
 		if r.Err() != nil {
 			return statusReply(StatusBadOp)
 		}

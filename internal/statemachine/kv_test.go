@@ -197,3 +197,44 @@ func min(a, b int) int {
 	}
 	return b
 }
+
+// The op a machine is handed is a window of a larger buffer that belongs to
+// somebody else (a batch's accept record): what Put and CAS keep they copy, so
+// the stored value neither changes with that buffer nor holds on to it.
+func TestKVPutCopiesWhatItKeeps(t *testing.T) {
+	m := NewKVStore()
+	value := []byte("the value as it was put")
+	put := EncodePut("k", value)
+	if ReplyStatus(m.Apply(put)) != StatusOK {
+		t.Fatal("put failed")
+	}
+	for i := range put {
+		put[i] = 0xff
+	}
+	if got := ReplyPayload(m.Apply(EncodeGet("k"))); !bytes.Equal(got, value) {
+		t.Fatalf("the stored value followed the op buffer: %q", got)
+	}
+
+	swapped := []byte("the value after the swap")
+	cas := EncodeCAS("k", value, swapped)
+	if ReplyStatus(m.Apply(cas)) != StatusOK {
+		t.Fatal("cas failed")
+	}
+	for i := range cas {
+		cas[i] = 0xff
+	}
+	if got := ReplyPayload(m.Apply(EncodeGet("k"))); !bytes.Equal(got, swapped) {
+		t.Fatalf("the swapped-in value followed the op buffer: %q", got)
+	}
+
+	app := EncodeAppend("k", []byte("+suffix"))
+	if ReplyStatus(m.Apply(app)) != StatusOK {
+		t.Fatal("append failed")
+	}
+	for i := range app {
+		app[i] = 0xff
+	}
+	if got := ReplyPayload(m.Apply(EncodeGet("k"))); !bytes.Equal(got, append(swapped, "+suffix"...)) {
+		t.Fatalf("the appended value followed the op buffer: %q", got)
+	}
+}

@@ -33,10 +33,17 @@ type KV struct {
 
 // Store is the durable key/value interface the protocol layers write to.
 // Keys are arbitrary strings; Scan iterates a prefix in sorted key order.
+//
+// Who owns a value: a store keeps the slice Set (or SetBuffered) is given and
+// serves reads from it, so the caller must not modify it afterwards — it may
+// keep reading it, and may hand the same slice to the transport or another
+// store. A nil or empty value is a value: the key exists and reads back empty.
+// Get and Scan return copies, which the caller owns.
 type Store interface {
-	// Set durably writes key=value (subject to the sync mode).
+	// Set durably writes key=value (subject to the sync mode). The store
+	// keeps value; see above.
 	Set(key string, value []byte) error
-	// Get returns the value for key and whether it exists.
+	// Get returns a copy of the value for key and whether it exists.
 	Get(key string) ([]byte, bool, error)
 	// Delete removes key if present, durably in the same sense as Set: once
 	// it has returned on a store in sync mode, the key stays gone across a
@@ -44,7 +51,8 @@ type Store interface {
 	// come back; callers that delete many keys guarded by one record (a log
 	// floor, a manifest) write that record first.
 	Delete(key string) error
-	// Scan returns all pairs whose key starts with prefix, sorted by key.
+	// Scan returns copies of all pairs whose key starts with prefix, sorted by
+	// key.
 	Scan(prefix string) ([]KV, error)
 	// Sync flushes buffered writes to stable state.
 	Sync() error
@@ -61,7 +69,8 @@ type BufferedStore interface {
 	Store
 	// SetBuffered writes key=value visibly (read-your-writes, like an OS
 	// page cache) but possibly non-durably, regardless of the store's sync
-	// mode; the write reaches stable state on the next Sync.
+	// mode; the write reaches stable state on the next Sync. The store keeps
+	// value, as Set does.
 	SetBuffered(key string, value []byte) error
 }
 
@@ -94,11 +103,18 @@ type MemStore struct {
 
 	mu     sync.Mutex
 	stable map[string][]byte
-	dirty  map[string]*[]byte // nil slot value = pending delete
+	dirty  map[string]staged
 	closed bool
 
 	writes int64
 	syncs  int64
+}
+
+// staged is one entry of the dirty buffer: a write of value (nil included), or
+// a delete.
+type staged struct {
+	value   []byte
+	deleted bool
 }
 
 var (
@@ -116,7 +132,7 @@ func NewMemWithOptions(opts MemOptions) *MemStore {
 	return &MemStore{
 		opts:   opts,
 		stable: make(map[string][]byte),
-		dirty:  make(map[string]*[]byte),
+		dirty:  make(map[string]staged),
 	}
 }
 
@@ -130,11 +146,9 @@ func (s *MemStore) Set(key string, value []byte) error {
 	if s.closed {
 		return ErrStoreClosed
 	}
-	cp := make([]byte, len(value))
-	copy(cp, value)
 	s.writes++
 	if s.opts.AutoSync {
-		s.stable[key] = cp
+		s.stable[key] = value
 		delete(s.dirty, key) // supersedes whatever was staged for the key
 		s.syncs++
 		lat := s.opts.SyncLatency
@@ -145,8 +159,7 @@ func (s *MemStore) Set(key string, value []byte) error {
 		}
 		return nil
 	}
-	v := cp
-	s.dirty[key] = &v
+	s.dirty[key] = staged{value: value}
 	return nil
 }
 
@@ -161,9 +174,8 @@ func (s *MemStore) SetBuffered(key string, value []byte) error {
 	if s.closed {
 		return ErrStoreClosed
 	}
-	cp := clone(value)
 	s.writes++
-	s.dirty[key] = &cp
+	s.dirty[key] = staged{value: value}
 	return nil
 }
 
@@ -175,11 +187,11 @@ func (s *MemStore) Get(key string) ([]byte, bool, error) {
 	if s.closed {
 		return nil, false, ErrStoreClosed
 	}
-	if p, ok := s.dirty[key]; ok {
-		if *p == nil {
+	if d, ok := s.dirty[key]; ok {
+		if d.deleted {
 			return nil, false, nil
 		}
-		return clone(*p), true, nil
+		return clone(d.value), true, nil
 	}
 	v, ok := s.stable[key]
 	if !ok {
@@ -210,8 +222,7 @@ func (s *MemStore) remove(key string, stable bool) error {
 		delete(s.dirty, key) // supersedes whatever was staged for the key
 		return nil
 	}
-	var nilv []byte
-	s.dirty[key] = &nilv
+	s.dirty[key] = staged{deleted: true}
 	return nil
 }
 
@@ -228,14 +239,14 @@ func (s *MemStore) Scan(prefix string) ([]KV, error) {
 			merged[k] = v
 		}
 	}
-	for k, p := range s.dirty {
+	for k, d := range s.dirty {
 		if !strings.HasPrefix(k, prefix) {
 			continue
 		}
-		if *p == nil {
+		if d.deleted {
 			delete(merged, k)
 		} else {
-			merged[k] = *p
+			merged[k] = d.value
 		}
 	}
 	out := make([]KV, 0, len(merged))
@@ -256,14 +267,14 @@ func (s *MemStore) Sync() error {
 	if s.closed {
 		return ErrStoreClosed
 	}
-	for k, p := range s.dirty {
-		if *p == nil {
+	for k, d := range s.dirty {
+		if d.deleted {
 			delete(s.stable, k)
 		} else {
-			s.stable[k] = *p
+			s.stable[k] = d.value
 		}
 	}
-	s.dirty = make(map[string]*[]byte)
+	s.dirty = make(map[string]staged)
 	s.syncs++
 	return nil
 }
@@ -273,7 +284,7 @@ func (s *MemStore) Sync() error {
 func (s *MemStore) Crash() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.dirty = make(map[string]*[]byte)
+	s.dirty = make(map[string]staged)
 }
 
 // Close marks the store closed; all subsequent operations fail.
@@ -291,7 +302,7 @@ func (s *MemStore) PowerLoss() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.closed = true
-	s.dirty = make(map[string]*[]byte)
+	s.dirty = make(map[string]staged)
 }
 
 // Reopen makes a closed store usable again with its stable content, like a

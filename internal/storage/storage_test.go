@@ -39,17 +39,6 @@ func TestGetReturnsCopy(t *testing.T) {
 	}
 }
 
-func TestSetCopiesInput(t *testing.T) {
-	s := NewMem()
-	buf := []byte("abc")
-	_ = s.Set("k", buf)
-	buf[0] = 'z'
-	v, _, _ := s.Get("k")
-	if string(v) != "abc" {
-		t.Fatal("Set retained caller buffer")
-	}
-}
-
 func TestScanSortedByKey(t *testing.T) {
 	s := NewMem()
 	_ = s.Set("log/3", []byte("c"))

@@ -109,7 +109,10 @@ func OpenWALStore(dir string, opts WALStoreOptions) (*WALStore, error) {
 	return s, nil
 }
 
-// applyRecord decodes one mutation record into the in-memory state.
+// applyRecord decodes one mutation record into the in-memory state. The value
+// is copied out (BytesField): payload is a window of replay's segment buffer,
+// which a view would pin — a whole segment per surviving value — and which the
+// WAL is free to reuse.
 func (s *WALStore) applyRecord(payload []byte) error {
 	r := types.NewReader(payload)
 	op := r.Byte()
@@ -153,7 +156,8 @@ func (s *WALStore) append(op byte, key string, value []byte) (uint64, error) {
 	return lsn, err
 }
 
-// Set implements Store.
+// Set implements Store. The record appended to the log buffer is the disk's
+// copy; the served state keeps value itself.
 func (s *WALStore) Set(key string, value []byte) error {
 	s.mu.Lock()
 	if s.closed {
@@ -165,7 +169,7 @@ func (s *WALStore) Set(key string, value []byte) error {
 		s.mu.Unlock()
 		return err
 	}
-	s.state[key] = clone(value)
+	s.state[key] = value
 	s.mu.Unlock()
 	if s.opts.SyncWrites {
 		if err := s.wal.Sync(lsn); err != nil {
@@ -190,7 +194,7 @@ func (s *WALStore) SetBuffered(key string, value []byte) error {
 		s.mu.Unlock()
 		return err
 	}
-	s.state[key] = clone(value)
+	s.state[key] = value
 	s.mu.Unlock()
 	s.maybeCompact()
 	return nil

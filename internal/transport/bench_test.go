@@ -17,7 +17,7 @@ func BenchmarkEncodeFrame(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		queue = appendFrame(queue[:0], "node-01", 0, 3, 32, payload)
+		queue = appendFrame(queue[:0], "node-01", 0, 3, 32, nil, payload)
 		if len(queue) == 0 {
 			b.Fatal("empty frame")
 		}

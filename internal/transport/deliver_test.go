@@ -123,3 +123,37 @@ func TestTCPParkedHandlerDelaysOnlyItsConnection(t *testing.T) {
 		}
 	}
 }
+
+// SendParts is one payload to the receiver and to the accounting, on both
+// fabrics, and keeps neither piece: the simulated fabric, which delivers the
+// slice it is sent, joins the two into a buffer of its own, so the sender may
+// reuse head at once.
+func TestSendPartsIsOnePayload(t *testing.T) {
+	for name, mk := range map[string]func(Options) *Network{"simulated": NewNetwork, "tcp": NewTCPNetwork} {
+		t.Run(name, func(t *testing.T) {
+			n := mk(Options{})
+			defer n.Close()
+			a, b := n.Endpoint("a"), n.Endpoint("b")
+			got := make(chan []byte, 2)
+			b.Handle(1, func(_ types.NodeID, _ uint64, _ uint8, payload []byte) { got <- payload })
+
+			head, body := []byte("head|"), []byte("body")
+			if err := a.SendParts("b", 1, 7, head, body); err != nil {
+				t.Fatal(err)
+			}
+			copy(head, "XXXXX")
+			if err := a.Send("b", 1, 7, body); err != nil {
+				t.Fatal(err)
+			}
+			if p := <-got; string(p) != "head|body" {
+				t.Fatalf("two pieces arrived as %q", p)
+			}
+			if p := <-got; string(p) != "body" {
+				t.Fatalf("one piece arrived as %q", p)
+			}
+			if st := n.Stats(); st.MessagesSent != 2 || st.BytesSent != 13 || st.PerKind[7].Bytes != 13 {
+				t.Fatalf("accounted %d messages, %d bytes (%d of kind 7), want 2, 13, 13", st.MessagesSent, st.BytesSent, st.PerKind[7].Bytes)
+			}
+		})
+	}
+}

@@ -225,7 +225,7 @@ func (f *tcpFabric) listenFor(e *Endpoint) error {
 // starts the connection's flusher, which dials. It never blocks on the
 // network. Failures and overflow are silent — exactly like datagram loss; the
 // protocols retransmit.
-func (f *tcpFabric) transmit(from, to types.NodeID, group, stream uint64, kind uint8, payload []byte) {
+func (f *tcpFabric) transmit(from, to types.NodeID, group, stream uint64, kind uint8, head, body []byte) {
 	key := connKey{from: from, to: to}
 	f.mu.Lock()
 	if f.closed {
@@ -259,7 +259,7 @@ func (f *tcpFabric) transmit(from, to types.NodeID, group, stream uint64, kind u
 		f.net.countDroppedBusy()
 		return
 	}
-	oc.queue = appendFrame(oc.queue, from, group, stream, kind, payload)
+	oc.queue = appendFrame(oc.queue, from, group, stream, kind, head, body)
 	size := len(oc.queue) - queued
 	oc.mu.Unlock()
 	f.net.frameSizes.Observe(int64(size))
@@ -276,11 +276,13 @@ func (f *tcpFabric) transmit(from, to types.NodeID, group, stream uint64, kind u
 func (f *tcpFabric) readLoop(conn net.Conn, e *Endpoint) {
 	defer func() { _ = conn.Close() }()
 	br := bufio.NewReaderSize(conn, readBufSize)
+	var sender types.NodeID // every frame on a connection names the same one
 	for {
-		from, group, stream, kind, payload, err := decodeFrame(br)
+		from, group, stream, kind, payload, err := decodeFrame(br, sender)
 		if err != nil {
 			return
 		}
+		sender = from
 		e.deliver(from, group, stream, kind, payload)
 	}
 }
@@ -323,7 +325,9 @@ func (f *tcpFabric) close() {
 // non-empty), so it unambiguously marks the grouped form. Group 0 always
 // encodes as the legacy layout — old readers decode new group-0 traffic and
 // new readers decode old frames as group 0, in both directions.
-func appendFrame(buf []byte, from types.NodeID, group, stream uint64, kind uint8, payload []byte) []byte {
+//
+// The payload is head followed by body (Endpoint.SendParts); head may be nil.
+func appendFrame(buf []byte, from types.NodeID, group, stream uint64, kind uint8, head, body []byte) []byte {
 	if group != 0 {
 		buf = append(buf, 0) // grouped-frame marker
 		buf = binary.AppendUvarint(buf, group)
@@ -332,12 +336,16 @@ func appendFrame(buf []byte, from types.NodeID, group, stream uint64, kind uint8
 	buf = append(buf, from...)
 	buf = binary.AppendUvarint(buf, stream)
 	buf = append(buf, kind)
-	buf = binary.AppendUvarint(buf, uint64(len(payload)))
-	buf = append(buf, payload...)
-	return buf
+	buf = binary.AppendUvarint(buf, uint64(len(head)+len(body)))
+	return append(append(buf, head...), body...)
 }
 
-func decodeFrame(br *bufio.Reader) (from types.NodeID, group, stream uint64, kind uint8, payload []byte, err error) {
+// decodeFrame reads one frame. last is the sender the previous frame on this
+// connection named ("" on the first): a connection carries one sender's
+// frames, so the ID is converted to a string once, not once per frame. The
+// payload is a fresh buffer per frame — the one copy a socket read needs — and
+// belongs to whoever it is delivered to.
+func decodeFrame(br *bufio.Reader, last types.NodeID) (from types.NodeID, group, stream uint64, kind uint8, payload []byte, err error) {
 	fromLen, err := binary.ReadUvarint(br)
 	if err != nil {
 		return "", 0, 0, 0, nil, err
@@ -356,8 +364,14 @@ func decodeFrame(br *bufio.Reader) (from types.NodeID, group, stream uint64, kin
 	if fromLen == 0 || fromLen > 4096 {
 		return "", 0, 0, 0, nil, io.ErrUnexpectedEOF
 	}
-	fromBuf := make([]byte, fromLen)
-	if _, err := io.ReadFull(br, fromBuf); err != nil {
+	raw, err := br.Peek(int(fromLen))
+	if err != nil {
+		return "", 0, 0, 0, nil, err
+	}
+	if from = last; string(raw) != string(from) {
+		from = types.NodeID(raw)
+	}
+	if _, err := br.Discard(int(fromLen)); err != nil {
 		return "", 0, 0, 0, nil, err
 	}
 	stream, err = binary.ReadUvarint(br)
@@ -379,5 +393,5 @@ func decodeFrame(br *bufio.Reader) (from types.NodeID, group, stream uint64, kin
 	if _, err := io.ReadFull(br, payload); err != nil {
 		return "", 0, 0, 0, nil, err
 	}
-	return types.NodeID(fromBuf), group, stream, kindByte, payload, nil
+	return from, group, stream, kindByte, payload, nil
 }

@@ -156,8 +156,8 @@ func TestFrameRoundTripProperty(t *testing.T) {
 		if len(from) > 4096 {
 			from = from[:4096]
 		}
-		frame := appendFrame(nil, types.NodeID(from), group, stream, kind, payload)
-		gf, gg, gs, gk, gp, err := decodeFrame(bufio.NewReader(bytes.NewReader(frame)))
+		frame := appendFrame(nil, types.NodeID(from), group, stream, kind, nil, payload)
+		gf, gg, gs, gk, gp, err := decodeFrame(bufio.NewReader(bytes.NewReader(frame)), "")
 		return err == nil && gf == types.NodeID(from) && gg == group && gs == stream && gk == kind && bytes.Equal(gp, payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -179,21 +179,21 @@ func TestFrameGroupZeroIsLegacyLayout(t *testing.T) {
 		buf = append(buf, byte(len(payload)))
 		return append(buf, payload...)
 	}
-	got := appendFrame(nil, "n1", 0, 3, 2, payload)
+	got := appendFrame(nil, "n1", 0, 3, 2, nil, payload)
 	want := legacy("n1", 3, 2, payload)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("group-0 frame %x differs from legacy layout %x", got, want)
 	}
-	gf, gg, gs, gk, gp, err := decodeFrame(bufio.NewReader(bytes.NewReader(want)))
+	gf, gg, gs, gk, gp, err := decodeFrame(bufio.NewReader(bytes.NewReader(want)), "")
 	if err != nil || gf != "n1" || gg != 0 || gs != 3 || gk != 2 || !bytes.Equal(gp, payload) {
 		t.Fatalf("legacy frame decoded as from=%q group=%d stream=%d kind=%d payload=%q err=%v", gf, gg, gs, gk, gp, err)
 	}
 	// A grouped frame carries its marker and survives the round trip.
-	grouped := appendFrame(nil, "n1", 7, 3, 2, payload)
+	grouped := appendFrame(nil, "n1", 7, 3, 2, nil, payload)
 	if grouped[0] != 0 {
 		t.Fatalf("grouped frame does not lead with marker varint 0: %x", grouped)
 	}
-	gf, gg, gs, gk, gp, err = decodeFrame(bufio.NewReader(bytes.NewReader(grouped)))
+	gf, gg, gs, gk, gp, err = decodeFrame(bufio.NewReader(bytes.NewReader(grouped)), "")
 	if err != nil || gf != "n1" || gg != 7 || gs != 3 || gk != 2 || !bytes.Equal(gp, payload) {
 		t.Fatalf("grouped frame decoded as from=%q group=%d stream=%d kind=%d payload=%q err=%v", gf, gg, gs, gk, gp, err)
 	}
@@ -201,18 +201,18 @@ func TestFrameGroupZeroIsLegacyLayout(t *testing.T) {
 
 func TestFrameDecodeRejectsGarbage(t *testing.T) {
 	for _, group := range []uint64{0, 9} {
-		frame := appendFrame(nil, "n1", group, 3, 2, []byte("hello"))
+		frame := appendFrame(nil, "n1", group, 3, 2, nil, []byte("hello"))
 		for i := 0; i < len(frame); i++ {
-			if _, _, _, _, _, err := decodeFrame(bufio.NewReader(bytes.NewReader(frame[:i]))); err == nil {
+			if _, _, _, _, _, err := decodeFrame(bufio.NewReader(bytes.NewReader(frame[:i])), ""); err == nil {
 				t.Fatalf("truncated frame (group %d) at %d accepted", group, i)
 			}
 		}
 	}
 	// Absurd payload length must be rejected, not allocated.
-	bad := appendFrame(nil, "n1", 0, 1, 1, nil)
+	bad := appendFrame(nil, "n1", 0, 1, 1, nil, nil)
 	bad = bad[:len(bad)-1] // strip the zero payload length
 	bad = append(bad, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f)
-	if _, _, _, _, _, err := decodeFrame(bufio.NewReader(bytes.NewReader(bad))); err == nil {
+	if _, _, _, _, _, err := decodeFrame(bufio.NewReader(bytes.NewReader(bad)), ""); err == nil {
 		t.Fatal("absurd length accepted")
 	}
 }

@@ -309,13 +309,13 @@ func (n *Network) cut(a, b types.NodeID) bool {
 
 // send is called by endpoints; it applies the fault model and enqueues
 // deliveries.
-func (n *Network) send(from, to types.NodeID, group, stream uint64, kind uint8, payload []byte) error {
-	copies, err := n.admit(from, to, group, stream, kind, payload)
+func (n *Network) send(from, to types.NodeID, group, stream uint64, kind uint8, head, body []byte) error {
+	copies, err := n.admit(from, to, group, stream, kind, head, body)
 	// The accounting and the fault model needed n.mu; the TCP fabric has its
 	// own locks. Held across transmit, n.mu would queue every sender in the
 	// process, and the delivery accounting, behind one connection.
 	for i := 0; i < copies; i++ {
-		n.tcp.transmit(from, to, group, stream, kind, payload)
+		n.tcp.transmit(from, to, group, stream, kind, head, body)
 	}
 	return err
 }
@@ -323,8 +323,9 @@ func (n *Network) send(from, to types.NodeID, group, stream uint64, kind uint8, 
 // admit is the part of send that runs under n.mu: accounting, the fault
 // model, and on the simulated fabric the scheduling itself. It returns how
 // many copies of the frame the caller must hand to the TCP fabric, 0 when the
-// frame was dropped or has already been scheduled.
-func (n *Network) admit(from, to types.NodeID, group, stream uint64, kind uint8, payload []byte) (int, error) {
+// frame was dropped or has already been scheduled. The payload is head
+// followed by body (see SendParts).
+func (n *Network) admit(from, to types.NodeID, group, stream uint64, kind uint8, head, body []byte) (int, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed {
@@ -334,11 +335,12 @@ func (n *Network) admit(from, to types.NodeID, group, stream uint64, kind uint8,
 		return 0, fmt.Errorf("%w: %s", ErrUnknownNode, to)
 	}
 
+	size := int64(len(head) + len(body))
 	n.stats.MessagesSent++
-	n.stats.BytesSent += int64(len(payload))
+	n.stats.BytesSent += size
 	ks := n.stats.PerKind[kind]
 	ks.Messages++
-	ks.Bytes += int64(len(payload))
+	ks.Bytes += size
 	n.stats.PerKind[kind] = ks
 
 	if n.cut(from, to) {
@@ -356,6 +358,13 @@ func (n *Network) admit(from, to types.NodeID, group, stream uint64, kind uint8,
 	}
 	if n.tcp != nil {
 		return copies, nil
+	}
+	// The simulated fabric keeps what it is sent: every receiver's handler is
+	// given this slice itself. Two pieces are joined once, here, into a buffer
+	// that is the fabric's own.
+	payload := body
+	if len(head) > 0 {
+		payload = append(append(make([]byte, 0, size), head...), body...)
 	}
 	now := time.Now()
 	for i := 0; i < copies; i++ {
@@ -585,7 +594,22 @@ func (e *Endpoint) Paused() bool {
 // Send transmits payload to the given node, addressed to the same group view
 // on the receiving side. It never blocks on the receiver; delivery is
 // asynchronous and may silently fail per the fault model.
+//
+// The payload is handed over: the caller must not modify it afterwards (it may
+// keep reading it, send it again, or give it to a store). The TCP fabric
+// copies it into the connection's queue; the simulated fabric delivers the
+// slice itself, to every receiver it is sent to, and a handler must likewise
+// leave what it is given unmodified.
 func (e *Endpoint) Send(to types.NodeID, stream uint64, kind uint8, payload []byte) error {
+	return e.SendParts(to, stream, kind, nil, payload)
+}
+
+// SendParts is Send for a payload in two pieces, head followed by body: a
+// header the caller has just built in front of bytes it already holds. The
+// receiver sees one payload. On the TCP fabric both pieces go straight into
+// the connection's queue, so wrapping a request costs no buffer of its own;
+// head is never kept by either fabric and may live on the caller's stack.
+func (e *Endpoint) SendParts(to types.NodeID, stream uint64, kind uint8, head, body []byte) error {
 	root := e.rootEndpoint()
 	root.mu.Lock()
 	if root.closed {
@@ -597,7 +621,7 @@ func (e *Endpoint) Send(to types.NodeID, stream uint64, kind uint8, payload []by
 	if paused {
 		return nil // a crashed process sends nothing; drop silently
 	}
-	return root.net.send(root.id, to, e.group, stream, kind, payload)
+	return root.net.send(root.id, to, e.group, stream, kind, head, body)
 }
 
 // Broadcast sends payload to every node in targets (skipping self).

@@ -152,8 +152,26 @@ func (r *Reader) String() string {
 }
 
 // BytesField decodes a length-prefixed byte slice. The returned slice is a
-// copy, safe to retain.
+// copy, safe to retain: the read for a decoder whose source buffer does not
+// stay (WAL replay goes through a segment at a time), or whose caller keeps a
+// small field of a large buffer (a state machine storing one value of a batch
+// record).
 func (r *Reader) BytesField() []byte {
+	v := r.BytesView()
+	if r.err != nil {
+		return nil
+	}
+	out := make([]byte, len(v))
+	copy(out, v)
+	return out
+}
+
+// BytesView decodes a length-prefixed byte slice in place: the result shares
+// memory with the Reader's buffer, which must therefore stay unmodified for as
+// long as the result is in use — true of every frame the transport delivers
+// and every value a store returns. Its capacity equals its length, so an
+// append cannot write into the neighbouring field.
+func (r *Reader) BytesView() []byte {
 	n := r.Uvarint()
 	if r.err != nil {
 		return nil
@@ -162,9 +180,9 @@ func (r *Reader) BytesField() []byte {
 		r.fail("bytes")
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, r.buf[r.pos:r.pos+int(n)])
-	r.pos += int(n)
+	end := r.pos + int(n)
+	out := r.buf[r.pos:end:end]
+	r.pos = end
 	return out
 }
 

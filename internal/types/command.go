@@ -97,13 +97,25 @@ func EncodeCommand(c Command) []byte {
 	return w.Bytes()
 }
 
-// DecodeCommandFrom decodes a command from r.
+// AppendCommand appends c's wire form to w and returns c with Data re-pointed
+// at the bytes just written: whoever keeps the encoding (an accept record)
+// keeps the command with it, and the buffer c.Data came from is free to go.
+func AppendCommand(w *Writer, c Command) Command {
+	c.Encode(w)
+	end := len(w.buf)
+	c.Data = w.buf[end-len(c.Data) : end : end]
+	return c
+}
+
+// DecodeCommandFrom decodes a command from r in place: Data is a view of r's
+// buffer (see Reader.BytesView). A decoder that keeps Data beyond the buffer's
+// life, or keeps a small Data out of a large buffer, copies it.
 func DecodeCommandFrom(r *Reader) Command {
 	c := Command{
 		Kind:   CommandKind(r.Byte()),
 		Client: r.NodeID(),
 		Seq:    r.Uvarint(),
-		Data:   r.BytesField(),
+		Data:   r.BytesView(),
 	}
 	if r.Err() == nil && !c.Kind.Valid() {
 		r.fail(fmt.Sprintf("command kind %d", c.Kind))
@@ -111,7 +123,8 @@ func DecodeCommandFrom(r *Reader) Command {
 	return c
 }
 
-// DecodeCommand decodes a command from a standalone buffer.
+// DecodeCommand decodes a command from a standalone buffer, which the
+// command's Data stays a view of.
 func DecodeCommand(buf []byte) (Command, error) {
 	r := NewReader(buf)
 	c := DecodeCommandFrom(r)
@@ -129,22 +142,51 @@ func ReconfigCommand(cfg Config) Command {
 	return Command{Kind: CmdReconfig, Data: EncodeConfig(cfg)}
 }
 
-// BatchCommand packs cmds into a single batch command. Batches must not be
-// nested; callers pass only non-batch commands.
-func BatchCommand(cmds []Command) Command {
-	sz := 4
+// batchDataSize is the exact length of the payload of the batch packing cmds.
+func batchDataSize(cmds []Command) int {
+	sz := UvarintLen(uint64(len(cmds)))
 	for _, c := range cmds {
-		sz += 4 + c.EncodedSize()
+		sz += c.EncodedSize()
 	}
-	w := NewWriter(sz)
+	return sz
+}
+
+// BatchEncodedSize returns the exact byte length AppendBatch will write for
+// cmds.
+func BatchEncodedSize(cmds []Command) int {
+	n := batchDataSize(cmds)
+	return batchHeaderSize + UvarintLen(uint64(n)) + n
+}
+
+// batchHeaderSize is what precedes a batch command's Data field: the kind, an
+// empty Client and Seq 0 — a batch has no session of its own.
+const batchHeaderSize = 3
+
+// AppendBatch appends to w the wire form of the batch command packing cmds,
+// and returns that command with Data a view of the bytes just written — the
+// member commands are encoded once, straight into the buffer the caller keeps.
+// Batches must not be nested; callers pass only non-batch commands.
+func AppendBatch(w *Writer, cmds []Command) Command {
+	n := batchDataSize(cmds)
+	w.Byte(byte(CmdBatch))
+	w.NodeID("")
+	w.Uvarint(0)
+	w.Uvarint(uint64(n))
 	w.Uvarint(uint64(len(cmds)))
 	for _, c := range cmds {
 		c.Encode(w)
 	}
-	return Command{Kind: CmdBatch, Data: w.Bytes()}
+	end := len(w.buf)
+	return Command{Kind: CmdBatch, Data: w.buf[end-n : end : end]}
 }
 
-// DecodeBatch unpacks a batch command's payload.
+// BatchCommand packs cmds into a single batch command in a buffer of its own.
+func BatchCommand(cmds []Command) Command {
+	return AppendBatch(NewWriter(BatchEncodedSize(cmds)), cmds)
+}
+
+// DecodeBatch unpacks a batch command's payload; the member commands' Data
+// are views of it.
 func DecodeBatch(data []byte) ([]Command, error) {
 	r := NewReader(data)
 	n := r.Uvarint()

@@ -1,6 +1,7 @@
 package types
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -407,5 +408,54 @@ func TestConfigEncodedSizeReasonable(t *testing.T) {
 	buf := EncodeConfig(c)
 	if len(buf) > 4+2*(1+len("node-with-a-long-name-1"))+8 {
 		t.Fatalf("config encoding bloated: %d bytes", len(buf))
+	}
+}
+
+// The command path decodes in place: Data is a window of the input, not a
+// copy, and its capacity stops where it ends, so an append reallocates instead
+// of writing into the neighbouring command of a batch.
+func TestDecodeCommandIsAView(t *testing.T) {
+	batch := BatchCommand([]Command{
+		{Kind: CmdApp, Client: "a", Seq: 1, Data: []byte("first")},
+		{Kind: CmdApp, Client: "b", Seq: 2, Data: []byte("second")},
+	})
+	subs, err := DecodeBatch(batch.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := append([]byte(nil), batch.Data...)
+	for _, c := range subs {
+		if len(c.Data) == 0 || cap(c.Data) != len(c.Data) {
+			t.Fatalf("%v: len %d cap %d, want cap == len", c, len(c.Data), cap(c.Data))
+		}
+		off := bytes.Index(batch.Data, c.Data)
+		if off < 0 || &batch.Data[off] != &c.Data[0] {
+			t.Fatalf("%v: Data does not share memory with the input", c)
+		}
+		_ = append(c.Data, "overflow"...)
+	}
+	if !bytes.Equal(batch.Data, before) {
+		t.Fatal("an append to a decoded Data wrote into the input")
+	}
+
+	wire := EncodeCommand(Command{Kind: CmdApp, Client: "c", Seq: 3, Data: []byte("standalone")})
+	c, err := DecodeCommand(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &c.Data[0] != &wire[len(wire)-len(c.Data)] || cap(c.Data) != len(c.Data) {
+		t.Fatal("DecodeCommand copied Data, or left it room to grow into")
+	}
+
+	// AppendBatch and AppendCommand hand back views of what they wrote.
+	w := NewWriter(BatchEncodedSize(subs))
+	packed := AppendBatch(w, subs)
+	if !bytes.Equal(packed.Data, batch.Data) || &packed.Data[0] != &w.Bytes()[w.Len()-len(packed.Data)] || w.Len() != BatchEncodedSize(subs) {
+		t.Fatal("AppendBatch: Data is not the tail of the writer, or the size is off")
+	}
+	w = NewWriter(c.EncodedSize())
+	kept := AppendCommand(w, c)
+	if !kept.Equal(c) || &kept.Data[0] != &w.Bytes()[w.Len()-len(kept.Data)] {
+		t.Fatal("AppendCommand: Data is not a view of the writer")
 	}
 }
