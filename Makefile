@@ -70,10 +70,12 @@ vet:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# The first recipe line is CI's allocation gate as CI runs it (CI's Test step
-# is -short, under which the loaded-path tests only print). bench/ is a nested
-# module (bench/go.mod) that ./... does not descend into; the second line
-# notices a program change that breaks the benchmark's build.
+# The first two recipe lines are CI's allocation gates as CI runs them (CI's
+# Test step is -short, under which the loaded-path tests only print): bytes per
+# put on the write path, and what a replica allocates before its first message.
+# bench/ is a nested module (bench/go.mod) that ./... does not descend into;
+# the third line notices a program change that breaks the benchmark's build.
 ci: vet build examples test race fmt-check
 	$(GO) test -run 'TestLoadedWritePathBytesPerOp' -count=1 ./internal/cluster/
+	$(GO) test -run 'TestReplicaConstructionAllocates' -count=1 ./internal/reconfig/
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...

@@ -40,7 +40,7 @@ func TestAcceptFrameIsAccRecord(t *testing.T) {
 					mu.Unlock()
 				}
 			}
-			r.inMsg <- inboundMsg{from: from, kind: kind, payload: payload}
+			r.receive(from, r.stream, kind, payload)
 		})
 	}
 

@@ -184,3 +184,65 @@ func TestControlMailboxNeverBlocksCaller(t *testing.T) {
 		t.Fatalf("%d slots released, want %d", got, highest)
 	}
 }
+
+// The inbox holds inboxLimit frames: the next one is dropped and counted once,
+// and a take makes room again.
+func TestInboxDropsPastLimit(t *testing.T) {
+	r, _ := bareReplica(t)
+	for i := 0; i <= inboxLimit; i++ {
+		r.receive("n2", r.stream, KindHeartbeat, nil)
+	}
+	if got := r.Stats().DroppedInbound; got != 1 {
+		t.Fatalf("%d inbound frames dropped, want 1 (the one past %d)", got, inboxLimit)
+	}
+	if n := r.inbox.Len(); n != inboxLimit {
+		t.Fatalf("%d frames queued, want %d", n, inboxLimit)
+	}
+	r.inbox.Take(nil, 1)
+	r.receive("n2", r.stream, KindHeartbeat, nil)
+	if got := r.Stats().DroppedInbound; got != 1 {
+		t.Fatalf("%d dropped after a take made room, want still 1", got)
+	}
+}
+
+// A turn absorbs at most burstBudget events. What it leaves behind stays in
+// order for the next turn, and the wake of every queue it left work in is
+// armed again — the proposals' too, which this turn never reached — so the
+// next turn starts at once instead of at the next tick.
+func TestDrainBurstKeepsOrderAcrossBudget(t *testing.T) {
+	r, _ := bareReplica(t)
+	const frames, proposals = burstBudget + 44, 5
+	for i := 1; i <= frames; i++ {
+		r.receive("n2", r.stream, KindForward, encodeForward(forwardMsg{Cmds: []types.Command{appCmd("f", uint64(i))}}))
+	}
+	for i := 1; i <= proposals; i++ {
+		if err := r.Propose(appCmd("p", uint64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The loop wakes, consuming the signals, and runs one turn.
+	<-r.inbox.Wake()
+	<-r.proposals.Wake()
+	r.drainBurst(burstBudget)
+	if n := len(r.pending); n != burstBudget {
+		t.Fatalf("one turn absorbed %d events, want the budget, %d", n, burstBudget)
+	}
+	for name, q := range map[string]<-chan struct{}{"inbox": r.inbox.Wake(), "proposals": r.proposals.Wake()} {
+		select {
+		case <-q:
+		default:
+			t.Fatalf("the turn left work in the %s queue and its wake unarmed", name)
+		}
+	}
+	r.drainBurst(burstBudget)
+	if n := len(r.pending); n != frames+proposals {
+		t.Fatalf("%d commands pending after two turns, want %d", n, frames+proposals)
+	}
+	next := map[types.NodeID]uint64{"f": 1, "p": 1}
+	for i, cmd := range r.pending {
+		if cmd.Seq != next[cmd.Client] {
+			t.Fatalf("position %d: %s seq %d where %d was due", i, cmd.Client, cmd.Seq, next[cmd.Client])
+		}
+		next[cmd.Client]++
+	}
+}

@@ -270,6 +270,53 @@ func TestFollowerForwardsToLeader(t *testing.T) {
 	tc.checkAgreement()
 }
 
+// A new leader announces itself in the turn it wins, not at its next tick:
+// with a 200 ms tick both followers know it within 50 ms, and a proposal a
+// follower queued during the election is forwarded and decided within that
+// time too — a tick-paced heartbeat would cost up to 200 ms for each.
+func TestNewLeaderAnnouncesItself(t *testing.T) {
+	const tick, within = 200 * time.Millisecond, 50 * time.Millisecond
+	tc := newTestClusterOn(t, 3, transport.Options{}, func(types.NodeID) storage.Store { return storage.NewMem() },
+		func(o *Options) { o.TickInterval = tick })
+	// The smallest member stands on its first tick; the others wait out an
+	// election timeout of seconds.
+	lead, followers := tc.cfg.Members[0], tc.cfg.Members[1:]
+	tc.proposeVia(followers[0], appCmd("early", 1))
+
+	var won time.Time
+	tc.waitUntil(func() bool {
+		_, am := tc.reps[lead].Leader()
+		won = time.Now()
+		return am
+	}, "the election", 5*time.Second)
+	knows := func() bool {
+		for _, id := range followers {
+			if hint, _ := tc.reps[id].Leader(); hint != lead {
+				return false
+			}
+		}
+		return true
+	}
+	decided := func() bool { return len(tc.appDelivered(lead)) == 1 }
+	var hinted, forwarded time.Duration
+	for deadline := won.Add(2 * tick); time.Now().Before(deadline) && (hinted == 0 || forwarded == 0); time.Sleep(100 * time.Microsecond) {
+		if hinted == 0 && knows() {
+			hinted = time.Since(won)
+		}
+		if forwarded == 0 && decided() {
+			forwarded = time.Since(won)
+		}
+	}
+	t.Logf("after the win: followers knew the leader in %v, the queued proposal was decided in %v", hinted, forwarded)
+	if hinted == 0 || hinted > within {
+		t.Errorf("followers learned the leader %v after it won, want within %v", hinted, within)
+	}
+	if forwarded == 0 || forwarded > within {
+		t.Errorf("the follower's queued proposal was decided %v after the leader won, want within %v", forwarded, within)
+	}
+	tc.checkAgreement()
+}
+
 func TestLeaderFailover(t *testing.T) {
 	tc := newTestCluster(t, 3, transport.Options{BaseLatency: 100 * time.Microsecond})
 	leader := tc.waitForLeader(2 * time.Second)

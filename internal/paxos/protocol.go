@@ -330,7 +330,6 @@ func (r *Replica) becomeLeader() {
 	r.amLeader.Store(true)
 	r.leaderHint.Store(r.self)
 	r.inflight = make(map[types.Slot]*slotProgress)
-	r.hbCountdown = 0
 
 	// Adopt the highest-ballot accepted value per open slot from the
 	// promise quorum; slots with no reported value get noops.
@@ -401,6 +400,9 @@ func (r *Replica) becomeLeader() {
 			r.proposeAtSlot(slot, []types.Command{types.NoopCommand()})
 		}
 	}
+	// Say so in the turn we win: a follower holding proposals forwards them as
+	// soon as it knows where to, not a tick later.
+	r.sendHeartbeat()
 }
 
 // proposeNext assigns cmds the next free slot and runs phase 2 for them. The
@@ -713,6 +715,19 @@ func (r *Replica) onHeartbeat(from types.NodeID, msg heartbeatMsg) {
 	}
 }
 
+// sendHeartbeat broadcasts the leader's beacon and restarts its countdown.
+func (r *Replica) sendHeartbeat() {
+	r.hbCountdown = r.opts.HeartbeatEveryTicks
+	hb := heartbeatMsg{Ballot: r.ballot, Decided: r.deliverNext - 1}
+	if r.opts.EnableLeaseReads {
+		r.hbSeq++
+		hb.Seq = r.hbSeq
+		hb.WantAck = true
+		r.noteHeartbeatSent(hb.Seq)
+	}
+	r.broadcast(KindHeartbeat, encodeHeartbeat(hb))
+}
+
 // resendTicks is how long a candidate or leader waits for an answer before it
 // sends a prepare, accept or read probe again. Five ticks is several round
 // trips on every fabric the engine runs on (a tick is at least 1 ms) and half
@@ -725,15 +740,7 @@ func (r *Replica) tick() {
 	case roleLeader:
 		r.hbCountdown--
 		if r.hbCountdown <= 0 {
-			r.hbCountdown = r.opts.HeartbeatEveryTicks
-			hb := heartbeatMsg{Ballot: r.ballot, Decided: r.deliverNext - 1}
-			if r.opts.EnableLeaseReads {
-				r.hbSeq++
-				hb.Seq = r.hbSeq
-				hb.WantAck = true
-				r.noteHeartbeatSent(hb.Seq)
-			}
-			r.broadcast(KindHeartbeat, encodeHeartbeat(hb))
+			r.sendHeartbeat()
 		}
 		if pr := r.curProbe; pr != nil {
 			pr.age++

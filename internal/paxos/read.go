@@ -58,15 +58,13 @@ func (r *Replica) ReadIndex(done func(index types.Slot, err error)) error {
 		return smr.ErrStopped
 	default:
 	}
-	select {
-	case r.readCh <- readRequest{done: done}:
-	default:
+	if !r.reads.TryPut(readRequest{done: done}) {
 		return ErrBusy
 	}
-	// The loop may have exited between the stop check and the send, leaving
-	// the request stranded in readCh. Every buffered request is pulled from
-	// the channel exactly once — by the loop, by the loop's shutdown drain,
-	// or here — so each done still runs exactly once.
+	// The loop may have exited between the stop check and the put, leaving
+	// the request stranded in the queue. Every queued request is taken from
+	// it exactly once — by the loop, by the loop's shutdown drain, or here —
+	// so each done still runs exactly once.
 	select {
 	case <-r.loopDone:
 		r.failBufferedReads()
@@ -75,23 +73,18 @@ func (r *Replica) ReadIndex(done func(index types.Slot, err error)) error {
 	return nil
 }
 
-// failBufferedReads drains readCh and fails whatever it pulls. Only called
-// once the event loop is guaranteed not to be consuming the channel.
+// failBufferedReads empties the read queue and fails whatever it takes. Only
+// called once the event loop is guaranteed not to be consuming the queue.
 func (r *Replica) failBufferedReads() {
-	for {
-		select {
-		case req := <-r.readCh:
-			req.done(0, smr.ErrStopped)
-		default:
-			return
-		}
+	for _, req := range r.reads.Take(nil, readLimit) {
+		req.done(0, smr.ErrStopped)
 	}
 }
 
 // finishReads fails every read the loop still owes an answer. It runs as the
 // loop goroutine's last deferred call, after loopDone is closed, so that any
 // ReadIndex racing with shutdown either sees loopDone closed (and drains the
-// channel itself) or enqueued before this drain.
+// queue itself) or enqueued before this drain.
 func (r *Replica) finishReads() {
 	r.failReadWaiters(smr.ErrStopped)
 	r.failBufferedReads()

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/fifo"
 	"repro/internal/smr"
 	"repro/internal/storage"
 	"repro/internal/transport"
@@ -155,14 +156,20 @@ type Replica struct {
 	opts   Options
 	prefix string
 
-	inMsg     chan inboundMsg
-	proposeCh chan types.Command
-	readCh    chan readRequest
-	stopCh    chan struct{}
-	stopOnce  sync.Once
-	loopDone  chan struct{}
-	pumpDone  chan struct{}
-	started   atomic.Bool
+	// The loop's three intakes (fifo: each grows with what is queued), and
+	// the batches it takes from them, reused turn to turn.
+	inbox     *fifo.Queue[inboundMsg]
+	proposals *fifo.Queue[types.Command]
+	reads     *fifo.Queue[readRequest]
+	msgBuf    []inboundMsg
+	cmdBuf    []types.Command
+	readBuf   []readRequest
+
+	stopCh   chan struct{}
+	stopOnce sync.Once
+	loopDone chan struct{}
+	pumpDone chan struct{}
+	started  atomic.Bool
 
 	// decision pump: the event loop appends under decMu; the pump drains
 	// into decCh so slow consumers never stall the protocol.
@@ -283,9 +290,9 @@ func New(cfg types.Config, self types.NodeID, ep *transport.Endpoint, store stor
 		store:     store,
 		opts:      opts.withDefaults(),
 		prefix:    fmt.Sprintf("pxs/%d/", stream),
-		inMsg:     make(chan inboundMsg, 8192),
-		proposeCh: make(chan types.Command, 1024),
-		readCh:    make(chan readRequest, 4096),
+		inbox:     fifo.New[inboundMsg](inboxLimit),
+		proposals: fifo.New[types.Command](proposeLimit),
+		reads:     fifo.New[readRequest](readLimit),
 		ctrlWake:  make(chan struct{}, 1),
 		stopCh:    make(chan struct{}),
 		loopDone:  make(chan struct{}),
@@ -423,20 +430,20 @@ func (r *Replica) Start() error {
 	if r.started.Swap(true) {
 		return fmt.Errorf("paxos: Start called twice")
 	}
-	r.ep.Handle(r.stream, func(from types.NodeID, _ uint64, kind uint8, payload []byte) {
-		select {
-		case r.inMsg <- inboundMsg{from: from, kind: kind, payload: payload}:
-		case <-r.stopCh:
-		default:
-			// Inbox overflow: drop, like the network would — but count it,
-			// and warn (rate-limited) because a saturated event loop is an
-			// operational problem the protocol merely tolerates.
-			r.warnDropped(r.stats.droppedInbound.Add(1))
-		}
-	})
+	r.ep.Handle(r.stream, r.receive)
 	go r.pump()
 	go r.loop()
 	return nil
+}
+
+// receive is the replica's transport handler: it queues a frame for the loop.
+// On overflow the frame is dropped, like the network would — but counted, and
+// warned about (rate-limited), because a saturated event loop is an
+// operational problem the protocol merely tolerates.
+func (r *Replica) receive(from types.NodeID, _ uint64, kind uint8, payload []byte) {
+	if !r.inbox.TryPut(inboundMsg{from: from, kind: kind, payload: payload}) {
+		r.warnDropped(r.stats.droppedInbound.Add(1))
+	}
 }
 
 // Stop implements smr.Engine. It is idempotent; after it returns no further
@@ -459,14 +466,10 @@ func (r *Replica) Propose(cmd types.Command) error {
 		return smr.ErrStopped
 	default:
 	}
-	select {
-	case r.proposeCh <- cmd:
-		return nil
-	case <-r.stopCh:
-		return smr.ErrStopped
-	default:
+	if !r.proposals.TryPut(cmd) {
 		return ErrBusy
 	}
+	return nil
 }
 
 // Decisions implements smr.Engine.
@@ -603,19 +606,16 @@ func (r *Replica) loop() {
 		select {
 		case <-r.stopCh:
 			return
-		case m := <-r.inMsg:
-			r.handleMessage(m)
-		case cmd := <-r.proposeCh:
-			r.handlePropose(cmd)
-		case req := <-r.readCh:
-			r.handleRead(req)
+		case <-r.inbox.Wake():
+		case <-r.proposals.Wake():
+		case <-r.reads.Wake():
 		case <-r.ctrlWake:
 			r.runControl()
 		case <-ticker.C:
 			r.runControl()
 			r.tick()
 		}
-		r.drainBurst(burstBudget - 1)
+		r.drainBurst(burstBudget)
 		// Slots are assigned once per turn, after the intake is drained and
 		// before the group-commit barrier: whatever was proposed, forwarded or
 		// re-queued during the turn shares one Accept, one acc/ record and one
@@ -631,6 +631,14 @@ func (r *Replica) loop() {
 // a staged write can sit unfsynced and the outbox growth.
 const burstBudget = 256
 
+// The intakes' bounds. A full inbox drops (and counts, DroppedInbound); a full
+// proposal or read queue answers ErrBusy.
+const (
+	inboxLimit   = 8192
+	proposeLimit = 1024
+	readLimit    = 4096
+)
+
 // beginBurst opens a group-commit burst when the store supports staged
 // writes. With a plain store every write is individually durable and every
 // message leaves at once; a turn still absorbs what is queued (drainBurst).
@@ -643,20 +651,35 @@ func (r *Replica) beginBurst() {
 // drainBurst greedily absorbs events that are already queued into the turn,
 // so their persistence shares the single group-commit fsync and the proposals
 // among them share a slot. It never blocks: the turn ends as soon as the
-// backlog (or budget) runs out.
+// backlog (or budget) runs out. Each intake is taken a batch at a time, and
+// what the budget leaves behind re-arms its queue's wake (Take), so the next
+// turn starts at once.
 func (r *Replica) drainBurst(budget int) {
 	for budget > 0 {
-		select {
-		case m := <-r.inMsg:
-			r.handleMessage(m)
-		case cmd := <-r.proposeCh:
-			r.handlePropose(cmd)
-		case req := <-r.readCh:
-			r.handleRead(req)
-		default:
+		msgs := r.inbox.Take(r.msgBuf[:0], budget)
+		budget -= len(msgs)
+		cmds := r.proposals.Take(r.cmdBuf[:0], budget)
+		budget -= len(cmds)
+		reads := r.reads.Take(r.readBuf[:0], budget)
+		budget -= len(reads)
+		if len(msgs)+len(cmds)+len(reads) == 0 {
 			return
 		}
-		budget--
+		for _, m := range msgs {
+			r.handleMessage(m)
+		}
+		for _, cmd := range cmds {
+			r.handlePropose(cmd)
+		}
+		for _, req := range reads {
+			r.handleRead(req)
+		}
+		// Keep the arrays, not what they point at: a frame stays pinned only
+		// as long as something of the replica's own keeps it.
+		clear(msgs)
+		clear(cmds)
+		clear(reads)
+		r.msgBuf, r.cmdBuf, r.readBuf = msgs, cmds, reads
 	}
 }
 

@@ -21,10 +21,7 @@ func (n *Node) applyLoop() {
 		select {
 		case <-n.stopCh:
 			return
-		case td := <-n.applyCh:
-			n.mu.Lock()
-			n.routeDecisionLocked(td)
-			n.mu.Unlock()
+		case <-n.applyQ.Wake():
 			n.pump()
 		case <-n.pumpCh:
 			n.pump()
@@ -79,7 +76,7 @@ func (n *Node) pumpRound() bool {
 func (n *Node) collectRound() (applyRound, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.drainApplyChLocked()
+	n.drainApplyLocked()
 	units, taken := n.collectReadyLocked(maxApplyUnits)
 	if len(units) == 0 {
 		n.serveReadyReadsLocked()
@@ -143,16 +140,14 @@ func (n *Node) requeue(r applyRound) {
 	}
 }
 
-// drainApplyChLocked greedily routes every queued decision without blocking.
-func (n *Node) drainApplyChLocked() {
-	for {
-		select {
-		case td := <-n.applyCh:
-			n.routeDecisionLocked(td)
-		default:
-			return
-		}
+// drainApplyLocked routes every queued decision, taken in one batch.
+func (n *Node) drainApplyLocked() {
+	batch := n.applyQ.Take(n.applyBuf[:0], applyQueueLen)
+	for _, td := range batch {
+		n.routeDecisionLocked(td)
 	}
+	clear(batch)
+	n.applyBuf = batch
 }
 
 // collectReadyLocked pops the contiguous run of ready decisions of the

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/fifo"
 	"repro/internal/paxos"
 	"repro/internal/rpc"
 	"repro/internal/smr"
@@ -358,7 +359,10 @@ type Node struct {
 	// Guarded by mu.
 	testNoReadFence bool
 
-	applyCh chan taggedDecision
+	// applyQ carries every engine's decisions to the apply stage; applyBuf is
+	// the batch the apply stage takes from it, guarded by mu.
+	applyQ   *fifo.Queue[taggedDecision]
+	applyBuf []taggedDecision
 	// pumpCh nudges the apply loop to re-run its pump without a new
 	// decision arriving (e.g. after a snapshot install unblocks buffered
 	// decisions). Capacity 1; sends are non-blocking.
@@ -369,10 +373,9 @@ type Node struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	applyStalls    atomic.Int64
-	applyHighWater atomic.Int64
-	lastStallWarn  atomic.Int64
-	lastShedWarn   atomic.Int64
+	applyStalls   atomic.Int64
+	lastStallWarn atomic.Int64
+	lastShedWarn  atomic.Int64
 
 	// stats holds the counters the node keeps itself, incremented in place
 	// under mu; Stats fills in the fields computed when it is called.
@@ -402,7 +405,7 @@ func NewNode(nc NodeConfig) (*Node, error) {
 		retireNext:  1, // configuration IDs start at 1; 0 is "no transfer running"
 		firstDecide: make(map[types.ConfigID]time.Time),
 		rng:         rand.New(rand.NewSource(SeedFor(string(nc.Self)))),
-		applyCh:     make(chan taggedDecision, applyQueueLen),
+		applyQ:      fifo.New[taggedDecision](applyQueueLen),
 		pumpCh:      make(chan struct{}, 1),
 		stopCh:      make(chan struct{}),
 		baseCtx:     ctx,
@@ -614,31 +617,21 @@ func (n *Node) consumeEngine(run *engineRun) {
 	defer n.wg.Done()
 	defer close(run.done)
 	for d := range run.eng.Decisions() {
-		td := taggedDecision{id: run.id, dec: d}
-		select {
-		case n.applyCh <- td:
-		default:
-			n.applyStalls.Add(1)
-			n.warnApplyStall()
-			select {
-			case n.applyCh <- td:
-			case <-n.stopCh:
-				return
-			}
-		}
-		n.noteApplyDepth()
-	}
-}
-
-// noteApplyDepth tracks the apply queue's high-water mark.
-func (n *Node) noteApplyDepth() {
-	depth := int64(len(n.applyCh))
-	for {
-		hw := n.applyHighWater.Load()
-		if depth <= hw || n.applyHighWater.CompareAndSwap(hw, depth) {
+		if !n.queueDecision(taggedDecision{id: run.id, dec: d}) {
 			return
 		}
 	}
+}
+
+// queueDecision puts td on the apply queue, waiting while it is full; a wait
+// is counted as one apply stall. It reports false if the node stopped first.
+func (n *Node) queueDecision(td taggedDecision) bool {
+	if n.applyQ.TryPut(td) {
+		return true
+	}
+	n.applyStalls.Add(1)
+	n.warnApplyStall()
+	return n.applyQ.Put(td, n.stopCh)
 }
 
 // warnApplyStall logs at most once per second that the apply queue is full.
@@ -650,7 +643,7 @@ func (n *Node) warnApplyStall() {
 	}
 	if n.lastStallWarn.CompareAndSwap(last, now) {
 		log.Printf("reconfig: %s apply queue full (cap %d, %d stalls so far); the apply stage is the bottleneck",
-			n.self, cap(n.applyCh), n.applyStalls.Load())
+			n.self, applyQueueLen, n.applyStalls.Load())
 	}
 }
 
@@ -769,8 +762,8 @@ func (n *Node) Stats() NodeStats {
 		out.RetainedSlots += es.RetainedSlots
 	}
 	out.FastReads, out.ReadFallbacks, out.ReadFenced = n.reads.Snapshot()
-	out.ApplyQueueDepth = int64(len(n.applyCh))
-	out.ApplyQueueHighWater = n.applyHighWater.Load()
+	out.ApplyQueueDepth = int64(n.applyQ.Len())
+	out.ApplyQueueHighWater = int64(n.applyQ.High())
 	out.ApplyStalls = n.applyStalls.Load()
 	out.SubmitQueueDepth = int64(len(n.pending))
 	if n.ckptCfg == n.curID {
