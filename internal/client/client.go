@@ -51,9 +51,6 @@ type Options struct {
 	// pursuing the same sequence number (idempotent under the session
 	// dedup) until a definitive reply or ctx expiry.
 	RetryBudget int
-	// NoJitter pins the backoff schedule to its deterministic midpoint
-	// (test hook; production clients want decorrelated retries).
-	NoJitter bool
 	// Recorder, when set, captures every Submit/SubmitSeq as a history
 	// operation: acknowledged submits record their reply; a submit that
 	// gives up after an attempt may have reached the service records an
@@ -282,16 +279,7 @@ func (c *Client) KnownConfig() types.Config { return c.dir.KnownConfig() }
 // exponential backoff, floored by the server's RetryAfter hint when one was
 // given.
 func (c *Client) retryDelay(attempt int, hint time.Duration) time.Duration {
-	var d time.Duration
-	if c.opts.NoJitter {
-		d = reconfig.BackoffDelay(attempt, c.opts.RetryBackoff, c.opts.RetryMax, nil)
-	} else {
-		d = c.dir.backoff(attempt, c.opts.RetryBackoff, c.opts.RetryMax)
-	}
-	if hint > d {
-		d = hint
-	}
-	return d
+	return max(c.dir.backoff(attempt, c.opts.RetryBackoff, c.opts.RetryMax), hint)
 }
 
 // Submit executes op with a fresh sequence number, retrying across leader

@@ -83,28 +83,29 @@ func TestDirectoryAdoptsExactlyOnce(t *testing.T) {
 	}
 }
 
-// Schedule pinning: with jitter off, the delays between attempts follow
-// BackoffDelay's deterministic midpoints exactly, and a server RetryAfter
-// hint floors the delay.
+// Schedule bands: each delay between attempts lies within ±25% of
+// BackoffDelay's midpoint (doubling, capped; reconfig's TestBackoffSchedule
+// pins the midpoints), and a server RetryAfter hint floors the delay.
 func TestClientBackoffSchedule(t *testing.T) {
 	net := transport.NewNetwork(transport.Options{})
 	defer net.Close()
 	dir := NewDirectory(net.Endpoint("c"), []types.NodeID{"n1"})
 	defer dir.Close()
 	base, max := 2*time.Millisecond, 16*time.Millisecond
-	c := dir.Session("c1", Options{RetryBackoff: base, RetryMax: max, NoJitter: true})
+	c := dir.Session("c1", Options{RetryBackoff: base, RetryMax: max})
 
+	inBand := func(got, mid time.Duration) bool { return got >= mid-mid/4 && got <= mid+mid/4 }
 	want := []time.Duration{2, 4, 8, 16, 16, 16} // ms: doubling, capped
 	for i, w := range want {
-		if got := c.retryDelay(i+1, 0); got != w*time.Millisecond {
-			t.Fatalf("attempt %d: delay %v, want %v", i+1, got, w*time.Millisecond)
+		if got := c.retryDelay(i+1, 0); !inBand(got, w*time.Millisecond) {
+			t.Fatalf("attempt %d: delay %v, want %v ±25%%", i+1, got, w*time.Millisecond)
 		}
 	}
 	// The server hint floors the backoff but never shortens it.
 	if got := c.retryDelay(1, 50*time.Millisecond); got != 50*time.Millisecond {
 		t.Fatalf("hint ignored: %v", got)
 	}
-	if got := c.retryDelay(4, time.Millisecond); got != 16*time.Millisecond {
+	if got := c.retryDelay(4, time.Millisecond); !inBand(got, 16*time.Millisecond) {
 		t.Fatalf("short hint shortened backoff: %v", got)
 	}
 }

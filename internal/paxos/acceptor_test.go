@@ -180,7 +180,7 @@ func TestAcceptorPropertyNeverRegresses(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.TickInterval != 2*time.Millisecond || o.BatchSize != 16 || o.LeaseTicks != 5 {
+	if o.TickInterval != 2*time.Millisecond || o.BatchSize != 16 {
 		t.Fatalf("defaults: %+v", o)
 	}
 }

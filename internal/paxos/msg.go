@@ -53,10 +53,7 @@ const (
 	KindReadProbe uint8 = 10
 	// KindReadProbeAck answers a read probe.
 	KindReadProbeAck uint8 = 11
-	// KindHeartbeatAck answers a heartbeat whose WantAck flag is set; a
-	// quorum of acks for one heartbeat sequence number renews the leader's
-	// read lease.
-	KindHeartbeatAck uint8 = 12
+	// Kind 12 is retired (the leader-lease heartbeat ack).
 )
 
 // prepareMsg solicits promises for all slots >= From.
@@ -117,15 +114,12 @@ type decideMsg struct {
 	Ballot types.Ballot // ByRef only
 }
 
-// heartbeatMsg is broadcast by the leader. Decided lets followers detect
-// that they are behind and trigger catch-up. Seq numbers the beacon and
-// WantAck asks followers to reply with a KindHeartbeatAck so the leader can
-// measure quorum contact (used to renew read leases).
+// heartbeatMsg is broadcast by the leader and answered by nobody. Ballot
+// names the leader for forwarding and holds off elections; Decided lets
+// followers detect that they are behind and trigger catch-up.
 type heartbeatMsg struct {
 	Ballot  types.Ballot
 	Decided types.Slot
-	Seq     uint64
-	WantAck bool
 }
 
 // readProbeMsg asks followers to confirm the sender is still their leader.
@@ -143,12 +137,6 @@ type readProbeAckMsg struct {
 	Seq      uint64
 	OK       bool
 	Promised types.Ballot
-}
-
-// heartbeatAckMsg acknowledges heartbeat Seq from the leader at Ballot.
-type heartbeatAckMsg struct {
-	Ballot types.Ballot
-	Seq    uint64
 }
 
 // catchupReqMsg requests decided entries in [From, To].
@@ -331,22 +319,15 @@ func decodeDecide(buf []byte) (decideMsg, error) {
 }
 
 func encodeHeartbeat(m heartbeatMsg) []byte {
-	w := types.NewWriter(32)
+	w := types.NewWriter(24)
 	w.Ballot(m.Ballot)
 	w.Uvarint(uint64(m.Decided))
-	w.Uvarint(m.Seq)
-	w.Bool(m.WantAck)
 	return w.Bytes()
 }
 
 func decodeHeartbeat(buf []byte) (heartbeatMsg, error) {
 	r := types.NewReader(buf)
 	m := heartbeatMsg{Ballot: r.Ballot(), Decided: types.Slot(r.Uvarint())}
-	if r.Err() == nil && r.Remaining() > 0 {
-		// Legacy frames end after Decided; Seq/WantAck are appended fields.
-		m.Seq = r.Uvarint()
-		m.WantAck = r.Bool()
-	}
 	return m, wrapDecode("heartbeat", r)
 }
 
@@ -381,19 +362,6 @@ func decodeReadProbeAck(buf []byte) (readProbeAckMsg, error) {
 		Promised: r.Ballot(),
 	}
 	return m, wrapDecode("read-probe-ack", r)
-}
-
-func encodeHeartbeatAck(m heartbeatAckMsg) []byte {
-	w := types.NewWriter(24)
-	w.Ballot(m.Ballot)
-	w.Uvarint(m.Seq)
-	return w.Bytes()
-}
-
-func decodeHeartbeatAck(buf []byte) (heartbeatAckMsg, error) {
-	r := types.NewReader(buf)
-	m := heartbeatAckMsg{Ballot: r.Ballot(), Seq: r.Uvarint()}
-	return m, wrapDecode("heartbeat-ack", r)
 }
 
 func encodeCatchupReq(m catchupReqMsg) []byte {

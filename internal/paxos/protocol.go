@@ -87,7 +87,7 @@ func (r *Replica) handleMessage(m inboundMsg) {
 	case KindHeartbeat:
 		msg, err := decodeHeartbeat(m.payload)
 		if err == nil {
-			r.onHeartbeat(m.from, msg)
+			r.onHeartbeat(msg)
 		}
 	case KindCatchupReq:
 		msg, err := decodeCatchupReq(m.payload)
@@ -130,11 +130,6 @@ func (r *Replica) handleMessage(m inboundMsg) {
 		msg, err := decodeReadProbeAck(m.payload)
 		if err == nil {
 			r.onReadProbeAck(m.from, msg)
-		}
-	case KindHeartbeatAck:
-		msg, err := decodeHeartbeatAck(m.payload)
-		if err == nil {
-			r.onHeartbeatAck(m.from, msg)
 		}
 	}
 }
@@ -214,12 +209,6 @@ func (r *Replica) acceptPrepare(msg prepareMsg) promiseMsg {
 }
 
 func (r *Replica) onPrepare(from types.NodeID, msg prepareMsg) {
-	if r.suppressPrepare(msg) {
-		// Lease mode: no promise for a rival while the current leader is
-		// inside its liveness window; the candidate retries and succeeds
-		// once the window lapses.
-		return
-	}
 	if r.maxBallotSeen.Less(msg.Ballot) {
 		r.maxBallotSeen = msg.Ballot
 	}
@@ -379,10 +368,9 @@ func (r *Replica) becomeLeader() {
 	}
 	// Read fast-path bookkeeping: every command chosen before this election
 	// is below nextSlot now (promise-quorum intersection), so nextSlot-1 is
-	// a floor for all read indexes this term. No lease or probe round from
-	// an earlier term survives the transition.
+	// a floor for all read indexes this term. No probe round from an earlier
+	// term survives the transition.
 	r.electionFloor = r.nextSlot - 1
-	r.clearLease()
 	r.failReadWaiters(smr.ErrNotLeader)
 
 	for slot := from; slot < r.nextSlot; slot++ {
@@ -484,10 +472,9 @@ func (r *Replica) stepDown() {
 	}
 	r.inflight = make(map[types.Slot]*slotProgress)
 	r.promises = make(map[types.NodeID]promiseMsg)
-	// A deposed leader must answer no more fast-path reads: fail waiters
-	// (callers fall back to the log) and drop any lease immediately.
+	// A deposed leader must answer no more fast-path reads: fail the waiters
+	// of its probe rounds (callers fall back to the log).
 	r.failReadWaiters(smr.ErrNotLeader)
-	r.clearLease()
 	r.resetElectionDeadline()
 }
 
@@ -693,7 +680,7 @@ const maxForwardBatch = 128
 
 // --- heartbeats & timers --------------------------------------------------------
 
-func (r *Replica) onHeartbeat(from types.NodeID, msg heartbeatMsg) {
+func (r *Replica) onHeartbeat(msg heartbeatMsg) {
 	if msg.Ballot.Less(r.maxBallotSeen) {
 		// Stale leader; still use its decided watermark for catch-up.
 		if msg.Decided > r.maxDecidedSeen {
@@ -710,22 +697,12 @@ func (r *Replica) onHeartbeat(from types.NodeID, msg heartbeatMsg) {
 	if msg.Decided > r.maxDecidedSeen {
 		r.maxDecidedSeen = msg.Decided
 	}
-	if msg.WantAck {
-		r.send(from, KindHeartbeatAck, encodeHeartbeatAck(heartbeatAckMsg{Ballot: msg.Ballot, Seq: msg.Seq}))
-	}
 }
 
 // sendHeartbeat broadcasts the leader's beacon and restarts its countdown.
 func (r *Replica) sendHeartbeat() {
 	r.hbCountdown = r.opts.HeartbeatEveryTicks
-	hb := heartbeatMsg{Ballot: r.ballot, Decided: r.deliverNext - 1}
-	if r.opts.EnableLeaseReads {
-		r.hbSeq++
-		hb.Seq = r.hbSeq
-		hb.WantAck = true
-		r.noteHeartbeatSent(hb.Seq)
-	}
-	r.broadcast(KindHeartbeat, encodeHeartbeat(hb))
+	r.broadcast(KindHeartbeat, encodeHeartbeat(heartbeatMsg{Ballot: r.ballot, Decided: r.deliverNext - 1}))
 }
 
 // resendTicks is how long a candidate or leader waits for an answer before it

@@ -1,17 +1,14 @@
 package paxos
 
 import (
-	"time"
-
 	"repro/internal/smr"
 	"repro/internal/types"
 )
 
-// This file implements the linearizable read fast path: read-index rounds
-// (one heartbeat-style quorum round confirms leadership, shared by every
-// read that arrived while the round was pending) and optional leader leases
-// (a quorum of heartbeat acks grants a time bound during which the leader
-// answers reads with no network round at all).
+// This file implements the linearizable read fast path: read-index rounds.
+// One quorum round confirms leadership and is shared by every read that
+// arrived while the round was pending. Nothing here reads a clock, so the
+// path is safe under any clock-rate skew.
 //
 // Safety of the read index: the index returned for a read is
 //
@@ -124,11 +121,6 @@ func (r *Replica) handleRead(req readRequest) {
 		req.done(0, smr.ErrNotLeader)
 		return
 	}
-	if r.opts.EnableLeaseReads && time.Now().Before(r.leaseUntil) {
-		r.stats.leaseReads.Add(1)
-		req.done(r.readIndexNow(), nil)
-		return
-	}
 	r.nextReads = append(r.nextReads, req.done)
 	if r.curProbe == nil {
 		r.dispatchProbe()
@@ -198,84 +190,4 @@ func (r *Replica) onReadProbeAck(from types.NodeID, msg readProbeAckMsg) {
 	}
 	pr.acks[from] = true
 	r.maybeFinishProbe()
-}
-
-// --- leases ------------------------------------------------------------------
-
-// leaseDuration is the granted lease term minus a conservative 25% margin
-// for clock-rate skew between leader and followers.
-func (r *Replica) leaseDuration() time.Duration {
-	d := time.Duration(r.opts.LeaseTicks) * r.opts.TickInterval
-	return d - d/4
-}
-
-// noteHeartbeatSent records an ack-requesting heartbeat so a later quorum of
-// acks can renew the lease from its send time.
-func (r *Replica) noteHeartbeatSent(seq uint64) {
-	r.hbSent[seq] = time.Now()
-	r.hbAcks[seq] = map[types.NodeID]bool{r.self: true}
-	for s := range r.hbSent {
-		if s+8 <= seq { // prune rounds that never reached quorum
-			delete(r.hbSent, s)
-			delete(r.hbAcks, s)
-		}
-	}
-	r.maybeRenewLease(seq)
-}
-
-func (r *Replica) onHeartbeatAck(from types.NodeID, msg heartbeatAckMsg) {
-	if r.role != roleLeader || !msg.Ballot.Equal(r.ballot) {
-		return
-	}
-	acks, ok := r.hbAcks[msg.Seq]
-	if !ok {
-		return
-	}
-	acks[from] = true
-	r.maybeRenewLease(msg.Seq)
-}
-
-// maybeRenewLease extends the lease from the send time of a quorum-acked
-// heartbeat. Renewal is anchored to the send time, not the ack time, so the
-// lease never outlives what the quorum actually vouched for.
-func (r *Replica) maybeRenewLease(seq uint64) {
-	acks := r.hbAcks[seq]
-	if acks == nil || len(acks) < r.cfg.Quorum() {
-		return
-	}
-	sent, ok := r.hbSent[seq]
-	if !ok {
-		return
-	}
-	if until := sent.Add(r.leaseDuration()); until.After(r.leaseUntil) {
-		r.leaseUntil = until
-	}
-	delete(r.hbSent, seq)
-	delete(r.hbAcks, seq)
-}
-
-// clearLease drops all lease state; called on step-down and on election so
-// no lease survives a change of term.
-func (r *Replica) clearLease() {
-	r.leaseUntil = time.Time{}
-	r.hbSent = make(map[uint64]time.Time)
-	r.hbAcks = make(map[uint64]map[types.NodeID]bool)
-}
-
-// suppressPrepare reports whether an acceptor in lease mode should ignore a
-// prepare. While leases are enabled, promising to a would-be leader that is
-// not the current one, inside the current leader's liveness window, could
-// elect a new leader while the old one still answers reads locally. The
-// window is the election timeout since the last heartbeat — the same bound
-// after which this node would itself compete — so suppression never blocks
-// an election the failure detector justifies.
-func (r *Replica) suppressPrepare(msg prepareMsg) bool {
-	if !r.opts.EnableLeaseReads {
-		return false
-	}
-	hint, _ := r.leaderHint.Load().(types.NodeID)
-	if hint == "" || hint == msg.Ballot.Leader || hint == r.self {
-		return false
-	}
-	return r.ticksSinceHB < r.opts.ElectionTimeoutTicks
 }

@@ -33,18 +33,6 @@ type Options struct {
 	// sweep on the durable WAL backend (batching decides how many commands
 	// share one group-commit fsync; EXPERIMENTS.md, "Historical tables").
 	BatchSize int
-	// EnableLeaseReads turns on leader leases: ReadIndex answers without a
-	// quorum round while a quorum-acked heartbeat lease is current, and
-	// acceptors suppress promises to rival candidates inside the leader's
-	// liveness window. Off by default; safety additionally assumes bounded
-	// clock-rate skew (see LeaseTicks margin).
-	EnableLeaseReads bool
-	// LeaseTicks is the lease term granted by one quorum-acked heartbeat,
-	// in ticks from its send time; a 25% margin is subtracted to absorb
-	// clock-rate skew. Default ElectionTimeoutTicks/2. Terms longer than
-	// the election timeout are unsafe at this layer and rely entirely on
-	// the composition layer's wedge fencing.
-	LeaseTicks int
 	// Seed seeds the replica's private RNG (election jitter).
 	Seed int64
 }
@@ -64,12 +52,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BatchSize <= 0 {
 		o.BatchSize = 16
-	}
-	if o.LeaseTicks <= 0 {
-		o.LeaseTicks = o.ElectionTimeoutTicks / 2
-		if o.LeaseTicks < 1 {
-			o.LeaseTicks = 1
-		}
 	}
 	return o
 }
@@ -137,8 +119,6 @@ type Stats struct {
 	// memory (and on disk). With checkpoints on it stays bounded by the
 	// checkpoint interval plus the truncation margin.
 	RetainedSlots int64
-	// LeaseReads counts reads answered locally under a valid leader lease.
-	LeaseReads int64
 	// GroupCommits counts event-loop bursts that ended in a group-commit
 	// Sync; comparing it against Decided shows the fsync amortization the
 	// pipeline achieves (see endBurst).
@@ -195,8 +175,7 @@ type Replica struct {
 
 	stats struct {
 		decided, proposals, elections, stepDowns, catchups, violations atomic.Int64
-		droppedInbound, readRounds, leaseReads, groupSyncs             atomic.Int64
-		truncated, retained                                            atomic.Int64
+		droppedInbound, readRounds, groupSyncs, truncated, retained    atomic.Int64
 	}
 	lastDropWarn atomic.Int64 // unix nanos of the last overflow warning
 
@@ -256,10 +235,6 @@ type Replica struct {
 	nextReads     []func(index types.Slot, err error)
 	probeSeq      uint64
 	electionFloor types.Slot
-	leaseUntil    time.Time
-	hbSeq         uint64
-	hbSent        map[uint64]time.Time
-	hbAcks        map[uint64]map[types.NodeID]bool
 }
 
 var _ smr.Engine = (*Replica)(nil)
@@ -304,8 +279,6 @@ func New(cfg types.Config, self types.NodeID, ep *transport.Endpoint, store stor
 		decided:   make(map[types.Slot]types.Command),
 		promises:  make(map[types.NodeID]promiseMsg),
 		inflight:  make(map[types.Slot]*slotProgress),
-		hbSent:    make(map[uint64]time.Time),
-		hbAcks:    make(map[uint64]map[types.NodeID]bool),
 		role:      roleFollower,
 
 		deliverNext: 1,
@@ -495,7 +468,6 @@ func (r *Replica) Stats() Stats {
 		InvariantViolations: r.stats.violations.Load(),
 		DroppedInbound:      r.stats.droppedInbound.Load(),
 		ReadRounds:          r.stats.readRounds.Load(),
-		LeaseReads:          r.stats.leaseReads.Load(),
 		GroupCommits:        r.stats.groupSyncs.Load(),
 		TruncatedSlots:      r.stats.truncated.Load(),
 		RetainedSlots:       r.stats.retained.Load(),

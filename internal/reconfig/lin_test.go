@@ -148,8 +148,8 @@ func kvWorkload() linWorkload {
 }
 
 // kvReadHeavyWorkload is the fast-path stressor: ~90% of generated ops are
-// Gets, so under ReadModeIndex/ReadModeLease nearly all load rides the
-// read-only path while the remaining writes keep the register model moving.
+// Gets, so nearly all load rides the read-index path while the remaining
+// writes keep the register model moving.
 // Linearizability violations here are exactly the stale-read bugs the wedge
 // fence and read-index confirmation exist to prevent.
 func kvReadHeavyWorkload() linWorkload {
@@ -298,8 +298,6 @@ type linRun struct {
 	useWAL       bool
 	powerLoss    bool // crash-restarts drop whatever the (in-memory) store had not synced
 	checkBudget  time.Duration
-	reads        ReadMode // 0 keeps the node default (ReadModeIndex)
-	leaseTicks   int      // lease term override when reads is ReadModeLease
 	spec         SpecMode // 0 keeps the node default (SpecOn); SpecOff pins the wait-for-transfer ablation
 	ckptInterval int      // checkpoint producer interval override (0 keeps the 4096 default)
 	ckptMargin   int      // retained-slot margin below the quorum checkpoint base
@@ -314,10 +312,6 @@ func runLin(t *testing.T, run linRun) {
 		LossRate:    0.01,
 		Seed:        seed,
 	})
-	if run.reads != 0 {
-		w.opts.Reads = run.reads
-		w.opts.Paxos.LeaseTicks = run.leaseTicks
-	}
 	if run.spec != SpecDefault {
 		w.opts.SpeculativeStart = run.spec
 	}
@@ -581,7 +575,6 @@ func TestLinearizabilityReadHeavyIndex(t *testing.T) {
 		seed:     606,
 		clients:  4,
 		steps:    6,
-		reads:    ReadModeIndex,
 	})
 }
 
@@ -596,19 +589,15 @@ func TestLinearizabilityReadHeavyIndexReconfig(t *testing.T) {
 		clients:      4,
 		steps:        6,
 		minReconfigs: 1,
-		reads:        ReadModeIndex,
 	})
 }
 
-// TestLinearizabilityReadHeavyLease runs the same read-heavy load on the
-// lease tier — the leader answers reads with no per-read message round — and
-// mixes leader kills with reconfigurations, the two events that depose a
-// lease holder. The default lease term (half the election timeout, minus the
-// clock-skew margin) keeps every lease inside the prepare-suppression window,
-// so loss-induced elections cannot outrun a valid lease; reconfigurations are
-// covered by wedge fencing. TestWedgeFencesLeaseReads covers the deliberately
-// long-lease corner.
-func TestLinearizabilityReadHeavyLease(t *testing.T) {
+// TestLinearizabilityReadHeavyLeaderKillReconfig mixes the two events that
+// depose a read-index leader — a leader kill and a reconfiguration — under
+// the same read-heavy load. A kill leaves the old leader's probe rounds to
+// fail and its reads to fall back to the log; a reconfiguration must fence
+// the wedged configuration's reads before the successor takes a write.
+func TestLinearizabilityReadHeavyLeaderKillReconfig(t *testing.T) {
 	runLin(t, linRun{
 		workload:     kvReadHeavyWorkload(),
 		kinds:        []nemesis.Kind{nemesis.KindLeaderKill, nemesis.KindReconfigure},
@@ -616,7 +605,6 @@ func TestLinearizabilityReadHeavyLease(t *testing.T) {
 		clients:      4,
 		steps:        6,
 		minReconfigs: 1,
-		reads:        ReadModeLease,
 	})
 }
 

@@ -53,9 +53,6 @@ type Options struct {
 	// until the initial state is installed — the wait-for-transfer
 	// ablation for experiments F2/F5/R2.
 	SpeculativeStart SpecMode
-	// Reads selects how read-only client ops are served. Default
-	// ReadModeIndex (leader read-index fast path with log fallback).
-	Reads ReadMode
 	// SubmitQueue bounds how many distinct client commands may be pending
 	// (admitted but not yet applied) on this node at once — the admission
 	// control bound. A new command that would exceed it is shed with an
@@ -111,24 +108,6 @@ const (
 	SpecOff SpecMode = 2
 )
 
-// ReadMode selects the serving strategy for read-only ops. The zero value is
-// normalized to the default. In either mode a read the fast path cannot take
-// (queue full, leadership lost, a replica stuck behind its index) is proposed
-// through the log like a write.
-type ReadMode uint8
-
-const (
-	// ReadModeIndex serves reads via the leader read-index protocol: one
-	// quorum heartbeat round (shared by all reads awaiting it) confirms
-	// leadership, then the read is answered from local state at or past
-	// the confirmed index. No log append, no disk write.
-	ReadModeIndex ReadMode = 2
-	// ReadModeLease additionally lets the leader answer reads with no
-	// network round while it holds a quorum-granted, time-bounded lease.
-	// Relies on bounded clock-rate skew; off by default.
-	ReadModeLease ReadMode = 3
-)
-
 const (
 	// pendingMaxRetries drops a pending command after this many re-proposals
 	// (an abandoned client).
@@ -171,16 +150,8 @@ func (o Options) withDefaults() Options {
 	if o.DecisionBuffer <= 0 {
 		o.DecisionBuffer = 16384
 	}
-	if o.Reads == 0 {
-		o.Reads = ReadModeIndex
-	}
 	if o.SpeculativeStart == SpecDefault {
 		o.SpeculativeStart = SpecOn
-	}
-	if o.Reads == ReadModeLease {
-		// Every engine this node runs grants leases; the node's wedge
-		// fencing is what keeps them safe across reconfigurations.
-		o.Paxos.EnableLeaseReads = true
 	}
 	return o
 }
@@ -353,11 +324,6 @@ type Node struct {
 	// chunk this node serves: returning modified bytes simulates wire
 	// corruption. Guarded by mu.
 	testChunkHook func(id types.ConfigID, idx int, data []byte) []byte
-	// testNoReadFence, when set by a test (same package), turns off the wedge
-	// fencing of fast-path reads so the test can show the fence is
-	// load-bearing: without it a wedged leader serves pre-wedge state.
-	// Guarded by mu.
-	testNoReadFence bool
 
 	// applyQ carries every engine's decisions to the apply stage; applyBuf is
 	// the batch the apply stage takes from it, guarded by mu.

@@ -1,9 +1,6 @@
 package reconfig
 
-import (
-	"repro/internal/smr"
-	"repro/internal/types"
-)
+import "repro/internal/types"
 
 // This file is the composition half of the linearizable read fast path.
 // The engine half (internal/paxos/read.go) confirms leadership and yields a
@@ -122,9 +119,6 @@ func (n *Node) readFencedLocked(readCfg types.ConfigID) bool {
 	if n.curID != readCfg || !n.initialized {
 		return true
 	}
-	if n.testNoReadFence {
-		return false
-	}
 	_, wedged := n.chain[readCfg]
 	return wedged
 }
@@ -208,16 +202,4 @@ func (n *Node) ageReadWaitersLocked() {
 		keep = append(keep, w)
 	}
 	n.readWaiters = keep
-}
-
-// ReadIndexer returns the current configuration's engine as a ReadIndexer
-// when available (test access).
-func (n *Node) ReadIndexer() (smr.ReadIndexer, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	run, ok := n.engines[n.curID]
-	if !ok {
-		return nil, false
-	}
-	return run.eng, true
 }

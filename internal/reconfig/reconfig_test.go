@@ -955,7 +955,6 @@ func TestOptionsDefaults(t *testing.T) {
 		StaleJumpTicks:     25,
 		GossipTicks:        25,
 		SpeculativeStart:   SpecOn,
-		Reads:              ReadModeIndex,
 		SubmitQueue:        4096,
 		CheckpointInterval: 4096,
 		CheckpointMargin:   512,
@@ -967,9 +966,5 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 	if pendingMaxRetries != 2000 || applyQueueLen != 8192 {
 		t.Fatalf("pendingMaxRetries %d, applyQueueLen %d; want 2000, 8192", pendingMaxRetries, applyQueueLen)
-	}
-	lease := Options{Reads: ReadModeLease}.withDefaults()
-	if !lease.Paxos.EnableLeaseReads || lease.Paxos.LeaseTicks != 0 {
-		t.Fatalf("lease mode: %+v", lease.Paxos)
 	}
 }

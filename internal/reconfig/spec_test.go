@@ -264,7 +264,6 @@ func TestSpeculativeDecidesWhileSourceDead(t *testing.T) {
 // counter must stay zero throughout.
 func TestSpeculativeReadsFencedUntilInstall(t *testing.T) {
 	w := newWorld(t, transport.Options{BaseLatency: 100 * time.Microsecond, Seed: 37})
-	w.opts.Reads = ReadModeIndex
 	w.bootstrap(statemachine.NewKVMachine, "n1", "n2", "n3")
 	w.waitServing("n1", "n2", "n3")
 	w.submit("n1", "writer", 1, statemachine.EncodePut("fence-key", []byte("v1")))

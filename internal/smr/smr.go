@@ -48,9 +48,9 @@ type Engine interface {
 // ReadIndexer is an optional engine capability: linearizable reads without
 // log appends. ReadIndex asks the engine for a slot such that any command
 // chosen before the read was invoked has slot <= index; the engine confirms
-// it still holds leadership (one quorum round, or a valid lease) and then
-// invokes done exactly once. On success err is nil and index is the slot the
-// caller must have applied before answering the read locally. On failure
+// it still holds leadership with one quorum round and then invokes done
+// exactly once. On success err is nil and index is the slot the caller must
+// have applied before answering the read locally. On failure
 // (not leader, deposed mid-round, engine stopped) err is non-nil and the
 // caller falls back to proposing the read through the log.
 //

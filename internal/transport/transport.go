@@ -237,13 +237,6 @@ func (n *Network) Stats() Stats {
 	return out
 }
 
-// ResetStats zeroes the accounting counters (partitions/isolation are kept).
-func (n *Network) ResetStats() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.stats = Stats{PerKind: make(map[uint8]KindStats)}
-}
-
 func pairKey(a, b types.NodeID) [2]types.NodeID {
 	if a > b {
 		a, b = b, a

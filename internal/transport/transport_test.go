@@ -326,21 +326,6 @@ func TestEndpointReuse(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	n := NewNetwork(Options{})
-	defer n.Close()
-	a := n.Endpoint("a")
-	b := n.Endpoint("b")
-	collect(b, 1)
-	_ = a.Send("b", 1, 3, []byte("x"))
-	waitFor(t, func() bool { return n.Stats().Delivered == 1 }, "delivery")
-	n.ResetStats()
-	st := n.Stats()
-	if st.MessagesSent != 0 || len(st.PerKind) != 0 {
-		t.Fatalf("reset failed: %+v", st)
-	}
-}
-
 func TestHandlerReplaceAndRemove(t *testing.T) {
 	n := NewNetwork(Options{})
 	defer n.Close()
