@@ -28,9 +28,8 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 	$(GO) test -run '^$$' -bench StorageBackends -benchtime 2s ./internal/storage/
 
-# R2: speculative vs wait-for-transfer successor start (full member
-# replacement) vs the in-band baseline at 8MB state — time-to-first-decide in
-# c+1 and the commit gap.
+# R2: speculative vs wait-for-transfer successor start, full member
+# replacement at 8MB state — time-to-first-decide in c+1 and the commit gap.
 bench-reconfig:
 	$(GO) run ./cmd/rsmbench -exp reconfig
 
@@ -75,7 +74,13 @@ fmt-check:
 # put on the write path, and what a replica allocates before its first message.
 # bench/ is a nested module (bench/go.mod) that ./... does not descend into;
 # the third line notices a program change that breaks the benchmark's build.
+# The last is CI's rsmbench front door: an unknown ID and the retired f5 exit 2
+# before anything runs (built first: `go run` reports any failing exit as 1).
 ci: vet build examples test race fmt-check
 	$(GO) test -run 'TestLoadedWritePathBytesPerOp' -count=1 ./internal/cluster/
 	$(GO) test -run 'TestReplicaConstructionAllocates' -count=1 ./internal/reconfig/
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
+	@dir=$$(mktemp -d) && $(GO) build -o $$dir/rsmbench ./cmd/rsmbench && \
+	for e in nosuch f5; do rc=0; $$dir/rsmbench -exp $$e 2>/dev/null || rc=$$?; \
+		test $$rc -eq 2 || { echo "rsmbench -exp $$e: exit $$rc, want 2"; exit 1; }; \
+	done; rm -rf $$dir

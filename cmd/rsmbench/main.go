@@ -57,16 +57,16 @@ var experiments = []struct {
 	check bool // a pass/fail correctness check, not a measurement: not in `all`
 	run   func(params) error
 }{
-	{names: []string{"disruption", "t2", "f5"},
-		doc: "T2 + F5: member swap under load, three systems x state size 16KB..8MB, median of 3",
+	{names: []string{"disruption", "t2"},
+		doc: "T2: member swap under load at state size 16KB..8MB, median of 3",
 		run: func(p params) error {
 			return p.show(harness.RunDisruptionSweep(p.tun, []int{16 << 10, 256 << 10, 1 << 20, 8 << 20}, p.dur, p.clients))
 		}},
 	{names: []string{"reconfig"},
-		doc: "R2: speculative vs wait-for-transfer successor start vs in-band, full replacement at 8MB",
+		doc: "R2: speculative vs wait-for-transfer successor start, full replacement at 8MB",
 		run: func(p params) error {
 			// 8MB is the size where the transfer truly gates the successor
-			// and time-to-first-decide separates the designs.
+			// and time-to-first-decide separates the two starts.
 			return p.show(harness.RunR2ReconfigShootout(p.tun, 8<<20, p.dur, p.clients))
 		}},
 	{names: []string{"catchup"},

@@ -42,6 +42,7 @@ func TestBadArgumentsExit2BeforeAnythingRuns(t *testing.T) {
 	for _, args := range [][]string{
 		{"-exp", "reconfig,catchup,typo"},
 		{"-exp", "t1"}, // retired
+		{"-exp", "f5"}, // retired with the in-band baseline
 		{"reconfig"},
 	} {
 		var out, errOut bytes.Buffer
@@ -75,7 +76,7 @@ func TestSelectExperiments(t *testing.T) {
 		t.Fatalf("all = %q", got)
 	}
 	// Older names select the experiment that absorbed them, once.
-	if got := ids("F5,t2,lin"); got != "disruption lin" {
-		t.Fatalf("F5,t2,lin = %q", got)
+	if got := ids("T2,disruption,lin"); got != "disruption lin" {
+		t.Fatalf("T2,disruption,lin = %q", got)
 	}
 }

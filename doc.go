@@ -2,8 +2,7 @@
 // replication from non-reconfigurable building blocks" (Bortnikov, Chockler,
 // Perelman, Roytman, Shachor, Shnayderman; PODC 2012) as a complete Go
 // library: a reconfigurable SMR service composed from chained static
-// Multi-Paxos engines, two baselines (stop-the-world and in-band α-window
-// reconfiguration), the full substrate they run on (simulated network,
+// Multi-Paxos engines, the full substrate it runs on (simulated network,
 // stable storage, deterministic state machines, client sessions), and a
 // harness regenerating the experiments of EXPERIMENTS.md that still run.
 //

@@ -64,10 +64,7 @@ type Config struct {
 func FastOptions() reconfig.Options {
 	return reconfig.Options{
 		Paxos: paxos.Options{
-			TickInterval:         time.Millisecond,
-			HeartbeatEveryTicks:  2,
-			ElectionTimeoutTicks: 10,
-			ElectionJitterTicks:  10,
+			TickInterval: time.Millisecond,
 		},
 		RetryInterval:  10 * time.Millisecond,
 		LingerOld:      500 * time.Millisecond,

@@ -19,6 +19,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/statemachine"
 	"repro/internal/types"
 )
@@ -64,7 +65,7 @@ func RunK1Catchup(tuning Tuning, stateBytes, lagSlots, clients int) (K1Result, e
 func runK1Arm(t Tuning, stateBytes, lagSlots, clients int) (K1Row, error) {
 	var row K1Row
 	members := nodeNames("n", 3)
-	dep, err := newComposed(t, statemachine.NewKVMachine, members, nil)
+	dep, err := deploy(t, statemachine.NewKVMachine, members, nil)
 	if err != nil {
 		return row, err
 	}
@@ -132,9 +133,9 @@ func runK1Arm(t Tuning, stateBytes, lagSlots, clients int) (K1Row, error) {
 }
 
 // k1Drive runs closed-loop writers against the surviving members only (the
-// victim is unreachable; routing through Deployment.Submit would waste half
+// victim is unreachable; routing through the cluster's Submit would waste half
 // the client time on timeouts) until their applied slot reaches target.
-func k1Drive(dep *composedDep, survivors []types.NodeID, clients int, target types.Slot, timeout time.Duration) error {
+func k1Drive(dep *cluster.Cluster, survivors []types.NodeID, clients int, target types.Slot, timeout time.Duration) error {
 	if clients < 1 {
 		clients = 1
 	}
@@ -183,7 +184,7 @@ func k1Drive(dep *composedDep, survivors []types.NodeID, clients int, target typ
 }
 
 // k1Tip is the highest applied slot over the given nodes.
-func k1Tip(dep *composedDep, ids []types.NodeID) types.Slot {
+func k1Tip(dep *cluster.Cluster, ids []types.NodeID) types.Slot {
 	var tip types.Slot
 	for _, id := range ids {
 		if n := dep.Node(0, id); n != nil {
@@ -197,7 +198,7 @@ func k1Tip(dep *composedDep, ids []types.NodeID) types.Slot {
 
 // k1Settle waits (bounded) for every survivor to apply the same slot after
 // load stops, so "caught up" is a fixed post — not a moving tip.
-func k1Settle(dep *composedDep, ids []types.NodeID, timeout time.Duration) types.Slot {
+func k1Settle(dep *cluster.Cluster, ids []types.NodeID, timeout time.Duration) types.Slot {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
 		lo, hi := types.Slot(1<<62), types.Slot(0)
@@ -219,7 +220,7 @@ func k1Settle(dep *composedDep, ids []types.NodeID, timeout time.Duration) types
 }
 
 // k1WaitApplied polls until the node's applied slot reaches at least target.
-func k1WaitApplied(dep *composedDep, id types.NodeID, target types.Slot, timeout time.Duration) error {
+func k1WaitApplied(dep *cluster.Cluster, id types.NodeID, target types.Slot, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
 		if n := dep.Node(0, id); n != nil {

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/reconfig"
 	"repro/internal/statemachine"
 	"repro/internal/stats"
@@ -85,10 +86,10 @@ func (t *Trace) LatencyWindow(lo, hi time.Time) stats.Summary {
 
 // --- load driving ----------------------------------------------------------------
 
-// runLoad drives `clients` closed-loop workers against dep until ctx is
-// done, recording into trace. Each worker retries its current sequence
+// runLoad drives `clients` closed-loop workers against dep's group 0 until
+// ctx is done, recording into trace. Each worker retries its current sequence
 // number until acknowledged (at-most-once is preserved by the session layer).
-func runLoad(ctx context.Context, dep Deployment, clients int, profile workload.Profile, trace *Trace) {
+func runLoad(ctx context.Context, dep *cluster.Cluster, clients int, profile workload.Profile, trace *Trace) {
 	var wg sync.WaitGroup
 	base := workload.NewGenerator(profile)
 	for i := 0; i < clients; i++ {
@@ -104,7 +105,7 @@ func runLoad(ctx context.Context, dep Deployment, clients int, profile workload.
 				opStart := time.Now()
 				for ctx.Err() == nil {
 					attempt, cancel := context.WithTimeout(ctx, 500*time.Millisecond)
-					_, err := dep.Submit(attempt, clientID, seq, op)
+					_, err := dep.Submit(attempt, 0, clientID, seq, op)
 					cancel()
 					if err == nil {
 						trace.Ack(time.Since(opStart))
@@ -124,7 +125,7 @@ func runLoad(ctx context.Context, dep Deployment, clients int, profile workload.
 
 // preload fills the KV machine with ~bytes of state using large values so
 // the fill itself stays fast; it returns the number of keys written.
-func preload(ctx context.Context, dep Deployment, bytes int) (int, error) {
+func preload(ctx context.Context, dep *cluster.Cluster, bytes int) (int, error) {
 	const valueSize = 8192
 	keys := bytes / valueSize
 	if keys < 1 {
@@ -135,7 +136,7 @@ func preload(ctx context.Context, dep Deployment, bytes int) (int, error) {
 		var err error
 		for attempt := 0; attempt < 100; attempt++ {
 			a, cancel := context.WithTimeout(ctx, time.Second)
-			_, err = dep.Submit(a, "preloader", uint64(i+1), op)
+			_, err = dep.Submit(a, 0, "preloader", uint64(i+1), op)
 			cancel()
 			if err == nil {
 				break
@@ -149,15 +150,15 @@ func preload(ctx context.Context, dep Deployment, bytes int) (int, error) {
 	return keys, nil
 }
 
-// waitWarm blocks until the deployment acknowledges a probe command,
+// waitWarm blocks until group 0 acknowledges a probe command,
 // i.e. a leader exists and the pipeline works.
-func waitWarm(dep Deployment) error {
+func waitWarm(dep *cluster.Cluster) error {
 	deadline := time.Now().Add(15 * time.Second)
 	seq := uint64(0)
 	for time.Now().Before(deadline) {
 		seq++
 		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		_, err := dep.Submit(ctx, "warmup", seq, statemachine.EncodePut("warm", []byte("1")))
+		_, err := dep.Submit(ctx, 0, "warmup", seq, statemachine.EncodePut("warm", []byte("1")))
 		cancel()
 		if err == nil {
 			return nil
@@ -176,11 +177,11 @@ func nodeNames(prefix string, n int) []types.NodeID {
 	return out
 }
 
-// --- T2/F5: reconfiguration disruption ---------------------------------------------
+// --- T2: reconfiguration disruption -------------------------------------------------
 
-// DisruptionResult measures one system's behaviour around a member swap.
+// DisruptionResult measures the composed system's behaviour around a member
+// swap.
 type DisruptionResult struct {
-	System        SystemKind
 	Series        []int64 // acked ops per bin
 	Bin           time.Duration
 	MarkBin       int           // bin index where the reconfiguration was issued
@@ -193,20 +194,19 @@ type DisruptionResult struct {
 	StateKeys     int
 	ApproxStateB  int
 	ViolationsSum int64
-	Transfer      TransferStats // composed only: chunk counters + wedge capture
+	Transfer      TransferStats // chunk counters + wedge capture
 	// TTFD is the time from issuing the reconfiguration to the first moment
 	// any brand-new member learned a decided slot of the successor
-	// configuration — the headline R2 metric. Composed only; TTFDKnown is
-	// false for baselines (no per-config engine to observe) and when the
+	// configuration — the headline R2 metric. TTFDKnown is false when the
 	// swap added no new members.
 	TTFD      time.Duration
 	TTFDKnown bool
 }
 
-// RunDisruption runs one system through: warm-up, optional preload, steady
-// load, a member swap (n3 → s1) at mid-run, more steady load.
-func RunDisruption(kind SystemKind, tuning Tuning, dur time.Duration, clients, stateBytes int) (DisruptionResult, error) {
-	return RunDisruptionTo(kind, tuning, dur, clients, stateBytes,
+// RunDisruption runs the composed system through: warm-up, optional preload,
+// steady load, a member swap (n3 → s1) at mid-run, more steady load.
+func RunDisruption(tuning Tuning, dur time.Duration, clients, stateBytes int) (DisruptionResult, error) {
+	return RunDisruptionTo(tuning, dur, clients, stateBytes,
 		[]types.NodeID{"s1"}, []types.NodeID{"n1", "n2", "s1"})
 }
 
@@ -214,12 +214,12 @@ func RunDisruption(kind SystemKind, tuning Tuning, dur time.Duration, clients, s
 // discards the result. The first multi-megabyte scenario in a process pays a
 // one-time heap-growth/page-zeroing stall (hundreds of milliseconds at 8MB,
 // and it persists under GOGC=off, so it is not collector pacing) that would
-// otherwise land on whichever variant happens to run first in a sweep.
+// otherwise land on whichever run happens to come first in a sweep.
 func WarmHeap(tuning Tuning, stateBytes int) {
 	if stateBytes < 1<<20 {
 		return
 	}
-	_, _ = RunDisruption(Composed, tuning, 500*time.Millisecond, 2, stateBytes)
+	_, _ = RunDisruption(tuning, 500*time.Millisecond, 2, stateBytes)
 }
 
 // medianOf3 runs the scenario three times and returns the middle run under
@@ -253,39 +253,37 @@ func byTTFD(a, b DisruptionResult) bool {
 }
 
 // RunDisruptionMedian returns the median-of-3 disruption run by commit gap.
-func RunDisruptionMedian(kind SystemKind, tuning Tuning, dur time.Duration, clients, stateBytes int) (DisruptionResult, error) {
+func RunDisruptionMedian(tuning Tuning, dur time.Duration, clients, stateBytes int) (DisruptionResult, error) {
 	return medianOf3(byGap, func() (DisruptionResult, error) {
-		return RunDisruption(kind, tuning, dur, clients, stateBytes)
+		return RunDisruption(tuning, dur, clients, stateBytes)
 	})
 }
 
-// DisruptionSweep holds one disruption run per (state size, system).
+// DisruptionSweep holds one disruption run per state size.
 type DisruptionSweep []DisruptionResult
 
-// RunDisruptionSweep is the one sweep behind T2 and F5: the median-of-3
-// member swap of each of the three systems at each preloaded state size,
-// after one discarded warm-up at the largest (last) size.
+// RunDisruptionSweep is the sweep behind T2: the median-of-3 member swap at
+// each preloaded state size, after one discarded warm-up at the largest
+// (last) size.
 func RunDisruptionSweep(tuning Tuning, sizes []int, dur time.Duration, clients int) (DisruptionSweep, error) {
 	WarmHeap(tuning, sizes[len(sizes)-1])
 	var results DisruptionSweep
 	for _, size := range sizes {
-		for _, kind := range []SystemKind{Composed, StopTheWorld, Inband} {
-			res, err := RunDisruptionMedian(kind, tuning, dur, clients, size)
-			if err != nil {
-				return results, err
-			}
-			results = append(results, res)
+		res, err := RunDisruptionMedian(tuning, dur, clients, size)
+		if err != nil {
+			return results, err
 		}
+		results = append(results, res)
 	}
 	return results, nil
 }
 
 // RunDisruptionTo is the general form: spares to start, and the target
 // member set for the mid-run reconfiguration.
-func RunDisruptionTo(kind SystemKind, tuning Tuning, dur time.Duration, clients, stateBytes int, spares, target []types.NodeID) (DisruptionResult, error) {
+func RunDisruptionTo(tuning Tuning, dur time.Duration, clients, stateBytes int, spares, target []types.NodeID) (DisruptionResult, error) {
 	runtime.GC() // level the heap between experiment runs
 	initial := nodeNames("n", 3)
-	dep, err := NewDeployment(kind, tuning, statemachine.NewKVMachine, initial, spares)
+	dep, err := deploy(tuning, statemachine.NewKVMachine, initial, spares)
 	if err != nil {
 		return DisruptionResult{}, err
 	}
@@ -315,7 +313,7 @@ func RunDisruptionTo(kind SystemKind, tuning Tuning, dur time.Duration, clients,
 
 	time.Sleep(dur / 2)
 	recStart := time.Now()
-	rerr := dep.Reconfigure(context.Background(), target)
+	_, rerr := dep.Reconfigure(context.Background(), 0, target)
 	recTook := time.Since(recStart)
 	wg.Wait()
 	cancel()
@@ -325,7 +323,6 @@ func RunDisruptionTo(kind SystemKind, tuning Tuning, dur time.Duration, clients,
 
 	const bin = 10 * time.Millisecond
 	res := DisruptionResult{
-		System:        kind,
 		Series:        trace.Series(bin),
 		Bin:           bin,
 		MarkBin:       int(recStart.Sub(trace.Start()) / bin),
@@ -337,48 +334,44 @@ func RunDisruptionTo(kind SystemKind, tuning Tuning, dur time.Duration, clients,
 		Retries:       trace.Retries(),
 		StateKeys:     keys,
 		ApproxStateB:  stateBytes,
-		ViolationsSum: dep.Violations(),
+		ViolationsSum: dep.TotalViolations(),
+		Transfer:      transferStats(dep),
 	}
-	if cd, ok := dep.(*composedDep); ok {
-		res.Transfer = cd.TransferStats()
-		// Time-to-first-decide in the successor configuration, measured at
-		// the brand-new members. The decision-routing timestamp is recorded
-		// identically under SpecOn and SpecOff, so the comparison is fair:
-		// without speculation a joiner's engine only exists after install,
-		// which is exactly the latency the metric is meant to expose.
-		var joiners []types.NodeID
-		known := map[types.NodeID]bool{}
-		for _, id := range initial {
-			known[id] = true
-		}
-		newID := types.ConfigID(0)
-		for _, id := range target {
-			if !known[id] {
-				joiners = append(joiners, id)
-				if n := cd.Node(0, id); n != nil {
-					if cfg := n.CurrentConfig(); cfg.ID > newID {
-						newID = cfg.ID
-					}
+	// Time-to-first-decide in the successor configuration, measured at the
+	// brand-new members. The decision-routing timestamp is recorded
+	// identically under SpecOn and SpecOff, so the comparison is fair:
+	// without speculation a joiner's engine only exists after install, which
+	// is exactly the latency the metric is meant to expose.
+	var joiners []types.NodeID
+	known := map[types.NodeID]bool{}
+	for _, id := range initial {
+		known[id] = true
+	}
+	newID := types.ConfigID(0)
+	for _, id := range target {
+		if !known[id] {
+			joiners = append(joiners, id)
+			if n := dep.Node(0, id); n != nil {
+				if cfg := n.CurrentConfig(); cfg.ID > newID {
+					newID = cfg.ID
 				}
 			}
 		}
-		if len(joiners) > 0 && newID > 0 {
-			if at, ok := cd.FirstDecideIn(joiners, newID); ok {
-				res.TTFD = at.Sub(recStart)
-				res.TTFDKnown = true
-			}
+	}
+	if len(joiners) > 0 && newID > 0 {
+		if at, ok := firstDecideIn(dep, joiners, newID); ok {
+			res.TTFD = at.Sub(recStart)
+			res.TTFDKnown = true
 		}
 	}
 	return res, nil
 }
 
-// --- R2: reconfig-latency shootout (speculative vs wait-for-transfer vs inband) -----
+// --- R2: reconfig-latency shootout (speculative vs wait-for-transfer) -----------
 
 // R2Row is one variant of the reconfiguration-latency shootout.
 type R2Row struct {
-	System       SystemKind
-	Speculative  bool // composed only
-	FullReplace  bool // every successor member is brand new
+	Speculative  bool
 	TTFD         time.Duration
 	TTFDKnown    bool
 	ReconfigTook time.Duration
@@ -386,8 +379,8 @@ type R2Row struct {
 	DipDepth     float64       // fraction of steady throughput lost at the trough
 	DipDur       time.Duration // contiguous window below half the steady rate
 	Retries      int64         // client-side re-submissions over the run
-	Resubmits    int64         // composed only: server-side pending re-proposals
-	SpecDecides  int64         // composed only: decisions learned before install
+	Resubmits    int64         // server-side pending re-proposals
+	SpecDecides  int64         // decisions learned before install
 	Throughput   float64
 }
 
@@ -441,54 +434,33 @@ func dipStats(series []int64, bin time.Duration, markBin int) (depth float64, du
 }
 
 // RunR2ReconfigShootout is the flagship head-to-head reconfiguration-latency
-// experiment: composed with speculative start, composed with the
-// wait-for-transfer ablation (Options.SpeculativeStart = SpecOff), and the
-// in-band baseline, at one preloaded state size. The composed variants run a
-// FULL member replacement (every successor member brand new), the scenario
-// where nothing can execute in c+1 until a joiner holds the state — so
-// time-to-first-decide isolates exactly what speculation buys. The in-band
-// baseline cannot replace its whole member set (new members catch up by
-// replaying the shared log from surviving members; no out-of-band snapshot
-// path exists), so its row is the T2-style single swap n3 → s1 — a strictly
-// easier scenario, noted in the rendered table.
+// experiment: the composed system with speculative start against its
+// wait-for-transfer ablation (Options.SpeculativeStart = SpecOff), at one
+// preloaded state size. Both run a FULL member replacement (every successor
+// member brand new), the scenario where nothing can execute in c+1 until a
+// joiner holds the state — so time-to-first-decide isolates exactly what
+// speculation buys.
 //
 // Each variant reports the median-of-3 run (by TTFD where measurable, else by
 // commit gap), damping scheduler noise in the headline numbers.
 func RunR2ReconfigShootout(tuning Tuning, stateBytes int, dur time.Duration, clients int) (R2Result, error) {
 	WarmHeap(tuning, stateBytes)
 	res := R2Result{StateBytes: stateBytes}
-	fullSpares := []types.NodeID{"s1", "s2", "s3"}
-	swapSpares := []types.NodeID{"s1"}
-	swapTarget := []types.NodeID{"n1", "n2", "s1"}
-	variants := []struct {
-		kind SystemKind
-		spec bool
-		full bool
-	}{
-		{Composed, true, true},
-		{Composed, false, true},
-		{Inband, false, false},
-	}
-	for _, v := range variants {
+	members := []types.NodeID{"s1", "s2", "s3"}
+	for _, spec := range []bool{true, false} {
 		t := tuning
-		if v.kind == Composed && !v.spec {
+		if !spec {
 			t.Node.SpeculativeStart = reconfig.SpecOff
 		}
-		spares, target := fullSpares, fullSpares
-		if !v.full {
-			spares, target = swapSpares, swapTarget
-		}
 		r, err := medianOf3(byTTFD, func() (DisruptionResult, error) {
-			return RunDisruptionTo(v.kind, t, dur, clients, stateBytes, spares, target)
+			return RunDisruptionTo(t, dur, clients, stateBytes, members, members)
 		})
 		if err != nil {
-			return res, fmt.Errorf("r2 %s spec=%v: %w", v.kind, v.spec, err)
+			return res, fmt.Errorf("r2 spec=%v: %w", spec, err)
 		}
 		depth, ddur := dipStats(r.Series, r.Bin, r.MarkBin)
 		res.Rows = append(res.Rows, R2Row{
-			System:       v.kind,
-			Speculative:  v.spec,
-			FullReplace:  v.full,
+			Speculative:  spec,
 			TTFD:         r.TTFD,
 			TTFDKnown:    r.TTFDKnown,
 			ReconfigTook: r.ReconfigTook,

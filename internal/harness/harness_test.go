@@ -20,62 +20,57 @@ func shortTuning() Tuning {
 }
 
 func TestDeploymentsServeAllKinds(t *testing.T) {
-	for _, kind := range []SystemKind{Composed, StopTheWorld, Inband} {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
-			dep, err := NewDeployment(kind, shortTuning(), statemachine.NewKVMachine,
-				nodeNames("n", 3), []types.NodeID{"s1"})
-			if err != nil {
-				t.Fatal(err)
+	t.Run("composed", func(t *testing.T) {
+		dep, err := deploy(shortTuning(), statemachine.NewKVMachine,
+			nodeNames("n", 3), []types.NodeID{"s1"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer dep.Close()
+		if err := waitWarm(dep); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if _, err := dep.Submit(ctx, 0, "c", 1, statemachine.EncodePut("k", []byte("v"))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dep.Reconfigure(ctx, 0, []types.NodeID{"n1", "n2", "s1"}); err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, m := range dep.Members(0) {
+			if m == "s1" {
+				found = true
 			}
-			defer dep.Close()
-			if err := waitWarm(dep); err != nil {
-				t.Fatal(err)
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			if _, err := dep.Submit(ctx, "c", 1, statemachine.EncodePut("k", []byte("v"))); err != nil {
-				t.Fatal(err)
-			}
-			// Member swap works on every system.
-			if err := dep.Reconfigure(ctx, []types.NodeID{"n1", "n2", "s1"}); err != nil {
-				t.Fatal(err)
-			}
-			members := dep.Members()
-			found := false
-			for _, m := range members {
-				if m == "s1" {
-					found = true
+		}
+		if !found {
+			t.Fatalf("members after swap: %v", dep.Members(0))
+		}
+		// State survived the swap.
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			a, cancel2 := context.WithTimeout(ctx, time.Second)
+			reply, err := dep.Submit(a, 0, "c", 2, statemachine.EncodeGet("k"))
+			cancel2()
+			if err == nil {
+				if string(statemachine.ReplyPayload(reply)) != "v" {
+					t.Fatalf("state lost: %q", statemachine.ReplyPayload(reply))
 				}
+				break
 			}
-			if !found {
-				t.Fatalf("members after swap: %v", members)
+			if time.Now().After(deadline) {
+				t.Fatalf("never served after swap: %v", err)
 			}
-			// State survived the swap.
-			deadline := time.Now().Add(10 * time.Second)
-			for {
-				a, cancel2 := context.WithTimeout(ctx, time.Second)
-				reply, err := dep.Submit(a, "c", 2, statemachine.EncodeGet("k"))
-				cancel2()
-				if err == nil {
-					if string(statemachine.ReplyPayload(reply)) != "v" {
-						t.Fatalf("state lost: %q", statemachine.ReplyPayload(reply))
-					}
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("never served after swap: %v", err)
-				}
-			}
-			if v := dep.Violations(); v != 0 {
-				t.Fatalf("violations: %d", v)
-			}
-		})
-	}
+		}
+		if v := dep.TotalViolations(); v != 0 {
+			t.Fatalf("violations: %d", v)
+		}
+	})
 }
 
 func TestRunLoadProducesTrace(t *testing.T) {
-	dep, err := NewDeployment(Composed, shortTuning(), statemachine.NewKVMachine, nodeNames("n", 3), nil)
+	dep, err := deploy(shortTuning(), statemachine.NewKVMachine, nodeNames("n", 3), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +97,7 @@ func TestRunLoadProducesTrace(t *testing.T) {
 }
 
 func TestPreloadFillsState(t *testing.T) {
-	dep, err := NewDeployment(Composed, shortTuning(), statemachine.NewKVMachine, nodeNames("n", 3), nil)
+	dep, err := deploy(shortTuning(), statemachine.NewKVMachine, nodeNames("n", 3), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +114,7 @@ func TestPreloadFillsState(t *testing.T) {
 	if keys < 8 {
 		t.Fatalf("keys %d", keys)
 	}
-	reply, err := dep.Submit(ctx, "check", 1, statemachine.EncodeSize())
+	reply, err := dep.Submit(ctx, 0, "check", 1, statemachine.EncodeSize())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,27 +128,26 @@ func TestRunDisruptionSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test")
 	}
-	for _, kind := range []SystemKind{Composed, StopTheWorld, Inband} {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
-			res, err := RunDisruption(kind, shortTuning(), 1200*time.Millisecond, 2, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Throughput <= 0 {
-				t.Fatal("no throughput")
-			}
-			if res.ViolationsSum != 0 {
-				t.Fatalf("violations %d", res.ViolationsSum)
-			}
-			if res.Gap <= 0 {
-				t.Fatal("gap not measured")
-			}
-			if res.System != kind {
-				t.Fatalf("system %s", res.System)
-			}
-		})
-	}
+	t.Run("composed", func(t *testing.T) {
+		res, err := RunDisruption(shortTuning(), 1200*time.Millisecond, 2, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Throughput <= 0 {
+			t.Fatal("no throughput")
+		}
+		if res.ViolationsSum != 0 {
+			t.Fatalf("violations %d", res.ViolationsSum)
+		}
+		if res.Gap <= 0 {
+			t.Fatal("gap not measured")
+		}
+		// The swap n3 -> s1 brings in one new member, whose first decide in
+		// the successor configuration is the TTFD.
+		if !res.TTFDKnown || res.TTFD <= 0 {
+			t.Fatalf("ttfd not measured: %+v", res)
+		}
+	})
 }
 
 func TestSparklineAndTable(t *testing.T) {
@@ -163,17 +157,11 @@ func TestSparklineAndTable(t *testing.T) {
 	}
 }
 
-func TestSystemKindString(t *testing.T) {
-	if Composed.String() != "composed" || StopTheWorld.String() != "stop-the-world" || Inband.String() != "inband" {
-		t.Fatal("kind strings")
-	}
-}
-
 func TestRunDisruptionMedianSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test")
 	}
-	res, err := RunDisruptionMedian(Composed, shortTuning(), 900*time.Millisecond, 2, 0)
+	res, err := RunDisruptionMedian(shortTuning(), 900*time.Millisecond, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

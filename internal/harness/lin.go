@@ -17,10 +17,9 @@ import (
 	"repro/internal/types"
 )
 
-// composedNemesis adapts the composed deployment to the nemesis fault
-// surface. Only the composed system supports the full mix (crash-restart
-// needs per-node reboot over the same store).
-type composedNemesis struct{ d *composedDep }
+// composedNemesis adapts the composed system's group 0 to the nemesis fault
+// surface.
+type composedNemesis struct{ d *cluster.Cluster }
 
 func (c composedNemesis) Partition(sides ...[]types.NodeID) { c.d.Network().Partition(sides...) }
 func (c composedNemesis) Isolate(id types.NodeID)           { c.d.Network().Isolate(id) }
@@ -34,7 +33,8 @@ func (c composedNemesis) CrashRestart(_ context.Context, id types.NodeID) error 
 func (c composedNemesis) Reconfigure(ctx context.Context, members []types.NodeID) error {
 	attempt, cancel := context.WithTimeout(ctx, 8*time.Second)
 	defer cancel()
-	return c.d.Reconfigure(attempt, members)
+	_, err := c.d.Reconfigure(attempt, 0, members)
+	return err
 }
 
 func (c composedNemesis) Leader() types.NodeID { return c.d.Leader(0) }
@@ -73,7 +73,7 @@ func RunLin(tun Tuning, seed int64, dur time.Duration, clients int) (LinResult, 
 	res := LinResult{Seed: seed, Duration: dur, Clients: clients}
 	pool := []types.NodeID{"n1", "n2", "n3", "n4", "n5"}
 	initial, spares := pool[:3], pool[3:]
-	dep, err := newComposed(tun, statemachine.NewKVMachine, initial, spares)
+	dep, err := deploy(tun, statemachine.NewKVMachine, initial, spares)
 	if err != nil {
 		return res, err
 	}
@@ -102,7 +102,7 @@ func RunLin(tun Tuning, seed int64, dur time.Duration, clients int) (LinResult, 
 						return // else leave pending; Drain marks it ambiguous
 					}
 					ctx, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
-					reply, err := dep.Submit(ctx, clientID, seq, op)
+					reply, err := dep.Submit(ctx, 0, clientID, seq, op)
 					cancel()
 					if err == nil {
 						rec.Ok(h, reply)
@@ -130,7 +130,7 @@ func RunLin(tun Tuning, seed int64, dur time.Duration, clients int) (LinResult, 
 	wg.Wait()
 	rec.Drain()
 	res.OkOps, res.InfoOps, res.FailOps = rec.Counts()
-	res.FastReads, _, res.Fenced, res.Dropped = dep.ReadStats()
+	res.FastReads, res.Fenced, res.Dropped = readStats(dep)
 
 	chk := lincheck.CheckHistory(lincheck.RegisterModel(), rec.Ops(), lincheck.Options{
 		Timeout: 30 * time.Second,

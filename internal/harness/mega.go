@@ -107,7 +107,7 @@ func runMegaArm(tun Tuning, cfg megaCfg) (MegaStats, error) {
 	}
 	pool := nodeNames("n", 5)
 	initial := pool[:3]
-	dep, err := newComposed(tun, statemachine.NewKVMachine, initial, pool[3:])
+	dep, err := deploy(tun, statemachine.NewKVMachine, initial, pool[3:])
 	if err != nil {
 		return out, err
 	}
@@ -186,7 +186,7 @@ func runMegaArm(tun Tuning, cfg megaCfg) (MegaStats, error) {
 				pool[(2*step+2)%len(pool)],
 			}
 			rctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			if err := dep.Reconfigure(rctx, members); err != nil {
+			if _, err := dep.Reconfigure(rctx, 0, members); err != nil {
 				out.ReconfigErrs++
 			} else {
 				out.Reconfigs++
@@ -289,7 +289,7 @@ func runMegaArm(tun Tuning, cfg megaCfg) (MegaStats, error) {
 		}
 		out.DroppedInbound += st.DroppedInbound
 	}
-	out.Violations = dep.Violations()
+	out.Violations = dep.TotalViolations()
 	return out, nil
 }
 

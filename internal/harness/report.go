@@ -43,13 +43,11 @@ func renderTable(header []string, rows [][]string) string {
 
 func fmtDur(d time.Duration) string { return d.Round(100 * time.Microsecond).String() }
 
-// Render formats the sweep twice: every run as the T2 table, then the
-// composed and in-band runs as the F5 crossover.
+// Render formats the sweep as the T2 table.
 func (s DisruptionSweep) Render() string {
-	var t2, f5 [][]string
+	var t2 [][]string
 	for _, r := range s {
 		t2 = append(t2, []string{
-			r.System.String(),
 			fmt.Sprintf("%d", r.ApproxStateB),
 			fmtDur(r.ReconfigTook),
 			fmtDur(r.Gap),
@@ -58,36 +56,18 @@ func (s DisruptionSweep) Render() string {
 			fmt.Sprintf("%d", r.Transfer.ChunksFetched),
 			fmtDur(r.Transfer.MaxWedgeCapture),
 		})
-		if r.System != StopTheWorld {
-			f5 = append(f5, []string{
-				fmt.Sprintf("%d", r.ApproxStateB),
-				r.System.String(),
-				fmtDur(r.Gap),
-				fmtDur(r.ReconfigTook),
-			})
-		}
 	}
 	return "T2: reconfiguration disruption (member swap under load)\n" +
-		renderTable([]string{"system", "state(B)", "reconfig", "max-gap", "ops/s", "retries", "chunks", "wedge-cap"}, t2) +
-		"\nF5: disruption vs state size — composed vs in-band (crossover)\n" +
-		renderTable([]string{"state(B)", "system", "max-gap", "reconfig"}, f5)
+		renderTable([]string{"state(B)", "reconfig", "max-gap", "ops/s", "retries", "chunks", "wedge-cap"}, t2)
 }
 
 // Render formats the R2 shootout.
 func (r R2Result) Render() string {
 	rows := make([][]string, 0, len(r.Rows))
 	for _, row := range r.Rows {
-		variant := row.System.String()
-		if row.System == Composed {
-			if row.Speculative {
-				variant += "/spec"
-			} else {
-				variant += "/wait"
-			}
-		}
-		scenario := "swap"
-		if row.FullReplace {
-			scenario = "full-replace"
+		variant := "composed/wait"
+		if row.Speculative {
+			variant = "composed/spec"
 		}
 		ttfd := "n/a"
 		if row.TTFDKnown {
@@ -95,7 +75,6 @@ func (r R2Result) Render() string {
 		}
 		rows = append(rows, []string{
 			variant,
-			scenario,
 			ttfd,
 			fmtDur(row.ReconfigTook),
 			fmtDur(row.Gap),
@@ -106,8 +85,8 @@ func (r R2Result) Render() string {
 			fmt.Sprintf("%.0f", row.Throughput),
 		})
 	}
-	return fmt.Sprintf("R2: reconfiguration-latency shootout at %dB state (median of 3; inband row is a single swap — it cannot full-replace)\n", r.StateBytes) +
-		renderTable([]string{"variant", "scenario", "ttfd", "reconfig", "max-gap", "dip", "dip-dur", "retries", "spec-dec", "ops/s"}, rows)
+	return fmt.Sprintf("R2: reconfiguration-latency shootout at %dB state, full member replacement (median of 3)\n", r.StateBytes) +
+		renderTable([]string{"variant", "ttfd", "reconfig", "max-gap", "dip", "dip-dur", "retries", "spec-dec", "ops/s"}, rows)
 }
 
 // Render formats the K1 catch-up shootout.

@@ -184,3 +184,39 @@ func TestOptionsDefaults(t *testing.T) {
 		t.Fatalf("defaults: %+v", o)
 	}
 }
+
+// TestElectionDeadlineBand pins the engine's election timing: the lexically
+// smallest member competes on its first tick, and every other deadline is a
+// draw from [10, 20] ticks that reaches both ends of the band.
+func TestElectionDeadlineBand(t *testing.T) {
+	net := transport.NewNetwork(transport.Options{})
+	t.Cleanup(net.Close)
+	cfg := types.MustConfig(1, "n1", "n2", "n3")
+	lo, hi := electionTimeoutTicks+electionJitterTicks, 0
+	for seed := int64(0); seed < 200; seed++ {
+		for _, id := range cfg.Members {
+			r, err := New(cfg, id, net.Endpoint(id), storage.NewMem(), 1, fastOpts(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.armFirstElection()
+			if id == cfg.Members[0] {
+				if r.electionDeadline != 1 {
+					t.Fatalf("seed %d: %s's first deadline %d, want 1", seed, id, r.electionDeadline)
+				}
+				r.resetElectionDeadline()
+			}
+			for i := 0; i < 5; i++ {
+				d := r.electionDeadline
+				if d < 10 || d > 20 {
+					t.Fatalf("seed %d: %s's deadline %d outside [10, 20]", seed, id, d)
+				}
+				lo, hi = min(lo, d), max(hi, d)
+				r.resetElectionDeadline()
+			}
+		}
+	}
+	if lo != 10 || hi != 20 {
+		t.Fatalf("deadlines spanned [%d, %d], want [10, 20]", lo, hi)
+	}
+}

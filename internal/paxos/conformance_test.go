@@ -12,7 +12,7 @@ import (
 	"repro/internal/types"
 )
 
-// cleanNet is the benign network the baseline conformance runs use.
+// cleanNet is the benign network the plain conformance runs use.
 var cleanNet = transport.Options{
 	BaseLatency: 100 * time.Microsecond,
 	Jitter:      100 * time.Microsecond,
@@ -67,10 +67,7 @@ func factoryWithStore(netOpts transport.Options, newStore func(t *testing.T, id 
 		engines := make(map[types.NodeID]smr.Engine, len(members))
 		for _, id := range members {
 			rep, err := paxos.New(cfg, id, net.Endpoint(id), newStore(t, id), 1, paxos.Options{
-				TickInterval:         time.Millisecond,
-				HeartbeatEveryTicks:  2,
-				ElectionTimeoutTicks: 10,
-				ElectionJitterTicks:  10,
+				TickInterval: time.Millisecond,
 				// The conformance suite observes raw decisions, one per
 				// proposed command; batching would deliver CmdBatch
 				// envelopes (unpacked only by the composition layers).

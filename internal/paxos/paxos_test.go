@@ -29,11 +29,8 @@ type testCluster struct {
 
 func fastOpts(seed int64) Options {
 	return Options{
-		TickInterval:         time.Millisecond,
-		HeartbeatEveryTicks:  2,
-		ElectionTimeoutTicks: 10,
-		ElectionJitterTicks:  10,
-		Seed:                 seed,
+		TickInterval: time.Millisecond,
+		Seed:         seed,
 		// Engine-level tests observe raw decisions, one per proposed
 		// command; batching tests override this explicitly.
 		BatchSize: 1,

@@ -701,16 +701,24 @@ func (r *Replica) onHeartbeat(msg heartbeatMsg) {
 
 // sendHeartbeat broadcasts the leader's beacon and restarts its countdown.
 func (r *Replica) sendHeartbeat() {
-	r.hbCountdown = r.opts.HeartbeatEveryTicks
+	r.hbCountdown = heartbeatEveryTicks
 	r.broadcast(KindHeartbeat, encodeHeartbeat(heartbeatMsg{Ballot: r.ballot, Decided: r.deliverNext - 1}))
 }
 
+// The engine's timing, in ticks of Options.TickInterval. A leader beacons
+// every heartbeatEveryTicks; a follower that hears nothing for
+// electionTimeoutTicks plus a uniform draw from [0, electionJitterTicks]
+// competes for leadership, the jitter keeping proposers from duelling.
 // resendTicks is how long a candidate or leader waits for an answer before it
-// sends a prepare, accept or read probe again. Five ticks is several round
-// trips on every fabric the engine runs on (a tick is at least 1 ms) and half
-// the default election timeout, so one lost message costs a retransmission,
-// not an election.
-const resendTicks = 5
+// sends a prepare, accept or read probe again: several round trips on every
+// fabric the engine runs on (a tick is at least 1 ms) and half the election
+// timeout, so one lost message costs a retransmission, not an election.
+const (
+	heartbeatEveryTicks  = 2
+	electionTimeoutTicks = 10
+	electionJitterTicks  = 10
+	resendTicks          = 5
+)
 
 func (r *Replica) tick() {
 	switch r.role {

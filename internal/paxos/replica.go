@@ -20,14 +20,6 @@ import (
 type Options struct {
 	// TickInterval is the engine's timer granularity. Default 2ms.
 	TickInterval time.Duration
-	// HeartbeatEveryTicks is how often the leader beacons. Default 2.
-	HeartbeatEveryTicks int
-	// ElectionTimeoutTicks is the ticks without a heartbeat before a
-	// follower competes for leadership. Default 10.
-	ElectionTimeoutTicks int
-	// ElectionJitterTicks adds uniform random ticks to the election
-	// timeout to avoid dueling proposers. Default 10.
-	ElectionJitterTicks int
 	// BatchSize is the maximum number of queued commands a leader packs
 	// into one consensus slot. Default 16, the winner of A1's follow-up
 	// sweep on the durable WAL backend (batching decides how many commands
@@ -40,15 +32,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.TickInterval <= 0 {
 		o.TickInterval = 2 * time.Millisecond
-	}
-	if o.HeartbeatEveryTicks <= 0 {
-		o.HeartbeatEveryTicks = 2
-	}
-	if o.ElectionTimeoutTicks <= 0 {
-		o.ElectionTimeoutTicks = 10
-	}
-	if o.ElectionJitterTicks <= 0 {
-		o.ElectionJitterTicks = 10
 	}
 	if o.BatchSize <= 0 {
 		o.BatchSize = 16
@@ -552,14 +535,7 @@ func (r *Replica) loop() {
 	ticker := time.NewTicker(r.opts.TickInterval)
 	defer ticker.Stop()
 
-	// The lexically smallest member starts an election on its first tick
-	// so fresh configurations get a leader without waiting out a timeout;
-	// everyone else uses the randomized timeout.
-	if r.cfg.Members[0] == r.self {
-		r.electionDeadline = 1
-	} else {
-		r.resetElectionDeadline()
-	}
+	r.armFirstElection()
 
 	// Redeliver the recovered decided prefix to the application. Not all of
 	// what recover read need be stable yet — a predecessor stopped in this
@@ -750,8 +726,20 @@ func (r *Replica) prepareFrom() types.Slot {
 	return r.stableNext
 }
 
+// armFirstElection sets the deadline of the replica's first election. The
+// lexically smallest member starts an election on its first tick so fresh
+// configurations get a leader without waiting out a timeout; everyone else
+// uses the randomized timeout.
+func (r *Replica) armFirstElection() {
+	if r.cfg.Members[0] == r.self {
+		r.electionDeadline = 1
+	} else {
+		r.resetElectionDeadline()
+	}
+}
+
 func (r *Replica) resetElectionDeadline() {
-	r.electionDeadline = r.opts.ElectionTimeoutTicks + r.rng.Intn(r.opts.ElectionJitterTicks+1)
+	r.electionDeadline = electionTimeoutTicks + r.rng.Intn(electionJitterTicks+1)
 	r.ticksSinceHB = 0
 }
 

@@ -51,7 +51,7 @@ type Options struct {
 	// replies gated until the apply point passes the snapshot's base
 	// index). SpecDefault normalizes to SpecOn; SpecOff delays the engine
 	// until the initial state is installed — the wait-for-transfer
-	// ablation for experiments F2/F5/R2.
+	// ablation of experiment R2.
 	SpeculativeStart SpecMode
 	// SubmitQueue bounds how many distinct client commands may be pending
 	// (admitted but not yet applied) on this node at once — the admission

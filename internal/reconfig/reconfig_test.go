@@ -35,10 +35,7 @@ type world struct {
 func fastNodeOpts() Options {
 	return Options{
 		Paxos: paxos.Options{
-			TickInterval:         time.Millisecond,
-			HeartbeatEveryTicks:  2,
-			ElectionTimeoutTicks: 10,
-			ElectionJitterTicks:  10,
+			TickInterval: time.Millisecond,
 		},
 		RetryInterval:  10 * time.Millisecond,
 		LingerOld:      300 * time.Millisecond,

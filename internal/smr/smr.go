@@ -1,7 +1,6 @@
 // Package smr defines the engine-neutral interface between a state machine
-// replication engine (the "non-reconfigurable building block") and the layers
-// above it: the composition layer (internal/reconfig), the baselines and the
-// harness.
+// replication engine (the "non-reconfigurable building block") and the layer
+// above it, the composition layer (internal/reconfig).
 //
 // The reconfigurable SMR of the paper treats the engine strictly as a black
 // box: it proposes commands, consumes the gap-free, in-order decision stream,

@@ -1,9 +1,9 @@
-// Package smrtest is a reusable conformance suite for smr.Engine
-// implementations. Both engines in this repository — the static Paxos
-// building block and the in-band α-window baseline — must satisfy the same
-// observable contract: gap-free in-order decision delivery, agreement across
-// replicas, progress from any proposer, and clean stop semantics. Their test
-// packages invoke Run with a builder.
+// Package smrtest is a conformance suite for smr.Engine implementations: the
+// observable contract the composition layer relies on — gap-free in-order
+// decision delivery, agreement across replicas, progress from any proposer,
+// and clean stop semantics — stated once, independent of any engine's
+// internals. The static Paxos building block's tests invoke Run with a
+// builder.
 package smrtest
 
 import (
@@ -118,8 +118,7 @@ func (c *collector) verify(t *testing.T) {
 // deadlineScale stretches the conformance deadlines on starved runners.
 // The adversarial suites retransmit their way through 3% loss and heavy
 // jitter; under the race detector's ~10x slowdown on a single-core runner
-// the in-band engine has blown the flat 20s agreement deadline (CHANGES.md
-// PR 5 "Known"). GOMAXPROCS is the signal available here for "every engine
+// an engine can blow a flat 20s agreement deadline. GOMAXPROCS is the signal available here for "every engine
 // goroutine is time-slicing one core", so deadlines scale up when it is
 // small instead of being tuned to the fastest machine that ever passed.
 // The timeouts only bound how long a *stuck* run burns before failing —

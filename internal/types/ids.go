@@ -1,6 +1,6 @@
 // Package types defines the identifiers, commands, configurations and binary
 // codecs shared by every layer of the reconfigurable SMR stack: the transport,
-// the static Paxos engine, the composition layer, the baselines and clients.
+// the static Paxos engine, the composition layer and clients.
 //
 // The package is deliberately dependency-free (stdlib only) so that every
 // other internal package can import it without cycles.
