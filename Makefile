@@ -72,13 +72,16 @@ fmt-check:
 # The first two recipe lines are CI's allocation gates as CI runs them (CI's
 # Test step is -short, under which the loaded-path tests only print): bytes per
 # put on the write path, and what a replica allocates before its first message.
-# bench/ is a nested module (bench/go.mod) that ./... does not descend into;
-# the third line notices a program change that breaks the benchmark's build.
+# The third fuzzes RestoreChunk, the one decoder of snapshot bytes from peers,
+# for 10 s. bench/ is a nested module (bench/go.mod) that ./... does not
+# descend into; the fourth line notices a program change that breaks the
+# benchmark's build.
 # The last is CI's rsmbench front door: an unknown ID and the retired f5 exit 2
 # before anything runs (built first: `go run` reports any failing exit as 1).
 ci: vet build examples test race fmt-check
 	$(GO) test -run 'TestLoadedWritePathBytesPerOp' -count=1 ./internal/cluster/
 	$(GO) test -run 'TestReplicaConstructionAllocates' -count=1 ./internal/reconfig/
+	$(GO) test -run '^$$' -fuzz '^FuzzSessionedRestoreChunk$$' -fuzztime 10s ./internal/statemachine/
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
 	@dir=$$(mktemp -d) && $(GO) build -o $$dir/rsmbench ./cmd/rsmbench && \
 	for e in nosuch f5; do rc=0; $$dir/rsmbench -exp $$e 2>/dev/null || rc=$$?; \

@@ -60,17 +60,13 @@ type Config struct {
 }
 
 // FastOptions returns node timing suitable for tests and local experiments:
-// 1ms consensus ticks and aggressive retry/linger intervals.
+// 1ms consensus ticks (the node's retry, linger and fetch timings are
+// constants).
 func FastOptions() reconfig.Options {
 	return reconfig.Options{
 		Paxos: paxos.Options{
 			TickInterval: time.Millisecond,
 		},
-		RetryInterval:  10 * time.Millisecond,
-		LingerOld:      500 * time.Millisecond,
-		FetchTimeout:   150 * time.Millisecond,
-		StaleJumpTicks: 15,
-		GossipTicks:    20,
 	}
 }
 

@@ -235,7 +235,7 @@ func (n *Node) applySegment(machine *statemachine.Sessioned, seg []applyUnit, co
 		cmds[k] = seg[k].cmd
 	}
 	n.execMu.Lock()
-	replies, dups := machine.ApplyBatch(cmds, true)
+	replies, dups := machine.ApplyBatch(cmds)
 	n.execMu.Unlock()
 
 	n.mu.Lock()

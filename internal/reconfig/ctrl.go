@@ -260,7 +260,7 @@ func encodeSnapMeta(m snapMetaReq) []byte {
 
 type snapMetaReply struct {
 	Found  bool
-	Format byte       // statemachine.SnapshotFormat*
+	Format byte       // statemachine.SnapshotFormat
 	Base   types.Slot // log position the snapshot folds in; installer skips slots ≤ Base
 	CRCs   []uint32   // CRC32-C per chunk; len is the chunk count
 	Chunks [][]byte   // leading chunks 0..len-1, within the range byte budget

@@ -26,23 +26,13 @@ import (
 type Options struct {
 	// Paxos configures every static engine this node runs.
 	Paxos paxos.Options
-	// RetryInterval is the period of the node's housekeeping loop:
-	// re-proposing pending commands, retrying snapshot fetches, checking
-	// for stale configurations. Default 20ms.
-	RetryInterval time.Duration
-	// LingerOld is how long a wedged engine keeps running after its
-	// successor activates, so lagging members can still catch up and
-	// learn the wedge from it. Default 1s.
-	LingerOld time.Duration
-	// FetchTimeout bounds one snapshot-fetch RPC attempt. Default 250ms.
-	FetchTimeout time.Duration
 	// StaleJumpTicks is how many housekeeping ticks a node waits for its
 	// own engine to deliver an already-announced wedge before jumping
-	// directly to the successor via state transfer. Default 25.
+	// directly to the successor via state transfer. Default 15.
 	StaleJumpTicks int
 	// GossipTicks is how many housekeeping ticks pass between chain
 	// anti-entropy exchanges with a random known peer, the repair path
-	// for lost announces. Default 25.
+	// for lost announces. Default 20.
 	GossipTicks int
 	// SpeculativeStart controls whether a successor engine boots while the
 	// snapshot is still in flight (the paper's §1 speculative start: the
@@ -109,6 +99,16 @@ const (
 )
 
 const (
+	// retryInterval is the period of the node's housekeeping loop:
+	// re-proposing pending commands, retrying snapshot fetches, checking
+	// for stale configurations.
+	retryInterval = 10 * time.Millisecond
+	// lingerOld is how long a wedged engine keeps running after its
+	// successor activates, so lagging members can still catch up and
+	// learn the wedge from it.
+	lingerOld = 500 * time.Millisecond
+	// fetchTimeout bounds one snapshot-fetch RPC attempt.
+	fetchTimeout = 150 * time.Millisecond
 	// pendingMaxRetries drops a pending command after this many re-proposals
 	// (an abandoned client).
 	pendingMaxRetries = 2000
@@ -120,20 +120,11 @@ const (
 )
 
 func (o Options) withDefaults() Options {
-	if o.RetryInterval <= 0 {
-		o.RetryInterval = 20 * time.Millisecond
-	}
-	if o.LingerOld <= 0 {
-		o.LingerOld = time.Second
-	}
-	if o.FetchTimeout <= 0 {
-		o.FetchTimeout = 250 * time.Millisecond
-	}
 	if o.StaleJumpTicks <= 0 {
-		o.StaleJumpTicks = 25
+		o.StaleJumpTicks = 15
 	}
 	if o.GossipTicks <= 0 {
-		o.GossipTicks = 25
+		o.GossipTicks = 20
 	}
 	if o.SubmitQueue <= 0 {
 		o.SubmitQueue = 4096
@@ -635,7 +626,7 @@ func (n *Node) scheduleEngineStop(run *engineRun) {
 	go func() {
 		defer n.wg.Done()
 		select {
-		case <-time.After(n.opts.LingerOld):
+		case <-time.After(lingerOld):
 		case <-n.stopCh:
 		}
 		run.eng.Stop()

@@ -37,10 +37,6 @@ func fastNodeOpts() Options {
 		Paxos: paxos.Options{
 			TickInterval: time.Millisecond,
 		},
-		RetryInterval:  10 * time.Millisecond,
-		LingerOld:      300 * time.Millisecond,
-		FetchTimeout:   100 * time.Millisecond,
-		StaleJumpTicks: 15,
 	}
 }
 
@@ -942,15 +938,12 @@ func TestNodeOnDiskRestartAfterReconfigure(t *testing.T) {
 }
 
 // The defaults a zero Options normalizes to, pinned: the benchmark and every
-// deployment preset lean on them, and the two queue bounds that stopped being
-// fields must keep the values their defaults had.
+// deployment preset lean on them, and the queue bounds and timings that
+// stopped being fields must keep the values they had.
 func TestOptionsDefaults(t *testing.T) {
 	want := Options{
-		RetryInterval:      20 * time.Millisecond,
-		LingerOld:          time.Second,
-		FetchTimeout:       250 * time.Millisecond,
-		StaleJumpTicks:     25,
-		GossipTicks:        25,
+		StaleJumpTicks:     15,
+		GossipTicks:        20,
 		SpeculativeStart:   SpecOn,
 		SubmitQueue:        4096,
 		CheckpointInterval: 4096,
@@ -963,5 +956,8 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 	if pendingMaxRetries != 2000 || applyQueueLen != 8192 {
 		t.Fatalf("pendingMaxRetries %d, applyQueueLen %d; want 2000, 8192", pendingMaxRetries, applyQueueLen)
+	}
+	if retryInterval != 10*time.Millisecond || lingerOld != 500*time.Millisecond || fetchTimeout != 150*time.Millisecond {
+		t.Fatalf("retryInterval %v, lingerOld %v, fetchTimeout %v; want 10ms, 500ms, 150ms", retryInterval, lingerOld, fetchTimeout)
 	}
 }

@@ -215,7 +215,7 @@ func (n *Node) busyReplyLocked() []byte {
 		Status:     SubmitBusy,
 		Config:     n.configs[n.curID],
 		Leader:     n.leaderHintLocked(),
-		RetryAfter: n.opts.RetryInterval,
+		RetryAfter: retryInterval,
 	})
 }
 
@@ -317,7 +317,7 @@ func (n *Node) advanceToLocked(id types.ConfigID) {
 // the stale-jump fallback.
 func (n *Node) housekeeping() {
 	defer n.wg.Done()
-	ticker := time.NewTicker(n.opts.RetryInterval)
+	ticker := time.NewTicker(retryInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -433,11 +433,11 @@ func (n *Node) gossipPeerLocked() types.NodeID {
 // merging anything new.
 func (n *Node) gossipChain(to types.NodeID, push []byte) {
 	if push != nil {
-		pctx, pcancel := context.WithTimeout(n.baseCtx, n.opts.FetchTimeout)
+		pctx, pcancel := context.WithTimeout(n.baseCtx, fetchTimeout)
 		_, _ = n.peer.Call(pctx, to, push, 0)
 		pcancel()
 	}
-	ctx, cancel := context.WithTimeout(n.baseCtx, n.opts.FetchTimeout)
+	ctx, cancel := context.WithTimeout(n.baseCtx, fetchTimeout)
 	defer cancel()
 	resp, err := n.peer.Call(ctx, to, EncodeChainRequest(), 0)
 	if err != nil {
@@ -553,7 +553,7 @@ func (n *Node) Reconfigure(ctx context.Context, members []types.NodeID) (types.C
 	cmd := types.ReconfigCommand(newCfg)
 	n.mu.Unlock()
 
-	ticker := time.NewTicker(n.opts.RetryInterval * 2)
+	ticker := time.NewTicker(retryInterval * 2)
 	defer ticker.Stop()
 	for {
 		n.mu.Lock()
@@ -596,7 +596,7 @@ func (n *Node) WaitServing(ctx context.Context) error {
 		n.mu.Unlock()
 		select {
 		case <-waiter:
-		case <-time.After(n.opts.RetryInterval):
+		case <-time.After(retryInterval):
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-n.stopCh:

@@ -322,7 +322,7 @@ func TestStartRecoversParentLayoutStore(t *testing.T) {
 	lay := func(st storage.Store, id uint64, base uint64, chunks int) {
 		t.Helper()
 		// <prefix>/meta = format byte | uvarint base | uvarint count | uvarint CRC...
-		meta := []byte{fork.Format()}
+		meta := []byte{statemachine.SnapshotFormat}
 		meta = binary.AppendUvarint(meta, base)
 		meta = binary.AppendUvarint(meta, uint64(fork.NumChunks()))
 		for i := 0; i < fork.NumChunks(); i++ {

@@ -325,7 +325,7 @@ func TestSpeculativeReadsFencedUntilInstall(t *testing.T) {
 func snapshotOf(n *Node, base types.Slot) (storage.ChunkManifest, [][]byte) {
 	fork := n.Machine().ForkSnapshot()
 	chunks := make([][]byte, fork.NumChunks())
-	m := storage.ChunkManifest{Format: fork.Format(), Base: base, CRCs: make([]uint32, fork.NumChunks())}
+	m := storage.ChunkManifest{Format: statemachine.SnapshotFormat, Base: base, CRCs: make([]uint32, fork.NumChunks())}
 	for i := range chunks {
 		chunks[i] = fork.Chunk(i)
 		m.CRCs[i] = storage.ChunkCRC(chunks[i])
@@ -354,12 +354,12 @@ func TestInstallHonorsSnapshotBaseIndex(t *testing.T) {
 		name        string
 		initialized bool // target: member n3 (true) or the stalled joiner n4
 		base        int
-		format      byte // 0 keeps the machine's own format
+		formats     []byte // retired format bytes installed in turn; nil keeps the machine's own
 		installs    bool
 	}{
 		{name: "uninitialized/base-0", base: zero, installs: true},
 		{name: "uninitialized/base-above", base: tip, installs: true},
-		{name: "uninitialized/reserved-format", base: tip, format: statemachine.SnapshotFormatMono},
+		{name: "uninitialized/reserved-format", base: tip, formats: []byte{2, 3}},
 		{name: "initialized/base-0", initialized: true, base: zero},
 		{name: "initialized/base-at-or-below", initialized: true, base: behind},
 		{name: "initialized/base-above", initialized: true, base: tip, installs: true},
@@ -425,15 +425,20 @@ func TestInstallHonorsSnapshotBaseIndex(t *testing.T) {
 			case behind:
 				m, chunks = snapshotOf(w.node("n1"), top-1)
 			}
-			if tc.format != 0 {
-				m.Format = tc.format
-			}
 			_, cursorBefore := target.AppliedSlot()
 			before := target.Stats()
 			storeBefore, _, _, _ := storage.ReadChunked(w.stores[target.Self()], snapPrefix(2))
 
-			if got := target.install(2, m, chunks); got != tc.installs {
-				t.Fatalf("install = %v, want %v", got, tc.installs)
+			for _, format := range tc.formats {
+				m.Format = format
+				if target.install(2, m, chunks) {
+					t.Fatalf("install with format %d = true, want false", format)
+				}
+			}
+			if tc.formats == nil {
+				if got := target.install(2, m, chunks); got != tc.installs {
+					t.Fatalf("install = %v, want %v", got, tc.installs)
+				}
 			}
 			after := target.Stats()
 			stored, _, complete, err := storage.ReadChunked(w.stores[target.Self()], snapPrefix(2))
@@ -447,13 +452,13 @@ func TestInstallHonorsSnapshotBaseIndex(t *testing.T) {
 				if after.SnapshotsFetched != before.SnapshotsFetched || after.CatchupFetches != before.CatchupFetches {
 					t.Fatalf("refused install was counted: %+v", after)
 				}
-				if tc.format != 0 && after.InvariantViolations != before.InvariantViolations+1 {
-					t.Fatalf("unknown snapshot format: violations %d -> %d, want one more", before.InvariantViolations, after.InvariantViolations)
+				if want := before.InvariantViolations + int64(len(tc.formats)); after.InvariantViolations != want {
+					t.Fatalf("unknown snapshot formats %v: violations %d -> %d, want %d", tc.formats, before.InvariantViolations, after.InvariantViolations, want)
 				}
 				if stored.Base != storeBefore.Base {
 					t.Fatalf("refused install wrote the store: base %d -> %d", storeBefore.Base, stored.Base)
 				}
-				if tc.format == 0 {
+				if tc.formats == nil {
 					w.checkNoViolations()
 				}
 				return

@@ -117,7 +117,7 @@ func (n *Node) publishAsyncLocked(id types.ConfigID, base types.Slot, src statem
 func (n *Node) publish(id types.ConfigID, base types.Slot, src statemachine.SnapshotSource) error {
 	num := src.NumChunks()
 	chunks := make([][]byte, num)
-	m := storage.ChunkManifest{Format: src.Format(), Base: base, CRCs: make([]uint32, num)}
+	m := storage.ChunkManifest{Format: statemachine.SnapshotFormat, Base: base, CRCs: make([]uint32, num)}
 	sincePause := 0
 	for i := 0; i < num; i++ {
 		chunks[i] = src.Chunk(i)
@@ -376,7 +376,7 @@ func (n *Node) runTransfer(id types.ConfigID) {
 		n.mu.Lock()
 		n.stats.ChunkRetries++
 		n.mu.Unlock()
-		delay := BackoffDelay(attempt, n.opts.RetryInterval, 4*n.opts.FetchTimeout, rng)
+		delay := BackoffDelay(attempt, retryInterval, 4*fetchTimeout, rng)
 		select {
 		case <-time.After(delay):
 		case <-n.stopCh:
@@ -422,7 +422,7 @@ func (n *Node) acceptChunk(prefix string, m storage.ChunkManifest, chunks [][]by
 func (n *Node) fetchManifest(id types.ConfigID, sources []types.NodeID, rng *rand.Rand, accept func(storage.ChunkManifest) bool) (storage.ChunkManifest, [][]byte, bool) {
 	order := rng.Perm(len(sources))
 	for _, i := range order {
-		ctx, cancel := context.WithTimeout(n.baseCtx, n.opts.FetchTimeout)
+		ctx, cancel := context.WithTimeout(n.baseCtx, fetchTimeout)
 		resp, err := n.peer.Call(ctx, sources[i], encodeSnapMeta(snapMetaReq{Config: id}), 0)
 		cancel()
 		if err != nil {
@@ -563,7 +563,7 @@ func (n *Node) fetchSpan(id types.ConfigID, prefix string, m storage.ChunkManife
 }
 
 func (n *Node) fetchChunkRange(id types.ConfigID, first, count int, src types.NodeID) [][]byte {
-	ctx, cancel := context.WithTimeout(n.baseCtx, n.opts.FetchTimeout)
+	ctx, cancel := context.WithTimeout(n.baseCtx, fetchTimeout)
 	defer cancel()
 	resp, err := n.peer.Call(ctx, src, encodeSnapChunk(snapChunkReq{Config: id, First: first, Count: count}), 0)
 	if err != nil {
@@ -581,10 +581,10 @@ func (n *Node) fetchChunkRange(id types.ConfigID, first, count int, src types.No
 // buildMachine constructs a fresh sessioned machine from a complete chunk
 // set.
 func (n *Node) buildMachine(m storage.ChunkManifest, chunks [][]byte) (*statemachine.Sessioned, error) {
-	fresh := statemachine.NewSessioned(n.factory())
-	if m.Format != fresh.ChunkFormat() {
-		return nil, fmt.Errorf("%w: snapshot format %d, machine expects %d", types.ErrCodec, m.Format, fresh.ChunkFormat())
+	if m.Format != statemachine.SnapshotFormat {
+		return nil, fmt.Errorf("%w: snapshot format %d, want %d", types.ErrCodec, m.Format, statemachine.SnapshotFormat)
 	}
+	fresh := statemachine.NewSessioned(n.factory())
 	for i, c := range chunks {
 		if err := fresh.RestoreChunk(i, c); err != nil {
 			return nil, err

@@ -1,9 +1,6 @@
 package statemachine
 
 import (
-	"fmt"
-	"sort"
-
 	"repro/internal/types"
 )
 
@@ -29,27 +26,27 @@ const (
 // Bank is a deterministic account-ledger machine whose total balance is
 // conserved by transfers, making double-application of a command across a
 // reconfiguration boundary observable. Accounts are hashed across a fixed
-// set of shards with copy-on-write snapshot forks, like KVStore.
+// set of shards with copy-on-write snapshot forks (shardMap), like KVStore.
 type Bank struct {
-	shards [numShards]map[string]uint64
-	shared [numShards]bool
-	// sizes[i] is the account count of shard i — per shard so BankOpen on
-	// distinct shards never writes a common field under parallel apply.
-	sizes [numShards]int
+	shardMap[uint64]
 }
 
 var (
-	_ Machine            = (*Bank)(nil)
-	_ ChunkedSnapshotter = (*Bank)(nil)
-	_ ShardedApplier     = (*Bank)(nil)
+	_ Machine        = (*Bank)(nil)
+	_ ShardedApplier = (*Bank)(nil)
 )
+
+// balances writes a balance as a uvarint.
+var balances = &shardCodec[uint64]{
+	write: (*types.Writer).Uvarint,
+	read:  (*types.Reader).Uvarint,
+	size:  func(uint64) int { return 16 },
+}
 
 // NewBank returns an empty bank machine.
 func NewBank() *Bank {
 	m := &Bank{}
-	for i := range m.shards {
-		m.shards[i] = make(map[string]uint64)
-	}
+	m.init(balances)
 	return m
 }
 
@@ -109,26 +106,6 @@ func (m *Bank) ReadOnly(op []byte) bool {
 	}
 }
 
-func (m *Bank) get(acct string) (uint64, bool) {
-	v, ok := m.shards[shardOf(acct)][acct]
-	return v, ok
-}
-
-// mutable returns the shard holding acct, cloning it first if a snapshot
-// fork may still reference it.
-func (m *Bank) mutable(acct string) map[string]uint64 {
-	i := shardOf(acct)
-	if m.shared[i] {
-		clone := make(map[string]uint64, len(m.shards[i]))
-		for k, v := range m.shards[i] {
-			clone[k] = v
-		}
-		m.shards[i] = clone
-		m.shared[i] = false
-	}
-	return m.shards[i]
-}
-
 // Apply implements Machine.
 func (m *Bank) Apply(op []byte) []byte {
 	if len(op) == 0 {
@@ -145,8 +122,7 @@ func (m *Bank) Apply(op []byte) []byte {
 		if _, ok := m.get(acct); ok {
 			return statusReply(StatusConflict)
 		}
-		m.mutable(acct)[acct] = initial
-		m.sizes[shardOf(acct)]++
+		m.set(acct, initial)
 		return okReply(nil)
 	case BankDeposit:
 		acct := r.String()
@@ -158,7 +134,7 @@ func (m *Bank) Apply(op []byte) []byte {
 		if !ok {
 			return statusReply(StatusNotFound)
 		}
-		m.mutable(acct)[acct] = bal + amount
+		m.set(acct, bal+amount)
 		return okReply(uvarintBytes(bal + amount))
 	case BankTransfer:
 		from := r.String()
@@ -168,7 +144,7 @@ func (m *Bank) Apply(op []byte) []byte {
 			return statusReply(StatusBadOp)
 		}
 		fb, fok := m.get(from)
-		_, tok := m.get(to)
+		tb, tok := m.get(to)
 		if !fok || !tok {
 			return statusReply(StatusNotFound)
 		}
@@ -178,8 +154,8 @@ func (m *Bank) Apply(op []byte) []byte {
 		if fb < amount {
 			return statusReply(StatusConflict)
 		}
-		m.mutable(from)[from] = fb - amount
-		m.mutable(to)[to] += amount
+		m.set(from, fb-amount)
+		m.set(to, tb+amount)
 		return okReply(nil)
 	case BankBalance:
 		acct := r.String()
@@ -196,132 +172,6 @@ func (m *Bank) Apply(op []byte) []byte {
 	default:
 		return statusReply(StatusBadOp)
 	}
-}
-
-// Snapshot implements Machine (accounts in globally sorted order, matching
-// the pre-sharding byte format).
-func (m *Bank) Snapshot() []byte {
-	n := 0
-	for i := range m.sizes {
-		n += m.sizes[i]
-	}
-	names := make([]string, 0, n)
-	for i := range m.shards {
-		for a := range m.shards[i] {
-			names = append(names, a)
-		}
-	}
-	sort.Strings(names)
-	w := types.NewWriter(8 + 16*len(names))
-	w.Uvarint(uint64(len(names)))
-	for _, a := range names {
-		w.String(a)
-		w.Uvarint(m.shards[shardOf(a)][a])
-	}
-	return w.Bytes()
-}
-
-// Restore implements Machine.
-func (m *Bank) Restore(snapshot []byte) error {
-	r := types.NewReader(snapshot)
-	n := r.Uvarint()
-	if err := r.Err(); err != nil {
-		return fmt.Errorf("bank snapshot header: %w", err)
-	}
-	var shards [numShards]map[string]uint64
-	for i := range shards {
-		shards[i] = make(map[string]uint64)
-	}
-	for i := uint64(0); i < n; i++ {
-		a := r.String()
-		b := r.Uvarint()
-		if err := r.Err(); err != nil {
-			return fmt.Errorf("bank snapshot entry %d: %w", i, err)
-		}
-		shards[shardOf(a)][a] = b
-	}
-	if r.Remaining() != 0 {
-		return fmt.Errorf("%w: %d trailing bytes in bank snapshot", types.ErrCodec, r.Remaining())
-	}
-	m.shards = shards
-	m.shared = [numShards]bool{}
-	for i := range shards {
-		m.sizes[i] = len(shards[i])
-	}
-	return nil
-}
-
-// bankFork is a copy-on-write snapshot of a Bank (see kvFork).
-type bankFork struct {
-	shards [numShards]map[string]uint64
-}
-
-// ForkSnapshot implements ChunkedSnapshotter (O(numShards)).
-func (m *Bank) ForkSnapshot() SnapshotSource {
-	f := &bankFork{shards: m.shards}
-	for i := range m.shared {
-		m.shared[i] = true
-	}
-	return f
-}
-
-func (f *bankFork) Format() byte   { return SnapshotFormatShards }
-func (f *bankFork) NumChunks() int { return numShards }
-
-// Chunk serializes shard i: uvarint count, then sorted (account, balance).
-func (f *bankFork) Chunk(i int) []byte {
-	sh := f.shards[i]
-	names := make([]string, 0, len(sh))
-	for a := range sh {
-		names = append(names, a)
-	}
-	sort.Strings(names)
-	w := types.NewWriter(8 + 16*len(names))
-	w.Uvarint(uint64(len(names)))
-	for _, a := range names {
-		w.String(a)
-		w.Uvarint(sh[a])
-	}
-	return w.Bytes()
-}
-
-// RestoreChunk implements ChunkedSnapshotter.
-func (m *Bank) RestoreChunk(index int, data []byte) error {
-	if index < 0 || index >= numShards {
-		return fmt.Errorf("%w: bank chunk index %d out of range", types.ErrCodec, index)
-	}
-	r := types.NewReader(data)
-	n := r.Uvarint()
-	if err := r.Err(); err != nil {
-		return fmt.Errorf("bank chunk %d header: %w", index, err)
-	}
-	sh := make(map[string]uint64, n)
-	for i := uint64(0); i < n; i++ {
-		a := r.String()
-		b := r.Uvarint()
-		if err := r.Err(); err != nil {
-			return fmt.Errorf("bank chunk %d entry %d: %w", index, i, err)
-		}
-		if shardOf(a) != index {
-			return fmt.Errorf("%w: account %q does not belong to bank shard %d", types.ErrCodec, a, index)
-		}
-		sh[a] = b
-	}
-	if r.Remaining() != 0 {
-		return fmt.Errorf("%w: trailing bytes in bank chunk %d", types.ErrCodec, index)
-	}
-	m.shards[index] = sh
-	m.shared[index] = false
-	m.sizes[index] = len(sh)
-	return nil
-}
-
-// FinishRestore implements ChunkedSnapshotter.
-func (m *Bank) FinishRestore(total int) error {
-	if total != numShards {
-		return fmt.Errorf("%w: bank chunked snapshot has %d chunks, want %d", types.ErrCodec, total, numShards)
-	}
-	return nil
 }
 
 // OpShard implements ShardedApplier. Single-account ops report their

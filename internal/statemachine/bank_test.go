@@ -107,30 +107,30 @@ func TestBankSnapshotRoundTrip(t *testing.T) {
 	openAccount(t, m, "x", 1)
 	openAccount(t, m, "y", 2)
 	m.Apply(EncodeDeposit("x", 10))
-	snap := m.Snapshot()
 
 	m2 := NewBank()
-	if err := m2.Restore(snap); err != nil {
+	if err := roundTrip(m, m2, nil); err != nil {
 		t.Fatal(err)
 	}
 	if m2.Total() != m.Total() {
 		t.Fatalf("totals differ: %d vs %d", m2.Total(), m.Total())
-	}
-	if !bytes.Equal(m2.Snapshot(), snap) {
-		t.Fatal("snapshot not stable under round trip")
 	}
 }
 
 func TestBankRestoreRejectsCorruption(t *testing.T) {
 	m := NewBank()
 	openAccount(t, m, "x", 1)
-	snap := m.Snapshot()
+	home := shardOf("x")
+	chunk := m.ForkSnapshot().Chunk(home)
 	m2 := NewBank()
-	if err := m2.Restore(snap[:len(snap)-1]); err == nil {
-		t.Fatal("truncated snapshot accepted")
+	if err := m2.RestoreChunk(home, chunk[:len(chunk)-1]); err == nil {
+		t.Fatal("truncated chunk accepted")
 	}
-	if err := m2.Restore(append(bytes.Clone(snap), 9)); err == nil {
-		t.Fatal("padded snapshot accepted")
+	if err := m2.RestoreChunk(home, append(bytes.Clone(chunk), 9)); err == nil {
+		t.Fatal("padded chunk accepted")
+	}
+	if err := m2.RestoreChunk((home+1)%numShards, chunk); err == nil {
+		t.Fatal("chunk installed into the wrong shard index")
 	}
 }
 

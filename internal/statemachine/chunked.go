@@ -1,27 +1,20 @@
 package statemachine
 
-// Chunk formats. A chunked snapshot's manifest carries the format byte so a
-// restorer can reject a snapshot produced by an incompatible machine before
-// feeding it any chunks.
-const (
-	// SnapshotFormatShards: chunk i holds shard i of a sharded machine,
-	// serialized with keys in sorted order. Chunk count equals the (fixed)
-	// shard count, so the mapping chunk->shard is positional and chunks are
-	// byte-identical across replicas holding equal state.
-	SnapshotFormatShards byte = 1
-	// SnapshotFormatBlob: chunk 0 is wrapper metadata (the session table for
-	// Sessioned) and chunks 1..n-1 are consecutive fixed-size byte ranges of
-	// the inner machine's monolithic Snapshot(). Used as the fallback when
-	// the inner machine does not implement ChunkedSnapshotter.
-	SnapshotFormatBlob byte = 2
-	// SnapshotFormatMono is reserved: format byte 3 was the single-chunk
-	// monolithic snapshot of the retired monolithic-transfer ablation. No
-	// machine produces it and every restorer rejects it as unknown.
-	SnapshotFormatMono byte = 3
+import (
+	"fmt"
+	"sort"
+
+	"repro/internal/types"
 )
 
-// BlobChunkSize is the range size used by SnapshotFormatBlob fallback chunking.
-const BlobChunkSize = 64 << 10
+// SnapshotFormat is the one chunk layout, the format byte a snapshot's
+// manifest carries so a restorer rejects anything else before feeding it
+// chunks. Chunk 0 is the session table; chunk 1+i is chunk i of the inner
+// machine's fork — shard i of a sharded machine, keys in sorted order, or a
+// Counter's one value. Bytes 2 and 3 were formats of retired code paths (the
+// 64 KiB ranges of a monolithic snapshot, and a single-chunk monolithic
+// snapshot); every restorer rejects them as unknown.
+const SnapshotFormat byte = 1
 
 // SnapshotSource is an immutable, cheaply captured snapshot that can be
 // serialized chunk by chunk after the capture returns. Implementations are
@@ -31,34 +24,15 @@ const BlobChunkSize = 64 << 10
 // deterministic, so two replicas with equal state produce byte-identical
 // chunk sequences.
 type SnapshotSource interface {
-	// Format is the SnapshotFormat* constant describing the chunk layout.
-	Format() byte
 	// NumChunks is the fixed number of chunks in this snapshot.
 	NumChunks() int
 	// Chunk serializes chunk i (0 <= i < NumChunks).
 	Chunk(i int) []byte
 }
 
-// ChunkedSnapshotter is an optional Machine capability: machines that
-// implement it can fork a snapshot in O(1)/O(shards) time and restore from
-// chunks delivered in any order. Machines that do not implement it fall back
-// to the monolithic Snapshot/Restore pair (wrapped in SnapshotFormatBlob
-// framing by Sessioned).
-type ChunkedSnapshotter interface {
-	// ForkSnapshot captures the current state as a copy-on-write fork.
-	// The caller may serialize it concurrently with further Apply calls.
-	ForkSnapshot() SnapshotSource
-	// RestoreChunk installs one chunk of a snapshot being restored. Chunks
-	// may arrive in any order; each index is delivered at most once.
-	RestoreChunk(index int, data []byte) error
-	// FinishRestore completes a chunked restore after all total chunks have
-	// been delivered via RestoreChunk, validating completeness.
-	FinishRestore(total int) error
-}
-
 // numShards is the fixed shard count used by the sharded machines (KVStore,
 // Bank). It bounds both the COW fork cost at wedge time and the chunk count
-// of a chunked snapshot. Fixed so that chunk i always maps to shard i and the
+// of a snapshot. Fixed so that chunk i always maps to shard i and the
 // assignment of keys to chunks is identical on every replica.
 const numShards = 32
 
@@ -83,3 +57,166 @@ const NumKeyShards = numShards
 // internally), so routing layers agree with the machine about which partition
 // a key belongs to.
 func KeyShard(key string) int { return shardOf(key) }
+
+// shardCodec is how a shardMap's values go into a chunk and come back out.
+type shardCodec[V any] struct {
+	write func(*types.Writer, V)
+	read  func(*types.Reader) V
+	// size bounds the bytes an entry holding v takes besides its key, so a
+	// chunk's buffer is allocated once.
+	size func(v V) int
+}
+
+// shardMap is the state of a sharded machine: string keys hashed across
+// numShards maps. A fork captures the map references and marks them shared,
+// so forking is O(shards) and a shard is cloned lazily on its first write
+// after a fork (copy-on-write). Embedding it gives a machine its
+// ForkSnapshot, RestoreChunk, FinishRestore and Len. Call init before use.
+type shardMap[V any] struct {
+	shards [numShards]map[string]V
+	// shared[i] means shards[i] may be referenced by an outstanding
+	// snapshot fork and must be cloned before mutation.
+	shared [numShards]bool
+	// sizes[i] is the key count of shard i. Kept per shard (not one global
+	// counter) so single-key ops running on distinct shards under parallel
+	// apply never write a common field; aggregate queries sum it.
+	sizes [numShards]int
+	codec *shardCodec[V]
+}
+
+func (m *shardMap[V]) init(codec *shardCodec[V]) {
+	m.codec = codec
+	for i := range m.shards {
+		m.shards[i] = make(map[string]V)
+	}
+}
+
+// get reads a key without triggering a clone.
+func (m *shardMap[V]) get(key string) (V, bool) {
+	v, ok := m.shards[shardOf(key)][key]
+	return v, ok
+}
+
+// mutable returns shard i, cloning it first if a snapshot fork may still
+// reference it.
+func (m *shardMap[V]) mutable(i int) map[string]V {
+	if m.shared[i] {
+		clone := make(map[string]V, len(m.shards[i]))
+		for k, v := range m.shards[i] {
+			clone[k] = v
+		}
+		m.shards[i] = clone
+		m.shared[i] = false
+	}
+	return m.shards[i]
+}
+
+// set writes key=v, counting the key if it is new.
+func (m *shardMap[V]) set(key string, v V) {
+	i := shardOf(key)
+	sh := m.mutable(i)
+	if _, ok := sh[key]; !ok {
+		m.sizes[i]++
+	}
+	sh[key] = v
+}
+
+// del removes key if present; an absent key clones nothing.
+func (m *shardMap[V]) del(key string) {
+	i := shardOf(key)
+	if _, ok := m.shards[i][key]; ok {
+		delete(m.mutable(i), key)
+		m.sizes[i]--
+	}
+}
+
+// Len returns the number of keys.
+func (m *shardMap[V]) Len() int {
+	n := 0
+	for i := range m.sizes {
+		n += m.sizes[i]
+	}
+	return n
+}
+
+// ForkSnapshot captures the state in O(numShards): it copies the shard
+// references and marks every shard shared; the next write to a shard pays for
+// one clone. Stale shared marks (after the fork is dropped) cost at most one
+// extra clone per shard and are cleared by RestoreChunk.
+func (m *shardMap[V]) ForkSnapshot() SnapshotSource {
+	f := &shardFork[V]{shards: m.shards, codec: m.codec}
+	for i := range m.shared {
+		m.shared[i] = true
+	}
+	return f
+}
+
+// shardFork is a copy-on-write snapshot of a shardMap. Its maps are never
+// mutated after capture (the machine clones a shared shard before writing),
+// so serializing them concurrently with further applies is safe.
+type shardFork[V any] struct {
+	shards [numShards]map[string]V
+	codec  *shardCodec[V]
+}
+
+func (f *shardFork[V]) NumChunks() int { return numShards }
+
+// Chunk serializes shard i: uvarint count, then (key, value) pairs in sorted
+// key order.
+func (f *shardFork[V]) Chunk(i int) []byte {
+	sh := f.shards[i]
+	keys := make([]string, 0, len(sh))
+	total := 0
+	for k, v := range sh {
+		keys = append(keys, k)
+		total += len(k) + f.codec.size(v)
+	}
+	sort.Strings(keys)
+	w := types.NewWriter(8 + total)
+	w.Uvarint(uint64(len(keys)))
+	for _, k := range keys {
+		w.String(k)
+		f.codec.write(w, sh[k])
+	}
+	return w.Bytes()
+}
+
+// RestoreChunk installs shard index from its serialized form. Chunks may
+// arrive in any order; a key hashed to another shard is corruption.
+func (m *shardMap[V]) RestoreChunk(index int, data []byte) error {
+	if index < 0 || index >= numShards {
+		return fmt.Errorf("%w: chunk index %d out of range", types.ErrCodec, index)
+	}
+	r := types.NewReader(data)
+	n := r.Uvarint()
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("chunk %d header: %w", index, err)
+	}
+	sh := make(map[string]V, min(n, uint64(r.Remaining())))
+	for i := uint64(0); i < n; i++ {
+		k := r.String()
+		v := m.codec.read(r)
+		if err := r.Err(); err != nil {
+			return fmt.Errorf("chunk %d entry %d: %w", index, i, err)
+		}
+		if shardOf(k) != index {
+			return fmt.Errorf("%w: key %q does not belong to shard %d", types.ErrCodec, k, index)
+		}
+		sh[k] = v
+	}
+	if r.Remaining() != 0 {
+		return fmt.Errorf("%w: trailing bytes in chunk %d", types.ErrCodec, index)
+	}
+	m.shards[index] = sh
+	m.shared[index] = false
+	m.sizes[index] = len(sh)
+	return nil
+}
+
+// FinishRestore checks the restore had one chunk per shard.
+func (m *shardMap[V]) FinishRestore(total int) error {
+	if total != numShards {
+		return fmt.Errorf("%w: snapshot has %d chunks, want %d", types.ErrCodec, total, numShards)
+	}
+	return nil
+}

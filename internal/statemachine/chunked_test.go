@@ -3,30 +3,182 @@ package statemachine
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
+
+	"repro/internal/types"
 )
 
-// restoreAll feeds every chunk of src into dst (optionally shuffled by a
-// fixed permutation) and finishes the restore.
-func restoreAll(t *testing.T, dst ChunkedSnapshotter, src SnapshotSource, reverse bool) {
-	t.Helper()
-	n := src.NumChunks()
-	order := make([]int, n)
+// restorer is what a snapshot restores into: a Machine or a Sessioned.
+type restorer interface {
+	ForkSnapshot() SnapshotSource
+	RestoreChunk(index int, data []byte) error
+	FinishRestore(total int) error
+}
+
+// chunksOf serializes every chunk of src.
+func chunksOf(src SnapshotSource) [][]byte {
+	chunks := make([][]byte, src.NumChunks())
+	for i := range chunks {
+		chunks[i] = src.Chunk(i)
+	}
+	return chunks
+}
+
+// restoreChunks feeds chunks into dst in the order rng shuffles them to (in
+// index order for a nil rng) and finishes the restore.
+func restoreChunks(dst restorer, chunks [][]byte, rng *rand.Rand) error {
+	order := make([]int, len(chunks))
 	for i := range order {
 		order[i] = i
 	}
-	if reverse {
-		for i, j := 0, n-1; i < j; i, j = i+1, j-1 {
-			order[i], order[j] = order[j], order[i]
-		}
+	if rng != nil {
+		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 	}
 	for _, i := range order {
-		if err := dst.RestoreChunk(i, src.Chunk(i)); err != nil {
-			t.Fatalf("RestoreChunk(%d): %v", i, err)
+		if err := dst.RestoreChunk(i, chunks[i]); err != nil {
+			return fmt.Errorf("RestoreChunk(%d): %w", i, err)
 		}
 	}
-	if err := dst.FinishRestore(n); err != nil {
-		t.Fatalf("FinishRestore: %v", err)
+	return dst.FinishRestore(len(chunks))
+}
+
+// restoreAll restores every chunk of src into dst, failing the test on error.
+func restoreAll(t *testing.T, dst restorer, src SnapshotSource, rng *rand.Rand) {
+	t.Helper()
+	if err := restoreChunks(dst, chunksOf(src), rng); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sameChunks reports whether two snapshots are byte-identical chunk for chunk.
+func sameChunks(a, b [][]byte) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !bytes.Equal(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// roundTrip restores a fork of src into the fresh dst, chunks in the order rng
+// shuffles them to, and reports whether dst then forks into byte-identical
+// chunks.
+func roundTrip(src, dst restorer, rng *rand.Rand) error {
+	want := chunksOf(src.ForkSnapshot())
+	if err := restoreChunks(dst, want, rng); err != nil {
+		return err
+	}
+	if !sameChunks(chunksOf(dst.ForkSnapshot()), want) {
+		return fmt.Errorf("restored machine forks into different chunks")
+	}
+	return nil
+}
+
+// Random ops per machine for TestForkRestoreProperty: writes and reads over a
+// small key space, so keys collide, and malformed ops now and then.
+func randomKVOp(rng *rand.Rand) []byte {
+	key := fmt.Sprintf("k%d", rng.Intn(64))
+	switch rng.Intn(8) {
+	case 0:
+		return EncodeDelete(key)
+	case 1:
+		return EncodeAppend(key, []byte{byte(rng.Intn(256))})
+	case 2:
+		return EncodeCAS(key, []byte("v1"), []byte("v2"))
+	case 3:
+		return EncodeGet(key)
+	case 4:
+		return EncodeKeys("k1", uint64(rng.Intn(4)))
+	case 5:
+		return []byte{byte(rng.Intn(9))}
+	default:
+		return EncodePut(key, []byte(fmt.Sprintf("v%d", rng.Intn(3))))
+	}
+}
+
+func randomBankOp(rng *rand.Rand) []byte {
+	acct := func() string { return fmt.Sprintf("a%d", rng.Intn(16)) }
+	switch rng.Intn(6) {
+	case 0:
+		return EncodeOpen(acct(), uint64(rng.Intn(1000)))
+	case 1:
+		return EncodeDeposit(acct(), uint64(rng.Intn(100)))
+	case 2:
+		return EncodeBalance(acct())
+	case 3:
+		return EncodeTotal()
+	default:
+		return EncodeTransfer(acct(), acct(), uint64(rng.Intn(300)))
+	}
+}
+
+func randomCounterOp(rng *rand.Rand) []byte {
+	switch rng.Intn(4) {
+	case 0:
+		return EncodeCounterSet(uint64(rng.Intn(1 << 20)))
+	case 1:
+		return EncodeCounterGet()
+	default:
+		return EncodeAdd(uint64(rng.Intn(1000)))
+	}
+}
+
+// TestForkRestoreProperty is invariant P5 for every machine, session table
+// included: for a random history, forking, restoring the chunks into a fresh
+// machine in shuffled order and finishing gives a machine that forks into
+// byte-identical chunks and answers every later command — duplicates and
+// stale retries included — with the same reply as the original.
+func TestForkRestoreProperty(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		factory Factory
+		op      func(*rand.Rand) []byte
+	}{
+		{"kv", NewKVMachine, randomKVOp},
+		{"bank", NewBankMachine, randomBankOp},
+		{"counter", NewCounterMachine, randomCounterOp},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for seed := int64(0); seed < 40; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				seqs := make(map[types.NodeID]uint64)
+				next := func() types.Command {
+					c := types.NodeID(fmt.Sprintf("c%d", rng.Intn(4)))
+					seq := seqs[c]
+					switch rng.Intn(10) {
+					case 0: // a retry of the client's last command
+					case 1: // a stale retry
+						if seq > 0 {
+							seq--
+						}
+					default:
+						seqs[c]++
+						seq = seqs[c]
+					}
+					return appCmd(c, seq, tc.op(rng))
+				}
+				src := NewSessioned(tc.factory())
+				for i, n := 0, rng.Intn(400); i < n; i++ {
+					src.ApplyCommand(next())
+				}
+				dst := NewSessioned(tc.factory())
+				if err := roundTrip(src, dst, rng); err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				for i := 0; i < 100; i++ {
+					cmd := next()
+					r1, d1 := src.ApplyCommand(cmd)
+					r2, d2 := dst.ApplyCommand(cmd)
+					if d1 != d2 || !bytes.Equal(r1, r2) {
+						t.Fatalf("seed %d cmd %d: restored replies (%x, dup %v), original (%x, dup %v)", seed, i, r2, d2, r1, d1)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -35,20 +187,15 @@ func TestKVChunkedForkRoundTrip(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		m.Apply(EncodePut(fmt.Sprintf("key-%04d", i), []byte(fmt.Sprintf("val-%d", i))))
 	}
-	want := m.Snapshot()
-
 	fork := m.ForkSnapshot()
-	if fork.Format() != SnapshotFormatShards {
-		t.Fatalf("format = %d", fork.Format())
-	}
 	if fork.NumChunks() != numShards {
 		t.Fatalf("chunks = %d, want %d", fork.NumChunks(), numShards)
 	}
 
 	m2 := NewKVStore()
-	restoreAll(t, m2, fork, true) // out-of-order delivery
-	if !bytes.Equal(m2.Snapshot(), want) {
-		t.Fatal("chunked restore diverges from monolithic snapshot")
+	restoreAll(t, m2, fork, rand.New(rand.NewSource(1))) // out-of-order delivery
+	if !sameChunks(chunksOf(m2.ForkSnapshot()), chunksOf(fork)) {
+		t.Fatal("restored machine forks into different chunks")
 	}
 	if m2.Len() != 500 {
 		t.Fatalf("restored Len = %d", m2.Len())
@@ -62,7 +209,7 @@ func TestKVForkIsolation(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		m.Apply(EncodePut(fmt.Sprintf("key-%04d", i), []byte("old")))
 	}
-	want := m.Snapshot()
+	want := chunksOf(m.ForkSnapshot())
 	fork := m.ForkSnapshot()
 
 	// Mutate every key, delete some, add new ones — after the fork.
@@ -75,8 +222,8 @@ func TestKVForkIsolation(t *testing.T) {
 	m.Apply(EncodePut("extra", []byte("x")))
 
 	m2 := NewKVStore()
-	restoreAll(t, m2, fork, false)
-	if !bytes.Equal(m2.Snapshot(), want) {
+	restoreAll(t, m2, fork, nil)
+	if !sameChunks(chunksOf(m2.ForkSnapshot()), want) {
 		t.Fatal("fork observed post-fork mutations")
 	}
 	// Live machine kept its new state.
@@ -100,17 +247,11 @@ func TestKVForkConcurrentApply(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		m.Apply(EncodePut(fmt.Sprintf("key-%04d", i), []byte("old")))
 	}
-	want := m.Snapshot()
+	want := chunksOf(m.ForkSnapshot())
 	fork := m.ForkSnapshot()
 
 	done := make(chan [][]byte, 1)
-	go func() {
-		chunks := make([][]byte, fork.NumChunks())
-		for i := range chunks {
-			chunks[i] = fork.Chunk(i)
-		}
-		done <- chunks
-	}()
+	go func() { done <- chunksOf(fork) }()
 	// Touch every shard after the fork: overwrites, deletes, inserts.
 	for i := 0; i < 400; i++ {
 		m.Apply(EncodePut(fmt.Sprintf("key-%04d", i), []byte("NEW")))
@@ -121,15 +262,10 @@ func TestKVForkConcurrentApply(t *testing.T) {
 	chunks := <-done
 
 	m2 := NewKVStore()
-	for i, c := range chunks {
-		if err := m2.RestoreChunk(i, c); err != nil {
-			t.Fatalf("RestoreChunk(%d): %v", i, err)
-		}
+	if err := restoreChunks(m2, chunks, nil); err != nil {
+		t.Fatal(err)
 	}
-	if err := m2.FinishRestore(len(chunks)); err != nil {
-		t.Fatalf("FinishRestore: %v", err)
-	}
-	if !bytes.Equal(m2.Snapshot(), want) {
+	if !sameChunks(chunksOf(m2.ForkSnapshot()), want) {
 		t.Fatal("concurrently serialized fork diverges from the state at fork time")
 	}
 	if rep := m.Apply(EncodeGet("key-0101")); !bytes.Equal(rep, okReply([]byte("NEW"))) {
@@ -172,15 +308,15 @@ func TestBankChunkedForkRoundTrip(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		m.Apply(EncodeOpen(fmt.Sprintf("acct-%03d", i), uint64(i)))
 	}
-	want := m.Snapshot()
+	want := chunksOf(m.ForkSnapshot())
 	fork := m.ForkSnapshot()
 
 	// Post-fork mutations must not leak.
 	m.Apply(EncodeTransfer("acct-001", "acct-002", 1))
 
 	m2 := NewBank()
-	restoreAll(t, m2, fork, true)
-	if !bytes.Equal(m2.Snapshot(), want) {
+	restoreAll(t, m2, fork, rand.New(rand.NewSource(2)))
+	if !sameChunks(chunksOf(m2.ForkSnapshot()), want) {
 		t.Fatal("bank chunked restore diverges")
 	}
 	if m2.Total() != m.Total() {
@@ -194,20 +330,15 @@ func TestSessionedChunkedShardMode(t *testing.T) {
 		s.ApplyCommand(appCmd("c1", uint64(i+1), EncodePut(fmt.Sprintf("k%d", i), []byte("v"))))
 	}
 	s.ApplyCommand(appCmd("c2", 7, EncodePut("other", []byte("w"))))
-	want := s.Snapshot()
-
-	if s.ChunkFormat() != SnapshotFormatShards {
-		t.Fatalf("format = %d", s.ChunkFormat())
-	}
 	fork := s.ForkSnapshot()
 	if fork.NumChunks() != 1+numShards {
 		t.Fatalf("chunks = %d, want %d", fork.NumChunks(), 1+numShards)
 	}
 
 	s2 := NewSessioned(NewKVStore())
-	restoreAll(t, s2, fork, true)
-	if !bytes.Equal(s2.Snapshot(), want) {
-		t.Fatal("sessioned chunked restore diverges from monolithic snapshot")
+	restoreAll(t, s2, fork, rand.New(rand.NewSource(3)))
+	if !sameChunks(chunksOf(s2.ForkSnapshot()), chunksOf(fork)) {
+		t.Fatal("restored machine forks into different chunks")
 	}
 	// Dedup state carried: replaying c2 seq 7 must hit the cache.
 	if _, dup := s2.ApplyCommand(appCmd("c2", 7, EncodePut("other", []byte("DIFFERENT")))); !dup {
@@ -215,28 +346,22 @@ func TestSessionedChunkedShardMode(t *testing.T) {
 	}
 }
 
-// TestSessionedChunkedBlobMode exercises the fallback for inner machines that
-// do not implement ChunkedSnapshotter (Counter): the monolithic snapshot is
-// split into ranges and reassembled by FinishRestore.
-func TestSessionedChunkedBlobMode(t *testing.T) {
+// TestSessionedChunkedCounter: a Counter forks into one chunk, its value,
+// after the session chunk.
+func TestSessionedChunkedCounter(t *testing.T) {
 	s := NewSessioned(&Counter{})
 	for i := 0; i < 10; i++ {
 		s.ApplyCommand(appCmd("c1", uint64(i+1), EncodeAdd(3)))
 	}
-	want := s.Snapshot()
-
-	if s.ChunkFormat() != SnapshotFormatBlob {
-		t.Fatalf("format = %d", s.ChunkFormat())
-	}
 	fork := s.ForkSnapshot()
-	if fork.Format() != SnapshotFormatBlob {
-		t.Fatalf("fork format = %d", fork.Format())
+	if fork.NumChunks() != 2 {
+		t.Fatalf("chunks = %d, want 2", fork.NumChunks())
 	}
 
 	s2 := NewSessioned(&Counter{})
-	restoreAll(t, s2, fork, true)
-	if !bytes.Equal(s2.Snapshot(), want) {
-		t.Fatal("blob-mode chunked restore diverges")
+	restoreAll(t, s2, fork, rand.New(rand.NewSource(4)))
+	if !sameChunks(chunksOf(s2.ForkSnapshot()), chunksOf(fork)) {
+		t.Fatal("restored machine forks into different chunks")
 	}
 	if got := s2.Inner().(*Counter).Value(); got != 30 {
 		t.Fatalf("counter = %d, want 30", got)
@@ -258,7 +383,7 @@ func TestSessionedFinishRestoreRequiresSessionChunk(t *testing.T) {
 }
 
 // BenchmarkForkVsSnapshot quantifies the wedge-time win: ForkSnapshot is
-// O(shards) while Snapshot serializes the full state.
+// O(shards), while serializing the snapshot's chunks is O(state).
 func BenchmarkForkVsSnapshot(b *testing.B) {
 	m := NewKVStore()
 	val := make([]byte, 1024)
@@ -274,7 +399,7 @@ func BenchmarkForkVsSnapshot(b *testing.B) {
 	b.Run("snapshot", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_ = m.Snapshot()
+			_ = chunksOf(m.ForkSnapshot())
 		}
 	})
 }

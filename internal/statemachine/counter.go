@@ -81,20 +81,37 @@ func (m *Counter) Apply(op []byte) []byte {
 	}
 }
 
-// Snapshot implements Machine.
-func (m *Counter) Snapshot() []byte { return uvarintBytes(m.value) }
+// counterFork is a Counter's snapshot: its value, the one chunk.
+type counterFork uint64
 
-// Restore implements Machine.
-func (m *Counter) Restore(snapshot []byte) error {
-	r := types.NewReader(snapshot)
+// ForkSnapshot implements Machine.
+func (m *Counter) ForkSnapshot() SnapshotSource { return counterFork(m.value) }
+
+func (f counterFork) NumChunks() int   { return 1 }
+func (f counterFork) Chunk(int) []byte { return uvarintBytes(uint64(f)) }
+
+// RestoreChunk implements Machine.
+func (m *Counter) RestoreChunk(index int, data []byte) error {
+	if index != 0 {
+		return fmt.Errorf("%w: counter chunk index %d, want 0", types.ErrCodec, index)
+	}
+	r := types.NewReader(data)
 	v := r.Uvarint()
 	if err := r.Err(); err != nil {
-		return fmt.Errorf("counter snapshot: %w", err)
+		return fmt.Errorf("counter chunk: %w", err)
 	}
 	if r.Remaining() != 0 {
-		return fmt.Errorf("%w: trailing bytes in counter snapshot", types.ErrCodec)
+		return fmt.Errorf("%w: trailing bytes in counter chunk", types.ErrCodec)
 	}
 	m.value = v
+	return nil
+}
+
+// FinishRestore implements Machine.
+func (m *Counter) FinishRestore(total int) error {
+	if total != 1 {
+		return fmt.Errorf("%w: counter snapshot has %d chunks, want 1", types.ErrCodec, total)
+	}
 	return nil
 }
 

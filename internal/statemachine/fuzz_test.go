@@ -5,7 +5,7 @@ import (
 )
 
 // FuzzKVApply: arbitrary op bytes must never panic the machine and must
-// leave it in a state that still snapshots/restores cleanly.
+// leave it in a state that still forks and restores cleanly.
 func FuzzKVApply(f *testing.F) {
 	f.Add(EncodePut("k", []byte("v")))
 	f.Add(EncodeGet("k"))
@@ -23,8 +23,7 @@ func FuzzKVApply(f *testing.F) {
 		if st := ReplyStatus(reply); !(st == StatusOK || st == StatusNotFound || st == StatusBadOp || st == StatusConflict) {
 			t.Fatalf("unknown status %v", st)
 		}
-		m2 := NewKVStore()
-		if err := m2.Restore(m.Snapshot()); err != nil {
+		if err := roundTrip(m, NewKVStore(), nil); err != nil {
 			t.Fatalf("post-op snapshot broken: %v", err)
 		}
 	})
@@ -57,21 +56,39 @@ func FuzzBankApply(f *testing.F) {
 	})
 }
 
-// FuzzSessionedRestore: arbitrary snapshot bytes must never panic Restore.
-func FuzzSessionedRestore(f *testing.F) {
+// FuzzSessionedRestoreChunk feeds one arbitrary chunk, at an arbitrary index,
+// into a restore whose other chunks are a valid snapshot's — the decoder every
+// snapshot byte that arrives from a peer or a store goes through. It must
+// never panic, and a restore it lets finish must leave a working machine.
+func FuzzSessionedRestoreChunk(f *testing.F) {
 	s := NewSessioned(NewKVStore())
 	s.ApplyCommand(appCmd("c", 1, EncodePut("k", []byte("v"))))
-	f.Add(s.Snapshot())
-	f.Add([]byte{})
-	f.Add([]byte{0xff, 0xff})
-	f.Fuzz(func(t *testing.T, snap []byte) {
+	s.ApplyCommand(appCmd("d", 4, EncodePut("other", []byte("w"))))
+	valid := chunksOf(s.ForkSnapshot())
+	home := 1 + shardOf("k")
+	f.Add(0, valid[0])
+	f.Add(home, valid[home])
+	f.Add(home, valid[1+shardOf("other")])
+	f.Add(0, []byte{})
+	f.Add(len(valid), []byte{0xff, 0xff})
+	f.Add(-1, []byte{0x01})
+	f.Fuzz(func(t *testing.T, index int, data []byte) {
 		s2 := NewSessioned(NewKVStore())
-		if err := s2.Restore(snap); err != nil {
+		for i, c := range valid {
+			if i != index {
+				if err := s2.RestoreChunk(i, c); err != nil {
+					t.Fatalf("valid chunk %d refused: %v", i, err)
+				}
+			}
+		}
+		if s2.RestoreChunk(index, data) != nil || s2.FinishRestore(len(valid)) != nil {
 			return
 		}
-		// A restore that succeeded must produce a working machine.
 		if reply, _ := s2.ApplyCommand(appCmd("probe", 1, EncodeGet("k"))); len(reply) == 0 {
 			t.Fatal("restored machine dead")
+		}
+		if err := roundTrip(s2, NewSessioned(NewKVStore()), nil); err != nil {
+			t.Fatalf("restored machine does not round-trip: %v", err)
 		}
 	})
 }

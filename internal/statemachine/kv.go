@@ -1,7 +1,7 @@
 package statemachine
 
 import (
-	"fmt"
+	"bytes"
 	"sort"
 
 	"repro/internal/types"
@@ -29,33 +29,28 @@ const (
 )
 
 // KVStore is a deterministic in-memory key/value machine. Keys are hashed
-// across a fixed set of shards; a snapshot fork captures the shard map
-// references and marks them shared, so the fork is O(shards) and the machine
-// clones a shard lazily on first write after a fork (copy-on-write).
+// across a fixed set of shards with copy-on-write snapshot forks (shardMap).
 // The zero value is not usable; construct with NewKVStore.
 type KVStore struct {
-	shards [numShards]map[string][]byte
-	// shared[i] means shards[i] may be referenced by an outstanding
-	// snapshot fork and must be cloned before mutation.
-	shared [numShards]bool
-	// sizes[i] is the key count of shard i. Kept per shard (not one global
-	// counter) so single-key ops running on distinct shards under parallel
-	// apply never write a common field; aggregate queries sum it.
-	sizes [numShards]int
+	shardMap[[]byte]
 }
 
 var (
-	_ Machine            = (*KVStore)(nil)
-	_ ChunkedSnapshotter = (*KVStore)(nil)
-	_ ShardedApplier     = (*KVStore)(nil)
+	_ Machine        = (*KVStore)(nil)
+	_ ShardedApplier = (*KVStore)(nil)
 )
+
+// kvValues writes a value as a length-prefixed byte field.
+var kvValues = &shardCodec[[]byte]{
+	write: (*types.Writer).BytesField,
+	read:  (*types.Reader).BytesField,
+	size:  func(v []byte) int { return len(v) + 8 },
+}
 
 // NewKVStore returns an empty key/value machine.
 func NewKVStore() *KVStore {
 	m := &KVStore{}
-	for i := range m.shards {
-		m.shards[i] = make(map[string][]byte)
-	}
+	m.init(kvValues)
 	return m
 }
 
@@ -132,27 +127,6 @@ func (m *KVStore) ReadOnly(op []byte) bool {
 	}
 }
 
-// get reads a key without triggering a clone.
-func (m *KVStore) get(key string) ([]byte, bool) {
-	v, ok := m.shards[shardOf(key)][key]
-	return v, ok
-}
-
-// mutable returns the shard holding key, cloning it first if a snapshot fork
-// may still reference it.
-func (m *KVStore) mutable(key string) map[string][]byte {
-	i := shardOf(key)
-	if m.shared[i] {
-		clone := make(map[string][]byte, len(m.shards[i]))
-		for k, v := range m.shards[i] {
-			clone[k] = v
-		}
-		m.shards[i] = clone
-		m.shared[i] = false
-	}
-	return m.shards[i]
-}
-
 // Apply implements Machine.
 func (m *KVStore) Apply(op []byte) []byte {
 	if len(op) == 0 {
@@ -169,11 +143,7 @@ func (m *KVStore) Apply(op []byte) []byte {
 		if r.Err() != nil {
 			return statusReply(StatusBadOp)
 		}
-		sh := m.mutable(key)
-		if _, ok := sh[key]; !ok {
-			m.sizes[shardOf(key)]++
-		}
-		sh[key] = val
+		m.set(key, val)
 		return okReply(nil)
 	case KVGet:
 		key := r.String()
@@ -190,10 +160,7 @@ func (m *KVStore) Apply(op []byte) []byte {
 		if r.Err() != nil {
 			return statusReply(StatusBadOp)
 		}
-		if _, ok := m.get(key); ok {
-			delete(m.mutable(key), key)
-			m.sizes[shardOf(key)]--
-		}
+		m.del(key)
 		return okReply(nil)
 	case KVAppend:
 		key := r.String()
@@ -201,15 +168,11 @@ func (m *KVStore) Apply(op []byte) []byte {
 		if r.Err() != nil {
 			return statusReply(StatusBadOp)
 		}
-		sh := m.mutable(key)
-		cur, ok := sh[key]
-		if !ok {
-			m.sizes[shardOf(key)]++
-		}
+		cur, _ := m.get(key)
 		next := make([]byte, 0, len(cur)+len(suffix))
 		next = append(next, cur...)
 		next = append(next, suffix...)
-		sh[key] = next
+		m.set(key, next)
 		return okReply(nil)
 	case KVCAS:
 		key := r.String()
@@ -222,12 +185,12 @@ func (m *KVStore) Apply(op []byte) []byte {
 		if !ok {
 			return statusReply(StatusNotFound)
 		}
-		if !bytesEqual(cur, expect) {
+		if !bytes.Equal(cur, expect) {
 			out := make([]byte, 0, 1+len(cur))
 			out = append(out, byte(StatusConflict))
 			return append(out, cur...)
 		}
-		m.mutable(key)[key] = newVal
+		m.set(key, newVal)
 		return okReply(nil)
 	case KVKeys:
 		prefix := r.String()
@@ -260,163 +223,6 @@ func (m *KVStore) Apply(op []byte) []byte {
 	default:
 		return statusReply(StatusBadOp)
 	}
-}
-
-// Snapshot implements Machine. Keys are emitted in globally sorted order so
-// snapshots are byte-identical across replicas with equal state (and
-// byte-identical to the pre-sharding format).
-func (m *KVStore) Snapshot() []byte {
-	keys := make([]string, 0, m.Len())
-	total := 0
-	for i := range m.shards {
-		for k, v := range m.shards[i] {
-			keys = append(keys, k)
-			total += len(k) + len(v) + 8
-		}
-	}
-	sort.Strings(keys)
-	w := types.NewWriter(8 + total)
-	w.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		w.String(k)
-		w.BytesField(m.shards[shardOf(k)][k])
-	}
-	return w.Bytes()
-}
-
-// Restore implements Machine.
-func (m *KVStore) Restore(snapshot []byte) error {
-	r := types.NewReader(snapshot)
-	n := r.Uvarint()
-	if err := r.Err(); err != nil {
-		return fmt.Errorf("kv snapshot header: %w", err)
-	}
-	var shards [numShards]map[string][]byte
-	for i := range shards {
-		shards[i] = make(map[string][]byte)
-	}
-	for i := uint64(0); i < n; i++ {
-		k := r.String()
-		v := r.BytesField()
-		if err := r.Err(); err != nil {
-			return fmt.Errorf("kv snapshot entry %d: %w", i, err)
-		}
-		shards[shardOf(k)][k] = v
-	}
-	if r.Remaining() != 0 {
-		return fmt.Errorf("%w: %d trailing bytes in kv snapshot", types.ErrCodec, r.Remaining())
-	}
-	m.shards = shards
-	m.shared = [numShards]bool{}
-	for i := range shards {
-		m.sizes[i] = len(shards[i])
-	}
-	return nil
-}
-
-// kvFork is a copy-on-write snapshot of a KVStore: it holds the shard map
-// references captured at fork time. The maps are never mutated after capture
-// (the machine clones a shared shard before writing), so serializing them
-// concurrently with further applies is safe.
-type kvFork struct {
-	shards [numShards]map[string][]byte
-}
-
-// ForkSnapshot implements ChunkedSnapshotter. O(numShards): it copies the
-// shard references and marks every shard shared; the next write to a shard
-// pays for one clone. Stale shared marks (after the fork is dropped) cost at
-// most one extra clone per shard and are cleared by Restore.
-func (m *KVStore) ForkSnapshot() SnapshotSource {
-	f := &kvFork{shards: m.shards}
-	for i := range m.shared {
-		m.shared[i] = true
-	}
-	return f
-}
-
-func (f *kvFork) Format() byte   { return SnapshotFormatShards }
-func (f *kvFork) NumChunks() int { return numShards }
-
-// Chunk serializes shard i: uvarint count, then sorted (key, value) pairs.
-func (f *kvFork) Chunk(i int) []byte {
-	sh := f.shards[i]
-	keys := make([]string, 0, len(sh))
-	total := 0
-	for k, v := range sh {
-		keys = append(keys, k)
-		total += len(k) + len(v) + 8
-	}
-	sort.Strings(keys)
-	w := types.NewWriter(8 + total)
-	w.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		w.String(k)
-		w.BytesField(sh[k])
-	}
-	return w.Bytes()
-}
-
-// RestoreChunk implements ChunkedSnapshotter: installs shard index from its
-// serialized form. Chunks may arrive in any order.
-func (m *KVStore) RestoreChunk(index int, data []byte) error {
-	if index < 0 || index >= numShards {
-		return fmt.Errorf("%w: kv chunk index %d out of range", types.ErrCodec, index)
-	}
-	r := types.NewReader(data)
-	n := r.Uvarint()
-	if err := r.Err(); err != nil {
-		return fmt.Errorf("kv chunk %d header: %w", index, err)
-	}
-	sh := make(map[string][]byte, n)
-	for i := uint64(0); i < n; i++ {
-		k := r.String()
-		v := r.BytesField()
-		if err := r.Err(); err != nil {
-			return fmt.Errorf("kv chunk %d entry %d: %w", index, i, err)
-		}
-		if shardOf(k) != index {
-			return fmt.Errorf("%w: key %q does not belong to kv shard %d", types.ErrCodec, k, index)
-		}
-		sh[k] = v
-	}
-	if r.Remaining() != 0 {
-		return fmt.Errorf("%w: trailing bytes in kv chunk %d", types.ErrCodec, index)
-	}
-	m.shards[index] = sh
-	m.shared[index] = false
-	m.sizes[index] = len(sh)
-	return nil
-}
-
-// FinishRestore implements ChunkedSnapshotter.
-func (m *KVStore) FinishRestore(total int) error {
-	if total != numShards {
-		return fmt.Errorf("%w: kv chunked snapshot has %d chunks, want %d", types.ErrCodec, total, numShards)
-	}
-	return nil
-}
-
-// Range calls fn for every key/value pair, in no particular order, stopping
-// early if fn returns false. The router's partitioned machine uses it to
-// extract one hash partition's keys when handing a shard to another group;
-// values must not be mutated by fn.
-func (m *KVStore) Range(fn func(key string, value []byte) bool) {
-	for i := range m.shards {
-		for k, v := range m.shards[i] {
-			if !fn(k, v) {
-				return
-			}
-		}
-	}
-}
-
-// Len returns the number of keys, for tests and state-size accounting.
-func (m *KVStore) Len() int {
-	n := 0
-	for i := range m.sizes {
-		n += m.sizes[i]
-	}
-	return n
 }
 
 // OpShard implements ShardedApplier. Single-key ops report the shard of
@@ -454,16 +260,4 @@ func DecodeKeysReply(payload []byte) ([]string, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -104,13 +104,9 @@ func TestKVSnapshotRoundTrip(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		m.Apply(EncodePut(fmt.Sprintf("k%03d", i), []byte{byte(i), byte(i >> 1)}))
 	}
-	snap := m.Snapshot()
 	m2 := NewKVStore()
-	if err := m2.Restore(snap); err != nil {
+	if err := roundTrip(m, m2, nil); err != nil {
 		t.Fatal(err)
-	}
-	if !bytes.Equal(m2.Snapshot(), snap) {
-		t.Fatal("restored snapshot differs")
 	}
 	if m2.Len() != 100 {
 		t.Fatalf("restored len %d", m2.Len())
@@ -118,7 +114,7 @@ func TestKVSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestKVSnapshotDeterministic checks the P5 precondition: two machines fed
-// the same ops in the same order produce byte-identical snapshots.
+// the same ops in the same order fork into byte-identical chunks.
 func TestKVSnapshotDeterministic(t *testing.T) {
 	ops := make([][]byte, 0, 300)
 	rng := rand.New(rand.NewSource(7))
@@ -142,13 +138,13 @@ func TestKVSnapshotDeterministic(t *testing.T) {
 			t.Fatal("replies diverged")
 		}
 	}
-	if !bytes.Equal(m1.Snapshot(), m2.Snapshot()) {
+	if !sameChunks(chunksOf(m1.ForkSnapshot()), chunksOf(m2.ForkSnapshot())) {
 		t.Fatal("snapshots diverged")
 	}
 }
 
-// TestKVRestoreEquivalenceProperty is invariant P5: Restore(Snapshot(m))
-// is observationally equal to m.
+// TestKVRestoreEquivalenceProperty is invariant P5 over arbitrary keys and
+// values: a KVStore restored from a fork of m is observationally equal to m.
 func TestKVRestoreEquivalenceProperty(t *testing.T) {
 	f := func(keys []string, vals [][]byte, probe string) bool {
 		m := NewKVStore()
@@ -160,7 +156,7 @@ func TestKVRestoreEquivalenceProperty(t *testing.T) {
 			m.Apply(EncodePut(k, v))
 		}
 		m2 := NewKVStore()
-		if err := m2.Restore(m.Snapshot()); err != nil {
+		if err := roundTrip(m, m2, nil); err != nil {
 			return false
 		}
 		for _, k := range append(keys, probe) {
@@ -178,24 +174,26 @@ func TestKVRestoreEquivalenceProperty(t *testing.T) {
 func TestKVRestoreRejectsCorruption(t *testing.T) {
 	m := NewKVStore()
 	m.Apply(EncodePut("k", []byte("v")))
-	snap := m.Snapshot()
+	home := shardOf("k")
+	chunk := m.ForkSnapshot().Chunk(home)
 	for _, bad := range [][]byte{
-		snap[:len(snap)-1],       // truncated
-		append(snap, 0x00),       // trailing garbage
-		{0xff, 0xff, 0xff, 0xff}, // absurd count
+		chunk[:len(chunk)-1],             // truncated
+		append(bytes.Clone(chunk), 0x00), // trailing garbage
+		{0xff, 0xff, 0xff, 0xff},         // absurd count
+		{0x80},                           // torn count
 	} {
-		m2 := NewKVStore()
-		if err := m2.Restore(bad); err == nil {
-			t.Errorf("corrupted snapshot %v accepted", bad[:min(8, len(bad))])
+		if err := NewKVStore().RestoreChunk(home, bad); err == nil {
+			t.Errorf("corrupted chunk %x accepted", bad[:min(8, len(bad))])
 		}
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
+	for _, index := range []int{-1, numShards} {
+		if err := NewKVStore().RestoreChunk(index, chunk); err == nil {
+			t.Errorf("chunk index %d accepted", index)
+		}
 	}
-	return b
+	if err := NewKVStore().FinishRestore(numShards - 1); err == nil {
+		t.Error("restore with a chunk short finished")
+	}
 }
 
 // The op a machine is handed is a window of a larger buffer that belongs to

@@ -1,33 +1,45 @@
 // Package statemachine defines the replicated application layer: the
-// deterministic Machine interface every SMR engine drives, a client-session
-// deduplication wrapper giving at-most-once semantics across retries and
-// reconfigurations, and three concrete machines — a key/value store, a bank
-// with a conservation invariant, and a counter — used by the examples, tests
-// and experiments.
+// deterministic Machine interface every SMR engine drives — Apply, plus a
+// copy-on-write fork cut into chunks, the one snapshot format every join,
+// stale jump, checkpoint catch-up and restart moves state through — a
+// client-session deduplication wrapper giving at-most-once semantics across
+// retries and reconfigurations, and three concrete machines: a key/value
+// store and a bank with a conservation invariant, which share one sharded
+// copy-on-write map (shardMap), and a one-chunk counter the tests use.
 package statemachine
 
 import "fmt"
 
 // Machine is a deterministic state machine. Implementations must be fully
 // deterministic: the same op sequence applied to the same initial state must
-// produce identical replies and identical snapshots on every replica.
+// produce identical replies and byte-identical snapshot chunks on every
+// replica.
 //
 // Application-level failures (unknown key, malformed op, ...) are encoded in
 // the reply — never as a Go error — so that a "failing" op is just as
 // deterministic as a succeeding one.
+//
+// A machine's state leaves it only as a copy-on-write fork cut into chunks
+// (SnapshotFormat), and comes back chunk by chunk into a fresh machine from
+// the same Factory.
 type Machine interface {
 	// Apply executes one operation and returns its reply.
 	Apply(op []byte) []byte
-	// Snapshot serializes the complete state deterministically.
-	Snapshot() []byte
-	// Restore replaces the state with a previously taken snapshot.
-	// It returns an error only for corrupted input.
-	Restore(snapshot []byte) error
+	// ForkSnapshot captures the current state as a copy-on-write fork.
+	// The caller may serialize it concurrently with further Apply calls.
+	ForkSnapshot() SnapshotSource
+	// RestoreChunk installs one chunk of a snapshot being restored. Chunks
+	// may arrive in any order; each index is delivered at most once. It
+	// returns an error only for corrupted input.
+	RestoreChunk(index int, data []byte) error
+	// FinishRestore completes a restore after all total chunks have been
+	// delivered via RestoreChunk, validating completeness.
+	FinishRestore(total int) error
 }
 
 // Factory creates a fresh, empty machine. Each configuration's replica set
 // builds machines through a factory so crashed replicas restart clean and
-// restore from snapshots.
+// restore from snapshot chunks.
 type Factory func() Machine
 
 // ReadOnlyDetector is an optional Machine capability: classifying ops that

@@ -20,12 +20,9 @@ type Sessioned struct {
 	inner    Machine
 	sessions map[types.NodeID]sessionState
 
-	// Transient chunked-restore state (see RestoreChunk/FinishRestore).
+	// restoredSessions: chunk 0 arrived in the restore under way.
 	restoredSessions bool
-	restoreParts     map[int][]byte
 }
-
-var _ ChunkedSnapshotter = (*Sessioned)(nil)
 
 type sessionState struct {
 	lastSeq   uint64
@@ -90,56 +87,8 @@ func (s *Sessioned) ApplyRead(op []byte) []byte {
 // Sessions returns the number of tracked client sessions.
 func (s *Sessioned) Sessions() int { return len(s.sessions) }
 
-// Snapshot serializes the session table and the inner machine's state into a
-// single deterministic blob.
-func (s *Sessioned) Snapshot() []byte {
-	clients := s.SessionClients()
-	inner := s.inner.Snapshot()
-	w := types.NewWriter(16 + 32*len(clients) + len(inner))
-	w.Uvarint(uint64(len(clients)))
-	for _, c := range clients {
-		sess := s.sessions[c]
-		w.NodeID(c)
-		w.Uvarint(sess.lastSeq)
-		w.BytesField(sess.lastReply)
-	}
-	w.BytesField(inner)
-	return w.Bytes()
-}
-
-// Restore replaces both the session table and the inner machine's state.
-func (s *Sessioned) Restore(snapshot []byte) error {
-	r := types.NewReader(snapshot)
-	n := r.Uvarint()
-	if err := r.Err(); err != nil {
-		return fmt.Errorf("session snapshot header: %w", err)
-	}
-	sessions := make(map[types.NodeID]sessionState, n)
-	for i := uint64(0); i < n; i++ {
-		c := r.NodeID()
-		seq := r.Uvarint()
-		rep := r.BytesField()
-		if err := r.Err(); err != nil {
-			return fmt.Errorf("session snapshot entry %d: %w", i, err)
-		}
-		sessions[c] = sessionState{lastSeq: seq, lastReply: rep}
-	}
-	inner := r.BytesField()
-	if err := r.Err(); err != nil {
-		return fmt.Errorf("session snapshot body: %w", err)
-	}
-	if r.Remaining() != 0 {
-		return fmt.Errorf("%w: trailing bytes in session snapshot", types.ErrCodec)
-	}
-	if err := s.inner.Restore(inner); err != nil {
-		return fmt.Errorf("restore inner machine: %w", err)
-	}
-	s.sessions = sessions
-	return nil
-}
-
-// encodeSessions serializes the session table alone (in SessionClients
-// order), the payload of chunk 0 in a chunked Sessioned snapshot.
+// encodeSessions serializes the session table (in SessionClients order),
+// the payload of chunk 0 of a Sessioned snapshot.
 func (s *Sessioned) encodeSessions() []byte {
 	clients := s.SessionClients()
 	w := types.NewWriter(8 + 32*len(clients))
@@ -159,7 +108,7 @@ func (s *Sessioned) decodeSessions(data []byte) error {
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("session chunk header: %w", err)
 	}
-	sessions := make(map[types.NodeID]sessionState, n)
+	sessions := make(map[types.NodeID]sessionState, min(n, uint64(r.Remaining())))
 	for i := uint64(0); i < n; i++ {
 		c := r.NodeID()
 		seq := r.Uvarint()
@@ -176,73 +125,31 @@ func (s *Sessioned) decodeSessions(data []byte) error {
 	return nil
 }
 
-// sessionedFork is a chunked snapshot of a Sessioned machine. Chunk 0 is the
-// session table (serialized eagerly at fork time — O(clients), cheap).
-// If the inner machine supports chunked snapshots, chunks 1..n are the inner
-// fork's chunks 0..n-1 (SnapshotFormatShards). Otherwise the inner machine's
-// monolithic Snapshot() is taken eagerly and chunks 1..n are consecutive
-// BlobChunkSize ranges of it (SnapshotFormatBlob).
+// sessionedFork is a snapshot of a Sessioned machine: chunk 0 is the session
+// table (serialized eagerly at fork time — O(clients), cheap), chunks 1..n
+// are the inner fork's chunks 0..n-1.
 type sessionedFork struct {
 	sessions []byte
-	inner    SnapshotSource // nil in blob mode
-	blob     []byte         // inner.Snapshot() in blob mode
+	inner    SnapshotSource
 }
 
-// ChunkFormat reports the chunk layout a fork of this machine would use,
-// letting a restorer validate a manifest before fetching chunks.
-func (s *Sessioned) ChunkFormat() byte {
-	if _, ok := s.inner.(ChunkedSnapshotter); ok {
-		return SnapshotFormatShards
-	}
-	return SnapshotFormatBlob
-}
-
-// ForkSnapshot implements ChunkedSnapshotter. With a chunked inner machine
-// this is O(shards + clients); with a monolithic inner machine the inner
-// Snapshot() is still serialized eagerly (the fallback the capability exists
-// to avoid, retained for machines that don't opt in).
+// ForkSnapshot captures the session table and forks the inner machine:
+// O(shards + clients).
 func (s *Sessioned) ForkSnapshot() SnapshotSource {
-	f := &sessionedFork{sessions: s.encodeSessions()}
-	if cs, ok := s.inner.(ChunkedSnapshotter); ok {
-		f.inner = cs.ForkSnapshot()
-	} else {
-		f.blob = s.inner.Snapshot()
-	}
-	return f
+	return &sessionedFork{sessions: s.encodeSessions(), inner: s.inner.ForkSnapshot()}
 }
 
-func (f *sessionedFork) Format() byte {
-	if f.inner != nil {
-		return SnapshotFormatShards
-	}
-	return SnapshotFormatBlob
-}
-
-func (f *sessionedFork) NumChunks() int {
-	if f.inner != nil {
-		return 1 + f.inner.NumChunks()
-	}
-	return 1 + (len(f.blob)+BlobChunkSize-1)/BlobChunkSize
-}
+func (f *sessionedFork) NumChunks() int { return 1 + f.inner.NumChunks() }
 
 func (f *sessionedFork) Chunk(i int) []byte {
 	if i == 0 {
 		return f.sessions
 	}
-	if f.inner != nil {
-		return f.inner.Chunk(i - 1)
-	}
-	lo := (i - 1) * BlobChunkSize
-	hi := lo + BlobChunkSize
-	if hi > len(f.blob) {
-		hi = len(f.blob)
-	}
-	return f.blob[lo:hi]
+	return f.inner.Chunk(i - 1)
 }
 
-// RestoreChunk implements ChunkedSnapshotter. Chunk 0 replaces the session
-// table; later chunks go to the inner machine (shard mode) or are buffered
-// until FinishRestore reassembles the monolithic snapshot (blob mode).
+// RestoreChunk installs one chunk into a fresh machine: chunk 0 replaces the
+// session table, later ones go to the inner machine.
 func (s *Sessioned) RestoreChunk(index int, data []byte) error {
 	if index < 0 {
 		return fmt.Errorf("%w: negative session chunk index %d", types.ErrCodec, index)
@@ -254,19 +161,11 @@ func (s *Sessioned) RestoreChunk(index int, data []byte) error {
 		s.restoredSessions = true
 		return nil
 	}
-	if cs, ok := s.inner.(ChunkedSnapshotter); ok {
-		return cs.RestoreChunk(index-1, data)
-	}
-	if s.restoreParts == nil {
-		s.restoreParts = make(map[int][]byte)
-	}
-	s.restoreParts[index] = data
-	return nil
+	return s.inner.RestoreChunk(index-1, data)
 }
 
-// FinishRestore implements ChunkedSnapshotter: validates that all total
-// chunks arrived and, in blob mode, reassembles and restores the inner
-// machine's monolithic snapshot.
+// FinishRestore validates that the session chunk arrived and finishes the
+// inner machine's restore.
 func (s *Sessioned) FinishRestore(total int) error {
 	if total < 1 {
 		return fmt.Errorf("%w: sessioned snapshot needs at least 1 chunk, got %d", types.ErrCodec, total)
@@ -275,26 +174,7 @@ func (s *Sessioned) FinishRestore(total int) error {
 		return fmt.Errorf("%w: session chunk 0 missing from chunked restore", types.ErrCodec)
 	}
 	s.restoredSessions = false
-	if cs, ok := s.inner.(ChunkedSnapshotter); ok {
-		return cs.FinishRestore(total - 1)
-	}
-	size := 0
-	for i := 1; i < total; i++ {
-		part, ok := s.restoreParts[i]
-		if !ok {
-			return fmt.Errorf("%w: blob chunk %d missing from chunked restore", types.ErrCodec, i)
-		}
-		size += len(part)
-	}
-	blob := make([]byte, 0, size)
-	for i := 1; i < total; i++ {
-		blob = append(blob, s.restoreParts[i]...)
-	}
-	s.restoreParts = nil
-	if err := s.inner.Restore(blob); err != nil {
-		return fmt.Errorf("restore inner machine: %w", err)
-	}
-	return nil
+	return s.inner.FinishRestore(total - 1)
 }
 
 // Inner returns the wrapped machine (read-only test access).

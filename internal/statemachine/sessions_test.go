@@ -103,11 +103,8 @@ func TestSessionedSnapshotCarriesDedup(t *testing.T) {
 	transfer := appCmd("c1", 3, EncodeTransfer("a", "b", 40))
 	firstReply, _ := s.ApplyCommand(transfer)
 
-	snap := s.Snapshot()
 	s2 := NewSessioned(NewBank())
-	if err := s2.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
+	restoreAll(t, s2, s.ForkSnapshot(), nil)
 
 	// Replay the transfer in the "new configuration".
 	rep, dup := s2.ApplyCommand(transfer)
@@ -134,7 +131,7 @@ func TestSessionedSnapshotDeterministic(t *testing.T) {
 		s.ApplyCommand(appCmd("c3", 1, EncodeGet("x")))
 		return s
 	}
-	if !bytes.Equal(build().Snapshot(), build().Snapshot()) {
+	if !sameChunks(chunksOf(build().ForkSnapshot()), chunksOf(build().ForkSnapshot())) {
 		t.Fatal("snapshot not deterministic")
 	}
 }
@@ -142,13 +139,16 @@ func TestSessionedSnapshotDeterministic(t *testing.T) {
 func TestSessionedRestoreRejectsCorruption(t *testing.T) {
 	s := NewSessioned(NewCounterMachine())
 	s.ApplyCommand(appCmd("c1", 1, EncodeAdd(1)))
-	snap := s.Snapshot()
+	sessions := s.ForkSnapshot().Chunk(0)
 	s2 := NewSessioned(NewCounterMachine())
-	if err := s2.Restore(snap[:len(snap)-1]); err == nil {
-		t.Fatal("truncated snapshot accepted")
+	if err := s2.RestoreChunk(0, sessions[:len(sessions)-1]); err == nil {
+		t.Fatal("truncated session chunk accepted")
 	}
-	if err := s2.Restore(append(bytes.Clone(snap), 1)); err == nil {
-		t.Fatal("padded snapshot accepted")
+	if err := s2.RestoreChunk(0, append(bytes.Clone(sessions), 1)); err == nil {
+		t.Fatal("padded session chunk accepted")
+	}
+	if err := s2.RestoreChunk(-1, sessions); err == nil {
+		t.Fatal("negative chunk index accepted")
 	}
 }
 
@@ -162,7 +162,7 @@ func TestSessionedClientsListing(t *testing.T) {
 	}
 }
 
-// TestSessionedRoundTripProperty: restoring a snapshot preserves both the
+// TestSessionedRoundTripProperty: restoring a fork preserves both the
 // machine state and the session table for arbitrary histories (P5 for the
 // wrapper).
 func TestSessionedRoundTripProperty(t *testing.T) {
@@ -176,10 +176,10 @@ func TestSessionedRoundTripProperty(t *testing.T) {
 			s.ApplyCommand(appCmd("c", seq%16, EncodeAdd(d)))
 		}
 		s2 := NewSessioned(NewCounterMachine())
-		if err := s2.Restore(s.Snapshot()); err != nil {
+		if err := roundTrip(s, s2, nil); err != nil {
 			return false
 		}
-		return bytes.Equal(s.Snapshot(), s2.Snapshot()) && s.LastSeq("c") == s2.LastSeq("c")
+		return s.LastSeq("c") == s2.LastSeq("c")
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
@@ -199,17 +199,24 @@ func TestCounterMachine(t *testing.T) {
 		t.Fatalf("bad op: %v", st)
 	}
 	m2 := &Counter{}
-	if err := m2.Restore(m.Snapshot()); err != nil {
+	if err := roundTrip(m, m2, nil); err != nil {
 		t.Fatal(err)
 	}
 	if m2.Value() != 100 {
 		t.Fatalf("restored %d", m2.Value())
 	}
-	if err := m2.Restore([]byte{0xff}); err == nil {
-		t.Fatal("bad snapshot accepted")
+	chunk := m.ForkSnapshot().Chunk(0)
+	if err := m2.RestoreChunk(0, []byte{0xff}); err == nil {
+		t.Fatal("bad chunk accepted")
 	}
-	if err := m2.Restore(append(m.Snapshot(), 0)); err == nil {
-		t.Fatal("padded snapshot accepted")
+	if err := m2.RestoreChunk(0, append(chunk, 0)); err == nil {
+		t.Fatal("padded chunk accepted")
+	}
+	if err := m2.RestoreChunk(1, chunk); err == nil {
+		t.Fatal("chunk index 1 accepted")
+	}
+	if err := m2.FinishRestore(2); err == nil {
+		t.Fatal("two-chunk counter snapshot finished")
 	}
 }
 

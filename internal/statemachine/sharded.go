@@ -34,13 +34,12 @@ const (
 
 // ApplyBatch applies a decided run of commands and returns the reply and
 // duplicate flag for each, exactly as if ApplyCommand had been called on
-// each command in order. With parallel set and an inner machine that
-// implements ShardedApplier, non-barrier commands are executed by per-shard
-// workers; ApplyBatch returns only after every worker has joined, so the
-// caller may treat its return as the point where all state mutations are
-// visible (the wedge-drain rule relies on this). Otherwise — parallel
-// false, no capability, or a batch too small to be worth the fan-out — it
-// degenerates to the serial loop.
+// each command in order. With an inner machine that implements
+// ShardedApplier, non-barrier commands are executed by per-shard workers;
+// ApplyBatch returns only after every worker has joined, so the caller may
+// treat its return as the point where all state mutations are visible (the
+// wedge-drain rule relies on this). Otherwise — no capability, or a batch
+// too small to be worth the fan-out — it degenerates to the serial loop.
 //
 // Equivalence argument: session deduplication is decided in a serial
 // pre-pass that tracks, per client, the sequence number the session table
@@ -51,11 +50,11 @@ const (
 // in the same shard queue (queues preserve decided order), and cross-shard
 // commands are barriers. The session table itself is updated in a serial
 // post-pass in decided order.
-func (s *Sessioned) ApplyBatch(cmds []types.Command, parallel bool) (replies [][]byte, dups []bool) {
+func (s *Sessioned) ApplyBatch(cmds []types.Command) (replies [][]byte, dups []bool) {
 	replies = make([][]byte, len(cmds))
 	dups = make([]bool, len(cmds))
 	sharder, _ := s.inner.(ShardedApplier)
-	if !parallel || sharder == nil || len(cmds) < parallelApplyMinOps {
+	if sharder == nil || len(cmds) < parallelApplyMinOps {
 		for i, cmd := range cmds {
 			replies[i], dups[i] = s.ApplyCommand(cmd)
 		}

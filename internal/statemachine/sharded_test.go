@@ -78,8 +78,9 @@ func randomBankBatch(rng *rand.Rand, seqs map[types.NodeID]uint64, n int) []type
 }
 
 // TestApplyBatchMatchesSerial checks the load-bearing property of parallel
-// apply: for any decided batch, ApplyBatch(parallel) produces byte-identical
-// replies, duplicate flags and end state to the one-command-at-a-time path.
+// apply: for any decided batch, ApplyBatch produces byte-identical replies,
+// duplicate flags and end state to a loop over ApplyCommand, the serial
+// semantics it must match.
 func TestApplyBatchMatchesSerial(t *testing.T) {
 	type gen func(*rand.Rand, map[types.NodeID]uint64, int) []types.Command
 	cases := []struct {
@@ -107,7 +108,7 @@ func TestApplyBatchMatchesSerial(t *testing.T) {
 					for i, cmd := range batch {
 						wantReplies[i], wantDups[i] = serial.ApplyCommand(cmd)
 					}
-					gotReplies, gotDups := par.ApplyBatch(batch, true)
+					gotReplies, gotDups := par.ApplyBatch(batch)
 					for i := range batch {
 						if gotDups[i] != wantDups[i] {
 							t.Fatalf("seed %d round %d cmd %d: dup=%v want %v", seed, round, i, gotDups[i], wantDups[i])
@@ -116,29 +117,12 @@ func TestApplyBatchMatchesSerial(t *testing.T) {
 							t.Fatalf("seed %d round %d cmd %d: reply %x want %x", seed, round, i, gotReplies[i], wantReplies[i])
 						}
 					}
-					if !bytes.Equal(par.Snapshot(), serial.Snapshot()) {
+					if !sameChunks(chunksOf(par.ForkSnapshot()), chunksOf(serial.ForkSnapshot())) {
 						t.Fatalf("seed %d round %d: snapshots diverge after batch", seed, round)
 					}
 				}
 			}
 		})
-	}
-}
-
-// TestApplyBatchSerialFlag checks the ablation knob: parallel=false must use
-// the exact serial path even on a sharded machine.
-func TestApplyBatchSerialFlag(t *testing.T) {
-	serial := NewSessioned(NewKVStore())
-	batched := NewSessioned(NewKVStore())
-	rng := rand.New(rand.NewSource(42))
-	seqs := make(map[types.NodeID]uint64)
-	batch := randomKVBatch(rng, seqs, 64)
-	for _, cmd := range batch {
-		serial.ApplyCommand(cmd)
-	}
-	batched.ApplyBatch(batch, false)
-	if !bytes.Equal(serial.Snapshot(), batched.Snapshot()) {
-		t.Fatal("serial-flag ApplyBatch diverged from ApplyCommand loop")
 	}
 }
 
@@ -151,21 +135,14 @@ func TestApplyBatchDuringFork(t *testing.T) {
 		s.ApplyCommand(types.Command{Kind: types.CmdApp, Client: "c0", Seq: uint64(i + 1),
 			Data: EncodePut(fmt.Sprintf("k%d", i), []byte("before"))})
 	}
-	before := s.Snapshot()
+	before := chunksOf(s.ForkSnapshot())
 	fork := s.ForkSnapshot()
 	rng := rand.New(rand.NewSource(7))
 	seqs := map[types.NodeID]uint64{"c0": 40}
-	s.ApplyBatch(randomKVBatch(rng, seqs, 200), true)
+	s.ApplyBatch(randomKVBatch(rng, seqs, 200))
 	restored := NewSessioned(NewKVStore())
-	for i := 0; i < fork.NumChunks(); i++ {
-		if err := restored.RestoreChunk(i, fork.Chunk(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := restored.FinishRestore(fork.NumChunks()); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(restored.Snapshot(), before) {
+	restoreAll(t, restored, fork, nil)
+	if !sameChunks(chunksOf(restored.ForkSnapshot()), before) {
 		t.Fatal("fork captured before the batch observed the batch's writes")
 	}
 }

@@ -19,7 +19,7 @@ import (
 //	<prefix>/c/<i>   chunk i (zero-padded decimal index)
 
 // ChunkManifest describes a chunked blob. Format is interpreted by the owner
-// (see statemachine.SnapshotFormat*); CRCs[i] is the CRC32-C of chunk i.
+// (see statemachine.SnapshotFormat); CRCs[i] is the CRC32-C of chunk i.
 // Base is the log position the blob's content corresponds to: an installer
 // must set its apply cursor to Base and skip decided slots ≤ Base (they are
 // already folded into the blob), which is what gates replies for slots a

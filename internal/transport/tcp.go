@@ -254,7 +254,7 @@ func (f *tcpFabric) transmit(from, to types.NodeID, group, stream uint64, kind u
 	queued := len(oc.queue)
 	if queued > sendQueueCap {
 		// A frame that finds the queue under the cap always goes, whatever
-		// its size, so transfer chunks and monolithic snapshots still pass.
+		// its size, so snapshot transfer replies still pass.
 		oc.mu.Unlock()
 		f.net.countDroppedBusy()
 		return

@@ -106,10 +106,14 @@ func TestPreloadOpsPopulateMachine(t *testing.T) {
 	if m.Len() != 100 {
 		t.Fatalf("len %d", m.Len())
 	}
-	snap := m.Snapshot()
+	fork := m.ForkSnapshot()
+	size := 0
+	for i := 0; i < fork.NumChunks(); i++ {
+		size += len(fork.Chunk(i))
+	}
 	est := StateBytes(100, 32)
-	if len(snap) < est/2 || len(snap) > est*2 {
-		t.Fatalf("estimate %d vs snapshot %d", est, len(snap))
+	if size < est/2 || size > est*2 {
+		t.Fatalf("estimate %d vs snapshot %d", est, size)
 	}
 }
 
