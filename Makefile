@@ -76,8 +76,9 @@ fmt-check:
 # for 10 s. bench/ is a nested module (bench/go.mod) that ./... does not
 # descend into; the fourth line notices a program change that breaks the
 # benchmark's build.
-# The last is CI's rsmbench front door: an unknown ID and the retired f5 exit 2
+# The next is CI's rsmbench front door: an unknown ID and the retired f5 exit 2
 # before anything runs (built first: `go run` reports any failing exit as 1).
+# The last prints what CI's Size step puts on the run's summary page.
 ci: vet build examples test race fmt-check
 	$(GO) test -run 'TestLoadedWritePathBytesPerOp' -count=1 ./internal/cluster/
 	$(GO) test -run 'TestReplicaConstructionAllocates' -count=1 ./internal/reconfig/
@@ -87,3 +88,4 @@ ci: vet build examples test race fmt-check
 	for e in nosuch f5; do rc=0; $$dir/rsmbench -exp $$e 2>/dev/null || rc=$$?; \
 		test $$rc -eq 2 || { echo "rsmbench -exp $$e: exit $$rc, want 2"; exit 1; }; \
 	done; rm -rf $$dir
+	scripts/size.sh

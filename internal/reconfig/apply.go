@@ -86,12 +86,12 @@ func (n *Node) collectRound() (applyRound, bool) {
 }
 
 // executeRound executes a collected round segment by segment: a maximal run
-// of ordinary commands is one machine batch executed off-mutex; each
-// reconfiguration executes alone under the mutex. ApplyBatch joins all shard
-// workers before returning, so by construction every preceding mutation is
-// complete before a wedge forks the snapshot (the wedge-drain rule). It stops
-// early, giving the round's decisions back, when the epoch raced (results
-// obsolete) or this configuration wedged.
+// of ordinary commands is applied off-mutex, one command at a time on this
+// goroutine; each reconfiguration executes alone under the mutex. The
+// segment's last command has returned before the next unit starts, so every
+// preceding mutation is complete before a wedge forks the snapshot (the
+// wedge-drain rule). It stops early, giving the round's decisions back, when
+// the epoch raced (results obsolete) or this configuration wedged.
 func (n *Node) executeRound(r applyRound) {
 	units, epoch := r.units, r.epoch
 	i := 0
@@ -223,19 +223,20 @@ func (n *Node) applyReconfigUnit(u applyUnit, lastOfSlot bool, epoch *int64) (ok
 	return true, n.curID != before || !n.initialized
 }
 
-// applySegment executes a run of ordinary commands against the machine with
-// the node mutex released, then reacquires it to commit. If the epoch moved
-// while executing, the machine the segment mutated was already abandoned
-// (snapshot install or configuration jump replaced it) and the results are
-// discarded: nothing is committed, no client is answered; re-submission and
-// session dedup re-derive the replies. Returns whether the commit happened.
+// applySegment applies a run of ordinary commands to the machine in decided
+// order with the node mutex released, then reacquires it to commit. If the
+// epoch moved while executing, the machine the segment mutated was already
+// abandoned (snapshot install or configuration jump replaced it) and the
+// results are discarded: nothing is committed, no client is answered;
+// re-submission and session dedup re-derive the replies. Returns whether the
+// commit happened.
 func (n *Node) applySegment(machine *statemachine.Sessioned, seg []applyUnit, commit types.Slot, epoch int64) bool {
-	cmds := make([]types.Command, len(seg))
-	for k := range seg {
-		cmds[k] = seg[k].cmd
-	}
+	replies := make([][]byte, len(seg))
+	dups := make([]bool, len(seg))
 	n.execMu.Lock()
-	replies, dups := machine.ApplyBatch(cmds)
+	for k := range seg {
+		replies[k], dups[k] = machine.ApplyCommand(seg[k].cmd)
+	}
 	n.execMu.Unlock()
 
 	n.mu.Lock()

@@ -188,12 +188,12 @@ func (n *Node) maybeCheckpointLocked() {
 	if n.appliedSlot < n.ckptSelfBase+types.Slot(n.opts.CheckpointInterval) {
 		return
 	}
-	// Fork under mu + execMu (shared): ApplyBatch holds execMu exclusively,
-	// so the fork never observes a half-applied batch. The machine may
-	// already contain a batch whose commit (the appliedSlot advance) is
-	// still waiting on mu; Base then under-claims by one batch, and
-	// replaying those commands over the checkpoint is idempotent through
-	// session dedup.
+	// Fork under mu + execMu (shared): applySegment holds execMu exclusively
+	// while it applies a segment, so the fork never observes a half-applied
+	// one. The machine may already contain a segment whose commit (the
+	// appliedSlot advance) is still waiting on mu; Base then under-claims by
+	// one segment, and replaying those commands over the checkpoint is
+	// idempotent through session dedup.
 	n.execMu.RLock()
 	src := n.machine.ForkSnapshot()
 	n.execMu.RUnlock()

@@ -178,13 +178,12 @@ func kvReadHeavyWorkload() linWorkload {
 	}
 }
 
-// kvWriteHeavyWorkload is the parallel-apply stressor: ~90% of generated ops
-// mutate state (Put/Append/Delete/CAS across a keyspace wide enough to land
-// on many shards), so decided batches are dense with commutative single-key
-// writes — exactly what the sharded apply stage fans out to workers. The
+// kvWriteHeavyWorkload is the apply-stage stressor: ~90% of generated ops
+// mutate state (Put/Append/Delete/CAS across 64 keys), so decided batches are
+// long runs of writes that the apply stage executes off the node mutex. The
 // remaining Gets keep read-after-write ordering observable, so an apply
-// stage that released a client reply before its shard worker finished, or
-// advanced the read cursor past a half-applied batch, shows up as a
+// stage that released a client reply before its command was applied, or
+// advanced the read cursor past a half-applied segment, shows up as a
 // linearizability counterexample.
 func kvWriteHeavyWorkload() linWorkload {
 	vals := make([][]byte, 6)
@@ -214,10 +213,9 @@ func kvWriteHeavyWorkload() linWorkload {
 	}
 }
 
-// bankWriteHeavyWorkload skews the bank toward transfers and deposits.
-// Transfers are cross-shard barriers in the sharded apply stage, so decided
-// batches alternate between parallel per-account groups and serialization
-// points; the Total reads assert conservation across them.
+// bankWriteHeavyWorkload skews the bank toward transfers and deposits, so
+// decided batches are dense with two-account writes; the Total reads assert
+// conservation across them and across every wedge snapshot.
 func bankWriteHeavyWorkload() linWorkload {
 	accounts := []string{"a", "b", "c"}
 	return linWorkload{
@@ -608,13 +606,12 @@ func TestLinearizabilityReadHeavyLeaderKillReconfig(t *testing.T) {
 	})
 }
 
-// TestLinearizabilityWriteHeavyParallelApply is the parallel-apply
-// correctness run: a 90%-write KV load across 64 keys (many shards) while the
-// nemesis churns reconfigurations and crash-restarts nodes. Parallel apply is
-// on (the default); every reply released before a shard worker finished, and
-// every decided batch surviving a wedge half-applied, would be a
-// counterexample here.
-func TestLinearizabilityWriteHeavyParallelApply(t *testing.T) {
+// TestLinearizabilityWriteHeavy is the apply-stage correctness run: a
+// 90%-write KV load across 64 keys while the nemesis churns reconfigurations
+// and crash-restarts nodes. Every reply released before its command was
+// applied, and every decided segment surviving a wedge half-applied, would be
+// a counterexample here.
+func TestLinearizabilityWriteHeavy(t *testing.T) {
 	runLin(t, linRun{
 		workload:     kvWriteHeavyWorkload(),
 		kinds:        []nemesis.Kind{nemesis.KindReconfigure, nemesis.KindCrashRestart},
@@ -625,12 +622,11 @@ func TestLinearizabilityWriteHeavyParallelApply(t *testing.T) {
 	})
 }
 
-// TestLinearizabilityWriteHeavyBankParallelApply runs the transfer-skewed
-// bank under the same churn: transfers are cross-shard barriers, so this is
-// the case where the apply stage must drain all shard workers before the
-// barrier op and before every wedge snapshot — conservation violations or
-// stale Totals would fail the check.
-func TestLinearizabilityWriteHeavyBankParallelApply(t *testing.T) {
+// TestLinearizabilityWriteHeavyBank runs the transfer-skewed bank under the
+// same churn: the apply stage must finish every transfer before the wedge
+// snapshot forks — conservation violations or stale Totals would fail the
+// check.
+func TestLinearizabilityWriteHeavyBank(t *testing.T) {
 	runLin(t, linRun{
 		workload:     bankWriteHeavyWorkload(),
 		kinds:        []nemesis.Kind{nemesis.KindReconfigure, nemesis.KindCrashRestart},

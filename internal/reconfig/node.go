@@ -265,7 +265,7 @@ type Node struct {
 	// decided segment, so proposals and housekeeping proceed under mu
 	// meanwhile; paths that read machine state under mu (submit dedup,
 	// fast-path reads) additionally take it shared so they never observe a
-	// half-applied batch. Lock order: mu before execMu; the apply stage
+	// half-applied segment. Lock order: mu before execMu; the apply stage
 	// never acquires mu while holding execMu.
 	execMu      sync.RWMutex
 	machine     *statemachine.Sessioned

@@ -31,10 +31,7 @@ type Bank struct {
 	shardMap[uint64]
 }
 
-var (
-	_ Machine        = (*Bank)(nil)
-	_ ShardedApplier = (*Bank)(nil)
-)
+var _ Machine = (*Bank)(nil)
 
 // balances writes a balance as a uvarint.
 var balances = &shardCodec[uint64]{
@@ -173,31 +170,6 @@ func (m *Bank) Apply(op []byte) []byte {
 		return statusReply(StatusBadOp)
 	}
 }
-
-// OpShard implements ShardedApplier. Single-account ops report their
-// account's shard. BankTransfer touches two accounts and BankTotal scans
-// every shard, so both are barriers (as is anything malformed or unknown) —
-// the conservation invariant depends on a transfer never interleaving with
-// ops on either endpoint's shard.
-func (m *Bank) OpShard(op []byte) (int, bool) {
-	if len(op) == 0 {
-		return 0, false
-	}
-	switch BankOp(op[0]) {
-	case BankOpen, BankDeposit, BankBalance:
-		r := types.NewReader(op[1:])
-		acct := r.String()
-		if r.Err() != nil {
-			return 0, false
-		}
-		return shardOf(acct), true
-	default:
-		return 0, false
-	}
-}
-
-// NumShards implements ShardedApplier.
-func (m *Bank) NumShards() int { return numShards }
 
 // Total returns the sum of all balances (test helper, mirrors BankTotal).
 func (m *Bank) Total() uint64 {

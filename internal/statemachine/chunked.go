@@ -77,11 +77,7 @@ type shardMap[V any] struct {
 	// shared[i] means shards[i] may be referenced by an outstanding
 	// snapshot fork and must be cloned before mutation.
 	shared [numShards]bool
-	// sizes[i] is the key count of shard i. Kept per shard (not one global
-	// counter) so single-key ops running on distinct shards under parallel
-	// apply never write a common field; aggregate queries sum it.
-	sizes [numShards]int
-	codec *shardCodec[V]
+	codec  *shardCodec[V]
 }
 
 func (m *shardMap[V]) init(codec *shardCodec[V]) {
@@ -111,14 +107,9 @@ func (m *shardMap[V]) mutable(i int) map[string]V {
 	return m.shards[i]
 }
 
-// set writes key=v, counting the key if it is new.
+// set writes key=v.
 func (m *shardMap[V]) set(key string, v V) {
-	i := shardOf(key)
-	sh := m.mutable(i)
-	if _, ok := sh[key]; !ok {
-		m.sizes[i]++
-	}
-	sh[key] = v
+	m.mutable(shardOf(key))[key] = v
 }
 
 // del removes key if present; an absent key clones nothing.
@@ -126,15 +117,14 @@ func (m *shardMap[V]) del(key string) {
 	i := shardOf(key)
 	if _, ok := m.shards[i][key]; ok {
 		delete(m.mutable(i), key)
-		m.sizes[i]--
 	}
 }
 
 // Len returns the number of keys.
 func (m *shardMap[V]) Len() int {
 	n := 0
-	for i := range m.sizes {
-		n += m.sizes[i]
+	for i := range m.shards {
+		n += len(m.shards[i])
 	}
 	return n
 }
@@ -209,7 +199,6 @@ func (m *shardMap[V]) RestoreChunk(index int, data []byte) error {
 	}
 	m.shards[index] = sh
 	m.shared[index] = false
-	m.sizes[index] = len(sh)
 	return nil
 }
 

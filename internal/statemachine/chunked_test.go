@@ -131,7 +131,8 @@ func randomCounterOp(rng *rand.Rand) []byte {
 // included: for a random history, forking, restoring the chunks into a fresh
 // machine in shuffled order and finishing gives a machine that forks into
 // byte-identical chunks and answers every later command — duplicates and
-// stale retries included — with the same reply as the original.
+// stale retries included — with the same reply as the original; and a fork
+// taken before those later commands still restores to the state at the fork.
 func TestForkRestoreProperty(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -169,6 +170,7 @@ func TestForkRestoreProperty(t *testing.T) {
 				if err := roundTrip(src, dst, rng); err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
+				fork, atFork := src.ForkSnapshot(), chunksOf(src.ForkSnapshot())
 				for i := 0; i < 100; i++ {
 					cmd := next()
 					r1, d1 := src.ApplyCommand(cmd)
@@ -176,6 +178,11 @@ func TestForkRestoreProperty(t *testing.T) {
 					if d1 != d2 || !bytes.Equal(r1, r2) {
 						t.Fatalf("seed %d cmd %d: restored replies (%x, dup %v), original (%x, dup %v)", seed, i, r2, d2, r1, d1)
 					}
+				}
+				old := NewSessioned(tc.factory())
+				restoreAll(t, old, fork, rng)
+				if !sameChunks(chunksOf(old.ForkSnapshot()), atFork) {
+					t.Fatalf("seed %d: a fork taken before 100 more commands restores to a later state", seed)
 				}
 			}
 		})
@@ -232,6 +239,47 @@ func TestKVForkIsolation(t *testing.T) {
 	}
 	if m.Len() != 151 {
 		t.Fatalf("live Len = %d, want 151", m.Len())
+	}
+}
+
+// TestApplyBatchDuringFork: a decided batch applied after a fork, through the
+// session table and with the hazards a batch carries (duplicate and stale
+// retries, noops, commands without a session), does not leak into the fork.
+func TestApplyBatchDuringFork(t *testing.T) {
+	s := NewSessioned(NewKVStore())
+	for i := 0; i < 40; i++ {
+		s.ApplyCommand(appCmd("c0", uint64(i+1), EncodePut(fmt.Sprintf("k%d", i), []byte("before"))))
+	}
+	before := chunksOf(s.ForkSnapshot())
+	fork := s.ForkSnapshot()
+	rng := rand.New(rand.NewSource(7))
+	seqs := map[types.NodeID]uint64{"c0": 40}
+	for i := 0; i < 200; i++ {
+		c := types.NodeID(fmt.Sprintf("c%d", rng.Intn(4)))
+		op := randomKVOp(rng)
+		switch rng.Intn(10) {
+		case 0: // a retry of the client's last command
+			s.ApplyCommand(appCmd(c, seqs[c], op))
+		case 1: // a stale retry
+			if seqs[c] > 1 {
+				s.ApplyCommand(appCmd(c, seqs[c]-1, op))
+			}
+		case 2:
+			s.ApplyCommand(types.Command{Kind: types.CmdNoop})
+		case 3: // no session
+			s.ApplyCommand(types.Command{Kind: types.CmdApp, Data: op})
+		default:
+			seqs[c]++
+			s.ApplyCommand(appCmd(c, seqs[c], op))
+		}
+	}
+	restored := NewSessioned(NewKVStore())
+	restoreAll(t, restored, fork, nil)
+	if !sameChunks(chunksOf(restored.ForkSnapshot()), before) {
+		t.Fatal("fork captured before the batch observed the batch's writes")
+	}
+	if sameChunks(chunksOf(s.ForkSnapshot()), before) {
+		t.Fatal("the batch changed nothing, so the test proves nothing")
 	}
 }
 

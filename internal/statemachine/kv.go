@@ -35,10 +35,7 @@ type KVStore struct {
 	shardMap[[]byte]
 }
 
-var (
-	_ Machine        = (*KVStore)(nil)
-	_ ShardedApplier = (*KVStore)(nil)
-)
+var _ Machine = (*KVStore)(nil)
 
 // kvValues writes a value as a length-prefixed byte field.
 var kvValues = &shardCodec[[]byte]{
@@ -224,29 +221,6 @@ func (m *KVStore) Apply(op []byte) []byte {
 		return statusReply(StatusBadOp)
 	}
 }
-
-// OpShard implements ShardedApplier. Single-key ops report the shard of
-// their key; KVKeys and KVSize scan every shard, so they (and anything
-// malformed or unknown) are barriers.
-func (m *KVStore) OpShard(op []byte) (int, bool) {
-	if len(op) == 0 {
-		return 0, false
-	}
-	switch KVOp(op[0]) {
-	case KVPut, KVGet, KVDelete, KVAppend, KVCAS:
-		r := types.NewReader(op[1:])
-		key := r.String()
-		if r.Err() != nil {
-			return 0, false
-		}
-		return shardOf(key), true
-	default:
-		return 0, false
-	}
-}
-
-// NumShards implements ShardedApplier.
-func (m *KVStore) NumShards() int { return numShards }
 
 // DecodeKeysReply parses the payload of a successful KVKeys reply.
 func DecodeKeysReply(payload []byte) ([]string, error) {

@@ -6,6 +6,11 @@
 // retries and reconfigurations, and three concrete machines: a key/value
 // store and a bank with a conservation invariant, which share one sharded
 // copy-on-write map (shardMap), and a one-chunk counter the tests use.
+//
+// A replica applies decided commands one at a time, in decided order, from
+// one goroutine (Sessioned.ApplyCommand); nothing here starts a goroutine or
+// takes a lock. A fork is the only thing that may be read while a command is
+// applied.
 package statemachine
 
 import "fmt"

@@ -27,6 +27,9 @@
 #   within_bound  none of the above
 #
 # plus the runner facts without which two files must never be compared.
+# Beside the metrics it records every run's attempted and failed operations
+# (from the contract line) and each side's failed share, Σfailed / Σattempted
+# over its runs: a change must not fail a larger share than its parent.
 #
 # The working tree is measured as it is, committed or not; "change_commit" says
 # which commit it sits on and "change_dirty" whether it differs from it.
@@ -51,10 +54,11 @@ trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/parent"
 git -C "$repo" archive "$parent_commit" | tar -x -C "$tmp/parent"
 
-# run_one <tree> <workload> <seed>: the driver's command. Prints one line per
-# bounded end-to-end metric — "name value bound better" — read from the table
-# the run prints (setup_s from the contract line, which has all its digits),
-# or fails if the run was not correct.
+# run_one <tree> <workload> <seed>: the driver's command. Prints "ops
+# attempted failed" from the contract line, then one line per bounded
+# end-to-end metric — "name value bound better" — read from the table the run
+# prints (setup_s from the contract line, which has all its digits), or fails
+# if the run was not correct.
 run_one() {
 	local line
 	(cd "$1" && go run -C bench repro/bench --workload "$2" --seconds "$seconds" --seed "$3") >"$tmp/run.txt"
@@ -63,6 +67,7 @@ run_one() {
 	*'"correct":true'*) ;;
 	*) echo "pairs: $1 $2 seed $3: $line" >&2; return 1 ;;
 	esac
+	sed -n 's/.*"attempted":\([0-9]*\),"failed":\([0-9]*\).*/ops \1 \2/p' <<<"$line"
 	awk -v setup="$(sed -n 's/.*"setup_s":{"value":\([0-9.eE+-]*\).*/\1/p' <<<"$line")" '
 		/^  diagnostics/ { exit }
 		match($0, /bound [0-9]+%, (lower|higher) is better/) {
@@ -83,7 +88,7 @@ run_one() {
 
 first_wl=1
 for wl in $workloads; do
-	: >"$tmp/rows.txt" # seed side name value bound better
+	: >"$tmp/rows.txt" # seed side name value bound better, or seed side ops attempted failed
 	for i in $(seq 1 "$pairs"); do
 		seed=$((seed0 + i))
 		if [ $((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
@@ -92,7 +97,11 @@ for wl in $workloads; do
 			[ "$side" = parent ] && tree=$tmp/parent
 			run_one "$tree" "$wl" "$seed" | sed "s/^/$seed $side /" >>"$tmp/rows.txt"
 		done
-		echo "pairs: $wl pair $i/$pairs seed $seed:$(awk -v s="$seed" '$1 == s && $2 == "parent" {p[$3] = $4} $1 == s && $2 == "change" {printf " %s %s -> %s;", $3, p[$3], $4}' \
+		echo "pairs: $wl pair $i/$pairs seed $seed:$(awk -v s="$seed" '
+			$1 != s { next }
+			$2 == "parent" { p[$3] = ($3 == "ops") ? $5 "/" $4 : $4; next }
+			$3 == "ops" { printf " failed %s -> %s/%s;", p["ops"], $5, $4; next }
+			{ printf " %s %s -> %s;", $3, p[$3], $4 }' \
 			<(sort -s -k2,2r "$tmp/rows.txt"))" >&2
 	done
 	[ $first_wl -eq 1 ] || echo ' ,' >>"$tmp/out.json"
@@ -110,13 +119,21 @@ for wl in $workloads; do
 			dst[j + 1] = v
 		}
 	}
+	!($1 in seen) { seen[$1] = 1; seeds[++ns] = $1 }
+	$3 == "ops" { att[$2, $1] = $4; fail[$2, $1] = $5; satt[$2] += $4; sfail[$2] += $5; next }
 	{
 		if (!($3 in bound)) { names[++nm] = $3; bound[$3] = $5; better[$3] = $6 }
-		if (!($1 in seen)) { seen[$1] = 1; seeds[++ns] = $1 }
 		val[$3, $2, $1] = $4
 	}
+	function share(side) { return satt[side] ? sfail[side] / satt[side] : 0 }
 	END {
-		printf "  {\"workload\": \"%s\", \"metrics\": [\n", wl
+		printf "  {\"workload\": \"%s\",\n   \"failed_share\": {\"parent\": %.6g, \"change\": %.6g},\n   \"ops\": [\n", wl, share("parent"), share("change")
+		for (i = 1; i <= ns; i++)
+			printf "    {\"seed\": %s, \"parent\": {\"attempted\": %d, \"failed\": %d}, \"change\": {\"attempted\": %d, \"failed\": %d}}%s\n", \
+				seeds[i], att["parent", seeds[i]], fail["parent", seeds[i]], att["change", seeds[i]], fail["change", seeds[i]], (i < ns ? "," : "")
+		printf "   ],\n   \"metrics\": [\n"
+		printf "pairs: %s failed share: parent %d/%d, change %d/%d\n", \
+			wl, sfail["parent"], satt["parent"], sfail["change"], satt["change"] >"/dev/stderr"
 		for (m = 1; m <= nm; m++) {
 			name = names[m]; sign = (better[name] == "higher") ? -1 : 1
 			wins = losses = 0; allbetter = 1
