@@ -31,12 +31,13 @@ import (
 	"repro/internal/types"
 )
 
+// resend is the in-attempt RPC retransmission interval.
+const resend = 50 * time.Millisecond
+
 // Options tunes the client's retry behavior. Zero values take defaults.
 type Options struct {
 	// AttemptTimeout bounds one RPC attempt. Default 500ms.
 	AttemptTimeout time.Duration
-	// Resend is the in-attempt RPC retransmission interval. Default 50ms.
-	Resend time.Duration
 	// RetryBackoff is the base of the jittered exponential backoff between
 	// failed attempts (doubling, capped at RetryMax). Default 2ms.
 	RetryBackoff time.Duration
@@ -62,9 +63,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.AttemptTimeout <= 0 {
 		o.AttemptTimeout = 500 * time.Millisecond
-	}
-	if o.Resend <= 0 {
-		o.Resend = 50 * time.Millisecond
 	}
 	if o.RetryBackoff <= 0 {
 		o.RetryBackoff = 2 * time.Millisecond
@@ -99,9 +97,10 @@ var ErrBudgetExhausted = errors.New("client: retry budget exhausted")
 // distinguishes "the command may have executed" (an attempt timed out or the
 // reply was lost) from "the command provably never executed" (every attempt
 // was answered with a redirect or a shed) — the distinction open-loop load
-// harnesses need to count silent drops. No shipped path sets Ambiguous (a
+// drivers need to count silent drops. No shipped path sets Ambiguous (a
 // maybe-applied command is pursued until ctx expiry); the field stays so that
-// a later loosening of the budget rule lands in the harness's silent bucket.
+// a later loosening of the budget rule shows up as a silent drop, which
+// TestMegaload fails on.
 type BudgetError struct {
 	Attempts  int
 	Ambiguous bool
@@ -146,7 +145,7 @@ func NewDirectory(ep *transport.Endpoint, seeds []types.NodeID) *Directory {
 
 // Session creates a client session named id over this directory. Sessions
 // are cheap — a couple hundred bytes, no transport state, no private rng —
-// so a megaload harness can hold 100k of them.
+// so one process can hold 100k of them.
 func (d *Directory) Session(id types.NodeID, opts Options) *Client {
 	return &Client{id: id, dir: d, opts: opts.withDefaults()}
 }
@@ -332,7 +331,7 @@ func (c *Client) SubmitSeq(ctx context.Context, seq uint64, op []byte) ([]byte, 
 		c.mu.Unlock()
 
 		var hint time.Duration
-		resp, err := c.peer().CallWithin(ctx, target, req, c.opts.Resend, c.opts.AttemptTimeout)
+		resp, err := c.peer().CallWithin(ctx, target, req, resend, c.opts.AttemptTimeout)
 		if err != nil {
 			maybeApplied = true // the command may have reached the node
 		} else if res, derr := reconfig.DecodeSubmitResult(resp); derr != nil {
@@ -420,7 +419,7 @@ func (c *Client) Locate(ctx context.Context) (types.Config, error) {
 		if target == "" {
 			return types.Config{}, fmt.Errorf("client: no known nodes")
 		}
-		resp, err := c.peer().CallWithin(ctx, target, req, c.opts.Resend, c.opts.AttemptTimeout)
+		resp, err := c.peer().CallWithin(ctx, target, req, resend, c.opts.AttemptTimeout)
 		if err == nil {
 			if res, derr := reconfig.DecodeLocateResult(resp); derr == nil && res.Config.ID != 0 {
 				c.dir.observe(res.Config, res.Leader)
@@ -445,7 +444,7 @@ func (c *Client) Reconfigure(ctx context.Context, members []types.NodeID) (types
 		}
 		// Reconfiguration includes consensus + transfer: allow a longer
 		// attempt than a plain submit.
-		resp, err := c.peer().CallWithin(ctx, target, req, c.opts.Resend, 4*c.opts.AttemptTimeout)
+		resp, err := c.peer().CallWithin(ctx, target, req, resend, 4*c.opts.AttemptTimeout)
 		if err == nil {
 			if res, derr := reconfig.DecodeReconfigResult(resp); derr == nil {
 				if res.OK {
@@ -471,7 +470,7 @@ func (c *Client) Chain(ctx context.Context) (reconfig.ChainResult, error) {
 		if target == "" {
 			return reconfig.ChainResult{}, fmt.Errorf("client: no known nodes")
 		}
-		resp, err := c.peer().CallWithin(ctx, target, req, c.opts.Resend, c.opts.AttemptTimeout)
+		resp, err := c.peer().CallWithin(ctx, target, req, resend, c.opts.AttemptTimeout)
 		if err == nil {
 			if res, derr := reconfig.DecodeChainResult(resp); derr == nil {
 				return res, nil

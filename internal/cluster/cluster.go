@@ -15,8 +15,7 @@
 //
 // A single-group service is the N = 1 case: group 0 is the default group —
 // the root endpoint view and the empty key prefix — and the one NewClient
-// sessions talk to. Tests, examples, the experiment harness and rsmd all
-// build on it.
+// sessions talk to. Tests, examples, rsmd and the benchmark all build on it.
 package cluster
 
 import (
@@ -524,7 +523,7 @@ func (c *Cluster) Stats(gid types.GroupID) GroupStats {
 }
 
 // TotalViolations sums invariant violations over every running replica;
-// tests and the harness assert it stays zero.
+// tests assert it stays zero.
 func (c *Cluster) TotalViolations() int64 {
 	var total int64
 	for _, gid := range c.Groups() {

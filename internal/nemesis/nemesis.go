@@ -3,7 +3,7 @@
 // profile): the same inputs always produce the same []Step, so any failing
 // chaos run replays byte-for-byte from its printed seed. Execute drives a
 // schedule against anything implementing Cluster — the in-process transport
-// simulator plus reconfig nodes in tests, or a harness deployment.
+// simulator plus reconfig nodes, or a cluster.Cluster, in tests.
 package nemesis
 
 import (
@@ -211,7 +211,7 @@ func (s Stats) String() string {
 // Execute runs a schedule to completion (or ctx cancellation), healing the
 // network after every fault window. A step whose action errors is counted in
 // Stats.Failed and the schedule continues: under churn a reconfiguration may
-// legitimately time out and the point of the harness is to keep going.
+// legitimately time out and the point of the schedule is to keep going.
 func Execute(ctx context.Context, c Cluster, steps []Step) Stats {
 	var st Stats
 	for _, step := range steps {

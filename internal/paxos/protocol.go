@@ -14,7 +14,7 @@ func (r *Replica) persistPromised() {
 	w := types.NewWriter(16)
 	w.Ballot(r.promised)
 	// Stable storage failures are unrecoverable for an acceptor; surface
-	// them as invariant violations so tests and the harness notice.
+	// them as invariant violations so tests notice.
 	if err := r.setDurable(r.prefix+"promised", w.Bytes()); err != nil {
 		r.stats.violations.Add(1)
 	}

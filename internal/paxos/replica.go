@@ -80,7 +80,7 @@ type deferredSend struct {
 	payload []byte
 }
 
-// Stats are the engine's monotone counters, for experiments and tests.
+// Stats are the engine's monotone counters, for the benchmark and tests.
 type Stats struct {
 	Decided             int64
 	Proposals           int64

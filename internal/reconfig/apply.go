@@ -1,8 +1,6 @@
 package reconfig
 
 import (
-	"time"
-
 	"repro/internal/smr"
 	"repro/internal/statemachine"
 	"repro/internal/types"
@@ -10,11 +8,10 @@ import (
 
 // applyLoop is the node's single execution thread: it serializes decisions
 // from all engines into the global command sequence. The loop collects a run
-// of ready decisions under n.mu, releases the mutex, executes them — in
-// parallel across shards when the machine supports it — and reacquires n.mu
-// only to commit: advance the apply cursor, answer waiting clients, serve
-// parked reads. Proposals, reads and housekeeping do not contend with
-// execution.
+// of ready decisions under n.mu, releases the mutex, executes them in order,
+// and reacquires n.mu only to commit: advance the apply cursor, answer
+// waiting clients, serve parked reads. Proposals, reads and housekeeping do
+// not contend with execution.
 func (n *Node) applyLoop() {
 	defer n.wg.Done()
 	for {
@@ -280,9 +277,6 @@ func (n *Node) routeDecisionLocked(td taggedDecision) {
 	if !ok {
 		return
 	}
-	if _, seen := n.firstDecide[td.id]; !seen {
-		n.firstDecide[td.id] = time.Now()
-	}
 	if td.id > n.curID || !n.initialized {
 		// Decided before this node's state caught up to the configuration:
 		// either a future config's engine running speculatively, or the
@@ -379,11 +373,8 @@ func (n *Node) applyReconfigLocked(slot types.Slot, cmd types.Command) {
 
 	// The machine state at the wedge IS the successor's initial state:
 	// publish it at base 0. Only the copy-on-write fork (O(shards)) runs
-	// under n.mu; its duration is recorded in WedgeCaptureNS.
-	start := time.Now()
-	src := n.machine.ForkSnapshot()
-	n.stats.WedgeCaptureNS = time.Since(start).Nanoseconds()
-	n.publishAsyncLocked(newCfg.ID, 0, src)
+	// under n.mu.
+	n.publishAsyncLocked(newCfg.ID, 0, n.machine.ForkSnapshot())
 
 	// Let the old engine linger for laggards, then stop it.
 	if run, ok := n.engines[rec.From]; ok {

@@ -41,7 +41,7 @@ type Options struct {
 	// replies gated until the apply point passes the snapshot's base
 	// index). SpecDefault normalizes to SpecOn; SpecOff delays the engine
 	// until the initial state is installed — the wait-for-transfer
-	// ablation of experiment R2.
+	// ablation; tests pin its client contract and check it linearizable.
 	SpeculativeStart SpecMode
 	// SubmitQueue bounds how many distinct client commands may be pending
 	// (admitted but not yet applied) on this node at once — the admission
@@ -77,8 +77,8 @@ type Options struct {
 	DecisionBuffer int
 	// NoCheckpoints disables the within-configuration checkpoint producer,
 	// log truncation and checkpoint catch-up: a lagging member replays the
-	// full log slot by slot — the pre-checkpoint behavior. Ablation switch
-	// for experiment K1.
+	// full log slot by slot — the pre-checkpoint behavior. Ablation switch;
+	// the benchmark's durable workloads set it.
 	NoCheckpoints bool
 }
 
@@ -219,7 +219,6 @@ type NodeStats struct {
 	ChunksFetched        int64 // snapshot chunks fetched and CRC-verified
 	ChunkRetries         int64 // fruitless transfer rounds (waited out with backoff)
 	ChunkCRCRejected     int64 // fetched chunks discarded on CRC mismatch
-	WedgeCaptureNS       int64 // time n.mu was held capturing state at the last wedge
 	Resubmits            int64 // pending command re-proposals
 	InvariantViolations  int64
 	FastReads            int64 // reads served via the fast path (no log append)
@@ -291,17 +290,12 @@ type Node struct {
 	publishing int                             // publish goroutines in flight
 	transfer   types.ConfigID                  // configuration the transfer goroutine is fetching; 0 when none runs
 	retireNext types.ConfigID                  // every older configuration's snapshot has been retired
-	// firstDecide records when this node learned its first decision of each
-	// configuration, speculative or not — the R2 shootout's
-	// time-to-first-decide numerator. Recorded at the same point for both
-	// SpecOn and SpecOff (decision routing), so the comparison is fair.
-	firstDecide map[types.ConfigID]time.Time
-	tick        int64      // housekeeping tick counter
-	rng         *rand.Rand // jitter source, guarded by mu
-	staleTicks  int
-	gossipLeft  int
-	gossipSeq   int
-	stopped     bool
+	tick       int64                           // housekeeping tick counter
+	rng        *rand.Rand                      // jitter source, guarded by mu
+	staleTicks int
+	gossipLeft int
+	gossipSeq  int
+	stopped    bool
 
 	// Within-configuration checkpoint state (checkpoint.go), guarded by mu.
 	// ckptCfg names the configuration the bases below belong to; a
@@ -349,24 +343,23 @@ func NewNode(nc NodeConfig) (*Node, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	opts := nc.Opts.withDefaults()
 	n := &Node{
-		self:        nc.Self,
-		ep:          nc.Endpoint,
-		store:       nc.Store,
-		factory:     nc.Factory,
-		opts:        opts,
-		configs:     make(map[types.ConfigID]types.Config),
-		chain:       make(map[types.ConfigID]ChainRecord),
-		engines:     make(map[types.ConfigID]*engineRun),
-		pending:     make(map[pendKey]*pendingCmd),
-		serving:     make(map[types.ConfigID]*snapServing),
-		retireNext:  1, // configuration IDs start at 1; 0 is "no transfer running"
-		firstDecide: make(map[types.ConfigID]time.Time),
-		rng:         rand.New(rand.NewSource(SeedFor(string(nc.Self)))),
-		applyQ:      fifo.New[taggedDecision](applyQueueLen),
-		pumpCh:      make(chan struct{}, 1),
-		stopCh:      make(chan struct{}),
-		baseCtx:     ctx,
-		baseCancel:  cancel,
+		self:       nc.Self,
+		ep:         nc.Endpoint,
+		store:      nc.Store,
+		factory:    nc.Factory,
+		opts:       opts,
+		configs:    make(map[types.ConfigID]types.Config),
+		chain:      make(map[types.ConfigID]ChainRecord),
+		engines:    make(map[types.ConfigID]*engineRun),
+		pending:    make(map[pendKey]*pendingCmd),
+		serving:    make(map[types.ConfigID]*snapServing),
+		retireNext: 1, // configuration IDs start at 1; 0 is "no transfer running"
+		rng:        rand.New(rand.NewSource(SeedFor(string(nc.Self)))),
+		applyQ:     fifo.New[taggedDecision](applyQueueLen),
+		pumpCh:     make(chan struct{}, 1),
+		stopCh:     make(chan struct{}),
+		baseCtx:    ctx,
+		baseCancel: cancel,
 	}
 	return n, nil
 }
@@ -727,17 +720,6 @@ func (n *Node) Stats() NodeStats {
 		out.CheckpointBase = int64(n.ckptSelfBase)
 	}
 	return out
-}
-
-// FirstDecide returns when this node learned its first decided slot of
-// configuration id (speculative or not), and whether it has yet. The R2
-// shootout subtracts the reconfigure start from it to get the joiner's
-// time-to-first-decide in c+1.
-func (n *Node) FirstDecide(id types.ConfigID) (time.Time, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	t, ok := n.firstDecide[id]
-	return t, ok
 }
 
 // Machine returns the node's sessioned machine for test inspection. Callers

@@ -18,7 +18,7 @@ import (
 	"repro/internal/types"
 )
 
-// chaosSeed mirrors the reconfig chaos harness: deterministic default,
+// chaosSeed mirrors the reconfig chaos tests: deterministic default,
 // overridable with CHAOS_SEED for reproduction.
 func chaosSeed(t *testing.T, def int64) int64 {
 	t.Helper()

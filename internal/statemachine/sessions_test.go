@@ -247,7 +247,7 @@ func TestUnboundedTableAdmitsUnknownHighSeq(t *testing.T) {
 
 // Pin the per-session costs at 100k sessions: table build, dedup lookup, and
 // bytes per session. The dedup fast path must stay O(1) regardless of table
-// size for the megaload harness to be honest.
+// size for the megaload tests to be honest.
 func BenchmarkSessionTable100k(b *testing.B) {
 	const n = 100_000
 	s := NewSessioned(NewCounterMachine())

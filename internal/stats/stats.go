@@ -1,6 +1,6 @@
-// Package stats provides the measurement primitives the experiments report:
-// latency recorders with percentiles, event timelines binned over wall-clock
-// time, and commit-gap (downtime) analysis.
+// Package stats provides measurement primitives: event timelines binned over
+// wall-clock time with their longest gap (downtime), monotone counters, and
+// power-of-two histograms.
 package stats
 
 import (
@@ -9,95 +9,6 @@ import (
 	"sync"
 	"time"
 )
-
-// LatencyRecorder accumulates duration samples; safe for concurrent use.
-// The zero value is ready to use.
-type LatencyRecorder struct {
-	mu      sync.Mutex
-	samples []time.Duration
-}
-
-// Record adds one sample.
-func (r *LatencyRecorder) Record(d time.Duration) {
-	r.mu.Lock()
-	r.samples = append(r.samples, d)
-	r.mu.Unlock()
-}
-
-// Count returns the number of samples.
-func (r *LatencyRecorder) Count() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.samples)
-}
-
-// Summary condenses a recorder's samples.
-type Summary struct {
-	Count            int
-	Mean             time.Duration
-	P50, P95, P99    time.Duration
-	P999             time.Duration
-	Min, Max         time.Duration
-	TotalDurationSum time.Duration
-}
-
-// Summarize computes the distribution summary of the recorded samples.
-func (r *LatencyRecorder) Summarize() Summary {
-	r.mu.Lock()
-	samples := make([]time.Duration, len(r.samples))
-	copy(samples, r.samples)
-	r.mu.Unlock()
-	return Summarize(samples)
-}
-
-// Summarize computes the distribution summary of an arbitrary sample set.
-func Summarize(samples []time.Duration) Summary {
-	if len(samples) == 0 {
-		return Summary{}
-	}
-	sorted := make([]time.Duration, len(samples))
-	copy(sorted, samples)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	var sum time.Duration
-	for _, s := range sorted {
-		sum += s
-	}
-	return Summary{
-		Count:            len(sorted),
-		Mean:             sum / time.Duration(len(sorted)),
-		P50:              percentile(sorted, 0.50),
-		P95:              percentile(sorted, 0.95),
-		P99:              percentile(sorted, 0.99),
-		P999:             percentile(sorted, 0.999),
-		Min:              sorted[0],
-		Max:              sorted[len(sorted)-1],
-		TotalDurationSum: sum,
-	}
-}
-
-// percentile returns the p-quantile (0 < p <= 1) of sorted samples using the
-// nearest-rank method.
-func percentile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := int(p*float64(len(sorted))+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
-}
-
-// String implements fmt.Stringer.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%v p50=%v p95=%v p99=%v p999=%v max=%v",
-		s.Count, s.Mean.Round(time.Microsecond), s.P50.Round(time.Microsecond),
-		s.P95.Round(time.Microsecond), s.P99.Round(time.Microsecond),
-		s.P999.Round(time.Microsecond), s.Max.Round(time.Microsecond))
-}
 
 // Timeline records event timestamps and reports them as a binned series —
 // the committed-operations-over-time figures. Safe for concurrent use.
@@ -201,57 +112,6 @@ func (t *Timeline) LongestGap() time.Duration {
 		if gap := events[i].Sub(events[i-1]); gap > longest {
 			longest = gap
 		}
-	}
-	return longest
-}
-
-// GapAround returns the longest gap between consecutive events inside the
-// window [at-w, at+w] — the disruption around a marked instant, excluding
-// unrelated noise elsewhere in the run. The window is clamped to the
-// observed event range: time after the last event of the whole timeline
-// carries no information and is not counted.
-func (t *Timeline) GapAround(at time.Time, w time.Duration) time.Duration {
-	t.mu.Lock()
-	events := make([]time.Time, len(t.events))
-	copy(events, t.events)
-	start := t.start
-	t.mu.Unlock()
-	lo, hi := at.Add(-w), at.Add(w)
-	if len(events) > 0 {
-		last := events[0]
-		for _, e := range events {
-			if e.After(last) {
-				last = e
-			}
-		}
-		if hi.After(last) {
-			hi = last
-		}
-		if start.After(lo) {
-			lo = start
-		}
-		if !hi.After(lo) {
-			return 0
-		}
-	}
-	var inWin []time.Time
-	for _, e := range events {
-		if !e.Before(lo) && !e.After(hi) {
-			inWin = append(inWin, e)
-		}
-	}
-	if len(inWin) == 0 {
-		return 2 * w // nothing committed in the whole window
-	}
-	sort.Slice(inWin, func(i, j int) bool { return inWin[i].Before(inWin[j]) })
-	longest := inWin[0].Sub(lo)
-	for i := 1; i < len(inWin); i++ {
-		if gap := inWin[i].Sub(inWin[i-1]); gap > longest {
-			longest = gap
-		}
-	}
-	if tail := hi.Sub(inWin[len(inWin)-1]); tail > longest {
-		longest = tail
 	}
 	return longest
 }

@@ -3,79 +3,8 @@ package stats
 import (
 	"sync"
 	"testing"
-	"testing/quick"
 	"time"
 )
-
-func TestSummarizeBasics(t *testing.T) {
-	samples := []time.Duration{
-		1 * time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond,
-		4 * time.Millisecond, 100 * time.Millisecond,
-	}
-	s := Summarize(samples)
-	if s.Count != 5 {
-		t.Fatalf("count %d", s.Count)
-	}
-	if s.Min != time.Millisecond || s.Max != 100*time.Millisecond {
-		t.Fatalf("min/max %v %v", s.Min, s.Max)
-	}
-	if s.Mean != 22*time.Millisecond {
-		t.Fatalf("mean %v", s.Mean)
-	}
-	if s.P50 != 3*time.Millisecond {
-		t.Fatalf("p50 %v", s.P50)
-	}
-	if s.P99 != 100*time.Millisecond {
-		t.Fatalf("p99 %v", s.P99)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	if s := Summarize(nil); s.Count != 0 || s.Max != 0 {
-		t.Fatalf("%+v", s)
-	}
-}
-
-func TestPercentileProperties(t *testing.T) {
-	f := func(raw []int64) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		samples := make([]time.Duration, len(raw))
-		for i, v := range raw {
-			if v < 0 {
-				v = -v
-			}
-			samples[i] = time.Duration(v % 1_000_000)
-		}
-		s := Summarize(samples)
-		return s.Min <= s.P50 && s.P50 <= s.P95 && s.P95 <= s.P99 && s.P99 <= s.Max
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRecorderConcurrent(t *testing.T) {
-	var r LatencyRecorder
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				r.Record(time.Duration(i) * time.Microsecond)
-			}
-		}()
-	}
-	wg.Wait()
-	if r.Count() != 800 {
-		t.Fatalf("count %d", r.Count())
-	}
-	if s := r.Summarize(); s.Count != 800 {
-		t.Fatalf("summary count %d", s.Count)
-	}
-}
 
 func TestTimelineSeriesAndGap(t *testing.T) {
 	tl := NewTimeline()
@@ -117,25 +46,6 @@ func TestTimelineEmpty(t *testing.T) {
 	}
 }
 
-func TestGapAround(t *testing.T) {
-	tl := NewTimeline()
-	tl.Record()
-	time.Sleep(10 * time.Millisecond)
-	mark := time.Now()
-	time.Sleep(10 * time.Millisecond)
-	tl.Record()
-
-	gap := tl.GapAround(mark, 50*time.Millisecond)
-	if gap < 15*time.Millisecond {
-		t.Fatalf("gap around %v", gap)
-	}
-	// A window entirely beyond the recorded data carries no information
-	// and reports zero rather than phantom downtime.
-	if g := tl.GapAround(mark.Add(10*time.Second), 5*time.Millisecond); g != 0 {
-		t.Fatalf("beyond-data window gap %v", g)
-	}
-}
-
 func TestCounter(t *testing.T) {
 	var c Counter
 	var wg sync.WaitGroup
@@ -151,13 +61,6 @@ func TestCounter(t *testing.T) {
 	wg.Wait()
 	if c.Value() != 4000 {
 		t.Fatalf("counter %d", c.Value())
-	}
-}
-
-func TestSummaryString(t *testing.T) {
-	s := Summarize([]time.Duration{time.Millisecond})
-	if str := s.String(); str == "" {
-		t.Fatal("empty string")
 	}
 }
 

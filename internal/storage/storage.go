@@ -12,9 +12,6 @@
 // layer keeps the object across crash/recover cycles — what a file on disk
 // would do, without the I/O nondeterminism. WithPrefix (prefix.go) namespaces
 // either.
-//
-// An optional write latency models fsync cost so experiments can charge
-// durability realistically.
 package storage
 
 import (
@@ -93,8 +90,6 @@ type MemOptions struct {
 	AutoSync bool
 	// WriteLatency is charged on every Set/Delete, modeling device cost.
 	WriteLatency time.Duration
-	// SyncLatency is charged on every Sync (and every write if AutoSync).
-	SyncLatency time.Duration
 }
 
 // MemStore is the in-memory Store implementation with crash modeling.
@@ -151,12 +146,6 @@ func (s *MemStore) Set(key string, value []byte) error {
 		s.stable[key] = value
 		delete(s.dirty, key) // supersedes whatever was staged for the key
 		s.syncs++
-		lat := s.opts.SyncLatency
-		if lat > 0 {
-			s.mu.Unlock()
-			time.Sleep(lat)
-			s.mu.Lock()
-		}
 		return nil
 	}
 	s.dirty[key] = staged{value: value}
@@ -259,9 +248,6 @@ func (s *MemStore) Scan(prefix string) ([]KV, error) {
 
 // Sync implements Store: dirty writes become stable.
 func (s *MemStore) Sync() error {
-	if s.opts.SyncLatency > 0 {
-		time.Sleep(s.opts.SyncLatency)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {

@@ -5,8 +5,8 @@
 // The simulator preserves the properties consensus protocols are sensitive
 // to — asynchrony, reordering (via jitter), message loss, and partitions —
 // while keeping runs laptop-scale and seed-reproducible. It also keeps
-// per-message-kind counters so experiments can report message and byte
-// complexity (experiment T4).
+// per-message-kind counters so tests and the benchmark can report message
+// and byte complexity.
 //
 // Every process in the system (replica or client) owns an Endpoint. Messages
 // are addressed (stream, kind, payload): stream demultiplexes independent
@@ -59,10 +59,6 @@ type Options struct {
 	DupRate float64
 	// Seed seeds the network's RNG for reproducible loss/jitter.
 	Seed int64
-	// InboxSize bounds each endpoint's inbound queue on the simulated
-	// fabric; messages beyond it are dropped (and counted). Defaults to 4096.
-	// The TCP fabric has no inbox: the socket buffers are the queue.
-	InboxSize int
 	// LinkLatency, if non-nil, overrides BaseLatency per link.
 	LinkLatency func(from, to types.NodeID) time.Duration
 }
@@ -158,9 +154,6 @@ func (n *Network) FrameSizes() *stats.Histogram { return &n.frameSizes }
 
 // NewNetwork creates a network and starts its delivery scheduler.
 func NewNetwork(opts Options) *Network {
-	if opts.InboxSize <= 0 {
-		opts.InboxSize = 4096
-	}
 	n := &Network{
 		opts:     opts,
 		rng:      rand.New(rand.NewSource(opts.Seed)),
@@ -201,6 +194,11 @@ func (n *Network) Close() {
 	n.wg.Wait()
 }
 
+// inboxSize bounds each endpoint's inbound queue on the simulated fabric;
+// messages beyond it are dropped (and counted). The TCP fabric has no inbox:
+// the socket buffers are the queue.
+const inboxSize = 4096
+
 // Endpoint registers (or returns the existing) endpoint for id.
 func (n *Network) Endpoint(id types.NodeID) *Endpoint {
 	n.mu.Lock()
@@ -219,7 +217,7 @@ func (n *Network) Endpoint(id types.NodeID) *Endpoint {
 		}
 		return e
 	}
-	e.inbox = make(chan *delivery, n.opts.InboxSize)
+	e.inbox = make(chan *delivery, inboxSize)
 	n.wg.Add(1)
 	go e.dispatch(&n.wg)
 	return e

@@ -33,18 +33,25 @@ find . -name '*.go' -not -path './bench/*' -not -path './.*' | xargs awk '
 	END { printf "%-28s %8d %8d\n", "total (outside bench/)", code, tests }'
 
 # Exported fields of `type <name> struct` in <file>: lines that open with an
-# exported identifier (embedded types included), up to the closing brace.
+# exported identifier (embedded types included), up to the closing brace. A
+# missing file or struct is an error, not a zero.
 fields() {
+	[ -f "$1" ] || { echo "size.sh: $1: no such file" >&2; exit 1; }
 	awk -v name="$2" '
-		$1 == "type" && $2 == name && $3 == "struct" { in_struct = 1; next }
+		$1 == "type" && $2 == name && $3 == "struct" { found = 1; in_struct = 1; next }
 		in_struct && /^}/ { exit }
 		in_struct && /^\t[A-Z]/ { n++ }
-		END { print n + 0 }' "$1"
+		END { if (!found) exit 1; print n + 0 }' "$1" ||
+		{ echo "size.sh: $1: no struct $2" >&2; exit 1; }
+}
+row() {
+	local n
+	n=$(fields "$2" "$3")
+	printf '%-28s %8d\n' "$1" "$n"
 }
 echo
 printf '%-28s %8s\n' "struct" "fields"
-printf '%-28s %8d\n' reconfig.Options "$(fields internal/reconfig/node.go Options)"
-printf '%-28s %8d\n' paxos.Options "$(fields internal/paxos/replica.go Options)"
-printf '%-28s %8d\n' client.Options "$(fields internal/client/client.go Options)"
-printf '%-28s %8d\n' cluster.Config "$(fields internal/cluster/cluster.go Config)"
-printf '%-28s %8d\n' harness.Tuning "$(fields internal/harness/deployment.go Tuning)"
+row reconfig.Options internal/reconfig/node.go Options
+row paxos.Options internal/paxos/replica.go Options
+row client.Options internal/client/client.go Options
+row cluster.Config internal/cluster/cluster.go Config
