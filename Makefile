@@ -63,6 +63,7 @@ fmt-check:
 ci: vet build examples test race fmt-check
 	$(GO) test -run 'TestLoadedWritePathBytesPerOp' -count=1 ./internal/cluster/
 	$(GO) test -run 'TestReplicaConstructionAllocates' -count=1 ./internal/reconfig/
+	$(GO) test -run 'TestBootstrapFsyncBudget|TestWriteChunkedCommitFsyncBudget|TestOpenWALStoreCostsNoFsync' -count=1 ./internal/reconfig/ ./internal/storage/
 	$(GO) test -run '^$$' -fuzz '^FuzzSessionedRestoreChunk$$' -fuzztime 10s ./internal/statemachine/
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
 	scripts/size.sh

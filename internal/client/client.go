@@ -183,7 +183,8 @@ func (d *Directory) KnownConfig() types.Config {
 
 // nextTarget picks where to send the next attempt: the cached leader if it
 // is still a member (used once; a failure falls back to rotation), else
-// round-robin over the cached configuration, else the seeds.
+// round-robin over the cached configuration, else the seeds — starting at the
+// first, the member that campaigns first.
 func (d *Directory) nextTarget() types.NodeID {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -199,8 +200,9 @@ func (d *Directory) nextTarget() types.NodeID {
 	if len(pool) == 0 {
 		return ""
 	}
+	t := pool[d.rr%len(pool)]
 	d.rr++
-	return pool[d.rr%len(pool)]
+	return t
 }
 
 // observe folds hints from a reply into the shared cache. Adoption is

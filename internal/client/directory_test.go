@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -51,6 +52,23 @@ func TestDirectorySharesConfigAcrossSessions(t *testing.T) {
 	}
 	if old.submits.Load() != before {
 		t.Fatalf("second session re-walked the chain through retired n1")
+	}
+}
+
+// A fresh directory's first attempt goes to the first seed — the member that
+// campaigns first — not to a follower that would forward it, and later
+// attempts rotate from there.
+func TestDirectoryTargetsFirstSeedFirst(t *testing.T) {
+	net := transport.NewNetwork(transport.Options{})
+	defer net.Close()
+	dir := NewDirectory(net.Endpoint("c"), []types.NodeID{"n1", "n2", "n3"})
+	defer dir.Close()
+	var got []types.NodeID
+	for i := 0; i < 4; i++ {
+		got = append(got, dir.nextTarget())
+	}
+	if want := []types.NodeID{"n1", "n2", "n3", "n1"}; !slices.Equal(got, want) {
+		t.Fatalf("targets %v, want %v", got, want)
 	}
 }
 

@@ -543,7 +543,10 @@ func (r *Replica) loop() {
 	// interrupted release left — so the loop starts from a barrier. On a
 	// store just opened from disk there is nothing to flush. (A store that
 	// fails here fails the first dirty turn too, where it is counted; until a
-	// barrier succeeds, stableNext claims nothing.)
+	// barrier succeeds, stableNext claims nothing.) It is also the barrier an
+	// engine over a just-bootstrapped store starts from: the composition
+	// stages its initial state and leaves it to this Sync, which runs before
+	// the engine's first promise, vote or decision.
 	r.deliverReady()
 	if r.bstore != nil && r.store.Sync() == nil {
 		r.stableNext = r.deliverNext

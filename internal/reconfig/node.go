@@ -364,9 +364,19 @@ func NewNode(nc NodeConfig) (*Node, error) {
 	return n, nil
 }
 
-// Bootstrap persists the initial configuration and the empty initial
-// snapshot. Every member of the initial configuration must call it exactly
-// once before its first Start; it is idempotent for the same configuration.
+// Bootstrap stages the initial configuration and the empty initial
+// snapshot. Every member of the initial configuration must call it before its
+// first Start; it is idempotent for the same configuration.
+//
+// It waits on no barrier. The snapshot is staged first and the rc/init record
+// last, so rc/init is the commit point (staged operations keep their
+// order, storage.BufferedStore), and both become durable at the node's first
+// barrier: for a member, the start-of-loop Sync of the engine Start launches,
+// which comes before that engine's first promise, vote or decision and before
+// any submit or read reaches it. A power loss before that barrier leaves the
+// store as if Bootstrap never ran: the node restarts as an idle spare, having
+// voted on nothing, and running Bootstrap again — configuration 1 is the
+// operator's input — recovers it.
 func (n *Node) Bootstrap(initial types.Config) error {
 	if _, err := types.NewConfig(initial.ID, initial.Members); err != nil {
 		return err
@@ -386,10 +396,14 @@ func (n *Node) Bootstrap(initial types.Config) error {
 		}
 		return nil
 	}
-	if err := n.store.Set("rc/init", types.EncodeConfig(initial)); err != nil {
+	if err := n.publish(initial.ID, 0, statemachine.NewSessioned(n.factory()).ForkSnapshot(), false); err != nil {
 		return err
 	}
-	return n.publish(initial.ID, 0, statemachine.NewSessioned(n.factory()).ForkSnapshot())
+	set := n.store.Set
+	if bs, ok := n.store.(storage.BufferedStore); ok {
+		set = bs.SetBuffered
+	}
+	return set("rc/init", types.EncodeConfig(initial))
 }
 
 func chainKey(id types.ConfigID) string {

@@ -102,7 +102,7 @@ func (n *Node) publishAsyncLocked(id types.ConfigID, base types.Slot, src statem
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
-		err := n.publish(id, base, src)
+		err := n.publish(id, base, src, true)
 		n.mu.Lock()
 		n.publishing--
 		if err != nil {
@@ -113,8 +113,9 @@ func (n *Node) publishAsyncLocked(id types.ConfigID, base types.Slot, src statem
 }
 
 // publish makes src — the machine state of configuration id at slot base —
-// the snapshot peers fetch and this node recovers from.
-func (n *Node) publish(id types.ConfigID, base types.Slot, src statemachine.SnapshotSource) error {
+// the snapshot peers fetch and this node recovers from. With durable false the
+// snapshot is staged and left to the store's next barrier (Bootstrap).
+func (n *Node) publish(id types.ConfigID, base types.Slot, src statemachine.SnapshotSource, durable bool) error {
 	num := src.NumChunks()
 	chunks := make([][]byte, num)
 	m := storage.ChunkManifest{Format: statemachine.SnapshotFormat, Base: base, CRCs: make([]uint32, num)}
@@ -128,7 +129,7 @@ func (n *Node) publish(id types.ConfigID, base types.Slot, src statemachine.Snap
 			time.Sleep(publishPause)
 		}
 	}
-	return n.commit(id, m, chunks)
+	return n.commit(id, m, chunks, durable)
 }
 
 // commit persists a complete snapshot of id over whatever rc/snap/<id> holds,
@@ -136,7 +137,9 @@ func (n *Node) publish(id types.ConfigID, base types.Slot, src statemachine.Snap
 // as this member's durable base and has it announced. snapMu makes the check
 // and the write one step against other commits and against retire; a
 // snapshot older than the durable one is dropped rather than written over it.
-func (n *Node) commit(id types.ConfigID, m storage.ChunkManifest, chunks [][]byte) error {
+// durable false stages the snapshot instead of waiting on a barrier, for a
+// caller that makes no promise before the store's next one (Bootstrap).
+func (n *Node) commit(id types.ConfigID, m storage.ChunkManifest, chunks [][]byte, durable bool) error {
 	n.snapMu.Lock()
 	defer n.snapMu.Unlock()
 	n.mu.Lock()
@@ -152,7 +155,11 @@ func (n *Node) commit(id types.ConfigID, m storage.ChunkManifest, chunks [][]byt
 
 	// On failure the in-memory copy stays: the store may hold a torn blob,
 	// and peers must keep being served until retire drops the entry.
-	if err := storage.WriteChunkedCommit(n.store, snapPrefix(id), m, func(i int) []byte { return chunks[i] }); err != nil {
+	write := storage.WriteChunkedCommit
+	if !durable {
+		write = storage.StageChunkedCommit
+	}
+	if err := write(n.store, snapPrefix(id), m, func(i int) []byte { return chunks[i] }); err != nil {
 		return err
 	}
 	n.mu.Lock()
@@ -662,7 +669,7 @@ func (n *Node) install(id types.ConfigID, m storage.ChunkManifest, chunks [][]by
 	}
 	n.mu.Unlock()
 	if !joined {
-		if err := n.commit(id, m, chunks); err != nil {
+		if err := n.commit(id, m, chunks, true); err != nil {
 			n.countViolation()
 		}
 	}

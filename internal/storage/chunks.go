@@ -99,7 +99,7 @@ func ReadChunkManifest(s Store, prefix string) (ChunkManifest, bool, error) {
 	return m, true, nil
 }
 
-// commitSliceBytes is how much WriteChunkedCommit stages between two Syncs.
+// commitSliceBytes is how much StageChunkedCommit stages between two Syncs.
 // One barrier for the whole blob would be fewer fsyncs still, but an 8 MB
 // staged tail meets the WAL's 4 MiB segment roll, which flushes and fsyncs it
 // with both the store's and the log's mutex held, and everything else that
@@ -109,19 +109,28 @@ func ReadChunkManifest(s Store, prefix string) (ChunkManifest, bool, error) {
 // by.
 const commitSliceBytes = 1 << 20
 
-// WriteChunkedCommit persists a whole chunked blob in commit order: every
-// chunk first (the callback is called once per index, in order), a Sync, then
-// the manifest, then a Sync. Nobody is promised a chunk, only the manifest
-// that names them all, so where the store can stage, the chunks — and the
-// pruning of a longer predecessor's tail — are staged and cost one barrier
-// per commitSliceBytes instead of one each. It is safe for replacing a blob in
-// place — a periodic checkpoint overwriting its predecessor: the manifest on
-// disk always postdates its chunks, so a crash mid-write leaves the old
-// manifest with at worst some CRC-mismatching chunks, which ReadChunked
-// reports as incomplete — a recoverable state, never a poisoned one. (A
-// resumable fetch does the opposite by hand: WriteChunkManifest first, then
-// chunks as they arrive and verify.)
+// WriteChunkedCommit persists a whole chunked blob: StageChunkedCommit, then
+// one Sync, so the blob is durable when it returns.
 func WriteChunkedCommit(s Store, prefix string, m ChunkManifest, chunk func(i int) []byte) error {
+	if err := StageChunkedCommit(s, prefix, m, chunk); err != nil {
+		return err
+	}
+	return s.Sync()
+}
+
+// StageChunkedCommit writes a whole chunked blob in commit order — every chunk
+// (the callback is called once per index, in order), then the pruning of a
+// longer predecessor's tail, then the manifest that names them — staged where
+// the store can stage, and leaves the last barrier to the caller. Nobody is
+// promised a chunk, only the manifest, and staged operations become stable in
+// the order they were staged (BufferedStore): whichever prefix a crash keeps, a manifest that
+// survived has its chunks behind it. It is safe for replacing a blob in place
+// — a periodic checkpoint overwriting its predecessor: a crash mid-write
+// leaves the old manifest with at worst some chunks missing or
+// CRC-mismatching, which ReadChunked reports as incomplete — a recoverable
+// state, never a poisoned one. (A resumable fetch does the opposite by hand:
+// WriteChunkManifest first, then chunks as they arrive and verify.)
+func StageChunkedCommit(s Store, prefix string, m ChunkManifest, chunk func(i int) []byte) error {
 	set, del := s.Set, s.Delete
 	if bs, ok := s.(BufferedStore); ok {
 		set = bs.SetBuffered
@@ -151,13 +160,7 @@ func WriteChunkedCommit(s Store, prefix string, m ChunkManifest, chunk func(i in
 			}
 		}
 	}
-	if err := s.Sync(); err != nil {
-		return err
-	}
-	if err := WriteChunkManifest(s, prefix, m); err != nil {
-		return err
-	}
-	return s.Sync()
+	return set(ManifestKey(prefix), EncodeChunkManifest(m))
 }
 
 // ReadChunk loads chunk i under prefix and verifies it against the manifest

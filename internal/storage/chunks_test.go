@@ -2,6 +2,10 @@ package storage
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/types"
@@ -235,17 +239,18 @@ func commitBlob(t *testing.T, s Store, prefix string, n, size int) {
 
 // TestWriteChunkedCommitFsyncBudget counts what a commit costs on a store
 // where every Set waits for its own fsync: nobody is promised a chunk, so the
-// chunks share barriers — one per MiB staged — and only the manifest pays for
-// itself. One fsynced Set per chunk made these 34 (33 chunks and the manifest,
-// a node's empty initial snapshot) and 33.
+// chunks, the prune and the manifest are staged and share barriers — one per
+// MiB staged and the closing one. One fsynced Set per chunk made these 34 (33
+// chunks and the manifest, a node's empty initial snapshot) and 33; a barrier
+// before the manifest and the manifest's own made them 2 and 11.
 func TestWriteChunkedCommitFsyncBudget(t *testing.T) {
 	cases := []struct {
 		name         string
 		chunks, size int
 		budget       int64
 	}{
-		{"33 chunks under 1 MiB in all", 33, 1 << 10, 2},
-		{"8 MiB in 256 KiB chunks", 32, 256 << 10, 11},
+		{"33 chunks under 1 MiB in all", 33, 1 << 10, 1},
+		{"8 MiB in 256 KiB chunks", 32, 256 << 10, 10},
 	}
 	for _, c := range cases {
 		s := openTestWALStore(t, t.TempDir(), WALStoreOptions{SyncWrites: true})
@@ -292,43 +297,40 @@ func (l *opLog) Sync() error {
 }
 
 // TestWriteChunkedCommitPrunesBeforeManifest replaces a 40-chunk blob with a
-// 33-chunk one: the seven stale chunks are dropped, and both their removal
-// and every new chunk are behind a Sync before the manifest is written — a
-// crash at any point leaves a manifest whose chunks are all there or fail
-// their CRC, never one that a longer predecessor's tail outlives.
+// 33-chunk one: the seven stale chunks are dropped, the manifest is staged
+// after every new chunk and every prune, and one Sync closes the commit. No
+// barrier sits in between: staged operations become stable in staging order, so
+// a surviving manifest has its chunks and prunes behind it (the sweeps below
+// cut the power at every point to check that).
 func TestWriteChunkedCommitPrunesBeforeManifest(t *testing.T) {
 	s := &opLog{MemStore: NewMem()}
 	commitBlob(t, s, "snap", 40, 64)
 	s.ops = nil
 	commitBlob(t, s, "snap", 33, 64)
 
-	manifestAt, lastSync, pruned := -1, -1, 0
+	manifestAt, chunks, pruned, syncs := -1, 0, 0, 0
 	for i, op := range s.ops {
 		switch {
 		case op == "set "+ManifestKey("snap"):
 			manifestAt = i
-		case manifestAt >= 0:
-			// only the closing Sync may follow the manifest
-			if op != "sync" {
-				t.Fatalf("%q after the manifest", op)
-			}
 		case op == "sync":
-			lastSync = i
-		case len(op) > 7 && op[:7] == "delete ":
+			syncs++
+		case manifestAt >= 0:
+			t.Fatalf("%q staged after the manifest", op)
+		case strings.HasPrefix(op, "delete "):
 			pruned++
-			lastSync = -1
 		default:
-			lastSync = -1 // a chunk write: not yet behind a barrier
+			chunks++
 		}
 	}
 	if manifestAt < 0 {
 		t.Fatal("no manifest written")
 	}
-	if pruned != 7 {
-		t.Fatalf("pruned %d stale chunks, want 7", pruned)
+	if chunks != 33 || pruned != 7 {
+		t.Fatalf("staged %d chunks and pruned %d before the manifest, want 33 and 7", chunks, pruned)
 	}
-	if lastSync != manifestAt-1 {
-		t.Fatalf("the manifest is not directly behind a Sync: %v", s.ops[max(0, manifestAt-3):manifestAt+1])
+	if syncs != 1 || s.ops[len(s.ops)-1] != "sync" {
+		t.Fatalf("a commit under 1 MiB must end in its one barrier: %v", s.ops[manifestAt:])
 	}
 	for i := 33; i < 40; i++ {
 		if _, ok, _ := s.Get(ChunkKey("snap", i)); ok {
@@ -341,4 +343,141 @@ func TestWriteChunkedCommitPrunesBeforeManifest(t *testing.T) {
 	if m, _, complete, err := ReadChunked(s, "snap"); err != nil || !complete || m.Chunks() != 33 {
 		t.Fatalf("after power loss: chunks=%d complete=%v err=%v", m.Chunks(), complete, err)
 	}
+}
+
+// fuseStore is a disk with a fuse: it lets left more staged operations
+// through and then cuts the power — that prefix is stable, whatever was staged
+// behind it is gone, and every later call fails.
+type fuseStore struct {
+	*MemStore
+	left int
+}
+
+func (f *fuseStore) stage(do func() error) error {
+	if err := do(); err != nil {
+		return err
+	}
+	if f.left--; f.left == 0 {
+		_ = f.MemStore.Sync()
+		f.MemStore.PowerLoss()
+	}
+	return nil
+}
+
+func (f *fuseStore) SetBuffered(key string, value []byte) error {
+	return f.stage(func() error { return f.MemStore.SetBuffered(key, value) })
+}
+
+func (f *fuseStore) DeleteBuffered(key string) error {
+	return f.stage(func() error { return f.MemStore.DeleteBuffered(key) })
+}
+
+// checkOldOrNew asserts what a crash in the middle of replacing the 40-chunk
+// blob under "snap" with a 33-chunk one may leave: the old manifest, whose
+// chunks read back as the old bytes or are reported missing (overwritten or
+// pruned: incomplete, so a fetch repairs it), or the complete new blob with no
+// stale chunk beyond its end — never a new manifest with a chunk missing or
+// left over from the old blob.
+func checkOldOrNew(t *testing.T, s Store, cut string) {
+	t.Helper()
+	m, chunks, complete, err := ReadChunked(s, "snap")
+	if err != nil {
+		t.Fatalf("%s: %v", cut, err)
+	}
+	switch m.Base {
+	case 40:
+		for i, c := range chunks {
+			if c != nil && !bytes.Equal(c, bytes.Repeat([]byte{40}, 64)) {
+				t.Fatalf("%s: old manifest, chunk %d reads %v", cut, i, c[:4])
+			}
+		}
+	case 33:
+		if !complete || m.Chunks() != 33 {
+			t.Fatalf("%s: new manifest with chunks missing", cut)
+		}
+		if kvs, _ := s.Scan("snap/c/"); len(kvs) != 33 {
+			t.Fatalf("%s: new manifest beside %d chunk keys, want 33", cut, len(kvs))
+		}
+	default:
+		t.Fatalf("%s: manifest base %d, want the old blob's 40 or the new one's 33", cut, m.Base)
+	}
+}
+
+// TestWriteChunkedCommitPowerCutSweep cuts the power behind every prefix of a
+// replacing commit's staged operations (33 chunks, 7 prunes, the manifest).
+func TestWriteChunkedCommitPowerCutSweep(t *testing.T) {
+	const staged = 33 + 7 + 1
+	for k := 0; k <= staged; k++ {
+		f := &fuseStore{MemStore: NewMem(), left: -1}
+		commitBlob(t, f, "snap", 40, 64)
+		f.left = k
+		if k == 0 {
+			f.PowerLoss()
+		}
+		err := WriteChunkedCommit(f, "snap", ChunkManifest{Format: 2, Base: 33, CRCs: crcs(33, 64)},
+			func(int) []byte { return bytes.Repeat([]byte{33}, 64) })
+		if err == nil {
+			t.Fatalf("cut after %d of %d staged operations: the commit reported success", k, staged)
+		}
+		f.Reopen()
+		checkOldOrNew(t, f, fmt.Sprintf("cut after %d staged operations", k))
+	}
+}
+
+// TestWriteChunkedCommitTornWALSweep truncates the WAL segment holding a
+// replacing commit at every record boundary and inside every record — what a
+// crash mid-write leaves on disk — and recovers a store from each.
+func TestWriteChunkedCommitTornWALSweep(t *testing.T) {
+	dir := t.TempDir()
+	s := openTestWALStore(t, dir, WALStoreOptions{SyncWrites: true})
+	commitBlob(t, s, "snap", 40, 64)
+	segs, err := filepath.Glob(filepath.Join(dir, walSegPrefix+"*"+walSegSuffix))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments %v (%v), want one", segs, err)
+	}
+	st, err := os.Stat(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitBlob(t, s, "snap", 33, 64)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cuts []int
+	for pos := int(st.Size()); ; {
+		cuts = append(cuts, pos)
+		if pos == len(data) {
+			break
+		}
+		_, adv, ok := decodeWALRecord(data[pos:])
+		if !ok {
+			t.Fatalf("no intact record at offset %d", pos)
+		}
+		cuts = append(cuts, pos+adv/2)
+		pos += adv
+	}
+	if records := len(cuts) / 2; records != 33+7+1 {
+		t.Fatalf("the commit logged %d records, want 41", records)
+	}
+	for _, cut := range cuts {
+		torn := t.TempDir()
+		if err := os.WriteFile(filepath.Join(torn, filepath.Base(segs[0])), data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r := openTestWALStore(t, torn, WALStoreOptions{})
+		checkOldOrNew(t, r, fmt.Sprintf("segment cut at byte %d", cut))
+		_ = r.Close()
+	}
+}
+
+func crcs(n, size int) []uint32 {
+	out := make([]uint32, n)
+	for i := range out {
+		out[i] = ChunkCRC(bytes.Repeat([]byte{byte(n)}, size))
+	}
+	return out
 }

@@ -62,6 +62,13 @@ var ErrStoreClosed = errors.New("storage: closed")
 // per-call durability wait, making the next Sync the durability barrier.
 // Callers that batch many writes per fsync — the Paxos event loop's group
 // commit — probe for it with a type assertion and fall back to plain Set.
+//
+// Staged operations, writes and deletes alike, become stable in the order
+// they were staged: a crash before the barrier keeps a prefix of them. So a
+// caller that stages a commit record after the records it names needs no
+// barrier in between: if the commit record survived, so did they. WALStore
+// logs them in that order and recovery cuts at the first torn record;
+// MemStore keeps all of them or, on a power loss, none.
 type BufferedStore interface {
 	Store
 	// SetBuffered writes key=value visibly (read-your-writes, like an OS
@@ -76,10 +83,9 @@ type BufferedStore interface {
 // Callers probe for it and fall back to Delete.
 type BufferedDeleter interface {
 	// DeleteBuffered removes key visibly at once but possibly non-durably; the
-	// removal reaches stable state on the next Sync. After a crash before that
-	// Sync the key may be back, and staged operations take effect in the order
-	// they were issued: if a staged delete survived, so did every write and
-	// delete staged before it.
+	// removal reaches stable state on the next Sync, in staging order with
+	// the staged writes (BufferedStore). After a crash before that Sync the key
+	// may be back.
 	DeleteBuffered(key string) error
 }
 

@@ -44,7 +44,8 @@ type WAL struct {
 	opts WALOptions
 
 	// mu guards the append path: the active segment, the buffer and LSN
-	// assignment. It is never held across an fsync.
+	// assignment. It is never held across a group commit's log fsync, only
+	// across the once-per-segment ones: the seal and the directory entry.
 	mu     sync.Mutex
 	f      *os.File
 	buf    []byte // appended but not yet written to the OS
@@ -53,6 +54,11 @@ type WAL struct {
 	next   uint64 // next LSN to assign
 	sealed []segmentInfo
 	closed bool
+	// newSeg is set while the active segment's directory entry may not be
+	// durable yet: creating a segment costs no fsync, and the first barrier
+	// that covers the segment — Sync, the roll that seals it, Close — fsyncs
+	// the directory along with the file.
+	newSeg bool
 
 	// commitMu guards the group-commit state. Ordering: commitMu is taken
 	// without mu; the flush step inside a commit takes mu briefly.
@@ -147,6 +153,8 @@ func OpenWAL(dir string, opts WALOptions, replay func(lsn uint64, payload []byte
 		}
 		w.f = f
 		w.size = st.Size()
+		// The process that created it may have died before any barrier.
+		w.newSeg = true
 	}
 	// Everything replayed from disk is durable by definition.
 	w.durable = w.next - 1
@@ -274,8 +282,9 @@ func truncateSegment(path string, size int64) error {
 	return nil
 }
 
-// openSegment creates the segment file for base and makes it active. Called
-// with mu held (or before the WAL is shared).
+// openSegment creates the segment file for base and makes it active, its
+// directory entry left to the next barrier (newSeg). Called with mu held (or
+// before the WAL is shared).
 func (w *WAL) openSegment(base uint64) error {
 	f, err := os.OpenFile(segPath(w.dir, base), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -285,13 +294,23 @@ func (w *WAL) openSegment(base uint64) error {
 		_ = f.Close()
 		return fmt.Errorf("storage: write wal header: %w", err)
 	}
-	if err := syncDir(w.dir); err != nil {
-		_ = f.Close()
-		return err
-	}
 	w.f = f
 	w.base = base
+	w.newSeg = true
 	w.size = int64(len(walMagic))
+	return nil
+}
+
+// syncNewSegLocked makes the active segment's directory entry durable if it
+// may not be yet. Called with mu held.
+func (w *WAL) syncNewSegLocked() error {
+	if !w.newSeg {
+		return nil
+	}
+	if err := syncDir(w.dir); err != nil {
+		return err
+	}
+	w.newSeg = false
 	return nil
 }
 
@@ -330,13 +349,17 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 }
 
 // rollLocked seals the active segment and starts a new one. The seal flushes
-// and fsyncs the old file so a sealed segment is always fully durable.
+// and fsyncs the old file, and its directory entry, so a sealed segment is
+// always fully durable.
 func (w *WAL) rollLocked() error {
 	if err := w.flushLocked(); err != nil {
 		return err
 	}
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("storage: seal wal segment: %w", err)
+	}
+	if err := w.syncNewSegLocked(); err != nil {
+		return err
 	}
 	if err := w.f.Close(); err != nil {
 		return fmt.Errorf("storage: seal wal segment: %w", err)
@@ -391,7 +414,8 @@ func (w *WAL) Sync(lsn uint64) error {
 
 	// Flush everything appended so far to the OS, note the watermark, then
 	// fsync WITHOUT holding mu so concurrent appends keep flowing into the
-	// buffer and ride the next commit.
+	// buffer and ride the next commit. A segment created since the last
+	// barrier has its directory entry fsynced too, before the watermark moves.
 	w.mu.Lock()
 	var target uint64
 	err := func() error {
@@ -404,7 +428,7 @@ func (w *WAL) Sync(lsn uint64) error {
 		target = w.next - 1
 		return nil
 	}()
-	f := w.f
+	f, newSeg := w.f, w.newSeg
 	w.mu.Unlock()
 	if err == nil {
 		// A segment roll (or Close) may close f while this fsync is in
@@ -414,6 +438,11 @@ func (w *WAL) Sync(lsn uint64) error {
 			err = fmt.Errorf("storage: fsync wal: %w", serr)
 		}
 		w.syncs.Add(1)
+	}
+	if err == nil && newSeg {
+		w.mu.Lock()
+		err = w.syncNewSegLocked()
+		w.mu.Unlock()
 	}
 
 	w.commitMu.Lock()
@@ -452,8 +481,10 @@ func (w *WAL) DurableLSN() uint64 {
 	return w.durable
 }
 
-// Syncs returns the number of fsyncs performed — the group-commit win shows
-// up as Syncs ≪ Appends under concurrent synchronous writers.
+// Syncs returns the number of group commits that reached the disk, one log
+// fsync each (the directory fsync a new segment's first barrier adds rides
+// uncounted) — the group-commit win shows up as Syncs ≪ Appends under
+// concurrent synchronous writers.
 func (w *WAL) Syncs() int64 { return w.syncs.Load() }
 
 // Appends returns the number of records appended.
@@ -504,6 +535,9 @@ func (w *WAL) Close() error {
 	err := w.flushLocked()
 	if err == nil {
 		err = w.f.Sync()
+	}
+	if err == nil {
+		err = w.syncNewSegLocked()
 	}
 	if cerr := w.f.Close(); err == nil && cerr != nil {
 		err = cerr

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -394,4 +395,104 @@ func TestWALStoreStagedDelete(t *testing.T) {
 	if len(kvs) != 1 || kvs[0].Key != "k/050" || string(kvs[0].Value) != "again" {
 		t.Fatalf("after reopen: %v, want only k/050=again", kvs)
 	}
+}
+
+// TestOpenWALStoreCostsNoFsync: opening a store on a fresh directory fsyncs
+// nothing, the new segment's directory entry included — that rides the first
+// barrier covering the segment. The first Sync, a roll and a Close are each
+// such a barrier, and each leaves a log that reopens with every record it
+// synced.
+func TestOpenWALStoreCostsNoFsync(t *testing.T) {
+	dirPending := func(s *WALStore) bool {
+		s.wal.mu.Lock()
+		defer s.wal.mu.Unlock()
+		return s.wal.newSeg
+	}
+	put := func(t *testing.T, s *WALStore, from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if err := s.SetBuffered(fmt.Sprintf("k/%03d", i), bytes.Repeat([]byte{'v'}, 40)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// reopen recovers a store from a copy of dir's files, as a crash leaves
+	// them, and checks it holds k/000..k/<want-1>.
+	reopen := func(t *testing.T, dir string, want int) {
+		t.Helper()
+		cp := t.TempDir()
+		segs, _ := filepath.Glob(filepath.Join(dir, walSegPrefix+"*"))
+		for _, seg := range segs {
+			data, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(cp, filepath.Base(seg)), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r := openTestWALStore(t, cp, WALStoreOptions{})
+		defer func() { _ = r.Close() }()
+		if kvs, _ := r.Scan("k/"); len(kvs) < want {
+			t.Fatalf("reopened with %d records, want %d", len(kvs), want)
+		}
+	}
+	open := func(t *testing.T, dir string) *WALStore {
+		t.Helper()
+		s := openTestWALStore(t, dir, WALStoreOptions{SyncWrites: true, SegmentBytes: 1 << 10})
+		if s.Syncs() != 0 || !dirPending(s) {
+			t.Fatalf("open: %d fsyncs, directory entry pending %v; want 0 and pending", s.Syncs(), dirPending(s))
+		}
+		return s
+	}
+
+	t.Run("sync", func(t *testing.T) {
+		dir := t.TempDir()
+		s := open(t, dir)
+		defer func() { _ = s.Close() }()
+		put(t, s, 0, 4)
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if s.Syncs() != 1 || dirPending(s) {
+			t.Fatalf("first Sync: %d fsyncs, directory entry pending %v; want 1 and durable", s.Syncs(), dirPending(s))
+		}
+		reopen(t, dir, 4)
+	})
+	t.Run("roll", func(t *testing.T) {
+		dir := t.TempDir()
+		s := open(t, dir)
+		defer func() { _ = s.Close() }()
+		put(t, s, 0, 40) // ~2.4 KB: the 1 KiB segment rolls twice
+		s.wal.mu.Lock()
+		sealed := len(s.wal.sealed)
+		var synced uint64
+		if sealed > 0 {
+			synced = s.wal.sealed[sealed-1].last
+		}
+		s.wal.mu.Unlock()
+		if sealed == 0 || s.Syncs() != 0 {
+			t.Fatalf("%d sealed segments and %d group commits, want a roll and no Sync", sealed, s.Syncs())
+		}
+		reopen(t, dir, int(synced))
+	})
+	t.Run("close", func(t *testing.T) {
+		dir := t.TempDir()
+		s := open(t, dir)
+		put(t, s, 0, 4)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if dirPending(s) {
+			t.Fatal("Close left the segment's directory entry pending")
+		}
+		reopen(t, dir, 4)
+		// A reopened segment may have been created by a process that died
+		// before any barrier: its entry waits for the next one again.
+		r := openTestWALStore(t, dir, WALStoreOptions{})
+		defer func() { _ = r.Close() }()
+		if r.Syncs() != 0 || !dirPending(r) {
+			t.Fatalf("reopen: %d fsyncs, directory entry pending %v; want 0 and pending", r.Syncs(), dirPending(r))
+		}
+	})
 }
