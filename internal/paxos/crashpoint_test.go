@@ -104,9 +104,8 @@ func logSlots(t *testing.T, st storage.Store, r *Replica) map[types.Slot]bool {
 }
 
 // burst runs step as one loop turn of an unstarted replica: writes staged,
-// one barrier at the end.
+// frames and decisions collected, one barrier at the end.
 func burst(r *Replica, step func()) {
-	r.beginBurst()
 	step()
 	r.endBurst()
 }

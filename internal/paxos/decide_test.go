@@ -114,7 +114,7 @@ func TestDecideByRefWithoutAcceptFetchesByValue(t *testing.T) {
 		t.Fatalf("maxDecidedSeen = %d, want 1", r.maxDecidedSeen)
 	}
 
-	r.tick()
+	burst(r, r.tick)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		mu.Lock()

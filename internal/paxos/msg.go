@@ -87,8 +87,7 @@ type promiseMsg struct {
 	// were released after a quorum-acknowledged checkpoint, so the acceptor
 	// can report no accepted entries for them even though they are chosen.
 	// A new leader must never noop-fill an unreported slot at or below any
-	// promiser's floor (see becomeLeader). Appended field; absent in legacy
-	// frames, decoding as 0 (nothing truncated).
+	// promiser's floor (see becomeLeader).
 	TruncatedBelow types.Slot
 }
 
@@ -145,9 +144,8 @@ type catchupReqMsg struct {
 	To   types.Slot
 }
 
-// catchupRespMsg carries decided entries. The appended Frontier and
-// TruncatedBelow fields (absent in legacy frames, decoding as 0) make one
-// response an O(1) progress probe: Frontier is the responder's contiguously
+// catchupRespMsg carries decided entries. The Frontier and TruncatedBelow
+// fields make one response an O(1) progress probe: Frontier is the responder's contiguously
 // decided prefix — the requester raises maxDecidedSeen from it instead of
 // probing slot by slot — and a nonzero TruncatedBelow at or above the
 // requested From is a redirect: the responder has released those slots after
@@ -215,10 +213,7 @@ func decodePromise(buf []byte) (promiseMsg, error) {
 		})
 	}
 	m.Decided = types.Slot(r.Uvarint())
-	if r.Err() == nil && r.Remaining() > 0 {
-		// Legacy frames end after Decided; TruncatedBelow is appended.
-		m.TruncatedBelow = types.Slot(r.Uvarint())
-	}
+	m.TruncatedBelow = types.Slot(r.Uvarint())
 	return m, wrapDecode("promise", r)
 }
 
@@ -286,9 +281,8 @@ func decodeAccepted(buf []byte) (acceptedMsg, error) {
 }
 
 // decideByRefTag opens the by-reference form after the slot. The by-value
-// (legacy) layout continues with a command, whose first byte is its kind — and
-// 0 is not a valid CommandKind — so the tag is unambiguous and by-value frames
-// and records decode unchanged.
+// form continues with a command, whose first byte is its kind — and 0 is not
+// a valid CommandKind — so the tag is unambiguous and one decoder reads both.
 const decideByRefTag = 0
 
 func encodeDecide(m decideMsg) []byte {
@@ -406,20 +400,10 @@ func decodeCatchupResp(buf []byte) (catchupRespMsg, error) {
 			Cmd:  types.DecodeCommandFrom(r),
 		})
 	}
-	if r.Err() == nil && r.Remaining() > 0 {
-		// Legacy frames end after the entries; Frontier and TruncatedBelow
-		// are appended fields.
-		m.Frontier = types.Slot(r.Uvarint())
-		m.TruncatedBelow = types.Slot(r.Uvarint())
-	}
+	m.Frontier = types.Slot(r.Uvarint())
+	m.TruncatedBelow = types.Slot(r.Uvarint())
 	return m, wrapDecode("catchup-resp", r)
 }
-
-// forwardBatchTag opens the multi-command forward encoding. The legacy
-// format started directly with a command, whose first byte is its kind —
-// and 0 is not a valid CommandKind — so the tag is unambiguous and old
-// frames still decode via the fallback below.
-const forwardBatchTag = 0
 
 func encodeForward(m forwardMsg) []byte {
 	sz := 8
@@ -427,7 +411,6 @@ func encodeForward(m forwardMsg) []byte {
 		sz += c.EncodedSize()
 	}
 	w := types.NewWriter(sz)
-	w.Byte(forwardBatchTag)
 	w.Uvarint(uint64(len(m.Cmds)))
 	for _, c := range m.Cmds {
 		c.Encode(w)
@@ -436,21 +419,15 @@ func encodeForward(m forwardMsg) []byte {
 }
 
 func decodeForward(buf []byte) (forwardMsg, error) {
-	if len(buf) > 0 && buf[0] == forwardBatchTag {
-		r := types.NewReader(buf[1:])
-		n := r.Uvarint()
-		if r.Err() == nil && n > uint64(r.Remaining()) {
-			return forwardMsg{}, fmt.Errorf("%w: forward command count %d", types.ErrCodec, n)
-		}
-		m := forwardMsg{Cmds: make([]types.Command, 0, n)}
-		for i := uint64(0); i < n; i++ {
-			m.Cmds = append(m.Cmds, types.DecodeCommandFrom(r))
-		}
-		return m, wrapDecode("forward", r)
-	}
-	// Legacy single-command frame from an older peer.
 	r := types.NewReader(buf)
-	m := forwardMsg{Cmds: []types.Command{types.DecodeCommandFrom(r)}}
+	n := r.Uvarint()
+	if r.Err() == nil && n > uint64(r.Remaining()) {
+		return forwardMsg{}, fmt.Errorf("%w: forward command count %d", types.ErrCodec, n)
+	}
+	m := forwardMsg{Cmds: make([]types.Command, 0, n)}
+	for i := uint64(0); i < n; i++ {
+		m.Cmds = append(m.Cmds, types.DecodeCommandFrom(r))
+	}
 	return m, wrapDecode("forward", r)
 }
 

@@ -123,17 +123,6 @@ func TestForwardRoundTrip(t *testing.T) {
 	}
 }
 
-// TestForwardLegacyDecode ensures frames from peers running the old
-// one-command-per-frame forward encoding still decode.
-func TestForwardLegacyDecode(t *testing.T) {
-	cmd := types.Command{Kind: types.CmdApp, Client: "c1", Seq: 3, Data: []byte("op")}
-	legacy := types.EncodeCommand(cmd)
-	got, err := decodeForward(legacy)
-	if err != nil || len(got.Cmds) != 1 || !got.Cmds[0].Equal(cmd) {
-		t.Fatalf("legacy decode: %+v %v", got, err)
-	}
-}
-
 func TestDecodersRejectTruncation(t *testing.T) {
 	full := encodePromise(promiseMsg{
 		Ballot: types.Ballot{Round: 1, Leader: "n1"}, OK: true,
@@ -141,15 +130,20 @@ func TestDecodersRejectTruncation(t *testing.T) {
 		Accepted: []acceptedEntry{{Slot: 1, Ballot: types.Ballot{Round: 1, Leader: "n1"}, Cmd: types.NoopCommand()}},
 		Decided:  0,
 	})
-	// The final byte is the appended TruncatedBelow field: a frame cut
-	// exactly there is a valid legacy promise and must decode (optional-tail
-	// compatibility); every shorter cut must be rejected.
-	if m, err := decodePromise(full[:len(full)-1]); err != nil || m.TruncatedBelow != 0 {
-		t.Fatalf("legacy promise boundary: %+v %v", m, err)
-	}
-	for i := 0; i < len(full)-1; i++ {
+	// Every field is required: every cut is rejected, the one just before
+	// the truncation floor becomeLeader's noop-fill guard reads included.
+	for i := 0; i < len(full); i++ {
 		if _, err := decodePromise(full[:i]); err == nil {
 			t.Fatalf("promise truncated at %d accepted", i)
+		}
+	}
+	resp := encodeCatchupResp(catchupRespMsg{
+		Entries:  []decideMsg{{Slot: 3, Cmd: types.NoopCommand()}},
+		Frontier: 3, TruncatedBelow: 2,
+	})
+	for i := 0; i < len(resp); i++ {
+		if _, err := decodeCatchupResp(resp[:i]); err == nil {
+			t.Fatalf("catch-up response truncated at %d accepted", i)
 		}
 	}
 	acc := acceptFrame(acceptedEntry{Ballot: types.Ballot{Round: 1, Leader: "n"}, Slot: 1, Cmd: types.NoopCommand()})

@@ -42,7 +42,7 @@ func (r *Replica) persistAccepted(slot types.Slot, rec []byte) {
 // it names — and a restart that lost a tail of them finds those slots
 // undecided and fetches them through the ordinary catch-up.
 func (r *Replica) persistDecided(d decideMsg) {
-	if err := r.stage(storage.SlotKey(r.prefix+"dec/", uint64(d.Slot)), encodeDecide(d)); err != nil {
+	if err := r.store.SetBuffered(storage.SlotKey(r.prefix+"dec/", uint64(d.Slot)), encodeDecide(d)); err != nil {
 		r.stats.violations.Add(1)
 	}
 }
@@ -134,55 +134,33 @@ func (r *Replica) handleMessage(m inboundMsg) {
 	}
 }
 
+// send and broadcast collect a frame in the turn's outbox; endBurst puts it on
+// the fabric.
 func (r *Replica) send(to types.NodeID, kind uint8, payload []byte) {
 	if to == r.self {
 		return // local interactions are handled synchronously, never sent
 	}
-	if r.inBurst {
-		r.outbox = append(r.outbox, deferredSend{to: to, kind: kind, payload: payload})
-		return
-	}
-	_ = r.ep.Send(to, r.stream, kind, payload)
+	r.outbox = append(r.outbox, deferredSend{to: to, kind: kind, payload: payload})
 }
 
 func (r *Replica) broadcast(kind uint8, payload []byte) {
-	if r.inBurst {
-		r.outbox = append(r.outbox, deferredSend{kind: kind, payload: payload})
-		return
-	}
-	r.ep.Broadcast(r.cfg.Members, r.stream, kind, payload)
+	r.outbox = append(r.outbox, deferredSend{kind: kind, payload: payload})
 }
 
-// setDurable writes state that something leaving this turn will assert: a
-// promise, a vote, the truncation floor. Inside a burst the write is staged
-// and the turn is marked dirty, so it ends in a group-commit Sync strictly
-// before any frame that waits for the barrier, or any decision, is released
-// (endBurst); outside a burst it is a plain synchronous durable write.
+// setDurable stages state that something leaving this turn will assert: a
+// promise, a vote, the truncation floor. The turn is marked dirty, so it ends
+// in a group-commit Sync strictly before any frame that waits for the
+// barrier, or any decision, is released (endBurst).
 func (r *Replica) setDurable(key string, value []byte) error {
-	if r.inBurst {
-		r.burstDirty = true
-	}
-	return r.stage(key, value)
+	r.burstDirty = true
+	return r.store.SetBuffered(key, value)
 }
 
-// stage writes a record without asking for a barrier: inside a burst it is
-// staged and becomes durable with the next Sync, whoever asks for one.
-func (r *Replica) stage(key string, value []byte) error {
-	if r.inBurst {
-		return r.bstore.SetBuffered(key, value)
-	}
-	return r.store.Set(key, value)
-}
-
-// unstage is stage for a record under the truncation floor; on a store that
-// cannot stage a delete it is a plain Delete. A failed delete changes nothing:
-// the record stays below the floor, where recover skips it and drops it again.
+// unstage stages the delete of a record under the truncation floor. A failed
+// delete changes nothing: the record stays below the floor, where recover
+// skips it and drops it again.
 func (r *Replica) unstage(key string) {
-	if r.bdel != nil {
-		_ = r.bdel.DeleteBuffered(key)
-		return
-	}
-	_ = r.store.Delete(key)
+	_ = r.store.DeleteBuffered(key)
 }
 
 // --- acceptor role ---------------------------------------------------------
@@ -287,7 +265,7 @@ func (r *Replica) startElection() {
 	r.prepareAge = 0
 	r.resetElectionDeadline()
 
-	msg := prepareMsg{Ballot: r.ballot, From: r.prepareFrom()}
+	msg := prepareMsg{Ballot: r.ballot, From: r.stableNext}
 	// Promise to ourselves first (persisted), then solicit the others.
 	self := r.acceptPrepare(msg)
 	r.broadcast(KindPrepare, encodePrepare(msg))
@@ -541,7 +519,9 @@ func (r *Replica) deliverReady() {
 		if !ok {
 			return
 		}
-		r.enqueueDecision(smr.Decision{Slot: r.deliverNext, Cmd: cmd})
+		// Held until the turn's barrier: the leader's own accept is part of
+		// the deciding quorum, and it is only staged until endBurst syncs.
+		r.heldDecisions = append(r.heldDecisions, smr.Decision{Slot: r.deliverNext, Cmd: cmd})
 		r.stats.decided.Add(1)
 		r.deliverNext++
 	}
@@ -745,7 +725,7 @@ func (r *Replica) tick() {
 		r.prepareAge++
 		if r.prepareAge >= resendTicks {
 			r.prepareAge = 0
-			r.broadcast(KindPrepare, encodePrepare(prepareMsg{Ballot: r.ballot, From: r.prepareFrom()}))
+			r.broadcast(KindPrepare, encodePrepare(prepareMsg{Ballot: r.ballot, From: r.stableNext}))
 		}
 		r.ticksSinceHB++
 		if r.ticksSinceHB >= r.electionDeadline {

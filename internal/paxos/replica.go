@@ -115,7 +115,7 @@ type Replica struct {
 	cfg    types.Config
 	ep     *transport.Endpoint
 	stream uint64
-	store  storage.Store
+	store  storage.Stager
 	opts   Options
 	prefix string
 
@@ -194,23 +194,26 @@ type Replica struct {
 	prepareAge       int
 	catchupCooldown  int
 
-	// group commit (loop-owned): when the store can stage writes
-	// (storage.BufferedStore), each loop wakeup drains a burst of events
-	// with persistence buffered and outbound frames and decisions collected,
+	// group commit (loop-owned): every loop turn drains a burst of events
+	// with its writes staged and its outbound frames and decisions collected,
 	// then makes the whole burst durable with one Sync before anything that
 	// asserts the staged state leaves the replica (see endBurst for which
 	// frames that is). This is what lets a pipeline deeper than one slot
-	// overlap durable slots instead of serializing one fsync per accept. bdel
-	// is the store's staged delete, when it has one (log release; see unstage).
-	bstore        storage.BufferedStore
-	bdel          storage.BufferedDeleter
-	inBurst       bool
+	// overlap durable slots instead of serializing one fsync per accept.
 	burstDirty    bool
 	outbox        []deferredSend
 	heldDecisions []smr.Decision
 	// stableNext is deliverNext as of the last barrier: the delivered prefix a
-	// restart is sure to recover, whatever tail of dec/ records it loses (see
-	// prepareFrom).
+	// restart is sure to recover, whatever tail of dec/ records it loses, and
+	// the first slot a Prepare asks promisers to report. A Prepare leaves
+	// before the turn's barrier, so a crash can take the ballot's own promised
+	// record with it, the restarted replica can pick the same ballot again,
+	// and a Promise answering the earlier Prepare then counts for the new one.
+	// That is harmless as long as the earlier Prepare asked for no less than
+	// the new one does — and the new one asks from wherever recovery finds the
+	// delivered prefix, which is never below what was stable when the earlier
+	// one was sent, but may be below what had been delivered (dec/ records
+	// ride the next barrier).
 	stableNext types.Slot
 
 	// read fast path (see read.go)
@@ -245,7 +248,7 @@ func New(cfg types.Config, self types.NodeID, ep *transport.Endpoint, store stor
 		cfg:       cfg.Clone(),
 		ep:        ep,
 		stream:    stream,
-		store:     store,
+		store:     storage.Staged(store),
 		opts:      opts.withDefaults(),
 		prefix:    fmt.Sprintf("pxs/%d/", stream),
 		inbox:     fifo.New[inboundMsg](inboxLimit),
@@ -268,10 +271,6 @@ func New(cfg types.Config, self types.NodeID, ep *transport.Endpoint, store stor
 		nextSlot:    1,
 	}
 	r.leaderHint.Store(types.NodeID(""))
-	if bs, ok := store.(storage.BufferedStore); ok {
-		r.bstore = bs
-		r.bdel, _ = store.(storage.BufferedDeleter)
-	}
 	if err := r.recover(); err != nil {
 		return nil, fmt.Errorf("paxos recovery: %w", err)
 	}
@@ -508,23 +507,6 @@ func (r *Replica) pump() {
 	}
 }
 
-func (r *Replica) enqueueDecision(d smr.Decision) {
-	if r.inBurst {
-		// Decisions must not reach the application before the burst's group
-		// commit: the leader's own accept is part of the deciding quorum,
-		// and it is only staged until endBurst syncs.
-		r.heldDecisions = append(r.heldDecisions, d)
-		return
-	}
-	r.decMu.Lock()
-	r.decQueue = append(r.decQueue, d)
-	r.decMu.Unlock()
-	select {
-	case r.decSignal <- struct{}{}:
-	default:
-	}
-}
-
 // loop is the single-threaded protocol engine; all Paxos state is owned here.
 func (r *Replica) loop() {
 	// LIFO: loopDone closes first, then finishReads drains, so a ReadIndex
@@ -537,23 +519,21 @@ func (r *Replica) loop() {
 
 	r.armFirstElection()
 
-	// Redeliver the recovered decided prefix to the application. Not all of
-	// what recover read need be stable yet — a predecessor stopped in this
-	// process with dec/ records staged, or recover itself dropped what an
-	// interrupted release left — so the loop starts from a barrier. On a
-	// store just opened from disk there is nothing to flush. (A store that
-	// fails here fails the first dirty turn too, where it is counted; until a
-	// barrier succeeds, stableNext claims nothing.) It is also the barrier an
-	// engine over a just-bootstrapped store starts from: the composition
-	// stages its initial state and leaves it to this Sync, which runs before
-	// the engine's first promise, vote or decision.
+	// The first turn redelivers the recovered decided prefix to the
+	// application and ends in a barrier whatever it staged. Not all of what
+	// recover read need be stable yet — a predecessor stopped in this process
+	// with dec/ records staged, or recover itself dropped what an interrupted
+	// release left — and on a store just opened from disk the Sync has
+	// nothing to flush. (Until a barrier succeeds, stableNext claims nothing
+	// and the redelivery stays held.) It is also the barrier an engine over a
+	// just-bootstrapped store starts from: the composition stages its initial
+	// state and leaves it to this Sync, which runs before the engine's first
+	// promise, vote or decision.
 	r.deliverReady()
-	if r.bstore != nil && r.store.Sync() == nil {
-		r.stableNext = r.deliverNext
-	}
+	r.burstDirty = true
+	r.endBurst()
 
 	for {
-		r.beginBurst()
 		select {
 		case <-r.stopCh:
 			return
@@ -589,15 +569,6 @@ const (
 	proposeLimit = 1024
 	readLimit    = 4096
 )
-
-// beginBurst opens a group-commit burst when the store supports staged
-// writes. With a plain store every write is individually durable and every
-// message leaves at once; a turn still absorbs what is queued (drainBurst).
-func (r *Replica) beginBurst() {
-	if r.bstore != nil {
-		r.inBurst = true
-	}
-}
 
 // drainBurst greedily absorbs events that are already queued into the turn,
 // so their persistence shares the single group-commit fsync and the proposals
@@ -648,7 +619,7 @@ func (r *Replica) drainBurst(budget int) {
 //	                        restart that loses the turn is covered without
 //	                        the frame waiting: a ballot that sent any Accept
 //	                        was made stable a turn earlier, and a Prepare asks
-//	                        from the stable prefix only (prepareFrom).
+//	                        from the stable prefix only (stableNext).
 //	Promise          yes    asserts promised
 //	Accepted         yes    asserts acc/<slot> (and promised)
 //	Decide           yes    asserts a quorum of votes, the leader's own staged
@@ -668,10 +639,6 @@ func (r *Replica) drainBurst(budget int) {
 // turn itself. (In practice a failed sync here means the store was closed
 // under a stopping replica.)
 func (r *Replica) endBurst() {
-	if !r.inBurst {
-		return
-	}
-	r.inBurst = false
 	if r.burstDirty {
 		held := r.outbox[:0]
 		for _, m := range r.outbox {
@@ -697,10 +664,16 @@ func (r *Replica) endBurst() {
 		r.transmit(m)
 	}
 	r.outbox = r.outbox[:0]
-	for _, d := range r.heldDecisions {
-		r.enqueueDecision(d)
+	if len(r.heldDecisions) > 0 {
+		r.decMu.Lock()
+		r.decQueue = append(r.decQueue, r.heldDecisions...)
+		r.decMu.Unlock()
+		select {
+		case r.decSignal <- struct{}{}:
+		default:
+		}
+		r.heldDecisions = r.heldDecisions[:0]
 	}
-	r.heldDecisions = r.heldDecisions[:0]
 }
 
 // transmit puts one collected frame on the fabric.
@@ -710,23 +683,6 @@ func (r *Replica) transmit(m deferredSend) {
 	} else {
 		_ = r.ep.Send(m.to, r.stream, m.kind, m.payload)
 	}
-}
-
-// prepareFrom is the first slot a Prepare asks promisers to report. A Prepare
-// leaves before the turn's barrier, so a crash can take the ballot's own
-// promised record with it, the restarted replica can pick the same ballot
-// again, and a Promise answering the earlier Prepare then counts for the new
-// one. That is harmless as long as the earlier Prepare asked for no less than
-// the new one does — and the new one asks from wherever recovery finds the
-// delivered prefix, which is never below what was stable when the earlier one
-// was sent, but may be below what had been delivered (dec/ records ride the
-// next barrier). On a store that cannot stage, every record is stable as
-// written.
-func (r *Replica) prepareFrom() types.Slot {
-	if r.bstore == nil {
-		return r.deliverNext
-	}
-	return r.stableNext
 }
 
 // armFirstElection sets the deadline of the replica's first election. The

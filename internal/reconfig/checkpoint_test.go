@@ -280,7 +280,7 @@ func TestStartRefusesSnapshotBelowEngineFloor(t *testing.T) {
 	w.stopNode("n3")
 	f := floor()
 	// The crash: the engine is at the new floor, the store still at the old base.
-	if err := storage.WriteChunkedCommit(st, snapPrefix(1), old, func(i int) []byte { return oldChunks[i] }); err != nil {
+	if err := storage.WriteChunkedCommit(storage.Staged(st), snapPrefix(1), old, func(i int) []byte { return oldChunks[i] }); err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range []types.NodeID{"n1", "n2"} {

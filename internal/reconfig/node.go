@@ -250,7 +250,7 @@ type NodeStats struct {
 type Node struct {
 	self    types.NodeID
 	ep      *transport.Endpoint
-	store   storage.Store
+	store   storage.Stager
 	factory statemachine.Factory
 	opts    Options
 	peer    *rpc.Peer
@@ -345,7 +345,7 @@ func NewNode(nc NodeConfig) (*Node, error) {
 	n := &Node{
 		self:       nc.Self,
 		ep:         nc.Endpoint,
-		store:      nc.Store,
+		store:      storage.Staged(nc.Store),
 		factory:    nc.Factory,
 		opts:       opts,
 		configs:    make(map[types.ConfigID]types.Config),
@@ -370,7 +370,7 @@ func NewNode(nc NodeConfig) (*Node, error) {
 //
 // It waits on no barrier. The snapshot is staged first and the rc/init record
 // last, so rc/init is the commit point (staged operations keep their
-// order, storage.BufferedStore), and both become durable at the node's first
+// order, storage.Stager), and both become durable at the node's first
 // barrier: for a member, the start-of-loop Sync of the engine Start launches,
 // which comes before that engine's first promise, vote or decision and before
 // any submit or read reaches it. A power loss before that barrier leaves the
@@ -399,11 +399,7 @@ func (n *Node) Bootstrap(initial types.Config) error {
 	if err := n.publish(initial.ID, 0, statemachine.NewSessioned(n.factory()).ForkSnapshot(), false); err != nil {
 		return err
 	}
-	set := n.store.Set
-	if bs, ok := n.store.(storage.BufferedStore); ok {
-		set = bs.SetBuffered
-	}
-	return set("rc/init", types.EncodeConfig(initial))
+	return n.store.SetBuffered("rc/init", types.EncodeConfig(initial))
 }
 
 func chainKey(id types.ConfigID) string {

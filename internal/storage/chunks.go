@@ -111,7 +111,7 @@ const commitSliceBytes = 1 << 20
 
 // WriteChunkedCommit persists a whole chunked blob: StageChunkedCommit, then
 // one Sync, so the blob is durable when it returns.
-func WriteChunkedCommit(s Store, prefix string, m ChunkManifest, chunk func(i int) []byte) error {
+func WriteChunkedCommit(s Stager, prefix string, m ChunkManifest, chunk func(i int) []byte) error {
 	if err := StageChunkedCommit(s, prefix, m, chunk); err != nil {
 		return err
 	}
@@ -120,28 +120,21 @@ func WriteChunkedCommit(s Store, prefix string, m ChunkManifest, chunk func(i in
 
 // StageChunkedCommit writes a whole chunked blob in commit order — every chunk
 // (the callback is called once per index, in order), then the pruning of a
-// longer predecessor's tail, then the manifest that names them — staged where
-// the store can stage, and leaves the last barrier to the caller. Nobody is
-// promised a chunk, only the manifest, and staged operations become stable in
-// the order they were staged (BufferedStore): whichever prefix a crash keeps, a manifest that
-// survived has its chunks behind it. It is safe for replacing a blob in place
+// longer predecessor's tail, then the manifest that names them — staged, and
+// leaves the last barrier to the caller. Nobody is promised a chunk, only the
+// manifest, and staged operations become stable in the order they were staged
+// (Stager): whichever prefix a crash keeps, a manifest that survived has its
+// chunks behind it. It is safe for replacing a blob in place
 // — a periodic checkpoint overwriting its predecessor: a crash mid-write
 // leaves the old manifest with at worst some chunks missing or
 // CRC-mismatching, which ReadChunked reports as incomplete — a recoverable
 // state, never a poisoned one. (A resumable fetch does the opposite by hand:
 // WriteChunkManifest first, then chunks as they arrive and verify.)
-func StageChunkedCommit(s Store, prefix string, m ChunkManifest, chunk func(i int) []byte) error {
-	set, del := s.Set, s.Delete
-	if bs, ok := s.(BufferedStore); ok {
-		set = bs.SetBuffered
-	}
-	if bd, ok := s.(BufferedDeleter); ok {
-		del = bd.DeleteBuffered
-	}
+func StageChunkedCommit(s Stager, prefix string, m ChunkManifest, chunk func(i int) []byte) error {
 	staged := 0
 	for i := 0; i < len(m.CRCs); i++ {
 		data := chunk(i)
-		if err := set(ChunkKey(prefix, i), data); err != nil {
+		if err := s.SetBuffered(ChunkKey(prefix, i), data); err != nil {
 			return err
 		}
 		if staged += len(data); staged >= commitSliceBytes {
@@ -155,12 +148,12 @@ func StageChunkedCommit(s Store, prefix string, m ChunkManifest, chunk func(i in
 	// remove them so the blob's key range matches the manifest.
 	if old, ok, err := ReadChunkManifest(s, prefix); err == nil && ok {
 		for i := len(m.CRCs); i < old.Chunks(); i++ {
-			if err := del(ChunkKey(prefix, i)); err != nil {
+			if err := s.DeleteBuffered(ChunkKey(prefix, i)); err != nil {
 				return err
 			}
 		}
 	}
-	return set(ManifestKey(prefix), EncodeChunkManifest(m))
+	return s.SetBuffered(ManifestKey(prefix), EncodeChunkManifest(m))
 }
 
 // ReadChunk loads chunk i under prefix and verifies it against the manifest
@@ -201,15 +194,20 @@ func ReadChunked(s Store, prefix string) (m ChunkManifest, chunks [][]byte, comp
 	return m, chunks, complete, nil
 }
 
-// DeleteChunked removes a chunked blob (manifest and all chunks).
-func DeleteChunked(s Store, prefix string) error {
+// DeleteChunked removes a chunked blob: every chunk, then the manifest, all
+// staged, and one Sync. Whichever prefix of the deletes a crash keeps, the
+// blob is whole, incomplete (ReadChunked reports the missing chunks) or gone.
+func DeleteChunked(s Stager, prefix string) error {
 	m, ok, err := ReadChunkManifest(s, prefix)
 	if err == nil && ok {
 		for i := 0; i < m.Chunks(); i++ {
-			if derr := s.Delete(ChunkKey(prefix, i)); derr != nil {
-				return derr
+			if err := s.DeleteBuffered(ChunkKey(prefix, i)); err != nil {
+				return err
 			}
 		}
 	}
-	return s.Delete(ManifestKey(prefix))
+	if err := s.DeleteBuffered(ManifestKey(prefix)); err != nil {
+		return err
+	}
+	return s.Sync()
 }

@@ -222,7 +222,7 @@ func TestWriteChunkedCommitTornWriteRecoverable(t *testing.T) {
 }
 
 // commitBlob writes n chunks of size bytes each through WriteChunkedCommit.
-func commitBlob(t *testing.T, s Store, prefix string, n, size int) {
+func commitBlob(t *testing.T, s Stager, prefix string, n, size int) {
 	t.Helper()
 	data := bytes.Repeat([]byte{byte(n)}, size)
 	m := ChunkManifest{Format: 2, Base: types.Slot(n), CRCs: make([]uint32, n)}
@@ -262,6 +262,33 @@ func TestWriteChunkedCommitFsyncBudget(t *testing.T) {
 			t.Logf("%s: %d fsyncs", c.name, got)
 		}
 		_ = s.Close()
+	}
+}
+
+// TestDeleteChunkedFsyncBudget retires a node's 33-chunk snapshot on a store
+// where every Delete waits for its own fsync: the chunks and the manifest are
+// staged, and one Sync closes the retirement. One fsynced Delete per key made
+// it 34.
+func TestDeleteChunkedFsyncBudget(t *testing.T) {
+	dir := t.TempDir()
+	s := openTestWALStore(t, dir, WALStoreOptions{SyncWrites: true})
+	commitBlob(t, s, "snap", 33, 1<<10)
+	before := s.Syncs()
+	if err := DeleteChunked(s, "snap"); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Syncs() - before; got > 1 {
+		t.Errorf("DeleteChunked of 33 chunks: %d fsyncs, want <= 1", got)
+	} else {
+		t.Logf("DeleteChunked of 33 chunks: %d fsyncs", got)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s = openTestWALStore(t, dir, WALStoreOptions{SyncWrites: true})
+	defer func() { _ = s.Close() }()
+	if kvs, err := s.Scan("snap"); err != nil || len(kvs) != 0 {
+		t.Fatalf("after reopening: %d keys of the deleted blob left (%v)", len(kvs), err)
 	}
 }
 
@@ -421,6 +448,40 @@ func TestWriteChunkedCommitPowerCutSweep(t *testing.T) {
 		}
 		f.Reopen()
 		checkOldOrNew(t, f, fmt.Sprintf("cut after %d staged operations", k))
+	}
+}
+
+// TestDeleteChunkedPowerCutSweep cuts the power behind every prefix of a
+// retirement's staged deletes (33 chunks, then the manifest): each cut leaves
+// the blob whole, incomplete or gone — never a manifest-less chunk.
+func TestDeleteChunkedPowerCutSweep(t *testing.T) {
+	const staged = 33 + 1
+	for k := 0; k <= staged; k++ {
+		f := &fuseStore{MemStore: NewMem(), left: -1}
+		commitBlob(t, f, "snap", 33, 64)
+		f.left = k
+		if k == 0 {
+			f.PowerLoss()
+		}
+		if err := DeleteChunked(f, "snap"); err == nil {
+			t.Fatalf("cut after %d of %d staged deletes: the retirement reported success", k, staged)
+		}
+		f.Reopen()
+		m, _, complete, err := ReadChunked(f, "snap")
+		if err != nil {
+			t.Fatalf("cut after %d: %v", k, err)
+		}
+		chunkKeys, _ := f.Scan("snap/c/")
+		switch {
+		case m.Chunks() == 0 && len(chunkKeys) != 0:
+			t.Fatalf("cut after %d: the manifest is gone but %d chunks are left", k, len(chunkKeys))
+		case m.Chunks() == 0:
+			if k != staged {
+				t.Fatalf("cut after %d of %d staged deletes: the blob is gone", k, staged)
+			}
+		case complete != (k == 0):
+			t.Fatalf("cut after %d: manifest beside %d chunks, complete=%v", k, len(chunkKeys), complete)
+		}
 	}
 }
 

@@ -14,15 +14,15 @@ import (
 func TestStoreKeepsNilAndEmptyValues(t *testing.T) {
 	type backend struct {
 		name   string
-		store  BufferedStore
-		reopen func() BufferedStore // lose what is unsynced, come back up
+		store  Stager
+		reopen func() Stager // lose what is unsynced, come back up
 	}
 	mem := NewMem()
 	dir := t.TempDir()
 	wal := openTestWALStore(t, dir, WALStoreOptions{SyncWrites: true})
 	backends := []backend{
-		{"mem", mem, func() BufferedStore { mem.PowerLoss(); mem.Reopen(); return mem }},
-		{"wal", wal, func() BufferedStore {
+		{"mem", mem, func() Stager { mem.PowerLoss(); mem.Reopen(); return mem }},
+		{"wal", wal, func() Stager {
 			if err := wal.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -63,7 +63,7 @@ func TestStoreKeepsNilAndEmptyValues(t *testing.T) {
 			}
 			present("synced", keys...)
 			// A staged delete over a synced nil value is still a delete.
-			if err := s.(BufferedDeleter).DeleteBuffered("v/set-nil"); err != nil {
+			if err := s.DeleteBuffered("v/set-nil"); err != nil {
 				t.Fatal(err)
 			}
 			present("after a staged delete", keys[:2]...)

@@ -2,33 +2,19 @@ package storage
 
 import "strings"
 
-// WithPrefix returns a view of base where every key is transparently
+// WithPrefix returns a Stager view of base where every key is transparently
 // namespaced under prefix: writes prepend it, Scan results have it stripped.
 // This is how N RSM groups share one physical store — each group writes
 // through its own prefixed view (GroupPrefix) into the *same* WAL, so the
 // WAL's group commit coalesces fsyncs across groups and recovery naturally
-// demultiplexes records by prefix. An empty prefix returns base unchanged, so
-// group 0 (the legacy layout) reads and writes exactly the keys it always did.
-//
-// The view preserves base's staging capabilities: if base supports
-// SetBuffered, so does the view, and likewise DeleteBuffered — otherwise
-// callers probing with a type assertion (the Paxos event loop's group commit
-// and its log release) would silently go back to one fsync per record when
-// running grouped.
-func WithPrefix(base Store, prefix string) Store {
+// demultiplexes records by prefix. The view stages through Staged(base); an
+// empty prefix returns that unchanged, so group 0 reads and writes exactly
+// the keys an ungrouped node does.
+func WithPrefix(base Store, prefix string) Stager {
 	if prefix == "" {
-		return base
+		return Staged(base)
 	}
-	p := prefixStore{base: base, prefix: prefix}
-	bs, ok := base.(BufferedStore)
-	if !ok {
-		return &p
-	}
-	bp := bufferedPrefixStore{prefixStore: p, buffered: bs}
-	if bd, ok := base.(BufferedDeleter); ok {
-		return &stagingPrefixStore{bufferedPrefixStore: bp, deleter: bd}
-	}
-	return &bp
+	return &prefixStore{base: Staged(base), prefix: prefix}
 }
 
 // GroupPrefix renders the key namespace for one group's records in a shared
@@ -59,12 +45,16 @@ func uitoa(v uint64) string {
 }
 
 type prefixStore struct {
-	base   Store
+	base   Stager
 	prefix string
 }
 
 func (s *prefixStore) Set(key string, value []byte) error {
 	return s.base.Set(s.prefix+key, value)
+}
+
+func (s *prefixStore) SetBuffered(key string, value []byte) error {
+	return s.base.SetBuffered(s.prefix+key, value)
 }
 
 func (s *prefixStore) Get(key string) ([]byte, bool, error) {
@@ -73,6 +63,10 @@ func (s *prefixStore) Get(key string) ([]byte, bool, error) {
 
 func (s *prefixStore) Delete(key string) error {
 	return s.base.Delete(s.prefix + key)
+}
+
+func (s *prefixStore) DeleteBuffered(key string) error {
+	return s.base.DeleteBuffered(s.prefix + key)
 }
 
 func (s *prefixStore) Scan(prefix string) ([]KV, error) {
@@ -88,22 +82,3 @@ func (s *prefixStore) Scan(prefix string) ([]KV, error) {
 }
 
 func (s *prefixStore) Sync() error { return s.base.Sync() }
-
-type bufferedPrefixStore struct {
-	prefixStore
-	buffered BufferedStore
-}
-
-func (s *bufferedPrefixStore) SetBuffered(key string, value []byte) error {
-	return s.buffered.SetBuffered(s.prefix+key, value)
-}
-
-// stagingPrefixStore is the view of a base that stages deletes as well.
-type stagingPrefixStore struct {
-	bufferedPrefixStore
-	deleter BufferedDeleter
-}
-
-func (s *stagingPrefixStore) DeleteBuffered(key string) error {
-	return s.deleter.DeleteBuffered(s.prefix + key)
-}

@@ -87,80 +87,113 @@ func TestWithPrefixNamespacing(t *testing.T) {
 	}
 }
 
-// TestWithPrefixPreservesBufferedStore: wrapping a store that stages writes
-// and deletes must yield one that does both, or the Paxos event loop's type
-// assertions would silently go back to one fsync per record on grouped
-// replicas — and a view must not invent a capability its base lacks.
-func TestWithPrefixPreservesBufferedStore(t *testing.T) {
+// TestWithPrefixStages: a prefixed view over any base — a Stager, a plain
+// store, one that stages only writes — stages writes and deletes under its
+// prefix, and they are stable after Sync.
+func TestWithPrefixStages(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		base func(*MemStore) Store
+	}{
+		{"stager", func(m *MemStore) Store { return m }},
+		{"plain", func(m *MemStore) Store { return plainStore{m} }},
+		{"writes only", func(m *MemStore) Store { return setBufferedOnly{plainStore{m}, m} }},
+	} {
+		mem := NewMem()
+		view := WithPrefix(c.base(mem), "g5/")
+		for _, k := range []string{"d", "g5/d"} {
+			if err := mem.Set(k, []byte("old")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := view.SetBuffered("k", []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if err := view.DeleteBuffered("d"); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, _ := view.Get("d"); ok {
+			t.Fatalf("%s: staged delete invisible through the view", c.name)
+		}
+		if err := view.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		mem.Crash()
+		if v, ok, err := mem.Get("g5/k"); err != nil || !ok || !bytes.Equal(v, []byte("v")) {
+			t.Fatalf("%s: base g5/k after Sync and a crash = %q %v %v", c.name, v, ok, err)
+		}
+		if _, ok, _ := mem.Get("g5/d"); ok {
+			t.Fatalf("%s: a synced staged delete came back after a crash", c.name)
+		}
+		if _, ok, _ := mem.Get("d"); !ok {
+			t.Fatalf("%s: the view's delete removed the base's own key", c.name)
+		}
+	}
+
+	// Over a Stager nothing is stable before the barrier.
 	mem := NewMem()
 	view := WithPrefix(mem, "g5/")
-	bs, ok := view.(BufferedStore)
-	if !ok {
-		t.Fatal("prefixed view of a BufferedStore lost SetBuffered")
-	}
-	if err := bs.SetBuffered("k", []byte("v")); err != nil {
+	if err := mem.Set("g5/d", []byte("old")); err != nil {
 		t.Fatal(err)
 	}
-	if err := view.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	v, ok, err := mem.Get("g5/k")
-	if err != nil || !ok || !bytes.Equal(v, []byte("v")) {
-		t.Fatalf("base g5/k = %q %v %v", v, ok, err)
-	}
-
-	// The delete half: staged under the view's prefix, stable only after Sync.
-	bd, ok := view.(BufferedDeleter)
-	if !ok {
-		t.Fatal("prefixed view of a BufferedDeleter lost DeleteBuffered")
-	}
-	if err := mem.Set("k", []byte("not the view's")); err != nil {
-		t.Fatal(err)
-	}
-	if err := bd.DeleteBuffered("k"); err != nil {
-		t.Fatal(err)
-	}
+	_ = view.SetBuffered("k", []byte("v"))
+	_ = view.DeleteBuffered("d")
+	mem.Crash()
 	if _, ok, _ := view.Get("k"); ok {
-		t.Fatal("staged delete invisible through the view")
+		t.Fatal("an unsynced staged write survived a crash")
 	}
-	if _, ok, _ := mem.Get("k"); !ok {
-		t.Fatal("the view's delete removed the base's own key")
-	}
-	mem.Crash()
-	if _, ok, _ := view.Get("k"); !ok {
+	if _, ok, _ := view.Get("d"); !ok {
 		t.Fatal("an unsynced staged delete survived a crash")
-	}
-	if err := bd.DeleteBuffered("k"); err != nil {
-		t.Fatal(err)
-	}
-	if err := view.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	mem.Crash()
-	if _, ok, _ := mem.Get("g5/k"); ok {
-		t.Fatal("a synced staged delete came back after a crash")
-	}
-
-	// A base without a capability must not grow it: neither half on a plain
-	// store, no staged delete on a store that only stages writes (the shape of
-	// the benchmark's decorator).
-	plain := WithPrefix(plainStore{NewMem()}, "p/")
-	if _, ok := plain.(BufferedStore); ok {
-		t.Fatal("prefixed view invented SetBuffered on a plain store")
-	}
-	if _, ok := plain.(BufferedDeleter); ok {
-		t.Fatal("prefixed view invented DeleteBuffered on a plain store")
-	}
-	writesOnly := WithPrefix(setBufferedOnly{plainStore{mem}, mem}, "w/")
-	if _, ok := writesOnly.(BufferedStore); !ok {
-		t.Fatal("prefixed view of a write-staging store lost SetBuffered")
-	}
-	if _, ok := writesOnly.(BufferedDeleter); ok {
-		t.Fatal("prefixed view invented DeleteBuffered on a store that only stages writes")
 	}
 }
 
-// plainStore strips the BufferedStore capability from a MemStore.
+// TestStagedKeepsOrderOnWriteOnlyStager: over a store that stages writes but
+// not deletes — the shape of a decorator that forwards only SetBuffered —
+// Staged keeps staging order. After SetBuffered(a), DeleteBuffered(b) and a
+// power loss, b is gone only if a survived.
+func TestStagedKeepsOrderOnWriteOnlyStager(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		wrap func(Store) Stager
+	}{
+		{"Staged", Staged},
+		{"WithPrefix", func(s Store) Stager { return WithPrefix(s, "p/") }},
+	} {
+		mem := NewMem()
+		s := c.wrap(setBufferedOnly{plainStore{mem}, mem})
+		if err := s.Set("b", []byte("old")); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SetBuffered("a", []byte("new")); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.DeleteBuffered("b"); err != nil {
+			t.Fatal(err)
+		}
+		mem.PowerLoss()
+		mem.Reopen()
+		_, aOK, _ := s.Get("a")
+		_, bOK, _ := s.Get("b")
+		if !bOK && !aOK {
+			t.Fatalf("%s: the staged delete of b became stable ahead of the write of a staged before it", c.name)
+		}
+	}
+}
+
+// TestStagedReturnsStagers: the stores the stack runs on are Stagers already,
+// so Staged hands them back as they are and the hot path gets no wrapper.
+func TestStagedReturnsStagers(t *testing.T) {
+	mem := NewMem()
+	wal := openTestWALStore(t, t.TempDir(), WALStoreOptions{})
+	defer func() { _ = wal.Close() }()
+	for name, s := range map[string]Stager{"mem": mem, "wal": wal, "prefix view": WithPrefix(mem, "g1/")} {
+		if Staged(s) != s {
+			t.Errorf("Staged(%s) wrapped a Stager", name)
+		}
+	}
+}
+
+// plainStore is a MemStore with neither SetBuffered nor DeleteBuffered.
 type plainStore struct{ s *MemStore }
 
 func (p plainStore) Set(key string, value []byte) error   { return p.s.Set(key, value) }
@@ -169,7 +202,7 @@ func (p plainStore) Delete(key string) error              { return p.s.Delete(ke
 func (p plainStore) Scan(prefix string) ([]KV, error)     { return p.s.Scan(prefix) }
 func (p plainStore) Sync() error                          { return p.s.Sync() }
 
-// setBufferedOnly is a BufferedStore that is not a BufferedDeleter.
+// setBufferedOnly stages writes but not deletes.
 type setBufferedOnly struct {
 	plainStore
 	mem *MemStore

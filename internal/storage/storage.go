@@ -12,6 +12,12 @@
 // layer keeps the object across crash/recover cycles — what a file on disk
 // would do, without the I/O nondeterminism. WithPrefix (prefix.go) namespaces
 // either.
+//
+// Every layer above this package writes to a Stager: it stages writes and
+// deletes, in order, and Sync is the barrier. Both stores are Stagers. Staged
+// is the one adapter for any other Store, and the one place a store's
+// optional methods are probed; on a store that stages writes but not deletes,
+// its delete syncs first.
 package storage
 
 import (
@@ -58,17 +64,10 @@ type Store interface {
 // ErrStoreClosed is returned by operations on a closed store.
 var ErrStoreClosed = errors.New("storage: closed")
 
-// BufferedStore is implemented by stores that can stage a write without the
-// per-call durability wait, making the next Sync the durability barrier.
-// Callers that batch many writes per fsync — the Paxos event loop's group
-// commit — probe for it with a type assertion and fall back to plain Set.
-//
-// Staged operations, writes and deletes alike, become stable in the order
-// they were staged: a crash before the barrier keeps a prefix of them. So a
-// caller that stages a commit record after the records it names needs no
-// barrier in between: if the commit record survived, so did they. WALStore
-// logs them in that order and recovery cuts at the first torn record;
-// MemStore keeps all of them or, on a power loss, none.
+// BufferedStore is a Store that can stage a write without the per-call
+// durability wait, making the next Sync the durability barrier. It is the
+// write half of Stager, and keeps a method set of its own for decorators that
+// implement exactly it; nothing above this package asserts it (see Staged).
 type BufferedStore interface {
 	Store
 	// SetBuffered writes key=value visibly (read-your-writes, like an OS
@@ -78,15 +77,58 @@ type BufferedStore interface {
 	SetBuffered(key string, value []byte) error
 }
 
-// BufferedDeleter is the delete half of staging, a capability of its own so
-// that BufferedStore keeps the method set its existing implementers have.
-// Callers probe for it and fall back to Delete.
-type BufferedDeleter interface {
+// Stager is the contract every layer above this package writes against: a
+// store that stages writes and deletes, with Sync the barrier that makes them
+// durable. Callers that batch many writes per fsync — the Paxos event loop's
+// group commit, a chunked commit, a log release — stage and leave the barrier
+// to whoever asserts the staged state.
+//
+// Staged operations, writes and deletes alike, become stable in the order
+// they were staged: a crash before the barrier keeps a prefix of them. So a
+// caller that stages a commit record after the records it names needs no
+// barrier in between: if the commit record survived, so did they. WALStore
+// logs them in that order and recovery cuts at the first torn record;
+// MemStore keeps all of them or, on a power loss, none.
+type Stager interface {
+	BufferedStore
 	// DeleteBuffered removes key visibly at once but possibly non-durably; the
 	// removal reaches stable state on the next Sync, in staging order with
-	// the staged writes (BufferedStore). After a crash before that Sync the key
-	// may be back.
+	// the staged writes. After a crash before that Sync the key may be back.
 	DeleteBuffered(key string) error
+}
+
+// Staged returns s as a Stager, and is the one place a store's optional tiers
+// are probed. A Stager — MemStore, WALStore, a WithPrefix view — comes back
+// unchanged, so the hot path pays no wrapper. Any other store is adapted: a
+// missing SetBuffered is Set, and a missing DeleteBuffered is Sync, then
+// Delete. The Sync is what keeps staging order on a store that stages writes
+// but not deletes: without it the delete could become stable ahead of a write
+// staged before it — a log release's records ahead of the floor they are
+// released under.
+func Staged(s Store) Stager {
+	if st, ok := s.(Stager); ok {
+		return st
+	}
+	a := &stagedStore{Store: s, set: s.Set}
+	if bs, ok := s.(BufferedStore); ok {
+		a.set = bs.SetBuffered
+	}
+	return a
+}
+
+// stagedStore is what Staged makes of a store that is not a Stager.
+type stagedStore struct {
+	Store
+	set func(key string, value []byte) error
+}
+
+func (s *stagedStore) SetBuffered(key string, value []byte) error { return s.set(key, value) }
+
+func (s *stagedStore) DeleteBuffered(key string) error {
+	if err := s.Sync(); err != nil {
+		return err
+	}
+	return s.Delete(key)
 }
 
 // MemOptions configures a MemStore.
@@ -118,10 +160,7 @@ type staged struct {
 	deleted bool
 }
 
-var (
-	_ BufferedStore   = (*MemStore)(nil)
-	_ BufferedDeleter = (*MemStore)(nil)
-)
+var _ Stager = (*MemStore)(nil)
 
 // NewMem returns a store where every write is immediately stable.
 func NewMem() *MemStore {
@@ -158,7 +197,7 @@ func (s *MemStore) Set(key string, value []byte) error {
 	return nil
 }
 
-// SetBuffered implements BufferedStore: the write is staged in the dirty
+// SetBuffered implements Stager: the write is staged in the dirty
 // buffer even with AutoSync on, and becomes stable on the next Sync.
 func (s *MemStore) SetBuffered(key string, value []byte) error {
 	if s.opts.WriteLatency > 0 {
@@ -198,7 +237,7 @@ func (s *MemStore) Get(key string) ([]byte, bool, error) {
 // Delete implements Store.
 func (s *MemStore) Delete(key string) error { return s.remove(key, s.opts.AutoSync) }
 
-// DeleteBuffered implements BufferedDeleter: the removal is staged in the
+// DeleteBuffered implements Stager: the removal is staged in the
 // dirty buffer even with AutoSync on, and becomes stable on the next Sync.
 func (s *MemStore) DeleteBuffered(key string) error { return s.remove(key, false) }
 

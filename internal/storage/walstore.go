@@ -43,10 +43,7 @@ type WALStore struct {
 	closed     bool
 }
 
-var (
-	_ BufferedStore   = (*WALStore)(nil)
-	_ BufferedDeleter = (*WALStore)(nil)
-)
+var _ Stager = (*WALStore)(nil)
 
 // WALStoreOptions configures a WALStore.
 type WALStoreOptions struct {
@@ -180,7 +177,7 @@ func (s *WALStore) Set(key string, value []byte) error {
 	return nil
 }
 
-// SetBuffered implements BufferedStore: the record is appended and visible
+// SetBuffered implements Stager: the record is appended and visible
 // immediately, but the group-commit wait is skipped even with SyncWrites on.
 // The caller's next Sync is the durability barrier — the Paxos event loop
 // uses this to share one fsync across every write of a burst.
@@ -224,7 +221,7 @@ func (s *WALStore) Delete(key string) error {
 	return s.wal.Sync(lsn)
 }
 
-// DeleteBuffered implements BufferedDeleter: the record is appended and the
+// DeleteBuffered implements Stager: the record is appended and the
 // key gone at once, and the caller's next Sync is the durability barrier.
 // Replay applies records in log order, which is the ordering the interface
 // promises.
