@@ -56,16 +56,18 @@ fmt-check:
 # Test step is -short, under which the loaded-path tests only print): bytes per
 # put on the write path, and what a replica allocates before its first message.
 # The third is CI's fsync budgets, by count. The fourth fails when non-test
-# code outside storage.Staged type-asserts a staging interface. The fifth
-# fuzzes RestoreChunk, the one decoder of snapshot bytes from peers, for 10 s.
-# bench/ is a nested module (bench/go.mod) that ./... does not descend into;
-# the sixth line notices a program change that breaks the benchmark's build.
-# The last prints what CI's Size step puts on the run's summary page.
+# code outside storage.Staged type-asserts a staging interface, and the fifth
+# when non-test code above internal/storage calls a store's Set or Delete. The
+# sixth fuzzes RestoreChunk, the one decoder of snapshot bytes from peers, for
+# 10 s. bench/ is a nested module (bench/go.mod) that ./... does not descend
+# into; the seventh line notices a program change that breaks the benchmark's
+# build. The last prints what CI's Size step puts on the run's summary page.
 ci: vet build examples test race fmt-check
 	$(GO) test -run 'TestLoadedWritePathBytesPerOp' -count=1 ./internal/cluster/
 	$(GO) test -run 'TestReplicaConstructionAllocates' -count=1 ./internal/reconfig/
-	$(GO) test -run 'TestBootstrapFsyncBudget|TestWriteChunkedCommitFsyncBudget|TestDeleteChunkedFsyncBudget|TestOpenWALStoreCostsNoFsync' -count=1 ./internal/reconfig/ ./internal/storage/
+	$(GO) test -run 'TestBootstrapFsyncBudget|TestWriteChunkedCommitFsyncBudget|TestDeleteChunkedFsyncBudget|TestOpenWALStoreCostsNoFsync|TestTransferFsyncBudget' -count=1 ./internal/reconfig/ ./internal/storage/
 	! grep -rnE '\.\((storage\.)?(BufferedStore|Stager)\)' --include='*.go' internal cmd examples | grep -v '_test.go:' | grep -v '^internal/storage/storage.go:'
+	! grep -rnE '\bstore\.(Set|Delete)\(|WriteChunkManifest\(' --include='*.go' internal cmd examples | grep -v '_test.go:' | grep -v '^internal/storage/'
 	$(GO) test -run '^$$' -fuzz '^FuzzSessionedRestoreChunk$$' -fuzztime 10s ./internal/statemachine/
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
 	scripts/size.sh

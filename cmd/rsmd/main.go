@@ -7,7 +7,7 @@
 //
 //	rsmd -n 3 -spares 2                  # simulated network, in-memory stores
 //	rsmd -n 3 -spares 2 -tcp             # real loopback TCP sockets
-//	rsmd -n 3 -store wal -fsync          # group-commit WAL persistence
+//	rsmd -n 3 -store wal                 # group-commit WAL persistence
 //	rsmd -n 3 -store wal -dir /tmp/rsm   # ... at a path that outlives the process
 //
 // Console commands:
@@ -49,7 +49,6 @@ func run() int {
 	useTCP := false
 	store := "mem"
 	storeDir := ""
-	fsync := false
 	args := os.Args[1:]
 	for i := 0; i < len(args); i++ {
 		switch args[i] {
@@ -75,8 +74,6 @@ func run() int {
 				i++
 				storeDir = args[i]
 			}
-		case "-fsync":
-			fsync = true
 		default:
 			fmt.Fprintf(os.Stderr, "unknown flag %q\n", args[i])
 			return 2
@@ -97,7 +94,6 @@ func run() int {
 		Factory:    statemachine.NewKVMachine,
 		Storage:    store,
 		StorageDir: storeDir,
-		SyncWrites: fsync,
 	})
 	defer c.Close()
 
@@ -129,11 +125,7 @@ func run() int {
 	if useTCP {
 		mode = "loopback TCP"
 	}
-	durability := store
-	if fsync {
-		durability += "+fsync"
-	}
-	fmt.Printf("cluster up: %s (+%d spares, %s, store=%s). Type 'help' for commands.\n", c.Node(0, members[0]).CurrentConfig(), spares, mode, durability)
+	fmt.Printf("cluster up: %s (+%d spares, %s, store=%s). Type 'help' for commands.\n", c.Node(0, members[0]).CurrentConfig(), spares, mode, store)
 
 	scanner := bufio.NewScanner(os.Stdin)
 	for {

@@ -139,7 +139,7 @@ func NewDirectory(ep *transport.Endpoint, seeds []types.NodeID) *Directory {
 	return &Directory{
 		peer:  rpc.NewPeer(ep, reconfig.ControlStream, nil),
 		seeds: types.CloneNodeIDs(seeds),
-		rng:   rand.New(rand.NewSource(reconfig.SeedFor("client-directory"))),
+		rng:   rand.New(rand.NewSource(types.SeedFor("client-directory"))),
 	}
 }
 

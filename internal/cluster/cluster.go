@@ -54,8 +54,6 @@ type Config struct {
 	// StorageDir roots the on-disk backends, one subdirectory per process.
 	// Empty means a fresh OS temp directory removed on Close.
 	StorageDir string
-	// SyncWrites makes on-disk backends fsync before acknowledging writes.
-	SyncWrites bool
 }
 
 // FastOptions returns node timing suitable for tests and local experiments:
@@ -118,7 +116,7 @@ func New(cfg Config) *Cluster {
 		net:     newNet(cfg.Transport),
 		procs:   make(map[types.NodeID]storage.Store),
 		groups:  make(map[types.GroupID]*group),
-		backing: Stores{Backend: cfg.Storage, Dir: cfg.StorageDir, SyncWrites: cfg.SyncWrites},
+		backing: Stores{Backend: cfg.Storage, Dir: cfg.StorageDir},
 	}
 }
 

@@ -99,7 +99,7 @@ func TestGroupsIsolatedKeyspaces(t *testing.T) {
 // crashing and restarting a process recovers both groups' replicas from the
 // shared log, and both keyspaces stay intact and disjoint.
 func TestGroupsSharedWALCrashRestart(t *testing.T) {
-	m := groupCluster(t, Config{Storage: "wal", SyncWrites: true})
+	m := groupCluster(t, Config{Storage: "wal"})
 	ctx := groupCtx(t)
 	procs := []types.NodeID{"p1", "p2", "p3"}
 	for gid := types.GroupID(1); gid <= 2; gid++ {

@@ -33,8 +33,6 @@ type Stores struct {
 	// Dir roots the on-disk backend, one subdirectory per node. Empty means
 	// a fresh OS temp directory removed on Close.
 	Dir string
-	// SyncWrites makes the on-disk backend fsync before acknowledging writes.
-	SyncWrites bool
 
 	temp string
 	wals []*storage.WALStore
@@ -59,7 +57,7 @@ func (s *Stores) Open(id types.NodeID) (storage.Store, error) {
 		}
 		root = s.temp
 	}
-	w, err := storage.OpenWALStore(filepath.Join(root, string(id)), storage.WALStoreOptions{SyncWrites: s.SyncWrites})
+	w, err := storage.OpenWALStore(filepath.Join(root, string(id)), storage.WALStoreOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -40,12 +40,12 @@ var loadMembers = []types.NodeID{"n1", "n2", "n3"}
 
 // loadTarget boots the deployment and returns it once one op has been
 // acknowledged: a leader exists and the directory knows it. durable puts the
-// members on WAL stores that fsync before they acknowledge.
+// members on WAL stores, where every acknowledged write waits on a barrier.
 func loadTarget(tb testing.TB, durable bool) (*Cluster, *client.Directory) {
 	tb.Helper()
 	cfg := Config{TCP: true, Node: FastOptions(), Factory: statemachine.NewKVMachine}
 	if durable {
-		cfg.Storage, cfg.SyncWrites, cfg.StorageDir = "wal", true, tb.TempDir()
+		cfg.Storage, cfg.StorageDir = "wal", tb.TempDir()
 	}
 	c := New(cfg)
 	tb.Cleanup(c.Close)

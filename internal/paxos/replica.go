@@ -260,7 +260,7 @@ func New(cfg types.Config, self types.NodeID, ep *transport.Endpoint, store stor
 		pumpDone:  make(chan struct{}),
 		decCh:     make(chan smr.Decision, 1024),
 		decSignal: make(chan struct{}, 1),
-		rng:       rand.New(rand.NewSource(opts.Seed ^ int64(stream) ^ hashNode(self))),
+		rng:       rand.New(rand.NewSource(opts.Seed ^ int64(stream) ^ types.SeedFor(string(self)))),
 		accepted:  make(map[types.Slot]acceptedEntry),
 		decided:   make(map[types.Slot]types.Command),
 		promises:  make(map[types.NodeID]promiseMsg),
@@ -275,16 +275,6 @@ func New(cfg types.Config, self types.NodeID, ep *transport.Endpoint, store stor
 		return nil, fmt.Errorf("paxos recovery: %w", err)
 	}
 	return r, nil
-}
-
-// hashNode folds a node ID into an RNG seed component.
-func hashNode(id types.NodeID) int64 {
-	var h int64 = 1469598103934665603
-	for i := 0; i < len(id); i++ {
-		h ^= int64(id[i])
-		h *= 1099511628211
-	}
-	return h
 }
 
 // recover reloads acceptor and learner state from stable storage, so a

@@ -363,8 +363,13 @@ func (n *Node) applyReconfigLocked(slot types.Slot, cmd types.Command) {
 			return
 		}
 	} else {
+		// Staged, with no barrier of its own: this node acts in the successor
+		// only through its engine, whose first barrier covers the record, or
+		// through a snapshot commit or transfer, whose barriers do too. A
+		// record lost before any of them is redelivered by this
+		// configuration's log.
 		n.chain[rec.From] = rec
-		if err := n.store.Set(chainKey(rec.From), encodeChainRecord(rec)); err != nil {
+		if err := n.store.SetBuffered(chainKey(rec.From), encodeChainRecord(rec)); err != nil {
 			n.stats.InvariantViolations++
 		}
 	}

@@ -34,14 +34,3 @@ func BackoffDelay(attempt int, base, max time.Duration, rng *rand.Rand) time.Dur
 	}
 	return d
 }
-
-// SeedFor derives a stable per-node rng seed (FNV-1a over the node ID) so
-// jitter differs across nodes but a node's schedule is reproducible.
-func SeedFor(id string) int64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(id); i++ {
-		h ^= uint64(id[i])
-		h *= 1099511628211
-	}
-	return int64(h & (1<<62 - 1))
-}

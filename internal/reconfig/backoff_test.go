@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"repro/internal/types"
 )
 
 // TestBackoffSchedule pins the deterministic (nil-rng) schedule: doubling
@@ -45,7 +47,7 @@ func TestBackoffDegenerateInputs(t *testing.T) {
 // TestBackoffJitterBounds checks every jittered delay stays within ±25% of
 // the deterministic midpoint, and that the jitter actually spreads values.
 func TestBackoffJitterBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(SeedFor("jitter-test")))
+	rng := rand.New(rand.NewSource(types.SeedFor("jitter-test")))
 	base := 10 * time.Millisecond
 	max := 400 * time.Millisecond
 	seen := map[time.Duration]bool{}
@@ -62,21 +64,5 @@ func TestBackoffJitterBounds(t *testing.T) {
 	}
 	if len(seen) < 50 {
 		t.Fatalf("jitter too clustered: only %d distinct delays", len(seen))
-	}
-}
-
-// TestSeedForStable pins the per-node seed derivation: distinct nodes get
-// distinct seeds, the same node always the same seed, and seeds are
-// non-negative (rand.NewSource accepts any int64 but keep them canonical).
-func TestSeedForStable(t *testing.T) {
-	a1, a2, b := SeedFor("n1"), SeedFor("n1"), SeedFor("n2")
-	if a1 != a2 {
-		t.Fatalf("SeedFor not stable: %d vs %d", a1, a2)
-	}
-	if a1 == b {
-		t.Fatalf("SeedFor collides for n1/n2: %d", a1)
-	}
-	if a1 < 0 || b < 0 {
-		t.Fatalf("SeedFor produced negative seed: %d %d", a1, b)
 	}
 }

@@ -26,14 +26,6 @@ import (
 type Options struct {
 	// Paxos configures every static engine this node runs.
 	Paxos paxos.Options
-	// StaleJumpTicks is how many housekeeping ticks a node waits for its
-	// own engine to deliver an already-announced wedge before jumping
-	// directly to the successor via state transfer. Default 15.
-	StaleJumpTicks int
-	// GossipTicks is how many housekeeping ticks pass between chain
-	// anti-entropy exchanges with a random known peer, the repair path
-	// for lost announces. Default 20.
-	GossipTicks int
 	// SpeculativeStart controls whether a successor engine boots while the
 	// snapshot is still in flight (the paper's §1 speculative start: the
 	// joiner votes, accepts and decides c+1 slots during transfer; decided
@@ -109,6 +101,14 @@ const (
 	lingerOld = 500 * time.Millisecond
 	// fetchTimeout bounds one snapshot-fetch RPC attempt.
 	fetchTimeout = 150 * time.Millisecond
+	// staleJumpTicks is how many housekeeping ticks a node waits for its
+	// own engine to deliver an already-announced wedge before jumping
+	// directly to the successor via state transfer.
+	staleJumpTicks = 15
+	// gossipTicks is how many housekeeping ticks pass between chain
+	// anti-entropy exchanges with a random known peer, the repair path
+	// for lost announces.
+	gossipTicks = 20
 	// pendingMaxRetries drops a pending command after this many re-proposals
 	// (an abandoned client).
 	pendingMaxRetries = 2000
@@ -120,12 +120,6 @@ const (
 )
 
 func (o Options) withDefaults() Options {
-	if o.StaleJumpTicks <= 0 {
-		o.StaleJumpTicks = 15
-	}
-	if o.GossipTicks <= 0 {
-		o.GossipTicks = 20
-	}
 	if o.SubmitQueue <= 0 {
 		o.SubmitQueue = 4096
 	}
@@ -354,7 +348,7 @@ func NewNode(nc NodeConfig) (*Node, error) {
 		pending:    make(map[pendKey]*pendingCmd),
 		serving:    make(map[types.ConfigID]*snapServing),
 		retireNext: 1, // configuration IDs start at 1; 0 is "no transfer running"
-		rng:        rand.New(rand.NewSource(SeedFor(string(nc.Self)))),
+		rng:        rand.New(rand.NewSource(types.SeedFor(string(nc.Self)))),
 		applyQ:     fifo.New[taggedDecision](applyQueueLen),
 		pumpCh:     make(chan struct{}, 1),
 		stopCh:     make(chan struct{}),
@@ -443,7 +437,10 @@ func (n *Node) Start() error {
 		// A snapshot below the engine's truncation floor (a crash between a
 		// catch-up install's SkipTo and its commit) is no snapshot: the log
 		// between its base and the floor is gone.
-		if floor, _ := paxos.TruncatedFloor(n.store, uint64(cur)); m.Base >= floor {
+		// A checkpoint's base is announced once installed, so whatever an
+		// earlier run staged of it is made durable first; a base-0 snapshot
+		// announces nothing, and a boot waits on no disk for it.
+		if floor, _ := paxos.TruncatedFloor(n.store, uint64(cur)); m.Base >= floor && (m.Base == 0 || n.store.Sync() == nil) {
 			n.install(cur, m, chunks)
 		}
 	}

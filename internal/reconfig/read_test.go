@@ -45,9 +45,6 @@ func TestWedgeFencesReads(t *testing.T) {
 		Jitter:      100 * time.Microsecond,
 		Seed:        7,
 	})
-	// A node that never jumps forward on staleness: only the wedge fence can
-	// stop the read.
-	w.opts.StaleJumpTicks = 1 << 30
 	w.bootstrap(statemachine.NewKVMachine, "n1", "n2", "n3")
 	w.waitServing("n1", "n2", "n3")
 	spare := w.startNode("n4", statemachine.NewKVMachine)
@@ -106,6 +103,8 @@ func TestWedgeFencesReads(t *testing.T) {
 	// Hand the isolated leader the wedge evidence directly — the chain
 	// record for its own configuration. Because it is still executing config
 	// 1, handleAnnounce does not advance curID; the record alone must fence.
+	// The read below lands microseconds later, far inside the stale-jump
+	// grace (staleJumpTicks housekeeping ticks), so nothing else can stop it.
 	var rec ChainRecord
 	for _, r := range w.node(survivors[0]).ChainRecords() {
 		if r.From == 1 {

@@ -942,8 +942,6 @@ func TestNodeOnDiskRestartAfterReconfigure(t *testing.T) {
 // stopped being fields must keep the values they had.
 func TestOptionsDefaults(t *testing.T) {
 	want := Options{
-		StaleJumpTicks:     15,
-		GossipTicks:        20,
 		SpeculativeStart:   SpecOn,
 		SubmitQueue:        4096,
 		CheckpointInterval: 4096,
@@ -959,5 +957,8 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 	if retryInterval != 10*time.Millisecond || lingerOld != 500*time.Millisecond || fetchTimeout != 150*time.Millisecond {
 		t.Fatalf("retryInterval %v, lingerOld %v, fetchTimeout %v; want 10ms, 500ms, 150ms", retryInterval, lingerOld, fetchTimeout)
+	}
+	if staleJumpTicks != 15 || gossipTicks != 20 {
+		t.Fatalf("staleJumpTicks %d, gossipTicks %d; want 15, 20", staleJumpTicks, gossipTicks)
 	}
 }

@@ -244,7 +244,7 @@ func (n *Node) enqueueSubmitLocked(cmd types.Command, respond func([]byte)) {
 	}
 }
 
-// handleAnnounce integrates a chain record learned from a peer: persist it,
+// handleAnnounce integrates a chain record learned from a peer: stage it,
 // speculatively start the successor engine if we belong to it, and — when we
 // are not actively executing an older configuration — advance directly.
 func (n *Node) handleAnnounce(rec ChainRecord) {
@@ -258,8 +258,11 @@ func (n *Node) handleAnnounce(rec ChainRecord) {
 			n.stats.InvariantViolations++ // chain fork: impossible under agreement
 		}
 	} else {
+		// Staged under mu, like the wedge's own record (applyReconfigLocked):
+		// the successor engine's or the transfer's first barrier makes it
+		// durable, and one lost before either is relearned by gossip.
 		n.chain[rec.From] = rec
-		if err := n.store.Set(chainKey(rec.From), encodeChainRecord(rec)); err != nil {
+		if err := n.store.SetBuffered(chainKey(rec.From), encodeChainRecord(rec)); err != nil {
 			n.stats.InvariantViolations++
 		}
 	}
@@ -345,7 +348,7 @@ func (n *Node) houseTick() {
 	// gone). After a grace period, transfer state instead of waiting.
 	if rec, ok := n.chain[n.curID]; ok && n.initialized {
 		n.staleTicks++
-		if n.staleTicks > n.opts.StaleJumpTicks {
+		if n.staleTicks > staleJumpTicks {
 			n.stats.StaleJumps++
 			n.advanceToLocked(rec.To.ID)
 			cur = n.configs[n.curID]
@@ -388,7 +391,7 @@ func (n *Node) houseTick() {
 	var gossipPush []byte
 	n.gossipLeft--
 	if n.gossipLeft <= 0 {
-		n.gossipLeft = n.opts.GossipTicks
+		n.gossipLeft = gossipTicks
 		gossipTo = n.gossipPeerLocked()
 		if rec, ok := n.chain[n.curID-1]; ok && gossipTo != "" {
 			gossipPush = encodeAnnounce(announceMsg{Record: rec})

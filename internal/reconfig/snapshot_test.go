@@ -47,7 +47,6 @@ func snapshotsHeld(t *testing.T, st storage.Store) int {
 // serves the full state.
 func TestSnapshotRetireKeepsCurrentAndPredecessor(t *testing.T) {
 	w := newWorld(t, transport.Options{BaseLatency: 100 * time.Microsecond, Seed: 53})
-	w.opts.GossipTicks = 5
 	w.bootstrap(statemachine.NewKVMachine, "n1", "n2", "n3")
 	w.waitServing("n1", "n2", "n3")
 	seedState(t, w, "n1", 64, 1024)
@@ -152,7 +151,6 @@ func (g *gateStore) Set(key string, value []byte) error {
 func TestCheckpointCommitServedFromMemory(t *testing.T) {
 	w := newWorld(t, transport.Options{BaseLatency: 100 * time.Microsecond, Seed: 59})
 	w.opts = ckptOpts(w.opts)
-	w.opts.GossipTicks = 5
 	gate := &gateStore{
 		Store:   storage.NewMem(),
 		prefix:  snapPrefix(2) + "/c/",

@@ -34,7 +34,9 @@ import (
 // joiner and for a lagging member alike. It fetches the manifest from any
 // source and the missing chunks concurrently from rotating sources, verifying
 // each against the manifest CRC; a corrupt chunk is discarded alone, and
-// fruitless rounds back off exponentially with jitter.
+// fruitless rounds back off exponentially with jitter. A joiner stages the
+// manifest and then each verified chunk in its store, with one barrier per
+// fetched range and one before the install; none is taken under mu.
 //
 // install swaps the machine, sets the apply cursor and the engine's delivery
 // cursor to base, and is also how Start recovers from the node's own store.
@@ -285,10 +287,13 @@ func (n *Node) maybeTransferLocked() {
 // own state each round, not passed in. An uninitialized node accepts any
 // snapshot of id its engine can still continue from and persists the
 // manifest and every verified chunk as it arrives: that makes the fetch
-// resumable across a crash and the joiner itself a source. An initialized node accepts only a base above its apply
-// cursor and fetches into memory — its store still holds the snapshot it is
-// running on, and chunks written under that manifest would corrupt the blob
-// it describes; install commits it afterwards.
+// resumable across a crash and the joiner itself a source. The manifest is
+// staged ahead of its chunks, and staged operations become stable in order,
+// so whatever prefix a crash keeps is a manifest with some of its chunks,
+// which the next round resumes from. An initialized node accepts only a base
+// above its apply cursor and fetches into memory — its store still holds the
+// snapshot it is running on, and chunks written under that manifest would
+// corrupt the blob it describes; install commits it afterwards.
 func (n *Node) runTransfer(id types.ConfigID) {
 	defer n.wg.Done()
 	defer func() {
@@ -301,7 +306,7 @@ func (n *Node) runTransfer(id types.ConfigID) {
 		defer n.mu.Unlock()
 		return !n.wantsSnapshotLocked(id)
 	}
-	rng := rand.New(rand.NewSource(SeedFor(string(n.self)) ^ int64(id)))
+	rng := rand.New(rand.NewSource(types.SeedFor(string(n.self)) ^ int64(id)))
 	var (
 		manifest storage.ChunkManifest
 		chunks   [][]byte
@@ -340,7 +345,7 @@ func (n *Node) runTransfer(id types.ConfigID) {
 				manifest, have, progress = m, true, true
 				chunks = make([][]byte, m.Chunks())
 				if joining {
-					if err := storage.WriteChunkManifest(n.store, prefix, m); err != nil {
+					if err := n.store.SetBuffered(storage.ManifestKey(prefix), storage.EncodeChunkManifest(m)); err != nil {
 						n.countViolation()
 					}
 					// Persisted chunks that verify against this manifest (a
@@ -351,11 +356,13 @@ func (n *Node) runTransfer(id types.ConfigID) {
 				}
 				// The chunks piggybacked on the reply; for a small snapshot
 				// that is the whole transfer in one round trip.
+				accepted := 0
 				for i, data := range lead {
-					if i < len(chunks) && chunks[i] == nil {
-						n.acceptChunk(prefix, manifest, chunks, nil, i, data)
+					if i < len(chunks) && chunks[i] == nil && n.acceptChunk(prefix, manifest, chunks, nil, i, data) {
+						accepted++
 					}
 				}
+				n.persistFetched(prefix, accepted)
 			}
 		}
 		if have {
@@ -363,6 +370,15 @@ func (n *Node) runTransfer(id types.ConfigID) {
 				progress = true
 			}
 			if len(missingSpans(chunks)) == 0 {
+				// install announces a joiner's base to the peers, who
+				// truncate against it: the barrier makes every chunk this
+				// node holds of it durable first, the resumed ones included.
+				if joining {
+					if err := n.store.Sync(); err != nil {
+						n.countViolation()
+						return
+					}
+				}
 				n.install(id, manifest, chunks)
 				return
 			}
@@ -393,8 +409,9 @@ func (n *Node) runTransfer(id types.ConfigID) {
 }
 
 // acceptChunk CRC-verifies one fetched chunk; on success it records it in
-// chunks (under resMu when given) and, unless prefix is empty, persists it
-// immediately. Returns whether the chunk was accepted.
+// chunks (under resMu when given) and, unless prefix is empty, stages it in
+// the store for the caller's persistFetched. Returns whether the chunk was
+// accepted.
 func (n *Node) acceptChunk(prefix string, m storage.ChunkManifest, chunks [][]byte, resMu *sync.Mutex, idx int, data []byte) bool {
 	if storage.ChunkCRC(data) != m.CRCs[idx] {
 		// Corrupt on the wire or a poisoned source: reject this chunk
@@ -412,14 +429,31 @@ func (n *Node) acceptChunk(prefix string, m storage.ChunkManifest, chunks [][]by
 		resMu.Unlock()
 	}
 	if prefix != "" {
-		if err := n.store.Set(storage.ChunkKey(prefix, idx), data); err != nil {
+		if err := n.store.SetBuffered(storage.ChunkKey(prefix, idx), data); err != nil {
 			n.countViolation()
 		}
 	}
-	n.mu.Lock()
-	n.stats.ChunksFetched++
-	n.mu.Unlock()
 	return true
+}
+
+// persistFetched ends one fetched range of accepted chunks. A joiner staged
+// them (prefix non-empty), and one barrier per range makes them durable, so a
+// crash keeps a resumable prefix of the fetch and ChunksFetched counts only
+// persisted chunks. It runs on the transfer goroutine or one of its fetch
+// workers, never under mu.
+func (n *Node) persistFetched(prefix string, accepted int) {
+	if accepted == 0 {
+		return
+	}
+	if prefix != "" {
+		if err := n.store.Sync(); err != nil {
+			n.countViolation()
+			return
+		}
+	}
+	n.mu.Lock()
+	n.stats.ChunksFetched += int64(accepted)
+	n.mu.Unlock()
 }
 
 // fetchManifest asks sources (in random order) for a snapshot manifest the
@@ -553,6 +587,7 @@ func (n *Node) fetchSpan(id types.ConfigID, prefix string, m storage.ChunkManife
 					accepted++
 				}
 			}
+			n.persistFetched(prefix, accepted)
 			if accepted > 0 {
 				// Move past the whole returned range; rejected chunks in it
 				// stay nil and are retried in a later round.
@@ -634,7 +669,8 @@ func (n *Node) install(id types.ConfigID, m storage.ChunkManifest, chunks [][]by
 			n.stats.SpeculativeParked += int64(len(run.buffered))
 		}
 		// The chunks are in the store already (fetched incrementally, or
-		// read from it by Start), so the base is durable here.
+		// read from it by Start), and a caller installing a base above 0
+		// has made them durable, so the base is durable here.
 		n.noteDurableBaseLocked(m.Base)
 	} else {
 		n.stats.CatchupFetches++

@@ -1,10 +1,8 @@
 // Package stats provides measurement primitives: event timelines binned over
-// wall-clock time with their longest gap (downtime), monotone counters, and
-// power-of-two histograms.
+// wall-clock time with their longest gap (downtime), and monotone counters.
 package stats
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -149,114 +147,4 @@ type ReadPathCounters struct {
 // Snapshot returns the three counts at once.
 func (c *ReadPathCounters) Snapshot() (fast, fallback, fenced int64) {
 	return c.Fast.Value(), c.Fallback.Value(), c.Fenced.Value()
-}
-
-// Histogram counts values in power-of-two buckets: bucket i holds values v
-// with 2^(i-1) <= v < 2^i (bucket 0 holds v <= 0 and v == 1 lands in bucket
-// 1). It is safe for concurrent use and cheap enough for per-message paths —
-// the transport uses one to record frame sizes.
-type Histogram struct {
-	mu      sync.Mutex
-	buckets [65]int64
-	count   int64
-	sum     int64
-	max     int64
-}
-
-// HistogramBucket is one non-empty bucket of a Histogram snapshot.
-type HistogramBucket struct {
-	Lo, Hi int64 // value range [Lo, Hi]
-	Count  int64
-}
-
-// Observe adds one value.
-func (h *Histogram) Observe(v int64) {
-	idx := 0
-	if v > 0 {
-		idx = bitLen64(uint64(v))
-	}
-	h.mu.Lock()
-	h.buckets[idx]++
-	h.count++
-	h.sum += v
-	if v > h.max {
-		h.max = v
-	}
-	h.mu.Unlock()
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
-// Max returns the largest observed value.
-func (h *Histogram) Max() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.max
-}
-
-// Mean returns the average observed value, 0 when empty.
-func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
-}
-
-// Buckets returns the non-empty buckets in ascending value order.
-func (h *Histogram) Buckets() []HistogramBucket {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var out []HistogramBucket
-	for i, c := range h.buckets {
-		if c == 0 {
-			continue
-		}
-		b := HistogramBucket{Count: c}
-		if i > 0 {
-			b.Lo = int64(1) << (i - 1)
-			b.Hi = int64(1)<<i - 1
-		}
-		out = append(out, b)
-	}
-	return out
-}
-
-// String renders the non-empty buckets compactly, e.g. "[64,127]:12".
-func (h *Histogram) String() string {
-	bs := h.Buckets()
-	if len(bs) == 0 {
-		return "empty"
-	}
-	var sb []byte
-	for i, b := range bs {
-		if i > 0 {
-			sb = append(sb, ' ')
-		}
-		sb = append(sb, fmt.Sprintf("[%d,%d]:%d", b.Lo, b.Hi, b.Count)...)
-	}
-	return string(sb)
-}
-
-// bitLen64 returns the minimum number of bits to represent v (0 for v==0).
-func bitLen64(v uint64) int {
-	n := 0
-	for v > 0 {
-		n++
-		v >>= 1
-	}
-	return n
 }

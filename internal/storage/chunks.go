@@ -80,12 +80,6 @@ func ManifestKey(prefix string) string { return prefix + "/meta" }
 // ChunkKey returns the store key of chunk i under prefix.
 func ChunkKey(prefix string, i int) string { return fmt.Sprintf("%s/c/%06d", prefix, i) }
 
-// WriteChunkManifest persists just the manifest (written first so a joiner
-// can persist chunks incrementally as they are fetched and verified).
-func WriteChunkManifest(s Store, prefix string, m ChunkManifest) error {
-	return s.Set(ManifestKey(prefix), EncodeChunkManifest(m))
-}
-
 // ReadChunkManifest loads the manifest under prefix; ok is false if absent.
 func ReadChunkManifest(s Store, prefix string) (ChunkManifest, bool, error) {
 	data, ok, err := s.Get(ManifestKey(prefix))
@@ -129,7 +123,7 @@ func WriteChunkedCommit(s Stager, prefix string, m ChunkManifest, chunk func(i i
 // leaves the old manifest with at worst some chunks missing or
 // CRC-mismatching, which ReadChunked reports as incomplete — a recoverable
 // state, never a poisoned one. (A resumable fetch does the opposite by hand:
-// WriteChunkManifest first, then chunks as they arrive and verify.)
+// the manifest first, then chunks as they arrive and verify, all staged.)
 func StageChunkedCommit(s Stager, prefix string, m ChunkManifest, chunk func(i int) []byte) error {
 	staged := 0
 	for i := 0; i < len(m.CRCs); i++ {

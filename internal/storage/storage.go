@@ -36,6 +36,8 @@ type KV struct {
 
 // Store is the durable key/value interface the protocol layers write to.
 // Keys are arbitrary strings; Scan iterates a prefix in sorted key order.
+// The program writes through Stager, never through Set or Delete; those two
+// stay because the benchmark module (bench/) calls them.
 //
 // Who owns a value: a store keeps the slice Set (or SetBuffered) is given and
 // serves reads from it, so the caller must not modify it afterwards — it may
@@ -44,7 +46,8 @@ type KV struct {
 // Get and Scan return copies, which the caller owns.
 type Store interface {
 	// Set durably writes key=value (subject to the sync mode). The store
-	// keeps value; see above.
+	// keeps value; see above. Outside this package only the benchmark
+	// module calls it.
 	Set(key string, value []byte) error
 	// Get returns a copy of the value for key and whether it exists.
 	Get(key string) ([]byte, bool, error)
@@ -52,7 +55,8 @@ type Store interface {
 	// it has returned on a store in sync mode, the key stays gone across a
 	// crash. A key whose Delete had not returned when the process died may
 	// come back; callers that delete many keys guarded by one record (a log
-	// floor, a manifest) write that record first.
+	// floor, a manifest) write that record first. Outside this package only
+	// the benchmark module calls it.
 	Delete(key string) error
 	// Scan returns copies of all pairs whose key starts with prefix, sorted by
 	// key.

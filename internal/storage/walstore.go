@@ -21,10 +21,11 @@ import (
 // the full key/value state is materialized in memory and served from there,
 // so reads never touch disk.
 //
-// This is the backend for the Paxos acceptor hot path: with SyncWrites on,
-// each write blocks until its record is fsynced, but concurrent writers
-// share fsyncs through the WAL's group commit, so durable throughput scales
-// with concurrency instead of being capped at 1/fsync-latency.
+// This is the backend for the Paxos acceptor hot path: writes are staged
+// (SetBuffered) and each Sync blocks until every record before it is
+// fsynced, but concurrent Syncs share fsyncs through the WAL's group commit,
+// so durable throughput scales with concurrency instead of being capped at
+// 1/fsync-latency.
 //
 // Recovery loads the newest checkpoint (a full state snapshot) and replays
 // the WAL suffix beyond it, truncating a torn tail at the first bad CRC.
@@ -48,9 +49,11 @@ var _ Stager = (*WALStore)(nil)
 // WALStoreOptions configures a WALStore.
 type WALStoreOptions struct {
 	// SyncWrites makes every Set/Delete wait for its record to be fsynced
-	// (group-committed) before returning — the acceptor's
-	// promise-before-reply contract. Default false: records are buffered
-	// and reach disk on Sync/Close, like an OS page cache.
+	// (group-committed) before returning. Default false: records are
+	// buffered and reach disk on Sync/Close, like an OS page cache. Nothing
+	// in the program selects it — every layer above this package stages
+	// and takes explicit barriers (Stager), which ignore it — and it stays
+	// only because the benchmark module (bench/) opens its stores with it.
 	SyncWrites bool
 	// SegmentBytes is the WAL segment roll size. Default 4 MiB.
 	SegmentBytes int64

@@ -260,9 +260,7 @@ func (f *tcpFabric) transmit(from, to types.NodeID, group, stream uint64, kind u
 		return
 	}
 	oc.queue = appendFrame(oc.queue, from, group, stream, kind, head, body)
-	size := len(oc.queue) - queued
 	oc.mu.Unlock()
-	f.net.frameSizes.Observe(int64(size))
 	select {
 	case oc.notify <- struct{}{}:
 	default: // flusher already kicked; it will see this frame too

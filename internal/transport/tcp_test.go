@@ -330,30 +330,3 @@ func TestTCPStuckPeerCostsOnlyItsOwnFrames(t *testing.T) {
 	}
 	within("Network.Close", n.Close)
 }
-
-func TestTCPFrameSizeHistogram(t *testing.T) {
-	n := NewTCPNetwork(Options{})
-	defer n.Close()
-	a := n.Endpoint("a")
-	b := n.Endpoint("b")
-	mu, msgs := collect(b, 1)
-	const total = 50
-	for i := 0; i < total; i++ {
-		if err := a.Send("b", 1, 0, make([]byte, 100)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitFor(t, func() bool { mu.Lock(); defer mu.Unlock(); return len(*msgs) == total }, "deliveries")
-	h := n.FrameSizes()
-	if h.Count() != total {
-		t.Fatalf("histogram count %d, want %d", h.Count(), total)
-	}
-	// Every frame is 100B payload + small header: all land in [64,127].
-	bs := h.Buckets()
-	if len(bs) != 1 || bs[0].Lo != 64 || bs[0].Hi != 127 || bs[0].Count != total {
-		t.Fatalf("buckets %+v", bs)
-	}
-	if h.Max() < 100 || h.Sum() < 100*total {
-		t.Fatalf("max %d sum %d", h.Max(), h.Sum())
-	}
-}

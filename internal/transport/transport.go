@@ -22,7 +22,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/stats"
 	"repro/internal/types"
 )
 
@@ -142,15 +141,7 @@ type Network struct {
 	// instead of the in-memory scheduler (see NewTCPNetwork). The fault
 	// model (loss, cuts, duplication) still applies before transmission.
 	tcp *tcpFabric
-
-	// frameSizes records the wire size of every frame the TCP fabric
-	// transmits — the distribution shows how well batching is working.
-	frameSizes stats.Histogram
 }
-
-// FrameSizes returns the histogram of transmitted frame sizes (TCP mode
-// only; the in-memory scheduler does not frame messages).
-func (n *Network) FrameSizes() *stats.Histogram { return &n.frameSizes }
 
 // NewNetwork creates a network and starts its delivery scheduler.
 func NewNetwork(opts Options) *Network {

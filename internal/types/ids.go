@@ -11,6 +11,18 @@ import (
 	"sort"
 )
 
+// SeedFor derives a stable rng seed from a name (FNV-1a over its bytes), so
+// jitter differs across nodes but a node's schedule is reproducible. The seed
+// is non-negative.
+func SeedFor(id string) int64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(id); i++ {
+		h ^= uint64(id[i])
+		h *= 1099511628211
+	}
+	return int64(h & (1<<62 - 1))
+}
+
 // NodeID names a process in the system: a replica, a spare, or a client.
 // IDs are opaque strings; replicas conventionally look like "n1", "n2", ...
 // and clients like "c1", "c2", ....
