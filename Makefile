@@ -54,7 +54,8 @@ fmt-check:
 
 # The first two recipe lines are CI's allocation gates as CI runs them (CI's
 # Test step is -short, under which the loaded-path tests only print): bytes per
-# put on the write path, and what a replica allocates before its first message.
+# put on the write path, and what a replica allocates and the goroutines it
+# runs at rest.
 # The third is CI's fsync budgets, by count. The fourth fails when non-test
 # code outside storage.Staged type-asserts a staging interface, and the fifth
 # when non-test code above internal/storage calls a store's Set or Delete. The
@@ -64,7 +65,7 @@ fmt-check:
 # build. The last prints what CI's Size step puts on the run's summary page.
 ci: vet build examples test race fmt-check
 	$(GO) test -run 'TestLoadedWritePathBytesPerOp' -count=1 ./internal/cluster/
-	$(GO) test -run 'TestReplicaConstructionAllocates' -count=1 ./internal/reconfig/
+	$(GO) test -run 'TestReplicaConstructionAllocates|TestReplicaAtRestGoroutines' -count=1 ./internal/reconfig/
 	$(GO) test -run 'TestBootstrapFsyncBudget|TestWriteChunkedCommitFsyncBudget|TestDeleteChunkedFsyncBudget|TestOpenWALStoreCostsNoFsync|TestTransferFsyncBudget' -count=1 ./internal/reconfig/ ./internal/storage/
 	! grep -rnE '\.\((storage\.)?(BufferedStore|Stager)\)' --include='*.go' internal cmd examples | grep -v '_test.go:' | grep -v '^internal/storage/storage.go:'
 	! grep -rnE '\bstore\.(Set|Delete)\(|WriteChunkManifest\(' --include='*.go' internal cmd examples | grep -v '_test.go:' | grep -v '^internal/storage/'

@@ -131,15 +131,11 @@ type Replica struct {
 	stopCh   chan struct{}
 	stopOnce sync.Once
 	loopDone chan struct{}
-	pumpDone chan struct{}
 	started  atomic.Bool
 
-	// decision pump: the event loop appends under decMu; the pump drains
-	// into decCh so slow consumers never stall the protocol.
-	decCh     chan smr.Decision
-	decMu     sync.Mutex
-	decQueue  []smr.Decision
-	decSignal chan struct{}
+	// decCh is the public decision channel. Only the loop sends on it, never
+	// blocking (endBurst), and it closes it on exit.
+	decCh chan smr.Decision
 
 	// Control mailbox: the composition layer's two requests to the loop, each
 	// a latest-wins cell holding the highest slot asked for (0 = nothing
@@ -200,8 +196,11 @@ type Replica struct {
 	// asserts the staged state leaves the replica (see endBurst for which
 	// frames that is). This is what lets a pipeline deeper than one slot
 	// overlap durable slots instead of serializing one fsync per accept.
-	burstDirty    bool
-	outbox        []deferredSend
+	burstDirty bool
+	outbox     []deferredSend
+	// heldDecisions are the delivered decisions the consumer has not taken
+	// yet, in slot order: this turn's, waiting for the barrier, behind any
+	// an earlier turn could not fit into decCh (sendDecisions).
 	heldDecisions []smr.Decision
 	// stableNext is deliverNext as of the last barrier: the delivered prefix a
 	// restart is sure to recover, whatever tail of dec/ records it loses, and
@@ -257,9 +256,7 @@ func New(cfg types.Config, self types.NodeID, ep *transport.Endpoint, store stor
 		ctrlWake:  make(chan struct{}, 1),
 		stopCh:    make(chan struct{}),
 		loopDone:  make(chan struct{}),
-		pumpDone:  make(chan struct{}),
-		decCh:     make(chan smr.Decision, 1024),
-		decSignal: make(chan struct{}, 1),
+		decCh:     make(chan smr.Decision, decChLen),
 		rng:       rand.New(rand.NewSource(opts.Seed ^ int64(stream) ^ types.SeedFor(string(self)))),
 		accepted:  make(map[types.Slot]acceptedEntry),
 		decided:   make(map[types.Slot]types.Command),
@@ -376,7 +373,6 @@ func (r *Replica) Start() error {
 		return fmt.Errorf("paxos: Start called twice")
 	}
 	r.ep.Handle(r.stream, r.receive)
-	go r.pump()
 	go r.loop()
 	return nil
 }
@@ -400,7 +396,6 @@ func (r *Replica) Stop() {
 	})
 	if r.started.Load() {
 		<-r.loopDone
-		<-r.pumpDone
 	}
 }
 
@@ -459,44 +454,6 @@ func (r *Replica) warnDropped(total int64) {
 	}
 }
 
-// pump moves queued decisions into the public channel so that a slow
-// consumer never blocks the protocol loop.
-func (r *Replica) pump() {
-	defer close(r.pumpDone)
-	defer close(r.decCh)
-	for {
-		r.decMu.Lock()
-		batch := r.decQueue
-		r.decQueue = nil
-		r.decMu.Unlock()
-		for _, d := range batch {
-			select {
-			case r.decCh <- d:
-			case <-r.stopCh:
-				return
-			}
-		}
-		select {
-		case <-r.decSignal:
-		case <-r.stopCh:
-			// Drain anything enqueued concurrently with stop; consumers
-			// may still be reading until the channel closes.
-			r.decMu.Lock()
-			rest := r.decQueue
-			r.decQueue = nil
-			r.decMu.Unlock()
-			for _, d := range rest {
-				select {
-				case r.decCh <- d:
-				default:
-					return
-				}
-			}
-			return
-		}
-	}
-}
-
 // loop is the single-threaded protocol engine; all Paxos state is owned here.
 func (r *Replica) loop() {
 	// LIFO: loopDone closes first, then finishReads drains, so a ReadIndex
@@ -504,6 +461,7 @@ func (r *Replica) loop() {
 	// read.go) without ever losing a callback.
 	defer r.finishReads()
 	defer close(r.loopDone)
+	defer close(r.decCh)
 	ticker := time.NewTicker(r.opts.TickInterval)
 	defer ticker.Stop()
 
@@ -553,11 +511,15 @@ func (r *Replica) loop() {
 const burstBudget = 256
 
 // The intakes' bounds. A full inbox drops (and counts, DroppedInbound); a full
-// proposal or read queue answers ErrBusy.
+// proposal or read queue answers ErrBusy. decChLen is the decision channel's
+// capacity, several turns' worth of decisions: what does not fit waits in
+// heldDecisions for a later turn, so the size only sets how far a consumer
+// may fall behind before its backlog goes at the loop's pace.
 const (
 	inboxLimit   = 8192
 	proposeLimit = 1024
 	readLimit    = 4096
+	decChLen     = 1024
 )
 
 // drainBurst greedily absorbs events that are already queued into the turn,
@@ -654,16 +616,23 @@ func (r *Replica) endBurst() {
 		r.transmit(m)
 	}
 	r.outbox = r.outbox[:0]
-	if len(r.heldDecisions) > 0 {
-		r.decMu.Lock()
-		r.decQueue = append(r.decQueue, r.heldDecisions...)
-		r.decMu.Unlock()
-		select {
-		case r.decSignal <- struct{}{}:
-		default:
-		}
-		r.heldDecisions = r.heldDecisions[:0]
+	r.sendDecisions()
+}
+
+// sendDecisions hands the held decisions to the consumer, in order, as far as
+// the channel has room. It never blocks: a consumer that falls behind leaves
+// the rest held, and the next turn's endBurst — a tick away at the latest —
+// sends on from there. Every decision held here is past its barrier.
+func (r *Replica) sendDecisions() {
+	// The loop is the channel's only sender, so the room it sees cannot
+	// shrink before it has used it.
+	sent := min(len(r.heldDecisions), cap(r.decCh)-len(r.decCh))
+	for _, d := range r.heldDecisions[:sent] {
+		r.decCh <- d
 	}
+	rest := copy(r.heldDecisions, r.heldDecisions[sent:])
+	clear(r.heldDecisions[rest:])
+	r.heldDecisions = r.heldDecisions[:rest]
 }
 
 // transmit puts one collected frame on the fabric.

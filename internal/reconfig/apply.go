@@ -18,8 +18,6 @@ func (n *Node) applyLoop() {
 		select {
 		case <-n.stopCh:
 			return
-		case <-n.applyQ.Wake():
-			n.pump()
 		case <-n.pumpCh:
 			n.pump()
 		}
@@ -38,9 +36,15 @@ type applyUnit struct {
 	cmd  types.Command
 }
 
-// pump drains ready decisions until no more progress is possible.
+// pump applies ready decisions, up to maxApplyUnits commands a round, until
+// no more progress is possible.
 func (n *Node) pump() {
-	for n.pumpRound() {
+	for {
+		r, ok := n.collectRound()
+		if !ok {
+			return
+		}
+		n.executeRound(r)
 	}
 }
 
@@ -57,23 +61,10 @@ type applyRound struct {
 	machine *statemachine.Sessioned
 }
 
-// pumpRound routes queued decisions and applies up to maxApplyUnits ready
-// commands. It reports whether it made progress (the caller loops while it
-// does).
-func (n *Node) pumpRound() bool {
-	r, ok := n.collectRound()
-	if !ok {
-		return false
-	}
-	n.executeRound(r)
-	return true
-}
-
 // collectRound is the first, locked half of a pump round.
 func (n *Node) collectRound() (applyRound, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.drainApplyLocked()
 	units, taken := n.collectReadyLocked(maxApplyUnits)
 	if len(units) == 0 {
 		n.serveReadyReadsLocked()
@@ -135,16 +126,6 @@ func (n *Node) requeue(r applyRound) {
 	if run, ok := n.engines[r.cfg]; ok && n.curID == r.cfg {
 		run.buffered = append(r.taken[:len(r.taken):len(r.taken)], run.buffered...)
 	}
-}
-
-// drainApplyLocked routes every queued decision, taken in one batch.
-func (n *Node) drainApplyLocked() {
-	batch := n.applyQ.Take(n.applyBuf[:0], applyQueueLen)
-	for _, td := range batch {
-		n.routeDecisionLocked(td)
-	}
-	clear(batch)
-	n.applyBuf = batch
 }
 
 // collectReadyLocked pops the contiguous run of ready decisions of the
@@ -265,26 +246,26 @@ func (n *Node) applySegment(machine *statemachine.Sessioned, seg []applyUnit, co
 
 // routeDecisionLocked buffers or discards one decision according to which
 // configuration it belongs to.
-func (n *Node) routeDecisionLocked(td taggedDecision) {
-	if td.id < n.curID {
+func (n *Node) routeDecisionLocked(id types.ConfigID, dec smr.Decision) {
+	if id < n.curID {
 		// The old engine decided something after its wedge slot. Per the
 		// composition rule it is NOT applied there; if we have a client
 		// waiting on it, the housekeeping loop re-proposes it in the
 		// current configuration (dedup makes that idempotent).
 		return
 	}
-	run, ok := n.engines[td.id]
+	run, ok := n.engines[id]
 	if !ok {
 		return
 	}
-	if td.id > n.curID || !n.initialized {
+	if id > n.curID || !n.initialized {
 		// Decided before this node's state caught up to the configuration:
 		// either a future config's engine running speculatively, or the
 		// current config's engine deciding while the snapshot is still in
 		// flight. The decision parks here until the install.
 		n.stats.SpeculativeDecides++
 	}
-	run.buffered = append(run.buffered, td.dec)
+	run.buffered = append(run.buffered, dec)
 	if lim := n.opts.DecisionBuffer; lim > 0 && len(run.buffered) > lim {
 		// Bounded parking: drop the oldest parked decision rather than let
 		// a long install window grow the buffer without limit. The dropped
@@ -302,7 +283,7 @@ func (n *Node) routeDecisionLocked(td taggedDecision) {
 		// retained log in one burst — and a spurious refetch otherwise).
 		// Its size needs no bound here: it is capped by what the engines
 		// retain, which truncation keeps near interval+margin.
-		if td.id > n.curID || !n.initialized || run.droppedBelow > n.appliedSlot {
+		if id > n.curID || !n.initialized || run.droppedBelow > n.appliedSlot {
 			if d := run.buffered[0]; d.Slot > run.droppedBelow {
 				run.droppedBelow = d.Slot
 			}

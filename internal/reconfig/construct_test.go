@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/paxos"
-	"repro/internal/smr"
 	"repro/internal/statemachine"
 	"repro/internal/storage"
 	"repro/internal/transport"
@@ -67,56 +66,85 @@ func TestReplicaConstructionAllocates(t *testing.T) {
 	}
 }
 
-// A full apply queue holds the engine consumer that hits it — counted as one
-// stall however long it waits — until the apply stage drains the queue; then
-// the held decision goes in.
-func TestFullApplyQueueStallsOnceUntilDrained(t *testing.T) {
+// A replica at rest costs the goroutines that do its work and no relay between
+// them: a started engine runs its event loop, and a node's engine run adds
+// that loop and the consumer that parks its decisions for the apply stage.
+// The counts do not depend on the runner's speed; a relay goroutine put back
+// between decide and apply fails here.
+func TestReplicaAtRestGoroutines(t *testing.T) {
 	net := transport.NewNetwork(transport.Options{})
 	t.Cleanup(net.Close)
-	n := bareApplyNode(t, net, 0)
-	td := func(slot int) taggedDecision {
-		return taggedDecision{id: 1, dec: smr.Decision{Slot: types.Slot(slot), Cmd: types.NoopCommand()}}
+	for _, id := range []types.NodeID{"n1", "s1", "m1"} {
+		net.Endpoint(id)
 	}
-	for s := 1; s <= applyQueueLen; s++ {
-		if !n.queueDecision(td(s)) {
-			t.Fatalf("decision %d refused below the bound", s)
+	// added starts something, reports how many goroutines it adds once the
+	// count settles, and stops it.
+	added := func(start func() (stop func())) int {
+		before := settledGoroutines(t)
+		stop := start()
+		defer stop()
+		return settledGoroutines(t) - before
+	}
+	// A goroutine an earlier test left winding down can move a count, so a
+	// mismatch is measured again.
+	measure := func(want int, what string, count func() int) {
+		t.Helper()
+		got := 0
+		for try := 0; try < 3; try++ {
+			if got = count(); got == want {
+				return
+			}
+		}
+		t.Fatalf("%s adds %d goroutines at rest, want %d", what, got, want)
+	}
+	measure(1, "a started paxos.Replica", func() int {
+		return added(func() func() {
+			rep, err := paxos.New(types.MustConfig(1, "n1"), "n1", net.Endpoint("n1"), storage.NewMem(), 1, paxos.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rep.Start(); err != nil {
+				t.Fatal(err)
+			}
+			return rep.Stop
+		})
+	})
+	// A spare runs no engine; a member of a one-node configuration runs one.
+	node := func(id types.NodeID, member bool) func() func() {
+		return func() func() {
+			n, err := NewNode(NodeConfig{Self: id, Endpoint: net.Endpoint(id), Store: storage.NewMem(),
+				Factory: statemachine.NewKVMachine, Opts: fastNodeOpts()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if member {
+				if err := n.Bootstrap(types.MustConfig(1, id)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := n.Start(); err != nil {
+				t.Fatal(err)
+			}
+			return n.Stop
 		}
 	}
-	if st := n.Stats(); st.ApplyStalls != 0 || st.ApplyQueueDepth != applyQueueLen {
-		t.Fatalf("filling the queue: %d stalls, depth %d", st.ApplyStalls, st.ApplyQueueDepth)
-	}
-	queued := make(chan bool)
-	go func() { queued <- n.queueDecision(td(applyQueueLen + 1)) }()
-	for deadline := time.Now().Add(5 * time.Second); n.applyStalls.Load() == 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("no apply stall counted for a consumer facing a full queue")
+	measure(2, "an engine run of a reconfig.Node", func() int {
+		return added(node("m1", true)) - added(node("s1", false))
+	})
+}
+
+// settledGoroutines is the goroutine count once it has held still for 100 ms.
+func settledGoroutines(t *testing.T) int {
+	t.Helper()
+	last, still := runtime.NumGoroutine(), 0
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+		if n := runtime.NumGoroutine(); n != last {
+			last, still = n, 0
+		} else if still++; still == 20 {
+			return n
 		}
 	}
-	select {
-	case <-queued:
-		t.Fatal("a decision went into a full apply queue")
-	case <-time.After(20 * time.Millisecond):
-	}
-	if got := n.Stats().ApplyStalls; got != 1 {
-		t.Fatalf("%d apply stalls while one consumer waits, want 1", got)
-	}
-	n.mu.Lock()
-	n.drainApplyLocked()
-	n.mu.Unlock()
-	select {
-	case ok := <-queued:
-		if !ok {
-			t.Fatal("the held decision was refused after the drain")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("a drain did not release the consumer waiting on the full queue")
-	}
-	st := n.Stats()
-	if st.ApplyStalls != 1 || st.ApplyQueueDepth != 1 || st.ApplyQueueHighWater != applyQueueLen {
-		t.Fatalf("after the drain: %d stalls, depth %d, high water %d; want 1, 1, %d",
-			st.ApplyStalls, st.ApplyQueueDepth, st.ApplyQueueHighWater, applyQueueLen)
-	}
-	if got := len(n.engines[1].buffered); got != applyQueueLen {
-		t.Fatalf("the drain routed %d decisions, want %d", got, applyQueueLen)
-	}
+	t.Fatal("the goroutine count never settled")
+	return 0
 }

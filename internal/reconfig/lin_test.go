@@ -425,9 +425,9 @@ func runLin(t *testing.T, run linRun) {
 				engs = append(engs, fmt.Sprintf("cfg%d:{buffered=%d leader=%s(%v) decided=%d props=%d elections=%d stepdowns=%d dropped=%d}",
 					eid, len(run.buffered), ldr, isLdr, es.Decided, es.Proposals, es.Elections, es.StepDowns, es.DroppedInbound))
 			}
-			t.Logf("node %s: curID=%d init=%v applied=%d epoch=%d pending=%d waiters=%d applyQ=%d engines=%v stats={applied:%d viol:%d stale:%d wedges:%d resub:%d}",
+			t.Logf("node %s: curID=%d init=%v applied=%d epoch=%d pending=%d waiters=%d parked=%d engines=%v stats={applied:%d viol:%d stale:%d wedges:%d resub:%d}",
 				id, node.curID, node.initialized, node.appliedSlot, node.epoch,
-				len(node.pending), len(node.readWaiters), node.applyQ.Len(), engs,
+				len(node.pending), len(node.readWaiters), node.parkedLocked(), engs,
 				node.stats.Applied, node.stats.InvariantViolations, node.stats.StaleJumps,
 				node.stats.Wedges, node.stats.Resubmits)
 			node.mu.Unlock()

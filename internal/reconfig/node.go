@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/fifo"
 	"repro/internal/paxos"
 	"repro/internal/rpc"
 	"repro/internal/smr"
@@ -29,7 +28,7 @@ type Options struct {
 	// SpeculativeStart controls whether a successor engine boots while the
 	// snapshot is still in flight (the paper's §1 speculative start: the
 	// joiner votes, accepts and decides c+1 slots during transfer; decided
-	// entries park in the apply queue and drain after install, with client
+	// entries park in the engine run's buffer and drain after install, with client
 	// replies gated until the apply point passes the snapshot's base
 	// index). SpecDefault normalizes to SpecOn; SpecOff delays the engine
 	// until the initial state is installed — the wait-for-transfer
@@ -112,11 +111,6 @@ const (
 	// pendingMaxRetries drops a pending command after this many re-proposals
 	// (an abandoned client).
 	pendingMaxRetries = 2000
-	// applyQueueLen bounds the decision queue between the engines and the
-	// apply stage. When the apply stage cannot drain it, engine consumers
-	// block (decisions are never dropped) and the node counts an apply stall
-	// — visible in NodeStats and via a rate-limited warning.
-	applyQueueLen = 8192
 )
 
 func (o Options) withDefaults() Options {
@@ -196,11 +190,6 @@ type engineRun struct {
 	done         chan struct{} // consumer goroutine exit
 }
 
-type taggedDecision struct {
-	id  types.ConfigID
-	dec smr.Decision
-}
-
 // NodeStats is a snapshot of the node's counters.
 type NodeStats struct {
 	Applied              int64 // commands applied to the machine (incl. dups)
@@ -219,9 +208,9 @@ type NodeStats struct {
 	ReadFallbacks        int64 // fast-path reads that fell back to the log
 	ReadFenced           int64 // fast-path reads refused by wedge fencing
 	DroppedInbound       int64 // engine inbox overflows, summed over engines
-	ApplyQueueDepth      int64 // decisions queued for the apply stage right now
-	ApplyQueueHighWater  int64 // max observed apply queue depth
-	ApplyStalls          int64 // engine consumers blocked on a full apply queue
+	ApplyQueueDepth      int64 // decisions parked and not yet applied right now, summed over engines
+	ApplyQueueHighWater  int64 // max observed ApplyQueueDepth
+	ApplyStalls          int64 // always 0: nothing between an engine and the apply stage waits; it stays only because the benchmark module (bench/) reads it
 	GroupCommits         int64 // engine bursts ending in a group-commit Sync, summed
 	SpeculativeDecides   int64 // decisions learned for a configuration before its snapshot installed
 	SpeculativeParked    int64 // decisions already parked for the new config when its snapshot installed
@@ -304,13 +293,9 @@ type Node struct {
 	// corruption. Guarded by mu.
 	testChunkHook func(id types.ConfigID, idx int, data []byte) []byte
 
-	// applyQ carries every engine's decisions to the apply stage; applyBuf is
-	// the batch the apply stage takes from it, guarded by mu.
-	applyQ   *fifo.Queue[taggedDecision]
-	applyBuf []taggedDecision
-	// pumpCh nudges the apply loop to re-run its pump without a new
-	// decision arriving (e.g. after a snapshot install unblocks buffered
-	// decisions). Capacity 1; sends are non-blocking.
+	// pumpCh nudges the apply loop to re-run its pump: an engine's consumer
+	// has parked decisions, or a snapshot install unblocked parked ones.
+	// Capacity 1; sends are non-blocking (kickApply).
 	pumpCh     chan struct{}
 	stopCh     chan struct{}
 	stopOnce   sync.Once
@@ -318,9 +303,7 @@ type Node struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	applyStalls   atomic.Int64
-	lastStallWarn atomic.Int64
-	lastShedWarn  atomic.Int64
+	lastShedWarn atomic.Int64
 
 	// stats holds the counters the node keeps itself, incremented in place
 	// under mu; Stats fills in the fields computed when it is called.
@@ -349,7 +332,6 @@ func NewNode(nc NodeConfig) (*Node, error) {
 		serving:    make(map[types.ConfigID]*snapServing),
 		retireNext: 1, // configuration IDs start at 1; 0 is "no transfer running"
 		rng:        rand.New(rand.NewSource(types.SeedFor(string(nc.Self)))),
-		applyQ:     fifo.New[taggedDecision](applyQueueLen),
 		pumpCh:     make(chan struct{}, 1),
 		stopCh:     make(chan struct{}),
 		baseCtx:    ctx,
@@ -565,43 +547,45 @@ func (n *Node) ensureEngineLocked(id types.ConfigID) error {
 	return nil
 }
 
-// consumeEngine forwards one engine's decisions into the shared apply queue.
-// A full queue means the apply stage is the bottleneck: the consumer blocks
-// (decisions are never dropped — the engine contract is gap-free delivery)
-// and the stall is counted and warned about, mirroring the engine's own
-// DroppedInbound visibility.
+// consumeEngine parks one engine's decisions for the apply stage: each one it
+// receives, with whatever else the channel already holds, is routed under mu
+// (routeDecisionLocked), and the apply loop is kicked. It never waits on the
+// apply stage; a decision stays parked in its engine's buffer until applied.
 func (n *Node) consumeEngine(run *engineRun) {
 	defer n.wg.Done()
 	defer close(run.done)
-	for d := range run.eng.Decisions() {
-		if !n.queueDecision(taggedDecision{id: run.id, dec: d}) {
-			return
+	decs := run.eng.Decisions()
+	for d := range decs {
+		n.mu.Lock()
+		n.routeDecisionLocked(run.id, d)
+		// This goroutine is the channel's only receiver, so what the channel
+		// holds now is there to take without waiting, closed or not.
+		for range len(decs) {
+			n.routeDecisionLocked(run.id, <-decs)
 		}
+		n.stats.ApplyQueueHighWater = max(n.stats.ApplyQueueHighWater, n.parkedLocked())
+		n.mu.Unlock()
+		n.kickApply()
 	}
 }
 
-// queueDecision puts td on the apply queue, waiting while it is full; a wait
-// is counted as one apply stall. It reports false if the node stopped first.
-func (n *Node) queueDecision(td taggedDecision) bool {
-	if n.applyQ.TryPut(td) {
-		return true
+// kickApply wakes the apply loop without waiting; a kick already pending
+// covers this one.
+func (n *Node) kickApply() {
+	select {
+	case n.pumpCh <- struct{}{}:
+	default:
 	}
-	n.applyStalls.Add(1)
-	n.warnApplyStall()
-	return n.applyQ.Put(td, n.stopCh)
 }
 
-// warnApplyStall logs at most once per second that the apply queue is full.
-func (n *Node) warnApplyStall() {
-	now := time.Now().UnixNano()
-	last := n.lastStallWarn.Load()
-	if now-last < int64(time.Second) {
-		return
+// parkedLocked is the number of decisions parked and not yet applied, summed
+// over engines.
+func (n *Node) parkedLocked() int64 {
+	var parked int64
+	for _, run := range n.engines {
+		parked += int64(len(run.buffered))
 	}
-	if n.lastStallWarn.CompareAndSwap(last, now) {
-		log.Printf("reconfig: %s apply queue full (cap %d, %d stalls so far); the apply stage is the bottleneck",
-			n.self, applyQueueLen, n.applyStalls.Load())
-	}
+	return parked
 }
 
 // warnShed logs at most once per second that admission control is shedding
@@ -719,9 +703,7 @@ func (n *Node) Stats() NodeStats {
 		out.RetainedSlots += es.RetainedSlots
 	}
 	out.FastReads, out.ReadFallbacks, out.ReadFenced = n.reads.Snapshot()
-	out.ApplyQueueDepth = int64(n.applyQ.Len())
-	out.ApplyQueueHighWater = int64(n.applyQ.High())
-	out.ApplyStalls = n.applyStalls.Load()
+	out.ApplyQueueDepth = n.parkedLocked()
 	out.SubmitQueueDepth = int64(len(n.pending))
 	if n.ckptCfg == n.curID {
 		out.CheckpointBase = int64(n.ckptSelfBase)

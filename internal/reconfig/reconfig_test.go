@@ -952,8 +952,8 @@ func TestOptionsDefaults(t *testing.T) {
 	if got := (Options{}).withDefaults(); got != want {
 		t.Fatalf("zero Options normalizes to\n%+v, want\n%+v", got, want)
 	}
-	if pendingMaxRetries != 2000 || applyQueueLen != 8192 {
-		t.Fatalf("pendingMaxRetries %d, applyQueueLen %d; want 2000, 8192", pendingMaxRetries, applyQueueLen)
+	if pendingMaxRetries != 2000 {
+		t.Fatalf("pendingMaxRetries %d, want 2000", pendingMaxRetries)
 	}
 	if retryInterval != 10*time.Millisecond || lingerOld != 500*time.Millisecond || fetchTimeout != 150*time.Millisecond {
 		t.Fatalf("retryInterval %v, lingerOld %v, fetchTimeout %v; want 10ms, 500ms, 150ms", retryInterval, lingerOld, fetchTimeout)

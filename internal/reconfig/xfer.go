@@ -699,10 +699,7 @@ func (n *Node) install(id types.ConfigID, m storage.ChunkManifest, chunks [][]by
 	// Nudge the apply loop: decisions buffered above Base are now ready.
 	// Only the apply loop runs the mutex-dropping pump, so the installer
 	// must not pump inline.
-	select {
-	case n.pumpCh <- struct{}{}:
-	default:
-	}
+	n.kickApply()
 	n.mu.Unlock()
 	if !joined {
 		if err := n.commit(id, m, chunks, true); err != nil {

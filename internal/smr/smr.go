@@ -37,6 +37,8 @@ type Engine interface {
 	// blocks on consensus progress.
 	Propose(cmd types.Command) error
 	// Decisions returns the engine's in-order, gap-free decision stream.
+	// A consumer that stops reading never stalls the engine: what the
+	// channel cannot take waits inside the engine, in order, until it can.
 	// The channel is closed by Stop.
 	Decisions() <-chan Decision
 	// Leader returns the engine's current leader hint (empty when

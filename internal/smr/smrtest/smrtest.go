@@ -1,9 +1,9 @@
 // Package smrtest is a conformance suite for smr.Engine implementations: the
 // observable contract the composition layer relies on — gap-free in-order
 // decision delivery, agreement across replicas, progress from any proposer,
-// and clean stop semantics — stated once, independent of any engine's
-// internals. The static Paxos building block's tests invoke Run with a
-// builder.
+// an engine that a stalled consumer does not stall, and clean stop semantics
+// — stated once, independent of any engine's internals. The static Paxos
+// building block's tests invoke Run with a builder.
 package smrtest
 
 import (
@@ -34,22 +34,35 @@ func Run(t *testing.T, build Builder) {
 	t.Run("AgreementAcrossProposers", func(t *testing.T) { runAgreement(t, build) })
 	t.Run("StopSemantics", func(t *testing.T) { runStopSemantics(t, build) })
 	t.Run("ProgressAfterLeaderIsolation", func(t *testing.T) { runLeaderIsolation(t, build) })
+	t.Run("StalledConsumer", func(t *testing.T) { runStalledConsumer(t, build) })
 }
 
 type collector struct {
 	mu  sync.Mutex
 	seq map[types.NodeID][]smr.Decision
 	wg  sync.WaitGroup
+	// gate holds one member's consumer while locked (runStalledConsumer).
+	gate map[types.NodeID]*sync.Mutex
 }
 
 func collect(c *Cluster) *collector {
-	col := &collector{seq: make(map[types.NodeID][]smr.Decision, len(c.Engines))}
+	col := &collector{
+		seq:  make(map[types.NodeID][]smr.Decision, len(c.Engines)),
+		gate: make(map[types.NodeID]*sync.Mutex, len(c.Engines)),
+	}
 	for id, eng := range c.Engines {
-		id, eng := id, eng
+		id, eng, gate := id, eng, new(sync.Mutex)
+		col.gate[id] = gate
 		col.wg.Add(1)
 		go func() {
 			defer col.wg.Done()
-			for d := range eng.Decisions() {
+			for {
+				gate.Lock()
+				gate.Unlock()
+				d, ok := <-eng.Decisions()
+				if !ok {
+					return
+				}
 				col.mu.Lock()
 				col.seq[id] = append(col.seq[id], d)
 				col.mu.Unlock()
@@ -274,5 +287,58 @@ func runLeaderIsolation(t *testing.T, build Builder) {
 		_ = c.Engines[survivor].Propose(appCmd("c", 2))
 		return col.appCount(survivor) >= 2
 	}, "post-isolation decision", 20*time.Second)
+	col.verify(t)
+}
+
+// stallGap is how many commands runStalledConsumer decides behind a consumer
+// that stopped reading: more than an engine's decision channel holds (the
+// Paxos engine's holds 1 024).
+const stallGap = 1500
+
+// runStalledConsumer stops one member's consumer and proposes stallGap
+// commands through that member. An engine whose loop waited on its consumer
+// would stop forwarding or deciding them, so the other members delivering
+// them all shows the stalled member's engine kept going. Once its consumer
+// resumes, it must get every decision, in order, with no gap.
+func runStalledConsumer(t *testing.T, build Builder) {
+	members := []types.NodeID{"n1", "n2", "n3"}
+	c := build(t, members)
+	defer c.Cleanup()
+	col := collect(&c)
+	stalled, eng, gate := members[0], c.Engines[members[0]], col.gate[members[0]]
+	gate.Lock()
+	held := true
+	defer func() {
+		if held {
+			gate.Unlock()
+		}
+	}()
+
+	cmds := make([]types.Command, stallGap)
+	for i := range cmds {
+		cmds[i] = appCmd("s", uint64(i+1))
+		proposeRetry(t, eng, cmds[i])
+	}
+	retryAt := time.Now().Add(reproposeAfter)
+	waitFor(t, func() bool {
+		done := len(col.appSeen(members[1])) == stallGap && len(col.appSeen(members[2])) == stallGap
+		if done || time.Now().Before(retryAt) {
+			return done
+		}
+		retryAt = time.Now().Add(reproposeAfter)
+		seen := col.appSeen(members[1])
+		for _, cmd := range cmds {
+			if !seen[appKey{cmd.Client, cmd.Seq}] {
+				_ = eng.Propose(cmd) // ErrBusy: the next round retries
+			}
+		}
+		return false
+	}, "every command decided at the members still reading", 20*time.Second)
+	if got := col.appCount(stalled); got > 1 {
+		t.Fatalf("%s's stalled consumer took %d decisions", stalled, got)
+	}
+	held = false
+	gate.Unlock()
+	waitFor(t, func() bool { return len(col.appSeen(stalled)) == stallGap }, "the stalled consumer's backlog", 20*time.Second)
 	col.verify(t)
 }

@@ -94,13 +94,11 @@ func ReadChunkManifest(s Store, prefix string) (ChunkManifest, bool, error) {
 }
 
 // commitSliceBytes is how much StageChunkedCommit stages between two Syncs.
-// One barrier for the whole blob would be fewer fsyncs still, but an 8 MB
-// staged tail meets the WAL's 4 MiB segment roll, which flushes and fsyncs it
-// with both the store's and the log's mutex held, and everything else that
-// writes to the node's store — the engine's accepts above all — waits behind
-// that; ISSUE 18's sizing measured joins slower that way, not faster
-// (EXPERIMENTS.md P18). 1 MiB is the unit the publisher already paces itself
-// by.
+// One barrier for the whole blob would be fewer fsyncs still, but it makes
+// one fsync carry the whole 8 MB tail while the engine's accepts queue
+// behind it for the same log; measured when a segment roll still fsynced under
+// the log's mutex, joins were slower that way, not faster (EXPERIMENTS.md
+// P18). 1 MiB is the unit the publisher already paces itself by.
 const commitSliceBytes = 1 << 20
 
 // WriteChunkedCommit persists a whole chunked blob: StageChunkedCommit, then

@@ -90,6 +90,9 @@ func TestWALReplayDoesNotAliasReadBuffer(t *testing.T) {
 		if err := s.Set(fmt.Sprintf("k/%03d", i), value(i)); err != nil {
 			t.Fatal(err)
 		}
+		if err := s.Sync(); err != nil { // a segment rolls at a barrier
+			t.Fatal(err)
+		}
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)

@@ -23,9 +23,9 @@ import (
 //
 // and assigned monotonically increasing log sequence numbers (LSNs) starting
 // at 1. The log is split into segment files named wal-<firstLSN>.seg; the
-// active segment rolls once it exceeds SegmentBytes, and sealed segments can
-// be dropped wholesale by Compact once their records are covered by a
-// checkpoint upstream.
+// active segment rolls at the first barrier after it exceeds SegmentBytes,
+// and sealed segments can be dropped wholesale by Compact once their records
+// are covered by a checkpoint upstream.
 //
 // Durability uses classic group commit: Append only buffers; Sync(lsn) blocks
 // until every record up to lsn is fsynced. One goroutine performs the fsync
@@ -44,8 +44,8 @@ type WAL struct {
 	opts WALOptions
 
 	// mu guards the append path: the active segment, the buffer and LSN
-	// assignment. It is never held across a group commit's log fsync, only
-	// across the once-per-segment ones: the seal and the directory entry.
+	// assignment. It is never held across a log fsync, only across the
+	// once-per-segment directory fsync (syncNewSegLocked).
 	mu     sync.Mutex
 	f      *os.File
 	buf    []byte // appended but not yet written to the OS
@@ -56,8 +56,8 @@ type WAL struct {
 	closed bool
 	// newSeg is set while the active segment's directory entry may not be
 	// durable yet: creating a segment costs no fsync, and the first barrier
-	// that covers the segment — Sync, the roll that seals it, Close — fsyncs
-	// the directory along with the file.
+	// that covers the segment — Sync or Close — fsyncs the directory along
+	// with the file.
 	newSeg bool
 
 	// commitMu guards the group-commit state. Ordering: commitMu is taken
@@ -81,8 +81,8 @@ type segmentInfo struct {
 
 // WALOptions configures a WAL.
 type WALOptions struct {
-	// SegmentBytes is the size at which the active segment is sealed and a
-	// new one started. Default 4 MiB.
+	// SegmentBytes is the size past which the next barrier seals the active
+	// segment and starts a new one. Default 4 MiB.
 	SegmentBytes int64
 }
 
@@ -334,11 +334,6 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 	if w.closed {
 		return 0, ErrStoreClosed
 	}
-	if w.size >= w.opts.SegmentBytes {
-		if err := w.rollLocked(); err != nil {
-			return 0, err
-		}
-	}
 	before := len(w.buf)
 	w.buf = appendWALRecord(w.buf, payload)
 	w.size += int64(len(w.buf) - before)
@@ -348,32 +343,22 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 	return lsn, nil
 }
 
-// rollLocked seals the active segment and starts a new one. The seal flushes
-// and fsyncs the old file, and its directory entry, so a sealed segment is
-// always fully durable.
-func (w *WAL) rollLocked() error {
-	if err := w.flushLocked(); err != nil {
-		return err
-	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("storage: seal wal segment: %w", err)
-	}
-	if err := w.syncNewSegLocked(); err != nil {
-		return err
-	}
+// rollLocked seals the active segment, whose records through last the
+// caller has just fsynced, and starts a new one at last+1 with whatever was
+// appended since: those records are still in the buffer. Sealing at a barrier
+// keeps every sealed segment complete on disk before its successor exists, so
+// a crash leaves a torn tail only on the last segment, where replay expects
+// one; and a segment full of staged writes waits on no disk to roll. Called
+// with mu held by the committing Sync, the only flusher while it runs.
+func (w *WAL) rollLocked(last uint64) error {
 	if err := w.f.Close(); err != nil {
 		return fmt.Errorf("storage: seal wal segment: %w", err)
 	}
-	w.sealed = append(w.sealed, segmentInfo{base: w.base, last: w.next - 1, path: segPath(w.dir, w.base)})
-	if err := w.openSegment(w.next); err != nil {
+	w.sealed = append(w.sealed, segmentInfo{base: w.base, last: last, path: segPath(w.dir, w.base)})
+	if err := w.openSegment(last + 1); err != nil {
 		return err
 	}
-	// The old segment's records were all flushed and fsynced.
-	w.commitMu.Lock()
-	if w.next-1 > w.durable {
-		w.durable = w.next - 1
-	}
-	w.commitMu.Unlock()
+	w.size += int64(len(w.buf))
 	return nil
 }
 
@@ -415,7 +400,8 @@ func (w *WAL) Sync(lsn uint64) error {
 	// Flush everything appended so far to the OS, note the watermark, then
 	// fsync WITHOUT holding mu so concurrent appends keep flowing into the
 	// buffer and ride the next commit. A segment created since the last
-	// barrier has its directory entry fsynced too, before the watermark moves.
+	// barrier has its directory entry fsynced too, before the watermark moves,
+	// and a segment grown past SegmentBytes is sealed (rollLocked).
 	w.mu.Lock()
 	var target uint64
 	err := func() error {
@@ -431,17 +417,24 @@ func (w *WAL) Sync(lsn uint64) error {
 	f, newSeg := w.f, w.newSeg
 	w.mu.Unlock()
 	if err == nil {
-		// A segment roll (or Close) may close f while this fsync is in
-		// flight; both fsync the file before closing it, so everything our
-		// flush wrote is already durable and ErrClosed here is benign.
+		// Close may close f while this fsync is in flight; it fsyncs the
+		// file before closing it, so everything our flush wrote is already
+		// durable and ErrClosed here is benign.
 		if serr := f.Sync(); serr != nil && !errors.Is(serr, os.ErrClosed) {
 			err = fmt.Errorf("storage: fsync wal: %w", serr)
 		}
 		w.syncs.Add(1)
 	}
-	if err == nil && newSeg {
+	if err == nil {
 		w.mu.Lock()
-		err = w.syncNewSegLocked()
+		if newSeg {
+			err = w.syncNewSegLocked()
+		}
+		// What our flush wrote is what the file holds: no one else flushes
+		// while this commit runs, and Close marks the log closed.
+		if err == nil && !w.closed && w.size-int64(len(w.buf)) >= w.opts.SegmentBytes {
+			err = w.rollLocked(target)
+		}
 		w.mu.Unlock()
 	}
 

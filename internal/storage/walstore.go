@@ -55,7 +55,8 @@ type WALStoreOptions struct {
 	// and takes explicit barriers (Stager), which ignore it — and it stays
 	// only because the benchmark module (bench/) opens its stores with it.
 	SyncWrites bool
-	// SegmentBytes is the WAL segment roll size. Default 4 MiB.
+	// SegmentBytes is the size past which the next barrier rolls the WAL
+	// segment. Default 4 MiB.
 	SegmentBytes int64
 	// CompactBytes triggers automatic compaction once sealed segments
 	// exceed this many bytes. Default 16 MiB; negative disables.

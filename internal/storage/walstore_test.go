@@ -172,6 +172,9 @@ func TestWALStoreCheckpointCompaction(t *testing.T) {
 		if err := s.Set(fmt.Sprintf("key-%03d", i%20), []byte(strings.Repeat("v", 16))); err != nil {
 			t.Fatal(err)
 		}
+		if err := s.Sync(); err != nil { // a segment rolls at a barrier
+			t.Fatal(err)
+		}
 	}
 	segsBefore, _ := listSegments(dir)
 	if len(segsBefore) < 3 {
@@ -219,6 +222,9 @@ func TestWALStoreAutoCompact(t *testing.T) {
 	s := openTestWALStore(t, dir, WALStoreOptions{SegmentBytes: 256, CompactBytes: 1024})
 	for i := 0; i < 500; i++ {
 		if err := s.Set(fmt.Sprintf("key-%03d", i%10), []byte(strings.Repeat("v", 16))); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Sync(); err != nil { // a segment rolls at a barrier
 			t.Fatal(err)
 		}
 	}
@@ -399,9 +405,10 @@ func TestWALStoreStagedDelete(t *testing.T) {
 
 // TestOpenWALStoreCostsNoFsync: opening a store on a fresh directory fsyncs
 // nothing, the new segment's directory entry included — that rides the first
-// barrier covering the segment. The first Sync, a roll and a Close are each
-// such a barrier, and each leaves a log that reopens with every record it
-// synced.
+// barrier covering the segment. The first Sync and a Close are each such a
+// barrier, and each leaves a log that reopens with every record it synced.
+// Staged writes that fill a segment cost no fsync either: the segment rolls
+// at the next barrier, which makes every record durable first.
 func TestOpenWALStoreCostsNoFsync(t *testing.T) {
 	dirPending := func(s *WALStore) bool {
 		s.wal.mu.Lock()
@@ -463,18 +470,28 @@ func TestOpenWALStoreCostsNoFsync(t *testing.T) {
 		dir := t.TempDir()
 		s := open(t, dir)
 		defer func() { _ = s.Close() }()
-		put(t, s, 0, 40) // ~2.4 KB: the 1 KiB segment rolls twice
-		s.wal.mu.Lock()
-		sealed := len(s.wal.sealed)
-		var synced uint64
-		if sealed > 0 {
-			synced = s.wal.sealed[sealed-1].last
+		put(t, s, 0, 40) // ~2.4 KB into a 1 KiB segment
+		sealed := func() int {
+			s.wal.mu.Lock()
+			defer s.wal.mu.Unlock()
+			return len(s.wal.sealed)
 		}
-		s.wal.mu.Unlock()
-		if sealed == 0 || s.Syncs() != 0 {
-			t.Fatalf("%d sealed segments and %d group commits, want a roll and no Sync", sealed, s.Syncs())
+		if s.Syncs() != 0 || s.wal.DurableLSN() != 0 || sealed() != 0 {
+			t.Fatalf("staged writes past the segment size: %d fsyncs, durable through %d, %d sealed; want none",
+				s.Syncs(), s.wal.DurableLSN(), sealed())
 		}
-		reopen(t, dir, int(synced))
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if s.Syncs() != 1 || s.wal.DurableLSN() != 40 || sealed() != 1 {
+			t.Fatalf("the barrier: %d fsyncs, durable through %d, %d sealed; want 1, 40, 1",
+				s.Syncs(), s.wal.DurableLSN(), sealed())
+		}
+		put(t, s, 40, 44)
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		reopen(t, dir, 44)
 	})
 	t.Run("close", func(t *testing.T) {
 		dir := t.TempDir()

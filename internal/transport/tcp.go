@@ -311,25 +311,14 @@ func (f *tcpFabric) close() {
 	f.wg.Wait()
 }
 
-// Frame layout (legacy, carries group 0):
+// Frame layout, one for every group:
 //
-//	fromLen|from|stream|kind|payloadLen|payload
+//	group|fromLen|from|stream|kind|payloadLen|payload
 //
-// all varints except kind (one byte). Grouped frames prepend a marker:
-//
-//	0|group|fromLen|from|stream|kind|payloadLen|payload
-//
-// A leading varint 0 can never be a legacy frame's fromLen (node IDs are
-// non-empty), so it unambiguously marks the grouped form. Group 0 always
-// encodes as the legacy layout — old readers decode new group-0 traffic and
-// new readers decode old frames as group 0, in both directions.
-//
-// The payload is head followed by body (Endpoint.SendParts); head may be nil.
+// all varints except kind (one byte). The payload is head followed by body
+// (Endpoint.SendParts); head may be nil.
 func appendFrame(buf []byte, from types.NodeID, group, stream uint64, kind uint8, head, body []byte) []byte {
-	if group != 0 {
-		buf = append(buf, 0) // grouped-frame marker
-		buf = binary.AppendUvarint(buf, group)
-	}
+	buf = binary.AppendUvarint(buf, group)
 	buf = binary.AppendUvarint(buf, uint64(len(from)))
 	buf = append(buf, from...)
 	buf = binary.AppendUvarint(buf, stream)
@@ -344,20 +333,13 @@ func appendFrame(buf []byte, from types.NodeID, group, stream uint64, kind uint8
 // payload is a fresh buffer per frame — the one copy a socket read needs — and
 // belongs to whoever it is delivered to.
 func decodeFrame(br *bufio.Reader, last types.NodeID) (from types.NodeID, group, stream uint64, kind uint8, payload []byte, err error) {
-	fromLen, err := binary.ReadUvarint(br)
+	group, err = binary.ReadUvarint(br)
 	if err != nil {
 		return "", 0, 0, 0, nil, err
 	}
-	if fromLen == 0 {
-		// Grouped-frame marker: a real fromLen is never 0.
-		group, err = binary.ReadUvarint(br)
-		if err != nil {
-			return "", 0, 0, 0, nil, err
-		}
-		fromLen, err = binary.ReadUvarint(br)
-		if err != nil {
-			return "", 0, 0, 0, nil, err
-		}
+	fromLen, err := binary.ReadUvarint(br)
+	if err != nil {
+		return "", 0, 0, 0, nil, err
 	}
 	if fromLen == 0 || fromLen > 4096 {
 		return "", 0, 0, 0, nil, io.ErrUnexpectedEOF

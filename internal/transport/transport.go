@@ -485,8 +485,8 @@ func (e *Endpoint) GroupID() uint64 { return e.group }
 // Group returns the endpoint view scoped to group gid. Handlers registered on
 // the view only see traffic sent by the matching view on a peer; all views of
 // a node share the root's single socket/inbox so a burst across groups still
-// coalesces into the same TCP writes. Group 0 is the root endpoint itself —
-// ungrouped (legacy) traffic is literally group 0.
+// coalesces into the same TCP writes. Group 0 is the root endpoint itself:
+// a single-group deployment's traffic is group 0.
 func (e *Endpoint) Group(gid uint64) *Endpoint {
 	root := e.rootEndpoint()
 	if gid == 0 {
