@@ -42,7 +42,8 @@ bench-pairs:
 	scripts/pairs.sh $(PARENT) $(WORKLOADS) $(PAIRS) $(WINDOW) $(OUT)
 
 # The one way to count the tree: non-test and test Go code lines per package
-# outside bench/, and the exported fields of the option structs.
+# outside bench/, and the exported fields of the option structs, which fails
+# when a struct has more than its bound in the script.
 size:
 	scripts/size.sh
 
@@ -62,7 +63,8 @@ fmt-check:
 # sixth fuzzes RestoreChunk, the one decoder of snapshot bytes from peers, for
 # 10 s. bench/ is a nested module (bench/go.mod) that ./... does not descend
 # into; the seventh line notices a program change that breaks the benchmark's
-# build. The last prints what CI's Size step puts on the run's summary page.
+# build. The last prints what CI's Size step puts on the run's summary page
+# and fails, as that step does, when an option struct exceeds its field bound.
 ci: vet build examples test race fmt-check
 	$(GO) test -run 'TestLoadedWritePathBytesPerOp' -count=1 ./internal/cluster/
 	$(GO) test -run 'TestReplicaConstructionAllocates|TestReplicaAtRestGoroutines' -count=1 ./internal/reconfig/

@@ -69,9 +69,6 @@ type Options struct {
 	// Timeout bounds the whole check; on expiry the result is Unknown.
 	// Zero means no limit.
 	Timeout time.Duration
-	// MinimizeBudget bounds greedy counterexample shrinking (default 2s;
-	// negative disables minimization).
-	MinimizeBudget time.Duration
 }
 
 // Result is the verdict for one history.
@@ -116,7 +113,7 @@ func Check(m Model, ops []Operation, opts Options) Result {
 		}
 		if !ok {
 			res.Ok = false
-			res.Counterexample = counterexample(m, p, opts, deadline)
+			res.Counterexample = counterexample(m, p, deadline)
 			break
 		}
 	}
@@ -354,33 +351,28 @@ func cacheHit(entries []cacheEntry, lin bitset, state any, m Model) bool {
 	return false
 }
 
+// minimizeBudget bounds greedy counterexample shrinking.
+const minimizeBudget = 2 * time.Second
+
 // counterexample produces a human-readable dump of a failing partition,
 // greedily minimized: drop one op at a time, keep the removal whenever the
-// remainder still fails, within the time budget.
-func counterexample(m Model, ops []Operation, opts Options, deadline time.Time) string {
-	budget := opts.MinimizeBudget
-	if budget == 0 {
-		budget = 2 * time.Second
+// remainder still fails, within minimizeBudget and the check's deadline.
+func counterexample(m Model, ops []Operation, deadline time.Time) string {
+	stop := time.Now().Add(minimizeBudget)
+	if !deadline.IsZero() && deadline.Before(stop) {
+		stop = deadline
 	}
-	minimized := ops
-	if budget > 0 {
-		stop := time.Now().Add(budget)
-		if !deadline.IsZero() && deadline.Before(stop) {
-			stop = deadline
+	minimized := append([]Operation(nil), ops...)
+	for i := 0; i < len(minimized); {
+		if time.Now().After(stop) {
+			break
 		}
-		cur := append([]Operation(nil), ops...)
-		for i := 0; i < len(cur); {
-			if time.Now().After(stop) {
-				break
-			}
-			cand := append(append([]Operation(nil), cur[:i]...), cur[i+1:]...)
-			if ok, unknown := checkPartition(m, cand, stop); !ok && !unknown {
-				cur = cand // still fails without op i: keep it out
-				continue
-			}
-			i++
+		cand := append(append([]Operation(nil), minimized[:i]...), minimized[i+1:]...)
+		if ok, unknown := checkPartition(m, cand, stop); !ok && !unknown {
+			minimized = cand // still fails without op i: keep it out
+			continue
 		}
-		minimized = cur
+		i++
 	}
 	idx := make([]int, len(minimized))
 	for i := range idx {

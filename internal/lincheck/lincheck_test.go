@@ -219,6 +219,9 @@ func TestPartitionByKeyDecomposes(t *testing.T) {
 }
 
 func TestCounterexampleIsMinimized(t *testing.T) {
+	if minimizeBudget != 2*time.Second {
+		t.Fatalf("minimizeBudget %v, want 2s", minimizeBudget)
+	}
 	// 40 irrelevant ops on other keys plus a 2-op violation; the dump must
 	// shrink to (roughly) the violating pair.
 	var ops []Operation

@@ -179,9 +179,9 @@ func TestAcceptorPropertyNeverRegresses(t *testing.T) {
 }
 
 func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.TickInterval != 2*time.Millisecond || o.BatchSize != 16 {
-		t.Fatalf("defaults: %+v", o)
+	want := Options{TickInterval: 2 * time.Millisecond, batchSize: 16}
+	if got := (Options{}).withDefaults(); got != want {
+		t.Fatalf("zero Options normalizes to\n%+v, want\n%+v", got, want)
 	}
 }
 

@@ -14,11 +14,11 @@ import (
 )
 
 // The barrier rule (endBurst), observed from outside the replica: one log,
-// in the order things happened, of what its store was asked to do and what
-// its peers and its application saw.
+// in the order things happened, of what its store was asked to do, what it
+// sent its peers and what its application saw.
 
 type barrierEvent struct {
-	what   string       // "stage", "sync-enter", "sync-done", "sync-fail", "frame", "decision"
+	what   string       // "stage", "sync-enter", "sync-done", "sync-fail", "sent", "frame", "decision"
 	key    string       // stage: the store key
 	kind   uint8        // frame: the frame kind
 	slot   types.Slot   // frame, decision: the slot, where there is one
@@ -29,12 +29,43 @@ type barrierLog struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	events []barrierEvent
+	// inflight holds, per peer, the positions of frames sent to it and not
+	// yet delivered, oldest first.
+	inflight map[types.NodeID][]int
 }
 
 func newBarrierLog() *barrierLog {
-	l := &barrierLog{}
+	l := &barrierLog{inflight: make(map[types.NodeID][]int)}
 	l.cond = sync.NewCond(&l.mu)
 	return l
+}
+
+// sent logs a frame to peer at the moment the replica transmits it, as "sent":
+// its kind is not known yet.
+func (l *barrierLog) sent(peer types.NodeID) {
+	l.mu.Lock()
+	l.inflight[peer] = append(l.inflight[peer], len(l.events))
+	l.events = append(l.events, barrierEvent{what: "sent"})
+	l.mu.Unlock()
+}
+
+// delivered fills in the "sent" event of the frame peer has just received,
+// which becomes e, a "frame", at the position of its send. The replica is
+// each peer's only sender and the fabric keeps a link in order, so the k-th
+// frame a peer receives is the k-th one sent to it. It reports false when
+// no send is waiting for the frame.
+func (l *barrierLog) delivered(peer types.NodeID, e barrierEvent) bool {
+	l.mu.Lock()
+	q := l.inflight[peer]
+	if len(q) == 0 {
+		l.mu.Unlock()
+		return false
+	}
+	l.events[q[0]] = e
+	l.inflight[peer] = q[1:]
+	l.mu.Unlock()
+	l.cond.Broadcast()
+	return true
 }
 
 func (l *barrierLog) add(e barrierEvent) {
@@ -191,7 +222,15 @@ type barrierRig struct {
 func newBarrierRig(t *testing.T, members ...types.NodeID) *barrierRig {
 	t.Helper()
 	cfg := types.MustConfig(1, members...)
-	rig := &barrierRig{t: t, net: transport.NewNetwork(transport.Options{}), log: newBarrierLog()}
+	rig := &barrierRig{t: t, log: newBarrierLog()}
+	// A frame is logged when the replica sends it, not when the fabric
+	// delivers it: the fabric calls LinkLatency inside the sender's Send.
+	rig.net = transport.NewNetwork(transport.Options{LinkLatency: func(from, to types.NodeID) time.Duration {
+		if from == members[0] {
+			rig.log.sent(to)
+		}
+		return 0
+	}})
 	rig.st = &recStore{MemStore: storage.NewMem(), log: rig.log}
 	for _, id := range members[1:] {
 		rig.net.Endpoint(id).Handle(uint64(cfg.ID), func(_ types.NodeID, _ uint64, kind uint8, payload []byte) {
@@ -218,7 +257,9 @@ func newBarrierRig(t *testing.T, members ...types.NodeID) *barrierRig {
 					e.slot, e.ballot = m.Slot, m.Ballot
 				}
 			}
-			rig.log.add(e)
+			if !rig.log.delivered(id, e) {
+				t.Errorf("%s received %+v, which was never sent", id, e)
+			}
 		})
 	}
 	r, err := New(cfg, members[0], rig.net.Endpoint(members[0]), rig.st, uint64(cfg.ID), fastOpts(0))

@@ -66,13 +66,11 @@ func factoryWithStore(netOpts transport.Options, newStore func(t *testing.T, id 
 		cfg := types.MustConfig(1, members...)
 		engines := make(map[types.NodeID]smr.Engine, len(members))
 		for _, id := range members {
-			rep, err := paxos.New(cfg, id, net.Endpoint(id), newStore(t, id), 1, paxos.Options{
-				TickInterval: time.Millisecond,
-				// The conformance suite observes raw decisions, one per
-				// proposed command; batching would deliver CmdBatch
-				// envelopes (unpacked only by the composition layers).
-				BatchSize: 1,
-			})
+			// The conformance suite observes raw decisions, one per proposed
+			// command; batching would deliver CmdBatch envelopes (unpacked
+			// only by the composition layers).
+			opts := paxos.Unbatched(paxos.Options{TickInterval: time.Millisecond})
+			rep, err := paxos.New(cfg, id, net.Endpoint(id), newStore(t, id), 1, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -30,7 +30,7 @@ func holdLoop(t *testing.T, r *Replica) (release func()) {
 }
 
 // batched tunes a test cluster to the engine's default batching.
-func batched(o *Options) { o.BatchSize = 16 }
+func batched(o *Options) { o.batchSize = 16 }
 
 // appsOf unpacks the application commands of a decision sequence, in order.
 func appsOf(t *testing.T, tc *testCluster, id types.NodeID) []types.Command {
@@ -52,7 +52,7 @@ func appsOf(t *testing.T, tc *testCluster, id types.NodeID) []types.Command {
 }
 
 // A clump of proposals that is queued when the leader's loop turns is packed,
-// not spread: N commands take at most ceil(N/BatchSize)+pipelineDepth slots,
+// not spread: N commands take at most ceil(N/batchSize)+pipelineDepth slots,
 // each proposer's commands stay in order, and on a WAL store the whole clump
 // — accepts and decisions — is made durable by one group commit.
 func TestLeaderPacksQueuedClump(t *testing.T) {
@@ -81,7 +81,7 @@ func TestLeaderPacksQueuedClump(t *testing.T) {
 
 	opts := r.opts
 	slots := int(r.Progress().Delivered - slotsBefore)
-	if limit := (n+opts.BatchSize-1)/opts.BatchSize + pipelineDepth; slots > limit {
+	if limit := (n+opts.batchSize-1)/opts.batchSize + pipelineDepth; slots > limit {
 		t.Fatalf("%d queued commands took %d slots, want <= %d", n, slots, limit)
 	}
 	next := map[types.NodeID]uint64{"a": 1, "b": 1}

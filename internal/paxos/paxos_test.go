@@ -30,10 +30,10 @@ type testCluster struct {
 func fastOpts(seed int64) Options {
 	return Options{
 		TickInterval: time.Millisecond,
-		Seed:         seed,
+		seed:         seed,
 		// Engine-level tests observe raw decisions, one per proposed
 		// command; batching tests override this explicitly.
-		BatchSize: 1,
+		batchSize: 1,
 	}
 }
 
@@ -591,13 +591,13 @@ func TestStatsCounters(t *testing.T) {
 }
 
 // TestBatchingPacksManyCommandsPerSlot verifies the A1 optimization: with
-// BatchSize 16, a burst of commands consumes far fewer slots.
+// batchSize 16, a burst of commands consumes far fewer slots.
 func TestBatchingPacksManyCommandsPerSlot(t *testing.T) {
 	net := transport.NewNetwork(transport.Options{BaseLatency: 200 * time.Microsecond})
 	defer net.Close()
 	cfg := types.MustConfig(1, "n1", "n2", "n3")
 	opts := fastOpts(0)
-	opts.BatchSize = 16
+	opts.batchSize = 16
 	reps := make(map[types.NodeID]*Replica, 3)
 	for _, id := range cfg.Members {
 		r, err := New(cfg, id, net.Endpoint(id), storage.NewMem(), 1, opts)

@@ -163,7 +163,7 @@ func TestRequeuedBatchIsUnpacked(t *testing.T) {
 		}
 	}
 	r := leaderReplica(t)
-	r.opts.BatchSize = 16
+	r.opts.batchSize = 16
 	turn(r, appCmd("a", 1), appCmd("b", 1), appCmd("c", 1))
 	if len(r.inflight) != 1 || len(r.pending) != 0 {
 		t.Fatalf("inflight %d pending %d, want the clump in one slot", len(r.inflight), len(r.pending))

@@ -621,10 +621,10 @@ func (r *Replica) placePending() {
 const pipelineDepth = 4
 
 // drainPending assigns queued proposals to slots while the pipeline window
-// has room, packing up to BatchSize commands per slot.
+// has room, packing up to batchSize commands per slot.
 func (r *Replica) drainPending() {
 	for r.role == roleLeader && len(r.pending) > 0 && len(r.inflight) < pipelineDepth {
-		k := min(r.opts.BatchSize, len(r.pending))
+		k := min(r.opts.batchSize, len(r.pending))
 		cmds := r.pending[:k]
 		r.pending = r.pending[k:]
 		r.proposeNext(cmds)

@@ -266,7 +266,7 @@ func (n *Node) routeDecisionLocked(id types.ConfigID, dec smr.Decision) {
 		n.stats.SpeculativeDecides++
 	}
 	run.buffered = append(run.buffered, dec)
-	if lim := n.opts.DecisionBuffer; lim > 0 && len(run.buffered) > lim {
+	if lim := n.opts.decisionBuffer; lim > 0 && len(run.buffered) > lim {
 		// Bounded parking: drop the oldest parked decision rather than let
 		// a long install window grow the buffer without limit. The dropped
 		// slots cannot come back from this buffer (engine delivery is

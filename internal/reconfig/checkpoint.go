@@ -175,7 +175,7 @@ func (n *Node) broadcastCkpt(members []types.NodeID, body []byte) {
 // --- producer ---------------------------------------------------------------
 
 // maybeCheckpointLocked publishes a checkpoint when the applied cursor has
-// advanced CheckpointInterval slots past the newest durable one and no other
+// advanced checkpointInterval slots past the newest durable one and no other
 // publish is in flight. Caller holds mu (the housekeeping tick).
 func (n *Node) maybeCheckpointLocked() {
 	if n.opts.NoCheckpoints || n.stopped || !n.initialized || n.publishing > 0 {
@@ -185,7 +185,7 @@ func (n *Node) maybeCheckpointLocked() {
 		return
 	}
 	n.ckptTrackLocked()
-	if n.appliedSlot < n.ckptSelfBase+types.Slot(n.opts.CheckpointInterval) {
+	if n.appliedSlot < n.ckptSelfBase+types.Slot(n.opts.checkpointInterval) {
 		return
 	}
 	// Fork under mu + execMu (shared): applySegment holds execMu exclusively
@@ -235,7 +235,7 @@ func (n *Node) maybeTruncateLocked() {
 	if n.ckptSelfBase < floor {
 		floor = n.ckptSelfBase
 	}
-	margin := types.Slot(n.opts.CheckpointMargin)
+	margin := types.Slot(n.opts.checkpointMargin)
 	if floor <= margin {
 		return
 	}
@@ -247,7 +247,7 @@ func (n *Node) maybeTruncateLocked() {
 // behindLocked reports whether this initialized member should fetch a
 // checkpoint instead of replaying the log: the engine's contiguous decided
 // frontier (one O(1) Progress read, not a slot-by-slot probe) is
-// CatchupGapSlots or more ahead of the applied cursor, a peer redirected the
+// catchupGapSlots or more ahead of the applied cursor, a peer redirected the
 // engine below its truncation floor, or the bounded decision buffer dropped
 // parked decisions. Caller holds mu.
 func (n *Node) behindLocked() bool {
@@ -257,5 +257,5 @@ func (n *Node) behindLocked() bool {
 	}
 	p := run.eng.Progress()
 	return p.CheckpointNeeded || run.droppedBelow > n.appliedSlot ||
-		p.MaxDecidedSeen >= n.appliedSlot+types.Slot(n.opts.CatchupGapSlots)
+		p.MaxDecidedSeen >= n.appliedSlot+types.Slot(n.opts.catchupGapSlots)
 }

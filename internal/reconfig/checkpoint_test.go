@@ -17,9 +17,9 @@ import (
 // threshold: a checkpoint every 30 applied slots, 5 slots of margin, and a
 // catch-up fetch once a member is 50 slots behind.
 func ckptOpts(o Options) Options {
-	o.CheckpointInterval = 30
-	o.CheckpointMargin = 5
-	o.CatchupGapSlots = 50
+	o.checkpointInterval = 30
+	o.checkpointMargin = 5
+	o.catchupGapSlots = 50
 	return o
 }
 
@@ -83,7 +83,7 @@ func TestCheckpointProducerPublishesAndTruncates(t *testing.T) {
 			// was applied since the last floor advance — far below total
 			// history. Polled, not sampled once: the second truncation wave
 			// lands a quorum exchange after the second checkpoint does.
-			if st.RetainedSlots > int64(2*w.opts.CheckpointInterval+w.opts.CheckpointMargin) {
+			if st.RetainedSlots > int64(2*w.opts.checkpointInterval+w.opts.checkpointMargin) {
 				return false
 			}
 		}
@@ -166,7 +166,7 @@ func TestCheckpointCatchupClosesGap(t *testing.T) {
 func TestTornCheckpointManifestFallsBackToReplay(t *testing.T) {
 	w := newWorld(t, transport.Options{})
 	w.opts = ckptOpts(w.opts)
-	w.opts.CheckpointMargin = 100000 // floor - margin <= 0: no truncation ever
+	w.opts.checkpointMargin = 100000 // floor - margin <= 0: no truncation ever
 	w.bootstrap(statemachine.NewCounterMachine, "n1", "n2", "n3")
 	w.waitServing("n1")
 
@@ -295,7 +295,7 @@ func TestStartRefusesSnapshotBelowEngineFloor(t *testing.T) {
 
 	// Only the floor rule can save the victim: the gap-triggered catch-up
 	// fetch that would paper over a stale install is out of reach.
-	w.opts.CatchupGapSlots = 1 << 30
+	w.opts.catchupGapSlots = 1 << 30
 	n3 := w.startNode("n3", statemachine.NewCounterMachine)
 	if err := n3.Start(); err != nil {
 		t.Fatal(err)
@@ -358,7 +358,7 @@ func TestRestartReplayFloodSurvivesSmallBuffer(t *testing.T) {
 	w := newWorld(t, transport.Options{})
 	w.opts = ckptOpts(w.opts)
 	w.opts.NoCheckpoints = true
-	w.opts.DecisionBuffer = 32 // far below the replayed log length
+	w.opts.decisionBuffer = 32 // far below the replayed log length
 	w.bootstrap(statemachine.NewCounterMachine, "n1", "n2", "n3")
 	w.waitServing("n1")
 
@@ -406,7 +406,7 @@ func TestDecisionBufferBoundedUnderSpeculativeTransfer(t *testing.T) {
 		Seed:        7,
 	})
 	w.opts = ckptOpts(w.opts)
-	w.opts.DecisionBuffer = 24
+	w.opts.decisionBuffer = 24
 	w.bootstrap(statemachine.NewCounterMachine, "n1", "n2", "n3")
 	s1 := w.startNode("s1", statemachine.NewCounterMachine)
 	if err := s1.Start(); err != nil {
@@ -468,7 +468,7 @@ func TestDecisionBufferBoundedUnderSpeculativeTransfer(t *testing.T) {
 
 	// Cap, plus the post-install contiguous replay tail (exempt from drops;
 	// bounded by the retained engine log under truncation), plus slack.
-	lim := int64(w.opts.DecisionBuffer + 2*w.opts.CheckpointInterval + w.opts.CheckpointMargin + w.opts.CatchupGapSlots)
+	lim := int64(w.opts.decisionBuffer + 2*w.opts.checkpointInterval + w.opts.checkpointMargin + w.opts.catchupGapSlots)
 	for _, id := range []types.NodeID{"n1", "n2", "n3", "s1"} {
 		st := w.node(id).Stats()
 		if st.DecisionBufferHigh > lim {

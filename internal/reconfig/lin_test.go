@@ -314,9 +314,9 @@ func runLin(t *testing.T, run linRun) {
 		w.opts.SpeculativeStart = run.spec
 	}
 	if run.ckptInterval != 0 {
-		w.opts.CheckpointInterval = run.ckptInterval
-		w.opts.CheckpointMargin = run.ckptMargin
-		w.opts.CatchupGapSlots = run.catchupGap
+		w.opts.checkpointInterval = run.ckptInterval
+		w.opts.checkpointMargin = run.ckptMargin
+		w.opts.catchupGapSlots = run.catchupGap
 	}
 	w.powerLoss = run.powerLoss
 	if run.useWAL {

@@ -14,16 +14,18 @@ import (
 	"repro/internal/rpc"
 	"repro/internal/smr"
 	"repro/internal/statemachine"
-	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/transport"
 	"repro/internal/types"
 )
 
 // Options tunes the composition layer. The zero value is normalized to the
-// defaults below.
+// defaults below. A field is exported only where code outside this package
+// chooses its value; the other knobs are unexported, fixed for every program
+// and set only by this package's own tests.
 type Options struct {
-	// Paxos configures every static engine this node runs.
+	// Paxos configures every static engine this node runs. Exported because
+	// cluster.FastOptions (and through it the benchmark) sets its tick.
 	Paxos paxos.Options
 	// SpeculativeStart controls whether a successor engine boots while the
 	// snapshot is still in flight (the paper's §1 speculative start: the
@@ -33,6 +35,8 @@ type Options struct {
 	// index). SpecDefault normalizes to SpecOn; SpecOff delays the engine
 	// until the initial state is installed — the wait-for-transfer
 	// ablation; tests pin its client contract and check it linearizable.
+	// Exported because the planned reconfig-move benchmark workload
+	// (ROADMAP item 1(b)) runs a SpecOff variant beside the default.
 	SpeculativeStart SpecMode
 	// SubmitQueue bounds how many distinct client commands may be pending
 	// (admitted but not yet applied) on this node at once — the admission
@@ -42,35 +46,37 @@ type Options struct {
 	// waiter and always pass, and nothing but client submissions is ever
 	// shed — reconfigurations, chain/announce exchanges and state transfer
 	// use their own op codes and bypass the bound entirely (prioritized
-	// admission). Default 4096.
+	// admission). Default 4096. Exported because the cluster megaload tests
+	// check the shedding contract at fixed bounds of 256 and 512.
 	SubmitQueue int
-	// CheckpointInterval is how many applied slots pass between
+	// NoCheckpoints disables the within-configuration checkpoint producer,
+	// log truncation and checkpoint catch-up: a lagging member replays the
+	// full log slot by slot — the pre-checkpoint behavior. Exported because
+	// the benchmark's durable workloads set it.
+	NoCheckpoints bool
+
+	// checkpointInterval is how many applied slots pass between
 	// within-configuration checkpoints: once the applied cursor is this far
 	// past the newest durable checkpoint base, the housekeeping tick forks
 	// and publishes a new one (see checkpoint.go). Bounds retained engine
 	// log state to roughly interval + margin slots. Default 4096.
-	CheckpointInterval int
-	// CheckpointMargin is how many recent slots stay in the engine log
+	checkpointInterval int
+	// checkpointMargin is how many recent slots stay in the engine log
 	// below the quorum-durable checkpoint base, so a briefly lagging member
 	// catches up through ordinary slot redelivery instead of a state
 	// transfer. Default 512.
-	CheckpointMargin int
-	// CatchupGapSlots is the decision gap (engine contiguous decided
+	checkpointMargin int
+	// catchupGapSlots is the decision gap (engine contiguous decided
 	// frontier minus applied cursor, one O(1) Progress read) beyond which a
 	// member fetches the newest checkpoint instead of replaying every slot.
 	// Default 8192.
-	CatchupGapSlots int
-	// DecisionBuffer bounds the per-engine parked-decision buffer (decisions
+	catchupGapSlots int
+	// decisionBuffer bounds the per-engine parked-decision buffer (decisions
 	// decided before this node's state is ready to apply them). Past the
 	// bound the oldest parked decision is dropped and the gap is repaired by
 	// checkpoint catch-up rather than unbounded memory growth. Default
 	// 16384.
-	DecisionBuffer int
-	// NoCheckpoints disables the within-configuration checkpoint producer,
-	// log truncation and checkpoint catch-up: a lagging member replays the
-	// full log slot by slot — the pre-checkpoint behavior. Ablation switch;
-	// the benchmark's durable workloads set it.
-	NoCheckpoints bool
+	decisionBuffer int
 }
 
 // SpecMode selects the successor engine start policy. The zero value is
@@ -117,17 +123,17 @@ func (o Options) withDefaults() Options {
 	if o.SubmitQueue <= 0 {
 		o.SubmitQueue = 4096
 	}
-	if o.CheckpointInterval <= 0 {
-		o.CheckpointInterval = 4096
+	if o.checkpointInterval <= 0 {
+		o.checkpointInterval = 4096
 	}
-	if o.CheckpointMargin <= 0 {
-		o.CheckpointMargin = 512
+	if o.checkpointMargin <= 0 {
+		o.checkpointMargin = 512
 	}
-	if o.CatchupGapSlots <= 0 {
-		o.CatchupGapSlots = 8192
+	if o.catchupGapSlots <= 0 {
+		o.catchupGapSlots = 8192
 	}
-	if o.DecisionBuffer <= 0 {
-		o.DecisionBuffer = 16384
+	if o.decisionBuffer <= 0 {
+		o.decisionBuffer = 16384
 	}
 	if o.SpeculativeStart == SpecDefault {
 		o.SpeculativeStart = SpecOn
@@ -183,7 +189,7 @@ type engineRun struct {
 	eng      *paxos.Replica
 	buffered []smr.Decision // decisions held until this config activates
 	// droppedBelow is the highest parked decision slot the bounded buffer
-	// dropped (Options.DecisionBuffer): slots at or below it can no longer
+	// dropped (Options.decisionBuffer): slots at or below it can no longer
 	// come from this buffer, so a cursor gap under the marker means "wait
 	// for checkpoint catch-up", not an engine-contract violation.
 	droppedBelow types.Slot
@@ -308,7 +314,6 @@ type Node struct {
 	// stats holds the counters the node keeps itself, incremented in place
 	// under mu; Stats fills in the fields computed when it is called.
 	stats NodeStats
-	reads stats.ReadPathCounters
 }
 
 // NewNode constructs a Node. Call Bootstrap (first boot of an initial
@@ -702,7 +707,6 @@ func (n *Node) Stats() NodeStats {
 		out.TruncatedSlots += es.TruncatedSlots
 		out.RetainedSlots += es.RetainedSlots
 	}
-	out.FastReads, out.ReadFallbacks, out.ReadFenced = n.reads.Snapshot()
 	out.ApplyQueueDepth = n.parkedLocked()
 	out.SubmitQueueDepth = int64(len(n.pending))
 	if n.ckptCfg == n.curID {

@@ -48,7 +48,7 @@ func (n *Node) tryFastReadLocked(cmd types.Command, respond func([]byte)) bool {
 	if n.readFencedLocked(readCfg) {
 		// Already wedged: refuse rather than serve; the redirect points the
 		// client at the successor.
-		n.reads.Fenced.Add(1)
+		n.stats.ReadFenced++
 		respond(n.redirectReplyLocked())
 		return true
 	}
@@ -83,13 +83,13 @@ func (n *Node) completeRead(readCfg types.ConfigID, cmd types.Command, respond f
 		// The engine would not confirm leadership (follower, deposed, or
 		// stopped). Fall back to the log path, which is correct from any
 		// node: the proposal is forwarded to whoever leads now.
-		n.reads.Fallback.Add(1)
+		n.stats.ReadFallbacks++
 		n.fallbackReadLocked(cmd, respond)
 		n.mu.Unlock()
 		return
 	}
 	if n.readFencedLocked(readCfg) {
-		n.reads.Fenced.Add(1)
+		n.stats.ReadFenced++
 		resp := n.redirectReplyLocked()
 		n.mu.Unlock()
 		respond(resp)
@@ -132,7 +132,7 @@ func (n *Node) serveReadLocked(cmd types.Command) []byte {
 	n.execMu.RLock()
 	reply := n.machine.ApplyRead(cmd.Data)
 	n.execMu.RUnlock()
-	n.reads.Fast.Add(1)
+	n.stats.FastReads++
 	return EncodeSubmitResult(SubmitResult{
 		Status: SubmitApplied,
 		Reply:  reply,
@@ -172,7 +172,7 @@ func (n *Node) serveReadyReadsLocked() {
 	for _, w := range n.readWaiters {
 		switch {
 		case n.readFencedLocked(w.cfg):
-			n.reads.Fenced.Add(1)
+			n.stats.ReadFenced++
 			w.respond(n.redirectReplyLocked())
 		case n.appliedSlot >= w.index:
 			w.respond(n.serveReadLocked(w.cmd))
@@ -195,7 +195,7 @@ func (n *Node) ageReadWaitersLocked() {
 	for _, w := range n.readWaiters {
 		w.ticks++
 		if w.ticks > staleReadTicks {
-			n.reads.Fallback.Add(1)
+			n.stats.ReadFallbacks++
 			n.fallbackReadLocked(w.cmd, w.respond)
 			continue
 		}

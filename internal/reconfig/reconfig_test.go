@@ -791,12 +791,12 @@ func TestSubmitReplyCodec(t *testing.T) {
 	}
 }
 
-// TestBatchingThroughReconfiguration: with engine batching on, commands and
-// a reconfiguration interleave inside batches; the apply layer must unpack
-// correctly and preserve exactly-once semantics across the wedge.
+// TestBatchingThroughReconfiguration: with engine batching on (the default,
+// up to 16 commands per slot), commands and a reconfiguration interleave
+// inside batches; the apply layer must unpack correctly and preserve
+// exactly-once semantics across the wedge.
 func TestBatchingThroughReconfiguration(t *testing.T) {
 	w := newWorld(t, transport.Options{BaseLatency: 100 * time.Microsecond})
-	w.opts.Paxos.BatchSize = 8
 	w.bootstrap(statemachine.NewCounterMachine, "n1", "n2", "n3")
 	w.waitServing("n1", "n2", "n3")
 	n4 := w.startNode("n4", statemachine.NewCounterMachine)
@@ -944,10 +944,10 @@ func TestOptionsDefaults(t *testing.T) {
 	want := Options{
 		SpeculativeStart:   SpecOn,
 		SubmitQueue:        4096,
-		CheckpointInterval: 4096,
-		CheckpointMargin:   512,
-		CatchupGapSlots:    8192,
-		DecisionBuffer:     16384,
+		checkpointInterval: 4096,
+		checkpointMargin:   512,
+		catchupGapSlots:    8192,
+		decisionBuffer:     16384,
 	}
 	if got := (Options{}).withDefaults(); got != want {
 		t.Fatalf("zero Options normalizes to\n%+v, want\n%+v", got, want)

@@ -256,7 +256,7 @@ func TestCheckpointBaseInstallReachesEngine(t *testing.T) {
 	// until every member has checkpointed and truncated, then top up so the
 	// tip sits above every base with no further checkpoint due.
 	seq := w.driveAdds("n1", "c1", 0, 100)
-	interval := int64(w.opts.CheckpointInterval)
+	interval := int64(w.opts.checkpointInterval)
 	slack := func() int64 { // slots until the next checkpoint is due, minimum over members
 		min := interval
 		for _, id := range members {

@@ -1,5 +1,5 @@
 // Package stats provides measurement primitives: event timelines binned over
-// wall-clock time with their longest gap (downtime), and monotone counters.
+// wall-clock time with their longest gap (downtime).
 package stats
 
 import (
@@ -112,39 +112,4 @@ func (t *Timeline) LongestGap() time.Duration {
 		}
 	}
 	return longest
-}
-
-// Counter is a concurrency-safe monotone counter.
-type Counter struct {
-	mu sync.Mutex
-	v  int64
-}
-
-// Add increments the counter by d.
-func (c *Counter) Add(d int64) {
-	c.mu.Lock()
-	c.v += d
-	c.mu.Unlock()
-}
-
-// Value returns the current count.
-func (c *Counter) Value() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.v
-}
-
-// ReadPathCounters aggregates the outcomes of the linearizable read fast
-// path: reads served without a log append (hits), reads that fell back to
-// the ordinary log path, and reads refused because their configuration was
-// wedged by a reconfiguration (fenced).
-type ReadPathCounters struct {
-	Fast     Counter
-	Fallback Counter
-	Fenced   Counter
-}
-
-// Snapshot returns the three counts at once.
-func (c *ReadPathCounters) Snapshot() (fast, fallback, fenced int64) {
-	return c.Fast.Value(), c.Fallback.Value(), c.Fenced.Value()
 }

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"sync"
 	"testing"
 	"time"
 )
@@ -43,23 +42,5 @@ func TestTimelineEmpty(t *testing.T) {
 	}
 	if tl.LongestGap() != 0 {
 		t.Fatal("gap of empty timeline")
-	}
-}
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				c.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if c.Value() != 4000 {
-		t.Fatalf("counter %d", c.Value())
 	}
 }

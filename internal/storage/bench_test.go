@@ -81,7 +81,7 @@ func benchSlotWrites(b *testing.B, s Store, writers int, payload []byte) {
 //	go test ./internal/storage/ -bench WALStoreAppend -benchmem
 func BenchmarkWALStoreAppend(b *testing.B) {
 	value := bytes.Repeat([]byte{0xab}, 128)
-	s, err := OpenWALStore(b.TempDir(), WALStoreOptions{CompactBytes: -1})
+	s, err := OpenWALStore(b.TempDir(), WALStoreOptions{compactBytes: -1})
 	if err != nil {
 		b.Fatal(err)
 	}

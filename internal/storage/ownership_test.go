@@ -82,7 +82,7 @@ func TestStoreKeepsNilAndEmptyValues(t *testing.T) {
 // again, every value is intact.
 func TestWALReplayDoesNotAliasReadBuffer(t *testing.T) {
 	dir := t.TempDir()
-	opts := WALStoreOptions{SegmentBytes: 4 << 10, CompactBytes: -1}
+	opts := WALStoreOptions{segmentBytes: 4 << 10, compactBytes: -1}
 	s := openTestWALStore(t, dir, opts)
 	const n = 64
 	value := func(i int) []byte { return bytes.Repeat([]byte{byte('a' + i%26)}, 200+i) }

@@ -23,7 +23,7 @@ import (
 //
 // and assigned monotonically increasing log sequence numbers (LSNs) starting
 // at 1. The log is split into segment files named wal-<firstLSN>.seg; the
-// active segment rolls at the first barrier after it exceeds SegmentBytes,
+// active segment rolls at the first barrier after it exceeds segmentBytes,
 // and sealed segments can be dropped wholesale by Compact once their records
 // are covered by a checkpoint upstream.
 //
@@ -40,8 +40,8 @@ import (
 // continues from the last intact record. A bad record anywhere else is real
 // corruption and surfaces as an error.
 type WAL struct {
-	dir  string
-	opts WALOptions
+	dir          string
+	segmentBytes int64 // the active segment rolls at the first barrier past this size
 
 	// mu guards the append path: the active segment, the buffer and LSN
 	// assignment. It is never held across a log fsync, only across the
@@ -79,25 +79,14 @@ type segmentInfo struct {
 	path string
 }
 
-// WALOptions configures a WAL.
-type WALOptions struct {
-	// SegmentBytes is the size past which the next barrier seals the active
-	// segment and starts a new one. Default 4 MiB.
-	SegmentBytes int64
-}
-
-func (o WALOptions) withDefaults() WALOptions {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 4 << 20
-	}
-	return o
-}
-
 const (
 	walSegPrefix = "wal-"
 	walSegSuffix = ".seg"
 	// walMagic opens every segment so foreign files are rejected cheaply.
 	walMagic = "RSMWAL01"
+	// walSegmentBytes is the size past which the next barrier seals the
+	// active segment and starts a new one.
+	walSegmentBytes = 4 << 20
 )
 
 var walCRC = crc32.MakeTable(crc32.Castagnoli)
@@ -105,11 +94,17 @@ var walCRC = crc32.MakeTable(crc32.Castagnoli)
 // OpenWAL opens (creating if needed) the log rooted at dir and replays every
 // intact record into replay, in LSN order. A torn tail on the last segment is
 // truncated. replay may be nil when the caller only appends.
-func OpenWAL(dir string, opts WALOptions, replay func(lsn uint64, payload []byte) error) (*WAL, error) {
+func OpenWAL(dir string, replay func(lsn uint64, payload []byte) error) (*WAL, error) {
+	return openWAL(dir, walSegmentBytes, replay)
+}
+
+// openWAL is OpenWAL with the segment size given, so tests can roll segments
+// after a few records.
+func openWAL(dir string, segmentBytes int64, replay func(lsn uint64, payload []byte) error) (*WAL, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: open wal %s: %w", dir, err)
 	}
-	w := &WAL{dir: dir, opts: opts.withDefaults(), next: 1}
+	w := &WAL{dir: dir, segmentBytes: segmentBytes, next: 1}
 	w.commitCv = sync.NewCond(&w.commitMu)
 
 	segs, err := listSegments(dir)
@@ -401,7 +396,7 @@ func (w *WAL) Sync(lsn uint64) error {
 	// fsync WITHOUT holding mu so concurrent appends keep flowing into the
 	// buffer and ride the next commit. A segment created since the last
 	// barrier has its directory entry fsynced too, before the watermark moves,
-	// and a segment grown past SegmentBytes is sealed (rollLocked).
+	// and a segment grown past segmentBytes is sealed (rollLocked).
 	w.mu.Lock()
 	var target uint64
 	err := func() error {
@@ -432,7 +427,7 @@ func (w *WAL) Sync(lsn uint64) error {
 		}
 		// What our flush wrote is what the file holds: no one else flushes
 		// while this commit runs, and Close marks the log closed.
-		if err == nil && !w.closed && w.size-int64(len(w.buf)) >= w.opts.SegmentBytes {
+		if err == nil && !w.closed && w.size-int64(len(w.buf)) >= w.segmentBytes {
 			err = w.rollLocked(target)
 		}
 		w.mu.Unlock()

@@ -23,9 +23,12 @@ func collectReplay(lsns *[]uint64, payloads *[][]byte) func(uint64, []byte) erro
 
 func TestWALAppendSyncReplay(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenWAL(dir, WALOptions{}, nil)
+	w, err := OpenWAL(dir, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if w.segmentBytes != 4<<20 {
+		t.Fatalf("OpenWAL rolls segments past %d bytes, want 4 MiB", w.segmentBytes)
 	}
 	var want [][]byte
 	var last uint64
@@ -52,7 +55,7 @@ func TestWALAppendSyncReplay(t *testing.T) {
 
 	var lsns []uint64
 	var got [][]byte
-	w2, err := OpenWAL(dir, WALOptions{}, collectReplay(&lsns, &got))
+	w2, err := OpenWAL(dir, collectReplay(&lsns, &got))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +80,7 @@ func TestWALAppendSyncReplay(t *testing.T) {
 func TestWALTornTail(t *testing.T) {
 	// Build a reference log once to learn the on-disk layout.
 	refDir := t.TempDir()
-	w, err := OpenWAL(refDir, WALOptions{}, nil)
+	w, err := OpenWAL(refDir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +125,7 @@ func TestWALTornTail(t *testing.T) {
 		}
 		var lsns []uint64
 		var got [][]byte
-		w2, err := OpenWAL(dir, WALOptions{}, collectReplay(&lsns, &got))
+		w2, err := OpenWAL(dir, collectReplay(&lsns, &got))
 		if err != nil {
 			t.Fatalf("cut=%d: reopen: %v", cut, err)
 		}
@@ -153,7 +156,7 @@ func TestWALTornTail(t *testing.T) {
 
 func TestWALGroupCommitConcurrent(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenWAL(dir, WALOptions{}, nil)
+	w, err := OpenWAL(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +205,7 @@ func TestWALGroupCommitConcurrent(t *testing.T) {
 	}
 	var lsns []uint64
 	var got [][]byte
-	w2, err := OpenWAL(dir, WALOptions{}, collectReplay(&lsns, &got))
+	w2, err := OpenWAL(dir, collectReplay(&lsns, &got))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +219,7 @@ func TestWALGroupCommitConcurrent(t *testing.T) {
 // one Sync covers every record appended before it.
 func TestWALBatchedSyncCoalesces(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenWAL(dir, WALOptions{}, nil)
+	w, err := OpenWAL(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +248,7 @@ func TestWALBatchedSyncCoalesces(t *testing.T) {
 
 func TestWALSegmentRollAndCompact(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenWAL(dir, WALOptions{SegmentBytes: 64}, nil)
+	w, err := openWAL(dir, 64, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +282,7 @@ func TestWALSegmentRollAndCompact(t *testing.T) {
 	}
 	var lsns []uint64
 	var got [][]byte
-	w2, err := OpenWAL(dir, WALOptions{SegmentBytes: 64}, collectReplay(&lsns, &got))
+	w2, err := openWAL(dir, 64, collectReplay(&lsns, &got))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +310,7 @@ func TestWALSegmentRollAndCompact(t *testing.T) {
 
 func TestWALCorruptionInSealedSegmentFails(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenWAL(dir, WALOptions{SegmentBytes: 64}, nil)
+	w, err := openWAL(dir, 64, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,14 +341,14 @@ func TestWALCorruptionInSealedSegmentFails(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenWAL(dir, WALOptions{}, nil); err == nil {
+	if _, err := OpenWAL(dir, nil); err == nil {
 		t.Fatal("open accepted a corrupt sealed segment")
 	}
 }
 
 func TestWALCloseMakesTailDurable(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenWAL(dir, WALOptions{}, nil)
+	w, err := OpenWAL(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +368,7 @@ func TestWALCloseMakesTailDurable(t *testing.T) {
 	}
 	var lsns []uint64
 	var got [][]byte
-	w2, err := OpenWAL(dir, WALOptions{}, collectReplay(&lsns, &got))
+	w2, err := OpenWAL(dir, collectReplay(&lsns, &got))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ import (
 // the WAL suffix beyond it, truncating a torn tail at the first bad CRC.
 // Compaction writes a fresh checkpoint and drops every sealed segment the
 // checkpoint covers; it runs automatically once the sealed backlog exceeds
-// CompactBytes, and on demand via Compact.
+// compactBytes, and on demand via Compact.
 type WALStore struct {
 	dir  string
 	opts WALStoreOptions
@@ -55,17 +55,26 @@ type WALStoreOptions struct {
 	// and takes explicit barriers (Stager), which ignore it — and it stays
 	// only because the benchmark module (bench/) opens its stores with it.
 	SyncWrites bool
-	// SegmentBytes is the size past which the next barrier rolls the WAL
-	// segment. Default 4 MiB.
-	SegmentBytes int64
-	// CompactBytes triggers automatic compaction once sealed segments
-	// exceed this many bytes. Default 16 MiB; negative disables.
-	CompactBytes int64
+
+	// segmentBytes is the size past which the next barrier rolls the WAL
+	// segment. Default walSegmentBytes (4 MiB).
+	segmentBytes int64
+	// compactBytes triggers automatic compaction once sealed segments
+	// exceed this many bytes. Default walCompactBytes (16 MiB); negative
+	// disables.
+	compactBytes int64
 }
 
+// walCompactBytes is the sealed-segment backlog past which a WALStore
+// compacts on its own.
+const walCompactBytes = 16 << 20
+
 func (o WALStoreOptions) withDefaults() WALStoreOptions {
-	if o.CompactBytes == 0 {
-		o.CompactBytes = 16 << 20
+	if o.segmentBytes <= 0 {
+		o.segmentBytes = walSegmentBytes
+	}
+	if o.compactBytes == 0 {
+		o.compactBytes = walCompactBytes
 	}
 	return o
 }
@@ -97,7 +106,7 @@ func OpenWALStore(dir string, opts WALStoreOptions) (*WALStore, error) {
 		return nil, err
 	}
 	s.ckptLSN = ckptLSN
-	wal, err := OpenWAL(dir, WALOptions{SegmentBytes: opts.SegmentBytes}, func(lsn uint64, payload []byte) error {
+	wal, err := openWAL(dir, s.opts.segmentBytes, func(lsn uint64, payload []byte) error {
 		if lsn <= ckptLSN {
 			return nil // already inside the checkpoint
 		}
@@ -286,13 +295,13 @@ func (s *WALStore) Sync() error {
 }
 
 // maybeCompact checkpoints and drops sealed segments once the backlog grows
-// past CompactBytes. At most one compaction runs at a time.
+// past compactBytes. At most one compaction runs at a time.
 func (s *WALStore) maybeCompact() {
-	if s.opts.CompactBytes < 0 {
+	if s.opts.compactBytes < 0 {
 		return
 	}
 	s.mu.Lock()
-	if s.closed || s.compacting || s.wal.SealedBytes() < s.opts.CompactBytes {
+	if s.closed || s.compacting || s.wal.SealedBytes() < s.opts.compactBytes {
 		s.mu.Unlock()
 		return
 	}

@@ -117,7 +117,7 @@ func TestWALStoreMultiGroupTornTail(t *testing.T) {
 // and post-checkpoint tail writes replay on top without double-apply.
 func TestWALStoreMultiGroupCheckpointCompaction(t *testing.T) {
 	dir := t.TempDir()
-	s := openTestWALStore(t, dir, WALStoreOptions{SegmentBytes: 256, CompactBytes: -1})
+	s := openTestWALStore(t, dir, WALStoreOptions{segmentBytes: 256, compactBytes: -1})
 	const nGroups = 3
 	views := groupViews(s, nGroups)
 	// Churn the same 10 keys per group across many rounds so compaction has

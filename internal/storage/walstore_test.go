@@ -167,7 +167,7 @@ func TestWALStoreSyncWritesConcurrent(t *testing.T) {
 
 func TestWALStoreCheckpointCompaction(t *testing.T) {
 	dir := t.TempDir()
-	s := openTestWALStore(t, dir, WALStoreOptions{SegmentBytes: 256, CompactBytes: -1})
+	s := openTestWALStore(t, dir, WALStoreOptions{segmentBytes: 256, compactBytes: -1})
 	for i := 0; i < 200; i++ {
 		if err := s.Set(fmt.Sprintf("key-%03d", i%20), []byte(strings.Repeat("v", 16))); err != nil {
 			t.Fatal(err)
@@ -218,8 +218,13 @@ func TestWALStoreCheckpointCompaction(t *testing.T) {
 }
 
 func TestWALStoreAutoCompact(t *testing.T) {
+	// A program's store rolls a segment past 4 MiB and compacts once 16 MiB
+	// of sealed segments pile up; this test shrinks both to cross them.
+	if o := (WALStoreOptions{}).withDefaults(); o.segmentBytes != 4<<20 || o.compactBytes != 16<<20 {
+		t.Fatalf("zero WALStoreOptions normalizes to segment %d, compact %d; want 4 MiB, 16 MiB", o.segmentBytes, o.compactBytes)
+	}
 	dir := t.TempDir()
-	s := openTestWALStore(t, dir, WALStoreOptions{SegmentBytes: 256, CompactBytes: 1024})
+	s := openTestWALStore(t, dir, WALStoreOptions{segmentBytes: 256, compactBytes: 1024})
 	for i := 0; i < 500; i++ {
 		if err := s.Set(fmt.Sprintf("key-%03d", i%10), []byte(strings.Repeat("v", 16))); err != nil {
 			t.Fatal(err)
@@ -300,7 +305,7 @@ func TestWALStoreTornTailRecovery(t *testing.T) {
 
 func TestWALStoreCorruptNewestCheckpointFallsBack(t *testing.T) {
 	dir := t.TempDir()
-	s := openTestWALStore(t, dir, WALStoreOptions{CompactBytes: -1})
+	s := openTestWALStore(t, dir, WALStoreOptions{compactBytes: -1})
 	if err := s.Set("a", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +451,7 @@ func TestOpenWALStoreCostsNoFsync(t *testing.T) {
 	}
 	open := func(t *testing.T, dir string) *WALStore {
 		t.Helper()
-		s := openTestWALStore(t, dir, WALStoreOptions{SyncWrites: true, SegmentBytes: 1 << 10})
+		s := openTestWALStore(t, dir, WALStoreOptions{SyncWrites: true, segmentBytes: 1 << 10})
 		if s.Syncs() != 0 || !dirPending(s) {
 			t.Fatalf("open: %d fsyncs, directory entry pending %v; want 0 and pending", s.Syncs(), dirPending(s))
 		}
