@@ -57,20 +57,23 @@ fmt-check:
 # Test step is -short, under which the loaded-path tests only print): bytes per
 # put on the write path, and what a replica allocates and the goroutines it
 # runs at rest.
-# The third is CI's fsync budgets, by count. The fourth fails when non-test
-# code outside storage.Staged type-asserts a staging interface, and the fifth
-# when non-test code above internal/storage calls a store's Set or Delete. The
-# sixth fuzzes RestoreChunk, the one decoder of snapshot bytes from peers, for
-# 10 s. bench/ is a nested module (bench/go.mod) that ./... does not descend
-# into; the seventh line notices a program change that breaks the benchmark's
-# build. The last prints what CI's Size step puts on the run's summary page
+# The third is CI's fsync budgets, by count, and a Start that waits on no
+# flush. The fourth fails when non-test code outside storage.Staged
+# type-asserts a staging interface, and the fifth when non-test code above
+# internal/storage calls a store's Set or Delete. The sixth fails when
+# internal/reconfig's non-test code names paxos beyond Options.Paxos and the
+# default engine factory built from it. The seventh fuzzes RestoreChunk, the
+# one decoder of snapshot bytes from peers, for 10 s. bench/ is a nested
+# module (bench/go.mod) that ./... does not descend into; the eighth line
+# notices a program change that breaks the benchmark's build. The last prints what CI's Size step puts on the run's summary page
 # and fails, as that step does, when an option struct exceeds its field bound.
 ci: vet build examples test race fmt-check
 	$(GO) test -run 'TestLoadedWritePathBytesPerOp' -count=1 ./internal/cluster/
 	$(GO) test -run 'TestReplicaConstructionAllocates|TestReplicaAtRestGoroutines' -count=1 ./internal/reconfig/
-	$(GO) test -run 'TestBootstrapFsyncBudget|TestWriteChunkedCommitFsyncBudget|TestDeleteChunkedFsyncBudget|TestOpenWALStoreCostsNoFsync|TestTransferFsyncBudget' -count=1 ./internal/reconfig/ ./internal/storage/
+	$(GO) test -run 'TestBootstrapFsyncBudget|TestStartWaitsOnNoDisk|TestWriteChunkedCommitFsyncBudget|TestDeleteChunkedFsyncBudget|TestOpenWALStoreCostsNoFsync|TestTransferFsyncBudget' -count=1 ./internal/reconfig/ ./internal/storage/
 	! grep -rnE '\.\((storage\.)?(BufferedStore|Stager)\)' --include='*.go' internal cmd examples | grep -v '_test.go:' | grep -v '^internal/storage/storage.go:'
 	! grep -rnE '\bstore\.(Set|Delete)\(|WriteChunkManifest\(' --include='*.go' internal cmd examples | grep -v '_test.go:' | grep -v '^internal/storage/'
+	! grep -nE 'paxos\.|"repro/internal/paxos"' $$(ls internal/reconfig/*.go | grep -v '_test\.go$$') | grep -vE '^internal/reconfig/node\.go:[0-9]+:[[:space:]]*(Paxos paxos\.Options|o\.engine = paxos\.Factory\(o\.Paxos\)|"repro/internal/paxos")$$'
 	$(GO) test -run '^$$' -fuzz '^FuzzSessionedRestoreChunk$$' -fuzztime 10s ./internal/statemachine/
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
 	scripts/size.sh

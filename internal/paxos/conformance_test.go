@@ -64,7 +64,7 @@ func factoryWithStore(netOpts transport.Options, newStore func(t *testing.T, id 
 	return func(t *testing.T, members []types.NodeID) smrtest.Cluster {
 		net := transport.NewNetwork(netOpts)
 		cfg := types.MustConfig(1, members...)
-		engines := make(map[types.NodeID]smr.Engine, len(members))
+		engines := make(map[types.NodeID]smr.Replica, len(members))
 		for _, id := range members {
 			// The conformance suite observes raw decisions, one per proposed
 			// command; batching would deliver CmdBatch envelopes (unpacked

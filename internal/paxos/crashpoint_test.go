@@ -155,8 +155,8 @@ func TestCrashPoints(t *testing.T) {
 					t.Fatalf("slot %d lost its records above the recovered floor %d", slot, floor)
 				}
 			}
-			if got, err := TruncatedFloor(st, uint64(r.cfg.ID)); err != nil || got != floor {
-				t.Fatalf("TruncatedFloor = %d, %v; the replica recovered %d", got, err, floor)
+			if got, err := (factory{}).Floor(st, uint64(r.cfg.ID)); err != nil || got != floor {
+				t.Fatalf("Floor = %d, %v; the replica recovered %d", got, err, floor)
 			}
 		}
 	}

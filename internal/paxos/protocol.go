@@ -438,9 +438,6 @@ func (r *Replica) maybeDecide(slot types.Slot, sp *slotProgress) {
 }
 
 func (r *Replica) stepDown() {
-	if r.role == roleLeader || r.role == roleCandidate {
-		r.stats.stepDowns.Add(1)
-	}
 	r.role = roleFollower
 	r.amLeader.Store(false)
 	// Re-queue inflight commands: a new leader may or may not choose
@@ -745,7 +742,6 @@ func (r *Replica) tick() {
 		r.catchupCooldown = 2
 		target := r.pickCatchupPeer()
 		if target != "" {
-			r.stats.catchups.Add(1)
 			req := catchupReqMsg{From: r.deliverNext, To: r.maxDecidedSeen}
 			r.send(target, KindCatchupReq, encodeCatchupReq(req))
 		}

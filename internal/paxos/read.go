@@ -151,7 +151,6 @@ func (r *Replica) maybeFinishProbe() {
 		return
 	}
 	r.curProbe = nil
-	r.stats.readRounds.Add(1)
 	for _, done := range pr.waiters {
 		done(pr.index, nil)
 	}

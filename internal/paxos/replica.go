@@ -85,32 +85,14 @@ type deferredSend struct {
 	payload []byte
 }
 
-// Stats are the engine's monotone counters, for the benchmark and tests.
+// Stats are the engine's counters, for tests: the ones every smr.Replica
+// reports, and this engine's own.
 type Stats struct {
+	smr.Counters
 	Decided             int64
 	Proposals           int64
 	Elections           int64
-	StepDowns           int64
-	CatchupRequests     int64
 	InvariantViolations int64
-	// DroppedInbound counts inbound protocol messages discarded because the
-	// inbox was full. The protocol tolerates loss, but a nonzero value means
-	// the event loop is saturated and peers are being ignored.
-	DroppedInbound int64
-	// ReadRounds counts completed read-index confirmation rounds; comparing
-	// it against served reads shows the probe batching factor.
-	ReadRounds int64
-	// TruncatedSlots counts log slots released by TruncateBelow over the
-	// replica's lifetime.
-	TruncatedSlots int64
-	// RetainedSlots is a gauge: decided log entries currently held in
-	// memory (and on disk). With checkpoints on it stays bounded by the
-	// checkpoint interval plus the truncation margin.
-	RetainedSlots int64
-	// GroupCommits counts event-loop bursts that ended in a group-commit
-	// Sync; comparing it against Decided shows the fsync amortization the
-	// pipeline achieves (see endBurst).
-	GroupCommits int64
 }
 
 // Replica is one member's engine instance for a single, fixed configuration.
@@ -158,8 +140,8 @@ type Replica struct {
 	amLeader   atomic.Bool
 
 	stats struct {
-		decided, proposals, elections, stepDowns, catchups, violations atomic.Int64
-		droppedInbound, readRounds, groupSyncs, truncated, retained    atomic.Int64
+		decided, proposals, elections, violations       atomic.Int64
+		droppedInbound, groupSyncs, truncated, retained atomic.Int64
 	}
 	lastDropWarn atomic.Int64 // unix nanos of the last overflow warning
 
@@ -227,7 +209,7 @@ type Replica struct {
 	electionFloor types.Slot
 }
 
-var _ smr.Engine = (*Replica)(nil)
+var _ smr.Replica = (*Replica)(nil)
 
 // New constructs a replica of the static engine for cfg on node self.
 // The stream number isolates this instance's traffic on the shared endpoint;
@@ -426,23 +408,25 @@ func (r *Replica) Leader() (types.NodeID, bool) {
 	return hint, r.amLeader.Load()
 }
 
-// Config returns the fixed configuration this engine serves.
-func (r *Replica) Config() types.Config { return r.cfg.Clone() }
-
 // Stats returns a snapshot of the engine's counters.
 func (r *Replica) Stats() Stats {
 	return Stats{
+		Counters:            r.Counters(),
 		Decided:             r.stats.decided.Load(),
 		Proposals:           r.stats.proposals.Load(),
 		Elections:           r.stats.elections.Load(),
-		StepDowns:           r.stats.stepDowns.Load(),
-		CatchupRequests:     r.stats.catchups.Load(),
 		InvariantViolations: r.stats.violations.Load(),
-		DroppedInbound:      r.stats.droppedInbound.Load(),
-		ReadRounds:          r.stats.readRounds.Load(),
-		GroupCommits:        r.stats.groupSyncs.Load(),
-		TruncatedSlots:      r.stats.truncated.Load(),
-		RetainedSlots:       r.stats.retained.Load(),
+	}
+}
+
+// Counters implements smr.Replica. GroupCommits against Stats.Decided shows
+// the fsync amortization the pipeline achieves (see endBurst).
+func (r *Replica) Counters() smr.Counters {
+	return smr.Counters{
+		DroppedInbound: r.stats.droppedInbound.Load(),
+		GroupCommits:   r.stats.groupSyncs.Load(),
+		TruncatedSlots: r.stats.truncated.Load(),
+		RetainedSlots:  r.stats.retained.Load(),
 	}
 }
 
@@ -668,30 +652,12 @@ func (r *Replica) resetElectionDeadline() {
 
 // --- log truncation & progress ---------------------------------------------
 
-// Progress is an O(1), lock-free snapshot of the engine's log frontier. The
-// composition layer's housekeeping reads it to decide in one probe whether
-// this member is lagging far enough to fetch a checkpoint instead of walking
-// the gap slot by slot.
-type Progress struct {
-	// Delivered is the highest contiguously decided slot handed to the
-	// application.
-	Delivered types.Slot
-	// MaxDecidedSeen is the highest slot known to be decided anywhere
-	// (from heartbeats, promises and catch-up responses), so
-	// MaxDecidedSeen - Delivered is the decision gap.
-	MaxDecidedSeen types.Slot
-	// TruncatedBelow is the local truncation floor: slots <= it have been
-	// released and cannot be served or re-voted.
-	TruncatedBelow types.Slot
-	// CheckpointNeeded reports that a peer redirected a catch-up request
-	// below its truncation floor: the missing prefix no longer exists in
-	// any reachable log and only a checkpoint install can fill it.
-	CheckpointNeeded bool
-}
-
-// Progress returns the current frontier snapshot. Safe from any goroutine.
-func (r *Replica) Progress() Progress {
-	return Progress{
+// Progress implements smr.Replica: an O(1), lock-free read of atomic
+// mirrors. MaxDecidedSeen comes from heartbeats, promises and catch-up
+// responses; CheckpointNeeded is raised when a peer redirects a catch-up
+// request below its truncation floor.
+func (r *Replica) Progress() smr.Progress {
+	return smr.Progress{
 		Delivered:        types.Slot(r.progDelivered.Load()),
 		MaxDecidedSeen:   types.Slot(r.progMaxSeen.Load()),
 		TruncatedBelow:   types.Slot(r.progTrunc.Load()),
@@ -833,11 +799,25 @@ func (r *Replica) persistTruncated() {
 	}
 }
 
-// TruncatedFloor reads the persisted truncation floor of a stream without
-// instantiating a replica — a recovery-planning helper for the composition
-// layer (a corrupt snapshot can only fall back to full log replay when the
-// log still starts at slot 1).
-func TruncatedFloor(store storage.Store, stream uint64) (types.Slot, error) {
+// Factory returns the smr.Factory of replicas built with opts.
+func Factory(opts Options) smr.Factory { return factory(opts) }
+
+type factory Options
+
+// New implements smr.Factory.
+func (f factory) New(cfg types.Config, self types.NodeID, ep *transport.Endpoint, store storage.Store, stream uint64) (smr.Replica, error) {
+	r, err := New(cfg, self, ep, store, stream, Options(f))
+	if err != nil {
+		return nil, err // not a nil *Replica in a non-nil interface
+	}
+	return r, nil
+}
+
+// Floor reads the persisted truncation floor of a stream without
+// instantiating a replica: one store Get. The composition layer plans
+// recovery with it (a corrupt snapshot can only fall back to full log replay
+// when the log still starts at slot 1).
+func (factory) Floor(store storage.Store, stream uint64) (types.Slot, error) {
 	raw, ok, err := store.Get(fmt.Sprintf("pxs/%d/", stream) + "trunc")
 	if err != nil || !ok {
 		return 0, err

@@ -113,7 +113,7 @@ func TestTruncatedSlotRedirect(t *testing.T) {
 
 // TestTruncationFloorSurvivesRestart: the floor is durable, recovery resumes
 // delivery above it instead of resurrecting released slots, and the
-// standalone TruncatedFloor helper reads it back without a replica.
+// factory's Floor reads it back without a replica.
 func TestTruncationFloorSurvivesRestart(t *testing.T) {
 	tc := newTestCluster(t, 1, transport.Options{})
 	tc.waitForLeader(2 * time.Second)
@@ -132,15 +132,15 @@ func TestTruncationFloorSurvivesRestart(t *testing.T) {
 	}, "truncation", 2*time.Second)
 	tc.reps["n1"].Stop()
 
-	got, err := TruncatedFloor(tc.stores["n1"], uint64(tc.cfg.ID))
+	got, err := factory{}.Floor(tc.stores["n1"], uint64(tc.cfg.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != floor {
-		t.Fatalf("TruncatedFloor = %d, want %d", got, floor)
+		t.Fatalf("Floor = %d, want %d", got, floor)
 	}
-	if other, err := TruncatedFloor(tc.stores["n1"], 999); err != nil || other != 0 {
-		t.Fatalf("TruncatedFloor of unknown stream = %d, %v; want 0, nil", other, err)
+	if other, err := (factory{}).Floor(tc.stores["n1"], 999); err != nil || other != 0 {
+		t.Fatalf("Floor of unknown stream = %d, %v; want 0, nil", other, err)
 	}
 
 	// Reboot over the same store: the recovered replica redelivers only the

@@ -5,7 +5,7 @@ package reconfig
 // The snapshot itself moves through the one pipeline in xfer.go — a
 // checkpoint is a snapshot of the current configuration with base > 0.
 //
-// A configuration that lives long enough accumulates an unbounded paxos log
+// A configuration that lives long enough accumulates an unbounded engine log
 // and forces a restarted or lagging member to replay it slot by slot. The
 // producer periodically forks a copy-on-write snapshot of the machine at
 // applied slot S (O(shards) under the node mutex, like the wedge capture) and
@@ -21,7 +21,8 @@ package reconfig
 // the checkpoint fetchable — a laggard must find the state somewhere after
 // the log stops serving it. Slots at or below any member's base were applied
 // there, hence globally chosen, which is what makes the engine-level
-// truncation floor safe to exchange in promises (see paxos/protocol.go).
+// truncation floor safe for an engine to act on (static Paxos exchanges it
+// in promises).
 
 import (
 	"context"

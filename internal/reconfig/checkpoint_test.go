@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/paxos"
 	"repro/internal/statemachine"
 	"repro/internal/storage"
 	"repro/internal/transport"
@@ -265,7 +264,7 @@ func TestStartRefusesSnapshotBelowEngineFloor(t *testing.T) {
 
 	// Run on until n3's engine has released its log past that base.
 	floor := func() types.Slot {
-		f, err := paxos.TruncatedFloor(st, 1)
+		f, err := w.opts.withDefaults().engine.Floor(st, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,8 @@
 // Package reconfig implements the paper's contribution: a fully
 // reconfigurable state machine replication service composed from a chain of
-// static, non-reconfigurable SMR engines (internal/paxos), used strictly as
-// black boxes.
+// static, non-reconfigurable SMR engines, used strictly as black boxes through
+// the internal/smr contract (smr.Replica, built by an smr.Factory; static
+// Paxos, internal/paxos, by default).
 //
 // Each configuration C_i runs its own engine. A reconfiguration is an
 // ordinary command in C_i's log; deciding it wedges C_i at that slot,

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/paxos"
 	"repro/internal/rpc"
 	"repro/internal/statemachine"
 	"repro/internal/transport"
@@ -51,7 +52,7 @@ func TestSubmitsPassParkedControlOp(t *testing.T) {
 	proposals := func() int64 {
 		n1.mu.Lock()
 		defer n1.mu.Unlock()
-		return n1.engines[n1.curID].eng.Stats().Proposals
+		return n1.engines[n1.curID].eng.(*paxos.Replica).Stats().Proposals
 	}
 	before := proposals()
 	ctx, cancel := context.WithCancel(context.Background())

@@ -300,6 +300,16 @@ type linRun struct {
 	ckptInterval int      // checkpoint producer interval override (0 keeps the 4096 default)
 	ckptMargin   int      // retained-slot margin below the quorum checkpoint base
 	catchupGap   int      // decision gap that triggers checkpoint catch-up
+	ideal        bool     // run over the ideal engine (ideal_test.go) instead of static Paxos
+}
+
+// onBothEngines runs one cell over static Paxos and over the ideal engine; a
+// failure only in the ideal arm is a composition bug, not an engine bug.
+func onBothEngines(t *testing.T, run linRun) {
+	paxosRun, idealRun := run, run
+	idealRun.ideal = true
+	t.Run("paxos", func(t *testing.T) { runLin(t, paxosRun) })
+	t.Run("ideal", func(t *testing.T) { runLin(t, idealRun) })
 }
 
 func runLin(t *testing.T, run linRun) {
@@ -317,6 +327,9 @@ func runLin(t *testing.T, run linRun) {
 		w.opts.checkpointInterval = run.ckptInterval
 		w.opts.checkpointMargin = run.ckptMargin
 		w.opts.catchupGapSlots = run.catchupGap
+	}
+	if run.ideal {
+		w.opts.engine = newIdealEngines(seed)
 	}
 	w.powerLoss = run.powerLoss
 	if run.useWAL {
@@ -420,14 +433,14 @@ func runLin(t *testing.T, run linRun) {
 			node.mu.Lock()
 			var engs []string
 			for eid, run := range node.engines {
-				es := run.eng.Stats()
+				p, es := run.eng.Progress(), run.eng.Counters()
 				ldr, isLdr := run.eng.Leader()
-				engs = append(engs, fmt.Sprintf("cfg%d:{buffered=%d leader=%s(%v) decided=%d props=%d elections=%d stepdowns=%d dropped=%d}",
-					eid, len(run.buffered), ldr, isLdr, es.Decided, es.Proposals, es.Elections, es.StepDowns, es.DroppedInbound))
+				engs = append(engs, fmt.Sprintf("cfg%d:{buffered=%d leader=%s(%v) delivered=%d seen=%d trunc=%d ckpt=%v dropped=%d}",
+					eid, len(run.buffered), ldr, isLdr, p.Delivered, p.MaxDecidedSeen, p.TruncatedBelow, p.CheckpointNeeded, es.DroppedInbound))
 			}
-			t.Logf("node %s: curID=%d init=%v applied=%d epoch=%d pending=%d waiters=%d parked=%d engines=%v stats={applied:%d viol:%d stale:%d wedges:%d resub:%d}",
+			t.Logf("node %s: curID=%d init=%v applied=%d epoch=%d pending=%d waiters=%d engines=%v stats={applied:%d viol:%d stale:%d wedges:%d resub:%d}",
 				id, node.curID, node.initialized, node.appliedSlot, node.epoch,
-				len(node.pending), len(node.readWaiters), node.parkedLocked(), engs,
+				len(node.pending), len(node.readWaiters), engs,
 				node.stats.Applied, node.stats.InvariantViolations, node.stats.StaleJumps,
 				node.stats.Wedges, node.stats.Resubmits)
 			node.mu.Unlock()
@@ -494,6 +507,17 @@ func runLin(t *testing.T, run linRun) {
 			t.Fatalf("checkpoint churn cell released no log slots; seed %d", seed)
 		}
 	}
+	var jumps, fetches int64
+	for _, id := range pool {
+		if n := w.node(id); n != nil {
+			s := n.Stats()
+			jumps, fetches = jumps+s.StaleJumps, fetches+s.CatchupFetches
+		}
+	}
+	t.Logf("transitions: stale-jumps=%d catchup-fetches=%d", jumps, fetches)
+	if f, ok := w.opts.engine.(*idealEngines); ok {
+		t.Logf("ideal adversary: %d wedges held back, %d members cut off", f.held.Load(), f.cutOff.Load())
+	}
 	w.checkNoViolations()
 }
 
@@ -518,7 +542,7 @@ func TestLinearizabilityCounterUnderCrashes(t *testing.T) {
 }
 
 func TestLinearizabilityBankUnderReconfigChurn(t *testing.T) {
-	runLin(t, linRun{
+	onBothEngines(t, linRun{
 		workload:     bankWorkload(),
 		kinds:        []nemesis.Kind{nemesis.KindReconfigure, nemesis.KindPartition},
 		seed:         303,
@@ -646,7 +670,7 @@ func TestLinearizabilityWriteHeavyBank(t *testing.T) {
 // base index, or any double-apply after a crashed speculative phase is a
 // linearizability counterexample here.
 func TestLinearizabilitySpeculativeReconfig(t *testing.T) {
-	runLin(t, linRun{
+	onBothEngines(t, linRun{
 		workload:     kvWorkload(),
 		kinds:        []nemesis.Kind{nemesis.KindReconfigure, nemesis.KindCrashRestart},
 		seed:         1212,
@@ -682,7 +706,7 @@ func TestLinearizabilitySpeculativeReconfigBank(t *testing.T) {
 // install, a lost op inside the released log span, or a reply served from a
 // half-installed snapshot is a linearizability counterexample here.
 func TestLinearizabilityCheckpointChurn(t *testing.T) {
-	runLin(t, linRun{
+	onBothEngines(t, linRun{
 		workload:     kvWorkload(),
 		kinds:        []nemesis.Kind{nemesis.KindReconfigure, nemesis.KindCrashRestart, nemesis.KindIsolate},
 		seed:         1414,

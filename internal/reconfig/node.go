@@ -24,8 +24,9 @@ import (
 // chooses its value; the other knobs are unexported, fixed for every program
 // and set only by this package's own tests.
 type Options struct {
-	// Paxos configures every static engine this node runs. Exported because
-	// cluster.FastOptions (and through it the benchmark) sets its tick.
+	// Paxos configures the default engine, static Paxos, for every
+	// configuration this node runs. Exported because cluster.FastOptions
+	// (and through it the benchmark) sets its tick.
 	Paxos paxos.Options
 	// SpeculativeStart controls whether a successor engine boots while the
 	// snapshot is still in flight (the paper's §1 speculative start: the
@@ -77,6 +78,10 @@ type Options struct {
 	// checkpoint catch-up rather than unbounded memory growth. Default
 	// 16384.
 	decisionBuffer int
+	// engine builds every configuration's static engine and reads its
+	// persisted floor; the node drives engines through smr alone. Default:
+	// Paxos built with the Paxos field. Tests set another engine here.
+	engine smr.Factory
 }
 
 // SpecMode selects the successor engine start policy. The zero value is
@@ -138,6 +143,9 @@ func (o Options) withDefaults() Options {
 	if o.SpeculativeStart == SpecDefault {
 		o.SpeculativeStart = SpecOn
 	}
+	if o.engine == nil {
+		o.engine = paxos.Factory(o.Paxos)
+	}
 	return o
 }
 
@@ -186,7 +194,7 @@ type pendingCmd struct {
 type engineRun struct {
 	id       types.ConfigID
 	cfg      types.Config
-	eng      *paxos.Replica
+	eng      smr.Replica
 	buffered []smr.Decision // decisions held until this config activates
 	// droppedBelow is the highest parked decision slot the bounded buffer
 	// dropped (Options.decisionBuffer): slots at or below it can no longer
@@ -214,8 +222,7 @@ type NodeStats struct {
 	ReadFallbacks        int64 // fast-path reads that fell back to the log
 	ReadFenced           int64 // fast-path reads refused by wedge fencing
 	DroppedInbound       int64 // engine inbox overflows, summed over engines
-	ApplyQueueDepth      int64 // decisions parked and not yet applied right now, summed over engines
-	ApplyQueueHighWater  int64 // max observed ApplyQueueDepth
+	ApplyQueueHighWater  int64 // max observed count of decisions parked and not yet applied, summed over engines
 	ApplyStalls          int64 // always 0: nothing between an engine and the apply stage waits; it stays only because the benchmark module (bench/) reads it
 	GroupCommits         int64 // engine bursts ending in a group-commit Sync, summed
 	SpeculativeDecides   int64 // decisions learned for a configuration before its snapshot installed
@@ -416,7 +423,7 @@ func (n *Node) Start() error {
 		// Otherwise replay cannot start at 1: stay uninitialized and
 		// refetch the newest checkpoint from peers.
 		log.Printf("reconfig: %s snapshot of cfg %d unreadable (%v); falling back", n.self, cur, err)
-		floor, ferr := paxos.TruncatedFloor(n.store, uint64(cur))
+		floor, ferr := n.opts.engine.Floor(n.store, uint64(cur))
 		n.mu.Lock()
 		n.initialized = ferr == nil && floor == 0 && n.initConfig.ID != 0 && cur == n.initConfig.ID
 		n.mu.Unlock()
@@ -427,7 +434,7 @@ func (n *Node) Start() error {
 		// A checkpoint's base is announced once installed, so whatever an
 		// earlier run staged of it is made durable first; a base-0 snapshot
 		// announces nothing, and a boot waits on no disk for it.
-		if floor, _ := paxos.TruncatedFloor(n.store, uint64(cur)); m.Base >= floor && (m.Base == 0 || n.store.Sync() == nil) {
+		if floor, _ := n.opts.engine.Floor(n.store, uint64(cur)); m.Base >= floor && (m.Base == 0 || n.store.Sync() == nil) {
 			n.install(cur, m, chunks)
 		}
 	}
@@ -435,7 +442,7 @@ func (n *Node) Start() error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	// Start the engine even when the snapshot is not yet installed: the
-	// paxos substrate needs no application state to vote, accept or decide
+	// engine needs no application state to vote, accept or decide
 	// (speculative start); its accepted/decided records are durable in
 	// their own right, so slots decided before a crash mid-transfer are
 	// redelivered here and park until the install.
@@ -538,7 +545,7 @@ func (n *Node) ensureEngineLocked(id types.ConfigID) error {
 	if !cfg.IsMember(n.self) {
 		return nil
 	}
-	eng, err := paxos.New(cfg, n.self, n.ep, n.store, uint64(id), n.opts.Paxos)
+	eng, err := n.opts.engine.New(cfg, n.self, n.ep, n.store, uint64(id))
 	if err != nil {
 		return err
 	}
@@ -568,7 +575,11 @@ func (n *Node) consumeEngine(run *engineRun) {
 		for range len(decs) {
 			n.routeDecisionLocked(run.id, <-decs)
 		}
-		n.stats.ApplyQueueHighWater = max(n.stats.ApplyQueueHighWater, n.parkedLocked())
+		var parked int64 // decisions parked and not yet applied, summed over engines
+		for _, r := range n.engines {
+			parked += int64(len(r.buffered))
+		}
+		n.stats.ApplyQueueHighWater = max(n.stats.ApplyQueueHighWater, parked)
 		n.mu.Unlock()
 		n.kickApply()
 	}
@@ -581,16 +592,6 @@ func (n *Node) kickApply() {
 	case n.pumpCh <- struct{}{}:
 	default:
 	}
-}
-
-// parkedLocked is the number of decisions parked and not yet applied, summed
-// over engines.
-func (n *Node) parkedLocked() int64 {
-	var parked int64
-	for _, run := range n.engines {
-		parked += int64(len(run.buffered))
-	}
-	return parked
 }
 
 // warnShed logs at most once per second that admission control is shedding
@@ -701,13 +702,12 @@ func (n *Node) Stats() NodeStats {
 	defer n.mu.Unlock()
 	out := n.stats
 	for _, run := range n.engines {
-		es := run.eng.Stats()
+		es := run.eng.Counters()
 		out.DroppedInbound += es.DroppedInbound
 		out.GroupCommits += es.GroupCommits
 		out.TruncatedSlots += es.TruncatedSlots
 		out.RetainedSlots += es.RetainedSlots
 	}
-	out.ApplyQueueDepth = n.parkedLocked()
 	out.SubmitQueueDepth = int64(len(n.pending))
 	if n.ckptCfg == n.curID {
 		out.CheckpointBase = int64(n.ckptSelfBase)

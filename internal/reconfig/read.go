@@ -3,8 +3,8 @@ package reconfig
 import "repro/internal/types"
 
 // This file is the composition half of the linearizable read fast path.
-// The engine half (internal/paxos/read.go) confirms leadership and yields a
-// read index; this half decides whether the node may answer at all.
+// The engine half (smr.ReadIndexer; for static Paxos, internal/paxos/read.go)
+// yields a read index; this half decides whether the node may answer at all.
 //
 // The correctness core is fencing: a read is served under the configuration
 // it was classified in (readCfg), and it must be refused the moment that

@@ -938,8 +938,8 @@ func TestNodeOnDiskRestartAfterReconfigure(t *testing.T) {
 }
 
 // The defaults a zero Options normalizes to, pinned: the benchmark and every
-// deployment preset lean on them, and the queue bounds and timings that
-// stopped being fields must keep the values they had.
+// deployment preset lean on them, the queue bounds and timings that stopped
+// being fields must keep the values they had, and the engine is static Paxos.
 func TestOptionsDefaults(t *testing.T) {
 	want := Options{
 		SpeculativeStart:   SpecOn,
@@ -948,6 +948,7 @@ func TestOptionsDefaults(t *testing.T) {
 		checkpointMargin:   512,
 		catchupGapSlots:    8192,
 		decisionBuffer:     16384,
+		engine:             paxos.Factory(paxos.Options{}),
 	}
 	if got := (Options{}).withDefaults(); got != want {
 		t.Fatalf("zero Options normalizes to\n%+v, want\n%+v", got, want)

@@ -128,6 +128,66 @@ func TestStuckFsyncLeavesNodeAnswering(t *testing.T) {
 	w.submit("n1", "c1", 2, statemachine.EncodePut("k", []byte("v2")))
 }
 
+// TestStartWaitsOnNoDisk holds every flush shut from the moment Bootstrap
+// stages rc/init. The Start of three bootstrapped base-0 members, and of one
+// of them restarted from its base-0 store, must return all the same: a boot
+// waits on no barrier (an engine's first one waits on its own goroutine).
+func TestStartWaitsOnNoDisk(t *testing.T) {
+	w := newWorld(t, transport.Options{BaseLatency: 100 * time.Microsecond, Seed: 43})
+	var held []*stuckStore
+	shut := func(mem *storage.MemStore) *stuckStore {
+		s := &stuckStore{MemStore: mem, trigger: "rc/init", open: make(chan struct{})}
+		held = append(held, s)
+		return s
+	}
+	openAll := func() {
+		for _, s := range held {
+			if s.shut.Swap(false) {
+				close(s.open)
+			}
+		}
+	}
+	t.Cleanup(openAll) // before the world stops its nodes, whose engines may wait on a flush
+	w.newStore = func(types.NodeID) storage.Store { return shut(storage.NewMem()) }
+	start := func(n *Node) {
+		done := make(chan error, 1)
+		go func() { done <- n.Start() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: Start waited on a held flush", n.Self())
+		}
+	}
+
+	members := []types.NodeID{"n1", "n2", "n3"}
+	for _, id := range members {
+		if err := w.startNode(id, statemachine.NewKVMachine).Bootstrap(types.MustConfig(1, members...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, id := range members {
+		if !held[i].shut.Load() {
+			t.Fatalf("%s: Bootstrap staged no rc/init", id)
+		}
+		start(w.node(id))
+	}
+	openAll()
+	w.waitServing(members...)
+
+	w.stopNode("n1")
+	w.mu.Lock()
+	s := shut(w.stores["n1"].(*stuckStore).MemStore)
+	s.shut.Store(true)
+	w.stores["n1"] = s
+	w.mu.Unlock()
+	start(w.startNode("n1", statemachine.NewKVMachine))
+	openAll()
+	w.submit("n1", "c1", 1, statemachine.EncodePut("k", []byte("v")))
+}
+
 // probeStore counts, on a WAL store, the durable writes and barriers its
 // node's snapshot transfer makes, and every one made while the node's mutex
 // is held. A write to a key outside rc/ — the engine's first, after the

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/paxos"
 	"repro/internal/statemachine"
 	"repro/internal/storage"
 	"repro/internal/types"
@@ -327,7 +326,7 @@ func (n *Node) runTransfer(id types.ConfigID) {
 			// A member that lost its snapshot but not its log (torn manifest)
 			// has an engine that already released every slot up to its durable
 			// floor: an older base would leave a hole nothing can redeliver.
-			least, _ = paxos.TruncatedFloor(n.store, uint64(id))
+			least, _ = n.opts.engine.Floor(n.store, uint64(id))
 		}
 
 		progress := false

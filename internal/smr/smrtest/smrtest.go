@@ -1,9 +1,9 @@
-// Package smrtest is a conformance suite for smr.Engine implementations: the
+// Package smrtest is a conformance suite for smr.Replica implementations: the
 // observable contract the composition layer relies on — gap-free in-order
 // decision delivery, agreement across replicas, progress from any proposer,
-// an engine that a stalled consumer does not stall, and clean stop semantics
-// — stated once, independent of any engine's internals. The static Paxos
-// building block's tests invoke Run with a builder.
+// an engine that a stalled consumer does not stall, clean stop semantics, and
+// the checkpoint hooks (SkipTo, TruncateBelow) — stated once, independent of
+// any engine's internals. Every engine's tests invoke Run with a builder.
 package smrtest
 
 import (
@@ -20,7 +20,7 @@ import (
 
 // Cluster is one running engine group under test.
 type Cluster struct {
-	Engines map[types.NodeID]smr.Engine
+	Engines map[types.NodeID]smr.Replica
 	Network *transport.Network
 	Cleanup func()
 }
@@ -35,6 +35,8 @@ func Run(t *testing.T, build Builder) {
 	t.Run("StopSemantics", func(t *testing.T) { runStopSemantics(t, build) })
 	t.Run("ProgressAfterLeaderIsolation", func(t *testing.T) { runLeaderIsolation(t, build) })
 	t.Run("StalledConsumer", func(t *testing.T) { runStalledConsumer(t, build) })
+	t.Run("SkipToResumesAboveBase", func(t *testing.T) { runSkipTo(t, build) })
+	t.Run("TruncateNeverPassesDelivered", func(t *testing.T) { runTruncateClamp(t, build) })
 }
 
 type collector struct {
@@ -179,7 +181,8 @@ func runSingleNodeOrdering(t *testing.T, build Builder) {
 	for i := 1; i <= 15; i++ {
 		proposeRetry(t, c.Engines["n1"], appCmd("c", uint64(i)))
 	}
-	waitFor(t, func() bool { return col.appCount("n1") >= 15 }, "15 decisions", 10*time.Second)
+	seq := uint64(15) // the burst, then fresh commands for any it lost
+	decideUntil(t, c.Engines["n1"], col, &seq, 15)
 	col.verify(t)
 }
 
@@ -234,12 +237,12 @@ func runStopSemantics(t *testing.T, build Builder) {
 	c := build(t, []types.NodeID{"n1"})
 	eng := c.Engines["n1"]
 	col := collect(&c)
-	proposeRetry(t, eng, appCmd("c", 1))
-	waitFor(t, func() bool { return col.appCount("n1") >= 1 }, "one decision", 10*time.Second)
+	var seq uint64
+	decideUntil(t, eng, col, &seq, 1)
 
 	eng.Stop()
 	eng.Stop() // idempotent
-	if err := eng.Propose(appCmd("c", 2)); err != smr.ErrStopped {
+	if err := eng.Propose(appCmd("c", seq+1)); err != smr.ErrStopped {
 		t.Fatalf("Propose after Stop: %v", err)
 	}
 	// The decision channel must close (the collector goroutine exits).
@@ -259,8 +262,8 @@ func runLeaderIsolation(t *testing.T, build Builder) {
 	defer c.Cleanup()
 	col := collect(&c)
 
-	proposeRetry(t, c.Engines["n1"], appCmd("c", 1))
-	waitFor(t, func() bool { return col.appCount("n1") >= 1 }, "initial decision", 10*time.Second)
+	var seq uint64
+	decideUntil(t, c.Engines["n1"], col, &seq, 1)
 
 	// Find the leader and cut it off.
 	var leader types.NodeID
@@ -283,9 +286,10 @@ func runLeaderIsolation(t *testing.T, build Builder) {
 		}
 	}
 	// Keep proposing through a survivor until the new regime commits it.
+	after := appCmd("c", seq+1)
 	waitFor(t, func() bool {
-		_ = c.Engines[survivor].Propose(appCmd("c", 2))
-		return col.appCount(survivor) >= 2
+		_ = c.Engines[survivor].Propose(after)
+		return col.appSeen(survivor)[appKey{after.Client, after.Seq}]
 	}, "post-isolation decision", 20*time.Second)
 	col.verify(t)
 }
@@ -340,5 +344,84 @@ func runStalledConsumer(t *testing.T, build Builder) {
 	held = false
 	gate.Unlock()
 	waitFor(t, func() bool { return len(col.appSeen(stalled)) == stallGap }, "the stalled consumer's backlog", 20*time.Second)
+	col.verify(t)
+}
+
+// decideUntil proposes fresh commands through n1, numbered after *seq, until
+// its consumer has n of them: a lost proposal (smr.Engine.Propose may lose
+// one) is replaced by the next.
+func decideUntil(t *testing.T, eng smr.Engine, col *collector, seq *uint64, n int) {
+	waitFor(t, func() bool {
+		if col.appCount("n1") >= n {
+			return true
+		}
+		*seq++
+		_ = eng.Propose(appCmd("c", *seq))
+		return false
+	}, fmt.Sprintf("%d decisions", n), 10*time.Second)
+}
+
+// runSkipTo installs a checkpoint base ten slots above what n1 delivered, as
+// a lagging member does after a checkpoint fetch. Delivery must resume at
+// base+1 and go on gap-free: n1's decisions are 1..k, then base+1, base+2,
+// ..., with k <= base. The install clears CheckpointNeeded.
+func runSkipTo(t *testing.T, build Builder) {
+	c := build(t, []types.NodeID{"n1"})
+	defer c.Cleanup()
+	eng := c.Engines["n1"]
+	col := collect(&c)
+	var seq uint64
+	decideUntil(t, eng, col, &seq, 5)
+	base := eng.Progress().Delivered + 10
+	eng.SkipTo(base)
+	waitFor(t, func() bool { return eng.Progress().Delivered >= base }, "the skip", 10*time.Second)
+	waitFor(t, func() bool {
+		seq++
+		_ = eng.Propose(appCmd("c", seq)) // a lost one is replaced by the next
+		col.mu.Lock()
+		defer col.mu.Unlock()
+		got := col.seq["n1"]
+		return got[len(got)-1].Slot >= base+3
+	}, "decisions above the base", 10*time.Second)
+	col.mu.Lock()
+	got := col.seq["n1"]
+	col.mu.Unlock()
+	jumped := false
+	for i := 1; i < len(got); i++ {
+		prev, slot := got[i-1].Slot, got[i].Slot
+		switch {
+		case slot == prev+1:
+		case !jumped && prev <= base && slot == base+1:
+			jumped = true
+		default:
+			t.Fatalf("slot %d after %d (SkipTo(%d))", slot, prev, base)
+		}
+	}
+	if p := eng.Progress(); p.CheckpointNeeded {
+		t.Fatalf("CheckpointNeeded still set after SkipTo: %+v", p)
+	}
+}
+
+// runTruncateClamp asks n1 to truncate far above its delivered prefix. The
+// floor must stop at that prefix, release exactly the slots under it, and
+// leave delivery going on from there with no gap.
+func runTruncateClamp(t *testing.T, build Builder) {
+	c := build(t, []types.NodeID{"n1"})
+	defer c.Cleanup()
+	eng := c.Engines["n1"]
+	col := collect(&c)
+	var seq uint64
+	decideUntil(t, eng, col, &seq, 5)
+	delivered := eng.Progress().Delivered
+	eng.TruncateBelow(delivered + 100)
+	waitFor(t, func() bool { return eng.Progress().TruncatedBelow > 0 }, "the truncation", 10*time.Second)
+	p := eng.Progress()
+	if p.TruncatedBelow < delivered || p.TruncatedBelow > p.Delivered {
+		t.Fatalf("floor %d, want within the delivered prefix [%d, %d]", p.TruncatedBelow, delivered, p.Delivered)
+	}
+	if n := eng.Counters().TruncatedSlots; n != int64(p.TruncatedBelow) {
+		t.Fatalf("%d slots released under a floor of %d", n, p.TruncatedBelow)
+	}
+	decideUntil(t, eng, col, &seq, col.appCount("n1")+1)
 	col.verify(t)
 }
