@@ -181,17 +181,15 @@ func (d *Directory) KnownConfig() types.Config {
 	return d.cfg.Clone()
 }
 
-// nextTarget picks where to send the next attempt: the cached leader if it
-// is still a member (used once; a failure falls back to rotation), else
-// round-robin over the cached configuration, else the seeds — starting at the
-// first, the member that campaigns first.
+// nextTarget picks where to send the next attempt: the cached leader while it
+// is a member and no attempt to it has missed, else round-robin over the
+// cached configuration, else the seeds — starting at the first, the member
+// that campaigns first.
 func (d *Directory) nextTarget() types.NodeID {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.leader != "" && d.cfg.IsMember(d.leader) {
-		lead := d.leader
-		d.leader = ""
-		return lead
+		return d.leader
 	}
 	pool := d.cfg.Members
 	if len(pool) == 0 {
@@ -203,6 +201,17 @@ func (d *Directory) nextTarget() types.NodeID {
 	t := pool[d.rr%len(pool)]
 	d.rr++
 	return t
+}
+
+// miss records that an attempt to target failed or was refused: a leader
+// hint naming target is dropped, so the next attempt rotates (unless the
+// reply, if any, names a leader of its own, which observe then caches).
+func (d *Directory) miss(target types.NodeID) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.leader == target {
+		d.leader = ""
+	}
 }
 
 // observe folds hints from a reply into the shared cache. Adoption is
@@ -336,9 +345,14 @@ func (c *Client) SubmitSeq(ctx context.Context, seq uint64, op []byte) ([]byte, 
 		resp, err := c.peer().CallWithin(ctx, target, req, resend, c.opts.AttemptTimeout)
 		if err != nil {
 			maybeApplied = true // the command may have reached the node
+			c.dir.miss(target)
 		} else if res, derr := reconfig.DecodeSubmitResult(resp); derr != nil {
 			maybeApplied = true
+			c.dir.miss(target)
 		} else {
+			if res.Status != reconfig.SubmitApplied {
+				c.dir.miss(target)
+			}
 			c.dir.observe(res.Config, res.Leader)
 			switch res.Status {
 			case reconfig.SubmitApplied:
@@ -413,7 +427,8 @@ func (c *Client) ReadSeq(ctx context.Context, seq uint64, op []byte) ([]byte, er
 	return reply, err
 }
 
-// Locate queries any reachable node for the current configuration.
+// Locate queries any reachable node for the current configuration, skipping
+// one that reports a configuration older than the directory's.
 func (c *Client) Locate(ctx context.Context) (types.Config, error) {
 	req := reconfig.EncodeLocateRequest()
 	for attempt := 1; ; attempt++ {
@@ -423,11 +438,12 @@ func (c *Client) Locate(ctx context.Context) (types.Config, error) {
 		}
 		resp, err := c.peer().CallWithin(ctx, target, req, resend, c.opts.AttemptTimeout)
 		if err == nil {
-			if res, derr := reconfig.DecodeLocateResult(resp); derr == nil && res.Config.ID != 0 {
+			if res, derr := reconfig.DecodeLocateResult(resp); derr == nil && res.Config.ID != 0 && res.Config.ID >= c.dir.KnownConfig().ID {
 				c.dir.observe(res.Config, res.Leader)
 				return res.Config, nil
 			}
 		}
+		c.dir.miss(target)
 		select {
 		case <-ctx.Done():
 			return types.Config{}, ctx.Err()
@@ -456,6 +472,7 @@ func (c *Client) Reconfigure(ctx context.Context, members []types.NodeID) (types
 				// Not-serving nodes report a reason; rotate and retry.
 			}
 		}
+		c.dir.miss(target)
 		select {
 		case <-ctx.Done():
 			return types.Config{}, ctx.Err()
@@ -464,7 +481,9 @@ func (c *Client) Reconfigure(ctx context.Context, members []types.NodeID) (types
 	}
 }
 
-// Chain fetches the configuration chain from any reachable node.
+// Chain fetches the configuration chain from any reachable node that knows at
+// least the configuration the directory does: a node that has not yet heard
+// of the latest reconfiguration is skipped.
 func (c *Client) Chain(ctx context.Context) (reconfig.ChainResult, error) {
 	req := reconfig.EncodeChainRequest()
 	for attempt := 1; ; attempt++ {
@@ -475,9 +494,16 @@ func (c *Client) Chain(ctx context.Context) (reconfig.ChainResult, error) {
 		resp, err := c.peer().CallWithin(ctx, target, req, resend, c.opts.AttemptTimeout)
 		if err == nil {
 			if res, derr := reconfig.DecodeChainResult(resp); derr == nil {
-				return res, nil
+				newest := res.Initial.ID // the records run in chain order
+				if k := len(res.Records); k > 0 {
+					newest = res.Records[k-1].To.ID
+				}
+				if newest >= c.dir.KnownConfig().ID {
+					return res, nil
+				}
 			}
 		}
+		c.dir.miss(target)
 		select {
 		case <-ctx.Done():
 			return reconfig.ChainResult{}, ctx.Err()

@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
@@ -69,6 +70,63 @@ func TestDirectoryTargetsFirstSeedFirst(t *testing.T) {
 	}
 	if want := []types.NodeID{"n1", "n2", "n3", "n1"}; !slices.Equal(got, want) {
 		t.Fatalf("targets %v, want %v", got, want)
+	}
+}
+
+// A leader hint stays until an attempt to that leader fails: after one
+// acknowledged reply naming n2, every session of the directory sends its
+// next attempts straight to n2 (no follower forwards them), and after a
+// failed attempt to n2 the next one rotates over the members.
+func TestDirectoryKeepsLeaderUntilAMiss(t *testing.T) {
+	net := transport.NewNetwork(transport.Options{})
+	defer net.Close()
+	cfg := types.MustConfig(1, "n1", "n2", "n3")
+	nodes := map[types.NodeID]*fakeNode{}
+	for _, id := range cfg.Members {
+		nodes[id] = newFakeNode(t, net, id, func(cmd types.Command) reconfig.SubmitResult {
+			return applied([]byte("ok"), cfg, "n2")
+		})
+	}
+	dir := NewDirectory(net.Endpoint("c"), []types.NodeID{"n1", "n2", "n3"})
+	defer dir.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := dir.Session("c0", Options{}).Submit(ctx, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+
+	const k, each = 8, 4
+	var wg sync.WaitGroup
+	for i := 0; i < k; i++ {
+		s := dir.Session(types.NodeID(fmt.Sprintf("s%d", i)), Options{})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < each; j++ {
+				if _, err := s.Submit(ctx, []byte("y")); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := nodes["n2"].submits.Load(); got != k*each {
+		t.Fatalf("the leader n2 received %d of %d submits (n1 %d, n3 %d): the hint was not kept",
+			got, k*each, nodes["n1"].submits.Load()-1, nodes["n3"].submits.Load())
+	}
+
+	dir.miss("n1") // a miss at another node leaves the hint alone
+	if got := dir.nextTarget(); got != "n2" {
+		t.Fatalf("after a miss at n1 the next target is %s, want the leader n2", got)
+	}
+	dir.miss("n2")
+	var got []types.NodeID
+	for i := 0; i < len(cfg.Members); i++ {
+		got = append(got, dir.nextTarget())
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, cfg.Members) {
+		t.Fatalf("after a miss at n2 the next targets are %v, want one rotation over %v", got, cfg.Members)
 	}
 }
 

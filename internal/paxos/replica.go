@@ -616,6 +616,11 @@ func (r *Replica) sendDecisions() {
 	// The loop is the channel's only sender, so the room it sees cannot
 	// shrink before it has used it.
 	sent := min(len(r.heldDecisions), cap(r.decCh)-len(r.decCh))
+	if sent == 0 {
+		// A consumer that takes nothing for now — a speculative engine's,
+		// until its configuration is installed — costs no copy per turn.
+		return
+	}
 	for _, d := range r.heldDecisions[:sent] {
 		r.decCh <- d
 	}

@@ -19,6 +19,17 @@ func spareNode(t *testing.T, w *world, id types.NodeID) *Node {
 	return n
 }
 
+// waitCurrent waits until n's current configuration is id: an announce hands
+// a spare's jump to its apply loop.
+func waitCurrent(t *testing.T, n *Node, id types.ConfigID) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); n.CurrentConfig().ID != id; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("current configuration %v, want %d", n.CurrentConfig(), id)
+		}
+	}
+}
+
 func rec(from types.ConfigID, fromMembers []types.NodeID, wedge types.Slot, to types.Config) ChainRecord {
 	return ChainRecord{From: from, FromMembers: fromMembers, WedgeSlot: wedge, To: to}
 }
@@ -37,9 +48,7 @@ func TestAnnounceIdempotent(t *testing.T) {
 	if len(recs) != 1 || !recs[0].Equal(r) {
 		t.Fatalf("chain: %+v", recs)
 	}
-	if n.CurrentConfig().ID != 2 {
-		t.Fatalf("spare did not adopt: %v", n.CurrentConfig())
-	}
+	waitCurrent(t, n, 2)
 }
 
 func TestAnnounceForkDetected(t *testing.T) {
@@ -62,9 +71,7 @@ func TestAnnounceOldConfigIgnoredForCursor(t *testing.T) {
 	w := newWorld(t, transport.Options{})
 	n := spareNode(t, w, "x1")
 	n.handleAnnounce(rec(2, []types.NodeID{"a"}, 9, types.MustConfig(3, "a", "x1")))
-	if n.CurrentConfig().ID != 3 {
-		t.Fatalf("cursor %v", n.CurrentConfig())
-	}
+	waitCurrent(t, n, 3)
 	// A record for an OLDER part of the chain fills in history but must
 	// not move the cursor backwards.
 	n.handleAnnounce(rec(1, []types.NodeID{"z"}, 2, types.MustConfig(2, "a", "z")))

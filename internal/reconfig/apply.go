@@ -6,27 +6,63 @@ import (
 	"repro/internal/types"
 )
 
-// applyLoop is the node's single execution thread: it serializes decisions
-// from all engines into the global command sequence. The loop collects a run
-// of ready decisions under n.mu, releases the mutex, executes them in order,
-// and reacquires n.mu only to commit: advance the apply cursor, answer
-// waiting clients, serve parked reads. Proposals, reads and housekeeping do
-// not contend with execution.
+// applyLoop is the node's single execution thread and the one owner of its
+// apply side. It alone takes decisions from an engine — the current
+// configuration's, and only while that configuration is installed here — and
+// executes them in decided order; once Start has returned it alone assigns
+// the machine, the current configuration, whether it is installed and the
+// apply cursor. What changes those from another goroutine (a stale jump, a
+// fetched snapshot's install) is handed to it (handLocked) and runs between
+// two rounds, never while a segment executes, so no round's work is ever
+// overtaken. Every other engine keeps what it decides, as smr.Engine allows:
+// a speculative successor until its state is installed, a wedged predecessor
+// until it is stopped.
+//
+// A round collects a run of taken decisions under n.mu, releases the mutex,
+// executes them, and reacquires n.mu only to commit: advance the apply
+// cursor, answer waiting clients, serve parked reads. Proposals, reads and
+// housekeeping do not contend with execution.
 func (n *Node) applyLoop() {
 	defer n.wg.Done()
 	for {
+		units, run := n.collectRound()
+		if len(units) > 0 {
+			n.executeRound(units)
+			continue
+		}
+		var decs <-chan smr.Decision
+		if run != nil {
+			decs = run.eng.Decisions()
+		}
 		select {
 		case <-n.stopCh:
 			return
 		case <-n.pumpCh:
-			n.pump()
+		case d, ok := <-decs:
+			// The installed configuration's engine is stopped only by Stop,
+			// which closes stopCh first.
+			if ok {
+				n.mu.Lock()
+				run.buffered = append(run.buffered, d)
+				n.mu.Unlock()
+			}
 		}
 	}
 }
 
-// maxApplyUnits bounds how many commands one pump round executes before
+// handLocked hands f to the apply loop, which runs it under n.mu between two
+// rounds, in the order handed. Caller holds mu.
+func (n *Node) handLocked(f func()) {
+	n.handoff = append(n.handoff, f)
+	select {
+	case n.pumpCh <- struct{}{}:
+	default: // a wake is already pending; the loop will see f too
+	}
+}
+
+// maxApplyUnits bounds how many commands one round executes before
 // recommitting, so a deep decision backlog cannot hold execMu (and block
-// fast-path reads) unboundedly.
+// fast-path reads) unboundedly, nor keep a handed-over install waiting.
 const maxApplyUnits = 1024
 
 // applyUnit is one flattened command: batches are exploded into their
@@ -36,41 +72,43 @@ type applyUnit struct {
 	cmd  types.Command
 }
 
-// pump applies ready decisions, up to maxApplyUnits commands a round, until
-// no more progress is possible.
-func (n *Node) pump() {
-	for {
-		r, ok := n.collectRound()
-		if !ok {
-			return
-		}
-		n.executeRound(r)
-	}
-}
-
-// applyRound is one pump round's collected work and what it was collected
-// against.
-type applyRound struct {
-	units []applyUnit
-	// taken are the decisions the units were popped from, kept until the
-	// round has committed: engine delivery is once-only, so a round whose
-	// results are discarded must be able to give them back (requeue).
-	taken   []smr.Decision
-	cfg     types.ConfigID
-	epoch   int64
-	machine *statemachine.Sessioned
-}
-
-// collectRound is the first, locked half of a pump round.
-func (n *Node) collectRound() (applyRound, bool) {
+// collectRound is the first, locked half of a round. It runs whatever was
+// handed to the loop, takes what the installed configuration's channel holds
+// into its head, and pops the round's units off the head. run is the
+// installed configuration's engine run, nil when none is.
+func (n *Node) collectRound() (units []applyUnit, run *engineRun) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	units, taken := n.collectReadyLocked(maxApplyUnits)
-	if len(units) == 0 {
-		n.serveReadyReadsLocked()
-		return applyRound{}, false
+	handoff := n.handoff
+	n.handoff = nil
+	for _, f := range handoff {
+		f()
 	}
-	return applyRound{units: units, taken: taken, cfg: n.curID, epoch: n.epoch, machine: n.machine}, true
+	if run = n.engines[n.curID]; run == nil || !n.initialized {
+		n.serveReadyReadsLocked()
+		return nil, nil
+	}
+	// The loop is the channel's only receiver, so what it holds now is there
+	// to take without waiting, closed or not.
+	decs := run.eng.Decisions()
+	for range len(decs) {
+		run.buffered = append(run.buffered, <-decs)
+	}
+	if len(run.buffered) > 0 {
+		// Decided and not yet applied: the head, and all that speculative
+		// successors' engines have delivered.
+		parked := int64(len(run.buffered))
+		for id, r := range n.engines {
+			if id > n.curID {
+				parked += int64(r.eng.Progress().Delivered)
+			}
+		}
+		n.stats.ApplyQueueHighWater = max(n.stats.ApplyQueueHighWater, parked)
+	}
+	if units = n.collectReadyLocked(run, maxApplyUnits); len(units) == 0 {
+		n.serveReadyReadsLocked()
+	}
+	return units, run
 }
 
 // executeRound executes a collected round segment by segment: a maximal run
@@ -78,17 +116,14 @@ func (n *Node) collectRound() (applyRound, bool) {
 // goroutine; each reconfiguration executes alone under the mutex. The
 // segment's last command has returned before the next unit starts, so every
 // preceding mutation is complete before a wedge forks the snapshot (the
-// wedge-drain rule). It stops early, giving the round's decisions back, when
-// the epoch raced (results obsolete) or this configuration wedged.
-func (n *Node) executeRound(r applyRound) {
-	units, epoch := r.units, r.epoch
+// wedge-drain rule). A wedge ends the round: the units after it are
+// post-wedge, and the composition rule does not apply them here.
+func (n *Node) executeRound(units []applyUnit) {
 	i := 0
 	for i < len(units) {
 		if units[i].cmd.Kind == types.CmdReconfig {
 			lastOfSlot := i+1 >= len(units) || units[i+1].slot != units[i].slot
-			ok, wedged := n.applyReconfigUnit(units[i], lastOfSlot, &epoch)
-			if !ok || wedged {
-				n.requeue(r)
+			if n.applyReconfigUnit(units[i], lastOfSlot) {
 				return
 			}
 			i++
@@ -105,57 +140,24 @@ func (n *Node) executeRound(r applyRound) {
 		if j < len(units) && units[j].slot == units[j-1].slot {
 			commit = units[j-1].slot - 1
 		}
-		if !n.applySegment(r.machine, units[i:j], commit, epoch) {
-			n.requeue(r)
-			return
-		}
+		n.applySegment(units[i:j], commit)
 		i = j
 	}
 }
 
-// requeue gives a round that stopped early its decisions back. If the
-// configuration moved on they are post-wedge and follow the re-submission
-// rule. If it did not, the epoch moved because a catch-up snapshot of the
-// same configuration was installed mid-round: the decisions above its base
-// are still this engine's to apply and will not be delivered again, so they
-// go back to the head of the buffer; the pump's stale-skip drops the ones
-// the snapshot (or an earlier segment's commit) already covers.
-func (n *Node) requeue(r applyRound) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if run, ok := n.engines[r.cfg]; ok && n.curID == r.cfg {
-		run.buffered = append(r.taken[:len(r.taken):len(r.taken)], run.buffered...)
-	}
-}
-
-// collectReadyLocked pops the contiguous run of ready decisions of the
-// current configuration and flattens batches into applyUnits; taken is what
-// it popped. Stale redeliveries are skipped, slot gaps are invariant
-// violations (the engine contract is gap-free in-order delivery).
-func (n *Node) collectReadyLocked(max int) (units []applyUnit, taken []smr.Decision) {
-	if !n.initialized {
-		return nil, nil
-	}
-	run, ok := n.engines[n.curID]
-	if !ok {
-		return nil, nil
-	}
-	all := run.buffered
+// collectReadyLocked pops the contiguous run of ready decisions off run's
+// head and flattens batches into applyUnits. Stale redeliveries — slots an
+// installed snapshot already covers — are skipped; a slot gap is an
+// invariant violation (the engine contract is gap-free in-order delivery).
+func (n *Node) collectReadyLocked(run *engineRun, max int) (units []applyUnit) {
 	cursor := n.appliedSlot
 	for len(units) < max && len(run.buffered) > 0 {
 		dec := run.buffered[0]
-		if dec.Slot != cursor+1 && dec.Slot > cursor && run.droppedBelow > cursor {
-			// The missing slots were dropped by the bounded buffer and this
-			// engine will not redeliver them; leave the decision parked and
-			// let checkpoint catch-up jump the cursor past the gap.
-			break
-		}
 		run.buffered = run.buffered[1:]
 		if dec.Slot != cursor+1 {
-			if dec.Slot <= cursor {
-				continue // stale redelivery; already executed
+			if dec.Slot > cursor {
+				n.stats.InvariantViolations++
 			}
-			n.stats.InvariantViolations++
 			continue
 		}
 		cursor = dec.Slot
@@ -175,53 +177,42 @@ func (n *Node) collectReadyLocked(max int) (units []applyUnit, taken []smr.Decis
 		}
 		units = append(units, applyUnit{slot: dec.Slot, cmd: dec.Cmd})
 	}
-	return units, all[:len(all)-len(run.buffered)]
+	return units
 }
 
-// applyReconfigUnit executes one reconfiguration command under the mutex.
-// ok=false means the epoch raced and nothing was done; wedged reports
-// whether the configuration actually transitioned (in which case the caller
-// must discard the rest of its collected units). On a deterministically
-// invalid reconfiguration (a no-op) the epoch is unchanged and the caller
-// continues; the apply cursor only advances when this is the slot's final
-// unit, so a parked read can never be served against a half-applied slot.
-func (n *Node) applyReconfigUnit(u applyUnit, lastOfSlot bool, epoch *int64) (ok, wedged bool) {
+// applyReconfigUnit executes one reconfiguration command under the mutex and
+// reports whether the configuration transitioned, in which case the caller
+// drops the rest of its round. A deterministically invalid reconfiguration is
+// a no-op and the round goes on; the apply cursor only advances when this is
+// the slot's final unit, so a parked read can never be served against a
+// half-applied slot.
+func (n *Node) applyReconfigUnit(u applyUnit, lastOfSlot bool) (wedged bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.epoch != *epoch {
-		return false, false
-	}
 	before := n.curID
 	if lastOfSlot {
 		n.appliedSlot = u.slot
 	}
 	n.applyReconfigLocked(u.slot, u.cmd)
-	*epoch = n.epoch
 	n.serveReadyReadsLocked()
-	return true, n.curID != before || !n.initialized
+	return n.curID != before || !n.initialized
 }
 
 // applySegment applies a run of ordinary commands to the machine in decided
-// order with the node mutex released, then reacquires it to commit. If the
-// epoch moved while executing, the machine the segment mutated was already
-// abandoned (snapshot install or configuration jump replaced it) and the
-// results are discarded: nothing is committed, no client is answered;
-// re-submission and session dedup re-derive the replies. Returns whether the
-// commit happened.
-func (n *Node) applySegment(machine *statemachine.Sessioned, seg []applyUnit, commit types.Slot, epoch int64) bool {
+// order with the node mutex released, then reacquires it to commit. The
+// machine cannot be replaced meanwhile: only this goroutine replaces it, and
+// only between rounds.
+func (n *Node) applySegment(seg []applyUnit, commit types.Slot) {
 	replies := make([][]byte, len(seg))
 	dups := make([]bool, len(seg))
 	n.execMu.Lock()
 	for k := range seg {
-		replies[k], dups[k] = machine.ApplyCommand(seg[k].cmd)
+		replies[k], dups[k] = n.machine.ApplyCommand(seg[k].cmd)
 	}
 	n.execMu.Unlock()
 
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.epoch != epoch {
-		return false
-	}
 	if commit > n.appliedSlot {
 		n.appliedSlot = commit
 	}
@@ -241,59 +232,92 @@ func (n *Node) applySegment(machine *statemachine.Sessioned, seg []applyUnit, co
 		}
 	}
 	n.serveReadyReadsLocked()
-	return true
 }
 
-// routeDecisionLocked buffers or discards one decision according to which
-// configuration it belongs to.
-func (n *Node) routeDecisionLocked(id types.ConfigID, dec smr.Decision) {
-	if id < n.curID {
-		// The old engine decided something after its wedge slot. Per the
-		// composition rule it is NOT applied there; if we have a client
-		// waiting on it, the housekeeping loop re-proposes it in the
-		// current configuration (dedup makes that idempotent).
-		return
+// installLocked adopts fresh, a machine built from a complete snapshot, as
+// the state of configuration id at slot base: a joiner's initial state, a
+// lagging member's jump forward, or what Start found in the node's own store.
+// It runs on the apply loop (handed over by install) or in Start before the
+// loop exists. An initialized node refuses a base at or below its apply
+// cursor — it would move the state backwards. Reports whether the install
+// happened and whether it was this node's first state of id. Caller holds mu.
+func (n *Node) installLocked(id types.ConfigID, base types.Slot, fresh *statemachine.Sessioned) (installed, joined bool) {
+	if n.stopped || n.curID != id || (n.initialized && base <= n.appliedSlot) {
+		return false, false
 	}
+	joined = !n.initialized
+	n.machine = fresh
+	n.initialized = true
+	// The snapshot folds in every slot up to its base: start applying at
+	// base, so the stale-skip (dec.Slot <= appliedSlot) discards the taken
+	// and redelivered decisions the snapshot already covers and no client
+	// reply fires for a slot before the apply point passes base.
+	n.appliedSlot = base
+	if err := n.ensureEngineLocked(id); err != nil {
+		n.stats.InvariantViolations++
+	}
+	if joined {
+		n.stats.SnapshotsFetched++
+		// What a speculative engine decided during the transfer stayed in
+		// it; the loop takes it from here.
+		n.stats.SpeculativeParked += n.takeOverLocked(id)
+		// The chunks are in the store already (fetched incrementally, or
+		// read from it by Start), and a caller installing a base above 0
+		// has made them durable, so the base is durable here.
+		n.noteDurableBaseLocked(base)
+	} else {
+		n.stats.CatchupFetches++
+	}
+	if run, ok := n.engines[id]; ok && base > 0 {
+		// The engine releases its own records below base and resumes
+		// contiguous delivery above it. Without this a delivery cursor
+		// below a floor the peers already truncated never moves again.
+		run.eng.SkipTo(base)
+	}
+	n.resubmitPendingLocked(true)
+	n.notifyTransitionLocked()
+	return true, joined
+}
+
+// takeOverLocked makes configuration id's engine run the loop's to take
+// from, now that its state is installed here, and returns how many decisions
+// its engine delivered before: they were decided speculatively and are
+// counted in SpeculativeDecides. Caller holds mu.
+func (n *Node) takeOverLocked(id types.ConfigID) int64 {
 	run, ok := n.engines[id]
-	if !ok {
-		return
+	if !ok || run.installed {
+		return 0
 	}
-	if id > n.curID || !n.initialized {
-		// Decided before this node's state caught up to the configuration:
-		// either a future config's engine running speculatively, or the
-		// current config's engine deciding while the snapshot is still in
-		// flight. The decision parks here until the install.
-		n.stats.SpeculativeDecides++
+	run.installed = true
+	spec := int64(run.eng.Progress().Delivered)
+	n.stats.SpeculativeDecides += spec
+	return spec
+}
+
+// jumpLocked moves the node's execution cursor to configuration id without
+// local state (a fetch must follow if we are a member). It runs on the apply
+// loop, handed over by advanceToLocked. Caller holds mu.
+func (n *Node) jumpLocked(id types.ConfigID) {
+	if run, ok := n.engines[n.curID]; ok {
+		n.scheduleEngineStop(run)
+		run.buffered = nil
 	}
-	run.buffered = append(run.buffered, dec)
-	if lim := n.opts.decisionBuffer; lim > 0 && len(run.buffered) > lim {
-		// Bounded parking: drop the oldest parked decision rather than let
-		// a long install window grow the buffer without limit. The dropped
-		// slots cannot come back from this buffer (engine delivery is
-		// once-only), so the marker reroutes the resulting cursor gap to
-		// checkpoint catch-up instead of counting it as a violation.
-		//
-		// The bound applies only to decisions the node cannot yet apply —
-		// a future configuration's engine, or the current one before its
-		// snapshot installs or behind an existing drop gap. An initialized
-		// node's contiguous backlog is working set the apply stage is
-		// actively draining: dropping its head would cut an unfillable gap
-		// right in front of the cursor (a permanent wedge under the
-		// NoCheckpoints ablation — restart recovery redelivers the whole
-		// retained log in one burst — and a spurious refetch otherwise).
-		// Its size needs no bound here: it is capped by what the engines
-		// retain, which truncation keeps near interval+margin.
-		if id > n.curID || !n.initialized || run.droppedBelow > n.appliedSlot {
-			if d := run.buffered[0]; d.Slot > run.droppedBelow {
-				run.droppedBelow = d.Slot
+	n.curID = id
+	n.appliedSlot = 0
+	n.initialized = false
+	cfg := n.configs[id]
+	if cfg.IsMember(n.self) {
+		if n.speculationOn() {
+			if err := n.ensureEngineLocked(id); err != nil {
+				n.stats.InvariantViolations++
 			}
-			run.buffered = run.buffered[1:]
-			n.stats.DecisionBufferDrops++
 		}
+		n.maybeTransferLocked()
+	} else {
+		n.redirectAllPendingLocked()
 	}
-	if d := int64(len(run.buffered)); d > n.stats.DecisionBufferHigh {
-		n.stats.DecisionBufferHigh = d
-	}
+	n.serveReadyReadsLocked()
+	n.notifyTransitionLocked()
 }
 
 // respondApplied answers every RPC waiter attached to a pending command.
@@ -362,9 +386,12 @@ func (n *Node) applyReconfigLocked(slot types.Slot, cmd types.Command) {
 	// under n.mu.
 	n.publishAsyncLocked(newCfg.ID, 0, n.machine.ForkSnapshot())
 
-	// Let the old engine linger for laggards, then stop it.
+	// Let the old engine linger for laggards, then stop it. What the round
+	// took past the wedge is dropped with its head, and what the engine
+	// decides after it stays there.
 	if run, ok := n.engines[rec.From]; ok {
 		n.scheduleEngineStop(run)
+		run.buffered = nil
 	}
 
 	n.curID = newCfg.ID
@@ -380,6 +407,7 @@ func (n *Node) applyReconfigLocked(slot types.Slot, cmd types.Command) {
 		if err := n.ensureEngineLocked(newCfg.ID); err != nil {
 			n.stats.InvariantViolations++
 		}
+		n.takeOverLocked(newCfg.ID)
 		// initialized stays true: machine == initial state of newCfg.
 		n.resubmitPendingLocked(true)
 	} else {

@@ -248,15 +248,13 @@ func (n *Node) maybeTruncateLocked() {
 // behindLocked reports whether this initialized member should fetch a
 // checkpoint instead of replaying the log: the engine's contiguous decided
 // frontier (one O(1) Progress read, not a slot-by-slot probe) is
-// catchupGapSlots or more ahead of the applied cursor, a peer redirected the
-// engine below its truncation floor, or the bounded decision buffer dropped
-// parked decisions. Caller holds mu.
+// catchupGapSlots or more ahead of the applied cursor, or a peer redirected
+// the engine below its truncation floor. Caller holds mu.
 func (n *Node) behindLocked() bool {
 	run, ok := n.engines[n.curID]
 	if n.opts.NoCheckpoints || !ok {
 		return false
 	}
 	p := run.eng.Progress()
-	return p.CheckpointNeeded || run.droppedBelow > n.appliedSlot ||
-		p.MaxDecidedSeen >= n.appliedSlot+types.Slot(n.opts.catchupGapSlots)
+	return p.CheckpointNeeded || p.MaxDecidedSeen >= n.appliedSlot+types.Slot(n.opts.catchupGapSlots)
 }

@@ -344,20 +344,17 @@ func TestNoCheckpointsAblationNeverTruncates(t *testing.T) {
 	w.checkNoViolations()
 }
 
-// TestRestartReplayFloodSurvivesSmallBuffer pins the restart-recovery flood
-// against the bounded decision buffer: at startup the engine redelivers its
-// whole retained log in one burst, far faster than the apply stage drains
-// it. The buffer must treat that contiguous backlog as working set, not as
-// parked decisions — dropping its head cuts an unfillable gap right in
-// front of the apply cursor (delivery is once-only), which with catch-up
-// disabled (NoCheckpoints) is a permanent wedge. Regression for a K1
-// failure: the full-replay arm's victim recovered 51k decisions, dropped
-// everything past the 16384-slot cap, and stalled forever.
-func TestRestartReplayFloodSurvivesSmallBuffer(t *testing.T) {
+// TestRestartReplaysFullLog pins restart recovery without checkpoints: at
+// startup the engine redelivers its whole retained log in one burst, far
+// faster than the apply stage drains it, and the restarted node must
+// re-apply every slot of it — with catch-up disabled (NoCheckpoints) a lost
+// slot is a permanent wedge. Regression for a K1 failure: the full-replay
+// arm's victim recovered 51k decisions, a node-side buffer dropped
+// everything past its 16384-slot cap, and it stalled forever.
+func TestRestartReplaysFullLog(t *testing.T) {
 	w := newWorld(t, transport.Options{})
 	w.opts = ckptOpts(w.opts)
 	w.opts.NoCheckpoints = true
-	w.opts.decisionBuffer = 32 // far below the replayed log length
 	w.bootstrap(statemachine.NewCounterMachine, "n1", "n2", "n3")
 	w.waitServing("n1")
 
@@ -379,9 +376,6 @@ func TestRestartReplayFloodSurvivesSmallBuffer(t *testing.T) {
 		_, a := n3.AppliedSlot()
 		return a >= tip
 	}, "restart replay to re-apply the full log", 20*time.Second)
-	if drops := n3.Stats().DecisionBufferDrops; drops != 0 {
-		t.Errorf("restart replay dropped %d contiguous backlog decisions", drops)
-	}
 	// The replayed state is exact: one Get answered by n3's own machine.
 	reply := w.submit("n3", "probe", 1, statemachine.EncodeCounterGet())
 	if got := counterValue(t, reply); got != ops {
@@ -390,22 +384,16 @@ func TestRestartReplayFloodSurvivesSmallBuffer(t *testing.T) {
 	w.checkNoViolations()
 }
 
-// TestDecisionBufferBoundedUnderSpeculativeTransfer: a joiner that orders
-// decisions speculatively while its snapshot transfer drags must not buffer
-// them without bound. While the node cannot apply (parked decisions), the
-// buffer stays within the configured cap; once initialized, the only burst
-// beyond the cap is the contiguous catch-up tail, itself bounded by what the
-// engines retain under truncation. Whether or not drops occurred the joiner
-// converges to the correct state — dropped slots are re-covered by a
-// checkpoint fetch.
-func TestDecisionBufferBoundedUnderSpeculativeTransfer(t *testing.T) {
+// TestSpeculativeJoinerConvergesUnderLoad: a joiner that orders decisions
+// speculatively while load keeps deciding through its membership change
+// converges to the exact state — every background add applied once.
+func TestSpeculativeJoinerConvergesUnderLoad(t *testing.T) {
 	w := newWorld(t, transport.Options{
 		BaseLatency: 200 * time.Microsecond,
 		Jitter:      100 * time.Microsecond,
 		Seed:        7,
 	})
 	w.opts = ckptOpts(w.opts)
-	w.opts.decisionBuffer = 24
 	w.bootstrap(statemachine.NewCounterMachine, "n1", "n2", "n3")
 	s1 := w.startNode("s1", statemachine.NewCounterMachine)
 	if err := s1.Start(); err != nil {
@@ -465,15 +453,6 @@ func TestDecisionBufferBoundedUnderSpeculativeTransfer(t *testing.T) {
 		return c1 == cs && as >= a1
 	}, "joiner to converge with the leader", 20*time.Second)
 
-	// Cap, plus the post-install contiguous replay tail (exempt from drops;
-	// bounded by the retained engine log under truncation), plus slack.
-	lim := int64(w.opts.decisionBuffer + 2*w.opts.checkpointInterval + w.opts.checkpointMargin + w.opts.catchupGapSlots)
-	for _, id := range []types.NodeID{"n1", "n2", "n3", "s1"} {
-		st := w.node(id).Stats()
-		if st.DecisionBufferHigh > lim {
-			t.Errorf("%s: decision buffer high-water %d exceeds bound %d", id, st.DecisionBufferHigh, lim)
-		}
-	}
 	// The converged joiner holds the exact state: every background add
 	// applied exactly once.
 	if v := counterValue(t, w.submit("s1", "chk", 1, statemachine.EncodeCounterGet())); v != total {

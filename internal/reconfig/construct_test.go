@@ -68,9 +68,9 @@ func TestReplicaConstructionAllocates(t *testing.T) {
 
 // A replica at rest costs the goroutines that do its work and no relay between
 // them: a started engine runs its event loop, and a node's engine run adds
-// that loop and the consumer that parks its decisions for the apply stage.
-// The counts do not depend on the runner's speed; a relay goroutine put back
-// between decide and apply fails here.
+// that loop alone — the node's apply loop takes the engine's decisions
+// itself. The counts do not depend on the runner's speed; a relay or
+// consumer goroutine put back between decide and apply fails here.
 func TestReplicaAtRestGoroutines(t *testing.T) {
 	net := transport.NewNetwork(transport.Options{})
 	t.Cleanup(net.Close)
@@ -128,7 +128,7 @@ func TestReplicaAtRestGoroutines(t *testing.T) {
 			return n.Stop
 		}
 	}
-	measure(2, "an engine run of a reconfig.Node", func() int {
+	measure(1, "an engine run of a reconfig.Node", func() int {
 		return added(node("m1", true)) - added(node("s1", false))
 	})
 }

@@ -435,11 +435,11 @@ func runLin(t *testing.T, run linRun) {
 			for eid, run := range node.engines {
 				p, es := run.eng.Progress(), run.eng.Counters()
 				ldr, isLdr := run.eng.Leader()
-				engs = append(engs, fmt.Sprintf("cfg%d:{buffered=%d leader=%s(%v) delivered=%d seen=%d trunc=%d ckpt=%v dropped=%d}",
-					eid, len(run.buffered), ldr, isLdr, p.Delivered, p.MaxDecidedSeen, p.TruncatedBelow, p.CheckpointNeeded, es.DroppedInbound))
+				engs = append(engs, fmt.Sprintf("cfg%d:{head=%d installed=%v leader=%s(%v) delivered=%d seen=%d trunc=%d ckpt=%v dropped=%d}",
+					eid, len(run.buffered), run.installed, ldr, isLdr, p.Delivered, p.MaxDecidedSeen, p.TruncatedBelow, p.CheckpointNeeded, es.DroppedInbound))
 			}
-			t.Logf("node %s: curID=%d init=%v applied=%d epoch=%d pending=%d waiters=%d engines=%v stats={applied:%d viol:%d stale:%d wedges:%d resub:%d}",
-				id, node.curID, node.initialized, node.appliedSlot, node.epoch,
+			t.Logf("node %s: curID=%d init=%v applied=%d handoffs=%d pending=%d waiters=%d engines=%v stats={applied:%d viol:%d stale:%d wedges:%d resub:%d}",
+				id, node.curID, node.initialized, node.appliedSlot, len(node.handoff),
 				len(node.pending), len(node.readWaiters), engs,
 				node.stats.Applied, node.stats.InvariantViolations, node.stats.StaleJumps,
 				node.stats.Wedges, node.stats.Resubmits)

@@ -31,11 +31,12 @@ type Options struct {
 	// SpeculativeStart controls whether a successor engine boots while the
 	// snapshot is still in flight (the paper's §1 speculative start: the
 	// joiner votes, accepts and decides c+1 slots during transfer; decided
-	// entries park in the engine run's buffer and drain after install, with client
-	// replies gated until the apply point passes the snapshot's base
-	// index). SpecDefault normalizes to SpecOn; SpecOff delays the engine
-	// until the initial state is installed — the wait-for-transfer
-	// ablation; tests pin its client contract and check it linearizable.
+	// entries stay in the engine until the install, then the apply loop
+	// takes them, with client replies gated until the apply point passes the
+	// snapshot's base index). SpecDefault normalizes to SpecOn; SpecOff
+	// delays the engine until the initial state is installed — the
+	// wait-for-transfer ablation; tests pin its client contract and check it
+	// linearizable.
 	// Exported because the planned reconfig-move benchmark workload
 	// (ROADMAP item 1(b)) runs a SpecOff variant beside the default.
 	SpeculativeStart SpecMode
@@ -72,12 +73,6 @@ type Options struct {
 	// member fetches the newest checkpoint instead of replaying every slot.
 	// Default 8192.
 	catchupGapSlots int
-	// decisionBuffer bounds the per-engine parked-decision buffer (decisions
-	// decided before this node's state is ready to apply them). Past the
-	// bound the oldest parked decision is dropped and the gap is repaired by
-	// checkpoint catch-up rather than unbounded memory growth. Default
-	// 16384.
-	decisionBuffer int
 	// engine builds every configuration's static engine and reads its
 	// persisted floor; the node drives engines through smr alone. Default:
 	// Paxos built with the Paxos field. Tests set another engine here.
@@ -137,9 +132,6 @@ func (o Options) withDefaults() Options {
 	if o.catchupGapSlots <= 0 {
 		o.catchupGapSlots = 8192
 	}
-	if o.decisionBuffer <= 0 {
-		o.decisionBuffer = 16384
-	}
 	if o.SpeculativeStart == SpecDefault {
 		o.SpeculativeStart = SpecOn
 	}
@@ -192,16 +184,16 @@ type pendingCmd struct {
 }
 
 type engineRun struct {
-	id       types.ConfigID
-	cfg      types.Config
-	eng      smr.Replica
-	buffered []smr.Decision // decisions held until this config activates
-	// droppedBelow is the highest parked decision slot the bounded buffer
-	// dropped (Options.decisionBuffer): slots at or below it can no longer
-	// come from this buffer, so a cursor gap under the marker means "wait
-	// for checkpoint catch-up", not an engine-contract violation.
-	droppedBelow types.Slot
-	done         chan struct{} // consumer goroutine exit
+	id  types.ConfigID
+	cfg types.Config
+	eng smr.Replica
+	// buffered is the head of decisions the apply loop has taken from the
+	// engine and not yet applied; only the loop touches it, under mu.
+	buffered []smr.Decision
+	// installed is set once this configuration's state is installed here
+	// and the apply loop takes its decisions (takeOverLocked); until then
+	// they stay in the engine.
+	installed bool
 }
 
 // NodeStats is a snapshot of the node's counters.
@@ -222,11 +214,11 @@ type NodeStats struct {
 	ReadFallbacks        int64 // fast-path reads that fell back to the log
 	ReadFenced           int64 // fast-path reads refused by wedge fencing
 	DroppedInbound       int64 // engine inbox overflows, summed over engines
-	ApplyQueueHighWater  int64 // max observed count of decisions parked and not yet applied, summed over engines
+	ApplyQueueHighWater  int64 // max observed count of decisions decided and not yet applied: the apply loop's head plus what speculative successors' engines delivered
 	ApplyStalls          int64 // always 0: nothing between an engine and the apply stage waits; it stays only because the benchmark module (bench/) reads it
 	GroupCommits         int64 // engine bursts ending in a group-commit Sync, summed
-	SpeculativeDecides   int64 // decisions learned for a configuration before its snapshot installed
-	SpeculativeParked    int64 // decisions already parked for the new config when its snapshot installed
+	SpeculativeDecides   int64 // decisions an engine delivered before its configuration's state was installed here
+	SpeculativeParked    int64 // decisions the engine already held when a joiner's snapshot installed
 	ShedSubmits          int64 // client commands shed with SubmitBusy (admission control)
 	SubmitQueueDepth     int64 // distinct client commands pending right now
 	SubmitQueueHigh      int64 // max observed pending-command count
@@ -235,8 +227,6 @@ type NodeStats struct {
 	TruncatedSlots       int64 // engine log slots released below checkpoint floors, summed
 	RetainedSlots        int64 // decided slots currently held by the engines, summed
 	CatchupFetches       int64 // checkpoints fetched and installed to close a decision gap
-	DecisionBufferHigh   int64 // max observed parked-decision buffer length, any engine
-	DecisionBufferDrops  int64 // parked decisions dropped by the bounded buffer
 }
 
 // Node is one process's reconfigurable-SMR runtime: it hosts the static
@@ -262,7 +252,9 @@ type Node struct {
 	// fast-path reads) additionally take it shared so they never observe a
 	// half-applied segment. Lock order: mu before execMu; the apply stage
 	// never acquires mu while holding execMu.
-	execMu      sync.RWMutex
+	execMu sync.RWMutex
+	// machine, curID, initialized and appliedSlot are read under mu and,
+	// once Start has returned, written only by the apply loop (apply.go).
 	machine     *statemachine.Sessioned
 	initConfig  types.Config
 	configs     map[types.ConfigID]types.Config
@@ -270,13 +262,9 @@ type Node struct {
 	curID       types.ConfigID
 	initialized bool // machine state is valid for curID; applying allowed
 	appliedSlot types.Slot
-	// epoch counts configuration transitions and snapshot installs. The
-	// apply stage records it before releasing mu to execute a segment and
-	// re-checks it before committing the results: a changed epoch means the
-	// machine it mutated was abandoned (replaced by a snapshot install or a
-	// configuration jump), so the results are discarded — re-submission
-	// plus session dedup re-derives them.
-	epoch       int64
+	// handoff is the work other goroutines hand to the apply loop
+	// (handLocked): stale jumps and fetched snapshots' installs.
+	handoff     []func()
 	engines     map[types.ConfigID]*engineRun
 	pending     map[pendKey]*pendingCmd
 	readWaiters []*readWaiter   // fast-path reads awaiting their index
@@ -306,9 +294,8 @@ type Node struct {
 	// corruption. Guarded by mu.
 	testChunkHook func(id types.ConfigID, idx int, data []byte) []byte
 
-	// pumpCh nudges the apply loop to re-run its pump: an engine's consumer
-	// has parked decisions, or a snapshot install unblocked parked ones.
-	// Capacity 1; sends are non-blocking (kickApply).
+	// pumpCh wakes the apply loop for handed-over work. Capacity 1; sends
+	// are non-blocking (handLocked).
 	pumpCh     chan struct{}
 	stopCh     chan struct{}
 	stopOnce   sync.Once
@@ -435,7 +422,15 @@ func (n *Node) Start() error {
 		// earlier run staged of it is made durable first; a base-0 snapshot
 		// announces nothing, and a boot waits on no disk for it.
 		if floor, _ := n.opts.engine.Floor(n.store, uint64(cur)); m.Base >= floor && (m.Base == 0 || n.store.Sync() == nil) {
-			n.install(cur, m, chunks)
+			// The loop does not run yet, so Start installs in place.
+			fresh, err := n.buildMachine(m, chunks)
+			n.mu.Lock()
+			if err != nil {
+				n.stats.InvariantViolations++
+			} else {
+				n.installLocked(cur, m.Base, fresh)
+			}
+			n.mu.Unlock()
 		}
 	}
 
@@ -445,7 +440,7 @@ func (n *Node) Start() error {
 	// engine needs no application state to vote, accept or decide
 	// (speculative start); its accepted/decided records are durable in
 	// their own right, so slots decided before a crash mid-transfer are
-	// redelivered here and park until the install.
+	// redelivered here and wait in the engine until the install.
 	if n.configs[cur].IsMember(n.self) && (n.initialized || n.speculationOn()) {
 		if err := n.ensureEngineLocked(cur); err != nil {
 			return err
@@ -517,7 +512,6 @@ func (n *Node) Stop() {
 	n.baseCancel()
 	for _, run := range engines {
 		run.eng.Stop()
-		<-run.done
 	}
 	n.wg.Wait()
 	if peer != nil {
@@ -549,49 +543,11 @@ func (n *Node) ensureEngineLocked(id types.ConfigID) error {
 	if err != nil {
 		return err
 	}
-	run := &engineRun{id: id, cfg: cfg, eng: eng, done: make(chan struct{})}
 	if err := eng.Start(); err != nil {
 		return err
 	}
-	n.engines[id] = run
-	n.wg.Add(1)
-	go n.consumeEngine(run)
+	n.engines[id] = &engineRun{id: id, cfg: cfg, eng: eng, installed: n.initialized && id == n.curID}
 	return nil
-}
-
-// consumeEngine parks one engine's decisions for the apply stage: each one it
-// receives, with whatever else the channel already holds, is routed under mu
-// (routeDecisionLocked), and the apply loop is kicked. It never waits on the
-// apply stage; a decision stays parked in its engine's buffer until applied.
-func (n *Node) consumeEngine(run *engineRun) {
-	defer n.wg.Done()
-	defer close(run.done)
-	decs := run.eng.Decisions()
-	for d := range decs {
-		n.mu.Lock()
-		n.routeDecisionLocked(run.id, d)
-		// This goroutine is the channel's only receiver, so what the channel
-		// holds now is there to take without waiting, closed or not.
-		for range len(decs) {
-			n.routeDecisionLocked(run.id, <-decs)
-		}
-		var parked int64 // decisions parked and not yet applied, summed over engines
-		for _, r := range n.engines {
-			parked += int64(len(r.buffered))
-		}
-		n.stats.ApplyQueueHighWater = max(n.stats.ApplyQueueHighWater, parked)
-		n.mu.Unlock()
-		n.kickApply()
-	}
-}
-
-// kickApply wakes the apply loop without waiting; a kick already pending
-// covers this one.
-func (n *Node) kickApply() {
-	select {
-	case n.pumpCh <- struct{}{}:
-	default:
-	}
 }
 
 // warnShed logs at most once per second that admission control is shedding
@@ -702,6 +658,9 @@ func (n *Node) Stats() NodeStats {
 	defer n.mu.Unlock()
 	out := n.stats
 	for _, run := range n.engines {
+		if !run.installed {
+			out.SpeculativeDecides += int64(run.eng.Progress().Delivered)
+		}
 		es := run.eng.Counters()
 		out.DroppedInbound += es.DroppedInbound
 		out.GroupCommits += es.GroupCommits
@@ -723,10 +682,8 @@ func (n *Node) Machine() *statemachine.Sessioned {
 	return n.machine
 }
 
-// notifyTransitionLocked wakes everyone waiting for a configuration change
-// and advances the epoch that invalidates in-flight off-mutex apply work.
+// notifyTransitionLocked wakes everyone waiting for a configuration change.
 func (n *Node) notifyTransitionLocked() {
-	n.epoch++
 	for _, ch := range n.cfgWaiters {
 		close(ch)
 	}

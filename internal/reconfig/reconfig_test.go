@@ -947,7 +947,6 @@ func TestOptionsDefaults(t *testing.T) {
 		checkpointInterval: 4096,
 		checkpointMargin:   512,
 		catchupGapSlots:    8192,
-		decisionBuffer:     16384,
 		engine:             paxos.Factory(paxos.Options{}),
 	}
 	if got := (Options{}).withDefaults(); got != want {

@@ -282,7 +282,7 @@ func (n *Node) handleAnnounce(rec ChainRecord) {
 			// Spare or retired node: adopt the newest configuration
 			// directly; the housekeeping loop fetches its state if we
 			// are a member.
-			n.advanceToLocked(rec.To.ID)
+			n.advanceToLocked(rec.To.ID, false)
 		}
 		// Otherwise our own log delivers the wedge; the stale-jump
 		// fallback covers a dead predecessor quorum.
@@ -292,28 +292,20 @@ func (n *Node) handleAnnounce(rec ChainRecord) {
 	n.serveReadyReadsLocked()
 }
 
-// advanceToLocked moves the node's execution cursor to configuration id
-// without local state (a fetch must follow if we are a member).
-func (n *Node) advanceToLocked(id types.ConfigID) {
-	if run, ok := n.engines[n.curID]; ok && n.curID < id {
-		n.scheduleEngineStop(run)
-	}
-	n.curID = id
-	n.appliedSlot = 0
-	n.initialized = false
-	cfg := n.configs[id]
-	if cfg.IsMember(n.self) {
-		if n.speculationOn() {
-			if err := n.ensureEngineLocked(id); err != nil {
-				n.stats.InvariantViolations++
-			}
+// advanceToLocked hands the apply loop a jump to configuration id without
+// local state (jumpLocked). The loop takes it between rounds unless it has
+// reached id by then — its own log delivered the wedge, or an earlier jump
+// went as far; stale counts it in StaleJumps.
+func (n *Node) advanceToLocked(id types.ConfigID, stale bool) {
+	n.handLocked(func() {
+		if id <= n.curID {
+			return
 		}
-		n.maybeTransferLocked()
-	} else {
-		n.redirectAllPendingLocked()
-	}
-	n.serveReadyReadsLocked()
-	n.notifyTransitionLocked()
+		if stale {
+			n.stats.StaleJumps++
+		}
+		n.jumpLocked(id)
+	})
 }
 
 // housekeeping drives retries: pending re-proposals, snapshot fetches, and
@@ -349,10 +341,8 @@ func (n *Node) houseTick() {
 	if rec, ok := n.chain[n.curID]; ok && n.initialized {
 		n.staleTicks++
 		if n.staleTicks > staleJumpTicks {
-			n.stats.StaleJumps++
-			n.advanceToLocked(rec.To.ID)
-			cur = n.configs[n.curID]
-			member = cur.IsMember(n.self)
+			n.staleTicks = 0
+			n.advanceToLocked(rec.To.ID, true)
 		}
 	} else if n.initialized {
 		n.staleTicks = 0

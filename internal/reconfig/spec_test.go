@@ -317,10 +317,10 @@ func TestSpeculativeReadsFencedUntilInstall(t *testing.T) {
 	w.checkNoViolations()
 }
 
-// snapshotOf serializes a node's machine as a complete chunk set labelled
-// with base — what a publish at that slot would have produced.
-func snapshotOf(n *Node, base types.Slot) (storage.ChunkManifest, [][]byte) {
-	fork := n.Machine().ForkSnapshot()
+// snapshotOf serializes a machine as a complete chunk set labelled with
+// base — what a publish at that slot would have produced.
+func snapshotOf(machine *statemachine.Sessioned, base types.Slot) (storage.ChunkManifest, [][]byte) {
+	fork := machine.ForkSnapshot()
 	chunks := make([][]byte, fork.NumChunks())
 	m := storage.ChunkManifest{Format: statemachine.SnapshotFormat, Base: base, CRCs: make([]uint32, fork.NumChunks())}
 	for i := range chunks {
@@ -418,9 +418,9 @@ func TestInstallHonorsSnapshotBaseIndex(t *testing.T) {
 					t.Fatalf("survivor's wedge snapshot: base %d complete %v err %v", m.Base, complete, err)
 				}
 			case tip:
-				m, chunks = snapshotOf(w.node("n1"), top)
+				m, chunks = snapshotOf(w.node("n1").Machine(), top)
 			case behind:
-				m, chunks = snapshotOf(w.node("n1"), top-1)
+				m, chunks = snapshotOf(w.node("n1").Machine(), top-1)
 			}
 			_, cursorBefore := target.AppliedSlot()
 			before := target.Stats()

@@ -37,8 +37,9 @@ import (
 // manifest and then each verified chunk in its store, with one barrier per
 // fetched range and one before the install; none is taken under mu.
 //
-// install swaps the machine, sets the apply cursor and the engine's delivery
-// cursor to base, and is also how Start recovers from the node's own store.
+// install builds the machine and has the apply loop swap it in and set the
+// apply cursor and the engine's delivery cursor to base; Start recovers from
+// the node's own store through the same swap.
 //
 // retire deletes rc/snap/<id> once this node's current configuration is
 // id+2 or later.
@@ -638,74 +639,39 @@ func (n *Node) buildMachine(m storage.ChunkManifest, chunks [][]byte) (*statemac
 }
 
 // install adopts a complete, verified chunk set as the state of configuration
-// id at slot m.Base: a joiner's initial state, a lagging member's jump
-// forward, or what Start found in the node's own store. The O(state) machine
-// build runs outside mu; the swap is re-validated under it and bumps the
-// epoch, so an off-mutex apply segment still executing against the old
-// machine is discarded at its commit check. An initialized node refuses a
-// base at or below its apply cursor — it would move the state backwards —
-// and, having replaced the state its store describes, commits the snapshot
-// it now runs on, so a restart recovers from base rather than from a state
-// whose log is gone. Reports whether the install happened.
+// id at slot m.Base: a joiner's initial state or a lagging member's jump
+// forward. The O(state) machine build runs here, on the caller's goroutine;
+// the swap is handed to the apply loop (installLocked), which makes it
+// between two rounds, so no segment ever executes against a machine that is
+// being replaced. Having replaced the state its store describes, an
+// initialized node then commits the snapshot it now runs on, so a restart
+// recovers from base rather than from a state whose log is gone. Reports
+// whether the install happened.
 func (n *Node) install(id types.ConfigID, m storage.ChunkManifest, chunks [][]byte) bool {
 	fresh, err := n.buildMachine(m, chunks)
-	n.mu.Lock()
 	if err != nil {
-		n.stats.InvariantViolations++
-		n.mu.Unlock()
+		n.countViolation()
 		return false
 	}
-	if n.stopped || n.curID != id || (n.initialized && m.Base <= n.appliedSlot) {
-		n.mu.Unlock()
-		return false
-	}
-	joined := !n.initialized
-	if joined {
-		n.stats.SnapshotsFetched++
-		if run, ok := n.engines[id]; ok {
-			// Decisions the speculative engine decided during the transfer
-			// are parked in run.buffered; the pump nudge below drains them.
-			n.stats.SpeculativeParked += int64(len(run.buffered))
-		}
-		// The chunks are in the store already (fetched incrementally, or
-		// read from it by Start), and a caller installing a base above 0
-		// has made them durable, so the base is durable here.
-		n.noteDurableBaseLocked(m.Base)
-	} else {
-		n.stats.CatchupFetches++
-	}
-	n.machine = fresh
-	n.initialized = true
-	// The snapshot folds in every slot up to its base: start applying at
-	// Base, so the stale-skip in the pump (dec.Slot <= appliedSlot) discards
-	// parked and redelivered decisions the snapshot already covers and no
-	// client reply fires for a slot before the apply point passes Base.
-	n.appliedSlot = m.Base
-	if err := n.ensureEngineLocked(id); err != nil {
-		n.stats.InvariantViolations++
-	}
-	if run, ok := n.engines[id]; ok && m.Base > 0 {
-		if run.droppedBelow <= m.Base {
-			run.droppedBelow = 0
-		}
-		// The engine releases its own records below Base and resumes
-		// contiguous delivery above it. Without this a delivery cursor
-		// below a floor the peers already truncated never moves again.
-		run.eng.SkipTo(m.Base)
-	}
-	n.resubmitPendingLocked(true)
-	n.notifyTransitionLocked()
-	// Nudge the apply loop: decisions buffered above Base are now ready.
-	// Only the apply loop runs the mutex-dropping pump, so the installer
-	// must not pump inline.
-	n.kickApply()
+	var installed, joined bool
+	done := make(chan struct{})
+	n.mu.Lock()
+	n.handLocked(func() {
+		installed, joined = n.installLocked(id, m.Base, fresh)
+		close(done)
+	})
 	n.mu.Unlock()
-	if !joined {
+	select {
+	case <-done:
+	case <-n.stopCh:
+		return false
+	}
+	if installed && !joined {
 		if err := n.commit(id, m, chunks, true); err != nil {
 			n.countViolation()
 		}
 	}
-	return true
+	return installed
 }
 
 // --- retire -----------------------------------------------------------------

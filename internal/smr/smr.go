@@ -46,7 +46,10 @@ type Engine interface {
 	// Decisions returns the engine's in-order, gap-free decision stream.
 	// A consumer that stops reading never stalls the engine: what the
 	// channel cannot take waits inside the engine, in order, until it can.
-	// The channel is closed by Stop.
+	// The composition relies on that: it reads a configuration's stream
+	// only while that configuration's state is installed, and leaves a
+	// speculative successor's or a wedged predecessor's decisions in the
+	// engine. The channel is closed by Stop.
 	Decisions() <-chan Decision
 	// Leader returns the engine's current leader hint (empty when
 	// unknown) and whether this replica currently believes it is leader.
