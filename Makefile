@@ -63,11 +63,13 @@ fmt-check:
 # internal/storage calls a store's Set or Delete. The sixth fails when
 # internal/reconfig's non-test code names paxos beyond Options.Paxos and the
 # default engine factory built from it. The seventh and eighth fail when it
-# names the machinery a second apply owner needed (epoch, requeue,
-# consumeEngine, droppedBelow, decisionBuffer), or assigns the machine,
-# curID, initialized or appliedSlot outside apply.go, Start and
-# recoverChainLocked. The ninth fuzzes RestoreChunk, the one decoder of
-# snapshot bytes from peers, for 10 s. bench/ is a nested module
+# names the machinery a second owner of the node's loop needed (epoch,
+# requeue, consumeEngine, droppedBelow, decisionBuffer, housekeeping,
+# scheduleEngineStop, advanceToLocked), or assigns the machine, curID,
+# initialized, appliedSlot, tick or staleTicks, or an entry of chain,
+# configs or engines, outside apply.go, Start and recoverChainLocked. The
+# ninth fuzzes RestoreChunk, the one decoder of snapshot bytes from peers,
+# for 10 s. bench/ is a nested module
 # (bench/go.mod) that ./... does not descend into; the tenth line notices a
 # program change that breaks the benchmark's build. The last prints what CI's Size step puts on the run's summary page
 # and fails, as that step does, when an option struct exceeds its field bound.
@@ -78,8 +80,8 @@ ci: vet build examples test race fmt-check
 	! grep -rnE '\.\((storage\.)?(BufferedStore|Stager)\)' --include='*.go' internal cmd examples | grep -v '_test.go:' | grep -v '^internal/storage/storage.go:'
 	! grep -rnE '\bstore\.(Set|Delete)\(|WriteChunkManifest\(' --include='*.go' internal cmd examples | grep -v '_test.go:' | grep -v '^internal/storage/'
 	! grep -nE 'paxos\.|"repro/internal/paxos"' $$(ls internal/reconfig/*.go | grep -v '_test\.go$$') | grep -vE '^internal/reconfig/node\.go:[0-9]+:[[:space:]]*(Paxos paxos\.Options|o\.engine = paxos\.Factory\(o\.Paxos\)|"repro/internal/paxos")$$'
-	! grep -nwE 'epoch|requeue|consumeEngine|droppedBelow|decisionBuffer' $$(ls internal/reconfig/*.go | grep -v '_test\.go$$')
-	awk 'FNR==1{fn=""} /^func /{fn=$$0} (/[^A-Za-z0-9_]n\.(machine|curID|initialized|appliedSlot)[[:space:]]*([-+]?=[^=]|\+\+|--)/ || /[^A-Za-z0-9_]n\.(machine|curID|initialized|appliedSlot)[[:space:]]*,.*[^=!<>]=[^=]/) && FILENAME !~ /apply\.go$$/ && fn !~ /\) (Start|recoverChainLocked)\(/ {print FILENAME":"FNR": "$$0; bad=1} END{exit bad}' $$(ls internal/reconfig/*.go | grep -v '_test\.go$$')
+	! grep -nwE 'epoch|requeue|consumeEngine|droppedBelow|decisionBuffer|housekeeping|scheduleEngineStop|advanceToLocked' $$(ls internal/reconfig/*.go | grep -v '_test\.go$$')
+	awk 'FNR==1{fn=""} /^func /{fn=$$0} (/[^A-Za-z0-9_]n\.(machine|curID|initialized|appliedSlot|tick|staleTicks)[[:space:]]*([-+]?=[^=]|\+\+|--)/ || /[^A-Za-z0-9_]n\.(machine|curID|initialized|appliedSlot)[[:space:]]*,.*[^=!<>]=[^=]/ || /[^A-Za-z0-9_]n\.(chain|configs|engines)\[[^]]*\][[:space:]]*=[^=]/ || /delete\(n\.engines/) && FILENAME !~ /apply\.go$$/ && fn !~ /\) (Start|recoverChainLocked)\(/ {print FILENAME":"FNR": "$$0; bad=1} END{exit bad}' $$(ls internal/reconfig/*.go | grep -v '_test\.go$$')
 	$(GO) test -run '^$$' -fuzz '^FuzzSessionedRestoreChunk$$' -fuzztime 10s ./internal/statemachine/
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
 	scripts/size.sh

@@ -138,7 +138,7 @@ func storeWork(c *Cluster) (groupCommits, fsyncs []int64) {
 // the 4.5 bound is 2.4 commands per slot; about 3 frames at 6 per slot is
 // usual. Frames only count if the work was done once: on a fault-free fabric
 // next to no put may be re-proposed or applied twice (one in a hundred is a
-// command that a scheduling hiccup held for two housekeeping ticks; the same
+// command that a scheduling hiccup held for two of the node's ticks; the same
 // allowance as TestFaultFreeLoadIsProposedOnce).
 //
 // With -short — CI, and the race detector, under which clumps are half the

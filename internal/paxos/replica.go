@@ -146,7 +146,7 @@ type Replica struct {
 	lastDropWarn atomic.Int64 // unix nanos of the last overflow warning
 
 	// Progress mirrors: atomic copies of the loop-owned frontier state so
-	// the composition layer's housekeeping can probe "how far behind am I"
+	// the composition layer's tick can probe "how far behind am I"
 	// in O(1) without a message round or a channel hop (see Progress).
 	progDelivered atomic.Int64
 	progMaxSeen   atomic.Int64

@@ -164,9 +164,9 @@ func TestAdmissionDoesNotGateControlPlane(t *testing.T) {
 }
 
 // TestFaultFreeLoadIsProposedOnce: the re-proposal backoff of a pending
-// command starts at its first proposal, so on a healthy fabric housekeeping
+// command starts at its first proposal, so on a healthy fabric the tick
 // has nothing to re-propose. A zero-valued nextRetry used to re-propose every
-// command that was in flight across a housekeeping tick, and each re-proposal
+// command that was in flight across a tick, and each re-proposal
 // was decided and applied a second time.
 func TestFaultFreeLoadIsProposedOnce(t *testing.T) {
 	w := newWorld(t, transport.Options{BaseLatency: 100 * time.Microsecond})
@@ -197,7 +197,7 @@ func TestFaultFreeLoadIsProposedOnce(t *testing.T) {
 		resubmits += st.Resubmits
 		duplicates += st.Duplicates
 	}
-	// A command slower than two housekeeping ticks (a scheduling hiccup) may
+	// A command slower than two ticks (a scheduling hiccup) may
 	// still be re-proposed; one in a hundred is far below the one in six the
 	// zero-valued clock produced at this op latency.
 	const ops = sessions * perSession

@@ -1,33 +1,44 @@
 package reconfig
 
 import (
+	"fmt"
+	"time"
+
 	"repro/internal/smr"
 	"repro/internal/statemachine"
 	"repro/internal/types"
 )
 
-// applyLoop is the node's single execution thread and the one owner of its
-// apply side. It alone takes decisions from an engine — the current
-// configuration's, and only while that configuration is installed here — and
-// executes them in decided order; once Start has returned it alone assigns
-// the machine, the current configuration, whether it is installed and the
-// apply cursor. What changes those from another goroutine (a stale jump, a
-// fetched snapshot's install) is handed to it (handLocked) and runs between
-// two rounds, never while a segment executes, so no round's work is ever
-// overtaken. Every other engine keeps what it decides, as smr.Engine allows:
-// a speculative successor until its state is installed, a wedged predecessor
-// until it is stopped.
+// applyLoop is the node's one loop. It alone takes decisions from an engine —
+// the current configuration's, and only while that configuration is installed
+// here — and executes them in decided order, and it runs the node's periodic
+// tick (houseTick). Once Start has returned it alone assigns the machine, the
+// current configuration, whether it is installed and the apply cursor, the
+// chain, the configurations and the engine runs, and it alone starts and
+// retires engines. What another goroutine learns that changes those (a chain
+// record from a peer, a fetched snapshot's install) is handed to it (onLoop)
+// and runs between two rounds, never while a segment executes, so no round's
+// work is ever overtaken. Every other engine keeps what it decides, as
+// smr.Engine allows: a speculative successor until its state is installed, a
+// wedged predecessor until it is retired.
 //
 // A round collects a run of taken decisions under n.mu, releases the mutex,
 // executes them, and reacquires n.mu only to commit: advance the apply
-// cursor, answer waiting clients, serve parked reads. Proposals, reads and
-// housekeeping do not contend with execution.
+// cursor, answer waiting clients, serve parked reads. Proposals and reads do
+// not contend with execution.
 func (n *Node) applyLoop() {
 	defer n.wg.Done()
+	ticker := time.NewTicker(retryInterval)
+	defer ticker.Stop()
 	for {
 		units, run := n.collectRound()
 		if len(units) > 0 {
 			n.executeRound(units)
+			select {
+			case <-ticker.C: // a loop that never idles still ticks
+				n.houseTick()
+			default:
+			}
 			continue
 		}
 		var decs <-chan smr.Decision
@@ -37,6 +48,8 @@ func (n *Node) applyLoop() {
 		select {
 		case <-n.stopCh:
 			return
+		case <-ticker.C:
+			n.houseTick()
 		case <-n.pumpCh:
 		case d, ok := <-decs:
 			// The installed configuration's engine is stopped only by Stop,
@@ -50,13 +63,23 @@ func (n *Node) applyLoop() {
 	}
 }
 
-// handLocked hands f to the apply loop, which runs it under n.mu between two
-// rounds, in the order handed. Caller holds mu.
-func (n *Node) handLocked(f func()) {
-	n.handoff = append(n.handoff, f)
+// onLoop hands f to the apply loop, which runs it under n.mu between two
+// rounds, in the order handed, and waits until it has; false means the node
+// stopped first. The caller holds no lock and is not the loop.
+func (n *Node) onLoop(f func()) bool {
+	done := make(chan struct{})
+	n.mu.Lock()
+	n.handoff = append(n.handoff, func() { f(); close(done) })
+	n.mu.Unlock()
 	select {
 	case n.pumpCh <- struct{}{}:
 	default: // a wake is already pending; the loop will see f too
+	}
+	select {
+	case <-done:
+		return true
+	case <-n.stopCh:
+		return false
 	}
 }
 
@@ -295,11 +318,12 @@ func (n *Node) takeOverLocked(id types.ConfigID) int64 {
 }
 
 // jumpLocked moves the node's execution cursor to configuration id without
-// local state (a fetch must follow if we are a member). It runs on the apply
-// loop, handed over by advanceToLocked. Caller holds mu.
+// local state (a fetch must follow if we are a member): a spare or retired
+// node adopting an announced successor, or a stale jump. It runs on the apply
+// loop. The old configuration's run stays until the tick retires it. Caller
+// holds mu.
 func (n *Node) jumpLocked(id types.ConfigID) {
 	if run, ok := n.engines[n.curID]; ok {
-		n.scheduleEngineStop(run)
 		run.buffered = nil
 	}
 	n.curID = id
@@ -360,25 +384,9 @@ func (n *Node) applyReconfigLocked(slot types.Slot, cmd types.Command) {
 		WedgeSlot:   slot,
 		To:          newCfg,
 	}
-	if prev, ok := n.chain[rec.From]; ok {
-		if !prev.Equal(rec) {
-			// Two different successors for one configuration would be
-			// a chain fork — agreement inside the engine forbids it.
-			n.stats.InvariantViolations++
-			return
-		}
-	} else {
-		// Staged, with no barrier of its own: this node acts in the successor
-		// only through its engine, whose first barrier covers the record, or
-		// through a snapshot commit or transfer, whose barriers do too. A
-		// record lost before any of them is redelivered by this
-		// configuration's log.
-		n.chain[rec.From] = rec
-		if err := n.store.SetBuffered(chainKey(rec.From), encodeChainRecord(rec)); err != nil {
-			n.stats.InvariantViolations++
-		}
+	if n.recordLocked(rec) {
+		return
 	}
-	n.configs[newCfg.ID] = newCfg
 	n.stats.Wedges++
 
 	// The machine state at the wedge IS the successor's initial state:
@@ -386,11 +394,10 @@ func (n *Node) applyReconfigLocked(slot types.Slot, cmd types.Command) {
 	// under n.mu.
 	n.publishAsyncLocked(newCfg.ID, 0, n.machine.ForkSnapshot())
 
-	// Let the old engine linger for laggards, then stop it. What the round
-	// took past the wedge is dropped with its head, and what the engine
+	// The old engine lingers for laggards until the tick retires it. What the
+	// round took past the wedge is dropped with its head, and what the engine
 	// decides after it stays there.
 	if run, ok := n.engines[rec.From]; ok {
-		n.scheduleEngineStop(run)
 		run.buffered = nil
 	}
 
@@ -420,7 +427,7 @@ func (n *Node) applyReconfigLocked(slot types.Slot, cmd types.Command) {
 }
 
 // announceLocked broadcasts the chain record to the successor's members.
-// Best-effort: the housekeeping loop and discovery RPCs cover losses.
+// Best-effort: gossip and discovery RPCs cover losses.
 func (n *Node) announceLocked(rec ChainRecord) {
 	body := encodeAnnounce(announceMsg{Record: rec})
 	for _, m := range rec.To.Members {
@@ -433,10 +440,10 @@ func (n *Node) announceLocked(rec ChainRecord) {
 
 // resubmitPendingLocked re-proposes pending commands into the current
 // configuration's engine. Session dedup makes duplicates harmless. Each
-// command backs off exponentially (with jitter) across housekeeping ticks so
-// a stalled configuration is not hammered every tick; force resets the
-// backoff and re-proposes everything immediately — used on configuration
-// transitions, where the fresh engine deserves an instant try.
+// command backs off exponentially (with jitter) across ticks so a stalled
+// configuration is not hammered every tick; force resets the backoff and
+// re-proposes everything immediately — used on configuration transitions,
+// where the fresh engine deserves an instant try.
 func (n *Node) resubmitPendingLocked(force bool) {
 	run, ok := n.engines[n.curID]
 	if !ok {
@@ -460,7 +467,7 @@ func (n *Node) resubmitPendingLocked(force bool) {
 }
 
 // armRetryLocked starts p's backoff clock at a proposal made now: the next
-// housekeeping re-proposal is one jittered step away, and the step doubles.
+// re-proposal by the tick is one jittered step away, and the step doubles.
 func (n *Node) armRetryLocked(p *pendingCmd) {
 	step := int64(1) << p.backoff
 	if p.backoff < 4 { // cap at 16 ticks between re-proposals
@@ -483,4 +490,227 @@ func (n *Node) redirectAllPendingLocked() {
 		}
 		delete(n.pending, key)
 	}
+}
+
+// recordLocked adds rec to the chain and the configurations, staging it if it
+// is new, and reports a fork: a second successor of one configuration, which
+// agreement inside the engine forbids, is counted and not adopted. The record
+// is staged with no barrier of its own: this node acts in the successor only
+// through its engine, whose first barrier covers the record, or through a
+// snapshot commit or transfer, whose barriers do too; one lost before any of
+// them is redelivered by its configuration's log or relearned by gossip.
+// Caller holds mu, on the loop.
+func (n *Node) recordLocked(rec ChainRecord) (fork bool) {
+	prev, ok := n.chain[rec.From]
+	if ok && !prev.Equal(rec) {
+		n.stats.InvariantViolations++
+		return true
+	}
+	if !ok {
+		n.chain[rec.From] = rec
+		if err := n.store.SetBuffered(chainKey(rec.From), encodeChainRecord(rec)); err != nil {
+			n.stats.InvariantViolations++
+		}
+	}
+	n.configs[rec.To.ID] = rec.To
+	return false
+}
+
+// handleAnnounce integrates a chain record a peer announced (learnChain).
+func (n *Node) handleAnnounce(rec ChainRecord) { n.learnChain(types.Config{}, rec) }
+
+// learnChain integrates chain records learned from peers — an announce, or a
+// peer's chain and initial configuration pulled by gossip — on the apply loop
+// and returns once it has, so from then on they fence reads. For each record
+// it starts the successor's engine speculatively if this node belongs to it,
+// and jumps straight to the successor when the node is not executing an older
+// configuration; an executing member waits for its own log to deliver the
+// wedge, or for the stale jump.
+func (n *Node) learnChain(initial types.Config, recs ...ChainRecord) {
+	n.onLoop(func() {
+		if _, ok := n.configs[initial.ID]; initial.ID != 0 && !ok {
+			n.configs[initial.ID] = initial
+		}
+		for _, rec := range recs {
+			if n.stopped || n.recordLocked(rec) {
+				continue
+			}
+			if rec.To.IsMember(n.self) && n.speculationOn() {
+				if err := n.ensureEngineLocked(rec.To.ID); err != nil {
+					n.stats.InvariantViolations++
+				}
+			}
+			if rec.To.ID > n.curID && !(n.initialized && n.configs[n.curID].IsMember(n.self)) {
+				n.jumpLocked(rec.To.ID)
+			}
+		}
+		n.serveReadyReadsLocked()
+	})
+}
+
+// ensureEngineLocked creates and starts the engine for configuration id if
+// this node is a member and it is not already running. It refuses a
+// configuration older than the current one: its run is retired or was never
+// needed, and gossip replays every record, so rebuilding its engine from the
+// store would restart it every gossip round. Caller holds mu, on the loop or
+// in Start.
+func (n *Node) ensureEngineLocked(id types.ConfigID) error {
+	if n.stopped || id < n.curID {
+		return nil // shutting down, or retired here: a new engine would never be needed
+	}
+	if _, ok := n.engines[id]; ok {
+		return nil
+	}
+	cfg, ok := n.configs[id]
+	if !ok {
+		return fmt.Errorf("reconfig: unknown configuration %d", id)
+	}
+	if !cfg.IsMember(n.self) {
+		return nil
+	}
+	eng, err := n.opts.engine.New(cfg, n.self, n.ep, n.store, uint64(id))
+	if err != nil {
+		return err
+	}
+	if err := eng.Start(); err != nil {
+		return err
+	}
+	n.engines[id] = &engineRun{id: id, cfg: cfg, eng: eng, installed: n.initialized && id == n.curID}
+	return nil
+}
+
+// notifyTransitionLocked wakes everyone waiting for a configuration change.
+func (n *Node) notifyTransitionLocked() {
+	for _, ch := range n.cfgWaiters {
+		close(ch)
+	}
+	n.cfgWaiters = nil
+	n.staleTicks = 0
+}
+
+// houseTick is the loop's periodic turn, every retryInterval: re-proposals,
+// parked reads' aging, the stale jump, the snapshot pipeline's periodic half,
+// engine retirement, and the checkpoint re-announce and chain gossip, whose
+// exchanges run on goroutines of their own.
+func (n *Node) houseTick() {
+	n.mu.Lock()
+	n.tick++
+	cur := n.configs[n.curID]
+	member := cur.IsMember(n.self)
+
+	if n.initialized && member {
+		n.resubmitPendingLocked(false)
+	}
+	n.ageReadWaitersLocked()
+
+	// Stale jump: a successor of our current configuration is known, but
+	// our own engine has not delivered the wedge (e.g. the old quorum is
+	// gone). After a grace period, transfer state instead of waiting.
+	if rec, ok := n.chain[n.curID]; ok && n.initialized {
+		if n.staleTicks++; n.staleTicks > staleJumpTicks {
+			n.stats.StaleJumps++
+			n.jumpLocked(rec.To.ID)
+		}
+	} else if n.initialized {
+		n.staleTicks = 0
+	}
+
+	// The snapshot pipeline's periodic half: fetch a snapshot if this member
+	// has no state or is too far behind to replay, publish a checkpoint when
+	// the applied cursor is an interval past the last, and retire snapshots
+	// nobody can still need.
+	n.maybeTransferLocked()
+	n.maybeCheckpointLocked()
+	n.maybeRetireLocked()
+	n.retireEnginesLocked()
+
+	// Periodic checkpoint-base re-announce: repairs lost announces and
+	// keeps feeding peer bases into the truncation computation.
+	var ckptBody []byte
+	var ckptTo []types.NodeID
+	n.ckptAnnounceLeft--
+	if n.ckptAnnounceLeft <= 0 {
+		n.ckptAnnounceLeft = ckptAnnounceTicks
+		if !n.opts.NoCheckpoints && n.initialized && member &&
+			n.ckptCfg == n.curID && n.ckptSelfBase > 0 {
+			ckptBody = encodeCkptAnnounce(ckptMsg{Config: n.curID, Base: n.ckptSelfBase})
+			ckptTo = append([]types.NodeID(nil), cur.Members...)
+		}
+		n.maybeTruncateLocked()
+	}
+
+	// Anti-entropy: periodically trade chain knowledge with a random known
+	// peer. This is the repair path for lost announces — a member that
+	// missed a reconfiguration learns about the successor here. The
+	// exchange is symmetric: we push our newest record (so blank spares,
+	// which know nobody and cannot pull, still get reached) and pull the
+	// peer's chain.
+	var gossipTo types.NodeID
+	var gossipPush []byte
+	n.gossipLeft--
+	if n.gossipLeft <= 0 {
+		n.gossipLeft = gossipTicks
+		gossipTo = n.gossipPeerLocked()
+		if rec, ok := n.chain[n.curID-1]; ok && gossipTo != "" {
+			gossipPush = encodeAnnounce(announceMsg{Record: rec})
+		}
+	}
+	n.mu.Unlock()
+
+	if gossipTo != "" {
+		n.wg.Add(1)
+		go func() {
+			defer n.wg.Done()
+			n.gossipChain(gossipTo, gossipPush)
+		}()
+	}
+	if ckptBody != nil {
+		n.broadcastCkpt(ckptTo, ckptBody)
+	}
+}
+
+// retireEnginesLocked drops the runs of configurations older than the current
+// one once they have lingered lingerOld — long enough for laggards to learn
+// the wedge from them — and stops their engines on one goroutine off the
+// loop: Stop waits for an engine's loop, which may sit in a held flush. What
+// a dropped run counted stays in the node's stats, so no counter goes
+// backwards. Caller holds mu, on the loop.
+func (n *Node) retireEnginesLocked() {
+	var old []smr.Replica
+	for id, run := range n.engines {
+		if id >= n.curID || n.stopped {
+			continue
+		}
+		if run.lingered++; run.lingered < int(lingerOld/retryInterval) {
+			continue
+		}
+		delete(n.engines, id)
+		countRun(&n.stats, run)
+		old = append(old, run.eng)
+	}
+	if len(old) == 0 {
+		return
+	}
+	n.wg.Add(1)
+	go func() {
+		defer n.wg.Done()
+		for _, eng := range old {
+			eng.Stop()
+		}
+	}()
+}
+
+// countRun adds to out what run's engine has counted — its cumulative
+// counters and, until its state is installed here, what it delivered
+// speculatively — and returns the counters, whose RetainedSlots is a level
+// rather than a count.
+func countRun(out *NodeStats, run *engineRun) smr.Counters {
+	if !run.installed {
+		out.SpeculativeDecides += int64(run.eng.Progress().Delivered)
+	}
+	es := run.eng.Counters()
+	out.DroppedInbound += es.DroppedInbound
+	out.GroupCommits += es.GroupCommits
+	out.TruncatedSlots += es.TruncatedSlots
+	return es
 }

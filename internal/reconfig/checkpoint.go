@@ -33,7 +33,7 @@ import (
 	"repro/internal/types"
 )
 
-// ckptAnnounceTicks is how many housekeeping ticks pass between periodic
+// ckptAnnounceTicks is how many ticks pass between periodic
 // re-announces of this member's newest durable checkpoint base (the repair
 // path for lost announce RPCs, and how a healed member learns it may
 // truncate).
@@ -177,7 +177,7 @@ func (n *Node) broadcastCkpt(members []types.NodeID, body []byte) {
 
 // maybeCheckpointLocked publishes a checkpoint when the applied cursor has
 // advanced checkpointInterval slots past the newest durable one and no other
-// publish is in flight. Caller holds mu (the housekeeping tick).
+// publish is in flight. Caller holds mu (the tick).
 func (n *Node) maybeCheckpointLocked() {
 	if n.opts.NoCheckpoints || n.stopped || !n.initialized || n.publishing > 0 {
 		return

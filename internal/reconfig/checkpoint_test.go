@@ -330,7 +330,7 @@ func TestNoCheckpointsAblationNeverTruncates(t *testing.T) {
 
 	const ops = 120
 	w.driveAdds("n1", "c1", 0, ops)
-	// Give housekeeping ample ticks to (wrongly) trigger anything.
+	// Give the tick ample turns to (wrongly) trigger anything.
 	time.Sleep(200 * time.Millisecond)
 	for _, id := range []types.NodeID{"n1", "n2", "n3"} {
 		st := w.node(id).Stats()

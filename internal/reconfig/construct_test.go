@@ -67,10 +67,12 @@ func TestReplicaConstructionAllocates(t *testing.T) {
 }
 
 // A replica at rest costs the goroutines that do its work and no relay between
-// them: a started engine runs its event loop, and a node's engine run adds
-// that loop alone — the node's apply loop takes the engine's decisions
-// itself. The counts do not depend on the runner's speed; a relay or
-// consumer goroutine put back between decide and apply fails here.
+// them: a started engine runs its event loop; a spare node runs its apply
+// loop alone, which also runs the node's tick; and a node's engine run adds
+// the engine's loop alone — the node's apply loop takes the engine's
+// decisions itself. The counts do not depend on the runner's speed; a relay
+// or consumer goroutine put back between decide and apply, or a second loop
+// of the node's own, fails here.
 func TestReplicaAtRestGoroutines(t *testing.T) {
 	net := transport.NewNetwork(transport.Options{})
 	t.Cleanup(net.Close)
@@ -128,6 +130,7 @@ func TestReplicaAtRestGoroutines(t *testing.T) {
 			return n.Stop
 		}
 	}
+	measure(1, "a spare reconfig.Node", func() int { return added(node("s1", false)) })
 	measure(1, "an engine run of a reconfig.Node", func() int {
 		return added(node("m1", true)) - added(node("s1", false))
 	})

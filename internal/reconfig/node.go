@@ -59,7 +59,7 @@ type Options struct {
 
 	// checkpointInterval is how many applied slots pass between
 	// within-configuration checkpoints: once the applied cursor is this far
-	// past the newest durable checkpoint base, the housekeeping tick forks
+	// past the newest durable checkpoint base, the tick forks
 	// and publishes a new one (see checkpoint.go). Bounds retained engine
 	// log state to roughly interval + margin slots. Default 4096.
 	checkpointInterval int
@@ -96,23 +96,23 @@ const (
 )
 
 const (
-	// retryInterval is the period of the node's housekeeping loop:
+	// retryInterval is the period of the apply loop's tick (houseTick):
 	// re-proposing pending commands, retrying snapshot fetches, checking
-	// for stale configurations.
+	// for stale configurations, retiring old engines.
 	retryInterval = 10 * time.Millisecond
-	// lingerOld is how long a wedged engine keeps running after its
-	// successor activates, so lagging members can still catch up and
-	// learn the wedge from it.
+	// lingerOld is how long an old configuration's engine keeps running
+	// once the node has moved past it, so lagging members can still catch
+	// up and learn the wedge from it; the tick counts it out in ticks.
 	lingerOld = 500 * time.Millisecond
 	// fetchTimeout bounds one snapshot-fetch RPC attempt.
 	fetchTimeout = 150 * time.Millisecond
-	// staleJumpTicks is how many housekeeping ticks a node waits for its
-	// own engine to deliver an already-announced wedge before jumping
-	// directly to the successor via state transfer.
+	// staleJumpTicks is how many ticks a node waits for its own engine to
+	// deliver an already-announced wedge before jumping directly to the
+	// successor via state transfer.
 	staleJumpTicks = 15
-	// gossipTicks is how many housekeeping ticks pass between chain
-	// anti-entropy exchanges with a random known peer, the repair path
-	// for lost announces.
+	// gossipTicks is how many ticks pass between chain anti-entropy
+	// exchanges with a random known peer, the repair path for lost
+	// announces.
 	gossipTicks = 20
 	// pendingMaxRetries drops a pending command after this many re-proposals
 	// (an abandoned client).
@@ -176,7 +176,7 @@ type pendingCmd struct {
 	cmd        types.Command
 	responders []func(resp []byte)
 	tries      int
-	// Exponential re-proposal backoff: skip housekeeping re-proposals
+	// Exponential re-proposal backoff: skip the tick's re-proposals
 	// until tick nextRetry; backoff is the current exponent. Reset on
 	// configuration transitions so a fresh engine is tried immediately.
 	nextRetry int64
@@ -194,6 +194,9 @@ type engineRun struct {
 	// and the apply loop takes its decisions (takeOverLocked); until then
 	// they stay in the engine.
 	installed bool
+	// lingered counts the ticks the run has spent older than the current
+	// configuration; at lingerOld the tick retires it (retireEnginesLocked).
+	lingered int
 }
 
 // NodeStats is a snapshot of the node's counters.
@@ -247,14 +250,15 @@ type Node struct {
 	mu     sync.Mutex
 	// execMu guards the machine's *content* during command execution. The
 	// apply stage takes it exclusively — without mu — while it executes a
-	// decided segment, so proposals and housekeeping proceed under mu
-	// meanwhile; paths that read machine state under mu (submit dedup,
-	// fast-path reads) additionally take it shared so they never observe a
-	// half-applied segment. Lock order: mu before execMu; the apply stage
+	// decided segment, so proposals and reads proceed under mu meanwhile;
+	// paths that read machine state under mu (submit dedup, fast-path reads)
+	// additionally take it shared so they never observe a half-applied
+	// segment. Lock order: mu before execMu; the apply stage
 	// never acquires mu while holding execMu.
 	execMu sync.RWMutex
-	// machine, curID, initialized and appliedSlot are read under mu and,
-	// once Start has returned, written only by the apply loop (apply.go).
+	// machine, configs, chain, curID, initialized, appliedSlot, engines,
+	// tick and staleTicks are read under mu and, once Start has returned,
+	// written only by the apply loop (apply.go).
 	machine     *statemachine.Sessioned
 	initConfig  types.Config
 	configs     map[types.ConfigID]types.Config
@@ -262,8 +266,8 @@ type Node struct {
 	curID       types.ConfigID
 	initialized bool // machine state is valid for curID; applying allowed
 	appliedSlot types.Slot
-	// handoff is the work other goroutines hand to the apply loop
-	// (handLocked): stale jumps and fetched snapshots' installs.
+	// handoff is the work other goroutines hand to the apply loop (onLoop):
+	// chain records learned from peers and fetched snapshots' installs.
 	handoff     []func()
 	engines     map[types.ConfigID]*engineRun
 	pending     map[pendKey]*pendingCmd
@@ -274,7 +278,7 @@ type Node struct {
 	publishing int                             // publish goroutines in flight
 	transfer   types.ConfigID                  // configuration the transfer goroutine is fetching; 0 when none runs
 	retireNext types.ConfigID                  // every older configuration's snapshot has been retired
-	tick       int64                           // housekeeping tick counter
+	tick       int64                           // ticks the apply loop has run (houseTick)
 	rng        *rand.Rand                      // jitter source, guarded by mu
 	staleTicks int
 	gossipLeft int
@@ -295,7 +299,7 @@ type Node struct {
 	testChunkHook func(id types.ConfigID, idx int, data []byte) []byte
 
 	// pumpCh wakes the apply loop for handed-over work. Capacity 1; sends
-	// are non-blocking (handLocked).
+	// are non-blocking (onLoop).
 	pumpCh     chan struct{}
 	stopCh     chan struct{}
 	stopOnce   sync.Once
@@ -448,9 +452,8 @@ func (n *Node) Start() error {
 	}
 
 	n.peer = rpc.NewPeer(n.ep, ControlStream, n.handleRPC)
-	n.wg.Add(2)
+	n.wg.Add(1)
 	go n.applyLoop()
-	go n.housekeeping()
 	return nil
 }
 
@@ -523,33 +526,6 @@ func (n *Node) Stop() {
 // snapshot installs (Options.SpeculativeStart, default on).
 func (n *Node) speculationOn() bool { return n.opts.SpeculativeStart != SpecOff }
 
-// ensureEngineLocked creates and starts the engine for configuration id if
-// this node is a member and it is not already running. Caller holds mu.
-func (n *Node) ensureEngineLocked(id types.ConfigID) error {
-	if n.stopped {
-		return nil // shutting down; a new engine would never be reaped
-	}
-	if _, ok := n.engines[id]; ok {
-		return nil
-	}
-	cfg, ok := n.configs[id]
-	if !ok {
-		return fmt.Errorf("reconfig: unknown configuration %d", id)
-	}
-	if !cfg.IsMember(n.self) {
-		return nil
-	}
-	eng, err := n.opts.engine.New(cfg, n.self, n.ep, n.store, uint64(id))
-	if err != nil {
-		return err
-	}
-	if err := eng.Start(); err != nil {
-		return err
-	}
-	n.engines[id] = &engineRun{id: id, cfg: cfg, eng: eng, installed: n.initialized && id == n.curID}
-	return nil
-}
-
 // warnShed logs at most once per second that admission control is shedding
 // client commands. Caller holds mu (the shed counter lives under it); the
 // rate gate is atomic so the common suppressed path stays cheap.
@@ -563,20 +539,6 @@ func (n *Node) warnShed() {
 		log.Printf("reconfig: %s shedding client submits (queue cap %d, %d shed so far); clients are told SubmitBusy",
 			n.self, n.opts.SubmitQueue, n.stats.ShedSubmits)
 	}
-}
-
-// scheduleEngineStop stops an old engine after the linger period, keeping it
-// available for laggards' catch-up meanwhile.
-func (n *Node) scheduleEngineStop(run *engineRun) {
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		select {
-		case <-time.After(lingerOld):
-		case <-n.stopCh:
-		}
-		run.eng.Stop()
-	}()
 }
 
 // --- public inspection -------------------------------------------------------
@@ -658,14 +620,7 @@ func (n *Node) Stats() NodeStats {
 	defer n.mu.Unlock()
 	out := n.stats
 	for _, run := range n.engines {
-		if !run.installed {
-			out.SpeculativeDecides += int64(run.eng.Progress().Delivered)
-		}
-		es := run.eng.Counters()
-		out.DroppedInbound += es.DroppedInbound
-		out.GroupCommits += es.GroupCommits
-		out.TruncatedSlots += es.TruncatedSlots
-		out.RetainedSlots += es.RetainedSlots
+		out.RetainedSlots += countRun(&out, run).RetainedSlots
 	}
 	out.SubmitQueueDepth = int64(len(n.pending))
 	if n.ckptCfg == n.curID {
@@ -680,15 +635,6 @@ func (n *Node) Machine() *statemachine.Sessioned {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.machine
-}
-
-// notifyTransitionLocked wakes everyone waiting for a configuration change.
-func (n *Node) notifyTransitionLocked() {
-	for _, ch := range n.cfgWaiters {
-		close(ch)
-	}
-	n.cfgWaiters = nil
-	n.staleTicks = 0
 }
 
 // transitionWaiterLocked returns a channel closed at the next transition.

@@ -18,7 +18,7 @@ import "repro/internal/types"
 // the node re-checks the fence under its own lock every time a read is
 // about to be answered.
 
-// staleReadTicks is how many housekeeping ticks a parked fast-path read may
+// staleReadTicks is how many ticks a parked fast-path read may
 // wait for the apply cursor to reach its index before it is rerouted
 // through the log (which makes progress through leader forwarding even when
 // this replica is stuck).
@@ -183,7 +183,7 @@ func (n *Node) serveReadyReadsLocked() {
 	n.readWaiters = keep
 }
 
-// ageReadWaitersLocked is the housekeeping sweep: a read stuck beyond
+// ageReadWaitersLocked is the tick's sweep: a read stuck beyond
 // staleReadTicks (leadership confirmed but the apply cursor is not
 // advancing, e.g. the leader lost its quorum right after the probe) is
 // rerouted through the log so it shares the write path's retry machinery.

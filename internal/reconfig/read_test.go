@@ -104,7 +104,7 @@ func TestWedgeFencesReads(t *testing.T) {
 	// record for its own configuration. Because it is still executing config
 	// 1, handleAnnounce does not advance curID; the record alone must fence.
 	// The read below lands microseconds later, far inside the stale-jump
-	// grace (staleJumpTicks housekeeping ticks), so nothing else can stop it.
+	// grace (staleJumpTicks ticks), so nothing else can stop it.
 	var rec ChainRecord
 	for _, r := range w.node(survivors[0]).ChainRecords() {
 		if r.From == 1 {

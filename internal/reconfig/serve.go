@@ -208,7 +208,7 @@ func (n *Node) admitSubmitLocked(cmd types.Command) bool {
 }
 
 // busyReplyLocked builds the SubmitBusy shed reply. RetryAfter is the
-// housekeeping interval: by then the node has re-proposed its backlog at
+// tick interval: by then the node has re-proposed its backlog at
 // least once, so the queue has had a real chance to drain.
 func (n *Node) busyReplyLocked() []byte {
 	return EncodeSubmitResult(SubmitResult{
@@ -228,7 +228,7 @@ func (n *Node) enqueueSubmitLocked(cmd types.Command, respond func([]byte)) {
 	if !ok {
 		p = &pendingCmd{cmd: cmd}
 		// The proposal below is try zero, so the backoff clock starts here: a
-		// zero nextRetry would have the very next housekeeping tick re-propose
+		// zero nextRetry would have the very next tick re-propose
 		// a command that is merely in flight. The extra tick covers the
 		// current one, which is already partly spent.
 		n.armRetryLocked(p)
@@ -240,164 +240,7 @@ func (n *Node) enqueueSubmitLocked(cmd types.Command, respond func([]byte)) {
 	}
 	p.responders = append(p.responders, respond)
 	if run, ok := n.engines[n.curID]; ok {
-		_ = run.eng.Propose(cmd) // housekeeping re-proposes on loss
-	}
-}
-
-// handleAnnounce integrates a chain record learned from a peer: stage it,
-// speculatively start the successor engine if we belong to it, and — when we
-// are not actively executing an older configuration — advance directly.
-func (n *Node) handleAnnounce(rec ChainRecord) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.stopped {
-		return
-	}
-	if prev, ok := n.chain[rec.From]; ok {
-		if !prev.Equal(rec) {
-			n.stats.InvariantViolations++ // chain fork: impossible under agreement
-		}
-	} else {
-		// Staged under mu, like the wedge's own record (applyReconfigLocked):
-		// the successor engine's or the transfer's first barrier makes it
-		// durable, and one lost before either is relearned by gossip.
-		n.chain[rec.From] = rec
-		if err := n.store.SetBuffered(chainKey(rec.From), encodeChainRecord(rec)); err != nil {
-			n.stats.InvariantViolations++
-		}
-	}
-	n.configs[rec.To.ID] = rec.To
-
-	// Speculative start (the paper's availability optimization): join the
-	// successor's engine before the state arrives so ordering can begin.
-	if rec.To.IsMember(n.self) && n.speculationOn() {
-		if err := n.ensureEngineLocked(rec.To.ID); err != nil {
-			n.stats.InvariantViolations++
-		}
-	}
-
-	if rec.To.ID > n.curID {
-		executing := n.initialized && n.configs[n.curID].IsMember(n.self)
-		if !executing {
-			// Spare or retired node: adopt the newest configuration
-			// directly; the housekeeping loop fetches its state if we
-			// are a member.
-			n.advanceToLocked(rec.To.ID, false)
-		}
-		// Otherwise our own log delivers the wedge; the stale-jump
-		// fallback covers a dead predecessor quorum.
-	}
-
-	// The new chain record may have fenced parked fast-path reads.
-	n.serveReadyReadsLocked()
-}
-
-// advanceToLocked hands the apply loop a jump to configuration id without
-// local state (jumpLocked). The loop takes it between rounds unless it has
-// reached id by then — its own log delivered the wedge, or an earlier jump
-// went as far; stale counts it in StaleJumps.
-func (n *Node) advanceToLocked(id types.ConfigID, stale bool) {
-	n.handLocked(func() {
-		if id <= n.curID {
-			return
-		}
-		if stale {
-			n.stats.StaleJumps++
-		}
-		n.jumpLocked(id)
-	})
-}
-
-// housekeeping drives retries: pending re-proposals, snapshot fetches, and
-// the stale-jump fallback.
-func (n *Node) housekeeping() {
-	defer n.wg.Done()
-	ticker := time.NewTicker(retryInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-n.stopCh:
-			return
-		case <-ticker.C:
-			n.houseTick()
-		}
-	}
-}
-
-func (n *Node) houseTick() {
-	n.mu.Lock()
-	n.tick++
-	cur := n.configs[n.curID]
-	member := cur.IsMember(n.self)
-
-	if n.initialized && member {
-		n.resubmitPendingLocked(false)
-	}
-	n.ageReadWaitersLocked()
-
-	// Stale jump: a successor of our current configuration is known, but
-	// our own engine has not delivered the wedge (e.g. the old quorum is
-	// gone). After a grace period, transfer state instead of waiting.
-	if rec, ok := n.chain[n.curID]; ok && n.initialized {
-		n.staleTicks++
-		if n.staleTicks > staleJumpTicks {
-			n.staleTicks = 0
-			n.advanceToLocked(rec.To.ID, true)
-		}
-	} else if n.initialized {
-		n.staleTicks = 0
-	}
-
-	// The snapshot pipeline's periodic half: fetch a snapshot if this member
-	// has no state or is too far behind to replay, publish a checkpoint when
-	// the applied cursor is an interval past the last, and retire snapshots
-	// nobody can still need.
-	n.maybeTransferLocked()
-	n.maybeCheckpointLocked()
-	n.maybeRetireLocked()
-
-	// Periodic checkpoint-base re-announce: repairs lost announces and
-	// keeps feeding peer bases into the truncation computation.
-	var ckptBody []byte
-	var ckptTo []types.NodeID
-	n.ckptAnnounceLeft--
-	if n.ckptAnnounceLeft <= 0 {
-		n.ckptAnnounceLeft = ckptAnnounceTicks
-		if !n.opts.NoCheckpoints && n.initialized && member &&
-			n.ckptCfg == n.curID && n.ckptSelfBase > 0 {
-			ckptBody = encodeCkptAnnounce(ckptMsg{Config: n.curID, Base: n.ckptSelfBase})
-			ckptTo = append([]types.NodeID(nil), cur.Members...)
-		}
-		n.maybeTruncateLocked()
-	}
-
-	// Anti-entropy: periodically trade chain knowledge with a random known
-	// peer. This is the repair path for lost announces — a member that
-	// missed a reconfiguration learns about the successor here. The
-	// exchange is symmetric: we push our newest record (so blank spares,
-	// which know nobody and cannot pull, still get reached) and pull the
-	// peer's chain.
-	var gossipTo types.NodeID
-	var gossipPush []byte
-	n.gossipLeft--
-	if n.gossipLeft <= 0 {
-		n.gossipLeft = gossipTicks
-		gossipTo = n.gossipPeerLocked()
-		if rec, ok := n.chain[n.curID-1]; ok && gossipTo != "" {
-			gossipPush = encodeAnnounce(announceMsg{Record: rec})
-		}
-	}
-	n.mu.Unlock()
-
-	if gossipTo != "" {
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			n.gossipChain(gossipTo, gossipPush)
-		}()
-	}
-	if ckptBody != nil {
-		n.broadcastCkpt(ckptTo, ckptBody)
+		_ = run.eng.Propose(cmd) // the tick re-proposes on loss
 	}
 }
 
@@ -440,16 +283,7 @@ func (n *Node) gossipChain(to types.NodeID, push []byte) {
 	if err != nil {
 		return
 	}
-	if cr.Initial.ID != 0 {
-		n.mu.Lock()
-		if _, ok := n.configs[cr.Initial.ID]; !ok {
-			n.configs[cr.Initial.ID] = cr.Initial
-		}
-		n.mu.Unlock()
-	}
-	for _, rec := range cr.Records {
-		n.handleAnnounce(rec)
-	}
+	n.learnChain(cr.Initial, cr.Records...)
 }
 
 // fetchSourcesLocked lists peers likely to hold the initial snapshot of id:

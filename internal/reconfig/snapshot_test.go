@@ -276,7 +276,7 @@ func TestCheckpointBaseInstallReachesEngine(t *testing.T) {
 			t.Fatal("members never settled on a checkpoint with room before the next")
 		}
 		seq = w.driveAdds("n1", "c1", seq, 1)
-		time.Sleep(30 * time.Millisecond) // a few housekeeping ticks: let a due checkpoint land
+		time.Sleep(30 * time.Millisecond) // a few ticks: let a due checkpoint land
 	}
 	seq = w.driveAdds("n1", "c1", seq, 3)
 	_, tip := w.node("n1").AppliedSlot()

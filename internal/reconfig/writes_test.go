@@ -74,6 +74,9 @@ func (s *stuckStore) Sync() error {
 // it hung. Neither may hold Node.mu across a flush, so submits to both must
 // still be answered (with a redirect: n3 is retired, s1 has no state yet and
 // does not start speculatively), while n1 and n2 keep serving configuration 2.
+// Nor may either node's loop wait on the disk: it keeps ticking at its
+// period, and it integrates a chain record handed to it — configuration 3,
+// which n1 and n2 move on to — and jumps there.
 func TestStuckFsyncLeavesNodeAnswering(t *testing.T) {
 	w := newWorld(t, transport.Options{BaseLatency: 100 * time.Microsecond, Seed: 71})
 	w.opts.SpeculativeStart = SpecOff
@@ -123,6 +126,43 @@ func TestStuckFsyncLeavesNodeAnswering(t *testing.T) {
 			}
 		case <-time.After(3 * time.Second):
 			t.Errorf("submit to %s with its disk stuck went unanswered: a flush is holding Node.mu", id)
+		}
+	}
+
+	ticks := func(n *Node) int64 {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		return n.tick
+	}
+	before := map[types.NodeID]int64{"n3": ticks(w.node("n3")), "s1": ticks(w.node("s1"))}
+	time.Sleep(300 * time.Millisecond)
+	for id, was := range before {
+		if got := ticks(w.node(id)) - was; got < 20 {
+			t.Errorf("%s's loop ticked %d times in 300 ms with its disk stuck, want >= 20", id, got)
+		}
+	}
+	if _, err := w.node("n1").Reconfigure(ctx, []types.NodeID{"n1", "n2"}); err != nil {
+		t.Fatal(err)
+	}
+	var rec ChainRecord
+	for _, r := range w.node("n1").ChainRecords() {
+		if r.From == 2 {
+			rec = r
+		}
+	}
+	for id := range stuck {
+		done := make(chan struct{})
+		go func(n *Node) {
+			n.handleAnnounce(rec)
+			close(done)
+		}(w.node(id))
+		select {
+		case <-done:
+			if cur := w.node(id).CurrentConfig().ID; cur != 3 {
+				t.Errorf("%s integrated the record of configuration 3 and is in %d", id, cur)
+			}
+		case <-time.After(3 * time.Second):
+			t.Errorf("a chain record handed to %s with its disk stuck was never integrated: its loop waits on the disk", id)
 		}
 	}
 	w.submit("n1", "c1", 2, statemachine.EncodePut("k", []byte("v2")))

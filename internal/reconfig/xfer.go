@@ -169,7 +169,7 @@ func (n *Node) commit(id types.ConfigID, m storage.ChunkManifest, chunks [][]byt
 	if m.Base > 0 && n.curID == id {
 		n.noteDurableBaseLocked(m.Base)
 		n.stats.CheckpointsPublished++
-		n.ckptAnnounceLeft = 0 // the next housekeeping tick announces the new base
+		n.ckptAnnounceLeft = 0 // the next tick announces the new base
 		n.maybeTruncateLocked()
 	}
 	n.mu.Unlock()
@@ -269,7 +269,7 @@ func (n *Node) wantsSnapshotLocked(id types.ConfigID) bool {
 // maybeTransferLocked launches the transfer goroutine if the node wants a
 // snapshot of its current configuration and no transfer is running. The
 // transition paths call it right away — joining latency is downtime — and
-// the housekeeping tick relaunches one that gave up. Caller holds mu.
+// the tick relaunches one that gave up. Caller holds mu.
 func (n *Node) maybeTransferLocked() {
 	if n.transfer != 0 || !n.wantsSnapshotLocked(n.curID) {
 		return
@@ -654,16 +654,7 @@ func (n *Node) install(id types.ConfigID, m storage.ChunkManifest, chunks [][]by
 		return false
 	}
 	var installed, joined bool
-	done := make(chan struct{})
-	n.mu.Lock()
-	n.handLocked(func() {
-		installed, joined = n.installLocked(id, m.Base, fresh)
-		close(done)
-	})
-	n.mu.Unlock()
-	select {
-	case <-done:
-	case <-n.stopCh:
+	if !n.onLoop(func() { installed, joined = n.installLocked(id, m.Base, fresh) }) {
 		return false
 	}
 	if installed && !joined {
@@ -679,7 +670,7 @@ func (n *Node) install(id types.ConfigID, m storage.ChunkManifest, chunks [][]by
 // maybeRetireLocked drops every snapshot nobody can still need: the
 // in-memory copies here, the stored blobs on a goroutine of their own. A
 // snapshot the transfer goroutine may still be persisting chunks of waits
-// until that goroutine has exited. Caller holds mu (the housekeeping tick).
+// until that goroutine has exited. Caller holds mu (the tick).
 func (n *Node) maybeRetireLocked() {
 	var ids []types.ConfigID
 	for n.retiredLocked(n.retireNext) && n.retireNext != n.transfer {

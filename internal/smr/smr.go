@@ -96,7 +96,7 @@ type Checkpointer interface {
 }
 
 // Progress is a snapshot of an engine's log frontier. The composition
-// layer's housekeeping reads it to decide in one probe whether this member
+// layer's tick reads it to decide in one probe whether this member
 // is lagging far enough to fetch a checkpoint instead of walking the gap
 // slot by slot.
 type Progress struct {
