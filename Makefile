@@ -68,9 +68,11 @@ fmt-check:
 # scheduleEngineStop, advanceToLocked), or assigns the machine, curID,
 # initialized, appliedSlot, tick or staleTicks, or an entry of chain,
 # configs or engines, outside apply.go, Start and recoverChainLocked. The
-# ninth fuzzes RestoreChunk, the one decoder of snapshot bytes from peers,
-# for 10 s. bench/ is a nested module
-# (bench/go.mod) that ./... does not descend into; the tenth line notices a
+# ninth fails when non-test code under internal/ or cmd/ names the
+# within-configuration checkpoint and truncation machinery that the log bound
+# replaced (one compaction mechanism). The tenth fuzzes RestoreChunk, the one
+# decoder of snapshot bytes from peers, for 10 s. bench/ is a nested module
+# (bench/go.mod) that ./... does not descend into; the eleventh line notices a
 # program change that breaks the benchmark's build. The last prints what CI's Size step puts on the run's summary page
 # and fails, as that step does, when an option struct exceeds its field bound.
 ci: vet build examples test race fmt-check
@@ -82,6 +84,7 @@ ci: vet build examples test race fmt-check
 	! grep -nE 'paxos\.|"repro/internal/paxos"' $$(ls internal/reconfig/*.go | grep -v '_test\.go$$') | grep -vE '^internal/reconfig/node\.go:[0-9]+:[[:space:]]*(Paxos paxos\.Options|o\.engine = paxos\.Factory\(o\.Paxos\)|"repro/internal/paxos")$$'
 	! grep -nwE 'epoch|requeue|consumeEngine|droppedBelow|decisionBuffer|housekeeping|scheduleEngineStop|advanceToLocked' $$(ls internal/reconfig/*.go | grep -v '_test\.go$$')
 	awk 'FNR==1{fn=""} /^func /{fn=$$0} (/[^A-Za-z0-9_]n\.(machine|curID|initialized|appliedSlot|tick|staleTicks)[[:space:]]*([-+]?=[^=]|\+\+|--)/ || /[^A-Za-z0-9_]n\.(machine|curID|initialized|appliedSlot)[[:space:]]*,.*[^=!<>]=[^=]/ || /[^A-Za-z0-9_]n\.(chain|configs|engines)\[[^]]*\][[:space:]]*=[^=]/ || /delete\(n\.engines/) && FILENAME !~ /apply\.go$$/ && fn !~ /\) (Start|recoverChainLocked)\(/ {print FILENAME":"FNR": "$$0; bad=1} END{exit bad}' $$(ls internal/reconfig/*.go | grep -v '_test\.go$$')
+	! grep -rnwE 'TruncateBelow|SkipTo|CheckpointNeeded|TruncatedBelow|persistTruncated|behindLocked|catchupGapSlots|checkpointMargin|opCkptAnnounce|opCkptAck' --include='*.go' internal cmd | grep -v '_test.go:'
 	$(GO) test -run '^$$' -fuzz '^FuzzSessionedRestoreChunk$$' -fuzztime 10s ./internal/statemachine/
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
 	scripts/size.sh

@@ -2,10 +2,9 @@ package paxos
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/storage"
 	"repro/internal/transport"
@@ -65,40 +64,16 @@ func (c *cutStore) DeleteBuffered(key string) error {
 	return c.stage("delete "+key, func() error { return c.MemStore.DeleteBuffered(key) })
 }
 
-// restart is the machine coming back: the store forgets what was never
-// synced and a new replica recovers from the rest.
-func (c *cutStore) restart(t *testing.T, cfg types.Config) *Replica {
+// streamKeys returns the keys the store holds under prefix.
+func streamKeys(t *testing.T, st storage.Store, prefix string) map[string]bool {
 	t.Helper()
-	c.mu.Lock()
-	c.armed = false
-	c.mu.Unlock()
-	c.MemStore.PowerLoss()
-	c.MemStore.Reopen()
-	net := transport.NewNetwork(transport.Options{})
-	t.Cleanup(net.Close)
-	r, err := New(cfg, "n1", net.Endpoint("n1"), c, uint64(cfg.ID), fastOpts(0))
+	kvs, err := st.Scan(prefix)
 	if err != nil {
-		t.Fatalf("recovery: %v", err)
+		t.Fatal(err)
 	}
-	return r
-}
-
-// logSlots returns the slots that have an acc/ or a dec/ record in the store.
-func logSlots(t *testing.T, st storage.Store, r *Replica) map[types.Slot]bool {
-	t.Helper()
-	out := make(map[types.Slot]bool)
-	for _, dir := range []string{"acc/", "dec/"} {
-		kvs, err := st.Scan(r.prefix + dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, kv := range kvs {
-			n, err := strconv.ParseUint(strings.TrimPrefix(kv.Key, r.prefix+dir), 10, 64)
-			if err != nil {
-				t.Fatalf("key %q: %v", kv.Key, err)
-			}
-			out[types.Slot(n)] = true
-		}
+	out := make(map[string]bool, len(kvs))
+	for _, kv := range kvs {
+		out[kv.Key] = true
 	}
 	return out
 }
@@ -120,118 +95,141 @@ func decideAlone(r *Replica, n int) {
 	}
 }
 
-// TestCrashPoints is the crash-point table (ROADMAP item 3(b)): each row is a
-// step that stages several writes behind one barrier; the power is cut behind
-// every prefix of them in turn, and the replica recovered from what is left
-// must be one the protocol could have reached. A row is a set-up, the step
-// and an invariant over the recovered replica, so the promise and manifest
-// rows can join the truncation rows here.
+// TestCrashPoints is the crash-point table (ROADMAP item 8(b)): each row is a
+// step that stages writes behind one barrier; the power is cut behind every
+// prefix of them in turn, and what the store keeps must be a state the
+// protocol could have reached. A row is a set-up, the step, and an invariant
+// over the store and what left the replica.
 func TestCrashPoints(t *testing.T) {
 	solo := types.MustConfig(1, "n1")
 	trio := types.MustConfig(1, "n1", "n2", "n3")
-
-	// released is the invariant of a log release: whatever the crash kept,
-	// the floor the replica recovers with is the old one or the new one;
-	// delivery resumes right above it; nothing at or below it is left in the
-	// store once New has returned; and nothing above it is missing — what is
-	// gone is under a durable floor, never a hole under a lost one.
-	released := func(oldFloor, newFloor types.Slot) func(*testing.T, map[types.Slot]bool, *cutStore, *Replica) {
-		return func(t *testing.T, before map[types.Slot]bool, st *cutStore, r *Replica) {
-			floor := r.truncatedBelow
-			if floor != oldFloor && floor != newFloor {
-				t.Fatalf("recovered floor %d, want %d or %d", floor, oldFloor, newFloor)
-			}
-			if r.deliverNext != floor+1 {
-				t.Fatalf("deliverNext %d with floor %d", r.deliverNext, floor)
-			}
-			after := logSlots(t, st, r)
-			for slot := range after {
-				if slot <= floor {
-					t.Fatalf("slot %d still has a record at or below the recovered floor %d", slot, floor)
-				}
-			}
-			for slot := range before {
-				if slot > floor && !after[slot] {
-					t.Fatalf("slot %d lost its records above the recovered floor %d", slot, floor)
-				}
-			}
-			if got, err := (factory{}).Floor(st, uint64(r.cfg.ID)); err != nil || got != floor {
-				t.Fatalf("Floor = %d, %v; the replica recovered %d", got, err, floor)
-			}
-		}
-	}
+	newBallot := types.Ballot{Round: 5, Leader: "n2"}
 
 	rows := []struct {
 		name  string
 		cfg   types.Config
 		setup func(r *Replica)
-		step  func(r *Replica)
-		check func(t *testing.T, before map[types.Slot]bool, st *cutStore, r *Replica)
+		// step runs as one turn of the unstarted replica, then its barrier;
+		// it stages at least staged writes.
+		step   func(r *Replica, st *cutStore)
+		staged int
+		check  func(t *testing.T, before map[string]bool, st *cutStore, promised func() bool)
 	}{
 		{
-			name:  "truncation",
+			// A retired configuration's log goes whole: the composition stops
+			// the engine, stages every delete Discard asks for and takes one
+			// barrier. Whatever prefix survives, nothing comes back that was
+			// not there, the other namespaces are untouched, and discarding
+			// again after the reboot finishes the job. (A node never builds a
+			// replica over a discarded stream again; reconfig's
+			// TestDiscardPowerCutSweep holds that side.)
+			name:  "discard",
 			cfg:   solo,
 			setup: func(r *Replica) { decideAlone(r, 10) },
-			step:  func(r *Replica) { r.truncateBelow(6) },
-			check: func(t *testing.T, before map[types.Slot]bool, st *cutStore, r *Replica) {
-				released(0, 6)(t, before, st, r)
-				// Everything above the floor is decided and contiguous: the
-				// recovered replica redelivers through slot 10.
-				r.deliverReady()
-				if r.deliverNext != 11 {
-					t.Fatalf("redelivery stops at slot %d of 10 (floor %d)", r.deliverNext-1, r.truncatedBelow)
+			step: func(r *Replica, st *cutStore) {
+				if err := (factory{}).Discard(st, uint64(r.cfg.ID)); err != nil {
+					return // the cut: later deletes fail, as on a dead disk
+				}
+				_ = st.Sync()
+			},
+			staged: 20, // an accepted and a decided record per slot
+			check: func(t *testing.T, before map[string]bool, st *cutStore, _ func() bool) {
+				after := streamKeys(t, st, "pxs/1/")
+				for k := range after {
+					if !before[k] {
+						t.Fatalf("%s appeared in a discard", k)
+					}
+				}
+				if _, ok, _ := st.Get("pxs/2/promised"); !ok {
+					t.Fatal("the discard of stream 1 took stream 2's promise")
+				}
+				if err := (factory{}).Discard(st, 1); err != nil {
+					t.Fatal(err)
+				}
+				if err := st.Sync(); err != nil {
+					t.Fatal(err)
+				}
+				if left := streamKeys(t, st, "pxs/1/"); len(left) != 0 {
+					t.Fatalf("a second discard left %d keys", len(left))
 				}
 			},
 		},
 		{
-			name:  "second truncation",
-			cfg:   solo,
-			setup: func(r *Replica) { decideAlone(r, 10); burst(r, func() { r.truncateBelow(3) }) },
-			step:  func(r *Replica) { r.truncateBelow(8) },
-			check: released(3, 8),
-		},
-		{
-			// A laggard holding decided slots 2..6 behind a hole at 1 installs
-			// a checkpoint with base 4.
-			name: "checkpoint install",
+			// An acceptor promises a higher ballot: one staged record, and the
+			// Promise waits for the barrier. A Promise that reached n2 is one
+			// the rebooted acceptor still keeps.
+			name: "promise",
 			cfg:  trio,
-			setup: func(r *Replica) {
-				b := types.Ballot{Round: 1, Leader: "n2"}
-				for slot := types.Slot(2); slot <= 6; slot++ {
-					burst(r, func() {
-						r.acceptAccept(proposal(acceptedEntry{Ballot: b, Slot: slot, Cmd: appCmd("c", uint64(slot))}))
-						r.learnAccepted(slot, b)
-					})
+			step: func(r *Replica, _ *cutStore) {
+				r.onPrepare("n2", prepareMsg{Ballot: newBallot, From: 1})
+			},
+			staged: 1,
+			check: func(t *testing.T, _ map[string]bool, st *cutStore, promised func() bool) {
+				net := transport.NewNetwork(transport.Options{})
+				defer net.Close()
+				rec, err := New(trio, "n1", net.Endpoint("n1"), st, 1, fastOpts(0))
+				if err != nil {
+					t.Fatalf("recovery: %v", err)
+				}
+				if rec.promised.Less(newBallot) && promised() {
+					t.Fatalf("n2 holds a promise for %v; the rebooted acceptor promised only %v", newBallot, rec.promised)
+				}
+				if v := rec.Stats().InvariantViolations; v != 0 {
+					t.Fatalf("%d invariant violations in recovery", v)
 				}
 			},
-			step:  func(r *Replica) { r.skipTo(4) },
-			check: released(0, 4),
 		},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			// k staged writes of the step reach the disk; k = total is the
 			// crash between the last write and the barrier, total+1 no crash.
-			total := countStaged(t, row.cfg, row.setup, row.step)
+			total := countStaged(t, row.cfg, row.setup, row.step, row.staged)
 			for k := 0; k <= total+1; k++ {
 				st := &cutStore{MemStore: storage.NewMem()}
+				if err := st.MemStore.Set("pxs/2/promised", []byte{1}); err != nil {
+					t.Fatal(err)
+				}
 				net := transport.NewNetwork(transport.Options{})
-				r, err := New(row.cfg, "n1", net.Endpoint("n1"), st, uint64(row.cfg.ID), fastOpts(0))
+				var mu sync.Mutex
+				got := false
+				net.Endpoint("n2").Handle(1, func(_ types.NodeID, _ uint64, kind uint8, payload []byte) {
+					if pm, err := decodePromise(payload); kind == KindPromise && err == nil && pm.OK {
+						mu.Lock()
+						got = true
+						mu.Unlock()
+					}
+				})
+				r, err := New(row.cfg, "n1", net.Endpoint("n1"), st, 1, fastOpts(0))
 				if err != nil {
 					t.Fatal(err)
 				}
-				row.setup(r)
-				before := logSlots(t, st, r)
+				if row.setup != nil {
+					row.setup(r)
+				}
+				before := streamKeys(t, st, "pxs/")
 				st.arm(k)
-				burst(r, func() { row.step(r) })
+				burst(r, func() { row.step(r, st) })
+				promised := func() bool { mu.Lock(); defer mu.Unlock(); return got }
+				// Frames cross the simulated fabric on its own goroutines: a
+				// Promise that left the replica is waited for, so the check
+				// always sees it.
+				if net.Stats().PerKind[KindPromise].Messages > 0 {
+					for deadline := time.Now().Add(5 * time.Second); !promised(); time.Sleep(time.Millisecond) {
+						if time.Now().After(deadline) {
+							t.Fatal("the replica sent a Promise that never reached n2")
+						}
+					}
+				}
 				net.Close()
 
-				rec := st.restart(t, row.cfg)
+				st.mu.Lock()
+				st.armed = false
+				st.mu.Unlock()
+				st.MemStore.PowerLoss()
+				st.MemStore.Reopen()
 				t.Run(fmt.Sprintf("power cut behind write %d of %d", k, total), func(t *testing.T) {
-					row.check(t, before, st, rec)
-					if v := rec.Stats().InvariantViolations; v != 0 {
-						t.Fatalf("%d invariant violations in recovery", v)
-					}
+					row.check(t, before, st, promised)
 				})
 			}
 		})
@@ -239,8 +237,9 @@ func TestCrashPoints(t *testing.T) {
 }
 
 // countStaged runs setup and step on a store that never loses power and
-// returns how many writes the step staged.
-func countStaged(t *testing.T, cfg types.Config, setup, step func(*Replica)) int {
+// returns how many writes the step staged, failing when they are fewer than
+// least.
+func countStaged(t *testing.T, cfg types.Config, setup func(*Replica), step func(*Replica, *cutStore), least int) int {
 	t.Helper()
 	st := &cutStore{MemStore: storage.NewMem()}
 	net := transport.NewNetwork(transport.Options{})
@@ -249,11 +248,13 @@ func countStaged(t *testing.T, cfg types.Config, setup, step func(*Replica)) int
 	if err != nil {
 		t.Fatal(err)
 	}
-	setup(r)
+	if setup != nil {
+		setup(r)
+	}
 	st.arm(-1)
-	burst(r, func() { step(r) })
-	if len(st.staged) < 3 {
-		t.Fatalf("the step staged %d writes (%v); nothing to cut between", len(st.staged), st.staged)
+	burst(r, func() { step(r, st) })
+	if len(st.staged) < least {
+		t.Fatalf("the step staged %d writes (%v), want at least %d", len(st.staged), st.staged, least)
 	}
 	return len(st.staged)
 }

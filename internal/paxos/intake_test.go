@@ -129,62 +129,6 @@ func TestFollowerForwardsQueuedClumpInOneFrame(t *testing.T) {
 	}
 }
 
-// The control mailbox never parks its caller. The composition layer calls
-// TruncateBelow with its node mutex held, and a read-index callback on the
-// engine loop takes that same mutex: a caller that waited for the loop would
-// deadlock the node. With the loop held in exactly that shape, a thousand
-// calls return at once, and when the loop is let go the highest floor asked
-// for is the one applied.
-func TestControlMailboxNeverBlocksCaller(t *testing.T) {
-	tc := newTestCluster(t, 1, transport.Options{})
-	tc.waitForLeader(5 * time.Second)
-	r := tc.reps["n1"]
-	const decided = 20
-	for i := 1; i <= decided; i++ {
-		tc.proposeVia("n1", appCmd("c", uint64(i)))
-	}
-	tc.waitUntil(func() bool { return r.Progress().Delivered >= decided }, "decisions", 5*time.Second)
-
-	var nodeMu sync.Mutex // stands in for reconfig.Node.mu
-	nodeMu.Lock()
-	unlock := sync.OnceFunc(nodeMu.Unlock)
-	defer unlock() // a failing run must not leave the loop parked under Stop
-	entered := make(chan struct{})
-	if err := r.ReadIndex(func(types.Slot, error) {
-		close(entered)
-		nodeMu.Lock() // completeRead's shape
-		nodeMu.Unlock()
-	}); err != nil {
-		t.Fatal(err)
-	}
-	<-entered
-
-	const highest = types.Slot(12)
-	returned := make(chan struct{})
-	go func() {
-		defer close(returned)
-		for i := 0; i < 1000; i++ {
-			r.TruncateBelow(types.Slot(i*7)%highest + 1) // every floor in [1, highest], scrambled
-		}
-	}()
-	select {
-	case <-returned:
-	case <-time.After(5 * time.Second):
-		t.Fatal("TruncateBelow waits for an engine loop that waits for the caller's lock")
-	}
-	if got := r.Progress().TruncatedBelow; got != 0 {
-		t.Fatalf("floor %d applied while the loop was held", got)
-	}
-	unlock()
-	tc.waitUntil(func() bool { return r.Progress().TruncatedBelow >= highest }, "the truncation", 5*time.Second)
-	if got := r.Progress().TruncatedBelow; got != highest {
-		t.Fatalf("floor %d applied, want the highest asked for, %d", got, highest)
-	}
-	if got := r.Stats().TruncatedSlots; got != int64(highest) {
-		t.Fatalf("%d slots released, want %d", got, highest)
-	}
-}
-
 // The inbox holds inboxLimit frames: the next one is dropped and counted once,
 // and a take makes room again.
 func TestInboxDropsPastLimit(t *testing.T) {

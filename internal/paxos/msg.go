@@ -83,12 +83,6 @@ type promiseMsg struct {
 	Promised types.Ballot // on reject: the ballot we are bound to
 	Accepted []acceptedEntry
 	Decided  types.Slot // highest contiguously decided slot at this node
-	// TruncatedBelow is this acceptor's log-truncation floor: slots <= it
-	// were released after a quorum-acknowledged checkpoint, so the acceptor
-	// can report no accepted entries for them even though they are chosen.
-	// A new leader must never noop-fill an unreported slot at or below any
-	// promiser's floor (see becomeLeader).
-	TruncatedBelow types.Slot
 }
 
 // acceptedMsg answers an accept.
@@ -144,17 +138,12 @@ type catchupReqMsg struct {
 	To   types.Slot
 }
 
-// catchupRespMsg carries decided entries. The Frontier and TruncatedBelow
-// fields make one response an O(1) progress probe: Frontier is the responder's contiguously
-// decided prefix — the requester raises maxDecidedSeen from it instead of
-// probing slot by slot — and a nonzero TruncatedBelow at or above the
-// requested From is a redirect: the responder has released those slots after
-// a checkpoint, so the requester must install a checkpoint rather than
-// replay the log.
+// catchupRespMsg carries decided entries. Frontier, the responder's
+// contiguously decided prefix, makes one response an O(1) progress probe: the
+// requester raises maxDecidedSeen from it instead of probing slot by slot.
 type catchupRespMsg struct {
-	Entries        []decideMsg
-	Frontier       types.Slot
-	TruncatedBelow types.Slot
+	Entries  []decideMsg
+	Frontier types.Slot
 }
 
 // forwardMsg relays queued proposals to the leader. A follower packs its
@@ -193,7 +182,6 @@ func encodePromise(m promiseMsg) []byte {
 		e.Cmd.Encode(w)
 	}
 	w.Uvarint(uint64(m.Decided))
-	w.Uvarint(uint64(m.TruncatedBelow))
 	return w.Bytes()
 }
 
@@ -213,7 +201,6 @@ func decodePromise(buf []byte) (promiseMsg, error) {
 		})
 	}
 	m.Decided = types.Slot(r.Uvarint())
-	m.TruncatedBelow = types.Slot(r.Uvarint())
 	return m, wrapDecode("promise", r)
 }
 
@@ -383,7 +370,6 @@ func encodeCatchupResp(m catchupRespMsg) []byte {
 		e.Cmd.Encode(w)
 	}
 	w.Uvarint(uint64(m.Frontier))
-	w.Uvarint(uint64(m.TruncatedBelow))
 	return w.Bytes()
 }
 
@@ -401,7 +387,6 @@ func decodeCatchupResp(buf []byte) (catchupRespMsg, error) {
 		})
 	}
 	m.Frontier = types.Slot(r.Uvarint())
-	m.TruncatedBelow = types.Slot(r.Uvarint())
 	return m, wrapDecode("catchup-resp", r)
 }
 

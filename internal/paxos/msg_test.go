@@ -131,7 +131,7 @@ func TestDecodersRejectTruncation(t *testing.T) {
 		Decided:  0,
 	})
 	// Every field is required: every cut is rejected, the one just before
-	// the truncation floor becomeLeader's noop-fill guard reads included.
+	// the decided watermark included.
 	for i := 0; i < len(full); i++ {
 		if _, err := decodePromise(full[:i]); err == nil {
 			t.Fatalf("promise truncated at %d accepted", i)
@@ -139,7 +139,7 @@ func TestDecodersRejectTruncation(t *testing.T) {
 	}
 	resp := encodeCatchupResp(catchupRespMsg{
 		Entries:  []decideMsg{{Slot: 3, Cmd: types.NoopCommand()}},
-		Frontier: 3, TruncatedBelow: 2,
+		Frontier: 3,
 	})
 	for i := 0; i < len(resp); i++ {
 		if _, err := decodeCatchupResp(resp[:i]); err == nil {

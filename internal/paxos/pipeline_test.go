@@ -98,55 +98,6 @@ func TestLearnClearsZombieInflight(t *testing.T) {
 	}
 }
 
-// TestReleaseRequeuesInflightBelowFloor: a leader's own proposals still open
-// at slots a SkipTo (or a truncation) releases can never complete there —
-// learn ignores a slot at or below the floor and the acceptors answer it with
-// a checkpoint redirect, never Accepted — so nothing used to clear them, and
-// pipelineDepth of them filled the window for good. The release takes them
-// back into the queue, and the next proposal still gets a slot.
-func TestReleaseRequeuesInflightBelowFloor(t *testing.T) {
-	r := leaderReplica(t)
-	first := r.nextSlot
-	var open []types.Command
-	for i := 0; i < pipelineDepth; i++ {
-		open = append(open, appCmd("c", uint64(i+1)))
-		turn(r, open[i])
-	}
-	base := first + types.Slot(pipelineDepth) + 5 // a checkpoint well above them
-	r.skipTo(base)
-	if got := len(r.inflight); got != 0 {
-		t.Fatalf("%d proposals still in flight at or below the installed base %d", got, base)
-	}
-	if got := len(r.pending); got != len(open) {
-		t.Fatalf("pending %d after the release, want the %d open commands back in the queue", got, len(open))
-	}
-
-	// The window is free again: the old commands go out at fresh slots above
-	// the base, and once their votes are in, a new proposal is decided too.
-	next := appCmd("c", 100)
-	turn(r, next)
-	ackAll := func() {
-		for s := range r.inflight {
-			if s <= base {
-				t.Fatalf("slot %d proposed at or below the installed base %d", s, base)
-			}
-			r.onAccepted("n2", acceptedMsg{Ballot: r.ballot, Slot: s, OK: true, Promised: r.ballot})
-		}
-		r.placePending()
-	}
-	ackAll() // the re-proposed four; frees the window for next
-	ackAll()
-	for s, cmd := range r.decided {
-		if cmd.Equal(next) {
-			if s <= base {
-				t.Fatalf("decided at slot %d, at or below the base %d", s, base)
-			}
-			return
-		}
-	}
-	t.Fatalf("the proposal made after the release was never decided (inflight %d, pending %d)", len(r.inflight), len(r.pending))
-}
-
 // A batch the leader takes back — it stepped down with the slot open, or
 // another value won the slot — must return to the queue as its member
 // commands. Re-queued whole it is packed into the next batch as one command,

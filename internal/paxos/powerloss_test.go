@@ -175,7 +175,7 @@ func (pc *powerCluster) converge() {
 		for types.Slot(len(pc.life(id).deliveredSoFar())) < top {
 			if time.Now().After(deadline) {
 				p := pc.life(id).rep.Progress()
-				pc.t.Fatalf("%s stuck at slot %d of %d (max seen %d)", id, p.Delivered, top, p.MaxDecidedSeen)
+				pc.t.Fatalf("%s stuck at slot %d of %d", id, p.Delivered, top)
 			}
 			time.Sleep(2 * time.Millisecond)
 		}

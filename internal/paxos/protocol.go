@@ -100,18 +100,9 @@ func (r *Replica) handleMessage(m inboundMsg) {
 			for _, e := range msg.Entries {
 				r.learn(decideMsg{Slot: e.Slot, Cmd: e.Cmd})
 			}
-			// Appended progress fields: the responder's contiguous frontier
-			// is a decided watermark, and a truncation floor at or above our
-			// delivery cursor means the missing prefix is gone from the log —
-			// only a checkpoint install (reconfig layer) can fill it.
+			// The responder's contiguous frontier is a decided watermark.
 			if msg.Frontier > r.maxDecidedSeen {
 				r.maxDecidedSeen = msg.Frontier
-			}
-			if msg.TruncatedBelow >= r.deliverNext {
-				if msg.TruncatedBelow > r.maxDecidedSeen {
-					r.maxDecidedSeen = msg.TruncatedBelow
-				}
-				r.ckptNeeded.Store(true)
 			}
 		}
 	case KindForward:
@@ -148,19 +139,12 @@ func (r *Replica) broadcast(kind uint8, payload []byte) {
 }
 
 // setDurable stages state that something leaving this turn will assert: a
-// promise, a vote, the truncation floor. The turn is marked dirty, so it ends
+// promise or a vote. The turn is marked dirty, so it ends
 // in a group-commit Sync strictly before any frame that waits for the
 // barrier, or any decision, is released (endBurst).
 func (r *Replica) setDurable(key string, value []byte) error {
 	r.burstDirty = true
 	return r.store.SetBuffered(key, value)
-}
-
-// unstage stages the delete of a record under the truncation floor. A failed
-// delete changes nothing: the record stays below the floor, where recover
-// skips it and drops it again.
-func (r *Replica) unstage(key string) {
-	_ = r.store.DeleteBuffered(key)
 }
 
 // --- acceptor role ---------------------------------------------------------
@@ -169,15 +153,13 @@ func (r *Replica) unstage(key string) {
 // promise to send back. Persisting happens before the reply leaves.
 func (r *Replica) acceptPrepare(msg prepareMsg) promiseMsg {
 	if msg.Ballot.Less(r.promised) {
-		return promiseMsg{Ballot: msg.Ballot, OK: false, Promised: r.promised,
-			Decided: r.deliverNext - 1, TruncatedBelow: r.truncatedBelow}
+		return promiseMsg{Ballot: msg.Ballot, OK: false, Promised: r.promised, Decided: r.deliverNext - 1}
 	}
 	if r.promised.Less(msg.Ballot) {
 		r.promised = msg.Ballot
 		r.persistPromised()
 	}
-	out := promiseMsg{Ballot: msg.Ballot, OK: true, Promised: r.promised,
-		Decided: r.deliverNext - 1, TruncatedBelow: r.truncatedBelow}
+	out := promiseMsg{Ballot: msg.Ballot, OK: true, Promised: r.promised, Decided: r.deliverNext - 1}
 	for slot, e := range r.accepted {
 		if slot >= msg.From {
 			out.Accepted = append(out.Accepted, e)
@@ -225,19 +207,6 @@ func (r *Replica) onAccept(from types.NodeID, msg acceptedEntry, rec []byte) {
 	// Fast path for already-decided slots: tell the proposer directly.
 	if cmd, ok := r.decided[msg.Slot]; ok {
 		r.send(from, KindDecide, encodeDecide(decideMsg{Slot: msg.Slot, Cmd: cmd}))
-		return
-	}
-	// Truncated slots were chosen, quorum-acknowledged by a checkpoint, and
-	// released — the command bytes are gone, so neither the decided fast
-	// path nor a fresh vote is possible. Voting would be outright unsafe: a
-	// leader that missed the checkpoint could noop-fill a released slot and
-	// this vote would help decide a second, different value for it. Answer
-	// with a checkpoint redirect instead (never a silent miss).
-	if msg.Slot <= r.truncatedBelow {
-		r.send(from, KindCatchupResp, encodeCatchupResp(catchupRespMsg{
-			Frontier:       r.deliverNext - 1,
-			TruncatedBelow: r.truncatedBelow,
-		}))
 		return
 	}
 	am := r.acceptAccept(msg, rec)
@@ -322,28 +291,6 @@ func (r *Replica) becomeLeader() {
 	if r.nextSlot < from {
 		r.nextSlot = from
 	}
-	// Truncation floors reported by the promise quorum. Every slot at or
-	// below a promiser's floor is globally chosen (floors rise only after a
-	// quorum-acknowledged checkpoint), but its value may be unrecoverable
-	// from this quorum: the promiser that accepted it has released the
-	// bytes, and any accepted entry another promiser reports for it may be
-	// a stale lower-ballot value that lost. Re-proposing anything at such a
-	// slot — a noop or a reported value — risks deciding a second value, so
-	// those slots are skipped entirely; the checkpoint covers them.
-	maxFloor := r.truncatedBelow
-	for _, pm := range r.promises {
-		if pm.TruncatedBelow > maxFloor {
-			maxFloor = pm.TruncatedBelow
-		}
-	}
-	if maxFloor > r.maxDecidedSeen {
-		r.maxDecidedSeen = maxFloor
-	}
-	if r.deliverNext <= maxFloor {
-		// Our own delivery cursor is inside the released range: no log
-		// replay can fill it, only a checkpoint install.
-		r.ckptNeeded.Store(true)
-	}
 	// Read fast-path bookkeeping: every command chosen before this election
 	// is below nextSlot now (promise-quorum intersection), so nextSlot-1 is
 	// a floor for all read indexes this term. No probe round from an earlier
@@ -356,9 +303,6 @@ func (r *Replica) becomeLeader() {
 			// Already chosen: re-announce for the benefit of laggards.
 			r.broadcast(KindDecide, encodeDecide(decideMsg{Slot: slot, Cmd: cmd}))
 			continue
-		}
-		if slot <= maxFloor {
-			continue // released after a checkpoint; never re-propose
 		}
 		if e, ok := best[slot]; ok {
 			r.proposeAtSlot(slot, []types.Command{e.Cmd})
@@ -471,11 +415,6 @@ func (r *Replica) learnAccepted(slot types.Slot, ballot types.Ballot) bool {
 // local accepted entry at d.Ballot backs it (see persistDecided).
 func (r *Replica) learn(d decideMsg) {
 	slot, cmd := d.Slot, d.Cmd
-	if slot <= r.truncatedBelow {
-		// Already covered by an installed checkpoint and released; learning
-		// it again would resurrect a record below the truncation floor.
-		return
-	}
 	if sp, ok := r.inflight[slot]; ok {
 		// The slot was chosen out of band — an old leader's decide
 		// broadcast, a catch-up response, or an acceptor's already-decided
@@ -525,34 +464,21 @@ func (r *Replica) deliverReady() {
 }
 
 // catchupBatch is the most decided entries one catch-up response carries: it
-// bounds the frame, and a longer gap takes several round trips. 512 is also
-// the composition layer's default checkpoint margin — the stretch of log kept
-// below a checkpoint for exactly this kind of catch-up — so what is kept fits
-// one response.
+// bounds the frame, and a longer gap takes several round trips.
 const catchupBatch = 512
 
 func (r *Replica) onCatchupReq(from types.NodeID, msg catchupReqMsg) {
-	// A request that starts at or below our truncation floor cannot be
-	// served from the log — those slots were released after a checkpoint.
-	// Serve what we still have above the floor and let the appended
-	// TruncatedBelow field redirect the requester to the checkpoint.
-	start := msg.From
-	redirect := false
-	if start <= r.truncatedBelow {
-		redirect = true
-		start = r.truncatedBelow + 1
-	}
 	to := msg.To
-	if limit := start + catchupBatch - 1; to > limit {
+	if limit := msg.From + catchupBatch - 1; to > limit {
 		to = limit
 	}
-	resp := catchupRespMsg{Frontier: r.deliverNext - 1, TruncatedBelow: r.truncatedBelow}
-	for slot := start; slot <= to; slot++ {
+	resp := catchupRespMsg{Frontier: r.deliverNext - 1}
+	for slot := msg.From; slot <= to; slot++ {
 		if cmd, ok := r.decided[slot]; ok {
 			resp.Entries = append(resp.Entries, decideMsg{Slot: slot, Cmd: cmd})
 		}
 	}
-	if len(resp.Entries) > 0 || redirect {
+	if len(resp.Entries) > 0 {
 		r.send(from, KindCatchupResp, encodeCatchupResp(resp))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -124,34 +125,19 @@ type Replica struct {
 	// blocking (endBurst), and it closes it on exit.
 	decCh chan smr.Decision
 
-	// Control mailbox: the composition layer's two requests to the loop, each
-	// a latest-wins cell holding the highest slot asked for (0 = nothing
-	// asked), plus a one-slot wake. Callers never wait — they hold the node
-	// mutex, and since submits run on socket readers a caller parked here
-	// would stall a connection — and nothing is lost by overwriting: both
-	// requests are "at least this far". The loop empties the cells on wake
-	// and on every tick.
-	truncReq atomic.Int64
-	skipReq  atomic.Int64
-	ctrlWake chan struct{}
-
 	// cross-goroutine views
 	leaderHint atomic.Value // types.NodeID
 	amLeader   atomic.Bool
 
 	stats struct {
-		decided, proposals, elections, violations       atomic.Int64
-		droppedInbound, groupSyncs, truncated, retained atomic.Int64
+		decided, proposals, elections, violations atomic.Int64
+		droppedInbound, groupSyncs, retained      atomic.Int64
 	}
 	lastDropWarn atomic.Int64 // unix nanos of the last overflow warning
 
-	// Progress mirrors: atomic copies of the loop-owned frontier state so
-	// the composition layer's tick can probe "how far behind am I"
-	// in O(1) without a message round or a channel hop (see Progress).
+	// progDelivered mirrors the loop-owned delivered prefix, so Progress is
+	// an O(1) read without a message round or a channel hop.
 	progDelivered atomic.Int64
-	progMaxSeen   atomic.Int64
-	progTrunc     atomic.Int64
-	ckptNeeded    atomic.Bool
 
 	// --- state below is owned exclusively by the event loop goroutine ---
 	rng      *rand.Rand
@@ -161,7 +147,6 @@ type Replica struct {
 
 	deliverNext    types.Slot // next slot to hand to the application
 	maxDecidedSeen types.Slot // highest slot known decided anywhere
-	truncatedBelow types.Slot // slots <= this are released (checkpointed)
 
 	role          role
 	ballot        types.Ballot // owned ballot while candidate/leader
@@ -240,13 +225,10 @@ func New(cfg types.Config, self types.NodeID, ep *transport.Endpoint, store stor
 		inbox:     fifo.New[inboundMsg](inboxLimit),
 		proposals: fifo.New[types.Command](proposeLimit),
 		reads:     fifo.New[readRequest](readLimit),
-		ctrlWake:  make(chan struct{}, 1),
 		stopCh:    make(chan struct{}),
 		loopDone:  make(chan struct{}),
 		decCh:     make(chan smr.Decision, decChLen),
 		rng:       rand.New(rand.NewSource(opts.seed ^ int64(stream) ^ types.SeedFor(string(self)))),
-		accepted:  make(map[types.Slot]acceptedEntry),
-		decided:   make(map[types.Slot]types.Command),
 		promises:  make(map[types.NodeID]promiseMsg),
 		inflight:  make(map[types.Slot]*slotProgress),
 		role:      roleFollower,
@@ -254,6 +236,7 @@ func New(cfg types.Config, self types.NodeID, ep *transport.Endpoint, store stor
 		deliverNext: 1,
 		nextSlot:    1,
 	}
+	r.accepted, r.decided = takeLogMaps()
 	r.leaderHint.Store(types.NodeID(""))
 	if err := r.recover(); err != nil {
 		return nil, fmt.Errorf("paxos recovery: %w", err)
@@ -262,79 +245,56 @@ func New(cfg types.Config, self types.NodeID, ep *transport.Endpoint, store stor
 }
 
 // recover reloads acceptor and learner state from stable storage, so a
-// restarted process keeps its promises and redelivers its decided prefix.
+// restarted process keeps its promises and redelivers its decided prefix. It
+// reads the namespace in one scan, in key order: acc/ sorts before dec/, so
+// the accepted record a decision marker names is loaded before the marker.
 func (r *Replica) recover() error {
-	if raw, ok, err := r.store.Get(r.prefix + "promised"); err != nil {
-		return err
-	} else if ok {
-		rd := types.NewReader(raw)
-		r.promised = rd.Ballot()
-		if err := rd.Err(); err != nil {
-			return fmt.Errorf("promised record: %w", err)
-		}
-		r.maxBallotSeen = r.promised
-	}
-	if raw, ok, err := r.store.Get(r.prefix + "trunc"); err != nil {
-		return err
-	} else if ok {
-		rd := types.NewReader(raw)
-		r.truncatedBelow = types.Slot(rd.Uvarint())
-		if err := rd.Err(); err != nil {
-			return fmt.Errorf("truncation record: %w", err)
-		}
-		// Slots <= the floor were released after a durable checkpoint: the
-		// application recovers them from the checkpoint, not the log. The
-		// floor is written before the records under it go (release), so a
-		// crash in between leaves acc/dec records below it: the scans below
-		// skip them and finish the job, staged, on nobody's critical path.
-		r.deliverNext = r.truncatedBelow + 1
-		r.nextSlot = r.truncatedBelow + 1
-		r.maxDecidedSeen = r.truncatedBelow
-	}
-	accs, err := r.store.Scan(r.prefix + "acc/")
+	kvs, err := r.store.Scan(r.prefix)
 	if err != nil {
 		return err
 	}
-	for _, kv := range accs {
-		e, err := decodeAccept(kv.Value)
-		if err != nil {
-			return fmt.Errorf("accepted record %s: %w", kv.Key, err)
-		}
-		if e.Slot <= r.truncatedBelow {
-			r.unstage(kv.Key)
-			continue
-		}
-		r.accepted[e.Slot] = e
-	}
-	decs, err := r.store.Scan(r.prefix + "dec/")
-	if err != nil {
-		return err
-	}
-	for _, kv := range decs {
-		d, err := decodeDecide(kv.Value)
-		if err != nil {
-			return fmt.Errorf("decided record %s: %w", kv.Key, err)
-		}
-		if d.Slot <= r.truncatedBelow {
-			r.unstage(kv.Key)
-			continue
-		}
-		if d.Slot > r.maxDecidedSeen {
-			r.maxDecidedSeen = d.Slot
-		}
-		if d.ByRef {
-			// A marker is written after the accepted record it names and that
-			// record is never overwritten, so a mismatch is a damaged store.
-			// The slot is known decided but its command is not: leave it
-			// undecided here and let catch-up refetch it by value.
-			e, ok := r.accepted[d.Slot]
-			if !ok || !e.Ballot.Equal(d.Ballot) {
-				r.stats.violations.Add(1)
-				continue
+	for _, kv := range kvs {
+		switch name := strings.TrimPrefix(kv.Key, r.prefix); {
+		case name == "promised":
+			rd := types.NewReader(kv.Value)
+			r.promised = rd.Ballot()
+			if err := rd.Err(); err != nil {
+				return fmt.Errorf("promised record: %w", err)
 			}
-			d.Cmd = e.Cmd
+			r.maxBallotSeen = r.promised
+		case name == "trunc" && len(kv.Value) > 0 && kv.Value[0] != 0:
+			// An older version released log prefixes below a floor it kept
+			// here. This one never releases part of a log, and a log with a
+			// hole under a floor cannot be redelivered from slot 1.
+			return fmt.Errorf("%w: stream %d has a truncation floor", smr.ErrOldLayout, r.stream)
+		case strings.HasPrefix(name, "acc/"):
+			e, err := decodeAccept(kv.Value)
+			if err != nil {
+				return fmt.Errorf("accepted record %s: %w", kv.Key, err)
+			}
+			r.accepted[e.Slot] = e
+		case strings.HasPrefix(name, "dec/"):
+			d, err := decodeDecide(kv.Value)
+			if err != nil {
+				return fmt.Errorf("decided record %s: %w", kv.Key, err)
+			}
+			if d.Slot > r.maxDecidedSeen {
+				r.maxDecidedSeen = d.Slot
+			}
+			if d.ByRef {
+				// A marker is written after the accepted record it names and
+				// that record is never overwritten, so a mismatch is a damaged
+				// store. The slot is known decided but its command is not:
+				// leave it undecided here and let catch-up refetch it by value.
+				e, ok := r.accepted[d.Slot]
+				if !ok || !e.Ballot.Equal(d.Ballot) {
+					r.stats.violations.Add(1)
+					continue
+				}
+				d.Cmd = e.Cmd
+			}
+			r.decided[d.Slot] = d.Cmd
 		}
-		r.decided[d.Slot] = d.Cmd
 	}
 	if s := types.Slot(len(r.decided)); s > 0 {
 		// nextSlot must clear everything we might know about.
@@ -425,7 +385,6 @@ func (r *Replica) Counters() smr.Counters {
 	return smr.Counters{
 		DroppedInbound: r.stats.droppedInbound.Load(),
 		GroupCommits:   r.stats.groupSyncs.Load(),
-		TruncatedSlots: r.stats.truncated.Load(),
 		RetainedSlots:  r.stats.retained.Load(),
 	}
 }
@@ -451,6 +410,7 @@ func (r *Replica) loop() {
 	defer r.finishReads()
 	defer close(r.loopDone)
 	defer close(r.decCh)
+	defer r.recycleLogMaps()
 	ticker := time.NewTicker(r.opts.TickInterval)
 	defer ticker.Stop()
 
@@ -477,10 +437,7 @@ func (r *Replica) loop() {
 		case <-r.inbox.Wake():
 		case <-r.proposals.Wake():
 		case <-r.reads.Wake():
-		case <-r.ctrlWake:
-			r.runControl()
 		case <-ticker.C:
-			r.runControl()
 			r.tick()
 		}
 		r.drainBurst(burstBudget)
@@ -492,6 +449,57 @@ func (r *Replica) loop() {
 		r.endBurst()
 		r.publishProgress()
 	}
+}
+
+// logMaps holds the emptied accepted and decided maps of stopped replicas
+// for New to reuse. A configuration's log ends at a bound and its successor's
+// replica fills maps of the same size again; cleared, a map keeps its
+// capacity, so the successor grows none. Growing them anew for every
+// 4096-slot configuration allocated about a sixth of all a write-heavy run
+// allocated (EXPERIMENTS.md P46). One pair is kept for the next New; the
+// rest go to a sync.Pool, whose pairs a garbage collection drops when nobody
+// takes them soon, so a process that runs several replicas and wedges rarely
+// does not keep an idle log's maps for each.
+var logMaps struct {
+	sync.Mutex
+	kept *logMapPair
+	more sync.Pool
+}
+
+type logMapPair struct {
+	accepted map[types.Slot]acceptedEntry
+	decided  map[types.Slot]types.Command
+}
+
+// takeLogMaps returns an empty pair of log maps, recycled when one waits.
+func takeLogMaps() (map[types.Slot]acceptedEntry, map[types.Slot]types.Command) {
+	logMaps.Lock()
+	p := logMaps.kept
+	logMaps.kept = nil
+	logMaps.Unlock()
+	if p == nil {
+		p, _ = logMaps.more.Get().(*logMapPair)
+	}
+	if p == nil {
+		return make(map[types.Slot]acceptedEntry), make(map[types.Slot]types.Command)
+	}
+	return p.accepted, p.decided
+}
+
+// recycleLogMaps hands the exiting loop's log maps to the next New: nothing
+// reads them once the loop is gone.
+func (r *Replica) recycleLogMaps() {
+	clear(r.accepted)
+	clear(r.decided)
+	p := &logMapPair{accepted: r.accepted, decided: r.decided}
+	r.accepted, r.decided = nil, nil
+	logMaps.Lock()
+	defer logMaps.Unlock()
+	if logMaps.kept == nil {
+		logMaps.kept = p
+		return
+	}
+	logMaps.more.Put(p)
 }
 
 // burstBudget caps how many queued events one group-commit burst absorbs
@@ -655,153 +663,19 @@ func (r *Replica) resetElectionDeadline() {
 	r.ticksSinceHB = 0
 }
 
-// --- log truncation & progress ---------------------------------------------
+// --- progress ----------------------------------------------------------------
 
-// Progress implements smr.Replica: an O(1), lock-free read of atomic
-// mirrors. MaxDecidedSeen comes from heartbeats, promises and catch-up
-// responses; CheckpointNeeded is raised when a peer redirects a catch-up
-// request below its truncation floor.
+// Progress implements smr.Replica: an O(1), lock-free read of an atomic
+// mirror.
 func (r *Replica) Progress() smr.Progress {
-	return smr.Progress{
-		Delivered:        types.Slot(r.progDelivered.Load()),
-		MaxDecidedSeen:   types.Slot(r.progMaxSeen.Load()),
-		TruncatedBelow:   types.Slot(r.progTrunc.Load()),
-		CheckpointNeeded: r.ckptNeeded.Load(),
-	}
+	return smr.Progress{Delivered: types.Slot(r.progDelivered.Load())}
 }
 
-// publishProgress refreshes the atomic mirrors from the loop-owned state.
+// publishProgress refreshes the atomic mirror from the loop-owned state.
 // Called by the event loop after each wakeup (and once from recovery, before
 // the loop starts).
 func (r *Replica) publishProgress() {
 	r.progDelivered.Store(int64(r.deliverNext - 1))
-	r.progMaxSeen.Store(int64(r.maxDecidedSeen))
-	r.progTrunc.Store(int64(r.truncatedBelow))
-}
-
-// request raises a control cell to at least slot and wakes the loop. It never
-// blocks, whatever the loop is doing.
-func (r *Replica) request(cell *atomic.Int64, slot types.Slot) {
-	for {
-		cur := cell.Load()
-		if int64(slot) <= cur || cell.CompareAndSwap(cur, int64(slot)) {
-			break
-		}
-	}
-	select {
-	case r.ctrlWake <- struct{}{}:
-	default: // a wake is already pending; the loop will see this request too
-	}
-}
-
-// runControl applies whatever the control cells hold. The skip goes first:
-// it may move the delivered prefix a truncation is clamped to.
-func (r *Replica) runControl() {
-	if base := types.Slot(r.skipReq.Swap(0)); base > 0 {
-		r.skipTo(base)
-	}
-	if floor := types.Slot(r.truncReq.Swap(0)); floor > 0 {
-		r.truncateBelow(floor)
-	}
-}
-
-// TruncateBelow releases learner and acceptor state for all slots <= floor.
-// The caller (the composition layer) must guarantee that a checkpoint
-// covering those slots is durable and quorum-acknowledged first: after
-// truncation this replica refuses phase-2 votes at released slots and
-// answers catch-up requests for them with a checkpoint redirect instead of
-// entries. The floor is clamped to the delivered prefix — undelivered slots
-// are never truncated. Safe from any goroutine and never blocks; applied
-// asynchronously on the event loop, and of several calls the loop has not
-// yet seen only the highest floor is applied.
-func (r *Replica) TruncateBelow(floor types.Slot) {
-	r.request(&r.truncReq, floor)
-}
-
-// SkipTo installs a checkpoint's base index: the application has restored
-// state covering every slot <= base, so delivery resumes at base+1 and the
-// skipped slots are released exactly as TruncateBelow would. Used by a
-// lagging member after a checkpoint fetch. Safe from any goroutine and never
-// blocks; the highest base wins.
-func (r *Replica) SkipTo(base types.Slot) {
-	r.request(&r.skipReq, base)
-}
-
-// truncateBelow is the loop-side release of slots the application has
-// checkpointed: the floor is clamped to the delivered prefix.
-func (r *Replica) truncateBelow(floor types.Slot) {
-	if floor >= r.deliverNext {
-		floor = r.deliverNext - 1
-	}
-	if floor <= r.truncatedBelow {
-		return
-	}
-	r.release(floor)
-	r.publishProgress()
-}
-
-// skipTo is the loop-side checkpoint install: jump the delivery cursor to
-// base+1 and release everything at or below base.
-func (r *Replica) skipTo(base types.Slot) {
-	if base < r.deliverNext {
-		// Already past the checkpoint; nothing to skip. Still clear the
-		// checkpoint-needed latch: the fetch that triggered it completed.
-		r.ckptNeeded.Store(false)
-		return
-	}
-	r.deliverNext = base + 1
-	if base > r.maxDecidedSeen {
-		r.maxDecidedSeen = base
-	}
-	if r.nextSlot <= base {
-		r.nextSlot = base + 1
-	}
-	r.release(base)
-	r.ckptNeeded.Store(false)
-	r.publishProgress()
-	// Decisions above the base may already be decided and contiguous now.
-	r.deliverReady()
-}
-
-// release raises the truncation floor and drops everything this replica
-// holds for the slots (truncatedBelow, floor]. The floor goes to the store
-// first and the records under it after, all staged, so one barrier covers a
-// release of any size, and a crash that keeps only part of it keeps the
-// floor: recover skips, and drops, whatever lies below it. The other order
-// could lose the floor and keep the holes. A proposal of our own still open
-// at a released slot can never complete there — learn ignores the slot, the
-// acceptors answer with a checkpoint redirect — so it goes back to the queue
-// for a fresh slot (session dedup upstairs makes a second decision harmless);
-// left in place, a few of them would fill the pipeline window for good.
-func (r *Replica) release(floor types.Slot) {
-	prev := r.truncatedBelow
-	r.truncatedBelow = floor
-	r.persistTruncated()
-	dec, acc := r.prefix+"dec/", r.prefix+"acc/"
-	for slot := prev + 1; slot <= floor; slot++ {
-		if _, ok := r.decided[slot]; ok {
-			delete(r.decided, slot)
-			r.unstage(storage.SlotKey(dec, uint64(slot)))
-		}
-		if _, ok := r.accepted[slot]; ok {
-			delete(r.accepted, slot)
-			r.unstage(storage.SlotKey(acc, uint64(slot)))
-		}
-		if sp, ok := r.inflight[slot]; ok {
-			delete(r.inflight, slot)
-			r.enqueue(sp.cmd)
-		}
-	}
-	r.stats.truncated.Add(int64(floor - prev))
-	r.stats.retained.Store(int64(len(r.decided)))
-}
-
-func (r *Replica) persistTruncated() {
-	w := types.NewWriter(8)
-	w.Uvarint(uint64(r.truncatedBelow))
-	if err := r.setDurable(r.prefix+"trunc", w.Bytes()); err != nil {
-		r.stats.violations.Add(1)
-	}
 }
 
 // Factory returns the smr.Factory of replicas built with opts.
@@ -818,19 +692,17 @@ func (f factory) New(cfg types.Config, self types.NodeID, ep *transport.Endpoint
 	return r, nil
 }
 
-// Floor reads the persisted truncation floor of a stream without
-// instantiating a replica: one store Get. The composition layer plans
-// recovery with it (a corrupt snapshot can only fall back to full log replay
-// when the log still starts at slot 1).
-func (factory) Floor(store storage.Store, stream uint64) (types.Slot, error) {
-	raw, ok, err := store.Get(fmt.Sprintf("pxs/%d/", stream) + "trunc")
-	if err != nil || !ok {
-		return 0, err
+// Discard implements smr.Factory: it stages the deletion of every key under
+// the stream's namespace, pxs/<stream>/.
+func (factory) Discard(store storage.Stager, stream uint64) error {
+	keys, err := storage.ScanKeys(store, fmt.Sprintf("pxs/%d/", stream))
+	if err != nil {
+		return err
 	}
-	rd := types.NewReader(raw)
-	floor := types.Slot(rd.Uvarint())
-	if err := rd.Err(); err != nil {
-		return 0, fmt.Errorf("truncation record: %w", err)
+	for _, key := range keys {
+		if err := store.DeleteBuffered(key); err != nil {
+			return err
+		}
 	}
-	return floor, nil
+	return nil
 }

@@ -2,10 +2,12 @@ package reconfig
 
 import (
 	"fmt"
+	"log"
 	"time"
 
 	"repro/internal/smr"
 	"repro/internal/statemachine"
+	"repro/internal/storage"
 	"repro/internal/types"
 )
 
@@ -169,12 +171,13 @@ func (n *Node) executeRound(units []applyUnit) {
 }
 
 // collectReadyLocked pops the contiguous run of ready decisions off run's
-// head and flattens batches into applyUnits. Stale redeliveries — slots an
-// installed snapshot already covers — are skipped; a slot gap is an
-// invariant violation (the engine contract is gap-free in-order delivery).
+// head and flattens batches into applyUnits, up to the log bound: the slots
+// past it are post-wedge. Stale redeliveries — slots an installed snapshot
+// already covers — are skipped; a slot gap is an invariant violation (the
+// engine contract is gap-free in-order delivery).
 func (n *Node) collectReadyLocked(run *engineRun, max int) (units []applyUnit) {
-	cursor := n.appliedSlot
-	for len(units) < max && len(run.buffered) > 0 {
+	cursor, bound := n.appliedSlot, n.logBoundLocked()
+	for len(units) < max && len(run.buffered) > 0 && (bound == 0 || cursor < bound) {
 		dec := run.buffered[0]
 		run.buffered = run.buffered[1:]
 		if dec.Slot != cursor+1 {
@@ -216,7 +219,13 @@ func (n *Node) applyReconfigUnit(u applyUnit, lastOfSlot bool) (wedged bool) {
 	if lastOfSlot {
 		n.appliedSlot = u.slot
 	}
-	n.applyReconfigLocked(u.slot, u.cmd)
+	// A deterministically invalid one (a stale ID from a racing proposer, or
+	// corrupt) is a no-op at every replica.
+	if newCfg, err := types.DecodeConfig(u.cmd.Data); err == nil && newCfg.ID == n.curID+1 {
+		n.wedgeLocked(u.slot, newCfg)
+	} else {
+		n.wedgeAtBoundLocked()
+	}
 	n.serveReadyReadsLocked()
 	return n.curID != before || !n.initialized
 }
@@ -254,52 +263,98 @@ func (n *Node) applySegment(seg []applyUnit, commit types.Slot) {
 			n.respondApplied(p, replies[k])
 		}
 	}
+	// Before mu goes: a client answered here submits its next command to the
+	// successor, not to a log that has ended.
+	n.wedgeAtBoundLocked()
 	n.serveReadyReadsLocked()
 }
 
 // installLocked adopts fresh, a machine built from a complete snapshot, as
-// the state of configuration id at slot base: a joiner's initial state, a
-// lagging member's jump forward, or what Start found in the node's own store.
-// It runs on the apply loop (handed over by install) or in Start before the
-// loop exists. An initialized node refuses a base at or below its apply
-// cursor — it would move the state backwards. Reports whether the install
-// happened and whether it was this node's first state of id. Caller holds mu.
-func (n *Node) installLocked(id types.ConfigID, base types.Slot, fresh *statemachine.Sessioned) (installed, joined bool) {
-	if n.stopped || n.curID != id || (n.initialized && base <= n.appliedSlot) {
-		return false, false
+// the state of configuration id at slot 0: a joiner's initial state, a
+// lagging member's after a stale jump, or what Start found in the node's own
+// store. It runs on the apply loop (handed over by install) or in Start
+// before the loop exists, and only on a node without state: an initialized
+// node holds id's state already. Reports whether the install happened.
+// Caller holds mu.
+func (n *Node) installLocked(id types.ConfigID, fresh *statemachine.Sessioned) bool {
+	if n.stopped || n.curID != id || n.initialized {
+		return false
 	}
-	joined = !n.initialized
 	n.machine = fresh
 	n.initialized = true
-	// The snapshot folds in every slot up to its base: start applying at
-	// base, so the stale-skip (dec.Slot <= appliedSlot) discards the taken
-	// and redelivered decisions the snapshot already covers and no client
-	// reply fires for a slot before the apply point passes base.
-	n.appliedSlot = base
+	n.appliedSlot = 0
+	n.snapDurable = max(n.snapDurable, id)
 	if err := n.ensureEngineLocked(id); err != nil {
 		n.stats.InvariantViolations++
 	}
-	if joined {
-		n.stats.SnapshotsFetched++
-		// What a speculative engine decided during the transfer stayed in
-		// it; the loop takes it from here.
-		n.stats.SpeculativeParked += n.takeOverLocked(id)
-		// The chunks are in the store already (fetched incrementally, or
-		// read from it by Start), and a caller installing a base above 0
-		// has made them durable, so the base is durable here.
-		n.noteDurableBaseLocked(base)
-	} else {
-		n.stats.CatchupFetches++
-	}
-	if run, ok := n.engines[id]; ok && base > 0 {
-		// The engine releases its own records below base and resumes
-		// contiguous delivery above it. Without this a delivery cursor
-		// below a floor the peers already truncated never moves again.
-		run.eng.SkipTo(base)
-	}
+	n.stats.SnapshotsFetched++
+	// What a speculative engine decided during the transfer stayed in it;
+	// the loop takes it from here.
+	n.stats.SpeculativeParked += n.takeOverLocked(id)
 	n.resubmitPendingLocked(true)
 	n.notifyTransitionLocked()
-	return true, joined
+	return true
+}
+
+// recoverMachine recovers the machine from a snapshot, a configuration's
+// state at slot 0, through the same install a fetched snapshot takes; the
+// engines' redelivered logs replay the rest. It takes the current
+// configuration's snapshot when the store holds it whole. When the store holds
+// no readable manifest of it — power was lost after a wedge's chain record
+// became durable and before the successor's snapshot did — it walks back to
+// the newest predecessor whose snapshot is whole, as long as this node was a
+// member of every configuration it steps back over and still holds their
+// engine namespaces: its own logs then replay the node through the wedges to
+// the current configuration, and retire keeps what this walk needs
+// (retireLocked). A manifest with a partial chunk set (crashed mid-transfer),
+// a chunk set that does not decode, or nothing to walk back to leaves the node
+// uninitialized in the current configuration, and the transfer goroutine
+// fetches what is missing. The loop does not run yet, so the install happens
+// in place.
+func (n *Node) recoverMachine(cur types.ConfigID) error {
+	for id := cur; ; id-- {
+		m, chunks, complete, err := storage.ReadChunked(n.store, snapPrefix(id))
+		switch {
+		case err != nil && id != 0 && id == n.initConfig.ID:
+			// A corrupt manifest must not brick the node. The bootstrap
+			// configuration starts from the empty machine and its log is
+			// whole from slot 1, so replay reproduces the state.
+			log.Printf("reconfig: %s snapshot of cfg %d unreadable (%v); replaying from the empty machine", n.self, id, err)
+			n.mu.Lock()
+			n.curID, n.initialized = id, true
+			n.mu.Unlock()
+			return nil
+		case err == nil && m.Base > 0:
+			// A mid-log checkpoint of an older version: the log below it is gone.
+			return fmt.Errorf("%w: snapshot of configuration %d at slot %d", smr.ErrOldLayout, id, m.Base)
+		case err == nil && m.Chunks() > 0 && !complete:
+			// A transfer stages the manifest first, a publish last: a fetch
+			// was under way, and the transfer goroutine takes it up.
+			return nil
+		case err == nil && m.Chunks() > 0:
+			fresh, err := n.buildMachine(m, chunks)
+			n.mu.Lock()
+			defer n.mu.Unlock()
+			if err != nil {
+				n.stats.InvariantViolations++
+				return nil
+			}
+			if id != cur {
+				log.Printf("reconfig: %s has no whole snapshot of cfg %d; replaying its logs from cfg %d", n.self, cur, id)
+			}
+			n.curID = id
+			n.installLocked(id, fresh)
+			return nil
+		}
+		n.mu.Lock()
+		prev := id - 1
+		_, wedged := n.chain[prev]
+		replayable := wedged && prev >= n.discardNext && n.configs[prev].IsMember(n.self)
+		n.mu.Unlock()
+		if !replayable {
+			return nil
+		}
+	}
 }
 
 // takeOverLocked makes configuration id's engine run the loop's to take
@@ -368,16 +423,42 @@ func (n *Node) leaderHintLocked() types.NodeID {
 	return ""
 }
 
-// applyReconfigLocked performs the wedge transition: configuration curID is
-// wedged at slot, its state becomes the successor's initial state, and the
-// successor engine takes over.
-func (n *Node) applyReconfigLocked(slot types.Slot, cmd types.Command) {
-	newCfg, err := types.DecodeConfig(cmd.Data)
-	if err != nil || newCfg.ID != n.curID+1 {
-		// Deterministically invalid (stale ID from a racing proposer or
-		// corrupt): every replica treats it as a no-op.
+// logBoundLocked is the slot at which every configuration's log ends, 0 when
+// the bound is off (Options.NoCheckpoints). Caller holds mu.
+func (n *Node) logBoundLocked() types.Slot {
+	if n.opts.NoCheckpoints {
+		return 0
+	}
+	return types.Slot(n.opts.logBound)
+}
+
+// wedgeAtBoundLocked ends the current configuration once the apply cursor
+// has reached the log bound with no decided reconfiguration before it: every
+// member does the same at the same slot, after the slot's whole batch, so the
+// successor — ID+1, the same members — is the one every log would have
+// chosen, and P2 holds as for any wedge. This is log compaction: the
+// successor starts a fresh log from the wedge-time state, and the old log is
+// discarded whole once its run retires. Caller holds mu, on the loop.
+func (n *Node) wedgeAtBoundLocked() {
+	if bound := n.logBoundLocked(); !n.initialized || bound == 0 || n.appliedSlot < bound {
 		return
 	}
+	next, err := types.NewConfig(n.curID+1, n.configs[n.curID].Members)
+	if err != nil {
+		n.stats.InvariantViolations++
+		return
+	}
+	before := n.curID
+	n.wedgeLocked(n.appliedSlot, next)
+	if n.curID != before {
+		n.stats.CheckpointsPublished++
+	}
+}
+
+// wedgeLocked performs the wedge transition: configuration curID is wedged at
+// slot, its state becomes newCfg's initial state, and the successor engine
+// takes over.
+func (n *Node) wedgeLocked(slot types.Slot, newCfg types.Config) {
 	rec := ChainRecord{
 		From:        n.curID,
 		FromMembers: n.configs[n.curID].Members,
@@ -392,7 +473,7 @@ func (n *Node) applyReconfigLocked(slot types.Slot, cmd types.Command) {
 	// The machine state at the wedge IS the successor's initial state:
 	// publish it at base 0. Only the copy-on-write fork (O(shards)) runs
 	// under n.mu.
-	n.publishAsyncLocked(newCfg.ID, 0, n.machine.ForkSnapshot())
+	n.publishAsyncLocked(newCfg.ID, n.machine.ForkSnapshot())
 
 	// The old engine lingers for laggards until the tick retires it. What the
 	// round took past the wedge is dropped with its head, and what the engine
@@ -590,8 +671,8 @@ func (n *Node) notifyTransitionLocked() {
 
 // houseTick is the loop's periodic turn, every retryInterval: re-proposals,
 // parked reads' aging, the stale jump, the snapshot pipeline's periodic half,
-// engine retirement, and the checkpoint re-announce and chain gossip, whose
-// exchanges run on goroutines of their own.
+// retirement, and chain gossip, whose exchange runs on a goroutine of its
+// own.
 func (n *Node) houseTick() {
 	n.mu.Lock()
 	n.tick++
@@ -604,40 +685,28 @@ func (n *Node) houseTick() {
 	n.ageReadWaitersLocked()
 
 	// Stale jump: a successor of our current configuration is known, but
-	// our own engine has not delivered the wedge (e.g. the old quorum is
-	// gone). After a grace period, transfer state instead of waiting.
-	if rec, ok := n.chain[n.curID]; ok && n.initialized {
+	// our own engine has stopped delivering toward the wedge (e.g. the old
+	// quorum is gone, or its log retired). After a grace period without
+	// progress, transfer state instead of waiting — that of the newest
+	// configuration the chain reaches, since every one in between has been
+	// wedged already. An engine that still delivers, as one replaying its
+	// log after a restart does, is left to reach the wedge itself.
+	if _, ok := n.chain[n.curID]; ok && n.initialized {
+		if n.appliedSlot != n.staleSlot {
+			n.staleSlot, n.staleTicks = n.appliedSlot, 0
+		}
 		if n.staleTicks++; n.staleTicks > staleJumpTicks {
 			n.stats.StaleJumps++
-			n.jumpLocked(rec.To.ID)
+			n.jumpLocked(n.newestReachableLocked())
 		}
 	} else if n.initialized {
 		n.staleTicks = 0
 	}
 
 	// The snapshot pipeline's periodic half: fetch a snapshot if this member
-	// has no state or is too far behind to replay, publish a checkpoint when
-	// the applied cursor is an interval past the last, and retire snapshots
-	// nobody can still need.
+	// has no state, and retire what nobody can still need.
 	n.maybeTransferLocked()
-	n.maybeCheckpointLocked()
-	n.maybeRetireLocked()
-	n.retireEnginesLocked()
-
-	// Periodic checkpoint-base re-announce: repairs lost announces and
-	// keeps feeding peer bases into the truncation computation.
-	var ckptBody []byte
-	var ckptTo []types.NodeID
-	n.ckptAnnounceLeft--
-	if n.ckptAnnounceLeft <= 0 {
-		n.ckptAnnounceLeft = ckptAnnounceTicks
-		if !n.opts.NoCheckpoints && n.initialized && member &&
-			n.ckptCfg == n.curID && n.ckptSelfBase > 0 {
-			ckptBody = encodeCkptAnnounce(ckptMsg{Config: n.curID, Base: n.ckptSelfBase})
-			ckptTo = append([]types.NodeID(nil), cur.Members...)
-		}
-		n.maybeTruncateLocked()
-	}
+	n.retireLocked()
 
 	// Anti-entropy: periodically trade chain knowledge with a random known
 	// peer. This is the repair path for lost announces — a member that
@@ -645,8 +714,11 @@ func (n *Node) houseTick() {
 	// exchange is symmetric: we push our newest record (so blank spares,
 	// which know nobody and cannot pull, still get reached) and pull the
 	// peer's chain.
+	// The pull names the newest configuration the node's chain reaches from
+	// the one it executes, and gets only the records after it.
 	var gossipTo types.NodeID
 	var gossipPush []byte
+	var newest types.ConfigID
 	n.gossipLeft--
 	if n.gossipLeft <= 0 {
 		n.gossipLeft = gossipTicks
@@ -654,6 +726,7 @@ func (n *Node) houseTick() {
 		if rec, ok := n.chain[n.curID-1]; ok && gossipTo != "" {
 			gossipPush = encodeAnnounce(announceMsg{Record: rec})
 		}
+		newest = n.newestReachableLocked()
 	}
 	n.mu.Unlock()
 
@@ -661,44 +734,75 @@ func (n *Node) houseTick() {
 		n.wg.Add(1)
 		go func() {
 			defer n.wg.Done()
-			n.gossipChain(gossipTo, gossipPush)
+			n.gossipChain(gossipTo, gossipPush, newest)
 		}()
-	}
-	if ckptBody != nil {
-		n.broadcastCkpt(ckptTo, ckptBody)
 	}
 }
 
-// retireEnginesLocked drops the runs of configurations older than the current
-// one once they have lingered lingerOld — long enough for laggards to learn
-// the wedge from them — and stops their engines on one goroutine off the
-// loop: Stop waits for an engine's loop, which may sit in a held flush. What
-// a dropped run counted stays in the node's stats, so no counter goes
+// newestReachableLocked is the newest configuration the chain reaches from
+// the current one. Caller holds mu.
+func (n *Node) newestReachableLocked() types.ConfigID {
+	id := n.curID
+	for rec, ok := n.chain[id]; ok; rec, ok = n.chain[id] {
+		id = rec.To.ID
+	}
+	return id
+}
+
+// retireLocked is the tick's retirement. It drops the runs of
+// configurations older than the current one once they have lingered
+// lingerOld — long enough for laggards to learn the wedge from them — and
+// hands one retire goroutine (xfer.go) their engines to stop, the snapshots
+// nobody can still need, and the engine namespaces of every older
+// configuration this node holds no run of: an older configuration's engine is
+// never built again (ensureEngineLocked), so its namespace is dead. Neither
+// goes before a newer snapshot is durable here (snapDurable): until then a
+// restart replays this node's own logs from the newest snapshot its store
+// holds whole (recoverMachine), which needs that snapshot and every engine
+// namespace from it on. A snapshot the transfer goroutine may still be
+// persisting chunks of waits until that goroutine has exited. One retirement
+// runs at a time, so every engine has stopped before its namespace goes,
+// whichever tick dropped it.
+// What a dropped run counted stays in the node's stats, so no counter goes
 // backwards. Caller holds mu, on the loop.
-func (n *Node) retireEnginesLocked() {
+func (n *Node) retireLocked() {
+	if n.retiring || n.stopped {
+		return
+	}
 	var old []smr.Replica
 	for id, run := range n.engines {
-		if id >= n.curID || n.stopped {
+		if id >= n.curID {
 			continue
 		}
 		if run.lingered++; run.lingered < int(lingerOld/retryInterval) {
 			continue
 		}
 		delete(n.engines, id)
-		countRun(&n.stats, run)
+		n.stats.TruncatedSlots += countRun(&n.stats, run).RetainedSlots
 		old = append(old, run.eng)
 	}
-	if len(old) == 0 {
+	var snaps, streams []types.ConfigID
+	for n.retiredLocked(n.retireNext) && n.retireNext < n.snapDurable && n.retireNext != n.transfer {
+		delete(n.serving, n.retireNext)
+		snaps = append(snaps, n.retireNext)
+		n.retireNext++
+	}
+	for n.discardNext < n.snapDurable && n.engines[n.discardNext] == nil && len(streams) < maxDiscards {
+		streams = append(streams, n.discardNext)
+		n.discardNext++
+	}
+	if len(old)+len(snaps)+len(streams) == 0 {
 		return
 	}
+	n.retiring = true
 	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		for _, eng := range old {
-			eng.Stop()
-		}
-	}()
+	go n.retire(old, snaps, streams)
 }
+
+// maxDiscards bounds how many engine namespaces one retirement discards: a
+// node that restarts, or a spare that joins, far along the chain sweeps the
+// configurations below it a tick at a time.
+const maxDiscards = 64
 
 // countRun adds to out what run's engine has counted — its cumulative
 // counters and, until its state is installed here, what it delivered
@@ -711,6 +815,5 @@ func countRun(out *NodeStats, run *engineRun) smr.Counters {
 	es := run.eng.Counters()
 	out.DroppedInbound += es.DroppedInbound
 	out.GroupCommits += es.GroupCommits
-	out.TruncatedSlots += es.TruncatedSlots
 	return es
 }

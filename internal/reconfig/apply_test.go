@@ -1,8 +1,9 @@
 package reconfig
 
 import (
+	"errors"
+	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,7 +15,7 @@ import (
 )
 
 // scriptedEngine is a one-member engine whose decisions the test writes into
-// its channel itself; it proposes, reads and truncates nothing.
+// its channel itself; it proposes and reads nothing.
 type scriptedEngine struct {
 	decs     chan smr.Decision
 	stopOnce sync.Once
@@ -28,59 +29,60 @@ func (e *scriptedEngine) Leader() (types.NodeID, bool)   { return "", false }
 func (e *scriptedEngine) ReadIndex(func(types.Slot, error)) error {
 	return smr.ErrNotLeader
 }
-func (e *scriptedEngine) TruncateBelow(types.Slot) {}
-func (e *scriptedEngine) SkipTo(types.Slot)        {}
-func (e *scriptedEngine) Progress() smr.Progress   { return smr.Progress{} }
-func (e *scriptedEngine) Counters() smr.Counters   { return smr.Counters{} }
+func (e *scriptedEngine) Progress() smr.Progress { return smr.Progress{} }
+func (e *scriptedEngine) Counters() smr.Counters { return smr.Counters{} }
 
-type scriptedFactory struct{ eng *scriptedEngine }
-
-func (f scriptedFactory) New(types.Config, types.NodeID, *transport.Endpoint, storage.Store, uint64) (smr.Replica, error) {
-	return f.eng, nil
-}
-func (f scriptedFactory) Floor(storage.Store, uint64) (types.Slot, error) { return 0, nil }
-
-// heldCounter is a counter machine that counts every Apply, and whose
-// heldAt-th Apply, over all instances, blocks until release is closed.
-type heldCounter struct {
-	statemachine.Counter
-	applies          *atomic.Int64
-	heldAt           int64
-	entered, release chan struct{}
+// scriptedFactory builds one scripted engine per stream and keeps it for the
+// test to feed.
+type scriptedFactory struct {
+	mu   sync.Mutex
+	engs map[uint64]*scriptedEngine
 }
 
-func (m *heldCounter) Apply(op []byte) []byte {
-	if m.applies.Add(1) == m.heldAt {
-		close(m.entered)
-		<-m.release
+func (f *scriptedFactory) New(_ types.Config, _ types.NodeID, _ *transport.Endpoint, _ storage.Store, stream uint64) (smr.Replica, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	e := &scriptedEngine{decs: make(chan smr.Decision, 16)}
+	f.engs[stream] = e
+	return e, nil
+}
+
+func (f *scriptedFactory) Discard(storage.Stager, uint64) error { return nil }
+
+func (f *scriptedFactory) engine(t *testing.T, stream uint64) *scriptedEngine {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		f.mu.Lock()
+		e := f.engs[stream]
+		f.mu.Unlock()
+		if e != nil {
+			return e
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no engine of configuration %d was built", stream)
+		}
+		time.Sleep(time.Millisecond)
 	}
-	return m.Counter.Apply(op)
 }
 
-// addAt is the decision of slot s: client c's s-th command, adding 1.
-func addAt(s int) smr.Decision {
-	return smr.Decision{Slot: types.Slot(s), Cmd: types.Command{Kind: types.CmdApp, Client: "c", Seq: uint64(s), Data: statemachine.EncodeAdd(1)}}
+// add is client c's seq-th command, adding 1.
+func add(seq int) types.Command {
+	return types.Command{Kind: types.CmdApp, Client: "c", Seq: uint64(seq), Data: statemachine.EncodeAdd(1)}
 }
 
-// A catch-up install handed to a node whose apply loop is inside a segment
-// waits for that segment's commit: the swap comes between two rounds, the
-// segment's applies all count, and every slot above the snapshot's base is
-// applied exactly once. An install that lands mid-round — it returns while
-// the segment still executes against the machine it replaces — fails here.
-func TestCatchupInstallWaitsForSegmentCommit(t *testing.T) {
+// scriptedNode starts a one-member node of a counter over scripted engines,
+// with a log bound of bound slots.
+func scriptedNode(t *testing.T, bound int) (*Node, *scriptedFactory) {
+	t.Helper()
 	net := transport.NewNetwork(transport.Options{})
 	t.Cleanup(net.Close)
-	eng := &scriptedEngine{decs: make(chan smr.Decision, 16)}
-	var applies atomic.Int64
-	entered, release := make(chan struct{}), make(chan struct{})
-	var once sync.Once
-	unblock := func() { once.Do(func() { close(release) }) }
+	f := &scriptedFactory{engs: make(map[uint64]*scriptedEngine)}
 	opts := fastNodeOpts()
-	opts.engine = scriptedFactory{eng}
+	opts.engine = f
+	opts.logBound = bound
 	n, err := NewNode(NodeConfig{Self: "n1", Endpoint: net.Endpoint("n1"), Store: storage.NewMem(), Opts: opts,
-		Factory: func() statemachine.Machine {
-			return &heldCounter{applies: &applies, heldAt: 3, entered: entered, release: release}
-		}})
+		Factory: statemachine.NewCounterMachine})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,68 +93,147 @@ func TestCatchupInstallWaitsForSegmentCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(n.Stop)
-	t.Cleanup(unblock) // runs before Stop, which waits for the held loop
-	old := n.Machine()
+	return n, f
+}
 
-	// Slots 1..5 reach the loop, which holds inside the segment at slot 3;
-	// slots 6..10 are decided meanwhile.
-	for s := 1; s <= 5; s++ {
-		eng.decs <- addAt(s)
+// The log bound ends a configuration at its last slot, after that slot's
+// whole batch, unless a decided reconfiguration ended it first: the successor
+// has the next ID and the same members, nothing past the bound is applied in
+// the old configuration, and the successor's log starts at slot 1 from the
+// wedge-time state. A reconfiguration anywhere in the bound's slot wedges
+// there instead; a stale one is a no-op and the bound still holds.
+func TestLogBoundWedgesAfterTheSlotsWholeBatch(t *testing.T) {
+	const bound = 5
+	twoMembers := types.MustConfig(2, "n1", "n2")
+	cases := []struct {
+		name        string
+		last        []types.Command // slot 5, a batch when longer than one
+		wantMembers []types.NodeID
+		wantCount   uint64 // counter after slot 5
+		boundWedges int64
+	}{
+		{name: "batch", last: []types.Command{add(5), add(6), add(7)}, wantMembers: []types.NodeID{"n1"}, wantCount: 7, boundWedges: 1},
+		{name: "reconfiguration-mid-batch", last: []types.Command{add(5), types.ReconfigCommand(twoMembers), add(6)},
+			wantMembers: twoMembers.Members, wantCount: 5},
+		{name: "stale-reconfiguration", last: []types.Command{add(5), types.ReconfigCommand(types.MustConfig(7, "n2"))},
+			wantMembers: []types.NodeID{"n1"}, wantCount: 5, boundWedges: 1},
 	}
-	select {
-	case <-entered:
-	case <-time.After(5 * time.Second):
-		t.Fatal("the apply loop never reached slot 3")
-	}
-	for s := 6; s <= 10; s++ {
-		eng.decs <- addAt(s)
-	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n, f := scriptedNode(t, bound)
+			eng := f.engine(t, 1)
+			for s := 1; s < bound; s++ {
+				eng.decs <- smr.Decision{Slot: types.Slot(s), Cmd: add(s)}
+			}
+			last := tc.last[0]
+			if len(tc.last) > 1 {
+				last = types.BatchCommand(tc.last)
+			}
+			eng.decs <- smr.Decision{Slot: bound, Cmd: last}
+			eng.decs <- smr.Decision{Slot: bound + 1, Cmd: add(100)} // post-wedge
+			waitCurrent(t, n, 2)
 
-	// A catch-up snapshot at base 7: the counter after slots 1..7.
-	donor := statemachine.NewSessioned(statemachine.NewCounterMachine())
-	for s := 1; s <= 7; s++ {
-		donor.ApplyCommand(addAt(s).Cmd)
-	}
-	m, chunks := snapshotOf(donor, 7)
-	installed := make(chan bool, 1)
-	go func() { installed <- n.install(1, m, chunks) }()
+			if got := n.CurrentConfig(); !got.Equal(types.Config{ID: 2, Members: tc.wantMembers}) {
+				t.Fatalf("successor %v, want configuration 2 of %v", got, tc.wantMembers)
+			}
+			recs := n.ChainRecords()
+			if len(recs) != 1 || recs[0].From != 1 || recs[0].WedgeSlot != bound {
+				t.Fatalf("chain %+v, want one record wedging configuration 1 at slot %d", recs, bound)
+			}
+			if got := counterValue(t, n.Machine().ApplyRead(statemachine.EncodeCounterGet())); got != tc.wantCount {
+				t.Fatalf("counter %d after the wedge, want %d", got, tc.wantCount)
+			}
+			st := n.Stats()
+			if st.CheckpointsPublished != tc.boundWedges || st.Wedges != 1 || st.InvariantViolations != 0 {
+				t.Fatalf("bound wedges %d (want %d), wedges %d, violations %d", st.CheckpointsPublished, tc.boundWedges, st.Wedges, st.InvariantViolations)
+			}
 
-	select {
-	case <-installed:
-		t.Fatal("install returned while a segment was executing against the machine it replaces")
-	case <-time.After(100 * time.Millisecond):
+			// The successor's log starts at slot 1 over the wedge-time state.
+			f.engine(t, 2).decs <- smr.Decision{Slot: 1, Cmd: add(101)}
+			deadline := time.Now().Add(5 * time.Second)
+			for id, at := n.AppliedSlot(); id != 2 || at != 1; id, at = n.AppliedSlot() {
+				if time.Now().After(deadline) {
+					t.Fatalf("applied (cfg %d, slot %d), want (cfg 2, slot 1)", id, at)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if got := counterValue(t, n.Machine().ApplyRead(statemachine.EncodeCounterGet())); got != tc.wantCount+1 {
+				t.Fatalf("counter %d in the successor, want %d", got, tc.wantCount+1)
+			}
+		})
 	}
-	if n.Machine() != old {
-		t.Fatal("the machine was swapped while a segment was executing on it")
-	}
-	if _, at := n.AppliedSlot(); at >= 3 {
-		t.Fatalf("applied slot %d while slot 3 is still executing", at)
-	}
-	unblock()
-	select {
-	case ok := <-installed:
-		if !ok {
-			t.Fatal("catch-up install at base 7 was refused")
+}
+
+// The bound repeats: a configuration that reaches it hands over to one that
+// reaches it in turn, each a slot-1 log.
+func TestLogBoundRepeats(t *testing.T) {
+	const bound, k = 3, 4
+	n, f := scriptedNode(t, bound)
+	seq := 0
+	for id := uint64(1); id <= k; id++ {
+		eng := f.engine(t, id)
+		for s := 1; s <= bound; s++ {
+			seq++
+			eng.decs <- smr.Decision{Slot: types.Slot(s), Cmd: add(seq)}
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("install never happened after the segment committed")
+		waitCurrent(t, n, types.ConfigID(id+1))
 	}
-
-	deadline := time.Now().Add(5 * time.Second)
-	for _, at := n.AppliedSlot(); at < 10; _, at = n.AppliedSlot() {
-		if time.Now().After(deadline) {
-			t.Fatalf("applied slot %d, want 10", at)
+	if got := counterValue(t, n.Machine().ApplyRead(statemachine.EncodeCounterGet())); got != uint64(seq) {
+		t.Fatalf("counter %d, want %d", got, seq)
+	}
+	if got := n.Stats().CheckpointsPublished; got != k {
+		t.Fatalf("%d bound wedges, want %d", got, k)
+	}
+	for i, rec := range n.ChainRecords() {
+		if rec.WedgeSlot != bound || !rec.To.Equal(types.MustConfig(rec.From+1, "n1")) {
+			t.Fatalf("record %d: %s", i, fmt.Sprint(rec))
 		}
-		time.Sleep(time.Millisecond)
 	}
-	st := n.Stats()
-	if st.Applied != applies.Load() {
-		t.Fatalf("%d commands executed, %d committed: a segment's results were discarded", applies.Load(), st.Applied)
-	}
-	if got := counterValue(t, n.Machine().ApplyRead(statemachine.EncodeCounterGet())); got != 10 {
-		t.Fatalf("counter %d, want 10 (7 from the snapshot, 8..10 applied once)", got)
-	}
-	if st.InvariantViolations != 0 || st.CatchupFetches != 1 {
-		t.Fatalf("violations %d, catch-up installs %d", st.InvariantViolations, st.CatchupFetches)
+}
+
+// A user reconfiguration whose chain position a log-bound wedge takes —
+// the winner has its predecessor's members — is proposed again at the next
+// position and returns its own members; one that loses to another
+// membership still returns ErrConflict with the winner.
+func TestReconfigureRetriesPastBoundWedge(t *testing.T) {
+	const bound = 4
+	want := types.MustConfig(3, "n1", "n2")
+	for _, tc := range []struct {
+		name   string
+		winner types.Config // decided at configuration 2's slot 1
+		err    error
+	}{
+		{name: "own-members", winner: want},
+		{name: "other-members", winner: types.MustConfig(3, "n1", "n3"), err: ErrConflict},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, f := scriptedNode(t, bound)
+			type result struct {
+				cfg types.Config
+				err error
+			}
+			done := make(chan result, 1)
+			go func() {
+				ctx, cancel := contextWithTimeout(10 * time.Second)
+				defer cancel()
+				cfg, err := n.Reconfigure(ctx, want.Members)
+				done <- result{cfg, err}
+			}()
+			eng := f.engine(t, 1)
+			for s := 1; s <= bound; s++ {
+				eng.decs <- smr.Decision{Slot: types.Slot(s), Cmd: add(s)}
+			}
+			waitCurrent(t, n, 2)
+			select {
+			case r := <-done:
+				t.Fatalf("Reconfigure returned %v, %v when the log bound took its position", r.cfg, r.err)
+			case <-time.After(50 * time.Millisecond):
+			}
+			f.engine(t, 2).decs <- smr.Decision{Slot: 1, Cmd: types.ReconfigCommand(tc.winner)}
+			r := <-done
+			if !errors.Is(r.err, tc.err) || !r.cfg.Equal(tc.winner) {
+				t.Fatalf("Reconfigure = %v, %v; want %v, %v", r.cfg, r.err, tc.winner, tc.err)
+			}
+		})
 	}
 }

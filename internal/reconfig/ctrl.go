@@ -47,12 +47,9 @@ const (
 	opSnapMetaReply  uint8 = 14
 	opSnapChunk      uint8 = 15
 	opSnapChunkReply uint8 = 16
-	// Within-configuration checkpoints (mid-log snapshots): a member that
-	// made checkpoint base S durable announces it; the ack carries the
-	// receiver's own base, so one exchange teaches both sides. Codecs live
-	// in checkpoint.go.
-	opCkptAnnounce uint8 = 17
-	opCkptAck      uint8 = 18
+	// 17 and 18 were the retired within-configuration checkpoint announce
+	// and its ack; a log-bound wedge replaced the checkpoints. The codes stay
+	// reserved, like 5 and 6.
 )
 
 // SubmitStatus describes the outcome of a submit RPC.
@@ -262,7 +259,7 @@ func encodeSnapMeta(m snapMetaReq) []byte {
 type snapMetaReply struct {
 	Found  bool
 	Format byte       // statemachine.SnapshotFormat
-	Base   types.Slot // log position the snapshot folds in; installer skips slots ≤ Base
+	Base   types.Slot // always 0 (an older version's mid-log checkpoint had more; a fetch refuses it)
 	CRCs   []uint32   // CRC32-C per chunk; len is the chunk count
 	Chunks [][]byte   // leading chunks 0..len-1, within the range byte budget
 }
@@ -439,8 +436,17 @@ func DecodeReconfigResult(buf []byte) (ReconfigResult, error) {
 
 // --- chain dump -------------------------------------------------------------------
 
-// EncodeChainRequest encodes a chain dump request.
+// EncodeChainRequest encodes a chain dump request: the whole chain.
 func EncodeChainRequest() []byte { return []byte{opChain} }
+
+// encodeChainRequestSince asks for the records of the configurations after
+// since, which the asker knows already: the delta chain gossip pulls.
+func encodeChainRequestSince(since types.ConfigID) []byte {
+	w := types.NewWriter(11)
+	w.Byte(opChain)
+	w.Uvarint(uint64(since))
+	return w.Bytes()
+}
 
 // ChainResult is the outcome of a chain query.
 type ChainResult struct {

@@ -3,6 +3,9 @@ package reconfig
 import (
 	"testing"
 
+	"repro/internal/statemachine"
+	"repro/internal/storage"
+	"repro/internal/transport"
 	"repro/internal/types"
 )
 
@@ -178,53 +181,6 @@ func FuzzDecodeSnapMetaReply(f *testing.F) {
 	})
 }
 
-func FuzzDecodeCkptAnnounce(f *testing.F) {
-	f.Add(encodeCkptAnnounce(ckptMsg{Config: 3, Base: 4096}))
-	// Base 0 means "no checkpoint yet" — a codec that turns it into anything
-	// else would convince peers a checkpoint is quorum-durable when it isn't.
-	f.Add(encodeCkptAnnounce(ckptMsg{Config: 1}))
-	f.Add(encodeCkptAnnounce(ckptMsg{Config: 1 << 40, Base: types.Slot(1 << 50)}))
-	f.Add([]byte{})
-	f.Add([]byte{byte(opCkptAnnounce)})
-	f.Add([]byte{byte(opCkptAnnounce), 0xff, 0xff})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := decodeCkptAnnounce(data)
-		if err != nil {
-			return
-		}
-		again, err := decodeCkptAnnounce(encodeCkptAnnounce(m))
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if again != m {
-			t.Fatalf("round trip changed: %+v -> %+v", m, again)
-		}
-	})
-}
-
-func FuzzDecodeCkptAck(f *testing.F) {
-	f.Add(encodeCkptAck(ckptMsg{Config: 2, Base: 30}))
-	f.Add(encodeCkptAck(ckptMsg{}))
-	// An ack must never decode as an announce and vice versa: the quorum-base
-	// computation treats them asymmetrically (acks feed the truncation floor).
-	f.Add(encodeCkptAnnounce(ckptMsg{Config: 9, Base: 9}))
-	f.Add([]byte{})
-	f.Add([]byte{byte(opCkptAck), 0x80})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := decodeCkptAck(data)
-		if err != nil {
-			return
-		}
-		again, err := decodeCkptAck(encodeCkptAck(m))
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if again != m {
-			t.Fatalf("round trip changed: %+v -> %+v", m, again)
-		}
-	})
-}
-
 func FuzzDecodeSnapChunkReply(f *testing.F) {
 	f.Add(encodeSnapChunkReply(snapChunkReply{Chunks: [][]byte{[]byte("chunk-bytes"), nil, []byte("x")}}))
 	f.Add(encodeSnapChunkReply(snapChunkReply{}))
@@ -246,6 +202,67 @@ func FuzzDecodeSnapChunkReply(f *testing.F) {
 			if string(again.Chunks[i]) != string(rep.Chunks[i]) {
 				t.Fatalf("round trip changed chunk %d", i)
 			}
+		}
+	})
+}
+
+// Ops 17 and 18 carried the retired within-configuration checkpoint announce
+// and its ack, each body `config|base` as uvarints. A peer of an older
+// version still sends them, so the codes stay reserved (ctrl.go): whatever
+// the body, the node answers nothing and counts no violation. A reused code
+// would read these frames as its own.
+
+func FuzzDecodeCkptAnnounce(f *testing.F) {
+	f.Add(ckptBody(3, 4096))
+	f.Add(ckptBody(1, 0))
+	f.Add(ckptBody(1<<40, 1<<50))
+	f.Add([]byte{})
+	f.Add([]byte{0xff, 0xff})
+	f.Add(append(ckptBody(2, 30), 0)) // trailing byte
+	fuzzReservedOp(f, 17)
+}
+
+func FuzzDecodeCkptAck(f *testing.F) {
+	f.Add(ckptBody(2, 30))
+	f.Add(ckptBody(0, 0))
+	f.Add([]byte{})
+	f.Add([]byte{0x80})
+	f.Add(append([]byte{17}, ckptBody(9, 9)...)) // an announce frame as the body
+	fuzzReservedOp(f, 18)
+}
+
+func ckptBody(config, base uint64) []byte {
+	w := types.NewWriter(20)
+	w.Uvarint(config)
+	w.Uvarint(base)
+	return w.Bytes()
+}
+
+// fuzzReservedOp serves op followed by each input on a started one-member
+// node, through serveControl, where handleRPC sends every op but a submit.
+func fuzzReservedOp(f *testing.F, op uint8) {
+	net := transport.NewNetwork(transport.Options{})
+	f.Cleanup(net.Close)
+	n, err := NewNode(NodeConfig{Self: "n1", Endpoint: net.Endpoint("n1"), Store: storage.NewMem(),
+		Opts: fastNodeOpts(), Factory: statemachine.NewCounterMachine})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := n.Bootstrap(types.MustConfig(1, "n1")); err != nil {
+		f.Fatal(err)
+	}
+	if err := n.Start(); err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(n.Stop)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		answered := false
+		n.serveControl(append([]byte{op}, body...), func([]byte) { answered = true })
+		if answered {
+			t.Fatalf("reserved op %d with body %x was answered", op, body)
+		}
+		if v := n.Stats().InvariantViolations; v != 0 {
+			t.Fatalf("%d invariant violations", v)
 		}
 	})
 }

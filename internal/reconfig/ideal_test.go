@@ -18,56 +18,55 @@ import (
 // idealEngines is the static building block as the paper's arXiv full version
 // reasons about it: an ideal SMR box per configuration, one agreed sequence
 // delivered to each member at its own pace. The members of a configuration
-// share one in-memory log, which outlives a member's restart; each member
-// keeps only its truncation floor, in its own store. A seeded adversary
+// share one in-memory log, which outlives a member's restart and which a
+// restarted member redelivers from slot 1; each member keeps only a marker
+// that it ran, in its own store, which Discard removes. A seeded adversary
 // drops and duplicates proposals, lags each member's delivery, holds a wedge
 // slot back from chosen members (the decided-after-wedge race of PAPER.md,
-// step 4), refuses some fast reads, and cuts the shared log at any member's
-// truncation floor, which leaves a member lagging below it needing a
-// checkpoint. With no elections, no messages and no disk, a composed suite
-// that fails over this engine has found a composition bug.
+// step 4), and refuses some fast reads. With no elections, no messages and no
+// disk, a composed suite that fails over this engine has found a composition
+// bug.
 type idealEngines struct {
 	mu   sync.Mutex
 	seed int64
 	logs map[uint64]*idealLog
-	// held counts wedge slots held back from a member, cutOff the times a
-	// member found its next slot cut from the shared log.
-	held, cutOff atomic.Int64
+	// held counts wedge slots held back from a member.
+	held atomic.Int64
 }
 
 func newIdealEngines(seed int64) *idealEngines {
 	return &idealEngines{seed: seed, logs: make(map[uint64]*idealLog)}
 }
 
-// idealLog is one configuration's agreed sequence: cmds[i] is slot i+1, and
-// slots <= cut are gone.
+// idealLog is one configuration's agreed sequence: cmds[i] is slot i+1.
 type idealLog struct {
 	mu   sync.Mutex
 	rng  *rand.Rand
 	cmds []types.Command
-	cut  types.Slot
 }
 
-func idealFloorKey(stream uint64) string { return fmt.Sprintf("ideal/%d/floor", stream) }
+func idealPrefix(stream uint64) string { return fmt.Sprintf("ideal/%d/", stream) }
 
-func (f *idealEngines) Floor(store storage.Store, stream uint64) (types.Slot, error) {
-	raw, ok, err := store.Get(idealFloorKey(stream))
-	if err != nil || !ok {
-		return 0, err
+// Discard removes what New's replicas of stream staged in store.
+func (f *idealEngines) Discard(store storage.Stager, stream uint64) error {
+	kvs, err := store.Scan(idealPrefix(stream))
+	if err != nil {
+		return err
 	}
-	rd := types.NewReader(raw)
-	floor := types.Slot(rd.Uvarint())
-	return floor, rd.Err()
+	for _, kv := range kvs {
+		if err := store.DeleteBuffered(kv.Key); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (f *idealEngines) New(cfg types.Config, self types.NodeID, _ *transport.Endpoint, store storage.Store, stream uint64) (smr.Replica, error) {
 	if !cfg.IsMember(self) {
 		return nil, smr.ErrNotMember
 	}
-	floor, err := f.Floor(store, stream)
-	if err != nil {
-		return nil, err
-	}
+	// Staging on the test's stores does not fail.
+	_ = storage.Staged(store).SetBuffered(idealPrefix(stream)+"ran", []byte{1})
 	seed := f.seed ^ int64(stream) ^ types.SeedFor(string(self))
 	f.mu.Lock()
 	lg := f.logs[stream]
@@ -78,10 +77,9 @@ func (f *idealEngines) New(cfg types.Config, self types.NodeID, _ *transport.End
 	f.mu.Unlock()
 	// decCh holds several turns' deliveries (up to 47 each), so a consumer
 	// that is slow for a moment does not idle delivery.
-	r := &idealReplica{f: f, log: lg, cfg: cfg, self: self, store: storage.Staged(store), key: idealFloorKey(stream),
+	r := &idealReplica{f: f, log: lg, cfg: cfg, self: self,
 		rng: rand.New(rand.NewSource(seed)), decCh: make(chan smr.Decision, 256), stopCh: make(chan struct{}), done: make(chan struct{})}
-	r.next.Store(int64(floor) + 1)
-	r.floor.Store(int64(floor))
+	r.next.Store(1)
 	return r, nil
 }
 
@@ -91,8 +89,6 @@ type idealReplica struct {
 	log      *idealLog
 	cfg      types.Config
 	self     types.NodeID
-	store    storage.Stager
-	key      string
 	rng      *rand.Rand // the adversary, owned by the loop
 	decCh    chan smr.Decision
 	stopCh   chan struct{}
@@ -100,11 +96,9 @@ type idealReplica struct {
 	done     chan struct{}
 	started  atomic.Bool
 
-	skipReq, truncReq      atomic.Int64 // latest-wins requests, as in static Paxos
-	next, floor, truncated atomic.Int64 // next slot to deliver; own floor; slots released
-	ckptNeeded             atomic.Bool
-	heldSlot, releaseAt    types.Slot // a wedge held back until the log reaches releaseAt
-	pauseTicks             int        // ticks left in a delivery pause
+	next                atomic.Int64 // next slot to deliver
+	heldSlot, releaseAt types.Slot   // a wedge held back until the log reaches releaseAt
+	pauseTicks          int          // ticks left in a delivery pause
 }
 
 func (r *idealReplica) Start() error {
@@ -170,24 +164,12 @@ func (r *idealReplica) ReadIndex(done func(types.Slot, error)) error {
 	return nil
 }
 
-func (r *idealReplica) TruncateBelow(floor types.Slot) { raise(&r.truncReq, floor) }
-func (r *idealReplica) SkipTo(base types.Slot)         { raise(&r.skipReq, base) }
-
-func raise(cell *atomic.Int64, slot types.Slot) {
-	for cur := cell.Load(); int64(slot) > cur && !cell.CompareAndSwap(cur, int64(slot)); cur = cell.Load() {
-	}
-}
-
 func (r *idealReplica) Progress() smr.Progress {
-	r.log.mu.Lock()
-	seen := types.Slot(len(r.log.cmds))
-	r.log.mu.Unlock()
-	return smr.Progress{Delivered: types.Slot(r.next.Load() - 1), MaxDecidedSeen: seen,
-		TruncatedBelow: types.Slot(r.floor.Load()), CheckpointNeeded: r.ckptNeeded.Load()}
+	return smr.Progress{Delivered: types.Slot(r.next.Load() - 1)}
 }
 
 func (r *idealReplica) Counters() smr.Counters {
-	return smr.Counters{TruncatedSlots: r.truncated.Load(), RetainedSlots: r.next.Load() - 1 - r.floor.Load()}
+	return smr.Counters{RetainedSlots: r.next.Load() - 1}
 }
 
 func (r *idealReplica) loop() {
@@ -200,19 +182,6 @@ func (r *idealReplica) loop() {
 		case <-r.stopCh:
 			return
 		case <-tick.C:
-		}
-		if base := types.Slot(r.skipReq.Swap(0)); base > 0 {
-			if base >= types.Slot(r.next.Load()) {
-				r.next.Store(int64(base) + 1)
-				r.release(base)
-			}
-			r.ckptNeeded.Store(false)
-		}
-		if floor := min(types.Slot(r.truncReq.Swap(0)), types.Slot(r.next.Load()-1)); floor > types.Slot(r.floor.Load()) {
-			r.release(floor)
-			r.log.mu.Lock()
-			r.log.cut = max(r.log.cut, floor)
-			r.log.mu.Unlock()
 		}
 		if r.pauseTicks > 0 {
 			r.pauseTicks--
@@ -230,18 +199,12 @@ func (r *idealReplica) deliver(budget int) {
 	for ; budget > 0; budget-- {
 		slot := types.Slot(r.next.Load())
 		r.log.mu.Lock()
-		cut, size := r.log.cut, types.Slot(len(r.log.cmds))
+		size := types.Slot(len(r.log.cmds))
 		var cmd types.Command
 		if slot <= size {
 			cmd = r.log.cmds[slot-1]
 		}
 		r.log.mu.Unlock()
-		if slot <= cut {
-			if !r.ckptNeeded.Swap(true) {
-				r.f.cutOff.Add(1)
-			}
-			return
-		}
 		if slot > size {
 			return
 		}
@@ -264,16 +227,6 @@ func (r *idealReplica) deliver(budget int) {
 			return
 		}
 	}
-}
-
-// release raises the member's floor to floor, staged in its own store.
-func (r *idealReplica) release(floor types.Slot) {
-	r.truncated.Add(int64(floor) - r.floor.Swap(int64(floor)))
-	w := types.NewWriter(8)
-	w.Uvarint(uint64(floor))
-	// Staging on the test's mem stores does not fail; a floor lost anyway
-	// would restart delivery lower, where the shared log's cut still holds.
-	_ = r.store.SetBuffered(r.key, w.Bytes())
 }
 
 // TestIdealEngineConformance holds the ideal engine to the contract every

@@ -297,9 +297,7 @@ type linRun struct {
 	powerLoss    bool // crash-restarts drop whatever the (in-memory) store had not synced
 	checkBudget  time.Duration
 	spec         SpecMode // 0 keeps the node default (SpecOn); SpecOff pins the wait-for-transfer ablation
-	ckptInterval int      // checkpoint producer interval override (0 keeps the 4096 default)
-	ckptMargin   int      // retained-slot margin below the quorum checkpoint base
-	catchupGap   int      // decision gap that triggers checkpoint catch-up
+	logBound     int      // log bound override (0 keeps the 4096 default)
 	ideal        bool     // run over the ideal engine (ideal_test.go) instead of static Paxos
 }
 
@@ -323,10 +321,8 @@ func runLin(t *testing.T, run linRun) {
 	if run.spec != SpecDefault {
 		w.opts.SpeculativeStart = run.spec
 	}
-	if run.ckptInterval != 0 {
-		w.opts.checkpointInterval = run.ckptInterval
-		w.opts.checkpointMargin = run.ckptMargin
-		w.opts.catchupGapSlots = run.catchupGap
+	if run.logBound != 0 {
+		w.opts.logBound = run.logBound
 	}
 	if run.ideal {
 		w.opts.engine = newIdealEngines(seed)
@@ -435,8 +431,8 @@ func runLin(t *testing.T, run linRun) {
 			for eid, run := range node.engines {
 				p, es := run.eng.Progress(), run.eng.Counters()
 				ldr, isLdr := run.eng.Leader()
-				engs = append(engs, fmt.Sprintf("cfg%d:{head=%d installed=%v leader=%s(%v) delivered=%d seen=%d trunc=%d ckpt=%v dropped=%d}",
-					eid, len(run.buffered), run.installed, ldr, isLdr, p.Delivered, p.MaxDecidedSeen, p.TruncatedBelow, p.CheckpointNeeded, es.DroppedInbound))
+				engs = append(engs, fmt.Sprintf("cfg%d:{head=%d installed=%v leader=%s(%v) delivered=%d dropped=%d}",
+					eid, len(run.buffered), run.installed, ldr, isLdr, p.Delivered, es.DroppedInbound))
 			}
 			t.Logf("node %s: curID=%d init=%v applied=%d handoffs=%d pending=%d waiters=%d engines=%v stats={applied:%d viol:%d stale:%d wedges:%d resub:%d}",
 				id, node.curID, node.initialized, node.appliedSlot, len(node.handoff),
@@ -483,40 +479,34 @@ func runLin(t *testing.T, run linRun) {
 	if !res.Ok {
 		t.Fatalf("history is NOT linearizable (seed %d):\n%s", seed, res.Counterexample)
 	}
-	if run.ckptInterval != 0 {
-		// The cell only means something if the compaction machinery actually
-		// ran under the fault schedule: with a tiny interval and hundreds of
-		// acknowledged ops, the surviving nodes must have published
-		// checkpoints and released engine log behind them. (Crash-restarted
-		// nodes restart their in-memory counters, so this sums whatever the
-		// current incarnations saw — still nonzero under continuous load.)
-		var published, fetches, truncated int64
-		for _, id := range pool {
-			if n := w.node(id); n != nil {
-				s := n.Stats()
-				published += s.CheckpointsPublished
-				fetches += s.CatchupFetches
-				truncated += s.TruncatedSlots
-			}
-		}
-		t.Logf("checkpoints: published=%d catchup-fetches=%d truncated-slots=%d", published, fetches, truncated)
-		if published == 0 {
-			t.Fatalf("checkpoint churn cell ran with zero checkpoints published; seed %d", seed)
-		}
-		if truncated == 0 {
-			t.Fatalf("checkpoint churn cell released no log slots; seed %d", seed)
-		}
+	if run.logBound != 0 {
+		// Let every run the load left behind linger out and be discarded.
+		time.Sleep(lingerOld + 5*retryInterval)
 	}
-	var jumps, fetches int64
+	var boundWedges, discarded, jumps int64
 	for _, id := range pool {
 		if n := w.node(id); n != nil {
 			s := n.Stats()
-			jumps, fetches = jumps+s.StaleJumps, fetches+s.CatchupFetches
+			boundWedges, discarded, jumps = boundWedges+s.CheckpointsPublished, discarded+s.TruncatedSlots, jumps+s.StaleJumps
 		}
 	}
-	t.Logf("transitions: stale-jumps=%d catchup-fetches=%d", jumps, fetches)
+	t.Logf("compaction: bound wedges=%d discarded slots=%d; stale jumps=%d", boundWedges, discarded, jumps)
+	if run.logBound != 0 {
+		// The cell only means something if compaction actually ran under the
+		// fault schedule: with a tiny bound and hundreds of acknowledged ops,
+		// the surviving nodes must have wedged at the bound and discarded
+		// retired logs. (Crash-restarted nodes restart their in-memory
+		// counters, so this sums whatever the current incarnations saw —
+		// still nonzero under continuous load.)
+		if boundWedges == 0 {
+			t.Fatalf("compaction churn cell ran with no wedge at the log bound; seed %d", seed)
+		}
+		if discarded == 0 {
+			t.Fatalf("compaction churn cell discarded no retired log; seed %d", seed)
+		}
+	}
 	if f, ok := w.opts.engine.(*idealEngines); ok {
-		t.Logf("ideal adversary: %d wedges held back, %d members cut off", f.held.Load(), f.cutOff.Load())
+		t.Logf("ideal adversary: %d wedges held back", f.held.Load())
 	}
 	w.checkNoViolations()
 }
@@ -568,20 +558,18 @@ func TestLinearizabilityWALCrashRestart(t *testing.T) {
 // snapshot writer had staged behind a barrier that never came — accepted
 // entries of the turn it died in, dec/ markers riding the next barrier, the
 // chunks of a snapshot whose manifest was not written yet, the deletes of a
-// log release (the checkpoint interval is a few dozen slots, so the run
+// retired log's discard (the log bound is a few dozen slots, so the run
 // crosses many). Everything that was acknowledged to a client must still be
 // there, once.
 func TestLinearizabilityPowerLossRestart(t *testing.T) {
 	runLin(t, linRun{
-		workload:     counterWorkload(),
-		kinds:        []nemesis.Kind{nemesis.KindCrashRestart, nemesis.KindLeaderKill, nemesis.KindReconfigure},
-		seed:         505,
-		clients:      3,
-		steps:        8,
-		powerLoss:    true,
-		ckptInterval: 30,
-		ckptMargin:   5,
-		catchupGap:   50,
+		workload:  counterWorkload(),
+		kinds:     []nemesis.Kind{nemesis.KindCrashRestart, nemesis.KindLeaderKill, nemesis.KindReconfigure},
+		seed:      505,
+		clients:   3,
+		steps:     8,
+		powerLoss: true,
+		logBound:  30,
 	})
 }
 
@@ -697,15 +685,16 @@ func TestLinearizabilitySpeculativeReconfigBank(t *testing.T) {
 	})
 }
 
-// TestLinearizabilityCheckpointChurn crosses log compaction with the fault
-// schedule: a ~30-slot checkpoint interval keeps the producer, quorum-gated
-// truncation and checkpoint catch-up all firing continuously while the
-// nemesis reconfigures, crash-restarts and isolates nodes. An isolated or
-// rebooted member that heals behind the survivors' truncation floor can only
-// recover through a checkpoint install — a double-applied prefix after the
-// install, a lost op inside the released log span, or a reply served from a
-// half-installed snapshot is a linearizability counterexample here.
-func TestLinearizabilityCheckpointChurn(t *testing.T) {
+// TestLinearizabilityCompactionChurn crosses log compaction with the fault
+// schedule: a 30-slot log bound keeps configurations wedging at the bound,
+// user reconfigurations racing those wedges, and retired logs being
+// discarded, while the nemesis reconfigures, crash-restarts and isolates
+// nodes. An isolated or rebooted member that heals after the survivors have
+// retired its configuration can only recover through a stale jump and a
+// snapshot install — a double-applied prefix, an op lost across a bound
+// wedge, or a reply served from a half-installed snapshot is a
+// linearizability counterexample here.
+func TestLinearizabilityCompactionChurn(t *testing.T) {
 	onBothEngines(t, linRun{
 		workload:     kvWorkload(),
 		kinds:        []nemesis.Kind{nemesis.KindReconfigure, nemesis.KindCrashRestart, nemesis.KindIsolate},
@@ -713,9 +702,7 @@ func TestLinearizabilityCheckpointChurn(t *testing.T) {
 		clients:      4,
 		steps:        6,
 		minReconfigs: 1,
-		ckptInterval: 30,
-		ckptMargin:   5,
-		catchupGap:   50,
+		logBound:     30,
 	})
 }
 

@@ -51,31 +51,22 @@ type Options struct {
 	// admission). Default 4096. Exported because the cluster megaload tests
 	// check the shedding contract at fixed bounds of 256 and 512.
 	SubmitQueue int
-	// NoCheckpoints disables the within-configuration checkpoint producer,
-	// log truncation and checkpoint catch-up: a lagging member replays the
-	// full log slot by slot — the pre-checkpoint behavior. Exported because
-	// the benchmark's durable workloads set it.
+	// NoCheckpoints turns the log bound off: a configuration's log grows
+	// until a reconfiguration wedges it. Every member of a deployment must
+	// agree on it. Exported only because the benchmark's durable workload
+	// sets it (ROADMAP item 1(c) deletes it).
 	NoCheckpoints bool
 
-	// checkpointInterval is how many applied slots pass between
-	// within-configuration checkpoints: once the applied cursor is this far
-	// past the newest durable checkpoint base, the tick forks
-	// and publishes a new one (see checkpoint.go). Bounds retained engine
-	// log state to roughly interval + margin slots. Default 4096.
-	checkpointInterval int
-	// checkpointMargin is how many recent slots stay in the engine log
-	// below the quorum-durable checkpoint base, so a briefly lagging member
-	// catches up through ordinary slot redelivery instead of a state
-	// transfer. Default 512.
-	checkpointMargin int
-	// catchupGapSlots is the decision gap (engine contiguous decided
-	// frontier minus applied cursor, one O(1) Progress read) beyond which a
-	// member fetches the newest checkpoint instead of replaying every slot.
-	// Default 8192.
-	catchupGapSlots int
-	// engine builds every configuration's static engine and reads its
-	// persisted floor; the node drives engines through smr alone. Default:
-	// Paxos built with the Paxos field. Tests set another engine here.
+	// logBound is the last slot of every configuration's log: once the apply
+	// cursor reaches it and no decided reconfiguration has wedged the
+	// configuration first, every member wedges it there, after the slot's
+	// whole batch, with successor ID+1 and the same members (wedgeAtBound).
+	// Every member must run with the same bound. Default 4096.
+	logBound int
+	// engine builds every configuration's static engine and discards what a
+	// retired one persisted; the node drives engines through smr alone.
+	// Default: Paxos built with the Paxos field. Tests set another engine
+	// here.
 	engine smr.Factory
 }
 
@@ -101,9 +92,12 @@ const (
 	// for stale configurations, retiring old engines.
 	retryInterval = 10 * time.Millisecond
 	// lingerOld is how long an old configuration's engine keeps running
-	// once the node has moved past it, so lagging members can still catch
-	// up and learn the wedge from it; the tick counts it out in ticks.
-	lingerOld = 500 * time.Millisecond
+	// once the node has moved past it, so members a few slots behind can
+	// still learn the last decisions and the wedge from it; one further
+	// behind makes the stale jump. The tick counts it out in ticks. Every run
+	// holds its whole log until it goes, and a bound wedge comes every
+	// logBound slots, so the linger is kept short.
+	lingerOld = 100 * time.Millisecond
 	// fetchTimeout bounds one snapshot-fetch RPC attempt.
 	fetchTimeout = 150 * time.Millisecond
 	// staleJumpTicks is how many ticks a node waits for its own engine to
@@ -123,14 +117,8 @@ func (o Options) withDefaults() Options {
 	if o.SubmitQueue <= 0 {
 		o.SubmitQueue = 4096
 	}
-	if o.checkpointInterval <= 0 {
-		o.checkpointInterval = 4096
-	}
-	if o.checkpointMargin <= 0 {
-		o.checkpointMargin = 512
-	}
-	if o.catchupGapSlots <= 0 {
-		o.catchupGapSlots = 8192
+	if o.logBound <= 0 {
+		o.logBound = 4096
 	}
 	if o.SpeculativeStart == SpecDefault {
 		o.SpeculativeStart = SpecOn
@@ -225,11 +213,9 @@ type NodeStats struct {
 	ShedSubmits          int64 // client commands shed with SubmitBusy (admission control)
 	SubmitQueueDepth     int64 // distinct client commands pending right now
 	SubmitQueueHigh      int64 // max observed pending-command count
-	CheckpointsPublished int64 // within-configuration checkpoints made durable
-	CheckpointBase       int64 // newest durable checkpoint base of the current config
-	TruncatedSlots       int64 // engine log slots released below checkpoint floors, summed
+	CheckpointsPublished int64 // wedges at the log bound; the name stays only because the benchmark module (bench/) reads it
+	TruncatedSlots       int64 // decided slots discarded with retired engine runs' logs, summed
 	RetainedSlots        int64 // decided slots currently held by the engines, summed
-	CatchupFetches       int64 // checkpoints fetched and installed to close a decision gap
 }
 
 // Node is one process's reconfigurable-SMR runtime: it hosts the static
@@ -274,24 +260,20 @@ type Node struct {
 	readWaiters []*readWaiter   // fast-path reads awaiting their index
 	cfgWaiters  []chan struct{} // signaled (closed) on every transition
 	// Snapshot pipeline state (xfer.go), guarded by mu.
-	serving    map[types.ConfigID]*snapServing // snapshots held in memory while commit writes them
-	publishing int                             // publish goroutines in flight
-	transfer   types.ConfigID                  // configuration the transfer goroutine is fetching; 0 when none runs
-	retireNext types.ConfigID                  // every older configuration's snapshot has been retired
-	tick       int64                           // ticks the apply loop has run (houseTick)
-	rng        *rand.Rand                      // jitter source, guarded by mu
-	staleTicks int
-	gossipLeft int
-	gossipSeq  int
-	stopped    bool
-
-	// Within-configuration checkpoint state (checkpoint.go), guarded by mu.
-	// ckptCfg names the configuration the bases below belong to; a
-	// transition resets them (ckptTrackLocked).
-	ckptCfg          types.ConfigID
-	ckptSelfBase     types.Slot                  // newest locally durable checkpoint base
-	ckptPeerBase     map[types.NodeID]types.Slot // newest base each peer announced/acked
-	ckptAnnounceLeft int                         // ticks until the next periodic re-announce
+	serving     map[types.ConfigID]*snapServing // snapshots held in memory while commit writes them
+	publishing  int                             // publish goroutines in flight
+	transfer    types.ConfigID                  // configuration the transfer goroutine is fetching; 0 when none runs
+	snapDurable types.ConfigID                  // newest configuration whose whole snapshot this node's store holds durably
+	retireNext  types.ConfigID                  // every older configuration's snapshot has been retired
+	discardNext types.ConfigID                  // every older configuration's engine namespace has been discarded
+	retiring    bool                            // a retire goroutine is stopping engines or deleting what they left
+	tick        int64                           // ticks the apply loop has run (houseTick)
+	rng         *rand.Rand                      // jitter source, guarded by mu
+	staleTicks  int                             // ticks the stale jump has waited without the apply cursor moving
+	staleSlot   types.Slot                      // the apply cursor at the stale jump's last look
+	gossipLeft  int
+	gossipSeq   int
+	stopped     bool
 
 	// testChunkHook, when set by a test (same package), intercepts every
 	// chunk this node serves: returning modified bytes simulates wire
@@ -323,22 +305,23 @@ func NewNode(nc NodeConfig) (*Node, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	opts := nc.Opts.withDefaults()
 	n := &Node{
-		self:       nc.Self,
-		ep:         nc.Endpoint,
-		store:      storage.Staged(nc.Store),
-		factory:    nc.Factory,
-		opts:       opts,
-		configs:    make(map[types.ConfigID]types.Config),
-		chain:      make(map[types.ConfigID]ChainRecord),
-		engines:    make(map[types.ConfigID]*engineRun),
-		pending:    make(map[pendKey]*pendingCmd),
-		serving:    make(map[types.ConfigID]*snapServing),
-		retireNext: 1, // configuration IDs start at 1; 0 is "no transfer running"
-		rng:        rand.New(rand.NewSource(types.SeedFor(string(nc.Self)))),
-		pumpCh:     make(chan struct{}, 1),
-		stopCh:     make(chan struct{}),
-		baseCtx:    ctx,
-		baseCancel: cancel,
+		self:        nc.Self,
+		ep:          nc.Endpoint,
+		store:       storage.Staged(nc.Store),
+		factory:     nc.Factory,
+		opts:        opts,
+		configs:     make(map[types.ConfigID]types.Config),
+		chain:       make(map[types.ConfigID]ChainRecord),
+		engines:     make(map[types.ConfigID]*engineRun),
+		pending:     make(map[pendKey]*pendingCmd),
+		serving:     make(map[types.ConfigID]*snapServing),
+		retireNext:  1, // configuration IDs start at 1; 0 is "no transfer running"
+		discardNext: 1,
+		rng:         rand.New(rand.NewSource(types.SeedFor(string(nc.Self)))),
+		pumpCh:      make(chan struct{}, 1),
+		stopCh:      make(chan struct{}),
+		baseCtx:     ctx,
+		baseCancel:  cancel,
 	}
 	return n, nil
 }
@@ -375,7 +358,7 @@ func (n *Node) Bootstrap(initial types.Config) error {
 		}
 		return nil
 	}
-	if err := n.publish(initial.ID, 0, statemachine.NewSessioned(n.factory()).ForkSnapshot(), false); err != nil {
+	if err := n.publish(initial.ID, statemachine.NewSessioned(n.factory()).ForkSnapshot(), false); err != nil {
 		return err
 	}
 	return n.store.SetBuffered("rc/init", types.EncodeConfig(initial))
@@ -400,46 +383,13 @@ func (n *Node) Start() error {
 		return err
 	}
 
-	// Recover the machine from the current configuration's newest snapshot
-	// (the initial one, or the latest within-configuration checkpoint that
-	// replaced it) through the same install a fetched snapshot takes; the
-	// engine's redelivered log replays the rest. No snapshot, a partial chunk
-	// set (crashed mid-transfer) or one that does not decode leaves the node
-	// uninitialized, and the transfer goroutine fetches what is missing.
-	if m, chunks, complete, err := storage.ReadChunked(n.store, snapPrefix(cur)); err != nil {
-		// A corrupt manifest must not brick the node. If this is the
-		// bootstrap configuration and the engine log is intact from slot 1
-		// (no truncation recorded), the empty machine plus full log replay
-		// reproduces the state — the bootstrap snapshot is empty anyway.
-		// Otherwise replay cannot start at 1: stay uninitialized and
-		// refetch the newest checkpoint from peers.
-		log.Printf("reconfig: %s snapshot of cfg %d unreadable (%v); falling back", n.self, cur, err)
-		floor, ferr := n.opts.engine.Floor(n.store, uint64(cur))
-		n.mu.Lock()
-		n.initialized = ferr == nil && floor == 0 && n.initConfig.ID != 0 && cur == n.initConfig.ID
-		n.mu.Unlock()
-	} else if complete && m.Chunks() > 0 {
-		// A snapshot below the engine's truncation floor (a crash between a
-		// catch-up install's SkipTo and its commit) is no snapshot: the log
-		// between its base and the floor is gone.
-		// A checkpoint's base is announced once installed, so whatever an
-		// earlier run staged of it is made durable first; a base-0 snapshot
-		// announces nothing, and a boot waits on no disk for it.
-		if floor, _ := n.opts.engine.Floor(n.store, uint64(cur)); m.Base >= floor && (m.Base == 0 || n.store.Sync() == nil) {
-			// The loop does not run yet, so Start installs in place.
-			fresh, err := n.buildMachine(m, chunks)
-			n.mu.Lock()
-			if err != nil {
-				n.stats.InvariantViolations++
-			} else {
-				n.installLocked(cur, m.Base, fresh)
-			}
-			n.mu.Unlock()
-		}
+	if err := n.recoverMachine(cur); err != nil {
+		return err
 	}
 
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	cur = n.curID
 	// Start the engine even when the snapshot is not yet installed: the
 	// engine needs no application state to vote, accept or decide
 	// (speculative start); its accepted/decided records are durable in
@@ -474,6 +424,16 @@ func (n *Node) recoverChainLocked() error {
 		n.initConfig = init
 		n.configs[init.ID] = init
 		n.curID = init.ID
+	}
+
+	// Engine namespaces below the discard cursor are gone already.
+	if raw, ok, err := n.store.Get(discardKey); err != nil {
+		return err
+	} else if ok {
+		r := types.NewReader(raw)
+		if next := types.ConfigID(r.Uvarint()); r.Err() == nil && next > n.discardNext {
+			n.discardNext = next
+		}
 	}
 
 	// The newest known configuration is the largest successor on the chain
@@ -596,20 +556,23 @@ func (n *Node) AppliedSlot() (types.ConfigID, types.Slot) {
 func (n *Node) ChainRecords() []ChainRecord {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	out := make([]ChainRecord, 0, len(n.chain))
-	start := types.ConfigID(0)
-	for from := range n.chain {
-		if start == 0 || from < start {
-			start = from
+	return n.chainSinceLocked(0)
+}
+
+// chainSinceLocked returns the chain records from configuration since on,
+// ordered by From: those of the configurations after since. since 0 asks for
+// the whole chain, from its oldest known record on. Caller holds mu.
+func (n *Node) chainSinceLocked(since types.ConfigID) []ChainRecord {
+	if since == 0 {
+		for from := range n.chain {
+			if since == 0 || from < since {
+				since = from
+			}
 		}
 	}
-	for id := start; id != 0; {
-		rec, ok := n.chain[id]
-		if !ok {
-			break
-		}
+	var out []ChainRecord
+	for rec, ok := n.chain[since]; ok; rec, ok = n.chain[rec.To.ID] {
 		out = append(out, rec)
-		id = rec.To.ID
 	}
 	return out
 }
@@ -623,9 +586,6 @@ func (n *Node) Stats() NodeStats {
 		out.RetainedSlots += countRun(&out, run).RetainedSlots
 	}
 	out.SubmitQueueDepth = int64(len(n.pending))
-	if n.ckptCfg == n.curID {
-		out.CheckpointBase = int64(n.ckptSelfBase)
-	}
 	return out
 }
 

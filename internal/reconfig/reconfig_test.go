@@ -942,12 +942,10 @@ func TestNodeOnDiskRestartAfterReconfigure(t *testing.T) {
 // being fields must keep the values they had, and the engine is static Paxos.
 func TestOptionsDefaults(t *testing.T) {
 	want := Options{
-		SpeculativeStart:   SpecOn,
-		SubmitQueue:        4096,
-		checkpointInterval: 4096,
-		checkpointMargin:   512,
-		catchupGapSlots:    8192,
-		engine:             paxos.Factory(paxos.Options{}),
+		SpeculativeStart: SpecOn,
+		SubmitQueue:      4096,
+		logBound:         4096,
+		engine:           paxos.Factory(paxos.Options{}),
 	}
 	if got := (Options{}).withDefaults(); got != want {
 		t.Fatalf("zero Options normalizes to\n%+v, want\n%+v", got, want)
@@ -955,8 +953,8 @@ func TestOptionsDefaults(t *testing.T) {
 	if pendingMaxRetries != 2000 {
 		t.Fatalf("pendingMaxRetries %d, want 2000", pendingMaxRetries)
 	}
-	if retryInterval != 10*time.Millisecond || lingerOld != 500*time.Millisecond || fetchTimeout != 150*time.Millisecond {
-		t.Fatalf("retryInterval %v, lingerOld %v, fetchTimeout %v; want 10ms, 500ms, 150ms", retryInterval, lingerOld, fetchTimeout)
+	if retryInterval != 10*time.Millisecond || lingerOld != 100*time.Millisecond || fetchTimeout != 150*time.Millisecond {
+		t.Fatalf("retryInterval %v, lingerOld %v, fetchTimeout %v; want 10ms, 100ms, 150ms", retryInterval, lingerOld, fetchTimeout)
 	}
 	if staleJumpTicks != 15 || gossipTicks != 20 {
 		t.Fatalf("staleJumpTicks %d, gossipTicks %d; want 15, 20", staleJumpTicks, gossipTicks)

@@ -11,20 +11,21 @@ import (
 
 // Tests of engine-run retirement: the tick drops the run of a configuration
 // older than the current one once it has lingered lingerOld, keeps what it
-// counted, and nothing starts its engine again.
+// counted, discards what its engine stored, and nothing starts its engine
+// again.
 
 var retireIDs = []types.NodeID{"n1", "n2", "n3", "s1"}
 
 // retireChurn runs k reconfigurations of n1, n2 and n3 with the spare s1,
-// which trade places each time, with enough load in each configuration for a
-// checkpoint and a truncation. It returns once every node has been in
-// configuration k+1 for lingerOld plus three ticks. Until the test ends it
+// which trade places each time, with enough load in each configuration to
+// cross the log bound too. It returns once every node has been in n1's
+// final configuration for lingerOld plus three ticks. Until the test ends it
 // samples every node's counters and fails the test when one the benchmark
 // takes deltas of goes backwards.
 func retireChurn(t *testing.T, k int) *world {
 	t.Helper()
 	w := newWorld(t, transport.Options{BaseLatency: 100 * time.Microsecond})
-	w.opts = ckptOpts(w.opts)
+	w.opts = boundOpts(w.opts)
 	w.bootstrap(statemachine.NewCounterMachine, "n1", "n2", "n3")
 	w.waitServing("n1", "n2", "n3")
 	spareNode(t, w, "s1")
@@ -74,8 +75,12 @@ func retireChurn(t *testing.T, k int) *world {
 		}
 		seq = w.driveAdds("n1", "c", seq, 40)
 	}
+	final := w.node("n1").CurrentConfig().ID
+	if final < types.ConfigID(k+2) {
+		t.Fatalf("%d reconfigurations and the load reached configuration %d; the load should have crossed the log bound", k, final)
+	}
 	for _, id := range retireIDs {
-		waitCurrent(t, w.node(id), types.ConfigID(k+1))
+		waitCurrent(t, w.node(id), final)
 	}
 	time.Sleep(lingerOld + 3*retryInterval)
 	return w
@@ -115,10 +120,11 @@ func waitRetired(w *world, id types.NodeID) (runs int) {
 }
 
 // After k reconfigurations and the linger, no node holds an engine run of a
-// configuration older than its current one, and RetainedSlots sums its live
-// runs alone; no counter the benchmark reads went backwards on the way, so a
-// dropped run's counts moved into the node's own. A node that never drops a
-// run holds one for every configuration it belonged to.
+// configuration older than its current one, RetainedSlots sums its live runs
+// alone, and its store holds the engine namespaces of those runs alone; no
+// counter the benchmark reads went backwards on the way, so a dropped run's
+// counts moved into the node's own. A node that never drops a run holds one
+// for every configuration it belonged to.
 func TestRetiredEngineRunsAreDropped(t *testing.T) {
 	const k = 10
 	w := retireChurn(t, k)
@@ -130,6 +136,7 @@ func TestRetiredEngineRunsAreDropped(t *testing.T) {
 		if runs := waitRetired(w, id); runs != want {
 			t.Errorf("%s holds %d engine runs, want %d", id, runs, want)
 		}
+		w.waitStat(func() bool { return settled(t, w, id) }, string(id)+" to discard its retired namespaces", 5*time.Second)
 		st := w.node(id).Stats()
 		t.Logf("%s: group commits %d, truncated %d, retained %d, speculative decides %d",
 			id, st.GroupCommits, st.TruncatedSlots, st.RetainedSlots, st.SpeculativeDecides)

@@ -17,12 +17,12 @@ import (
 // opSubmit therefore runs inline — decode, handleSubmit, Propose, none of
 // which waits on anything but n.mu. Every other op may wait for the chain to
 // advance or touch the store, and gets its own goroutine.
-func (n *Node) handleRPC(from types.NodeID, req []byte, respond func([]byte)) {
+func (n *Node) handleRPC(_ types.NodeID, req []byte, respond func([]byte)) {
 	if len(req) == 0 {
 		return
 	}
 	if req[0] != opSubmit {
-		go n.serveControl(from, req, respond)
+		go n.serveControl(req, respond)
 		return
 	}
 	cmd, err := types.DecodeCommand(req[1:])
@@ -32,9 +32,9 @@ func (n *Node) handleRPC(from types.NodeID, req []byte, respond func([]byte)) {
 	n.handleSubmit(cmd, respond)
 }
 
-// serveControl serves the ops that may block: reconfiguration, chain and
-// checkpoint gossip, discovery and snapshot transfer.
-func (n *Node) serveControl(from types.NodeID, req []byte, respond func([]byte)) {
+// serveControl serves the ops that may block: reconfiguration, chain gossip,
+// discovery and snapshot transfer.
+func (n *Node) serveControl(req []byte, respond func([]byte)) {
 	switch req[0] {
 	case opLocate:
 		n.mu.Lock()
@@ -91,17 +91,20 @@ func (n *Node) serveControl(from types.NodeID, req []byte, respond func([]byte))
 		}
 		respond(encodeReconfigReply(reply))
 	case opChain:
-		recs := n.ChainRecords()
-		n.mu.Lock()
-		init := n.initConfig
-		n.mu.Unlock()
-		respond(encodeChainReply(ChainResult{Initial: init, Records: recs}))
-	case opCkptAnnounce:
-		m, err := decodeCkptAnnounce(req)
-		if err != nil {
-			return
+		// A bare request is a client's, for the whole chain; gossip names the
+		// newest configuration the asker's chain reaches and gets only the
+		// records after it.
+		var since types.ConfigID
+		if len(req) > 1 {
+			r := types.NewReader(req[1:])
+			if since = types.ConfigID(r.Uvarint()); r.Err() != nil {
+				return
+			}
 		}
-		n.handleCkptAnnounce(from, m, respond)
+		n.mu.Lock()
+		reply := ChainResult{Initial: n.initConfig, Records: n.chainSinceLocked(since)}
+		n.mu.Unlock()
+		respond(encodeChainReply(reply))
 	}
 }
 
@@ -265,9 +268,10 @@ func (n *Node) gossipPeerLocked() types.NodeID {
 	return peers[n.gossipSeq%len(peers)]
 }
 
-// gossipChain pushes our newest record to a peer and pulls its chain,
-// merging anything new.
-func (n *Node) gossipChain(to types.NodeID, push []byte) {
+// gossipChain pushes our newest record to a peer and pulls the records of its
+// chain after since, the newest configuration our own chain reaches, merging
+// them.
+func (n *Node) gossipChain(to types.NodeID, push []byte, since types.ConfigID) {
 	if push != nil {
 		pctx, pcancel := context.WithTimeout(n.baseCtx, fetchTimeout)
 		_, _ = n.peer.Call(pctx, to, push, 0)
@@ -275,7 +279,7 @@ func (n *Node) gossipChain(to types.NodeID, push []byte) {
 	}
 	ctx, cancel := context.WithTimeout(n.baseCtx, fetchTimeout)
 	defer cancel()
-	resp, err := n.peer.Call(ctx, to, EncodeChainRequest(), 0)
+	resp, err := n.peer.Call(ctx, to, encodeChainRequestSince(since), 0)
 	if err != nil {
 		return
 	}
@@ -358,8 +362,11 @@ func (n *Node) Submit(ctx context.Context, client types.NodeID, seq uint64, op [
 
 // Reconfigure proposes replacing the current configuration's member set and
 // waits until the configuration chain advances past the proposal. On success
-// it returns the new configuration; if a racing reconfiguration won the same
-// chain position it returns that winner and ErrConflict.
+// it returns the new configuration. A wedge at the log bound that takes the
+// chain position first — recognized by a winner with its predecessor's
+// members — does not count against it: the proposal is made again at the next
+// position. If another reconfiguration won, it returns that winner and
+// ErrConflict.
 func (n *Node) Reconfigure(ctx context.Context, members []types.NodeID) (types.Config, error) {
 	n.mu.Lock()
 	if n.stopped {
@@ -384,13 +391,19 @@ func (n *Node) Reconfigure(ctx context.Context, members []types.NodeID) (types.C
 	defer ticker.Stop()
 	for {
 		n.mu.Lock()
-		if n.curID > origID {
-			won := n.configs[newCfg.ID]
-			n.mu.Unlock()
+		for n.curID > origID {
+			won, prev := n.configs[origID+1], n.configs[origID]
 			if won.Equal(newCfg) {
+				n.mu.Unlock()
 				return newCfg, nil
 			}
-			return won, ErrConflict
+			if !won.Equal(types.Config{ID: won.ID, Members: prev.Members}) {
+				n.mu.Unlock()
+				return won, ErrConflict
+			}
+			origID++
+			newCfg.ID = origID + 1
+			cmd = types.ReconfigCommand(newCfg)
 		}
 		waiter := n.transitionWaiterLocked()
 		run := n.engines[origID]

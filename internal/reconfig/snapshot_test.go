@@ -3,6 +3,7 @@ package reconfig
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,17 +12,17 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/smr"
 	"repro/internal/statemachine"
 	"repro/internal/storage"
 	"repro/internal/transport"
 	"repro/internal/types"
 )
 
-// Tests for the stages of the snapshot pipeline that the transfer, checkpoint
+// Tests for the stages of the snapshot pipeline that the transfer, compaction
 // and speculative-start suites do not already cover: retire, the in-memory
-// copy served while a commit overwrites the stored blob, the engine-side half
-// of a base > 0 install, and recovery of a store laid out by an earlier
-// version of this code.
+// copy served while a commit writes the stored blob, and recovery of a store
+// laid out by an earlier version of this code.
 
 // snapshotsHeld counts the snapshot manifests in a node's store.
 func snapshotsHeld(t *testing.T, st storage.Store) int {
@@ -142,18 +143,18 @@ func (g *gateStore) Set(key string, value []byte) error {
 }
 
 // TestCheckpointCommitServedFromMemory freezes a member half-way through
-// committing a checkpoint over its configuration's initial snapshot — the
-// store holds some new chunks, the rest old, under the old manifest — and
-// lets a joiner whose only source is that member start fetching right then.
-// The member must answer from the in-memory copy of the checkpoint, so the
-// joiner sees one consistent (manifest, chunks) pair: zero CRC rejections,
-// and a base > 0 install.
+// committing the snapshot a log-bound wedge produced — the store holds some of
+// its chunks and no manifest — and lets a joiner whose only source is that
+// member start fetching right then. The member must answer from the
+// in-memory copy of the snapshot, so the joiner sees one consistent
+// (manifest, chunks) pair: zero CRC rejections, and an install while the
+// commit is still frozen.
 func TestCheckpointCommitServedFromMemory(t *testing.T) {
 	w := newWorld(t, transport.Options{BaseLatency: 100 * time.Microsecond, Seed: 59})
-	w.opts = ckptOpts(w.opts)
+	w.opts.logBound = 60
 	gate := &gateStore{
 		Store:   storage.NewMem(),
-		prefix:  snapPrefix(2) + "/c/",
+		prefix:  snapPrefix(3) + "/c/",
 		blocked: make(chan struct{}),
 		release: make(chan struct{}),
 	}
@@ -173,144 +174,62 @@ func TestCheckpointCommitServedFromMemory(t *testing.T) {
 	if err := spare.Start(); err != nil {
 		t.Fatal(err)
 	}
-	w.net.Isolate("n4") // it learns of config 2 only once healed
+	w.net.Isolate("n4") // it learns of configurations 2 and 3 only once healed
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 	if _, err := w.node("n1").Reconfigure(ctx, []types.NodeID{"n1", "n2", "n3", "n4"}); err != nil {
 		t.Fatal(err)
 	}
-	// Arm only after n1's base-0 wedge snapshot of config 2 is committed, so
-	// the frozen write is the checkpoint's.
-	w.waitStat(func() bool {
-		_, _, complete, err := storage.ReadChunked(gate.Store, snapPrefix(2))
-		return err == nil && complete
-	}, "n1 to commit the wedge snapshot", 10*time.Second)
 	gate.mu.Lock()
 	gate.armed = true
 	gate.mu.Unlock()
 
-	// Enough load in config 2 to cross the checkpoint interval, touching
-	// every shard so each chunk differs from the wedge snapshot's.
+	// Enough load in configuration 2 to cross the log bound once: its wedge
+	// starts configuration 3, whose snapshot n1 freezes committing.
 	seedState(t, w, "n1", 64, 1024)
 	select {
 	case <-gate.blocked:
 	case <-time.After(15 * time.Second):
-		t.Fatal("n1 never started committing a checkpoint of config 2")
+		t.Fatal("n1 never started committing the snapshot of configuration 3")
 	}
-	if m, _, complete, _ := storage.ReadChunked(gate.Store, snapPrefix(2)); m.Base != 0 || complete {
-		t.Fatalf("store mid-commit: base %d complete %v; want the old manifest over a torn chunk set", m.Base, complete)
+	if m, _, _, _ := storage.ReadChunked(gate.Store, snapPrefix(3)); m.Chunks() != 0 {
+		t.Fatal("store mid-commit holds a manifest; want chunks alone")
 	}
 
 	w.net.Restore("n4")
 	w.net.BlockLink("n4", "n2")
 	w.net.BlockLink("n4", "n3")
 	w.waitServing("n4")
-	st := spare.Stats()
-	if st.ChunkCRCRejected != 0 {
-		t.Fatalf("joiner rejected %d chunks: it was served a half-overwritten blob", st.ChunkCRCRejected)
+	if id := spare.CurrentConfig().ID; id != 3 {
+		t.Fatalf("joiner serves configuration %d, want 3", id)
 	}
-	if m, _, complete, err := storage.ReadChunked(w.stores["n4"], snapPrefix(2)); err != nil || !complete || m.Base == 0 {
-		t.Fatalf("joiner's store: base %d complete %v err %v; want the checkpoint", m.Base, complete, err)
+	if st := spare.Stats(); st.ChunkCRCRejected != 0 {
+		t.Fatalf("joiner rejected %d chunks: it was served a half-written blob", st.ChunkCRCRejected)
+	}
+	if _, _, complete, err := storage.ReadChunked(w.stores["n4"], snapPrefix(3)); err != nil || !complete {
+		t.Fatalf("joiner's store: complete %v err %v; want the snapshot", complete, err)
 	}
 
 	release()
 	w.net.UnblockLink("n4", "n2")
 	w.net.UnblockLink("n4", "n3")
 	w.waitStat(func() bool {
-		m, _, complete, err := storage.ReadChunked(gate.Store, snapPrefix(2))
-		return err == nil && complete && m.Base > 0
+		_, _, complete, err := storage.ReadChunked(gate.Store, snapPrefix(3))
+		return err == nil && complete
 	}, "n1 to finish the commit", 10*time.Second)
 	checkKey(t, w, "n4", 1, "key-0000", 1024)
 	checkKey(t, w, "n4", 2, "key-0063", 1024)
 	w.checkNoViolations()
 }
 
-// TestCheckpointBaseInstallReachesEngine: a joiner whose configuration
-// checkpointed — and truncated — before its fetch finished installs a
-// base > 0 snapshot into a fresh engine (SpecOff: the engine starts at the
-// install, with its delivery cursor at slot 0). The slots up to the floor no
-// longer exist anywhere, so unless the install moves the engine's cursor to
-// the base the joiner never applies another decision: its one reachable peer
-// holds no checkpoint newer than the one it already installed.
-func TestCheckpointBaseInstallReachesEngine(t *testing.T) {
-	w := newWorld(t, transport.Options{BaseLatency: 100 * time.Microsecond, Seed: 61})
-	w.opts = ckptOpts(w.opts)
-	w.opts.SpeculativeStart = SpecOff
-	w.bootstrap(statemachine.NewCounterMachine, "n1", "n2", "n3")
-	w.waitServing("n1", "n2", "n3")
-	members := []types.NodeID{"n1", "n2", "n3"}
-	for _, id := range members {
-		setChunkHook(w.node(id), corruptAllChunks())
-	}
-	spare := w.startNode("n4", statemachine.NewCounterMachine)
-	if err := spare.Start(); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if _, err := w.node("n1").Reconfigure(ctx, []types.NodeID{"n1", "n2", "n3", "n4"}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Config 2 runs on {n1, n2, n3} while the joiner's transfer spins. Load
-	// until every member has checkpointed and truncated, then top up so the
-	// tip sits above every base with no further checkpoint due.
-	seq := w.driveAdds("n1", "c1", 0, 100)
-	interval := int64(w.opts.checkpointInterval)
-	slack := func() int64 { // slots until the next checkpoint is due, minimum over members
-		min := interval
-		for _, id := range members {
-			st := w.node(id).Stats()
-			_, applied := w.node(id).AppliedSlot()
-			if st.CheckpointBase == 0 || st.TruncatedSlots == 0 {
-				return 0
-			}
-			if s := interval - (int64(applied) - st.CheckpointBase); s < min {
-				min = s
-			}
-		}
-		return min
-	}
-	for deadline := time.Now().Add(15 * time.Second); slack() < 10; {
-		if time.Now().After(deadline) {
-			t.Fatal("members never settled on a checkpoint with room before the next")
-		}
-		seq = w.driveAdds("n1", "c1", seq, 1)
-		time.Sleep(30 * time.Millisecond) // a few ticks: let a due checkpoint land
-	}
-	seq = w.driveAdds("n1", "c1", seq, 3)
-	_, tip := w.node("n1").AppliedSlot()
-
-	// One source only: members checkpoint at different slots, and a second
-	// source holding a newer base would hand the joiner a way out that does
-	// not exist when the bases agree.
-	w.net.BlockLink("n4", "n2")
-	w.net.BlockLink("n4", "n3")
-	for _, id := range members {
-		setChunkHook(w.node(id), nil)
-	}
-	w.waitServing("n4")
-	if m, _, _, err := storage.ReadChunked(w.stores["n4"], snapPrefix(2)); err != nil || m.Base == 0 || m.Base >= tip {
-		t.Fatalf("joiner installed base %d (err %v); the scenario needs 0 < base < tip %d", m.Base, err, tip)
-	}
-	w.waitStat(func() bool {
-		_, s := spare.AppliedSlot()
-		return s >= tip
-	}, "joiner to apply the slots above its installed base", 5*time.Second)
-	w.net.UnblockLink("n4", "n2")
-	w.net.UnblockLink("n4", "n3")
-	if v := counterValue(t, w.submit("n4", "c1", seq+1, statemachine.EncodeAdd(1))); v != seq+1 {
-		t.Fatalf("counter via joiner = %d, want %d", v, seq+1)
-	}
-	w.checkNoViolations()
-}
-
-// TestStartRecoversParentLayoutStore pins wire and disk compatibility: stores
-// written key by key the way the previous version laid them out — a member
-// holding a base-0 wedge snapshot (plus an older one nothing ever deleted), a
-// member holding a base > 0 checkpoint, and a joiner that crashed with the
-// manifest and half its chunks persisted — are recovered by Start exactly as
-// before.
+// TestStartRecoversParentLayoutStore pins disk compatibility with stores
+// written key by key the way the previous version laid them out. A member
+// holding a base-0 wedge snapshot (plus an older one nothing ever deleted)
+// and a joiner that crashed with the manifest and half its chunks persisted
+// are recovered by Start exactly as before. A member holding a base-57
+// within-configuration checkpoint is the stated layout break: the log below
+// the checkpoint is gone and this version keeps no mid-log state, so Start
+// refuses the store with smr.ErrOldLayout.
 func TestStartRecoversParentLayoutStore(t *testing.T) {
 	// The state every fixture holds: a counter at 42, reached by one session.
 	machine := statemachine.NewSessioned(statemachine.NewCounterMachine())
@@ -346,15 +265,15 @@ func TestStartRecoversParentLayoutStore(t *testing.T) {
 	}
 
 	cases := []struct {
-		name        string
-		config      uint64
-		base        uint64
-		chunks      int // chunk keys present
-		serving     bool
-		wantApplied types.Slot
+		name    string
+		config  uint64
+		base    uint64
+		chunks  int // chunk keys present
+		serving bool
+		refused bool
 	}{
 		{name: "wedge-snapshot", config: 2, base: 0, chunks: fork.NumChunks(), serving: true},
-		{name: "checkpoint", config: 1, base: 57, chunks: fork.NumChunks(), serving: true, wantApplied: 57},
+		{name: "checkpoint", config: 1, base: 57, chunks: fork.NumChunks(), refused: true},
 		{name: "half-fetched-joiner", config: 2, base: 0, chunks: fork.NumChunks() / 2},
 	}
 	for _, tc := range cases {
@@ -367,18 +286,19 @@ func TestStartRecoversParentLayoutStore(t *testing.T) {
 			lay(st, tc.config, tc.base, tc.chunks)
 			w.stores["n1"] = st
 			n := w.startNode("n1", statemachine.NewCounterMachine)
-			if err := n.Start(); err != nil {
+			if err := n.Start(); tc.refused {
+				if !errors.Is(err, smr.ErrOldLayout) {
+					t.Fatalf("Start over a base-%d checkpoint: %v, want %v", tc.base, err, smr.ErrOldLayout)
+				}
+				return
+			} else if err != nil {
 				t.Fatal(err)
 			}
 			if got := n.Serving(); got != tc.serving {
 				t.Fatalf("serving = %v, want %v", got, tc.serving)
 			}
-			id, applied := n.AppliedSlot()
-			if uint64(id) != tc.config || applied != tc.wantApplied {
-				t.Fatalf("recovered at (cfg %d, slot %d), want (cfg %d, slot %d)", id, applied, tc.config, tc.wantApplied)
-			}
-			if got := n.Stats().CheckpointBase; got != int64(tc.base) {
-				t.Fatalf("durable checkpoint base %d, want %d", got, tc.base)
+			if id, applied := n.AppliedSlot(); uint64(id) != tc.config || applied != 0 {
+				t.Fatalf("recovered at (cfg %d, slot %d), want (cfg %d, slot 0)", id, applied, tc.config)
 			}
 			if tc.serving {
 				// Served from the session table of the recovered machine.

@@ -430,11 +430,11 @@ func (f *fuseStore) SetBuffered(key string, value []byte) error {
 }
 
 // TestTransferPowerCutSweep cuts a joiner's power after each staged write of
-// its fetch of a checkpoint (base > 0): the chain record, the manifest and
-// each of the 33 chunks, fetched over several range replies. After each cut
-// the restarted joiner resumes from what survived or fetches again, and in
-// every case installs a complete snapshot. Whatever base the joiner had
-// announced to its peers when the power went, its store still holds.
+// its fetch of a 640 KB snapshot: the chain record, the manifest and each of
+// the 33 chunks, fetched over several range replies. After each cut the
+// restarted joiner resumes from what survived or fetches again, and in every
+// case installs a complete snapshot. A joiner that had installed when the
+// power went still holds the whole snapshot in its store.
 func TestTransferPowerCutSweep(t *testing.T) {
 	const writes = 1 + 1 + 33 // chain record, manifest, chunks
 	stride := 1
@@ -463,7 +463,6 @@ func TestTransferPowerCutSweep(t *testing.T) {
 func powerCutJoin(t *testing.T, cut int) bool {
 	t.Helper()
 	w := newWorld(t, transport.Options{BaseLatency: 50 * time.Microsecond, Seed: int64(80 + cut)})
-	w.opts = ckptOpts(w.opts)
 	w.opts.SpeculativeStart = SpecOff
 	fuse := &fuseStore{MemStore: storage.NewMem(), blown: make(chan struct{})}
 	w.newStore = func(id types.NodeID) storage.Store {
@@ -475,16 +474,14 @@ func powerCutJoin(t *testing.T, cut int) bool {
 	w.bootstrap(statemachine.NewKVMachine, "n1", "n2", "n3")
 	w.waitServing("n1", "n2", "n3")
 
-	// Configuration 2 takes n4, checkpoints past its wedge snapshot and
-	// truncates, all before n4 runs: the only snapshot of 2 to fetch has a
-	// base > 0, and it spans several range replies.
+	// Configuration 2 takes n4 before n4 runs: the snapshot of 2 to fetch
+	// spans several range replies.
+	seedState(t, w, "n1", 40, 16<<10)
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 	if _, err := w.node("n1").Reconfigure(ctx, []types.NodeID{"n1", "n2", "n3", "n4"}); err != nil {
 		t.Fatal(err)
 	}
-	seedState(t, w, "n1", 40, 16<<10)
-	w.waitStat(func() bool { return w.node("n1").Stats().CheckpointBase > 0 }, "a checkpoint of configuration 2", 10*time.Second)
 	var rec ChainRecord
 	for _, r := range w.node("n1").ChainRecords() {
 		if r.From == 1 {
@@ -499,19 +496,6 @@ func powerCutJoin(t *testing.T, cut int) bool {
 	}
 	joiner.handleAnnounce(rec)
 
-	// announced is the highest base of n4's that a peer has recorded.
-	announced := func() types.Slot {
-		var best types.Slot
-		for _, id := range []types.NodeID{"n1", "n2", "n3"} {
-			n := w.node(id)
-			n.mu.Lock()
-			if n.ckptCfg == 2 && n.ckptPeerBase["n4"] > best {
-				best = n.ckptPeerBase["n4"]
-			}
-			n.mu.Unlock()
-		}
-		return best
-	}
 	blown := func() bool {
 		select {
 		case <-fuse.blown:
@@ -522,9 +506,9 @@ func powerCutJoin(t *testing.T, cut int) bool {
 	}
 	finished := false
 	for deadline := time.Now().Add(15 * time.Second); !blown(); time.Sleep(2 * time.Millisecond) {
-		if joiner.Stats().CheckpointBase > 0 && announced() > 0 {
+		if joiner.Serving() {
 			// The fetch had fewer staged writes than cut: cut the power
-			// now, after the install and its announce.
+			// now, after the install.
 			fuse.MemStore.PowerLoss()
 			finished = true
 			break
@@ -533,7 +517,6 @@ func powerCutJoin(t *testing.T, cut int) bool {
 			t.Fatalf("cut %d: the joiner neither installed nor reached the cut", cut)
 		}
 	}
-	peerBase := announced()
 	joiner.Stop()
 	w.mu.Lock()
 	delete(w.nodes, "n4")
@@ -544,8 +527,8 @@ func powerCutJoin(t *testing.T, cut int) bool {
 	fuse.mu.Unlock()
 
 	m, _, complete, err := storage.ReadChunked(fuse.MemStore, snapPrefix(2))
-	if peerBase > 0 && (err != nil || !complete || m.Base < peerBase) {
-		t.Fatalf("cut %d: peers hold n4's base %d, its store after the cut has base %d complete %v (err %v)", cut, peerBase, m.Base, complete, err)
+	if finished && (err != nil || !complete) {
+		t.Fatalf("cut %d: the joiner served, and its store after the cut holds complete=%v (err %v)", cut, complete, err)
 	}
 	resumed := err == nil && m.Chunks() > 0
 
@@ -556,12 +539,12 @@ func powerCutJoin(t *testing.T, cut int) bool {
 	restarted.handleAnnounce(rec)
 	w.waitServing("n4")
 	st := restarted.Stats()
-	if st.CheckpointBase == 0 {
-		t.Fatalf("cut %d: the restarted joiner runs on no checkpoint", cut)
+	if st.SnapshotsFetched == 0 {
+		t.Fatalf("cut %d: the restarted joiner runs on no snapshot", cut)
 	}
 	checkKey(t, w, "n4", 1, "key-0000", 16<<10)
 	checkKey(t, w, "n4", 2, "key-0039", 16<<10)
 	w.checkNoViolations()
-	t.Logf("cut %d: peers held base %d; restart resumed %v, fetched %d chunks", cut, peerBase, resumed, st.ChunksFetched)
+	t.Logf("cut %d: installed before the cut %v; restart resumed %v, fetched %d chunks", cut, finished, resumed, st.ChunksFetched)
 	return finished
 }

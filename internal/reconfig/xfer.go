@@ -7,42 +7,44 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/smr"
 	"repro/internal/statemachine"
 	"repro/internal/storage"
 	"repro/internal/types"
 )
 
-// The snapshot pipeline. The machine state of configuration id at slot base
-// is the one thing the composition adds to the static engines, and it moves
-// through exactly one path, keyed by (id, base):
+// The snapshot pipeline. The machine state of configuration id at slot 0 is
+// the one thing the composition adds to the static engines, and it moves
+// through exactly one path, keyed by id:
 //
 //	publish → serve → transfer → install → retire
 //
 // publish serializes a copy-on-write fork off the critical path, holds the
 // chunks in memory while it commits them (chunks, sync, manifest, sync) under
-// rc/snap/<id>, and then drops the in-memory copy. The bootstrap snapshot and
-// the state at a wedge are base 0 — the successor's log starts fresh — and a
-// within-configuration checkpoint is the same thing with base > 0, committed
-// over its predecessor.
+// rc/snap/<id>, and then drops the in-memory copy. Every snapshot is a
+// configuration's state at slot 0: the bootstrap snapshot, or the state at
+// the wedge that ended its predecessor — a reconfiguration or the log bound —
+// since the successor's log starts fresh.
 //
 // serve answers manifest and chunk requests from the in-memory copy when one
 // exists and from the store otherwise, so a peer never reads a blob that is
 // half overwritten.
 //
 // transfer is the one goroutine that pulls a snapshot from peers, for a
-// joiner and for a lagging member alike. It fetches the manifest from any
-// source and the missing chunks concurrently from rotating sources, verifying
-// each against the manifest CRC; a corrupt chunk is discarded alone, and
-// fruitless rounds back off exponentially with jitter. A joiner stages the
-// manifest and then each verified chunk in its store, with one barrier per
-// fetched range and one before the install; none is taken under mu.
+// joiner and for a member whose stale jump left it without state. It fetches
+// the manifest from any source and the missing chunks concurrently from
+// rotating sources, verifying each against the manifest CRC; a corrupt chunk
+// is discarded alone, and fruitless rounds back off exponentially with
+// jitter. It stages the manifest and then each verified chunk in the store,
+// with one barrier per fetched range and one before the install; none is
+// taken under mu.
 //
-// install builds the machine and has the apply loop swap it in and set the
-// apply cursor and the engine's delivery cursor to base; Start recovers from
-// the node's own store through the same swap.
+// install builds the machine and has the apply loop swap it in; Start
+// recovers from the node's own store through the same swap.
 //
 // retire deletes rc/snap/<id> once this node's current configuration is
-// id+2 or later.
+// id+2 or later, and with it the engine namespaces of retired runs, but
+// neither before a newer snapshot is durable here.
 
 // fetchWorkers is the number of concurrent chunk-range downloads per fetch
 // round.
@@ -56,8 +58,7 @@ const rangeBudget = 256 << 10
 
 // staleManifestRounds is how many consecutive fruitless fetch rounds a
 // transfer tolerates before discarding its manifest and re-pulling it — the
-// recovery for sources that replaced the snapshot with a newer checkpoint
-// mid-fetch.
+// recovery for sources whose chunks no longer match it.
 const staleManifestRounds = 3
 
 // Publish pacing. Every member of a wedged configuration publishes
@@ -99,12 +100,12 @@ func (n *Node) retiredLocked(id types.ConfigID) bool { return n.curID >= id+2 }
 
 // publishAsyncLocked publishes src off the caller's critical path. Caller
 // holds mu and has just forked src under it.
-func (n *Node) publishAsyncLocked(id types.ConfigID, base types.Slot, src statemachine.SnapshotSource) {
+func (n *Node) publishAsyncLocked(id types.ConfigID, src statemachine.SnapshotSource) {
 	n.publishing++
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
-		err := n.publish(id, base, src, true)
+		err := n.publish(id, src, true)
 		n.mu.Lock()
 		n.publishing--
 		if err != nil {
@@ -114,13 +115,13 @@ func (n *Node) publishAsyncLocked(id types.ConfigID, base types.Slot, src statem
 	}()
 }
 
-// publish makes src — the machine state of configuration id at slot base —
+// publish makes src — the machine state of configuration id at slot 0 —
 // the snapshot peers fetch and this node recovers from. With durable false the
 // snapshot is staged and left to the store's next barrier (Bootstrap).
-func (n *Node) publish(id types.ConfigID, base types.Slot, src statemachine.SnapshotSource, durable bool) error {
+func (n *Node) publish(id types.ConfigID, src statemachine.SnapshotSource, durable bool) error {
 	num := src.NumChunks()
 	chunks := make([][]byte, num)
-	m := storage.ChunkManifest{Format: statemachine.SnapshotFormat, Base: base, CRCs: make([]uint32, num)}
+	m := storage.ChunkManifest{Format: statemachine.SnapshotFormat, CRCs: make([]uint32, num)}
 	sincePause := 0
 	for i := 0; i < num; i++ {
 		chunks[i] = src.Chunk(i)
@@ -135,12 +136,10 @@ func (n *Node) publish(id types.ConfigID, base types.Slot, src statemachine.Snap
 }
 
 // commit persists a complete snapshot of id over whatever rc/snap/<id> holds,
-// serving it from memory meanwhile, and — for a checkpoint — adopts its base
-// as this member's durable base and has it announced. snapMu makes the check
-// and the write one step against other commits and against retire; a
-// snapshot older than the durable one is dropped rather than written over it.
-// durable false stages the snapshot instead of waiting on a barrier, for a
-// caller that makes no promise before the store's next one (Bootstrap).
+// serving it from memory meanwhile. snapMu makes the check and the write one
+// step against other commits and against retire. durable false stages the
+// snapshot instead of waiting on a barrier, for a caller that makes no
+// promise before the store's next one (Bootstrap).
 func (n *Node) commit(id types.ConfigID, m storage.ChunkManifest, chunks [][]byte, durable bool) error {
 	n.snapMu.Lock()
 	defer n.snapMu.Unlock()
@@ -148,7 +147,7 @@ func (n *Node) commit(id types.ConfigID, m storage.ChunkManifest, chunks [][]byt
 	// Not abandoned on Stop: a graceful stop right after a wedge must leave the
 	// successor's initial state in the store, or a restart has nothing to
 	// recover from.
-	if n.retiredLocked(id) || (n.ckptCfg == id && m.Base < n.ckptSelfBase) {
+	if n.retiredLocked(id) {
 		n.mu.Unlock()
 		return nil
 	}
@@ -166,11 +165,8 @@ func (n *Node) commit(id types.ConfigID, m storage.ChunkManifest, chunks [][]byt
 	}
 	n.mu.Lock()
 	delete(n.serving, id)
-	if m.Base > 0 && n.curID == id {
-		n.noteDurableBaseLocked(m.Base)
-		n.stats.CheckpointsPublished++
-		n.ckptAnnounceLeft = 0 // the next tick announces the new base
-		n.maybeTruncateLocked()
+	if durable {
+		n.snapDurable = max(n.snapDurable, id)
 	}
 	n.mu.Unlock()
 	return nil
@@ -255,15 +251,11 @@ func (n *Node) snapChunkRange(id types.ConfigID, first, count int) [][]byte {
 
 // wantsSnapshotLocked reports whether this node needs a snapshot of
 // configuration id from its peers: it is a member of id, id is still its
-// current configuration, and it either has no state yet or is so far behind
-// that replaying the log is slower than a fetch (or impossible). It is both
-// the launch condition and the abort condition of the transfer goroutine.
-// Caller holds mu.
+// current configuration, and it has no state yet. It is both the launch
+// condition and the abort condition of the transfer goroutine. Caller holds
+// mu.
 func (n *Node) wantsSnapshotLocked(id types.ConfigID) bool {
-	if n.stopped || id == 0 || n.curID != id || !n.configs[id].IsMember(n.self) {
-		return false
-	}
-	return !n.initialized || n.behindLocked()
+	return !n.stopped && id != 0 && n.curID == id && !n.initialized && n.configs[id].IsMember(n.self)
 }
 
 // maybeTransferLocked launches the transfer goroutine if the node wants a
@@ -279,21 +271,15 @@ func (n *Node) maybeTransferLocked() {
 	go n.runTransfer(n.curID)
 }
 
-// runTransfer fetches the newest snapshot of id above what this node holds
-// and installs it. It owns n.transfer for its lifetime and keeps trying until
-// the install happens or the node stops wanting the snapshot.
+// runTransfer fetches the snapshot of id, its state at slot 0, and installs
+// it. It owns n.transfer for its lifetime and keeps trying until the install
+// happens or the node stops wanting the snapshot.
 //
-// What differs between a joiner and a lagging member is read off the node's
-// own state each round, not passed in. An uninitialized node accepts any
-// snapshot of id its engine can still continue from and persists the
-// manifest and every verified chunk as it arrives: that makes the fetch
-// resumable across a crash and the joiner itself a source. The manifest is
-// staged ahead of its chunks, and staged operations become stable in order,
-// so whatever prefix a crash keeps is a manifest with some of its chunks,
-// which the next round resumes from. An initialized node accepts only a base
-// above its apply cursor and fetches into memory — its store still holds the
-// snapshot it is running on, and chunks written under that manifest would
-// corrupt the blob it describes; install commits it afterwards.
+// It persists the manifest and every verified chunk as it arrives: that makes
+// the fetch resumable across a crash and the joiner itself a source. The
+// manifest is staged ahead of its chunks, and staged operations become stable
+// in order, so whatever prefix a crash keeps is a manifest with some of its
+// chunks, which the next round resumes from.
 func (n *Node) runTransfer(id types.ConfigID) {
 	defer n.wg.Done()
 	defer func() {
@@ -318,41 +304,30 @@ func (n *Node) runTransfer(id types.ConfigID) {
 			n.mu.Unlock()
 			return
 		}
-		joining, least := !n.initialized, n.appliedSlot+1 // least: the lowest base worth installing
 		sources := n.fetchSourcesLocked(id)
 		n.mu.Unlock()
-		prefix := "" // where verified chunks are persisted; nowhere when initialized
-		if joining {
-			prefix = snapPrefix(id)
-			// A member that lost its snapshot but not its log (torn manifest)
-			// has an engine that already released every slot up to its durable
-			// floor: an older base would leave a hole nothing can redeliver.
-			least, _ = n.opts.engine.Floor(n.store, uint64(id))
-		}
+		prefix := snapPrefix(id) // where verified chunks are persisted
 
 		progress := false
-		if round == 0 && joining {
+		if round == 0 {
 			// Resume: adopt whatever a previous attempt (possibly before a
-			// crash) already persisted, under the same rule as a fetched
-			// manifest. Corrupt or missing chunks come back nil.
-			if m, cs, _, err := storage.ReadChunked(n.store, prefix); err == nil && m.Chunks() > 0 && m.Base >= least {
+			// crash) already persisted. Corrupt or missing chunks come back
+			// nil.
+			if m, cs, _, err := storage.ReadChunked(n.store, prefix); err == nil && m.Chunks() > 0 && m.Base == 0 {
 				manifest, chunks, have = m, cs, true
 			}
 		}
 		if !have {
-			accept := func(m storage.ChunkManifest) bool { return m.Base >= least }
-			if m, lead, ok := n.fetchManifest(id, sources, rng, accept); ok {
+			if m, lead, ok := n.fetchManifest(id, sources, rng); ok {
 				manifest, have, progress = m, true, true
 				chunks = make([][]byte, m.Chunks())
-				if joining {
-					if err := n.store.SetBuffered(storage.ManifestKey(prefix), storage.EncodeChunkManifest(m)); err != nil {
-						n.countViolation()
-					}
-					// Persisted chunks that verify against this manifest (a
-					// refresh whose content mostly survived) are kept.
-					if _, cs, _, err := storage.ReadChunked(n.store, prefix); err == nil && len(cs) == m.Chunks() {
-						chunks = cs
-					}
+				if err := n.store.SetBuffered(storage.ManifestKey(prefix), storage.EncodeChunkManifest(m)); err != nil {
+					n.countViolation()
+				}
+				// Persisted chunks that verify against this manifest (a
+				// refresh whose content mostly survived) are kept.
+				if _, cs, _, err := storage.ReadChunked(n.store, prefix); err == nil && len(cs) == m.Chunks() {
+					chunks = cs
 				}
 				// The chunks piggybacked on the reply; for a small snapshot
 				// that is the whole transfer in one round trip.
@@ -370,14 +345,12 @@ func (n *Node) runTransfer(id types.ConfigID) {
 				progress = true
 			}
 			if len(missingSpans(chunks)) == 0 {
-				// install announces a joiner's base to the peers, who
-				// truncate against it: the barrier makes every chunk this
-				// node holds of it durable first, the resumed ones included.
-				if joining {
-					if err := n.store.Sync(); err != nil {
-						n.countViolation()
-						return
-					}
+				// The installed state is what a restart recovers from: the
+				// barrier makes every chunk this node holds of it durable
+				// first, the resumed ones included.
+				if err := n.store.Sync(); err != nil {
+					n.countViolation()
+					return
 				}
 				n.install(id, manifest, chunks)
 				return
@@ -391,8 +364,7 @@ func (n *Node) runTransfer(id types.ConfigID) {
 		attempt++
 		if have && attempt%staleManifestRounds == 0 {
 			// Nothing useful for several rounds while holding a manifest:
-			// the sources may have replaced the snapshot with a newer
-			// checkpoint (their chunks no longer match our CRCs). Drop the
+			// the sources' chunks may no longer match our CRCs. Drop the
 			// manifest and re-pull it.
 			have = false
 		}
@@ -409,8 +381,8 @@ func (n *Node) runTransfer(id types.ConfigID) {
 }
 
 // acceptChunk CRC-verifies one fetched chunk; on success it records it in
-// chunks (under resMu when given) and, unless prefix is empty, stages it in
-// the store for the caller's persistFetched. Returns whether the chunk was
+// chunks (under resMu when given) and stages it in the store for the caller's
+// persistFetched. Returns whether the chunk was
 // accepted.
 func (n *Node) acceptChunk(prefix string, m storage.ChunkManifest, chunks [][]byte, resMu *sync.Mutex, idx int, data []byte) bool {
 	if storage.ChunkCRC(data) != m.CRCs[idx] {
@@ -428,39 +400,33 @@ func (n *Node) acceptChunk(prefix string, m storage.ChunkManifest, chunks [][]by
 	if resMu != nil {
 		resMu.Unlock()
 	}
-	if prefix != "" {
-		if err := n.store.SetBuffered(storage.ChunkKey(prefix, idx), data); err != nil {
-			n.countViolation()
-		}
+	if err := n.store.SetBuffered(storage.ChunkKey(prefix, idx), data); err != nil {
+		n.countViolation()
 	}
 	return true
 }
 
-// persistFetched ends one fetched range of accepted chunks. A joiner staged
-// them (prefix non-empty), and one barrier per range makes them durable, so a
-// crash keeps a resumable prefix of the fetch and ChunksFetched counts only
-// persisted chunks. It runs on the transfer goroutine or one of its fetch
-// workers, never under mu.
+// persistFetched ends one fetched range of accepted chunks: they were staged,
+// and one barrier per range makes them durable, so a crash keeps a resumable
+// prefix of the fetch and ChunksFetched counts only persisted chunks. It runs
+// on the transfer goroutine or one of its fetch workers, never under mu.
 func (n *Node) persistFetched(prefix string, accepted int) {
 	if accepted == 0 {
 		return
 	}
-	if prefix != "" {
-		if err := n.store.Sync(); err != nil {
-			n.countViolation()
-			return
-		}
+	if err := n.store.Sync(); err != nil {
+		n.countViolation()
+		return
 	}
 	n.mu.Lock()
 	n.stats.ChunksFetched += int64(accepted)
 	n.mu.Unlock()
 }
 
-// fetchManifest asks sources (in random order) for a snapshot manifest the
-// caller accepts. The reply also piggybacks the snapshot's leading chunks
-// (within rangeBudget), which the caller adopts after per-chunk CRC
-// verification.
-func (n *Node) fetchManifest(id types.ConfigID, sources []types.NodeID, rng *rand.Rand, accept func(storage.ChunkManifest) bool) (storage.ChunkManifest, [][]byte, bool) {
+// fetchManifest asks sources (in random order) for the snapshot's manifest.
+// The reply also piggybacks the snapshot's leading chunks (within
+// rangeBudget), which the caller adopts after per-chunk CRC verification.
+func (n *Node) fetchManifest(id types.ConfigID, sources []types.NodeID, rng *rand.Rand) (storage.ChunkManifest, [][]byte, bool) {
 	order := rng.Perm(len(sources))
 	for _, i := range order {
 		ctx, cancel := context.WithTimeout(n.baseCtx, fetchTimeout)
@@ -473,9 +439,8 @@ func (n *Node) fetchManifest(id types.ConfigID, sources []types.NodeID, rng *ran
 		if err != nil || !mr.Found {
 			continue
 		}
-		m := storage.ChunkManifest{Format: mr.Format, Base: mr.Base, CRCs: mr.CRCs}
-		if accept(m) {
-			return m, mr.Chunks, true
+		if mr.Base == 0 { // an older version's mid-log checkpoint is of no use
+			return storage.ChunkManifest{Format: mr.Format, CRCs: mr.CRCs}, mr.Chunks, true
 		}
 	}
 	return storage.ChunkManifest{}, nil, false
@@ -639,62 +604,69 @@ func (n *Node) buildMachine(m storage.ChunkManifest, chunks [][]byte) (*statemac
 }
 
 // install adopts a complete, verified chunk set as the state of configuration
-// id at slot m.Base: a joiner's initial state or a lagging member's jump
-// forward. The O(state) machine build runs here, on the caller's goroutine;
-// the swap is handed to the apply loop (installLocked), which makes it
-// between two rounds, so no segment ever executes against a machine that is
-// being replaced. Having replaced the state its store describes, an
-// initialized node then commits the snapshot it now runs on, so a restart
-// recovers from base rather than from a state whose log is gone. Reports
-// whether the install happened.
-func (n *Node) install(id types.ConfigID, m storage.ChunkManifest, chunks [][]byte) bool {
+// id at slot 0; an older version's mid-log checkpoint (Base > 0) is refused.
+// The O(state) machine build runs here, on the caller's goroutine; the swap is
+// handed to the apply loop (installLocked), which makes it between two
+// rounds, so no segment ever executes against a machine that is being
+// replaced. Reports whether the install happened.
+func (n *Node) install(id types.ConfigID, m storage.ChunkManifest, chunks [][]byte) (installed bool) {
+	if m.Base != 0 {
+		return false
+	}
 	fresh, err := n.buildMachine(m, chunks)
 	if err != nil {
 		n.countViolation()
 		return false
 	}
-	var installed, joined bool
-	if !n.onLoop(func() { installed, joined = n.installLocked(id, m.Base, fresh) }) {
-		return false
-	}
-	if installed && !joined {
-		if err := n.commit(id, m, chunks, true); err != nil {
-			n.countViolation()
-		}
-	}
+	n.onLoop(func() { installed = n.installLocked(id, fresh) })
 	return installed
 }
 
 // --- retire -----------------------------------------------------------------
 
-// maybeRetireLocked drops every snapshot nobody can still need: the
-// in-memory copies here, the stored blobs on a goroutine of their own. A
-// snapshot the transfer goroutine may still be persisting chunks of waits
-// until that goroutine has exited. Caller holds mu (the tick).
-func (n *Node) maybeRetireLocked() {
-	var ids []types.ConfigID
-	for n.retiredLocked(n.retireNext) && n.retireNext != n.transfer {
-		delete(n.serving, n.retireNext)
-		ids = append(ids, n.retireNext)
-		n.retireNext++
+// retire stops the engines of retired runs, then deletes the stored snapshots
+// snaps and the engine namespaces streams with staged deletes and one
+// barrier, which also moves the discard cursor past streams. snapMu orders it
+// after any commit of the same configuration that was already writing.
+func (n *Node) retire(old []smr.Replica, snaps, streams []types.ConfigID) {
+	defer n.wg.Done()
+	for _, eng := range old {
+		eng.Stop()
 	}
-	if len(ids) > 0 {
-		n.wg.Add(1)
-		go n.retire(ids)
+	n.snapMu.Lock()
+	err := n.discard(snaps, streams)
+	n.snapMu.Unlock()
+	n.mu.Lock()
+	n.retiring = false
+	if err != nil && err != storage.ErrStoreClosed {
+		n.stats.InvariantViolations++
 	}
+	n.mu.Unlock()
 }
 
-// retire deletes the stored snapshots of ids. snapMu orders it after any
-// commit of the same configuration that was already writing.
-func (n *Node) retire(ids []types.ConfigID) {
-	defer n.wg.Done()
-	n.snapMu.Lock()
-	defer n.snapMu.Unlock()
-	for _, id := range ids {
-		if err := storage.DeleteChunked(n.store, snapPrefix(id)); err != nil {
-			n.countViolation()
+// discardKey holds the discard cursor: every configuration below it has had
+// its engine namespace discarded.
+const discardKey = "rc/discard"
+
+func (n *Node) discard(snaps, streams []types.ConfigID) error {
+	for _, id := range snaps {
+		if err := storage.StageDeleteChunked(n.store, snapPrefix(id)); err != nil {
+			return err
 		}
 	}
+	if len(streams) > 0 {
+		for _, id := range streams {
+			if err := n.opts.engine.Discard(n.store, uint64(id)); err != nil {
+				return err
+			}
+		}
+		w := types.NewWriter(10)
+		w.Uvarint(uint64(streams[len(streams)-1] + 1))
+		if err := n.store.SetBuffered(discardKey, w.Bytes()); err != nil {
+			return err
+		}
+	}
+	return n.store.Sync()
 }
 
 func (n *Node) countViolation() {

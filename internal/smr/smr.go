@@ -71,47 +71,11 @@ type ReadIndexer interface {
 	ReadIndex(done func(index types.Slot, err error)) error
 }
 
-// Checkpointer is the engine capability behind the composition layer's
-// checkpoints: releasing a log prefix a durable checkpoint covers, resuming
-// delivery above an installed checkpoint, and an O(1) view of the log
-// frontier. TruncateBelow and SkipTo never block and are applied
-// asynchronously; of several calls the engine has not yet seen, only the
-// highest slot counts.
-type Checkpointer interface {
-	// TruncateBelow releases the engine's state for slots <= floor. The
-	// caller guarantees a checkpoint covering them is durable and
-	// quorum-acknowledged. The floor is clamped to the delivered prefix:
-	// an undelivered slot is never released.
-	TruncateBelow(floor types.Slot)
-	// SkipTo installs a checkpoint's base: the application holds state
-	// covering every slot <= base, so delivery resumes at base+1 and the
-	// slots below are released as TruncateBelow would. It clears
-	// Progress.CheckpointNeeded, also when delivery is already past base.
-	SkipTo(base types.Slot)
-	// Progress returns the current frontier. Safe from any goroutine.
-	Progress() Progress
-	// Counters returns the engine's counters that the composition layer
-	// sums into its own.
-	Counters() Counters
-}
-
-// Progress is a snapshot of an engine's log frontier. The composition
-// layer's tick reads it to decide in one probe whether this member
-// is lagging far enough to fetch a checkpoint instead of walking the gap
-// slot by slot.
+// Progress is a snapshot of an engine's log frontier.
 type Progress struct {
 	// Delivered is the highest contiguously decided slot handed to the
 	// application.
 	Delivered types.Slot
-	// MaxDecidedSeen is the highest slot known to be decided anywhere, so
-	// MaxDecidedSeen - Delivered is the decision gap.
-	MaxDecidedSeen types.Slot
-	// TruncatedBelow is the local truncation floor: slots <= it have been
-	// released and cannot be served or re-voted.
-	TruncatedBelow types.Slot
-	// CheckpointNeeded reports that the missing prefix no longer exists in
-	// any reachable log: only a checkpoint install (SkipTo) can fill it.
-	CheckpointNeeded bool
 }
 
 // Counters are an engine's counters that the composition layer reports.
@@ -122,32 +86,38 @@ type Counters struct {
 	DroppedInbound int64
 	// GroupCommits counts engine turns that ended in a group-commit Sync.
 	GroupCommits int64
-	// TruncatedSlots counts log slots released below checkpoint floors over
-	// the engine's lifetime.
-	TruncatedSlots int64
-	// RetainedSlots is a gauge: decided log entries currently held. With
-	// checkpoints on it stays bounded by the checkpoint interval plus the
-	// truncation margin.
+	// RetainedSlots is a gauge: decided log entries currently held. An
+	// engine never releases part of its log; the composition bounds it by
+	// ending the configuration at its log bound and discarding the whole log
+	// once the configuration is retired (Factory.Discard).
 	RetainedSlots int64
 }
 
-// Replica is one member's engine as the composition layer drives it.
+// Replica is one member's engine as the composition layer drives it: an
+// Engine with fast reads, an O(1) view of its frontier, and its counters.
 type Replica interface {
 	Engine
 	ReadIndexer
-	Checkpointer
+	// Progress returns the current frontier. Safe from any goroutine.
+	Progress() Progress
+	// Counters returns the engine's counters that the composition layer sums
+	// into its own.
+	Counters() Counters
 }
 
 // Factory builds one kind of engine. The engine that wrote a store
-// namespace is the one that reads it back, so the factory that builds a
-// stream's replicas also reads their persisted truncation floor.
+// namespace is the one that removes it, so the factory that builds a
+// stream's replicas also discards what they persisted.
 type Factory interface {
 	// New constructs (but does not start) member self's replica of cfg.
 	// stream isolates the instance's traffic on ep and its keys in store.
 	New(cfg types.Config, self types.NodeID, ep *transport.Endpoint, store storage.Store, stream uint64) (Replica, error)
-	// Floor reads the truncation floor New's replica of stream persisted in
-	// store, without building one: slots <= it are gone from its log.
-	Floor(store storage.Store, stream uint64) (types.Slot, error)
+	// Discard stages the deletion of everything New's replicas of stream
+	// persisted in store; the caller makes it durable with one Sync. The
+	// caller has stopped every replica of stream on store and builds none
+	// again: a replica recovered from a partly discarded namespace could
+	// forget a promise or a vote.
+	Discard(store storage.Stager, stream uint64) error
 }
 
 // ErrStopped is returned by Propose after the engine has stopped (e.g. the
@@ -157,6 +127,12 @@ var ErrStopped = errors.New("smr: engine stopped")
 // ErrNotLeader is returned through a ReadIndexer callback when the engine is
 // not (or no longer) the leader and cannot serve a fast-path read.
 var ErrNotLeader = errors.New("smr: not leader")
+
+// ErrOldLayout is returned when a store holds state in a layout this version
+// no longer reads: a snapshot above slot 0, or an engine log truncated below
+// a floor, both written by the within-configuration checkpoints that log-bound
+// wedges replaced.
+var ErrOldLayout = errors.New("smr: store written by the retired checkpoint layout (snapshot base > 0 or a truncated engine log)")
 
 // ErrNotMember is returned when constructing an engine on a node outside the
 // configuration.

@@ -1,9 +1,9 @@
 // Package smrtest is a conformance suite for smr.Replica implementations: the
 // observable contract the composition layer relies on — gap-free in-order
 // decision delivery, agreement across replicas, progress from any proposer,
-// an engine that a stalled consumer does not stall, clean stop semantics, and
-// the checkpoint hooks (SkipTo, TruncateBelow) — stated once, independent of
-// any engine's internals. Every engine's tests invoke Run with a builder.
+// an engine that a stalled consumer does not stall, and clean stop semantics —
+// stated once, independent of any engine's internals. Every engine's tests
+// invoke Run with a builder.
 package smrtest
 
 import (
@@ -35,8 +35,6 @@ func Run(t *testing.T, build Builder) {
 	t.Run("StopSemantics", func(t *testing.T) { runStopSemantics(t, build) })
 	t.Run("ProgressAfterLeaderIsolation", func(t *testing.T) { runLeaderIsolation(t, build) })
 	t.Run("StalledConsumer", func(t *testing.T) { runStalledConsumer(t, build) })
-	t.Run("SkipToResumesAboveBase", func(t *testing.T) { runSkipTo(t, build) })
-	t.Run("TruncateNeverPassesDelivered", func(t *testing.T) { runTruncateClamp(t, build) })
 }
 
 type collector struct {
@@ -359,69 +357,4 @@ func decideUntil(t *testing.T, eng smr.Engine, col *collector, seq *uint64, n in
 		_ = eng.Propose(appCmd("c", *seq))
 		return false
 	}, fmt.Sprintf("%d decisions", n), 10*time.Second)
-}
-
-// runSkipTo installs a checkpoint base ten slots above what n1 delivered, as
-// a lagging member does after a checkpoint fetch. Delivery must resume at
-// base+1 and go on gap-free: n1's decisions are 1..k, then base+1, base+2,
-// ..., with k <= base. The install clears CheckpointNeeded.
-func runSkipTo(t *testing.T, build Builder) {
-	c := build(t, []types.NodeID{"n1"})
-	defer c.Cleanup()
-	eng := c.Engines["n1"]
-	col := collect(&c)
-	var seq uint64
-	decideUntil(t, eng, col, &seq, 5)
-	base := eng.Progress().Delivered + 10
-	eng.SkipTo(base)
-	waitFor(t, func() bool { return eng.Progress().Delivered >= base }, "the skip", 10*time.Second)
-	waitFor(t, func() bool {
-		seq++
-		_ = eng.Propose(appCmd("c", seq)) // a lost one is replaced by the next
-		col.mu.Lock()
-		defer col.mu.Unlock()
-		got := col.seq["n1"]
-		return got[len(got)-1].Slot >= base+3
-	}, "decisions above the base", 10*time.Second)
-	col.mu.Lock()
-	got := col.seq["n1"]
-	col.mu.Unlock()
-	jumped := false
-	for i := 1; i < len(got); i++ {
-		prev, slot := got[i-1].Slot, got[i].Slot
-		switch {
-		case slot == prev+1:
-		case !jumped && prev <= base && slot == base+1:
-			jumped = true
-		default:
-			t.Fatalf("slot %d after %d (SkipTo(%d))", slot, prev, base)
-		}
-	}
-	if p := eng.Progress(); p.CheckpointNeeded {
-		t.Fatalf("CheckpointNeeded still set after SkipTo: %+v", p)
-	}
-}
-
-// runTruncateClamp asks n1 to truncate far above its delivered prefix. The
-// floor must stop at that prefix, release exactly the slots under it, and
-// leave delivery going on from there with no gap.
-func runTruncateClamp(t *testing.T, build Builder) {
-	c := build(t, []types.NodeID{"n1"})
-	defer c.Cleanup()
-	eng := c.Engines["n1"]
-	col := collect(&c)
-	var seq uint64
-	decideUntil(t, eng, col, &seq, 5)
-	delivered := eng.Progress().Delivered
-	eng.TruncateBelow(delivered + 100)
-	waitFor(t, func() bool { return eng.Progress().TruncatedBelow > 0 }, "the truncation", 10*time.Second)
-	p := eng.Progress()
-	if p.TruncatedBelow < delivered || p.TruncatedBelow > p.Delivered {
-		t.Fatalf("floor %d, want within the delivered prefix [%d, %d]", p.TruncatedBelow, delivered, p.Delivered)
-	}
-	if n := eng.Counters().TruncatedSlots; n != int64(p.TruncatedBelow) {
-		t.Fatalf("%d slots released under a floor of %d", n, p.TruncatedBelow)
-	}
-	decideUntil(t, eng, col, &seq, col.appCount("n1")+1)
-	col.verify(t)
 }

@@ -186,10 +186,11 @@ func ReadChunked(s Store, prefix string) (m ChunkManifest, chunks [][]byte, comp
 	return m, chunks, complete, nil
 }
 
-// DeleteChunked removes a chunked blob: every chunk, then the manifest, all
-// staged, and one Sync. Whichever prefix of the deletes a crash keeps, the
-// blob is whole, incomplete (ReadChunked reports the missing chunks) or gone.
-func DeleteChunked(s Stager, prefix string) error {
+// StageDeleteChunked stages the removal of a chunked blob: every chunk, then
+// the manifest. The caller's next Sync makes it durable. Whichever prefix of
+// the deletes a crash keeps, the blob is whole, incomplete (ReadChunked
+// reports the missing chunks) or gone.
+func StageDeleteChunked(s Stager, prefix string) error {
 	m, ok, err := ReadChunkManifest(s, prefix)
 	if err == nil && ok {
 		for i := 0; i < m.Chunks(); i++ {
@@ -198,8 +199,5 @@ func DeleteChunked(s Stager, prefix string) error {
 			}
 		}
 	}
-	if err := s.DeleteBuffered(ManifestKey(prefix)); err != nil {
-		return err
-	}
-	return s.Sync()
+	return s.DeleteBuffered(ManifestKey(prefix))
 }

@@ -274,13 +274,16 @@ func TestDeleteChunkedFsyncBudget(t *testing.T) {
 	s := openTestWALStore(t, dir, WALStoreOptions{SyncWrites: true})
 	commitBlob(t, s, "snap", 33, 1<<10)
 	before := s.Syncs()
-	if err := DeleteChunked(s, "snap"); err != nil {
+	if err := StageDeleteChunked(s, "snap"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Syncs() - before; got > 1 {
-		t.Errorf("DeleteChunked of 33 chunks: %d fsyncs, want <= 1", got)
+		t.Errorf("a staged delete of 33 chunks and a Sync: %d fsyncs, want <= 1", got)
 	} else {
-		t.Logf("DeleteChunked of 33 chunks: %d fsyncs", got)
+		t.Logf("a staged delete of 33 chunks and a Sync: %d fsyncs", got)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -451,6 +454,15 @@ func TestWriteChunkedCommitPowerCutSweep(t *testing.T) {
 	}
 }
 
+// deleteChunked is a retirement of one blob: its staged deletes and the
+// barrier that ends them.
+func deleteChunked(s Stager, prefix string) error {
+	if err := StageDeleteChunked(s, prefix); err != nil {
+		return err
+	}
+	return s.Sync()
+}
+
 // TestDeleteChunkedPowerCutSweep cuts the power behind every prefix of a
 // retirement's staged deletes (33 chunks, then the manifest): each cut leaves
 // the blob whole, incomplete or gone — never a manifest-less chunk.
@@ -463,7 +475,7 @@ func TestDeleteChunkedPowerCutSweep(t *testing.T) {
 		if k == 0 {
 			f.PowerLoss()
 		}
-		if err := DeleteChunked(f, "snap"); err == nil {
+		if err := deleteChunked(f, "snap"); err == nil {
 			t.Fatalf("cut after %d of %d staged deletes: the retirement reported success", k, staged)
 		}
 		f.Reopen()

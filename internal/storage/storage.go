@@ -22,7 +22,7 @@ package storage
 
 import (
 	"errors"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -271,27 +271,42 @@ func (s *MemStore) Scan(prefix string) ([]KV, error) {
 	if s.closed {
 		return nil, ErrStoreClosed
 	}
-	merged := make(map[string][]byte)
+	var out []KV
 	for k, v := range s.stable {
-		if strings.HasPrefix(k, prefix) {
-			merged[k] = v
-		}
-	}
-	for k, d := range s.dirty {
 		if !strings.HasPrefix(k, prefix) {
 			continue
 		}
-		if d.deleted {
-			delete(merged, k)
-		} else {
-			merged[k] = d.value
+		if _, staged := s.dirty[k]; !staged {
+			out = append(out, KV{Key: k, Value: clone(v)})
 		}
 	}
-	out := make([]KV, 0, len(merged))
-	for k, v := range merged {
-		out = append(out, KV{Key: k, Value: clone(v)})
+	for k, d := range s.dirty {
+		if !d.deleted && strings.HasPrefix(k, prefix) {
+			out = append(out, KV{Key: k, Value: clone(d.value)})
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	sortKVs(out)
+	return out, nil
+}
+
+// ScanKeys lists the keys under prefix in one walk (see ScanKeys).
+func (s *MemStore) ScanKeys(prefix string) ([]string, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil, ErrStoreClosed
+	}
+	var out []string
+	for k := range s.stable {
+		if _, staged := s.dirty[k]; !staged && strings.HasPrefix(k, prefix) {
+			out = append(out, k)
+		}
+	}
+	for k, d := range s.dirty {
+		if !d.deleted && strings.HasPrefix(k, prefix) {
+			out = append(out, k)
+		}
+	}
 	return out, nil
 }
 
@@ -367,6 +382,29 @@ func (s *MemStore) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.stable)
+}
+
+// ScanKeys returns the keys s holds under prefix, in no particular order:
+// Scan without the copies and the sort, for a caller that needs only the keys,
+// such as one that deletes them all. MemStore and WALStore list them in one
+// walk; any other store goes through Scan.
+func ScanKeys(s Store, prefix string) ([]string, error) {
+	if ks, ok := s.(interface {
+		ScanKeys(prefix string) ([]string, error)
+	}); ok {
+		return ks.ScanKeys(prefix)
+	}
+	kvs, err := s.Scan(prefix)
+	keys := make([]string, len(kvs))
+	for i, kv := range kvs {
+		keys[i] = kv.Key
+	}
+	return keys, err
+}
+
+// sortKVs orders a scan's pairs by key.
+func sortKVs(kvs []KV) {
+	slices.SortFunc(kvs, func(a, b KV) int { return strings.Compare(a.Key, b.Key) })
 }
 
 func clone(b []byte) []byte {

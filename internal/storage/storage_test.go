@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -105,6 +106,42 @@ func TestScanSeesDirtyOverlay(t *testing.T) {
 	kvs, _ := s.Scan("p/")
 	if len(kvs) != 1 || kvs[0].Key != "p/b" {
 		t.Fatalf("overlay scan wrong: %v", kvs)
+	}
+}
+
+// TestScanKeysListsWhatScanSees: on MemStore (stable keys, staged writes and
+// staged deletes), on WALStore, and through Scan on a store with no listing
+// of its own, ScanKeys names exactly the keys Scan returns.
+func TestScanKeysListsWhatScanSees(t *testing.T) {
+	wal, err := OpenWALStore(t.TempDir(), WALStoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
+	stores := map[string]Stager{
+		"mem":    NewMemWithOptions(MemOptions{AutoSync: false}),
+		"wal":    wal,
+		"prefix": WithPrefix(NewMem(), "g1/"),
+	}
+	for name, s := range stores {
+		for _, k := range []string{"p/a", "p/b", "p/c", "q/a"} {
+			if err := s.SetBuffered(k, []byte(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		_ = s.SetBuffered("p/d", []byte("staged"))
+		_ = s.DeleteBuffered("p/b")
+		keys, err := ScanKeys(s, "p/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		slices.Sort(keys)
+		if want := []string{"p/a", "p/c", "p/d"}; !slices.Equal(keys, want) {
+			t.Errorf("%s: ScanKeys = %v, want %v", name, keys, want)
+		}
 	}
 }
 

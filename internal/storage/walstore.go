@@ -275,7 +275,23 @@ func (s *WALStore) Scan(prefix string) ([]KV, error) {
 			out = append(out, KV{Key: k, Value: clone(v)})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	sortKVs(out)
+	return out, nil
+}
+
+// ScanKeys lists the keys under prefix in one walk (see ScanKeys).
+func (s *WALStore) ScanKeys(prefix string) ([]string, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil, ErrStoreClosed
+	}
+	var out []string
+	for k := range s.state {
+		if strings.HasPrefix(k, prefix) {
+			out = append(out, k)
+		}
+	}
 	return out, nil
 }
 
