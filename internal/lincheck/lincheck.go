@@ -56,6 +56,11 @@ type Model struct {
 	// Equal reports state equality; Hash must agree with it.
 	Equal func(a, b any) bool
 	Hash  func(state any) uint64
+	// ReadOnly optionally reports whether input leaves every state as it is
+	// (a read). The search linearizes a callable completed read at once,
+	// with no alternative to backtrack into (checkPartition). The models
+	// use their machine's own classifier, the one the node's fast path uses.
+	ReadOnly func(input []byte) bool
 	// Partition optionally splits a history into independently-checkable
 	// sub-histories (nil = single partition).
 	Partition func(ops []Operation) [][]Operation
@@ -273,6 +278,16 @@ type cacheEntry struct {
 
 // checkPartition runs the WGL search over one partition. It returns
 // (linearizable, timedOut).
+//
+// A callable completed read that is legal in the current state is taken
+// without a backtrack alternative (a forced frame). Every op that returned
+// before its call is linearized already, so moving it to the front of any
+// valid continuation breaks no real-time order, and as it changes no state in
+// any state, every other op of that continuation sees what it saw before. So
+// if the search fails with the read taken, it fails without it too. The rule
+// needs the model's ReadOnly: an op that merely leaves the current state as
+// it is (a put of the value held) may change the state at the later point a
+// valid continuation puts it.
 func checkPartition(m Model, ops []Operation, deadline time.Time) (bool, bool) {
 	completed := 0
 	for _, op := range ops {
@@ -288,8 +303,9 @@ func checkPartition(m Model, ops []Operation, deadline time.Time) (bool, bool) {
 	linearized := newBitset(len(ops))
 	cache := make(map[uint64][]cacheEntry)
 	type frame struct {
-		call  *node
-		state any
+		call   *node
+		state  any
+		forced bool // a read taken with no alternative: backtracking passes over it
 	}
 	var stack []frame
 	remaining := completed
@@ -304,15 +320,21 @@ func checkPartition(m Model, ops []Operation, deadline time.Time) (bool, bool) {
 			op := ops[entry.op]
 			ok, next := m.Step(state, op.Input, op.Output, op.HasOutput)
 			if ok {
+				forced := op.HasOutput && m.ReadOnly != nil && m.ReadOnly(op.Input)
 				linearized.set(entry.op)
 				key := linearized.hash() ^ m.Hash(next)
 				if cacheHit(cache[key], linearized, next, m) {
 					linearized.clear(entry.op)
-					entry = entry.next
+					if !forced {
+						entry = entry.next
+						continue
+					}
+					// Without the read the search fails as it does with it.
+					entry = nil
 					continue
 				}
 				cache[key] = append(cache[key], cacheEntry{lin: linearized.clone(), state: next})
-				stack = append(stack, frame{call: entry, state: state})
+				stack = append(stack, frame{call: entry, state: state, forced: forced})
 				state = next
 				if op.HasOutput {
 					remaining--
@@ -325,19 +347,25 @@ func checkPartition(m Model, ops []Operation, deadline time.Time) (bool, bool) {
 			continue
 		}
 		// A return node (some completed op could not linearize before its
-		// own return) or the end of the list: backtrack.
-		if len(stack) == 0 {
-			return false, false
+		// own return) or the end of the list: backtrack to the newest frame
+		// with an alternative.
+		for {
+			if len(stack) == 0 {
+				return false, false
+			}
+			f := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			state = f.state
+			linearized.clear(f.call.op)
+			if ops[f.call.op].HasOutput {
+				remaining++
+			}
+			unlift(f.call)
+			if !f.forced {
+				entry = f.call.next
+				break
+			}
 		}
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		state = f.state
-		linearized.clear(f.call.op)
-		if ops[f.call.op].HasOutput {
-			remaining++
-		}
-		unlift(f.call)
-		entry = f.call.next
 	}
 	return true, false
 }

@@ -396,3 +396,52 @@ func TestMutationSpeculativeDoubleApplyRejected(t *testing.T) {
 	}
 	requireViolation(t, CounterModel(), mutated)
 }
+
+// overlappingReadsHistory is one register: ten sequential ops, then a put of
+// "x" and a run of puts of "a" that all overlap, reads of "a" that overlap
+// them, and a read after all of them that returns "x". So the put of "x" must
+// come last, which the search, trying ops in call order, learns only after
+// every interleaving that takes it earlier has failed.
+func overlappingReadsHistory(puts, reads int) []Operation {
+	var ops []Operation
+	for i := int64(0); i < 10; i += 2 {
+		ops = append(ops,
+			completed("s", statemachine.EncodePut("k", []byte{'0' + byte(i)}), ok(nil), 2*i, 2*i+1),
+			completed("s", statemachine.EncodeGet("k"), ok([]byte{'0' + byte(i)}), 2*i+2, 2*i+3))
+	}
+	ops = append(ops, completed("wx", statemachine.EncodePut("k", []byte("x")), ok(nil), 100, 200))
+	for i := 0; i < puts; i++ {
+		ops = append(ops, completed(fmt.Sprintf("w%d", i), statemachine.EncodePut("k", []byte("a")), ok(nil), int64(101+i), 200))
+	}
+	for i := 0; i < reads; i++ {
+		ops = append(ops, completed(fmt.Sprintf("r%d", i), statemachine.EncodeGet("k"), ok([]byte("a")), int64(101+puts+i), 200))
+	}
+	return append(ops, completed("rx", statemachine.EncodeGet("k"), ok([]byte("x")), 201, 202))
+}
+
+// TestOverlappingReadsAreForced: a callable read is linearized with no
+// alternative to backtrack into, so the reads of a 30-op history multiply
+// nothing and the check returns a verdict within its 1 s timeout. Without
+// the rule the search walks every subset of the ten overlapping reads in each
+// interleaving of the puts and times out.
+func TestOverlappingReadsAreForced(t *testing.T) {
+	ops := overlappingReadsHistory(8, 10)
+	res := Check(RegisterModel(), ops, Options{Timeout: time.Second})
+	if res.Unknown || !res.Ok {
+		t.Fatalf("%d ops: unknown %v, ok %v after %v\n%s", len(ops), res.Unknown, res.Ok, res.Elapsed, res.Counterexample)
+	}
+	t.Logf("%d ops checked in %v", len(ops), res.Elapsed)
+}
+
+// TestStatePreservingWriteIsNotForced: a put of the value the register holds
+// leaves the current state as it is, but not every state, so it must not be
+// taken without an alternative. Here the put of "v" has to follow the put of
+// "w" for the read to see "v".
+func TestStatePreservingWriteIsNotForced(t *testing.T) {
+	requireOk(t, RegisterModel(), []Operation{
+		completed("init", statemachine.EncodePut("k", []byte("v")), ok(nil), 0, 1),
+		completed("a", statemachine.EncodePut("k", []byte("v")), ok(nil), 2, 20),
+		completed("b", statemachine.EncodePut("k", []byte("w")), ok(nil), 3, 4),
+		completed("c", statemachine.EncodeGet("k"), ok([]byte("v")), 5, 6),
+	})
+}

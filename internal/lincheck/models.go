@@ -74,10 +74,11 @@ type regState struct {
 // partitionable and are rejected).
 func RegisterModel() Model {
 	return Model{
-		Name:  "kv-register",
-		Init:  func() any { return regState{} },
-		Step:  deterministicStep(regApply),
-		Equal: func(a, b any) bool { return a == b },
+		Name:     "kv-register",
+		Init:     func() any { return regState{} },
+		Step:     deterministicStep(regApply),
+		Equal:    func(a, b any) bool { return a == b },
+		ReadOnly: (*statemachine.KVStore)(nil).ReadOnly,
 		Hash: func(s any) uint64 {
 			rs := s.(regState)
 			if !rs.present {
@@ -225,6 +226,7 @@ func CounterModel() Model {
 		Step:          deterministicStep(counterApply),
 		Equal:         func(a, b any) bool { return a == b },
 		Hash:          func(s any) uint64 { return s.(uint64) * 0x9e3779b97f4a7c15 },
+		ReadOnly:      (*statemachine.Counter)(nil).ReadOnly,
 		DescribeOp:    describeCounterOp,
 		DescribeState: func(s any) string { return fmt.Sprintf("%d", s.(uint64)) },
 	}
@@ -287,6 +289,7 @@ func BankModel() Model {
 		Step:       deterministicStep(bankApply),
 		Equal:      func(a, b any) bool { return a == b },
 		Hash:       func(s any) uint64 { return fnv64s(s.(string)) },
+		ReadOnly:   (*statemachine.Bank)(nil).ReadOnly,
 		DescribeOp: describeBankOp,
 		DescribeState: func(s any) string {
 			if s.(string) == "" {

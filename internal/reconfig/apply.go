@@ -17,17 +17,20 @@ import (
 // tick (houseTick). Once Start has returned it alone assigns the machine, the
 // current configuration, whether it is installed and the apply cursor, the
 // chain, the configurations and the engine runs, and it alone starts and
-// retires engines. What another goroutine learns that changes those (a chain
-// record from a peer, a fetched snapshot's install) is handed to it (onLoop)
-// and runs between two rounds, never while a segment executes, so no round's
-// work is ever overtaken. Every other engine keeps what it decides, as
-// smr.Engine allows: a speculative successor until its state is installed, a
-// wedged predecessor until it is retired.
+// retires engines. It alone touches the machine, the pending commands and the
+// parked reads: every client command and every fast read's index reaches it
+// through its mailbox, and so does what another goroutine learns that changes
+// the node's state (a chain record from a peer, a fetched snapshot's install;
+// onLoop). The mailbox is drained whole at the top of every round, in arrival
+// order, never while a segment executes, so no round's work is overtaken.
+// Every other engine keeps what it decides, as smr.Engine allows: a
+// speculative successor until its state is installed, a wedged predecessor
+// until it is retired.
 //
-// A round collects a run of taken decisions under n.mu, releases the mutex,
-// executes them, and reacquires n.mu only to commit: advance the apply
-// cursor, answer waiting clients, serve parked reads. Proposals and reads do
-// not contend with execution.
+// A round drains the mailbox and collects a run of taken decisions under
+// n.mu, releases the mutex, executes them, and reacquires n.mu only to
+// commit: advance the apply cursor, answer waiting clients, serve parked
+// reads. Inspectors do not contend with execution.
 func (n *Node) applyLoop() {
 	defer n.wg.Done()
 	ticker := time.NewTicker(retryInterval)
@@ -52,30 +55,44 @@ func (n *Node) applyLoop() {
 			return
 		case <-ticker.C:
 			n.houseTick()
-		case <-n.pumpCh:
+		case <-n.mailbox.Wake():
 		case d, ok := <-decs:
 			// The installed configuration's engine is stopped only by Stop,
 			// which closes stopCh first.
 			if ok {
-				n.mu.Lock()
 				run.buffered = append(run.buffered, d)
-				n.mu.Unlock()
 			}
 		}
 	}
 }
 
-// onLoop hands f to the apply loop, which runs it under n.mu between two
-// rounds, in the order handed, and waits until it has; false means the node
+// mailboxLimit bounds the loop's mailbox. A client command that finds it full
+// is dropped, as a lost frame is, and the client's retry covers it (an
+// in-process Submit fails with ErrBusy); a fast read's index is answered
+// SubmitBusy instead (tryFastReadLocked); work posted by onLoop waits for
+// room.
+const mailboxLimit = 16384
+
+// loopMsg is one entry of the loop's mailbox: work posted by onLoop (f), a
+// client command to admit (cmd, respond), or a fast read of cmd whose engine
+// has answered (readCfg, the configuration it was classified in, is set;
+// index and err are the answer).
+type loopMsg struct {
+	f       func()
+	cmd     types.Command
+	respond func([]byte)
+	readCfg types.ConfigID
+	index   types.Slot
+	err     error
+}
+
+// onLoop posts f to the apply loop, which runs it under n.mu between two
+// rounds, in arrival order, and waits until it has; false means the node
 // stopped first. The caller holds no lock and is not the loop.
 func (n *Node) onLoop(f func()) bool {
 	done := make(chan struct{})
-	n.mu.Lock()
-	n.handoff = append(n.handoff, func() { f(); close(done) })
-	n.mu.Unlock()
-	select {
-	case n.pumpCh <- struct{}{}:
-	default: // a wake is already pending; the loop will see f too
+	if !n.mailbox.Put(loopMsg{f: func() { f(); close(done) }}, n.stopCh) {
+		return false
 	}
 	select {
 	case <-done:
@@ -85,9 +102,118 @@ func (n *Node) onLoop(f func()) bool {
 	}
 }
 
+// drainMailboxLocked runs, in arrival order, all that the mailbox holds. The
+// client commands of one drain are proposed back to back, so the engine takes
+// a clump that left a client together as one. Caller holds mu, on the loop.
+func (n *Node) drainMailboxLocked() {
+	n.taken = n.mailbox.Take(n.taken[:0], mailboxLimit)
+	for _, m := range n.taken {
+		switch {
+		case m.f != nil:
+			m.f()
+		case m.readCfg != 0:
+			n.completeReadLocked(m)
+		default:
+			n.admitLocked(m.cmd, m.respond)
+		}
+	}
+	clear(n.taken) // drop the commands and callbacks the buffer holds
+}
+
+// admitLocked serves one client command: a redirect when this node cannot
+// take it, the recorded reply of an executed duplicate, a fast read, or
+// admission into the pending commands and a proposal into the current
+// engine. Caller holds mu, on the loop.
+func (n *Node) admitLocked(cmd types.Command, respond func([]byte)) {
+	if n.stopped || cmd.Kind != types.CmdApp || cmd.Client == "" || cmd.Seq == 0 {
+		return // malformed; client library never sends this
+	}
+	if !n.configs[n.curID].IsMember(n.self) || !n.initialized && !n.speculationOn() {
+		respond(n.redirectReplyLocked())
+		return
+	}
+	// An uninitialized member is accepting speculatively: its snapshot is
+	// still in flight, but its engine can already order commands. The reply
+	// stays parked until the install's apply answers it, and session dedup
+	// squashes commands the snapshot already contains; dedup and fast reads
+	// need the machine state it does not have yet. Without this a full member
+	// replacement has no one to propose to until the first install completes —
+	// exactly the window speculation exists to close.
+	if n.initialized {
+		if cmd.Seq <= n.machine.LastSeq(cmd.Client) {
+			reply, _ := n.machine.ApplyCommand(cmd) // dedup path: no mutation
+			respond(n.appliedReplyLocked(reply))
+			return
+		}
+		if n.tryFastReadLocked(cmd, respond) {
+			return
+		}
+	}
+	if !n.admitSubmitLocked(cmd) {
+		respond(n.busyReplyLocked())
+		return
+	}
+	n.enqueueSubmitLocked(cmd, respond)
+}
+
+// admitSubmitLocked decides whether a client command may join the pending
+// proposal queue — the admission control gate. A retry of an already-admitted
+// command always passes (it only attaches another waiter); past the bound,
+// new commands are shed. Only opSubmit traffic ever reaches this gate:
+// reconfigurations, chain records, announces and state transfer have their
+// own op codes, so control-plane progress is never queued behind client load.
+func (n *Node) admitSubmitLocked(cmd types.Command) bool {
+	if _, ok := n.pending[pendKey{client: cmd.Client, seq: cmd.Seq}]; ok {
+		return true
+	}
+	if len(n.pending) < n.opts.SubmitQueue {
+		return true
+	}
+	n.stats.ShedSubmits++
+	n.warnShed()
+	return false
+}
+
+// busyReplyLocked builds the SubmitBusy shed reply. RetryAfter is the
+// tick interval: by then the node has re-proposed its backlog at
+// least once, so the queue has had a real chance to drain.
+func (n *Node) busyReplyLocked() []byte {
+	return EncodeSubmitResult(SubmitResult{
+		Status:     SubmitBusy,
+		Config:     n.configs[n.curID],
+		Leader:     n.leaderHintLocked(),
+		RetryAfter: retryInterval,
+	})
+}
+
+// enqueueSubmitLocked registers a pending waiter for cmd and proposes it
+// into the current engine — the ordinary log path for writes and for reads
+// that could not use the fast path.
+func (n *Node) enqueueSubmitLocked(cmd types.Command, respond func([]byte)) {
+	key := pendKey{client: cmd.Client, seq: cmd.Seq}
+	p, ok := n.pending[key]
+	if !ok {
+		p = &pendingCmd{cmd: cmd}
+		// The proposal below is try zero, so the backoff clock starts here: a
+		// zero nextRetry would have the very next tick re-propose
+		// a command that is merely in flight. The extra tick covers the
+		// current one, which is already partly spent.
+		n.armRetryLocked(p)
+		p.nextRetry++
+		n.pending[key] = p
+		if depth := int64(len(n.pending)); depth > n.stats.SubmitQueueHigh {
+			n.stats.SubmitQueueHigh = depth
+		}
+	}
+	p.responders = append(p.responders, respond)
+	if run, ok := n.engines[n.curID]; ok {
+		_ = run.eng.Propose(cmd) // the tick re-proposes on loss
+	}
+}
+
 // maxApplyUnits bounds how many commands one round executes before
-// recommitting, so a deep decision backlog cannot hold execMu (and block
-// fast-path reads) unboundedly, nor keep a handed-over install waiting.
+// recommitting, so a deep decision backlog cannot keep the mailbox — client
+// commands, fast reads, a handed-over install — waiting unboundedly.
 const maxApplyUnits = 1024
 
 // applyUnit is one flattened command: batches are exploded into their
@@ -97,18 +223,14 @@ type applyUnit struct {
 	cmd  types.Command
 }
 
-// collectRound is the first, locked half of a round. It runs whatever was
-// handed to the loop, takes what the installed configuration's channel holds
-// into its head, and pops the round's units off the head. run is the
-// installed configuration's engine run, nil when none is.
+// collectRound is the first, locked half of a round. It drains the mailbox,
+// takes what the installed configuration's channel holds into its head, and
+// pops the round's units off the head. run is the installed configuration's
+// engine run, nil when none is.
 func (n *Node) collectRound() (units []applyUnit, run *engineRun) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	handoff := n.handoff
-	n.handoff = nil
-	for _, f := range handoff {
-		f()
-	}
+	n.drainMailboxLocked()
 	if run = n.engines[n.curID]; run == nil || !n.initialized {
 		n.serveReadyReadsLocked()
 		return nil, nil
@@ -231,17 +353,15 @@ func (n *Node) applyReconfigUnit(u applyUnit, lastOfSlot bool) (wedged bool) {
 }
 
 // applySegment applies a run of ordinary commands to the machine in decided
-// order with the node mutex released, then reacquires it to commit. The
-// machine cannot be replaced meanwhile: only this goroutine replaces it, and
-// only between rounds.
+// order with the node mutex released, then reacquires it to commit. Only this
+// goroutine reads or replaces the machine, so nothing can observe a
+// half-applied segment.
 func (n *Node) applySegment(seg []applyUnit, commit types.Slot) {
 	replies := make([][]byte, len(seg))
 	dups := make([]bool, len(seg))
-	n.execMu.Lock()
 	for k := range seg {
 		replies[k], dups[k] = n.machine.ApplyCommand(seg[k].cmd)
 	}
-	n.execMu.Unlock()
 
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -404,15 +524,20 @@ func (n *Node) respondApplied(p *pendingCmd, reply []byte) {
 	if len(p.responders) == 0 {
 		return
 	}
-	resp := EncodeSubmitResult(SubmitResult{
+	resp := n.appliedReplyLocked(reply)
+	for _, respond := range p.responders {
+		respond(resp)
+	}
+}
+
+// appliedReplyLocked builds the SubmitApplied reply carrying reply.
+func (n *Node) appliedReplyLocked(reply []byte) []byte {
+	return EncodeSubmitResult(SubmitResult{
 		Status: SubmitApplied,
 		Reply:  reply,
 		Config: n.configs[n.curID],
 		Leader: n.leaderHintLocked(),
 	})
-	for _, respond := range p.responders {
-		respond(resp)
-	}
 }
 
 func (n *Node) leaderHintLocked() types.NodeID {

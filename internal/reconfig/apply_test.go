@@ -1,9 +1,11 @@
 package reconfig
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,10 +17,12 @@ import (
 )
 
 // scriptedEngine is a one-member engine whose decisions the test writes into
-// its channel itself; it proposes and reads nothing.
+// its channel itself; it proposes nothing. It refuses every read index until
+// the test sets readIndex, and then answers with it inside ReadIndex.
 type scriptedEngine struct {
-	decs     chan smr.Decision
-	stopOnce sync.Once
+	decs      chan smr.Decision
+	stopOnce  sync.Once
+	readIndex atomic.Uint64
 }
 
 func (e *scriptedEngine) Start() error                   { return nil }
@@ -26,7 +30,11 @@ func (e *scriptedEngine) Stop()                          { e.stopOnce.Do(func() 
 func (e *scriptedEngine) Propose(types.Command) error    { return nil }
 func (e *scriptedEngine) Decisions() <-chan smr.Decision { return e.decs }
 func (e *scriptedEngine) Leader() (types.NodeID, bool)   { return "", false }
-func (e *scriptedEngine) ReadIndex(func(types.Slot, error)) error {
+func (e *scriptedEngine) ReadIndex(done func(types.Slot, error)) error {
+	if index := e.readIndex.Load(); index > 0 {
+		done(types.Slot(index), nil)
+		return nil
+	}
 	return smr.ErrNotLeader
 }
 func (e *scriptedEngine) Progress() smr.Progress { return smr.Progress{} }
@@ -235,5 +243,87 @@ func TestReconfigureRetriesPastBoundWedge(t *testing.T) {
 				t.Fatalf("Reconfigure = %v, %v; want %v, %v", r.cfg, r.err, tc.winner, tc.err)
 			}
 		})
+	}
+}
+
+// A read whose engine answers its index inside ReadIndex, on the loop itself,
+// completes: the answer is posted to the mailbox and served at the loop's next
+// drain, at once when the index is applied, or once the apply cursor reaches
+// it; when the mailbox is full it is answered SubmitBusy at once.
+func TestSynchronousReadIndexCompletesRead(t *testing.T) {
+	n, f := scriptedNode(t, 100)
+	e := f.engine(t, 1)
+	e.decs <- smr.Decision{Slot: 1, Cmd: add(1)}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, applied := n.AppliedSlot(); applied == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("slot 1 was never applied")
+		}
+	}
+	read := func(seq uint64) <-chan []byte {
+		out := make(chan []byte, 1)
+		go func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			reply, err := n.Submit(ctx, "r", seq, statemachine.EncodeCounterGet())
+			if err != nil {
+				t.Errorf("read #%d: %v", seq, err)
+			}
+			out <- reply
+		}()
+		return out
+	}
+
+	e.readIndex.Store(1)
+	if got := counterValue(t, <-read(1)); got != 1 {
+		t.Fatalf("read at index 1: counter %d, want 1", got)
+	}
+	e.readIndex.Store(2)
+	parked := read(2)
+	select {
+	case reply := <-parked:
+		t.Fatalf("read at index 2 answered %q before slot 2 was applied", reply)
+	case <-time.After(50 * time.Millisecond):
+	}
+	e.decs <- smr.Decision{Slot: 2, Cmd: add(2)}
+	if got := counterValue(t, <-parked); got != 2 {
+		t.Fatalf("read at index 2: counter %d, want 2", got)
+	}
+	if st := n.Stats(); st.FastReads != 2 || st.ReadFallbacks != 0 {
+		t.Fatalf("FastReads %d, ReadFallbacks %d; want 2 and 0", st.FastReads, st.ReadFallbacks)
+	}
+
+	// An answer that finds the mailbox full is not dropped: the read is shed
+	// with SubmitBusy at once. The test holds n.mu, so the loop cannot drain,
+	// while it posts work that fills the mailbox and then the read; the loop
+	// runs the first and admits the second in one drain.
+	n.mu.Lock()
+	n.mailbox.TryPut(loopMsg{f: func() {
+		for n.mailbox.TryPut(loopMsg{}) { // malformed commands: the loop drops them
+		}
+	}})
+	busy := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_, err := n.Submit(ctx, "r", 3, statemachine.EncodeCounterGet())
+		busy <- err
+	}()
+	for n.mailbox.Len() < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	n.mu.Unlock()
+	select {
+	case err := <-busy:
+		if !errors.Is(err, ErrBusy) {
+			t.Fatalf("read whose answer found the mailbox full: %v, want ErrBusy", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("a read whose answer found the mailbox full went unanswered")
+	}
+	if got := counterValue(t, <-read(3)); got != 2 {
+		t.Fatalf("the retried read: counter %d, want 2", got)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/fifo"
 	"repro/internal/paxos"
 	"repro/internal/rpc"
 	"repro/internal/smr"
@@ -176,7 +177,7 @@ type engineRun struct {
 	cfg types.Config
 	eng smr.Replica
 	// buffered is the head of decisions the apply loop has taken from the
-	// engine and not yet applied; only the loop touches it, under mu.
+	// engine and not yet applied; only the loop touches it.
 	buffered []smr.Decision
 	// installed is set once this configuration's state is installed here
 	// and the apply loop takes its decisions (takeOverLocked); until then
@@ -234,17 +235,11 @@ type Node struct {
 	// (commit and retire). Lock order: snapMu before mu.
 	snapMu sync.Mutex
 	mu     sync.Mutex
-	// execMu guards the machine's *content* during command execution. The
-	// apply stage takes it exclusively — without mu — while it executes a
-	// decided segment, so proposals and reads proceed under mu meanwhile;
-	// paths that read machine state under mu (submit dedup, fast-path reads)
-	// additionally take it shared so they never observe a half-applied
-	// segment. Lock order: mu before execMu; the apply stage
-	// never acquires mu while holding execMu.
-	execMu sync.RWMutex
-	// machine, configs, chain, curID, initialized, appliedSlot, engines,
-	// tick and staleTicks are read under mu and, once Start has returned,
-	// written only by the apply loop (apply.go).
+	// configs, chain, curID, initialized, appliedSlot, engines, tick and
+	// staleTicks are read under mu and, once Start has returned, written only
+	// by the apply loop (apply.go), under mu. The machine, pending and
+	// readWaiters are the loop's alone: no other goroutine reads the machine,
+	// and only Stats reads how many commands are pending.
 	machine     *statemachine.Sessioned
 	initConfig  types.Config
 	configs     map[types.ConfigID]types.Config
@@ -252,16 +247,18 @@ type Node struct {
 	curID       types.ConfigID
 	initialized bool // machine state is valid for curID; applying allowed
 	appliedSlot types.Slot
-	// handoff is the work other goroutines hand to the apply loop (onLoop):
-	// chain records learned from peers and fetched snapshots' installs.
-	handoff     []func()
+	// mailbox is everything other goroutines hand the apply loop: client
+	// commands, fast reads' indexes, and work posted by onLoop (chain records
+	// learned from peers, fetched snapshots' installs). taken is the loop's
+	// reused buffer for draining it.
+	mailbox     *fifo.Queue[loopMsg]
+	taken       []loopMsg
 	engines     map[types.ConfigID]*engineRun
 	pending     map[pendKey]*pendingCmd
 	readWaiters []*readWaiter   // fast-path reads awaiting their index
 	cfgWaiters  []chan struct{} // signaled (closed) on every transition
 	// Snapshot pipeline state (xfer.go), guarded by mu.
 	serving     map[types.ConfigID]*snapServing // snapshots held in memory while commit writes them
-	publishing  int                             // publish goroutines in flight
 	transfer    types.ConfigID                  // configuration the transfer goroutine is fetching; 0 when none runs
 	snapDurable types.ConfigID                  // newest configuration whose whole snapshot this node's store holds durably
 	retireNext  types.ConfigID                  // every older configuration's snapshot has been retired
@@ -280,9 +277,6 @@ type Node struct {
 	// corruption. Guarded by mu.
 	testChunkHook func(id types.ConfigID, idx int, data []byte) []byte
 
-	// pumpCh wakes the apply loop for handed-over work. Capacity 1; sends
-	// are non-blocking (onLoop).
-	pumpCh     chan struct{}
 	stopCh     chan struct{}
 	stopOnce   sync.Once
 	wg         sync.WaitGroup
@@ -318,7 +312,7 @@ func NewNode(nc NodeConfig) (*Node, error) {
 		retireNext:  1, // configuration IDs start at 1; 0 is "no transfer running"
 		discardNext: 1,
 		rng:         rand.New(rand.NewSource(types.SeedFor(string(nc.Self)))),
-		pumpCh:      make(chan struct{}, 1),
+		mailbox:     fifo.New[loopMsg](mailboxLimit),
 		stopCh:      make(chan struct{}),
 		baseCtx:     ctx,
 		baseCancel:  cancel,

@@ -5,6 +5,8 @@ import "repro/internal/types"
 // This file is the composition half of the linearizable read fast path.
 // The engine half (smr.ReadIndexer; for static Paxos, internal/paxos/read.go)
 // yields a read index; this half decides whether the node may answer at all.
+// All of it runs on the apply loop: a read is classified when the loop admits
+// it, and the engine's index comes back through the loop's mailbox.
 //
 // The correctness core is fencing: a read is served under the configuration
 // it was classified in (readCfg), and it must be refused the moment that
@@ -15,8 +17,7 @@ import "repro/internal/types"
 // sees; answering reads from the old configuration after that point would
 // serve stale data as if it were current. The engine cannot know any of
 // this (it is a black box that never learns about membership change), so
-// the node re-checks the fence under its own lock every time a read is
-// about to be answered.
+// the node re-checks the fence every time a read is about to be answered.
 
 // staleReadTicks is how many ticks a parked fast-path read may
 // wait for the apply cursor to reach its index before it is rerouted
@@ -35,11 +36,12 @@ type readWaiter struct {
 }
 
 // tryFastReadLocked classifies cmd and, when it is a read-only op eligible
-// for the fast path, hands it to the current engine's ReadIndex. It returns
-// true when the read was taken over by the fast path (respond will be
-// called later); false when the caller must use the log path. Caller holds
-// n.mu; the lock is dropped and re-acquired around the ReadIndex call, so
-// the caller must re-validate serving state when false is returned.
+// for the fast path, hands it to the current engine's ReadIndex, whose answer
+// the loop takes from its mailbox (completeReadLocked). It returns true when
+// the read was taken over by the fast path (respond will be called later);
+// false when the caller must use the log path. Caller holds n.mu, on the
+// loop; the callback only posts, so it may run inside ReadIndex, and when the
+// mailbox is full it answers SubmitBusy at once, so no read goes unanswered.
 func (n *Node) tryFastReadLocked(cmd types.Command, respond func([]byte)) bool {
 	if !n.machine.ReadOnly(cmd.Data) {
 		return false
@@ -56,57 +58,38 @@ func (n *Node) tryFastReadLocked(cmd types.Command, respond func([]byte)) bool {
 	if !ok {
 		return false
 	}
-	eng := run.eng
-	// ReadIndex must run outside n.mu: its callback (and its shutdown
-	// drain) re-acquires the node lock.
-	n.mu.Unlock()
-	err := eng.ReadIndex(func(index types.Slot, rerr error) {
-		n.completeRead(readCfg, cmd, respond, index, rerr)
+	err := run.eng.ReadIndex(func(index types.Slot, rerr error) {
+		if !n.mailbox.TryPut(loopMsg{cmd: cmd, respond: respond, readCfg: readCfg, index: index, err: rerr}) {
+			// A full mailbox: shed the read as admission sheds a command,
+			// without n.mu, which the engine's goroutine may not take.
+			respond(EncodeSubmitResult(SubmitResult{Status: SubmitBusy, RetryAfter: retryInterval}))
+		}
 	})
-	n.mu.Lock()
-	if err != nil {
-		return false // queue full or engine stopped: use the log path
-	}
-	return true
+	return err == nil // a full queue or a stopped engine: use the log path
 }
 
-// completeRead finishes one fast-path read once the engine has confirmed a
-// read index (or refused). It runs on the engine's event loop goroutine and
-// must not block beyond taking n.mu.
-func (n *Node) completeRead(readCfg types.ConfigID, cmd types.Command, respond func([]byte), index types.Slot, err error) {
-	n.mu.Lock()
-	if n.stopped {
-		n.mu.Unlock()
-		return
-	}
-	if err != nil {
+// completeReadLocked finishes one fast-path read once the engine has
+// confirmed a read index (or refused). Caller holds n.mu, on the loop.
+func (n *Node) completeReadLocked(m loopMsg) {
+	switch {
+	case m.err != nil:
 		// The engine would not confirm leadership (follower, deposed, or
 		// stopped). Fall back to the log path, which is correct from any
 		// node: the proposal is forwarded to whoever leads now.
 		n.stats.ReadFallbacks++
-		n.fallbackReadLocked(cmd, respond)
-		n.mu.Unlock()
-		return
-	}
-	if n.readFencedLocked(readCfg) {
+		n.fallbackReadLocked(m.cmd, m.respond)
+	case n.readFencedLocked(m.readCfg):
 		n.stats.ReadFenced++
-		resp := n.redirectReplyLocked()
-		n.mu.Unlock()
-		respond(resp)
-		return
+		m.respond(n.redirectReplyLocked())
+	case n.appliedSlot >= m.index:
+		m.respond(n.serveReadLocked(m.cmd))
+	default:
+		// Confirmed but not yet applied locally: park until the apply loop
+		// reaches the index (or a wedge fences the configuration).
+		n.readWaiters = append(n.readWaiters, &readWaiter{
+			cfg: m.readCfg, index: m.index, cmd: m.cmd, respond: m.respond,
+		})
 	}
-	if n.appliedSlot >= index {
-		resp := n.serveReadLocked(cmd)
-		n.mu.Unlock()
-		respond(resp)
-		return
-	}
-	// Confirmed but not yet applied locally: park until the apply loop
-	// reaches the index (or a wedge fences the configuration).
-	n.readWaiters = append(n.readWaiters, &readWaiter{
-		cfg: readCfg, index: index, cmd: cmd, respond: respond,
-	})
-	n.mu.Unlock()
 }
 
 // readFencedLocked reports whether fast-path reads classified under readCfg
@@ -123,25 +106,16 @@ func (n *Node) readFencedLocked(readCfg types.ConfigID) bool {
 	return wedged
 }
 
-// serveReadLocked answers a read from local state and builds the reply.
-// execMu (shared) orders the read after any off-mutex apply segment in
-// flight: by the time the apply cursor covers the read's index the commit
-// ran under n.mu, so state at least that fresh — and never a half-applied
-// batch — is what the read observes.
+// serveReadLocked answers a read from local state and builds the reply. It
+// runs on the loop, between segments, so the state it reads is exactly what
+// the apply cursor covers.
 func (n *Node) serveReadLocked(cmd types.Command) []byte {
-	n.execMu.RLock()
-	reply := n.machine.ApplyRead(cmd.Data)
-	n.execMu.RUnlock()
 	n.stats.FastReads++
-	return EncodeSubmitResult(SubmitResult{
-		Status: SubmitApplied,
-		Reply:  reply,
-		Config: n.configs[n.curID],
-		Leader: n.leaderHintLocked(),
-	})
+	return n.appliedReplyLocked(n.machine.ApplyRead(cmd.Data))
 }
 
-// redirectReplyLocked builds the redirect reply for a fenced read.
+// redirectReplyLocked builds the redirect reply: to a fenced read, or to a
+// command this node cannot take.
 func (n *Node) redirectReplyLocked() []byte {
 	return EncodeSubmitResult(SubmitResult{
 		Status: SubmitRedirect,

@@ -424,6 +424,7 @@ func TestNoAcknowledgedWriteLost(t *testing.T) {
 	}
 	cancel()
 	time.Sleep(100 * time.Millisecond)
+	w.waitServing("n4") // its snapshot may still be in flight
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 15*time.Second)
 	if _, err := w.node("n4").Reconfigure(ctx2, []types.NodeID{"n2", "n3", "n4", "n5"}); err != nil {
 		t.Fatal(err)

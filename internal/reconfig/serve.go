@@ -12,11 +12,13 @@ import (
 // delivered the request (rpc.Handler), which on the TCP fabric is the reader
 // of the sender's connection, so it must not wait: a client's submits reach
 // the engine's proposal queue in the clump they left the client in only if
-// nothing parks between the socket and Propose.
+// nothing parks between the socket and the loop that proposes them.
 //
-// opSubmit therefore runs inline — decode, handleSubmit, Propose, none of
-// which waits on anything but n.mu. Every other op may wait for the chain to
-// advance or touch the store, and gets its own goroutine.
+// opSubmit is therefore posted to the apply loop's mailbox, which admits it
+// (drainMailboxLocked): one TryPut that neither waits nor takes n.mu, and a
+// full mailbox drops the command as a lost frame is dropped. Every other op
+// may wait for the chain to advance or touch the store, and gets its own
+// goroutine.
 func (n *Node) handleRPC(_ types.NodeID, req []byte, respond func([]byte)) {
 	if len(req) == 0 {
 		return
@@ -25,11 +27,9 @@ func (n *Node) handleRPC(_ types.NodeID, req []byte, respond func([]byte)) {
 		go n.serveControl(req, respond)
 		return
 	}
-	cmd, err := types.DecodeCommand(req[1:])
-	if err != nil {
-		return
+	if cmd, err := types.DecodeCommand(req[1:]); err == nil {
+		n.mailbox.TryPut(loopMsg{cmd: cmd, respond: respond})
 	}
-	n.handleSubmit(cmd, respond)
 }
 
 // serveControl serves the ops that may block: reconfiguration, chain gossip,
@@ -105,145 +105,6 @@ func (n *Node) serveControl(req []byte, respond func([]byte)) {
 		reply := ChainResult{Initial: n.initConfig, Records: n.chainSinceLocked(since)}
 		n.mu.Unlock()
 		respond(encodeChainReply(reply))
-	}
-}
-
-// handleSubmit services one client command: dedup fast path, or register a
-// pending waiter and propose into the current engine.
-func (n *Node) handleSubmit(cmd types.Command, respond func([]byte)) {
-	if cmd.Kind != types.CmdApp || cmd.Client == "" || cmd.Seq == 0 {
-		return // malformed; client library never sends this
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.stopped {
-		return
-	}
-	cur := n.configs[n.curID]
-	if !cur.IsMember(n.self) {
-		respond(EncodeSubmitResult(SubmitResult{
-			Status: SubmitRedirect,
-			Config: cur,
-			Leader: n.leaderHintLocked(),
-		}))
-		return
-	}
-	if !n.initialized {
-		if !n.speculationOn() {
-			respond(EncodeSubmitResult(SubmitResult{
-				Status: SubmitRedirect,
-				Config: cur,
-				Leader: n.leaderHintLocked(),
-			}))
-			return
-		}
-		// Speculative accept: this member's snapshot is still in flight, but
-		// its engine can already order commands (speculative start). Propose
-		// now and leave the reply parked: the decision buffers until the
-		// install, the post-install apply answers the waiter, and session
-		// dedup squashes commands the snapshot already contains. Without this
-		// a full member replacement has no one to propose to until the first
-		// install completes — exactly the window speculation exists to close.
-		// The dedup and fast-read checks below need machine state we do not
-		// have yet; both remain correct at apply time.
-		if !n.admitSubmitLocked(cmd) {
-			respond(n.busyReplyLocked())
-			return
-		}
-		n.enqueueSubmitLocked(cmd, respond)
-		return
-	}
-	// Duplicate of an already-executed command: answer from the session
-	// table without touching the log. execMu (shared) keeps the session
-	// lookup from racing an off-mutex apply segment.
-	n.execMu.RLock()
-	isDup := cmd.Seq <= n.machine.LastSeq(cmd.Client)
-	var dupReply []byte
-	if isDup {
-		dupReply, _ = n.machine.ApplyCommand(cmd) // dedup path: no mutation
-	}
-	n.execMu.RUnlock()
-	if isDup {
-		respond(EncodeSubmitResult(SubmitResult{
-			Status: SubmitApplied,
-			Reply:  dupReply,
-			Config: cur,
-			Leader: n.leaderHintLocked(),
-		}))
-		return
-	}
-	// Read-only fast path: serve linearizable reads without a log append.
-	// tryFastReadLocked may drop and re-acquire n.mu around the engine
-	// call, so the serving state is re-validated below when it declines.
-	if n.tryFastReadLocked(cmd, respond) {
-		return
-	}
-	if n.stopped {
-		return
-	}
-	if !n.initialized || !n.configs[n.curID].IsMember(n.self) {
-		respond(n.redirectReplyLocked())
-		return
-	}
-	if !n.admitSubmitLocked(cmd) {
-		respond(n.busyReplyLocked())
-		return
-	}
-	n.enqueueSubmitLocked(cmd, respond)
-}
-
-// admitSubmitLocked decides whether a client command may join the pending
-// proposal queue — the admission control gate. A retry of an already-admitted
-// command always passes (it only attaches another waiter); past the bound,
-// new commands are shed. Only opSubmit traffic ever reaches this gate:
-// reconfigurations, chain records, announces and state transfer have their
-// own op codes, so control-plane progress is never queued behind client load.
-func (n *Node) admitSubmitLocked(cmd types.Command) bool {
-	if _, ok := n.pending[pendKey{client: cmd.Client, seq: cmd.Seq}]; ok {
-		return true
-	}
-	if len(n.pending) < n.opts.SubmitQueue {
-		return true
-	}
-	n.stats.ShedSubmits++
-	n.warnShed()
-	return false
-}
-
-// busyReplyLocked builds the SubmitBusy shed reply. RetryAfter is the
-// tick interval: by then the node has re-proposed its backlog at
-// least once, so the queue has had a real chance to drain.
-func (n *Node) busyReplyLocked() []byte {
-	return EncodeSubmitResult(SubmitResult{
-		Status:     SubmitBusy,
-		Config:     n.configs[n.curID],
-		Leader:     n.leaderHintLocked(),
-		RetryAfter: retryInterval,
-	})
-}
-
-// enqueueSubmitLocked registers a pending waiter for cmd and proposes it
-// into the current engine — the ordinary log path for writes and for reads
-// that could not use the fast path.
-func (n *Node) enqueueSubmitLocked(cmd types.Command, respond func([]byte)) {
-	key := pendKey{client: cmd.Client, seq: cmd.Seq}
-	p, ok := n.pending[key]
-	if !ok {
-		p = &pendingCmd{cmd: cmd}
-		// The proposal below is try zero, so the backoff clock starts here: a
-		// zero nextRetry would have the very next tick re-propose
-		// a command that is merely in flight. The extra tick covers the
-		// current one, which is already partly spent.
-		n.armRetryLocked(p)
-		p.nextRetry++
-		n.pending[key] = p
-		if depth := int64(len(n.pending)); depth > n.stats.SubmitQueueHigh {
-			n.stats.SubmitQueueHigh = depth
-		}
-	}
-	p.responders = append(p.responders, respond)
-	if run, ok := n.engines[n.curID]; ok {
-		_ = run.eng.Propose(cmd) // the tick re-proposes on loss
 	}
 }
 
@@ -327,16 +188,19 @@ func (n *Node) sendAnnounce(to types.NodeID, body []byte) {
 }
 
 // Submit executes one client command through this node and waits for the
-// result. It is the in-process equivalent of the client library's RPC.
+// result. It is the in-process equivalent of the client library's RPC; a full
+// mailbox, which drops an RPC's command, fails it with ErrBusy at once.
 func (n *Node) Submit(ctx context.Context, client types.NodeID, seq uint64, op []byte) ([]byte, error) {
 	cmd := types.Command{Kind: types.CmdApp, Client: client, Seq: seq, Data: op}
 	ch := make(chan []byte, 1)
-	n.handleSubmit(cmd, func(resp []byte) {
+	if !n.mailbox.TryPut(loopMsg{cmd: cmd, respond: func(resp []byte) {
 		select {
 		case ch <- resp:
 		default:
 		}
-	})
+	}}) {
+		return nil, fmt.Errorf("%w: mailbox full", ErrBusy)
+	}
 	select {
 	case resp := <-ch:
 		sr, err := DecodeSubmitResult(resp)

@@ -1,6 +1,7 @@
 package reconfig
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -68,20 +69,24 @@ func (s *stuckStore) Sync() error {
 	return s.MemStore.Sync()
 }
 
-// TestStuckFsyncLeavesNodeAnswering hangs the disk of two nodes at the moment
-// each writes a chain record — n3 as it applies the reconfiguration that
-// removes it, the spare s1 as it takes the announce that adds it — and keeps
-// it hung. Neither may hold Node.mu across a flush, so submits to both must
-// still be answered (with a redirect: n3 is retired, s1 has no state yet and
-// does not start speculatively), while n1 and n2 keep serving configuration 2.
-// Nor may either node's loop wait on the disk: it keeps ticking at its
-// period, and it integrates a chain record handed to it — configuration 3,
-// which n1 and n2 move on to — and jumps there.
+// TestStuckFsyncLeavesNodeAnswering hangs the disk of three nodes at the
+// moment each writes a chain record — n3 as it applies the reconfiguration
+// that removes it, n4 as it applies the same reconfiguration, which keeps it,
+// the spare s1 as it takes the announce that adds it — and keeps it hung,
+// while n1, n2 and s2 serve configuration 2. None may hold Node.mu across a
+// flush, nor may its loop wait on the disk, so all still answer submits: n3
+// (retired) and s1 (no state yet, no speculative start) redirect, and n4,
+// whose engine cannot reach its disk, answers a duplicate of an applied
+// command from its session table. Each loop keeps ticking at its period and
+// integrates a chain record handed to it — configuration 3, {n1, n2}: n3 and
+// s1 jump there at once; n4, still executing configuration 2, refuses a read
+// at once, as the record fences it, and moves on with the stale jump.
 func TestStuckFsyncLeavesNodeAnswering(t *testing.T) {
 	w := newWorld(t, transport.Options{BaseLatency: 100 * time.Microsecond, Seed: 71})
 	w.opts.SpeculativeStart = SpecOff
 	stuck := map[types.NodeID]*stuckStore{
 		"n3": newStuckStore("rc/chain/"),
+		"n4": newStuckStore("rc/chain/"),
 		"s1": newStuckStore("rc/chain/"),
 	}
 	defer func() {
@@ -95,38 +100,52 @@ func TestStuckFsyncLeavesNodeAnswering(t *testing.T) {
 		}
 		return storage.NewMem()
 	}
-	w.bootstrap(statemachine.NewKVMachine, "n1", "n2", "n3")
-	w.waitServing("n1", "n2", "n3")
-	if err := w.startNode("s1", statemachine.NewKVMachine).Start(); err != nil {
-		t.Fatal(err)
+	w.bootstrap(statemachine.NewKVMachine, "n1", "n2", "n3", "n4")
+	w.waitServing("n1", "n2", "n3", "n4")
+	for _, id := range []types.NodeID{"s1", "s2"} {
+		if err := w.startNode(id, statemachine.NewKVMachine).Start(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	w.submit("n1", "c1", 1, statemachine.EncodePut("k", []byte("v1")))
+	put := w.submit("n1", "c1", 1, statemachine.EncodePut("k", []byte("v1")))
 
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
-	if _, err := w.node("n1").Reconfigure(ctx, []types.NodeID{"n1", "n2", "s1"}); err != nil {
+	if _, err := w.node("n1").Reconfigure(ctx, []types.NodeID{"n1", "n2", "n4", "s1", "s2"}); err != nil {
 		t.Fatal(err)
 	}
 	for id, s := range stuck {
 		w.waitStat(s.shut.Load, string(id)+"'s chain record", 10*time.Second)
 	}
 
-	for _, id := range []types.NodeID{"n3", "s1"} {
-		done := make(chan error, 1)
-		go func(n *Node) {
+	answer := func(id types.NodeID, client types.NodeID, op []byte) ([]byte, error) {
+		t.Helper()
+		type result struct {
+			reply []byte
+			err   error
+		}
+		done := make(chan result, 1)
+		go func() {
 			sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer scancel()
-			_, err := n.Submit(sctx, "c2", 1, statemachine.EncodeGet("k"))
-			done <- err
-		}(w.node(id))
+			reply, err := w.node(id).Submit(sctx, client, 1, op)
+			done <- result{reply, err}
+		}()
 		select {
-		case err := <-done:
-			if !errors.Is(err, ErrNotServing) {
-				t.Errorf("submit to %s with its disk stuck: %v, want a redirect", id, err)
-			}
+		case r := <-done:
+			return r.reply, r.err
 		case <-time.After(3 * time.Second):
-			t.Errorf("submit to %s with its disk stuck went unanswered: a flush is holding Node.mu", id)
+			t.Fatalf("submit to %s with its disk stuck went unanswered: a flush is holding Node.mu or the loop", id)
+			return nil, nil
 		}
+	}
+	for _, id := range []types.NodeID{"n3", "s1"} {
+		if _, err := answer(id, "c2", statemachine.EncodeGet("k")); !errors.Is(err, ErrNotServing) {
+			t.Errorf("submit to %s with its disk stuck: %v, want a redirect", id, err)
+		}
+	}
+	if reply, err := answer("n4", "c1", statemachine.EncodePut("k", []byte("v1"))); err != nil || !bytes.Equal(reply, put) {
+		t.Errorf("duplicate to n4 with its disk stuck: %q, %v; want the recorded reply %q", reply, err, put)
 	}
 
 	ticks := func(n *Node) int64 {
@@ -134,7 +153,10 @@ func TestStuckFsyncLeavesNodeAnswering(t *testing.T) {
 		defer n.mu.Unlock()
 		return n.tick
 	}
-	before := map[types.NodeID]int64{"n3": ticks(w.node("n3")), "s1": ticks(w.node("s1"))}
+	before := map[types.NodeID]int64{}
+	for id := range stuck {
+		before[id] = ticks(w.node(id))
+	}
 	time.Sleep(300 * time.Millisecond)
 	for id, was := range before {
 		if got := ticks(w.node(id)) - was; got < 20 {
@@ -150,7 +172,7 @@ func TestStuckFsyncLeavesNodeAnswering(t *testing.T) {
 			rec = r
 		}
 	}
-	for id := range stuck {
+	for _, id := range []types.NodeID{"n3", "s1", "n4"} {
 		done := make(chan struct{})
 		go func(n *Node) {
 			n.handleAnnounce(rec)
@@ -158,13 +180,27 @@ func TestStuckFsyncLeavesNodeAnswering(t *testing.T) {
 		}(w.node(id))
 		select {
 		case <-done:
-			if cur := w.node(id).CurrentConfig().ID; cur != 3 {
-				t.Errorf("%s integrated the record of configuration 3 and is in %d", id, cur)
-			}
 		case <-time.After(3 * time.Second):
-			t.Errorf("a chain record handed to %s with its disk stuck was never integrated: its loop waits on the disk", id)
+			t.Fatalf("a chain record handed to %s with its disk stuck was never integrated: its loop waits on the disk", id)
+		}
+		if id == "n4" {
+			continue
+		}
+		if cur := w.node(id).CurrentConfig().ID; cur != 3 {
+			t.Errorf("%s integrated the record of configuration 3 and is in %d", id, cur)
+		}
+		if _, err := answer(id, "c3", statemachine.EncodeGet("k")); !errors.Is(err, ErrNotServing) {
+			t.Errorf("submit to %s after its jump with its disk stuck: %v, want a redirect", id, err)
 		}
 	}
+	fenced := w.node("n4").Stats().ReadFenced
+	if _, err := answer("n4", "c3", statemachine.EncodeGet("k")); !errors.Is(err, ErrNotServing) {
+		t.Errorf("read on n4, whose configuration is wedged: %v, want a redirect", err)
+	}
+	if got := w.node("n4").Stats().ReadFenced; got != fenced+1 {
+		t.Errorf("n4's ReadFenced went %d -> %d, want the read refused by the fence", fenced, got)
+	}
+	waitCurrent(t, w.node("n4"), 3)
 	w.submit("n1", "c1", 2, statemachine.EncodePut("k", []byte("v2")))
 }
 

@@ -101,17 +101,14 @@ func (n *Node) retiredLocked(id types.ConfigID) bool { return n.curID >= id+2 }
 // publishAsyncLocked publishes src off the caller's critical path. Caller
 // holds mu and has just forked src under it.
 func (n *Node) publishAsyncLocked(id types.ConfigID, src statemachine.SnapshotSource) {
-	n.publishing++
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
-		err := n.publish(id, src, true)
-		n.mu.Lock()
-		n.publishing--
-		if err != nil {
+		if err := n.publish(id, src, true); err != nil {
+			n.mu.Lock()
 			n.stats.InvariantViolations++
+			n.mu.Unlock()
 		}
-		n.mu.Unlock()
 	}()
 }
 

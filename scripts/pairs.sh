@@ -1,13 +1,18 @@
 #!/usr/bin/env bash
 # Alternating parent/change pairs of the repo benchmark, as one command.
 #
-#   scripts/pairs.sh <parent-ref> <workload>[,<workload>...] <n> [seconds] [out.json]
+#   [ANCHOR=<anchor-ref>] scripts/pairs.sh <parent-ref> <workload>[,<workload>...] <n> [seconds] [out.json]
 #
 # Extracts <parent-ref> into a temporary directory (git archive: nothing is
 # registered in .git and nothing is left behind), then runs the benchmark
 # driver's exact command — go run -C bench repro/bench --workload W --seconds S
 # --seed N — on the parent and on this tree <n> times each, alternating which
-# side goes first and giving every pair a fresh seed. It writes the file named
+# side goes first and giving every pair a fresh seed. With ANCHOR set it
+# extracts <anchor-ref> too and runs <n> triples instead — anchor, parent and
+# change in an order that rotates from triple to triple, one seed per triple —
+# and the file also names "anchor_commit" and gives every metric a
+# "vs_anchor" block: the change against the anchor by the same rule, so a
+# slow drift across several changes shows. It writes the file named
 # by the fifth argument or by $OUT (one of the two is required; a trajectory
 # file is BENCH_<pr>.json at the repo root): per workload, for every
 # end-to-end metric the run's own table gives a bound for — setup_s,
@@ -26,7 +31,8 @@
 #                 the bound
 #   within_bound  none of the above
 #
-# plus the runner facts without which two files must never be compared.
+# (scripts/pairs.awk holds the rule; scripts/pairs_test.sh checks it on fixture
+# rows), plus the runner facts without which two files must never be compared.
 # Beside the metrics it records every run's attempted and failed operations
 # (from the contract line) and each side's failed share, Σfailed / Σattempted
 # over its runs: a change must not fail a larger share than its parent.
@@ -53,6 +59,12 @@ tmp=$(mktemp -d "${TMPDIR:-/tmp}/pairs.XXXXXX")
 trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/parent"
 git -C "$repo" archive "$parent_commit" | tar -x -C "$tmp/parent"
+anchor_commit=
+if [ -n "${ANCHOR:-}" ]; then
+	anchor_commit=$(git -C "$repo" rev-parse "$ANCHOR^{commit}")
+	mkdir "$tmp/anchor"
+	git -C "$repo" archive "$anchor_commit" | tar -x -C "$tmp/anchor"
+fi
 
 # run_one <tree> <workload> <seed>: the driver's command. Prints "ops
 # attempted failed" from the contract line, then one line per bounded
@@ -77,7 +89,9 @@ run_one() {
 }
 
 {
-	printf '{\n "parent_commit": "%s",\n "change_commit": "%s",\n "change_dirty": %s,\n' \
+	printf '{\n'
+	[ -z "$anchor_commit" ] || printf ' "anchor_commit": "%s",\n' "$anchor_commit"
+	printf ' "parent_commit": "%s",\n "change_commit": "%s",\n "change_dirty": %s,\n' \
 		"$parent_commit" "$(git -C "$repo" rev-parse HEAD)" \
 		"$([ -n "$(git -C "$repo" status --porcelain)" ] && echo true || echo false)"
 	printf ' "runner": {"nproc": %s, "gomaxprocs": %s, "go_version": "%s", "kernel": "%s"},\n' \
@@ -91,79 +105,29 @@ for wl in $workloads; do
 	: >"$tmp/rows.txt" # seed side name value bound better, or seed side ops attempted failed
 	for i in $(seq 1 "$pairs"); do
 		seed=$((seed0 + i))
-		if [ $((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
+		if [ -n "$anchor_commit" ]; then
+			case $((i % 3)) in
+			1) order="anchor parent change" ;;
+			2) order="parent change anchor" ;;
+			0) order="change anchor parent" ;;
+			esac
+		elif [ $((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
 		for side in $order; do
 			tree=$repo
-			[ "$side" = parent ] && tree=$tmp/parent
+			[ "$side" = change ] || tree=$tmp/$side
 			run_one "$tree" "$wl" "$seed" | sed "s/^/$seed $side /" >>"$tmp/rows.txt"
 		done
 		echo "pairs: $wl pair $i/$pairs seed $seed:$(awk -v s="$seed" '
 			$1 != s { next }
-			$2 == "parent" { p[$3] = ($3 == "ops") ? $5 "/" $4 : $4; next }
-			$3 == "ops" { printf " failed %s -> %s/%s;", p["ops"], $5, $4; next }
-			{ printf " %s %s -> %s;", $3, p[$3], $4 }' \
-			<(sort -s -k2,2r "$tmp/rows.txt"))" >&2
+			NR == FNR { if ($2 != "change") v[$2, $3] = ($3 == "ops") ? $5 "/" $4 : $4; next }
+			$2 != "change" { next }
+			{ was = ((("anchor", $3) in v) ? v["anchor", $3] " -> " : "") v["parent", $3] }
+			$3 == "ops" { printf " failed %s -> %s/%s;", was, $5, $4; next }
+			{ printf " %s %s -> %s;", $3, was, $4 }' "$tmp/rows.txt" "$tmp/rows.txt")" >&2
 	done
 	[ $first_wl -eq 1 ] || echo ' ,' >>"$tmp/out.json"
 	first_wl=0
-	awk -v wl="$wl" -v pairs="$pairs" '
-	function quantile(a, n, p,    h, f, q) { # a[1..n] sorted; linear interpolation
-		h = (n - 1) * p + 1; f = int(h); q = a[f]
-		if (f < n) q += (h - f) * (a[f + 1] - a[f])
-		return q
-	}
-	function sorted(src, n, dst,    i, j, v) {
-		for (i = 1; i <= n; i++) {
-			v = src[i]
-			for (j = i - 1; j >= 1 && dst[j] > v; j--) dst[j + 1] = dst[j]
-			dst[j + 1] = v
-		}
-	}
-	!($1 in seen) { seen[$1] = 1; seeds[++ns] = $1 }
-	$3 == "ops" { att[$2, $1] = $4; fail[$2, $1] = $5; satt[$2] += $4; sfail[$2] += $5; next }
-	{
-		if (!($3 in bound)) { names[++nm] = $3; bound[$3] = $5; better[$3] = $6 }
-		val[$3, $2, $1] = $4
-	}
-	function share(side) { return satt[side] ? sfail[side] / satt[side] : 0 }
-	END {
-		printf "  {\"workload\": \"%s\",\n   \"failed_share\": {\"parent\": %.6g, \"change\": %.6g},\n   \"ops\": [\n", wl, share("parent"), share("change")
-		for (i = 1; i <= ns; i++)
-			printf "    {\"seed\": %s, \"parent\": {\"attempted\": %d, \"failed\": %d}, \"change\": {\"attempted\": %d, \"failed\": %d}}%s\n", \
-				seeds[i], att["parent", seeds[i]], fail["parent", seeds[i]], att["change", seeds[i]], fail["change", seeds[i]], (i < ns ? "," : "")
-		printf "   ],\n   \"metrics\": [\n"
-		printf "pairs: %s failed share: parent %d/%d, change %d/%d\n", \
-			wl, sfail["parent"], satt["parent"], sfail["change"], satt["change"] >"/dev/stderr"
-		for (m = 1; m <= nm; m++) {
-			name = names[m]; sign = (better[name] == "higher") ? -1 : 1
-			wins = losses = 0; allbetter = 1
-			delete p; delete c; delete ps; delete cs
-			printf "   {\"metric\": \"%s\", \"better\": \"%s\", \"bound\": %s, \"pairs\": [\n", name, better[name], bound[name]
-			for (i = 1; i <= ns; i++) {
-				p[i] = val[name, "parent", seeds[i]]; c[i] = val[name, "change", seeds[i]]
-				if (sign * (c[i] - p[i]) < 0) wins++
-				if (sign * (c[i] - p[i]) > 0) losses++
-				printf "     {\"seed\": %s, \"parent\": %s, \"change\": %s}%s\n", seeds[i], p[i], c[i], (i < ns ? "," : "")
-			}
-			sorted(p, ns, ps); sorted(c, ns, cs)
-			pm = quantile(ps, ns, 0.5); pq1 = quantile(ps, ns, 0.25); pq3 = quantile(ps, ns, 0.75)
-			cm = quantile(cs, ns, 0.5); cq1 = quantile(cs, ns, 0.25); cq3 = quantile(cs, ns, 0.75)
-			# every run of the change better than every run of the parent?
-			if (sign > 0) allbetter = (cs[ns] < ps[1]); else allbetter = (cs[1] > ps[ns])
-			improvement = sign * (pm - cm)
-			if (wins >= 0.9 * ns && improvement > pq3 - pq1) verdict = "gain"
-			else if (pm != 0 && (pq3 - pq1) / pm > bound[name] && !allbetter) verdict = "unresolved"
-			else if (pm != 0 && -improvement / pm > bound[name]) verdict = "regression"
-			else verdict = "within_bound"
-			printf "     ],\n     \"parent\": {\"median\": %.6f, \"q1\": %.6f, \"q3\": %.6f},\n", pm, pq1, pq3
-			printf "     \"change\": {\"median\": %.6f, \"q1\": %.6f, \"q3\": %.6f},\n", cm, cq1, cq3
-			printf "     \"median_change_frac\": %.4f, \"change_wins\": %d, \"change_losses\": %d, \"verdict\": \"%s\"}%s\n", \
-				(pm != 0 ? (cm - pm) / pm : 0), wins, losses, verdict, (m < nm ? "," : "")
-			printf "pairs: %s %s: parent median %.6g [%.6g, %.6g], change median %.6g [%.6g, %.6g], change won %d/%d, %s\n", \
-				wl, name, pm, pq1, pq3, cm, cq1, cq3, wins, ns, verdict >"/dev/stderr"
-		}
-		printf "   ]}\n"
-	}' "$tmp/rows.txt" >>"$tmp/out.json"
+	awk -v wl="$wl" -f "$repo/scripts/pairs.awk" "$tmp/rows.txt" >>"$tmp/out.json"
 done
 printf ' ]\n}\n' >>"$tmp/out.json"
 mv "$tmp/out.json" "$out"
