@@ -62,23 +62,20 @@ fmt-check:
 # type-asserts a staging interface, and the fifth when non-test code above
 # internal/storage calls a store's Set or Delete. The sixth fails when
 # internal/reconfig's non-test code names paxos beyond Options.Paxos and the
-# default engine factory built from it. The seventh and eighth fail when it
-# names the machinery a second owner of the node's loop needed (epoch,
-# requeue, consumeEngine, droppedBelow, decisionBuffer, housekeeping,
-# scheduleEngineStop, advanceToLocked, execMu, handoff, pumpCh), or assigns
-# the machine, curID, initialized, appliedSlot, tick or staleTicks, or an
-# entry of chain, configs or engines, outside apply.go, Start and
-# recoverChainLocked, or an entry of pending or readWaiters outside apply.go
-# and read.go, or when handleRPC, which receives opSubmit, takes n.mu. The
-# ninth fails when non-test code under internal/ or cmd/ names the
-# within-configuration checkpoint and truncation machinery that the log bound
-# replaced (one compaction mechanism). The tenth fuzzes RestoreChunk, the one
-# decoder of snapshot bytes from peers, for 10 s. bench/ is a nested module
-# (bench/go.mod) that ./... does not descend into; the eleventh line notices a
-# program change that breaks the benchmark's build. The twelfth checks the
-# ledger's verdict arithmetic (scripts/pairs.awk) on fixture rows. The last
-# prints what CI's Size step puts on the run's summary page
-# and fails, as that step does, when an option struct exceeds its field bound.
+# default engine factory built from it. The seventh is the one-node-loop check
+# (scripts/loopcheck.sh, which lists its rules): no second owner of the node's
+# state, lock or loop is back in internal/reconfig, and the loop's state is
+# assigned only where the loop or what runs before it does. The eighth fails
+# when non-test code under internal/ or cmd/ names the within-configuration
+# checkpoint and truncation machinery that the log bound replaced (one
+# compaction mechanism). The ninth fuzzes RestoreChunk, the one decoder of
+# snapshot bytes from peers, for 10 s. bench/ is a nested module (bench/go.mod)
+# that ./... does not descend into; the tenth line notices a program change
+# that breaks the benchmark's build. The eleventh checks the ledger's verdict
+# arithmetic (scripts/pairs.awk) on fixture rows. The last prints what CI's
+# Size step puts on the run's summary page and fails, as that step does, when
+# an option struct, the n.mu.Lock() sites or the go statements of
+# internal/reconfig exceed their bound.
 ci: vet build examples test race fmt-check
 	$(GO) test -run 'TestLoadedWritePathBytesPerOp' -count=1 ./internal/cluster/
 	$(GO) test -run 'TestReplicaConstructionAllocates|TestReplicaAtRestGoroutines' -count=1 ./internal/reconfig/
@@ -86,8 +83,7 @@ ci: vet build examples test race fmt-check
 	! grep -rnE '\.\((storage\.)?(BufferedStore|Stager)\)' --include='*.go' internal cmd examples | grep -v '_test.go:' | grep -v '^internal/storage/storage.go:'
 	! grep -rnE '\bstore\.(Set|Delete)\(|WriteChunkManifest\(' --include='*.go' internal cmd examples | grep -v '_test.go:' | grep -v '^internal/storage/'
 	! grep -nE 'paxos\.|"repro/internal/paxos"' $$(ls internal/reconfig/*.go | grep -v '_test\.go$$') | grep -vE '^internal/reconfig/node\.go:[0-9]+:[[:space:]]*(Paxos paxos\.Options|o\.engine = paxos\.Factory\(o\.Paxos\)|"repro/internal/paxos")$$'
-	! grep -nwE 'epoch|requeue|consumeEngine|droppedBelow|decisionBuffer|housekeeping|scheduleEngineStop|advanceToLocked|execMu|handoff|pumpCh' $$(ls internal/reconfig/*.go | grep -v '_test\.go$$')
-	awk 'FNR==1{fn=""} /^func /{fn=$$0} (/[^A-Za-z0-9_]n\.(machine|curID|initialized|appliedSlot|tick|staleTicks)[[:space:]]*([-+]?=[^=]|\+\+|--)/ || /[^A-Za-z0-9_]n\.(machine|curID|initialized|appliedSlot)[[:space:]]*,.*[^=!<>]=[^=]/ || /[^A-Za-z0-9_]n\.(chain|configs|engines)\[[^]]*\][[:space:]]*=[^=]/ || /delete\(n\.engines/) && FILENAME !~ /apply\.go$$/ && fn !~ /\) (Start|recoverChainLocked)\(/ {print FILENAME":"FNR": "$$0; bad=1} (/[^A-Za-z0-9_]n\.pending\[[^]]*\][[:space:]]*=[^=]/ || /delete\(n\.pending/ || /[^A-Za-z0-9_]n\.readWaiters[[:space:]]*=[^=]/) && FILENAME !~ /(apply|read)\.go$$/ {print FILENAME":"FNR": "$$0; bad=1} fn ~ /\) handleRPC\(/ && /n\.mu\.Lock/ {print FILENAME":"FNR": "$$0; bad=1} END{exit bad}' $$(ls internal/reconfig/*.go | grep -v '_test\.go$$')
+	scripts/loopcheck.sh
 	! grep -rnwE 'TruncateBelow|SkipTo|CheckpointNeeded|TruncatedBelow|persistTruncated|behindLocked|catchupGapSlots|checkpointMargin|opCkptAnnounce|opCkptAck' --include='*.go' internal cmd | grep -v '_test.go:'
 	$(GO) test -run '^$$' -fuzz '^FuzzSessionedRestoreChunk$$' -fuzztime 10s ./internal/statemachine/
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...

@@ -1,6 +1,7 @@
 package reconfig
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -86,12 +87,16 @@ type loopMsg struct {
 	err     error
 }
 
-// onLoop posts f to the apply loop, which runs it under n.mu between two
-// rounds, in arrival order, and waits until it has; false means the node
-// stopped first. The caller holds no lock and is not the loop.
+// post hands f to the apply loop, which runs it under n.mu between two
+// rounds, in arrival order; false means the node stopped first. It waits only
+// for room in the mailbox. The caller holds no lock and is not the loop.
+func (n *Node) post(f func()) bool { return n.mailbox.Put(loopMsg{f: f}, n.stopCh) }
+
+// onLoop posts f to the apply loop and waits until the loop has run it; false
+// means the node stopped first.
 func (n *Node) onLoop(f func()) bool {
 	done := make(chan struct{})
-	if !n.mailbox.Put(loopMsg{f: func() { f(); close(done) }}, n.stopCh) {
+	if !n.post(func() { f(); close(done) }) {
 		return false
 	}
 	select {
@@ -495,11 +500,14 @@ func (n *Node) takeOverLocked(id types.ConfigID) int64 {
 // jumpLocked moves the node's execution cursor to configuration id without
 // local state (a fetch must follow if we are a member): a spare or retired
 // node adopting an announced successor, or a stale jump. It runs on the apply
-// loop. The old configuration's run stays until the tick retires it. Caller
-// holds mu.
+// loop. The old configuration's run stays until the tick retires it, and a
+// running transfer is cancelled. Caller holds mu.
 func (n *Node) jumpLocked(id types.ConfigID) {
 	if run, ok := n.engines[n.curID]; ok {
 		run.buffered = nil
+	}
+	if n.transferCancel != nil {
+		n.transferCancel() // its snapshot is of a configuration the node leaves
 	}
 	n.curID = id
 	n.appliedSlot = 0
@@ -597,8 +605,11 @@ func (n *Node) wedgeLocked(slot types.Slot, newCfg types.Config) {
 
 	// The machine state at the wedge IS the successor's initial state:
 	// publish it at base 0. Only the copy-on-write fork (O(shards)) runs
-	// under n.mu.
-	n.publishAsyncLocked(newCfg.ID, n.machine.ForkSnapshot())
+	// under n.mu; from here until the commit reports its end, retire leaves
+	// the snapshot alone.
+	n.serving[newCfg.ID] = &snapServing{committing: true}
+	n.wg.Add(1)
+	go n.publish(newCfg.ID, n.machine.ForkSnapshot())
 
 	// The old engine lingers for laggards until the tick retires it. What the
 	// round took past the wedge is dropped with its head, and what the engine
@@ -884,10 +895,10 @@ func (n *Node) newestReachableLocked() types.ConfigID {
 // goes before a newer snapshot is durable here (snapDurable): until then a
 // restart replays this node's own logs from the newest snapshot its store
 // holds whole (recoverMachine), which needs that snapshot and every engine
-// namespace from it on. A snapshot the transfer goroutine may still be
-// persisting chunks of waits until that goroutine has exited. One retirement
-// runs at a time, so every engine has stopped before its namespace goes,
-// whichever tick dropped it.
+// namespace from it on. A snapshot that a commit or the transfer goroutine may
+// still be writing waits until the worker has reported its end, so no
+// snapshot has two writers. One retirement runs at a time, so every engine has
+// stopped before its namespace goes, whichever tick dropped it.
 // What a dropped run counted stays in the node's stats, so no counter goes
 // backwards. Caller holds mu, on the loop.
 func (n *Node) retireLocked() {
@@ -907,7 +918,7 @@ func (n *Node) retireLocked() {
 		old = append(old, run.eng)
 	}
 	var snaps, streams []types.ConfigID
-	for n.retiredLocked(n.retireNext) && n.retireNext < n.snapDurable && n.retireNext != n.transfer {
+	for n.retiredLocked(n.retireNext) && n.retireNext < n.snapDurable && n.retireNext != n.transfer && !n.committingLocked(n.retireNext) {
 		delete(n.serving, n.retireNext)
 		snaps = append(snaps, n.retireNext)
 		n.retireNext++
@@ -942,3 +953,70 @@ func countRun(out *NodeStats, run *engineRun) smr.Counters {
 	out.GroupCommits += es.GroupCommits
 	return es
 }
+
+// --- the snapshot pipeline's reports (xfer.go) --------------------------------
+
+// servingLocked takes publish's serialized copy of id's snapshot, which peers
+// are served from while the commit writes the stored blob, and reports whether
+// id is retired already; then the copy is dropped and no commit runs. Caller
+// holds mu, on the loop.
+func (n *Node) servingLocked(id types.ConfigID, m storage.ChunkManifest, chunks [][]byte) (retired bool) {
+	if n.retiredLocked(id) {
+		delete(n.serving, id)
+		return true
+	}
+	n.serving[id] = &snapServing{manifest: m, chunks: chunks, committing: true}
+	return false
+}
+
+// committedLocked takes the end of id's commit: the stored snapshot is
+// durable and served from the store, or the commit failed and the in-memory
+// copy stays served until retire drops it. Caller holds mu, on the loop.
+func (n *Node) committedLocked(id types.ConfigID, err error) {
+	if err != nil {
+		n.stats.InvariantViolations++
+		if s := n.serving[id]; s != nil { // nil: dropped as retired on a racing Stop
+			s.committing = false
+		}
+		return
+	}
+	delete(n.serving, id)
+	n.snapDurable = max(n.snapDurable, id)
+}
+
+// committingLocked reports whether a commit of id's snapshot has not reported
+// its end yet. Caller holds mu.
+func (n *Node) committingLocked(id types.ConfigID) bool {
+	s := n.serving[id]
+	return s != nil && s.committing
+}
+
+// maybeTransferLocked launches the transfer goroutine if the node is a member
+// of its current configuration with no state and no transfer is running. The
+// transition paths call it right away — joining latency is downtime — and the
+// tick relaunches one that ended. The fetch sources are fixed at launch: the
+// one chain record that names the configuration as a successor is known by
+// then (fetchSourcesLocked). The node stops wanting the snapshot only when it
+// moves past the configuration or stops, and jumpLocked and Stop cancel the
+// transfer's context then. Caller holds mu, on the loop.
+func (n *Node) maybeTransferLocked() {
+	id := n.curID
+	if n.transfer != 0 || n.stopped || id == 0 || n.initialized || !n.configs[id].IsMember(n.self) {
+		return
+	}
+	ctx, cancel := context.WithCancel(n.baseCtx)
+	n.transfer, n.transferCancel = id, cancel
+	n.wg.Add(1)
+	go n.runTransfer(ctx, id, n.fetchSourcesLocked(id))
+}
+
+// transferEndedLocked takes the transfer goroutine's last report. Caller
+// holds mu, on the loop.
+func (n *Node) transferEndedLocked() {
+	n.transferCancel()
+	n.transfer, n.transferCancel = 0, nil
+}
+
+// retireEndedLocked takes the retire goroutine's report that it is done.
+// Caller holds mu, on the loop.
+func (n *Node) retireEndedLocked() { n.retiring = false }

@@ -183,9 +183,14 @@ func (r *idealReplica) loop() {
 			return
 		case <-tick.C:
 		}
+		// A pause of 20–220 ms starts one tick in 2 500, so a member lags
+		// about one twentieth of the time. A client waits out the pause of
+		// the member it submits to, so pausing members much more often
+		// starves a short cell's clients of ops, and a log-bound cell of its
+		// wedges at the bound.
 		if r.pauseTicks > 0 {
 			r.pauseTicks--
-		} else if r.rng.Intn(500) == 0 {
+		} else if r.rng.Intn(2500) == 0 {
 			r.pauseTicks = 20 + r.rng.Intn(200)
 		} else {
 			r.deliver(r.rng.Intn(48))

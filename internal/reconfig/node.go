@@ -231,10 +231,7 @@ type Node struct {
 	opts    Options
 	peer    *rpc.Peer
 
-	// snapMu serializes the whole-blob writers of the rc/snap/ namespace
-	// (commit and retire). Lock order: snapMu before mu.
-	snapMu sync.Mutex
-	mu     sync.Mutex
+	mu sync.Mutex
 	// configs, chain, curID, initialized, appliedSlot, engines, tick and
 	// staleTicks are read under mu and, once Start has returned, written only
 	// by the apply loop (apply.go), under mu. The machine, pending and
@@ -257,20 +254,23 @@ type Node struct {
 	pending     map[pendKey]*pendingCmd
 	readWaiters []*readWaiter   // fast-path reads awaiting their index
 	cfgWaiters  []chan struct{} // signaled (closed) on every transition
-	// Snapshot pipeline state (xfer.go), guarded by mu.
-	serving     map[types.ConfigID]*snapServing // snapshots held in memory while commit writes them
-	transfer    types.ConfigID                  // configuration the transfer goroutine is fetching; 0 when none runs
-	snapDurable types.ConfigID                  // newest configuration whose whole snapshot this node's store holds durably
-	retireNext  types.ConfigID                  // every older configuration's snapshot has been retired
-	discardNext types.ConfigID                  // every older configuration's engine namespace has been discarded
-	retiring    bool                            // a retire goroutine is stopping engines or deleting what they left
-	tick        int64                           // ticks the apply loop has run (houseTick)
-	rng         *rand.Rand                      // jitter source, guarded by mu
-	staleTicks  int                             // ticks the stale jump has waited without the apply cursor moving
-	staleSlot   types.Slot                      // the apply cursor at the stale jump's last look
-	gossipLeft  int
-	gossipSeq   int
-	stopped     bool
+	// Snapshot pipeline state (xfer.go), guarded by mu and, once Start has
+	// returned, written only by the apply loop (apply.go) from its workers'
+	// reports.
+	serving        map[types.ConfigID]*snapServing // snapshots this node commits, from the fork until the commit ends
+	transfer       types.ConfigID                  // configuration the transfer goroutine is fetching; 0 when none runs
+	transferCancel context.CancelFunc              // ends the running transfer
+	snapDurable    types.ConfigID                  // newest configuration whose whole snapshot this node's store holds durably
+	retireNext     types.ConfigID                  // every older configuration's snapshot has been retired
+	discardNext    types.ConfigID                  // every older configuration's engine namespace has been discarded
+	retiring       bool                            // a retire goroutine is stopping engines or deleting what they left
+	tick           int64                           // ticks the apply loop has run (houseTick)
+	rng            *rand.Rand                      // jitter source, guarded by mu
+	staleTicks     int                             // ticks the stale jump has waited without the apply cursor moving
+	staleSlot      types.Slot                      // the apply cursor at the stale jump's last look
+	gossipLeft     int
+	gossipSeq      int
+	stopped        bool
 
 	// testChunkHook, when set by a test (same package), intercepts every
 	// chunk this node serves: returning modified bytes simulates wire
@@ -288,6 +288,11 @@ type Node struct {
 	// stats holds the counters the node keeps itself, incremented in place
 	// under mu; Stats fills in the fields computed when it is called.
 	stats NodeStats
+	// workerStats are the counters the snapshot pipeline's workers and
+	// server bump without mu; Stats folds them in.
+	workerStats struct {
+		snapshotsServed, chunksServed, chunksFetched, chunkRetries, chunkCRCRejected, violations atomic.Int64
+	}
 }
 
 // NewNode constructs a Node. Call Bootstrap (first boot of an initial
@@ -352,7 +357,8 @@ func (n *Node) Bootstrap(initial types.Config) error {
 		}
 		return nil
 	}
-	if err := n.publish(initial.ID, statemachine.NewSessioned(n.factory()).ForkSnapshot(), false); err != nil {
+	m, chunks := serialize(statemachine.NewSessioned(n.factory()).ForkSnapshot())
+	if err := storage.StageChunkedCommit(n.store, snapPrefix(initial.ID), m, func(i int) []byte { return chunks[i] }); err != nil {
 		return err
 	}
 	return n.store.SetBuffered("rc/init", types.EncodeConfig(initial))
@@ -369,7 +375,8 @@ func (n *Node) Start() error {
 		n.mu.Unlock()
 		return ErrStopped
 	}
-	err := n.recoverChainLocked()
+	discarded, err := n.recoverChainLocked()
+	n.discardNext = max(n.discardNext, discarded)
 	n.machine = statemachine.NewSessioned(n.factory())
 	cur := n.curID
 	n.mu.Unlock()
@@ -402,31 +409,31 @@ func (n *Node) Start() error {
 }
 
 // recoverChainLocked loads the initial configuration and the configuration
-// chain from the store. Caller holds mu.
-func (n *Node) recoverChainLocked() error {
+// chain from the store, and returns the discard cursor: the engine namespaces
+// of the configurations below it are gone already. Caller holds mu.
+func (n *Node) recoverChainLocked() (discarded types.ConfigID, err error) {
 	// A node may start with an empty store: it is a spare, idle until an
 	// announce makes it a member of some configuration.
 	raw, ok, err := n.store.Get("rc/init")
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if ok {
 		init, err := types.DecodeConfig(raw)
 		if err != nil {
-			return fmt.Errorf("init record: %w", err)
+			return 0, fmt.Errorf("init record: %w", err)
 		}
 		n.initConfig = init
 		n.configs[init.ID] = init
 		n.curID = init.ID
 	}
 
-	// Engine namespaces below the discard cursor are gone already.
 	if raw, ok, err := n.store.Get(discardKey); err != nil {
-		return err
+		return 0, err
 	} else if ok {
 		r := types.NewReader(raw)
-		if next := types.ConfigID(r.Uvarint()); r.Err() == nil && next > n.discardNext {
-			n.discardNext = next
+		if next := types.ConfigID(r.Uvarint()); r.Err() == nil {
+			discarded = next
 		}
 	}
 
@@ -434,12 +441,12 @@ func (n *Node) recoverChainLocked() error {
 	// (the chain is a path).
 	kvs, err := n.store.Scan("rc/chain/")
 	if err != nil {
-		return err
+		return 0, err
 	}
 	for _, kv := range kvs {
 		rec, err := decodeChainRecord(kv.Value)
 		if err != nil {
-			return fmt.Errorf("chain record %s: %w", kv.Key, err)
+			return 0, fmt.Errorf("chain record %s: %w", kv.Key, err)
 		}
 		n.chain[rec.From] = rec
 		n.configs[rec.To.ID] = rec.To
@@ -447,7 +454,7 @@ func (n *Node) recoverChainLocked() error {
 			n.curID = rec.To.ID
 		}
 	}
-	return nil
+	return discarded, nil
 }
 
 // Stop terminates the node: engines, loops and the control plane. Idempotent.
@@ -576,6 +583,13 @@ func (n *Node) Stats() NodeStats {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	out := n.stats
+	w := &n.workerStats
+	out.SnapshotsServed = w.snapshotsServed.Load()
+	out.ChunksServed = w.chunksServed.Load()
+	out.ChunksFetched = w.chunksFetched.Load()
+	out.ChunkRetries = w.chunkRetries.Load()
+	out.ChunkCRCRejected = w.chunkCRCRejected.Load()
+	out.InvariantViolations += w.violations.Load()
 	for _, run := range n.engines {
 		out.RetainedSlots += countRun(&out, run).RetainedSlots
 	}

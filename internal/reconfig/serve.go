@@ -154,6 +154,9 @@ func (n *Node) gossipChain(to types.NodeID, push []byte, since types.ConfigID) {
 // fetchSourcesLocked lists peers likely to hold the initial snapshot of id:
 // the predecessor configuration's members (they computed it at the wedge)
 // and the configuration's own members (they may have installed it already).
+// Both come from the one chain record that names id as a successor, the
+// predecessor's, which a node learns before it can act in id; so the list does
+// not change once the transfer of id is launched.
 func (n *Node) fetchSourcesLocked(id types.ConfigID) []types.NodeID {
 	seen := map[types.NodeID]bool{n.self: true}
 	var out []types.NodeID
@@ -165,11 +168,9 @@ func (n *Node) fetchSourcesLocked(id types.ConfigID) []types.NodeID {
 			}
 		}
 	}
-	for from, rec := range n.chain {
-		if rec.To.ID == id {
-			add(rec.FromMembers)
-			add(n.configs[from].Members)
-		}
+	if rec, ok := n.chain[id-1]; ok && rec.To.ID == id {
+		add(rec.FromMembers)
+		add(n.configs[id-1].Members)
 	}
 	add(n.configs[id].Members)
 	return out

@@ -111,30 +111,78 @@ func TestSnapshotRetireKeepsCurrentAndPredecessor(t *testing.T) {
 }
 
 // gateStore blocks the writer of one chunk key until released, freezing a
-// commit half-way through overwriting a blob.
+// commit half-way through overwriting a blob, and calls frozen first. While
+// the writer is parked it records every read of the blob's manifest and every
+// delete of a key under watch.
 type gateStore struct {
 	storage.Store
-	prefix string // chunk keys of the blob to freeze
+	prefix string // the blob to freeze
+	after  int    // chunk writes let through before the one frozen
+	watch  string // keys whose deletion before the release is recorded
 
-	mu      sync.Mutex
-	armed   bool
-	seen    int
-	blocked chan struct{} // closed when the writer is parked
-	release chan struct{}
+	mu            sync.Mutex
+	armed         bool
+	seen          int
+	frozen        func()        // called by the writer before it parks
+	blocked       chan struct{} // closed when the writer is parked
+	release       chan struct{}
+	manifestReads int
+	deletedFrozen []string
+}
+
+// parked reports whether the writer is parked.
+func (g *gateStore) parked() bool {
+	select {
+	case <-g.blocked:
+	default:
+		return false
+	}
+	select {
+	case <-g.release:
+		return false
+	default:
+		return true
+	}
+}
+
+func (g *gateStore) Get(key string) ([]byte, bool, error) {
+	if key == storage.ManifestKey(g.prefix) && g.parked() {
+		g.mu.Lock()
+		g.manifestReads++
+		g.mu.Unlock()
+	}
+	return g.Store.Get(key)
+}
+
+func (g *gateStore) Delete(key string) error {
+	if g.watch != "" && strings.HasPrefix(key, g.watch) {
+		select {
+		case <-g.release:
+		default:
+			g.mu.Lock()
+			g.deletedFrozen = append(g.deletedFrozen, key)
+			g.mu.Unlock()
+		}
+	}
+	return g.Store.Delete(key)
 }
 
 const gateAfterChunks = 5
 
 func (g *gateStore) Set(key string, value []byte) error {
-	if strings.HasPrefix(key, g.prefix) {
+	if strings.HasPrefix(key, g.prefix+"/c/") {
 		g.mu.Lock()
 		hit := false
 		if g.armed {
 			g.seen++
-			hit = g.seen == gateAfterChunks+1
+			hit = g.seen == g.after+1
 		}
+		frozen := g.frozen
 		g.mu.Unlock()
 		if hit {
+			if frozen != nil {
+				frozen()
+			}
 			close(g.blocked)
 			<-g.release
 		}
@@ -142,19 +190,31 @@ func (g *gateStore) Set(key string, value []byte) error {
 	return g.Store.Set(key, value)
 }
 
-// TestCheckpointCommitServedFromMemory freezes a member half-way through
-// committing the snapshot a log-bound wedge produced — the store holds some of
-// its chunks and no manifest — and lets a joiner whose only source is that
-// member start fetching right then. The member must answer from the
-// in-memory copy of the snapshot, so the joiner sees one consistent
-// (manifest, chunks) pair: zero CRC rejections, and an install while the
-// commit is still frozen.
+// TestCheckpointCommitServedFromMemory freezes a member committing the
+// snapshot a log-bound wedge produced — at its first chunk write, or half-way
+// through, when the store holds some of its chunks and no manifest — and lets
+// a joiner whose only source is that member start fetching right then. The
+// member must answer from the in-memory copy of the snapshot from before the
+// commit's first write on: the frozen writer finds the copy served, no
+// manifest is read from the store while it is parked, and the joiner sees one
+// consistent (manifest, chunks) pair: zero CRC rejections, and an install
+// while the commit is still frozen.
 func TestCheckpointCommitServedFromMemory(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		after int
+	}{{"first-chunk", 0}, {"mid-blob", gateAfterChunks}} {
+		t.Run(tc.name, func(t *testing.T) { testCommitServedFromMemory(t, tc.after) })
+	}
+}
+
+func testCommitServedFromMemory(t *testing.T, after int) {
 	w := newWorld(t, transport.Options{BaseLatency: 100 * time.Microsecond, Seed: 59})
 	w.opts.logBound = 60
 	gate := &gateStore{
 		Store:   storage.NewMem(),
-		prefix:  snapPrefix(3) + "/c/",
+		prefix:  snapPrefix(3),
+		after:   after,
 		blocked: make(chan struct{}),
 		release: make(chan struct{}),
 	}
@@ -169,6 +229,7 @@ func TestCheckpointCommitServedFromMemory(t *testing.T) {
 	}
 	w.bootstrap(statemachine.NewKVMachine, "n1", "n2", "n3")
 	w.waitServing("n1", "n2", "n3")
+	n1 := w.node("n1")
 
 	spare := w.startNode("n4", statemachine.NewKVMachine)
 	if err := spare.Start(); err != nil {
@@ -177,11 +238,13 @@ func TestCheckpointCommitServedFromMemory(t *testing.T) {
 	w.net.Isolate("n4") // it learns of configurations 2 and 3 only once healed
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
-	if _, err := w.node("n1").Reconfigure(ctx, []types.NodeID{"n1", "n2", "n3", "n4"}); err != nil {
+	if _, err := n1.Reconfigure(ctx, []types.NodeID{"n1", "n2", "n3", "n4"}); err != nil {
 		t.Fatal(err)
 	}
+	servedAtFreeze := false
 	gate.mu.Lock()
 	gate.armed = true
+	gate.frozen = func() { _, servedAtFreeze = n1.snapManifest(3) }
 	gate.mu.Unlock()
 
 	// Enough load in configuration 2 to cross the log bound once: its wedge
@@ -191,6 +254,9 @@ func TestCheckpointCommitServedFromMemory(t *testing.T) {
 	case <-gate.blocked:
 	case <-time.After(15 * time.Second):
 		t.Fatal("n1 never started committing the snapshot of configuration 3")
+	}
+	if !servedAtFreeze {
+		t.Fatal("n1 started writing the snapshot of configuration 3 before serving it from memory")
 	}
 	if m, _, _, _ := storage.ReadChunked(gate.Store, snapPrefix(3)); m.Chunks() != 0 {
 		t.Fatal("store mid-commit holds a manifest; want chunks alone")
@@ -209,6 +275,12 @@ func TestCheckpointCommitServedFromMemory(t *testing.T) {
 	if _, _, complete, err := storage.ReadChunked(w.stores["n4"], snapPrefix(3)); err != nil || !complete {
 		t.Fatalf("joiner's store: complete %v err %v; want the snapshot", complete, err)
 	}
+	gate.mu.Lock()
+	reads := gate.manifestReads
+	gate.mu.Unlock()
+	if reads != 0 {
+		t.Fatalf("n1 read the manifest of configuration 3 from its store %d times mid-commit", reads)
+	}
 
 	release()
 	w.net.UnblockLink("n4", "n2")
@@ -219,6 +291,75 @@ func TestCheckpointCommitServedFromMemory(t *testing.T) {
 	}, "n1 to finish the commit", 10*time.Second)
 	checkKey(t, w, "n4", 1, "key-0000", 1024)
 	checkKey(t, w, "n4", 2, "key-0063", 1024)
+	w.checkNoViolations()
+}
+
+// TestFrozenCommitHoldsOnlyItsOwnRetire freezes n1 half-way through
+// committing the snapshot of configuration 3 and drives two more bound wedges
+// past it, so that 3 is retired on n1 while its commit is still writing. The
+// commits of 4 and 5 must not wait for it, rc/snap/3 must not be deleted under
+// the frozen commit, and once the commit is released its snapshot must be
+// retired within a few ticks.
+func TestFrozenCommitHoldsOnlyItsOwnRetire(t *testing.T) {
+	w := newWorld(t, transport.Options{BaseLatency: 100 * time.Microsecond, Seed: 61})
+	w.opts.logBound = 30
+	gate := &gateStore{
+		Store:   storage.NewMem(),
+		prefix:  snapPrefix(3),
+		after:   gateAfterChunks,
+		watch:   snapPrefix(3) + "/",
+		armed:   true,
+		blocked: make(chan struct{}),
+		release: make(chan struct{}),
+	}
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(gate.release) }) }
+	defer release()
+	w.newStore = func(id types.NodeID) storage.Store {
+		if id == "n1" {
+			return gate
+		}
+		return storage.NewMem()
+	}
+	w.bootstrap(statemachine.NewKVMachine, "n1", "n2", "n3")
+	w.waitServing("n1", "n2", "n3")
+	n1 := w.node("n1")
+
+	// Load until n1 executes configuration 5: the bound wedges 1→2, 2→3,
+	// 3→4 and 4→5 on the way, the second of which starts the frozen commit.
+	val := make([]byte, 1024)
+	deadline := time.Now().Add(30 * time.Second)
+	for seq := uint64(1); n1.CurrentConfig().ID < 5; seq++ {
+		if time.Now().After(deadline) {
+			t.Fatalf("n1 reached configuration %d, want 5", n1.CurrentConfig().ID)
+		}
+		w.submit("n1", "loader", seq, statemachine.EncodePut(fmt.Sprintf("key-%04d", seq%64), val))
+	}
+	select {
+	case <-gate.blocked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("n1 never started committing the snapshot of configuration 3")
+	}
+	for _, id := range []types.ConfigID{4, 5} {
+		w.waitStat(func() bool {
+			_, _, complete, err := storage.ReadChunked(gate.Store, snapPrefix(id))
+			return err == nil && complete
+		}, fmt.Sprintf("n1's snapshot of configuration %d to become durable beside the frozen commit", id), 10*time.Second)
+	}
+	// Configuration 3 is retired on n1 now; give the tick time to act on it.
+	time.Sleep(30 * retryInterval)
+	gate.mu.Lock()
+	deleted := gate.deletedFrozen
+	gate.mu.Unlock()
+	if len(deleted) > 0 {
+		t.Fatalf("rc/snap/3 deleted under its frozen commit: %v", deleted)
+	}
+
+	release()
+	w.waitStat(func() bool {
+		kvs, err := gate.Store.Scan(snapPrefix(3) + "/")
+		return err == nil && len(kvs) == 0
+	}, "n1 to retire the snapshot of configuration 3 once its commit ended", 30*retryInterval)
 	w.checkNoViolations()
 }
 

@@ -19,15 +19,16 @@ import (
 //
 //	publish → serve → transfer → install → retire
 //
-// publish serializes a copy-on-write fork off the critical path, holds the
-// chunks in memory while it commits them (chunks, sync, manifest, sync) under
-// rc/snap/<id>, and then drops the in-memory copy. Every snapshot is a
-// configuration's state at slot 0: the bootstrap snapshot, or the state at
-// the wedge that ended its predecessor — a reconfiguration or the log bound —
-// since the successor's log starts fresh.
+// publish serializes a copy-on-write fork off the critical path, hands the
+// in-memory copy to the apply loop and, once the loop serves it, commits the
+// chunks (chunks, sync, manifest, sync) under rc/snap/<id> and reports the
+// commit's end. Every snapshot is a configuration's state at slot 0: the
+// bootstrap snapshot, or the state at the wedge that ended its predecessor —
+// a reconfiguration or the log bound — since the successor's log starts
+// fresh.
 //
-// serve answers manifest and chunk requests from the in-memory copy when one
-// exists and from the store otherwise, so a peer never reads a blob that is
+// serve answers manifest and chunk requests from the in-memory copy while one
+// is held and from the store otherwise, so a peer never reads a blob that is
 // half overwritten.
 //
 // transfer is the one goroutine that pulls a snapshot from peers, for a
@@ -36,8 +37,7 @@ import (
 // rotating sources, verifying each against the manifest CRC; a corrupt chunk
 // is discarded alone, and fruitless rounds back off exponentially with
 // jitter. It stages the manifest and then each verified chunk in the store,
-// with one barrier per fetched range and one before the install; none is
-// taken under mu.
+// with one barrier per fetched range and one before the install.
 //
 // install builds the machine and has the apply loop swap it in; Start
 // recovers from the node's own store through the same swap.
@@ -45,6 +45,15 @@ import (
 // retire deletes rc/snap/<id> once this node's current configuration is
 // id+2 or later, and with it the engine namespaces of retired runs, but
 // neither before a newer snapshot is durable here.
+//
+// The workers of every stage — the publish, transfer and retire goroutines
+// and the transfer's fetch workers — own no node state and never take mu:
+// they report to the apply loop through its mailbox (post, onLoop), and the
+// loop alone writes the pipeline's bookkeeping (serving, transfer,
+// snapDurable, retireNext, discardNext, retiring; apply.go). That order is
+// what keeps two writers of one blob apart: the loop retires no snapshot
+// whose commit or transfer has not reported its end. Their counters are
+// atomics (workerStats), which Stats folds in.
 
 // fetchWorkers is the number of concurrent chunk-range downloads per fetch
 // round.
@@ -79,12 +88,16 @@ const publishPaceBytes = 1 << 20
 // effective floor is the scheduler's sleep granularity.
 const publishPause = 2 * time.Millisecond
 
-// snapServing is a snapshot held in memory while commit writes it to the
-// store. Requests for its configuration are answered from here, never from
-// the partly written blob.
+// snapServing is a snapshot this node commits. The loop registers it at the
+// wedge's fork with no chunks, and holds the serialized copy from publish's
+// report until the commit's: requests for its configuration are answered from
+// here, never from the partly written blob. committing is set until the
+// commit reports its end; a failed commit leaves the copy served until retire
+// drops it.
 type snapServing struct {
-	manifest storage.ChunkManifest
-	chunks   [][]byte
+	manifest   storage.ChunkManifest
+	chunks     [][]byte
+	committing bool
 }
 
 func snapPrefix(id types.ConfigID) string { return fmt.Sprintf("rc/snap/%020d", uint64(id)) }
@@ -98,24 +111,27 @@ func (n *Node) retiredLocked(id types.ConfigID) bool { return n.curID >= id+2 }
 
 // --- publish ----------------------------------------------------------------
 
-// publishAsyncLocked publishes src off the caller's critical path. Caller
-// holds mu and has just forked src under it.
-func (n *Node) publishAsyncLocked(id types.ConfigID, src statemachine.SnapshotSource) {
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		if err := n.publish(id, src, true); err != nil {
-			n.mu.Lock()
-			n.stats.InvariantViolations++
-			n.mu.Unlock()
-		}
-	}()
+// publish makes src — the machine state of configuration id at slot 0, forked
+// on the loop, which registered id as committing (wedgeLocked) — the snapshot
+// peers fetch and this node recovers from. The commit starts only once the
+// loop serves the in-memory copy, so no peer reads the blob while it is
+// overwritten, and not at all if id is retired by then: nobody can still need
+// it. It runs on a goroutine of its own and is not abandoned on Stop: a
+// graceful stop right after a wedge must leave the successor's initial state
+// in the store, or a restart has nothing to recover from.
+func (n *Node) publish(id types.ConfigID, src statemachine.SnapshotSource) {
+	defer n.wg.Done()
+	m, chunks := serialize(src)
+	retired := false
+	if n.onLoop(func() { retired = n.servingLocked(id, m, chunks) }) && retired {
+		return
+	}
+	n.commit(id, m, chunks)
 }
 
-// publish makes src — the machine state of configuration id at slot 0 —
-// the snapshot peers fetch and this node recovers from. With durable false the
-// snapshot is staged and left to the store's next barrier (Bootstrap).
-func (n *Node) publish(id types.ConfigID, src statemachine.SnapshotSource, durable bool) error {
+// serialize reads src's chunks and their CRCs, pausing after every
+// publishPaceBytes.
+func serialize(src statemachine.SnapshotSource) (storage.ChunkManifest, [][]byte) {
 	num := src.NumChunks()
 	chunks := make([][]byte, num)
 	m := storage.ChunkManifest{Format: statemachine.SnapshotFormat, CRCs: make([]uint32, num)}
@@ -129,44 +145,16 @@ func (n *Node) publish(id types.ConfigID, src statemachine.SnapshotSource, durab
 			time.Sleep(publishPause)
 		}
 	}
-	return n.commit(id, m, chunks, durable)
+	return m, chunks
 }
 
-// commit persists a complete snapshot of id over whatever rc/snap/<id> holds,
-// serving it from memory meanwhile. snapMu makes the check and the write one
-// step against other commits and against retire. durable false stages the
-// snapshot instead of waiting on a barrier, for a caller that makes no
-// promise before the store's next one (Bootstrap).
-func (n *Node) commit(id types.ConfigID, m storage.ChunkManifest, chunks [][]byte, durable bool) error {
-	n.snapMu.Lock()
-	defer n.snapMu.Unlock()
-	n.mu.Lock()
-	// Not abandoned on Stop: a graceful stop right after a wedge must leave the
-	// successor's initial state in the store, or a restart has nothing to
-	// recover from.
-	if n.retiredLocked(id) {
-		n.mu.Unlock()
-		return nil
-	}
-	n.serving[id] = &snapServing{manifest: m, chunks: chunks}
-	n.mu.Unlock()
-
-	// On failure the in-memory copy stays: the store may hold a torn blob,
-	// and peers must keep being served until retire drops the entry.
-	write := storage.WriteChunkedCommit
-	if !durable {
-		write = storage.StageChunkedCommit
-	}
-	if err := write(n.store, snapPrefix(id), m, func(i int) []byte { return chunks[i] }); err != nil {
-		return err
-	}
-	n.mu.Lock()
-	delete(n.serving, id)
-	if durable {
-		n.snapDurable = max(n.snapDurable, id)
-	}
-	n.mu.Unlock()
-	return nil
+// commit persists a complete snapshot of id over whatever rc/snap/<id> holds
+// and reports the end to the loop (committedLocked), which retires nothing of
+// id before it. On failure the store may hold a torn blob; the loop keeps
+// serving the in-memory copy.
+func (n *Node) commit(id types.ConfigID, m storage.ChunkManifest, chunks [][]byte) {
+	err := storage.WriteChunkedCommit(n.store, snapPrefix(id), m, func(i int) []byte { return chunks[i] })
+	n.post(func() { n.committedLocked(id, err) })
 }
 
 // --- serve ------------------------------------------------------------------
@@ -174,19 +162,17 @@ func (n *Node) commit(id types.ConfigID, m storage.ChunkManifest, chunks [][]byt
 // snapManifest answers a manifest request from memory or the store.
 func (n *Node) snapManifest(id types.ConfigID) (storage.ChunkManifest, bool) {
 	n.mu.Lock()
-	s, held := n.serving[id]
+	s := n.serving[id]
 	n.mu.Unlock()
 	var m storage.ChunkManifest
-	if held {
+	if s != nil && s.chunks != nil {
 		m = s.manifest
 	} else if stored, ok, err := storage.ReadChunkManifest(n.store, snapPrefix(id)); err == nil && ok {
 		m = stored
 	} else {
 		return storage.ChunkManifest{}, false
 	}
-	n.mu.Lock()
-	n.stats.SnapshotsServed++
-	n.mu.Unlock()
+	n.workerStats.snapshotsServed.Add(1)
 	return m, true
 }
 
@@ -200,7 +186,7 @@ func (n *Node) snapChunkOne(id types.ConfigID, idx int) ([]byte, bool) {
 	n.mu.Lock()
 	var data []byte
 	found := false
-	if s, ok := n.serving[id]; ok && idx < len(s.chunks) {
+	if s := n.serving[id]; s != nil && idx < len(s.chunks) {
 		data, found = s.chunks[idx], true
 	}
 	hook := n.testChunkHook
@@ -215,9 +201,7 @@ func (n *Node) snapChunkOne(id types.ConfigID, idx int) ([]byte, bool) {
 	if hook != nil {
 		data = hook(id, idx, data)
 	}
-	n.mu.Lock()
-	n.stats.ChunksServed++
-	n.mu.Unlock()
+	n.workerStats.chunksServed.Add(1)
 	return data, true
 }
 
@@ -246,65 +230,29 @@ func (n *Node) snapChunkRange(id types.ConfigID, first, count int) [][]byte {
 
 // --- transfer ---------------------------------------------------------------
 
-// wantsSnapshotLocked reports whether this node needs a snapshot of
-// configuration id from its peers: it is a member of id, id is still its
-// current configuration, and it has no state yet. It is both the launch
-// condition and the abort condition of the transfer goroutine. Caller holds
-// mu.
-func (n *Node) wantsSnapshotLocked(id types.ConfigID) bool {
-	return !n.stopped && id != 0 && n.curID == id && !n.initialized && n.configs[id].IsMember(n.self)
-}
-
-// maybeTransferLocked launches the transfer goroutine if the node wants a
-// snapshot of its current configuration and no transfer is running. The
-// transition paths call it right away — joining latency is downtime — and
-// the tick relaunches one that gave up. Caller holds mu.
-func (n *Node) maybeTransferLocked() {
-	if n.transfer != 0 || !n.wantsSnapshotLocked(n.curID) {
-		return
-	}
-	n.transfer = n.curID
-	n.wg.Add(1)
-	go n.runTransfer(n.curID)
-}
-
-// runTransfer fetches the snapshot of id, its state at slot 0, and installs
-// it. It owns n.transfer for its lifetime and keeps trying until the install
-// happens or the node stops wanting the snapshot.
+// runTransfer fetches the snapshot of id, its state at slot 0, from sources
+// and installs it. The loop launched it (maybeTransferLocked) and clears
+// n.transfer at its last report; it keeps trying until the install happens or
+// ctx is cancelled, which the loop does once the node moves past id
+// (jumpLocked) and Stop does through baseCtx. The cancel also ends the
+// in-flight fetch RPCs and the backoff wait.
 //
 // It persists the manifest and every verified chunk as it arrives: that makes
 // the fetch resumable across a crash and the joiner itself a source. The
 // manifest is staged ahead of its chunks, and staged operations become stable
 // in order, so whatever prefix a crash keeps is a manifest with some of its
 // chunks, which the next round resumes from.
-func (n *Node) runTransfer(id types.ConfigID) {
+func (n *Node) runTransfer(ctx context.Context, id types.ConfigID, sources []types.NodeID) {
 	defer n.wg.Done()
-	defer func() {
-		n.mu.Lock()
-		n.transfer = 0
-		n.mu.Unlock()
-	}()
-	abort := func() bool {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		return !n.wantsSnapshotLocked(id)
-	}
+	defer n.post(n.transferEndedLocked)
 	rng := rand.New(rand.NewSource(types.SeedFor(string(n.self)) ^ int64(id)))
+	prefix := snapPrefix(id) // where verified chunks are persisted
 	var (
 		manifest storage.ChunkManifest
 		chunks   [][]byte
 		have     bool
 	)
-	for attempt, round := 0, 0; ; round++ {
-		n.mu.Lock()
-		if !n.wantsSnapshotLocked(id) {
-			n.mu.Unlock()
-			return
-		}
-		sources := n.fetchSourcesLocked(id)
-		n.mu.Unlock()
-		prefix := snapPrefix(id) // where verified chunks are persisted
-
+	for attempt, round := 0, 0; ctx.Err() == nil; round++ {
 		progress := false
 		if round == 0 {
 			// Resume: adopt whatever a previous attempt (possibly before a
@@ -315,7 +263,7 @@ func (n *Node) runTransfer(id types.ConfigID) {
 			}
 		}
 		if !have {
-			if m, lead, ok := n.fetchManifest(id, sources, rng); ok {
+			if m, lead, ok := n.fetchManifest(ctx, id, sources, rng); ok {
 				manifest, have, progress = m, true, true
 				chunks = make([][]byte, m.Chunks())
 				if err := n.store.SetBuffered(storage.ManifestKey(prefix), storage.EncodeChunkManifest(m)); err != nil {
@@ -334,11 +282,11 @@ func (n *Node) runTransfer(id types.ConfigID) {
 						accepted++
 					}
 				}
-				n.persistFetched(prefix, accepted)
+				n.persistFetched(accepted)
 			}
 		}
 		if have {
-			if n.fetchMissingChunks(id, prefix, manifest, chunks, sources, abort) {
+			if n.fetchMissingChunks(ctx, id, prefix, manifest, chunks, sources) {
 				progress = true
 			}
 			if len(missingSpans(chunks)) == 0 {
@@ -365,14 +313,10 @@ func (n *Node) runTransfer(id types.ConfigID) {
 			// manifest and re-pull it.
 			have = false
 		}
-		n.mu.Lock()
-		n.stats.ChunkRetries++
-		n.mu.Unlock()
-		delay := BackoffDelay(attempt, retryInterval, 4*fetchTimeout, rng)
+		n.workerStats.chunkRetries.Add(1)
 		select {
-		case <-time.After(delay):
-		case <-n.stopCh:
-			return
+		case <-time.After(BackoffDelay(attempt, retryInterval, 4*fetchTimeout, rng)):
+		case <-ctx.Done():
 		}
 	}
 }
@@ -385,9 +329,7 @@ func (n *Node) acceptChunk(prefix string, m storage.ChunkManifest, chunks [][]by
 	if storage.ChunkCRC(data) != m.CRCs[idx] {
 		// Corrupt on the wire or a poisoned source: reject this chunk
 		// alone; nothing already verified is touched.
-		n.mu.Lock()
-		n.stats.ChunkCRCRejected++
-		n.mu.Unlock()
+		n.workerStats.chunkCRCRejected.Add(1)
 		return false
 	}
 	if resMu != nil {
@@ -405,9 +347,8 @@ func (n *Node) acceptChunk(prefix string, m storage.ChunkManifest, chunks [][]by
 
 // persistFetched ends one fetched range of accepted chunks: they were staged,
 // and one barrier per range makes them durable, so a crash keeps a resumable
-// prefix of the fetch and ChunksFetched counts only persisted chunks. It runs
-// on the transfer goroutine or one of its fetch workers, never under mu.
-func (n *Node) persistFetched(prefix string, accepted int) {
+// prefix of the fetch and ChunksFetched counts only persisted chunks.
+func (n *Node) persistFetched(accepted int) {
 	if accepted == 0 {
 		return
 	}
@@ -415,19 +356,17 @@ func (n *Node) persistFetched(prefix string, accepted int) {
 		n.countViolation()
 		return
 	}
-	n.mu.Lock()
-	n.stats.ChunksFetched += int64(accepted)
-	n.mu.Unlock()
+	n.workerStats.chunksFetched.Add(int64(accepted))
 }
 
 // fetchManifest asks sources (in random order) for the snapshot's manifest.
 // The reply also piggybacks the snapshot's leading chunks (within
 // rangeBudget), which the caller adopts after per-chunk CRC verification.
-func (n *Node) fetchManifest(id types.ConfigID, sources []types.NodeID, rng *rand.Rand) (storage.ChunkManifest, [][]byte, bool) {
+func (n *Node) fetchManifest(ctx context.Context, id types.ConfigID, sources []types.NodeID, rng *rand.Rand) (storage.ChunkManifest, [][]byte, bool) {
 	order := rng.Perm(len(sources))
 	for _, i := range order {
-		ctx, cancel := context.WithTimeout(n.baseCtx, fetchTimeout)
-		resp, err := n.peer.Call(ctx, sources[i], encodeSnapMeta(snapMetaReq{Config: id}), 0)
+		callCtx, cancel := context.WithTimeout(ctx, fetchTimeout)
+		resp, err := n.peer.Call(callCtx, sources[i], encodeSnapMeta(snapMetaReq{Config: id}), 0)
 		cancel()
 		if err != nil {
 			continue
@@ -479,8 +418,8 @@ func missingSpans(chunks [][]byte) []chunkSpan {
 // contiguous span per request. Each worker starts at a different source and
 // rotates through the rest when a source yields nothing useful, so the load
 // spreads and a dead or corrupt source only costs the spans it was tried
-// for. Returns whether any chunk was fetched.
-func (n *Node) fetchMissingChunks(id types.ConfigID, prefix string, m storage.ChunkManifest, chunks [][]byte, sources []types.NodeID, abort func() bool) bool {
+// for. Returns whether any chunk was fetched; a cancelled ctx stops it.
+func (n *Node) fetchMissingChunks(ctx context.Context, id types.ConfigID, prefix string, m storage.ChunkManifest, chunks [][]byte, sources []types.NodeID) bool {
 	if len(sources) == 0 {
 		return false
 	}
@@ -501,7 +440,7 @@ func (n *Node) fetchMissingChunks(id types.ConfigID, prefix string, m storage.Ch
 		go func(w int) {
 			defer wg.Done()
 			for sp := range spanCh {
-				if n.fetchSpan(id, prefix, m, chunks, &resMu, sp, sources, w, abort) {
+				if n.fetchSpan(ctx, id, prefix, m, chunks, &resMu, sp, sources, w) {
 					resMu.Lock()
 					progress = true
 					resMu.Unlock()
@@ -510,7 +449,7 @@ func (n *Node) fetchMissingChunks(id types.ConfigID, prefix string, m storage.Ch
 		}(w)
 	}
 	for _, sp := range spans {
-		if abort() {
+		if ctx.Err() != nil {
 			break
 		}
 		spanCh <- sp
@@ -525,18 +464,15 @@ func (n *Node) fetchMissingChunks(id types.ConfigID, prefix string, m storage.Ch
 // CRC-rejected chunk in the middle of a range leaves a hole that a later
 // round retries (against a rotated source) without re-fetching its verified
 // neighbors.
-func (n *Node) fetchSpan(id types.ConfigID, prefix string, m storage.ChunkManifest, chunks [][]byte, resMu *sync.Mutex, sp chunkSpan, sources []types.NodeID, w int, abort func() bool) bool {
+func (n *Node) fetchSpan(ctx context.Context, id types.ConfigID, prefix string, m storage.ChunkManifest, chunks [][]byte, resMu *sync.Mutex, sp chunkSpan, sources []types.NodeID, w int) bool {
 	progress := false
 	idx := sp.first
 	end := sp.first + sp.count
-	for idx < end {
-		if abort() {
-			return progress
-		}
+	for idx < end && ctx.Err() == nil {
 		advanced := false
 		for s := 0; s < len(sources); s++ {
 			src := sources[(w+s)%len(sources)]
-			got := n.fetchChunkRange(id, idx, end-idx, src)
+			got := n.fetchChunkRange(ctx, id, idx, end-idx, src)
 			if len(got) == 0 {
 				continue
 			}
@@ -549,7 +485,7 @@ func (n *Node) fetchSpan(id types.ConfigID, prefix string, m storage.ChunkManife
 					accepted++
 				}
 			}
-			n.persistFetched(prefix, accepted)
+			n.persistFetched(accepted)
 			if accepted > 0 {
 				// Move past the whole returned range; rejected chunks in it
 				// stay nil and are retried in a later round.
@@ -566,8 +502,8 @@ func (n *Node) fetchSpan(id types.ConfigID, prefix string, m storage.ChunkManife
 	return progress
 }
 
-func (n *Node) fetchChunkRange(id types.ConfigID, first, count int, src types.NodeID) [][]byte {
-	ctx, cancel := context.WithTimeout(n.baseCtx, fetchTimeout)
+func (n *Node) fetchChunkRange(ctx context.Context, id types.ConfigID, first, count int, src types.NodeID) [][]byte {
+	ctx, cancel := context.WithTimeout(ctx, fetchTimeout)
 	defer cancel()
 	resp, err := n.peer.Call(ctx, src, encodeSnapChunk(snapChunkReq{Config: id, First: first, Count: count}), 0)
 	if err != nil {
@@ -619,26 +555,22 @@ func (n *Node) install(id types.ConfigID, m storage.ChunkManifest, chunks [][]by
 	return installed
 }
 
-// --- retire -----------------------------------------------------------------
+// --- retire ---------------------------------------------------------------
 
 // retire stops the engines of retired runs, then deletes the stored snapshots
 // snaps and the engine namespaces streams with staged deletes and one
-// barrier, which also moves the discard cursor past streams. snapMu orders it
-// after any commit of the same configuration that was already writing.
+// barrier, which also moves the discard cursor past streams, and reports its
+// end to the loop. The loop hands it no snapshot whose commit or transfer is
+// still writing (retireLocked).
 func (n *Node) retire(old []smr.Replica, snaps, streams []types.ConfigID) {
 	defer n.wg.Done()
 	for _, eng := range old {
 		eng.Stop()
 	}
-	n.snapMu.Lock()
-	err := n.discard(snaps, streams)
-	n.snapMu.Unlock()
-	n.mu.Lock()
-	n.retiring = false
-	if err != nil && err != storage.ErrStoreClosed {
-		n.stats.InvariantViolations++
+	if err := n.discard(snaps, streams); err != nil && err != storage.ErrStoreClosed {
+		n.countViolation()
 	}
-	n.mu.Unlock()
+	n.post(n.retireEndedLocked)
 }
 
 // discardKey holds the discard cursor: every configuration below it has had
@@ -666,8 +598,5 @@ func (n *Node) discard(snaps, streams []types.ConfigID) error {
 	return n.store.Sync()
 }
 
-func (n *Node) countViolation() {
-	n.mu.Lock()
-	n.stats.InvariantViolations++
-	n.mu.Unlock()
-}
+// countViolation counts an invariant violation a worker found, without mu.
+func (n *Node) countViolation() { n.workerStats.violations.Add(1) }

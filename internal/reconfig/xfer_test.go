@@ -101,6 +101,56 @@ func TestTransferRejectsCorruptChunk(t *testing.T) {
 	w.checkNoViolations()
 }
 
+// TestTransferEndsWhenTheNodeMovesOn isolates a joiner from every source of
+// its snapshot until its transfer is waiting out a backoff of its fruitless
+// rounds, then hands it the chain record of a successor it is not a member of.
+// The transfer must end at once: its backoff and its in-flight fetches are
+// cancelled, not waited out.
+func TestTransferEndsWhenTheNodeMovesOn(t *testing.T) {
+	w := newWorld(t, transport.Options{BaseLatency: 100 * time.Microsecond, Seed: 17})
+	w.bootstrap(statemachine.NewKVMachine, "n1", "n2", "n3")
+	w.waitServing("n1", "n2", "n3")
+	joiner := w.startNode("n4", statemachine.NewKVMachine)
+	if err := joiner.Start(); err != nil {
+		t.Fatal(err)
+	}
+	w.net.Isolate("n4")
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	if _, err := w.node("n1").Reconfigure(ctx, []types.NodeID{"n1", "n2", "n3", "n4"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.node("n1").Reconfigure(ctx, []types.NodeID{"n1", "n2", "n3"}); err != nil {
+		t.Fatal(err)
+	}
+	recs := w.node("n1").ChainRecords()
+	if len(recs) != 2 || recs[1].To.ID != 3 {
+		t.Fatalf("chain %v, want 1→2→3", recs)
+	}
+
+	joiner.handleAnnounce(recs[0])
+	// Five fruitless rounds: the fifth backoff is 120–200 ms.
+	w.waitStat(func() bool { return joiner.Stats().ChunkRetries >= 5 }, "five fruitless transfer rounds", 15*time.Second)
+	joiner.handleAnnounce(recs[1])
+	moved := time.Now()
+	for {
+		joiner.mu.Lock()
+		running := joiner.transfer
+		joiner.mu.Unlock()
+		if running == 0 {
+			break
+		}
+		if waited := time.Since(moved); waited > fetchTimeout/3 {
+			t.Fatalf("transfer of configuration %d still running %v after the node moved past it", running, waited)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if id := joiner.CurrentConfig().ID; id != 3 {
+		t.Fatalf("joiner at configuration %d, want 3", id)
+	}
+	w.checkNoViolations()
+}
+
 // TestTransferResumesAfterSourceDies isolates a joiner so exactly one member
 // can serve it, kills that member once a partial transfer is through, then
 // heals the network: the joiner must finish from the surviving members,
