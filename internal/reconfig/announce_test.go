@@ -9,6 +9,11 @@ import (
 	"repro/internal/types"
 )
 
+// handleAnnounce integrates a chain record as the loop does with an announce
+// from a peer, and returns once it has, so from then on the record fences
+// reads.
+func (n *Node) handleAnnounce(rec ChainRecord) { n.onLoop(func() { n.integrate(types.Config{}, rec) }) }
+
 // spareNode builds and starts a stand-alone node with an empty store.
 func spareNode(t *testing.T, w *world, id types.NodeID) *Node {
 	t.Helper()

@@ -20,20 +20,21 @@ import (
 // chain, the configurations and the engine runs, and it alone starts and
 // retires engines. It alone touches the machine, the pending commands and the
 // parked reads: every client command and every fast read's index reaches it
-// through its mailbox, and so does what another goroutine learns that changes
-// the node's state (a chain record from a peer, a fetched snapshot's install;
-// onLoop). The mailbox is drained whole at the top of every round, in arrival
-// order, never while a segment executes, so no round's work is overtaken.
-// Every other engine keeps what it decides, as smr.Engine allows: a
-// speculative successor until its state is installed, a wedged predecessor
-// until it is retired.
+// through its mailbox, and so do every control request, every Reconfigure,
+// every inspection (inspect) and what another goroutine learns that changes
+// the node's state (a chain record from a peer, a fetched snapshot's install,
+// a worker's report; onLoop). The mailbox is drained whole at the top of
+// every round, in arrival order, never while a segment executes, so no
+// round's work is overtaken. Every other engine keeps what it decides, as
+// smr.Engine allows: a speculative successor until its state is installed, a
+// wedged predecessor until it is retired.
 //
-// A round drains the mailbox and collects a run of taken decisions under
-// n.mu, releases the mutex, executes them, and reacquires n.mu only to
-// commit: advance the apply cursor, answer waiting clients, serve parked
-// reads. Inspectors do not contend with execution.
+// No other goroutine reads the loop's state: the inspectors read the view it
+// publishes at every transition (publishView) or run on it (inspect), and once
+// it has exited they read its final state.
 func (n *Node) applyLoop() {
 	defer n.wg.Done()
+	defer n.exit()
 	ticker := time.NewTicker(retryInterval)
 	defer ticker.Stop()
 	for {
@@ -41,6 +42,8 @@ func (n *Node) applyLoop() {
 		if len(units) > 0 {
 			n.executeRound(units)
 			select {
+			case <-n.stopCh:
+				return
 			case <-ticker.C: // a loop that never idles still ticks
 				n.houseTick()
 			default:
@@ -59,7 +62,7 @@ func (n *Node) applyLoop() {
 		case <-n.mailbox.Wake():
 		case d, ok := <-decs:
 			// The installed configuration's engine is stopped only by Stop,
-			// which closes stopCh first.
+			// once the loop has exited.
 			if ok {
 				run.buffered = append(run.buffered, d)
 			}
@@ -67,17 +70,28 @@ func (n *Node) applyLoop() {
 	}
 }
 
-// mailboxLimit bounds the loop's mailbox. A client command that finds it full
-// is dropped, as a lost frame is, and the client's retry covers it (an
-// in-process Submit fails with ErrBusy); a fast read's index is answered
-// SubmitBusy instead (tryFastReadLocked); work posted by onLoop waits for
-// room.
+// exit is the loop's last step: every Reconfigure waiter is answered
+// ErrStopped, and the loop's state, final from here on, is handed to the
+// inspectors.
+func (n *Node) exit() {
+	n.filterReconfigs(func(w *reconfigWaiter) bool {
+		w.answer(types.Config{}, ErrStopped)
+		return false
+	})
+	close(n.exited)
+}
+
+// mailboxLimit bounds the loop's mailbox. A client command or a control
+// request that finds it full is dropped, as a lost frame is, and the asker's
+// retry covers it (an in-process Submit fails with ErrBusy); a fast read's
+// index is answered SubmitBusy instead (tryFastRead); work posted by onLoop,
+// an in-process Reconfigure and an inspection wait for room.
 const mailboxLimit = 16384
 
-// loopMsg is one entry of the loop's mailbox: work posted by onLoop (f), a
-// client command to admit (cmd, respond), or a fast read of cmd whose engine
-// has answered (readCfg, the configuration it was classified in, is set;
-// index and err are the answer).
+// loopMsg is one entry of the loop's mailbox: work posted by onLoop or a
+// control request (f), a client command to admit (cmd, respond), or a fast
+// read of cmd whose engine has answered (readCfg, the configuration it was
+// classified in, is set; index and err are the answer).
 type loopMsg struct {
 	f       func()
 	cmd     types.Command
@@ -87,10 +101,11 @@ type loopMsg struct {
 	err     error
 }
 
-// post hands f to the apply loop, which runs it under n.mu between two
-// rounds, in arrival order; false means the node stopped first. It waits only
-// for room in the mailbox. The caller holds no lock and is not the loop.
-func (n *Node) post(f func()) bool { return n.mailbox.Put(loopMsg{f: f}, n.stopCh) }
+// post hands f to the apply loop, which runs it between two rounds, in
+// arrival order; false means the node stopped first, and then f is not left
+// in the mailbox of a loop that may never drain it again. It waits only for
+// room in the mailbox. The caller is not the loop.
+func (n *Node) post(f func()) bool { return !n.stopping() && n.mailbox.Put(loopMsg{f: f}, n.stopCh) }
 
 // onLoop posts f to the apply loop and waits until the loop has run it; false
 // means the node stopped first.
@@ -107,34 +122,34 @@ func (n *Node) onLoop(f func()) bool {
 	}
 }
 
-// drainMailboxLocked runs, in arrival order, all that the mailbox holds. The
+// drainMailbox runs, in arrival order, all that the mailbox holds. The
 // client commands of one drain are proposed back to back, so the engine takes
-// a clump that left a client together as one. Caller holds mu, on the loop.
-func (n *Node) drainMailboxLocked() {
+// a clump that left a client together as one. It runs on the loop.
+func (n *Node) drainMailbox() {
 	n.taken = n.mailbox.Take(n.taken[:0], mailboxLimit)
 	for _, m := range n.taken {
 		switch {
 		case m.f != nil:
 			m.f()
 		case m.readCfg != 0:
-			n.completeReadLocked(m)
+			n.completeRead(m)
 		default:
-			n.admitLocked(m.cmd, m.respond)
+			n.admit(m.cmd, m.respond)
 		}
 	}
 	clear(n.taken) // drop the commands and callbacks the buffer holds
 }
 
-// admitLocked serves one client command: a redirect when this node cannot
+// admit serves one client command: a redirect when this node cannot
 // take it, the recorded reply of an executed duplicate, a fast read, or
 // admission into the pending commands and a proposal into the current
-// engine. Caller holds mu, on the loop.
-func (n *Node) admitLocked(cmd types.Command, respond func([]byte)) {
-	if n.stopped || cmd.Kind != types.CmdApp || cmd.Client == "" || cmd.Seq == 0 {
+// engine. It runs on the loop.
+func (n *Node) admit(cmd types.Command, respond func([]byte)) {
+	if n.stopping() || cmd.Kind != types.CmdApp || cmd.Client == "" || cmd.Seq == 0 {
 		return // malformed; client library never sends this
 	}
 	if !n.configs[n.curID].IsMember(n.self) || !n.initialized && !n.speculationOn() {
-		respond(n.redirectReplyLocked())
+		respond(n.redirectReply())
 		return
 	}
 	// An uninitialized member is accepting speculatively: its snapshot is
@@ -147,27 +162,27 @@ func (n *Node) admitLocked(cmd types.Command, respond func([]byte)) {
 	if n.initialized {
 		if cmd.Seq <= n.machine.LastSeq(cmd.Client) {
 			reply, _ := n.machine.ApplyCommand(cmd) // dedup path: no mutation
-			respond(n.appliedReplyLocked(reply))
+			respond(n.appliedReply(reply))
 			return
 		}
-		if n.tryFastReadLocked(cmd, respond) {
+		if n.tryFastRead(cmd, respond) {
 			return
 		}
 	}
-	if !n.admitSubmitLocked(cmd) {
-		respond(n.busyReplyLocked())
+	if !n.admitSubmit(cmd) {
+		respond(n.busyReply())
 		return
 	}
-	n.enqueueSubmitLocked(cmd, respond)
+	n.enqueueSubmit(cmd, respond)
 }
 
-// admitSubmitLocked decides whether a client command may join the pending
+// admitSubmit decides whether a client command may join the pending
 // proposal queue — the admission control gate. A retry of an already-admitted
 // command always passes (it only attaches another waiter); past the bound,
 // new commands are shed. Only opSubmit traffic ever reaches this gate:
 // reconfigurations, chain records, announces and state transfer have their
 // own op codes, so control-plane progress is never queued behind client load.
-func (n *Node) admitSubmitLocked(cmd types.Command) bool {
+func (n *Node) admitSubmit(cmd types.Command) bool {
 	if _, ok := n.pending[pendKey{client: cmd.Client, seq: cmd.Seq}]; ok {
 		return true
 	}
@@ -179,22 +194,22 @@ func (n *Node) admitSubmitLocked(cmd types.Command) bool {
 	return false
 }
 
-// busyReplyLocked builds the SubmitBusy shed reply. RetryAfter is the
+// busyReply builds the SubmitBusy shed reply. RetryAfter is the
 // tick interval: by then the node has re-proposed its backlog at
 // least once, so the queue has had a real chance to drain.
-func (n *Node) busyReplyLocked() []byte {
+func (n *Node) busyReply() []byte {
 	return EncodeSubmitResult(SubmitResult{
 		Status:     SubmitBusy,
 		Config:     n.configs[n.curID],
-		Leader:     n.leaderHintLocked(),
+		Leader:     n.LeaderHint(),
 		RetryAfter: retryInterval,
 	})
 }
 
-// enqueueSubmitLocked registers a pending waiter for cmd and proposes it
+// enqueueSubmit registers a pending waiter for cmd and proposes it
 // into the current engine — the ordinary log path for writes and for reads
 // that could not use the fast path.
-func (n *Node) enqueueSubmitLocked(cmd types.Command, respond func([]byte)) {
+func (n *Node) enqueueSubmit(cmd types.Command, respond func([]byte)) {
 	key := pendKey{client: cmd.Client, seq: cmd.Seq}
 	p, ok := n.pending[key]
 	if !ok {
@@ -203,7 +218,7 @@ func (n *Node) enqueueSubmitLocked(cmd types.Command, respond func([]byte)) {
 		// zero nextRetry would have the very next tick re-propose
 		// a command that is merely in flight. The extra tick covers the
 		// current one, which is already partly spent.
-		n.armRetryLocked(p)
+		n.armRetry(p)
 		p.nextRetry++
 		n.pending[key] = p
 		if depth := int64(len(n.pending)); depth > n.stats.SubmitQueueHigh {
@@ -228,16 +243,14 @@ type applyUnit struct {
 	cmd  types.Command
 }
 
-// collectRound is the first, locked half of a round. It drains the mailbox,
-// takes what the installed configuration's channel holds into its head, and
-// pops the round's units off the head. run is the installed configuration's
+// collectRound is the first half of a round. It drains the mailbox, takes
+// what the installed configuration's channel holds into its head, and pops
+// the round's units off the head. run is the installed configuration's
 // engine run, nil when none is.
 func (n *Node) collectRound() (units []applyUnit, run *engineRun) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.drainMailboxLocked()
+	n.drainMailbox()
 	if run = n.engines[n.curID]; run == nil || !n.initialized {
-		n.serveReadyReadsLocked()
+		n.serveReadyReads()
 		return nil, nil
 	}
 	// The loop is the channel's only receiver, so what it holds now is there
@@ -257,15 +270,15 @@ func (n *Node) collectRound() (units []applyUnit, run *engineRun) {
 		}
 		n.stats.ApplyQueueHighWater = max(n.stats.ApplyQueueHighWater, parked)
 	}
-	if units = n.collectReadyLocked(run, maxApplyUnits); len(units) == 0 {
-		n.serveReadyReadsLocked()
+	if units = n.collectReady(run, maxApplyUnits); len(units) == 0 {
+		n.serveReadyReads()
 	}
 	return units, run
 }
 
 // executeRound executes a collected round segment by segment: a maximal run
-// of ordinary commands is applied off-mutex, one command at a time on this
-// goroutine; each reconfiguration executes alone under the mutex. The
+// of ordinary commands is applied one command at a time; each
+// reconfiguration executes alone. The
 // segment's last command has returned before the next unit starts, so every
 // preceding mutation is complete before a wedge forks the snapshot (the
 // wedge-drain rule). A wedge ends the round: the units after it are
@@ -297,13 +310,13 @@ func (n *Node) executeRound(units []applyUnit) {
 	}
 }
 
-// collectReadyLocked pops the contiguous run of ready decisions off run's
+// collectReady pops the contiguous run of ready decisions off run's
 // head and flattens batches into applyUnits, up to the log bound: the slots
 // past it are post-wedge. Stale redeliveries — slots an installed snapshot
 // already covers — are skipped; a slot gap is an invariant violation (the
 // engine contract is gap-free in-order delivery).
-func (n *Node) collectReadyLocked(run *engineRun, max int) (units []applyUnit) {
-	cursor, bound := n.appliedSlot, n.logBoundLocked()
+func (n *Node) collectReady(run *engineRun, max int) (units []applyUnit) {
+	cursor, bound := n.appliedSlot, n.logBound()
 	for len(units) < max && len(run.buffered) > 0 && (bound == 0 || cursor < bound) {
 		dec := run.buffered[0]
 		run.buffered = run.buffered[1:]
@@ -333,15 +346,12 @@ func (n *Node) collectReadyLocked(run *engineRun, max int) (units []applyUnit) {
 	return units
 }
 
-// applyReconfigUnit executes one reconfiguration command under the mutex and
-// reports whether the configuration transitioned, in which case the caller
-// drops the rest of its round. A deterministically invalid reconfiguration is
-// a no-op and the round goes on; the apply cursor only advances when this is
-// the slot's final unit, so a parked read can never be served against a
-// half-applied slot.
+// applyReconfigUnit executes one reconfiguration command and reports whether
+// the configuration transitioned, in which case the caller drops the rest of
+// its round. A deterministically invalid reconfiguration is a no-op and the
+// round goes on; the apply cursor only advances when this is the slot's final
+// unit, so a parked read can never be served against a half-applied slot.
 func (n *Node) applyReconfigUnit(u applyUnit, lastOfSlot bool) (wedged bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	before := n.curID
 	if lastOfSlot {
 		n.appliedSlot = u.slot
@@ -349,75 +359,82 @@ func (n *Node) applyReconfigUnit(u applyUnit, lastOfSlot bool) (wedged bool) {
 	// A deterministically invalid one (a stale ID from a racing proposer, or
 	// corrupt) is a no-op at every replica.
 	if newCfg, err := types.DecodeConfig(u.cmd.Data); err == nil && newCfg.ID == n.curID+1 {
-		n.wedgeLocked(u.slot, newCfg)
+		n.wedge(u.slot, newCfg)
 	} else {
-		n.wedgeAtBoundLocked()
+		n.wedgeAtBound()
 	}
-	n.serveReadyReadsLocked()
+	n.serveReadyReads()
 	return n.curID != before || !n.initialized
 }
 
 // applySegment applies a run of ordinary commands to the machine in decided
-// order with the node mutex released, then reacquires it to commit. Only this
-// goroutine reads or replaces the machine, so nothing can observe a
-// half-applied segment.
+// order, then commits: it advances the apply cursor, makes the wedge at the
+// log bound if the cursor reached it, and only then answers the waiting
+// clients, with the replies built as their commands executed. So a client
+// answered here finds the node as the turn leaves it: its next command goes
+// to the successor, not to a log that has ended, and the inspectors show the
+// successor. Only the loop reads or replaces the machine, so nothing can
+// observe a half-applied segment.
 func (n *Node) applySegment(seg []applyUnit, commit types.Slot) {
-	replies := make([][]byte, len(seg))
-	dups := make([]bool, len(seg))
-	for k := range seg {
-		replies[k], dups[k] = n.machine.ApplyCommand(seg[k].cmd)
+	answers := make([]answer, 0, len(seg))
+	for _, u := range seg {
+		reply, dup := n.machine.ApplyCommand(u.cmd)
+		n.stats.Applied++
+		if dup {
+			n.stats.Duplicates++
+		}
+		if u.cmd.Client == "" {
+			continue
+		}
+		key := pendKey{client: u.cmd.Client, seq: u.cmd.Seq}
+		if p, ok := n.pending[key]; ok {
+			delete(n.pending, key)
+			if len(p.responders) > 0 {
+				answers = append(answers, answer{p.responders, n.appliedReply(reply)})
+			}
+		}
 	}
-
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if commit > n.appliedSlot {
 		n.appliedSlot = commit
 	}
-	for k := range seg {
-		cmd := seg[k].cmd
-		n.stats.Applied++
-		if dups[k] {
-			n.stats.Duplicates++
-		}
-		if cmd.Client == "" {
-			continue
-		}
-		key := pendKey{client: cmd.Client, seq: cmd.Seq}
-		if p, pok := n.pending[key]; pok {
-			delete(n.pending, key)
-			n.respondApplied(p, replies[k])
+	n.wedgeAtBound()
+	for _, a := range answers {
+		for _, respond := range a.responders {
+			respond(a.resp)
 		}
 	}
-	// Before mu goes: a client answered here submits its next command to the
-	// successor, not to a log that has ended.
-	n.wedgeAtBoundLocked()
-	n.serveReadyReadsLocked()
+	n.serveReadyReads()
 }
 
-// installLocked adopts fresh, a machine built from a complete snapshot, as
-// the state of configuration id at slot 0: a joiner's initial state, a
-// lagging member's after a stale jump, or what Start found in the node's own
-// store. It runs on the apply loop (handed over by install) or in Start
-// before the loop exists, and only on a node without state: an initialized
-// node holds id's state already. Reports whether the install happened.
-// Caller holds mu.
-func (n *Node) installLocked(id types.ConfigID, fresh *statemachine.Sessioned) bool {
-	if n.stopped || n.curID != id || n.initialized {
+// answer is the reply to every waiter of one executed command.
+type answer struct {
+	responders []func([]byte)
+	resp       []byte
+}
+
+// adopt installs fresh, a machine built from a complete snapshot, as the
+// state of configuration id at slot 0: a joiner's initial state, a lagging
+// member's after a stale jump, or what Start found in the node's own store.
+// It runs on the apply loop (handed over by install) or in Start before the
+// loop exists, and only on a node without state: an initialized node holds
+// id's state already. Reports whether the install happened.
+func (n *Node) adopt(id types.ConfigID, fresh *statemachine.Sessioned) bool {
+	if n.stopping() || n.curID != id || n.initialized {
 		return false
 	}
 	n.machine = fresh
 	n.initialized = true
 	n.appliedSlot = 0
 	n.snapDurable = max(n.snapDurable, id)
-	if err := n.ensureEngineLocked(id); err != nil {
+	if err := n.ensureEngine(id); err != nil {
 		n.stats.InvariantViolations++
 	}
 	n.stats.SnapshotsFetched++
 	// What a speculative engine decided during the transfer stayed in it;
 	// the loop takes it from here.
-	n.stats.SpeculativeParked += n.takeOverLocked(id)
-	n.resubmitPendingLocked(true)
-	n.notifyTransitionLocked()
+	n.stats.SpeculativeParked += n.takeOver(id)
+	n.resubmitPending(true)
+	n.notifyTransition()
 	return true
 }
 
@@ -431,7 +448,7 @@ func (n *Node) installLocked(id types.ConfigID, fresh *statemachine.Sessioned) b
 // member of every configuration it steps back over and still holds their
 // engine namespaces: its own logs then replay the node through the wedges to
 // the current configuration, and retire keeps what this walk needs
-// (retireLocked). A manifest with a partial chunk set (crashed mid-transfer),
+// (retireDue). A manifest with a partial chunk set (crashed mid-transfer),
 // a chunk set that does not decode, or nothing to walk back to leaves the node
 // uninitialized in the current configuration, and the transfer goroutine
 // fetches what is missing. The loop does not run yet, so the install happens
@@ -445,9 +462,7 @@ func (n *Node) recoverMachine(cur types.ConfigID) error {
 			// configuration starts from the empty machine and its log is
 			// whole from slot 1, so replay reproduces the state.
 			log.Printf("reconfig: %s snapshot of cfg %d unreadable (%v); replaying from the empty machine", n.self, id, err)
-			n.mu.Lock()
 			n.curID, n.initialized = id, true
-			n.mu.Unlock()
 			return nil
 		case err == nil && m.Base > 0:
 			// A mid-log checkpoint of an older version: the log below it is gone.
@@ -458,8 +473,6 @@ func (n *Node) recoverMachine(cur types.ConfigID) error {
 			return nil
 		case err == nil && m.Chunks() > 0:
 			fresh, err := n.buildMachine(m, chunks)
-			n.mu.Lock()
-			defer n.mu.Unlock()
 			if err != nil {
 				n.stats.InvariantViolations++
 				return nil
@@ -468,25 +481,22 @@ func (n *Node) recoverMachine(cur types.ConfigID) error {
 				log.Printf("reconfig: %s has no whole snapshot of cfg %d; replaying its logs from cfg %d", n.self, cur, id)
 			}
 			n.curID = id
-			n.installLocked(id, fresh)
+			n.adopt(id, fresh)
 			return nil
 		}
-		n.mu.Lock()
 		prev := id - 1
 		_, wedged := n.chain[prev]
-		replayable := wedged && prev >= n.discardNext && n.configs[prev].IsMember(n.self)
-		n.mu.Unlock()
-		if !replayable {
+		if !wedged || prev < n.discardNext || !n.configs[prev].IsMember(n.self) {
 			return nil
 		}
 	}
 }
 
-// takeOverLocked makes configuration id's engine run the loop's to take
+// takeOver makes configuration id's engine run the loop's to take
 // from, now that its state is installed here, and returns how many decisions
 // its engine delivered before: they were decided speculatively and are
-// counted in SpeculativeDecides. Caller holds mu.
-func (n *Node) takeOverLocked(id types.ConfigID) int64 {
+// counted in SpeculativeDecides.
+func (n *Node) takeOver(id types.ConfigID) int64 {
 	run, ok := n.engines[id]
 	if !ok || run.installed {
 		return 0
@@ -497,12 +507,12 @@ func (n *Node) takeOverLocked(id types.ConfigID) int64 {
 	return spec
 }
 
-// jumpLocked moves the node's execution cursor to configuration id without
+// jump moves the node's execution cursor to configuration id without
 // local state (a fetch must follow if we are a member): a spare or retired
 // node adopting an announced successor, or a stale jump. It runs on the apply
 // loop. The old configuration's run stays until the tick retires it, and a
-// running transfer is cancelled. Caller holds mu.
-func (n *Node) jumpLocked(id types.ConfigID) {
+// running transfer is cancelled.
+func (n *Node) jump(id types.ConfigID) {
 	if run, ok := n.engines[n.curID]; ok {
 		run.buffered = nil
 	}
@@ -512,68 +522,50 @@ func (n *Node) jumpLocked(id types.ConfigID) {
 	n.curID = id
 	n.appliedSlot = 0
 	n.initialized = false
-	cfg := n.configs[id]
-	if cfg.IsMember(n.self) {
+	member := n.configs[id].IsMember(n.self)
+	if member {
 		if n.speculationOn() {
-			if err := n.ensureEngineLocked(id); err != nil {
+			if err := n.ensureEngine(id); err != nil {
 				n.stats.InvariantViolations++
 			}
 		}
-		n.maybeTransferLocked()
-	} else {
-		n.redirectAllPendingLocked()
+		n.maybeTransfer()
 	}
-	n.serveReadyReadsLocked()
-	n.notifyTransitionLocked()
+	n.notifyTransition()
+	if !member {
+		n.redirectAllPending()
+	}
+	n.serveReadyReads()
 }
 
-// respondApplied answers every RPC waiter attached to a pending command.
-func (n *Node) respondApplied(p *pendingCmd, reply []byte) {
-	if len(p.responders) == 0 {
-		return
-	}
-	resp := n.appliedReplyLocked(reply)
-	for _, respond := range p.responders {
-		respond(resp)
-	}
-}
-
-// appliedReplyLocked builds the SubmitApplied reply carrying reply.
-func (n *Node) appliedReplyLocked(reply []byte) []byte {
+// appliedReply builds the SubmitApplied reply carrying reply.
+func (n *Node) appliedReply(reply []byte) []byte {
 	return EncodeSubmitResult(SubmitResult{
 		Status: SubmitApplied,
 		Reply:  reply,
 		Config: n.configs[n.curID],
-		Leader: n.leaderHintLocked(),
+		Leader: n.LeaderHint(),
 	})
 }
 
-func (n *Node) leaderHintLocked() types.NodeID {
-	if run, ok := n.engines[n.curID]; ok {
-		hint, _ := run.eng.Leader()
-		return hint
-	}
-	return ""
-}
-
-// logBoundLocked is the slot at which every configuration's log ends, 0 when
-// the bound is off (Options.NoCheckpoints). Caller holds mu.
-func (n *Node) logBoundLocked() types.Slot {
+// logBound is the slot at which every configuration's log ends, 0 when
+// the bound is off (Options.NoCheckpoints).
+func (n *Node) logBound() types.Slot {
 	if n.opts.NoCheckpoints {
 		return 0
 	}
 	return types.Slot(n.opts.logBound)
 }
 
-// wedgeAtBoundLocked ends the current configuration once the apply cursor
+// wedgeAtBound ends the current configuration once the apply cursor
 // has reached the log bound with no decided reconfiguration before it: every
 // member does the same at the same slot, after the slot's whole batch, so the
 // successor — ID+1, the same members — is the one every log would have
 // chosen, and P2 holds as for any wedge. This is log compaction: the
 // successor starts a fresh log from the wedge-time state, and the old log is
-// discarded whole once its run retires. Caller holds mu, on the loop.
-func (n *Node) wedgeAtBoundLocked() {
-	if bound := n.logBoundLocked(); !n.initialized || bound == 0 || n.appliedSlot < bound {
+// discarded whole once its run retires. It runs on the loop.
+func (n *Node) wedgeAtBound() {
+	if bound := n.logBound(); !n.initialized || bound == 0 || n.appliedSlot < bound {
 		return
 	}
 	next, err := types.NewConfig(n.curID+1, n.configs[n.curID].Members)
@@ -582,30 +574,30 @@ func (n *Node) wedgeAtBoundLocked() {
 		return
 	}
 	before := n.curID
-	n.wedgeLocked(n.appliedSlot, next)
+	n.wedge(n.appliedSlot, next)
 	if n.curID != before {
 		n.stats.CheckpointsPublished++
 	}
 }
 
-// wedgeLocked performs the wedge transition: configuration curID is wedged at
+// wedge performs the wedge transition: configuration curID is wedged at
 // slot, its state becomes newCfg's initial state, and the successor engine
 // takes over.
-func (n *Node) wedgeLocked(slot types.Slot, newCfg types.Config) {
+func (n *Node) wedge(slot types.Slot, newCfg types.Config) {
 	rec := ChainRecord{
 		From:        n.curID,
 		FromMembers: n.configs[n.curID].Members,
 		WedgeSlot:   slot,
 		To:          newCfg,
 	}
-	if n.recordLocked(rec) {
+	if n.record(rec) {
 		return
 	}
 	n.stats.Wedges++
 
 	// The machine state at the wedge IS the successor's initial state:
-	// publish it at base 0. Only the copy-on-write fork (O(shards)) runs
-	// under n.mu; from here until the commit reports its end, retire leaves
+	// publish it at base 0. Only the copy-on-write fork (O(shards)) runs on
+	// the loop; from here until the commit reports its end, retire leaves
 	// the snapshot alone.
 	n.serving[newCfg.ID] = &snapServing{committing: true}
 	n.wg.Add(1)
@@ -623,29 +615,31 @@ func (n *Node) wedgeLocked(slot types.Slot, newCfg types.Config) {
 
 	// Tell the successor's members (the new ones cannot discover the
 	// configuration through their own logs).
-	n.announceLocked(rec)
+	n.announce(rec)
 
 	if newCfg.IsMember(n.self) {
 		// We hold the state already: activate immediately; the engine
 		// starts speculatively regardless of the snapshot (it is local).
-		if err := n.ensureEngineLocked(newCfg.ID); err != nil {
+		if err := n.ensureEngine(newCfg.ID); err != nil {
 			n.stats.InvariantViolations++
 		}
-		n.takeOverLocked(newCfg.ID)
+		n.takeOver(newCfg.ID)
 		// initialized stays true: machine == initial state of newCfg.
-		n.resubmitPendingLocked(true)
+		n.resubmitPending(true)
 	} else {
-		// We are retired. Redirect every waiting client to the new
-		// configuration and stop executing.
+		// We are retired: stop executing, and redirect every waiting client
+		// to the new configuration once the view shows it.
 		n.initialized = false
-		n.redirectAllPendingLocked()
 	}
-	n.notifyTransitionLocked()
+	n.notifyTransition()
+	if !n.initialized {
+		n.redirectAllPending()
+	}
 }
 
-// announceLocked broadcasts the chain record to the successor's members.
+// announce broadcasts the chain record to the successor's members.
 // Best-effort: gossip and discovery RPCs cover losses.
-func (n *Node) announceLocked(rec ChainRecord) {
+func (n *Node) announce(rec ChainRecord) {
 	body := encodeAnnounce(announceMsg{Record: rec})
 	for _, m := range rec.To.Members {
 		if m == n.self {
@@ -655,13 +649,13 @@ func (n *Node) announceLocked(rec ChainRecord) {
 	}
 }
 
-// resubmitPendingLocked re-proposes pending commands into the current
+// resubmitPending re-proposes pending commands into the current
 // configuration's engine. Session dedup makes duplicates harmless. Each
 // command backs off exponentially (with jitter) across ticks so a stalled
 // configuration is not hammered every tick; force resets the backoff and
 // re-proposes everything immediately — used on configuration transitions,
 // where the fresh engine deserves an instant try.
-func (n *Node) resubmitPendingLocked(force bool) {
+func (n *Node) resubmitPending(force bool) {
 	run, ok := n.engines[n.curID]
 	if !ok {
 		return
@@ -679,13 +673,13 @@ func (n *Node) resubmitPendingLocked(force bool) {
 		}
 		n.stats.Resubmits++
 		_ = run.eng.Propose(p.cmd) // best effort; a later tick retries
-		n.armRetryLocked(p)
+		n.armRetry(p)
 	}
 }
 
-// armRetryLocked starts p's backoff clock at a proposal made now: the next
+// armRetry starts p's backoff clock at a proposal made now: the next
 // re-proposal by the tick is one jittered step away, and the step doubles.
-func (n *Node) armRetryLocked(p *pendingCmd) {
+func (n *Node) armRetry(p *pendingCmd) {
 	step := int64(1) << p.backoff
 	if p.backoff < 4 { // cap at 16 ticks between re-proposals
 		p.backoff++
@@ -693,9 +687,9 @@ func (n *Node) armRetryLocked(p *pendingCmd) {
 	p.nextRetry = n.tick + step + n.rng.Int63n(step+1)
 }
 
-// redirectAllPendingLocked answers every waiting client with a redirect to
+// redirectAllPending answers every waiting client with a redirect to
 // the current configuration.
-func (n *Node) redirectAllPendingLocked() {
+func (n *Node) redirectAllPending() {
 	resp := EncodeSubmitResult(SubmitResult{
 		Status: SubmitRedirect,
 		Config: n.configs[n.curID],
@@ -709,15 +703,15 @@ func (n *Node) redirectAllPendingLocked() {
 	}
 }
 
-// recordLocked adds rec to the chain and the configurations, staging it if it
+// record adds rec to the chain and the configurations, staging it if it
 // is new, and reports a fork: a second successor of one configuration, which
 // agreement inside the engine forbids, is counted and not adopted. The record
 // is staged with no barrier of its own: this node acts in the successor only
 // through its engine, whose first barrier covers the record, or through a
 // snapshot commit or transfer, whose barriers do too; one lost before any of
-// them is redelivered by its configuration's log or relearned by gossip.
-// Caller holds mu, on the loop.
-func (n *Node) recordLocked(rec ChainRecord) (fork bool) {
+// them is redelivered by its configuration's log or relearned by gossip. It
+// runs on the loop.
+func (n *Node) record(rec ChainRecord) (fork bool) {
 	prev, ok := n.chain[rec.From]
 	if ok && !prev.Equal(rec) {
 		n.stats.InvariantViolations++
@@ -733,46 +727,38 @@ func (n *Node) recordLocked(rec ChainRecord) (fork bool) {
 	return false
 }
 
-// handleAnnounce integrates a chain record a peer announced (learnChain).
-func (n *Node) handleAnnounce(rec ChainRecord) { n.learnChain(types.Config{}, rec) }
-
-// learnChain integrates chain records learned from peers — an announce, or a
-// peer's chain and initial configuration pulled by gossip — on the apply loop
-// and returns once it has, so from then on they fence reads. For each record
-// it starts the successor's engine speculatively if this node belongs to it,
-// and jumps straight to the successor when the node is not executing an older
+// integrate adds chain records learned from peers. For each record it starts
+// the successor's engine speculatively if this node belongs to it, and jumps
+// straight to the successor when the node is not executing an older
 // configuration; an executing member waits for its own log to deliver the
-// wedge, or for the stale jump.
-func (n *Node) learnChain(initial types.Config, recs ...ChainRecord) {
-	n.onLoop(func() {
-		if _, ok := n.configs[initial.ID]; initial.ID != 0 && !ok {
-			n.configs[initial.ID] = initial
+// wedge, or for the stale jump. It runs on the loop.
+func (n *Node) integrate(initial types.Config, recs ...ChainRecord) {
+	if _, ok := n.configs[initial.ID]; initial.ID != 0 && !ok {
+		n.configs[initial.ID] = initial
+	}
+	for _, rec := range recs {
+		if n.stopping() || n.record(rec) {
+			continue
 		}
-		for _, rec := range recs {
-			if n.stopped || n.recordLocked(rec) {
-				continue
-			}
-			if rec.To.IsMember(n.self) && n.speculationOn() {
-				if err := n.ensureEngineLocked(rec.To.ID); err != nil {
-					n.stats.InvariantViolations++
-				}
-			}
-			if rec.To.ID > n.curID && !(n.initialized && n.configs[n.curID].IsMember(n.self)) {
-				n.jumpLocked(rec.To.ID)
+		if rec.To.IsMember(n.self) && n.speculationOn() {
+			if err := n.ensureEngine(rec.To.ID); err != nil {
+				n.stats.InvariantViolations++
 			}
 		}
-		n.serveReadyReadsLocked()
-	})
+		if rec.To.ID > n.curID && !(n.initialized && n.configs[n.curID].IsMember(n.self)) {
+			n.jump(rec.To.ID)
+		}
+	}
+	n.serveReadyReads()
 }
 
-// ensureEngineLocked creates and starts the engine for configuration id if
+// ensureEngine creates and starts the engine for configuration id if
 // this node is a member and it is not already running. It refuses a
 // configuration older than the current one: its run is retired or was never
 // needed, and gossip replays every record, so rebuilding its engine from the
-// store would restart it every gossip round. Caller holds mu, on the loop or
-// in Start.
-func (n *Node) ensureEngineLocked(id types.ConfigID) error {
-	if n.stopped || id < n.curID {
+// store would restart it every gossip round. It runs on the loop or in Start.
+func (n *Node) ensureEngine(id types.ConfigID) error {
+	if n.stopping() || id < n.curID {
 		return nil // shutting down, or retired here: a new engine would never be needed
 	}
 	if _, ok := n.engines[id]; ok {
@@ -796,29 +782,28 @@ func (n *Node) ensureEngineLocked(id types.ConfigID) error {
 	return nil
 }
 
-// notifyTransitionLocked wakes everyone waiting for a configuration change.
-func (n *Node) notifyTransitionLocked() {
-	for _, ch := range n.cfgWaiters {
-		close(ch)
-	}
-	n.cfgWaiters = nil
+// notifyTransition is every transition's last step: it publishes the
+// new view, which wakes WaitServing, and settles the Reconfigure waiters.
+func (n *Node) notifyTransition() {
 	n.staleTicks = 0
+	n.publishView()
+	n.settleReconfigs()
 }
 
 // houseTick is the loop's periodic turn, every retryInterval: re-proposals,
 // parked reads' aging, the stale jump, the snapshot pipeline's periodic half,
-// retirement, and chain gossip, whose exchange runs on a goroutine of its
-// own.
+// retirement, the Reconfigure waiters, and chain gossip, whose exchange runs
+// on a goroutine of its own.
 func (n *Node) houseTick() {
-	n.mu.Lock()
 	n.tick++
 	cur := n.configs[n.curID]
 	member := cur.IsMember(n.self)
 
 	if n.initialized && member {
-		n.resubmitPendingLocked(false)
+		n.resubmitPending(false)
 	}
-	n.ageReadWaitersLocked()
+	n.ageReadWaiters()
+	n.retryReconfigs()
 
 	// Stale jump: a successor of our current configuration is known, but
 	// our own engine has stopped delivering toward the wedge (e.g. the old
@@ -833,7 +818,7 @@ func (n *Node) houseTick() {
 		}
 		if n.staleTicks++; n.staleTicks > staleJumpTicks {
 			n.stats.StaleJumps++
-			n.jumpLocked(n.newestReachableLocked())
+			n.jump(n.newestReachable())
 		}
 	} else if n.initialized {
 		n.staleTicks = 0
@@ -841,8 +826,8 @@ func (n *Node) houseTick() {
 
 	// The snapshot pipeline's periodic half: fetch a snapshot if this member
 	// has no state, and retire what nobody can still need.
-	n.maybeTransferLocked()
-	n.retireLocked()
+	n.maybeTransfer()
+	n.retireDue()
 
 	// Anti-entropy: periodically trade chain knowledge with a random known
 	// peer. This is the repair path for lost announces — a member that
@@ -858,14 +843,12 @@ func (n *Node) houseTick() {
 	n.gossipLeft--
 	if n.gossipLeft <= 0 {
 		n.gossipLeft = gossipTicks
-		gossipTo = n.gossipPeerLocked()
+		gossipTo = n.gossipPeer()
 		if rec, ok := n.chain[n.curID-1]; ok && gossipTo != "" {
 			gossipPush = encodeAnnounce(announceMsg{Record: rec})
 		}
-		newest = n.newestReachableLocked()
+		newest = n.newestReachable()
 	}
-	n.mu.Unlock()
-
 	if gossipTo != "" {
 		n.wg.Add(1)
 		go func() {
@@ -875,9 +858,9 @@ func (n *Node) houseTick() {
 	}
 }
 
-// newestReachableLocked is the newest configuration the chain reaches from
-// the current one. Caller holds mu.
-func (n *Node) newestReachableLocked() types.ConfigID {
+// newestReachable is the newest configuration the chain reaches from
+// the current one.
+func (n *Node) newestReachable() types.ConfigID {
 	id := n.curID
 	for rec, ok := n.chain[id]; ok; rec, ok = n.chain[id] {
 		id = rec.To.ID
@@ -885,13 +868,13 @@ func (n *Node) newestReachableLocked() types.ConfigID {
 	return id
 }
 
-// retireLocked is the tick's retirement. It drops the runs of
+// retireDue is the tick's retirement. It drops the runs of
 // configurations older than the current one once they have lingered
 // lingerOld — long enough for laggards to learn the wedge from them — and
 // hands one retire goroutine (xfer.go) their engines to stop, the snapshots
 // nobody can still need, and the engine namespaces of every older
 // configuration this node holds no run of: an older configuration's engine is
-// never built again (ensureEngineLocked), so its namespace is dead. Neither
+// never built again (ensureEngine), so its namespace is dead. Neither
 // goes before a newer snapshot is durable here (snapDurable): until then a
 // restart replays this node's own logs from the newest snapshot its store
 // holds whole (recoverMachine), which needs that snapshot and every engine
@@ -900,9 +883,9 @@ func (n *Node) newestReachableLocked() types.ConfigID {
 // snapshot has two writers. One retirement runs at a time, so every engine has
 // stopped before its namespace goes, whichever tick dropped it.
 // What a dropped run counted stays in the node's stats, so no counter goes
-// backwards. Caller holds mu, on the loop.
-func (n *Node) retireLocked() {
-	if n.retiring || n.stopped {
+// backwards. It runs on the loop.
+func (n *Node) retireDue() {
+	if n.retiring || n.stopping() {
 		return
 	}
 	var old []smr.Replica
@@ -918,7 +901,7 @@ func (n *Node) retireLocked() {
 		old = append(old, run.eng)
 	}
 	var snaps, streams []types.ConfigID
-	for n.retiredLocked(n.retireNext) && n.retireNext < n.snapDurable && n.retireNext != n.transfer && !n.committingLocked(n.retireNext) {
+	for n.retired(n.retireNext) && n.retireNext < n.snapDurable && n.retireNext != n.transfer && !n.committing(n.retireNext) {
 		delete(n.serving, n.retireNext)
 		snaps = append(snaps, n.retireNext)
 		n.retireNext++
@@ -956,12 +939,12 @@ func countRun(out *NodeStats, run *engineRun) smr.Counters {
 
 // --- the snapshot pipeline's reports (xfer.go) --------------------------------
 
-// servingLocked takes publish's serialized copy of id's snapshot, which peers
+// published takes publish's serialized copy of id's snapshot, which peers
 // are served from while the commit writes the stored blob, and reports whether
-// id is retired already; then the copy is dropped and no commit runs. Caller
-// holds mu, on the loop.
-func (n *Node) servingLocked(id types.ConfigID, m storage.ChunkManifest, chunks [][]byte) (retired bool) {
-	if n.retiredLocked(id) {
+// id is retired already; then the copy is dropped and no commit runs. It
+// runs on the loop.
+func (n *Node) published(id types.ConfigID, m storage.ChunkManifest, chunks [][]byte) (retired bool) {
+	if n.retired(id) {
 		delete(n.serving, id)
 		return true
 	}
@@ -969,10 +952,10 @@ func (n *Node) servingLocked(id types.ConfigID, m storage.ChunkManifest, chunks 
 	return false
 }
 
-// committedLocked takes the end of id's commit: the stored snapshot is
+// committed takes the end of id's commit: the stored snapshot is
 // durable and served from the store, or the commit failed and the in-memory
-// copy stays served until retire drops it. Caller holds mu, on the loop.
-func (n *Node) committedLocked(id types.ConfigID, err error) {
+// copy stays served until retire drops it. It runs on the loop.
+func (n *Node) committed(id types.ConfigID, err error) {
 	if err != nil {
 		n.stats.InvariantViolations++
 		if s := n.serving[id]; s != nil { // nil: dropped as retired on a racing Stop
@@ -984,39 +967,39 @@ func (n *Node) committedLocked(id types.ConfigID, err error) {
 	n.snapDurable = max(n.snapDurable, id)
 }
 
-// committingLocked reports whether a commit of id's snapshot has not reported
-// its end yet. Caller holds mu.
-func (n *Node) committingLocked(id types.ConfigID) bool {
+// committing reports whether a commit of id's snapshot has not reported
+// its end yet.
+func (n *Node) committing(id types.ConfigID) bool {
 	s := n.serving[id]
 	return s != nil && s.committing
 }
 
-// maybeTransferLocked launches the transfer goroutine if the node is a member
+// maybeTransfer launches the transfer goroutine if the node is a member
 // of its current configuration with no state and no transfer is running. The
 // transition paths call it right away — joining latency is downtime — and the
 // tick relaunches one that ended. The fetch sources are fixed at launch: the
 // one chain record that names the configuration as a successor is known by
-// then (fetchSourcesLocked). The node stops wanting the snapshot only when it
-// moves past the configuration or stops, and jumpLocked and Stop cancel the
-// transfer's context then. Caller holds mu, on the loop.
-func (n *Node) maybeTransferLocked() {
+// then (fetchSources). The node stops wanting the snapshot only when it
+// moves past the configuration or stops, and jump and Stop cancel the
+// transfer's context then. It runs on the loop.
+func (n *Node) maybeTransfer() {
 	id := n.curID
-	if n.transfer != 0 || n.stopped || id == 0 || n.initialized || !n.configs[id].IsMember(n.self) {
+	if n.transfer != 0 || n.stopping() || id == 0 || n.initialized || !n.configs[id].IsMember(n.self) {
 		return
 	}
 	ctx, cancel := context.WithCancel(n.baseCtx)
 	n.transfer, n.transferCancel = id, cancel
 	n.wg.Add(1)
-	go n.runTransfer(ctx, id, n.fetchSourcesLocked(id))
+	go n.runTransfer(ctx, id, n.fetchSources(id))
 }
 
-// transferEndedLocked takes the transfer goroutine's last report. Caller
-// holds mu, on the loop.
-func (n *Node) transferEndedLocked() {
+// transferEnded takes the transfer goroutine's last report. It runs on
+// the loop.
+func (n *Node) transferEnded() {
 	n.transferCancel()
 	n.transfer, n.transferCancel = 0, nil
 }
 
-// retireEndedLocked takes the retire goroutine's report that it is done.
-// Caller holds mu, on the loop.
-func (n *Node) retireEndedLocked() { n.retiring = false }
+// retireEnded takes the retire goroutine's report that it is done. It
+// runs on the loop.
+func (n *Node) retireEnded() { n.retiring = false }

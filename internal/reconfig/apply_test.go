@@ -296,17 +296,20 @@ func TestSynchronousReadIndexCompletesRead(t *testing.T) {
 	}
 
 	// An answer that finds the mailbox full is not dropped: the read is shed
-	// with SubmitBusy at once. The test holds n.mu, so the loop cannot drain,
+	// with SubmitBusy at once. The test parks the loop, so it cannot drain,
 	// while it posts work that fills the mailbox and then the read; the loop
-	// runs the first and admits the second in one drain.
-	n.mu.Lock()
+	// runs the first and admits the second in one drain. Filling the mailbox
+	// takes a while under -race, so the read's second starts once it is full.
+	release := stallLoop(t, n)
+	filled := make(chan struct{})
 	n.mailbox.TryPut(loopMsg{f: func() {
 		for n.mailbox.TryPut(loopMsg{}) { // malformed commands: the loop drops them
 		}
+		close(filled)
 	}})
 	busy := make(chan error, 1)
 	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		_, err := n.Submit(ctx, "r", 3, statemachine.EncodeCounterGet())
 		busy <- err
@@ -314,7 +317,8 @@ func TestSynchronousReadIndexCompletesRead(t *testing.T) {
 	for n.mailbox.Len() < 2 {
 		time.Sleep(time.Millisecond)
 	}
-	n.mu.Unlock()
+	release()
+	<-filled
 	select {
 	case err := <-busy:
 		if !errors.Is(err, ErrBusy) {

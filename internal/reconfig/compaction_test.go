@@ -57,13 +57,13 @@ func (w *world) waitStat(probe func() bool, what string, timeout time.Duration) 
 // runsAndRetained reads, in one step, the configurations n holds engine runs
 // of and the decided slots those runs retain.
 func runsAndRetained(n *Node) (runs map[types.ConfigID]bool, retained int64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	runs = make(map[types.ConfigID]bool, len(n.engines))
-	for id, run := range n.engines {
-		runs[id] = true
-		retained += run.eng.Counters().RetainedSlots
-	}
+	n.inspect(func() {
+		runs = make(map[types.ConfigID]bool, len(n.engines))
+		for id, run := range n.engines {
+			runs[id] = true
+			retained += run.eng.Counters().RetainedSlots
+		}
+	})
 	return runs, retained
 }
 
@@ -397,7 +397,7 @@ func TestGossipReplyIsDelta(t *testing.T) {
 	ask := func(req []byte) ChainResult {
 		t.Helper()
 		reply := make(chan []byte, 1)
-		n.serveControl(req, func(b []byte) { reply <- b })
+		n.handleRPC("probe", req, func(b []byte) { reply <- b })
 		cr, err := DecodeChainResult(<-reply)
 		if err != nil {
 			t.Fatal(err)

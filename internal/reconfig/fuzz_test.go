@@ -1,6 +1,7 @@
 package reconfig
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/statemachine"
@@ -238,8 +239,9 @@ func ckptBody(config, base uint64) []byte {
 	return w.Bytes()
 }
 
-// fuzzReservedOp serves op followed by each input on a started one-member
-// node, through serveControl, where handleRPC sends every op but a submit.
+// fuzzReservedOp hands op followed by each input to a started one-member
+// node's handleRPC, then waits for a loop round trip, so a request it posted
+// has been served.
 func fuzzReservedOp(f *testing.F, op uint8) {
 	net := transport.NewNetwork(transport.Options{})
 	f.Cleanup(net.Close)
@@ -256,9 +258,10 @@ func fuzzReservedOp(f *testing.F, op uint8) {
 	}
 	f.Cleanup(n.Stop)
 	f.Fuzz(func(t *testing.T, body []byte) {
-		answered := false
-		n.serveControl(append([]byte{op}, body...), func([]byte) { answered = true })
-		if answered {
+		var answered atomic.Bool
+		n.handleRPC("fuzz", append([]byte{op}, body...), func([]byte) { answered.Store(true) })
+		n.onLoop(func() {})
+		if answered.Load() {
 			t.Fatalf("reserved op %d with body %x was answered", op, body)
 		}
 		if v := n.Stats().InvariantViolations; v != 0 {

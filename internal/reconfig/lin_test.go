@@ -180,7 +180,7 @@ func kvReadHeavyWorkload() linWorkload {
 
 // kvWriteHeavyWorkload is the apply-stage stressor: ~90% of generated ops
 // mutate state (Put/Append/Delete/CAS across 64 keys), so decided batches are
-// long runs of writes that the apply stage executes off the node mutex. The
+// long runs of writes that the apply stage executes segment by segment. The
 // remaining Gets keep read-after-write ordering observable, so an apply
 // stage that released a client reply before its command was applied, or
 // advanced the read cursor past a half-applied segment, shows up as a
@@ -426,20 +426,20 @@ func runLin(t *testing.T, run linRun) {
 				t.Logf("node %s: crashed/stopped", id)
 				continue
 			}
-			node.mu.Lock()
-			var engs []string
-			for eid, run := range node.engines {
-				p, es := run.eng.Progress(), run.eng.Counters()
-				ldr, isLdr := run.eng.Leader()
-				engs = append(engs, fmt.Sprintf("cfg%d:{installed=%v leader=%s(%v) delivered=%d dropped=%d}",
-					eid, run.installed, ldr, isLdr, p.Delivered, es.DroppedInbound))
-			}
-			t.Logf("node %s: curID=%d init=%v applied=%d mailbox=%d pending=%d waiters=%d engines=%v stats={applied:%d viol:%d stale:%d wedges:%d resub:%d}",
-				id, node.curID, node.initialized, node.appliedSlot, node.mailbox.Len(),
-				len(node.pending), len(node.readWaiters), engs,
-				node.stats.Applied, node.stats.InvariantViolations, node.stats.StaleJumps,
-				node.stats.Wedges, node.stats.Resubmits)
-			node.mu.Unlock()
+			node.inspect(func() {
+				var engs []string
+				for eid, run := range node.engines {
+					p, es := run.eng.Progress(), run.eng.Counters()
+					ldr, isLdr := run.eng.Leader()
+					engs = append(engs, fmt.Sprintf("cfg%d:{installed=%v leader=%s(%v) delivered=%d dropped=%d}",
+						eid, run.installed, ldr, isLdr, p.Delivered, es.DroppedInbound))
+				}
+				t.Logf("node %s: curID=%d init=%v applied=%d mailbox=%d pending=%d waiters=%d engines=%v stats={applied:%d viol:%d stale:%d wedges:%d resub:%d}",
+					id, node.curID, node.initialized, node.appliedSlot, node.mailbox.Len(),
+					len(node.pending), len(node.readWaiters), engs,
+					node.stats.Applied, node.stats.InvariantViolations, node.stats.StaleJumps,
+					node.stats.Wedges, node.stats.Resubmits)
+			})
 		}
 		t.Fatalf("only %d reconfigurations (need %d); seed %d", stats.Reconfigs, run.minReconfigs, seed)
 	}

@@ -49,8 +49,14 @@ type Options struct {
 	// waiter and always pass, and nothing but client submissions is ever
 	// shed — reconfigurations, chain/announce exchanges and state transfer
 	// use their own op codes and bypass the bound entirely (prioritized
-	// admission). Default 4096. Exported because the cluster megaload tests
-	// check the shedding contract at fixed bounds of 256 and 512.
+	// admission). They do share the apply loop's mailbox with submits: one
+	// that finds it full (mailboxLimit) is dropped as a lost frame is — a
+	// locate or chain request is retried by its asker or the next gossip
+	// round, an announce is repaired by gossip, a snapshot request by the
+	// fetch's timeout and next round, and a reconfiguration RPC by its
+	// caller — while an in-process Reconfigure waits for room. Default 4096.
+	// Exported because the cluster megaload tests check the shedding contract
+	// at fixed bounds of 256 and 512.
 	SubmitQueue int
 	// NoCheckpoints turns the log bound off: a configuration's log grows
 	// until a reconfiguration wedges it. Every member of a deployment must
@@ -180,11 +186,11 @@ type engineRun struct {
 	// engine and not yet applied; only the loop touches it.
 	buffered []smr.Decision
 	// installed is set once this configuration's state is installed here
-	// and the apply loop takes its decisions (takeOverLocked); until then
+	// and the apply loop takes its decisions (takeOver); until then
 	// they stay in the engine.
 	installed bool
 	// lingered counts the ticks the run has spent older than the current
-	// configuration; at lingerOld the tick retires it (retireEnginesLocked).
+	// configuration; at lingerOld the tick retires it (retireDue).
 	lingered int
 }
 
@@ -231,12 +237,10 @@ type Node struct {
 	opts    Options
 	peer    *rpc.Peer
 
-	mu sync.Mutex
-	// configs, chain, curID, initialized, appliedSlot, engines, tick and
-	// staleTicks are read under mu and, once Start has returned, written only
-	// by the apply loop (apply.go), under mu. The machine, pending and
-	// readWaiters are the loop's alone: no other goroutine reads the machine,
-	// and only Stats reads how many commands are pending.
+	// Once Start has returned, the apply loop (apply.go) is the only goroutine
+	// that reads or writes the fields from machine to gossipSeq: every other
+	// goroutine hands it work through the mailbox (post, onLoop) and reads
+	// what it publishes (view) or what it returns on the loop (inspect).
 	machine     *statemachine.Sessioned
 	initConfig  types.Config
 	configs     map[types.ConfigID]types.Config
@@ -245,18 +249,18 @@ type Node struct {
 	initialized bool // machine state is valid for curID; applying allowed
 	appliedSlot types.Slot
 	// mailbox is everything other goroutines hand the apply loop: client
-	// commands, fast reads' indexes, and work posted by onLoop (chain records
-	// learned from peers, fetched snapshots' installs). taken is the loop's
-	// reused buffer for draining it.
+	// commands, fast reads' indexes, control requests, and work posted by
+	// onLoop (chain records learned from peers, fetched snapshots' installs,
+	// the workers' reports). taken is the loop's reused buffer for draining
+	// it.
 	mailbox     *fifo.Queue[loopMsg]
 	taken       []loopMsg
 	engines     map[types.ConfigID]*engineRun
 	pending     map[pendKey]*pendingCmd
-	readWaiters []*readWaiter   // fast-path reads awaiting their index
-	cfgWaiters  []chan struct{} // signaled (closed) on every transition
-	// Snapshot pipeline state (xfer.go), guarded by mu and, once Start has
-	// returned, written only by the apply loop (apply.go) from its workers'
-	// reports.
+	readWaiters []*readWaiter     // fast-path reads awaiting their index
+	reconfigs   []*reconfigWaiter // Reconfigure calls awaiting the chain
+	// Snapshot pipeline state (xfer.go), written only by the apply loop from
+	// its workers' reports.
 	serving        map[types.ConfigID]*snapServing // snapshots this node commits, from the fork until the commit ends
 	transfer       types.ConfigID                  // configuration the transfer goroutine is fetching; 0 when none runs
 	transferCancel context.CancelFunc              // ends the running transfer
@@ -265,34 +269,48 @@ type Node struct {
 	discardNext    types.ConfigID                  // every older configuration's engine namespace has been discarded
 	retiring       bool                            // a retire goroutine is stopping engines or deleting what they left
 	tick           int64                           // ticks the apply loop has run (houseTick)
-	rng            *rand.Rand                      // jitter source, guarded by mu
+	rng            *rand.Rand                      // jitter source
 	staleTicks     int                             // ticks the stale jump has waited without the apply cursor moving
 	staleSlot      types.Slot                      // the apply cursor at the stale jump's last look
 	gossipLeft     int
 	gossipSeq      int
-	stopped        bool
+	lastShedWarn   time.Time
 
-	// testChunkHook, when set by a test (same package), intercepts every
-	// chunk this node serves: returning modified bytes simulates wire
-	// corruption. Guarded by mu.
+	// testChunkHook, when set by a test (same package, on the loop),
+	// intercepts every chunk this node serves: returning modified bytes
+	// simulates wire corruption.
 	testChunkHook func(id types.ConfigID, idx int, data []byte) []byte
+
+	// view is what the inspectors read without the loop: the loop publishes a
+	// new one at Start and at every transition.
+	view atomic.Pointer[nodeView]
 
 	stopCh     chan struct{}
 	stopOnce   sync.Once
+	exited     chan struct{} // closed when the loop has exited; its state is final
 	wg         sync.WaitGroup
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	lastShedWarn atomic.Int64
-
 	// stats holds the counters the node keeps itself, incremented in place
-	// under mu; Stats fills in the fields computed when it is called.
+	// by the loop; Stats fills in the fields computed when it is called.
 	stats NodeStats
 	// workerStats are the counters the snapshot pipeline's workers and
-	// server bump without mu; Stats folds them in.
+	// server bump off the loop; Stats folds them in.
 	workerStats struct {
 		snapshotsServed, chunksServed, chunksFetched, chunkRetries, chunkCRCRejected, violations atomic.Int64
 	}
+}
+
+// nodeView is an immutable picture of the node's place in the chain, which
+// the loop publishes at Start and at every transition. next is closed when a
+// newer view replaces this one.
+type nodeView struct {
+	cfg       types.Config // the current configuration
+	serving   bool         // an initialized member of cfg
+	accepting bool         // a member of cfg whose engine can order commands (Accepting)
+	engine    smr.Replica  // cfg's engine here, nil when none runs
+	next      chan struct{}
 }
 
 // NewNode constructs a Node. Call Bootstrap (first boot of an initial
@@ -319,9 +337,11 @@ func NewNode(nc NodeConfig) (*Node, error) {
 		rng:         rand.New(rand.NewSource(types.SeedFor(string(nc.Self)))),
 		mailbox:     fifo.New[loopMsg](mailboxLimit),
 		stopCh:      make(chan struct{}),
+		exited:      make(chan struct{}),
 		baseCtx:     ctx,
 		baseCancel:  cancel,
 	}
+	n.view.Store(&nodeView{next: make(chan struct{})})
 	return n, nil
 }
 
@@ -368,39 +388,32 @@ func chainKey(id types.ConfigID) string {
 	return fmt.Sprintf("rc/chain/%020d", uint64(id))
 }
 
-// Start recovers persistent state and launches the node's loops.
+// Start recovers persistent state and launches the node's loop. Start and
+// Stop are called from one goroutine.
 func (n *Node) Start() error {
-	n.mu.Lock()
-	if n.stopped {
-		n.mu.Unlock()
+	if n.stopping() {
 		return ErrStopped
 	}
-	discarded, err := n.recoverChainLocked()
-	n.discardNext = max(n.discardNext, discarded)
-	n.machine = statemachine.NewSessioned(n.factory())
-	cur := n.curID
-	n.mu.Unlock()
+	discarded, err := n.recoverChain()
 	if err != nil {
 		return err
 	}
-
-	if err := n.recoverMachine(cur); err != nil {
+	n.discardNext = max(n.discardNext, discarded)
+	n.machine = statemachine.NewSessioned(n.factory())
+	if err := n.recoverMachine(n.curID); err != nil {
 		return err
 	}
-
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	cur = n.curID
 	// Start the engine even when the snapshot is not yet installed: the
 	// engine needs no application state to vote, accept or decide
 	// (speculative start); its accepted/decided records are durable in
 	// their own right, so slots decided before a crash mid-transfer are
 	// redelivered here and wait in the engine until the install.
-	if n.configs[cur].IsMember(n.self) && (n.initialized || n.speculationOn()) {
-		if err := n.ensureEngineLocked(cur); err != nil {
+	if n.configs[n.curID].IsMember(n.self) && (n.initialized || n.speculationOn()) {
+		if err := n.ensureEngine(n.curID); err != nil {
 			return err
 		}
 	}
+	n.publishView()
 
 	n.peer = rpc.NewPeer(n.ep, ControlStream, n.handleRPC)
 	n.wg.Add(1)
@@ -408,10 +421,10 @@ func (n *Node) Start() error {
 	return nil
 }
 
-// recoverChainLocked loads the initial configuration and the configuration
-// chain from the store, and returns the discard cursor: the engine namespaces
-// of the configurations below it are gone already. Caller holds mu.
-func (n *Node) recoverChainLocked() (discarded types.ConfigID, err error) {
+// recoverChain loads the initial configuration and the configuration chain
+// from the store, and returns the discard cursor: the engine namespaces of the
+// configurations below it are gone already. Start runs it before the loop.
+func (n *Node) recoverChain() (discarded types.ConfigID, err error) {
 	// A node may start with an empty store: it is a spare, idle until an
 	// announce makes it a member of some configuration.
 	raw, ok, err := n.store.Get("rc/init")
@@ -457,29 +470,32 @@ func (n *Node) recoverChainLocked() (discarded types.ConfigID, err error) {
 	return discarded, nil
 }
 
-// Stop terminates the node: engines, loops and the control plane. Idempotent.
+// Stop terminates the node: the loop, its workers, the control plane and the
+// engines. Idempotent; a second caller waits for the first.
 func (n *Node) Stop() {
-	n.mu.Lock()
-	if n.stopped {
-		n.mu.Unlock()
-		return
-	}
-	n.stopped = true
-	engines := make([]*engineRun, 0, len(n.engines))
-	for _, run := range n.engines {
-		engines = append(engines, run)
-	}
-	peer := n.peer
-	n.mu.Unlock()
+	n.stopOnce.Do(func() {
+		close(n.stopCh)
+		n.baseCancel()
+		n.wg.Wait()
+		if n.peer == nil {
+			close(n.exited) // the loop never ran
+		} else {
+			n.peer.Close()
+		}
+		// The loop has exited, so the runs are final.
+		for _, run := range n.engines {
+			run.eng.Stop()
+		}
+	})
+}
 
-	n.stopOnce.Do(func() { close(n.stopCh) })
-	n.baseCancel()
-	for _, run := range engines {
-		run.eng.Stop()
-	}
-	n.wg.Wait()
-	if peer != nil {
-		peer.Close()
+// stopping reports whether Stop has begun.
+func (n *Node) stopping() bool {
+	select {
+	case <-n.stopCh:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -488,15 +504,10 @@ func (n *Node) Stop() {
 func (n *Node) speculationOn() bool { return n.opts.SpeculativeStart != SpecOff }
 
 // warnShed logs at most once per second that admission control is shedding
-// client commands. Caller holds mu (the shed counter lives under it); the
-// rate gate is atomic so the common suppressed path stays cheap.
+// client commands. It runs on the loop.
 func (n *Node) warnShed() {
-	now := time.Now().UnixNano()
-	last := n.lastShedWarn.Load()
-	if now-last < int64(time.Second) {
-		return
-	}
-	if n.lastShedWarn.CompareAndSwap(last, now) {
+	if now := time.Now(); now.Sub(n.lastShedWarn) >= time.Second {
+		n.lastShedWarn = now
 		log.Printf("reconfig: %s shedding client submits (queue cap %d, %d shed so far); clients are told SubmitBusy",
 			n.self, n.opts.SubmitQueue, n.stats.ShedSubmits)
 	}
@@ -508,19 +519,11 @@ func (n *Node) warnShed() {
 func (n *Node) Self() types.NodeID { return n.self }
 
 // CurrentConfig returns the latest configuration this node knows.
-func (n *Node) CurrentConfig() types.Config {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.configs[n.curID].Clone()
-}
+func (n *Node) CurrentConfig() types.Config { return n.view.Load().cfg.Clone() }
 
 // Serving reports whether this node is an initialized member of the current
 // configuration (i.e. can execute client commands).
-func (n *Node) Serving() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.initialized && n.configs[n.curID].IsMember(n.self)
-}
+func (n *Node) Serving() bool { return n.view.Load().serving }
 
 // Accepting reports whether this node can take client submissions: serving,
 // or an uninitialized member of the current configuration whose speculative
@@ -528,42 +531,81 @@ func (n *Node) Serving() bool {
 // snapshot installs). Smart clients use this during a full member
 // replacement, when no successor member is serving yet but all of them can
 // decide.
-func (n *Node) Accepting() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.stopped || !n.configs[n.curID].IsMember(n.self) {
-		return false
-	}
-	return n.initialized || n.speculationOn()
-}
+func (n *Node) Accepting() bool { return n.view.Load().accepting && !n.stopping() }
 
 // LeaderHint returns this node's best guess at the current configuration's
 // leader ("" when unknown). Used for leader-targeted fault injection and
 // client steering; it is a hint, not a guarantee.
 func (n *Node) LeaderHint() types.NodeID {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.leaderHintLocked()
+	if eng := n.view.Load().engine; eng != nil {
+		hint, _ := eng.Leader()
+		return hint
+	}
+	return ""
+}
+
+// WaitServing blocks until the node is an initialized member of the current
+// configuration, or ctx expires. It wakes at the transition that makes it
+// one.
+func (n *Node) WaitServing(ctx context.Context) error {
+	for {
+		v := n.view.Load()
+		if v.serving {
+			return nil
+		}
+		select {
+		case <-v.next:
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-n.stopCh:
+			return ErrStopped
+		}
+	}
+}
+
+// publishView publishes the node's current place in the chain to the
+// inspectors and wakes whoever waits on the view it replaces. It runs on the
+// loop, or in Start before the loop does.
+func (n *Node) publishView() {
+	cfg := n.configs[n.curID]
+	member := cfg.IsMember(n.self)
+	v := &nodeView{
+		cfg:       cfg,
+		serving:   n.initialized && member,
+		accepting: member && (n.initialized || n.speculationOn()),
+		next:      make(chan struct{}),
+	}
+	if run, ok := n.engines[n.curID]; ok {
+		v.engine = run.eng
+	}
+	close(n.view.Swap(v).next)
+}
+
+// inspect runs f against the loop's state: on the loop, or, once the loop
+// has exited, on the caller against its final state.
+func (n *Node) inspect(f func()) {
+	if !n.onLoop(f) {
+		<-n.exited
+		f()
+	}
 }
 
 // AppliedSlot returns the last applied slot within the current configuration.
-func (n *Node) AppliedSlot() (types.ConfigID, types.Slot) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.curID, n.appliedSlot
+func (n *Node) AppliedSlot() (id types.ConfigID, slot types.Slot) {
+	n.inspect(func() { id, slot = n.curID, n.appliedSlot })
+	return id, slot
 }
 
 // ChainRecords returns the known chain records ordered by From.
-func (n *Node) ChainRecords() []ChainRecord {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.chainSinceLocked(0)
+func (n *Node) ChainRecords() (recs []ChainRecord) {
+	n.inspect(func() { recs = n.chainSince(0) })
+	return recs
 }
 
-// chainSinceLocked returns the chain records from configuration since on,
-// ordered by From: those of the configurations after since. since 0 asks for
-// the whole chain, from its oldest known record on. Caller holds mu.
-func (n *Node) chainSinceLocked(since types.ConfigID) []ChainRecord {
+// chainSince returns the chain records from configuration since on, ordered
+// by From: those of the configurations after since. since 0 asks for the
+// whole chain, from its oldest known record on.
+func (n *Node) chainSince(since types.ConfigID) []ChainRecord {
 	if since == 0 {
 		for from := range n.chain {
 			if since == 0 || from < since {
@@ -578,11 +620,16 @@ func (n *Node) chainSinceLocked(since types.ConfigID) []ChainRecord {
 	return out
 }
 
-// Stats returns a snapshot of the node's counters.
-func (n *Node) Stats() NodeStats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := n.stats
+// Stats returns a snapshot of the node's counters; on a stopped node, the
+// counts it stopped with.
+func (n *Node) Stats() (out NodeStats) {
+	n.inspect(func() {
+		out = n.stats
+		for _, run := range n.engines {
+			out.RetainedSlots += countRun(&out, run).RetainedSlots
+		}
+		out.SubmitQueueDepth = int64(len(n.pending))
+	})
 	w := &n.workerStats
 	out.SnapshotsServed = w.snapshotsServed.Load()
 	out.ChunksServed = w.chunksServed.Load()
@@ -590,24 +637,12 @@ func (n *Node) Stats() NodeStats {
 	out.ChunkRetries = w.chunkRetries.Load()
 	out.ChunkCRCRejected = w.chunkCRCRejected.Load()
 	out.InvariantViolations += w.violations.Load()
-	for _, run := range n.engines {
-		out.RetainedSlots += countRun(&out, run).RetainedSlots
-	}
-	out.SubmitQueueDepth = int64(len(n.pending))
 	return out
 }
 
 // Machine returns the node's sessioned machine for test inspection. Callers
 // must not mutate it concurrently with a running node.
-func (n *Node) Machine() *statemachine.Sessioned {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.machine
-}
-
-// transitionWaiterLocked returns a channel closed at the next transition.
-func (n *Node) transitionWaiterLocked() chan struct{} {
-	ch := make(chan struct{})
-	n.cfgWaiters = append(n.cfgWaiters, ch)
-	return ch
+func (n *Node) Machine() (m *statemachine.Sessioned) {
+	n.inspect(func() { m = n.machine })
+	return m
 }

@@ -35,23 +35,23 @@ type readWaiter struct {
 	ticks   int
 }
 
-// tryFastReadLocked classifies cmd and, when it is a read-only op eligible
+// tryFastRead classifies cmd and, when it is a read-only op eligible
 // for the fast path, hands it to the current engine's ReadIndex, whose answer
-// the loop takes from its mailbox (completeReadLocked). It returns true when
+// the loop takes from its mailbox (completeRead). It returns true when
 // the read was taken over by the fast path (respond will be called later);
-// false when the caller must use the log path. Caller holds n.mu, on the
-// loop; the callback only posts, so it may run inside ReadIndex, and when the
-// mailbox is full it answers SubmitBusy at once, so no read goes unanswered.
-func (n *Node) tryFastReadLocked(cmd types.Command, respond func([]byte)) bool {
+// false when the caller must use the log path. It runs on the loop; the
+// callback only posts, so it may run inside ReadIndex, and when the mailbox is
+// full it answers SubmitBusy at once, so no read goes unanswered.
+func (n *Node) tryFastRead(cmd types.Command, respond func([]byte)) bool {
 	if !n.machine.ReadOnly(cmd.Data) {
 		return false
 	}
 	readCfg := n.curID
-	if n.readFencedLocked(readCfg) {
+	if n.readFenced(readCfg) {
 		// Already wedged: refuse rather than serve; the redirect points the
 		// client at the successor.
 		n.stats.ReadFenced++
-		respond(n.redirectReplyLocked())
+		respond(n.redirectReply())
 		return true
 	}
 	run, ok := n.engines[readCfg]
@@ -61,28 +61,29 @@ func (n *Node) tryFastReadLocked(cmd types.Command, respond func([]byte)) bool {
 	err := run.eng.ReadIndex(func(index types.Slot, rerr error) {
 		if !n.mailbox.TryPut(loopMsg{cmd: cmd, respond: respond, readCfg: readCfg, index: index, err: rerr}) {
 			// A full mailbox: shed the read as admission sheds a command,
-			// without n.mu, which the engine's goroutine may not take.
+			// without the loop's state, which the engine's goroutine may not
+			// read.
 			respond(EncodeSubmitResult(SubmitResult{Status: SubmitBusy, RetryAfter: retryInterval}))
 		}
 	})
 	return err == nil // a full queue or a stopped engine: use the log path
 }
 
-// completeReadLocked finishes one fast-path read once the engine has
-// confirmed a read index (or refused). Caller holds n.mu, on the loop.
-func (n *Node) completeReadLocked(m loopMsg) {
+// completeRead finishes one fast-path read once the engine has
+// confirmed a read index (or refused). It runs on the loop.
+func (n *Node) completeRead(m loopMsg) {
 	switch {
 	case m.err != nil:
 		// The engine would not confirm leadership (follower, deposed, or
 		// stopped). Fall back to the log path, which is correct from any
 		// node: the proposal is forwarded to whoever leads now.
 		n.stats.ReadFallbacks++
-		n.fallbackReadLocked(m.cmd, m.respond)
-	case n.readFencedLocked(m.readCfg):
+		n.fallbackRead(m.cmd, m.respond)
+	case n.readFenced(m.readCfg):
 		n.stats.ReadFenced++
-		m.respond(n.redirectReplyLocked())
+		m.respond(n.redirectReply())
 	case n.appliedSlot >= m.index:
-		m.respond(n.serveReadLocked(m.cmd))
+		m.respond(n.serveRead(m.cmd))
 	default:
 		// Confirmed but not yet applied locally: park until the apply loop
 		// reaches the index (or a wedge fences the configuration).
@@ -92,13 +93,13 @@ func (n *Node) completeReadLocked(m loopMsg) {
 	}
 }
 
-// readFencedLocked reports whether fast-path reads classified under readCfg
+// readFenced reports whether fast-path reads classified under readCfg
 // must be refused. The first clause is structural (the node moved on or has
 // no valid state); the second is the wedge fence proper: any known chain
 // record for readCfg means the configuration's log is sealed and its state
 // has been handed to a successor, even if this node's own engine has not
 // delivered the wedge yet.
-func (n *Node) readFencedLocked(readCfg types.ConfigID) bool {
+func (n *Node) readFenced(readCfg types.ConfigID) bool {
 	if n.curID != readCfg || !n.initialized {
 		return true
 	}
@@ -106,50 +107,50 @@ func (n *Node) readFencedLocked(readCfg types.ConfigID) bool {
 	return wedged
 }
 
-// serveReadLocked answers a read from local state and builds the reply. It
+// serveRead answers a read from local state and builds the reply. It
 // runs on the loop, between segments, so the state it reads is exactly what
 // the apply cursor covers.
-func (n *Node) serveReadLocked(cmd types.Command) []byte {
+func (n *Node) serveRead(cmd types.Command) []byte {
 	n.stats.FastReads++
-	return n.appliedReplyLocked(n.machine.ApplyRead(cmd.Data))
+	return n.appliedReply(n.machine.ApplyRead(cmd.Data))
 }
 
-// redirectReplyLocked builds the redirect reply: to a fenced read, or to a
+// redirectReply builds the redirect reply: to a fenced read, or to a
 // command this node cannot take.
-func (n *Node) redirectReplyLocked() []byte {
+func (n *Node) redirectReply() []byte {
 	return EncodeSubmitResult(SubmitResult{
 		Status: SubmitRedirect,
 		Config: n.configs[n.curID],
-		Leader: n.leaderHintLocked(),
+		Leader: n.LeaderHint(),
 	})
 }
 
-// fallbackReadLocked reroutes a failed fast-path read through the log. If
+// fallbackRead reroutes a failed fast-path read through the log. If
 // this node cannot serve at all it redirects instead.
-func (n *Node) fallbackReadLocked(cmd types.Command, respond func([]byte)) {
+func (n *Node) fallbackRead(cmd types.Command, respond func([]byte)) {
 	if !n.initialized || !n.configs[n.curID].IsMember(n.self) {
-		respond(n.redirectReplyLocked())
+		respond(n.redirectReply())
 		return
 	}
-	n.enqueueSubmitLocked(cmd, respond)
+	n.enqueueSubmit(cmd, respond)
 }
 
-// serveReadyReadsLocked sweeps the parked read waiters: serve the ones
+// serveReadyReads sweeps the parked read waiters: serve the ones
 // whose index has been applied, fence the ones whose configuration wedged,
 // keep the rest. Called after every apply batch, after snapshot install,
 // and on every configuration transition.
-func (n *Node) serveReadyReadsLocked() {
+func (n *Node) serveReadyReads() {
 	if len(n.readWaiters) == 0 {
 		return
 	}
 	keep := n.readWaiters[:0]
 	for _, w := range n.readWaiters {
 		switch {
-		case n.readFencedLocked(w.cfg):
+		case n.readFenced(w.cfg):
 			n.stats.ReadFenced++
-			w.respond(n.redirectReplyLocked())
+			w.respond(n.redirectReply())
 		case n.appliedSlot >= w.index:
-			w.respond(n.serveReadLocked(w.cmd))
+			w.respond(n.serveRead(w.cmd))
 		default:
 			keep = append(keep, w)
 		}
@@ -157,11 +158,11 @@ func (n *Node) serveReadyReadsLocked() {
 	n.readWaiters = keep
 }
 
-// ageReadWaitersLocked is the tick's sweep: a read stuck beyond
+// ageReadWaiters is the tick's sweep: a read stuck beyond
 // staleReadTicks (leadership confirmed but the apply cursor is not
 // advancing, e.g. the leader lost its quorum right after the probe) is
 // rerouted through the log so it shares the write path's retry machinery.
-func (n *Node) ageReadWaitersLocked() {
+func (n *Node) ageReadWaiters() {
 	if len(n.readWaiters) == 0 {
 		return
 	}
@@ -170,7 +171,7 @@ func (n *Node) ageReadWaitersLocked() {
 		w.ticks++
 		if w.ticks > staleReadTicks {
 			n.stats.ReadFallbacks++
-			n.fallbackReadLocked(w.cmd, w.respond)
+			n.fallbackRead(w.cmd, w.respond)
 			continue
 		}
 		keep = append(keep, w)

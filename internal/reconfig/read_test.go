@@ -36,7 +36,7 @@ func findLeaderNode(t *testing.T, w *world, ids ...types.NodeID) *Node {
 // TestWedgeFencesReads isolates a read-index leader, lets the survivors
 // reconfigure it out, and hands it the chain record for its own
 // configuration. The next read must be refused by the wedge fence — the chain
-// record clause of readFencedLocked — and at once: without that clause the
+// record clause of readFenced — and at once: without that clause the
 // read is not served stale, but its probe round can never complete on the
 // isolated leader, so it hangs until its deadline instead of redirecting.
 func TestWedgeFencesReads(t *testing.T) {

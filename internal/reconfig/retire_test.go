@@ -96,15 +96,15 @@ func waitRetired(w *world, id types.NodeID) (runs int) {
 	var old []types.ConfigID
 	var live int64
 	probe := func() bool {
-		n.mu.Lock()
-		old, live, runs = nil, 0, len(n.engines)
-		for cid, run := range n.engines {
-			live += run.eng.Counters().RetainedSlots
-			if cid < n.curID {
-				old = append(old, cid)
+		n.inspect(func() {
+			old, live, runs = nil, 0, len(n.engines)
+			for cid, run := range n.engines {
+				live += run.eng.Counters().RetainedSlots
+				if cid < n.curID {
+					old = append(old, cid)
+				}
 			}
-		}
-		n.mu.Unlock()
+		})
 		return len(old) == 0 && n.Stats().RetainedSlots == live
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -156,9 +156,8 @@ func TestReannouncedChainStartsNoRetiredEngine(t *testing.T) {
 		for _, rec := range recs {
 			n.handleAnnounce(rec)
 		}
-		n.mu.Lock()
-		after := len(n.engines)
-		n.mu.Unlock()
+		var after int
+		n.inspect(func() { after = len(n.engines) })
 		if after != before {
 			t.Errorf("%s: re-announcing its chain took its engine runs from %d to %d", id, before, after)
 		}

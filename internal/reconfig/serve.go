@@ -14,102 +14,82 @@ import (
 // the engine's proposal queue in the clump they left the client in only if
 // nothing parks between the socket and the loop that proposes them.
 //
-// opSubmit is therefore posted to the apply loop's mailbox, which admits it
-// (drainMailboxLocked): one TryPut that neither waits nor takes n.mu, and a
-// full mailbox drops the command as a lost frame is dropped. Every other op
-// may wait for the chain to advance or touch the store, and gets its own
-// goroutine.
+// Every op is therefore decoded here, since req is a view of the frame, and
+// posted to the apply loop's mailbox with one TryPut that never waits. The
+// loop admits a submit (drainMailbox) and answers every other op itself,
+// except a snapshot read from the store, which it hands to a goroutine
+// (serveSnap); a reconfiguration waits on the loop as a waiter, not on a
+// goroutine (reconfigure). A full mailbox drops the request as a lost frame
+// is dropped: the asker's retransmission, timeout or next round covers it.
 func (n *Node) handleRPC(_ types.NodeID, req []byte, respond func([]byte)) {
 	if len(req) == 0 {
 		return
 	}
-	if req[0] != opSubmit {
-		go n.serveControl(req, respond)
+	if req[0] == opSubmit {
+		if cmd, err := types.DecodeCommand(req[1:]); err == nil {
+			n.mailbox.TryPut(loopMsg{cmd: cmd, respond: respond})
+		}
 		return
 	}
-	if cmd, err := types.DecodeCommand(req[1:]); err == nil {
-		n.mailbox.TryPut(loopMsg{cmd: cmd, respond: respond})
-	}
-}
-
-// serveControl serves the ops that may block: reconfiguration, chain gossip,
-// discovery and snapshot transfer.
-func (n *Node) serveControl(req []byte, respond func([]byte)) {
+	r := types.NewReader(req[1:])
+	var f func()
 	switch req[0] {
 	case opLocate:
-		n.mu.Lock()
-		reply := LocateResult{
-			Config: n.configs[n.curID],
-			Wedged: func() bool { _, ok := n.chain[n.curID]; return ok }(),
-			Leader: n.leaderHintLocked(),
+		f = func() {
+			_, wedged := n.chain[n.curID]
+			respond(encodeLocateReply(LocateResult{Config: n.configs[n.curID], Wedged: wedged, Leader: n.LeaderHint()}))
 		}
-		n.mu.Unlock()
-		respond(encodeLocateReply(reply))
 	case opSnapMeta:
-		r := types.NewReader(req[1:])
 		id := types.ConfigID(r.Uvarint())
-		if r.Err() != nil {
-			return
-		}
-		m, ok := n.snapManifest(id)
-		reply := snapMetaReply{Found: ok, Format: m.Format, Base: m.Base, CRCs: m.CRCs}
-		if ok {
-			// Piggyback the leading chunks: on a loaded control plane every
-			// round trip pays a full dispatch-queue traversal, so a small
-			// snapshot should transfer in the manifest round trip itself.
-			reply.Chunks = n.snapChunkRange(id, 0, m.Chunks())
-		}
-		respond(encodeSnapMetaReply(reply))
+		f = func() { n.serveSnap(id, -1, 0, respond) }
 	case opSnapChunk:
-		r := types.NewReader(req[1:])
 		id := types.ConfigID(r.Uvarint())
-		first := int(r.Uvarint())
-		count := int(r.Uvarint())
-		if r.Err() != nil {
-			return
+		first, count := int(r.Uvarint()), int(r.Uvarint())
+		if first < 0 {
+			first, count = 0, 0 // past any chunk index: an empty reply
 		}
-		respond(encodeSnapChunkReply(snapChunkReply{Chunks: n.snapChunkRange(id, first, count)}))
+		f = func() { n.serveSnap(id, first, count, respond) }
 	case opAnnounce:
 		rec, err := decodeChainRecord(req[1:])
 		if err != nil {
 			return
 		}
-		n.handleAnnounce(rec)
-		respond(encodeAnnounceAck())
+		f = func() {
+			n.integrate(types.Config{}, rec)
+			respond(encodeAnnounceAck())
+		}
 	case opReconfig:
-		r := types.NewReader(req[1:])
 		members := r.NodeIDs()
-		if r.Err() != nil {
-			return
+		f = func() {
+			ctx, cancel := context.WithTimeout(n.baseCtx, 30*time.Second)
+			n.reconfigure(ctx, members, func(cfg types.Config, err error) {
+				cancel()
+				reply := ReconfigResult{OK: err == nil, Config: cfg}
+				if err != nil {
+					reply.Detail = err.Error()
+				}
+				respond(encodeReconfigReply(reply))
+			})
 		}
-		ctx, cancel := context.WithTimeout(n.baseCtx, 30*time.Second)
-		defer cancel()
-		cfg, err := n.Reconfigure(ctx, members)
-		reply := ReconfigResult{OK: err == nil, Config: cfg}
-		if err != nil {
-			reply.Detail = err.Error()
-		}
-		respond(encodeReconfigReply(reply))
 	case opChain:
 		// A bare request is a client's, for the whole chain; gossip names the
 		// newest configuration the asker's chain reaches and gets only the
 		// records after it.
 		var since types.ConfigID
 		if len(req) > 1 {
-			r := types.NewReader(req[1:])
-			if since = types.ConfigID(r.Uvarint()); r.Err() != nil {
-				return
-			}
+			since = types.ConfigID(r.Uvarint())
 		}
-		n.mu.Lock()
-		reply := ChainResult{Initial: n.initConfig, Records: n.chainSinceLocked(since)}
-		n.mu.Unlock()
-		respond(encodeChainReply(reply))
+		f = func() { respond(encodeChainReply(ChainResult{Initial: n.initConfig, Records: n.chainSince(since)})) }
+	default:
+		return
+	}
+	if r.Err() == nil {
+		n.mailbox.TryPut(loopMsg{f: f})
 	}
 }
 
-// gossipPeerLocked picks a peer from all configurations this node knows.
-func (n *Node) gossipPeerLocked() types.NodeID {
+// gossipPeer picks a peer from all configurations this node knows.
+func (n *Node) gossipPeer() types.NodeID {
 	seen := map[types.NodeID]bool{n.self: true}
 	var peers []types.NodeID
 	for _, cfg := range n.configs {
@@ -148,16 +128,17 @@ func (n *Node) gossipChain(to types.NodeID, push []byte, since types.ConfigID) {
 	if err != nil {
 		return
 	}
-	n.learnChain(cr.Initial, cr.Records...)
+	// The loop integrates what the peer knows before the exchange ends.
+	n.onLoop(func() { n.integrate(cr.Initial, cr.Records...) })
 }
 
-// fetchSourcesLocked lists peers likely to hold the initial snapshot of id:
+// fetchSources lists peers likely to hold the initial snapshot of id:
 // the predecessor configuration's members (they computed it at the wedge)
 // and the configuration's own members (they may have installed it already).
 // Both come from the one chain record that names id as a successor, the
 // predecessor's, which a node learns before it can act in id; so the list does
 // not change once the transfer of id is launched.
-func (n *Node) fetchSourcesLocked(id types.ConfigID) []types.NodeID {
+func (n *Node) fetchSources(id types.ConfigID) []types.NodeID {
 	seen := map[types.NodeID]bool{n.self: true}
 	var out []types.NodeID
 	add := func(ids []types.NodeID) {
@@ -233,79 +214,120 @@ func (n *Node) Submit(ctx context.Context, client types.NodeID, seq uint64, op [
 // position. If another reconfiguration won, it returns that winner and
 // ErrConflict.
 func (n *Node) Reconfigure(ctx context.Context, members []types.NodeID) (types.Config, error) {
-	n.mu.Lock()
-	if n.stopped {
-		n.mu.Unlock()
+	type result struct {
+		cfg types.Config
+		err error
+	}
+	done := make(chan result, 1)
+	if !n.post(func() {
+		n.reconfigure(ctx, members, func(cfg types.Config, err error) { done <- result{cfg, err} })
+	}) {
 		return types.Config{}, ErrStopped
 	}
-	origID := n.curID
-	cur := n.configs[origID]
-	if !n.initialized || !cur.IsMember(n.self) {
-		n.mu.Unlock()
-		return types.Config{}, ErrNotServing
-	}
-	newCfg, err := types.NewConfig(origID+1, members)
-	if err != nil {
-		n.mu.Unlock()
-		return types.Config{}, err
-	}
-	cmd := types.ReconfigCommand(newCfg)
-	n.mu.Unlock()
-
-	ticker := time.NewTicker(retryInterval * 2)
-	defer ticker.Stop()
-	for {
-		n.mu.Lock()
-		for n.curID > origID {
-			won, prev := n.configs[origID+1], n.configs[origID]
-			if won.Equal(newCfg) {
-				n.mu.Unlock()
-				return newCfg, nil
-			}
-			if !won.Equal(types.Config{ID: won.ID, Members: prev.Members}) {
-				n.mu.Unlock()
-				return won, ErrConflict
-			}
-			origID++
-			newCfg.ID = origID + 1
-			cmd = types.ReconfigCommand(newCfg)
-		}
-		waiter := n.transitionWaiterLocked()
-		run := n.engines[origID]
-		n.mu.Unlock()
-
-		if run != nil {
-			_ = run.eng.Propose(cmd)
-		}
-		select {
-		case <-waiter:
-		case <-ticker.C:
-		case <-ctx.Done():
-			return types.Config{}, ctx.Err()
-		case <-n.stopCh:
-			return types.Config{}, ErrStopped
-		}
+	select {
+	case r := <-done:
+		return r.cfg, r.err
+	case <-ctx.Done():
+		return types.Config{}, ctx.Err() // the loop drops the waiter at its next tick
+	case <-n.stopCh:
+		return types.Config{}, ErrStopped
 	}
 }
 
-// WaitServing blocks until the node is an initialized member of the current
-// configuration, or ctx expires.
-func (n *Node) WaitServing(ctx context.Context) error {
-	for {
-		n.mu.Lock()
-		if n.initialized && n.configs[n.curID].IsMember(n.self) {
-			n.mu.Unlock()
-			return nil
+// reconfigWaiter is a Reconfigure the loop holds until the chain advances past
+// its proposal, whose ID is its chain position: it is proposed in
+// configuration ID-1. answer is called once, on the loop.
+type reconfigWaiter struct {
+	ctx      context.Context
+	proposal types.Config
+	answer   func(types.Config, error)
+}
+
+// reconfigure validates a Reconfigure, proposes it into the current engine and
+// holds it until the transition that decides it (settleReconfigs), its
+// context's end or the loop's exit (retryReconfigs, exit). It runs on the
+// loop.
+func (n *Node) reconfigure(ctx context.Context, members []types.NodeID, answer func(types.Config, error)) {
+	if n.stopping() {
+		answer(types.Config{}, ErrStopped)
+		return
+	}
+	if !n.initialized || !n.configs[n.curID].IsMember(n.self) {
+		answer(types.Config{}, ErrNotServing)
+		return
+	}
+	proposal, err := types.NewConfig(n.curID+1, members)
+	if err != nil {
+		answer(types.Config{}, err)
+		return
+	}
+	w := &reconfigWaiter{ctx: ctx, proposal: proposal, answer: answer}
+	n.reconfigs = append(n.reconfigs, w)
+	n.proposeReconfig(w)
+}
+
+// proposeReconfig proposes w into the engine of the configuration its
+// position follows, when one runs here.
+func (n *Node) proposeReconfig(w *reconfigWaiter) {
+	if run, ok := n.engines[w.proposal.ID-1]; ok {
+		_ = run.eng.Propose(types.ReconfigCommand(w.proposal))
+	}
+}
+
+// settleReconfigs is every transition's turn of the Reconfigure waiters: one
+// whose position the chain has passed is answered — its own proposal won, or
+// another membership did (ErrConflict) — except when a bound wedge, a winner
+// with its predecessor's members, took the position: then it is proposed
+// again at the next one. It runs on the loop.
+func (n *Node) settleReconfigs() {
+	n.filterReconfigs(func(w *reconfigWaiter) bool {
+		if n.curID < w.proposal.ID {
+			return true
 		}
-		waiter := n.transitionWaiterLocked()
-		n.mu.Unlock()
-		select {
-		case <-waiter:
-		case <-time.After(retryInterval):
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-n.stopCh:
-			return ErrStopped
+		for ; n.curID >= w.proposal.ID; w.proposal.ID++ {
+			won, prev := n.configs[w.proposal.ID], n.configs[w.proposal.ID-1]
+			if won.Equal(w.proposal) {
+				w.answer(w.proposal, nil)
+				return false
+			}
+			if !won.Equal(types.Config{ID: won.ID, Members: prev.Members}) {
+				w.answer(won, ErrConflict)
+				return false
+			}
+		}
+		n.proposeReconfig(w)
+		return true
+	})
+}
+
+// retryReconfigs is the tick's turn of the Reconfigure waiters: one whose
+// context has ended is answered with its error and dropped, and every other
+// is proposed again every reconfigRetryTicks. It runs on the loop.
+func (n *Node) retryReconfigs() {
+	n.filterReconfigs(func(w *reconfigWaiter) bool {
+		if err := w.ctx.Err(); err != nil {
+			w.answer(types.Config{}, err)
+			return false
+		}
+		if n.tick%reconfigRetryTicks == 0 {
+			n.proposeReconfig(w)
+		}
+		return true
+	})
+}
+
+// reconfigRetryTicks is how many ticks pass between re-proposals of a waiting
+// Reconfigure.
+const reconfigRetryTicks = 2
+
+// filterReconfigs keeps the Reconfigure waiters for which wait reports true.
+func (n *Node) filterReconfigs(wait func(*reconfigWaiter) bool) {
+	keep := n.reconfigs[:0]
+	for _, w := range n.reconfigs {
+		if wait(w) {
+			keep = append(keep, w)
 		}
 	}
+	clear(n.reconfigs[len(keep):])
+	n.reconfigs = keep
 }

@@ -244,7 +244,12 @@ func testCommitServedFromMemory(t *testing.T, after int) {
 	servedAtFreeze := false
 	gate.mu.Lock()
 	gate.armed = true
-	gate.frozen = func() { _, servedAtFreeze = n1.snapManifest(3) }
+	gate.frozen = func() {
+		reply := make(chan []byte, 1)
+		n1.handleRPC("probe", encodeSnapMeta(snapMetaReq{Config: 3}), func(b []byte) { reply <- b })
+		mr, err := decodeSnapMetaReply(<-reply)
+		servedAtFreeze = err == nil && mr.Found
+	}
 	gate.mu.Unlock()
 
 	// Enough load in configuration 2 to cross the log bound once: its wedge

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/rpc"
 	"repro/internal/statemachine"
 	"repro/internal/storage"
 	"repro/internal/transport"
@@ -20,7 +21,7 @@ import (
 
 // Tests of the one write discipline: above internal/storage every write is
 // staged, and a barrier is taken only where something is promised, never
-// under Node.mu.
+// on the node's apply loop.
 
 // stuckStore models a disk whose flushes hang: once a write to a key under
 // trigger has been seen, Set and Delete (durable writes) and Sync block until
@@ -73,14 +74,15 @@ func (s *stuckStore) Sync() error {
 // moment each writes a chain record — n3 as it applies the reconfiguration
 // that removes it, n4 as it applies the same reconfiguration, which keeps it,
 // the spare s1 as it takes the announce that adds it — and keeps it hung,
-// while n1, n2 and s2 serve configuration 2. None may hold Node.mu across a
-// flush, nor may its loop wait on the disk, so all still answer submits: n3
-// (retired) and s1 (no state yet, no speculative start) redirect, and n4,
-// whose engine cannot reach its disk, answers a duplicate of an applied
-// command from its session table. Each loop keeps ticking at its period and
-// integrates a chain record handed to it — configuration 3, {n1, n2}: n3 and
-// s1 jump there at once; n4, still executing configuration 2, refuses a read
-// at once, as the record fences it, and moves on with the stale jump.
+// while n1, n2 and s2 serve configuration 2. No node's loop may wait on the
+// disk, so all still answer submits: n3 (retired) and s1 (no state yet, no
+// speculative start) redirect, and n4, whose engine cannot reach its disk,
+// answers a duplicate of an applied command from its session table. Each loop
+// keeps ticking at its period, runs every one of 100 posted functions within
+// 50 ms of its posting, answers a locate and a chain request and its Stats,
+// and integrates a chain record handed to it — configuration 3, {n1, n2}: n3
+// and s1 jump there at once; n4, still executing configuration 2, refuses a
+// read at once, as the record fences it, and moves on with the stale jump.
 func TestStuckFsyncLeavesNodeAnswering(t *testing.T) {
 	w := newWorld(t, transport.Options{BaseLatency: 100 * time.Microsecond, Seed: 71})
 	w.opts.SpeculativeStart = SpecOff
@@ -135,7 +137,7 @@ func TestStuckFsyncLeavesNodeAnswering(t *testing.T) {
 		case r := <-done:
 			return r.reply, r.err
 		case <-time.After(3 * time.Second):
-			t.Fatalf("submit to %s with its disk stuck went unanswered: a flush is holding Node.mu or the loop", id)
+			t.Fatalf("submit to %s with its disk stuck went unanswered: a flush is holding the loop", id)
 			return nil, nil
 		}
 	}
@@ -148,10 +150,9 @@ func TestStuckFsyncLeavesNodeAnswering(t *testing.T) {
 		t.Errorf("duplicate to n4 with its disk stuck: %q, %v; want the recorded reply %q", reply, err, put)
 	}
 
-	ticks := func(n *Node) int64 {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		return n.tick
+	ticks := func(n *Node) (tick int64) {
+		n.inspect(func() { tick = n.tick })
+		return tick
 	}
 	before := map[types.NodeID]int64{}
 	for id := range stuck {
@@ -161,6 +162,26 @@ func TestStuckFsyncLeavesNodeAnswering(t *testing.T) {
 	for id, was := range before {
 		if got := ticks(w.node(id)) - was; got < 20 {
 			t.Errorf("%s's loop ticked %d times in 300 ms with its disk stuck, want >= 20", id, got)
+		}
+	}
+	peer := rpc.NewPeer(w.net.Endpoint("probe"), ControlStream, nil)
+	defer peer.Close()
+	for id := range stuck {
+		n := w.node(id)
+		for i := range 100 {
+			if took := within(func() { n.onLoop(func() {}) }); took > 50*time.Millisecond {
+				t.Fatalf("%s's loop took %v to run posted function %d with its disk stuck, want <= 50ms", id, took, i)
+			}
+		}
+		for _, req := range [][]byte{EncodeLocateRequest(), EncodeChainRequest()} {
+			cctx, ccancel := context.WithTimeout(ctx, 3*time.Second)
+			if _, err := peer.Call(cctx, id, req, 0); err != nil {
+				t.Errorf("%s left op %d unanswered with its disk stuck: %v", id, req[0], err)
+			}
+			ccancel()
+		}
+		if took := within(func() { n.Stats() }); took >= time.Second {
+			t.Errorf("%s's Stats took %v with its disk stuck", id, took)
 		}
 	}
 	if _, err := w.node("n1").Reconfigure(ctx, []types.NodeID{"n1", "n2"}); err != nil {
@@ -265,9 +286,9 @@ func TestStartWaitsOnNoDisk(t *testing.T) {
 }
 
 // probeStore counts, on a WAL store, the durable writes and barriers its
-// node's snapshot transfer makes, and every one made while the node's mutex
-// is held. A write to a key outside rc/ — the engine's first, after the
-// install — ends the count.
+// node's snapshot transfer makes, and every one made while the node's apply
+// loop cannot run. A write to a key outside rc/ — the engine's first, after
+// the install — ends the count.
 type probeStore struct {
 	*storage.WALStore
 	node atomic.Pointer[Node]
@@ -276,21 +297,20 @@ type probeStore struct {
 	done     bool
 	durable  int   // Set and Delete calls: each is its own fsync on a SyncWrites store
 	fsyncs   int64 // WAL fsyncs, Set's included
-	underMu  []string
+	onLoop   []string
 	baseline int64
 }
 
-// lockFree reports whether the node's mutex could be taken within a second:
-// a write made while the caller holds it cannot.
-func (p *probeStore) lockFree() bool {
+// loopFree reports whether the node's apply loop ran a posted function
+// within a second: it cannot while the write is its own.
+func (p *probeStore) loopFree() bool {
 	n := p.node.Load()
 	if n == nil {
 		return true
 	}
 	got := make(chan struct{})
 	go func() {
-		n.mu.Lock()
-		n.mu.Unlock()
+		n.onLoop(func() {})
 		close(got)
 	}()
 	select {
@@ -302,12 +322,13 @@ func (p *probeStore) lockFree() bool {
 }
 
 func (p *probeStore) observe(op, key string, durable bool) {
-	// Staging never waits on the disk; only the others must stay off mu.
-	free := op == "stage" || p.lockFree()
+	// Staging never waits on the disk; only the others must stay off the
+	// loop.
+	free := op == "stage" || p.loopFree()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if !free {
-		p.underMu = append(p.underMu, op+" "+key)
+		p.onLoop = append(p.onLoop, op+" "+key)
 	}
 	if p.done {
 		return
@@ -372,7 +393,7 @@ func rangesFor(sizes []int) int {
 
 // TestTransferFsyncBudget: a joiner fetching a 33-chunk snapshot onto a WAL
 // store opened in sync mode pays one fsync per range reply, plus one before
-// the install, and none with Node.mu held. It stages the chain record, the
+// the install, and none on the apply loop. It stages the chain record, the
 // manifest and every chunk; a durable Set per chunk would be 34 fsyncs.
 func TestTransferFsyncBudget(t *testing.T) {
 	w := newWorld(t, transport.Options{BaseLatency: 100 * time.Microsecond, Seed: 73})
@@ -431,8 +452,8 @@ func TestTransferFsyncBudget(t *testing.T) {
 	case probe.fsyncs > int64(ranges)+1:
 		t.Errorf("transfer cost %d fsyncs, want at most one per range reply plus one (%d)", probe.fsyncs, ranges+1)
 	}
-	if len(probe.underMu) > 0 {
-		t.Errorf("durable writes or barriers with Node.mu held: %v", probe.underMu)
+	if len(probe.onLoop) > 0 {
+		t.Errorf("durable writes or barriers on the apply loop: %v", probe.onLoop)
 	}
 }
 

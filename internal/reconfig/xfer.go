@@ -27,9 +27,11 @@ import (
 // a reconfiguration or the log bound — since the successor's log starts
 // fresh.
 //
-// serve answers manifest and chunk requests from the in-memory copy while one
-// is held and from the store otherwise, so a peer never reads a blob that is
-// half overwritten.
+// serve answers manifest and chunk requests on the apply loop from the
+// in-memory copy while one is held, and otherwise hands the store read to a
+// goroutine of its own. The loop decides between the two at the request's
+// turn, and a commit starts overwriting a blob only after the loop has taken
+// publish's copy, so a peer never reads a blob that is half overwritten.
 //
 // transfer is the one goroutine that pulls a snapshot from peers, for a
 // joiner and for a member whose stale jump left it without state. It fetches
@@ -46,14 +48,14 @@ import (
 // id+2 or later, and with it the engine namespaces of retired runs, but
 // neither before a newer snapshot is durable here.
 //
-// The workers of every stage — the publish, transfer and retire goroutines
-// and the transfer's fetch workers — own no node state and never take mu:
-// they report to the apply loop through its mailbox (post, onLoop), and the
-// loop alone writes the pipeline's bookkeeping (serving, transfer,
-// snapDurable, retireNext, discardNext, retiring; apply.go). That order is
-// what keeps two writers of one blob apart: the loop retires no snapshot
-// whose commit or transfer has not reported its end. Their counters are
-// atomics (workerStats), which Stats folds in.
+// The workers of every stage — the publish, transfer and retire goroutines,
+// the transfer's fetch workers and serve's store reads — own no node state and
+// read none: they report to the apply loop through its mailbox (post, onLoop),
+// and the loop alone reads and writes the pipeline's bookkeeping (serving,
+// transfer, snapDurable, retireNext, discardNext, retiring; apply.go). That
+// order is what keeps two writers of one blob apart: the loop retires no
+// snapshot whose commit or transfer has not reported its end. Their counters
+// are atomics (workerStats), which Stats folds in.
 
 // fetchWorkers is the number of concurrent chunk-range downloads per fetch
 // round.
@@ -102,17 +104,17 @@ type snapServing struct {
 
 func snapPrefix(id types.ConfigID) string { return fmt.Sprintf("rc/snap/%020d", uint64(id)) }
 
-// retiredLocked reports whether nobody can still need configuration id's
+// retired reports whether nobody can still need configuration id's
 // snapshot from this node. The current configuration's snapshot is what a
 // restart recovers from, and its predecessor's members are where a slow
 // joiner of the current configuration fetches; anything older has a
-// successor whose own snapshot supersedes it. Caller holds mu.
-func (n *Node) retiredLocked(id types.ConfigID) bool { return n.curID >= id+2 }
+// successor whose own snapshot supersedes it.
+func (n *Node) retired(id types.ConfigID) bool { return n.curID >= id+2 }
 
 // --- publish ----------------------------------------------------------------
 
 // publish makes src — the machine state of configuration id at slot 0, forked
-// on the loop, which registered id as committing (wedgeLocked) — the snapshot
+// on the loop, which registered id as committing (wedge) — the snapshot
 // peers fetch and this node recovers from. The commit starts only once the
 // loop serves the in-memory copy, so no peer reads the blob while it is
 // overwritten, and not at all if id is retired by then: nobody can still need
@@ -123,7 +125,7 @@ func (n *Node) publish(id types.ConfigID, src statemachine.SnapshotSource) {
 	defer n.wg.Done()
 	m, chunks := serialize(src)
 	retired := false
-	if n.onLoop(func() { retired = n.servingLocked(id, m, chunks) }) && retired {
+	if n.onLoop(func() { retired = n.published(id, m, chunks) }) && retired {
 		return
 	}
 	n.commit(id, m, chunks)
@@ -149,92 +151,97 @@ func serialize(src statemachine.SnapshotSource) (storage.ChunkManifest, [][]byte
 }
 
 // commit persists a complete snapshot of id over whatever rc/snap/<id> holds
-// and reports the end to the loop (committedLocked), which retires nothing of
+// and reports the end to the loop (committed), which retires nothing of
 // id before it. On failure the store may hold a torn blob; the loop keeps
 // serving the in-memory copy.
 func (n *Node) commit(id types.ConfigID, m storage.ChunkManifest, chunks [][]byte) {
 	err := storage.WriteChunkedCommit(n.store, snapPrefix(id), m, func(i int) []byte { return chunks[i] })
-	n.post(func() { n.committedLocked(id, err) })
+	n.post(func() { n.committed(id, err) })
 }
 
 // --- serve ------------------------------------------------------------------
 
-// snapManifest answers a manifest request from memory or the store.
-func (n *Node) snapManifest(id types.ConfigID) (storage.ChunkManifest, bool) {
-	n.mu.Lock()
-	s := n.serving[id]
-	n.mu.Unlock()
-	var m storage.ChunkManifest
-	if s != nil && s.chunks != nil {
-		m = s.manifest
-	} else if stored, ok, err := storage.ReadChunkManifest(n.store, snapPrefix(id)); err == nil && ok {
-		m = stored
-	} else {
-		return storage.ChunkManifest{}, false
+// serveSnap answers a request for configuration id's snapshot: its manifest
+// with the leading chunks when first is -1, else up to count chunks from
+// first on. It runs on the loop, which answers from the in-memory copy itself
+// and hands a store read to a goroutine of its own.
+func (n *Node) serveSnap(id types.ConfigID, first, count int, respond func([]byte)) {
+	hook := n.testChunkHook
+	reply := func(m storage.ChunkManifest, found bool, get func(int) ([]byte, bool)) []byte {
+		return n.snapReply(m, found, first, count, func(i int) ([]byte, bool) {
+			data, ok := get(i)
+			if ok && hook != nil {
+				data = hook(id, i, data)
+			}
+			return data, ok
+		})
 	}
-	n.workerStats.snapshotsServed.Add(1)
-	return m, true
+	if s := n.serving[id]; s != nil && s.chunks != nil {
+		respond(reply(s.manifest, true, func(i int) ([]byte, bool) {
+			if i >= len(s.chunks) {
+				return nil, false
+			}
+			return s.chunks[i], true
+		}))
+		return
+	}
+	n.wg.Add(1)
+	go func() {
+		defer n.wg.Done()
+		prefix := snapPrefix(id)
+		m, found, err := storage.ReadChunkManifest(n.store, prefix)
+		respond(reply(m, found && err == nil, func(i int) ([]byte, bool) {
+			data, ok, err := n.store.Get(storage.ChunkKey(prefix, i))
+			return data, ok && err == nil
+		}))
+	}()
 }
 
-// snapChunkOne answers one chunk request from memory or the store. A
-// partially fetched joiner serves the chunks it already verified, so a
-// snapshot can be pulled from any mix of current and previous members.
-func (n *Node) snapChunkOne(id types.ConfigID, idx int) ([]byte, bool) {
-	if idx < 0 {
-		return nil, false
+// snapReply builds the reply to a manifest request (first -1), from m when
+// found, or to a chunk request, from chunk. A manifest reply piggybacks the
+// leading chunks: on a loaded control plane every round trip pays a full
+// dispatch-queue traversal, so a small snapshot should transfer in the
+// manifest round trip itself. A chunk request is answered with the chunks this
+// node holds, manifest or not: a partially fetched joiner serves the chunks it
+// already verified, so a snapshot can be pulled from any mix of current and
+// previous members.
+func (n *Node) snapReply(m storage.ChunkManifest, found bool, first, count int, chunk func(int) ([]byte, bool)) []byte {
+	if first >= 0 {
+		return encodeSnapChunkReply(snapChunkReply{Chunks: n.snapChunkRange(first, count, chunk)})
 	}
-	n.mu.Lock()
-	var data []byte
-	found := false
-	if s := n.serving[id]; s != nil && idx < len(s.chunks) {
-		data, found = s.chunks[idx], true
-	}
-	hook := n.testChunkHook
-	n.mu.Unlock()
 	if !found {
-		raw, ok, err := n.store.Get(storage.ChunkKey(snapPrefix(id), idx))
-		if err != nil || !ok {
-			return nil, false
-		}
-		data = raw
+		return encodeSnapMetaReply(snapMetaReply{})
 	}
-	if hook != nil {
-		data = hook(id, idx, data)
-	}
-	n.workerStats.chunksServed.Add(1)
-	return data, true
+	n.workerStats.snapshotsServed.Add(1)
+	return encodeSnapMetaReply(snapMetaReply{Found: true, Format: m.Format, Base: m.Base, CRCs: m.CRCs,
+		Chunks: n.snapChunkRange(0, m.Chunks(), chunk)})
 }
 
 // snapChunkRange gathers up to count consecutive chunks starting at first,
 // stopping at the first chunk this node lacks or when the reply would exceed
 // rangeBudget (the first chunk is always included, however large).
-func (n *Node) snapChunkRange(id types.ConfigID, first, count int) [][]byte {
-	if first < 0 || count <= 0 {
-		return nil
-	}
+func (n *Node) snapChunkRange(first, count int, chunk func(int) ([]byte, bool)) [][]byte {
 	var out [][]byte
 	total := 0
 	for i := first; i < first+count; i++ {
-		data, ok := n.snapChunkOne(id, i)
-		if !ok {
-			break
-		}
-		if len(out) > 0 && total+len(data) > rangeBudget {
+		data, ok := chunk(i)
+		if !ok || len(out) > 0 && total+len(data) > rangeBudget {
 			break
 		}
 		out = append(out, data)
 		total += len(data)
 	}
+	n.workerStats.chunksServed.Add(int64(len(out)))
 	return out
 }
 
 // --- transfer ---------------------------------------------------------------
 
 // runTransfer fetches the snapshot of id, its state at slot 0, from sources
-// and installs it. The loop launched it (maybeTransferLocked) and clears
+// and installs it. The loop launched it (maybeTransfer) and clears
 // n.transfer at its last report; it keeps trying until the install happens or
 // ctx is cancelled, which the loop does once the node moves past id
-// (jumpLocked) and Stop does through baseCtx. The cancel also ends the
+// (jump) and Stop does through baseCtx. The cancel also ends the
 // in-flight fetch RPCs and the backoff wait.
 //
 // It persists the manifest and every verified chunk as it arrives: that makes
@@ -244,7 +251,7 @@ func (n *Node) snapChunkRange(id types.ConfigID, first, count int) [][]byte {
 // chunks, which the next round resumes from.
 func (n *Node) runTransfer(ctx context.Context, id types.ConfigID, sources []types.NodeID) {
 	defer n.wg.Done()
-	defer n.post(n.transferEndedLocked)
+	defer n.post(n.transferEnded)
 	rng := rand.New(rand.NewSource(types.SeedFor(string(n.self)) ^ int64(id)))
 	prefix := snapPrefix(id) // where verified chunks are persisted
 	var (
@@ -539,7 +546,7 @@ func (n *Node) buildMachine(m storage.ChunkManifest, chunks [][]byte) (*statemac
 // install adopts a complete, verified chunk set as the state of configuration
 // id at slot 0; an older version's mid-log checkpoint (Base > 0) is refused.
 // The O(state) machine build runs here, on the caller's goroutine; the swap is
-// handed to the apply loop (installLocked), which makes it between two
+// handed to the apply loop (adopt), which makes it between two
 // rounds, so no segment ever executes against a machine that is being
 // replaced. Reports whether the install happened.
 func (n *Node) install(id types.ConfigID, m storage.ChunkManifest, chunks [][]byte) (installed bool) {
@@ -551,7 +558,7 @@ func (n *Node) install(id types.ConfigID, m storage.ChunkManifest, chunks [][]by
 		n.countViolation()
 		return false
 	}
-	n.onLoop(func() { installed = n.installLocked(id, fresh) })
+	n.onLoop(func() { installed = n.adopt(id, fresh) })
 	return installed
 }
 
@@ -561,7 +568,7 @@ func (n *Node) install(id types.ConfigID, m storage.ChunkManifest, chunks [][]by
 // snaps and the engine namespaces streams with staged deletes and one
 // barrier, which also moves the discard cursor past streams, and reports its
 // end to the loop. The loop hands it no snapshot whose commit or transfer is
-// still writing (retireLocked).
+// still writing (retireDue).
 func (n *Node) retire(old []smr.Replica, snaps, streams []types.ConfigID) {
 	defer n.wg.Done()
 	for _, eng := range old {
@@ -570,7 +577,7 @@ func (n *Node) retire(old []smr.Replica, snaps, streams []types.ConfigID) {
 	if err := n.discard(snaps, streams); err != nil && err != storage.ErrStoreClosed {
 		n.countViolation()
 	}
-	n.post(n.retireEndedLocked)
+	n.post(n.retireEnded)
 }
 
 // discardKey holds the discard cursor: every configuration below it has had
@@ -598,5 +605,5 @@ func (n *Node) discard(snaps, streams []types.ConfigID) error {
 	return n.store.Sync()
 }
 
-// countViolation counts an invariant violation a worker found, without mu.
+// countViolation counts an invariant violation a worker found, off the loop.
 func (n *Node) countViolation() { n.workerStats.violations.Add(1) }

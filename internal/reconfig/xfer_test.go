@@ -19,9 +19,7 @@ import (
 
 // setChunkHook installs a served-chunk interceptor on a node.
 func setChunkHook(n *Node, hook func(id types.ConfigID, idx int, data []byte) []byte) {
-	n.mu.Lock()
-	n.testChunkHook = hook
-	n.mu.Unlock()
+	n.onLoop(func() { n.testChunkHook = hook })
 }
 
 // seedState writes enough KV data that the snapshot spans several range
@@ -134,9 +132,8 @@ func TestTransferEndsWhenTheNodeMovesOn(t *testing.T) {
 	joiner.handleAnnounce(recs[1])
 	moved := time.Now()
 	for {
-		joiner.mu.Lock()
-		running := joiner.transfer
-		joiner.mu.Unlock()
+		var running types.ConfigID
+		joiner.inspect(func() { running = joiner.transfer })
 		if running == 0 {
 			break
 		}
@@ -188,7 +185,7 @@ func TestTransferResumesAfterSourceDies(t *testing.T) {
 			close(stalled)
 		}
 		if hit || over {
-			<-block // hold the reply hostage: n1 has effectively died
+			<-block // hold the reply hostage, and n1's loop with it when the chunk is in memory: n1 has effectively died
 		}
 		return data
 	})
@@ -241,25 +238,25 @@ func TestTransferResumesAcrossJoinerCrash(t *testing.T) {
 	if err := spare.Start(); err != nil {
 		t.Fatal(err)
 	}
-	// Every member stalls after collectively serving a partial snapshot, so
-	// the crash below is guaranteed to interrupt an incomplete transfer.
+	// Every member serves only corrupt chunks once they have collectively
+	// served a partial snapshot, so the crash below is guaranteed to interrupt
+	// an incomplete transfer. The hook runs on the apply loop when the chunk
+	// is served from memory, so it must not block.
 	const serveLimit = 12
 	served := 0
 	var mu sync.Mutex
 	stalled := make(chan struct{})
-	block := make(chan struct{})
-	defer close(block)
 	hook := func(id types.ConfigID, idx int, data []byte) []byte {
 		mu.Lock()
 		served++
 		hit := served == serveLimit
-		over := served > serveLimit
+		over := served >= serveLimit
 		mu.Unlock()
 		if hit {
 			close(stalled)
 		}
-		if hit || over {
-			<-block
+		if over && len(data) > 0 {
+			return data[:len(data)-1] // fails the chunk's CRC
 		}
 		return data
 	}

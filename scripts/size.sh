@@ -65,8 +65,10 @@ row cluster.Config internal/cluster/cluster.go Config 6
 row storage.WALStoreOptions internal/storage/walstore.go WALStoreOptions 1
 row lincheck.Options internal/lincheck/lincheck.go Options 1
 
-# The node loop's remaining second owners in internal/reconfig's non-test code:
-# the n.mu.Lock() sites and the go statements, each against its bound.
+# The node loop's second owners in internal/reconfig's non-test code: the
+# n.mu.Lock() sites, none since the loop owns the node's state alone, and the
+# go statements (the loop, its workers, gossip and serve's store reads), each
+# against its bound.
 rc=$(ls internal/reconfig/*.go | grep -v '_test\.go$')
 count() { cat $rc | sed 's|//.*||' | grep -cE "$1" || true; }
 echo
@@ -75,7 +77,7 @@ site() {
 	printf '%-28s %8d %8d\n' "$1" "$2" "$3"
 	[ "$2" -le "$3" ] || over="$over $1 ($2 > $3)"
 }
-site "n.mu.Lock()" "$(count 'n\.mu\.Lock\(\)')" 25
+site "n.mu.Lock()" "$(count 'n\.mu\.Lock\(\)')" 0
 site "go statements" "$(count '^[[:space:]]*go [A-Za-z_(]')" 8
 if [ -n "$over" ]; then
 	echo "size.sh: over a bound:$over" >&2
